@@ -358,37 +358,32 @@ class ReduceConfig:
 
 @dataclass(frozen=True)
 class StreamConfig:
-    """Pipelined chunk streaming through the flush/prefetch cascades.
+    """The chunk plan of the flush cascade (and streamed promotions).
 
-    With ``enabled=False`` (the default) every cascade stage remains
-    store-and-forward — a checkpoint fully lands on one tier before the
-    next hop starts — bit-for-bit the historical behaviour (same
+    Every flush walks the same pipelined cascade
+    (:mod:`repro.core.flusher`); this config only picks how it is cut into
+    chunks.  With ``enabled=False`` (the default) every object plans as one
+    chunk, so a checkpoint fully lands on one tier before the next hop
+    starts — store-and-forward, bit-for-bit the historical behaviour (same
     discipline as :class:`SchedConfig` / :class:`ReduceConfig` /
-    :class:`FaultConfig`).  When enabled, each transfer is split into
-    fixed-size chunks streamed through a per-checkpoint ring buffer: the
-    D2H, host→SSD and SSD→PFS hops overlap chunk-by-chunk (and promotions
-    overlap the storage read with the H2D crossing), so end-to-end
-    durability latency approaches ``max(stage)`` instead of
-    ``sum(stages)``.
+    :class:`FaultConfig`).  When enabled, each transfer of two or more
+    ``stream_chunk_bytes`` chunks is streamed through a per-checkpoint ring
+    buffer: the D2H, host→SSD and SSD→PFS hops overlap chunk-by-chunk (and
+    promotions from SSD/PFS overlap the storage read with the H2D
+    crossing), so end-to-end durability latency approaches ``max(stage)``
+    instead of ``sum(stages)``.  Smaller transfers still plan one chunk
+    (per-chunk latency would dominate).
     """
 
-    #: master switch: stream the flush cascade and the promote path.
+    #: plan multi-chunk pipelines for the flush cascade and the promote path.
     enabled: bool = False
     #: nominal bytes per streamed chunk.  Sized so 2–3 chunks fit a
-    #: double-buffered 32–48 MiB staging window; transfers smaller than
-    #: ``min_stream_chunks`` chunks take the legacy whole-object path
-    #: (per-chunk latency would dominate).
+    #: double-buffered 32–48 MiB staging window.
     stream_chunk_bytes: int = 16 * MiB
     #: ring-buffer depth in chunks: a producer stage may run at most this
     #: many chunks ahead of its consumer before backpressure parks it
     #: (double buffer + 1 in-flight chunk).
     ring_chunks: int = 3
-    #: minimum chunk count for the streamed path; shorter transfers stay
-    #: store-and-forward.
-    min_stream_chunks: int = 2
-    #: also stream demand/prefetch promotions (storage read overlapped
-    #: with the H2D crossing through the same ring buffer).
-    prefetch: bool = True
 
     def __post_init__(self) -> None:
         if self.stream_chunk_bytes <= 0:
@@ -398,10 +393,6 @@ class StreamConfig:
         if self.ring_chunks < 2:
             raise ConfigError(
                 f"ring_chunks must be >= 2 (double buffer): {self.ring_chunks}"
-            )
-        if self.min_stream_chunks < 2:
-            raise ConfigError(
-                f"min_stream_chunks must be >= 2: {self.min_stream_chunks}"
             )
 
 

@@ -128,9 +128,9 @@ class ScoreEngine:
             else None
         )
         #: pipelined chunk streaming (``config.stream.enabled``): the flush
-        #: cascade and the promote path move in overlapped chunks through
+        #: cascade and the promote path plan overlapped chunks through
         #: per-checkpoint ring buffers (:mod:`repro.core.streaming`); off,
-        #: every hop is the historical store-and-forward whole object.
+        #: every object plans one chunk — store-and-forward.
         self.streaming = bool(self.config.stream.enabled)
         #: set once an injected crash point fires; flush streams drop their
         #: remaining work and public entry points raise
@@ -1072,11 +1072,7 @@ class ScoreEngine:
         ``speculative`` marks the landed extents as revocable predicted
         stagings rather than pinned hinted prefetches.
         """
-        if (
-            self.streaming
-            and self.config.stream.prefetch
-            and src in (TierLevel.SSD, TierLevel.PFS)
-        ):
+        if self.streaming and src in (TierLevel.SSD, TierLevel.PFS):
             result = self._promote_streamed(
                 record, src, dst, blocking, allow_pinned, request, op,
                 speculative=speculative,
@@ -1256,10 +1252,8 @@ class ScoreEngine:
         scfg = self.config.stream
         src_now, store = self.durable_read_source(record)
         read_nominal = record.stored_size(src_now)
-        sizes = plan_chunks(
-            read_nominal, scfg.stream_chunk_bytes, scfg.min_stream_chunks
-        )
-        if sizes is None or self.promote_stream is None:
+        sizes = plan_chunks(read_nominal, scfg.stream_chunk_bytes)
+        if len(sizes) == 1 or self.promote_stream is None:
             return NotImplemented
         h2d_wire = record.wire_size(
             src_now if dst == TierLevel.GPU else TierLevel.HOST, TierLevel.GPU

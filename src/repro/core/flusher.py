@@ -1,18 +1,36 @@
 """Asynchronous multi-level flushing (T_D2H and T_H2F of Section 4.3.1).
 
-Each process runs two dedicated flush streams:
+One cascade, walked by every checkpoint.  ``schedule()`` builds a
+:class:`~repro.core.streaming.ChunkPipeline` and co-submits one worker per
+stage, each on its own FIFO stream:
 
-* ``flush-d2h`` — GPU cache → pinned host cache, over the (shared) PCIe
-  link;
-* ``flush-h2f`` — host cache → node-local SSD (and optionally onward to the
-  parallel file system when persistence beyond the node is requested).
+* ``d2h`` — GPU cache → pinned host cache, over the (shared) PCIe link;
+* ``h2f`` — the durable hop: host copy → node-local SSD (rerouted to the
+  PFS while the SSD is dark);
+* ``f2r`` → ``f2p`` — SSD read-back feeding the PFS write, when persistence
+  beyond the node is requested;
+* ``repl`` — SSD → replica SSDs, queued by the durable hop once it landed.
+
+With GPUDirect storage the first two collapse into ``d2s``: the durable hop
+with no upstream stage, DMA-ing each chunk across PCIe itself.
+
+The *chunk plan* is the only thing that varies.  With
+``StreamConfig.enabled`` an object of two or more ``stream_chunk_bytes``
+chunks overlaps its stages chunk by chunk through the pipeline's bounded
+ring; anything else plans one chunk, so each stage moves the whole object
+once its upstream published it — the store-and-forward cascade is the
+one-chunk case of the same code.  The code observes the plan only where the
+two really differ: multi-chunk pipelines feed the ``flush.stream.*``
+occupancy metrics and emit ``<stage>-chunk`` slices, and a one-chunk PFS
+commit is a whole-object put (which, clustered, rides the fabric's write
+aggregator).
 
 The cascade follows the life cycle: a tier's instance becomes ``FLUSHED``
 (evictable) only once the next slower tier holds a complete copy.  The
-flusher snapshots the payload out of the source arena *before* the
-throttled transfer, so an instance that becomes consumable mid-flight can be
-evicted without corrupting the flush (``Instance.flush_pending`` guards the
-snapshot window).
+producer snapshots the payload out of the GPU arena *before* the throttled
+transfer and hands it down the pipeline, so the GPU instance can be evicted
+mid-flight without corrupting the flush (``Instance.flush_pending`` guards
+the snapshot window; the host copy stays pinned until the durable hop ends).
 
 Problem condition (5): flushes of discarded checkpoints are abandoned —
 ``record.cancel_flush`` is checked chunk-wise inside the link transfer.
@@ -58,24 +76,25 @@ class Flusher:
 
     def __init__(self, engine: "ScoreEngine") -> None:
         self.engine = engine
-        self.d2h_stream = engine.device.create_stream("flush-d2h")
-        self.h2f_stream = engine.device.create_stream("flush-h2f")
-        self.f2p_stream = (
-            engine.device.create_stream("flush-f2p") if engine.flush_to_pfs else None
-        )
-        # Streamed-only companion to f2p: the SSD read-back runs as its own
-        # pipeline stage so the read of chunk i+1 overlaps the PFS write of
-        # chunk i (store-and-forward f2p serialises the two legs).
-        self.f2r_stream = (
-            engine.device.create_stream("flush-f2r")
-            if engine.streaming and engine.flush_to_pfs
-            else None
-        )
-        self.repl_stream = (
-            engine.device.create_stream("flush-repl")
-            if engine.partner_ssd is not None
-            else None
-        )
+        create = engine.device.create_stream
+        self.d2h_stream = create("flush-d2h")
+        self.h2f_stream = create("flush-h2f")
+        self.repl_stream = create("flush-repl") if engine.partner_ssd is not None else None
+        # The PFS upgrade is two stages on two streams: the SSD read-back
+        # (f2r) produces for the PFS writer (f2p), so reads overlap writes.
+        self.f2r_stream = create("flush-f2r") if engine.flush_to_pfs else None
+        self.f2p_stream = create("flush-f2p") if engine.flush_to_pfs else None
+        self._streams = [
+            stream
+            for stream in (
+                self.d2h_stream,
+                self.h2f_stream,
+                self.repl_stream,
+                self.f2r_stream,
+                self.f2p_stream,
+            )
+            if stream is not None
+        ]
         self.abandoned = 0
         self.replicated = 0
         #: self-healing tallies (resilience; all zero when it is off).
@@ -109,27 +128,22 @@ class Flusher:
         self._m_reroutes = registry.counter("resilience.reroutes")
         self._m_reflush = registry.counter("resilience.reflushes")
         self._m_backfills = registry.counter("resilience.backfills")
-        # Pipeline-occupancy metrics exist only when streaming is on, so a
-        # disabled run's metrics snapshot stays byte-identical to pre-stream.
+        # Pipeline occupancy, accounted for multi-chunk pipelines only.
         self._stream_lock = threading.Lock()
         self._stream_active_s = 0.0
         self._stream_overlap_s = 0.0
-        if engine.streaming:
-            self._m_streamed = registry.counter("flush.stream.pipelines")
-            self._m_overlap = registry.gauge("flush.stream.overlap_ratio")
-            self._m_stall = {
-                stage: registry.gauge(f"flush.{stage}.stall_time")
-                for stage in ("d2h", "h2f", "f2r", "f2p")
-            }
+        self._m_streamed = registry.counter("flush.stream.pipelines")
+        self._m_overlap = registry.gauge("flush.stream.overlap_ratio")
+        self._m_stall = {
+            stage: registry.gauge(f"flush.{stage}.stall_time")
+            for stage in ("d2h", "d2s", "h2f", "f2r", "f2p")
+        }
 
     @property
     def backfill_depth(self) -> int:
         """Records durable only on the PFS, awaiting SSD catch-up copies."""
         with self._backfill_lock:
             return len(self._backfill)
-
-    def _track_for(self, stage: str) -> str:
-        return self._tracks.get(stage.split("-", 1)[0], self._tracks["h2f"])
 
     def _op(self, record: "CheckpointRecord"):
         """The record's causal handle (``NULL_OP`` when tracing is off)."""
@@ -145,21 +159,6 @@ class Flusher:
         if op.op_id is None:
             return {}
         return {"op_id": op.op_id, "category": CAT_TRANSFER, "tier": tier}
-
-    def _mark_durable(self, record: "CheckpointRecord", op, stage: str, level: TierLevel) -> None:
-        """First durable landing: emit the ``durable`` instant + SLO sample."""
-        if op.op_id is None:
-            return
-        engine = self.engine
-        now = engine.clock.now()
-        op.instant(
-            "durable",
-            track=self._track_for(stage),
-            tier=level.name.lower(),
-            level=level.name,
-        )
-        if engine.slo is not None:
-            engine.slo.observe_durability(now, now - op.start, op_id=op.op_id)
 
     def _abandon(self, stage: str, record: "CheckpointRecord", reason: str) -> None:
         """Count + trace + log one abandoned flush leg (monitor NOT required)."""
@@ -181,23 +180,13 @@ class Flusher:
         )
 
     def schedule(self, record: "CheckpointRecord") -> None:
-        """Queue the D2H (or GPUDirect D2S) leg after the GPU write."""
-        with self.engine.monitor:
-            record.instance(TierLevel.GPU).flush_pending = True
-        if self.engine.gpudirect:
-            self.d2h_stream.submit(
-                lambda: self._flush_d2s(record), label=f"d2s-{record.ckpt_id}"
-            )
-        elif not self._schedule_streamed(record):
-            self.d2h_stream.submit(
-                lambda: self._flush_d2h(record), label=f"d2h-{record.ckpt_id}"
-            )
-        self._m_d2h_depth.set(self.d2h_stream.depth)
+        """Co-submit the cascade stages of one checkpoint after its GPU write.
 
-    def _schedule_streamed(self, record: "CheckpointRecord") -> bool:
-        """Co-submit the streamed cascade stages; ``False`` when this record
-        takes the legacy store-and-forward path (streaming off, or the
-        transfer is too small to amortise per-chunk latency).
+        Every flush is a :class:`ChunkPipeline`; only the chunk plan differs.
+        With streaming on, objects of two or more ``stream_chunk_bytes``
+        chunks overlap their stages chunk by chunk; everything else plans
+        one chunk, and each stage then moves the whole object once its
+        upstream published it — the store-and-forward cascade.
 
         All stages of one checkpoint are submitted together, in cascade
         order, onto their per-stage FIFO streams.  Because every checkpoint
@@ -207,40 +196,41 @@ class Flusher:
         and the co-scheduled workers cannot deadlock.
         """
         engine = self.engine
-        if not engine.streaming:
-            return False
+        with engine.monitor:
+            record.instance(TierLevel.GPU).flush_pending = True
         scfg = engine.config.stream
-        sizes = plan_chunks(
-            record.wire_size(TierLevel.GPU, TierLevel.HOST),
-            scfg.stream_chunk_bytes,
-            scfg.min_stream_chunks,
-        )
-        if sizes is None:
-            return False
+        wire = record.wire_size(TierLevel.GPU, TierLevel.HOST)
+        chunks = len(plan_chunks(wire, scfg.stream_chunk_bytes)) if engine.streaming else 1
         pipeline = ChunkPipeline(
             record.ckpt_id,
-            len(sizes),
+            chunks,
             scfg.ring_chunks,
             engine.clock,
             cancelled=record.cancel_flush,
             crashed=engine.crashed,
         )
-        pipeline.add_stage("d2h")
-        pipeline.add_stage("h2f")
-        stages = [("d2h", self.d2h_stream, self._stream_d2h),
-                  ("h2f", self.h2f_stream, self._stream_h2f)]
+        if engine.gpudirect:
+            # GPUDirect storage: the durable hop is also the producer (it
+            # DMAs each chunk across PCIe itself), so no host staging stage.
+            stages = [("d2s", self.d2h_stream, self._stage_durable)]
+        else:
+            stages = [
+                ("d2h", self.d2h_stream, self._stage_d2h),
+                ("h2f", self.h2f_stream, self._stage_durable),
+            ]
         if self.f2p_stream is not None:
             # The PFS upgrade runs as two stages — SSD read-back producing
             # for the PFS writer — so chunk reads overlap chunk writes.
-            pipeline.add_stage("f2r")
-            pipeline.add_stage("f2p")
-            stages.append(("f2r", self.f2r_stream, self._stream_f2r))
-            stages.append(("f2p", self.f2p_stream, self._stream_f2p))
+            stages.append(("f2r", self.f2r_stream, self._stage_f2r))
+            stages.append(("f2p", self.f2p_stream, self._stage_f2p))
+        for name, _stream, _body in stages:
+            pipeline.add_stage(name)
         pipeline.retain(len(stages))
-        self._m_streamed.inc()
+        if pipeline.chunks > 1:
+            self._m_streamed.inc()
         for name, stream, body in stages:
             event = stream.submit(
-                lambda body=body: body(record, pipeline),
+                lambda name=name, body=body: self._run_stage(name, body, record, pipeline),
                 label=f"{name}-{record.ckpt_id}",
             )
             # Event-driven failure propagation: a stage worker that dies
@@ -252,8 +242,27 @@ class Flusher:
                 if (ev.error is not None or ev.cancelled)
                 else None
             )
+        self._m_d2h_depth.set(self.d2h_stream.depth)
         self._m_h2f_depth.set(self.h2f_stream.depth)
-        return True
+
+    def _run_stage(self, stage: str, body, record: "CheckpointRecord", pipeline) -> None:
+        """Run one stage worker of one checkpoint's pipeline.
+
+        A stage body returns ``True`` once its stage finished (or was
+        skipped); anything else — an abandoning bare ``return``, an
+        exception — fails the stage so its neighbours unblock.  The last
+        worker out rolls a multi-chunk pipeline into the occupancy gauges.
+        """
+        done = False
+        try:
+            # A dead incarnation drops its queued work.
+            if not self.engine.crashed.is_set():
+                done = body(stage, record, pipeline)
+        finally:
+            if not done:
+                pipeline.fail(stage)
+            if pipeline.release() and pipeline.chunks > 1:
+                self._account_stream(pipeline)
 
     def _request(self, record: "CheckpointRecord"):
         """QoS tag for one flush leg (None when scheduling is off).
@@ -274,35 +283,24 @@ class Flusher:
         work in flight at the deadline, ``True`` once everything drained.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        streams = [
-            stream
-            for stream in (
-                self.d2h_stream,
-                self.h2f_stream,
-                self.repl_stream,
-                self.f2r_stream,
-                self.f2p_stream,
-            )
-            if stream is not None
-        ]
-        # Sweep until every stream is *simultaneously* idle: a drained d2h
-        # item may have enqueued h2f work which enqueues repl/f2p work (and
-        # with chunk streaming, stages co-run), so a fixed pass count can
-        # return while the tail of the cascade is still in flight.  Each
-        # sweep also gives rerouted records a chance to backfill onto a
-        # healed SSD; a *stuck* backfill (tier still dark) does not hold
-        # drain hostage — matching the historical contract.
+        # Sweep until every stream is *simultaneously* idle: the durable hop
+        # enqueues replication work, and co-scheduled stages finish in any
+        # order, so a fixed pass count can return while the tail of the
+        # cascade is still in flight.  Each sweep also gives rerouted
+        # records a chance to backfill onto a healed SSD; a *stuck* backfill
+        # (tier still dark) does not hold drain hostage — matching the
+        # historical contract.
         while True:
             backfill_before = self.backfill_depth
             self._drain_backfill()
-            for stream in streams:
+            for stream in self._streams:
                 if deadline is None:
                     stream.synchronize()
                     continue
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not stream.synchronize(timeout=remaining):
                     return False
-            if any(stream.depth > 0 for stream in streams):
+            if any(stream.depth > 0 for stream in self._streams):
                 continue  # a synced stage enqueued downstream work mid-sweep
             depth = self.backfill_depth
             if depth and depth != backfill_before:
@@ -310,14 +308,8 @@ class Flusher:
             return True
 
     def close(self) -> None:
-        self.d2h_stream.close(drain=True)
-        self.h2f_stream.close(drain=True)
-        if self.repl_stream is not None:
-            self.repl_stream.close(drain=True)
-        if self.f2r_stream is not None:
-            self.f2r_stream.close(drain=True)
-        if self.f2p_stream is not None:
-            self.f2p_stream.close(drain=True)
+        for stream in self._streams:
+            stream.close(drain=True)
 
     # -- self-healing machinery ----------------------------------------------
     def _retrying(self, stage: str, record: "CheckpointRecord", fn, breaker=None):
@@ -352,7 +344,7 @@ class Flusher:
                 op = self._op(record)
                 self.telemetry.bus.instant(
                     "flush-retry",
-                    self._track_for(stage),
+                    self._tracks[stage],
                     op_id=op.op_id,
                     ckpt=record.ckpt_id,
                     stage=stage,
@@ -360,7 +352,7 @@ class Flusher:
                     delay=delay,
                 )
                 with op.stage(
-                    "backoff", CAT_RETRY, track=self._track_for(stage), leg=stage
+                    "backoff", CAT_RETRY, track=self._tracks[stage], leg=stage
                 ):
                     engine.clock.sleep(delay)
                 attempt += 1
@@ -369,171 +361,78 @@ class Flusher:
                 engine.health.success(breaker)
             return result
 
-    def _reverify(self, stage: str, record: "CheckpointRecord", store, breaker, reput) -> bool:
-        """Post-flush CRC re-verification with bounded re-flush.
+    def _put_whole(self, record: "CheckpointRecord", level: TierLevel, payload) -> None:
+        """Whole-object put of the in-hand pristine payload on a durable
+        tier: the reverify re-put, and the one-chunk PFS commit.  PFS puts
+        go through ``engine._pfs_put`` so that, clustered, concurrent
+        whole-object flushes coalesce in the fabric's write aggregator."""
+        engine = self.engine
+        put = engine.ssd.put if level is TierLevel.SSD else engine._pfs_put
+        put(
+            engine.store_key(record),
+            payload,
+            record.stored_size(level),
+            cancelled=record.cancel_flush,
+            meta=engine.recovery_meta(record),
+            request=self._request(record),
+        )
 
-        Scrubs the just-written blob against the pristine CRC stamped at
-        put() time; a mismatch (injected at-rest corruption) deletes the
+    def _reverify(self, stage: str, record: "CheckpointRecord", level: TierLevel, payload) -> bool:
+        """Post-commit CRC re-verification with bounded re-put.
+
+        Scrubs the just-committed blob against the pristine CRC stamped at
+        commit time; a mismatch (injected at-rest corruption) deletes the
         blob and re-puts it from the in-hand pristine payload, twice at
-        most.  Returns ``True`` once the stored copy verifies.
+        most.  Persistent corruption leaves no blob and retracts the
+        journal entry.  Returns whether a verified copy is stored (always
+        ``True`` when resilience or reverify is off).
         """
         engine = self.engine
+        if not (engine.resilient and engine.config.resilience.reverify):
+            return True
+        store, breaker = (
+            (engine.ssd, engine.ssd._track) if level is TierLevel.SSD else (engine.pfs, "pfs")
+        )
         key = engine.store_key(record)
-        for attempt in range(2):
-            if store.verify(key):
-                return True
-            self.reflushed += 1
-            self._m_reflush.inc()
-            self.telemetry.bus.instant(
-                "flush-reverify",
-                self._track_for(stage),
-                op_id=self._op(record).op_id,
-                ckpt=record.ckpt_id,
-                stage=stage,
-                tier=getattr(store, "_track", "pfs"),
-                attempt=attempt,
-            )
-            log.warning(
-                "p%d: %s flush of checkpoint %d failed CRC verification; "
-                "re-flushing",
-                engine.process_id, stage, record.ckpt_id,
-            )
-            store.delete(key)
-            try:
-                self._retrying(stage, record, reput, breaker=breaker)
-            except TransferError:
-                return False
-        return store.verify(key)
-
-    def _durable_ssd_put(self, stage: str, record: "CheckpointRecord", payload):
-        """Land ``payload`` durably: the local SSD, or the PFS when the SSD
-        is dark (circuit breaker open, outage window) and rerouting is on.
-
-        Returns ``"ssd"`` or ``"pfs"`` naming where the blob landed —
-        durability, chunk attachment and the journal entry are already
-        committed for ``"pfs"`` (handled by the reroute) — or ``None``
-        after abandoning the leg.
-        """
-        engine = self.engine
-        key = engine.store_key(record)
-        breaker = engine.ssd._track
-        rcfg = engine.config.resilience
         op = self._op(record)
-        track = self._track_for(stage)
-
-        def put(copy: bool) -> None:
-            engine.ssd.put(
-                key,
-                payload,
-                record.stored_size(TierLevel.SSD),
-                cancelled=record.cancel_flush,
-                meta=engine.recovery_meta(record),
-                copy=copy,
-                request=self._request(record),
-            )
-
-        if engine.resilient and not engine.health.allow(breaker):
-            # Blacklisted: don't feed the dark tier another doomed write.
-            if rcfg.reroute and engine.pfs is not None:
-                return "pfs" if self._reroute_to_pfs(stage, record, payload) else None
-            self._abandon(stage, record, "ssd circuit breaker open")
-            return None
-        try:
-            # First attempt hands ownership of the snapshot to the store
-            # (copy=False, the historical zero-copy path); re-puts copy.
-            with op.stage("ssd-put", CAT_TRANSFER, track=track, tier="ssd"):
-                self._retrying(stage, record, lambda: put(False), breaker=breaker)
-        except TransientTransferError as exc:
-            if engine.resilient and rcfg.reroute and engine.pfs is not None:
-                return "pfs" if self._reroute_to_pfs(stage, record, payload) else None
-            self._abandon(stage, record, f"{type(exc).__name__} mid-transfer")
-            return None
-        except TransferError:
-            self._abandon(stage, record, "cancelled mid-transfer")
-            return None
-        if engine.resilient and rcfg.reverify:
-            with op.stage("reverify", CAT_RETRY, track=track, tier="ssd"):
-                verified = self._reverify(
-                    stage, record, engine.ssd, breaker, lambda: put(True)
+        with op.stage(
+            "reverify", CAT_RETRY, track=self._tracks[stage], tier=level.name.lower()
+        ):
+            verified = store.verify(key)
+            attempt = 0
+            while not verified and attempt < 2:
+                self.reflushed += 1
+                self._m_reflush.inc()
+                self.telemetry.bus.instant(
+                    "flush-reverify",
+                    self._tracks[stage],
+                    op_id=op.op_id,
+                    ckpt=record.ckpt_id,
+                    stage=stage,
+                    tier=breaker,
+                    attempt=attempt,
                 )
-            if not verified:
-                engine.ssd.delete(key)
-                engine._journal_retract(record, breaker)
-                if rcfg.reroute and engine.pfs is not None:
-                    return "pfs" if self._reroute_to_pfs(stage, record, payload) else None
-                self._abandon(stage, record, "persistent corruption on SSD put")
-                return None
-        return "ssd"
-
-    def _reroute_to_pfs(self, stage: str, record: "CheckpointRecord", payload) -> bool:
-        """Reroute a durable put around a dark SSD, straight to the PFS.
-
-        On success the record is durable at PFS (journaled, chunks
-        attached) and queued for backfill — a catch-up copy onto the SSD
-        once it returns.  Returns ``False`` after abandoning.
-        """
-        engine = self.engine
-        pfs = engine.pfs
-        key = engine.store_key(record)
-        rcfg = engine.config.resilience
-        op = self._op(record)
-        self.rerouted += 1
-        self._m_reroutes.inc()
-        self.telemetry.bus.instant(
-            "flush-reroute",
-            self._track_for(stage),
-            op_id=op.op_id,
-            ckpt=record.ckpt_id,
-            stage=stage,
-        )
-        log.info(
-            "p%d: rerouting %s flush of checkpoint %d around the dark SSD "
-            "to the PFS",
-            engine.process_id, stage, record.ckpt_id,
-        )
-
-        def put() -> None:
-            pfs.put(
-                key,
-                payload,
-                record.stored_size(TierLevel.PFS),
-                node_id=engine.node_id,
-                cancelled=record.cancel_flush,
-                meta=engine.recovery_meta(record),
-                request=self._request(record),
-            )
-
-        reroute_stage = f"{stage}-reroute"
-        try:
-            with op.stage(
-                "reroute", CAT_REROUTE, track=self._track_for(stage), tier="pfs"
-            ):
-                self._retrying(reroute_stage, record, put, breaker="pfs")
-                if rcfg.reverify and not self._reverify(
-                    reroute_stage, record, pfs, "pfs", put
-                ):
-                    pfs.delete(key)
-                    engine._journal_retract(record, "pfs")
-                    self._abandon(stage, record, "persistent corruption on PFS reroute")
-                    return False
-        except TransferError as exc:
-            self._abandon(stage, record, f"PFS reroute failed ({type(exc).__name__})")
-            return False
-        first_durable = False
-        with engine.monitor:
-            if record.durable_level is None or record.durable_level < TierLevel.PFS:
-                first_durable = record.durable_level is None
-                record.durable_level = TierLevel.PFS
-            if engine._reduced_at(record, TierLevel.PFS):
-                engine.reducer.attach(record, TierLevel.PFS)
-            engine.monitor.notify_all()
-        engine._journal_commit(record, TierLevel.PFS, "pfs")
-        if first_durable:
-            self._mark_durable(record, op, stage, TierLevel.PFS)
-        if rcfg.backfill:
-            with self._backfill_lock:
-                self._backfill.append(record)
-        return True
+                log.warning(
+                    "p%d: %s flush of checkpoint %d failed CRC verification; "
+                    "re-flushing",
+                    engine.process_id, stage, record.ckpt_id,
+                )
+                store.delete(key)
+                try:
+                    self._retrying(
+                        stage,
+                        record,
+                        lambda: self._put_whole(record, level, payload),
+                        breaker=breaker,
+                    )
+                except TransferError:
+                    break
+                verified = store.verify(key)
+                attempt += 1
+        if not verified:
+            store.delete(key)
+            engine._journal_retract(record, breaker)
+        return verified
 
     def _drain_backfill(self) -> None:
         """Catch-up copies for rerouted records once the SSD returns.
@@ -564,20 +463,13 @@ class Flusher:
             # The op has been idle since its reroute, waiting for the dark
             # SSD to heal: label that whole gap before timing the copy, so
             # its timeline stays gap-free.
-            op.fill("await-heal", CAT_REROUTE, track=self._track_for("h2f"))
+            op.fill("await-heal", CAT_REROUTE, track=self._tracks["h2f"])
             backfill_t0 = engine.clock.now()
             try:
                 payload, _ = engine.pfs.get(
                     key, node_id=engine.node_id, request=self._request(record)
                 )
-                engine.ssd.put(
-                    key,
-                    payload,
-                    record.stored_size(TierLevel.SSD),
-                    cancelled=record.cancel_flush,
-                    meta=engine.recovery_meta(record),
-                    request=self._request(record),
-                )
+                self._put_whole(record, TierLevel.SSD, payload)
             except (TransferError, ReproError):
                 engine.health.failure(breaker)
                 with self._backfill_lock:
@@ -595,7 +487,7 @@ class Flusher:
                 now = engine.clock.now()
                 self.telemetry.bus.complete(
                     "backfill",
-                    self._track_for("h2f"),
+                    self._tracks["h2f"],
                     backfill_t0,
                     now - backfill_t0,
                     op_id=op.op_id,
@@ -604,38 +496,185 @@ class Flusher:
                 )
             self.telemetry.bus.instant(
                 "flush-backfill",
-                self._track_for("h2f"),
+                self._tracks["h2f"],
                 op_id=op.op_id,
                 ckpt=record.ckpt_id,
             )
 
     # -- stages --------------------------------------------------------------
-    def _flush_d2h(self, record: "CheckpointRecord") -> None:
+    # One set of stage workers per checkpoint, co-submitted by schedule():
+    # d2h → h2f (→ f2r → f2p), or with GPUDirect d2s (→ f2r → f2p).  Each
+    # stage charges its link chunk by chunk against the upstream stage's
+    # published completions through the checkpoint's ChunkPipeline.  Payload
+    # *bytes* still move and commit whole-object — a torn stream leaves
+    # nothing on any tier, so the manifest journal's crash consistency does
+    # not depend on the chunk plan.
+
+    def _bail(self, stage: str, record: "CheckpointRecord", reason: str) -> None:
+        """Quiet abandonment of a stage whose neighbour already abandoned
+        (and counted) the flush — log only, no double-count."""
+        log.debug(
+            "p%d: %s stage of checkpoint %d bailing (%s)",
+            self.engine.process_id, stage, record.ckpt_id, reason,
+        )
+
+    def _charge_chunk(
+        self,
+        stage: str,
+        tier: str,
+        record: "CheckpointRecord",
+        pipeline: ChunkPipeline,
+        chunk: int,
+        nbytes: int,
+        charge,
+        breaker=None,
+    ) -> None:
+        """Charge one chunk on its link (retrying transient faults, feeding
+        ``breaker``), then publish it to the downstream stage.
+
+        Occupancy accounting and the ``<stage>-chunk`` slice exist on
+        multi-chunk pipelines only: a whole-object flush is one chunk, which
+        its stage span already covers.
+        """
+        if pipeline.chunks == 1:
+            self._retrying(stage, record, charge, breaker=breaker)
+        else:
+            clock = self.engine.clock
+            t0 = clock.now()
+            pipeline.enter_chunk()
+            try:
+                self._retrying(stage, record, charge, breaker=breaker)
+            finally:
+                pipeline.exit_chunk()
+            # One chunk slice, nested under the stage span on the same track.
+            self.telemetry.bus.complete(
+                f"{stage}-chunk",
+                self._tracks[stage],
+                t0,
+                clock.now() - t0,
+                ckpt=record.ckpt_id,
+                chunk=chunk,
+                bytes=nbytes,
+                **self._causal(self._op(record), tier),
+            )
+        pipeline.publish(stage, chunk)
+
+    def _account_stream(self, pipeline: ChunkPipeline) -> None:
+        """Roll one finished multi-chunk pipeline into the occupancy gauges."""
+        with self._stream_lock:
+            self._stream_active_s += pipeline.active_s
+            self._stream_overlap_s += pipeline.overlap_s
+            active = self._stream_active_s
+            overlap = self._stream_overlap_s
+            for stage, stalled in pipeline.stall_s.items():
+                gauge = self._m_stall.get(stage)
+                if gauge is not None and stalled > 0:
+                    gauge.add(stalled)
+        if active > 0:
+            self._m_overlap.set(overlap / active)
+
+    def _pcie_chunk(self, record: "CheckpointRecord", nbytes: int) -> None:
+        """One chunk of a GPU snapshot across the (shared) PCIe link."""
+        self.engine.device.d2h_link.transfer(
+            nbytes, cancelled=record.cancel_flush, request=self._request(record)
+        )
+
+    def _snapshot_gpu(self, stage: str, record: "CheckpointRecord"):
+        """Producer preamble (``d2h``, or the GPUDirect ``d2s``): snapshot
+        the bytes out of the GPU arena, then release the instance for
+        eviction.  Returns ``None`` after abandoning."""
         engine = self.engine
-        if engine.crashed.is_set():
-            return  # the incarnation is dead; drop queued work
-        engine._maybe_crash("before-d2h", record)
-        started = engine.clock.now()
-        op = self._op(record)
-        op.fill("flush-queue", track=self._tracks["d2h"])
+        engine._maybe_crash(f"before-{stage}", record)
+        self._op(record).fill("flush-queue", track=self._tracks[stage])
         with engine.monitor:
             gpu_inst = record.peek(TierLevel.GPU)
             if record.discarded or gpu_inst is None:
                 if gpu_inst is not None:
                     gpu_inst.flush_pending = False
-                self._abandon("d2h", record, "discarded or already evicted")
+                self._abandon(stage, record, "discarded or already evicted")
                 engine.monitor.notify_all()
-                return
-        # Snapshot the bytes, then release the instance for eviction.
+                return None
         try:
             payload = engine.gpu_cache.read_payload(record)
         except AllocationError:
             # Discarded and evicted between the check and the snapshot.
-            self._abandon("d2h", record, "evicted during payload snapshot")
-            return
+            self._abandon(stage, record, "evicted during payload snapshot")
+            return None
         with engine.monitor:
             gpu_inst.flush_pending = False
             engine.monitor.notify_all()
+        return payload
+
+    def _record_flush(self, record: "CheckpointRecord", started: float) -> None:
+        """The GPU copy is flushed one level down: log the FLUSH op."""
+        engine = self.engine
+        engine.recorder.record(
+            OpEvent(
+                kind=OpKind.FLUSH,
+                ckpt_id=record.ckpt_id,
+                started_at=started,
+                blocked=engine.clock.now() - started,
+                nominal_bytes=record.nominal_size,
+                source_level=TierLevel.GPU.name,
+            )
+        )
+
+    def _landed(
+        self,
+        record: "CheckpointRecord",
+        stage: str,
+        level: TierLevel,
+        flushed: Optional[TierLevel] = None,
+    ) -> None:
+        """A complete (verified) blob landed on durable ``level``: raise the
+        record's durable level, attach its chunks, make the ``flushed``
+        source copy evictable, journal the commit, and on the first durable
+        landing emit the ``durable`` instant + SLO sample."""
+        engine = self.engine
+        first_durable = False
+        with engine.monitor:
+            if record.durable_level is None or record.durable_level < level:
+                first_durable = record.durable_level is None
+                record.durable_level = level
+            if engine._reduced_at(record, level):
+                engine.reducer.attach(record, level)
+            source = None if flushed is None else record.peek(flushed)
+            if source is not None:
+                source.flush_pending = False
+                source.try_transition(CkptState.FLUSHED, engine.clock.now())
+            engine.monitor.notify_all()
+        engine._journal_commit(
+            record, level, engine.ssd._track if level is TierLevel.SSD else "pfs"
+        )
+        op = self._op(record)
+        if first_durable and op.op_id is not None:
+            now = engine.clock.now()
+            op.instant(
+                "durable",
+                track=self._tracks[stage],
+                tier=level.name.lower(),
+                level=level.name,
+            )
+            if engine.slo is not None:
+                engine.slo.observe_durability(now, now - op.start, op_id=op.op_id)
+
+    def _skip_upgrade(self, pipeline: ChunkPipeline) -> None:
+        """The PFS upgrade of this checkpoint is moot (the blob went to the
+        PFS directly, or never landed on the SSD)."""
+        if self.f2p_stream is not None:
+            pipeline.skip("f2r")
+            pipeline.skip("f2p")
+
+    def _stage_d2h(self, stage: str, record: "CheckpointRecord", pipeline: ChunkPipeline):
+        """GPU cache → pinned host cache: produce chunks into the pipeline
+        as they cross PCIe."""
+        engine = self.engine
+        started = engine.clock.now()
+        payload = self._snapshot_gpu(stage, record)
+        if payload is None:
+            return
+        op = self._op(record)
+        track = self._tracks[stage]
         if (
             engine.reducer is not None
             and engine.reducer.site == "host"
@@ -644,222 +683,473 @@ class Flusher:
             # Host-site reduction: encode off the application's critical
             # path, on this flush thread, before the host placement — the
             # host cache and everything below hold the physical form.
-            with op.stage("encode", CAT_REDUCE, track=self._tracks["d2h"]):
+            with op.stage("encode", CAT_REDUCE, track=track):
                 engine.reducer.encode(record, payload)
+        # Hand the post-encode physical payload to the consumers up front:
+        # they charge their links chunk-by-chunk against our published
+        # completions instead of re-reading the host copy.
+        if engine._reduced_at(record, TierLevel.HOST):
+            pipeline.payload = engine.reducer.physical_payload(record)
+        else:
+            pipeline.payload = payload
         wire = record.wire_size(TierLevel.GPU, TierLevel.HOST)
         # Claim host cache space (blocks for evictions as needed).
-        with op.stage("reserve-host", CAT_RESERVE, track=self._tracks["d2h"]):
-            engine.host_cache.reserve(
-                record, CkptState.WRITE_IN_PROGRESS, blocking=True
-            )
+        with op.stage("reserve-host", CAT_RESERVE, track=track):
+            engine.host_cache.reserve(record, CkptState.WRITE_IN_PROGRESS, blocking=True)
+        with engine.monitor:
+            # Pinned for the durable hop before any chunk is published, so
+            # however early that hop ends it finds (and clears) the pin.
+            record.instance(TierLevel.HOST).flush_pending = True
         with self.telemetry.bus.span(
-            "d2h",
-            self._tracks["d2h"],
+            stage,
+            track,
             ckpt=record.ckpt_id,
             bytes=wire,
+            chunks=pipeline.chunks,
             **self._causal(op, "pcie"),
         ) as span:
             try:
-                self._retrying(
-                    "d2h",
-                    record,
-                    lambda: engine.device.d2h_link.transfer(
-                        wire,
-                        cancelled=record.cancel_flush,
-                        request=self._request(record),
-                    ),
-                )
+                for i, nbytes in enumerate(chunk_sizes_for(wire, pipeline.chunks)):
+                    if not pipeline.throttle(stage, i):
+                        raise TransferError("stream interrupted")
+                    self._charge_chunk(
+                        stage, "pcie", record, pipeline, i, nbytes,
+                        lambda: self._pcie_chunk(record, nbytes),
+                    )
             except TransferError:
                 span.add(abandoned=True)
                 # Abandon: release the half-written host extent.
                 engine.host_cache.release(record)
-                self._abandon("d2h", record, "cancelled mid-transfer")
+                self._abandon(stage, record, "cancelled mid-transfer")
                 return
-        self._m_bytes["d2h"].inc(wire)
-        if engine._reduced_at(record, TierLevel.HOST):
-            engine.host_cache.write_payload(
-                record, engine.reducer.physical_payload(record)
-            )
-        else:
-            engine.host_cache.write_payload(record, payload)
+        self._m_bytes[stage].inc(wire)
+        engine.host_cache.write_payload(record, pipeline.payload)
         with engine.monitor:
-            host_inst = record.instance(TierLevel.HOST)
-            host_inst.transition(CkptState.WRITE_COMPLETE, engine.clock.now())
-            host_inst.flush_pending = True
+            record.instance(TierLevel.HOST).transition(
+                CkptState.WRITE_COMPLETE, engine.clock.now()
+            )
             if engine._reduced_at(record, TierLevel.HOST):
                 engine.reducer.attach(record, TierLevel.HOST)
             gpu_now = record.peek(TierLevel.GPU)
             if gpu_now is not None:
                 gpu_now.try_transition(CkptState.FLUSHED, engine.clock.now())
             engine.monitor.notify_all()
-        engine.recorder.record(
-            OpEvent(
-                kind=OpKind.FLUSH,
-                ckpt_id=record.ckpt_id,
-                started_at=started,
-                blocked=engine.clock.now() - started,
-                nominal_bytes=record.nominal_size,
-                source_level=TierLevel.GPU.name,
-            )
-        )
+        self._record_flush(record, started)
         engine._maybe_crash("after-d2h", record)
-        self.h2f_stream.submit(lambda: self._flush_h2f(record), label=f"h2f-{record.ckpt_id}")
-        self._m_h2f_depth.set(self.h2f_stream.depth)
+        pipeline.finish(stage)
+        return True
 
-    def _flush_d2s(self, record: "CheckpointRecord") -> None:
-        """GPUDirect storage flush: GPU cache → SSD, no host staging."""
+    def _stage_durable(self, stage: str, record: "CheckpointRecord", pipeline: ChunkPipeline):
+        """The durable hop onto the node-local SSD (the PFS when rerouted),
+        commit-at-end.
+
+        ``h2f`` consumes the chunks ``d2h`` publishes.  The GPUDirect
+        ``d2s`` is the same hop with no upstream stage: it snapshots the GPU
+        copy itself and DMAs each chunk across PCIe before charging the
+        drive, with no host staging.
+        """
         engine = self.engine
-        if engine.crashed.is_set():
-            return
-        engine._maybe_crash("before-d2s", record)
+        upstream = pipeline.upstream_of(stage)
+        source = TierLevel.GPU if upstream is None else TierLevel.HOST
         started = engine.clock.now()
         op = self._op(record)
-        op.fill("flush-queue", track=self._tracks["d2s"])
-        with engine.monitor:
-            gpu_inst = record.peek(TierLevel.GPU)
-            if record.discarded or gpu_inst is None:
-                if gpu_inst is not None:
-                    gpu_inst.flush_pending = False
-                self._abandon("d2s", record, "discarded or already evicted")
-                engine.monitor.notify_all()
-                return
+        done = False
         try:
-            payload = engine.gpu_cache.read_payload(record)
-        except AllocationError:
-            self._abandon("d2s", record, "evicted during payload snapshot")
-            return
-        with engine.monitor:
-            gpu_inst.flush_pending = False
-            engine.monitor.notify_all()
-        wire = record.wire_size(TierLevel.GPU, TierLevel.SSD)
-        with self.telemetry.bus.span(
-            "d2s",
-            self._tracks["d2s"],
+            if upstream is None:
+                payload = pipeline.payload = self._snapshot_gpu(stage, record)
+                if payload is None:
+                    return
+            else:
+                op.fill("flush-queue", track=self._tracks[stage])
+                # The preamble needs the post-encode payload and wire sizes,
+                # so first wait for the producer to publish its opening chunk.
+                if not pipeline.await_upstream(stage, 0):
+                    self._bail(stage, record, "upstream abandoned")
+                    return
+                engine._maybe_crash(f"before-{stage}", record)
+                with engine.monitor:
+                    if record.discarded:
+                        self._abandon(stage, record, "discarded mid-stream")
+                        return
+                payload = pipeline.payload
+            wire = record.wire_size(source, TierLevel.SSD)
+            with self.telemetry.bus.span(
+                stage,
+                self._tracks[stage],
+                ckpt=record.ckpt_id,
+                bytes=wire,
+                chunks=pipeline.chunks,
+                **self._causal(op, "ssd"),
+            ) as span:
+                level = self._durable_put(stage, record, pipeline, payload)
+                if level is None:
+                    span.add(abandoned=True)
+                    return
+                if level is TierLevel.PFS:
+                    span.add(rerouted=True)
+            # The producer's epilogue owns the host instance's
+            # WRITE_COMPLETE transition; settle it before flipping FLUSHED.
+            if upstream is not None and not pipeline.await_finished(stage, upstream):
+                self._bail(stage, record, "producer failed post-commit")
+                return
+            self._m_bytes[stage].inc(wire)
+            pipeline.landed = level
+            self._landed(record, stage, level, flushed=source)
+            if level is TierLevel.PFS and engine.config.resilience.backfill:
+                # Rerouted: queue a catch-up copy onto the SSD for when it
+                # returns.
+                with self._backfill_lock:
+                    self._backfill.append(record)
+            if upstream is None:
+                self._record_flush(record, started)
+            engine._maybe_crash(f"after-{stage}", record)
+            pipeline.finish(stage)
+            done = True
+            if level is TierLevel.SSD:
+                self._drain_backfill()
+                if self.repl_stream is not None:
+                    self.repl_stream.submit(
+                        lambda: self._replicate(record), label=f"repl-{record.ckpt_id}"
+                    )
+            return True
+        finally:
+            if not done:
+                self._skip_upgrade(pipeline)
+                # The source copy was pinned for this hop; an abandoned hop
+                # must unpin it or it is unevictable forever.
+                with engine.monitor:
+                    pinned = record.peek(source)
+                    if pinned is not None and pinned.flush_pending:
+                        pinned.flush_pending = False
+                        engine.monitor.notify_all()
+
+    def _take_chunk(
+        self,
+        stage: str,
+        record: "CheckpointRecord",
+        pipeline: ChunkPipeline,
+        chunk: int,
+        nbytes: int,
+    ) -> bool:
+        """Bring input chunk ``chunk`` of the durable hop in hand: published
+        by the upstream stage, or — GPUDirect has none — DMA'd across PCIe
+        here.  ``False`` when the upstream abandoned."""
+        if pipeline.upstream_of(stage) is not None:
+            return pipeline.await_upstream(stage, chunk)
+        self._retrying(stage, record, lambda: self._pcie_chunk(record, nbytes))
+        return True
+
+    def _durable_put(
+        self, stage: str, record: "CheckpointRecord", pipeline: ChunkPipeline, payload
+    ) -> Optional[TierLevel]:
+        """Land ``payload`` durably: the local SSD, or the PFS when the SSD
+        is dark (circuit breaker open, outage window) and rerouting is on.
+
+        Chunks are charged on the SSD write link as they come in hand; the
+        blob commits (and only then becomes visible) after the last chunk.
+        A transient failure retries *the failed chunk*; an exhausted retry
+        budget (or an open breaker) reroutes to the PFS, resuming at the
+        failed chunk — chunks already in hand are not re-transferred (for a
+        one-chunk plan that is the whole object).  Returns the level the
+        verified blob landed on, or ``None`` after abandoning the hop.
+        """
+        engine = self.engine
+        key = engine.store_key(record)
+        breaker = engine.ssd._track
+        can_reroute = (
+            engine.resilient and engine.config.resilience.reroute and engine.pfs is not None
+        )
+        stored = record.stored_size(TierLevel.SSD)
+
+        if engine.resilient and not engine.health.allow(breaker):
+            # Blacklisted: don't feed the dark tier another doomed write.
+            if can_reroute:
+                return self._reroute(stage, record, pipeline, payload, 0)
+            self._abandon(stage, record, "ssd circuit breaker open")
+            return None
+        in_hand = 0
+        try:
+            with self._op(record).stage(
+                "ssd-put", CAT_TRANSFER, track=self._tracks[stage], tier="ssd"
+            ):
+                # The open draws the tier gate (a dark SSD raises here, at
+                # chunk 0) and the at-rest corruption for this put attempt;
+                # retries re-open, re-drawing both.
+                handle = self._retrying(
+                    stage,
+                    record,
+                    lambda: engine.ssd.open_put(
+                        key, stored, int(payload.size), cancelled=record.cancel_flush
+                    ),
+                    breaker=breaker,
+                )
+                # GPUDirect never crosses the host-site encode, so its PCIe
+                # chunks are the stored chunks.
+                for i, nbytes in enumerate(chunk_sizes_for(stored, pipeline.chunks)):
+                    if not self._take_chunk(stage, record, pipeline, i, nbytes):
+                        handle.abort()
+                        self._bail(stage, record, "upstream abandoned")
+                        return None
+                    in_hand = i + 1
+                    if not pipeline.throttle(stage, i):
+                        handle.abort()
+                        raise TransferError("stream interrupted")
+                    self._charge_chunk(
+                        stage, "ssd", record, pipeline, i, nbytes,
+                        lambda: handle.write(nbytes, request=self._request(record)),
+                        breaker=breaker,
+                    )
+                # Commit-at-end: ownership of the snapshot passes to the
+                # store (copy=False, the zero-copy path).
+                handle.commit(payload, meta=engine.recovery_meta(record), copy=False)
+        except TransientTransferError as exc:
+            if can_reroute:
+                return self._reroute(stage, record, pipeline, payload, in_hand)
+            self._abandon(stage, record, f"{type(exc).__name__} mid-transfer")
+            return None
+        except TransferError:
+            self._abandon(stage, record, "cancelled mid-transfer")
+            return None
+        if not self._reverify(stage, record, TierLevel.SSD, payload):
+            if can_reroute:
+                return self._reroute(stage, record, pipeline, payload, pipeline.chunks)
+            self._abandon(stage, record, "persistent corruption on SSD put")
+            return None
+        return TierLevel.SSD
+
+    def _reroute(
+        self,
+        stage: str,
+        record: "CheckpointRecord",
+        pipeline: ChunkPipeline,
+        payload,
+        in_hand: int,
+    ) -> Optional[TierLevel]:
+        """Reroute the durable hop around a dark SSD, straight to the PFS.
+
+        The first ``in_hand`` chunks already left the GPU, so they replay
+        onto the PFS links immediately; the remaining chunks keep streaming
+        in as before — the hop resumes at the failed chunk instead of
+        restarting the cascade.  Returns ``TierLevel.PFS`` once a verified
+        blob is stored there (the caller journals it and queues the SSD
+        backfill), ``None`` after abandoning.
+        """
+        engine = self.engine
+        pfs = engine.pfs
+        op = self._op(record)
+        track = self._tracks[stage]
+        self._skip_upgrade(pipeline)
+        self.rerouted += 1
+        self._m_reroutes.inc()
+        self.telemetry.bus.instant(
+            "flush-reroute",
+            track,
+            op_id=op.op_id,
             ckpt=record.ckpt_id,
-            bytes=wire,
+            stage=stage,
+            chunk=in_hand,
+        )
+        log.info(
+            "p%d: rerouting %s flush of checkpoint %d around the dark SSD to "
+            "the PFS at chunk %d/%d",
+            engine.process_id, stage, record.ckpt_id, in_hand, pipeline.chunks,
+        )
+        stored = record.stored_size(TierLevel.PFS)
+        try:
+            with op.stage("reroute", CAT_REROUTE, track=track, tier="pfs"):
+                handle = self._retrying(
+                    stage,
+                    record,
+                    lambda: pfs.open_put(
+                        engine.store_key(record),
+                        stored,
+                        int(payload.size),
+                        node_id=engine.node_id,
+                        cancelled=record.cancel_flush,
+                    ),
+                    breaker="pfs",
+                )
+                for i, nbytes in enumerate(chunk_sizes_for(stored, pipeline.chunks)):
+                    if i >= in_hand and not self._take_chunk(
+                        stage, record, pipeline, i, nbytes
+                    ):
+                        handle.abort()
+                        self._bail(stage, record, "upstream abandoned")
+                        return None
+                    self._charge_chunk(
+                        stage, "pfs", record, pipeline, i, nbytes,
+                        lambda: handle.write(nbytes, request=self._request(record)),
+                        breaker="pfs",
+                    )
+                handle.commit(payload, meta=engine.recovery_meta(record))
+                if not self._reverify(stage, record, TierLevel.PFS, payload):
+                    self._abandon(stage, record, "persistent corruption on PFS reroute")
+                    return None
+        except TransferError as exc:
+            self._abandon(stage, record, f"PFS reroute failed ({type(exc).__name__})")
+            return None
+        return TierLevel.PFS
+
+    def _stage_f2r(self, stage: str, record: "CheckpointRecord", pipeline: ChunkPipeline):
+        """SSD read-back: the producer half of the PFS upgrade.
+
+        Runs as its own pipeline stage on its own stream so the read of
+        chunk *i+1* overlaps the PFS write of chunk *i* (and the read-back
+        of one checkpoint the PFS write of the previous one).  The
+        read-back overlaps the not-yet-committed SSD put (the drive streams
+        its write buffer through), so the handle takes the size explicitly
+        instead of the store index, and the payload comes from the pipeline.
+        """
+        engine = self.engine
+        # Sizes and the physical payload settle once the producer has run
+        # its preamble (host-site encode), signalled by its first published
+        # chunk reaching the durable hop.
+        if not pipeline.await_upstream(stage, 0):
+            self._bail(stage, record, "durable hop abandoned")
+            return
+        if pipeline.skipped(stage):
+            return True
+        read_total = record.stored_size(TierLevel.SSD)
+        try:
+            reader = engine.ssd.open_get(engine.store_key(record), nominal_size=read_total)
+        except TransferError as exc:
+            self._abandon(stage, record, f"{type(exc).__name__} at read-back open")
+            return
+        op = self._op(record)
+        track = self._tracks[stage]
+        with self.telemetry.bus.span(
+            stage,
+            track,
+            ckpt=record.ckpt_id,
+            bytes=read_total,
+            chunks=pipeline.chunks,
             **self._causal(op, "ssd"),
         ) as span:
             try:
-                # The DMA crosses the same PCIe link, then commits to the drive.
-                self._retrying(
-                    "d2s",
-                    record,
-                    lambda: engine.device.d2h_link.transfer(
-                        wire,
-                        cancelled=record.cancel_flush,
-                        request=self._request(record),
-                    ),
-                )
+                for i, nbytes in enumerate(chunk_sizes_for(read_total, pipeline.chunks)):
+                    if not pipeline.await_upstream(stage, i):
+                        self._bail(stage, record, "durable hop abandoned")
+                        span.add(abandoned=True)
+                        return
+                    if pipeline.skipped(stage) or pipeline.failed("f2p"):
+                        # Rerouted, or the writer already abandoned (and
+                        # counted) the upgrade: reading on is waste.
+                        return True
+                    if not pipeline.throttle(stage, i):
+                        raise TransferError("stream interrupted")
+                    # This read-back shares the read link with demand
+                    # restores — the QoS tag keeps it behind them.  Retried
+                    # apart from the PFS write so an SSD failure never
+                    # counts against the PFS breaker.
+                    with op.stage("read-back", CAT_TRANSFER, track=track, tier="ssd"):
+                        self._charge_chunk(
+                            stage, "ssd", record, pipeline, i, nbytes,
+                            lambda: reader.read(nbytes, request=self._request(record)),
+                        )
             except TransferError:
                 span.add(abandoned=True)
-                self._abandon("d2s", record, "cancelled mid-transfer")
+                self._abandon(stage, record, "read-back cancelled mid-transfer")
                 return
-            outcome = self._durable_ssd_put("d2s", record, payload)
-            if outcome is None:
-                span.add(abandoned=True)
-                return
-            if outcome == "pfs":
-                span.add(rerouted=True)
-        self._m_bytes["d2s"].inc(wire)
-        first_durable = False
-        with engine.monitor:
-            if outcome == "ssd":
-                if record.durable_level is None or record.durable_level < TierLevel.SSD:
-                    first_durable = record.durable_level is None
-                    record.durable_level = TierLevel.SSD
-                if engine._reduced_at(record, TierLevel.SSD):
-                    engine.reducer.attach(record, TierLevel.SSD)
-            gpu_now = record.peek(TierLevel.GPU)
-            if gpu_now is not None:
-                gpu_now.try_transition(CkptState.FLUSHED, engine.clock.now())
-            engine.monitor.notify_all()
-        if outcome == "ssd":
-            engine._journal_commit(record, TierLevel.SSD, engine.ssd._track)
-            if first_durable:
-                self._mark_durable(record, op, "d2s", TierLevel.SSD)
-        engine.recorder.record(
-            OpEvent(
-                kind=OpKind.FLUSH,
-                ckpt_id=record.ckpt_id,
-                started_at=started,
-                blocked=engine.clock.now() - started,
-                nominal_bytes=record.nominal_size,
-                source_level=TierLevel.GPU.name,
-            )
-        )
-        engine._maybe_crash("after-d2s", record)
-        if outcome == "ssd":
-            self._drain_backfill()
-            if self.f2p_stream is not None:
-                self.f2p_stream.submit(
-                    lambda: self._flush_f2p(record), label=f"f2p-{record.ckpt_id}"
-                )
+        pipeline.finish(stage)
+        return True
 
-    def _flush_h2f(self, record: "CheckpointRecord") -> None:
+    def _stage_f2p(self, stage: str, record: "CheckpointRecord", pipeline: ChunkPipeline):
+        """PFS upgrade: consume read-back chunks, charge the PFS per chunk,
+        commit-at-end over a blob the durable hop landed on the SSD."""
         engine = self.engine
-        if engine.crashed.is_set():
-            return
-        engine._maybe_crash("before-h2f", record)
+        if pipeline.skipped(stage):
+            return True
         op = self._op(record)
-        op.fill("flush-queue", track=self._tracks["h2f"])
+        track = self._tracks[stage]
+        op.fill("flush-queue", track=track)
         with engine.monitor:
-            host_inst = record.peek(TierLevel.HOST)
-            if record.discarded or host_inst is None:
-                if host_inst is not None:
-                    host_inst.flush_pending = False
-                self._abandon("h2f", record, "discarded or already evicted")
-                engine.monitor.notify_all()
+            if record.discarded:
+                self._abandon(stage, record, "discarded before PFS flush")
                 return
-        try:
-            payload = engine.host_cache.read_payload(record)
-        except AllocationError:
-            self._abandon("h2f", record, "evicted during payload snapshot")
+        pfs = engine.pfs
+        if pfs is None:
+            return True
+        if engine.resilient and not engine.health.allow("pfs"):
+            # The SSD copy is (or will be) durable; skip the dark PFS rather
+            # than feed its breaker another doomed upgrade write.
+            self._abandon(stage, record, "pfs circuit breaker open")
             return
-        with engine.monitor:
-            host_inst.flush_pending = False
-            engine.monitor.notify_all()
-        wire = record.wire_size(TierLevel.HOST, TierLevel.SSD)
+        # The read-back's opening chunk implies the producer preamble ran,
+        # so the physical payload and stored sizes are settled.
+        if not pipeline.await_upstream(stage, 0):
+            self._bail(stage, record, "read-back abandoned")
+            return
+        if pipeline.skipped(stage):
+            return True
+        payload = pipeline.payload
+        stored = record.stored_size(TierLevel.PFS)
+        wire = record.wire_size(TierLevel.SSD, TierLevel.PFS)
+        writer = None
         with self.telemetry.bus.span(
-            "h2f",
-            self._tracks["h2f"],
+            stage,
+            track,
             ckpt=record.ckpt_id,
             bytes=wire,
-            **self._causal(op, "ssd"),
+            chunks=pipeline.chunks,
+            **self._causal(op, "pfs"),
         ) as span:
-            outcome = self._durable_ssd_put("h2f", record, payload)
-            if outcome is None:
+            try:
+                if pipeline.chunks > 1:
+                    writer = pfs.open_put(
+                        engine.store_key(record),
+                        stored,
+                        int(payload.size),
+                        node_id=engine.node_id,
+                        cancelled=record.cancel_flush,
+                    )
+                    for i, nbytes in enumerate(chunk_sizes_for(stored, pipeline.chunks)):
+                        if not pipeline.await_upstream(stage, i):
+                            self._bail(stage, record, "read-back abandoned")
+                            span.add(abandoned=True)
+                            return
+                        if pipeline.skipped(stage):
+                            return True
+                        self._charge_chunk(
+                            stage, "pfs", record, pipeline, i, nbytes,
+                            lambda: writer.write(nbytes, request=self._request(record)),
+                            breaker="pfs",
+                        )
+                # The upgrade only commits over a blob the durable hop
+                # actually landed on the SSD (reroutes skip this stage).
+                if not pipeline.await_finished(stage, pipeline.upstream_of("f2r")):
+                    span.add(abandoned=True)
+                    self._bail(stage, record, "durable hop failed")
+                    return
+                if pipeline.skipped(stage) or pipeline.landed is not TierLevel.SSD:
+                    return True
+                engine._maybe_crash(f"before-{stage}", record)
+                if writer is None:
+                    # One chunk: charge and commit as one whole-object put.
+                    self._retrying(
+                        stage,
+                        record,
+                        lambda: self._put_whole(record, TierLevel.PFS, payload),
+                        breaker="pfs",
+                    )
+                else:
+                    writer.commit(payload, meta=engine.recovery_meta(record))
+                    writer = None
+            except TransferError as exc:
                 span.add(abandoned=True)
+                self._abandon(stage, record, f"{type(exc).__name__} mid-transfer")
                 return
-            if outcome == "pfs":
-                span.add(rerouted=True)
-        self._m_bytes["h2f"].inc(wire)
-        first_durable = False
-        with engine.monitor:
-            if outcome == "ssd":
-                if record.durable_level is None or record.durable_level < TierLevel.SSD:
-                    first_durable = record.durable_level is None
-                    record.durable_level = TierLevel.SSD
-                if engine._reduced_at(record, TierLevel.SSD):
-                    engine.reducer.attach(record, TierLevel.SSD)
-            host_now = record.peek(TierLevel.HOST)
-            if host_now is not None:
-                host_now.try_transition(CkptState.FLUSHED, engine.clock.now())
-            engine.monitor.notify_all()
-        if outcome == "ssd":
-            engine._journal_commit(record, TierLevel.SSD, engine.ssd._track)
-            if first_durable:
-                self._mark_durable(record, op, "h2f", TierLevel.SSD)
-        engine._maybe_crash("after-h2f", record)
-        if outcome == "ssd":
-            self._drain_backfill()
-            if self.repl_stream is not None:
-                self.repl_stream.submit(
-                    lambda: self._replicate(record), label=f"repl-{record.ckpt_id}"
-                )
-            if self.f2p_stream is not None:
-                self.f2p_stream.submit(
-                    lambda: self._flush_f2p(record), label=f"f2p-{record.ckpt_id}"
-                )
+            finally:
+                if writer is not None:
+                    writer.abort()  # left without reaching its commit
+            if not self._reverify(stage, record, TierLevel.PFS, payload):
+                span.add(abandoned=True)
+                self._abandon(stage, record, "persistent corruption on PFS put")
+                return
+        self._m_bytes[stage].inc(wire)
+        self._landed(record, stage, TierLevel.PFS)
+        engine._maybe_crash(f"after-{stage}", record)
+        pipeline.finish(stage)
+        return True
 
     def _replicate(self, record: "CheckpointRecord") -> None:
         """Copy the durable checkpoint to its replica targets' SSDs.
@@ -929,810 +1219,3 @@ class Flusher:
             self.replicated += 1
             engine._journal_commit(record, TierLevel.SSD, target_ssd._track)
         engine._maybe_crash("after-repl", record)
-
-    def _flush_f2p(self, record: "CheckpointRecord") -> None:
-        engine = self.engine
-        if engine.crashed.is_set():
-            return
-        engine._maybe_crash("before-f2p", record)
-        op = self._op(record)
-        op.fill("flush-queue", track=self._tracks["f2p"])
-        with engine.monitor:
-            if record.discarded:
-                self._abandon("f2p", record, "discarded before PFS flush")
-                return
-        pfs = engine.pfs
-        if pfs is None:
-            return
-        if engine.resilient and not engine.health.allow("pfs"):
-            # The SSD copy is already durable; skip the dark PFS rather
-            # than feed its breaker another doomed upgrade write.
-            self._abandon("f2p", record, "pfs circuit breaker open")
-            return
-        key = engine.store_key(record)
-        stored = record.stored_size(TierLevel.PFS)
-        wire = record.wire_size(TierLevel.SSD, TierLevel.PFS)
-        with self.telemetry.bus.span(
-            "f2p",
-            self._tracks["f2p"],
-            ckpt=record.ckpt_id,
-            bytes=wire,
-            **self._causal(op, "pfs"),
-        ) as span:
-            try:
-                # This SSD read-back shares the read link with demand
-                # restores — the QoS tag keeps it behind them.  Retried
-                # separately from the PFS write so an SSD failure never
-                # counts against the PFS breaker.
-                with op.stage(
-                    "read-back", CAT_TRANSFER, track=self._tracks["f2p"], tier="ssd"
-                ):
-                    payload, _ = self._retrying(
-                        "f2p",
-                        record,
-                        lambda: engine.ssd.get(key, request=self._request(record)),
-                    )
-            except TransferError:
-                span.add(abandoned=True)
-                self._abandon("f2p", record, "cancelled mid-transfer")
-                return
-
-            def put() -> None:
-                # Routed through the fabric's per-node write aggregator when
-                # the cluster is enabled (concurrent whole-object flushes
-                # coalesce into one batched PFS commit); the direct store
-                # call otherwise. Reroute/backfill and the streamed cascade
-                # stay unaggregated: their chunk pacing and failure
-                # semantics are per-object by design.
-                engine._pfs_put(
-                    key,
-                    payload,
-                    stored,
-                    cancelled=record.cancel_flush,
-                    meta=engine.recovery_meta(record),
-                    request=self._request(record),
-                )
-
-            try:
-                self._retrying("f2p", record, put, breaker="pfs")
-            except TransferError:
-                span.add(abandoned=True)
-                self._abandon("f2p", record, "cancelled mid-transfer")
-                return
-            if engine.resilient and engine.config.resilience.reverify:
-                with op.stage(
-                    "reverify", CAT_RETRY, track=self._tracks["f2p"], tier="pfs"
-                ):
-                    verified = self._reverify("f2p", record, pfs, "pfs", put)
-                if not verified:
-                    pfs.delete(key)
-                    engine._journal_retract(record, "pfs")
-                    span.add(abandoned=True)
-                    self._abandon("f2p", record, "persistent corruption on PFS put")
-                    return
-        self._m_bytes["f2p"].inc(wire)
-        with engine.monitor:
-            record.durable_level = TierLevel.PFS
-            if engine._reduced_at(record, TierLevel.PFS):
-                engine.reducer.attach(record, TierLevel.PFS)
-            engine.monitor.notify_all()
-        engine._journal_commit(record, TierLevel.PFS, "pfs")
-        engine._maybe_crash("after-f2p", record)
-
-    # -- streamed stages ------------------------------------------------------
-    # The pipelined counterparts of the store-and-forward stages above.  A
-    # stage keeps its legacy preamble (discard checks, crash points) and
-    # epilogue (state transitions, journal commits) verbatim; only the
-    # middle changes: the single whole-object link charge becomes a loop of
-    # chunk charges interleaved with the neighbouring stages through the
-    # checkpoint's ChunkPipeline.  Payload *bytes* still move and commit
-    # whole-object — a torn stream leaves nothing on any tier, so the
-    # manifest journal's crash consistency is untouched.
-
-    def _stream_bail(self, stage: str, record: "CheckpointRecord", reason: str) -> None:
-        """Quiet abandonment of a streamed leg whose upstream already
-        abandoned (and counted) the flush — log only, no double-count."""
-        log.debug(
-            "p%d: streamed %s leg of checkpoint %d bailing (%s)",
-            self.engine.process_id, stage, record.ckpt_id, reason,
-        )
-
-    def _chunk_span(
-        self,
-        stage: str,
-        tier: str,
-        record: "CheckpointRecord",
-        chunk: int,
-        nbytes: int,
-        t0: float,
-    ) -> None:
-        """One chunk slice, nested under the stage span on the same track."""
-        self.telemetry.bus.complete(
-            f"{stage}-chunk",
-            self._track_for(stage),
-            t0,
-            self.engine.clock.now() - t0,
-            ckpt=record.ckpt_id,
-            chunk=chunk,
-            bytes=nbytes,
-            **self._causal(self._op(record), tier),
-        )
-
-    def _account_stream(self, pipeline: ChunkPipeline) -> None:
-        """Roll one finished pipeline into the occupancy gauges."""
-        with self._stream_lock:
-            self._stream_active_s += pipeline.active_s
-            self._stream_overlap_s += pipeline.overlap_s
-            active = self._stream_active_s
-            overlap = self._stream_overlap_s
-            for stage, stalled in pipeline.stall_s.items():
-                gauge = self._m_stall.get(stage)
-                if gauge is not None and stalled > 0:
-                    gauge.add(stalled)
-        if active > 0:
-            self._m_overlap.set(overlap / active)
-
-    def _stream_d2h(self, record: "CheckpointRecord", pipeline: ChunkPipeline) -> None:
-        """Streamed D2H: produce chunks into the pipeline as they cross PCIe."""
-        engine = self.engine
-        ok = False
-        try:
-            if engine.crashed.is_set():
-                return
-            engine._maybe_crash("before-d2h", record)
-            started = engine.clock.now()
-            op = self._op(record)
-            op.fill("flush-queue", track=self._tracks["d2h"])
-            with engine.monitor:
-                gpu_inst = record.peek(TierLevel.GPU)
-                if record.discarded or gpu_inst is None:
-                    if gpu_inst is not None:
-                        gpu_inst.flush_pending = False
-                    self._abandon("d2h", record, "discarded or already evicted")
-                    engine.monitor.notify_all()
-                    return
-            try:
-                payload = engine.gpu_cache.read_payload(record)
-            except AllocationError:
-                self._abandon("d2h", record, "evicted during payload snapshot")
-                return
-            with engine.monitor:
-                gpu_inst.flush_pending = False
-                engine.monitor.notify_all()
-            if (
-                engine.reducer is not None
-                and engine.reducer.site == "host"
-                and record.reduction is None
-            ):
-                with op.stage("encode", CAT_REDUCE, track=self._tracks["d2h"]):
-                    engine.reducer.encode(record, payload)
-            # Hand the post-encode physical payload to the consumers up
-            # front: they charge their links chunk-by-chunk against our
-            # published completions instead of waiting for the host copy.
-            if engine._reduced_at(record, TierLevel.HOST):
-                pipeline.payload = engine.reducer.physical_payload(record)
-            else:
-                pipeline.payload = payload
-            wire = record.wire_size(TierLevel.GPU, TierLevel.HOST)
-            with op.stage("reserve-host", CAT_RESERVE, track=self._tracks["d2h"]):
-                engine.host_cache.reserve(
-                    record, CkptState.WRITE_IN_PROGRESS, blocking=True
-                )
-            sizes = chunk_sizes_for(wire, pipeline.chunks)
-            with self.telemetry.bus.span(
-                "d2h",
-                self._tracks["d2h"],
-                ckpt=record.ckpt_id,
-                bytes=wire,
-                chunks=pipeline.chunks,
-                **self._causal(op, "pcie"),
-            ) as span:
-                try:
-                    for i, nbytes in enumerate(sizes):
-                        if not pipeline.throttle("d2h", i):
-                            raise TransferError("stream interrupted")
-                        t0 = engine.clock.now()
-                        pipeline.enter_chunk()
-                        try:
-                            self._retrying(
-                                "d2h",
-                                record,
-                                lambda nb=nbytes: engine.device.d2h_link.transfer(
-                                    nb,
-                                    cancelled=record.cancel_flush,
-                                    request=self._request(record),
-                                ),
-                            )
-                        finally:
-                            pipeline.exit_chunk()
-                        self._chunk_span("d2h", "pcie", record, i, nbytes, t0)
-                        pipeline.publish("d2h", i)
-                except TransferError:
-                    span.add(abandoned=True)
-                    engine.host_cache.release(record)
-                    self._abandon("d2h", record, "cancelled mid-transfer")
-                    return
-            self._m_bytes["d2h"].inc(wire)
-            engine.host_cache.write_payload(record, pipeline.payload)
-            with engine.monitor:
-                host_inst = record.instance(TierLevel.HOST)
-                host_inst.transition(CkptState.WRITE_COMPLETE, engine.clock.now())
-                host_inst.flush_pending = True
-                if engine._reduced_at(record, TierLevel.HOST):
-                    engine.reducer.attach(record, TierLevel.HOST)
-                gpu_now = record.peek(TierLevel.GPU)
-                if gpu_now is not None:
-                    gpu_now.try_transition(CkptState.FLUSHED, engine.clock.now())
-                engine.monitor.notify_all()
-            engine.recorder.record(
-                OpEvent(
-                    kind=OpKind.FLUSH,
-                    ckpt_id=record.ckpt_id,
-                    started_at=started,
-                    blocked=engine.clock.now() - started,
-                    nominal_bytes=record.nominal_size,
-                    source_level=TierLevel.GPU.name,
-                )
-            )
-            engine._maybe_crash("after-d2h", record)
-            pipeline.finish("d2h")
-            ok = True
-        finally:
-            if not ok:
-                pipeline.fail("d2h")
-            if pipeline.release():
-                self._account_stream(pipeline)
-            self._m_h2f_depth.set(self.h2f_stream.depth)
-
-    def _stream_h2f(self, record: "CheckpointRecord", pipeline: ChunkPipeline) -> None:
-        """Streamed durable hop: consume D2H chunks, charge the SSD per
-        chunk, commit-at-end; reroutes to the PFS resume at the failed chunk."""
-        engine = self.engine
-        ok = False
-        try:
-            if engine.crashed.is_set():
-                return
-            op = self._op(record)
-            op.fill("flush-queue", track=self._tracks["h2f"])
-            # The preamble needs the post-encode payload and wire sizes, so
-            # first wait for the producer to publish its opening chunk.
-            if not pipeline.await_upstream("h2f", 0):
-                self._stream_bail("h2f", record, "upstream abandoned")
-                return
-            engine._maybe_crash("before-h2f", record)
-            with engine.monitor:
-                if record.discarded:
-                    host_inst = record.peek(TierLevel.HOST)
-                    if host_inst is not None:
-                        host_inst.flush_pending = False
-                    self._abandon("h2f", record, "discarded mid-stream")
-                    engine.monitor.notify_all()
-                    return
-            payload = pipeline.payload
-            wire = record.wire_size(TierLevel.HOST, TierLevel.SSD)
-            with self.telemetry.bus.span(
-                "h2f",
-                self._tracks["h2f"],
-                ckpt=record.ckpt_id,
-                bytes=wire,
-                chunks=pipeline.chunks,
-                **self._causal(op, "ssd"),
-            ) as span:
-                outcome = self._stream_durable_put(record, pipeline, payload, wire)
-                if outcome is None:
-                    span.add(abandoned=True)
-                    return
-                if outcome == "pfs":
-                    span.add(rerouted=True)
-            # The producer's epilogue owns the host instance's
-            # WRITE_COMPLETE transition; settle it before flipping FLUSHED.
-            if not pipeline.await_finished("h2f", "d2h"):
-                self._stream_bail("h2f", record, "producer failed post-commit")
-                return
-            self._m_bytes["h2f"].inc(wire)
-            pipeline.ssd_outcome = outcome
-            first_durable = False
-            with engine.monitor:
-                if outcome == "ssd":
-                    if record.durable_level is None or record.durable_level < TierLevel.SSD:
-                        first_durable = record.durable_level is None
-                        record.durable_level = TierLevel.SSD
-                    if engine._reduced_at(record, TierLevel.SSD):
-                        engine.reducer.attach(record, TierLevel.SSD)
-                host_now = record.peek(TierLevel.HOST)
-                if host_now is not None:
-                    host_now.flush_pending = False
-                    host_now.try_transition(CkptState.FLUSHED, engine.clock.now())
-                engine.monitor.notify_all()
-            if outcome == "ssd":
-                engine._journal_commit(record, TierLevel.SSD, engine.ssd._track)
-                if first_durable:
-                    self._mark_durable(record, op, "h2f", TierLevel.SSD)
-            engine._maybe_crash("after-h2f", record)
-            pipeline.finish("h2f")
-            ok = True
-            if outcome == "ssd":
-                self._drain_backfill()
-                if self.repl_stream is not None:
-                    self.repl_stream.submit(
-                        lambda: self._replicate(record), label=f"repl-{record.ckpt_id}"
-                    )
-        finally:
-            if not ok:
-                pipeline.fail("h2f")
-                if self.f2p_stream is not None:
-                    pipeline.skip("f2r")
-                    pipeline.skip("f2p")
-                # The producer's epilogue pinned the host copy for us; an
-                # abandoned durable hop must unpin it or it is unevictable
-                # forever (legacy h2f unpinned right after its snapshot).
-                with engine.monitor:
-                    host_now = record.peek(TierLevel.HOST)
-                    if host_now is not None and host_now.flush_pending:
-                        host_now.flush_pending = False
-                        engine.monitor.notify_all()
-            if pipeline.release():
-                self._account_stream(pipeline)
-
-    def _stream_durable_put(
-        self, record: "CheckpointRecord", pipeline: ChunkPipeline, payload, wire: int
-    ):
-        """Streamed analogue of :meth:`_durable_ssd_put`.
-
-        Chunks are charged on the SSD write link as the producer publishes
-        them; the blob commits (and only then becomes visible) after the
-        last chunk.  A transient failure retries *the failed chunk*; an
-        exhausted retry budget (or an open breaker) reroutes the stream to
-        the PFS, resuming at the failed chunk — upstream chunks are not
-        re-transferred.  Returns ``"ssd"``/``"pfs"``/``None`` like the
-        store-and-forward version.
-        """
-        engine = self.engine
-        key = engine.store_key(record)
-        breaker = engine.ssd._track
-        rcfg = engine.config.resilience
-        op = self._op(record)
-        track = self._track_for("h2f")
-        stored = record.stored_size(TierLevel.SSD)
-
-        if engine.resilient and not engine.health.allow(breaker):
-            if rcfg.reroute and engine.pfs is not None:
-                return (
-                    "pfs"
-                    if self._stream_reroute(record, pipeline, payload, consumed=0)
-                    else None
-                )
-            self._abandon("h2f", record, "ssd circuit breaker open")
-            return None
-        sizes = chunk_sizes_for(wire, pipeline.chunks)
-        consumed = 0
-        try:
-            with op.stage("ssd-put", CAT_TRANSFER, track=track, tier="ssd"):
-                # The open draws the tier gate (a dark SSD raises here, at
-                # chunk 0 of the stream) and the at-rest corruption for this
-                # put attempt; retries re-open, re-drawing both.
-                handle = self._retrying(
-                    "h2f",
-                    record,
-                    lambda: engine.ssd.open_put(
-                        key, stored, int(payload.size),
-                        cancelled=record.cancel_flush,
-                    ),
-                    breaker=breaker,
-                )
-                for i, nbytes in enumerate(sizes):
-                    if not pipeline.await_upstream("h2f", i):
-                        handle.abort()
-                        self._stream_bail("h2f", record, "upstream abandoned")
-                        return None
-                    consumed = i + 1
-                    if not pipeline.throttle("h2f", i):
-                        handle.abort()
-                        raise TransferError("stream interrupted")
-                    t0 = engine.clock.now()
-                    pipeline.enter_chunk()
-                    try:
-                        self._retrying(
-                            "h2f",
-                            record,
-                            lambda nb=nbytes: handle.write(
-                                nb, request=self._request(record)
-                            ),
-                            breaker=breaker,
-                        )
-                    finally:
-                        pipeline.exit_chunk()
-                    self._chunk_span("h2f", "ssd", record, i, nbytes, t0)
-                    pipeline.publish("h2f", i)
-                # Commit-at-end: ownership of the snapshot passes to the
-                # store (copy=False, the historical zero-copy path).
-                handle.commit(
-                    payload, meta=engine.recovery_meta(record), copy=False
-                )
-        except TransientTransferError as exc:
-            if engine.resilient and rcfg.reroute and engine.pfs is not None:
-                return (
-                    "pfs"
-                    if self._stream_reroute(record, pipeline, payload, consumed)
-                    else None
-                )
-            self._abandon("h2f", record, f"{type(exc).__name__} mid-transfer")
-            return None
-        except TransferError:
-            self._abandon("h2f", record, "cancelled mid-transfer")
-            return None
-
-        def reput() -> None:
-            engine.ssd.put(
-                key,
-                payload,
-                stored,
-                cancelled=record.cancel_flush,
-                meta=engine.recovery_meta(record),
-                copy=True,
-                request=self._request(record),
-            )
-
-        if engine.resilient and rcfg.reverify:
-            with op.stage("reverify", CAT_RETRY, track=track, tier="ssd"):
-                verified = self._reverify("h2f", record, engine.ssd, breaker, reput)
-            if not verified:
-                engine.ssd.delete(key)
-                engine._journal_retract(record, breaker)
-                if rcfg.reroute and engine.pfs is not None:
-                    return (
-                        "pfs"
-                        if self._stream_reroute(record, pipeline, payload, pipeline.chunks)
-                        else None
-                    )
-                self._abandon("h2f", record, "persistent corruption on SSD put")
-                return None
-        return "ssd"
-
-    def _stream_reroute(
-        self,
-        record: "CheckpointRecord",
-        pipeline: ChunkPipeline,
-        payload,
-        consumed: int,
-    ) -> bool:
-        """Mid-stream reroute around a dark SSD, straight to the PFS.
-
-        ``consumed`` producer chunks already crossed into host staging, so
-        they replay onto the PFS links immediately; the remaining chunks
-        keep streaming against the producer as before — consumption resumes
-        at the right chunk instead of restarting the cascade.  On success
-        the record is durable (journaled) at the PFS and queued for SSD
-        backfill, exactly like the store-and-forward reroute.
-        """
-        engine = self.engine
-        pfs = engine.pfs
-        key = engine.store_key(record)
-        rcfg = engine.config.resilience
-        op = self._op(record)
-        track = self._track_for("h2f")
-        if self.f2p_stream is not None:
-            # The SSD upgrade hop is moot: the blob is going to the PFS now.
-            pipeline.skip("f2r")
-            pipeline.skip("f2p")
-        self.rerouted += 1
-        self._m_reroutes.inc()
-        self.telemetry.bus.instant(
-            "flush-reroute",
-            track,
-            op_id=op.op_id,
-            ckpt=record.ckpt_id,
-            stage="h2f",
-            chunk=consumed,
-        )
-        log.info(
-            "p%d: rerouting streamed h2f flush of checkpoint %d around the "
-            "dark SSD to the PFS at chunk %d/%d",
-            engine.process_id, record.ckpt_id, consumed, pipeline.chunks,
-        )
-        stored = record.stored_size(TierLevel.PFS)
-        sizes = chunk_sizes_for(stored, pipeline.chunks)
-
-        def reput() -> None:
-            pfs.put(
-                key,
-                payload,
-                stored,
-                node_id=engine.node_id,
-                cancelled=record.cancel_flush,
-                meta=engine.recovery_meta(record),
-                request=self._request(record),
-            )
-
-        try:
-            with op.stage("reroute", CAT_REROUTE, track=track, tier="pfs"):
-                handle = self._retrying(
-                    "h2f-reroute",
-                    record,
-                    lambda: pfs.open_put(
-                        key,
-                        stored,
-                        int(payload.size),
-                        node_id=engine.node_id,
-                        cancelled=record.cancel_flush,
-                    ),
-                    breaker="pfs",
-                )
-                for i, nbytes in enumerate(sizes):
-                    if i >= consumed and not pipeline.await_upstream("h2f", i):
-                        handle.abort()
-                        self._stream_bail("h2f", record, "upstream abandoned")
-                        return False
-                    t0 = engine.clock.now()
-                    pipeline.enter_chunk()
-                    try:
-                        self._retrying(
-                            "h2f-reroute",
-                            record,
-                            lambda nb=nbytes: handle.write(
-                                nb, request=self._request(record)
-                            ),
-                            breaker="pfs",
-                        )
-                    finally:
-                        pipeline.exit_chunk()
-                    self._chunk_span("h2f", "pfs", record, i, nbytes, t0)
-                    pipeline.publish("h2f", i)
-                handle.commit(payload, meta=engine.recovery_meta(record))
-                if rcfg.reverify and not self._reverify(
-                    "h2f-reroute", record, pfs, "pfs", reput
-                ):
-                    pfs.delete(key)
-                    engine._journal_retract(record, "pfs")
-                    self._abandon("h2f", record, "persistent corruption on PFS reroute")
-                    return False
-        except TransferError as exc:
-            self._abandon("h2f", record, f"PFS reroute failed ({type(exc).__name__})")
-            return False
-        first_durable = False
-        with engine.monitor:
-            if record.durable_level is None or record.durable_level < TierLevel.PFS:
-                first_durable = record.durable_level is None
-                record.durable_level = TierLevel.PFS
-            if engine._reduced_at(record, TierLevel.PFS):
-                engine.reducer.attach(record, TierLevel.PFS)
-            engine.monitor.notify_all()
-        engine._journal_commit(record, TierLevel.PFS, "pfs")
-        if first_durable:
-            self._mark_durable(record, op, "h2f", TierLevel.PFS)
-        if rcfg.backfill:
-            with self._backfill_lock:
-                self._backfill.append(record)
-        return True
-
-    def _stream_f2r(self, record: "CheckpointRecord", pipeline: ChunkPipeline) -> None:
-        """Streamed SSD read-back: the producer half of the PFS upgrade.
-
-        Runs as its own pipeline stage so the read of chunk *i+1* overlaps
-        the PFS write of chunk *i* — store-and-forward f2p serialises the
-        whole read behind the whole write, which would otherwise pace the
-        streamed cascade at read+write per chunk.  The read-back overlaps
-        the not-yet-committed SSD put (the drive streams its write buffer
-        through), so the handle takes the size explicitly instead of the
-        store index.
-        """
-        engine = self.engine
-        ok = False
-        try:
-            if engine.crashed.is_set():
-                return
-            if pipeline.skipped("f2r"):
-                ok = True
-                return
-            engine._maybe_crash("before-f2p", record)
-            # Sizes and the physical payload settle once the producer has
-            # run its preamble (host-site encode), signalled by its first
-            # published chunk reaching the durable hop.
-            if not pipeline.await_upstream("f2r", 0):
-                self._stream_bail("f2r", record, "durable hop abandoned")
-                return
-            if pipeline.skipped("f2r"):
-                ok = True
-                return
-            key = engine.store_key(record)
-            read_total = record.stored_size(TierLevel.SSD)
-            read_sizes = chunk_sizes_for(read_total, pipeline.chunks)
-            try:
-                reader = engine.ssd.open_get(key, nominal_size=read_total)
-            except TransferError as exc:
-                self._abandon("f2p", record, f"{type(exc).__name__} at read-back open")
-                return
-            op = self._op(record)
-            with self.telemetry.bus.span(
-                "f2r",
-                self._tracks["f2r"],
-                ckpt=record.ckpt_id,
-                bytes=read_total,
-                chunks=pipeline.chunks,
-                **self._causal(op, "ssd"),
-            ) as span:
-                try:
-                    for i, nbytes in enumerate(read_sizes):
-                        if not pipeline.await_upstream("f2r", i):
-                            self._stream_bail("f2r", record, "durable hop abandoned")
-                            span.add(abandoned=True)
-                            return
-                        if pipeline.skipped("f2r") or pipeline.skipped("f2p"):
-                            ok = True
-                            return
-                        if pipeline.failed("f2p"):
-                            # The writer already abandoned (and counted) the
-                            # upgrade; reading for a dead consumer is waste.
-                            ok = True
-                            return
-                        if not pipeline.throttle("f2r", i):
-                            raise TransferError("stream interrupted")
-                        t0 = engine.clock.now()
-                        pipeline.enter_chunk()
-                        try:
-                            with op.stage(
-                                "read-back",
-                                CAT_TRANSFER,
-                                track=self._tracks["f2r"],
-                                tier="ssd",
-                            ):
-                                self._retrying(
-                                    "f2p",
-                                    record,
-                                    lambda nb=nbytes: reader.read(
-                                        nb, request=self._request(record)
-                                    ),
-                                )
-                        finally:
-                            pipeline.exit_chunk()
-                        self._chunk_span("f2r", "ssd", record, i, nbytes, t0)
-                        pipeline.publish("f2r", i)
-                except TransferError:
-                    span.add(abandoned=True)
-                    self._abandon("f2p", record, "read-back cancelled mid-transfer")
-                    return
-            pipeline.finish("f2r")
-            ok = True
-        finally:
-            if not ok:
-                pipeline.fail("f2r")
-            if pipeline.release():
-                self._account_stream(pipeline)
-
-    def _stream_f2p(self, record: "CheckpointRecord", pipeline: ChunkPipeline) -> None:
-        """Streamed PFS upgrade: consume read-back chunks, charge the PFS
-        per chunk, commit-at-end — overlapping the durable hop *and* the
-        SSD read-back still streaming chunk *i+1*."""
-        engine = self.engine
-        ok = False
-        try:
-            if engine.crashed.is_set():
-                return
-            if pipeline.skipped("f2p"):
-                ok = True
-                return
-            op = self._op(record)
-            op.fill("flush-queue", track=self._tracks["f2p"])
-            with engine.monitor:
-                if record.discarded:
-                    self._abandon("f2p", record, "discarded before PFS flush")
-                    return
-            pfs = engine.pfs
-            if pfs is None:
-                ok = True
-                return
-            if engine.resilient and not engine.health.allow("pfs"):
-                self._abandon("f2p", record, "pfs circuit breaker open")
-                return
-            # The read-back's opening chunk implies the producer preamble
-            # ran, so the physical payload and stored sizes are settled.
-            if not pipeline.await_upstream("f2p", 0):
-                self._stream_bail("f2p", record, "read-back abandoned")
-                return
-            if pipeline.skipped("f2p"):
-                ok = True
-                return
-            key = engine.store_key(record)
-            stored = record.stored_size(TierLevel.PFS)
-            wire = record.wire_size(TierLevel.SSD, TierLevel.PFS)
-            write_sizes = chunk_sizes_for(stored, pipeline.chunks)
-            try:
-                writer = pfs.open_put(
-                    key,
-                    stored,
-                    int(pipeline.payload.size),
-                    node_id=engine.node_id,
-                    cancelled=record.cancel_flush,
-                )
-            except TransferError as exc:
-                self._abandon("f2p", record, f"{type(exc).__name__} at open")
-                return
-            with self.telemetry.bus.span(
-                "f2p",
-                self._tracks["f2p"],
-                ckpt=record.ckpt_id,
-                bytes=wire,
-                chunks=pipeline.chunks,
-                **self._causal(op, "pfs"),
-            ) as span:
-                try:
-                    for i in range(pipeline.chunks):
-                        if not pipeline.await_upstream("f2p", i):
-                            writer.abort()
-                            self._stream_bail("f2p", record, "read-back abandoned")
-                            span.add(abandoned=True)
-                            return
-                        if pipeline.skipped("f2p"):
-                            writer.abort()
-                            ok = True
-                            return
-                        t0 = engine.clock.now()
-                        pipeline.enter_chunk()
-                        try:
-                            self._retrying(
-                                "f2p",
-                                record,
-                                lambda nb=write_sizes[i]: writer.write(
-                                    nb, request=self._request(record)
-                                ),
-                                breaker="pfs",
-                            )
-                        finally:
-                            pipeline.exit_chunk()
-                        self._chunk_span("f2p", "pfs", record, i, write_sizes[i], t0)
-                        pipeline.publish("f2p", i)
-                except TransferError:
-                    writer.abort()
-                    span.add(abandoned=True)
-                    self._abandon("f2p", record, "cancelled mid-transfer")
-                    return
-                # The upgrade only commits over a blob the durable hop
-                # actually landed on the SSD (reroutes skip this stage).
-                if not pipeline.await_finished("f2p", "h2f"):
-                    writer.abort()
-                    span.add(abandoned=True)
-                    self._stream_bail("f2p", record, "durable hop failed")
-                    return
-                if pipeline.skipped("f2p") or pipeline.ssd_outcome != "ssd":
-                    writer.abort()
-                    ok = True
-                    return
-                writer.commit(pipeline.payload, meta=engine.recovery_meta(record))
-
-                def reput() -> None:
-                    pfs.put(
-                        key,
-                        pipeline.payload,
-                        stored,
-                        node_id=engine.node_id,
-                        cancelled=record.cancel_flush,
-                        meta=engine.recovery_meta(record),
-                        request=self._request(record),
-                    )
-
-                if engine.resilient and engine.config.resilience.reverify:
-                    with op.stage(
-                        "reverify", CAT_RETRY, track=self._tracks["f2p"], tier="pfs"
-                    ):
-                        verified = self._reverify("f2p", record, pfs, "pfs", reput)
-                    if not verified:
-                        pfs.delete(key)
-                        engine._journal_retract(record, "pfs")
-                        span.add(abandoned=True)
-                        self._abandon("f2p", record, "persistent corruption on PFS put")
-                        return
-            self._m_bytes["f2p"].inc(wire)
-            with engine.monitor:
-                record.durable_level = TierLevel.PFS
-                if engine._reduced_at(record, TierLevel.PFS):
-                    engine.reducer.attach(record, TierLevel.PFS)
-                engine.monitor.notify_all()
-            engine._journal_commit(record, TierLevel.PFS, "pfs")
-            engine._maybe_crash("after-f2p", record)
-            pipeline.finish("f2p")
-            ok = True
-        finally:
-            if not ok:
-                pipeline.fail("f2p")
-            if pipeline.release():
-                self._account_stream(pipeline)

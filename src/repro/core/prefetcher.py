@@ -257,7 +257,6 @@ class Prefetcher:
                     return None
                 if (
                     engine.streaming
-                    and engine.config.stream.prefetch
                     and engine.gpu_cache.pinned_bytes()
                     + record.stored_size(TierLevel.GPU)
                     > gpu_budget

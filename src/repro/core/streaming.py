@@ -1,13 +1,14 @@
-"""Per-checkpoint chunk pipeline for the streamed flush/prefetch cascades.
+"""Per-checkpoint chunk pipeline for the flush cascade and streamed promotions.
 
 One :class:`ChunkPipeline` coordinates the stages of a single checkpoint's
-streamed transfer (``d2h`` → ``h2f`` → ``f2p``, or ``read`` → ``h2d`` on
-the promote path).  Every stage moves the same number of chunks (stage
-byte counts may differ under reduction — chunk *boundaries* are per
-stage); a consumer stage charges chunk ``i`` on its link only once the
-upstream stage has published chunk ``i``, and a producer stage parks once
-it runs :attr:`ring` chunks ahead of its slowest consumer — the bounded
-ring buffer providing backpressure.
+transfer (``d2h`` → ``h2f`` → ``f2r`` → ``f2p`` on the flush path — every
+flush walks one, a whole-object flush being the one-chunk plan — or
+``read`` → ``h2d`` on the promote path).  Every stage moves the same number
+of chunks (stage byte counts may differ under reduction — chunk
+*boundaries* are per stage); a consumer stage charges chunk ``i`` on its
+link only once the upstream stage has published chunk ``i``, and a producer
+stage parks once it runs :attr:`ring` chunks ahead of its slowest consumer
+— the bounded ring buffer providing backpressure.
 
 The pipeline is pure coordination: payload bytes are still written whole
 at each stage's commit (the simulator charges transfer *time* per chunk,
@@ -24,21 +25,17 @@ metric (1.0 = perfectly pipelined, → 0 = store-and-forward).
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.clock import VirtualClock
 
 
-def plan_chunks(nbytes: int, chunk_bytes: int, min_chunks: int) -> Optional[List[int]]:
-    """Split ``nbytes`` into near-equal chunk sizes, or ``None`` when the
-    transfer is too small to stream (fewer than ``min_chunks`` chunks)."""
-    if nbytes <= 0 or chunk_bytes <= 0:
-        return None
+def plan_chunks(nbytes: int, chunk_bytes: int) -> List[int]:
+    """The chunk plan of one transfer: ``nbytes`` split into near-equal
+    chunks of at most ``chunk_bytes``.  A transfer under two chunks plans
+    as one (per-chunk latency would dominate): the whole-object case."""
     count = (nbytes + chunk_bytes - 1) // chunk_bytes
-    if count < min_chunks:
-        return None
-    base, rem = divmod(nbytes, count)
-    return [base + (1 if i < rem else 0) for i in range(count)]
+    return chunk_sizes_for(nbytes, count) if count >= 2 else [nbytes]
 
 
 def chunk_sizes_for(nbytes: int, count: int) -> List[int]:
@@ -49,10 +46,6 @@ def chunk_sizes_for(nbytes: int, count: int) -> List[int]:
     """
     base, rem = divmod(nbytes, count)
     return [base + (1 if i < rem else 0) for i in range(count)]
-
-
-class StageFailed(Exception):
-    """Internal signal: an upstream stage failed or was abandoned."""
 
 
 class ChunkPipeline:
@@ -96,14 +89,11 @@ class ChunkPipeline:
         #: post-encode physical payload here so consumers need not wait
         #: for the whole upstream copy to land before starting work.
         self.payload = None
-        #: where the durable put landed ("ssd" / "pfs" / None), set by the
-        #: durable stage before it finishes.
-        self.ssd_outcome: Optional[str] = None
+        #: the tier level the durable hop landed the blob on (SSD, or PFS
+        #: when rerouted), set by that stage before it finishes.
+        self.landed = None
         #: per-stage nominal seconds spent stalled in await/throttle.
         self.stall_s: Dict[str, float] = {}
-        #: chunk-completion callbacks (event-driven handoff for metrics
-        #: and tests); fired outside the lock, after publish.
-        self._chunk_callbacks: List[Callable[[str, int], None]] = []
         self._workers = 0
         # -- overlap integrator (virtual time, ≥2 stages mid-chunk) --
         self._active = 0
@@ -145,10 +135,6 @@ class ChunkPipeline:
         idx = self._order.index(name)
         return self._order[idx + 1] if idx + 1 < len(self._order) else None
 
-    def add_chunk_callback(self, fn: Callable[[str, int], None]) -> None:
-        with self._cond:
-            self._chunk_callbacks.append(fn)
-
     # -- interruption checks ------------------------------------------------
     def _interrupted(self) -> bool:
         return (self.cancelled is not None and self.cancelled.is_set()) or (
@@ -162,9 +148,6 @@ class ChunkPipeline:
             if chunk + 1 > self._done[stage]:
                 self._done[stage] = chunk + 1
             self._cond.notify_all()
-            callbacks = list(self._chunk_callbacks)
-        for fn in callbacks:
-            fn(stage, chunk)
 
     def finish(self, stage: str) -> None:
         """The stage's commit is complete (its epilogue has run)."""
@@ -208,21 +191,20 @@ class ChunkPipeline:
         Returns ``False`` when the wait was interrupted (upstream failure,
         cancellation, injected crash) — the caller abandons its stage.
         """
-        started = self.clock.now()
-        try:
-            with self._cond:
-                while True:
+        with self._cond:
+            status = ready()
+            if status is not None:
+                return status  # no stall: nothing to tally
+            started = self.clock.now()
+            try:
+                while not self._interrupted():
+                    self._cond.wait(self._WAIT_TICK)
                     status = ready()
                     if status is not None:
                         return status
-                    if self._interrupted():
-                        return False
-                    self._cond.wait(self._WAIT_TICK)
-        finally:
-            waited = self.clock.now() - started
-            if waited > 0:
-                with self._cond:
-                    self.stall_s[stage] += waited
+                return False
+            finally:
+                self.stall_s[stage] += self.clock.now() - started
 
     def await_upstream(self, stage: str, chunk: int) -> bool:
         """Block until the upstream stage published chunk ``chunk``.

@@ -49,8 +49,8 @@ class ObjectStore(ABC):
     commit-at-end keeps every crash-consistency property of whole-object
     puts (a torn stream leaves nothing behind; the manifest journal never
     references an uncommitted key).  ``put``/``get`` are exactly
-    ``open_* + one full-size chunk + commit/finish``, so the legacy
-    whole-object path and the streamed path share one implementation.
+    ``open_* + one full-size chunk + commit/finish``, so whole-object and
+    streamed transfers share one implementation.
     """
 
     level: TierLevel

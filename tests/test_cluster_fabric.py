@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.topology import ClusterTopology
-from repro.config import ClusterConfig, FaultConfig, ResilienceConfig
+from repro.config import ClusterConfig, FaultConfig, ResilienceConfig, StreamConfig
 from repro.errors import TransientTransferError
 from repro.util.rng import make_rng
 from repro.util.units import MiB
@@ -151,8 +151,15 @@ class TestPeerReads:
 
 
 class TestAggregation:
-    def test_concurrent_flushes_coalesce_and_journal_stays_consistent(self):
+    @pytest.mark.parametrize(
+        "stream", [StreamConfig(), StreamConfig(enabled=True)], ids=["one-chunk", "streamed"]
+    )
+    def test_concurrent_flushes_coalesce_and_journal_stays_consistent(self, stream):
+        """Whole-object (one-chunk) PFS commits ride the node's write
+        aggregator into ``put_batch``; a streamed flush paces the PFS per
+        chunk and commits per object."""
         cfg = tiny_config(
+            stream=stream,
             num_nodes=1,
             processes_per_node=2,
             cluster=ClusterConfig(
@@ -172,9 +179,13 @@ class TestAggregation:
                 cross_node=False,
             )
             snap = topo.telemetry.registry.snapshot()
-            assert snap["cluster.agg.coalesced_ops"] >= 1
-            # Batched commits save whole PFS ops: 4 objects, fewer ops.
-            assert snap["tier.pfs.write_ops"] < 4
+            if stream.enabled:
+                assert snap.get("cluster.agg.coalesced_ops", 0) == 0
+                assert snap["tier.pfs.write_ops"] == 4
+            else:
+                assert snap["cluster.agg.coalesced_ops"] >= 1
+                # Batched commits save whole PFS ops: 4 objects, fewer ops.
+                assert snap["tier.pfs.write_ops"] < 4
             assert topo.cluster.pfs.object_count() == 4
             # Journal consistency: every PFS journal entry must match a
             # committed blob (commit-at-end: no entry without bytes).

@@ -17,7 +17,8 @@ CKPT = 128 * MiB
 
 
 class FlakySsd:
-    """Wraps an SsdStore; fails the first N put() calls."""
+    """Wraps an SsdStore; fails the first N puts at their open (the flush
+    cascade writes through ``open_put``; ``put`` is its one-chunk form)."""
 
     def __init__(self, inner, failures):
         self._inner = inner
@@ -25,13 +26,13 @@ class FlakySsd:
         self._lock = threading.Lock()
         self.put_attempts = 0
 
-    def put(self, key, payload, nominal_size, **kw):
+    def open_put(self, key, nominal_size, payload_size, **kw):
         with self._lock:
             self.put_attempts += 1
             if self._failures > 0:
                 self._failures -= 1
                 raise TransferError("injected SSD write failure")
-        return self._inner.put(key, payload, nominal_size, **kw)
+        return self._inner.open_put(key, nominal_size, payload_size, **kw)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)

@@ -10,19 +10,26 @@ The acceptance bar for the resilience subsystem:
   reduced ones (via the chunk-recipe sidecar);
 * a hard SSD outage reroutes the cascade to the PFS and backfills the SSD
   copy once the tier heals;
+* at-rest corruption injected under a flush is caught by the post-commit
+  CRC reverify and repaired by a bounded re-put — no rotten blob stays
+  visible on a durable tier;
 * ``checkpoint()`` is exception-safe: a mid-write failure rolls back the
   cache slot, the reducer chain head and the catalog record;
 * ``wait_for_flushes`` honours the configured timeout and reports
   retry/breaker state in the stall diagnostics;
 * (property) fault-injected runs restore bit-identical data to fault-free
   runs — faults may cost time, never correctness.
+
+The flush-side scenarios run under both chunk plans of the one cascade
+(``stream`` ∈ {off: every flush is a one-chunk pipeline, on: 128 MiB
+checkpoints stream as eight 16 MiB chunks}), so one test body guards both.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import FaultConfig, ReduceConfig, ResilienceConfig
+from repro.config import FaultConfig, ReduceConfig, ResilienceConfig, StreamConfig
 from repro.core.engine import ScoreEngine
 from repro.core.validator import validate_engine
 from repro.errors import FlushTimeoutError, InjectedCrash
@@ -34,6 +41,16 @@ from tests.conftest import make_buffer, tiny_config
 CKPT = 128 * MiB
 
 RESILIENT = ResilienceConfig(enabled=True)
+STREAMING = StreamConfig(enabled=True)
+
+#: both chunk plans of the flush cascade: one chunk per object, and many.
+both_chunk_plans = pytest.mark.parametrize(
+    "stream", [StreamConfig(), STREAMING], ids=["one-chunk", "streamed"]
+)
+
+
+def _config(stream, **changes):
+    return tiny_config(resilience=RESILIENT, stream=stream, **changes)
 
 
 def _tamper(store, key):
@@ -48,8 +65,9 @@ def _tamper(store, key):
 
 
 class TestCorruptionRepair:
-    def test_restore_repairs_corrupt_ssd_blob_from_pfs(self):
-        cfg = tiny_config(resilience=RESILIENT)
+    @both_chunk_plans
+    def test_restore_repairs_corrupt_ssd_blob_from_pfs(self, stream):
+        cfg = _config(stream)
         with Cluster(cfg) as cluster:
             ctx = cluster.process_contexts()[0]
             sums = {}
@@ -79,11 +97,12 @@ class TestCorruptionRepair:
                     assert out.checksum() == sums[v]
                 validate_engine(engine2)
 
-    def test_unrepairable_corruption_still_raises(self):
+    @both_chunk_plans
+    def test_unrepairable_corruption_still_raises(self, stream):
         """Every durable copy rotten -> IntegrityError, never silent data."""
         from repro.errors import IntegrityError
 
-        cfg = tiny_config(resilience=RESILIENT)
+        cfg = _config(stream)
         with Cluster(cfg) as cluster:
             ctx = cluster.process_contexts()[0]
             with ScoreEngine(ctx, flush_to_pfs=True) as engine:
@@ -97,15 +116,45 @@ class TestCorruptionRepair:
                 with pytest.raises(IntegrityError):
                     engine2.restore(0, ctx.device.alloc_buffer(CKPT))
 
+    @both_chunk_plans
+    def test_flush_reverify_repairs_at_rest_corruption(self, stream):
+        """Half of all put attempts rot at rest: the post-commit CRC scrub
+        catches each one and re-puts from the pristine payload, so every
+        blob left visible on a durable tier verifies."""
+        cfg = _config(
+            stream, faults=FaultConfig(enabled=True, seed=11, corruption_rate=0.5)
+        )
+        with Cluster(cfg) as cluster:
+            ctx = cluster.process_contexts()[0]
+            with ScoreEngine(ctx, flush_to_pfs=True) as engine:
+                sums = {}
+                for v in range(6):
+                    buf = make_buffer(ctx, CKPT, seed=v)
+                    sums[v] = buf.checksum()
+                    engine.checkpoint(v, buf)
+                    engine.wait_for_flushes(timeout=600.0)
+                assert engine.flusher.reflushed >= 1
+                assert cluster.faults.snapshot()["corruptions"] >= 1
+                pid = engine.process_id
+                for store in (engine.ssd, cluster.pfs):
+                    for v in range(6):
+                        if store.contains((pid, v)):
+                            assert store.verify((pid, v))
+                out = ctx.device.alloc_buffer(CKPT)
+                for v in range(6):
+                    engine.restore(v, out)
+                    assert out.checksum() == sums[v]
+                validate_engine(engine)
 
-def _crash_scenario(point, *, gpudirect=False, nodes=1, replicate=False,
-                    reduce_cfg=None):
+
+def _crash_scenario(point, *, stream, gpudirect=False, nodes=1,
+                    replicate=False, reduce_cfg=None):
     """Checkpoint v0 cleanly, crash the engine at ``point`` while flushing
     v1, then re-incarnate and assert every durable checkpoint recovers
     with verified bytes."""
-    cfg = tiny_config(
+    cfg = _config(
+        stream,
         faults=FaultConfig(enabled=True, crash_point=point, crash_ckpt=1),
-        resilience=RESILIENT,
         num_nodes=nodes,
     )
     if reduce_cfg is not None:
@@ -160,8 +209,10 @@ def _crash_scenario(point, *, gpudirect=False, nodes=1, replicate=False,
 
 class TestCrashMatrix:
     """Re-incarnation after an injected crash at every flush-stage boundary
-    recovers 100% of the durable checkpoints."""
+    recovers 100% of the durable checkpoints — commit-at-end: a crash
+    between chunk commits leaves no torn object either."""
 
+    @both_chunk_plans
     @pytest.mark.parametrize(
         "point",
         [
@@ -170,21 +221,28 @@ class TestCrashMatrix:
             "before-f2p", "after-f2p",
         ],
     )
-    def test_host_cascade(self, point):
-        durable, _, _ = _crash_scenario(point)
+    def test_host_cascade(self, point, stream):
+        durable, cluster, pid = _crash_scenario(point, stream=stream)
         if point in ("after-h2f", "before-f2p", "after-f2p"):
             assert 1 in durable  # SSD put committed before these points
+        if point == "before-h2f":
+            # Crashed before any durable commit of v1: no torn object.
+            assert not cluster.nodes[0].ssd.contains((pid, 1))
 
+    @both_chunk_plans
     @pytest.mark.parametrize("point", ["before-d2s", "after-d2s"])
-    def test_gpudirect_cascade(self, point):
-        durable, _, _ = _crash_scenario(point, gpudirect=True)
+    def test_gpudirect_cascade(self, point, stream):
+        durable, _, _ = _crash_scenario(point, stream=stream, gpudirect=True)
         if point == "after-d2s":
             assert 1 in durable
 
+    @both_chunk_plans
     @pytest.mark.parametrize("point", ["before-repl", "after-repl"])
-    def test_replication_leg(self, point):
+    def test_replication_leg(self, point, stream):
         # Replication runs after local durability: v1 always recovers.
-        durable, cluster, pid = _crash_scenario(point, nodes=2, replicate=True)
+        durable, cluster, pid = _crash_scenario(
+            point, stream=stream, nodes=2, replicate=True
+        )
         assert 1 in durable
 
     def test_crashed_engine_rejects_new_work(self):
@@ -202,19 +260,24 @@ class TestCrashMatrix:
                 engine.checkpoint(1, make_buffer(ctx, CKPT, seed=1))
             engine.close()
 
-    def test_crash_recovers_reduced_checkpoints(self):
+    @both_chunk_plans
+    def test_crash_recovers_reduced_checkpoints(self, stream):
         """The chunk-recipe sidecar makes reduced checkpoints crash-safe."""
         durable, _, _ = _crash_scenario(
-            "after-h2f", reduce_cfg=ReduceConfig(enabled=True)
+            "after-h2f", stream=stream, reduce_cfg=ReduceConfig(enabled=True)
         )
         assert 1 in durable
 
 
 class TestOutageRerouteAndBackfill:
-    def test_ssd_outage_reroutes_to_pfs_then_backfills(self):
-        cfg = tiny_config(
-            faults=FaultConfig(enabled=True, tier_outages=(("ssd", 0.0, 30.0, 0.0),)),
-            resilience=RESILIENT,
+    @both_chunk_plans
+    def test_ssd_outage_reroutes_to_pfs_then_backfills(self, stream):
+        # The clock is scaled wall time: [0, 500) virtual seconds is 1 s of
+        # wall at TEST_SCALE, so a host stall cannot expire the outage
+        # before the durable hop reaches the SSD gate.
+        cfg = _config(
+            stream,
+            faults=FaultConfig(enabled=True, tier_outages=(("ssd", 0.0, 500.0, 0.0),)),
         )
         with Cluster(cfg) as cluster:
             ctx = cluster.process_contexts()[0]
@@ -233,7 +296,7 @@ class TestOutageRerouteAndBackfill:
 
                 # Phase 2: the tier heals; the cascade backfills the SSD
                 # copy so reads regain the fast path.
-                engine.clock.sleep(max(0.0, 35.0 - engine.clock.now()))
+                engine.clock.sleep(max(0.0, 505.0 - engine.clock.now()))
                 buf = make_buffer(ctx, CKPT, seed=1)
                 sums[1] = buf.checksum()
                 engine.checkpoint(1, buf)
@@ -251,12 +314,13 @@ class TestOutageRerouteAndBackfill:
                 assert stats["backfilled"] >= 1
                 validate_engine(engine)
 
-    def test_restore_routes_around_dark_ssd(self):
+    @both_chunk_plans
+    def test_restore_routes_around_dark_ssd(self, stream):
         """With copies on SSD and PFS, a restore during an SSD outage is
         served from the PFS instead of failing."""
-        cfg = tiny_config(
+        cfg = _config(
+            stream,
             faults=FaultConfig(enabled=True, tier_outages=(("ssd", 5.0, 1e9, 0.0),)),
-            resilience=RESILIENT,
         )
         with Cluster(cfg) as cluster:
             ctx = cluster.process_contexts()[0]

@@ -3,20 +3,19 @@
 The acceptance bar for the streaming subsystem:
 
 * ``StreamConfig.enabled=False`` changes nothing — the same discipline as
-  ``SchedConfig`` / ``ReduceConfig`` / ``FaultConfig``: identical eviction
-  decision streams, cache layouts, tier byte counters, store metadata and
-  restored bytes, and no streaming metrics registered;
+  ``SchedConfig`` / ``ReduceConfig`` / ``FaultConfig``: every flush plans
+  one chunk whatever the other knobs say, with identical eviction decision
+  streams, cache layouts, tier byte counters, store metadata and restored
+  bytes, and the ``flush.stream.*`` metrics stay at zero;
 * streaming on, the cascade restores bit-identical bytes, reports pipeline
   counts and overlap/stall gauges, and composes with the reduction
-  pipeline (chunk recipes reconstruct, CRCs verify);
-* a crash between chunk commits loses nothing durable (commit-at-end: a
-  torn stream leaves no partial object, and the manifest journal recovers
-  every checkpoint that reached a durable tier);
+  pipeline (chunk recipes reconstruct, CRCs verify) and with GPUDirect;
 * an SSD failure mid-stream reroutes to the PFS, replaying the chunks the
   dead put had consumed, and the rerouted checkpoint restores verified
-  bytes;
-* (property) streamed and store-and-forward runs restore identical
-  payload checksums for arbitrary snapshot-size mixes.
+  bytes (crash points, outage/backfill and corruption run under both chunk
+  plans in ``test_faults_recovery.py``);
+* (property) one-chunk and many-chunk runs restore identical payload
+  checksums for arbitrary snapshot-size mixes.
 
 Plus unit coverage of the chunk planner, the ring-buffer backpressure
 fabric itself, the event-driven completion callbacks, and the drain
@@ -34,7 +33,7 @@ from repro.config import FaultConfig, ReduceConfig, ResilienceConfig, StreamConf
 from repro.core.engine import ScoreEngine
 from repro.core.streaming import ChunkPipeline, chunk_sizes_for, plan_chunks
 from repro.core.validator import validate_engine
-from repro.errors import InjectedCrash, TierOfflineError
+from repro.errors import TierOfflineError
 from repro.simgpu.stream import Stream
 from repro.tiers.base import TierLevel
 from repro.tiers.topology import Cluster
@@ -52,14 +51,14 @@ RESILIENT = ResilienceConfig(enabled=True)
 # -- chunk planning ----------------------------------------------------------
 class TestChunkPlanning:
     def test_plan_splits_near_equal(self):
-        sizes = plan_chunks(100, 30, 2)
+        sizes = plan_chunks(100, 30)
         assert sizes == [25, 25, 25, 25]
         assert sum(sizes) == 100
 
-    def test_plan_rejects_small_transfers(self):
-        assert plan_chunks(10, 30, 2) is None  # one chunk: stay legacy
-        assert plan_chunks(0, 30, 2) is None
-        assert plan_chunks(60, 30, 2) == [30, 30]
+    def test_small_transfers_plan_one_chunk(self):
+        assert plan_chunks(10, 30) == [10]  # under two chunks: whole object
+        assert plan_chunks(30, 30) == [30]
+        assert plan_chunks(60, 30) == [30, 30]
 
     def test_chunk_sizes_for_exact_count(self):
         sizes = chunk_sizes_for(10, 3)
@@ -68,7 +67,7 @@ class TestChunkPlanning:
 
     def test_stage_counts_align_across_sizes(self):
         # Reduced stages move fewer bytes but the same number of chunks.
-        wire = plan_chunks(128 * MiB, 16 * MiB, 2)
+        wire = plan_chunks(128 * MiB, 16 * MiB)
         reduced = chunk_sizes_for(37 * MiB + 11, len(wire))
         assert len(reduced) == len(wire)
         assert sum(reduced) == 37 * MiB + 11
@@ -252,6 +251,7 @@ def _equivalence_scenario(stream_cfg):
                     "flush.f2p.bytes",
                     "tier.ssd.write_bytes",
                     "tier.pfs.write_bytes",
+                    "flush.stream.pipelines",
                 )
             }
             metric_names = sorted(registry.snapshot().keys())
@@ -264,21 +264,14 @@ def test_disabled_streaming_is_bit_identical():
     default = _equivalence_scenario(None)
     # Every other knob non-default; enabled=False must make them all inert.
     off = _equivalence_scenario(
-        StreamConfig(
-            enabled=False,
-            stream_chunk_bytes=4 * MiB,
-            ring_chunks=7,
-            min_stream_chunks=3,
-            prefetch=False,
-        )
+        StreamConfig(enabled=False, stream_chunk_bytes=4 * MiB, ring_chunks=7)
     )
     for got, want in zip(off, default):
         assert json.dumps(got, sort_keys=True, default=str) == json.dumps(
             want, sort_keys=True, default=str
         )
-    metric_names = default[3]
-    # The streaming gauges must not exist in a disabled run's snapshot.
-    assert not any("stream" in name for name in metric_names)
+    # One-chunk pipelines never count as streamed.
+    assert default[2]["flush.stream.pipelines"] == 0
 
 
 # -- streaming on: end-to-end correctness ------------------------------------
@@ -310,8 +303,9 @@ class TestStreamedCascade:
                     assert reg.gauge(f"flush.{stage}.stall_time").value >= 0.0
                 validate_engine(engine)
 
-    def test_small_checkpoints_fall_back_to_legacy(self):
-        # Below min_stream_chunks chunks the whole-object path runs.
+    def test_small_checkpoints_plan_one_chunk(self):
+        # Under two chunks an object plans one chunk even with streaming
+        # on, and one-chunk pipelines bump no flush.stream.* metric.
         cfg = tiny_config(
             telemetry=True,
             stream=StreamConfig(enabled=True, stream_chunk_bytes=256 * MiB),
@@ -323,12 +317,53 @@ class TestStreamedCascade:
                 expected = buf.checksum()
                 engine.checkpoint(0, buf)
                 assert engine.wait_for_flushes(timeout=600.0)
-                assert cluster.telemetry.registry.counter(
-                    "flush.stream.pipelines"
-                ).value == 0
+                assert engine.catalog.get(0).durable_level is TierLevel.PFS
+                reg = cluster.telemetry.registry
+                assert reg.counter("flush.stream.pipelines").value == 0
+                assert reg.gauge("flush.stream.overlap_ratio").value == 0
+                for stage in ("d2h", "h2f", "f2r", "f2p"):
+                    assert reg.gauge(f"flush.{stage}.stall_time").value == 0
+                assert not [
+                    ev for ev in cluster.telemetry.bus.snapshot()
+                    if ev.name.endswith("-chunk")
+                ]
                 out = ctx.device.alloc_buffer(CKPT)
                 engine.restore(0, out)
                 assert out.checksum() == expected
+
+    def test_gpudirect_streams_through_the_same_cascade(self):
+        """GPUDirect is a stage-graph variant (d2s → f2r → f2p), so it
+        streams like the host cascade: chunked, PFS-durable, bit-identical."""
+        cfg = tiny_config(telemetry=True, stream=STREAMING)
+        with Cluster(cfg) as cluster:
+            ctx = cluster.process_contexts()[0]
+            with ScoreEngine(ctx, flush_to_pfs=True, gpudirect=True) as engine:
+                sums = {}
+                for v in range(4):
+                    buf = make_buffer(ctx, CKPT, seed=v)
+                    sums[v] = buf.checksum()
+                    engine.checkpoint(v, buf)
+                assert engine.wait_for_flushes(timeout=600.0)
+                for v in range(4):
+                    assert engine.catalog.get(v).durable_level is TierLevel.PFS
+                reg = cluster.telemetry.registry
+                assert reg.counter("flush.stream.pipelines").value == 4
+                assert reg.counter("flush.d2s.bytes").value == 4 * CKPT
+                assert reg.counter("flush.f2p.bytes").value == 4 * CKPT
+                # No host staging: the d2h/h2f stages never ran.
+                assert reg.counter("flush.d2h.bytes").value == 0
+                assert reg.counter("flush.h2f.bytes").value == 0
+                chunks = CKPT // STREAMING.stream_chunk_bytes
+                slices = [
+                    ev for ev in cluster.telemetry.bus.snapshot()
+                    if ev.name == "d2s-chunk"
+                ]
+                assert len(slices) == 4 * chunks
+                out = ctx.device.alloc_buffer(CKPT)
+                for v in restore_order(RestoreOrder.IRREGULAR, 4, seed=3):
+                    engine.restore(v, out)
+                    assert out.checksum() == sums[v]
+                validate_engine(engine)
 
     def test_streaming_with_reduction(self):
         """Chunk recipes reconstruct and CRCs verify under streaming."""
@@ -369,51 +404,6 @@ class TestStreamedCascade:
 
 # -- streaming + faults ------------------------------------------------------
 class TestStreamedFaults:
-    @pytest.mark.parametrize("point", ["before-h2f", "after-h2f", "after-f2p"])
-    def test_crash_between_chunk_commits(self, point):
-        """Commit-at-end: a crash at a stage boundary mid-stream leaves no
-        torn object; the journal recovers exactly what committed."""
-        cfg = tiny_config(
-            stream=STREAMING,
-            faults=FaultConfig(enabled=True, crash_point=point, crash_ckpt=1),
-            resilience=RESILIENT,
-        )
-        with Cluster(cfg) as cluster:
-            ctx = cluster.process_contexts()[0]
-            engine = ScoreEngine(ctx, flush_to_pfs=True)
-            sums = {}
-            buf0 = make_buffer(ctx, CKPT, seed=0)
-            sums[0] = buf0.checksum()
-            engine.checkpoint(0, buf0)
-            engine.wait_for_flushes(timeout=600.0)
-            buf1 = make_buffer(ctx, CKPT, seed=1)
-            sums[1] = buf1.checksum()
-            try:
-                engine.checkpoint(1, buf1)
-            except InjectedCrash:
-                pass
-            engine.close()
-            assert engine.crashed.is_set()
-            pid = engine.process_id
-            stores = [cluster.nodes[0].ssd, cluster.pfs]
-            durable = {
-                v for v in (0, 1) if any(s.contains((pid, v)) for s in stores)
-            }
-            assert 0 in durable
-            if point == "before-h2f":
-                # Crashed before any durable commit of v1: no torn object.
-                assert not cluster.nodes[0].ssd.contains((pid, 1))
-            engine2 = ScoreEngine(ctx, flush_to_pfs=True)
-            try:
-                assert engine2.recover_history() == len(durable)
-                out = ctx.device.alloc_buffer(CKPT)
-                for v in sorted(durable):
-                    engine2.restore(v, out)
-                    assert out.checksum() == sums[v]
-                validate_engine(engine2)
-            finally:
-                engine2.close()
-
     def test_reroute_mid_stream_resumes_at_right_chunk(self):
         """An SSD that dies after consuming some chunks reroutes to the
         PFS, replaying the consumed chunks, and lands verified bytes."""
@@ -513,7 +503,7 @@ def test_drain_waits_for_cascading_resubmission():
                 assert engine.catalog.get(v).durable_level is TierLevel.PFS
 
 
-# -- property: streamed == store-and-forward payloads ------------------------
+# -- property: many-chunk == one-chunk payloads ------------------------------
 @settings(
     max_examples=4,
     deadline=None,
@@ -527,7 +517,7 @@ def test_drain_waits_for_cascading_resubmission():
     ),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_streamed_and_legacy_checksums_identical(sizes, seed):
+def test_one_chunk_and_many_chunk_checksums_identical(sizes, seed):
     def run(stream_cfg):
         cfg = tiny_config()
         if stream_cfg is not None:
