@@ -367,12 +367,13 @@ class StreamConfig:
     starts — store-and-forward, bit-for-bit the historical behaviour (same
     discipline as :class:`SchedConfig` / :class:`ReduceConfig` /
     :class:`FaultConfig`).  When enabled, each transfer of two or more
-    ``stream_chunk_bytes`` chunks is streamed through a per-checkpoint ring
-    buffer: the D2H, host→SSD and SSD→PFS hops overlap chunk-by-chunk (and
+    ``stream_chunk_bytes`` chunks is streamed through a per-checkpoint
+    pipeline: the D2H, host→SSD and SSD→PFS hops overlap chunk-by-chunk (and
     promotions from SSD/PFS overlap the storage read with the H2D
     crossing), so end-to-end durability latency approaches ``max(stage)``
     instead of ``sum(stages)``.  Smaller transfers still plan one chunk
-    (per-chunk latency would dominate).
+    (per-chunk latency would dominate).  Each stage buffers in the tier it
+    writes; the one bounded buffer is the SSD→PFS bounce ring.
     """
 
     #: plan multi-chunk pipelines for the flush cascade and the promote path.
@@ -380,9 +381,10 @@ class StreamConfig:
     #: nominal bytes per streamed chunk.  Sized so 2–3 chunks fit a
     #: double-buffered 32–48 MiB staging window.
     stream_chunk_bytes: int = 16 * MiB
-    #: ring-buffer depth in chunks: a producer stage may run at most this
-    #: many chunks ahead of its consumer before backpressure parks it
-    #: (double buffer + 1 in-flight chunk).
+    #: depth in chunks of the SSD→PFS bounce ring: the cascade's SSD
+    #: read-back may run at most this many chunks ahead of the PFS writer
+    #: before backpressure parks it (double buffer + 1 in-flight chunk).
+    #: No other edge has a ring — its bytes live in the destination tier.
     ring_chunks: int = 3
 
     def __post_init__(self) -> None:

@@ -129,7 +129,7 @@ class ScoreEngine:
         )
         #: pipelined chunk streaming (``config.stream.enabled``): the flush
         #: cascade and the promote path plan overlapped chunks through
-        #: per-checkpoint ring buffers (:mod:`repro.core.streaming`); off,
+        #: per-checkpoint pipelines (:mod:`repro.core.streaming`); off,
         #: every object plans one chunk — store-and-forward.
         self.streaming = bool(self.config.stream.enabled)
         #: set once an injected crash point fires; flush streams drop their
@@ -1349,9 +1349,9 @@ class ScoreEngine:
                     consume, label=f"h2d-{record.ckpt_id}"
                 )
                 try:
+                    # No ring on this edge: the extents reserved above hold
+                    # the whole object, so the read never waits for h2d.
                     for i, nbytes in enumerate(read_sizes):
-                        if not pipeline.throttle("read", i):
-                            raise TransferError("streamed promotion interrupted")
                         t0 = self.clock.now()
                         pipeline.enter_chunk()
                         try:

@@ -16,14 +16,19 @@ with no upstream stage, DMA-ing each chunk across PCIe itself.
 
 The *chunk plan* is the only thing that varies.  With
 ``StreamConfig.enabled`` an object of two or more ``stream_chunk_bytes``
-chunks overlaps its stages chunk by chunk through the pipeline's bounded
-ring; anything else plans one chunk, so each stage moves the whole object
-once its upstream published it — the store-and-forward cascade is the
-one-chunk case of the same code.  The code observes the plan only where the
-two really differ: multi-chunk pipelines feed the ``flush.stream.*``
-occupancy metrics and emit ``<stage>-chunk`` slices, and a one-chunk PFS
-commit is a whole-object put (which, clustered, rides the fabric's write
-aggregator).
+chunks overlaps its stages chunk by chunk; anything else plans one chunk, so
+each stage moves the whole object once its upstream published it — the
+store-and-forward cascade is the one-chunk case of the same code.  Under
+either plan a stage buffers in the tier it writes (the host extent, the SSD
+blob) and runs at its own link's pace; only the read-back ``f2r``, whose
+chunks live in a bounce buffer, parks on its consumer
+(``StreamConfig.ring_chunks``), so ``checkpoint()`` is held by host-cache
+capacity and explicit admission, never by the PFS.
+
+The code observes the plan only where the two really differ: multi-chunk
+pipelines feed the ``flush.stream.*`` occupancy metrics and emit
+``<stage>-chunk`` slices, and a one-chunk PFS commit is a whole-object put
+(which, clustered, rides the fabric's write aggregator).
 
 The cascade follows the life cycle: a tier's instance becomes ``FLUSHED``
 (evictable) only once the next slower tier holds a complete copy.  The
@@ -191,9 +196,9 @@ class Flusher:
         All stages of one checkpoint are submitted together, in cascade
         order, onto their per-stage FIFO streams.  Because every checkpoint
         submits in the same stage order, the only cross-stage waits are
-        *backward* (consumer on producer of the same checkpoint, producer
-        throttled by its own consumer) — the dependency graph stays acyclic
-        and the co-scheduled workers cannot deadlock.
+        *backward* (consumer on producer of the same checkpoint, the
+        read-back throttled by its own PFS writer) — the dependency graph
+        stays acyclic and the co-scheduled workers cannot deadlock.
         """
         engine = self.engine
         with engine.monitor:
@@ -709,9 +714,11 @@ class Flusher:
             **self._causal(op, "pcie"),
         ) as span:
             try:
+                # No ring on this edge: the whole host extent is reserved
+                # above, so chunks land in the tier however far behind the
+                # durable hop runs.  A discard stops the loop through the
+                # link's ``cancelled=``.
                 for i, nbytes in enumerate(chunk_sizes_for(wire, pipeline.chunks)):
-                    if not pipeline.throttle(stage, i):
-                        raise TransferError("stream interrupted")
                     self._charge_chunk(
                         stage, "pcie", record, pipeline, i, nbytes,
                         lambda: self._pcie_chunk(record, nbytes),
@@ -891,9 +898,6 @@ class Flusher:
                         self._bail(stage, record, "upstream abandoned")
                         return None
                     in_hand = i + 1
-                    if not pipeline.throttle(stage, i):
-                        handle.abort()
-                        raise TransferError("stream interrupted")
                     self._charge_chunk(
                         stage, "ssd", record, pipeline, i, nbytes,
                         lambda: handle.write(nbytes, request=self._request(record)),
@@ -1050,6 +1054,7 @@ class Flusher:
                 span.add(abandoned=True)
                 self._abandon(stage, record, "read-back cancelled mid-transfer")
                 return
+        reader.close()
         pipeline.finish(stage)
         return True
 

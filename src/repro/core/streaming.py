@@ -6,9 +6,15 @@ flush walks one, a whole-object flush being the one-chunk plan — or
 ``read`` → ``h2d`` on the promote path).  Every stage moves the same number
 of chunks (stage byte counts may differ under reduction — chunk
 *boundaries* are per stage); a consumer stage charges chunk ``i`` on its
-link only once the upstream stage has published chunk ``i``, and a producer
-stage parks once it runs :attr:`ring` chunks ahead of its slowest consumer
-— the bounded ring buffer providing backpressure.
+link only once the upstream stage has published chunk ``i``.
+
+A producer never waits for its consumer where its output already has a
+home: the host extent ``d2h`` reserved, the SSD blob the durable hop
+writes, the GPU (and host) extent a promotion reserved — each holds the
+whole object, so the stage runs at its own link's pace.  The one edge whose
+bytes live in a bounded bounce buffer is the SSD read-back ``f2r`` feeding
+the PFS writer ``f2p``; there the producer calls :meth:`throttle` and parks
+once it runs :attr:`ring` chunks ahead.
 
 The pipeline is pure coordination: payload bytes are still written whole
 at each stage's commit (the simulator charges transfer *time* per chunk,
@@ -238,9 +244,11 @@ class ChunkPipeline:
         return self._stalled_wait(stage, ready)
 
     def throttle(self, stage: str, chunk: int) -> bool:
-        """Backpressure: park until the downstream consumer is within
-        :attr:`ring` chunks of ``chunk``.  A failed/skipped downstream
-        releases the producer (``True`` — the producer keeps going)."""
+        """Bounce-ring backpressure, for a stage whose output lives in a
+        bounded buffer (the flush cascade's ``f2r``): park until the
+        downstream consumer is within :attr:`ring` chunks of ``chunk``.  A
+        failed/skipped downstream releases the producer (``True`` — the
+        producer keeps going)."""
         downstream = self.downstream_of(stage)
         if downstream is None:
             return True

@@ -257,7 +257,8 @@ class SsdStore(ObjectStore):
         ``nominal_size`` bypasses the index lookup for streamed cascade
         read-backs that overlap a not-yet-committed put of the same key
         (streaming out of the drive's write buffer); such callers take the
-        payload from their pipeline, not ``finish()``.
+        payload from their pipeline and ``close()`` the handle instead of
+        ``finish()``-ing it.
         """
         self._require_online("get", key)
         if nominal_size is None:
@@ -448,7 +449,13 @@ class _SsdGet:
         self.seconds += seconds
         return seconds
 
+    def close(self) -> None:
+        """The whole object was read: count the op.  For a caller that
+        already holds the payload (the cascade read-back, which may finish
+        ahead of the put's commit); everyone else calls :meth:`finish`."""
+        self.store._m_read_ops.inc()
+
     def finish(self):
         """``(payload, accounted seconds)`` — the whole object, post-charges."""
-        self.store._m_read_ops.inc()
+        self.close()
         return self.store._read_payload(self.key), self.seconds

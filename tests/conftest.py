@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.clock import VirtualClock
-from repro.config import CacheConfig, RuntimeConfig, ScaleModel
+from repro.config import CacheConfig, RuntimeConfig, ScaleModel, StreamConfig
 from repro.core.engine import ScoreEngine
 from repro.tiers.topology import Cluster
 from repro.util.rng import make_rng
@@ -18,6 +18,12 @@ from repro.util.units import GiB, KiB, MiB
 
 #: One nominal second lasts 2 ms; payloads are 1/512Ki of nominal.
 TEST_SCALE = ScaleModel(data_scale=512 * KiB, time_scale=0.002, alignment=512 * KiB)
+
+
+#: both chunk plans of the flush cascade: one chunk per object, and many.
+both_chunk_plans = pytest.mark.parametrize(
+    "stream", [StreamConfig(), StreamConfig(enabled=True)], ids=["one-chunk", "streamed"]
+)
 
 
 def tiny_config(**changes) -> RuntimeConfig:

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from repro.cluster.topology import ClusterTopology
-from repro.config import ClusterConfig, FaultConfig, ResilienceConfig, StreamConfig
+from repro.config import ClusterConfig, FaultConfig, ResilienceConfig
 from repro.errors import TransientTransferError
 from repro.util.rng import make_rng
 from repro.util.units import MiB
 from repro.workloads.service_load import run_service_load
-from tests.conftest import tiny_config
+from tests.conftest import both_chunk_plans, tiny_config
 
 CKPT = 64 * MiB
 
@@ -151,9 +151,7 @@ class TestPeerReads:
 
 
 class TestAggregation:
-    @pytest.mark.parametrize(
-        "stream", [StreamConfig(), StreamConfig(enabled=True)], ids=["one-chunk", "streamed"]
-    )
+    @both_chunk_plans
     def test_concurrent_flushes_coalesce_and_journal_stays_consistent(self, stream):
         """Whole-object (one-chunk) PFS commits ride the node's write
         aggregator into ``put_batch``; a streamed flush paces the PFS per

@@ -36,18 +36,12 @@ from repro.errors import FlushTimeoutError, InjectedCrash
 from repro.tiers.base import TierLevel
 from repro.tiers.topology import Cluster
 from repro.util.units import MiB
-from tests.conftest import make_buffer, tiny_config
+from tests.conftest import both_chunk_plans, make_buffer, tiny_config
 
 CKPT = 128 * MiB
 
 RESILIENT = ResilienceConfig(enabled=True)
 STREAMING = StreamConfig(enabled=True)
-
-#: both chunk plans of the flush cascade: one chunk per object, and many.
-both_chunk_plans = pytest.mark.parametrize(
-    "stream", [StreamConfig(), STREAMING], ids=["one-chunk", "streamed"]
-)
-
 
 def _config(stream, **changes):
     return tiny_config(resilience=RESILIENT, stream=stream, **changes)

@@ -4,19 +4,21 @@ import threading
 
 import pytest
 
-from repro.config import SchedConfig
+from repro.config import SchedConfig, StreamConfig
 from repro.core.engine import ScoreEngine
 from repro.errors import BackpressureError, FlushTimeoutError
 from repro.sched import render_sched_timeline, sched_events
 from repro.tiers.topology import Cluster
 
-from .conftest import make_buffer, tiny_config
+from .conftest import both_chunk_plans, make_buffer, tiny_config
 
 
-def sched_cluster(**sched_changes):
+def sched_cluster(stream=StreamConfig(), **sched_changes):
     changes = dict(enabled=True)
     changes.update(sched_changes)
-    return Cluster(tiny_config(sched=SchedConfig(**changes), telemetry=True))
+    return Cluster(
+        tiny_config(sched=SchedConfig(**changes), stream=stream, telemetry=True)
+    )
 
 
 def run_workload(engine, context, n=8, reverse_restore=True):
@@ -59,8 +61,11 @@ def test_demand_classes_served_and_traced():
         assert "ssd-write" in text
 
 
-def test_checkpoint_backpressure_blocks():
-    with sched_cluster(max_flush_backlog=1, admission="block") as cluster:
+# Explicit admission is the write path's backpressure under either chunk
+# plan: the many-chunk d2h does not park on the stages below it.
+@both_chunk_plans
+def test_checkpoint_backpressure_blocks(stream):
+    with sched_cluster(stream, max_flush_backlog=1, admission="block") as cluster:
         context = cluster.process_contexts()[0]
         with ScoreEngine(context) as engine:
             release = threading.Event()
@@ -85,8 +90,9 @@ def test_checkpoint_backpressure_blocks():
             engine.wait_for_flushes(timeout=600.0)
 
 
-def test_checkpoint_backpressure_sheds():
-    with sched_cluster(max_flush_backlog=1, admission="shed") as cluster:
+@both_chunk_plans
+def test_checkpoint_backpressure_sheds(stream):
+    with sched_cluster(stream, max_flush_backlog=1, admission="shed") as cluster:
         context = cluster.process_contexts()[0]
         with ScoreEngine(context) as engine:
             release = threading.Event()

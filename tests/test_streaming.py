@@ -23,14 +23,23 @@ sweep.
 """
 
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.clock import VirtualClock
-from repro.config import FaultConfig, ReduceConfig, ResilienceConfig, StreamConfig
+from repro.config import (
+    CacheConfig,
+    FaultConfig,
+    HardwareSpec,
+    ReduceConfig,
+    ResilienceConfig,
+    StreamConfig,
+)
 from repro.core.engine import ScoreEngine
+from repro.core.lifecycle import CkptState
 from repro.core.streaming import ChunkPipeline, chunk_sizes_for, plan_chunks
 from repro.core.validator import validate_engine
 from repro.errors import TierOfflineError
@@ -38,9 +47,9 @@ from repro.simgpu.stream import Stream
 from repro.tiers.base import TierLevel
 from repro.tiers.topology import Cluster
 from repro.util.rng import make_rng
-from repro.util.units import MiB
+from repro.util.units import GiB, MiB
 from repro.workloads.patterns import RestoreOrder, restore_order
-from tests.conftest import make_buffer, tiny_config
+from tests.conftest import TEST_SCALE, both_chunk_plans, make_buffer, tiny_config
 
 CKPT = 128 * MiB
 
@@ -96,29 +105,56 @@ class TestChunkPipeline:
         t.join(timeout=10.0)
         assert got == [True] * pipe.chunks
 
+    def _cascade(self, chunks=6, ring=2):
+        """The flush cascade's stage graph; its one ring is f2r → f2p."""
+        pipe = ChunkPipeline(0, chunks, ring, VirtualClock())
+        for stage in ("d2h", "h2f", "f2r", "f2p"):
+            pipe.add_stage(stage)
+        return pipe
+
     def test_ring_backpressure_parks_producer(self):
-        pipe = self._pipeline(chunks=6, ring=2)
+        # The SSD read-back's output lives in a bounded bounce buffer, so
+        # f2r is the one producer that parks on its consumer.
+        pipe = self._cascade(chunks=6, ring=2)
+        pipe.finish("d2h")
+        pipe.finish("h2f")
         progressed = threading.Event()
         parked = threading.Event()
 
-        def producer():
+        def read_back():
             for i in range(pipe.chunks):
+                assert pipe.await_upstream("f2r", i)
                 if i == pipe.ring:
                     parked.set()
-                assert pipe.throttle("a", i)
-                pipe.publish("a", i)
+                assert pipe.throttle("f2r", i)
+                pipe.publish("f2r", i)
             progressed.set()
 
-        t = threading.Thread(target=producer)
+        t = threading.Thread(target=read_back)
         t.start()
         assert parked.wait(timeout=10.0)
-        # ring chunks ahead of a consumer that has done nothing: parked.
+        # ring chunks ahead of a PFS writer that has done nothing: parked.
         assert not progressed.wait(timeout=0.2)
         for i in range(pipe.chunks):
-            pipe.publish("b", i)
+            pipe.publish("f2p", i)
         assert progressed.wait(timeout=10.0)
         t.join(timeout=10.0)
-        assert pipe.stall_s["a"] > 0.0
+        assert not t.is_alive()
+        assert pipe.stall_s["f2r"] > 0.0
+        assert pipe.stall_s["d2h"] == pipe.stall_s["h2f"] == 0.0
+
+    def test_unthrottled_stage_runs_ahead_of_idle_consumer(self):
+        # A stage whose output lives in the tier it writes never calls
+        # throttle: it publishes every chunk with its consumer still at 0.
+        pipe = self._cascade(chunks=6, ring=2)
+        for i in range(pipe.chunks):
+            assert pipe.await_upstream("d2h", i)
+            pipe.publish("d2h", i)
+        pipe.finish("d2h")
+        assert pipe.stall_s["d2h"] == 0.0
+        # The late consumer finds all of them waiting and stalls on none.
+        assert all(pipe.await_upstream("h2f", i) for i in range(pipe.chunks))
+        assert pipe.stall_s["h2f"] == 0.0
 
     def test_upstream_failure_unblocks_consumer(self):
         pipe = self._pipeline()
@@ -400,6 +436,100 @@ class TestStreamedCascade:
                     engine.restore(v, out)
                     assert out.checksum() == sums[v]
                 validate_engine(engine)
+
+
+# -- stages buffer in the tier they write ------------------------------------
+def _blocked_checkpointing(stream_cfg, count):
+    """Σ nominal seconds ``checkpoint()`` blocked over ``count`` objects: a
+    GPU cache of two, a host cache holding all of them, and a PFS a tenth
+    of its speed.  PCIe is cut tenfold too and the clock slowed, so the d2h
+    pace the one-chunk plan blocks at (50 ms an object; the PFS takes 12.5×
+    that) stands well clear of thread wake-up jitter."""
+    cfg = tiny_config(
+        scale=replace(TEST_SCALE, time_scale=0.1),
+        cache=CacheConfig(gpu_cache_size=2 * CKPT, host_cache_size=count * CKPT),
+        hardware=HardwareSpec(
+            d2h_bandwidth=2.5 * GiB, pfs_write_bandwidth=0.2 * GiB
+        ),
+        stream=stream_cfg,
+    )
+    with Cluster(cfg) as cluster:
+        ctx = cluster.process_contexts()[0]
+        with ScoreEngine(ctx, flush_to_pfs=True) as engine:
+            blocked = sum(
+                engine.checkpoint(v, make_buffer(ctx, CKPT, seed=v))
+                for v in range(count)
+            )
+            assert engine.wait_for_flushes(timeout=600.0)
+            return blocked
+
+
+class TestUncoupledCascade:
+    """``checkpoint()`` blocks on the fastest cache, not on the PFS: a stage
+    whose destination tier holds the whole object never parks on its
+    consumer, whatever the chunk plan."""
+
+    def test_d2h_never_stalls(self):
+        # d2h has no upstream stage, so a ring on its edge was its only
+        # possible stall.
+        cfg = tiny_config(stream=STREAMING)
+        with Cluster(cfg) as cluster:
+            ctx = cluster.process_contexts()[0]
+            with ScoreEngine(ctx, flush_to_pfs=True) as engine:
+                for v in range(8):
+                    engine.checkpoint(v, make_buffer(ctx, CKPT, seed=v))
+                assert engine.wait_for_flushes(timeout=600.0)
+                reg = cluster.telemetry.registry
+                assert reg.counter("flush.stream.pipelines").value == 8
+                assert reg.gauge("flush.d2h.stall_time").value == 0
+
+    def test_checkpoint_blocking_is_not_pfs_paced(self):
+        one_chunk = _blocked_checkpointing(StreamConfig(), 6)
+        streamed = _blocked_checkpointing(STREAMING, 6)
+        assert streamed <= 2 * one_chunk
+
+    def test_consume_before_held_durable_hop(self):
+        """d2h runs to its epilogue with h2f not started; a consume in that
+        gap discards the checkpoint, and h2f then abandons exactly once."""
+        cfg = tiny_config(stream=STREAMING)
+        with Cluster(cfg) as cluster:
+            ctx = cluster.process_contexts()[0]
+            with ScoreEngine(ctx, discard_consumed=True) as engine:
+                release = threading.Event()
+                engine.flusher.h2f_stream.submit(lambda: release.wait(10), label="hold")
+                try:
+                    buf = make_buffer(ctx, CKPT, seed=0)
+                    engine.checkpoint(0, buf)
+                    assert engine.flusher.d2h_stream.synchronize(timeout=10.0)
+                    record = engine.catalog.get(0)
+                    host = record.peek(TierLevel.HOST)
+                    assert host.state is CkptState.WRITE_COMPLETE and host.flush_pending
+                    out = ctx.device.alloc_buffer(CKPT)
+                    engine.restore(0, out)
+                    assert out.checksum() == buf.checksum()
+                finally:
+                    release.set()
+                assert engine.wait_for_flushes(timeout=600.0)
+                reg = cluster.telemetry.registry
+                assert reg.counter("flush.abandoned").value == 1
+                assert reg.counter("flush.h2f.bytes").value == 0
+                host = record.peek(TierLevel.HOST)
+                assert host.evictable and not host.flush_pending
+                validate_engine(engine)
+
+    @both_chunk_plans
+    def test_read_backs_count_ssd_read_ops(self, stream):
+        cfg = tiny_config(stream=stream)
+        with Cluster(cfg) as cluster:
+            ctx = cluster.process_contexts()[0]
+            with ScoreEngine(ctx, flush_to_pfs=True) as engine:
+                for v in range(4):
+                    engine.checkpoint(v, make_buffer(ctx, CKPT, seed=v))
+                assert engine.wait_for_flushes(timeout=600.0)
+                reg = cluster.telemetry.registry
+                assert reg.counter("tier.pfs.write_ops").value == 4
+                assert reg.counter("tier.ssd.read_ops").value == 4
+                assert reg.counter("tier.ssd.read_bytes").value == 4 * CKPT
 
 
 # -- streaming + faults ------------------------------------------------------
