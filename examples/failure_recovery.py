@@ -1,17 +1,18 @@
 #!/usr/bin/env python
-"""Checkpoint-restart resilience with partner replication.
+"""Checkpoint-restart resilience with ring replication.
 
 The classic VELOC scenario the Score runtime inherits (Section 3.1): a
-process checkpoints with partner replication enabled, "dies", loses its
-entire node-local SSD, and a replacement process on the same rank recovers
-the full history from the partner node and resumes.
+process checkpoints on a two-node replica ring (``replica_factor=2``: every
+durable checkpoint is also copied to the successor node's SSD), "dies",
+loses its entire node-local SSD, and a replacement process on the same rank
+recovers the full history from the successor node and resumes.
 
 Run:  python examples/failure_recovery.py [--snapshots 12]
 """
 
 import argparse
 
-from repro.config import bench_config
+from repro.config import ClusterConfig, bench_config
 from repro.core.engine import ScoreEngine
 from repro.harness.experiment import scaled_caches
 from repro.tiers.topology import Cluster
@@ -31,16 +32,17 @@ def main() -> None:
         num_nodes=2,
         processes_per_node=1,
         cache=scaled_caches(max(n, 16) * SIZE),
+        cluster=ClusterConfig(enabled=True, replica_factor=2),
     )
     with Cluster(config) as cluster:
         ctx = cluster.process_contexts()[0]
 
         # --- first incarnation: checkpoint with replication, then "die" ---
-        engine = ScoreEngine(ctx, partner_replication=True)
+        engine = ScoreEngine(ctx)
         rng = make_rng(77, "app-state")
         buffer = ctx.device.alloc_buffer(SIZE)
         checksums = {}
-        print(f"incarnation 1: writing {n} checkpoints with partner replication")
+        print(f"incarnation 1: writing {n} checkpoints on a two-node replica ring")
         for version in range(n):
             ctx.clock.sleep(0.010)
             buffer.fill_random(rng)
@@ -60,11 +62,11 @@ def main() -> None:
                 lost += 1
         print(f"FAILURE: node 0's SSD wiped ({lost} checkpoints lost locally)")
 
-        # --- the replacement process recovers from the partner node ---
+        # --- the replacement process recovers from the successor node ---
         replacement = ScoreEngine(ctx)
         try:
             recovered = replacement.recover_history()
-            print(f"incarnation 2: recovered {recovered} checkpoints from the partner")
+            print(f"incarnation 2: recovered {recovered} checkpoints from node 1")
             for version in range(n):
                 replacement.restore(version, buffer)
                 assert buffer.checksum() == checksums[version], (

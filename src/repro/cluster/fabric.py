@@ -9,7 +9,7 @@ does not know about:
 * peer-read routing — :meth:`peer_source` resolves a checkpoint key to a
   :class:`PeerSsdStore` wrapping a healthy neighbor's SSD, reached over
   the modeled interconnect (the same WFQ-scheduled, fault-injected links
-  the legacy partner replication uses),
+  replication uses),
 * ring-successor replica targets for the flusher's replication stage,
 * per-node :class:`~repro.cluster.aggregator.PfsWriteAggregator` instances
   batching concurrent flush streams into single PFS commits.
@@ -80,7 +80,7 @@ class ClusterFabric:
     def link(self, node_a: int, node_b: int) -> Link:
         """The interconnect link used for peer reads between two nodes.
 
-        Defaults to the cluster's shared fabric link (also carrying partner
+        Defaults to the cluster's shared fabric link (also carrying
         replication); ``ClusterConfig.peer_bandwidth`` carves out dedicated
         peer-read links instead, e.g. to model RDMA reads bypassing the
         replication path.
@@ -107,7 +107,7 @@ class ClusterFabric:
         """Ring-successor SSDs receiving replicas of ``node_id``'s checkpoints.
 
         ``replica_factor`` counts the home copy, so a factor of 2 yields one
-        successor — the legacy partner-pair layout generalized to N nodes.
+        successor — VELOC's partner pair, generalized to N nodes.
         """
         targets = []
         for step in range(1, self.config.replica_factor):

@@ -57,7 +57,7 @@ class HardwareSpec:
     ssd_read_bandwidth: float = 5.5 * GiB
     pfs_write_bandwidth: float = 2.0 * GiB  # per node share of Lustre
     pfs_read_bandwidth: float = 2.0 * GiB
-    #: node-to-node fabric (HDR InfiniBand class), used by partner
+    #: node-to-node fabric (HDR InfiniBand class), used by ring
     #: replication (a VELOC resilience strategy, Section 3.1).
     internode_bandwidth: float = 20.0 * GiB
 

@@ -51,7 +51,7 @@ class CheckpointRecord:
         #: slowest tier confirmed to hold a durable copy (SSD/PFS), if any.
         self.durable_level: Optional[TierLevel] = None
         #: the store object actually holding the durable copy when it is
-        #: not the process's home store (e.g. a partner node's SSD after
+        #: not the process's home store (e.g. a successor node's SSD after
         #: recovery from replication); None → the engine's default store.
         self.durable_store = None
         #: owning process id when this record was adopted from another

@@ -83,7 +83,6 @@ class ScoreEngine:
         prefetch_budget_fraction: float = 0.9,
         prefetch_lookahead: int = 64,
         gpudirect: bool = False,
-        partner_replication: bool = False,
     ) -> None:
         self.context = context
         self.config: RuntimeConfig = context.config
@@ -102,11 +101,6 @@ class ScoreEngine:
         #: GPU cache → SSD directly over PCIe DMA, bypassing the host cache;
         #: promotions likewise read SSD → GPU.  The host tier is unused.
         self.gpudirect = gpudirect
-        #: VELOC-style partner replication: once durable on the local SSD,
-        #: a copy also crosses the fabric to the next node's SSD, so a full
-        #: node failure loses nothing (Section 3.1's complementary
-        #: resilience strategy).  No-op on single-node clusters.
-        self.partner_replication = partner_replication
         cluster = context.node.cluster
         #: shared-link QoS arbitration (no-op fleet unless
         #: ``config.sched.enabled``); transfers are tagged with a
@@ -127,41 +121,26 @@ class ScoreEngine:
             if self.resilient
             else None
         )
-        #: pipelined chunk streaming (``config.stream.enabled``): the flush
-        #: cascade and the promote path plan overlapped chunks through
-        #: per-checkpoint pipelines (:mod:`repro.core.streaming`); off,
-        #: every object plans one chunk — store-and-forward.
+        #: ``config.stream.enabled``: objects of two or more
+        #: ``stream_chunk_bytes`` plan many chunks and overlap their stages;
+        #: off, everything plans one.  Read through :meth:`chunks_for` only.
         self.streaming = bool(self.config.stream.enabled)
         #: set once an injected crash point fires; flush streams drop their
         #: remaining work and public entry points raise
         #: :class:`~repro.errors.InjectedCrash` until re-incarnation.
         self.crashed = threading.Event()
-        self.partner_node_id = None
-        self.partner_ssd = None
-        if partner_replication and len(cluster.nodes) > 1:
-            self.partner_node_id = (self.node_id + 1) % len(cluster.nodes)
-            self.partner_ssd = cluster.nodes[self.partner_node_id].ssd
-            self.partner_link = cluster.internode_link(self.node_id, self.partner_node_id)
         #: distributed checkpoint fabric (None unless ``config.cluster``
         #: enables it): peer-SSD read routing, ring-replica targets, and
         #: PFS write aggregation (:mod:`repro.cluster.fabric`).
         self.fabric = getattr(cluster, "fabric", None)
         #: SSD replica destinations ``(node_id, ssd, link)`` beyond the home
-        #: node: the legacy partner pair when ``partner_replication`` asked
-        #: for it, else the fabric's ``replica_factor - 1`` ring successors.
-        self.replica_targets = []
-        if self.partner_ssd is not None:
-            self.replica_targets = [
-                (self.partner_node_id, self.partner_ssd, self.partner_link)
-            ]
-        elif self.fabric is not None:
-            self.replica_targets = self.fabric.replica_targets(self.node_id)
-            if self.replica_targets:
-                # Keep the legacy aliases pointing at the first replica so
-                # recovery and repair scan it exactly as a partner pair.
-                self.partner_node_id, self.partner_ssd, self.partner_link = (
-                    self.replica_targets[0]
-                )
+        #: node: the fabric's ``replica_factor - 1`` ring successors.  Once
+        #: durable on the local SSD a copy also crosses the fabric to each,
+        #: so a full node failure loses nothing (Section 3.1's complementary
+        #: resilience strategy).
+        self.replica_targets = (
+            self.fabric.replica_targets(self.node_id) if self.fabric is not None else []
+        )
 
         self.monitor = Monitor(self.clock)
         self.telemetry: Telemetry = (
@@ -294,13 +273,11 @@ class ScoreEngine:
             self.host_cache.write_boundary = self.scale.align(
                 self.host_cache.table.capacity // 2
             )
-        #: dedicated consumer stream for streamed promotions: the storage
-        #: read-back (producer, on the promoting thread) overlaps the H2D
-        #: crossing chunk-by-chunk through a ChunkPipeline, mirroring the
+        #: consumer stream of store reads that fill a GPU extent: the
+        #: storage read (producer, on the promoting thread) feeds the H2D
+        #: crossing chunk by chunk through a ChunkPipeline, mirroring the
         #: flush cascade in the opposite direction.
-        self.promote_stream = (
-            self.device.create_stream("promote-h2d") if self.streaming else None
-        )
+        self.promote_stream = self.device.create_stream("promote-h2d")
         self.flusher = Flusher(self)
         self.prefetcher = Prefetcher(self, lookahead=prefetch_lookahead)
 
@@ -838,7 +815,7 @@ class ScoreEngine:
     def _repair_corruption(self, record: CheckpointRecord) -> bool:
         """Recover from an at-rest corrupt durable copy found at restore.
 
-        CRC-scrubs every durable copy (local SSD, partner SSD, PFS) against
+        CRC-scrubs every durable copy (local SSD, replica SSDs, PFS) against
         the pristine checksum stamped at put() time, deletes the copies
         whose bytes diverged (journaling the retract), drops the cache
         copies hydrated from them, recomputes the durable placement from
@@ -848,11 +825,12 @@ class ScoreEngine:
         :class:`IntegrityError` as before.
         """
         key = self.store_key(record)
-        stores = []
-        if self.ssd.contains(key):
-            stores.append((TierLevel.SSD, self.ssd, self.ssd._track))
-        if self.partner_ssd is not None and self.partner_ssd.contains(key):
-            stores.append((TierLevel.SSD, self.partner_ssd, self.partner_ssd._track))
+        replicas = [ssd for _node, ssd, _link in self.replica_targets]
+        stores = [
+            (TierLevel.SSD, ssd, ssd._track)
+            for ssd in [self.ssd, *replicas]
+            if ssd.contains(key)
+        ]
         if self.pfs is not None and self.pfs.contains(key):
             stores.append((TierLevel.PFS, self.pfs, "pfs"))
         bad = [entry for entry in stores if not entry[1].verify(key)]
@@ -861,7 +839,7 @@ class ScoreEngine:
         for level, store, track in bad:
             store.delete(key)
             if store in (self.ssd, self.pfs):
-                # Partner replicas stay outside the chunk accounting.
+                # Replicas on other nodes stay outside the chunk accounting.
                 if self._reduced_at(record, level):
                     self.reducer.detach(record, level)
             self._journal_retract(record, track)
@@ -879,17 +857,15 @@ class ScoreEngine:
         self.host_cache.release(record)
         has_ssd = self.ssd.contains(key)
         has_pfs = self.pfs is not None and self.pfs.contains(key)
-        partner_has = self.partner_ssd is not None and self.partner_ssd.contains(key)
+        replica = next((ssd for ssd in replicas if ssd.contains(key)), None)
         with self.monitor:
             if has_pfs:
                 record.durable_level = TierLevel.PFS
-            elif has_ssd or partner_has:
+            elif has_ssd or replica is not None:
                 record.durable_level = TierLevel.SSD
             else:
                 record.durable_level = None
-            record.durable_store = (
-                self.partner_ssd if (partner_has and not has_ssd and not has_pfs) else None
-            )
+            record.durable_store = None if (has_ssd or has_pfs) else replica
             self.monitor.notify_all()
         if has_pfs and not has_ssd:
             # Re-flush the repaired SSD tier from the pristine PFS copy so
@@ -1049,6 +1025,26 @@ class ScoreEngine:
             return (src, TierLevel.HOST)
         return None  # only copy is mid-flush; the flusher will land it
 
+    def chunks_for(self, nbytes: int) -> int:
+        """Chunks in the plan of one ``nbytes`` transfer, either direction:
+        one unless streaming is on and the object spans two or more."""
+        if not self.streaming:
+            return 1
+        return len(plan_chunks(nbytes, self.config.stream.stream_chunk_bytes))
+
+    def fuses_host_promotion(self, record: CheckpointRecord, src: TierLevel) -> bool:
+        """Whether promoting ``record`` from store ``src`` to the host also
+        fills a GPU extent from the same read (and so needs GPU budget).
+
+        One chunk has nothing to overlap, and a host-site decode sits
+        between the two hops with no host staging step to run at.
+        """
+        if self.chunks_for(record.stored_size(src)) < 2:
+            return False
+        return not self._reduced_at(record, TierLevel.HOST) or self._reduced_at(
+            record, TierLevel.GPU
+        )
+
     def promote_once(
         self,
         record: CheckpointRecord,
@@ -1060,7 +1056,8 @@ class ScoreEngine:
         op=NULL_OP,
         speculative: bool = False,
     ) -> Optional[float]:
-        """Move ``record`` one level toward the GPU.  Monitor NOT held.
+        """Move ``record`` one step toward the GPU: the host→GPU hop, or
+        the read off a storage tier.  Monitor NOT held.
 
         Returns the accounted nominal seconds, or ``None`` when a
         non-blocking reservation could not claim space.  ``request`` tags
@@ -1072,342 +1069,228 @@ class ScoreEngine:
         ``speculative`` marks the landed extents as revocable predicted
         stagings rather than pinned hinted prefetches.
         """
-        if self.streaming and src in (TierLevel.SSD, TierLevel.PFS):
-            result = self._promote_streamed(
-                record, src, dst, blocking, allow_pinned, request, op,
-                speculative=speculative,
-            )
-            if result is not NotImplemented:
-                return result
-        if dst == TierLevel.GPU and src in (TierLevel.SSD, TierLevel.PFS):
-            # GPUDirect storage read: SSD/PFS → HBM over PCIe DMA.
-            with op.stage("reserve-gpu", CAT_RESERVE):
-                waited = self.gpu_cache.reserve(
-                    record,
-                    CkptState.READ_IN_PROGRESS,
-                    blocking=blocking,
-                    allow_pinned=allow_pinned,
-                    speculative=speculative,
-                )
-            if waited is None:
-                return None
-            try:
-                src, store = self.durable_read_source(record)
-                with op.stage(
-                    "promote", CAT_TRANSFER, tier=src.name.lower(), dst=dst.name
-                ):
-                    if src == TierLevel.PFS:
-                        payload, read_seconds = store.get(
-                            self.store_key(record), node_id=self.node_id, request=request
-                        )
-                    else:
-                        payload, read_seconds = store.get(
-                            self.store_key(record), request=request
-                        )
-                    seconds = waited + read_seconds
-                    seconds += self.device.h2d_link.transfer(
-                        record.wire_size(src, TierLevel.GPU), request=request
-                    )
-            except Exception:
-                self._release_reservation(self.gpu_cache, record, TierLevel.GPU)
-                raise
-            self.gpu_cache.write_payload(record, payload)
-            with self.monitor:
-                record.instance(TierLevel.GPU).transition(
-                    CkptState.READ_COMPLETE, self.clock.now()
-                )
-                if self._reduced_at(record, TierLevel.GPU):
-                    self.reducer.attach(record, TierLevel.GPU)
-                self.monitor.notify_all()
-            return seconds
-        if dst == TierLevel.GPU:
-            with op.stage("reserve-gpu", CAT_RESERVE):
-                waited = self.gpu_cache.reserve(
-                    record,
-                    CkptState.READ_IN_PROGRESS,
-                    blocking=blocking,
-                    allow_pinned=allow_pinned,
-                    speculative=speculative,
-                )
-            if waited is None:
-                return None
-            # Pin the host source extent for the (short) payload read so
-            # eviction cannot reclaim it underneath us; if it vanished
-            # while we were reserving, release the reservation and let the
-            # caller re-resolve the source level.
-            with self.monitor:
-                host_inst = record.peek(TierLevel.HOST)
-                if host_inst is None or not host_inst.has_copy:
-                    self.gpu_cache.release(record)
-                    raise TransferError(
-                        f"host copy of checkpoint {record.ckpt_id} vanished "
-                        "before promotion"
-                    )
-                host_inst.read_pinned += 1
-            decoded = 0.0
-            try:
-                if self._reduced_at(record, TierLevel.HOST) and not self._reduced_at(
-                    record, TierLevel.GPU
-                ):
-                    # Host-site reduction: decode on the host before the
-                    # PCIe crossing, so the GPU cache holds logical bytes
-                    # and the wire below moves them at logical size.
-                    with op.stage("decode", CAT_REDUCE):
-                        payload, decoded = self.reducer.reconstruct(
-                            record, TierLevel.HOST
-                        )
-                else:
-                    # Zero-copy: move the bytes host-arena → GPU-arena
-                    # through a read-only view while the host extent is
-                    # pinned.  The GPU extent is still READ_IN_PROGRESS, so
-                    # the early landing is unobservable; the simulated
-                    # transfer below charges the time.
-                    payload = self.host_cache.read_payload(record, copy=False)
-                self.gpu_cache.write_payload(record, payload)
-            finally:
-                with self.monitor:
-                    host_inst.read_pinned -= 1
-                    self.monitor.notify_all()
-            try:
-                with op.stage("promote", CAT_TRANSFER, tier="pcie", dst=dst.name):
-                    seconds = waited + decoded + self.device.h2d_link.transfer(
-                        record.wire_size(TierLevel.HOST, TierLevel.GPU), request=request
-                    )
-            except TransferError:
-                # Preempted (or cancelled) mid-promotion: the reserved —
-                # and eagerly written — GPU extent is released for reuse.
-                self._release_reservation(self.gpu_cache, record, TierLevel.GPU)
-                raise
-            with self.monitor:
-                record.instance(TierLevel.GPU).transition(
-                    CkptState.READ_COMPLETE, self.clock.now()
-                )
-                if self._reduced_at(record, TierLevel.GPU):
-                    self.reducer.attach(record, TierLevel.GPU)
-                self.monitor.notify_all()
-            return seconds
-        with op.stage("reserve-host", CAT_RESERVE):
-            waited = self.host_cache.reserve(
-                record,
-                CkptState.READ_IN_PROGRESS,
-                blocking=blocking,
-                allow_pinned=allow_pinned,
-                speculative=speculative,
-            )
+        claim = dict(blocking=blocking, allow_pinned=allow_pinned, speculative=speculative)
+        if src != TierLevel.HOST:
+            return self._promote_from_store(record, src, dst, claim, request, op)
+        with op.stage("reserve-gpu", CAT_RESERVE):
+            waited = self.gpu_cache.reserve(record, CkptState.READ_IN_PROGRESS, **claim)
         if waited is None:
             return None
-        try:
-            src, store = self.durable_read_source(record)
-            with op.stage("promote", CAT_TRANSFER, tier=src.name.lower(), dst=dst.name):
-                if src == TierLevel.PFS:
-                    payload, read_seconds = store.get(
-                        self.store_key(record), node_id=self.node_id, request=request
-                    )
-                else:
-                    payload, read_seconds = store.get(
-                        self.store_key(record), request=request
-                    )
-        except Exception:
-            self._release_reservation(self.host_cache, record, TierLevel.HOST)
-            raise
-        self.host_cache.write_payload(record, payload)
+        # Pin the host source extent for the (short) payload read so
+        # eviction cannot reclaim it underneath us; if it vanished
+        # while we were reserving, release the reservation and let the
+        # caller re-resolve the source level.
         with self.monitor:
-            record.instance(TierLevel.HOST).transition(
-                CkptState.READ_COMPLETE, self.clock.now()
-            )
-            if self._reduced_at(record, TierLevel.HOST):
-                self.reducer.attach(record, TierLevel.HOST)
-            self.monitor.notify_all()
-        return waited + read_seconds
+            host_inst = record.peek(TierLevel.HOST)
+            if host_inst is None or not host_inst.has_copy:
+                self.gpu_cache.release(record)
+                raise TransferError(
+                    f"host copy of checkpoint {record.ckpt_id} vanished "
+                    "before promotion"
+                )
+            host_inst.read_pinned += 1
+        decoded = 0.0
+        try:
+            if self._reduced_at(record, TierLevel.HOST) and not self._reduced_at(
+                record, TierLevel.GPU
+            ):
+                # Host-site reduction: decode on the host before the
+                # PCIe crossing, so the GPU cache holds logical bytes
+                # and the wire below moves them at logical size.
+                with op.stage("decode", CAT_REDUCE):
+                    payload, decoded = self.reducer.reconstruct(
+                        record, TierLevel.HOST
+                    )
+            else:
+                # Zero-copy: move the bytes host-arena → GPU-arena
+                # through a read-only view while the host extent is
+                # pinned.  The GPU extent is still READ_IN_PROGRESS, so
+                # the early landing is unobservable; the simulated
+                # transfer below charges the time.
+                payload = self.host_cache.read_payload(record, copy=False)
+            self.gpu_cache.write_payload(record, payload)
+        finally:
+            with self.monitor:
+                host_inst.read_pinned -= 1
+                self.monitor.notify_all()
+        try:
+            with op.stage("promote", CAT_TRANSFER, tier="pcie", dst=dst.name):
+                seconds = waited + decoded + self.device.h2d_link.transfer(
+                    record.wire_size(TierLevel.HOST, TierLevel.GPU), request=request
+                )
+        except TransferError:
+            # Preempted (or cancelled) mid-promotion: the reserved —
+            # and eagerly written — GPU extent is released for reuse.
+            self.gpu_cache.release(record)
+            raise
+        self._read_complete(record, TierLevel.GPU)
+        return seconds
 
-    def _promote_streamed(
+    def _promote_from_store(
         self,
         record: CheckpointRecord,
         src: TierLevel,
         dst: TierLevel,
-        blocking: bool,
-        allow_pinned: bool,
+        claim: dict,
         request: Optional[TransferRequest],
-        op=NULL_OP,
-        speculative: bool = False,
-    ):
-        """Streamed promotion off a storage tier: the store read-back and
-        the PCIe H2D crossing overlap chunk-by-chunk (the flush cascade run
-        backwards).  With ``dst == HOST`` the promotion is *fused*: the GPU
-        extent is claimed up front and both levels land from one streamed
-        read, so a hinted checkpoint reaches the GPU in ``max(read, h2d)``
-        instead of ``read + h2d``.  Returns ``NotImplemented`` to route the
-        caller onto the legacy store-and-forward path (transfer too small,
-        decode boundary in the way, or a non-blocking GPU claim lost the
-        race), ``None`` when a non-blocking reservation could not claim
-        space, else the accounted nominal seconds.
+        op,
+    ) -> Optional[float]:
+        """Promote ``record`` off a storage tier: the one store read.
+
+        The placement policy is the set of extents the read lands in: the
+        host extent alone (``dst == HOST``), the GPU extent alone
+        (``dst == GPU``: GPUDirect), or both from one read — the *fused*
+        promotion, taken when :meth:`fuses_host_promotion` says the H2D
+        crossing can overlap the read, so a hinted checkpoint reaches the
+        GPU in ``max(read, h2d)`` instead of ``read + h2d``.  A fused
+        promotion whose non-blocking GPU claim loses lands the host extent
+        alone rather than shed the whole promotion.
+
+        The read runs on this thread, chunk by chunk; while a GPU extent is
+        being filled an ``h2d`` consumer on :attr:`promote_stream` charges
+        chunk ``i`` on PCIe once the read published it.  A lone host landing
+        has no second stage to overlap with, so it reads one chunk.
+        ``claim`` holds the reservation terms of :meth:`promote_once`.
         """
-        fused = dst == TierLevel.HOST
-        if fused and self._reduced_at(record, TierLevel.HOST) and not self._reduced_at(
-            record, TierLevel.GPU
-        ):
-            # The host-site decode sits between the two hops; the fused
-            # stream has no host staging step to decode at.
-            return NotImplemented
-        scfg = self.config.stream
-        src_now, store = self.durable_read_source(record)
-        read_nominal = record.stored_size(src_now)
-        sizes = plan_chunks(read_nominal, scfg.stream_chunk_bytes)
-        if len(sizes) == 1 or self.promote_stream is None:
-            return NotImplemented
-        h2d_wire = record.wire_size(
-            src_now if dst == TierLevel.GPU else TierLevel.HOST, TierLevel.GPU
-        )
-        h2d_sizes = chunk_sizes_for(h2d_wire, len(sizes))
-        with op.stage("reserve-gpu", CAT_RESERVE):
-            gpu_waited = self.gpu_cache.reserve(
-                record,
-                CkptState.READ_IN_PROGRESS,
-                blocking=blocking,
-                allow_pinned=allow_pinned,
-                speculative=speculative,
-            )
-        if gpu_waited is None:
-            # Prefetch lost the GPU claim: fall back to the plain one-level
-            # hop rather than shed the whole promotion.
-            return NotImplemented if fused else None
-        host_waited = 0.0
-        if fused:
-            with op.stage("reserve-host", CAT_RESERVE):
-                host_waited = self.host_cache.reserve(
-                    record,
-                    CkptState.READ_IN_PROGRESS,
-                    blocking=blocking,
-                    allow_pinned=allow_pinned,
-                    speculative=speculative,
-                )
-            if host_waited is None:
-                self._release_reservation(self.gpu_cache, record, TierLevel.GPU)
+        to_host = dst == TierLevel.HOST
+        to_gpu = not to_host or self.fuses_host_promotion(record, src)
+        waited = 0.0
+        if to_gpu:
+            with op.stage("reserve-gpu", CAT_RESERVE):
+                gpu_waited = self.gpu_cache.reserve(record, CkptState.READ_IN_PROGRESS, **claim)
+            if gpu_waited is None and not to_host:
                 return None
+            to_gpu = gpu_waited is not None  # a lost fused claim: host alone
+            waited += gpu_waited or 0.0
+        if to_host:
+            with op.stage("reserve-host", CAT_RESERVE):
+                host_waited = self.host_cache.reserve(record, CkptState.READ_IN_PROGRESS, **claim)
+            if host_waited is None:
+                if to_gpu:
+                    self.gpu_cache.release(record)
+                return None
+            waited += host_waited
 
         pipeline = ChunkPipeline(
             record.ckpt_id,
-            len(sizes),
-            scfg.ring_chunks,
+            self.chunks_for(record.stored_size(src)) if to_gpu else 1,
+            self.config.stream.ring_chunks,
             self.clock,
             crashed=self.crashed,
         )
         pipeline.add_stage("read")
-        pipeline.add_stage("h2d")
-        bus = self.telemetry.bus
-        prefetch_track = f"p{self.process_id}-prefetch"
+        if to_gpu:
+            pipeline.add_stage("h2d")
 
-        def chunk_span(stage: str, tier: str, chunk: int, nbytes: int, t0: float):
-            causal = (
-                {"op_id": op.op_id, "category": CAT_TRANSFER, "tier": tier}
-                if op.op_id is not None
-                else {}
-            )
-            bus.complete(
-                f"{stage}-chunk",
-                prefetch_track,
-                t0,
-                self.clock.now() - t0,
-                ckpt=record.ckpt_id,
-                chunk=chunk,
-                bytes=nbytes,
-                **causal,
-            )
+        def charge(stage: str, tier: str, chunk: int, nbytes: int, transfer) -> float:
+            """Charge one chunk on its link, then publish it downstream.
+            As in ``Flusher._charge_chunk``, occupancy accounting and the
+            ``<stage>-chunk`` slice exist on multi-chunk plans only."""
+            if pipeline.chunks == 1:
+                seconds = transfer(nbytes, request=request)
+            else:
+                t0 = self.clock.now()
+                pipeline.enter_chunk()
+                try:
+                    seconds = transfer(nbytes, request=request)
+                finally:
+                    pipeline.exit_chunk()
+                causal = (
+                    {"op_id": op.op_id, "category": CAT_TRANSFER, "tier": tier}
+                    if op.op_id is not None
+                    else {}
+                )
+                self.telemetry.bus.complete(
+                    f"{stage}-chunk",
+                    f"p{self.process_id}-prefetch",
+                    t0,
+                    self.clock.now() - t0,
+                    ckpt=record.ckpt_id,
+                    chunk=chunk,
+                    bytes=nbytes,
+                    **causal,
+                )
+            pipeline.publish(stage, chunk)
+            return seconds
+
+        h2d_seconds = 0.0
 
         def consume() -> None:
-            try:
-                for i, nbytes in enumerate(h2d_sizes):
-                    if not pipeline.await_upstream("h2d", i):
-                        raise TransferError("streamed promotion abandoned")
-                    t0 = self.clock.now()
-                    pipeline.enter_chunk()
-                    try:
-                        self.device.h2d_link.transfer(nbytes, request=request)
-                    finally:
-                        pipeline.exit_chunk()
-                    chunk_span("h2d", "pcie", i, nbytes, t0)
-                    pipeline.publish("h2d", i)
-                pipeline.finish("h2d")
-            except BaseException:
-                pipeline.fail("h2d")
-                raise
+            nonlocal h2d_seconds
+            # PCIe carries what the GPU extent stores, whichever tier fed it.
+            sizes = chunk_sizes_for(record.stored_size(TierLevel.GPU), pipeline.chunks)
+            for i, nbytes in enumerate(sizes):
+                if not pipeline.await_upstream("h2d", i):
+                    raise TransferError("promotion read abandoned")
+                h2d_seconds += charge("h2d", "pcie", i, nbytes, self.device.h2d_link.transfer)
 
-        consumer_error: Optional[BaseException] = None
+        consumer = consumer_error = None
         try:
+            src, store = self.durable_read_source(record)
+            tier = src.name.lower()
             with op.stage(
-                "promote", CAT_TRANSFER, tier=src_now.name.lower(), dst=dst.name,
-                chunks=pipeline.chunks,
+                "promote", CAT_TRANSFER, tier=tier, dst=dst.name, chunks=pipeline.chunks
             ):
-                if src_now == TierLevel.PFS:
+                if src == TierLevel.PFS:
                     reader = store.open_get(
                         self.store_key(record), node_id=self.node_id, request=request
                     )
                 else:
                     reader = store.open_get(self.store_key(record), request=request)
-                read_sizes = chunk_sizes_for(reader.nominal_size, pipeline.chunks)
-                event = self.promote_stream.submit(
-                    consume, label=f"h2d-{record.ckpt_id}"
-                )
+                if to_gpu:
+                    consumer = self.promote_stream.submit(consume, label=f"h2d-{record.ckpt_id}")
                 try:
                     # No ring on this edge: the extents reserved above hold
                     # the whole object, so the read never waits for h2d.
-                    for i, nbytes in enumerate(read_sizes):
-                        t0 = self.clock.now()
-                        pipeline.enter_chunk()
-                        try:
-                            reader.read(nbytes)
-                        finally:
-                            pipeline.exit_chunk()
-                        chunk_span("read", src_now.name.lower(), i, nbytes, t0)
-                        pipeline.publish("read", i)
+                    sizes = chunk_sizes_for(reader.nominal_size, pipeline.chunks)
+                    for i, nbytes in enumerate(sizes):
+                        charge("read", tier, i, nbytes, reader.read)
                     payload, _ = reader.finish()
-                    pipeline.payload = payload
-                    pipeline.finish("read")
                 except BaseException:
                     pipeline.fail("read")
                     raise
                 finally:
                     # The consumer owns h2d charges; settle it either way so
                     # reservations are never released under a live transfer.
-                    try:
-                        event.wait()
-                    except BaseException as exc:  # noqa: BLE001 - re-raised below
-                        consumer_error = exc
+                    if consumer is not None:
+                        try:
+                            consumer.wait()
+                        except BaseException as exc:  # noqa: BLE001 - re-raised below
+                            consumer_error = exc
         except BaseException:
-            if fused:
-                self._release_reservation(self.host_cache, record, TierLevel.HOST)
-            self._release_reservation(self.gpu_cache, record, TierLevel.GPU)
+            if to_host:
+                self.host_cache.release(record)
+            if to_gpu:
+                self.gpu_cache.release(record)
             raise
-        if fused:
-            # Host landing first: it is the durable staging copy and must be
+        if to_host:
+            # Host landing first: it is the staging copy and must be
             # consistent before the GPU extent becomes consumable.
             self.host_cache.write_payload(record, payload)
-            with self.monitor:
-                record.instance(TierLevel.HOST).transition(
-                    CkptState.READ_COMPLETE, self.clock.now()
-                )
-                if self._reduced_at(record, TierLevel.HOST):
-                    self.reducer.attach(record, TierLevel.HOST)
-                self.monitor.notify_all()
+            self._read_complete(record, TierLevel.HOST)
         if consumer_error is not None:
-            # Preempted (or shed) mid-crossing: the host copy — when fused —
-            # stays (mirroring the two-step path where the first hop had
-            # already landed), the GPU claim is rolled back.
-            self._release_reservation(self.gpu_cache, record, TierLevel.GPU)
+            # Preempted (or shed) mid-crossing: the GPU claim is rolled
+            # back; a fused promotion keeps its host copy, as if the first
+            # of two hops had landed.
+            self.gpu_cache.release(record)
             raise consumer_error
-        self.gpu_cache.write_payload(record, payload)
-        with self.monitor:
-            record.instance(TierLevel.GPU).transition(
-                CkptState.READ_COMPLETE, self.clock.now()
-            )
-            if self._reduced_at(record, TierLevel.GPU):
-                self.reducer.attach(record, TierLevel.GPU)
-            self.monitor.notify_all()
-        return gpu_waited + host_waited + pipeline.active_s
+        if to_gpu:
+            self.gpu_cache.write_payload(record, payload)
+            self._read_complete(record, TierLevel.GPU)
+        if pipeline.chunks == 1:
+            # Accounted link seconds, not the clock: a whole-object read
+            # must not leak host scheduling noise into restore timings.
+            return waited + reader.seconds + h2d_seconds
+        return waited + pipeline.active_s
 
-    def _release_reservation(self, cache, record: CheckpointRecord, level: TierLevel) -> None:
-        """Undo a READ_IN_PROGRESS reservation whose transfer failed."""
-        cache.release(record)
+    def _read_complete(self, record: CheckpointRecord, level: TierLevel) -> None:
+        """Landing epilogue of a promotion: the extent on ``level`` holds
+        the payload and becomes consumable."""
+        with self.monitor:
+            record.instance(level).transition(CkptState.READ_COMPLETE, self.clock.now())
+            if self._reduced_at(record, level):
+                self.reducer.attach(record, level)
+            self.monitor.notify_all()
 
     def _current_source_level(self, record: CheckpointRecord) -> str:
         fastest = record.fastest_cached_level()
@@ -1479,8 +1362,8 @@ class ScoreEngine:
         With resilience on, the crash-consistent manifest journal is
         replayed first (commit entries are validated against the stores, so
         a journal entry whose blob vanished is ignored); the store scan then
-        fills in anything the journal missed — the node-local SSD, partner
-        SSDs holding replicas, and the PFS.  Reduced checkpoints are
+        fills in anything the journal missed — the node-local SSD, other
+        nodes' SSDs holding replicas, and the PFS.  Reduced checkpoints are
         rebuilt from the durable chunk-recipe sidecar and re-attached at
         every durable tier; without a recipe (or without resilience) they
         are skipped with a warning, as before.  Returns the number of
@@ -1492,7 +1375,7 @@ class ScoreEngine:
         sources = [(TierLevel.SSD, self.ssd, self.ssd._track)]
         for node in self.context.node.cluster.nodes:
             if node.ssd is not self.ssd:
-                # Partner replicas on other nodes' SSDs are recoverable too.
+                # Replicas on other nodes' SSDs are recoverable too.
                 sources.append((TierLevel.SSD, node.ssd, node.ssd._track))
         if self.pfs is not None:
             sources.append((TierLevel.PFS, self.pfs, "pfs"))
@@ -1572,7 +1455,7 @@ class ScoreEngine:
             )
         record.durable_level = level
         if store is not self.ssd and level is TierLevel.SSD:
-            record.durable_store = store  # a partner node's SSD
+            record.durable_store = store  # a replica on another node's SSD
         return True
 
     # -- maintenance ------------------------------------------------------------------------
@@ -1675,8 +1558,7 @@ class ScoreEngine:
         self._closed = True
         self.prefetcher.stop()
         self.flusher.close()
-        if self.promote_stream is not None:
-            self.promote_stream.close(drain=True)
+        self.promote_stream.close(drain=True)
 
     def __enter__(self) -> "ScoreEngine":
         return self

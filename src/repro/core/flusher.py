@@ -49,7 +49,7 @@ from collections import deque
 from typing import Optional, TYPE_CHECKING
 
 from repro.core.lifecycle import CkptState
-from repro.core.streaming import ChunkPipeline, chunk_sizes_for, plan_chunks
+from repro.core.streaming import ChunkPipeline, chunk_sizes_for
 from repro.errors import (
     AllocationError,
     ReproError,
@@ -84,7 +84,7 @@ class Flusher:
         create = engine.device.create_stream
         self.d2h_stream = create("flush-d2h")
         self.h2f_stream = create("flush-h2f")
-        self.repl_stream = create("flush-repl") if engine.partner_ssd is not None else None
+        self.repl_stream = create("flush-repl") if engine.replica_targets else None
         # The PFS upgrade is two stages on two streams: the SSD read-back
         # (f2r) produces for the PFS writer (f2p), so reads overlap writes.
         self.f2r_stream = create("flush-f2r") if engine.flush_to_pfs else None
@@ -203,13 +203,10 @@ class Flusher:
         engine = self.engine
         with engine.monitor:
             record.instance(TierLevel.GPU).flush_pending = True
-        scfg = engine.config.stream
-        wire = record.wire_size(TierLevel.GPU, TierLevel.HOST)
-        chunks = len(plan_chunks(wire, scfg.stream_chunk_bytes)) if engine.streaming else 1
         pipeline = ChunkPipeline(
             record.ckpt_id,
-            chunks,
-            scfg.ring_chunks,
+            engine.chunks_for(record.wire_size(TierLevel.GPU, TierLevel.HOST)),
+            engine.config.stream.ring_chunks,
             engine.clock,
             cancelled=record.cancel_flush,
             crashed=engine.crashed,
@@ -1159,10 +1156,10 @@ class Flusher:
     def _replicate(self, record: "CheckpointRecord") -> None:
         """Copy the durable checkpoint to its replica targets' SSDs.
 
-        One target is the legacy partner pair; the cluster fabric supplies
-        ``replica_factor - 1`` ring successors instead. Targets are copied
-        in ring order; a failed target abandons the remaining ones —
-        replication is best-effort beyond the first durable copy.
+        The cluster fabric supplies ``replica_factor - 1`` ring successors
+        (``engine.replica_targets``).  Targets are copied in ring order; a
+        failed target abandons the remaining ones — replication is
+        best-effort beyond the first durable copy.
         """
         engine = self.engine
         if engine.crashed.is_set():
@@ -1174,8 +1171,8 @@ class Flusher:
             if record.discarded:
                 self._abandon("repl", record, "discarded before replication")
                 return
-        # Partner replicas are verbatim SSD blobs and stay outside the chunk
-        # accounting: the home node owns the recipe, the partner only keeps a
+        # Replicas are verbatim SSD blobs and stay outside the chunk
+        # accounting: the home node owns the recipe, a successor only keeps a
         # byte-copy for node-failure recovery.
         stored = record.stored_size(TierLevel.SSD)
         targets = engine.replica_targets
@@ -1187,7 +1184,7 @@ class Flusher:
             targets = engine.fabric.live_replica_targets(engine.node_id)
         for _target_node, target_ssd, target_link in targets:
 
-            def copy_to_partner(ssd=target_ssd, link=target_link) -> None:
+            def copy_to_replica(ssd=target_ssd, link=target_link) -> None:
                 payload, _ = engine.ssd.get(
                     engine.store_key(record), request=self._request(record)
                 )
@@ -1213,7 +1210,7 @@ class Flusher:
                 **self._causal(op, "fabric"),
             ) as span:
                 try:
-                    self._retrying("repl", record, copy_to_partner)
+                    self._retrying("repl", record, copy_to_replica)
                 except (TransferError, ReproError) as exc:
                     span.add(abandoned=True)
                     self._abandon(

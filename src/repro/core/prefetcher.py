@@ -1,8 +1,10 @@
 """Asynchronous multi-tier prefetching (T_PF of Section 4.3.1).
 
 One daemon thread per engine promotes *hinted* checkpoints toward the GPU
-cache in restore order, one level per step (SSD→host, host→GPU), using
-non-blocking reservations.  Promotion stops at the *budget*:
+cache in restore order using non-blocking reservations: one
+``engine.promote_once`` per step — a store read landing the host extent
+(and, when the read is fused, the GPU extent with it), or the host→GPU
+hop.  Promotion stops at the *budget*:
 prefetched-but-unconsumed bytes may occupy at most
 ``prefetch_budget_fraction`` of a cache, which prevents prefetches from
 starving writes and is the paper's anti-thrashing throttle.
@@ -178,8 +180,8 @@ class Prefetcher:
                 if dst == TierLevel.GPU or (
                     gpu_inst is not None and gpu_inst.has_copy
                 ):
-                    # Direct GPU hop, or a fused streamed promotion that
-                    # landed the GPU extent along with the host one.
+                    # Direct GPU hop, or a fused promotion that landed the
+                    # GPU extent along with the host one.
                     self._ops.pop(record.ckpt_id, None)  # chain complete
                 if engine.predict is not None and not explicit:
                     # Arm the validator: this staging is speculation whose
@@ -256,14 +258,14 @@ class Prefetcher:
                 ):
                     return None
                 if (
-                    engine.streaming
+                    engine.fuses_host_promotion(record, src)
                     and engine.gpu_cache.pinned_bytes()
                     + record.stored_size(TierLevel.GPU)
                     > gpu_budget
                 ):
-                    # A fused streamed promotion claims a GPU extent along
-                    # with the host one; hold off until consumption frees
-                    # GPU budget rather than overshoot it.
+                    # A fused promotion claims a GPU extent along with the
+                    # host one; hold off until consumption frees GPU budget
+                    # rather than overshoot it.
                     return None
             return (record, src, dst, distance, explicit)
         return None

@@ -7,11 +7,13 @@ import pytest
 
 from repro.core.engine import ScoreEngine
 from repro.core.sync import Monitor
+from repro.core.validator import validate_engine
 from repro.clock import VirtualClock
 from repro.errors import CheckpointNotFound, TransferError
 from repro.tiers.base import TierLevel
+from repro.tiers.topology import Cluster
 from repro.util.units import MiB
-from tests.conftest import make_buffer
+from tests.conftest import both_chunk_plans, make_buffer, tiny_config
 
 CKPT = 128 * MiB
 
@@ -75,20 +77,36 @@ class TestSsdWriteFailures:
 
 
 class TestStoreCorruptionPaths:
-    def test_missing_ssd_object_surfaces(self, engine, context):
+    @both_chunk_plans
+    def test_missing_ssd_object_surfaces(self, stream):
         """Deleting the only durable copy makes a later demand fetch fail
-        loudly (CheckpointNotFound), never silently."""
-        for v in range(24):  # push v0 out of both caches
-            engine.checkpoint(v, make_buffer(context, CKPT, seed=v))
-        engine.wait_for_flushes()
-        record = engine.catalog.get(0)
-        if record.fastest_cached_level() is None:  # truly SSD-only
-            engine.ssd.delete(engine.store_key(record))
-            with pytest.raises(CheckpointNotFound):
-                # the demand promotion hits the missing object
-                engine.promote_once(
-                    record, TierLevel.SSD, TierLevel.HOST, blocking=True, allow_pinned=True
-                )
+        loudly (CheckpointNotFound), never silently — and the failed read
+        gives back every extent it had reserved."""
+        with Cluster(tiny_config(stream=stream)) as cluster:
+            context = cluster.process_contexts()[0]
+            with ScoreEngine(context) as engine:
+                for v in range(24):  # push v0 out of both caches
+                    engine.checkpoint(v, make_buffer(context, CKPT, seed=v))
+                engine.wait_for_flushes()
+                record = engine.catalog.get(0)
+                assert record.fastest_cached_level() is None  # truly SSD-only
+                engine.ssd.delete(engine.store_key(record))
+                with pytest.raises(CheckpointNotFound):
+                    # the demand promotion hits the missing object
+                    engine.promote_once(
+                        record,
+                        TierLevel.SSD,
+                        TierLevel.HOST,
+                        blocking=True,
+                        allow_pinned=True,
+                    )
+                assert record.peek(TierLevel.HOST) is None
+                assert record.peek(TierLevel.GPU) is None
+                with engine.monitor:
+                    # The checkpoint is gone for good; a leaked extent would
+                    # now be a fragment of an unknown checkpoint.
+                    engine.catalog.forget(0)
+                validate_engine(engine)
 
 
 class TestMonitorBasics:

@@ -29,7 +29,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import FaultConfig, ReduceConfig, ResilienceConfig, StreamConfig
+from repro.config import (
+    ClusterConfig,
+    FaultConfig,
+    ReduceConfig,
+    ResilienceConfig,
+    StreamConfig,
+)
 from repro.core.engine import ScoreEngine
 from repro.core.validator import validate_engine
 from repro.errors import FlushTimeoutError, InjectedCrash
@@ -153,12 +159,11 @@ def _crash_scenario(point, *, stream, gpudirect=False, nodes=1,
     )
     if reduce_cfg is not None:
         cfg = cfg.with_(reduce=reduce_cfg)
+    if replicate:
+        cfg = cfg.with_(cluster=ClusterConfig(enabled=True, replica_factor=2))
     with Cluster(cfg) as cluster:
         ctx = cluster.process_contexts()[0]
-        engine = ScoreEngine(
-            ctx, flush_to_pfs=True, gpudirect=gpudirect,
-            partner_replication=replicate,
-        )
+        engine = ScoreEngine(ctx, flush_to_pfs=True, gpudirect=gpudirect)
         sums = {}
         buf0 = make_buffer(ctx, CKPT, seed=0)
         sums[0] = buf0.checksum()
@@ -184,10 +189,7 @@ def _crash_scenario(point, *, stream, gpudirect=False, nodes=1,
         }
         assert 0 in durable  # v0 flushed cleanly before the crash
 
-        engine2 = ScoreEngine(
-            ctx, flush_to_pfs=True, gpudirect=gpudirect,
-            partner_replication=replicate,
-        )
+        engine2 = ScoreEngine(ctx, flush_to_pfs=True, gpudirect=gpudirect)
         try:
             recovered = engine2.recover_history()
             assert recovered == len(durable)

@@ -1,7 +1,10 @@
-"""Partner replication across nodes (VELOC resilience strategy)."""
+"""Ring replication across nodes (VELOC resilience strategy): a two-node
+cluster at ``replica_factor=2`` is the partner pair — one replica on the
+ring successor."""
 
 import pytest
 
+from repro.config import ClusterConfig
 from repro.core.engine import ScoreEngine
 from repro.tiers.topology import Cluster
 from repro.util.units import MiB
@@ -12,40 +15,36 @@ CKPT = 128 * MiB
 
 @pytest.fixture
 def two_node_cluster():
-    with Cluster(tiny_config(num_nodes=2, processes_per_node=1)) as c:
+    cfg = tiny_config(
+        num_nodes=2,
+        processes_per_node=1,
+        cluster=ClusterConfig(enabled=True, replica_factor=2),
+    )
+    with Cluster(cfg) as c:
         yield c
 
 
 class TestReplication:
     def test_copies_land_on_partner_ssd(self, two_node_cluster):
         ctxs = two_node_cluster.process_contexts()
-        engine = ScoreEngine(ctxs[0], partner_replication=True)
+        engine = ScoreEngine(ctxs[0])
         try:
             for v in range(3):
                 engine.checkpoint(v, make_buffer(ctxs[0], CKPT, seed=v))
             engine.wait_for_flushes()
-            assert engine.partner_node_id == 1
-            partner_ssd = two_node_cluster.nodes[1].ssd
+            assert [t[0] for t in engine.replica_targets] == [1]
+            replica_ssd = two_node_cluster.nodes[1].ssd
             for v in range(3):
-                assert partner_ssd.contains((engine.process_id, v))
+                assert replica_ssd.contains((engine.process_id, v))
             assert engine.flusher.replicated == 3
-        finally:
-            engine.close()
-
-    def test_noop_on_single_node(self, cluster, context):
-        engine = ScoreEngine(context, partner_replication=True)
-        try:
-            assert engine.partner_ssd is None
-            engine.checkpoint(0, make_buffer(context, CKPT))
-            engine.wait_for_flushes()
         finally:
             engine.close()
 
     def test_survives_node_ssd_loss(self, two_node_cluster):
         """The headline scenario: the home node's SSD contents are lost; a
-        replacement process recovers everything from the partner node."""
+        replacement process recovers everything from the successor node."""
         ctxs = two_node_cluster.process_contexts()
-        engine = ScoreEngine(ctxs[0], partner_replication=True)
+        engine = ScoreEngine(ctxs[0])
         sums = {}
         for v in range(4):
             buf = make_buffer(ctxs[0], CKPT, seed=v)
@@ -62,7 +61,7 @@ class TestReplication:
         replacement = ScoreEngine(ctxs[0])
         try:
             recovered = replacement.recover_history()
-            assert recovered == 4  # found on the partner's SSD
+            assert recovered == 4  # found on the successor's SSD
             out = ctxs[0].device.alloc_buffer(CKPT)
             for v in range(4):
                 replacement.restore(v, out)
@@ -72,19 +71,19 @@ class TestReplication:
 
     def test_discarded_checkpoints_not_replicated(self, two_node_cluster):
         ctxs = two_node_cluster.process_contexts()
-        engine = ScoreEngine(ctxs[0], partner_replication=True, discard_consumed=True)
+        engine = ScoreEngine(ctxs[0], discard_consumed=True)
         try:
             engine.checkpoint(0, make_buffer(ctxs[0], CKPT))
             out = ctxs[0].device.alloc_buffer(CKPT)
             engine.restore(0, out)  # consumed + discarded immediately
             engine.wait_for_flushes()
             # Either the h2f leg was cancelled entirely, or the replication
-            # stage saw the discard and skipped; never a partner copy with
+            # stage saw the discard and skipped; never a replica with
             # cancelled flushes pending.
-            partner_ssd = two_node_cluster.nodes[1].ssd
-            if partner_ssd.contains((engine.process_id, 0)):
+            replica_ssd = two_node_cluster.nodes[1].ssd
+            if replica_ssd.contains((engine.process_id, 0)):
                 # the flush won the race — the copy must then be complete
-                payload, _ = partner_ssd.get((engine.process_id, 0))
+                payload, _ = replica_ssd.get((engine.process_id, 0))
                 assert payload.size > 0
         finally:
             engine.close()

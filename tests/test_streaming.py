@@ -253,7 +253,6 @@ def _equivalence_scenario(stream_cfg):
         ctx = cluster.process_contexts()[0]
         with ScoreEngine(ctx, flush_to_pfs=True) as engine:
             assert not engine.streaming
-            assert engine.promote_stream is None
             sums = {}
             for v in range(10):
                 buf = make_buffer(ctx, CKPT, seed=v)
