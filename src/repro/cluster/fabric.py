@@ -30,7 +30,7 @@ from repro.cluster.directory import ReplicaDirectory, StoreKey
 from repro.cluster.membership import MembershipRegistry
 from repro.errors import TransientTransferError
 from repro.simgpu.bandwidth import Link
-from repro.tiers.base import TierLevel
+from repro.tiers.base import ObjectStore, TierLevel
 
 if TYPE_CHECKING:
     from repro.tiers.ssd import SsdStore
@@ -73,7 +73,7 @@ class ClusterFabric:
         # per-node Perfetto lanes / `analyze` rollups).
         bus = cluster.telemetry.bus
         for node in cluster.nodes:
-            bus.bind_track(node.ssd._track, node_id=node.node_id)
+            bus.bind_track(node.ssd.track, node_id=node.node_id)
             bus.bind_track(f"node{node.node_id}-peer", node_id=node.node_id)
 
     # -- links -----------------------------------------------------------------
@@ -169,7 +169,7 @@ class ClusterFabric:
             remote = self.cluster.nodes[holder].ssd
             if not remote.contains(key):
                 continue
-            if not self.health.healthy(remote._track):
+            if not self.health.healthy(remote.track):
                 continue
             return PeerSsdStore(self, reader_node, holder, remote)
         if skipped_by_membership:
@@ -221,11 +221,13 @@ class ClusterFabric:
 class PeerSsdStore:
     """Read-only view of a neighbor node's SSD, reached over the fabric.
 
-    Duck-types the read side of :class:`~repro.tiers.ssd.SsdStore` (``get``,
-    ``open_get``, ``contains``, ``meta``, ``size_of``, ``verify``) so the
-    engine's promotion paths — whole-object and streamed — work unchanged.
-    Every chunk pays the remote SSD read *plus* the interconnect hop, both
-    on scheduled links.
+    The read half of the store interface (``get``, ``open_get``,
+    ``contains``, ``meta``, ``size_of``, ``verify``, ``track``, ``level``),
+    so the engine's promotion path works unchanged.  Every chunk pays the
+    remote SSD read *plus* the interconnect hop, both on scheduled links.
+    A wrapper rather than a longer route of the remote store: the hop has
+    its own span and track, and a read that dies on either leg fails over
+    to a *different* store mid-stream (:class:`_PeerGet`).
     """
 
     level = TierLevel.SSD
@@ -241,13 +243,9 @@ class PeerSsdStore:
         self.reader_node = reader_node
         self.peer_node = peer_node
         self.remote = remote
-        # Spans from the remote read land on the peer's own SSD track; the
-        # repair path also keys breakers by this name.
-        self._track = remote._track
-
-    @property
-    def node_id(self) -> int:
-        return self.remote.node_id
+        # Spans from the remote read land on the peer's own SSD track, and
+        # its breaker is the peer drive's.
+        self.track = remote.track
 
     def contains(self, key: StoreKey) -> bool:
         return self.remote.contains(key)
@@ -261,16 +259,15 @@ class PeerSsdStore:
     def verify(self, key: StoreKey) -> bool:
         return self.remote.verify(key)
 
-    def delete(self, key: StoreKey) -> None:
-        self.remote.delete(key)
-
-    def open_get(self, key: StoreKey, request=None, nominal_size: Optional[int] = None):
+    def open_get(
+        self, key: StoreKey, *, node_id: int = 0, request=None, nominal_size: Optional[int] = None
+    ):
+        """The store's read handle; ``node_id`` is accepted for the common
+        signature — this view already knows its reader node."""
         return _PeerGet(self, key, request=request, nominal_size=nominal_size)
 
-    def get(self, key: StoreKey, request=None):
-        handle = self.open_get(key, request=request)
-        handle.read(handle.nominal_size, request=request)
-        return handle.finish()
+    #: the one whole-object read: ``open_get`` + one chunk + ``finish``.
+    get = ObjectStore.get
 
 
 class _PeerGet:
@@ -331,7 +328,7 @@ class _PeerGet:
     def _fail_over(self, nbytes: int, request) -> float:
         """Re-open on the PFS and replay through the failed chunk."""
         fabric = self.store.fabric
-        fabric.health.failure(self.store._track)
+        fabric.health.failure(self.store.track)
         fabric._m_peer_fallbacks.inc()
         self._bus.instant(
             "peer-fallback",
@@ -355,5 +352,5 @@ class _PeerGet:
         fabric = self.store.fabric
         fabric._m_peer_reads.inc()
         fabric._m_peer_read_bytes.inc(self.nominal_size)
-        fabric.health.success(self.store._track)
+        fabric.health.success(self.store.track)
         return payload, self.seconds

@@ -156,7 +156,7 @@ class MembershipRegistry:
         self._m_live.set(len(self.live_nodes()))
         self.telemetry.bus.instant(
             "node-crash",
-            node.ssd._track,
+            node.ssd.track,
             node=node_id,
             mode=mode,
             withdrawn=len(withdrawn),
@@ -183,7 +183,7 @@ class MembershipRegistry:
         self._m_live.set(len(self.live_nodes()))
         self.telemetry.bus.instant(
             "node-rejoin",
-            node.ssd._track,
+            node.ssd.track,
             node=node_id,
             restored=len(restored),
         )

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 from repro.cluster.directory import StoreKey
 from repro.errors import ReproError, TransferError
 from repro.sched.request import TransferClass, TransferRequest
+from repro.tiers.base import copy_object
 
 if TYPE_CHECKING:
     from repro.cluster.fabric import ClusterFabric
@@ -163,24 +164,19 @@ class ReplicaRepairer:
         ) as span:
             try:
                 if source is not None:
-                    src_ssd = self.cluster.nodes[source].ssd
-                    stored = src_ssd.size_of(key)
-                    meta = src_ssd.meta(key)
-                    payload, _ = src_ssd.get(key, request=request)
-                    self.fabric.link(source, target).transfer(
-                        stored, request=request
+                    stored = copy_object(
+                        self.cluster.nodes[source].ssd,
+                        target_ssd,
+                        key,
+                        hop=self.fabric.link(source, target),
+                        request=request,
                     )
                 else:
                     pfs = self.fabric.pfs
                     if pfs is None or not pfs.contains(key):
                         span.add(abandoned=True)
                         return False
-                    stored = pfs.size_of(key)
-                    meta = pfs.meta(key)
-                    payload, _ = pfs.get(key, node_id=target, request=request)
-                target_ssd.put(
-                    key, payload, stored, meta=meta, request=request, copy=False
-                )
+                    stored = copy_object(pfs, target_ssd, key, node_id=target, request=request)
             except (TransferError, ReproError):
                 span.add(abandoned=True)
                 self._m_failures.inc()

@@ -38,9 +38,6 @@ class HardwareSpec:
     gpus_per_node: int = 8
     gpus_per_pcie_link: int = 2
 
-    gpu_hbm_capacity: int = 40 * GiB
-    host_memory_capacity: int = 1024 * GiB
-
     d2d_bandwidth: float = 1.0 * TiB  # HBM copies within one GPU
     d2h_bandwidth: float = 25.0 * GiB  # pinned, per PCIe link
     h2d_bandwidth: float = 25.0 * GiB  # pinned, per PCIe link

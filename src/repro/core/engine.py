@@ -338,44 +338,34 @@ class ScoreEngine:
         """
         if record.durable_store is not None:
             return record.durable_level, record.durable_store
-        key = self.store_key(record)
-        if self.fabric is not None:
-            routed = self._fabric_read_source(key)
-            if routed is not None:
-                return routed
-        if self.resilient and self.pfs is not None and self.pfs.contains(key):
-            # Self-healing read routing: skip the local SSD while it is
-            # missing the blob, inside a hard-outage window, or blacklisted
-            # by its circuit breaker (``healthy`` never consumes the
-            # write-side half-open probe).
-            if (
-                not self.ssd.contains(key)
-                or self.faults.hard_outage("ssd")
-                or not self.health.healthy(self.ssd._track)
-            ):
-                return TierLevel.PFS, self.pfs
-        if record.durable_level is TierLevel.PFS and not self.ssd.contains(key):
-            return TierLevel.PFS, self.pfs
-        return TierLevel.SSD, self.ssd
+        store = self.read_source(self.store_key(record))
+        return store.level, store
 
-    def _fabric_read_source(self, key):
-        """Cluster read routing: local SSD, then a peer's SSD, then PFS.
+    def read_source(self, key):
+        """Resolve ``key`` to the store a read should open: the one ordered
+        chain — usable local SSD, a fabric peer's SSD, the PFS, and last the
+        local SSD again so that a miss everywhere surfaces its error there.
 
-        Returns None when the local drive can serve the read (the legacy
-        resolution applies unchanged) or when the fabric has nothing
-        better to offer.
+        The local drive is *usable* while it holds the blob and — where
+        something can route around it, i.e. with self-healing on or a
+        fabric — is neither inside a hard-outage window nor blacklisted by
+        its circuit breaker (``healthy`` never consumes the write-side
+        half-open probe).  With neither, reads stay on the local drive
+        whatever the fault plan says: the historical runtime, bit for bit.
         """
-        if self.ssd.contains(key):
-            dark = self.faults.enabled and self.faults.hard_outage("ssd")
-            sick = self.resilient and not self.health.healthy(self.ssd._track)
-            if not (dark or sick):
-                return None
-        peer = self.fabric.peer_source(self.node_id, key)
-        if peer is not None:
-            return TierLevel.SSD, peer
+        ssd = self.ssd
+        if ssd.contains(key) and not (
+            (self.resilient or self.fabric is not None)
+            and (self.faults.hard_outage("ssd") or not self.health.healthy(ssd.track))
+        ):
+            return ssd
+        if self.fabric is not None:
+            peer = self.fabric.peer_source(self.node_id, key)
+            if peer is not None:
+                return peer
         if self.pfs is not None and self.pfs.contains(key):
-            return TierLevel.PFS, self.pfs
-        return None
+            return self.pfs
+        return ssd
 
     def _pfs_put(
         self, key, payload, nominal_size, *, cancelled=None, meta=None, request=None
@@ -420,27 +410,14 @@ class ScoreEngine:
             existing = self.catalog.maybe_get(ckpt_id)
             if existing is not None:
                 return existing
-        meta = None
-        level = None
-        if self.ssd.contains(key):
-            meta = self.ssd.meta(key) or {}
-            nominal = self.ssd.size_of(key)
-            level = TierLevel.SSD
-        if meta is None and self.fabric is not None:
-            peer = self.fabric.peer_source(self.node_id, key)
-            if peer is not None:
-                meta = peer.meta(key) or {}
-                nominal = peer.size_of(key)
-                level = TierLevel.SSD
-        if meta is None and self.pfs is not None and self.pfs.contains(key):
-            meta = self.pfs.meta(key) or {}
-            nominal = self.pfs.size_of(key)
-            level = TierLevel.PFS
-        if meta is None:
+        store = self.read_source(key)
+        if not store.contains(key):
             raise CheckpointNotFound(
                 f"checkpoint {ckpt_id} of process {home_pid} has no durable "
                 f"copy reachable from node {self.node_id}"
             )
+        meta = store.meta(key) or {}
+        nominal = store.size_of(key)
         if meta.get("reduced"):
             raise CheckpointNotFound(
                 f"reduced checkpoint {ckpt_id} of process {home_pid} cannot "
@@ -460,7 +437,7 @@ class ScoreEngine:
             record.home_pid = home_pid
             # durable_store stays None: read routing re-resolves the best
             # holder per restore (a peer can die between adopt and read).
-            record.durable_level = level
+            record.durable_level = store.level
             self.monitor.notify_all()
         return record
 
@@ -490,8 +467,8 @@ class ScoreEngine:
                 f"(checkpoint {record.ckpt_id})"
             )
 
-    def _journal_commit(self, record: CheckpointRecord, level: TierLevel, store_id: str) -> None:
-        """Append a durable-commit entry after a blob landed on ``store_id``.
+    def _journal_commit(self, record: CheckpointRecord, store) -> None:
+        """Append a durable-commit entry after a blob landed on ``store``.
 
         Written *after* the blob is durable: a crash in between leaves at
         worst an unjournaled blob the recovery scan still finds.
@@ -499,23 +476,24 @@ class ScoreEngine:
         if not (self.resilient and self.config.resilience.journal):
             return
         op = record.op if record.op is not None else NULL_OP
-        with op.stage("journal-commit", CAT_JOURNAL, store=store_id, level=level.name):
+        level = store.level
+        with op.stage("journal-commit", CAT_JOURNAL, store=store.track, level=level.name):
             self.journal.commit(
                 self.process_id,
                 record.ckpt_id,
-                store=store_id,
+                store=store.track,
                 level=level.name,
                 nominal_size=record.stored_size(level),
                 meta=self.recovery_meta(record),
             )
 
-    def _journal_retract(self, record: CheckpointRecord, store_id: str) -> None:
-        """Append a retract entry after deleting ``store_id``'s blob."""
+    def _journal_retract(self, record: CheckpointRecord, store) -> None:
+        """Append a retract entry after deleting ``store``'s blob."""
         if not (self.resilient and self.config.resilience.journal):
             return
         op = record.op if record.op is not None else NULL_OP
-        with op.stage("journal-retract", CAT_JOURNAL, store=store_id):
-            self.journal.retract(self.process_id, record.ckpt_id, store=store_id)
+        with op.stage("journal-retract", CAT_JOURNAL, store=store.track):
+            self.journal.retract(self.process_id, record.ckpt_id, store=store.track)
 
     def _reduce_detach(self, record: CheckpointRecord, level: TierLevel) -> None:
         """Cache eviction hook: release the extent's chunk references."""
@@ -826,30 +804,26 @@ class ScoreEngine:
         """
         key = self.store_key(record)
         replicas = [ssd for _node, ssd, _link in self.replica_targets]
-        stores = [
-            (TierLevel.SSD, ssd, ssd._track)
-            for ssd in [self.ssd, *replicas]
-            if ssd.contains(key)
-        ]
+        stores = [ssd for ssd in [self.ssd, *replicas] if ssd.contains(key)]
         if self.pfs is not None and self.pfs.contains(key):
-            stores.append((TierLevel.PFS, self.pfs, "pfs"))
-        bad = [entry for entry in stores if not entry[1].verify(key)]
+            stores.append(self.pfs)
+        bad = [store for store in stores if not store.verify(key)]
         if not bad or len(bad) == len(stores):
             return False
-        for level, store, track in bad:
+        for store in bad:
             store.delete(key)
             if store in (self.ssd, self.pfs):
                 # Replicas on other nodes stay outside the chunk accounting.
-                if self._reduced_at(record, level):
-                    self.reducer.detach(record, level)
-            self._journal_retract(record, track)
+                if self._reduced_at(record, store.level):
+                    self.reducer.detach(record, store.level)
+            self._journal_retract(record, store)
             self.telemetry.registry.counter("resilience.corruption_repairs").inc()
             self.telemetry.bus.instant(
-                "restore-corrupt", self._app_track, ckpt=record.ckpt_id, tier=track
+                "restore-corrupt", self._app_track, ckpt=record.ckpt_id, tier=store.track
             )
             log.warning(
                 "p%d: dropped corrupt at-rest copy of checkpoint %d on %s",
-                self.process_id, record.ckpt_id, track,
+                self.process_id, record.ckpt_id, store.track,
             )
         # The cache copies were hydrated from a corrupt blob: drop them so
         # the re-promotion below re-reads a pristine durable copy.
@@ -888,7 +862,7 @@ class ScoreEngine:
                     if self._reduced_at(record, TierLevel.SSD):
                         self.reducer.attach(record, TierLevel.SSD)
                     self.monitor.notify_all()
-                self._journal_commit(record, TierLevel.SSD, self.ssd._track)
+                self._journal_commit(record, self.ssd)
             except (TransferError, ReproError):
                 log.warning(
                     "p%d: SSD re-flush of repaired checkpoint %d failed; "
@@ -1231,12 +1205,9 @@ class ScoreEngine:
             with op.stage(
                 "promote", CAT_TRANSFER, tier=tier, dst=dst.name, chunks=pipeline.chunks
             ):
-                if src == TierLevel.PFS:
-                    reader = store.open_get(
-                        self.store_key(record), node_id=self.node_id, request=request
-                    )
-                else:
-                    reader = store.open_get(self.store_key(record), request=request)
+                reader = store.open_get(
+                    self.store_key(record), node_id=self.node_id, request=request
+                )
                 if to_gpu:
                     consumer = self.promote_stream.submit(consume, label=f"h2d-{record.ckpt_id}")
                 try:
@@ -1372,39 +1343,34 @@ class ScoreEngine:
         """
         self._require_open()
         recovered = 0
-        sources = [(TierLevel.SSD, self.ssd, self.ssd._track)]
+        sources = [self.ssd]
         for node in self.context.node.cluster.nodes:
             if node.ssd is not self.ssd:
                 # Replicas on other nodes' SSDs are recoverable too.
-                sources.append((TierLevel.SSD, node.ssd, node.ssd._track))
+                sources.append(node.ssd)
         if self.pfs is not None:
-            sources.append((TierLevel.PFS, self.pfs, "pfs"))
-        store_map = {track: (level, store) for level, store, track in sources}
+            sources.append(self.pfs)
+        by_track = {store.track: store for store in sources}
         with self.monitor:
             if self.resilient and self.config.resilience.journal:
                 for ckpt_id, locations in sorted(
                     self.journal.entries_for(self.process_id).items()
                 ):
                     for store_id in sorted(locations):
-                        resolved = store_map.get(store_id)
-                        if resolved is None:
+                        store = by_track.get(store_id)
+                        if store is None:
                             continue
-                        level, store = resolved
-                        entry = locations[store_id]
-                        if self._adopt_durable(
-                            ckpt_id, level, store, entry.get("meta") or {}
-                        ):
+                        meta = locations[store_id].get("meta") or {}
+                        if self._adopt_durable(ckpt_id, store, meta):
                             recovered += 1
-            for level, store, _track in sources:
+            for store in sources:
                 for key in sorted(store.keys_for_process(self.process_id)):
-                    if self._adopt_durable(
-                        key[1], level, store, store.meta(key) or {}
-                    ):
+                    if self._adopt_durable(key[1], store, store.meta(key) or {}):
                         recovered += 1
             self.monitor.notify_all()
         return recovered
 
-    def _adopt_durable(self, ckpt_id: int, level: TierLevel, store, meta: dict) -> bool:
+    def _adopt_durable(self, ckpt_id: int, store, meta: dict) -> bool:
         """Monitor held: adopt one durable blob into the catalog.
 
         Returns ``True`` when a new record was created; an already-adopted
@@ -1412,6 +1378,7 @@ class ScoreEngine:
         (blobs and chunk references must agree — the validator checks it).
         """
         key = (self.process_id, ckpt_id)
+        level = store.level
         if not store.contains(key):
             return False  # journal entry whose blob is gone: not trusted
         reduced = bool(meta.get("reduced"))

@@ -67,7 +67,7 @@ from repro.telemetry.causal import (
     CAT_TRANSFER,
     NULL_OP,
 )
-from repro.tiers.base import TierLevel
+from repro.tiers.base import TierLevel, copy_object
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.catalog import CheckpointRecord
@@ -363,23 +363,23 @@ class Flusher:
                 engine.health.success(breaker)
             return result
 
-    def _put_whole(self, record: "CheckpointRecord", level: TierLevel, payload) -> None:
+    def _put_whole(self, record: "CheckpointRecord", store, payload) -> None:
         """Whole-object put of the in-hand pristine payload on a durable
-        tier: the reverify re-put, and the one-chunk PFS commit.  PFS puts
+        store: the reverify re-put, and the one-chunk PFS commit.  PFS puts
         go through ``engine._pfs_put`` so that, clustered, concurrent
         whole-object flushes coalesce in the fabric's write aggregator."""
         engine = self.engine
-        put = engine.ssd.put if level is TierLevel.SSD else engine._pfs_put
+        put = engine._pfs_put if store is engine.pfs else store.put
         put(
             engine.store_key(record),
             payload,
-            record.stored_size(level),
+            record.stored_size(store.level),
             cancelled=record.cancel_flush,
             meta=engine.recovery_meta(record),
             request=self._request(record),
         )
 
-    def _reverify(self, stage: str, record: "CheckpointRecord", level: TierLevel, payload) -> bool:
+    def _reverify(self, stage: str, record: "CheckpointRecord", store, payload) -> bool:
         """Post-commit CRC re-verification with bounded re-put.
 
         Scrubs the just-committed blob against the pristine CRC stamped at
@@ -392,14 +392,10 @@ class Flusher:
         engine = self.engine
         if not (engine.resilient and engine.config.resilience.reverify):
             return True
-        store, breaker = (
-            (engine.ssd, engine.ssd._track) if level is TierLevel.SSD else (engine.pfs, "pfs")
-        )
+        breaker = store.track
         key = engine.store_key(record)
         op = self._op(record)
-        with op.stage(
-            "reverify", CAT_RETRY, track=self._tracks[stage], tier=level.name.lower()
-        ):
+        with op.stage("reverify", CAT_RETRY, track=self._tracks[stage], tier=store.tier):
             verified = store.verify(key)
             attempt = 0
             while not verified and attempt < 2:
@@ -424,7 +420,7 @@ class Flusher:
                     self._retrying(
                         stage,
                         record,
-                        lambda: self._put_whole(record, level, payload),
+                        lambda: self._put_whole(record, store, payload),
                         breaker=breaker,
                     )
                 except TransferError:
@@ -433,7 +429,7 @@ class Flusher:
                 attempt += 1
         if not verified:
             store.delete(key)
-            engine._journal_retract(record, breaker)
+            engine._journal_retract(record, store)
         return verified
 
     def _drain_backfill(self) -> None:
@@ -446,7 +442,7 @@ class Flusher:
         engine = self.engine
         if not engine.resilient:
             return
-        breaker = engine.ssd._track
+        breaker = engine.ssd.track
         while True:
             with self._backfill_lock:
                 if not self._backfill:
@@ -471,7 +467,7 @@ class Flusher:
                 payload, _ = engine.pfs.get(
                     key, node_id=engine.node_id, request=self._request(record)
                 )
-                self._put_whole(record, TierLevel.SSD, payload)
+                self._put_whole(record, engine.ssd, payload)
             except (TransferError, ReproError):
                 engine.health.failure(breaker)
                 with self._backfill_lock:
@@ -482,7 +478,7 @@ class Flusher:
                 if engine._reduced_at(record, TierLevel.SSD):
                     engine.reducer.attach(record, TierLevel.SSD)
                 engine.monitor.notify_all()
-            engine._journal_commit(record, TierLevel.SSD, breaker)
+            engine._journal_commit(record, engine.ssd)
             self.backfilled += 1
             self._m_backfills.inc()
             if op.op_id is not None:
@@ -625,14 +621,15 @@ class Flusher:
         self,
         record: "CheckpointRecord",
         stage: str,
-        level: TierLevel,
+        store,
         flushed: Optional[TierLevel] = None,
     ) -> None:
-        """A complete (verified) blob landed on durable ``level``: raise the
+        """A complete (verified) blob landed on durable ``store``: raise the
         record's durable level, attach its chunks, make the ``flushed``
         source copy evictable, journal the commit, and on the first durable
         landing emit the ``durable`` instant + SLO sample."""
         engine = self.engine
+        level = store.level
         first_durable = False
         with engine.monitor:
             if record.durable_level is None or record.durable_level < level:
@@ -645,9 +642,7 @@ class Flusher:
                 source.flush_pending = False
                 source.try_transition(CkptState.FLUSHED, engine.clock.now())
             engine.monitor.notify_all()
-        engine._journal_commit(
-            record, level, engine.ssd._track if level is TierLevel.SSD else "pfs"
-        )
+        engine._journal_commit(record, store)
         op = self._op(record)
         if first_durable and op.op_id is not None:
             now = engine.clock.now()
@@ -785,10 +780,11 @@ class Flusher:
                 chunks=pipeline.chunks,
                 **self._causal(op, "ssd"),
             ) as span:
-                level = self._durable_put(stage, record, pipeline, payload)
-                if level is None:
+                store = self._durable_put(stage, record, pipeline, payload)
+                if store is None:
                     span.add(abandoned=True)
                     return
+                level = store.level
                 if level is TierLevel.PFS:
                     span.add(rerouted=True)
             # The producer's epilogue owns the host instance's
@@ -798,7 +794,7 @@ class Flusher:
                 return
             self._m_bytes[stage].inc(wire)
             pipeline.landed = level
-            self._landed(record, stage, level, flushed=source)
+            self._landed(record, stage, store, flushed=source)
             if level is TierLevel.PFS and engine.config.resilience.backfill:
                 # Rerouted: queue a catch-up copy onto the SSD for when it
                 # returns.
@@ -837,101 +833,113 @@ class Flusher:
     ) -> bool:
         """Bring input chunk ``chunk`` of the durable hop in hand: published
         by the upstream stage, or — GPUDirect has none — DMA'd across PCIe
-        here.  ``False`` when the upstream abandoned."""
-        if pipeline.upstream_of(stage) is not None:
-            return pipeline.await_upstream(stage, chunk)
-        self._retrying(stage, record, lambda: self._pcie_chunk(record, nbytes))
+        here.  A chunk already in hand (a reroute replaying onto another
+        store) is not taken again.  ``False`` when the upstream abandoned."""
+        if chunk < pipeline.in_hand:
+            return True
+        if pipeline.upstream_of(stage) is None:
+            self._retrying(stage, record, lambda: self._pcie_chunk(record, nbytes))
+        elif not pipeline.await_upstream(stage, chunk):
+            return False
+        pipeline.in_hand = chunk + 1
+        return True
+
+    def _stream_put(
+        self, stage: str, record: "CheckpointRecord", pipeline: ChunkPipeline, store, payload
+    ) -> bool:
+        """Stream the durable hop's chunks onto ``store``: open, charge each
+        chunk on the store's links as it comes in hand, commit after the
+        last — only then is the blob visible.  A transient failure retries
+        *the failed chunk* and feeds the store's breaker; past the retry
+        budget it propagates.  ``False`` after the upstream abandoned.
+        """
+        engine = self.engine
+        stored = record.stored_size(store.level)
+        # The open draws the tier gate (a dark tier raises here, at chunk 0)
+        # and the at-rest corruption for this put attempt; retries re-open,
+        # re-drawing both.
+        handle = self._retrying(
+            stage,
+            record,
+            lambda: store.open_put(
+                engine.store_key(record),
+                stored,
+                int(payload.size),
+                node_id=engine.node_id,
+                cancelled=record.cancel_flush,
+            ),
+            breaker=store.track,
+        )
+        # GPUDirect never crosses the host-site encode, so its PCIe chunks
+        # are the stored chunks.
+        for i, nbytes in enumerate(chunk_sizes_for(stored, pipeline.chunks)):
+            if not self._take_chunk(stage, record, pipeline, i, nbytes):
+                handle.abort()
+                self._bail(stage, record, "upstream abandoned")
+                return False
+            self._charge_chunk(
+                stage, store.tier, record, pipeline, i, nbytes,
+                lambda: handle.write(nbytes, request=self._request(record)),
+                breaker=store.track,
+            )
+        # Commit-at-end: ownership of the snapshot passes to the store
+        # (copy=False, the zero-copy path).
+        handle.commit(payload, meta=engine.recovery_meta(record), copy=False)
         return True
 
     def _durable_put(
         self, stage: str, record: "CheckpointRecord", pipeline: ChunkPipeline, payload
-    ) -> Optional[TierLevel]:
+    ):
         """Land ``payload`` durably: the local SSD, or the PFS when the SSD
         is dark (circuit breaker open, outage window) and rerouting is on.
 
-        Chunks are charged on the SSD write link as they come in hand; the
-        blob commits (and only then becomes visible) after the last chunk.
-        A transient failure retries *the failed chunk*; an exhausted retry
-        budget (or an open breaker) reroutes to the PFS, resuming at the
-        failed chunk — chunks already in hand are not re-transferred (for a
-        one-chunk plan that is the whole object).  Returns the level the
-        verified blob landed on, or ``None`` after abandoning the hop.
+        An exhausted retry budget (or an open breaker) reroutes to the PFS,
+        resuming at the failed chunk — chunks already in hand are not
+        re-transferred (for a one-chunk plan that is the whole object).
+        Returns the store the verified blob landed on, or ``None`` after
+        abandoning the hop.
         """
         engine = self.engine
-        key = engine.store_key(record)
-        breaker = engine.ssd._track
+        ssd = engine.ssd
         can_reroute = (
             engine.resilient and engine.config.resilience.reroute and engine.pfs is not None
         )
-        stored = record.stored_size(TierLevel.SSD)
-
-        if engine.resilient and not engine.health.allow(breaker):
+        if engine.resilient and not engine.health.allow(ssd.track):
             # Blacklisted: don't feed the dark tier another doomed write.
             if can_reroute:
-                return self._reroute(stage, record, pipeline, payload, 0)
+                return self._reroute(stage, record, pipeline, payload)
             self._abandon(stage, record, "ssd circuit breaker open")
             return None
-        in_hand = 0
         try:
             with self._op(record).stage(
                 "ssd-put", CAT_TRANSFER, track=self._tracks[stage], tier="ssd"
             ):
-                # The open draws the tier gate (a dark SSD raises here, at
-                # chunk 0) and the at-rest corruption for this put attempt;
-                # retries re-open, re-drawing both.
-                handle = self._retrying(
-                    stage,
-                    record,
-                    lambda: engine.ssd.open_put(
-                        key, stored, int(payload.size), cancelled=record.cancel_flush
-                    ),
-                    breaker=breaker,
-                )
-                # GPUDirect never crosses the host-site encode, so its PCIe
-                # chunks are the stored chunks.
-                for i, nbytes in enumerate(chunk_sizes_for(stored, pipeline.chunks)):
-                    if not self._take_chunk(stage, record, pipeline, i, nbytes):
-                        handle.abort()
-                        self._bail(stage, record, "upstream abandoned")
-                        return None
-                    in_hand = i + 1
-                    self._charge_chunk(
-                        stage, "ssd", record, pipeline, i, nbytes,
-                        lambda: handle.write(nbytes, request=self._request(record)),
-                        breaker=breaker,
-                    )
-                # Commit-at-end: ownership of the snapshot passes to the
-                # store (copy=False, the zero-copy path).
-                handle.commit(payload, meta=engine.recovery_meta(record), copy=False)
+                if not self._stream_put(stage, record, pipeline, ssd, payload):
+                    return None
         except TransientTransferError as exc:
             if can_reroute:
-                return self._reroute(stage, record, pipeline, payload, in_hand)
+                return self._reroute(stage, record, pipeline, payload)
             self._abandon(stage, record, f"{type(exc).__name__} mid-transfer")
             return None
         except TransferError:
             self._abandon(stage, record, "cancelled mid-transfer")
             return None
-        if not self._reverify(stage, record, TierLevel.SSD, payload):
+        if not self._reverify(stage, record, ssd, payload):
             if can_reroute:
-                return self._reroute(stage, record, pipeline, payload, pipeline.chunks)
+                return self._reroute(stage, record, pipeline, payload)
             self._abandon(stage, record, "persistent corruption on SSD put")
             return None
-        return TierLevel.SSD
+        return ssd
 
     def _reroute(
-        self,
-        stage: str,
-        record: "CheckpointRecord",
-        pipeline: ChunkPipeline,
-        payload,
-        in_hand: int,
-    ) -> Optional[TierLevel]:
+        self, stage: str, record: "CheckpointRecord", pipeline: ChunkPipeline, payload
+    ):
         """Reroute the durable hop around a dark SSD, straight to the PFS.
 
-        The first ``in_hand`` chunks already left the GPU, so they replay
-        onto the PFS links immediately; the remaining chunks keep streaming
-        in as before — the hop resumes at the failed chunk instead of
-        restarting the cascade.  Returns ``TierLevel.PFS`` once a verified
+        The chunks in hand (``pipeline.in_hand``) already left the GPU, so
+        they replay onto the PFS links immediately; the remaining chunks
+        keep streaming in as before — the hop resumes at the failed chunk
+        instead of restarting the cascade.  Returns the PFS once a verified
         blob is stored there (the caller journals it and queues the SSD
         backfill), ``None`` after abandoning.
         """
@@ -948,48 +956,24 @@ class Flusher:
             op_id=op.op_id,
             ckpt=record.ckpt_id,
             stage=stage,
-            chunk=in_hand,
+            chunk=pipeline.in_hand,
         )
         log.info(
             "p%d: rerouting %s flush of checkpoint %d around the dark SSD to "
             "the PFS at chunk %d/%d",
-            engine.process_id, stage, record.ckpt_id, in_hand, pipeline.chunks,
+            engine.process_id, stage, record.ckpt_id, pipeline.in_hand, pipeline.chunks,
         )
-        stored = record.stored_size(TierLevel.PFS)
         try:
             with op.stage("reroute", CAT_REROUTE, track=track, tier="pfs"):
-                handle = self._retrying(
-                    stage,
-                    record,
-                    lambda: pfs.open_put(
-                        engine.store_key(record),
-                        stored,
-                        int(payload.size),
-                        node_id=engine.node_id,
-                        cancelled=record.cancel_flush,
-                    ),
-                    breaker="pfs",
-                )
-                for i, nbytes in enumerate(chunk_sizes_for(stored, pipeline.chunks)):
-                    if i >= in_hand and not self._take_chunk(
-                        stage, record, pipeline, i, nbytes
-                    ):
-                        handle.abort()
-                        self._bail(stage, record, "upstream abandoned")
-                        return None
-                    self._charge_chunk(
-                        stage, "pfs", record, pipeline, i, nbytes,
-                        lambda: handle.write(nbytes, request=self._request(record)),
-                        breaker="pfs",
-                    )
-                handle.commit(payload, meta=engine.recovery_meta(record))
-                if not self._reverify(stage, record, TierLevel.PFS, payload):
+                if not self._stream_put(stage, record, pipeline, pfs, payload):
+                    return None
+                if not self._reverify(stage, record, pfs, payload):
                     self._abandon(stage, record, "persistent corruption on PFS reroute")
                     return None
         except TransferError as exc:
             self._abandon(stage, record, f"PFS reroute failed ({type(exc).__name__})")
             return None
-        return TierLevel.PFS
+        return pfs
 
     def _stage_f2r(self, stage: str, record: "CheckpointRecord", pipeline: ChunkPipeline):
         """SSD read-back: the producer half of the PFS upgrade.
@@ -1071,7 +1055,7 @@ class Flusher:
         pfs = engine.pfs
         if pfs is None:
             return True
-        if engine.resilient and not engine.health.allow("pfs"):
+        if engine.resilient and not engine.health.allow(pfs.track):
             # The SSD copy is (or will be) durable; skip the dark PFS rather
             # than feed its breaker another doomed upgrade write.
             self._abandon(stage, record, "pfs circuit breaker open")
@@ -1112,9 +1096,9 @@ class Flusher:
                         if pipeline.skipped(stage):
                             return True
                         self._charge_chunk(
-                            stage, "pfs", record, pipeline, i, nbytes,
+                            stage, pfs.tier, record, pipeline, i, nbytes,
                             lambda: writer.write(nbytes, request=self._request(record)),
-                            breaker="pfs",
+                            breaker=pfs.track,
                         )
                 # The upgrade only commits over a blob the durable hop
                 # actually landed on the SSD (reroutes skip this stage).
@@ -1130,8 +1114,8 @@ class Flusher:
                     self._retrying(
                         stage,
                         record,
-                        lambda: self._put_whole(record, TierLevel.PFS, payload),
-                        breaker="pfs",
+                        lambda: self._put_whole(record, pfs, payload),
+                        breaker=pfs.track,
                     )
                 else:
                     writer.commit(payload, meta=engine.recovery_meta(record))
@@ -1143,12 +1127,12 @@ class Flusher:
             finally:
                 if writer is not None:
                     writer.abort()  # left without reaching its commit
-            if not self._reverify(stage, record, TierLevel.PFS, payload):
+            if not self._reverify(stage, record, pfs, payload):
                 span.add(abandoned=True)
                 self._abandon(stage, record, "persistent corruption on PFS put")
                 return
         self._m_bytes[stage].inc(wire)
-        self._landed(record, stage, TierLevel.PFS)
+        self._landed(record, stage, pfs)
         engine._maybe_crash(f"after-{stage}", record)
         pipeline.finish(stage)
         return True
@@ -1185,21 +1169,14 @@ class Flusher:
         for _target_node, target_ssd, target_link in targets:
 
             def copy_to_replica(ssd=target_ssd, link=target_link) -> None:
-                payload, _ = engine.ssd.get(
-                    engine.store_key(record), request=self._request(record)
-                )
-                link.transfer(
-                    stored,
-                    cancelled=record.cancel_flush,
-                    request=self._request(record),
-                )
-                ssd.put(
+                copy_object(
+                    engine.ssd,
+                    ssd,
                     engine.store_key(record),
-                    payload,
-                    stored,
+                    hop=link,
                     cancelled=record.cancel_flush,
-                    meta=engine.recovery_meta(record),
                     request=self._request(record),
+                    meta=engine.recovery_meta(record),
                 )
 
             with self.telemetry.bus.span(
@@ -1219,5 +1196,5 @@ class Flusher:
                     return
             self._m_bytes["repl"].inc(stored)
             self.replicated += 1
-            engine._journal_commit(record, TierLevel.SSD, target_ssd._track)
+            engine._journal_commit(record, target_ssd)
         engine._maybe_crash("after-repl", record)

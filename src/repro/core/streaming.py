@@ -95,6 +95,10 @@ class ChunkPipeline:
         #: post-encode physical payload here so consumers need not wait
         #: for the whole upstream copy to land before starting work.
         self.payload = None
+        #: input chunks the durable hop already holds (published upstream,
+        #: or DMA'd off the GPU): a reroute to another store replays them
+        #: instead of taking them again, resuming at the failed chunk.
+        self.in_hand = 0
         #: the tier level the durable hop landed the blob on (SSD, or PFS
         #: when rerouted), set by that stage before it finishes.
         self.landed = None

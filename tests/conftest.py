@@ -73,6 +73,18 @@ def rng():
     return make_rng(1234, "tests")
 
 
+class FaultClock:
+    """The ``now()`` a FaultDomain reads for its outage windows, set by the
+    test (``cluster.faults.clock = FaultClock(t)``): a window opens when the
+    test says so, not when the host got round to it."""
+
+    def __init__(self, t=0.0):
+        self.t = t
+
+    def now(self):
+        return self.t
+
+
 def make_buffer(context, nominal_size=128 * MiB, seed=0):
     """An application device buffer filled with seeded random bytes."""
     buf = context.device.alloc_buffer(nominal_size)

@@ -42,7 +42,7 @@ from repro.errors import FlushTimeoutError, InjectedCrash
 from repro.tiers.base import TierLevel
 from repro.tiers.topology import Cluster
 from repro.util.units import MiB
-from tests.conftest import both_chunk_plans, make_buffer, tiny_config
+from tests.conftest import FaultClock, both_chunk_plans, make_buffer, tiny_config
 
 CKPT = 128 * MiB
 
@@ -316,7 +316,7 @@ class TestOutageRerouteAndBackfill:
         served from the PFS instead of failing."""
         cfg = _config(
             stream,
-            faults=FaultConfig(enabled=True, tier_outages=(("ssd", 5.0, 1e9, 0.0),)),
+            faults=FaultConfig(enabled=True, tier_outages=(("ssd", 1e6, 1e9, 0.0),)),
         )
         with Cluster(cfg) as cluster:
             ctx = cluster.process_contexts()[0]
@@ -326,9 +326,12 @@ class TestOutageRerouteAndBackfill:
                 engine.checkpoint(0, buf)
                 engine.wait_for_flushes(timeout=600.0)
             # Deep into the outage window, a replacement process recovers
-            # and restores without touching the dark SSD.
+            # and restores without touching the dark SSD.  The fault plan's
+            # clock jumps there: a window at 5 nominal seconds (10 ms of
+            # wall time) used to open *before* a slow host had flushed, and
+            # the restore then spun on the dark drive for ever.
+            cluster.faults.clock = FaultClock(2e6)
             with ScoreEngine(ctx, flush_to_pfs=True) as engine2:
-                engine2.clock.sleep(max(0.0, 6.0 - engine2.clock.now()))
                 assert engine2.recover_history() >= 1
                 out = ctx.device.alloc_buffer(CKPT)
                 engine2.restore(0, out)

@@ -11,12 +11,16 @@ plans only).  These tests drive that function directly:
   read keeps the host copy while the demand restore retries;
 * a one-chunk read returns accounted link seconds, not clock time;
 * ``StreamConfig.enabled`` with a one-chunk plan makes the same placement
-  decisions as the flag off.
+  decisions as the flag off;
+* the store a read opens comes from one ordered chain
+  (``ScoreEngine.read_source``): usable local SSD, fabric peer, PFS.
 """
 
 import pytest
 
-from repro.config import StreamConfig
+from repro.cluster.fabric import PeerSsdStore
+from repro.cluster.topology import ClusterTopology
+from repro.config import ClusterConfig, FaultConfig, ResilienceConfig, StreamConfig
 from repro.core.engine import ScoreEngine
 from repro.core.lifecycle import CkptState
 from repro.core.validator import validate_engine
@@ -24,7 +28,7 @@ from repro.errors import CheckpointNotFound, TransientTransferError
 from repro.tiers.base import TierLevel
 from repro.tiers.topology import Cluster
 from repro.util.units import MiB
-from tests.conftest import both_chunk_plans, make_buffer, tiny_config
+from tests.conftest import FaultClock, both_chunk_plans, make_buffer, tiny_config
 
 CKPT = 128 * MiB
 GPU, HOST, SSD = TierLevel.GPU, TierLevel.HOST, TierLevel.SSD
@@ -251,3 +255,102 @@ def test_one_chunk_plan_places_the_same_whatever_the_flag_says():
     makes nor where they land (the host-staging budget check used to read
     the flag and stop one promotion short)."""
     assert _hinted_placement(ONE_CHUNK_ON) == _hinted_placement(StreamConfig())
+
+
+class TestReadChain:
+    """``ScoreEngine.read_source``: usable local SSD, then a fabric peer's
+    SSD, then the PFS, then the local SSD again so the error surfaces there."""
+
+    #: an open breaker stays open for the whole test (default: 5 nominal s).
+    RESILIENT = ResilienceConfig(enabled=True, breaker_reset_s=1e6)
+    SSD_DARK_LATER = FaultConfig(enabled=True, tier_outages=(("ssd", 1e6, 1e9, 0.0),))
+
+    def _flushed_to_pfs(self, stream, **changes):
+        """One checkpoint durable on SSD and PFS, cached nowhere."""
+        cluster = Cluster(tiny_config(telemetry=True, stream=stream, **changes))
+        ctx = cluster.process_contexts()[0]
+        engine = ScoreEngine(ctx, flush_to_pfs=True)
+        record, checksum = _ssd_only(engine, ctx)
+        assert engine.pfs.contains(engine.store_key(record))
+        return cluster, ctx, engine, record, checksum
+
+    def _restore_reads(self, cluster, ctx, engine, checksum):
+        """Restore checkpoint 0; the ``(ssd, pfs)`` read ops it cost."""
+        counter = cluster.telemetry.registry.counter
+        before = [counter(f"tier.{tier}.read_ops").value for tier in ("ssd", "pfs")]
+        out = ctx.device.alloc_buffer(CKPT)
+        engine.restore(0, out)
+        assert out.checksum() == checksum
+        after = [counter(f"tier.{tier}.read_ops").value for tier in ("ssd", "pfs")]
+        return after[0] - before[0], after[1] - before[1]
+
+    @both_chunk_plans
+    def test_healthy_local_ssd_serves(self, stream):
+        cluster, ctx, engine, record, checksum = self._flushed_to_pfs(stream)
+        with cluster, engine:
+            assert engine.read_source(engine.store_key(record)) is engine.ssd
+            assert engine.durable_read_source(record) == (SSD, engine.ssd)
+            assert self._restore_reads(cluster, ctx, engine, checksum) == (1, 0)
+
+    @both_chunk_plans
+    def test_open_breaker_routes_to_the_pfs_copy(self, stream):
+        cluster, ctx, engine, record, checksum = self._flushed_to_pfs(
+            stream, resilience=self.RESILIENT
+        )
+        with cluster, engine:
+            for _ in range(self.RESILIENT.breaker_threshold):
+                engine.health.failure(engine.ssd.track)
+            assert engine.read_source(engine.store_key(record)) is engine.pfs
+            assert self._restore_reads(cluster, ctx, engine, checksum) == (0, 1)
+
+    @both_chunk_plans
+    @pytest.mark.parametrize("resilient", [False, True], ids=["historical", "resilient"])
+    def test_dark_ssd_moves_reads_only_when_something_can_route(self, stream, resilient):
+        """Resilience off, faults on: reads stay on the local drive — the
+        bit-identity rule ``tests/test_faults_equivalence.py`` relies on."""
+        changes = {"resilience": self.RESILIENT} if resilient else {}
+        cluster, ctx, engine, record, checksum = self._flushed_to_pfs(
+            stream, faults=self.SSD_DARK_LATER, **changes
+        )
+        with cluster, engine:
+            key = engine.store_key(record)
+            assert engine.read_source(key) is engine.ssd
+            cluster.faults.clock = FaultClock(2e6)  # inside the outage window
+            assert cluster.faults.hard_outage("ssd")
+            assert engine.read_source(key) is (engine.pfs if resilient else engine.ssd)
+            if resilient:
+                assert self._restore_reads(cluster, ctx, engine, checksum) == (0, 1)
+
+    @both_chunk_plans
+    def test_key_on_a_ring_neighbour_only_reads_the_peer(self, stream):
+        cfg = tiny_config(
+            telemetry=True,
+            stream=stream,
+            num_nodes=3,
+            processes_per_node=1,
+            cluster=ClusterConfig(enabled=True),
+        )
+        with ClusterTopology(cfg, engine_kwargs={"flush_to_pfs": True}) as topo:
+            session = topo.service.connect("c0")
+            buf = make_buffer(session.engine.context, CKPT, seed=5)
+            session.submit(0, buf)
+            for engine in topo.engines:
+                engine.wait_for_flushes(timeout=600.0)
+            key = (session.engine.process_id, 0)
+            assert topo.fabric.directory.holders(key) == [0, 1]
+            reader = topo.engines[2]  # node 2 holds no replica (factor 2)
+            source = reader.read_source(key)
+            assert isinstance(source, PeerSsdStore)
+            assert (source.reader_node, source.peer_node) == (2, 0)
+            assert source.level is SSD and source.track == topo.cluster.nodes[0].ssd.track
+            out = reader.device.alloc_buffer(CKPT)
+            session.restore(0, out, engine=reader)
+            assert out.checksum() == buf.checksum()
+            snap = topo.telemetry.registry.snapshot()
+            assert snap["cluster.peer.reads"] == 1
+            assert snap["tier.pfs.read_ops"] == 0
+            # Nothing holds an unknown key: the chain ends on the local SSD,
+            # whose lookup raises.
+            assert reader.read_source((99, 99)) is reader.ssd
+            with pytest.raises(CheckpointNotFound):
+                reader.adopt_foreign(99, 99)

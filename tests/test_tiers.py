@@ -1,18 +1,23 @@
 """Object stores (SSD/PFS) and cluster topology wiring."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.clock import VirtualClock
-from repro.config import HardwareSpec, ScaleModel
-from repro.errors import CheckpointNotFound, ConfigError
+from repro.cluster.fabric import PeerSsdStore
+from repro.config import ClusterConfig, FaultConfig, HardwareSpec, ResilienceConfig, ScaleModel
+from repro.errors import CheckpointNotFound, ConfigError, TierOfflineError
+from repro.faults.injector import FaultDomain
+from repro.simgpu.bandwidth import Link
 from repro.tiers.base import TierLevel
 from repro.tiers.pfs import PfsStore
 from repro.tiers.ssd import SsdStore
 from repro.tiers.topology import Cluster
 from repro.util.rng import make_rng
 from repro.util.units import KiB, MiB
-from tests.conftest import tiny_config
+from tests.conftest import FaultClock, tiny_config
 
 SCALE = ScaleModel(data_scale=64 * KiB, alignment=64 * KiB, time_scale=0.002)
 
@@ -239,3 +244,233 @@ class TestStoreMetadata:
         assert reborn.meta((0, 3))["checksum"] == 7
         out, _ = reborn.get((0, 3))
         assert out.size > 0
+
+
+# -- the store contract --------------------------------------------------------
+# One durable store (``repro.tiers.base.ObjectStore``) behind every kind: the
+# same handle protocol, counters and fault gates whichever route it charges.
+
+KEY = (0, 1)
+WRITABLE = ["ssd-memory", "ssd-file", "pfs"]
+
+
+def _faults(**config):
+    return FaultDomain(FaultConfig(enabled=True, **config), ResilienceConfig(), FaultClock())
+
+
+def _make_store(kind, tmp_path, faults=None):
+    if kind == "pfs":
+        return PfsStore(HardwareSpec(), SCALE, _clock(), faults=faults)
+    directory = str(tmp_path / "ssd") if kind == "ssd-file" else None
+    return SsdStore(0, HardwareSpec(), SCALE, _clock(), directory=directory, faults=faults)
+
+
+def _counter(store, name):
+    return store.telemetry.registry.counter(f"tier.{store.tier}.{name}").value
+
+
+@pytest.fixture
+def charges(monkeypatch):
+    """Replace ``Link.transfer`` by its uncontended nominal duration and
+    record ``(link name, bytes)`` per call: accounted seconds become exact
+    (the real figure adds the measured wait for the link's mutex)."""
+    calls = []
+
+    def transfer(link, nbytes, cancelled=None, request=None):
+        calls.append((link.name, nbytes))
+        return link.estimate(nbytes, include_pending=False)
+
+    monkeypatch.setattr(Link, "transfer", transfer)
+    return calls
+
+
+@pytest.fixture(params=WRITABLE)
+def store(request, tmp_path):
+    return _make_store(request.param, tmp_path)
+
+
+@pytest.fixture(params=WRITABLE + ["peer"])
+def view(request, tmp_path):
+    """``(reader, sink)``: the store reads go through and the store that
+    holds the bytes — the same object, except for the read-only peer view
+    of a neighbour node's SSD."""
+    if request.param != "peer":
+        sink = _make_store(request.param, tmp_path)
+        yield sink, sink
+        return
+    cfg = tiny_config(num_nodes=2, cluster=ClusterConfig(enabled=True))
+    with Cluster(cfg) as cluster:
+        sink = cluster.nodes[0].ssd
+        yield PeerSsdStore(cluster.fabric, 1, 0, sink), sink
+
+
+class TestPutContract:
+    def test_uncommitted_and_aborted_puts_are_invisible(self, store):
+        store.put((0, 0), _payload(1 * MiB), 1 * MiB)
+        before = (store.stored_bytes(), store.object_count())
+        data = _payload(2 * MiB)
+        handle = store.open_put(KEY, 2 * MiB, int(data.size))
+        handle.write(2 * MiB)
+        assert not store.contains(KEY)
+        with pytest.raises(CheckpointNotFound):
+            store.get(KEY)
+        handle.abort()
+        assert not store.contains(KEY)
+        assert (store.stored_bytes(), store.object_count()) == before
+        assert _counter(store, "write_ops") == 1  # the committed put alone
+
+    def test_put_is_open_one_write_commit(self, store, charges):
+        data = _payload(1 * MiB)
+        whole = store.put((0, 0), data, 1 * MiB)
+        put_charges = list(charges)
+        assert put_charges == [(link.name, 1 * MiB) for link in store.route(0, True)]
+        ops, nbytes = _counter(store, "write_ops"), _counter(store, "write_bytes")
+        del charges[:]
+        handle = store.open_put(KEY, 1 * MiB, int(data.size))
+        handle.write(1 * MiB)
+        assert handle.commit(data) == whole > 0
+        assert charges == put_charges
+        assert _counter(store, "write_ops") == 2 * ops == 2
+        assert _counter(store, "write_bytes") == 2 * nbytes == 2 * MiB
+        assert np.array_equal(store.get(KEY)[0], store.get((0, 0))[0])
+
+    def test_chunk_writes_count_bytes_per_chunk_and_one_op(self, store, charges):
+        data = _payload(4 * MiB)
+        handle = store.open_put(KEY, 4 * MiB, int(data.size))
+        seconds = [handle.write(1 * MiB) for _ in range(4)]
+        assert len(charges) == 4 * len(store.route(0, True))
+        assert _counter(store, "write_bytes") == 4 * MiB
+        assert _counter(store, "write_ops") == 0  # counted at commit
+        assert handle.commit(data) == sum(seconds)
+        assert _counter(store, "write_ops") == 1
+        assert store.size_of(KEY) == 4 * MiB
+
+    @pytest.mark.parametrize("copy", [True, False])
+    def test_copy_false_hands_out_the_callers_array(self, store, copy):
+        data = _payload(1 * MiB)
+        store.put(KEY, data, 1 * MiB, copy=copy)
+        out, _ = store.get(KEY)
+        in_memory = getattr(store, "_directory", None) is None  # files never share
+        assert np.shares_memory(out, data) == (in_memory and not copy)
+
+    @pytest.mark.parametrize("kind", WRITABLE)
+    def test_corruption_lands_on_the_stores_copy_only(self, kind, tmp_path):
+        store = _make_store(kind, tmp_path, faults=_faults(corruption_rate=1.0))
+        data = _payload(1 * MiB)
+        pristine = data.copy()
+        store.put(KEY, data, 1 * MiB, copy=False)
+        out, _ = store.get(KEY)
+        assert np.array_equal(data, pristine)
+        assert not np.array_equal(out, pristine)
+        assert store.verify(KEY) is False
+
+    @pytest.mark.parametrize("kind", WRITABLE)
+    def test_outage_opening_mid_stream_raises_at_the_next_chunk(self, kind, tmp_path):
+        tier = "pfs" if kind == "pfs" else "ssd"
+        faults = _faults(tier_outages=((tier, 10.0, 20.0, 0.0),))
+        store = _make_store(kind, tmp_path, faults=faults)
+        data = _payload(2 * MiB)
+        handle = store.open_put(KEY, 2 * MiB, int(data.size))
+        handle.write(1 * MiB)
+        faults.clock.t = 15.0  # the window opens between chunk 0 and chunk 1
+        with pytest.raises(TierOfflineError):
+            handle.write(1 * MiB)
+        assert not store.contains(KEY)
+        assert store.object_count() == 0
+        assert _counter(store, "write_ops") == 0
+        with pytest.raises(TierOfflineError):
+            store.open_put(KEY, 2 * MiB, int(data.size))
+
+
+class TestGetContract:
+    def test_close_and_finish_each_count_one_read_op(self, view, charges):
+        reader, sink = view
+        data = _payload(2 * MiB)
+        sink.put(KEY, data, 2 * MiB)
+        # close() serves the cascade read-back, always a local read: the
+        # peer view's handle settles by finish() alone.
+        peer = isinstance(reader, PeerSsdStore)
+        for settle in ("finish",) if peer else ("finish", "close"):
+            before = _counter(sink, "read_ops"), _counter(sink, "read_bytes")
+            handle = reader.open_get(KEY)
+            assert handle.nominal_size == 2 * MiB
+            seconds = handle.read(1 * MiB) + handle.read(1 * MiB)
+            assert _counter(sink, "read_ops") == before[0]  # counted when settled
+            if settle == "finish":
+                payload, total = handle.finish()
+                assert np.array_equal(payload[: data.size], data)
+                assert total == seconds
+            else:
+                handle.close()
+            assert _counter(sink, "read_ops") == before[0] + 1
+            assert _counter(sink, "read_bytes") == before[1] + 2 * MiB
+
+    def test_get_is_open_one_read_finish(self, view, charges):
+        reader, sink = view
+        data = _payload(1 * MiB)
+        sink.put(KEY, data, 1 * MiB)
+        payload, seconds = reader.get(KEY)
+        handle = reader.open_get(KEY)
+        handle.read(handle.nominal_size)
+        again, again_seconds = handle.finish()
+        assert np.array_equal(payload, again)
+        assert again_seconds == seconds > 0
+        assert _counter(sink, "read_ops") == 2
+
+    def test_nominal_size_reads_ahead_of_the_commit(self, view):
+        reader, sink = view
+        data = _payload(1 * MiB)
+        writer = sink.open_put(KEY, 1 * MiB, int(data.size))
+        with pytest.raises(CheckpointNotFound):
+            reader.open_get(KEY)
+        handle = reader.open_get(KEY, nominal_size=1 * MiB)
+        assert handle.read(1 * MiB) > 0
+        assert _counter(sink, "read_bytes") == 1 * MiB
+        writer.write(1 * MiB)
+        writer.commit(data)
+        assert reader.contains(KEY)
+
+    @pytest.mark.parametrize("view", ["ssd-memory", "ssd-file", "peer"], indirect=True)
+    def test_offline_ssd_is_dark(self, view):
+        reader, sink = view
+        sink.put(KEY, _payload(1 * MiB), 1 * MiB)
+        sink.crash(preserve_contents=True)
+        assert reader.contains(KEY) is False
+        with pytest.raises(TierOfflineError):
+            reader.open_get(KEY)
+        with pytest.raises(TierOfflineError):
+            sink.open_put(KEY, 1 * MiB, 1)
+        assert reader.verify(KEY) is False
+        assert sink.power_on() == [KEY]
+        assert reader.contains(KEY) and reader.verify(KEY)
+
+
+class TestKeywordArguments:
+    """Regression: ``put``/``open_put`` took ``**kw`` and picked known names
+    out of it, so a misspelt ``canceled=`` silently dropped the cancel event
+    and ``SsdStore.open_put(..., node_id=0)`` was a TypeError."""
+
+    def test_unknown_keywords_are_rejected(self, view):
+        reader, sink = view
+        data = _payload(1 * MiB)
+        cancel = threading.Event()
+        cancel.set()
+        with pytest.raises(TypeError):
+            sink.put(KEY, data, 1 * MiB, canceled=cancel)
+        assert not sink.contains(KEY)
+        with pytest.raises(TypeError):
+            sink.open_put(KEY, 1 * MiB, int(data.size), canceled=cancel)
+        with pytest.raises(TypeError):
+            reader.open_get(KEY, nod_id=0)
+        with pytest.raises(TypeError):
+            reader.get(KEY, nod_id=0)
+
+    def test_every_store_takes_the_same_keywords(self, view):
+        reader, sink = view
+        data = _payload(1 * MiB)
+        handle = sink.open_put(KEY, 1 * MiB, int(data.size), node_id=0, cancelled=None, request=None)
+        handle.write(1 * MiB)
+        handle.commit(data)
+        sink.put((0, 2), data, 1 * MiB, node_id=0, cancelled=None, request=None, meta={}, copy=True)
+        assert reader.open_get(KEY, node_id=0, request=None, nominal_size=None).read(1 * MiB) > 0
+        assert reader.get((0, 2), node_id=0, request=None)[1] > 0
