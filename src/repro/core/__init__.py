@@ -11,7 +11,7 @@ Submodules:
 * :mod:`~repro.core.scoring` — Algorithm 1 (gap-aware sliding window).
 * :mod:`~repro.core.cache` — CacheBuffer: arena + table + eviction + waits.
 * :mod:`~repro.core.flusher` — asynchronous D2H / H2F flush cascade.
-* :mod:`~repro.core.prefetcher` — asynchronous multi-tier prefetch thread.
+* :mod:`~repro.core.prefetcher` — asynchronous multi-tier prefetch, one worker per hop.
 * :mod:`~repro.core.engine` — one process's engine.
 * :mod:`~repro.core.client` — the VELOC-like public API.
 """

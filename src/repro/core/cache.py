@@ -21,7 +21,7 @@ import numpy as np
 from repro.clock import VirtualClock
 from repro.core.alloctable import AllocTable, Fragment
 from repro.core.lifecycle import PINNED_STATES, CkptState, Instance
-from repro.core.predict import instance_state_ts
+from repro.core.predict import NEVER, instance_state_ts
 from repro.core.scoring import (
     FragmentCost,
     ScorePolicy,
@@ -122,6 +122,12 @@ class CacheBuffer:
         """Bytes held by prefetched-but-unconsumed instances."""
         with self.monitor:
             return self._pinned_bytes
+
+    def within_budget(self, size: int, fraction: float) -> bool:
+        """Monitor held: whether ``size`` more pinned bytes keep the
+        prefetched-but-unconsumed total within ``fraction`` of the cache
+        (the prefetch budget, the paper's anti-thrashing throttle)."""
+        return self._pinned_bytes + size <= int(fraction * self.table.capacity)
 
     def scan_pinned_bytes(self) -> int:
         """O(n) recount of :meth:`pinned_bytes` (validator cross-check)."""
@@ -262,6 +268,8 @@ class CacheBuffer:
         blocking: bool = True,
         allow_pinned: bool = False,
         speculative: bool = False,
+        budget_fraction: Optional[float] = None,
+        keep_nearer: bool = False,
     ) -> Optional[float]:
         """Claim space for ``record`` and create its instance on this tier.
 
@@ -275,6 +283,15 @@ class CacheBuffer:
         copy survives on a slower tier.  ``speculative=True`` marks the new
         instance as a predicted (revocable) staging — see
         :attr:`~repro.core.lifecycle.Instance.speculative`.
+
+        The two prefetch-claim terms: ``budget_fraction`` refuses the claim
+        (``None``, like a non-blocking miss) when it would take the pinned
+        bytes past that fraction of the cache — checked in the same monitor
+        section that pins the extent, so concurrent prefetch workers cannot
+        both slip under the budget; ``keep_nearer=True`` (a store→host
+        staging) makes every unconsumed checkpoint hinted nearer than
+        ``record`` an eviction barrier, because Algorithm 1's s-score alone
+        prefers to evict exactly those.
 
         Space is claimed at the record's *stored* size for this tier: the
         physical (reduced) size at or below the reduction site, the logical
@@ -300,13 +317,20 @@ class CacheBuffer:
                     raise AllocationError(
                         f"checkpoint {record.ckpt_id} already cached in {self.name!r}"
                     )
+                if budget_fraction is not None and not self.within_budget(
+                    size, budget_fraction
+                ):
+                    return None
                 usable = self._limit()
                 limit = usable
                 if region_limit is not None:
                     limit = region_limit if limit is None else min(limit, region_limit)
                 offset = self.table.find_gap(size, limit, min_offset)
                 if offset is None:
-                    offset = self._try_evict_window(size, limit, allow_pinned, min_offset)
+                    offset = self._try_evict_window(
+                        size, limit, allow_pinned, min_offset,
+                        keep_nearer_than=record.ckpt_id if keep_nearer else None,
+                    )
                 if offset is not None:
                     now = self.clock.now()
                     inst = record.instance(self.level)
@@ -348,17 +372,25 @@ class CacheBuffer:
         return 0, self.write_boundary
 
     def _try_evict_window(
-        self, size: int, limit: Optional[int], allow_pinned: bool, min_offset: int = 0
+        self,
+        size: int,
+        limit: Optional[int],
+        allow_pinned: bool,
+        min_offset: int = 0,
+        keep_nearer_than: Optional[int] = None,
     ) -> Optional[int]:
         """Select the best window; evict it if ready.  Monitor held.
 
         Returns the gap offset on success, ``None`` if the caller must wait
-        (members not yet evictable or no admissible window).
+        (members not yet evictable or no admissible window).  With
+        ``keep_nearer_than`` (the incoming checkpoint's id) no window may
+        hold an unconsumed checkpoint hinted nearer than it.
         """
         fragments = self.table.fragments()
-        window = self.policy.select(
-            fragments, size, self._cost_fn(allow_pinned), limit, min_offset
-        )
+        cost_of = self._cost_fn(allow_pinned)
+        if keep_nearer_than is not None:
+            cost_of = self._keeping_nearer(cost_of, keep_nearer_than)
+        window = self.policy.select(fragments, size, cost_of, limit, min_offset)
         if window is None:
             return None
         if not self._window_ready(window, allow_pinned):
@@ -388,6 +420,27 @@ class CacheBuffer:
             )
         self._evict_window(window, allow_pinned)
         return self.table.find_gap(size, limit, min_offset)
+
+    def _keeping_nearer(self, cost_of, ckpt_id: int):
+        """``cost_of`` with the hints nearer than ``ckpt_id`` as barriers.
+
+        The window policy maximises the summed prefetch distance among
+        equally cheap windows; for a checkpoint staged *because* of its own
+        hint that would evict hint ``d - 1`` to bring in hint ``d`` and
+        read ``d - 1`` again.  A member's ``s`` *is* its prefetch distance
+        (:func:`fragment_cost`; unhinted members and gaps score above every
+        distance), so the memoised costs answer "hinted nearer?" without a
+        second queue lookup per fragment.  An incoming checkpoint that lost
+        its hint meanwhile evicts nothing.
+        """
+        own = self.queue.distance(ckpt_id)
+        barrier = fragment_cost(NEVER, None, 0.0)
+
+        def keeping(frag: Fragment) -> FragmentCost:
+            cost = cost_of(frag)
+            return cost if cost.barrier or (own is not None and cost.s >= own) else barrier
+
+        return keeping
 
     def _window_ready(self, window: Window, allow_pinned: bool) -> bool:
         for frag in self.table.fragments()[window.start : window.end]:

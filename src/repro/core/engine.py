@@ -2,7 +2,7 @@
 
 One :class:`ScoreEngine` per application process (one process per GPU).  It
 owns the process's GPU and host cache buffers, the flush cascade, the
-prefetch thread, the restore-order queue and the checkpoint catalog, and
+prefetch workers, the restore-order queue and the checkpoint catalog, and
 implements the blocking semantics of the problem formulation (Section 2):
 
 * ``checkpoint`` blocks only until the data is copied into the GPU cache;
@@ -18,6 +18,7 @@ implements the blocking semantics of the problem formulation (Section 2):
 from __future__ import annotations
 
 import threading
+from itertools import islice
 from typing import Optional
 
 from repro.clock import Stopwatch
@@ -1029,6 +1030,8 @@ class ScoreEngine:
         request: Optional[TransferRequest] = None,
         op=NULL_OP,
         speculative: bool = False,
+        budget_fraction: Optional[float] = None,
+        keep_nearer: bool = False,
     ) -> Optional[float]:
         """Move ``record`` one step toward the GPU: the host→GPU hop, or
         the read off a storage tier.  Monitor NOT held.
@@ -1041,9 +1044,19 @@ class ScoreEngine:
         ``op`` attributes the reserve/read/decode stages to the demanding
         restore (or the prefetch chain) when causal tracing is on.
         ``speculative`` marks the landed extents as revocable predicted
-        stagings rather than pinned hinted prefetches.
+        stagings rather than pinned hinted prefetches.  ``budget_fraction``
+        and ``keep_nearer`` are the prefetch workers' reservation terms
+        (see :meth:`CacheBuffer.reserve`), applied to every extent claimed:
+        a fused read whose GPU claim the budget refuses lands the host
+        extent alone.
         """
-        claim = dict(blocking=blocking, allow_pinned=allow_pinned, speculative=speculative)
+        claim = dict(
+            blocking=blocking,
+            allow_pinned=allow_pinned,
+            speculative=speculative,
+            budget_fraction=budget_fraction,
+            keep_nearer=keep_nearer,
+        )
         if src != TierLevel.HOST:
             return self._promote_from_store(record, src, dst, claim, request, op)
         with op.stage("reserve-gpu", CAT_RESERVE):
@@ -1176,7 +1189,7 @@ class ScoreEngine:
                 )
                 self.telemetry.bus.complete(
                     f"{stage}-chunk",
-                    f"p{self.process_id}-prefetch",
+                    self.prefetcher.tracks[dst],
                     t0,
                     self.clock.now() - t0,
                     ckpt=record.ckpt_id,
@@ -1274,7 +1287,7 @@ class ScoreEngine:
     def _sample_prefetch_distance(self, ckpt_id: int) -> int:
         """Successive upcoming hints already staged on the GPU (Fig. 7)."""
         count = 0
-        for upcoming_id in self.queue.upcoming(self.prefetcher.lookahead):
+        for upcoming_id in islice(self.queue.iter_upcoming(), self.prefetcher.lookahead):
             if upcoming_id == ckpt_id:
                 continue
             record = self.catalog.maybe_get(upcoming_id)
@@ -1296,6 +1309,7 @@ class ScoreEngine:
                     inst.try_transition(CkptState.READ_COMPLETE, now)
                 inst.try_transition(CkptState.CONSUMED, now)
             self.queue.consume(record.ckpt_id)
+            self.prefetcher.forget(record.ckpt_id)
             if self.predict is not None:
                 # Scores a pending speculation as a hit and re-ranks the
                 # predicted overlay from the freshest history.
@@ -1460,6 +1474,8 @@ class ScoreEngine:
             f"d2h={flusher.d2h_stream.depth}",
             f"h2f={flusher.h2f_stream.depth}",
         ]
+        if flusher.f2r_stream is not None:
+            depths.append(f"f2r={flusher.f2r_stream.depth}")
         if flusher.f2p_stream is not None:
             depths.append(f"f2p={flusher.f2p_stream.depth}")
         if flusher.repl_stream is not None:

@@ -20,7 +20,8 @@ All methods require the engine monitor to be held by the caller.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, TYPE_CHECKING
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, TYPE_CHECKING
 
 from repro.errors import HintError
 
@@ -93,15 +94,19 @@ class RestoreQueue:
 
     def upcoming(self, n: int) -> List[int]:
         """The next ``n`` unconsumed hinted checkpoint ids, in order."""
+        return list(islice(self.iter_upcoming(), n))
+
+    def iter_upcoming(self) -> Iterator[int]:
+        """Every unconsumed hinted checkpoint id, nearest first, lazily: a
+        caller that stops early (the prefetcher's horizon) pays only for
+        the entries it looked at.  Must be exhausted or dropped before the
+        monitor is released."""
         self._advance_head()
-        out: List[int] = []
-        idx = self._head
-        while idx < len(self._order) and len(out) < n:
-            ckpt_id = self._order[idx]
-            if ckpt_id not in self._consumed:
-                out.append(ckpt_id)
-            idx += 1
-        return out
+        order, consumed = self._order, self._consumed
+        for idx in range(self._head, len(order)):
+            ckpt_id = order[idx]
+            if ckpt_id not in consumed:
+                yield ckpt_id
 
     def distance(self, ckpt_id: int) -> Optional[int]:
         """Prefetch distance from the head; ``None`` when unhinted.

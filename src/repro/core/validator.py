@@ -10,6 +10,7 @@ consistency properties the design relies on:
   extent implies a copy below; a ``READ_COMPLETE`` extent holds a copy);
 * no unconsumed checkpoint exists whose *only* copy is mid-flight;
 * the restore queue's unconsumed hints reference known or future ids;
+* every cached prefetch-chain op belongs to a known, unconsumed checkpoint;
 * with reduction enabled: per-tier chunk refcounts match the live images
   attached to each tier exactly, the engine-wide registry holds no orphaned
   chunks, and no delta chain exceeds the configured depth bound.
@@ -41,6 +42,7 @@ def validate_engine(engine: "ScoreEngine") -> None:
         _check_tables(engine)
         _check_instances(engine)
         _check_copies(engine)
+        _check_prefetch_chains(engine)
         if engine.reducer is not None:
             _check_reduction(engine)
 
@@ -121,6 +123,18 @@ def _check_copies(engine: "ScoreEngine") -> None:
             raise InvariantViolation(
                 f"checkpoint {record.ckpt_id} marked durable on "
                 f"{record.durable_level.name} but absent from its store"
+            )
+
+
+def _check_prefetch_chains(engine: "ScoreEngine") -> None:
+    """A chain op outliving its checkpoint's restore is a leak: one entry
+    per checkpoint for the life of the engine."""
+    for ckpt_id in engine.prefetcher.open_chains():
+        record = engine.catalog.maybe_get(ckpt_id)
+        if record is None or record.consumed:
+            raise InvariantViolation(
+                f"prefetch chain op cached for checkpoint {ckpt_id}, which is "
+                f"{'unknown' if record is None else 'already consumed'}"
             )
 
 

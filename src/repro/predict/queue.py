@@ -28,7 +28,7 @@ monitor.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.restore_queue import RestoreQueue
 from repro.errors import HintError
@@ -121,11 +121,9 @@ class SyntheticRestoreQueue(RestoreQueue):
             return explicit
         return self._syn_order[0] if self._syn_order else None
 
-    def upcoming(self, n: int) -> List[int]:
-        out = super().upcoming(n)
-        if len(out) < n and self._syn_order:
-            out.extend(self._syn_order[: n - len(out)])
-        return out
+    def iter_upcoming(self) -> Iterator[int]:
+        yield from super().iter_upcoming()
+        yield from self._syn_order
 
     def distance(self, ckpt_id: int) -> Optional[int]:
         explicit = super().distance(ckpt_id)

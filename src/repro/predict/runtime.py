@@ -11,7 +11,7 @@ speculation suspended the overlay is kept empty — restores fall back to
 demand-only promotion until the window passes.
 
 Every method must be called under the engine monitor; the engine and the
-prefetch thread both already hold it at the hook sites.
+prefetch workers both already hold it at the hook sites.
 """
 
 from __future__ import annotations

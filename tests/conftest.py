@@ -85,6 +85,12 @@ class FaultClock:
         return self.t
 
 
+def quiesce(engine):
+    """Block until the prefetcher has nothing left it may do."""
+    with engine.monitor:
+        assert engine.monitor.wait_for(engine.prefetcher.idle, virtual_timeout=600.0)
+
+
 def make_buffer(context, nominal_size=128 * MiB, seed=0):
     """An application device buffer filled with seeded random bytes."""
     buf = context.device.alloc_buffer(nominal_size)

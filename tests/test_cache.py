@@ -174,6 +174,61 @@ class TestReserve:
         assert cache.reserve(make_record(2), CkptState.WRITE_IN_PROGRESS, blocking=False) is None
 
 
+class TestPrefetchClaims:
+    """The prefetch workers' reservation terms: ``keep_nearer`` (staging
+    claims) and ``budget_fraction`` (every prefetch claim)."""
+
+    def _full(self, hinted):
+        """A 4-slot cache of FLUSHED checkpoints 0..3, hints in the order given."""
+        cache = make_cache()
+        fill_flushed(cache, 4)
+        for ckpt_id in hinted:
+            cache.queue.enqueue(ckpt_id)
+        return cache
+
+    def _claim(self, cache, ckpt_id, **terms):
+        record = make_record(ckpt_id)
+        record.durable_level = TierLevel.SSD
+        return cache.reserve(record, CkptState.READ_IN_PROGRESS, blocking=False, **terms)
+
+    def _cached(self, cache):
+        return sorted(f.record.ckpt_id for f in cache.table.fragments() if not f.is_gap)
+
+    def test_algorithm_1_alone_evicts_a_nearer_hint(self):
+        """Why the barrier exists: every member is evictable at no cost, so
+        the s-score decides and the claim takes the farthest cached hint —
+        which the incoming checkpoint is hinted *behind*."""
+        cache = self._full(hinted=[0, 1, 2, 3, 9])
+        assert self._claim(cache, 9) == 0.0
+        assert self._cached(cache) == [0, 1, 2, 9] and cache.evictions == 1
+
+    def test_staging_claim_keeps_every_nearer_hint(self):
+        cache = self._full(hinted=[0, 1, 2, 3, 9])
+        assert self._claim(cache, 9, keep_nearer=True) is None
+        # An incoming checkpoint with no hint of its own keeps everything.
+        assert self._claim(cache, 7, keep_nearer=True) is None
+        assert self._cached(cache) == [0, 1, 2, 3] and cache.evictions == 0
+
+    def test_staging_claim_may_evict_farther_unhinted_and_consumed(self):
+        cache = self._full(hinted=[0, 1, 9, 2])  # 3 is unhinted
+        assert self._claim(cache, 9, keep_nearer=True) == 0.0
+        assert self._cached(cache) == [0, 1, 2, 9]  # unhinted goes first
+        assert self._claim(cache, 3, keep_nearer=True) is None  # 3 has no hint
+        cache.queue.enqueue(8)
+        assert self._claim(cache, 8, keep_nearer=True) is None  # 0, 1, 2 nearer; 9 in flight
+        cache.queue.consume(0)  # a consumed checkpoint is nobody's nearer hint
+        assert self._claim(cache, 8, keep_nearer=True) == 0.0
+        assert self._cached(cache) == [1, 2, 8, 9]
+
+    def test_budget_is_enforced_inside_the_claim(self):
+        cache = self._full(hinted=[9, 8, 0, 1, 2, 3])
+        assert cache.within_budget(SLOT, 0.25) and not cache.within_budget(2 * SLOT, 0.25)
+        assert self._claim(cache, 9, budget_fraction=0.25) == 0.0  # one slot pinned
+        assert self._claim(cache, 8, budget_fraction=0.25) is None
+        assert self._claim(cache, 8, budget_fraction=0.5) == 0.0
+        assert cache.evictions == 2 and cache.pinned_bytes() == 2 * SLOT
+
+
 class TestSplitRegions:
     def test_write_and_prefetch_partitions(self):
         cache = make_cache(capacity_slots=4)

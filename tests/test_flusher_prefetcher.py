@@ -1,5 +1,6 @@
 """Flush cascade and prefetcher mechanics."""
 
+import threading
 
 from repro.core.engine import ScoreEngine
 from repro.core.lifecycle import CkptState
@@ -106,6 +107,12 @@ class TestPrefetcher:
             assert e.source_level in ("HOST", "SSD", "PFS")
 
     def test_stop_terminates_thread(self, context):
+        def workers():
+            return sorted(
+                t.name for t in threading.enumerate() if t.name.startswith("prefetcher-p0-")
+            )
+
         eng = ScoreEngine(context)
-        eng.close()
-        assert not eng.prefetcher._thread.is_alive()
+        assert workers() == ["prefetcher-p0-gpu", "prefetcher-p0-host"]  # one per hop
+        eng.close()  # stop() joins every worker
+        assert workers() == []

@@ -28,7 +28,7 @@ from repro.errors import CheckpointNotFound, TransientTransferError
 from repro.tiers.base import TierLevel
 from repro.tiers.topology import Cluster
 from repro.util.units import MiB
-from tests.conftest import FaultClock, both_chunk_plans, make_buffer, tiny_config
+from tests.conftest import FaultClock, both_chunk_plans, make_buffer, quiesce, tiny_config
 
 CKPT = 128 * MiB
 GPU, HOST, SSD = TierLevel.GPU, TierLevel.HOST, TierLevel.SSD
@@ -63,18 +63,6 @@ def _state(record, level):
     return None if inst is None else inst.state
 
 
-def _quiesce(engine):
-    """Block until the prefetcher has nothing left it may do."""
-
-    def idle():
-        return engine.prefetcher._pick_task() is None and not any(
-            r.prefetch_inflight for r in engine.catalog.all_records()
-        )
-
-    with engine.monitor:
-        assert engine.monitor.wait_for(idle, virtual_timeout=600.0)
-
-
 class _OneShotFault:
     """A link fault injector that fails the next transfer halfway."""
 
@@ -102,7 +90,7 @@ class TestFusedLanding:
             reads_before = registry.counter("tier.ssd.read_ops").value
             engine.prefetch_enqueue(0)
             engine.prefetch_start()
-            _quiesce(engine)
+            quiesce(engine)
             engine.prefetcher.stop()  # joins: the step's counters are final
             assert engine.prefetcher.promotions == 1
             assert _state(record, GPU) is CkptState.READ_COMPLETE
@@ -232,10 +220,17 @@ def _hinted_placement(stream):
         for v in range(24):
             engine.checkpoint(v, make_buffer(ctx, CKPT, seed=v))
         engine.wait_for_flushes(timeout=600.0)
+        # Start from the SSD alone: which extents the writes racing the
+        # flushes left cached depends on thread timing, and the staging
+        # worker — which runs past the first hint the GPU budget refuses —
+        # would stage whatever that race left out.
+        for record in engine.catalog.all_records():
+            engine.gpu_cache.release(record)
+            engine.host_cache.release(record)
         for v in range(24):
             engine.prefetch_enqueue(v)
         engine.prefetch_start()
-        _quiesce(engine)
+        quiesce(engine)
         engine.prefetcher.stop()
         staged = {
             level: sorted(

@@ -125,7 +125,7 @@ def test_admission_off_never_intervenes():
 def test_wait_for_flushes_timeout_diagnostics():
     with sched_cluster() as cluster:
         context = cluster.process_contexts()[0]
-        with ScoreEngine(context) as engine:
+        with ScoreEngine(context, flush_to_pfs=True) as engine:
             release = threading.Event()
             engine.flusher.d2h_stream.submit(lambda: release.wait(10), label="hold")
             try:
@@ -137,6 +137,8 @@ def test_wait_for_flushes_timeout_diagnostics():
             assert "still pending" in message
             assert "d2h=" in message  # stream depths are in the diagnostics
             assert "h2f=" in message
+            # The PFS leg's two streams: the SSD read-back and the PFS write.
+            assert "f2r=" in message and "f2p=" in message
             with pytest.raises(ValueError):
                 engine.wait_for_flushes(timeout=-1.0)
             # Once the stall clears, the same call drains normally.
