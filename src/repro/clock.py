@@ -57,12 +57,17 @@ class VirtualClock:
         return (time.monotonic() - self._origin) / self.time_scale
 
     # -- sleeping / waiting -----------------------------------------------
-    def sleep(self, virtual_seconds: float) -> None:
-        """Block the calling thread for ``virtual_seconds`` of nominal time."""
+    def sleep(
+        self, virtual_seconds: float, cancelled: Optional[threading.Event] = None
+    ) -> bool:
+        """Block the calling thread for ``virtual_seconds`` of nominal time.
+
+        With ``cancelled``, the sleep wakes as soon as the event fires (a
+        coalesced link span can be long; a cancellation must not wait it
+        out) and returns ``True`` when it was cut short; otherwise ``False``.
+        """
         if virtual_seconds < 0:
             raise ValueError(f"negative sleep: {virtual_seconds}")
-        if virtual_seconds == 0:
-            return
         deadline = time.monotonic() + self.to_real(virtual_seconds)
         # Coarse sleep down to the spin threshold, then spin the remainder.
         # OS sleeps overshoot by tens of microseconds, which at small
@@ -71,10 +76,24 @@ class VirtualClock:
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                return
-            if remaining > SPIN_THRESHOLD:
-                time.sleep(remaining - SPIN_THRESHOLD)
+                return cancelled is not None and cancelled.is_set()
+            if cancelled is None:
+                if remaining > SPIN_THRESHOLD:
+                    time.sleep(remaining - SPIN_THRESHOLD)
+            elif remaining > SPIN_THRESHOLD:
+                if cancelled.wait(remaining - SPIN_THRESHOLD):
+                    return True
+            elif cancelled.is_set():
+                return True
             # else: spin (loop re-checks the deadline immediately)
+
+    def wait(
+        self, cond: threading.Condition, virtual_timeout: Optional[float] = None
+    ) -> bool:
+        """``Condition.wait`` with the timeout given in nominal seconds (the
+        condition's lock must already be held).  Every timed wait in the
+        runtime goes through here or :meth:`wait_for`."""
+        return cond.wait(None if virtual_timeout is None else self.to_real(virtual_timeout))
 
     def wait_for(
         self,

@@ -518,7 +518,7 @@ class ScoreEngine:
         op=NULL_OP,
     ) -> Optional[TransferRequest]:
         """A QoS-tagged transfer request, or ``None`` when scheduling is off
-        (untagged transfers always take the legacy FIFO path).  ``op`` ties
+        (untagged transfers take the link's own FIFO arbiter).  ``op`` ties
         the transfer's sched queue wait to its operation's span DAG."""
         if not self.sched.enabled:
             return None
@@ -1161,7 +1161,6 @@ class ScoreEngine:
         pipeline = ChunkPipeline(
             record.ckpt_id,
             self.chunks_for(record.stored_size(src)) if to_gpu else 1,
-            self.config.stream.ring_chunks,
             self.clock,
             crashed=self.crashed,
         )
@@ -1170,35 +1169,14 @@ class ScoreEngine:
             pipeline.add_stage("h2d")
 
         def charge(stage: str, tier: str, chunk: int, nbytes: int, transfer) -> float:
-            """Charge one chunk on its link, then publish it downstream.
-            As in ``Flusher._charge_chunk``, occupancy accounting and the
-            ``<stage>-chunk`` slice exist on multi-chunk plans only."""
-            if pipeline.chunks == 1:
-                seconds = transfer(nbytes, request=request)
-            else:
-                t0 = self.clock.now()
-                pipeline.enter_chunk()
-                try:
-                    seconds = transfer(nbytes, request=request)
-                finally:
-                    pipeline.exit_chunk()
-                causal = (
-                    {"op_id": op.op_id, "category": CAT_TRANSFER, "tier": tier}
-                    if op.op_id is not None
-                    else {}
-                )
-                self.telemetry.bus.complete(
-                    f"{stage}-chunk",
-                    self.prefetcher.tracks[dst],
-                    t0,
-                    self.clock.now() - t0,
-                    ckpt=record.ckpt_id,
-                    chunk=chunk,
-                    bytes=nbytes,
-                    **causal,
-                )
-            pipeline.publish(stage, chunk)
-            return seconds
+            """Charge one chunk on its link as the pipeline's chunk step."""
+            causal = {}
+            if op.op_id is not None:
+                causal = {"op_id": op.op_id, "category": CAT_TRANSFER, "tier": tier}
+            return pipeline.charge_chunk(
+                stage, chunk, nbytes, lambda: transfer(nbytes, request=request),
+                self.telemetry.bus, self.prefetcher.tracks[dst], causal,
+            )
 
         h2d_seconds = 0.0
 

@@ -206,7 +206,6 @@ class Flusher:
         pipeline = ChunkPipeline(
             record.ckpt_id,
             engine.chunks_for(record.wire_size(TierLevel.GPU, TierLevel.HOST)),
-            engine.config.stream.ring_chunks,
             engine.clock,
             cancelled=record.cancel_flush,
             crashed=engine.crashed,
@@ -528,34 +527,12 @@ class Flusher:
         breaker=None,
     ) -> None:
         """Charge one chunk on its link (retrying transient faults, feeding
-        ``breaker``), then publish it to the downstream stage.
-
-        Occupancy accounting and the ``<stage>-chunk`` slice exist on
-        multi-chunk pipelines only: a whole-object flush is one chunk, which
-        its stage span already covers.
-        """
-        if pipeline.chunks == 1:
-            self._retrying(stage, record, charge, breaker=breaker)
-        else:
-            clock = self.engine.clock
-            t0 = clock.now()
-            pipeline.enter_chunk()
-            try:
-                self._retrying(stage, record, charge, breaker=breaker)
-            finally:
-                pipeline.exit_chunk()
-            # One chunk slice, nested under the stage span on the same track.
-            self.telemetry.bus.complete(
-                f"{stage}-chunk",
-                self._tracks[stage],
-                t0,
-                clock.now() - t0,
-                ckpt=record.ckpt_id,
-                chunk=chunk,
-                bytes=nbytes,
-                **self._causal(self._op(record), tier),
-            )
-        pipeline.publish(stage, chunk)
+        ``breaker``) as the pipeline's chunk step."""
+        pipeline.charge_chunk(
+            stage, chunk, nbytes,
+            lambda: self._retrying(stage, record, charge, breaker=breaker),
+            self.telemetry.bus, self._tracks[stage], self._causal(self._op(record), tier),
+        )
 
     def _account_stream(self, pipeline: ChunkPipeline) -> None:
         """Roll one finished multi-chunk pipeline into the occupancy gauges."""
@@ -1020,7 +997,7 @@ class Flusher:
                         # Rerouted, or the writer already abandoned (and
                         # counted) the upgrade: reading on is waste.
                         return True
-                    if not pipeline.throttle(stage, i):
+                    if not pipeline.throttle(stage, i, engine.config.stream.ring_chunks):
                         raise TransferError("stream interrupted")
                     # This read-back shares the read link with demand
                     # restores — the QoS tag keeps it behind them.  Retried

@@ -14,7 +14,7 @@ writes, the GPU (and host) extent a promotion reserved — each holds the
 whole object, so the stage runs at its own link's pace.  The one edge whose
 bytes live in a bounded bounce buffer is the SSD read-back ``f2r`` feeding
 the PFS writer ``f2p``; there the producer calls :meth:`throttle` and parks
-once it runs :attr:`ring` chunks ahead.
+once it runs ``ring`` chunks ahead.
 
 The pipeline is pure coordination: payload bytes are still written whole
 at each stage's commit (the simulator charges transfer *time* per chunk,
@@ -74,14 +74,12 @@ class ChunkPipeline:
         self,
         ckpt_id: int,
         chunks: int,
-        ring: int,
         clock: VirtualClock,
         cancelled: Optional[threading.Event] = None,
         crashed: Optional[threading.Event] = None,
     ) -> None:
         self.ckpt_id = ckpt_id
         self.chunks = chunks
-        self.ring = ring
         self.clock = clock
         self.cancelled = cancelled
         self.crashed = crashed
@@ -247,10 +245,10 @@ class ChunkPipeline:
 
         return self._stalled_wait(stage, ready)
 
-    def throttle(self, stage: str, chunk: int) -> bool:
+    def throttle(self, stage: str, chunk: int, ring: int) -> bool:
         """Bounce-ring backpressure, for a stage whose output lives in a
         bounded buffer (the flush cascade's ``f2r``): park until the
-        downstream consumer is within :attr:`ring` chunks of ``chunk``.  A
+        downstream consumer is within ``ring`` chunks of ``chunk``.  A
         failed/skipped downstream releases the producer (``True`` — the
         producer keeps going)."""
         downstream = self.downstream_of(stage)
@@ -260,11 +258,39 @@ class ChunkPipeline:
         def ready():
             if self._failed[downstream] or self._skipped[downstream]:
                 return True
-            if chunk - self._done[downstream] < self.ring:
+            if chunk - self._done[downstream] < ring:
                 return True
             return None
 
         return self._stalled_wait(stage, ready)
+
+    # -- the chunk step -------------------------------------------------------
+    def charge_chunk(
+        self, stage: str, chunk: int, nbytes: int, charge, bus, track: str, causal: dict
+    ):
+        """The one pipeline chunk step: run ``charge()`` (chunk ``chunk`` of
+        ``stage`` on its link), publish it downstream, return its result.
+
+        Occupancy accounting and the ``<stage>-chunk`` slice (on ``track``,
+        nested under the stage span, carrying ``causal``) exist on
+        multi-chunk plans only: a whole-object transfer is one chunk, which
+        its stage span already covers.
+        """
+        if self.chunks == 1:
+            result = charge()
+        else:
+            t0 = self.clock.now()
+            self.enter_chunk()
+            try:
+                result = charge()
+            finally:
+                self.exit_chunk()
+            bus.complete(
+                f"{stage}-chunk", track, t0, self.clock.now() - t0,
+                ckpt=self.ckpt_id, chunk=chunk, bytes=nbytes, **causal,
+            )
+        self.publish(stage, chunk)
+        return result
 
     # -- occupancy accounting ----------------------------------------------
     def enter_chunk(self) -> None:

@@ -44,12 +44,10 @@ class Monitor:
     def wait(self, virtual_timeout: Optional[float] = None) -> None:
         """Release the monitor and sleep until notified (or timeout, given
         in nominal seconds).  The monitor must be held."""
-        real = None if virtual_timeout is None else self._clock.to_real(virtual_timeout)
-        self._cond.wait(timeout=real)
+        self._clock.wait(self._cond, virtual_timeout)
 
     def wait_for(
         self, predicate: Callable[[], bool], virtual_timeout: Optional[float] = None
     ) -> bool:
         """``Condition.wait_for`` in nominal time.  The monitor must be held."""
-        real = None if virtual_timeout is None else self._clock.to_real(virtual_timeout)
-        return self._cond.wait_for(predicate, timeout=real)
+        return self._clock.wait_for(self._cond, predicate, virtual_timeout)

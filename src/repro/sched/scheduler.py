@@ -177,7 +177,7 @@ class LinkScheduler:
                         self.admission_blocks += 1
                         self._m_admission.inc()
                         first = False
-                    self._cond.wait(self.clock.to_real(_WAIT_GUARD))
+                    self.clock.wait(self._cond, _WAIT_GUARD)
                 if not first and bus.enabled:
                     bus.instant(
                         "sched-admission-block", self._track,
@@ -203,14 +203,20 @@ class LinkScheduler:
             self._cond.notify_all()
         return entry
 
-    def acquire(self, entry: _Entry) -> None:
-        """Block until ``entry`` is granted the link slot.
+    def grant_bytes(self, entry: _Entry, remaining: int) -> int:
+        """Bytes the next grant to ``entry`` may carry: one quantum."""
+        return min(remaining, self.quantum)
+
+    def acquire(self, entry: _Entry) -> float:
+        """Block until ``entry`` is granted the link slot; returns the
+        nominal seconds it spent parked (exactly 0.0 when granted at once).
 
         Raises :class:`TransferError` when the entry's cancellation event
         fires while it waits — this is what makes a preempted (or abandoned)
         transfer abort with *zero* further progress.
         """
         cancel = entry.request.cancel_event
+        parked_at: Optional[float] = None
         with self._cond:
             entry.waiting = True
             try:
@@ -243,8 +249,10 @@ class LinkScheduler:
                                     category="queue",
                                     cls=entry.request.tclass.name,
                                 )
-                        return
-                    self._cond.wait(self.clock.to_real(self._wait_hint()))
+                        return 0.0 if parked_at is None else self.clock.now() - parked_at
+                    if parked_at is None:
+                        parked_at = self.clock.now()
+                    self.clock.wait(self._cond, self._wait_hint())
             except BaseException:
                 entry.waiting = False
                 raise

@@ -4,26 +4,31 @@ A :class:`Link` represents one finite-bandwidth resource: a PCIe Gen 4 link
 (shared by two GPUs on a DGX-A100), the per-GPU HBM fabric, a node-local
 NVMe drive, or a node's share of the parallel file system.
 
-Contention model: a transfer is split into fixed-size nominal chunks and the
-chunks of concurrent transfers interleave through a FIFO mutex.  Two steady
-concurrent users therefore each observe ~half the link bandwidth — the
-behaviour the paper's scalability study depends on — while head-of-line
-blocking is bounded by one chunk.  The per-transfer ``latency`` models
-command submission cost and is paid once per transfer, outside the mutex.
+There is one transfer loop (:meth:`Link.transfer`) and it runs over an
+*arbiter* that grants the link one span at a time.  The link's own arbiter
+(:class:`_FifoArbiter`) is the contention model of the paper's scalability
+study: a transfer is split into fixed-size nominal chunks and the chunks of
+concurrent transfers interleave through a FIFO mutex, so two steady
+concurrent users each observe ~half the link bandwidth while head-of-line
+blocking is bounded by one chunk.  A transfer tagged with a QoS request on a
+link that carries a :class:`repro.sched.LinkScheduler` is granted by that
+arbiter instead (priority/WFQ order, bounded quanta).  The per-transfer
+``latency`` models command submission cost and is paid once per transfer,
+outside the slot.
 
 The link also keeps running totals (``busy_time``, ``bytes_moved``,
-``pending_bytes``) used both for metrics and by the Score runtime's
-``predict_evictable`` estimator (Section 4.2: the estimation accounts for
-"other enqueued flushes and prefetches that compete for bandwidth").
+``pending_bytes``), exact after every span, used both for metrics and by the
+Score runtime's ``predict_evictable`` estimator (Section 4.2: the estimation
+accounts for "other enqueued flushes and prefetches that compete for
+bandwidth").
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import Optional, TYPE_CHECKING
 
-from repro.clock import SPIN_THRESHOLD, VirtualClock
+from repro.clock import VirtualClock
 from repro.errors import ConfigError, TransferError
 from repro.util.units import MiB
 
@@ -31,10 +36,42 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sched.request import TransferRequest
     from repro.sched.scheduler import LinkScheduler
 
-#: Contended transfers fold this many chunks of stats into one lock
-#: acquisition; the batch is always flushed when the transfer finishes (or
-#: is cancelled), so ``pending_bytes`` drifts by at most one batch.
-STATS_BATCH_CHUNKS = 8
+
+class _FifoArbiter:
+    """The link's own arbitration, answering the calls a
+    :class:`repro.sched.LinkScheduler` answers: one class, no admission, no
+    preemption — whoever reaches the mutex first holds the link for a span."""
+
+    def __init__(self, link: "Link") -> None:
+        self._link = link
+        self._mutex = threading.Lock()
+
+    def open(self, request, nbytes: int) -> None:
+        return None
+
+    def grant_bytes(self, entry, remaining: int) -> int:
+        # Adaptive coalescing: when this is the only transfer in flight,
+        # interleaving chunks through the mutex buys nothing — move the
+        # whole remainder in one span.  Under contention the per-chunk
+        # interleave (and its halved-throughput semantics) is preserved.
+        link = self._link
+        with link._stats_lock:
+            alone = link._active == 1
+        return remaining if alone else min(remaining, link.chunk_size)
+
+    def acquire(self, entry) -> float:
+        if self._mutex.acquire(blocking=False):
+            return 0.0  # nobody queued: no wait to measure
+        clock = self._link._clock
+        queued_at = clock.now()
+        self._mutex.acquire()
+        return clock.now() - queued_at
+
+    def release(self, entry, served: int) -> None:
+        self._mutex.release()
+
+    def finish(self, entry) -> None:
+        pass
 
 
 class Link:
@@ -64,13 +101,13 @@ class Link:
         #: in priority/WFQ order in bounded quanta instead of the FIFO chunk
         #: interleave.  Attached by :class:`repro.sched.SchedContext`.
         self.scheduler: Optional["LinkScheduler"] = None
+        self._fifo = _FifoArbiter(self)
         #: optional fault source (:class:`repro.faults.LinkFaultInjector`);
         #: when attached (by :class:`repro.faults.FaultDomain`), transfers
         #: may fail mid-flight with :class:`TransientTransferError` after a
         #: deterministically-drawn fraction of their bytes — the moved
         #: bytes stay charged on the virtual clock and the link stats.
         self.fault_injector = None
-        self._mutex = threading.Lock()
         self._stats_lock = threading.Lock()
         self._busy_time = 0.0
         self._bytes_moved = 0
@@ -121,23 +158,27 @@ class Link:
 
         Returns the *accounted* nominal duration: submission latency, plus
         bytes over bandwidth, plus the time spent queued behind other
-        transfers' chunks.  The accounted figure is what callers should
-        charge to blocking-time metrics — it excludes the Python-level
-        bookkeeping around the sleeps, which at aggressive ``time_scale``
-        would otherwise dominate short transfers when measured by wall
-        clock.
+        transfers' spans.  Queue wait is measured only when there was a
+        queue — a grant nobody contends for accounts exactly zero — so the
+        figure excludes the Python-level bookkeeping around the sleeps,
+        which at aggressive ``time_scale`` would otherwise dominate short
+        transfers when measured by wall clock.  It is what callers should
+        charge to blocking-time metrics.
 
-        If ``cancelled`` is set while chunks remain, raises
+        If ``cancelled`` is set while bytes remain, raises
         :class:`TransferError` — the flusher uses this to abandon flushes of
         consumed checkpoints (condition (5) of the problem formulation).
         Cancellation is honoured *before any progress is made* (including
         the latency span and zero-byte transfers), so an already-cancelled
-        transfer aborts immediately.
+        transfer aborts immediately; a span it cuts short moved no bytes.
 
-        When a :class:`repro.sched.LinkScheduler` is attached and the caller
-        tags the transfer with a ``request``, arbitration replaces the FIFO
-        chunk interleave (see :meth:`_transfer_scheduled`); ``request``'s
-        cancellation event then also cancels this transfer (preemption).
+        The link is granted span by span by an arbiter: the attached
+        :class:`repro.sched.LinkScheduler` when the caller tags the transfer
+        with a ``request`` (whose cancellation event then also cancels this
+        transfer: preemption), the FIFO chunk interleave otherwise.
+        Admission (``open``, which may shed or block) runs before any bytes
+        are announced as pending, so a shed transfer never perturbs the
+        flush/prefetch estimator that reads ``pending_bytes``.
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
@@ -145,181 +186,61 @@ class Link:
             cancelled = request.cancel_event
         if cancelled is not None and cancelled.is_set():
             # Zero-progress abort: no pending-byte accounting to undo.
-            raise TransferError(
-                f"transfer of {nbytes} bytes on link {self.name!r} cancelled"
-            )
+            raise self._cancelled(nbytes)
         fail_after = None
         if self.fault_injector is not None and nbytes > 0:
             fail_after = self.fault_injector.draw(nbytes)
-        if self.scheduler is not None and request is not None:
-            return self._transfer_scheduled(nbytes, cancelled, request, fail_after)
+        arbiter = self.scheduler
+        if arbiter is None or request is None:
+            arbiter = self._fifo
+        entry = arbiter.open(request, nbytes)
         with self._stats_lock:
             self._pending_bytes += nbytes
             self._transfers += 1
             self._active += 1
         remaining = nbytes
         accounted = 0.0
-        moved_unflushed = 0
-        busy_unflushed = 0.0
-        batch = STATS_BATCH_CHUNKS * self.chunk_size
+        sleep = self._clock.sleep
         try:
             if self.latency:
-                if self._sleep_span(self.latency, cancelled):
-                    raise TransferError(
-                        f"transfer of {nbytes} bytes on link {self.name!r} cancelled"
-                    )
+                if sleep(self.latency, cancelled):
+                    raise self._cancelled(nbytes)
                 accounted += self.latency
             per_byte = 1.0 / self.bandwidth
             while remaining > 0:
                 if cancelled is not None and cancelled.is_set():
-                    raise TransferError(
-                        f"transfer of {nbytes} bytes on link {self.name!r} cancelled"
-                    )
-                if fail_after is not None and nbytes - remaining >= fail_after:
-                    raise self.fault_injector.fault(nbytes, nbytes - remaining)
-                # Adaptive coalescing: when this is the only transfer in
-                # flight, interleaving chunks through the mutex buys nothing
-                # — move the whole remainder in one span.  Under contention
-                # the per-chunk interleave (and its halved-throughput
-                # semantics) is preserved.
-                with self._stats_lock:
-                    alone = self._active == 1
-                span = remaining if alone else min(remaining, self.chunk_size)
+                    raise self._cancelled(nbytes)
+                moved = nbytes - remaining
+                if fail_after is not None and moved >= fail_after:
+                    raise self.fault_injector.fault(nbytes, moved)
+                span = arbiter.grant_bytes(entry, remaining)
                 if fail_after is not None:
-                    span = min(span, fail_after - (nbytes - remaining))
-                queued_at = self._clock.now()
-                with self._mutex:
-                    accounted += self._clock.now() - queued_at  # contention
-                    if self._sleep_span(span * per_byte, cancelled):
-                        raise TransferError(
-                            f"transfer of {nbytes} bytes on link {self.name!r} "
-                            "cancelled"
-                        )
-                accounted += span * per_byte
-                busy_unflushed += span * per_byte
-                moved_unflushed += span
-                remaining -= span
-                if moved_unflushed >= batch:
-                    with self._stats_lock:
-                        self._busy_time += busy_unflushed
-                        self._bytes_moved += moved_unflushed
-                        self._pending_bytes -= moved_unflushed
-                    moved_unflushed = 0
-                    busy_unflushed = 0.0
-        finally:
-            with self._stats_lock:
-                self._active -= 1
-                self._busy_time += busy_unflushed
-                self._bytes_moved += moved_unflushed
-                # release both moved-but-unflushed and (if cancelled) unmoved
-                self._pending_bytes -= moved_unflushed + remaining
-        return accounted
-
-    def _transfer_scheduled(
-        self,
-        nbytes: int,
-        cancelled: Optional[threading.Event],
-        request: "TransferRequest",
-        fail_after: Optional[int] = None,
-    ) -> float:
-        """Arbitrated transfer: the scheduler grants the link in quanta.
-
-        Each quantum (at most ``scheduler.quantum`` bytes) is acquired from
-        the arbiter, slept, and released — so priority classes, WFQ shares
-        and token buckets are enforced between quanta, and a preemption
-        (the request's cancellation event) interrupts even mid-quantum via
-        :meth:`_sleep_span`.  Admission control runs in ``open`` before any
-        bytes are announced as pending.  Stats accounting matches the FIFO
-        path: grant waits count as contention in the accounted duration.
-        """
-        sched = self.scheduler
-        assert sched is not None
-        # Admission first: a shed transfer must not perturb pending_bytes
-        # (the Score runtime's flush/prefetch estimator reads it).
-        entry = sched.open(request, nbytes)
-        with self._stats_lock:
-            self._pending_bytes += nbytes
-            self._transfers += 1
-            self._active += 1
-        remaining = nbytes
-        accounted = 0.0
-        moved_unflushed = 0
-        busy_unflushed = 0.0
-        batch = STATS_BATCH_CHUNKS * self.chunk_size
-        try:
-            if self.latency:
-                if self._sleep_span(self.latency, cancelled):
-                    raise TransferError(
-                        f"transfer of {nbytes} bytes on link {self.name!r} cancelled"
-                    )
-                accounted += self.latency
-            per_byte = 1.0 / self.bandwidth
-            while remaining > 0:
-                if cancelled is not None and cancelled.is_set():
-                    raise TransferError(
-                        f"transfer of {nbytes} bytes on link {self.name!r} cancelled"
-                    )
-                if fail_after is not None and nbytes - remaining >= fail_after:
-                    raise self.fault_injector.fault(nbytes, nbytes - remaining)
-                span = min(remaining, sched.quantum)
-                if fail_after is not None:
-                    span = min(span, fail_after - (nbytes - remaining))
-                queued_at = self._clock.now()
-                sched.acquire(entry)  # raises TransferError when cancelled
+                    span = min(span, fail_after - moved)
+                busy = span * per_byte
+                accounted += arbiter.acquire(entry)  # raises TransferError when cancelled
                 served = 0
                 try:
-                    accounted += self._clock.now() - queued_at  # arbitration wait
-                    if self._sleep_span(span * per_byte, cancelled):
-                        raise TransferError(
-                            f"transfer of {nbytes} bytes on link {self.name!r} "
-                            "cancelled"
-                        )
+                    if sleep(busy, cancelled):
+                        raise self._cancelled(nbytes)
                     served = span
-                finally:
-                    sched.release(entry, served)
-                accounted += span * per_byte
-                busy_unflushed += span * per_byte
-                moved_unflushed += span
-                remaining -= span
-                if moved_unflushed >= batch:
+                    # Stats move with the bytes, while the slot is held.
                     with self._stats_lock:
-                        self._busy_time += busy_unflushed
-                        self._bytes_moved += moved_unflushed
-                        self._pending_bytes -= moved_unflushed
-                    moved_unflushed = 0
-                    busy_unflushed = 0.0
+                        self._busy_time += busy
+                        self._bytes_moved += span
+                        self._pending_bytes -= span
+                    remaining -= span
+                    accounted += busy
+                finally:
+                    arbiter.release(entry, served)
         finally:
-            sched.finish(entry)
+            arbiter.finish(entry)
             with self._stats_lock:
                 self._active -= 1
-                self._busy_time += busy_unflushed
-                self._bytes_moved += moved_unflushed
-                self._pending_bytes -= moved_unflushed + remaining
+                self._pending_bytes -= remaining  # unmoved (cancelled, faulted)
         return accounted
 
-    def _sleep_span(
-        self, virtual_seconds: float, cancelled: Optional[threading.Event]
-    ) -> bool:
-        """Sleep a virtual span, waking early if ``cancelled`` fires.
-
-        Returns ``True`` when the span was cut short by cancellation.
-        Coalesced spans can be long, so a cancellation must not have to wait
-        for the whole span — ``Event.wait`` gives the wake-up, with the same
-        short spin tail as :meth:`VirtualClock.sleep` for timing precision.
-        """
-        if cancelled is None:
-            self._clock.sleep(virtual_seconds)
-            return False
-        deadline = time.monotonic() + self._clock.to_real(virtual_seconds)
-        while True:
-            remaining_real = deadline - time.monotonic()
-            if remaining_real <= 0:
-                return cancelled.is_set()
-            if remaining_real > SPIN_THRESHOLD:
-                if cancelled.wait(remaining_real - SPIN_THRESHOLD):
-                    return True
-            elif cancelled.is_set():
-                return True
+    def _cancelled(self, nbytes: int) -> TransferError:
+        return TransferError(f"transfer of {nbytes} bytes on link {self.name!r} cancelled")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Link({self.name!r}, {self.bandwidth:.3g} B/s)"

@@ -7,6 +7,9 @@ handful of checkpoints.
 
 from __future__ import annotations
 
+import signal
+import threading
+
 import pytest
 
 from repro.clock import VirtualClock
@@ -66,6 +69,32 @@ def engine(context):
 @pytest.fixture
 def clock():
     return VirtualClock(time_scale=0.002)
+#: wall seconds one test (set-up and tear-down included) may take before
+#: the guard fails it; ``faulthandler_timeout`` dumps every thread's stack
+#: at the same mark.  The whole suite runs in ~25 s.
+TEST_TIMEOUT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def no_silent_hang(request):
+    """Fail a hung test by node id instead of sitting in a futex wait: a
+    wall-clock alarm on the main thread, which interrupts the lock acquire
+    or join the test is parked in.  It keeps firing (every 10 s) so a
+    tear-down that hangs on the same threads is broken out of too."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def on_alarm(signum, frame):
+        pytest.fail(f"{request.node.nodeid} exceeded {TEST_TIMEOUT_S} s wall", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIMEOUT_S, 10)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -1,11 +1,22 @@
-"""Link (shared bandwidth) behaviour."""
+"""Link (shared bandwidth) behaviour.
 
+``Link.transfer`` is one loop over an arbiter, so the cases that state the
+link contract run under both: each is a test of its own under the link's
+FIFO arbiter (an untagged transfer), and runs again tagged on a link that
+carries a ``LinkScheduler`` through
+``test_contract_holds_on_a_scheduled_link``.
+"""
+
+import inspect
 import threading
 
 import pytest
 
 from repro.clock import VirtualClock
-from repro.errors import ConfigError, TransferError
+from repro.config import SchedConfig
+from repro.errors import ConfigError, TransferError, TransientTransferError
+from repro.sched.request import TransferClass, TransferRequest
+from repro.sched.scheduler import LinkScheduler
 from repro.simgpu.bandwidth import Link
 from repro.util.units import MiB
 
@@ -15,21 +26,65 @@ def clock():
     return VirtualClock(time_scale=0.001)
 
 
-def test_transfer_duration_accounted(clock):
-    link = Link("t", bandwidth=100 * MiB, clock=clock, latency=0.0)
-    seconds = link.transfer(50 * MiB)
+class Fifo:
+    """Untagged transfers: the link's own FIFO arbiter."""
+
+    @staticmethod
+    def link(clock, chunk_size=8 * MiB, **kwargs):
+        return Link("t", clock=clock, chunk_size=chunk_size, **kwargs)
+
+    @staticmethod
+    def tag(cancelled=None):
+        return {"cancelled": cancelled}
+
+
+class Scheduled:
+    """Tagged transfers on a link with a scheduler (quantum = chunk)."""
+
+    @staticmethod
+    def link(clock, chunk_size=8 * MiB, **kwargs):
+        link = Fifo.link(clock, chunk_size, **kwargs)
+        config = SchedConfig(enabled=True, quantum_bytes=chunk_size)
+        link.scheduler = LinkScheduler(link, config, clock)
+        return link
+
+    @staticmethod
+    def tag(cancelled=None):
+        request = TransferRequest(TransferClass.DEMAND_READ)
+        if cancelled is not None:
+            request.cancel_event = cancelled
+        return {"request": request}
+
+
+both_arbiters = pytest.mark.parametrize("arbiter", [Fifo, Scheduled], ids=["fifo", "scheduled"])
+
+#: the link-contract cases (``case([clock,] arbiter=Fifo)``).
+CONTRACT = []
+
+
+def link_contract(case):
+    CONTRACT.append(case)
+    return case
+
+
+@link_contract
+def test_transfer_duration_accounted(clock, arbiter=Fifo):
+    link = arbiter.link(clock, bandwidth=100 * MiB, latency=0.0)
+    seconds = link.transfer(50 * MiB, **arbiter.tag())
     assert seconds == pytest.approx(0.5, rel=0.05)
 
 
-def test_latency_added_once(clock):
-    link = Link("t", bandwidth=100 * MiB, clock=clock, latency=0.25)
-    seconds = link.transfer(25 * MiB)
+@link_contract
+def test_latency_added_once(clock, arbiter=Fifo):
+    link = arbiter.link(clock, bandwidth=100 * MiB, latency=0.25)
+    seconds = link.transfer(25 * MiB, **arbiter.tag())
     assert seconds == pytest.approx(0.5, rel=0.05)
 
 
-def test_zero_bytes_costs_latency_only(clock):
-    link = Link("t", bandwidth=100 * MiB, clock=clock, latency=0.1)
-    assert link.transfer(0) == pytest.approx(0.1, rel=0.2)
+@link_contract
+def test_zero_bytes_costs_latency_only(clock, arbiter=Fifo):
+    link = arbiter.link(clock, bandwidth=100 * MiB, latency=0.1)
+    assert link.transfer(0, **arbiter.tag()) == pytest.approx(0.1, rel=0.2)
 
 
 def test_negative_bytes_rejected(clock):
@@ -38,10 +93,11 @@ def test_negative_bytes_rejected(clock):
         link.transfer(-1)
 
 
-def test_stats_accumulate(clock):
-    link = Link("t", bandwidth=100 * MiB, clock=clock)
-    link.transfer(10 * MiB)
-    link.transfer(20 * MiB)
+@link_contract
+def test_stats_accumulate(clock, arbiter=Fifo):
+    link = arbiter.link(clock, bandwidth=100 * MiB)
+    link.transfer(10 * MiB, **arbiter.tag())
+    link.transfer(20 * MiB, **arbiter.tag())
     assert link.bytes_moved == 30 * MiB
     assert link.transfer_count == 2
     assert link.busy_time == pytest.approx(0.3, rel=0.05)
@@ -84,28 +140,30 @@ def test_contention_halves_throughput():
         assert seconds >= 9.5
 
 
-def test_cancellation_raises_and_releases_pending(clock):
-    link = Link("t", bandwidth=1 * MiB, clock=clock, chunk_size=64 * 1024)
+@link_contract
+def test_cancellation_raises_and_releases_pending(clock, arbiter=Fifo):
+    link = arbiter.link(clock, bandwidth=1 * MiB, chunk_size=64 * 1024)
     cancelled = threading.Event()
     cancelled.set()
     with pytest.raises(TransferError):
-        link.transfer(10 * MiB, cancelled=cancelled)
+        link.transfer(10 * MiB, **arbiter.tag(cancelled))
     assert link.pending_bytes == 0
 
 
-def test_zero_progress_cancellation_before_any_accounting(clock):
+@link_contract
+def test_zero_progress_cancellation_before_any_accounting(clock, arbiter=Fifo):
     """An already-cancelled transfer aborts before *any* progress: no
     latency is paid, no pending bytes are announced, no transfer counted —
     even for zero-byte transfers (regression: the old check lived inside
     the chunk loop, so it only fired once chunks remained)."""
-    link = Link("t", bandwidth=100 * MiB, clock=clock, latency=0.5)
+    link = arbiter.link(clock, bandwidth=100 * MiB, latency=0.5)
     cancelled = threading.Event()
     cancelled.set()
     before = clock.now()
     with pytest.raises(TransferError):
-        link.transfer(0, cancelled=cancelled)
+        link.transfer(0, **arbiter.tag(cancelled))
     with pytest.raises(TransferError):
-        link.transfer(10 * MiB, cancelled=cancelled)
+        link.transfer(10 * MiB, **arbiter.tag(cancelled))
     assert link.pending_bytes == 0
     assert link.transfer_count == 0  # never admitted
     assert link.bytes_moved == 0
@@ -116,8 +174,6 @@ def test_zero_progress_cancellation_before_any_accounting(clock):
 def test_request_cancel_event_aborts_with_zero_progress(clock):
     """A request's cancellation event doubles as the ``cancelled`` channel
     and honours the same zero-progress abort."""
-    from repro.sched.request import TransferClass, TransferRequest
-
     link = Link("t", bandwidth=100 * MiB, clock=clock, latency=0.5)
     request = TransferRequest(TransferClass.SPECULATIVE_PREFETCH)
     request.cancel_event.set()
@@ -127,9 +183,10 @@ def test_request_cancel_event_aborts_with_zero_progress(clock):
     assert link.pending_bytes == 0
 
 
-def test_mid_transfer_cancellation():
+@link_contract
+def test_mid_transfer_cancellation(arbiter=Fifo):
     clock = VirtualClock(time_scale=0.01)
-    link = Link("t", bandwidth=10 * MiB, clock=clock, chunk_size=1 * MiB)
+    link = arbiter.link(clock, bandwidth=10 * MiB, chunk_size=1 * MiB)
     cancelled = threading.Event()
     errors = []
     started = threading.Event()
@@ -137,7 +194,7 @@ def test_mid_transfer_cancellation():
     def worker():
         started.set()
         try:
-            link.transfer(1000 * MiB, cancelled=cancelled)  # 100 s virtual
+            link.transfer(1000 * MiB, **arbiter.tag(cancelled))  # 100 s virtual
         except TransferError as exc:
             errors.append(exc)
 
@@ -148,6 +205,64 @@ def test_mid_transfer_cancellation():
     cancelled.set()
     t.join(timeout=10)
     assert errors, "transfer should have been cancelled"
+    assert link.pending_bytes == 0
+
+
+@pytest.mark.parametrize("case", CONTRACT, ids=lambda case: case.__name__)
+def test_contract_holds_on_a_scheduled_link(case, clock):
+    kwargs = {"clock": clock} if "clock" in inspect.signature(case).parameters else {}
+    case(arbiter=Scheduled, **kwargs)
+
+
+class _FaultAfter:
+    """A fault injector that fails every transfer after ``prefix`` bytes."""
+
+    def __init__(self, prefix):
+        self.prefix = prefix
+
+    def draw(self, nbytes):
+        return self.prefix
+
+    def fault(self, nbytes, moved):
+        return TransientTransferError(f"injected after {moved}/{nbytes}", bytes_moved=moved)
+
+
+@both_arbiters
+def test_injected_fault_moves_exactly_the_drawn_prefix(clock, arbiter):
+    """A mid-transfer fault charges the drawn prefix — not a span more — and
+    announces nothing it did not move.  (Passes at the parent of the
+    one-loop change too: nothing stated it for either loop before.)"""
+    prefix = 3 * MiB + 17  # inside the fourth chunk/quantum
+    link = arbiter.link(clock, bandwidth=100 * MiB, chunk_size=1 * MiB)
+    link.fault_injector = _FaultAfter(prefix)
+    with pytest.raises(TransientTransferError) as err:
+        link.transfer(10 * MiB, **arbiter.tag())
+    assert err.value.bytes_moved == prefix
+    assert link.bytes_moved == prefix
+    assert link.busy_time == pytest.approx(prefix / (100 * MiB))
+    assert link.pending_bytes == 0
+    if link.scheduler is not None:
+        assert link.scheduler.depth() == 0  # finish() ran
+
+
+@both_arbiters
+def test_pending_bytes_exact_after_every_span(clock, arbiter):
+    """``pending_bytes`` falls span by span while a contended transfer runs
+    (it feeds the runtime's flush/prefetch estimator).  Fails at the parent
+    of the one-loop change, whose loops settled stats every eighth chunk."""
+    link = arbiter.link(clock, bandwidth=1000 * MiB, chunk_size=1 * MiB)
+    with link._stats_lock:
+        link._active += 1  # another transfer in flight: FIFO spans are chunks
+    seen = []
+    real_sleep = clock.sleep
+
+    def sleep(*args):
+        seen.append(link.pending_bytes)  # read as each span starts
+        return real_sleep(*args)
+
+    clock.sleep = sleep
+    link.transfer(16 * MiB, **arbiter.tag())
+    assert seen == [(16 - i) * MiB for i in range(16)]
     assert link.pending_bytes == 0
 
 

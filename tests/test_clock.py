@@ -58,7 +58,26 @@ class TestNowAndSleep:
         assert wall < 2e-3
 
     def test_zero_sleep(self):
-        VirtualClock(0.01).sleep(0.0)
+        assert VirtualClock(0.01).sleep(0.0) is False
+
+    def test_cancellable_sleep_wakes_when_the_event_fires(self):
+        c = VirtualClock(0.01)
+        ev = threading.Event()
+        threading.Timer(0.01, ev.set).start()  # fires 1 s into a 100 s sleep
+        before = c.now()
+        assert c.sleep(100.0, cancelled=ev) is True
+        assert c.now() - before < 50.0
+
+    def test_cancellable_sleep_runs_to_the_deadline(self):
+        c = VirtualClock(0.001)
+        before = c.now()
+        assert c.sleep(5.0, cancelled=threading.Event()) is False
+        assert c.now() - before >= 5.0
+
+    def test_cancellable_sleep_already_cancelled(self):
+        ev = threading.Event()
+        ev.set()
+        assert VirtualClock(0.01).sleep(100.0, cancelled=ev) is True
 
     def test_negative_sleep_rejected(self):
         with pytest.raises(ValueError):
@@ -66,6 +85,14 @@ class TestNowAndSleep:
 
 
 class TestWaitFor:
+    def test_wait_times_out_in_nominal_seconds(self):
+        c = VirtualClock(0.001)
+        cond = threading.Condition()
+        t0 = time.monotonic()
+        with cond:
+            assert c.wait(cond, virtual_timeout=10.0) is False  # 10 ms wall
+        assert 0.009 <= time.monotonic() - t0 < 1.0
+
     def test_wait_for_predicate(self):
         c = VirtualClock(0.001)
         cond = threading.Condition()
