@@ -4,11 +4,12 @@ Two objectives from :class:`~repro.config.SloConfig` — durability latency
 (checkpoint entry → first durable copy) and demand-restore latency (the
 blocked portion of ``restore()``) — each stated as "``objective`` of
 operations meet the target".  An :class:`SloMonitor` consumes completions
-either *live* (the engine feeds it as ops finish, and it emits
-``slo-breach`` / ``slo-burn`` trace instants) or *post hoc* (the analyzer
-replays latencies out of a reconstructed op DAG); both paths share the
-same rolling-window arithmetic, so a live alert is reproducible from the
-saved trace.
+either *live* (as a lifecycle observer of its engine — DESIGN.md §5 "Engine
+shell" — it stamps the ``durable`` instant, samples as ops finish and
+emits ``slo-breach`` / ``slo-burn`` trace instants) or *post hoc* (the
+analyzer replays latencies out of a reconstructed op DAG, reading that same
+``durable`` instant); both paths share the same rolling-window arithmetic,
+so a live alert is reproducible from the saved trace.
 
 Burn rate follows the usual error-budget form: with objective ``p``, the
 budget is ``1 - p`` violations; the windowed violation rate divided by
@@ -104,10 +105,13 @@ class SloObjective:
 class SloMonitor:
     """Both objectives plus (optional) live trace/metric emission."""
 
-    def __init__(self, cfg: SloConfig, bus=None, track: str = "slo", registry=None) -> None:
+    def __init__(
+        self, cfg: SloConfig, bus=None, track: str = "slo", registry=None, clock=None
+    ) -> None:
         self.cfg = cfg
         self.bus = bus
         self.track = track
+        self.clock = clock  # live observers only
         self.durability = SloObjective("durability", cfg.durability_target_s, cfg)
         self.restore = SloObjective("restore", cfg.restore_target_s, cfg)
         self._m_breach = registry.counter("slo.breaches") if registry else None
@@ -147,6 +151,22 @@ class SloMonitor:
 
     def observe_restore(self, ts: float, latency: float, op_id=None):
         return self._observe(self.restore, ts, latency, op_id=op_id)
+
+    # -- lifecycle observer (monitor released) ------------------------------
+    def after_landed(self, record, where, first_durable: bool, track) -> None:
+        """The first durable landing of a traced checkpoint: stamp the
+        ``durable`` instant on the landing stage's track and sample the
+        durability latency at the same reading of the clock."""
+        op = record.op
+        if not first_durable or op.op_id is None:
+            return
+        now = self.clock.now()
+        level = where.level.name
+        op.instant("durable", track=track, tier=level.lower(), level=level)
+        self.observe_durability(now, now - op.start, op_id=op.op_id)
+
+    def after_restored(self, record, blocked: float, op) -> None:
+        self.observe_restore(self.clock.now(), blocked, op_id=op.op_id)
 
     def snapshot(self) -> dict:
         return {

@@ -64,7 +64,7 @@ class CacheBuffer:
         flush_estimate: Callable[[int], float],
         policy=None,
         usable_capacity: Optional[Callable[[], int]] = None,
-        on_evict: Optional[Callable[["CheckpointRecord", TierLevel], None]] = None,
+        on_evict: Optional[Callable[["CheckpointRecord", "CacheBuffer"], None]] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.name = name
@@ -497,13 +497,13 @@ class CacheBuffer:
         self.telemetry.bus.instant(
             "evict",
             self.name,
-            op_id=record.op.op_id if record.op is not None else None,
+            op_id=record.op.op_id,
             ckpt=record.ckpt_id,
             bytes=record.stored_size(self.level),
             forced=forced,
         )
         if self.on_evict is not None:
-            self.on_evict(record, self.level)
+            self.on_evict(record, self)
 
     def evict(self, record: "CheckpointRecord") -> None:
         """Explicitly evict (engine-driven, e.g. discard-after-consume)."""
@@ -523,14 +523,15 @@ class CacheBuffer:
         Tolerates partially-created state; notifies waiters.
         """
         with self.monitor:
-            if self.table.contains(record.ckpt_id):
+            held = self.table.contains(record.ckpt_id)
+            if held:
                 self.table.remove(record.ckpt_id)
             inst = record.peek(self.level)
             if inst is not None:
                 self._forget_instance(record, inst)
                 record.drop_instance(self.level)
-            if self.on_evict is not None:
-                self.on_evict(record, self.level)
+            if self.on_evict is not None and (held or inst is not None):
+                self.on_evict(record, self)
             self._observe_occupancy()
             self.monitor.notify_all()
 

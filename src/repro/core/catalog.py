@@ -16,6 +16,7 @@ from typing import Callable, Dict, Iterable, Optional
 
 from repro.core.lifecycle import CkptState, Instance
 from repro.errors import CheckpointNotFound, LifecycleError
+from repro.telemetry.causal import NULL_OP
 from repro.tiers.base import TierLevel
 
 #: Catalog-level transition hook: ``(ckpt_id, instance, old, new, now)``.
@@ -65,10 +66,9 @@ class CheckpointRecord:
         #: the prefetcher is currently moving this checkpoint between tiers.
         self.prefetch_inflight = False
         #: causal handle of the ``checkpoint()`` that created this record
-        #: (:class:`repro.telemetry.causal.OpTrace`); None for records
-        #: adopted by recovery or when causal tracing is disabled — the
-        #: flusher then falls back to the no-op tracer.
-        self.op = None
+        #: (:class:`repro.telemetry.causal.OpTrace`); the no-op tracer for
+        #: records adopted by recovery or when causal tracing is disabled.
+        self.op = NULL_OP
         self._on_transition = on_transition
 
     # -- sizes -------------------------------------------------------------

@@ -13,6 +13,19 @@ implements the blocking semantics of the problem formulation (Section 2):
 * consumed checkpoints become evictable everywhere; when the engine runs
   with ``discard_consumed=True`` their pending flushes are abandoned
   (condition (5)).
+
+**The shell.**  The optional features (reduction, the manifest journal,
+prediction, SLO tracking) are not asked about at each edge of the life
+cycle: they register as *lifecycle observers* (:meth:`ScoreEngine.observe`)
+and the engine announces events to whoever registered — with no feature on,
+to nobody.  An observer is any object with methods named in :data:`HOOKS`:
+``on_<event>`` runs with the monitor held and must not block;
+``after_<event>`` runs once the monitor is released and may do I/O.  Two
+events have an epilogue every code path shares: :meth:`ScoreEngine.landed`
+(a complete copy now exists on a cache level or a durable store) and
+:meth:`ScoreEngine.dropped` (a copy is gone).  Data-path calls that return
+something (``encode``, ``reconstruct``, ``physical_payload``) are not
+events; they stay direct calls on ``engine.reducer``.
 """
 
 from __future__ import annotations
@@ -33,7 +46,6 @@ from repro.core.scoring import ScorePolicy
 from repro.core.streaming import ChunkPipeline, chunk_sizes_for, plan_chunks
 from repro.core.sync import Monitor
 from repro.errors import (
-    BackpressureError,
     CheckpointNotFound,
     EngineClosedError,
     FlushTimeoutError,
@@ -44,7 +56,8 @@ from repro.errors import (
     TransferError,
     TransientTransferError,
 )
-from repro.faults.retry import RetryPolicy
+from repro.faults.journal import JournalObserver
+from repro.faults.retry import RetryPolicy, backoff_for
 from repro.log import get_logger
 from repro.metrics.recorder import OpEvent, OpKind, Recorder
 from repro.predict.queue import SyntheticRestoreQueue
@@ -55,7 +68,6 @@ from repro.simgpu.memory import DeviceBuffer, checksum_payload
 from repro.analysis.slo import SloMonitor
 from repro.telemetry import Telemetry
 from repro.telemetry.causal import (
-    CAT_JOURNAL,
     CAT_QUEUE,
     CAT_REDUCE,
     CAT_RESERVE,
@@ -63,11 +75,34 @@ from repro.telemetry.causal import (
     CAT_TRANSFER,
     NULL_OP,
     OpTracer,
+    checkpoint_op_id,
 )
 from repro.tiers.base import TierLevel
 from repro.tiers.topology import ProcessContext
 
 log = get_logger(__name__)
+
+
+#: The lifecycle hooks the engine calls (module docstring; DESIGN.md §5
+#: "Engine shell" has who announces each, with what arguments).
+HOOKS = (
+    "on_created",
+    "on_forgotten",
+    "on_landed",
+    "after_landed",
+    "on_dropped",
+    "after_dropped",
+    "on_demand_miss",
+    "on_consumed",
+    "on_speculative_staged",
+    "after_restored",
+)
+
+#: the state a landing completes, by the state the extent was reserved in.
+_LANDED_STATE = {
+    CkptState.WRITE_IN_PROGRESS: CkptState.WRITE_COMPLETE,
+    CkptState.READ_IN_PROGRESS: CkptState.READ_COMPLETE,
+}
 
 
 class ScoreEngine:
@@ -77,12 +112,9 @@ class ScoreEngine:
         self,
         context: ProcessContext,
         recorder: Optional[Recorder] = None,
-        eviction_policy=None,
         discard_consumed: bool = False,
-        verify_restores: bool = True,
         flush_to_pfs: bool = False,
         prefetch_budget_fraction: float = 0.9,
-        prefetch_lookahead: int = 64,
         gpudirect: bool = False,
     ) -> None:
         self.context = context
@@ -95,7 +127,6 @@ class ScoreEngine:
         self.process_id = context.process_id
         self.node_id = context.node.node_id
         self.discard_consumed = discard_consumed
-        self.verify_restores = verify_restores
         self.flush_to_pfs = flush_to_pfs
         self.prefetch_budget_fraction = prefetch_budget_fraction
         #: GPUDirect storage (the paper's future-work item): flushes move
@@ -107,15 +138,12 @@ class ScoreEngine:
         #: ``config.sched.enabled``); transfers are tagged with a
         #: :class:`TransferRequest` via :meth:`_sched_request`.
         self.sched = cluster.sched
-        #: fault injection + self-healing: the cluster-wide fault domain,
-        #: per-tier circuit breakers, the crash-consistent manifest journal
-        #: and the chunk-recipe sidecar.  ``resilient`` gates every handling
+        #: fault injection + self-healing: the cluster-wide fault domain and
+        #: per-tier circuit breakers.  ``resilient`` gates every handling
         #: path; with it off the engine is bit-identical to the historical
         #: runtime (``tests/test_faults_equivalence.py``).
         self.faults = cluster.faults
         self.health = cluster.health
-        self.journal = cluster.journal
-        self.recipes = cluster.recipes
         self.resilient = self.config.resilience.enabled
         self.retry_policy = (
             RetryPolicy(self.config.resilience, self.config.faults.seed)
@@ -148,7 +176,6 @@ class ScoreEngine:
             getattr(context, "telemetry", None) or Telemetry.disabled()
         )
         self._app_track = f"p{self.process_id}-app"
-        self._lifecycle_track = f"p{self.process_id}-lifecycle"
         if self.fabric is not None:
             # Per-node trace lanes: stamp this engine's p<pid>-* tracks with
             # its node id so Perfetto and `repro analyze` group per node.
@@ -161,134 +188,219 @@ class ScoreEngine:
         #: checkpoint/restore/prefetch chain gets an op id that rides on all
         #: its spans; otherwise ``ops`` hands out NULL_OP and the runtime is
         #: bit-identical to the pre-causal build.
-        self.causal = bool(self.config.analysis.enabled)
-        self.ops = OpTracer(self.telemetry.bus, self.process_id, self.causal)
-        self.slo: Optional[SloMonitor] = None
-        if self.ops.enabled:
-            self.slo = SloMonitor(
-                self.config.analysis.slo,
-                self.telemetry.bus,
-                track=f"p{self.process_id}-slo",
-                registry=self.telemetry.registry,
-            )
+        self.ops = OpTracer(
+            self.telemetry.bus, self.process_id, self.config.analysis.enabled
+        )
         registry = self.telemetry.registry
         self._m_ckpt_ops = registry.counter("engine.checkpoint.ops")
         self._m_ckpt_bytes = registry.counter("engine.checkpoint.bytes")
         self._m_ckpt_blocked = registry.histogram("engine.checkpoint.blocked_s")
-        self._m_ckpt_shed = registry.counter("engine.checkpoint.shed")
-        self._m_ckpt_backpressure = registry.histogram("engine.checkpoint.backpressure_s")
         self._m_restore_ops = registry.counter("engine.restore.ops")
         self._m_restore_bytes = registry.counter("engine.restore.bytes")
         self._m_restore_blocked = registry.histogram("engine.restore.blocked_s")
         self._m_queue_depth = registry.gauge("prefetch.queue_depth")
+        self._m_swallowed = registry.counter("engine.swallowed_errors")
         self.catalog = Catalog(on_transition=self._fsm_hook())
-        #: online access-pattern prediction (None unless
-        #: ``config.predict.enabled``); when present the hint queue is a
-        #: SyntheticRestoreQueue whose predicted overlay feeds the
-        #: prefetcher and eviction scoring exactly like explicit hints.
-        self.predict: Optional[PredictRuntime] = None
-        if self.config.predict.enabled:
-            self.queue: RestoreQueue = SyntheticRestoreQueue(
-                telemetry=self.telemetry
-            )
-            self.predict = PredictRuntime(
-                self.config.predict,
-                self.queue,
-                telemetry=self.telemetry,
-                process_id=self.process_id,
-            )
-        else:
-            self.queue = RestoreQueue(telemetry=self.telemetry)
         self.recorder = recorder or Recorder(process_id=self.process_id)
         #: restores currently promoting on demand; while non-zero the
         #: prefetcher backs off so demand never loses a freed cache slot to
         #: a speculative prefetch (demand-first priority, Section 4.3.2).
         self.demand_active = 0
         self._closed = False
-
-        #: data-reduction pipeline (None unless ``config.reduce.enabled``);
-        #: when present, physical (reduced) sizes flow into every placement,
-        #: scoring and transfer decision at or below the reduction site.
-        self.reducer: Optional[Reducer] = None
-        if self.config.reduce.enabled:
-            self.reducer = Reducer(
-                self.config.reduce,
-                self.scale,
-                self.clock,
-                telemetry=self.telemetry,
-                process_id=self.process_id,
-                gpudirect=gpudirect,
-                # Durable recipe sidecar: with resilience on, encoded chunk
-                # recipes survive a crash so recover_history() can rebuild
-                # reduced checkpoints.
-                recipes=cluster.recipes if self.resilient else None,
-            )
-        evict_hooks = []
-        if self.reducer is not None:
-            evict_hooks.append(self._reduce_detach)
-        if self.predict is not None:
-            evict_hooks.append(self._predict_evict)
-        if not evict_hooks:
-            on_evict = None
-        elif len(evict_hooks) == 1:
-            on_evict = evict_hooks[0]
-        else:
-
-            def on_evict(record, level, _hooks=tuple(evict_hooks)):
-                for hook in _hooks:
-                    hook(record, level)
-        policy = eviction_policy or self._default_policy()
-        gpu_arena = context.gpu_cache_arena()
-        host_arena = context.host_cache_arena()
-        self.gpu_cache = CacheBuffer(
-            name=f"p{self.process_id}-gpu",
-            level=TierLevel.GPU,
-            arena=gpu_arena,
-            monitor=self.monitor,
-            clock=self.clock,
-            restore_queue=self.queue,
-            flush_estimate=lambda n: self.device.d2h_link.estimate(n),
-            policy=policy,
-            on_evict=on_evict,
-            telemetry=self.telemetry,
-        )
-        self.host_cache = CacheBuffer(
-            name=f"p{self.process_id}-host",
-            level=TierLevel.HOST,
-            arena=host_arena,
-            monitor=self.monitor,
-            clock=self.clock,
-            restore_queue=self.queue,
-            flush_estimate=lambda n: self.ssd.write_link.estimate(n),
-            policy=policy,
-            usable_capacity=context.host_usable_capacity,
-            on_evict=on_evict,
-            telemetry=self.telemetry,
-        )
-        if not self.config.shared_cache:
-            # Section 4.1.2 ablation: statically split each cache into a
-            # flush half and a prefetch half instead of sharing the space.
-            self.gpu_cache.write_boundary = self.scale.align(
-                self.gpu_cache.table.capacity // 2
-            )
-            self.host_cache.write_boundary = self.scale.align(
-                self.host_cache.table.capacity // 2
-            )
+        #: hook name -> the registered observers' bound methods, in
+        #: registration order; all empty with no feature on.
+        self._hooks = {name: () for name in HOOKS}
+        self._build_features(cluster)
+        self._build_caches()
         #: consumer stream of store reads that fill a GPU extent: the
         #: storage read (producer, on the promoting thread) feeds the H2D
         #: crossing chunk by chunk through a ChunkPipeline, mirroring the
         #: flush cascade in the opposite direction.
         self.promote_stream = self.device.create_stream("promote-h2d")
         self.flusher = Flusher(self)
-        self.prefetcher = Prefetcher(self, lookahead=prefetch_lookahead)
+        self.prefetcher = Prefetcher(self)
 
-    def _default_policy(self):
+    def _build_features(self, cluster) -> None:
+        """Construct the optional features and register the lifecycle
+        observers among them — the one place that reads their ``enabled``
+        flags.  The handles stay as attributes for the data-path calls that
+        return something, for :meth:`stats` and for the validator."""
+        config = self.config
+        #: data-reduction pipeline (None unless ``config.reduce.enabled``);
+        #: when present, physical (reduced) sizes flow into every placement,
+        #: scoring and transfer decision at or below the reduction site.
+        self.reducer: Optional[Reducer] = None
+        if config.reduce.enabled:
+            self.reducer = Reducer(
+                config.reduce,
+                self.scale,
+                self.clock,
+                telemetry=self.telemetry,
+                process_id=self.process_id,
+                gpudirect=self.gpudirect,
+                # Durable recipe sidecar: with resilience on, encoded chunk
+                # recipes survive a crash so recover_history() can rebuild
+                # reduced checkpoints.
+                recipes=cluster.recipes if self.resilient else None,
+            )
+            self.observe(self.reducer)
+        #: online access-pattern prediction (None unless
+        #: ``config.predict.enabled``); when present the hint queue is a
+        #: SyntheticRestoreQueue whose predicted overlay feeds the
+        #: prefetcher and eviction scoring exactly like explicit hints.
+        self.predict: Optional[PredictRuntime] = None
+        if config.predict.enabled:
+            self.queue: RestoreQueue = SyntheticRestoreQueue(telemetry=self.telemetry)
+            self.predict = PredictRuntime(
+                config.predict,
+                self.queue,
+                telemetry=self.telemetry,
+                process_id=self.process_id,
+                clock=self.clock,
+            )
+            self.observe(self.predict)
+        else:
+            self.queue = RestoreQueue(telemetry=self.telemetry)
+        #: the crash-consistent manifest journal ``recover_history()``
+        #: replays (cluster-wide; this engine writes it through an observer).
+        self.journal = cluster.journal
+        if self.resilient and config.resilience.journal:
+            self.observe(JournalObserver(self.journal, self.process_id, self.recovery_meta))
+        #: live SLO tracking (None unless causal tracing records).  After
+        #: the journal: a landing is journaled before it is stamped durable.
+        self.slo: Optional[SloMonitor] = None
+        if self.ops.enabled:
+            self.slo = SloMonitor(
+                config.analysis.slo,
+                self.telemetry.bus,
+                track=f"p{self.process_id}-slo",
+                registry=self.telemetry.registry,
+                clock=self.clock,
+            )
+            self.observe(self.slo)
+
+    def _build_caches(self) -> None:
+        context = self.context
         name = self.config.eviction_policy
         if name == "score":
-            return ScorePolicy()
-        from repro.baselines.naive import FifoPolicy, LruPolicy  # cycle-free
+            policy = ScorePolicy()
+        else:
+            from repro.baselines.naive import FifoPolicy, LruPolicy  # cycle-free
 
-        return {"lru": LruPolicy(), "fifo": FifoPolicy()}[name]
+            policy = {"lru": LruPolicy(), "fifo": FifoPolicy()}[name]
+        # Evictions enter the drop epilogue; with nobody listening the
+        # caches skip the call altogether.
+        on_evict = self.dropped if self._hooks["on_dropped"] else None
+
+        def cache(level: TierLevel, arena, flush_link, **extra) -> CacheBuffer:
+            return CacheBuffer(
+                name=f"p{self.process_id}-{level.name.lower()}",
+                level=level,
+                arena=arena,
+                monitor=self.monitor,
+                clock=self.clock,
+                restore_queue=self.queue,
+                flush_estimate=flush_link.estimate,
+                policy=policy,
+                on_evict=on_evict,
+                telemetry=self.telemetry,
+                **extra,
+            )
+
+        self.gpu_cache = cache(TierLevel.GPU, context.gpu_cache_arena(), self.device.d2h_link)
+        self.host_cache = cache(
+            TierLevel.HOST,
+            context.host_cache_arena(),
+            self.ssd.write_link,
+            usable_capacity=context.host_usable_capacity,
+        )
+        if not self.config.shared_cache:
+            # Section 4.1.2 ablation: statically split each cache into a
+            # flush half and a prefetch half instead of sharing the space.
+            for split in (self.gpu_cache, self.host_cache):
+                split.write_boundary = self.scale.align(split.table.capacity // 2)
+
+    # -- the shell: lifecycle events ---------------------------------------------
+    def observe(self, observer) -> None:
+        """Register a lifecycle observer: each method it has that is named
+        in :data:`HOOKS` is called at that event, after the observers
+        registered before it.  An ``on_dropped`` observer registered after
+        construction sees cache evictions only if one was registered
+        before it (the caches were told whether anyone listens)."""
+        for name in self._hooks:
+            hook = getattr(observer, name, None)
+            if hook is not None:
+                self._hooks[name] += (hook,)
+
+    def notify(self, name: str, *args) -> None:
+        """Call one hook of every observer that has it.  ``on_*``: the
+        caller holds the monitor; ``after_*``: it must not."""
+        for hook in self._hooks[name]:
+            hook(*args)
+
+    def _owns(self, where) -> bool:
+        """Whether ``where`` is one of this engine's own tiers — its caches,
+        its node's SSD, the PFS — rather than a replica on another node's
+        SSD, which raises no durable level and stays outside the chunk
+        accounting (the home node owns the recipe; a successor only keeps a
+        byte-copy for node-failure recovery)."""
+        return where.level < TierLevel.SSD or where is self.ssd or where is self.pfs
+
+    def landed(
+        self,
+        record: CheckpointRecord,
+        where,
+        flushed: Optional[TierLevel] = None,
+        track: Optional[str] = None,
+    ) -> None:
+        """Landing epilogue: a complete (verified) copy of ``record`` now
+        exists on ``where`` — a cache, whose reserved extent holds the
+        payload, or a durable store, whose blob is committed.  Monitor NOT
+        held.
+
+        Under the monitor: the extent completes the state it was reserved
+        in, or the record's durable level rises; the ``on_landed``
+        observers run (chunk attach); the ``flushed`` source copy one level
+        up becomes evictable; waiters are notified.  After it, for a
+        durable store: the ``after_landed`` observers (journal commit, then
+        the first-``durable`` instant and SLO sample on ``track``).
+        """
+        level = where.level
+        durable = level >= TierLevel.SSD
+        first_durable = False
+        with self.monitor:
+            if self._owns(where):
+                now = self.clock.now()
+                if not durable:
+                    inst = record.instance(level)
+                    inst.transition(_LANDED_STATE.get(inst.state, inst.state), now)
+                elif record.durable_level is None or record.durable_level < level:
+                    first_durable = record.durable_level is None
+                    record.durable_level = level
+                self.notify("on_landed", record, where)
+                source = None if flushed is None else record.peek(flushed)
+                if source is not None:
+                    source.flush_pending = False
+                    source.try_transition(CkptState.FLUSHED, now)
+            self.monitor.notify_all()
+        if durable:
+            self.notify("after_landed", record, where, first_durable, track)
+
+    def dropped(self, record: CheckpointRecord, where) -> None:
+        """Drop epilogue: ``where``'s copy of ``record`` is gone — an extent
+        evicted or released (the caches call this from inside their own
+        monitor section), or a durable blob the caller just deleted.
+
+        Under the monitor: the ``on_dropped`` observers (chunk detach,
+        abandoned speculation), then notify.  After it, for a durable
+        store: the ``after_dropped`` observers (journal retract).
+        """
+        with self.monitor:
+            if self._owns(where):
+                self.notify("on_dropped", record, where)
+            self.monitor.notify_all()
+        if where.level >= TierLevel.SSD:
+            self.notify("after_dropped", record, where)
 
     def _fsm_hook(self):
         """Catalog transition hook tracing every FSM edge (Fig. 1); ``None``
@@ -296,8 +408,8 @@ class ScoreEngine:
         if not self.telemetry.bus.enabled:
             return None
         bus = self.telemetry.bus
-        track = self._lifecycle_track
-        causal, pid = self.causal, self.process_id
+        track = f"p{self.process_id}-lifecycle"
+        causal, pid = self.ops.enabled, self.process_id
 
         def hook(ckpt_id, inst, old, new, now):
             bus.instant(
@@ -305,7 +417,7 @@ class ScoreEngine:
                 track,
                 # FSM edges belong to the checkpoint's own op (its id is
                 # deterministic, so no record lookup is needed here).
-                op_id=f"c{pid}:{ckpt_id}" if causal else None,
+                op_id=checkpoint_op_id(pid, ckpt_id) if causal else None,
                 ckpt=ckpt_id,
                 level=inst.level.name,
                 **{"from": old.value, "to": new.value},
@@ -368,32 +480,6 @@ class ScoreEngine:
             return self.pfs
         return ssd
 
-    def _pfs_put(
-        self, key, payload, nominal_size, *, cancelled=None, meta=None, request=None
-    ) -> float:
-        """Whole-object PFS write, routed through the fabric's per-node
-        write aggregator when one exists; the direct legacy call (same
-        timings, same op count) otherwise."""
-        if self.fabric is not None:
-            return self.fabric.pfs_put(
-                self.node_id,
-                key,
-                payload,
-                nominal_size,
-                cancelled=cancelled,
-                meta=meta,
-                request=request,
-            )
-        return self.pfs.put(
-            key,
-            payload,
-            nominal_size,
-            node_id=self.node_id,
-            cancelled=cancelled,
-            meta=meta,
-            request=request,
-        )
-
     def adopt_foreign(self, home_pid: int, ckpt_id: int) -> CheckpointRecord:
         """Adopt another engine's durable checkpoint into this catalog.
 
@@ -429,18 +515,23 @@ class ScoreEngine:
             existing = self.catalog.maybe_get(ckpt_id)
             if existing is not None:
                 return existing
-            record = self.catalog.create(
-                ckpt_id,
-                nominal,
-                int(meta.get("true_size", nominal)),
-                int(meta.get("checksum", 0)),
-            )
+            record = self._record_for_blob(ckpt_id, nominal, meta)
             record.home_pid = home_pid
             # durable_store stays None: read routing re-resolves the best
             # holder per restore (a peer can die between adopt and read).
             record.durable_level = store.level
             self.monitor.notify_all()
         return record
+
+    def _record_for_blob(self, ckpt_id: int, nominal: int, meta: dict) -> CheckpointRecord:
+        """Monitor held: a catalog record for a durable blob found on a
+        store, from the recovery metadata committed beside it."""
+        return self.catalog.create(
+            ckpt_id,
+            nominal,
+            int(meta.get("true_size", nominal)),
+            int(meta.get("checksum", 0)),
+        )
 
     def _require_open(self) -> None:
         if self._closed:
@@ -468,47 +559,46 @@ class ScoreEngine:
                 f"(checkpoint {record.ckpt_id})"
             )
 
-    def _journal_commit(self, record: CheckpointRecord, store) -> None:
-        """Append a durable-commit entry after a blob landed on ``store``.
-
-        Written *after* the blob is durable: a crash in between leaves at
-        worst an unjournaled blob the recovery scan still finds.
-        """
-        if not (self.resilient and self.config.resilience.journal):
-            return
-        op = record.op if record.op is not None else NULL_OP
-        level = store.level
-        with op.stage("journal-commit", CAT_JOURNAL, store=store.track, level=level.name):
-            self.journal.commit(
-                self.process_id,
-                record.ckpt_id,
-                store=store.track,
-                level=level.name,
-                nominal_size=record.stored_size(level),
-                meta=self.recovery_meta(record),
-            )
-
-    def _journal_retract(self, record: CheckpointRecord, store) -> None:
-        """Append a retract entry after deleting ``store``'s blob."""
-        if not (self.resilient and self.config.resilience.journal):
-            return
-        op = record.op if record.op is not None else NULL_OP
-        with op.stage("journal-retract", CAT_JOURNAL, store=store.track):
-            self.journal.retract(self.process_id, record.ckpt_id, store=store.track)
-
-    def _reduce_detach(self, record: CheckpointRecord, level: TierLevel) -> None:
-        """Cache eviction hook: release the extent's chunk references."""
-        self.reducer.detach(record, level)
-
-    def _predict_evict(self, record: CheckpointRecord, level: TierLevel) -> None:
-        """Cache eviction hook: an unconsumed speculative staging that loses
-        its cached copy is abandoned speculation (monitor held)."""
-        self.predict.on_evict(record, level, self.clock.now())
-
     def _reduced_at(self, record: CheckpointRecord, level: TierLevel) -> bool:
         """Whether ``level``'s copy of ``record`` is the physical form."""
         reduction = record.reduction
         return reduction is not None and level >= reduction.site_level
+
+    def encode_at(self, site: str, record: CheckpointRecord, payload, op, track=None) -> float:
+        """Reduce ``record`` if ``site`` ("gpu" | "host") is where this
+        engine encodes; returns the nominal seconds charged (0 otherwise)."""
+        if self.reducer is None or self.reducer.site != site or record.reduction is not None:
+            return 0.0
+        with op.stage("encode", CAT_REDUCE, track=track):
+            return self.reducer.encode(record, payload)
+
+    def stored_payload(self, record: CheckpointRecord, level: TierLevel, payload):
+        """The bytes ``level`` stores for ``record``, given its logical
+        ``payload``: at or below the reduction site the extent models the
+        physical footprint and the logical bytes live in the reduction
+        image's chunks."""
+        if self._reduced_at(record, level):
+            return self.reducer.physical_payload(record)
+        return payload
+
+    def _payload_above(self, record: CheckpointRecord, cache: CacheBuffer, op, dst=None):
+        """``(payload, decode seconds)`` of ``cache``'s copy as the next
+        tier up holds it (``dst``; ``None`` is the application).  Where the
+        reduction site lies between the two, the logical payload is
+        reassembled here (chunk concat + modeled delta apply and decode
+        charge) — before the PCIe crossing for a host-site reduction, so the
+        wire moves logical bytes.  Otherwise a zero-copy read-only view:
+        the caller must hold the extent pinned for as long as it uses it.
+        """
+        image = record.reduction
+        if (
+            image is not None
+            and cache.level >= image.site_level
+            and (dst is None or dst < image.site_level)
+        ):
+            with op.stage("decode", CAT_REDUCE):
+                return self.reducer.reconstruct(record, cache.level)
+        return cache.read_payload(record, copy=False), 0.0
 
     def _sched_request(
         self,
@@ -522,16 +612,12 @@ class ScoreEngine:
         the transfer's sched queue wait to its operation's span DAG."""
         if not self.sched.enabled:
             return None
-        if cancel_event is not None:
-            return TransferRequest(
-                tclass,
-                engine_id=self.process_id,
-                deadline=deadline,
-                cancel_event=cancel_event,
-                op_id=op.op_id,
-            )
         return TransferRequest(
-            tclass, engine_id=self.process_id, deadline=deadline, op_id=op.op_id
+            tclass,
+            engine_id=self.process_id,
+            deadline=deadline,
+            cancel_event=cancel_event or threading.Event(),
+            op_id=op.op_id,
         )
 
     # -- write path ------------------------------------------------------------------
@@ -563,19 +649,15 @@ class ScoreEngine:
             "checkpoint", self._app_track, op_id=op.op_id, ckpt=ckpt_id, bytes=nominal
         ):
             with op.stage("admission", CAT_QUEUE):
-                backpressured = self._flush_backpressure(ckpt_id)
+                backpressured = self.flusher.backpressure(ckpt_id)
             with self.monitor:
                 record = self.catalog.create(ckpt_id, nominal, buffer.nominal_size, checksum)
-                if self.predict is not None:
-                    self.predict.on_checkpoint(record, producer, self.clock.now())
+                self.notify("on_created", record, producer)
             record.op = op
             try:
-                encoded = 0.0
-                if self.reducer is not None and self.reducer.site == "gpu":
-                    # Device-side reduction happens before placement, so the
-                    # GPU cache (and everything below) holds the physical form.
-                    with op.stage("encode", CAT_REDUCE):
-                        encoded = self.reducer.encode(record, buffer.payload)
+                # Device-side reduction happens before placement, so the
+                # GPU cache (and everything below) holds the physical form.
+                encoded = self.encode_at("gpu", record, buffer.payload, op)
                 with op.stage("reserve-gpu", CAT_RESERVE):
                     waited = self.gpu_cache.reserve(
                         record, CkptState.WRITE_IN_PROGRESS, blocking=True
@@ -586,21 +668,10 @@ class ScoreEngine:
                     copied = self.device.d2d_link.transfer(
                         record.stored_size(TierLevel.GPU)
                     )
-                    if self._reduced_at(record, TierLevel.GPU):
-                        # The extent models the physical footprint; the
-                        # logical bytes live in the reduction image's chunks.
-                        self.gpu_cache.write_payload(
-                            record, self.reducer.physical_payload(record)
-                        )
-                    else:
-                        self.gpu_cache.write_payload(record, buffer.payload)
-                with self.monitor:
-                    record.instance(TierLevel.GPU).transition(
-                        CkptState.WRITE_COMPLETE, self.clock.now()
+                    self.gpu_cache.write_payload(
+                        record, self.stored_payload(record, TierLevel.GPU, buffer.payload)
                     )
-                    if self._reduced_at(record, TierLevel.GPU):
-                        self.reducer.attach(record, TierLevel.GPU)
-                    self.monitor.notify_all()
+                self.landed(record, self.gpu_cache)
                 self.flusher.schedule(record)
             except Exception:
                 self._rollback_checkpoint(record)
@@ -627,56 +698,28 @@ class ScoreEngine:
         """Undo a partially-completed ``checkpoint()``.
 
         Exception safety for the write path: releases the GPU cache slot
-        (which detaches any chunk references through the eviction hook),
-        rewinds the reducer's delta chain head and recipe, and forgets the
-        catalog record — so a failed write leaves no orphaned
+        (the drop epilogue detaches any chunk references), forgets the
+        catalog record and announces ``forgotten`` (the reducer rewinds its
+        delta chain head and recipe) — so a failed write leaves no orphaned
         WRITE_IN_PROGRESS extent and no dangling chunk refcounts.
         """
         try:
             self.gpu_cache.release(record)
-        except Exception:  # pragma: no cover - teardown must not mask the cause
+        except Exception:  # teardown must not mask the cause: counted, traced
+            self._m_swallowed.inc()
+            self.telemetry.bus.instant(
+                "checkpoint-rollback-error", self._app_track, ckpt=record.ckpt_id
+            )
             log.exception(
                 "p%d: checkpoint rollback: GPU slot release failed", self.process_id
             )
-        if self.reducer is not None:
-            self.reducer.abort(record)
         with self.monitor:
             self.catalog.forget(record.ckpt_id)
-            if self.predict is not None:
-                self.predict.forget(record.ckpt_id)
+            self.notify("on_forgotten", record)
             self.monitor.notify_all()
         self.telemetry.bus.instant(
             "checkpoint-rollback", self._app_track, ckpt=record.ckpt_id
         )
-
-    def _flush_backpressure(self, ckpt_id: int) -> float:
-        """Engine-level admission control for the write path.
-
-        Bounds how far ``checkpoint()`` may run ahead of the flush cascade:
-        when the D2H flush stream holds ``max_flush_backlog`` or more
-        pending flushes, either block (returning the nominal seconds spent
-        waiting) or shed with :class:`BackpressureError` per
-        ``SchedConfig.admission``.  A no-op when scheduling is disabled.
-        """
-        scfg = self.config.sched
-        if not self.sched.enabled or scfg.admission == "off":
-            return 0.0
-        stream = self.flusher.d2h_stream
-        if stream.depth < scfg.max_flush_backlog:
-            return 0.0
-        if scfg.admission == "shed":
-            self._m_ckpt_shed.inc()
-            self.telemetry.bus.instant(
-                "checkpoint-shed", self._app_track, ckpt=ckpt_id, depth=stream.depth
-            )
-            raise BackpressureError(
-                f"checkpoint {ckpt_id} shed: flush backlog {stream.depth} >= "
-                f"{scfg.max_flush_backlog} (admission policy 'shed')"
-            )
-        with Stopwatch(self.clock) as sw:
-            stream.wait_depth_below(scfg.max_flush_backlog)
-        self._m_ckpt_backpressure.observe(sw.elapsed)
-        return sw.elapsed
 
     # -- hints ---------------------------------------------------------------------------
     def prefetch_enqueue(self, ckpt_id: int) -> None:
@@ -729,51 +772,35 @@ class ScoreEngine:
                 # before returning, so it cannot be evicted under the copy
                 # below.
                 waited += self._await_gpu_copy(record, op=op)
-                if self._reduced_at(record, TierLevel.GPU):
-                    # The GPU extent holds the physical form: reassemble the
-                    # logical payload (chunk concat + modeled delta apply and
-                    # decode charge) before handing bytes to the application.
-                    with op.stage("decode", CAT_REDUCE):
-                        payload, step_decoded = self.reducer.reconstruct(
-                            record, TierLevel.GPU
-                        )
-                    decoded += step_decoded
-                else:
-                    # Copy out to the application buffer (device-to-device).
-                    # The GPU instance is READ_COMPLETE (pinned) until
-                    # ``_consume`` below, so a zero-copy view of the extent is
-                    # safe: this thread is the only one that could force-evict
-                    # pinned extents.
-                    payload = self.gpu_cache.read_payload(record, copy=False)
+                # The GPU instance is READ_COMPLETE (pinned) until
+                # ``_consume`` below, so a zero-copy view of the extent is
+                # safe: this thread is the only one that could force-evict
+                # pinned extents.
+                payload, step_decoded = self._payload_above(record, self.gpu_cache, op)
+                decoded += step_decoded
                 with op.stage("copy-out", CAT_TRANSFER, tier="gpu"):
+                    # Copy out to the application buffer (device-to-device).
                     copied += self.device.d2d_link.transfer(record.nominal_size)
                     buffer.copy_from(payload)
-                if self.verify_restores:
-                    actual = checksum_payload(payload[: buffer.payload.size])
-                    if actual != record.checksum:
-                        # Self-healing: CRC-scrub the at-rest copies, drop
-                        # the corrupt ones, and re-stage from a surviving
-                        # pristine copy before giving up.
-                        if (
-                            self.resilient
-                            and repairs < 2
-                            and self._repair_corruption(record)
-                        ):
-                            repairs += 1
-                            span.add(repaired=repairs)
-                            continue
-                        raise IntegrityError(
-                            f"checkpoint {ckpt_id} payload corrupt: "
-                            f"crc {actual:#010x} != {record.checksum:#010x}"
-                        )
-                break
+                actual = checksum_payload(payload[: buffer.payload.size])
+                if actual == record.checksum:
+                    break
+                # Self-healing: CRC-scrub the at-rest copies, drop the
+                # corrupt ones, and re-stage from a surviving pristine copy
+                # before giving up.
+                if not (self.resilient and repairs < 2 and self._repair_corruption(record)):
+                    raise IntegrityError(
+                        f"checkpoint {ckpt_id} payload corrupt: "
+                        f"crc {actual:#010x} != {record.checksum:#010x}"
+                    )
+                repairs += 1
+                span.add(repaired=repairs)
             self._consume(record)
         # After the root span closes, so the fill reaches (past) its end and
         # the op's timeline stays gap-free to the last instant.
         op.fill("finalize")
         blocked = waited + decoded + copied
-        if self.slo is not None:
-            self.slo.observe_restore(self.clock.now(), blocked, op_id=op.op_id)
+        self.notify("after_restored", record, blocked, op)
         self._m_restore_ops.inc()
         self._m_restore_bytes.inc(record.nominal_size)
         self._m_restore_blocked.observe(blocked)
@@ -813,11 +840,7 @@ class ScoreEngine:
             return False
         for store in bad:
             store.delete(key)
-            if store in (self.ssd, self.pfs):
-                # Replicas on other nodes stay outside the chunk accounting.
-                if self._reduced_at(record, store.level):
-                    self.reducer.detach(record, store.level)
-            self._journal_retract(record, store)
+            self.dropped(record, store)
             self.telemetry.registry.counter("resilience.corruption_repairs").inc()
             self.telemetry.bus.instant(
                 "restore-corrupt", self._app_track, ckpt=record.ckpt_id, tier=store.track
@@ -843,33 +866,10 @@ class ScoreEngine:
             record.durable_store = None if (has_ssd or has_pfs) else replica
             self.monitor.notify_all()
         if has_pfs and not has_ssd:
-            # Re-flush the repaired SSD tier from the pristine PFS copy so
-            # the node-local fast path heals too (best effort: the PFS copy
-            # alone already satisfies durability).
-            try:
-                payload, _ = self.pfs.get(
-                    key,
-                    node_id=self.node_id,
-                    request=self._sched_request(TransferClass.DEMAND_READ),
-                )
-                self.ssd.put(
-                    key,
-                    payload,
-                    record.stored_size(TierLevel.SSD),
-                    meta=self.recovery_meta(record),
-                    request=self._sched_request(TransferClass.CASCADE_FLUSH),
-                )
-                with self.monitor:
-                    if self._reduced_at(record, TierLevel.SSD):
-                        self.reducer.attach(record, TierLevel.SSD)
-                    self.monitor.notify_all()
-                self._journal_commit(record, self.ssd)
-            except (TransferError, ReproError):
-                log.warning(
-                    "p%d: SSD re-flush of repaired checkpoint %d failed; "
-                    "reads stay on the PFS",
-                    self.process_id, record.ckpt_id,
-                )
+            # Heal the node-local fast path too, on the rerouted flushes'
+            # catch-up path (best effort: the PFS copy alone already
+            # satisfies durability; a failed copy stays queued).
+            self.flusher.backfill(record)
         return record.durable_level is not None
 
     def _await_gpu_copy(self, record: CheckpointRecord, op=NULL_OP) -> float:
@@ -906,8 +906,7 @@ class ScoreEngine:
             # Pause the prefetcher for the whole demand episode so it never
             # races the restore for freed cache slots or for this record.
             self.demand_active += 1
-            if self.predict is not None:
-                self.predict.on_demand_miss(record, self.clock.now())
+            self.notify("on_demand_miss", record)
         self.telemetry.bus.instant("gpu-miss", self._app_track, ckpt=record.ckpt_id)
         blocked = 0.0
         try:
@@ -916,23 +915,22 @@ class ScoreEngine:
                 with self.monitor:
                     if ready():
                         return blocked
-                    # Every state change we wait on here (transfers landing,
-                    # flushes finishing) ends in a notify_all on this
-                    # monitor, so the timeout is only a missed-wakeup guard,
-                    # not a polling interval.
+                    stall = None
                     if record.prefetch_inflight or self._transfer_inflight(record):
+                        stall = "stall-inflight"
+                    else:
+                        step = self.promotion_step(record)
+                        if step is None:
+                            stall = "stall-flush"  # only copy is mid-flush
+                    if stall is not None:
+                        # Every state change we wait on here (transfers
+                        # landing, flushes finishing) ends in a notify_all
+                        # on this monitor, so the timeout is only a
+                        # missed-wakeup guard, not a polling interval.
                         wait_started = self.clock.now()
                         self.monitor.wait(virtual_timeout=1.0)
                         blocked += self.clock.now() - wait_started
-                        op.fill("stall-inflight")
-                        continue
-                    step = self.promotion_step(record)
-                    if step is None:
-                        # Only copy is mid-flush; wait for the flusher.
-                        wait_started = self.clock.now()
-                        self.monitor.wait(virtual_timeout=1.0)
-                        blocked += self.clock.now() - wait_started
-                        op.fill("stall-flush")
+                        op.fill(stall)
                         continue
                     record.prefetch_inflight = True
                 src, dst = step
@@ -953,11 +951,10 @@ class ScoreEngine:
                     # Injected transient fault (link fault, tier outage):
                     # back off on the virtual clock before re-resolving so a
                     # dark tier doesn't busy-spin the demand loop.
-                    delay = 0.05
-                    if self.retry_policy is not None:
-                        delay = self.retry_policy.backoff(0, "demand", record.ckpt_id)
                     with op.stage("backoff", CAT_RETRY):
-                        self.clock.sleep(delay)
+                        self.clock.sleep(
+                            backoff_for(self.retry_policy, "demand", record.ckpt_id)
+                        )
                 except ReproError:
                     # The source moved while we promoted; re-resolve.
                     pass
@@ -1025,13 +1022,9 @@ class ScoreEngine:
         record: CheckpointRecord,
         src: TierLevel,
         dst: TierLevel,
-        blocking: bool,
-        allow_pinned: bool,
         request: Optional[TransferRequest] = None,
         op=NULL_OP,
-        speculative: bool = False,
-        budget_fraction: Optional[float] = None,
-        keep_nearer: bool = False,
+        **claim,
     ) -> Optional[float]:
         """Move ``record`` one step toward the GPU: the host→GPU hop, or
         the read off a storage tier.  Monitor NOT held.
@@ -1043,20 +1036,14 @@ class ScoreEngine:
         (:class:`TransferError` / :class:`~repro.errors.AdmissionError`).
         ``op`` attributes the reserve/read/decode stages to the demanding
         restore (or the prefetch chain) when causal tracing is on.
-        ``speculative`` marks the landed extents as revocable predicted
-        stagings rather than pinned hinted prefetches.  ``budget_fraction``
-        and ``keep_nearer`` are the prefetch workers' reservation terms
-        (see :meth:`CacheBuffer.reserve`), applied to every extent claimed:
-        a fused read whose GPU claim the budget refuses lands the host
-        extent alone.
+        ``claim`` holds the reservation terms (``blocking``,
+        ``allow_pinned``; the prefetch workers add ``speculative`` — the
+        landed extents are revocable predicted stagings rather than pinned
+        hinted prefetches — ``budget_fraction`` and ``keep_nearer``, see
+        :meth:`CacheBuffer.reserve`), applied to every extent claimed: a
+        fused read whose GPU claim the budget refuses lands the host extent
+        alone.
         """
-        claim = dict(
-            blocking=blocking,
-            allow_pinned=allow_pinned,
-            speculative=speculative,
-            budget_fraction=budget_fraction,
-            keep_nearer=keep_nearer,
-        )
         if src != TierLevel.HOST:
             return self._promote_from_store(record, src, dst, claim, request, op)
         with op.stage("reserve-gpu", CAT_RESERVE):
@@ -1076,25 +1063,12 @@ class ScoreEngine:
                     "before promotion"
                 )
             host_inst.read_pinned += 1
-        decoded = 0.0
         try:
-            if self._reduced_at(record, TierLevel.HOST) and not self._reduced_at(
-                record, TierLevel.GPU
-            ):
-                # Host-site reduction: decode on the host before the
-                # PCIe crossing, so the GPU cache holds logical bytes
-                # and the wire below moves them at logical size.
-                with op.stage("decode", CAT_REDUCE):
-                    payload, decoded = self.reducer.reconstruct(
-                        record, TierLevel.HOST
-                    )
-            else:
-                # Zero-copy: move the bytes host-arena → GPU-arena
-                # through a read-only view while the host extent is
-                # pinned.  The GPU extent is still READ_IN_PROGRESS, so
-                # the early landing is unobservable; the simulated
-                # transfer below charges the time.
-                payload = self.host_cache.read_payload(record, copy=False)
+            # Move the bytes host-arena → GPU-arena while the host extent
+            # is pinned.  The GPU extent is still READ_IN_PROGRESS, so the
+            # early landing is unobservable; the simulated transfer below
+            # charges the time.
+            payload, decoded = self._payload_above(record, self.host_cache, op, dst)
             self.gpu_cache.write_payload(record, payload)
         finally:
             with self.monitor:
@@ -1110,7 +1084,7 @@ class ScoreEngine:
             # and eagerly written — GPU extent is released for reuse.
             self.gpu_cache.release(record)
             raise
-        self._read_complete(record, TierLevel.GPU)
+        self.landed(record, self.gpu_cache)
         return seconds
 
     def _promote_from_store(
@@ -1229,7 +1203,7 @@ class ScoreEngine:
             # Host landing first: it is the staging copy and must be
             # consistent before the GPU extent becomes consumable.
             self.host_cache.write_payload(record, payload)
-            self._read_complete(record, TierLevel.HOST)
+            self.landed(record, self.host_cache)
         if consumer_error is not None:
             # Preempted (or shed) mid-crossing: the GPU claim is rolled
             # back; a fused promotion keeps its host copy, as if the first
@@ -1238,21 +1212,12 @@ class ScoreEngine:
             raise consumer_error
         if to_gpu:
             self.gpu_cache.write_payload(record, payload)
-            self._read_complete(record, TierLevel.GPU)
+            self.landed(record, self.gpu_cache)
         if pipeline.chunks == 1:
             # Accounted link seconds, not the clock: a whole-object read
             # must not leak host scheduling noise into restore timings.
             return waited + reader.seconds + h2d_seconds
         return waited + pipeline.active_s
-
-    def _read_complete(self, record: CheckpointRecord, level: TierLevel) -> None:
-        """Landing epilogue of a promotion: the extent on ``level`` holds
-        the payload and becomes consumable."""
-        with self.monitor:
-            record.instance(level).transition(CkptState.READ_COMPLETE, self.clock.now())
-            if self._reduced_at(record, level):
-                self.reducer.attach(record, level)
-            self.monitor.notify_all()
 
     def _current_source_level(self, record: CheckpointRecord) -> str:
         fastest = record.fastest_cached_level()
@@ -1288,10 +1253,7 @@ class ScoreEngine:
                 inst.try_transition(CkptState.CONSUMED, now)
             self.queue.consume(record.ckpt_id)
             self.prefetcher.forget(record.ckpt_id)
-            if self.predict is not None:
-                # Scores a pending speculation as a hit and re-ranks the
-                # predicted overlay from the freshest history.
-                self.predict.on_restore(record, now)
+            self.notify("on_consumed", record)
             self._m_queue_depth.set(len(self.queue))
             if self.discard_consumed:
                 # Condition (5): pending flushes of a discarded checkpoint
@@ -1344,17 +1306,15 @@ class ScoreEngine:
             sources.append(self.pfs)
         by_track = {store.track: store for store in sources}
         with self.monitor:
-            if self.resilient and self.config.resilience.journal:
-                for ckpt_id, locations in sorted(
-                    self.journal.entries_for(self.process_id).items()
-                ):
-                    for store_id in sorted(locations):
-                        store = by_track.get(store_id)
-                        if store is None:
-                            continue
-                        meta = locations[store_id].get("meta") or {}
-                        if self._adopt_durable(ckpt_id, store, meta):
-                            recovered += 1
+            # Empty unless an incarnation journaled its commits.
+            for ckpt_id, locations in sorted(self.journal.entries_for(self.process_id).items()):
+                for store_id in sorted(locations):
+                    store = by_track.get(store_id)
+                    if store is None:
+                        continue
+                    meta = locations[store_id].get("meta") or {}
+                    if self._adopt_durable(ckpt_id, store, meta):
+                        recovered += 1
             for store in sources:
                 for key in sorted(store.keys_for_process(self.process_id)):
                     if self._adopt_durable(key[1], store, store.meta(key) or {}):
@@ -1366,56 +1326,40 @@ class ScoreEngine:
         """Monitor held: adopt one durable blob into the catalog.
 
         Returns ``True`` when a new record was created; an already-adopted
-        checkpoint only gets its reduced image re-attached at this level
-        (blobs and chunk references must agree — the validator checks it).
+        checkpoint is only announced to the monitor-held ``landed``
+        observers (its reduced image attaches at this level too).
         """
         key = (self.process_id, ckpt_id)
-        level = store.level
         if not store.contains(key):
             return False  # journal entry whose blob is gone: not trusted
-        reduced = bool(meta.get("reduced"))
-        home = store in (self.ssd, self.pfs)
         record = self.catalog.maybe_get(ckpt_id)
-        if record is not None:
-            if reduced and record.reduction is not None and home:
-                self.reducer.attach(record, level)
-            return False
-        nominal = store.size_of(key)
-        if reduced:
-            image = (
-                self.recipes.load(self.process_id, ckpt_id)
-                if (self.resilient and self.reducer is not None)
-                else None
-            )
-            if image is None:
-                log.warning(
-                    "p%d: skipping reduced checkpoint %d on %s during "
-                    "recovery (no durable chunk recipe)",
-                    self.process_id, ckpt_id, level.name,
-                )
-                return False
-            logical = int(meta.get("logical_size", image.logical_size))
-            record = self.catalog.create(
-                ckpt_id,
-                logical,
-                int(meta.get("true_size", logical)),
-                int(meta.get("checksum", 0)),
-            )
-            record.physical_size = image.physical_size
-            record.reduction = image
-            if home:
-                self.reducer.attach(record, level)
-        else:
-            record = self.catalog.create(
-                ckpt_id,
-                nominal,
-                int(meta.get("true_size", nominal)),
-                int(meta.get("checksum", 0)),
-            )
-        record.durable_level = level
-        if store is not self.ssd and level is TierLevel.SSD:
-            record.durable_store = store  # a replica on another node's SSD
-        return True
+        created = record is None
+        if created:
+            nominal = store.size_of(key)
+            image = None
+            if meta.get("reduced"):
+                image = self.reducer.load_recipe(ckpt_id) if self.reducer is not None else None
+                if image is None:
+                    log.warning(
+                        "p%d: skipping reduced checkpoint %d on %s during "
+                        "recovery (no durable chunk recipe)",
+                        self.process_id, ckpt_id, store.level.name,
+                    )
+                    return False
+                nominal = int(meta.get("logical_size", image.logical_size))
+            record = self._record_for_blob(ckpt_id, nominal, meta)
+            if image is not None:
+                record.physical_size = image.physical_size
+                record.reduction = image
+            record.durable_level = store.level
+            if not self._owns(store):
+                record.durable_store = store  # a replica on another node's SSD
+        if self._owns(store):
+            # Blobs and chunk references must agree at every durable tier
+            # (the validator checks it).  Nothing is re-journaled: the
+            # journal is what recovery replayed.
+            self.notify("on_landed", record, store)
+        return created
 
     # -- maintenance ------------------------------------------------------------------------
     def wait_for_flushes(self, timeout: Optional[float] = None) -> float:
@@ -1442,43 +1386,8 @@ class ScoreEngine:
                 timeout=None if timeout is None else self.clock.to_real(timeout)
             )
         if not drained:
-            raise FlushTimeoutError(self._flush_stall_diagnostics(timeout))
+            raise FlushTimeoutError(self.flusher.stall_report(timeout))
         return sw.elapsed
-
-    def _flush_stall_diagnostics(self, timeout: float) -> str:
-        """One-line stall report for :class:`FlushTimeoutError`."""
-        flusher = self.flusher
-        depths = [
-            f"d2h={flusher.d2h_stream.depth}",
-            f"h2f={flusher.h2f_stream.depth}",
-        ]
-        if flusher.f2r_stream is not None:
-            depths.append(f"f2r={flusher.f2r_stream.depth}")
-        if flusher.f2p_stream is not None:
-            depths.append(f"f2p={flusher.f2p_stream.depth}")
-        if flusher.repl_stream is not None:
-            depths.append(f"repl={flusher.repl_stream.depth}")
-        links = [self.device.d2h_link, self.ssd.write_link, self.ssd.read_link]
-        pending = ", ".join(
-            f"{link.name}={link.pending_bytes}B" for link in links if link.pending_bytes
-        )
-        message = (
-            f"p{self.process_id}: flushes still pending after {timeout:g}s "
-            f"(nominal); stream depths [{', '.join(depths)}]; "
-            f"in-flight link bytes [{pending or 'none'}]"
-        )
-        if self.sched.enabled:
-            stalled = [s for s in self.sched.snapshot() if s["depth"]]
-            message += f"; scheduler queues {stalled or 'all empty'}"
-        if self.resilient:
-            message += (
-                f"; retries={flusher.retries} rerouted={flusher.rerouted} "
-                f"backfill_pending={flusher.backfill_depth}"
-                f"; breakers {self.health.snapshot() or 'all closed'}"
-            )
-        if self.faults.enabled:
-            message += f"; injected {self.faults.snapshot()}"
-        return message
 
     def stats(self) -> dict:
         """Counters for diagnostics and the benchmark harness."""

@@ -46,26 +46,28 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from functools import partial
 from typing import Optional, TYPE_CHECKING
 
 from repro.core.lifecycle import CkptState
 from repro.core.streaming import ChunkPipeline, chunk_sizes_for
+from repro.clock import Stopwatch
 from repro.errors import (
     AllocationError,
+    BackpressureError,
     ReproError,
     TransferError,
     TransientTransferError,
 )
+from repro.faults.retry import run_with_retries
 from repro.log import get_logger
 from repro.metrics.recorder import OpEvent, OpKind
 from repro.sched.request import TransferClass
 from repro.telemetry.causal import (
-    CAT_REDUCE,
     CAT_REROUTE,
     CAT_RESERVE,
     CAT_RETRY,
     CAT_TRANSFER,
-    NULL_OP,
 )
 from repro.tiers.base import TierLevel, copy_object
 
@@ -127,6 +129,8 @@ class Flusher:
             for stage in ("d2h", "d2s", "h2f", "f2p", "repl")
         }
         self._m_abandoned = registry.counter("flush.abandoned")
+        self._m_ckpt_shed = registry.counter("engine.checkpoint.shed")
+        self._m_ckpt_backpressure = registry.histogram("engine.checkpoint.backpressure_s")
         self._m_d2h_depth = registry.gauge("flush.d2h.depth")
         self._m_h2f_depth = registry.gauge("flush.h2f.depth")
         self._m_retries = registry.counter("resilience.flush_retries")
@@ -150,11 +154,6 @@ class Flusher:
         with self._backfill_lock:
             return len(self._backfill)
 
-    def _op(self, record: "CheckpointRecord"):
-        """The record's causal handle (``NULL_OP`` when tracing is off)."""
-        op = record.op
-        return op if op is not None else NULL_OP
-
     def _causal(self, op, tier: str) -> dict:
         """Extra span kwargs tying a flush leg to its op, empty when off.
 
@@ -165,6 +164,18 @@ class Flusher:
             return {}
         return {"op_id": op.op_id, "category": CAT_TRANSFER, "tier": tier}
 
+    def _span(self, stage: str, record: "CheckpointRecord", nbytes: int, tier: str, **args):
+        """The span of one flush leg on its stage's track, tied to the
+        record's op."""
+        return self.telemetry.bus.span(
+            stage,
+            self._tracks[stage],
+            ckpt=record.ckpt_id,
+            bytes=nbytes,
+            **args,
+            **self._causal(record.op, tier),
+        )
+
     def _abandon(self, stage: str, record: "CheckpointRecord", reason: str) -> None:
         """Count + trace + log one abandoned flush leg (monitor NOT required)."""
         self.abandoned += 1
@@ -172,7 +183,7 @@ class Flusher:
         self.telemetry.bus.instant(
             "flush-abandoned",
             self._tracks[stage],
-            op_id=self._op(record).op_id,
+            op_id=record.op.op_id,
             ckpt=record.ckpt_id,
             reason=reason,
         )
@@ -308,67 +319,124 @@ class Flusher:
                 continue  # backfill progressed; give it another sweep
             return True
 
+    def backpressure(self, ckpt_id: int) -> float:
+        """Admission control for the write path.
+
+        Bounds how far ``checkpoint()`` may run ahead of the flush cascade:
+        when the D2H flush stream holds ``max_flush_backlog`` or more
+        pending flushes, either block (returning the nominal seconds spent
+        waiting) or shed with :class:`BackpressureError` per
+        ``SchedConfig.admission``.  A no-op when scheduling is disabled.
+        """
+        engine = self.engine
+        scfg = engine.config.sched
+        if not engine.sched.enabled or scfg.admission == "off":
+            return 0.0
+        stream = self.d2h_stream
+        if stream.depth < scfg.max_flush_backlog:
+            return 0.0
+        if scfg.admission == "shed":
+            self._m_ckpt_shed.inc()
+            self.telemetry.bus.instant(
+                "checkpoint-shed", engine._app_track, ckpt=ckpt_id, depth=stream.depth
+            )
+            raise BackpressureError(
+                f"checkpoint {ckpt_id} shed: flush backlog {stream.depth} >= "
+                f"{scfg.max_flush_backlog} (admission policy 'shed')"
+            )
+        with Stopwatch(engine.clock) as sw:
+            stream.wait_depth_below(scfg.max_flush_backlog)
+        self._m_ckpt_backpressure.observe(sw.elapsed)
+        return sw.elapsed
+
+    def stall_report(self, timeout: float) -> str:
+        """One-line stall report for :class:`FlushTimeoutError`."""
+        engine = self.engine
+        depths = ", ".join(
+            f"{stream.name.rsplit('-', 1)[-1]}={stream.depth}" for stream in self._streams
+        )
+        links = [engine.device.d2h_link, engine.ssd.write_link, engine.ssd.read_link]
+        pending = ", ".join(
+            f"{link.name}={link.pending_bytes}B" for link in links if link.pending_bytes
+        )
+        message = (
+            f"p{engine.process_id}: flushes still pending after {timeout:g}s "
+            f"(nominal); stream depths [{depths}]; "
+            f"in-flight link bytes [{pending or 'none'}]"
+        )
+        if engine.sched.enabled:
+            stalled = [s for s in engine.sched.snapshot() if s["depth"]]
+            message += f"; scheduler queues {stalled or 'all empty'}"
+        if engine.resilient:
+            message += (
+                f"; retries={self.retries} rerouted={self.rerouted} "
+                f"backfill_pending={self.backfill_depth}"
+                f"; breakers {engine.health.snapshot() or 'all closed'}"
+            )
+        if engine.faults.enabled:
+            message += f"; injected {engine.faults.snapshot()}"
+        return message
+
     def close(self) -> None:
         for stream in self._streams:
             stream.close(drain=True)
 
     # -- self-healing machinery ----------------------------------------------
     def _retrying(self, stage: str, record: "CheckpointRecord", fn, breaker=None):
-        """Run one flush leg, retrying injected transient faults.
+        """Run one flush leg on :func:`run_with_retries`, retrying injected
+        transient faults.
 
         A plain call when resilience is off — the
         :class:`TransientTransferError` then propagates into the stage's
         historical ``TransferError`` handling, so disabled behavior is
         unchanged.  Each attempt feeds the endpoint's circuit breaker when
         ``breaker`` names one; exponential backoff with deterministic jitter
-        is charged on the virtual clock.
+        is charged on the virtual clock, inside a traced ``backoff`` stage.
         """
         engine = self.engine
-        policy = engine.retry_policy
-        attempt = 0
-        while True:
-            try:
-                result = fn()
-            except TransientTransferError:
-                if breaker is not None:
-                    engine.health.failure(breaker)
-                if (
-                    policy is None
-                    or attempt >= policy.budget("CASCADE_FLUSH")
-                    or record.cancel_flush.is_set()
-                    or engine.crashed.is_set()
-                ):
-                    raise
-                delay = policy.backoff(attempt, stage, record.ckpt_id)
-                self.retries += 1
-                self._m_retries.inc()
-                op = self._op(record)
-                self.telemetry.bus.instant(
-                    "flush-retry",
-                    self._tracks[stage],
-                    op_id=op.op_id,
-                    ckpt=record.ckpt_id,
-                    stage=stage,
-                    attempt=attempt,
-                    delay=delay,
-                )
-                with op.stage(
-                    "backoff", CAT_RETRY, track=self._tracks[stage], leg=stage
-                ):
-                    engine.clock.sleep(delay)
-                attempt += 1
-                continue
-            if breaker is not None:
-                engine.health.success(breaker)
-            return result
+        track = self._tracks[stage]
+        op = record.op
+
+        def back_off(attempt: int, delay: float, exc: Exception) -> None:
+            self.retries += 1
+            self._m_retries.inc()
+            self.telemetry.bus.instant(
+                "flush-retry",
+                track,
+                op_id=op.op_id,
+                ckpt=record.ckpt_id,
+                stage=stage,
+                attempt=attempt,
+                delay=delay,
+            )
+            with op.stage("backoff", CAT_RETRY, track=track, leg=stage):
+                engine.clock.sleep(delay)
+
+        def feed_breaker(succeeded: bool) -> None:
+            (engine.health.success if succeeded else engine.health.failure)(breaker)
+
+        return run_with_retries(
+            fn,
+            policy=engine.retry_policy,
+            clock=engine.clock,
+            class_name="CASCADE_FLUSH",
+            labels=(stage, record.ckpt_id),
+            on_retry=back_off,
+            should_abort=lambda: record.cancel_flush.is_set() or engine.crashed.is_set(),
+            on_attempt=None if breaker is None else feed_breaker,
+        )
 
     def _put_whole(self, record: "CheckpointRecord", store, payload) -> None:
         """Whole-object put of the in-hand pristine payload on a durable
-        store: the reverify re-put, and the one-chunk PFS commit.  PFS puts
-        go through ``engine._pfs_put`` so that, clustered, concurrent
-        whole-object flushes coalesce in the fabric's write aggregator."""
+        store: the reverify re-put, and the one-chunk PFS commit.  Clustered,
+        a PFS put goes through the fabric's per-node write aggregator, where
+        concurrent whole-object flushes coalesce; the direct call has the
+        same timings and op count."""
         engine = self.engine
-        put = engine._pfs_put if store is engine.pfs else store.put
+        if store is engine.pfs and engine.fabric is not None:
+            put = partial(engine.fabric.pfs_put, engine.node_id)
+        else:
+            put = partial(store.put, node_id=engine.node_id)
         put(
             engine.store_key(record),
             payload,
@@ -393,7 +461,7 @@ class Flusher:
             return True
         breaker = store.track
         key = engine.store_key(record)
-        op = self._op(record)
+        op = record.op
         with op.stage("reverify", CAT_RETRY, track=self._tracks[stage], tier=store.tier):
             verified = store.verify(key)
             attempt = 0
@@ -428,11 +496,18 @@ class Flusher:
                 attempt += 1
         if not verified:
             store.delete(key)
-            engine._journal_retract(record, store)
+            engine.dropped(record, store)
         return verified
 
+    def backfill(self, record: "CheckpointRecord") -> None:
+        """A restore dropped ``record``'s corrupt SSD copy: queue the same
+        catch-up copy from the PFS a rerouted flush gets, and try it now."""
+        with self._backfill_lock:
+            self._backfill.append(record)
+        self._drain_backfill()
+
     def _drain_backfill(self) -> None:
-        """Catch-up copies for rerouted records once the SSD returns.
+        """Catch-up copies of PFS-only records once the SSD is usable.
 
         Pops queued records and copies their PFS blobs back onto the local
         SSD, breaker-gated; a failure (tier still dark) re-queues the record
@@ -456,28 +531,29 @@ class Flusher:
                 with self._backfill_lock:
                     self._backfill.appendleft(record)
                 return
-            op = self._op(record)
+            op = record.op
             # The op has been idle since its reroute, waiting for the dark
             # SSD to heal: label that whole gap before timing the copy, so
             # its timeline stays gap-free.
             op.fill("await-heal", CAT_REROUTE, track=self._tracks["h2f"])
             backfill_t0 = engine.clock.now()
             try:
-                payload, _ = engine.pfs.get(
-                    key, node_id=engine.node_id, request=self._request(record)
+                copy_object(
+                    engine.pfs,
+                    engine.ssd,
+                    key,
+                    node_id=engine.node_id,
+                    cancelled=record.cancel_flush,
+                    request=self._request(record),
+                    meta=engine.recovery_meta(record),
                 )
-                self._put_whole(record, engine.ssd, payload)
             except (TransferError, ReproError):
                 engine.health.failure(breaker)
                 with self._backfill_lock:
                     self._backfill.appendleft(record)
                 return
             engine.health.success(breaker)
-            with engine.monitor:
-                if engine._reduced_at(record, TierLevel.SSD):
-                    engine.reducer.attach(record, TierLevel.SSD)
-                engine.monitor.notify_all()
-            engine._journal_commit(record, engine.ssd)
+            engine.landed(record, engine.ssd)
             self.backfilled += 1
             self._m_backfills.inc()
             if op.op_id is not None:
@@ -531,7 +607,7 @@ class Flusher:
         pipeline.charge_chunk(
             stage, chunk, nbytes,
             lambda: self._retrying(stage, record, charge, breaker=breaker),
-            self.telemetry.bus, self._tracks[stage], self._causal(self._op(record), tier),
+            self.telemetry.bus, self._tracks[stage], self._causal(record.op, tier),
         )
 
     def _account_stream(self, pipeline: ChunkPipeline) -> None:
@@ -560,7 +636,7 @@ class Flusher:
         eviction.  Returns ``None`` after abandoning."""
         engine = self.engine
         engine._maybe_crash(f"before-{stage}", record)
-        self._op(record).fill("flush-queue", track=self._tracks[stage])
+        record.op.fill("flush-queue", track=self._tracks[stage])
         with engine.monitor:
             gpu_inst = record.peek(TierLevel.GPU)
             if record.discarded or gpu_inst is None:
@@ -594,44 +670,6 @@ class Flusher:
             )
         )
 
-    def _landed(
-        self,
-        record: "CheckpointRecord",
-        stage: str,
-        store,
-        flushed: Optional[TierLevel] = None,
-    ) -> None:
-        """A complete (verified) blob landed on durable ``store``: raise the
-        record's durable level, attach its chunks, make the ``flushed``
-        source copy evictable, journal the commit, and on the first durable
-        landing emit the ``durable`` instant + SLO sample."""
-        engine = self.engine
-        level = store.level
-        first_durable = False
-        with engine.monitor:
-            if record.durable_level is None or record.durable_level < level:
-                first_durable = record.durable_level is None
-                record.durable_level = level
-            if engine._reduced_at(record, level):
-                engine.reducer.attach(record, level)
-            source = None if flushed is None else record.peek(flushed)
-            if source is not None:
-                source.flush_pending = False
-                source.try_transition(CkptState.FLUSHED, engine.clock.now())
-            engine.monitor.notify_all()
-        engine._journal_commit(record, store)
-        op = self._op(record)
-        if first_durable and op.op_id is not None:
-            now = engine.clock.now()
-            op.instant(
-                "durable",
-                track=self._tracks[stage],
-                tier=level.name.lower(),
-                level=level.name,
-            )
-            if engine.slo is not None:
-                engine.slo.observe_durability(now, now - op.start, op_id=op.op_id)
-
     def _skip_upgrade(self, pipeline: ChunkPipeline) -> None:
         """The PFS upgrade of this checkpoint is moot (the blob went to the
         PFS directly, or never landed on the SSD)."""
@@ -647,25 +685,16 @@ class Flusher:
         payload = self._snapshot_gpu(stage, record)
         if payload is None:
             return
-        op = self._op(record)
+        op = record.op
         track = self._tracks[stage]
-        if (
-            engine.reducer is not None
-            and engine.reducer.site == "host"
-            and record.reduction is None
-        ):
-            # Host-site reduction: encode off the application's critical
-            # path, on this flush thread, before the host placement — the
-            # host cache and everything below hold the physical form.
-            with op.stage("encode", CAT_REDUCE, track=track):
-                engine.reducer.encode(record, payload)
+        # Host-site reduction: encode off the application's critical path,
+        # on this flush thread, before the host placement — the host cache
+        # and everything below hold the physical form.
+        engine.encode_at("host", record, payload, op, track)
         # Hand the post-encode physical payload to the consumers up front:
         # they charge their links chunk-by-chunk against our published
         # completions instead of re-reading the host copy.
-        if engine._reduced_at(record, TierLevel.HOST):
-            pipeline.payload = engine.reducer.physical_payload(record)
-        else:
-            pipeline.payload = payload
+        pipeline.payload = engine.stored_payload(record, TierLevel.HOST, payload)
         wire = record.wire_size(TierLevel.GPU, TierLevel.HOST)
         # Claim host cache space (blocks for evictions as needed).
         with op.stage("reserve-host", CAT_RESERVE, track=track):
@@ -674,14 +703,7 @@ class Flusher:
             # Pinned for the durable hop before any chunk is published, so
             # however early that hop ends it finds (and clears) the pin.
             record.instance(TierLevel.HOST).flush_pending = True
-        with self.telemetry.bus.span(
-            stage,
-            track,
-            ckpt=record.ckpt_id,
-            bytes=wire,
-            chunks=pipeline.chunks,
-            **self._causal(op, "pcie"),
-        ) as span:
+        with self._span(stage, record, wire, "pcie", chunks=pipeline.chunks) as span:
             try:
                 # No ring on this edge: the whole host extent is reserved
                 # above, so chunks land in the tier however far behind the
@@ -700,16 +722,7 @@ class Flusher:
                 return
         self._m_bytes[stage].inc(wire)
         engine.host_cache.write_payload(record, pipeline.payload)
-        with engine.monitor:
-            record.instance(TierLevel.HOST).transition(
-                CkptState.WRITE_COMPLETE, engine.clock.now()
-            )
-            if engine._reduced_at(record, TierLevel.HOST):
-                engine.reducer.attach(record, TierLevel.HOST)
-            gpu_now = record.peek(TierLevel.GPU)
-            if gpu_now is not None:
-                gpu_now.try_transition(CkptState.FLUSHED, engine.clock.now())
-            engine.monitor.notify_all()
+        engine.landed(record, engine.host_cache, flushed=TierLevel.GPU)
         self._record_flush(record, started)
         engine._maybe_crash("after-d2h", record)
         pipeline.finish(stage)
@@ -728,7 +741,7 @@ class Flusher:
         upstream = pipeline.upstream_of(stage)
         source = TierLevel.GPU if upstream is None else TierLevel.HOST
         started = engine.clock.now()
-        op = self._op(record)
+        op = record.op
         done = False
         try:
             if upstream is None:
@@ -749,14 +762,7 @@ class Flusher:
                         return
                 payload = pipeline.payload
             wire = record.wire_size(source, TierLevel.SSD)
-            with self.telemetry.bus.span(
-                stage,
-                self._tracks[stage],
-                ckpt=record.ckpt_id,
-                bytes=wire,
-                chunks=pipeline.chunks,
-                **self._causal(op, "ssd"),
-            ) as span:
+            with self._span(stage, record, wire, "ssd", chunks=pipeline.chunks) as span:
                 store = self._durable_put(stage, record, pipeline, payload)
                 if store is None:
                     span.add(abandoned=True)
@@ -771,7 +777,7 @@ class Flusher:
                 return
             self._m_bytes[stage].inc(wire)
             pipeline.landed = level
-            self._landed(record, stage, store, flushed=source)
+            engine.landed(record, store, flushed=source, track=self._tracks[stage])
             if level is TierLevel.PFS and engine.config.resilience.backfill:
                 # Rerouted: queue a catch-up copy onto the SSD for when it
                 # returns.
@@ -888,7 +894,7 @@ class Flusher:
             self._abandon(stage, record, "ssd circuit breaker open")
             return None
         try:
-            with self._op(record).stage(
+            with record.op.stage(
                 "ssd-put", CAT_TRANSFER, track=self._tracks[stage], tier="ssd"
             ):
                 if not self._stream_put(stage, record, pipeline, ssd, payload):
@@ -922,7 +928,7 @@ class Flusher:
         """
         engine = self.engine
         pfs = engine.pfs
-        op = self._op(record)
+        op = record.op
         track = self._tracks[stage]
         self._skip_upgrade(pipeline)
         self.rerouted += 1
@@ -977,16 +983,9 @@ class Flusher:
         except TransferError as exc:
             self._abandon(stage, record, f"{type(exc).__name__} at read-back open")
             return
-        op = self._op(record)
+        op = record.op
         track = self._tracks[stage]
-        with self.telemetry.bus.span(
-            stage,
-            track,
-            ckpt=record.ckpt_id,
-            bytes=read_total,
-            chunks=pipeline.chunks,
-            **self._causal(op, "ssd"),
-        ) as span:
+        with self._span(stage, record, read_total, "ssd", chunks=pipeline.chunks) as span:
             try:
                 for i, nbytes in enumerate(chunk_sizes_for(read_total, pipeline.chunks)):
                     if not pipeline.await_upstream(stage, i):
@@ -1022,7 +1021,7 @@ class Flusher:
         engine = self.engine
         if pipeline.skipped(stage):
             return True
-        op = self._op(record)
+        op = record.op
         track = self._tracks[stage]
         op.fill("flush-queue", track=track)
         with engine.monitor:
@@ -1048,14 +1047,7 @@ class Flusher:
         stored = record.stored_size(TierLevel.PFS)
         wire = record.wire_size(TierLevel.SSD, TierLevel.PFS)
         writer = None
-        with self.telemetry.bus.span(
-            stage,
-            track,
-            ckpt=record.ckpt_id,
-            bytes=wire,
-            chunks=pipeline.chunks,
-            **self._causal(op, "pfs"),
-        ) as span:
+        with self._span(stage, record, wire, "pfs", chunks=pipeline.chunks) as span:
             try:
                 if pipeline.chunks > 1:
                     writer = pfs.open_put(
@@ -1109,7 +1101,7 @@ class Flusher:
                 self._abandon(stage, record, "persistent corruption on PFS put")
                 return
         self._m_bytes[stage].inc(wire)
-        self._landed(record, stage, pfs)
+        engine.landed(record, pfs, track=track)
         engine._maybe_crash(f"after-{stage}", record)
         pipeline.finish(stage)
         return True
@@ -1126,7 +1118,7 @@ class Flusher:
         if engine.crashed.is_set():
             return
         engine._maybe_crash("before-repl", record)
-        op = self._op(record)
+        op = record.op
         op.fill("flush-queue", track=self._tracks["repl"])
         with engine.monitor:
             if record.discarded:
@@ -1156,13 +1148,7 @@ class Flusher:
                     meta=engine.recovery_meta(record),
                 )
 
-            with self.telemetry.bus.span(
-                "repl",
-                self._tracks["repl"],
-                ckpt=record.ckpt_id,
-                bytes=stored,
-                **self._causal(op, "fabric"),
-            ) as span:
+            with self._span("repl", record, stored, "fabric") as span:
                 try:
                     self._retrying("repl", record, copy_to_replica)
                 except (TransferError, ReproError) as exc:
@@ -1173,5 +1159,5 @@ class Flusher:
                     return
             self._m_bytes["repl"].inc(stored)
             self.replicated += 1
-            engine._journal_commit(record, target_ssd)
+            engine.landed(record, target_ssd)
         engine._maybe_crash("after-repl", record)

@@ -57,6 +57,7 @@ from itertools import islice
 from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import AdmissionError, ReproError, TransientTransferError
+from repro.faults.retry import backoff_for
 from repro.log import get_logger
 from repro.metrics.recorder import OpEvent, OpKind
 from repro.sched.request import TransferClass
@@ -74,6 +75,10 @@ log = get_logger(__name__)
 #:  overlay entries are always speculative)
 Task = Tuple["CheckpointRecord", TierLevel, TierLevel, int, bool]
 
+#: hints from the restore head the GPU hop looks at (the staging hop's
+#: horizon comes from the cache instead, see the module docstring).
+LOOKAHEAD = 64
+
 #: destination tier of a hop -> the name of its promotion spans, as the
 #: flusher names a stage's spans after the stage; the worker's track is
 #: ``p<pid>-<name>``.
@@ -83,9 +88,9 @@ HOP_SPANS = {TierLevel.GPU: "prefetch", TierLevel.HOST: "prefetch-stage"}
 class Prefetcher:
     """The hint-driven prefetch workers of one engine, one per hop."""
 
-    def __init__(self, engine: "ScoreEngine", lookahead: int = 64) -> None:
+    def __init__(self, engine: "ScoreEngine") -> None:
         self.engine = engine
-        self.lookahead = lookahead
+        self.lookahead = LOOKAHEAD
         #: completed promotions, both workers (updated under the monitor).
         self.promotions = 0
         self.telemetry = engine.telemetry
@@ -224,36 +229,22 @@ class Prefetcher:
                     span.add(shed=True)
                     self._m_sheds.inc()
                     shed = True
-                except TransientTransferError as exc:
-                    # Injected transient fault (link fault, tier outage):
-                    # back off on the virtual clock so a dark tier doesn't
-                    # busy-spin the prefetch loop, then re-evaluate.
-                    span.add(retried=True)
-                    self._m_retries.inc()
-                    delay = 0.05
-                    if engine.retry_policy is not None:
-                        delay = engine.retry_policy.backoff(
-                            0, "prefetch", record.ckpt_id
-                        )
-                    with op.stage("backoff", CAT_RETRY):
-                        engine.clock.sleep(delay)
-                    log.debug(
-                        "p%d: prefetch of checkpoint %d (%s->%s) hit a "
-                        "transient fault: %s",
-                        engine.process_id, record.ckpt_id, src.name, dst.name, exc,
-                    )
                 except ReproError as exc:
                     # Raced with a concurrent state change (e.g. the extent
-                    # appeared on the destination meanwhile); re-evaluate.
+                    # appeared on the destination meanwhile), or an injected
+                    # transient fault (link fault, tier outage): re-evaluate
+                    # — after backing off on the virtual clock for the
+                    # latter, so a dark tier doesn't busy-spin the loop.
                     span.add(retried=True)
                     self._m_retries.inc()
+                    if isinstance(exc, TransientTransferError):
+                        with op.stage("backoff", CAT_RETRY):
+                            engine.clock.sleep(
+                                backoff_for(engine.retry_policy, "prefetch", record.ckpt_id)
+                            )
                     log.debug(
                         "p%d: prefetch of checkpoint %d (%s->%s) will retry: %s",
-                        engine.process_id,
-                        record.ckpt_id,
-                        src.name,
-                        dst.name,
-                        exc,
+                        engine.process_id, record.ckpt_id, src.name, dst.name, exc,
                     )
                 finally:
                     with engine.monitor:
@@ -272,12 +263,8 @@ class Prefetcher:
                         # Direct GPU hop, or a fused promotion that landed the
                         # GPU extent along with the host one.
                         self.forget(record.ckpt_id)  # chain complete
-                    if engine.predict is not None and not explicit:
-                        # Arm the validator: this staging is speculation whose
-                        # fate (consume vs. abandon) scores the predictor.
-                        engine.predict.on_speculative_staged(
-                            record, engine.clock.now()
-                        )
+                    if not explicit:
+                        engine.notify("on_speculative_staged", record)
                 self._m_promotions.inc()
                 self._m_bytes.inc(record.nominal_size)
                 engine.recorder.record(

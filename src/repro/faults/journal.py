@@ -37,6 +37,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.log import get_logger
+from repro.telemetry.causal import CAT_JOURNAL
 
 log = get_logger("faults.journal")
 
@@ -130,6 +131,40 @@ class ManifestJournal:
                 for (pid, ckpt), stores in self._entries.items()
                 if pid == process_id and stores
             }
+
+
+class JournalObserver:
+    """One engine's lifecycle observer writing the manifest journal
+    (DESIGN.md §5 "Engine shell"): a commit entry after a blob landed on a
+    durable store, a retract after one was deleted.  Both run with the
+    engine monitor released — an append may ``fsync``.
+
+    Written *after* the blob is durable: a crash in between leaves at worst
+    an unjournaled blob the recovery scan still finds.
+    """
+
+    def __init__(self, journal: ManifestJournal, process_id: int, recovery_meta) -> None:
+        self.journal = journal
+        self.process_id = process_id
+        self.recovery_meta = recovery_meta
+
+    def after_landed(self, record, where, first_durable, track) -> None:
+        level = where.level
+        with record.op.stage(
+            "journal-commit", CAT_JOURNAL, store=where.track, level=level.name
+        ):
+            self.journal.commit(
+                self.process_id,
+                record.ckpt_id,
+                store=where.track,
+                level=level.name,
+                nominal_size=record.stored_size(level),
+                meta=self.recovery_meta(record),
+            )
+
+    def after_dropped(self, record, where) -> None:
+        with record.op.stage("journal-retract", CAT_JOURNAL, store=where.track):
+            self.journal.retract(self.process_id, record.ckpt_id, store=where.track)
 
 
 class RecipeStore:

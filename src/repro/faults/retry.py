@@ -42,6 +42,19 @@ class RetryPolicy:
         return base * (1.0 + cfg.jitter * jitter)
 
 
+#: nominal seconds a demand or prefetch loop waits after a transient fault
+#: when no retry policy is armed (resilience off).
+UNARMED_BACKOFF_S = 0.05
+
+
+def backoff_for(policy: Optional[RetryPolicy], *labels) -> float:
+    """How long a loop that re-resolves after a transient fault (a demand
+    restore, a prefetch worker) backs off first, resilience on or off."""
+    if policy is None:
+        return UNARMED_BACKOFF_S
+    return policy.backoff(0, *labels)
+
+
 def run_with_retries(
     fn: Callable[[], T],
     *,
@@ -51,27 +64,39 @@ def run_with_retries(
     labels: tuple,
     on_retry: Optional[Callable[[int, float, Exception], None]] = None,
     should_abort: Optional[Callable[[], bool]] = None,
+    on_attempt: Optional[Callable[[bool], None]] = None,
 ) -> T:
     """Run ``fn`` retrying :class:`TransientTransferError` within budget.
 
     Non-transient errors (cancellation ``TransferError``, lifecycle errors)
     propagate immediately.  With ``policy=None`` this is a plain call —
-    zero-overhead when resilience is disabled.
+    the transient error propagates into the caller's historical handling.
+    ``on_attempt(succeeded)`` sees the outcome of every attempt, policy or
+    not (a circuit-breaker feed).  ``on_retry(attempt, delay, exc)`` takes
+    over the back-off from the default ``clock.sleep(delay)``: it must sleep
+    ``delay`` itself (the flusher does so inside a trace stage, after
+    counting the retry).
     """
-    if policy is None:
-        return fn()
-    budget = policy.budget(class_name)
     attempt = 0
     while True:
         try:
-            return fn()
+            result = fn()
         except TransientTransferError as exc:
-            if attempt >= budget:
-                raise
-            if should_abort is not None and should_abort():
+            if on_attempt is not None:
+                on_attempt(False)
+            if (
+                policy is None
+                or attempt >= policy.budget(class_name)
+                or (should_abort is not None and should_abort())
+            ):
                 raise
             delay = policy.backoff(attempt, *labels)
-            if on_retry is not None:
+            if on_retry is None:
+                clock.sleep(delay)
+            else:
                 on_retry(attempt, delay, exc)
-            clock.sleep(delay)
             attempt += 1
+            continue
+        if on_attempt is not None:
+            on_attempt(True)
+        return result

@@ -2,16 +2,17 @@
 
 Owns the :class:`AccessHistory` ring, the configured predictor and the
 :class:`SpeculationValidator`, and drives the
-:class:`SyntheticRestoreQueue`'s overlay from the engine's lifecycle
-hooks: ``on_checkpoint`` registers the new version under its producer,
-``on_restore`` scores a pending speculation and re-ranks, ``on_evict``
-abandons wasted stagings, ``on_speculative_staged`` arms the validator
-when the prefetcher lands a predicted copy.  While the validator has
-speculation suspended the overlay is kept empty — restores fall back to
-demand-only promotion until the window passes.
+:class:`SyntheticRestoreQueue`'s overlay as a lifecycle observer of its
+engine (DESIGN.md §5 "Engine shell"): ``on_created`` registers the new
+version under its producer, ``on_consumed`` scores a pending speculation
+and re-ranks, ``on_dropped`` abandons wasted stagings,
+``on_speculative_staged`` arms the validator when the prefetcher lands a
+predicted copy.  While the validator has speculation suspended the overlay
+is kept empty — restores fall back to demand-only promotion until the
+window passes.
 
-Every method must be called under the engine monitor; the engine and the
-prefetch workers both already hold it at the hook sites.
+Every ``on_*`` hook runs under the engine monitor, which the engine holds
+when it announces the event.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from repro.predict.history import (
 from repro.predict.predictors import Candidate, build_predictor
 from repro.predict.queue import SyntheticRestoreQueue
 from repro.predict.validation import SpeculationValidator
+from repro.tiers.base import TierLevel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config import PredictConfig
     from repro.core.catalog import CheckpointRecord
     from repro.telemetry import Telemetry
-    from repro.tiers.base import TierLevel
 
 
 class PredictRuntime:
@@ -45,9 +46,11 @@ class PredictRuntime:
         queue: SyntheticRestoreQueue,
         telemetry: "Telemetry",
         process_id: int,
+        clock,
     ) -> None:
         self.cfg = cfg
         self.queue = queue
+        self.clock = clock
         self.track = f"p{process_id}-predict"
         self.history = AccessHistory(cfg.history_capacity)
         self.predictor = build_predictor(cfg.predictor, alpha=cfg.ewma_alpha)
@@ -68,56 +71,61 @@ class PredictRuntime:
     def producer_of(self, ckpt_id: int) -> Hashable:
         return self._producers.get(ckpt_id, ckpt_id)
 
-    # -- engine hooks (monitor held) -------------------------------------------
-    def on_checkpoint(
-        self, record: "CheckpointRecord", producer: Optional[Hashable], now: float
-    ) -> None:
+    # -- lifecycle observer (monitor held) -------------------------------------
+    def _observe(self, kind: str, ckpt_id: int) -> float:
+        """Record one access event and show it to the predictor; returns the
+        event's timestamp."""
+        now = self.clock.now()
+        event = self.history.record(now, kind, ckpt_id, self.producer_of(ckpt_id))
+        self.predictor.observe(event)
+        return now
+
+    def on_created(self, record: "CheckpointRecord", producer: Optional[Hashable]) -> None:
         # Default producer: the checkpoint id itself — the Markov model
         # then learns checkpoint-id transitions directly.
         producer = record.ckpt_id if producer is None else producer
         self._producers[record.ckpt_id] = producer
+        now = self._observe(KIND_CHECKPOINT, record.ckpt_id)
         self._live[record.ckpt_id] = Candidate(
             ckpt_id=record.ckpt_id, producer=producer, created_ts=now
         )
-        event = self.history.record(now, KIND_CHECKPOINT, record.ckpt_id, producer)
-        self.predictor.observe(event)
         self.refresh(now)
 
-    def on_restore(self, record: "CheckpointRecord", now: float) -> None:
-        producer = self.producer_of(record.ckpt_id)
-        event = self.history.record(now, KIND_RESTORE, record.ckpt_id, producer)
-        self.predictor.observe(event)
+    def on_consumed(self, record: "CheckpointRecord") -> None:
+        """Scores a pending speculation as a hit and re-ranks the predicted
+        overlay from the freshest history."""
+        now = self._observe(KIND_RESTORE, record.ckpt_id)
         if self.validator is not None:
             self.validator.on_consume(record.ckpt_id, now)
         self._live.pop(record.ckpt_id, None)
         self.refresh(now, force=True)
 
-    def on_evict(self, record: "CheckpointRecord", level: "TierLevel", now: float) -> None:
-        if record.consumed:
-            return  # post-consumption cleanup, not abandoned speculation
-        producer = self.producer_of(record.ckpt_id)
-        event = self.history.record(now, KIND_EVICT, record.ckpt_id, producer)
-        self.predictor.observe(event)
+    def on_dropped(self, record: "CheckpointRecord", where) -> None:
+        """An unconsumed speculative staging that loses its cached copy is
+        abandoned speculation."""
+        if record.consumed or where.level >= TierLevel.SSD:
+            return  # post-consumption cleanup / a durable blob: no staging
+        now = self._observe(KIND_EVICT, record.ckpt_id)
         if self.validator is not None:
             self.validator.on_abandoned(record.ckpt_id, now)
 
-    def on_speculative_staged(self, record: "CheckpointRecord", now: float) -> None:
+    def on_speculative_staged(self, record: "CheckpointRecord") -> None:
+        """Arms the validator: this staging is speculation whose fate
+        (consume vs. abandon) scores the predictor."""
         if record.consumed:
             return
         self._m_spec_prefetches.inc()
         if self.validator is not None:
-            self.validator.on_staged(record.ckpt_id, record.nominal_size, now)
+            self.validator.on_staged(record.ckpt_id, record.nominal_size, self.clock.now())
 
-    def on_demand_miss(self, record: "CheckpointRecord", now: float) -> None:
-        producer = self.producer_of(record.ckpt_id)
-        event = self.history.record(now, KIND_MISS, record.ckpt_id, producer)
-        self.predictor.observe(event)
+    def on_demand_miss(self, record: "CheckpointRecord") -> None:
+        self._observe(KIND_MISS, record.ckpt_id)
         self._m_demand_misses.inc()
 
-    def forget(self, ckpt_id: int) -> None:
+    def on_forgotten(self, record: "CheckpointRecord") -> None:
         """A rolled-back checkpoint never existed for prediction."""
-        self._producers.pop(ckpt_id, None)
-        self._live.pop(ckpt_id, None)
+        self._producers.pop(record.ckpt_id, None)
+        self._live.pop(record.ckpt_id, None)
 
     # -- overlay refresh -------------------------------------------------------
     def refresh(self, now: float, force: bool = False) -> None:

@@ -120,7 +120,7 @@ class Reducer:
         }
         self._lock = threading.RLock()
         self._last_image: Optional[ReducedImage] = None
-        #: chain head before the most recent encode (for ``abort``).
+        #: chain head before the most recent encode (for ``on_forgotten``).
         self._prev_image: Optional[ReducedImage] = None
         #: durable chunk-recipe sidecar (``repro.faults.journal.RecipeStore``)
         #: or None; when set, every encoded recipe is persisted so reduced
@@ -271,8 +271,9 @@ class Reducer:
         self.clock.sleep(seconds)
         return seconds
 
-    def abort(self, record: "CheckpointRecord") -> None:
-        """Roll back a just-encoded checkpoint (write-path exception safety).
+    def on_forgotten(self, record: "CheckpointRecord") -> None:
+        """Lifecycle observer (engine monitor held): roll back a
+        just-encoded checkpoint whose ``checkpoint()`` failed.
 
         Rewinds the delta-chain head when this record's image is still the
         base, drops its persisted recipe, and clears the record's reduction
@@ -366,6 +367,27 @@ class Reducer:
             for chunk in image.chunks:
                 store.release(chunk.digest)
                 self.registry.release(chunk.digest)
+
+    # -- lifecycle observer (DESIGN.md §5 "Engine shell") ------------------
+    # The engine calls these with its monitor held; the reducer lock nests
+    # inside it (module docstring).
+    def on_landed(self, record: "CheckpointRecord", where) -> None:
+        """A complete copy landed on one of the engine's own tiers: count
+        its chunks there when that tier holds the physical form."""
+        image = record.reduction
+        if image is not None and where.level >= image.site_level:
+            self.attach(record, where.level)
+
+    def on_dropped(self, record: "CheckpointRecord", where) -> None:
+        """An extent was evicted or released, or a durable blob deleted."""
+        self.detach(record, where.level)
+
+    def load_recipe(self, ckpt_id: int) -> Optional[ReducedImage]:
+        """The image of a checkpoint encoded by an earlier incarnation, from
+        the durable recipe sidecar; ``None`` without a sidecar or a recipe."""
+        if self.recipes is None:
+            return None
+        return self.recipes.load(self.process_id, ckpt_id)
 
     # -- stats -------------------------------------------------------------
     def stats(self) -> dict:

@@ -40,67 +40,12 @@ class TierLevel(IntEnum):
 StoreKey = Tuple[int, int]
 
 
-class InMemoryIndex:
-    """Shared bookkeeping for store implementations: key → size + metadata.
-
-    The metadata dict (checksum, true size, …) is what a restarted process
-    recovers its catalog from — mirroring the metadata files a real
-    multi-level checkpointing runtime writes next to each checkpoint.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._sizes: Dict[StoreKey, int] = {}
-        self._meta: Dict[StoreKey, dict] = {}
-
-    def add(self, key: StoreKey, nominal_size: int, meta: Optional[dict] = None) -> None:
-        with self._lock:
-            self._sizes[key] = nominal_size
-            self._meta[key] = dict(meta or {})
-
-    def remove(self, key: StoreKey) -> bool:
-        with self._lock:
-            self._meta.pop(key, None)
-            return self._sizes.pop(key, None) is not None
-
-    def require(self, key: StoreKey) -> int:
-        with self._lock:
-            size = self._sizes.get(key)
-        if size is None:
-            raise CheckpointNotFound(f"checkpoint {key} not present in store")
-        return size
-
-    def meta(self, key: StoreKey) -> dict:
-        with self._lock:
-            if key not in self._sizes:
-                raise CheckpointNotFound(f"checkpoint {key} not present in store")
-            return dict(self._meta.get(key, {}))
-
-    def contains(self, key: StoreKey) -> bool:
-        with self._lock:
-            return key in self._sizes
-
-    def keys_for_process(self, process_id: int):
-        with self._lock:
-            return sorted(k for k in self._sizes if k[0] == process_id)
-
-    def keys(self) -> list:
-        """Every key in the index, sorted (node crash/rejoin sweeps)."""
-        with self._lock:
-            return sorted(self._sizes)
-
-    def total(self) -> int:
-        with self._lock:
-            return sum(self._sizes.values())
-
-    def count(self) -> int:
-        with self._lock:
-            return len(self._sizes)
-
-
 class ObjectStore:
-    """The durable store of whole checkpoints: an index, the blobs, and a
-    *route* of throttled links every chunk crosses.
+    """The durable store of whole checkpoints: an index (key → size +
+    metadata), the blobs, and a *route* of throttled links every chunk
+    crosses.  The metadata dict (checksum, true size, …) is what a restarted
+    process recovers its catalog from — mirroring the metadata files a real
+    multi-level checkpointing runtime writes next to each checkpoint.
 
     Checkpoints are monolithic and immutable once written (the paper's core
     assumption), so visibility is put/get/delete of whole objects.  Transfers
@@ -143,9 +88,11 @@ class ObjectStore:
         self._m_read_bytes = registry.counter(f"tier.{self.tier}.read_bytes")
         self._m_write_ops = registry.counter(f"tier.{self.tier}.write_ops")
         self._m_read_ops = registry.counter(f"tier.{self.tier}.read_ops")
-        self._index = InMemoryIndex()
-        self._blobs: Dict[StoreKey, np.ndarray] = {}
+        #: one lock for the store's whole state: index and blobs.
         self._blob_lock = threading.Lock()
+        self._sizes: Dict[StoreKey, int] = {}
+        self._meta: Dict[StoreKey, dict] = {}
+        self._blobs: Dict[StoreKey, np.ndarray] = {}
         #: node-crash chaos (:meth:`SsdStore.crash`): while set, routing
         #: sees exactly a dark tier.
         self.offline = False
@@ -188,7 +135,7 @@ class ObjectStore:
         """
         self._require_online("get", key)
         if nominal_size is None:
-            nominal_size = self._index.require(key)
+            nominal_size = self.size_of(key)
         slow = 1.0
         if self.faults is not None:
             slow = self.faults.tier_gate(self.tier, self.track, "get", key)
@@ -223,10 +170,16 @@ class ObjectStore:
         if self._crc_meta:
             meta = dict(meta or {})
             meta["stored_crc"] = int(checksum_payload(payload))
-        self._write_blob(key, payload, nominal_size, meta, copy, corrupt_at)
-        self._index.add(key, nominal_size, meta)
+        blob = self._write_blob(key, payload, nominal_size, meta, copy, corrupt_at)
+        with self._blob_lock:
+            if blob is not None:
+                self._blobs[key] = blob
+            self._sizes[key] = nominal_size
+            self._meta[key] = dict(meta or {})
 
-    def _write_blob(self, key, payload, nominal_size, meta, copy, corrupt_at) -> None:
+    def _write_blob(self, key, payload, nominal_size, meta, copy, corrupt_at):
+        """The blob to keep in memory (``None`` from a backend that put the
+        bytes elsewhere)."""
         # Corruption flips a byte on the *store's* copy only: with
         # copy=False ownership transfers to the store, but the caller's
         # in-hand array must stay pristine so a re-flush can repair.
@@ -234,8 +187,7 @@ class ObjectStore:
         if corrupt_at is not None:
             blob[corrupt_at] ^= 0xFF
         blob.flags.writeable = False  # get() hands out views of this blob
-        with self._blob_lock:
-            self._blobs[key] = blob
+        return blob
 
     def _read_payload(self, key: StoreKey) -> np.ndarray:
         with self._blob_lock:
@@ -247,17 +199,26 @@ class ObjectStore:
         return payload[:]
 
     def _drop_blob(self, key: StoreKey) -> None:
+        """Backend hook: remove what ``_write_blob`` put outside memory."""
+
+    def _remove(self, key: StoreKey) -> bool:
         with self._blob_lock:
+            self._meta.pop(key, None)
             self._blobs.pop(key, None)
+            present = self._sizes.pop(key, None) is not None
+        if present:
+            self._drop_blob(key)
+        return present
 
     def delete(self, key: StoreKey) -> None:
         """Drop a checkpoint (no-op if absent)."""
         # Offline, the node is dead: nothing is reachable to delete.
-        if not self.offline and self._index.remove(key):
-            self._drop_blob(key)
+        if not self.offline:
+            self._remove(key)
 
     def contains(self, key: StoreKey) -> bool:
-        return not self.offline and self._index.contains(key)
+        with self._blob_lock:
+            return not self.offline and key in self._sizes
 
     def verify(self, key: StoreKey) -> bool:
         """Check the stored blob's bytes against the CRC stamped at commit.
@@ -268,10 +229,10 @@ class ObjectStore:
         """
         if not self.contains(key):
             return False
-        stored_crc = (self._index.meta(key) or {}).get("stored_crc")
-        if stored_crc is None:
-            return True
         try:
+            stored_crc = self.meta(key).get("stored_crc")
+            if stored_crc is None:
+                return True
             blob = self._read_payload(key)
         except (CheckpointNotFound, OSError):
             return False
@@ -279,30 +240,43 @@ class ObjectStore:
 
     def meta(self, key: StoreKey) -> dict:
         """Recovery metadata recorded at commit time."""
-        return self._index.meta(key)
+        with self._blob_lock:
+            if key not in self._sizes:
+                raise CheckpointNotFound(f"checkpoint {key} not present in store")
+            return dict(self._meta.get(key, {}))
 
     def size_of(self, key: StoreKey) -> int:
-        return self._index.require(key)
+        with self._blob_lock:
+            size = self._sizes.get(key)
+        if size is None:
+            raise CheckpointNotFound(f"checkpoint {key} not present in store")
+        return size
+
+    def keys(self) -> list:
+        """Every key in the store, sorted (node crash/rejoin sweeps)."""
+        with self._blob_lock:
+            return sorted(self._sizes)
 
     def keys_for_process(self, process_id: int):
         """All checkpoint keys this store holds for one process."""
-        return self._index.keys_for_process(process_id)
+        with self._blob_lock:
+            return sorted(key for key in self._sizes if key[0] == process_id)
 
     def stored_bytes(self) -> int:
         """Total nominal bytes currently stored."""
-        return self._index.total()
+        with self._blob_lock:
+            return sum(self._sizes.values())
 
     def object_count(self) -> int:
-        return self._index.count()
+        with self._blob_lock:
+            return len(self._sizes)
 
 
 class _ChunkedTransfer:
     """What the two handles share: one chunk charged on every link of the
     route, outage gates re-drawn from the second chunk on."""
 
-    def __init__(
-        self, store, key, nominal_size, route, slow, request, cancelled=None, corrupt_at=None
-    ) -> None:
+    def __init__(self, store, key, nominal_size, route, slow, request) -> None:
         self.store = store
         self.key = key
         self.nominal_size = nominal_size
@@ -311,8 +285,6 @@ class _ChunkedTransfer:
         self._route = route
         self._slow = slow
         self._request = request
-        self._cancelled = cancelled
-        self._corrupt_at = corrupt_at
         self._chunks = 0
 
     def _charge(self, nbytes: int, cancelled, request) -> float:
@@ -323,8 +295,6 @@ class _ChunkedTransfer:
             # TierOfflineError at the next chunk boundary; a brownout
             # degrades the remaining chunks.
             self._slow = store.faults.tier_gate(store.tier, store.track, self.op, self.key)
-        if cancelled is None:
-            cancelled = self._cancelled
         if request is None:
             request = self._request
         with store.telemetry.bus.span(self._span, store.track, key=self.key, bytes=nbytes):
@@ -345,8 +315,17 @@ class PutHandle(_ChunkedTransfer):
 
     op = "put"
 
+    def __init__(
+        self, store, key, nominal_size, route, slow, request, cancelled, corrupt_at
+    ) -> None:
+        super().__init__(store, key, nominal_size, route, slow, request)
+        self._cancelled = cancelled
+        self._corrupt_at = corrupt_at
+
     def write(self, nbytes: int, cancelled=None, request=None) -> float:
-        seconds = self._charge(nbytes, cancelled, request)
+        seconds = self._charge(
+            nbytes, self._cancelled if cancelled is None else cancelled, request
+        )
         self.store._m_write_bytes.inc(nbytes)
         return seconds
 

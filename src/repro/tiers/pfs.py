@@ -104,13 +104,13 @@ class PfsStore(ObjectStore):
             slow = 1.0
             corrupt_at = None
             if self.faults is not None:
-                slow = self.faults.tier_gate("pfs", "pfs", "put", key)
-                corrupt_at = self.faults.corruption("pfs", key, int(payload.size))
+                slow = self.faults.tier_gate(self.tier, self.track, "put", key)
+                corrupt_at = self.faults.corruption(self.track, key, int(payload.size))
             gates.append((slow, corrupt_at))
             total += nominal_size
         slow = max((g[0] for g in gates), default=1.0)
         with self.telemetry.bus.span(
-            "pfs-put-batch", "pfs", ops=len(entries), bytes=total
+            "pfs-put-batch", self.track, ops=len(entries), bytes=total
         ):
             seconds = 0.0
             for link in self.route(node_id, True):

@@ -110,11 +110,12 @@ class SsdStore(ObjectStore):
                 with open(os.path.join(self._directory, name)) as fh:
                     entry = json.load(fh)
                 key = (int(entry["process_id"]), int(entry["ckpt_id"]))
-                self._index.add(key, int(entry["nominal_size"]), entry.get("meta"))
+                self._sizes[key] = int(entry["nominal_size"])
+                self._meta[key] = dict(entry.get("meta") or {})
             except (ValueError, KeyError, OSError, json.JSONDecodeError):
                 continue  # ignore torn/foreign files
 
-    def _write_blob(self, key, payload, nominal_size, meta, copy, corrupt_at) -> None:
+    def _write_blob(self, key, payload, nominal_size, meta, copy, corrupt_at):
         if self._directory is None:
             return super()._write_blob(key, payload, nominal_size, meta, copy, corrupt_at)
         data = bytearray(np.ascontiguousarray(payload).tobytes())
@@ -146,7 +147,7 @@ class SsdStore(ObjectStore):
 
     def _drop_blob(self, key: StoreKey) -> None:
         if self._directory is None:
-            return super()._drop_blob(key)
+            return
         for path in (self._path(key), self._meta_path(key)):
             try:
                 os.remove(path)
@@ -184,9 +185,8 @@ class SsdStore(ObjectStore):
         self.offline = True
         if preserve_contents:
             return
-        for key in self._index.keys():
-            self._drop_blob(key)
-            self._index.remove(key)
+        for key in self.keys():
+            self._remove(key)
 
     def power_on(self):
         """Bring a crashed drive back; returns the surviving keys.
@@ -196,7 +196,7 @@ class SsdStore(ObjectStore):
         index, so the sweep republishes nothing).
         """
         self.offline = False
-        keys = self._index.keys()
+        keys = self.keys()
         if self._replica_dir is not None:
             for key in keys:
                 self._replica_dir.publish(key, self.node_id)

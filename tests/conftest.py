@@ -97,6 +97,32 @@ def no_silent_hang(request):
         signal.signal(signal.SIGALRM, previous)
 
 
+#: name prefixes of the runtime's worker threads: flush/promote streams,
+#: prefetch workers, the service's restore calls, shot ranks.
+WORKER_THREAD_PREFIXES = ("stream-", "prefetcher-", "svc-restore-", "shot-")
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads(request):
+    """Fail the test — by node id — that ends with a worker thread it
+    started still alive (a missing ``close()``/context manager): daemon
+    threads die unnoticed at exit, but until then they run beside the next
+    test's timing assertions.  Threads alive before the test (a wider-scoped
+    fixture's) are not its leak."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [
+        thread
+        for thread in threading.enumerate()
+        if thread not in before and thread.name.startswith(WORKER_THREAD_PREFIXES)
+    ]
+    for thread in leaked:
+        thread.join(timeout=2.0)  # a closed worker may still be on its way out
+    alive = sorted(thread.name for thread in leaked if thread.is_alive())
+    if alive:
+        pytest.fail(f"{request.node.nodeid} ended with live threads: {alive}", pytrace=False)
+
+
 @pytest.fixture
 def rng():
     return make_rng(1234, "tests")
@@ -112,6 +138,16 @@ class FaultClock:
 
     def now(self):
         return self.t
+
+
+def tamper_blob(store, key):
+    """Flip one byte of an in-memory blob (the CRC sidecar keeps the
+    pristine checksum, so ``verify()`` detects the rot)."""
+    bad = store._blobs[key].copy()
+    bad[0] ^= 0xFF
+    bad.flags.writeable = False
+    with store._blob_lock:
+        store._blobs[key] = bad
 
 
 def quiesce(engine):

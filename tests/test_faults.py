@@ -20,6 +20,7 @@ from repro.faults import (
     RetryPolicy,
     run_with_retries,
 )
+from repro.faults.retry import backoff_for
 from repro.util.units import MiB
 
 NBYTES = 128 * MiB
@@ -240,6 +241,34 @@ class TestRunWithRetries:
             run_with_retries(
                 fn, policy=policy, clock=fast_clock(), class_name="X", labels=()
             )
+
+
+    def test_hooks_feed_a_breaker_and_own_the_backoff(self):
+        """What the flusher plugs in: ``on_attempt`` sees every outcome (even
+        with no policy), ``on_retry`` sleeps the back-off itself."""
+        clock = fast_clock()
+        policy = RetryPolicy(ResilienceConfig(enabled=True, max_retries=4), seed=0)
+        fn, _ = self._flaky(2)
+        outcomes, slept = [], []
+        run_with_retries(
+            fn, policy=policy, clock=clock, class_name="CASCADE_FLUSH", labels=("t",),
+            on_attempt=outcomes.append, on_retry=lambda attempt, delay, exc: slept.append(delay),
+        )
+        assert outcomes == [False, False, True]
+        assert slept == [policy.backoff(0, "t"), policy.backoff(1, "t")]
+        assert clock.now() == 0.0  # the default sleep did not run as well
+        fn, _ = self._flaky(1)
+        with pytest.raises(TransientTransferError):
+            run_with_retries(
+                fn, policy=None, clock=clock, class_name="X", labels=(),
+                on_attempt=outcomes.append,
+            )
+        assert outcomes[-1] is False
+
+    def test_backoff_for_answers_with_resilience_on_or_off(self):
+        policy = RetryPolicy(ResilienceConfig(enabled=True), seed=3)
+        assert backoff_for(None, "demand", 7) == 0.05
+        assert backoff_for(policy, "demand", 7) == policy.backoff(0, "demand", 7)
 
 
 class TestCircuitBreaker:

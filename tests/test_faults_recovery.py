@@ -42,7 +42,13 @@ from repro.errors import FlushTimeoutError, InjectedCrash
 from repro.tiers.base import TierLevel
 from repro.tiers.topology import Cluster
 from repro.util.units import MiB
-from tests.conftest import FaultClock, both_chunk_plans, make_buffer, tiny_config
+from tests.conftest import (
+    FaultClock,
+    both_chunk_plans,
+    make_buffer,
+    tamper_blob,
+    tiny_config,
+)
 
 CKPT = 128 * MiB
 
@@ -51,17 +57,6 @@ STREAMING = StreamConfig(enabled=True)
 
 def _config(stream, **changes):
     return tiny_config(resilience=RESILIENT, stream=stream, **changes)
-
-
-def _tamper(store, key):
-    """Flip one byte of an in-memory blob (the CRC sidecar keeps the
-    pristine checksum, so ``verify()`` detects the rot)."""
-    blob = store._blobs[key]
-    bad = blob.copy()
-    bad[0] ^= 0xFF
-    bad.flags.writeable = False
-    with store._blob_lock:
-        store._blobs[key] = bad
 
 
 class TestCorruptionRepair:
@@ -79,7 +74,7 @@ class TestCorruptionRepair:
                 engine.wait_for_flushes(timeout=600.0)
                 pid = engine.process_id
             # Rot at rest while the process is down.
-            _tamper(cluster.nodes[0].ssd, (pid, 0))
+            tamper_blob(cluster.nodes[0].ssd, (pid, 0))
             with ScoreEngine(ctx, flush_to_pfs=True) as engine2:
                 assert engine2.recover_history() == 3
                 out = ctx.device.alloc_buffer(CKPT)
@@ -109,8 +104,8 @@ class TestCorruptionRepair:
                 engine.checkpoint(0, make_buffer(ctx, CKPT, seed=0))
                 engine.wait_for_flushes(timeout=600.0)
                 pid = engine.process_id
-            _tamper(cluster.nodes[0].ssd, (pid, 0))
-            _tamper(cluster.pfs, (pid, 0))
+            tamper_blob(cluster.nodes[0].ssd, (pid, 0))
+            tamper_blob(cluster.pfs, (pid, 0))
             with ScoreEngine(ctx, flush_to_pfs=True) as engine2:
                 engine2.recover_history()
                 with pytest.raises(IntegrityError):
