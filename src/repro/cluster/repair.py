@@ -26,9 +26,9 @@ import threading
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from repro.cluster.directory import StoreKey
-from repro.errors import ReproError, TransferError
+from repro.core.hop import copy_whole
+from repro.errors import ReproError
 from repro.sched.request import TransferClass, TransferRequest
-from repro.tiers.base import copy_object
 
 if TYPE_CHECKING:
     from repro.cluster.fabric import ClusterFabric
@@ -144,40 +144,27 @@ class ReplicaRepairer:
         """
         membership = self.fabric.membership
         target_ssd = self.cluster.nodes[target].ssd
-        request = self._request(key)
-        bus = self.telemetry.bus
-        source: Optional[int] = None
+        source, origin, link = "pfs", self.fabric.pfs, None
         for holder in sources:
             if holder == target:
                 continue
             if membership is not None and not membership.reachable(holder, target):
                 continue
             if self.cluster.nodes[holder].ssd.contains(key):
-                source = holder
+                source, origin = holder, self.cluster.nodes[holder].ssd
+                link = self.fabric.link(holder, target)
                 break
-        with bus.span(
-            "repair",
-            REPAIR_TRACK,
-            key=str(key),
-            target=target,
-            source="pfs" if source is None else source,
+        with self.telemetry.bus.span(
+            "repair", REPAIR_TRACK, key=str(key), target=target, source=source
         ) as span:
+            if origin is None or not origin.contains(key):
+                span.add(abandoned=True)
+                return False
             try:
-                if source is not None:
-                    stored = copy_object(
-                        self.cluster.nodes[source].ssd,
-                        target_ssd,
-                        key,
-                        hop=self.fabric.link(source, target),
-                        request=request,
-                    )
-                else:
-                    pfs = self.fabric.pfs
-                    if pfs is None or not pfs.contains(key):
-                        span.add(abandoned=True)
-                        return False
-                    stored = copy_object(pfs, target_ssd, key, node_id=target, request=request)
-            except (TransferError, ReproError):
+                stored = copy_whole(
+                    origin, target_ssd, key, hop=link, node_id=target, request=self._request(key)
+                )
+            except ReproError:
                 span.add(abandoned=True)
                 self._m_failures.inc()
                 return False

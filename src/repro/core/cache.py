@@ -31,7 +31,7 @@ from repro.core.scoring import (
     make_cost_fn,
 )
 from repro.core.sync import Monitor
-from repro.errors import AllocationError, CapacityError
+from repro.errors import AllocationError, CapacityError, TransferError
 from repro.simgpu.memory import Arena
 from repro.telemetry import Telemetry
 from repro.tiers.base import TierLevel
@@ -39,6 +39,47 @@ from repro.tiers.base import TierLevel
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.catalog import CheckpointRecord
     from repro.core.restore_queue import RestoreQueue
+
+
+class CachePut:
+    """A claimed extent being filled — the cache's side of a store
+    ``PutHandle``, so that a hop (``core/hop.py``) sees two endpoints of one
+    type and every reservation is paired with its ``commit`` or ``abort``."""
+
+    __slots__ = ("cache", "record", "link", "waited")
+
+    def __init__(self, cache: "CacheBuffer", record, link, waited: float) -> None:
+        self.cache, self.record, self.link = cache, record, link
+        self.waited = waited  #: nominal seconds the claim waited for evictions
+
+    def write(self, nbytes: int, cancelled=None, request=None) -> float:
+        """Charge one chunk on the link that fills the extent (``None``: the
+        other endpoint's charge carries the bytes — a store read)."""
+        if self.link is None:
+            return 0.0
+        return self.link.transfer(nbytes, cancelled=cancelled, request=request)
+
+    def commit(self, payload: np.ndarray, meta=None, copy: bool = True) -> None:
+        """The extent stays unobservable (``*_IN_PROGRESS``) until it lands."""
+        self.cache.write_payload(self.record, payload)
+
+    def abort(self) -> None:
+        self.cache.release(self.record)
+
+
+class CacheGet:
+    """A cached copy pinned as a hop's source: while ``read_pinned``, eviction
+    cannot reclaim the extent underneath the transfer.  ``abort`` unpins."""
+
+    __slots__ = ("cache", "inst")
+
+    def __init__(self, cache: "CacheBuffer", inst: Instance) -> None:
+        self.cache, self.inst = cache, inst
+
+    def abort(self) -> None:
+        with self.cache.monitor:
+            self.inst.read_pinned -= 1
+            self.cache.monitor.notify_all()
 
 
 class CacheBuffer:
@@ -362,6 +403,25 @@ class CacheBuffer:
                     if ramping
                     else self.MISSED_WAKEUP_GUARD
                 )
+
+    def open_put(self, record: "CheckpointRecord", state: CkptState, link, **claim):
+        """:meth:`reserve` (``claim``: its terms) as a :class:`CachePut`
+        charging ``link`` per chunk; ``None`` when the claim was refused."""
+        waited = self.reserve(record, state, **claim)
+        return None if waited is None else CachePut(self, record, link, waited)
+
+    def open_get(self, record: "CheckpointRecord") -> CacheGet:
+        """Pin this tier's complete copy of ``record`` as a transfer source;
+        :class:`TransferError` when it vanished (the caller re-resolves)."""
+        with self.monitor:
+            inst = record.peek(self.level)
+            if inst is None or not inst.has_copy:
+                raise TransferError(
+                    f"{self.level.name.lower()} copy of checkpoint {record.ckpt_id} "
+                    "vanished before promotion"
+                )
+            inst.read_pinned += 1
+        return CacheGet(self, inst)
 
     def _region_for(self, initial_state: CkptState):
         """Placement region for a reservation kind (split-cache ablation)."""

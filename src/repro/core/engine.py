@@ -25,7 +25,9 @@ events have an epilogue every code path shares: :meth:`ScoreEngine.landed`
 (a complete copy now exists on a cache level or a durable store) and
 :meth:`ScoreEngine.dropped` (a copy is gone).  Data-path calls that return
 something (``encode``, ``reconstruct``, ``physical_payload``) are not
-events; they stay direct calls on ``engine.reducer``.
+events; they stay direct calls on ``engine.reducer``.  Every transfer that
+ends in ``landed`` is a *hop* — claim the sinks, charge the links chunk by
+chunk, commit, land — written once, in :mod:`repro.core.hop`.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from repro.core.lifecycle import CkptState
 from repro.core.prefetcher import Prefetcher
 from repro.core.restore_queue import RestoreQueue
 from repro.core.scoring import ScorePolicy
-from repro.core.streaming import ChunkPipeline, chunk_sizes_for, plan_chunks
+from repro.core.hop import Hop, Leg
+from repro.core.streaming import ChunkPipeline, plan_chunks
 from repro.core.sync import Monitor
 from repro.errors import (
     CheckpointNotFound,
@@ -212,13 +215,18 @@ class ScoreEngine:
         self._hooks = {name: () for name in HOOKS}
         self._build_features(cluster)
         self._build_caches()
-        #: consumer stream of store reads that fill a GPU extent: the
-        #: storage read (producer, on the promoting thread) feeds the H2D
-        #: crossing chunk by chunk through a ChunkPipeline, mirroring the
-        #: flush cascade in the opposite direction.
+        #: consumer stream of the ``h2d`` hop of a store read that fills a GPU
+        #: extent, mirroring the flush cascade in the opposite direction.
         self.promote_stream = self.device.create_stream("promote-h2d")
         self.flusher = Flusher(self)
         self.prefetcher = Prefetcher(self)
+        #: the read path's table of hops, per destination tier (whose trace
+        #: track they share): the store read (on the promoting thread), and the
+        #: H2D crossing it feeds chunk by chunk through a ChunkPipeline.
+        self.promote_legs = {
+            dst: (Leg(self, "read", track, None), Leg(self, "h2d", track, "pcie"))
+            for dst, track in self.prefetcher.tracks.items()
+        }
 
     def _build_features(self, cluster) -> None:
         """Construct the optional features and register the lifecycle
@@ -542,6 +550,13 @@ class ScoreEngine:
                 "re-incarnate and recover_history() to continue"
             )
 
+    def swallowed(self, what: str, track: str, **args) -> None:
+        """From an ``except`` block whose exception goes no further: counted
+        (``engine.swallowed_errors``), traced (``what`` on ``track``), logged."""
+        self._m_swallowed.inc()
+        self.telemetry.bus.instant(what, track, **args)
+        log.exception("p%d: %s %s", self.process_id, what, args)
+
     def _maybe_crash(self, point: str, record: CheckpointRecord) -> None:
         """Trip an armed process-crash point (flush-stage granularity).
 
@@ -705,14 +720,8 @@ class ScoreEngine:
         """
         try:
             self.gpu_cache.release(record)
-        except Exception:  # teardown must not mask the cause: counted, traced
-            self._m_swallowed.inc()
-            self.telemetry.bus.instant(
-                "checkpoint-rollback-error", self._app_track, ckpt=record.ckpt_id
-            )
-            log.exception(
-                "p%d: checkpoint rollback: GPU slot release failed", self.process_id
-            )
+        except Exception:  # teardown must not mask the cause
+            self.swallowed("checkpoint-rollback-error", self._app_track, ckpt=record.ckpt_id)
         with self.monitor:
             self.catalog.forget(record.ckpt_id)
             self.notify("on_forgotten", record)
@@ -1026,197 +1035,126 @@ class ScoreEngine:
         op=NULL_OP,
         **claim,
     ) -> Optional[float]:
-        """Move ``record`` one step toward the GPU: the host→GPU hop, or
-        the read off a storage tier.  Monitor NOT held.
+        """Move ``record`` one step toward the GPU, from its host copy or off
+        a storage tier: the hops of the read path (``core/hop.py``; DESIGN.md
+        §5 "One read path").  Monitor NOT held.
+
+        The placement policy is the set of extents claimed: the GPU extent
+        alone (the host→GPU hop; off a store, ``dst == GPU``: GPUDirect), the
+        host extent alone (``dst == HOST``), or both from one read — the
+        *fused* promotion, taken when :meth:`fuses_host_promotion` says the
+        H2D crossing can overlap the read (``max(read, h2d)`` instead of
+        ``read + h2d``).  A store read runs on this thread, chunk by chunk;
+        while it also fills a GPU extent, the ``h2d`` hop on
+        :attr:`promote_stream` charges chunk ``i`` on PCIe once the read
+        published it.  With nothing to overlap the plan is one chunk.
 
         Returns the accounted nominal seconds, or ``None`` when a
         non-blocking reservation could not claim space.  ``request`` tags
-        the underlying link transfers for QoS arbitration; a preempted or
-        shed transfer releases its reservation and raises
-        (:class:`TransferError` / :class:`~repro.errors.AdmissionError`).
-        ``op`` attributes the reserve/read/decode stages to the demanding
-        restore (or the prefetch chain) when causal tracing is on.
-        ``claim`` holds the reservation terms (``blocking``,
-        ``allow_pinned``; the prefetch workers add ``speculative`` — the
-        landed extents are revocable predicted stagings rather than pinned
-        hinted prefetches — ``budget_fraction`` and ``keep_nearer``, see
-        :meth:`CacheBuffer.reserve`), applied to every extent claimed: a
+        the link transfers for QoS arbitration; a preempted or shed transfer
+        releases its claims and raises (:class:`TransferError` /
+        :class:`~repro.errors.AdmissionError`).  ``op`` attributes the
+        reserve/read/decode stages to the demanding restore (or the prefetch
+        chain).  ``claim`` holds the reservation terms of
+        :meth:`CacheBuffer.reserve`, applied to every extent claimed: a
         fused read whose GPU claim the budget refuses lands the host extent
-        alone.
+        alone rather than shed the promotion.
         """
-        if src != TierLevel.HOST:
-            return self._promote_from_store(record, src, dst, claim, request, op)
-        with op.stage("reserve-gpu", CAT_RESERVE):
-            waited = self.gpu_cache.reserve(record, CkptState.READ_IN_PROGRESS, **claim)
-        if waited is None:
-            return None
-        # Pin the host source extent for the (short) payload read so
-        # eviction cannot reclaim it underneath us; if it vanished
-        # while we were reserving, release the reservation and let the
-        # caller re-resolve the source level.
-        with self.monitor:
-            host_inst = record.peek(TierLevel.HOST)
-            if host_inst is None or not host_inst.has_copy:
-                self.gpu_cache.release(record)
-                raise TransferError(
-                    f"host copy of checkpoint {record.ckpt_id} vanished "
-                    "before promotion"
-                )
-            host_inst.read_pinned += 1
-        try:
-            # Move the bytes host-arena → GPU-arena while the host extent
-            # is pinned.  The GPU extent is still READ_IN_PROGRESS, so the
-            # early landing is unobservable; the simulated transfer below
-            # charges the time.
-            payload, decoded = self._payload_above(record, self.host_cache, op, dst)
-            self.gpu_cache.write_payload(record, payload)
-        finally:
-            with self.monitor:
-                host_inst.read_pinned -= 1
-                self.monitor.notify_all()
-        try:
-            with op.stage("promote", CAT_TRANSFER, tier="pcie", dst=dst.name):
-                seconds = waited + decoded + self.device.h2d_link.transfer(
-                    record.wire_size(TierLevel.HOST, TierLevel.GPU), request=request
-                )
-        except TransferError:
-            # Preempted (or cancelled) mid-promotion: the reserved —
-            # and eagerly written — GPU extent is released for reuse.
-            self.gpu_cache.release(record)
-            raise
-        self.landed(record, self.gpu_cache)
-        return seconds
-
-    def _promote_from_store(
-        self,
-        record: CheckpointRecord,
-        src: TierLevel,
-        dst: TierLevel,
-        claim: dict,
-        request: Optional[TransferRequest],
-        op,
-    ) -> Optional[float]:
-        """Promote ``record`` off a storage tier: the one store read.
-
-        The placement policy is the set of extents the read lands in: the
-        host extent alone (``dst == HOST``), the GPU extent alone
-        (``dst == GPU``: GPUDirect), or both from one read — the *fused*
-        promotion, taken when :meth:`fuses_host_promotion` says the H2D
-        crossing can overlap the read, so a hinted checkpoint reaches the
-        GPU in ``max(read, h2d)`` instead of ``read + h2d``.  A fused
-        promotion whose non-blocking GPU claim loses lands the host extent
-        alone rather than shed the whole promotion.
-
-        The read runs on this thread, chunk by chunk; while a GPU extent is
-        being filled an ``h2d`` consumer on :attr:`promote_stream` charges
-        chunk ``i`` on PCIe once the read published it.  A lone host landing
-        has no second stage to overlap with, so it reads one chunk.
-        ``claim`` holds the reservation terms of :meth:`promote_once`.
-        """
+        from_store = src != TierLevel.HOST
         to_host = dst == TierLevel.HOST
         to_gpu = not to_host or self.fuses_host_promotion(record, src)
-        waited = 0.0
-        if to_gpu:
-            with op.stage("reserve-gpu", CAT_RESERVE):
-                gpu_waited = self.gpu_cache.reserve(record, CkptState.READ_IN_PROGRESS, **claim)
-            if gpu_waited is None and not to_host:
-                return None
-            to_gpu = gpu_waited is not None  # a lost fused claim: host alone
-            waited += gpu_waited or 0.0
-        if to_host:
-            with op.stage("reserve-host", CAT_RESERVE):
-                host_waited = self.host_cache.reserve(record, CkptState.READ_IN_PROGRESS, **claim)
-            if host_waited is None:
-                if to_gpu:
-                    self.gpu_cache.release(record)
-                return None
-            waited += host_waited
-
-        pipeline = ChunkPipeline(
-            record.ckpt_id,
-            self.chunks_for(record.stored_size(src)) if to_gpu else 1,
-            self.clock,
-            crashed=self.crashed,
-        )
-        pipeline.add_stage("read")
-        if to_gpu:
-            pipeline.add_stage("h2d")
-
-        def charge(stage: str, tier: str, chunk: int, nbytes: int, transfer) -> float:
-            """Charge one chunk on its link as the pipeline's chunk step."""
-            causal = {}
-            if op.op_id is not None:
-                causal = {"op_id": op.op_id, "category": CAT_TRANSFER, "tier": tier}
-            return pipeline.charge_chunk(
-                stage, chunk, nbytes, lambda: transfer(nbytes, request=request),
-                self.telemetry.bus, self.prefetcher.tracks[dst], causal,
-            )
-
+        read_leg, h2d_leg = self.promote_legs[dst]
+        state = CkptState.READ_IN_PROGRESS
         h2d_seconds = 0.0
-
-        def consume() -> None:
-            nonlocal h2d_seconds
-            # PCIe carries what the GPU extent stores, whichever tier fed it.
-            sizes = chunk_sizes_for(record.stored_size(TierLevel.GPU), pipeline.chunks)
-            for i, nbytes in enumerate(sizes):
-                if not pipeline.await_upstream("h2d", i):
-                    raise TransferError("promotion read abandoned")
-                h2d_seconds += charge("h2d", "pcie", i, nbytes, self.device.h2d_link.transfer)
-
         consumer = consumer_error = None
-        try:
-            src, store = self.durable_read_source(record)
-            tier = src.name.lower()
-            with op.stage(
-                "promote", CAT_TRANSFER, tier=tier, dst=dst.name, chunks=pipeline.chunks
-            ):
-                reader = store.open_get(
-                    self.store_key(record), node_id=self.node_id, request=request
-                )
-                if to_gpu:
-                    consumer = self.promote_stream.submit(consume, label=f"h2d-{record.ckpt_id}")
-                try:
-                    # No ring on this edge: the extents reserved above hold
-                    # the whole object, so the read never waits for h2d.
-                    sizes = chunk_sizes_for(reader.nominal_size, pipeline.chunks)
-                    for i, nbytes in enumerate(sizes):
-                        charge("read", tier, i, nbytes, reader.read)
-                    payload, _ = reader.finish()
-                except BaseException:
-                    pipeline.fail("read")
-                    raise
-                finally:
-                    # The consumer owns h2d charges; settle it either way so
-                    # reservations are never released under a live transfer.
-                    if consumer is not None:
-                        try:
-                            consumer.wait()
-                        except BaseException as exc:  # noqa: BLE001 - re-raised below
-                            consumer_error = exc
-        except BaseException:
-            if to_host:
-                self.host_cache.release(record)
+        with Hop(h2d_leg, record, op=op, tag=request) as cross, Hop(
+            read_leg, record, op=op, tag=request
+        ) as read:
             if to_gpu:
-                self.gpu_cache.release(record)
-            raise
-        if to_host:
+                with op.stage("reserve-gpu", CAT_RESERVE):
+                    to_gpu = cross.claim(
+                        self.gpu_cache, record, state, self.device.h2d_link, **claim
+                    ) is not None  # a lost fused claim: host alone
+                if not (to_gpu or to_host):
+                    return None
+            if to_host:
+                with op.stage("reserve-host", CAT_RESERVE):
+                    # No link of its own: the store read carries the bytes.
+                    if read.claim(self.host_cache, record, state, None, **claim) is None:
+                        return None
+            waited = sum(handle.waited for _where, handle in cross.claims + read.claims)
+            pipeline = ChunkPipeline(
+                record.ckpt_id,
+                self.chunks_for(record.stored_size(src)) if from_store and to_gpu else 1,
+                self.clock,
+                crashed=self.crashed,
+            )
+            for hop, runs in ((read, from_store), (cross, to_gpu)):
+                if runs:
+                    hop.pipeline = pipeline
+                    pipeline.add_stage(hop.leg.stage)
+
+            def cross_over() -> None:
+                nonlocal h2d_seconds
+                # PCIe carries what the GPU extent stores, whichever tier fed it.
+                h2d_seconds = cross.stream(record.stored_size(TierLevel.GPU))
+                if h2d_seconds is None:
+                    raise TransferError("promotion read abandoned")
+
+            if from_store:
+                src, store = self.durable_read_source(record)
+                tier = src.name.lower()
+                with op.stage(
+                    "promote", CAT_TRANSFER, tier=tier, dst=dst.name, chunks=pipeline.chunks
+                ):
+                    reader = store.open_get(
+                        self.store_key(record), node_id=self.node_id, request=request
+                    )
+                    if to_gpu:
+                        consumer = self.promote_stream.submit(
+                            cross_over, label=f"h2d-{record.ckpt_id}"
+                        )
+                    try:
+                        # No ring on this edge: the extents claimed above hold
+                        # the whole object, so the read never waits for h2d.
+                        read.stream(reader.nominal_size, source=reader, tier=tier)
+                        payload, spent = reader.finish()
+                    except BaseException:
+                        pipeline.fail("read")  # first: the consumer waits on it
+                        raise
+                    finally:
+                        # The consumer owns h2d charges; settle it either way so
+                        # claims are never aborted under a live transfer.
+                        if consumer is not None:
+                            try:
+                                consumer.wait()
+                            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                                consumer_error = exc
+            else:
+                # The host extent stays pinned through the crossing, so
+                # eviction cannot reclaim it underneath us; if it vanished while
+                # we were reserving, the caller re-resolves the source level.
+                cross.pinned = self.host_cache.open_get(record)
+                payload, spent = self._payload_above(record, self.host_cache, op, dst)
+                with op.stage("promote", CAT_TRANSFER, tier="pcie", dst=dst.name):
+                    cross_over()
             # Host landing first: it is the staging copy and must be
             # consistent before the GPU extent becomes consumable.
-            self.host_cache.write_payload(record, payload)
-            self.landed(record, self.host_cache)
-        if consumer_error is not None:
-            # Preempted (or shed) mid-crossing: the GPU claim is rolled
-            # back; a fused promotion keeps its host copy, as if the first
-            # of two hops had landed.
-            self.gpu_cache.release(record)
-            raise consumer_error
-        if to_gpu:
-            self.gpu_cache.write_payload(record, payload)
-            self.landed(record, self.gpu_cache)
+            read.commit(payload)
+            read.land()
+            if consumer_error is not None:
+                # Preempted (or shed) mid-crossing: the GPU claim is rolled
+                # back; a fused promotion keeps its host copy, as if the
+                # first of two hops had landed.
+                raise consumer_error
+            cross.commit(payload)
+            cross.land()
+            cross.done = read.done = True
         if pipeline.chunks == 1:
-            # Accounted link seconds, not the clock: a whole-object read
-            # must not leak host scheduling noise into restore timings.
-            return waited + reader.seconds + h2d_seconds
+            # Accounted link (and decode) seconds, not the clock: a
+            # whole-object transfer must not leak host scheduling noise into
+            # restore timings.
+            return waited + spent + h2d_seconds
         return waited + pipeline.active_s
 
     def _current_source_level(self, record: CheckpointRecord) -> str:
@@ -1382,15 +1320,14 @@ class ScoreEngine:
         if timeout is not None and timeout < 0:
             raise ValueError(f"negative timeout: {timeout}")
         with Stopwatch(self.clock) as sw:
-            drained = self.flusher.drain(
-                timeout=None if timeout is None else self.clock.to_real(timeout)
-            )
+            drained = self.flusher.drain(timeout=timeout)
         if not drained:
             raise FlushTimeoutError(self.flusher.stall_report(timeout))
         return sw.elapsed
 
     def stats(self) -> dict:
         """Counters for diagnostics and the benchmark harness."""
+        tallies = self.flusher.tallies()
         with self.monitor:
             stats = {
                 "process_id": self.process_id,
@@ -1403,7 +1340,7 @@ class ScoreEngine:
                 "forced_evictions": self.gpu_cache.forced_evictions
                 + self.host_cache.forced_evictions,
                 "promotions": self.prefetcher.promotions,
-                "abandoned_flushes": self.flusher.abandoned,
+                "abandoned_flushes": tallies["abandoned"],
                 "ssd_objects": self.ssd.object_count(),
             }
             if self.reducer is not None:
@@ -1412,10 +1349,10 @@ class ScoreEngine:
                 stats["prediction"] = self.predict.stats()
             if self.resilient:
                 stats["resilience"] = {
-                    "flush_retries": self.flusher.retries,
-                    "rerouted": self.flusher.rerouted,
-                    "reflushed": self.flusher.reflushed,
-                    "backfilled": self.flusher.backfilled,
+                    "flush_retries": tallies["retries"],
+                    "rerouted": tallies["rerouted"],
+                    "reflushed": tallies["reflushed"],
+                    "backfilled": tallies["backfilled"],
                     "backfill_pending": self.flusher.backfill_depth,
                     "breakers": self.health.snapshot(),
                 }

@@ -1,8 +1,9 @@
 """Asynchronous multi-level flushing (T_D2H and T_H2F of Section 4.3.1).
 
-One cascade, walked by every checkpoint.  ``schedule()`` builds a
+One cascade, walked by every checkpoint: ``schedule()`` builds a
 :class:`~repro.core.streaming.ChunkPipeline` and co-submits one worker per
-stage, each on its own FIFO stream:
+row of the stage table, each a *hop* (:mod:`repro.core.hop`: claim the sink,
+charge the link chunk by chunk, commit, land) on its own FIFO stream:
 
 * ``d2h`` — GPU cache → pinned host cache, over the (shared) PCIe link;
 * ``h2f`` — the durable hop: host copy → node-local SSD (rerouted to the
@@ -18,17 +19,13 @@ The *chunk plan* is the only thing that varies.  With
 ``StreamConfig.enabled`` an object of two or more ``stream_chunk_bytes``
 chunks overlaps its stages chunk by chunk; anything else plans one chunk, so
 each stage moves the whole object once its upstream published it — the
-store-and-forward cascade is the one-chunk case of the same code.  Under
-either plan a stage buffers in the tier it writes (the host extent, the SSD
-blob) and runs at its own link's pace; only the read-back ``f2r``, whose
-chunks live in a bounce buffer, parks on its consumer
-(``StreamConfig.ring_chunks``), so ``checkpoint()`` is held by host-cache
-capacity and explicit admission, never by the PFS.
-
-The code observes the plan only where the two really differ: multi-chunk
-pipelines feed the ``flush.stream.*`` occupancy metrics and emit
-``<stage>-chunk`` slices, and a one-chunk PFS commit is a whole-object put
-(which, clustered, rides the fabric's write aggregator).
+store-and-forward cascade is the one-chunk case of the same code.  Either
+way ``checkpoint()`` is held by host-cache capacity and explicit admission,
+never by the PFS (``core/streaming.py``: who parks on whom).  The code
+observes the plan only where the two really differ: multi-chunk pipelines
+feed the ``flush.stream.*`` occupancy metrics and emit ``<stage>-chunk``
+slices, and a one-chunk PFS commit is a whole-object put (which, clustered,
+rides the fabric's write aggregator).
 
 The cascade follows the life cycle: a tier's instance becomes ``FLUSHED``
 (evictable) only once the next slower tier holds a complete copy.  The
@@ -44,17 +41,18 @@ Problem condition (5): flushes of discarded checkpoints are abandoned —
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from functools import partial
 from typing import Optional, TYPE_CHECKING
 
+from repro.core.hop import Hop, Leg, copy_whole
 from repro.core.lifecycle import CkptState
-from repro.core.streaming import ChunkPipeline, chunk_sizes_for
+from repro.core.streaming import ChunkPipeline
 from repro.clock import Stopwatch
 from repro.errors import (
     AllocationError,
     BackpressureError,
+    InjectedCrash,
     ReproError,
     TransferError,
     TransientTransferError,
@@ -62,14 +60,8 @@ from repro.errors import (
 from repro.faults.retry import run_with_retries
 from repro.log import get_logger
 from repro.metrics.recorder import OpEvent, OpKind
-from repro.sched.request import TransferClass
-from repro.telemetry.causal import (
-    CAT_REROUTE,
-    CAT_RESERVE,
-    CAT_RETRY,
-    CAT_TRANSFER,
-)
-from repro.tiers.base import TierLevel, copy_object
+from repro.telemetry.causal import CAT_REROUTE, CAT_RESERVE, CAT_RETRY, CAT_TRANSFER
+from repro.tiers.base import TierLevel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.catalog import CheckpointRecord
@@ -77,66 +69,82 @@ if TYPE_CHECKING:  # pragma: no cover
 
 log = get_logger(__name__)
 
+#: per-engine tallies (bumped from up to five stream threads, so through
+#: :meth:`Flusher._tally`) and the registry counter each one mirrors.
+TALLIES = {
+    "abandoned": "flush.abandoned",
+    "retries": "resilience.flush_retries",
+    "rerouted": "resilience.reroutes",
+    "reflushed": "resilience.reflushes",
+    "backfilled": "resilience.backfills",
+    "replicated": None,
+}
+
 
 class Flusher:
     """The flush cascade of one engine."""
 
     def __init__(self, engine: "ScoreEngine") -> None:
         self.engine = engine
-        create = engine.device.create_stream
-        self.d2h_stream = create("flush-d2h")
-        self.h2f_stream = create("flush-h2f")
-        self.repl_stream = create("flush-repl") if engine.replica_targets else None
-        # The PFS upgrade is two stages on two streams: the SSD read-back
-        # (f2r) produces for the PFS writer (f2p), so reads overlap writes.
-        self.f2r_stream = create("flush-f2r") if engine.flush_to_pfs else None
-        self.f2p_stream = create("flush-f2p") if engine.flush_to_pfs else None
-        self._streams = [
-            stream
-            for stream in (
-                self.d2h_stream,
-                self.h2f_stream,
-                self.repl_stream,
-                self.f2r_stream,
-                self.f2p_stream,
+        self.telemetry = engine.telemetry
+        pid = engine.process_id
+        gds, pfs = engine.gpudirect, engine.flush_to_pfs
+        durable = ("ssd",)
+        if engine.resilient and engine.config.resilience.reroute and engine.pfs is not None:
+            durable += ("pfs",)  # where the durable hop goes while the SSD is dark
+        self.streams = {}
+
+        def row(stage, tier, body, source=None, sinks=(), on=None, exists=True) -> Leg:
+            on = on or stage
+            if exists and on not in self.streams:
+                self.streams[on] = engine.device.create_stream(f"flush-{on}")
+            return Leg(
+                engine, stage, f"p{pid}-flush-{on}", tier,
+                self.streams.get(on), body, source, sinks, self._retrying,
             )
-            if stream is not None
-        ]
-        self.abandoned = 0
-        self.replicated = 0
-        #: self-healing tallies (resilience; all zero when it is off).
-        self.retries = 0
-        self.rerouted = 0
-        self.reflushed = 0
-        self.backfilled = 0
+
+        # The stage table, the one place a stage is spelled: its tier label,
+        # body, the cache level it flushes out of, its ordered sink chain (the
+        # engine's tiers by attribute name, looked up when the hop runs) and
+        # its stream (and track) — beside each row, whether schedule() walks it.
+        gpu, host = TierLevel.GPU, TierLevel.HOST
+        table = (
+            (row("d2h", "pcie", self._stage_d2h, gpu, ("host_cache",)), not gds),
+            (row("h2f", "ssd", self._stage_durable, host, durable), not gds),
+            # GPUDirect storage: the durable hop is also the producer (it DMAs
+            # each chunk across PCIe itself) and rides the d2h stream.
+            (row("d2s", "ssd", self._stage_durable, gpu, durable, on="d2h"), gds),
+            # Queued by the durable hop once it landed; not a pipeline stage.
+            (row("repl", "fabric", self._replicate, exists=bool(engine.replica_targets)), False),
+            # The PFS upgrade is two stages on two streams: the SSD read-back
+            # (f2r) produces for the PFS writer (f2p), so reads overlap writes.
+            (row("f2r", "ssd", self._stage_f2r, exists=pfs), pfs),
+            (row("f2p", "pfs", self._stage_f2p, sinks=("pfs",), exists=pfs), pfs),
+        )
+        self.legs = {leg.stage: leg for leg, _walked in table}
+        self.cascade = tuple(leg for leg, walked in table if walked)
+        self.d2h_stream = self.streams["d2h"]
+        self.h2f_stream = self.streams["h2f"]
+        self.f2p_stream = self.streams.get("f2p")
+        self._tally_lock = threading.Lock()
+        for name in TALLIES:
+            setattr(self, name, 0)
         #: records rerouted to the PFS while the SSD was dark, awaiting a
         #: catch-up copy back onto the node-local tier once it returns.
         self._backfill: deque = deque()
         self._backfill_lock = threading.Lock()
-        self.telemetry = engine.telemetry
-        pid = engine.process_id
-        self._tracks = {
-            "d2h": f"p{pid}-flush-d2h",
-            "d2s": f"p{pid}-flush-d2h",  # GPUDirect rides the d2h stream
-            "h2f": f"p{pid}-flush-h2f",
-            "f2p": f"p{pid}-flush-f2p",
-            "f2r": f"p{pid}-flush-f2r",
-            "repl": f"p{pid}-flush-repl",
-        }
         registry = self.telemetry.registry
-        self._m_bytes = {
-            stage: registry.counter(f"flush.{stage}.bytes")
-            for stage in ("d2h", "d2s", "h2f", "f2p", "repl")
+        self._m_tallies = {
+            name: registry.counter(metric) for name, metric in TALLIES.items() if metric
         }
-        self._m_abandoned = registry.counter("flush.abandoned")
+        # The read-back lands nothing (its chunks live in a bounce buffer).
+        self._m_bytes = {
+            stage: registry.counter(f"flush.{stage}.bytes") for stage in self.legs if stage != "f2r"
+        }
         self._m_ckpt_shed = registry.counter("engine.checkpoint.shed")
         self._m_ckpt_backpressure = registry.histogram("engine.checkpoint.backpressure_s")
         self._m_d2h_depth = registry.gauge("flush.d2h.depth")
         self._m_h2f_depth = registry.gauge("flush.h2f.depth")
-        self._m_retries = registry.counter("resilience.flush_retries")
-        self._m_reroutes = registry.counter("resilience.reroutes")
-        self._m_reflush = registry.counter("resilience.reflushes")
-        self._m_backfills = registry.counter("resilience.backfills")
         # Pipeline occupancy, accounted for multi-chunk pipelines only.
         self._stream_lock = threading.Lock()
         self._stream_active_s = 0.0
@@ -145,7 +153,8 @@ class Flusher:
         self._m_overlap = registry.gauge("flush.stream.overlap_ratio")
         self._m_stall = {
             stage: registry.gauge(f"flush.{stage}.stall_time")
-            for stage in ("d2h", "d2s", "h2f", "f2r", "f2p")
+            for stage in self.legs
+            if stage != "repl"
         }
 
     @property
@@ -154,35 +163,34 @@ class Flusher:
         with self._backfill_lock:
             return len(self._backfill)
 
-    def _causal(self, op, tier: str) -> dict:
-        """Extra span kwargs tying a flush leg to its op, empty when off.
+    def _tally(self, name: str) -> None:
+        """Bump one of :data:`TALLIES` (stage workers run on several threads)."""
+        with self._tally_lock:
+            setattr(self, name, getattr(self, name) + 1)
+        metric = self._m_tallies.get(name)
+        if metric is not None:
+            metric.inc()
 
-        Gated on ``op.op_id`` so disabled runs emit byte-identical spans
-        (the ``tier`` arg must not appear in their args dicts).
-        """
-        if op.op_id is None:
-            return {}
-        return {"op_id": op.op_id, "category": CAT_TRANSFER, "tier": tier}
+    def tallies(self) -> dict:
+        """A consistent reading of :data:`TALLIES`."""
+        with self._tally_lock:
+            return {name: getattr(self, name) for name in TALLIES}
 
-    def _span(self, stage: str, record: "CheckpointRecord", nbytes: int, tier: str, **args):
-        """The span of one flush leg on its stage's track, tied to the
-        record's op."""
+    def _span(self, leg: Leg, record: "CheckpointRecord", nbytes: int, **args):
+        """The span of one flush leg on its track, tied to the record's op."""
         return self.telemetry.bus.span(
-            stage,
-            self._tracks[stage],
-            ckpt=record.ckpt_id,
-            bytes=nbytes,
-            **args,
-            **self._causal(record.op, tier),
+            leg.stage, leg.track, ckpt=record.ckpt_id, bytes=nbytes,
+            **args, **leg.causal(record.op),
         )
 
-    def _abandon(self, stage: str, record: "CheckpointRecord", reason: str) -> None:
+    def _abandon(self, leg: Leg, record: "CheckpointRecord", reason: str, span=None) -> None:
         """Count + trace + log one abandoned flush leg (monitor NOT required)."""
-        self.abandoned += 1
-        self._m_abandoned.inc()
+        self._tally("abandoned")
+        if span is not None:
+            span.add(abandoned=True)
         self.telemetry.bus.instant(
             "flush-abandoned",
-            self._tracks[stage],
+            leg.track,
             op_id=record.op.op_id,
             ckpt=record.ckpt_id,
             reason=reason,
@@ -190,19 +198,14 @@ class Flusher:
         log.debug(
             "p%d: abandoning %s flush of checkpoint %d (%s)",
             self.engine.process_id,
-            stage,
+            leg.stage,
             record.ckpt_id,
             reason,
         )
 
     def schedule(self, record: "CheckpointRecord") -> None:
-        """Co-submit the cascade stages of one checkpoint after its GPU write.
-
-        Every flush is a :class:`ChunkPipeline`; only the chunk plan differs.
-        With streaming on, objects of two or more ``stream_chunk_bytes``
-        chunks overlap their stages chunk by chunk; everything else plans
-        one chunk, and each stage then moves the whole object once its
-        upstream published it — the store-and-forward cascade.
+        """Co-submit the cascade stages of one checkpoint after its GPU write:
+        one :class:`ChunkPipeline`, walked by the rows of the stage table.
 
         All stages of one checkpoint are submitted together, in cascade
         order, onto their per-stage FIFO streams.  Because every checkpoint
@@ -221,80 +224,60 @@ class Flusher:
             cancelled=record.cancel_flush,
             crashed=engine.crashed,
         )
-        if engine.gpudirect:
-            # GPUDirect storage: the durable hop is also the producer (it
-            # DMAs each chunk across PCIe itself), so no host staging stage.
-            stages = [("d2s", self.d2h_stream, self._stage_durable)]
-        else:
-            stages = [
-                ("d2h", self.d2h_stream, self._stage_d2h),
-                ("h2f", self.h2f_stream, self._stage_durable),
-            ]
-        if self.f2p_stream is not None:
-            # The PFS upgrade runs as two stages — SSD read-back producing
-            # for the PFS writer — so chunk reads overlap chunk writes.
-            stages.append(("f2r", self.f2r_stream, self._stage_f2r))
-            stages.append(("f2p", self.f2p_stream, self._stage_f2p))
-        for name, _stream, _body in stages:
-            pipeline.add_stage(name)
-        pipeline.retain(len(stages))
+        for leg in self.cascade:
+            pipeline.add_stage(leg.stage)
+        pipeline.retain(len(self.cascade))
         if pipeline.chunks > 1:
             self._m_streamed.inc()
-        for name, stream, body in stages:
-            event = stream.submit(
-                lambda name=name, body=body: self._run_stage(name, body, record, pipeline),
-                label=f"{name}-{record.ckpt_id}",
-            )
-            # Event-driven failure propagation: a stage worker that dies
-            # with an unhandled error (or is cancelled at stream close)
-            # fails its pipeline stage so neighbours unblock immediately
-            # instead of timing out in their waits.
-            event.add_done_callback(
-                lambda ev, name=name: pipeline.fail(name)
-                if (ev.error is not None or ev.cancelled)
-                else None
+        for leg in self.cascade:
+            # Flush streams close draining, so every worker submitted runs —
+            # and, however it ends, fails or finishes its stage (_run_stage).
+            leg.stream.submit(
+                partial(self._run_stage, leg, record, pipeline),
+                label=f"{leg.stage}-{record.ckpt_id}",
             )
         self._m_d2h_depth.set(self.d2h_stream.depth)
         self._m_h2f_depth.set(self.h2f_stream.depth)
 
-    def _run_stage(self, stage: str, body, record: "CheckpointRecord", pipeline) -> None:
-        """Run one stage worker of one checkpoint's pipeline.
+    def _run_stage(self, leg: Leg, record: "CheckpointRecord", pipeline=None) -> None:
+        """The one stage runner: one worker of one checkpoint's pipeline, or
+        its ``repl`` work item (no pipeline).
 
-        A stage body returns ``True`` once its stage finished (or was
-        skipped); anything else — an abandoning bare ``return``, an
-        exception — fails the stage so its neighbours unblock.  The last
-        worker out rolls a multi-chunk pipeline into the occupancy gauges.
+        A stage body returns true once its stage finished (or was skipped);
+        anything else — an abandoning bare ``return``, an exception — leaves
+        the :class:`Hop` unfinished, which aborts its claims, unpins its
+        source and fails the stage so the neighbours unblock.  An injected
+        crash or a ``TransferError`` is an expected way out and stays on the
+        stream's event; any other exception would sit there unread, so it is
+        counted, traced and logged here.  The last worker out rolls a
+        multi-chunk pipeline into the occupancy gauges.
         """
-        done = False
+        engine = self.engine
         try:
-            # A dead incarnation drops its queued work.
-            if not self.engine.crashed.is_set():
-                done = body(stage, record, pipeline)
+            with Hop(leg, record, pipeline) as hop:
+                # A dead incarnation drops its queued work.
+                if not engine.crashed.is_set():
+                    hop.done = bool(leg.body(hop))
+        except (TransferError, InjectedCrash):
+            raise
+        except Exception as exc:
+            engine.swallowed(
+                "flush-stage-error", leg.track,
+                ckpt=record.ckpt_id, stage=leg.stage, error=type(exc).__name__,
+            )
         finally:
-            if not done:
-                pipeline.fail(stage)
-            if pipeline.release() and pipeline.chunks > 1:
+            if pipeline is not None and pipeline.release() and pipeline.chunks > 1:
                 self._account_stream(pipeline)
-
-    def _request(self, record: "CheckpointRecord"):
-        """QoS tag for one flush leg (None when scheduling is off).
-
-        The record's ``cancel_flush`` event doubles as the request's
-        cancellation channel, so abandonment (condition (5)) interrupts a
-        leg whether it is mid-transfer or still queued in an arbiter.
-        """
-        return self.engine._sched_request(
-            TransferClass.CASCADE_FLUSH, cancel_event=record.cancel_flush
-        )
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Wait for the whole cascade to settle (the paper's WAIT variant).
 
-        ``timeout`` is in wall-clock seconds (callers convert nominal time
-        via ``clock.to_real``); returns ``False`` when any stream still has
-        work in flight at the deadline, ``True`` once everything drained.
+        ``timeout`` is in nominal seconds; returns ``False`` when any stream
+        still has work in flight at the deadline, ``True`` once all drained.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
+        clock = self.engine.clock
+        deadline = None if timeout is None else clock.now() + timeout
+        streams = list(self.streams.values())
         # Sweep until every stream is *simultaneously* idle: the durable hop
         # enqueues replication work, and co-scheduled stages finish in any
         # order, so a fixed pass count can return while the tail of the
@@ -305,14 +288,14 @@ class Flusher:
         while True:
             backfill_before = self.backfill_depth
             self._drain_backfill()
-            for stream in self._streams:
-                if deadline is None:
-                    stream.synchronize()
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not stream.synchronize(timeout=remaining):
+            for stream in streams:
+                # Streams wait on the wall clock: the one conversion.
+                remaining = None if deadline is None else clock.to_real(deadline - clock.now())
+                if remaining is not None and remaining <= 0:
                     return False
-            if any(stream.depth > 0 for stream in self._streams):
+                if not stream.synchronize(timeout=remaining):
+                    return False
+            if any(stream.depth > 0 for stream in streams):
                 continue  # a synced stage enqueued downstream work mid-sweep
             depth = self.backfill_depth
             if depth and depth != backfill_before:
@@ -352,9 +335,7 @@ class Flusher:
     def stall_report(self, timeout: float) -> str:
         """One-line stall report for :class:`FlushTimeoutError`."""
         engine = self.engine
-        depths = ", ".join(
-            f"{stream.name.rsplit('-', 1)[-1]}={stream.depth}" for stream in self._streams
-        )
+        depths = ", ".join(f"{on}={stream.depth}" for on, stream in self.streams.items())
         links = [engine.device.d2h_link, engine.ssd.write_link, engine.ssd.read_link]
         pending = ", ".join(
             f"{link.name}={link.pending_bytes}B" for link in links if link.pending_bytes
@@ -378,38 +359,37 @@ class Flusher:
         return message
 
     def close(self) -> None:
-        for stream in self._streams:
+        for stream in self.streams.values():
             stream.close(drain=True)
 
     # -- self-healing machinery ----------------------------------------------
-    def _retrying(self, stage: str, record: "CheckpointRecord", fn, breaker=None):
-        """Run one flush leg on :func:`run_with_retries`, retrying injected
-        transient faults.
+    def _retrying(self, leg: Leg, record: "CheckpointRecord", fn, breaker=None):
+        """The flush legs' policy (:meth:`Leg.attempt`): run one claim or
+        charge on :func:`run_with_retries`, retrying injected transient faults.
 
-        A plain call when resilience is off — the
-        :class:`TransientTransferError` then propagates into the stage's
-        historical ``TransferError`` handling, so disabled behavior is
-        unchanged.  Each attempt feeds the endpoint's circuit breaker when
-        ``breaker`` names one; exponential backoff with deterministic jitter
-        is charged on the virtual clock, inside a traced ``backoff`` stage.
+        A plain call when resilience is off — the transient error then
+        propagates into the stage's ``TransferError`` handling.  Each attempt
+        feeds the endpoint's circuit breaker when ``breaker`` names one;
+        exponential backoff with deterministic jitter is charged on the
+        virtual clock, inside a traced ``backoff`` stage.
         """
         engine = self.engine
-        track = self._tracks[stage]
+        if engine.retry_policy is None and breaker is None:
+            return fn()
         op = record.op
 
         def back_off(attempt: int, delay: float, exc: Exception) -> None:
-            self.retries += 1
-            self._m_retries.inc()
+            self._tally("retries")
             self.telemetry.bus.instant(
                 "flush-retry",
-                track,
+                leg.track,
                 op_id=op.op_id,
                 ckpt=record.ckpt_id,
-                stage=stage,
+                stage=leg.stage,
                 attempt=attempt,
                 delay=delay,
             )
-            with op.stage("backoff", CAT_RETRY, track=track, leg=stage):
+            with op.stage("backoff", CAT_RETRY, track=leg.track, leg=leg.stage):
                 engine.clock.sleep(delay)
 
         def feed_breaker(succeeded: bool) -> None:
@@ -420,16 +400,17 @@ class Flusher:
             policy=engine.retry_policy,
             clock=engine.clock,
             class_name="CASCADE_FLUSH",
-            labels=(stage, record.ckpt_id),
+            labels=(leg.stage, record.ckpt_id),
             on_retry=back_off,
             should_abort=lambda: record.cancel_flush.is_set() or engine.crashed.is_set(),
             on_attempt=None if breaker is None else feed_breaker,
         )
 
-    def _put_whole(self, record: "CheckpointRecord", store, payload) -> None:
+    def _put_whole(self, leg: Leg, record: "CheckpointRecord", store, payload) -> None:
         """Whole-object put of the in-hand pristine payload on a durable
-        store: the reverify re-put, and the one-chunk PFS commit.  Clustered,
-        a PFS put goes through the fabric's per-node write aggregator, where
+        store, under the leg's retry budget and the store's breaker: the
+        reverify re-put, and the one-chunk PFS commit.  Clustered, a PFS put
+        goes through the fabric's per-node write aggregator, where
         concurrent whole-object flushes coalesce; the direct call has the
         same timings and op count."""
         engine = self.engine
@@ -437,16 +418,20 @@ class Flusher:
             put = partial(engine.fabric.pfs_put, engine.node_id)
         else:
             put = partial(store.put, node_id=engine.node_id)
-        put(
-            engine.store_key(record),
-            payload,
-            record.stored_size(store.level),
-            cancelled=record.cancel_flush,
-            meta=engine.recovery_meta(record),
-            request=self._request(record),
+        leg.attempt(
+            record,
+            lambda: put(
+                engine.store_key(record),
+                payload,
+                record.stored_size(store.level),
+                cancelled=record.cancel_flush,
+                meta=engine.recovery_meta(record),
+                request=leg.request(record),
+            ),
+            breaker=store.track,
         )
 
-    def _reverify(self, stage: str, record: "CheckpointRecord", store, payload) -> bool:
+    def _reverify(self, leg: Leg, record: "CheckpointRecord", store, payload) -> bool:
         """Post-commit CRC re-verification with bounded re-put.
 
         Scrubs the just-committed blob against the pristine CRC stamped at
@@ -459,37 +444,30 @@ class Flusher:
         engine = self.engine
         if not (engine.resilient and engine.config.resilience.reverify):
             return True
-        breaker = store.track
         key = engine.store_key(record)
         op = record.op
-        with op.stage("reverify", CAT_RETRY, track=self._tracks[stage], tier=store.tier):
+        with op.stage("reverify", CAT_RETRY, track=leg.track, tier=store.tier):
             verified = store.verify(key)
             attempt = 0
             while not verified and attempt < 2:
-                self.reflushed += 1
-                self._m_reflush.inc()
+                self._tally("reflushed")
                 self.telemetry.bus.instant(
                     "flush-reverify",
-                    self._tracks[stage],
+                    leg.track,
                     op_id=op.op_id,
                     ckpt=record.ckpt_id,
-                    stage=stage,
-                    tier=breaker,
+                    stage=leg.stage,
+                    tier=store.track,
                     attempt=attempt,
                 )
                 log.warning(
                     "p%d: %s flush of checkpoint %d failed CRC verification; "
                     "re-flushing",
-                    engine.process_id, stage, record.ckpt_id,
+                    engine.process_id, leg.stage, record.ckpt_id,
                 )
                 store.delete(key)
                 try:
-                    self._retrying(
-                        stage,
-                        record,
-                        lambda: self._put_whole(record, store, payload),
-                        breaker=breaker,
-                    )
+                    self._put_whole(leg, record, store, payload)
                 except TransferError:
                     break
                 verified = store.verify(key)
@@ -516,6 +494,7 @@ class Flusher:
         engine = self.engine
         if not engine.resilient:
             return
+        leg = self.legs["h2f"]  # the durable hop's track, whichever stage ran it
         breaker = engine.ssd.track
         while True:
             with self._backfill_lock:
@@ -535,32 +514,31 @@ class Flusher:
             # The op has been idle since its reroute, waiting for the dark
             # SSD to heal: label that whole gap before timing the copy, so
             # its timeline stays gap-free.
-            op.fill("await-heal", CAT_REROUTE, track=self._tracks["h2f"])
+            op.fill("await-heal", CAT_REROUTE, track=leg.track)
             backfill_t0 = engine.clock.now()
             try:
-                copy_object(
+                copy_whole(
                     engine.pfs,
                     engine.ssd,
                     key,
                     node_id=engine.node_id,
                     cancelled=record.cancel_flush,
-                    request=self._request(record),
+                    request=leg.request(record),
                     meta=engine.recovery_meta(record),
                 )
-            except (TransferError, ReproError):
+            except ReproError:
                 engine.health.failure(breaker)
                 with self._backfill_lock:
                     self._backfill.appendleft(record)
                 return
             engine.health.success(breaker)
             engine.landed(record, engine.ssd)
-            self.backfilled += 1
-            self._m_backfills.inc()
+            self._tally("backfilled")
             if op.op_id is not None:
                 now = engine.clock.now()
                 self.telemetry.bus.complete(
                     "backfill",
-                    self._tracks["h2f"],
+                    leg.track,
                     backfill_t0,
                     now - backfill_t0,
                     op_id=op.op_id,
@@ -568,46 +546,24 @@ class Flusher:
                     tier="ssd",
                 )
             self.telemetry.bus.instant(
-                "flush-backfill",
-                self._tracks["h2f"],
-                op_id=op.op_id,
-                ckpt=record.ckpt_id,
+                "flush-backfill", leg.track, op_id=op.op_id, ckpt=record.ckpt_id
             )
 
     # -- stages --------------------------------------------------------------
     # One set of stage workers per checkpoint, co-submitted by schedule():
-    # d2h → h2f (→ f2r → f2p), or with GPUDirect d2s (→ f2r → f2p).  Each
-    # stage charges its link chunk by chunk against the upstream stage's
-    # published completions through the checkpoint's ChunkPipeline.  Payload
-    # *bytes* still move and commit whole-object — a torn stream leaves
-    # nothing on any tier, so the manifest journal's crash consistency does
-    # not depend on the chunk plan.
+    # d2h → h2f (→ f2r → f2p), or with GPUDirect d2s (→ f2r → f2p).  Each is
+    # a hop charging its link chunk by chunk against the upstream stage's
+    # published completions; what is written here is what differs between
+    # them.  Payload *bytes* still move and commit whole-object — a torn
+    # stream leaves nothing on any tier, so the manifest journal's crash
+    # consistency does not depend on the chunk plan.
 
-    def _bail(self, stage: str, record: "CheckpointRecord", reason: str) -> None:
+    def _bail(self, leg: Leg, record: "CheckpointRecord", reason: str) -> None:
         """Quiet abandonment of a stage whose neighbour already abandoned
         (and counted) the flush — log only, no double-count."""
         log.debug(
             "p%d: %s stage of checkpoint %d bailing (%s)",
-            self.engine.process_id, stage, record.ckpt_id, reason,
-        )
-
-    def _charge_chunk(
-        self,
-        stage: str,
-        tier: str,
-        record: "CheckpointRecord",
-        pipeline: ChunkPipeline,
-        chunk: int,
-        nbytes: int,
-        charge,
-        breaker=None,
-    ) -> None:
-        """Charge one chunk on its link (retrying transient faults, feeding
-        ``breaker``) as the pipeline's chunk step."""
-        pipeline.charge_chunk(
-            stage, chunk, nbytes,
-            lambda: self._retrying(stage, record, charge, breaker=breaker),
-            self.telemetry.bus, self._tracks[stage], self._causal(record.op, tier),
+            self.engine.process_id, leg.stage, record.ckpt_id, reason,
         )
 
     def _account_stream(self, pipeline: ChunkPipeline) -> None:
@@ -624,32 +580,24 @@ class Flusher:
         if active > 0:
             self._m_overlap.set(overlap / active)
 
-    def _pcie_chunk(self, record: "CheckpointRecord", nbytes: int) -> None:
-        """One chunk of a GPU snapshot across the (shared) PCIe link."""
-        self.engine.device.d2h_link.transfer(
-            nbytes, cancelled=record.cancel_flush, request=self._request(record)
-        )
-
-    def _snapshot_gpu(self, stage: str, record: "CheckpointRecord"):
+    def _snapshot_gpu(self, leg: Leg, record: "CheckpointRecord"):
         """Producer preamble (``d2h``, or the GPUDirect ``d2s``): snapshot
         the bytes out of the GPU arena, then release the instance for
         eviction.  Returns ``None`` after abandoning."""
         engine = self.engine
-        engine._maybe_crash(f"before-{stage}", record)
-        record.op.fill("flush-queue", track=self._tracks[stage])
+        engine._maybe_crash(f"before-{leg.stage}", record)
+        record.op.fill("flush-queue", track=leg.track)
         with engine.monitor:
             gpu_inst = record.peek(TierLevel.GPU)
             if record.discarded or gpu_inst is None:
-                if gpu_inst is not None:
-                    gpu_inst.flush_pending = False
-                self._abandon(stage, record, "discarded or already evicted")
-                engine.monitor.notify_all()
+                # (The abandoned hop unpins the GPU copy on its way out.)
+                self._abandon(leg, record, "discarded or already evicted")
                 return None
         try:
             payload = engine.gpu_cache.read_payload(record)
         except AllocationError:
             # Discarded and evicted between the check and the snapshot.
-            self._abandon(stage, record, "evicted during payload snapshot")
+            self._abandon(leg, record, "evicted during payload snapshot")
             return None
         with engine.monitor:
             gpu_inst.flush_pending = False
@@ -673,62 +621,59 @@ class Flusher:
     def _skip_upgrade(self, pipeline: ChunkPipeline) -> None:
         """The PFS upgrade of this checkpoint is moot (the blob went to the
         PFS directly, or never landed on the SSD)."""
-        if self.f2p_stream is not None:
-            pipeline.skip("f2r")
-            pipeline.skip("f2p")
+        for leg in self.cascade:
+            if leg.source is None:  # the stages below the durable hop
+                pipeline.skip(leg.stage)
 
-    def _stage_d2h(self, stage: str, record: "CheckpointRecord", pipeline: ChunkPipeline):
+    def _stage_d2h(self, hop: Hop):
         """GPU cache → pinned host cache: produce chunks into the pipeline
         as they cross PCIe."""
         engine = self.engine
+        leg, record, pipeline = hop.leg, hop.record, hop.pipeline
         started = engine.clock.now()
-        payload = self._snapshot_gpu(stage, record)
+        payload = self._snapshot_gpu(leg, record)
         if payload is None:
             return
         op = record.op
-        track = self._tracks[stage]
         # Host-site reduction: encode off the application's critical path,
         # on this flush thread, before the host placement — the host cache
         # and everything below hold the physical form.
-        engine.encode_at("host", record, payload, op, track)
+        engine.encode_at("host", record, payload, op, leg.track)
         # Hand the post-encode physical payload to the consumers up front:
         # they charge their links chunk-by-chunk against our published
         # completions instead of re-reading the host copy.
         pipeline.payload = engine.stored_payload(record, TierLevel.HOST, payload)
         wire = record.wire_size(TierLevel.GPU, TierLevel.HOST)
         # Claim host cache space (blocks for evictions as needed).
-        with op.stage("reserve-host", CAT_RESERVE, track=track):
-            engine.host_cache.reserve(record, CkptState.WRITE_IN_PROGRESS, blocking=True)
+        with op.stage("reserve-host", CAT_RESERVE, track=leg.track):
+            hop.claim(
+                getattr(engine, leg.sinks[0]), record, CkptState.WRITE_IN_PROGRESS,
+                engine.device.d2h_link, blocking=True,
+            )
         with engine.monitor:
             # Pinned for the durable hop before any chunk is published, so
-            # however early that hop ends it finds (and clears) the pin.
-            record.instance(TierLevel.HOST).flush_pending = True
-        with self._span(stage, record, wire, "pcie", chunks=pipeline.chunks) as span:
+            # however early that hop ends it finds (and clears) the pin —
+            # unless it has ended already, and nobody would.
+            if not pipeline.failed(pipeline.downstream_of(leg.stage)):
+                record.instance(TierLevel.HOST).flush_pending = True
+        with self._span(leg, record, wire, chunks=pipeline.chunks) as span:
             try:
-                # No ring on this edge: the whole host extent is reserved
+                # No ring on this edge: the whole host extent is claimed
                 # above, so chunks land in the tier however far behind the
-                # durable hop runs.  A discard stops the loop through the
-                # link's ``cancelled=``.
-                for i, nbytes in enumerate(chunk_sizes_for(wire, pipeline.chunks)):
-                    self._charge_chunk(
-                        stage, "pcie", record, pipeline, i, nbytes,
-                        lambda: self._pcie_chunk(record, nbytes),
-                    )
+                # durable hop runs.
+                hop.stream(wire)
             except TransferError:
-                span.add(abandoned=True)
-                # Abandon: release the half-written host extent.
-                engine.host_cache.release(record)
-                self._abandon(stage, record, "cancelled mid-transfer")
+                # Abandon: the hop releases the half-written host extent.
+                self._abandon(leg, record, "cancelled mid-transfer", span)
                 return
-        self._m_bytes[stage].inc(wire)
-        engine.host_cache.write_payload(record, pipeline.payload)
-        engine.landed(record, engine.host_cache, flushed=TierLevel.GPU)
+        self._m_bytes[leg.stage].inc(wire)
+        hop.commit(pipeline.payload)
+        hop.land(flushed=TierLevel.GPU)
         self._record_flush(record, started)
         engine._maybe_crash("after-d2h", record)
-        pipeline.finish(stage)
-        return True
+        return hop.finish()
 
-    def _stage_durable(self, stage: str, record: "CheckpointRecord", pipeline: ChunkPipeline):
+    def _stage_durable(self, hop: Hop):
         """The durable hop onto the node-local SSD (the PFS when rerouted),
         commit-at-end.
 
@@ -738,32 +683,31 @@ class Flusher:
         drive, with no host staging.
         """
         engine = self.engine
+        leg, record, pipeline = hop.leg, hop.record, hop.pipeline
+        stage = leg.stage
         upstream = pipeline.upstream_of(stage)
-        source = TierLevel.GPU if upstream is None else TierLevel.HOST
         started = engine.clock.now()
-        op = record.op
-        done = False
         try:
             if upstream is None:
-                payload = pipeline.payload = self._snapshot_gpu(stage, record)
+                payload = pipeline.payload = self._snapshot_gpu(leg, record)
                 if payload is None:
                     return
             else:
-                op.fill("flush-queue", track=self._tracks[stage])
+                record.op.fill("flush-queue", track=leg.track)
                 # The preamble needs the post-encode payload and wire sizes,
                 # so first wait for the producer to publish its opening chunk.
                 if not pipeline.await_upstream(stage, 0):
-                    self._bail(stage, record, "upstream abandoned")
+                    self._bail(leg, record, "upstream abandoned")
                     return
                 engine._maybe_crash(f"before-{stage}", record)
                 with engine.monitor:
                     if record.discarded:
-                        self._abandon(stage, record, "discarded mid-stream")
+                        self._abandon(leg, record, "discarded mid-stream")
                         return
                 payload = pipeline.payload
-            wire = record.wire_size(source, TierLevel.SSD)
-            with self._span(stage, record, wire, "ssd", chunks=pipeline.chunks) as span:
-                store = self._durable_put(stage, record, pipeline, payload)
+            wire = record.wire_size(leg.source, TierLevel.SSD)
+            with self._span(leg, record, wire, chunks=pipeline.chunks) as span:
+                store = self._durable_put(hop, payload)
                 if store is None:
                     span.add(abandoned=True)
                     return
@@ -773,192 +717,136 @@ class Flusher:
             # The producer's epilogue owns the host instance's
             # WRITE_COMPLETE transition; settle it before flipping FLUSHED.
             if upstream is not None and not pipeline.await_finished(stage, upstream):
-                self._bail(stage, record, "producer failed post-commit")
+                self._bail(leg, record, "producer failed post-commit")
                 return
             self._m_bytes[stage].inc(wire)
             pipeline.landed = level
-            engine.landed(record, store, flushed=source, track=self._tracks[stage])
+            hop.land(flushed=leg.source, track=leg.track)
             if level is TierLevel.PFS and engine.config.resilience.backfill:
-                # Rerouted: queue a catch-up copy onto the SSD for when it
-                # returns.
+                # Rerouted: queue a catch-up copy onto the SSD for its return.
                 with self._backfill_lock:
                     self._backfill.append(record)
             if upstream is None:
                 self._record_flush(record, started)
             engine._maybe_crash(f"after-{stage}", record)
-            pipeline.finish(stage)
-            done = True
-            if level is TierLevel.SSD:
-                self._drain_backfill()
-                if self.repl_stream is not None:
-                    self.repl_stream.submit(
-                        lambda: self._replicate(record), label=f"repl-{record.ckpt_id}"
-                    )
-            return True
+            hop.finish()
         finally:
-            if not done:
+            if not hop.done:
                 self._skip_upgrade(pipeline)
-                # The source copy was pinned for this hop; an abandoned hop
-                # must unpin it or it is unevictable forever.
-                with engine.monitor:
-                    pinned = record.peek(source)
-                    if pinned is not None and pinned.flush_pending:
-                        pinned.flush_pending = False
-                        engine.monitor.notify_all()
-
-    def _take_chunk(
-        self,
-        stage: str,
-        record: "CheckpointRecord",
-        pipeline: ChunkPipeline,
-        chunk: int,
-        nbytes: int,
-    ) -> bool:
-        """Bring input chunk ``chunk`` of the durable hop in hand: published
-        by the upstream stage, or — GPUDirect has none — DMA'd across PCIe
-        here.  A chunk already in hand (a reroute replaying onto another
-        store) is not taken again.  ``False`` when the upstream abandoned."""
-        if chunk < pipeline.in_hand:
-            return True
-        if pipeline.upstream_of(stage) is None:
-            self._retrying(stage, record, lambda: self._pcie_chunk(record, nbytes))
-        elif not pipeline.await_upstream(stage, chunk):
-            return False
-        pipeline.in_hand = chunk + 1
+        if level is TierLevel.SSD:
+            self._drain_backfill()
+            repl = self.legs["repl"]
+            if repl.stream is not None:
+                repl.stream.submit(
+                    partial(self._run_stage, repl, record), label=f"repl-{record.ckpt_id}"
+                )
         return True
 
-    def _stream_put(
-        self, stage: str, record: "CheckpointRecord", pipeline: ChunkPipeline, store, payload
-    ) -> bool:
-        """Stream the durable hop's chunks onto ``store``: open, charge each
-        chunk on the store's links as it comes in hand, commit after the
-        last — only then is the blob visible.  A transient failure retries
-        *the failed chunk* and feeds the store's breaker; past the retry
-        budget it propagates.  ``False`` after the upstream abandoned.
-        """
+    def _stream_put(self, hop: Hop, store, payload, take=None, ready=None, copy=False) -> bool:
+        """The one streamed put of ``payload`` onto ``store``: open, charge
+        each chunk on the store's links as it comes in hand, commit after
+        the last (if ``ready()`` agrees) — only then is the blob visible.  A
+        transient failure retries *the failed chunk* and feeds the store's
+        breaker; past the retry budget it propagates.  ``False`` when the
+        input stopped coming or the gate said no."""
         engine = self.engine
+        record = hop.record
         stored = record.stored_size(store.level)
-        # The open draws the tier gate (a dark tier raises here, at chunk 0)
-        # and the at-rest corruption for this put attempt; retries re-open,
-        # re-drawing both.
-        handle = self._retrying(
-            stage,
-            record,
-            lambda: store.open_put(
-                engine.store_key(record),
-                stored,
-                int(payload.size),
-                node_id=engine.node_id,
-                cancelled=record.cancel_flush,
-            ),
-            breaker=store.track,
+        hop.claim(
+            store, engine.store_key(record), stored, int(payload.size),
+            node_id=engine.node_id, cancelled=record.cancel_flush, breaker=store.track,
         )
-        # GPUDirect never crosses the host-site encode, so its PCIe chunks
-        # are the stored chunks.
-        for i, nbytes in enumerate(chunk_sizes_for(stored, pipeline.chunks)):
-            if not self._take_chunk(stage, record, pipeline, i, nbytes):
-                handle.abort()
-                self._bail(stage, record, "upstream abandoned")
-                return False
-            self._charge_chunk(
-                stage, store.tier, record, pipeline, i, nbytes,
-                lambda: handle.write(nbytes, request=self._request(record)),
-                breaker=store.track,
-            )
-        # Commit-at-end: ownership of the snapshot passes to the store
-        # (copy=False, the zero-copy path).
-        handle.commit(payload, meta=engine.recovery_meta(record), copy=False)
+        if hop.stream(stored, take=take, tier=store.tier, breaker=store.track) is None:
+            self._bail(hop.leg, record, "upstream abandoned")
+            return False
+        if ready is not None and not ready():
+            return False
+        # Commit-at-end (copy=False: ownership of the snapshot passes to
+        # the store, the zero-copy path).
+        hop.commit(payload, meta=engine.recovery_meta(record), copy=copy)
         return True
 
-    def _durable_put(
-        self, stage: str, record: "CheckpointRecord", pipeline: ChunkPipeline, payload
-    ):
-        """Land ``payload`` durably: the local SSD, or the PFS when the SSD
-        is dark (circuit breaker open, outage window) and rerouting is on.
+    def _durable_put(self, hop: Hop, payload):
+        """Land ``payload`` durably on the first store of the leg's sink
+        chain that takes it — the local SSD, then (resilience on, rerouting
+        on) the PFS — the write-side mirror of ``engine.read_source``.
 
-        An exhausted retry budget (or an open breaker) reroutes to the PFS,
-        resuming at the failed chunk — chunks already in hand are not
-        re-transferred (for a one-chunk plan that is the whole object).
-        Returns the store the verified blob landed on, or ``None`` after
-        abandoning the hop.
+        A store is left for the next when its breaker has it blacklisted,
+        its retry budget is exhausted (it is dark: outage window, link
+        faults) or its blob stays corrupt; the put resumes on the next store
+        at the failed chunk — chunks already in hand
+        (``pipeline.in_hand``) left the GPU and are not taken again, for a
+        one-chunk plan that is the whole object.  Returns the store the
+        verified blob landed on (the caller journals it and, off the SSD,
+        queues the backfill), or ``None`` after abandoning the hop.
         """
         engine = self.engine
-        ssd = engine.ssd
-        can_reroute = (
-            engine.resilient and engine.config.resilience.reroute and engine.pfs is not None
-        )
-        if engine.resilient and not engine.health.allow(ssd.track):
-            # Blacklisted: don't feed the dark tier another doomed write.
-            if can_reroute:
-                return self._reroute(stage, record, pipeline, payload)
-            self._abandon(stage, record, "ssd circuit breaker open")
-            return None
-        try:
-            with record.op.stage(
-                "ssd-put", CAT_TRANSFER, track=self._tracks[stage], tier="ssd"
-            ):
-                if not self._stream_put(stage, record, pipeline, ssd, payload):
-                    return None
-        except TransientTransferError as exc:
-            if can_reroute:
-                return self._reroute(stage, record, pipeline, payload)
-            self._abandon(stage, record, f"{type(exc).__name__} mid-transfer")
-            return None
-        except TransferError:
-            self._abandon(stage, record, "cancelled mid-transfer")
-            return None
-        if not self._reverify(stage, record, ssd, payload):
-            if can_reroute:
-                return self._reroute(stage, record, pipeline, payload)
-            self._abandon(stage, record, "persistent corruption on SSD put")
-            return None
-        return ssd
+        leg, record, pipeline = hop.leg, hop.record, hop.pipeline
+        upstream = pipeline.upstream_of(leg.stage)
 
-    def _reroute(
-        self, stage: str, record: "CheckpointRecord", pipeline: ChunkPipeline, payload
-    ):
-        """Reroute the durable hop around a dark SSD, straight to the PFS.
+        def take(chunk: int, nbytes: int) -> bool:
+            # Published upstream (awaited by the hop) or — GPUDirect has no
+            # upstream — DMA'd across PCIe here, once.  GPUDirect never
+            # crosses the host-site encode, so its PCIe chunks are the
+            # stored chunks.
+            if chunk >= pipeline.in_hand:
+                if upstream is None:
+                    leg.attempt(
+                        record,
+                        lambda: engine.device.d2h_link.transfer(
+                            nbytes, cancelled=record.cancel_flush, request=leg.request(record)
+                        ),
+                    )
+                pipeline.in_hand = chunk + 1
+            return True
 
-        The chunks in hand (``pipeline.in_hand``) already left the GPU, so
-        they replay onto the PFS links immediately; the remaining chunks
-        keep streaming in as before — the hop resumes at the failed chunk
-        instead of restarting the cascade.  Returns the PFS once a verified
-        blob is stored there (the caller journals it and queues the SSD
-        backfill), ``None`` after abandoning.
-        """
-        engine = self.engine
-        pfs = engine.pfs
-        op = record.op
-        track = self._tracks[stage]
+        failure = None
+        for n, name in enumerate(leg.sinks):
+            store, rerouted = getattr(engine, name), n > 0
+            if rerouted:
+                self._rerouting(hop)
+            elif engine.resilient and not engine.health.allow(store.track):
+                # Blacklisted: don't feed the dark tier another doomed write.
+                failure = f"{store.tier} circuit breaker open"
+                continue
+            what = ("reroute", CAT_REROUTE) if rerouted else (f"{store.tier}-put", CAT_TRANSFER)
+            try:
+                with record.op.stage(*what, track=leg.track, tier=store.tier):
+                    if not self._stream_put(hop, store, payload, take):
+                        return None
+                if self._reverify(leg, record, store, payload):
+                    return store
+                failure = f"persistent corruption on {store.tier.upper()} put"
+            except TransientTransferError as exc:
+                failure = f"{type(exc).__name__} mid-transfer on {store.tier}"
+            except TransferError:
+                failure = "cancelled mid-transfer"
+                break  # a discard: no other store wants it either
+            hop.abort()
+        self._abandon(leg, record, failure)
+        return None
+
+    def _rerouting(self, hop: Hop) -> None:
+        """The durable hop goes around the dark SSD, straight to the PFS:
+        the upgrade stages are moot; count, trace, log."""
+        leg, record, pipeline = hop.leg, hop.record, hop.pipeline
         self._skip_upgrade(pipeline)
-        self.rerouted += 1
-        self._m_reroutes.inc()
+        self._tally("rerouted")
         self.telemetry.bus.instant(
             "flush-reroute",
-            track,
-            op_id=op.op_id,
+            leg.track,
+            op_id=record.op.op_id,
             ckpt=record.ckpt_id,
-            stage=stage,
+            stage=leg.stage,
             chunk=pipeline.in_hand,
         )
         log.info(
             "p%d: rerouting %s flush of checkpoint %d around the dark SSD to "
             "the PFS at chunk %d/%d",
-            engine.process_id, stage, record.ckpt_id, pipeline.in_hand, pipeline.chunks,
+            self.engine.process_id, leg.stage, record.ckpt_id, pipeline.in_hand, pipeline.chunks,
         )
-        try:
-            with op.stage("reroute", CAT_REROUTE, track=track, tier="pfs"):
-                if not self._stream_put(stage, record, pipeline, pfs, payload):
-                    return None
-                if not self._reverify(stage, record, pfs, payload):
-                    self._abandon(stage, record, "persistent corruption on PFS reroute")
-                    return None
-        except TransferError as exc:
-            self._abandon(stage, record, f"PFS reroute failed ({type(exc).__name__})")
-            return None
-        return pfs
 
-    def _stage_f2r(self, stage: str, record: "CheckpointRecord", pipeline: ChunkPipeline):
+    def _stage_f2r(self, hop: Hop):
         """SSD read-back: the producer half of the PFS upgrade.
 
         Runs as its own pipeline stage on its own stream so the read of
@@ -969,11 +857,13 @@ class Flusher:
         instead of the store index, and the payload comes from the pipeline.
         """
         engine = self.engine
+        leg, record, pipeline = hop.leg, hop.record, hop.pipeline
+        stage = leg.stage
         # Sizes and the physical payload settle once the producer has run
         # its preamble (host-site encode), signalled by its first published
         # chunk reaching the durable hop.
         if not pipeline.await_upstream(stage, 0):
-            self._bail(stage, record, "durable hop abandoned")
+            self._bail(leg, record, "durable hop abandoned")
             return
         if pipeline.skipped(stage):
             return True
@@ -981,132 +871,113 @@ class Flusher:
         try:
             reader = engine.ssd.open_get(engine.store_key(record), nominal_size=read_total)
         except TransferError as exc:
-            self._abandon(stage, record, f"{type(exc).__name__} at read-back open")
+            self._abandon(leg, record, f"{type(exc).__name__} at read-back open")
             return
-        op = record.op
-        track = self._tracks[stage]
-        with self._span(stage, record, read_total, "ssd", chunks=pipeline.chunks) as span:
-            try:
-                for i, nbytes in enumerate(chunk_sizes_for(read_total, pipeline.chunks)):
-                    if not pipeline.await_upstream(stage, i):
-                        self._bail(stage, record, "durable hop abandoned")
-                        span.add(abandoned=True)
-                        return
-                    if pipeline.skipped(stage) or pipeline.failed("f2p"):
-                        # Rerouted, or the writer already abandoned (and
-                        # counted) the upgrade: reading on is waste.
-                        return True
-                    if not pipeline.throttle(stage, i, engine.config.stream.ring_chunks):
-                        raise TransferError("stream interrupted")
-                    # This read-back shares the read link with demand
-                    # restores — the QoS tag keeps it behind them.  Retried
-                    # apart from the PFS write so an SSD failure never
-                    # counts against the PFS breaker.
-                    with op.stage("read-back", CAT_TRANSFER, track=track, tier="ssd"):
-                        self._charge_chunk(
-                            stage, "ssd", record, pipeline, i, nbytes,
-                            lambda: reader.read(nbytes, request=self._request(record)),
-                        )
-            except TransferError:
-                span.add(abandoned=True)
-                self._abandon(stage, record, "read-back cancelled mid-transfer")
-                return
-        reader.close()
-        pipeline.finish(stage)
-        return True
 
-    def _stage_f2p(self, stage: str, record: "CheckpointRecord", pipeline: ChunkPipeline):
+        def take(chunk: int, nbytes: int) -> bool:
+            if pipeline.skipped(stage) or pipeline.failed("f2p"):
+                # Rerouted, or the writer already abandoned (and counted) the
+                # upgrade: reading on is waste.
+                return False
+            # Only this stage's chunks live in a bounce buffer, so only it
+            # parks on its consumer.
+            if not pipeline.throttle(stage, chunk, engine.config.stream.ring_chunks):
+                raise TransferError("stream interrupted")
+            return True
+
+        with self._span(leg, record, read_total, chunks=pipeline.chunks) as span:
+            try:
+                # This read-back shares the read link with demand restores —
+                # the QoS tag keeps it behind them.  Retried apart from the
+                # PFS write so an SSD failure never counts against the PFS
+                # breaker.
+                read = hop.stream(
+                    read_total, source=reader, take=take,
+                    around=partial(
+                        record.op.stage, "read-back", CAT_TRANSFER, track=leg.track, tier="ssd"
+                    ),
+                )
+            except TransferError:
+                self._abandon(leg, record, "read-back cancelled mid-transfer", span)
+                return
+            if read is None:
+                self._bail(leg, record, "durable hop abandoned, or the upgrade is moot")
+                return pipeline.skipped(stage) or pipeline.failed("f2p")
+        reader.close()
+        return hop.finish()
+
+    def _stage_f2p(self, hop: Hop):
         """PFS upgrade: consume read-back chunks, charge the PFS per chunk,
         commit-at-end over a blob the durable hop landed on the SSD."""
         engine = self.engine
+        leg, record, pipeline = hop.leg, hop.record, hop.pipeline
+        stage = leg.stage
         if pipeline.skipped(stage):
             return True
-        op = record.op
-        track = self._tracks[stage]
-        op.fill("flush-queue", track=track)
+        record.op.fill("flush-queue", track=leg.track)
         with engine.monitor:
             if record.discarded:
-                self._abandon(stage, record, "discarded before PFS flush")
+                self._abandon(leg, record, "discarded before PFS flush")
                 return
-        pfs = engine.pfs
+        pfs = getattr(engine, leg.sinks[0])
         if pfs is None:
             return True
         if engine.resilient and not engine.health.allow(pfs.track):
             # The SSD copy is (or will be) durable; skip the dark PFS rather
             # than feed its breaker another doomed upgrade write.
-            self._abandon(stage, record, "pfs circuit breaker open")
+            self._abandon(leg, record, "pfs circuit breaker open")
             return
         # The read-back's opening chunk implies the producer preamble ran,
         # so the physical payload and stored sizes are settled.
         if not pipeline.await_upstream(stage, 0):
-            self._bail(stage, record, "read-back abandoned")
+            self._bail(leg, record, "read-back abandoned")
             return
         if pipeline.skipped(stage):
             return True
         payload = pipeline.payload
-        stored = record.stored_size(TierLevel.PFS)
         wire = record.wire_size(TierLevel.SSD, TierLevel.PFS)
-        writer = None
-        with self._span(stage, record, wire, "pfs", chunks=pipeline.chunks) as span:
+
+        def durable_landed() -> bool:
+            # The upgrade only commits over a blob the durable hop actually
+            # landed on the SSD (reroutes skip this stage).
+            if not pipeline.await_finished(stage, pipeline.upstream_of("f2r")):
+                self._bail(leg, record, "durable hop failed")
+                return False
+            if pipeline.skipped(stage) or pipeline.landed is not TierLevel.SSD:
+                return False
+            engine._maybe_crash(f"before-{stage}", record)
+            return True
+
+        with self._span(leg, record, wire, chunks=pipeline.chunks) as span:
             try:
                 if pipeline.chunks > 1:
-                    writer = pfs.open_put(
-                        engine.store_key(record),
-                        stored,
-                        int(payload.size),
-                        node_id=engine.node_id,
-                        cancelled=record.cancel_flush,
-                    )
-                    for i, nbytes in enumerate(chunk_sizes_for(stored, pipeline.chunks)):
-                        if not pipeline.await_upstream(stage, i):
-                            self._bail(stage, record, "read-back abandoned")
-                            span.add(abandoned=True)
-                            return
-                        if pipeline.skipped(stage):
-                            return True
-                        self._charge_chunk(
-                            stage, pfs.tier, record, pipeline, i, nbytes,
-                            lambda: writer.write(nbytes, request=self._request(record)),
-                            breaker=pfs.track,
-                        )
-                # The upgrade only commits over a blob the durable hop
-                # actually landed on the SSD (reroutes skip this stage).
-                if not pipeline.await_finished(stage, pipeline.upstream_of("f2r")):
-                    span.add(abandoned=True)
-                    self._bail(stage, record, "durable hop failed")
-                    return
-                if pipeline.skipped(stage) or pipeline.landed is not TierLevel.SSD:
-                    return True
-                engine._maybe_crash(f"before-{stage}", record)
-                if writer is None:
-                    # One chunk: charge and commit as one whole-object put.
-                    self._retrying(
-                        stage,
-                        record,
-                        lambda: self._put_whole(record, pfs, payload),
-                        breaker=pfs.track,
+                    committed = self._stream_put(
+                        hop, pfs, payload,
+                        take=lambda chunk, nbytes: not pipeline.skipped(stage),
+                        ready=durable_landed, copy=True,
                     )
                 else:
-                    writer.commit(payload, meta=engine.recovery_meta(record))
-                    writer = None
+                    # One chunk: charge and commit as one whole-object put.
+                    committed = durable_landed()
+                    if committed:
+                        self._put_whole(leg, record, pfs, payload)
             except TransferError as exc:
-                span.add(abandoned=True)
-                self._abandon(stage, record, f"{type(exc).__name__} mid-transfer")
+                self._abandon(leg, record, f"{type(exc).__name__} mid-transfer", span)
                 return
-            finally:
-                if writer is not None:
-                    writer.abort()  # left without reaching its commit
-            if not self._reverify(stage, record, pfs, payload):
+            if not committed:
+                if pipeline.skipped(stage):
+                    return True
                 span.add(abandoned=True)
-                self._abandon(stage, record, "persistent corruption on PFS put")
+                return
+            if not self._reverify(leg, record, pfs, payload):
+                self._abandon(leg, record, "persistent corruption on PFS put", span)
                 return
         self._m_bytes[stage].inc(wire)
-        engine.landed(record, pfs, track=track)
+        engine.landed(record, pfs, track=leg.track)
         engine._maybe_crash(f"after-{stage}", record)
-        pipeline.finish(stage)
-        return True
+        return hop.finish()
 
-    def _replicate(self, record: "CheckpointRecord") -> None:
+    def _replicate(self, hop: Hop):
         """Copy the durable checkpoint to its replica targets' SSDs.
 
         The cluster fabric supplies ``replica_factor - 1`` ring successors
@@ -1115,14 +986,12 @@ class Flusher:
         best-effort beyond the first durable copy.
         """
         engine = self.engine
-        if engine.crashed.is_set():
-            return
+        leg, record = hop.leg, hop.record
         engine._maybe_crash("before-repl", record)
-        op = record.op
-        op.fill("flush-queue", track=self._tracks["repl"])
+        record.op.fill("flush-queue", track=leg.track)
         with engine.monitor:
             if record.discarded:
-                self._abandon("repl", record, "discarded before replication")
+                self._abandon(leg, record, "discarded before replication")
                 return
         # Replicas are verbatim SSD blobs and stay outside the chunk
         # accounting: the home node owns the recipe, a successor only keeps a
@@ -1136,28 +1005,25 @@ class Flusher:
             engine.fabric.membership.tick()
             targets = engine.fabric.live_replica_targets(engine.node_id)
         for _target_node, target_ssd, target_link in targets:
-
-            def copy_to_replica(ssd=target_ssd, link=target_link) -> None:
-                copy_object(
-                    engine.ssd,
-                    ssd,
-                    engine.store_key(record),
-                    hop=link,
-                    cancelled=record.cancel_flush,
-                    request=self._request(record),
-                    meta=engine.recovery_meta(record),
-                )
-
-            with self._span("repl", record, stored, "fabric") as span:
+            with self._span(leg, record, stored) as span:
                 try:
-                    self._retrying("repl", record, copy_to_replica)
-                except (TransferError, ReproError) as exc:
-                    span.add(abandoned=True)
-                    self._abandon(
-                        "repl", record, f"{type(exc).__name__} during replication"
+                    leg.attempt(
+                        record,
+                        lambda: copy_whole(
+                            engine.ssd,
+                            target_ssd,
+                            engine.store_key(record),
+                            hop=target_link,
+                            cancelled=record.cancel_flush,
+                            request=leg.request(record),
+                            meta=engine.recovery_meta(record),
+                        ),
                     )
+                except ReproError as exc:
+                    self._abandon(leg, record, f"{type(exc).__name__} during replication", span)
                     return
             self._m_bytes["repl"].inc(stored)
-            self.replicated += 1
+            self._tally("replicated")
             engine.landed(record, target_ssd)
         engine._maybe_crash("after-repl", record)
+        return True

@@ -61,7 +61,7 @@ from repro.faults.retry import backoff_for
 from repro.log import get_logger
 from repro.metrics.recorder import OpEvent, OpKind
 from repro.sched.request import TransferClass
-from repro.telemetry.causal import CAT_RETRY, CAT_TRANSFER, NULL_OP
+from repro.telemetry.causal import CAT_RETRY, NULL_OP
 from repro.tiers.base import TierLevel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -194,13 +194,6 @@ class Prefetcher:
             started = engine.clock.now()
             seconds: Optional[float] = None
             shed = False
-            causal = {}
-            if op.op_id is not None:
-                causal = {
-                    "op_id": op.op_id,
-                    "category": CAT_TRANSFER,
-                    "tier": "pcie" if src == TierLevel.HOST else src.name.lower(),
-                }
             span = self.telemetry.bus.span(
                 span_name,
                 track,
@@ -208,7 +201,9 @@ class Prefetcher:
                 src=src.name,
                 dst=dst.name,
                 bytes=record.nominal_size,
-                **causal,
+                **engine.promote_legs[dst][0].causal(
+                    op, "pcie" if src == TierLevel.HOST else src.name.lower()
+                ),
             )
             with span:
                 try:

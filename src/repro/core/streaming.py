@@ -1,20 +1,20 @@
-"""Per-checkpoint chunk pipeline for the flush cascade and streamed promotions.
+"""Per-checkpoint chunk pipeline: what the hops of one transfer coordinate on.
 
 One :class:`ChunkPipeline` coordinates the stages of a single checkpoint's
-transfer (``d2h`` → ``h2f`` → ``f2r`` → ``f2p`` on the flush path — every
-flush walks one, a whole-object flush being the one-chunk plan — or
-``read`` → ``h2d`` on the promote path).  Every stage moves the same number
-of chunks (stage byte counts may differ under reduction — chunk
-*boundaries* are per stage); a consumer stage charges chunk ``i`` on its
-link only once the upstream stage has published chunk ``i``.
+transfer — each stage a *hop* (:mod:`repro.core.hop`: claim, charge chunk by
+chunk, commit, land): ``d2h`` → ``h2f`` → ``f2r`` → ``f2p`` on the flush path
+(every flush walks one, a whole-object flush being the one-chunk plan), or
+``read`` → ``h2d`` on the promote path.  Every stage moves the same number
+of chunks (stage byte counts may differ under reduction — chunk *boundaries*
+are per stage); a consumer stage charges chunk ``i`` on its link only once
+the upstream stage has published chunk ``i``.
 
 A producer never waits for its consumer where its output already has a
-home: the host extent ``d2h`` reserved, the SSD blob the durable hop
-writes, the GPU (and host) extent a promotion reserved — each holds the
-whole object, so the stage runs at its own link's pace.  The one edge whose
-bytes live in a bounded bounce buffer is the SSD read-back ``f2r`` feeding
-the PFS writer ``f2p``; there the producer calls :meth:`throttle` and parks
-once it runs ``ring`` chunks ahead.
+home — the extent or blob its hop claimed holds the whole object, so the
+stage runs at its own link's pace.  The one edge whose bytes live in a
+bounded bounce buffer is the SSD read-back ``f2r`` feeding the PFS writer
+``f2p``; there the producer calls :meth:`throttle` and parks once it runs
+``ring`` chunks ahead.
 
 The pipeline is pure coordination: payload bytes are still written whole
 at each stage's commit (the simulator charges transfer *time* per chunk,

@@ -11,6 +11,8 @@ consistency properties the design relies on:
 * no unconsumed checkpoint exists whose *only* copy is mid-flight;
 * the restore queue's unconsumed hints reference known or future ids;
 * every cached prefetch-chain op belongs to a known, unconsumed checkpoint;
+* no extent is pinned forever: with the flush cascade idle nothing is
+  ``flush_pending``, and nothing is ``read_pinned`` outside a promotion;
 * with reduction enabled: per-tier chunk refcounts match the live images
   attached to each tier exactly, the engine-wide registry holds no orphaned
   chunks, and no delta chain exceeds the configured depth bound.
@@ -43,6 +45,7 @@ def validate_engine(engine: "ScoreEngine") -> None:
         _check_instances(engine)
         _check_copies(engine)
         _check_prefetch_chains(engine)
+        _check_pins(engine)
         if engine.reducer is not None:
             _check_reduction(engine)
 
@@ -136,6 +139,24 @@ def _check_prefetch_chains(engine: "ScoreEngine") -> None:
                 f"prefetch chain op cached for checkpoint {ckpt_id}, which is "
                 f"{'unknown' if record is None else 'already consumed'}"
             )
+
+
+def _check_pins(engine: "ScoreEngine") -> None:
+    """A hop that ends — landed, abandoned or failed — unpins its source; a
+    pin with no hop in flight holds its extent against eviction forever."""
+    flushing = any(stream.depth for stream in engine.flusher.streams.values())
+    for record in engine.catalog.all_records():
+        for level, inst in record.instances.items():
+            if inst.flush_pending and not flushing:
+                raise InvariantViolation(
+                    f"checkpoint {record.ckpt_id}: {level.name} copy pinned for a "
+                    "flush (flush_pending) with the cascade idle"
+                )
+            if inst.read_pinned and not record.prefetch_inflight:
+                raise InvariantViolation(
+                    f"checkpoint {record.ckpt_id}: {level.name} copy read-pinned "
+                    f"({inst.read_pinned}) with no promotion in flight"
+                )
 
 
 def _check_reduction(engine: "ScoreEngine") -> None:

@@ -16,7 +16,6 @@ from repro.telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultDomain
-    from repro.simgpu.bandwidth import Link
 
 
 class TierLevel(IntEnum):
@@ -360,27 +359,3 @@ class GetHandle(_ChunkedTransfer):
         """``(payload, accounted seconds)`` — the whole object, post-charges."""
         self.close()
         return self.store._read_payload(self.key), self.seconds
-
-
-def copy_object(
-    source, destination, key: StoreKey, *,
-    hop: Optional["Link"] = None, node_id: int = 0, cancelled=None, request=None, meta=None,
-) -> int:
-    """Copy one whole object store to store; returns its nominal size.
-
-    Three charges: the source read, the interconnect ``hop`` when the two
-    stores sit on different nodes, and the destination put — which owns the
-    bytes read (``copy=False``).  ``meta`` defaults to the source's;
-    ``node_id`` names whose PFS links carry a PFS-side leg.
-    """
-    stored = source.size_of(key)
-    if meta is None:
-        meta = source.meta(key)
-    payload, _ = source.get(key, node_id=node_id, request=request)
-    if hop is not None:
-        hop.transfer(stored, cancelled=cancelled, request=request)
-    destination.put(
-        key, payload, stored,
-        node_id=node_id, cancelled=cancelled, request=request, meta=meta, copy=False,
-    )
-    return stored

@@ -1,7 +1,7 @@
-"""The one read path: ``ScoreEngine._promote_from_store``.
+"""The one read path: ``ScoreEngine.promote_once``.
 
 A promotion off a storage tier is one ``open_get`` → per-chunk ``read`` →
-``finish`` loop whose placement policy is the set of extents it lands in:
+``finish`` hop whose placement policy is the set of extents it lands in:
 ``{host}``, ``{gpu}`` (GPUDirect) or ``{gpu, host}`` (fused, many-chunk
 plans only).  These tests drive that function directly:
 

@@ -1,0 +1,59 @@
+#!/usr/bin/env python3
+"""The structural numbers every ROADMAP re-anchor recomputes by hand.
+
+Run from the repository root: ``python3 tools/census.py``.  Prints the size of
+``src/`` and its six largest files, and the grep counts the open items track;
+exits non-zero when one of the two hard ones is off — a wall-clock read outside
+``clock.py`` (ROADMAP item 1), or more than five thread-creation sites
+(items 1, 2: every thread that exists must be known to the runtime).
+"""
+
+import re
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+FILES = sorted(SRC.rglob("*.py"))
+FEATURES = r"(predict|reducer|slo|retry_policy|fabric) is (not )?None"
+
+
+def sites(pattern, files=FILES, skip=()):
+    """``path:line`` of every source line matching ``pattern``."""
+    regex = re.compile(pattern)
+    return [
+        f"{path.relative_to(SRC.parent)}:{number}"
+        for path in files
+        if path.name not in skip
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if regex.search(line) and not line.lstrip().startswith("#")
+    ]
+
+
+def main() -> int:
+    lines = {path: len(path.read_text().splitlines()) for path in FILES}
+    print(f"src/ {sum(lines.values())} lines in {len(FILES)} files; largest:")
+    for path in sorted(lines, key=lines.get, reverse=True)[:6]:
+        print(f"  {lines[path]:5d} {path.relative_to(SRC.parent)}")
+    core = [path for path in FILES if path.parent.name == "core"]
+    outside_tiers = [path for path in FILES if path.parent.name != "tiers"]
+    counts = {
+        "threading.Thread( sites": sites(r"threading\.Thread\("),
+        "broad except sites": sites(r"except (Exception|BaseException)\b|except:"),
+        "time.monotonic reads outside clock.py": sites(r"time\.monotonic\(", skip=("clock.py",)),
+        "feature-handle reads in core/": sites(FEATURES, core),
+        "copy_object( callers outside tiers/base.py": sites(r"copy_object\(", skip=("base.py",)),
+        "open_put( callers outside tiers/": sites(r"(?<!def )open_put\(", outside_tiers),
+        ".release(record) call sites": sites(r"\.release\(record\)"),
+        "chunk loops in core/": sites(r"enumerate\((chunk_sizes_for\(|sizes\))", core),
+    }
+    for what, where in counts.items():
+        print(f"{len(where):4d} {what}")
+    hard = {"time.monotonic reads outside clock.py": 0, "threading.Thread( sites": 5}
+    failed = [what for what, limit in hard.items() if len(counts[what]) > limit]
+    for what in failed:
+        print(f"FAIL: {what} > {hard[what]}: {', '.join(counts[what])}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
