@@ -14,9 +14,10 @@ does not know about:
 * per-node :class:`~repro.cluster.aggregator.PfsWriteAggregator` instances
   batching concurrent flush streams into single PFS commits.
 
-A peer read that dies mid-transfer (breaker-open SSD, link fault, tier
+A peer read is two pipelined legs, the holder's drive and the fabric hop;
+one that dies mid-transfer on either (breaker-open SSD, link fault, tier
 outage) falls back to the PFS transparently: the reader re-opens the blob
-there and replays the bytes consumed so far, so callers see one
+there and replays what had not crossed the hop, so callers see one
 uninterrupted byte stream either way.
 """
 
@@ -224,13 +225,18 @@ class PeerSsdStore:
     The read half of the store interface (``get``, ``open_get``,
     ``contains``, ``meta``, ``size_of``, ``verify``, ``track``, ``level``),
     so the engine's promotion path works unchanged.  Every chunk pays the
-    remote SSD read *plus* the interconnect hop, both on scheduled links.
+    remote SSD read *and* the interconnect hop, both on scheduled links —
+    as two stages of the promotion's pipeline (:class:`_PeerGet`), so the
+    drive reads chunk *i + 1* while chunk *i* crosses the fabric.
     A wrapper rather than a longer route of the remote store: the hop has
-    its own span and track, and a read that dies on either leg fails over
-    to a *different* store mid-stream (:class:`_PeerGet`).
+    its own stage, span and track, and a read that dies on either leg fails
+    over to a *different* store mid-stream.
     """
 
     level = TierLevel.SSD
+    #: reads cross the interconnect: a leg with no store-and-forward form,
+    #: so the engine always plans them as chunks (``ScoreEngine.chunks_for``).
+    across_fabric = True
 
     def __init__(
         self,
@@ -273,12 +279,19 @@ class PeerSsdStore:
 class _PeerGet:
     """Streaming read off a peer SSD with transparent PFS failover.
 
-    Chunks are read from the remote SSD (its own read link, fault gates,
-    and brownout model) and then traverse the interconnect link. If the
-    peer dies mid-read — a :class:`TransientTransferError` from either
-    hop — the handle re-opens the blob on the PFS, replays the bytes
-    already consumed plus the failed chunk, and serves the rest from
-    there. The caller sees a single uninterrupted stream.
+    Two legs, each a stage of the promotion that opened the handle:
+    :meth:`read_drive` charges a chunk on the remote SSD (its own read link,
+    fault gates and brownout model), :meth:`cross` carries it over the
+    interconnect link; :meth:`read` is their one-chunk composition, for a
+    whole-object ``get`` and objects too small to pipeline.
+
+    If the peer dies mid-read — a :class:`TransientTransferError` on either
+    leg — the failing leg blames its own breaker (the peer drive's, or this
+    node's ``node<r>-peer`` hop), re-opens the blob on the PFS and charges
+    there every byte asked of the drive so far (the failed chunk included)
+    not yet delivered across the hop; later chunks are read off the PFS and
+    skip the hop.  Past the failure each byte is paid for once, and the
+    caller sees a single uninterrupted stream.
     """
 
     def __init__(
@@ -299,18 +312,39 @@ class _PeerGet:
             key, request=request, nominal_size=nominal_size
         )
         self.nominal_size = self._reader.nominal_size
+        #: guards the next three (the legs run on two threads); held through
+        #: the replay, so whoever sees ``_fallback`` reads on past those bytes.
+        self._lock = threading.Lock()
         self._fallback = None
-        self._consumed = 0
+        self._asked = 0  # bytes asked of the drive leg
+        self._crossed = 0  # bytes delivered across the hop
+        #: what :meth:`read` charged (staged legs are accounted by their pipeline)
         self.seconds = 0.0
 
-    def read(self, nbytes: int, request=None) -> float:
+    def read_drive(self, nbytes: int, request=None) -> float:
+        """The drive leg: one chunk off the holder's SSD (off the PFS after a
+        failover, whose own failures are the caller's to see)."""
         request = request if request is not None else self._request
-        if self._fallback is not None:
-            seconds = self._fallback.read(nbytes, request=request)
-            self.seconds += seconds
-            return seconds
+        with self._lock:
+            fallback = self._fallback
+            if fallback is None:
+                self._asked += nbytes
         try:
-            seconds = self._reader.read(nbytes, request=request)
+            seconds = (fallback or self._reader).read(nbytes, request=request)
+        except TransientTransferError as exc:
+            if fallback is not None:
+                raise
+            seconds = self._fail_over(exc, self.store.track, request)
+        return seconds
+
+    def cross(self, nbytes: int, request=None) -> float:
+        """The hop leg: one chunk over the interconnect (nothing after a
+        failover: PFS bytes arrive on this node's own PFS links)."""
+        request = request if request is not None else self._request
+        with self._lock:
+            if self._fallback is not None:
+                return 0.0
+        try:
             with self._bus.span(
                 "peer-hop",
                 self._hop_track,
@@ -318,31 +352,41 @@ class _PeerGet:
                 peer=self.store.peer_node,
                 bytes=nbytes,
             ):
-                seconds += self._link.transfer(nbytes, request=request)
-        except TransientTransferError:
-            seconds = self._fail_over(nbytes, request)
-        self._consumed += nbytes
+                seconds = self._link.transfer(nbytes, request=request)
+        except TransientTransferError as exc:
+            seconds = self._fail_over(exc, self._hop_track, request)
+        with self._lock:
+            if self._fallback is None:
+                self._crossed += nbytes
+        return seconds
+
+    def read(self, nbytes: int, request=None) -> float:
+        """Drive leg, then hop leg: the one-chunk composition."""
+        seconds = self.read_drive(nbytes, request) + self.cross(nbytes, request)
         self.seconds += seconds
         return seconds
 
-    def _fail_over(self, nbytes: int, request) -> float:
-        """Re-open on the PFS and replay through the failed chunk."""
+    def _fail_over(self, error, blamed: str, request) -> float:
+        """Re-open on the PFS and replay what the hop had not delivered;
+        ``blamed`` is the breaker id of the leg that raised ``error``."""
         fabric = self.store.fabric
-        fabric.health.failure(self.store.track)
-        fabric._m_peer_fallbacks.inc()
-        self._bus.instant(
-            "peer-fallback",
-            self._hop_track,
-            key=str(self.key),
-            peer=self.store.peer_node,
-        )
-        if fabric.pfs is None or not fabric.pfs.contains(self.key):
-            raise  # no durable copy below: surface the peer failure
-        self._fallback = fabric.pfs.open_get(
-            self.key, node_id=self.store.reader_node, request=request
-        )
-        replay = self._consumed + nbytes
-        return self._fallback.read(replay, request=request) if replay else 0.0
+        with self._lock:
+            if self._fallback is not None:
+                return 0.0  # the other leg failed first: its replay covers this chunk
+            fabric.health.failure(blamed)
+            fabric._m_peer_fallbacks.inc()
+            self._bus.instant(
+                "peer-fallback",
+                self._hop_track,
+                key=str(self.key),
+                peer=self.store.peer_node,
+            )
+            if fabric.pfs is None or not fabric.pfs.contains(self.key):
+                raise error  # no durable copy below: surface the peer failure
+            self._fallback = fabric.pfs.open_get(
+                self.key, node_id=self.store.reader_node, request=request
+            )
+            return self._fallback.read(self._asked - self._crossed, request=request)
 
     def finish(self):
         if self._fallback is not None:
@@ -353,4 +397,5 @@ class _PeerGet:
         fabric._m_peer_reads.inc()
         fabric._m_peer_read_bytes.inc(self.nominal_size)
         fabric.health.success(self.store.track)
+        fabric.health.success(self._hop_track)
         return payload, self.seconds

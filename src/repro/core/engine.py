@@ -33,6 +33,7 @@ chunk, commit, land — written once, in :mod:`repro.core.hop`.
 from __future__ import annotations
 
 import threading
+from functools import partial
 from itertools import islice
 from typing import Optional
 
@@ -218,13 +219,22 @@ class ScoreEngine:
         #: consumer stream of the ``h2d`` hop of a store read that fills a GPU
         #: extent, mirroring the flush cascade in the opposite direction.
         self.promote_stream = self.device.create_stream("promote-h2d")
+        #: worker of the ``peer-hop`` stage of a read off a peer's SSD (fabric only).
+        self.peer_stream = (
+            self.device.create_stream("promote-peer") if self.fabric is not None else None
+        )
         self.flusher = Flusher(self)
         self.prefetcher = Prefetcher(self)
         #: the read path's table of hops, per destination tier (whose trace
-        #: track they share): the store read (on the promoting thread), and the
-        #: H2D crossing it feeds chunk by chunk through a ChunkPipeline.
+        #: track the first and last share): the store read (on the promoting
+        #: thread), the fabric crossing of a read off a peer's SSD, and the H2D
+        #: crossing — each fed chunk by chunk through a ChunkPipeline.
         self.promote_legs = {
-            dst: (Leg(self, "read", track, None), Leg(self, "h2d", track, "pcie"))
+            dst: (
+                Leg(self, "read", track, None),
+                Leg(self, "peer-hop", f"node{self.node_id}-peer", "fabric", self.peer_stream),
+                Leg(self, "h2d", track, "pcie", self.promote_stream),
+            )
             for dst, track in self.prefetcher.tracks.items()
         }
 
@@ -770,7 +780,7 @@ class ScoreEngine:
                 if record.consumed:
                     raise LifecycleError(f"checkpoint {ckpt_id} was already consumed")
                 distance = self._sample_prefetch_distance(ckpt_id)
-                source = self._current_source_level(record)
+                source, resolved = self._current_source(record)
             span.add(bytes=record.nominal_size, source=source, distance=distance)
             waited = 0.0
             decoded = 0.0
@@ -780,7 +790,7 @@ class ScoreEngine:
                 # _await_gpu_copy pins the extent (crossover to READ_COMPLETE)
                 # before returning, so it cannot be evicted under the copy
                 # below.
-                waited += self._await_gpu_copy(record, op=op)
+                waited += self._await_gpu_copy(record, op, None if repairs else resolved)
                 # The GPU instance is READ_COMPLETE (pinned) until
                 # ``_consume`` below, so a zero-copy view of the extent is
                 # safe: this thread is the only one that could force-evict
@@ -881,9 +891,10 @@ class ScoreEngine:
             self.flusher.backfill(record)
         return record.durable_level is not None
 
-    def _await_gpu_copy(self, record: CheckpointRecord, op=NULL_OP) -> float:
+    def _await_gpu_copy(self, record: CheckpointRecord, op=NULL_OP, resolved=None) -> float:
         """Block until the GPU cache holds a full copy of ``record``;
-        returns the nominal seconds charged to the caller.
+        returns the nominal seconds charged to the caller.  ``resolved``: the
+        durable ``(level, store)`` the caller just looked up, for the first step.
 
         Demand promotion runs *inline* in the calling thread: a restore that
         misses the GPU cache promotes the checkpoint level by level itself
@@ -928,9 +939,10 @@ class ScoreEngine:
                     if record.prefetch_inflight or self._transfer_inflight(record):
                         stall = "stall-inflight"
                     else:
-                        step = self.promotion_step(record)
+                        step = self.promotion_step(record, resolved)
                         if step is None:
                             stall = "stall-flush"  # only copy is mid-flush
+                    resolved = None  # good for the first look only: stale after
                     if stall is not None:
                         # Every state change we wait on here (transfers
                         # landing, flushes finishing) ends in a notify_all
@@ -942,13 +954,14 @@ class ScoreEngine:
                         op.fill(stall)
                         continue
                     record.prefetch_inflight = True
-                src, dst = step
+                src, dst, store = step
                 seconds: Optional[float] = None
                 try:
                     seconds = self.promote_once(
                         record,
                         src,
                         dst,
+                        store=store,
                         blocking=True,
                         allow_pinned=True,
                         # Highest class: jumps every queue and preempts
@@ -986,8 +999,11 @@ class ScoreEngine:
         return False
 
     # -- promotion machinery (shared with the prefetcher) ---------------------
-    def promotion_step(self, record: CheckpointRecord):
-        """Monitor held: next one-level promotion toward the GPU, or None."""
+    def promotion_step(self, record: CheckpointRecord, resolved=None):
+        """Monitor held: next one-level promotion toward the GPU, or None:
+        ``(src, dst, store)``, the store being what a storage ``src`` resolved
+        to (``resolved`` when the caller just looked it up), handed on to
+        :meth:`promote_once` so that one promotion resolves its source once."""
         gpu_inst = record.peek(TierLevel.GPU)
         if gpu_inst is not None and (
             gpu_inst.has_copy or gpu_inst.state is CkptState.READ_IN_PROGRESS
@@ -995,32 +1011,32 @@ class ScoreEngine:
             return None
         host_inst = record.peek(TierLevel.HOST)
         if host_inst is not None and host_inst.has_copy:
-            return (TierLevel.HOST, TierLevel.GPU)
+            return (TierLevel.HOST, TierLevel.GPU, None)
         if host_inst is not None:
             return None  # host extent in flight (being written or promoted)
         if record.durable_level is not None:
-            src, _ = self.durable_read_source(record)
-            if self.gpudirect:
-                # GPUDirect reads pull straight from storage into HBM.
-                return (src, TierLevel.GPU)
-            return (src, TierLevel.HOST)
+            src, store = resolved or self.durable_read_source(record)
+            # GPUDirect reads pull straight from storage into HBM.
+            return (src, TierLevel.GPU if self.gpudirect else TierLevel.HOST, store)
         return None  # only copy is mid-flush; the flusher will land it
 
-    def chunks_for(self, nbytes: int) -> int:
+    def chunks_for(self, nbytes: int, store=None) -> int:
         """Chunks in the plan of one ``nbytes`` transfer, either direction:
-        one unless streaming is on and the object spans two or more."""
-        if not self.streaming:
+        one unless streaming is on, or the source ``store`` is across the fabric
+        (which has no store-and-forward form) — and the object spans two or more."""
+        if not (self.streaming or (store is not None and store.across_fabric)):
             return 1
         return len(plan_chunks(nbytes, self.config.stream.stream_chunk_bytes))
 
-    def fuses_host_promotion(self, record: CheckpointRecord, src: TierLevel) -> bool:
-        """Whether promoting ``record`` from store ``src`` to the host also
-        fills a GPU extent from the same read (and so needs GPU budget).
+    def fuses_host_promotion(self, record: CheckpointRecord, src: TierLevel, store=None) -> bool:
+        """Whether promoting ``record`` from ``store`` (at level ``src``) to
+        the host also fills a GPU extent from the same read (and so needs GPU
+        budget).
 
         One chunk has nothing to overlap, and a host-site decode sits
         between the two hops with no host staging step to run at.
         """
-        if self.chunks_for(record.stored_size(src)) < 2:
+        if self.chunks_for(record.stored_size(src), store) < 2:
             return False
         return not self._reduced_at(record, TierLevel.HOST) or self._reduced_at(
             record, TierLevel.GPU
@@ -1033,6 +1049,7 @@ class ScoreEngine:
         dst: TierLevel,
         request: Optional[TransferRequest] = None,
         op=NULL_OP,
+        store=None,
         **claim,
     ) -> Optional[float]:
         """Move ``record`` one step toward the GPU, from its host copy or off
@@ -1046,10 +1063,17 @@ class ScoreEngine:
         H2D crossing can overlap the read (``max(read, h2d)`` instead of
         ``read + h2d``).  A store read runs on this thread, chunk by chunk;
         while it also fills a GPU extent, the ``h2d`` hop on
-        :attr:`promote_stream` charges chunk ``i`` on PCIe once the read
-        published it.  With nothing to overlap the plan is one chunk.
+        :attr:`promote_stream` charges chunk ``i`` on PCIe once the stage
+        above published it.  Off a peer's SSD (``store.across_fabric``) the
+        plan is always chunks and a stage runs in between, the GPU claim
+        granted or not: ``read`` charges the holder's drive, ``peer-hop`` on
+        :attr:`peer_stream` the fabric.  With nothing to overlap the plan is
+        one chunk.
 
-        Returns the accounted nominal seconds, or ``None`` when a
+        ``store`` is what :meth:`promotion_step` resolved ``src`` to (a direct
+        call resolves here; after a failure the caller's next step does).
+        Returns the accounted nominal seconds — claim waits, decode and the
+        pipeline's critical path — or ``None`` when a
         non-blocking reservation could not claim space.  ``request`` tags
         the link transfers for QoS arbitration; a preempted or shed transfer
         releases its claims and raises (:class:`TransferError` /
@@ -1062,14 +1086,16 @@ class ScoreEngine:
         """
         from_store = src != TierLevel.HOST
         to_host = dst == TierLevel.HOST
-        to_gpu = not to_host or self.fuses_host_promotion(record, src)
-        read_leg, h2d_leg = self.promote_legs[dst]
+        if from_store and store is None:
+            src, store = self.durable_read_source(record)
+        to_gpu = not to_host or self.fuses_host_promotion(record, src, store)
+        read_leg, hop_leg, h2d_leg = self.promote_legs[dst]
         state = CkptState.READ_IN_PROGRESS
-        h2d_seconds = 0.0
-        consumer = consumer_error = None
+        decoded = 0.0
+        failed = {}  # downstream hop -> what its stage raised
         with Hop(h2d_leg, record, op=op, tag=request) as cross, Hop(
-            read_leg, record, op=op, tag=request
-        ) as read:
+            hop_leg, record, op=op, tag=request
+        ) as via, Hop(read_leg, record, op=op, tag=request) as read:
             if to_gpu:
                 with op.stage("reserve-gpu", CAT_RESERVE):
                     to_gpu = cross.claim(
@@ -1083,26 +1109,34 @@ class ScoreEngine:
                     if read.claim(self.host_cache, record, state, None, **claim) is None:
                         return None
             waited = sum(handle.waited for _where, handle in cross.claims + read.claims)
+            across = from_store and store.across_fabric
             pipeline = ChunkPipeline(
                 record.ckpt_id,
-                self.chunks_for(record.stored_size(src)) if from_store and to_gpu else 1,
+                # A lone stage has nothing to overlap.
+                self.chunks_for(record.stored_size(src), store)
+                if from_store and (to_gpu or across)
+                else 1,
                 self.clock,
                 crashed=self.crashed,
             )
-            for hop, runs in ((read, from_store), (cross, to_gpu)):
+            staged = across and pipeline.chunks > 1  # one chunk: both legs inside the read
+            for hop, runs in ((read, from_store), (via, staged), (cross, to_gpu)):
                 if runs:
                     hop.pipeline = pipeline
                     pipeline.add_stage(hop.leg.stage)
 
-            def cross_over() -> None:
-                nonlocal h2d_seconds
-                # PCIe carries what the GPU extent stores, whichever tier fed it.
-                h2d_seconds = cross.stream(record.stored_size(TierLevel.GPU))
-                if h2d_seconds is None:
-                    raise TransferError("promotion read abandoned")
+            def run(hop: Hop, total: int, charge=None) -> None:
+                """A stage fed by the one above it (on its leg's worker)."""
+                try:
+                    if hop.stream(total, read=charge) is None:
+                        raise TransferError("promotion read abandoned")
+                except BaseException:
+                    pipeline.fail(hop.leg.stage)  # first: its consumer waits on it
+                    raise
 
+            # PCIe carries what the GPU extent stores, whichever tier fed it.
+            gpu_bytes = record.stored_size(TierLevel.GPU)
             if from_store:
-                src, store = self.durable_read_source(record)
                 tier = src.name.lower()
                 with op.stage(
                     "promote", CAT_TRANSFER, tier=tier, dst=dst.name, chunks=pipeline.chunks
@@ -1110,60 +1144,71 @@ class ScoreEngine:
                     reader = store.open_get(
                         self.store_key(record), node_id=self.node_id, request=request
                     )
+                    charge, fed = reader.read, []
+                    if staged:
+                        charge = reader.read_drive
+                        fed.append((via, reader.nominal_size, reader.cross))
                     if to_gpu:
-                        consumer = self.promote_stream.submit(
-                            cross_over, label=f"h2d-{record.ckpt_id}"
-                        )
+                        fed.append((cross, gpu_bytes))
+                    consumers = [
+                        (hop, hop.leg.stream.submit(partial(run, hop, *terms), label=hop.leg.stage))
+                        for hop, *terms in fed
+                    ]
                     try:
-                        # No ring on this edge: the extents claimed above hold
-                        # the whole object, so the read never waits for h2d.
-                        read.stream(reader.nominal_size, source=reader, tier=tier)
-                        payload, spent = reader.finish()
+                        # No ring on these edges: the extents claimed above hold
+                        # the whole object, so the read never waits downstream.
+                        read.stream(reader.nominal_size, read=charge, tier=tier)
                     except BaseException:
-                        pipeline.fail("read")  # first: the consumer waits on it
+                        pipeline.fail("read")  # first: the consumers wait on it
                         raise
                     finally:
-                        # The consumer owns h2d charges; settle it either way so
-                        # claims are never aborted under a live transfer.
-                        if consumer is not None:
+                        # Each consumer owns its stage's charges; settle them
+                        # either way so claims are never aborted under a live
+                        # transfer.
+                        for hop, event in consumers:
                             try:
-                                consumer.wait()
+                                event.wait()
                             except BaseException as exc:  # noqa: BLE001 - re-raised below
-                                consumer_error = exc
+                                failed[hop] = exc
+                    if via in failed:
+                        raise failed[via]  # the bytes never reached this node
+                    # After the hop settled: a failover decides whose payload.
+                    payload, _ = reader.finish()
             else:
                 # The host extent stays pinned through the crossing, so
                 # eviction cannot reclaim it underneath us; if it vanished while
                 # we were reserving, the caller re-resolves the source level.
                 cross.pinned = self.host_cache.open_get(record)
-                payload, spent = self._payload_above(record, self.host_cache, op, dst)
+                payload, decoded = self._payload_above(record, self.host_cache, op, dst)
                 with op.stage("promote", CAT_TRANSFER, tier="pcie", dst=dst.name):
-                    cross_over()
+                    run(cross, gpu_bytes)
             # Host landing first: it is the staging copy and must be
             # consistent before the GPU extent becomes consumable.
             read.commit(payload)
             read.land()
-            if consumer_error is not None:
+            if cross in failed:
                 # Preempted (or shed) mid-crossing: the GPU claim is rolled
                 # back; a fused promotion keeps its host copy, as if the
                 # first of two hops had landed.
-                raise consumer_error
+                raise failed[cross]
             cross.commit(payload)
             cross.land()
-            cross.done = read.done = True
-        if pipeline.chunks == 1:
-            # Accounted link (and decode) seconds, not the clock: a
-            # whole-object transfer must not leak host scheduling noise into
-            # restore timings.
-            return waited + spent + h2d_seconds
-        return waited + pipeline.active_s
+            cross.done = via.done = read.done = True
+        # Accounted link (and decode) seconds along the stage × chunk grid, not the
+        # clock: hand-offs and host scheduling noise must not leak into restore timings.
+        return waited + decoded + pipeline.critical_s()
 
-    def _current_source_level(self, record: CheckpointRecord) -> str:
+    def _current_source(self, record: CheckpointRecord):
+        """Monitor held: ``(label, resolved)`` — the level a restore starting
+        now is served from, and for a checkpoint cached nowhere the durable
+        ``(level, store)`` behind that label, for its first promotion."""
         fastest = record.fastest_cached_level()
         if fastest is not None:
-            return fastest.name
+            return fastest.name, None
         if record.durable_level is not None:
-            return self.durable_read_source(record)[0].name
-        return "IN_FLIGHT"
+            resolved = self.durable_read_source(record)
+            return resolved[0].name, resolved
+        return "IN_FLIGHT", None
 
     def _sample_prefetch_distance(self, ckpt_id: int) -> int:
         """Successive upcoming hints already staged on the GPU (Fig. 7)."""
@@ -1366,6 +1411,8 @@ class ScoreEngine:
         self.prefetcher.stop()
         self.flusher.close()
         self.promote_stream.close(drain=True)
+        if self.peer_stream is not None:
+            self.peer_stream.close(drain=True)
 
     def __enter__(self) -> "ScoreEngine":
         return self

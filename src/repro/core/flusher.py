@@ -892,7 +892,7 @@ class Flusher:
                 # PFS write so an SSD failure never counts against the PFS
                 # breaker.
                 read = hop.stream(
-                    read_total, source=reader, take=take,
+                    read_total, read=reader.read, take=take,
                     around=partial(
                         record.op.stage, "read-back", CAT_TRANSFER, track=leg.track, tier="ssd"
                     ),

@@ -45,8 +45,9 @@ class Leg(NamedTuple):
     stage: str  # the pipeline stage (and span) name
     track: str
     tier: Optional[str]  # the causal ``tier`` label of its charges
-    # Flush cascade only: its worker's stream, the stage body, the cache level
-    # it flushes out of (``flush_pending`` until it lands or fails), its sinks.
+    # The stream of the worker that runs it (none: the calling thread).  Flush
+    # cascade only: the stage body, the cache level it flushes out of
+    # (``flush_pending`` until it lands or fails), its sinks.
     stream: Any = None
     body: Optional[Callable] = None
     source: Any = None
@@ -99,11 +100,12 @@ class Hop:
             self.claims.append((where, handle))
         return handle
 
-    def stream(self, total: int, source=None, take=None, tier=None, breaker=None, around=None):
+    def stream(self, total: int, read=None, take=None, tier=None, breaker=None, around=None):
         """The chunk loop: ``total`` bytes in the pipeline's chunk plan.
         Chunk *i* is eligible once the upstream stage published it and
         ``take(i, nbytes)``, the leg's own input step, agrees; it is charged
-        on the source handle and every claimed sink as one chunk step, inside
+        on ``read(nbytes, request=)`` — a source handle's read, or one leg of
+        it — and every claimed sink as one chunk step, inside
         the context ``around()`` (e.g. an op stage).  Returns the accounted
         seconds, ``None`` when the input stopped coming.  A discard stops the
         loop through the links' ``cancelled=``."""
@@ -119,7 +121,7 @@ class Hop:
 
             def charge() -> float:
                 tag = leg.request(record, self.tag)
-                spent = 0.0 if source is None else source.read(nbytes, request=tag)
+                spent = 0.0 if read is None else read(nbytes, request=tag)
                 for _where, handle in self.claims:
                     spent += handle.write(nbytes, cancelled=self.cancelled, request=tag)
                 return spent

@@ -70,10 +70,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 log = get_logger(__name__)
 
-#: (record, source level, destination level, restore-queue distance,
-#:  whether the queue entry is an explicit application hint — predicted
-#:  overlay entries are always speculative)
-Task = Tuple["CheckpointRecord", TierLevel, TierLevel, int, bool]
+#: (record, source level, destination level, the store a storage source
+#:  resolved to, restore-queue distance, whether the queue entry is an
+#:  explicit application hint — predicted overlay entries are always
+#:  speculative)
+Task = Tuple["CheckpointRecord", TierLevel, TierLevel, object, int, bool]
 
 #: hints from the restore head the GPU hop looks at (the staging hop's
 #: horizon comes from the cache instead, see the module docstring).
@@ -188,7 +189,7 @@ class Prefetcher:
                     return
                 task[0].prefetch_inflight = True
                 op = self._chain_op(task[0].ckpt_id, track)
-            record, src, dst, distance, explicit = task
+            record, src, dst, store, distance, explicit = task
             op.fill("hint-wait")
             request = self._classify(distance, op=op, explicit=explicit)
             started = engine.clock.now()
@@ -209,7 +210,7 @@ class Prefetcher:
                 try:
                     seconds = engine.promote_once(
                         record, src, dst, blocking=False, allow_pinned=False,
-                        request=request, op=op,
+                        request=request, op=op, store=store,
                         # Predicted overlay entries land as revocable
                         # stagings; explicit hints keep the consume pin.
                         speculative=not explicit,

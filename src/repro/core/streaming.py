@@ -4,10 +4,11 @@ One :class:`ChunkPipeline` coordinates the stages of a single checkpoint's
 transfer — each stage a *hop* (:mod:`repro.core.hop`: claim, charge chunk by
 chunk, commit, land): ``d2h`` → ``h2f`` → ``f2r`` → ``f2p`` on the flush path
 (every flush walks one, a whole-object flush being the one-chunk plan), or
-``read`` → ``h2d`` on the promote path.  Every stage moves the same number
-of chunks (stage byte counts may differ under reduction — chunk *boundaries*
-are per stage); a consumer stage charges chunk ``i`` on its link only once
-the upstream stage has published chunk ``i``.
+``read`` → ``h2d`` on the promote path (``read`` → ``peer-hop`` → ``h2d`` off
+a peer's SSD, across the fabric).  Every stage moves the same number of
+chunks (stage byte counts may differ under reduction — chunk *boundaries* are
+per stage); a consumer stage charges chunk ``i`` on its link only once the
+upstream stage has published chunk ``i``.
 
 A producer never waits for its consumer where its output already has a
 home — the extent or blob its hop claimed holds the whole object, so the
@@ -25,7 +26,10 @@ journal's crash consistency.
 Stall time spent in :meth:`await_upstream` / :meth:`throttle` is tallied
 per stage, and an interval integrator tracks how long ≥2 stages were
 simultaneously mid-chunk — the ``flush.stream.overlap_ratio`` headline
-metric (1.0 = perfectly pipelined, → 0 = store-and-forward).
+metric (1.0 = perfectly pipelined, → 0 = store-and-forward).  Those are
+clock-side occupancy figures; what a transfer *cost* is accounted: each chunk
+step's accounted seconds are kept and :meth:`critical_s` is the longest
+dependency chain through the stage × chunk grid, free of host hand-off time.
 """
 
 from __future__ import annotations
@@ -65,11 +69,6 @@ class ChunkPipeline:
     quietly.
     """
 
-    #: wall-clock re-check period for waits, seconds.  Waits are woken by
-    #: publish/fail/skip notifications; the timeout is only a
-    #: missed-wakeup/crash-detection guard, not a polling interval.
-    _WAIT_TICK = 0.05
-
     def __init__(
         self,
         ckpt_id: int,
@@ -85,6 +84,8 @@ class ChunkPipeline:
         self.crashed = crashed
         self._cond = threading.Condition()
         self._done: Dict[str, int] = {}
+        #: per stage, the accounted seconds of each chunk step, in chunk order.
+        self._spent: Dict[str, List[float]] = {}
         self._finished: Dict[str, bool] = {}
         self._failed: Dict[str, bool] = {}
         self._skipped: Dict[str, bool] = {}
@@ -130,6 +131,7 @@ class ChunkPipeline:
                 raise ValueError(f"stage {name!r} already registered")
             self._order.append(name)
             self._done[name] = 0
+            self._spent[name] = []
             self._finished[name] = False
             self._failed[name] = False
             self._skipped[name] = False
@@ -150,11 +152,13 @@ class ChunkPipeline:
         )
 
     # -- stage lifecycle ----------------------------------------------------
-    def publish(self, stage: str, chunk: int) -> None:
-        """Record chunk ``chunk`` of ``stage`` complete; wake all waiters."""
+    def publish(self, stage: str, chunk: int, spent: float = 0.0) -> None:
+        """Record chunk ``chunk`` of ``stage`` complete, at ``spent`` accounted
+        seconds; wake all waiters."""
         with self._cond:
             if chunk + 1 > self._done[stage]:
                 self._done[stage] = chunk + 1
+            self._spent[stage].append(spent)
             self._cond.notify_all()
 
     def finish(self, stage: str) -> None:
@@ -206,7 +210,9 @@ class ChunkPipeline:
             started = self.clock.now()
             try:
                 while not self._interrupted():
-                    self._cond.wait(self._WAIT_TICK)
+                    # Woken by publish/fail/skip; the timeout only guards a
+                    # missed wake-up and notices a crash or a cancel.
+                    self.clock.wait(self._cond, virtual_timeout=1.0)
                     status = ready()
                     if status is not None:
                         return status
@@ -289,8 +295,25 @@ class ChunkPipeline:
                 f"{stage}-chunk", track, t0, self.clock.now() - t0,
                 ckpt=self.ckpt_id, chunk=chunk, bytes=nbytes, **causal,
             )
-        self.publish(stage, chunk)
+        self.publish(stage, chunk, result)
         return result
+
+    def critical_s(self) -> float:
+        """Accounted seconds of the longest dependency chain through the
+        stage × chunk grid: a stage starts chunk *i* once it finished chunk
+        *i - 1* and its upstream published chunk *i*.  One stage: the sum of
+        its chunks; one chunk: the sum of the stages; a full pipeline: about
+        the slowest stage plus one chunk of each other.  Not the clock, which
+        adds every thread hand-off between chunk steps."""
+        ready: List[float] = []  # when the stage above published each chunk
+        with self._cond:
+            for stage in self._order:
+                done, row = 0.0, []
+                for i, spent in enumerate(self._spent[stage]):
+                    done = max(done, ready[i] if i < len(ready) else 0.0) + spent
+                    row.append(done)
+                ready = row or ready  # (a skipped stage charged nothing)
+        return ready[-1] if ready else 0.0
 
     # -- occupancy accounting ----------------------------------------------
     def enter_chunk(self) -> None:

@@ -109,9 +109,11 @@ def _check_copies(engine: "ScoreEngine") -> None:
         if record.consumed or record.discarded:
             continue
         has_cached = record.fastest_cached_level() is not None
-        has_durable = record.durable_level is not None and engine.durable_store_of(
-            record
-        ).contains(engine.store_key(record))
+        key = engine.store_key(record)
+        # An adopted record names no store: every read re-resolves its holder.
+        adopted = record.home_pid is not None
+        store = engine.read_source(key) if adopted else engine.durable_store_of(record)
+        has_durable = record.durable_level is not None and store.contains(key)
         in_flight = any(
             inst.state in (CkptState.WRITE_IN_PROGRESS, CkptState.READ_IN_PROGRESS)
             for inst in record.instances.values()
@@ -120,9 +122,7 @@ def _check_copies(engine: "ScoreEngine") -> None:
             raise InvariantViolation(
                 f"unconsumed checkpoint {record.ckpt_id} has no copy anywhere"
             )
-        if record.durable_level is not None and not engine.durable_store_of(
-            record
-        ).contains(engine.store_key(record)):
+        if record.durable_level is not None and not has_durable:
             raise InvariantViolation(
                 f"checkpoint {record.ckpt_id} marked durable on "
                 f"{record.durable_level.name} but absent from its store"

@@ -67,6 +67,8 @@ class ObjectStore:
 
     level: TierLevel
     tier: str
+    #: whether reads cross the interconnect (the fabric's view of a peer's SSD).
+    across_fabric = False
 
     def __init__(
         self, track: str, scale: ScaleModel, clock: VirtualClock,

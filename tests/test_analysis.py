@@ -287,3 +287,55 @@ def test_diff_localizes_ssd_slowdown():
     assert (top["tier"], top["category"]) == ("ssd", "transfer")
     text = render_diff(diff)
     assert "largest regression" in text
+
+
+# -- across the fabric ------------------------------------------------------------
+def test_cross_node_restore_is_attributed_to_drive_fabric_and_pcie():
+    """The restore's op crosses the node boundary: one restore served from a
+    peer's SSD is ≥ 95 % accounted with no orphan, and its time is split
+    between the holder's drive, the fabric and PCIe — whose transfer spans
+    overlap, being stages of one pipeline."""
+    from repro.cluster.topology import ClusterTopology
+    from repro.config import ClusterConfig
+
+    cfg = RuntimeConfig(
+        scale=ScaleModel(data_scale=512 * KiB, time_scale=0.5, alignment=512 * KiB),
+        cache=CacheConfig(gpu_cache_size=2 * SNAPSHOT, host_cache_size=2 * SNAPSHOT),
+        charge_allocation_cost=False,
+        num_nodes=3,
+        processes_per_node=1,
+        telemetry=True,
+        cluster=ClusterConfig(enabled=True),
+        analysis=AnalysisConfig(enabled=True),
+    )
+    with ClusterTopology(cfg, engine_kwargs={"flush_to_pfs": True}) as topo:
+        session = topo.service.connect("c0")
+        buf = session.engine.device.alloc_buffer(SNAPSHOT)
+        buf.fill_random(make_rng(0, "analysis-cluster"))
+        session.submit(0, buf)
+        for engine in topo.engines:
+            engine.wait_for_flushes(timeout=600.0)
+        reader = topo.engines[2]  # holds no replica (factor 2)
+        out = reader.device.alloc_buffer(SNAPSHOT)
+        session.restore(0, out, engine=reader)
+        assert out.checksum() == buf.checksum()
+        events = topo.telemetry.bus.snapshot()
+    dag = build_dag(events)
+    assert not dag.orphans
+    attr = attribute_dag(dag)
+    # (The adopted record's FSM edges still sit in a span-less ``c<reader>:0``
+    # op of their own — ROADMAP item 9 — so the DAG-wide gate is not asked.)
+    assert attr.per_op[f"c{session.engine.process_id}:0"].complete
+    restore = attr.per_op[f"r{reader.process_id}:0"]
+    assert restore.coverage >= 0.95
+    tiers = {tier for (tier, category) in restore.by_tier_category if category == "transfer"}
+    assert {"ssd", "fabric", "pcie"} <= tiers
+    spans = {
+        tier: [s for s in restore.op.spans() if s.name.endswith("-chunk") and s.args["tier"] == tier]
+        for tier in ("ssd", "fabric", "pcie")
+    }
+    assert {s.name for s in spans["fabric"]} == {"peer-hop-chunk"}
+    for tier in ("fabric", "pcie"):  # each overlaps the drive's next chunks
+        assert any(
+            a.ts < b.ts + b.dur and b.ts < a.ts + a.dur for a in spans[tier] for b in spans["ssd"]
+        ), tier

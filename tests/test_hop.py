@@ -4,8 +4,8 @@ and whatever goes wrong in between, nothing is left behind.
 One matrix over every hop of the runtime — the flush stages (``d2h``,
 ``h2f``, ``d2s``, ``f2r`` → ``f2p``), the whole-object copies (``repl``,
 SSD backfill, cluster repair) and the promotions (host→GPU, store→host,
-store→GPU, fused) — × where it fails (at the claim, at chunk *k*, at the
-commit) × how (an injected link fault, a dark tier, a discard's cancel, a
+store→GPU, fused, and off a peer's SSD across the fabric) — × where it fails
+(at the claim, at chunk *k*, at the commit) × how (an injected link fault, a dark tier, a discard's cancel, a
 refused non-blocking claim) × both chunk plans.  After each: no reserved
 extent is left (``validate_engine``), no copy stays ``flush_pending`` or
 ``read_pinned``, the failed stage is failed and its neighbours are released
@@ -24,6 +24,7 @@ from contextlib import contextmanager
 import pytest
 
 import repro.core.flusher as flusher_module
+from repro.cluster.topology import ClusterTopology
 from repro.config import ClusterConfig, ResilienceConfig, StreamConfig
 from repro.core.engine import ScoreEngine
 from repro.core.flusher import Flusher
@@ -401,12 +402,36 @@ def _staged(engine, ctx, level):
     return record, buf.checksum()
 
 
+@contextmanager
+def _promotion(hop, stream):
+    """``(engine, record, checksum, drive)``: checkpoint 0 durable and cached
+    no faster than the hop's source, on the engine that promotes it; ``drive``
+    is the SSD the read comes off — for ``peer`` a neighbour's, the promoting
+    engine (of a node holding no copy) having adopted the record."""
+    gpudirect, src, _dst, _lands = PROMOTIONS[hop]
+    if hop != "peer":
+        with Cluster(tiny_config(stream=stream)) as cluster:
+            ctx = cluster.process_contexts()[0]
+            with ScoreEngine(ctx, gpudirect=gpudirect) as engine:
+                yield (engine, *_staged(engine, ctx, src), engine.ssd)
+        return
+    cfg = tiny_config(stream=stream, num_nodes=3, cluster=ClusterConfig(enabled=True))
+    with ClusterTopology(cfg) as topo:  # no PFS copy: a failed leg has no failover
+        home, engine = topo.engines[0], topo.engines[2]
+        _record, checksum = _staged(home, home.context, src)
+        topo.engines[1].wait_for_flushes(timeout=600.0)
+        record = engine.adopt_foreign(home.process_id, 0)
+        yield engine, record, checksum, topo.cluster.nodes[0].ssd
+
+
 #: hop -> (gpudirect, src, dst, the extents a success lands)
 PROMOTIONS = {
     "host-gpu": (False, TierLevel.HOST, TierLevel.GPU, {TierLevel.GPU}),
     "store-host": (False, TierLevel.SSD, TierLevel.HOST, {TierLevel.HOST}),
     "store-gpu": (True, TierLevel.SSD, TierLevel.GPU, {TierLevel.GPU}),
     "fused": (False, TierLevel.SSD, TierLevel.HOST, {TierLevel.GPU, TierLevel.HOST}),
+    # read → peer-hop → h2d: always chunks, whatever ``stream`` says
+    "peer": (False, TierLevel.SSD, TierLevel.HOST, {TierLevel.GPU, TierLevel.HOST}),
 }
 
 PROMOTION_CELLS = [
@@ -414,62 +439,65 @@ PROMOTION_CELLS = [
     for hop in PROMOTIONS
     for point, how in (
         ("claim", "refused"), ("claim", "outage"), ("chunk", "read-fault"),
-        ("chunk", "h2d-fault"), ("commit", "fault"),
+        ("chunk", "hop-fault"), ("chunk", "h2d-fault"), ("commit", "fault"),
     )
     for plan, stream in (("one-chunk", StreamConfig()), ("streamed", StreamConfig(enabled=True)))
     # A host source opens no store and reads no link; a lone host landing
-    # crosses no PCIe; one chunk never fuses (nothing to overlap).
+    # crosses no PCIe; one chunk never fuses (nothing to overlap); only a
+    # peer's bytes cross the fabric.
     if not (hop == "host-gpu" and how in ("outage", "read-fault"))
     and not (hop == "store-host" and how == "h2d-fault")
     and not (hop == "fused" and plan == "one-chunk")
+    and not (hop != "peer" and how == "hop-fault")
 ]
 
 
 @pytest.mark.parametrize("hop,point,how,stream", PROMOTION_CELLS)
 def test_promotion_failure_leaves_nothing_behind(hop, point, how, stream):
-    gpudirect, src, dst, lands = PROMOTIONS[hop]
-    chunk = 3 if stream.enabled and hop in ("store-gpu", "fused") else 0
-    with Cluster(tiny_config(stream=stream)) as cluster:
-        ctx = cluster.process_contexts()[0]
-        with ScoreEngine(ctx, gpudirect=gpudirect) as engine:
-            record, expected = _staged(engine, ctx, src)
-            claim = dict(blocking=True, allow_pinned=True)
-            kept = set()  # extents the failed promotion is still right to land
+    _gpudirect, src, dst, lands = PROMOTIONS[hop]
+    chunk = 3 if hop == "peer" or (stream.enabled and hop in ("store-gpu", "fused")) else 0
+    with _promotion(hop, stream) as (engine, record, expected, drive):
+        claim = dict(blocking=True, allow_pinned=True)
+        kept = set()  # extents the failed promotion is still right to land
+        if how == "refused":
+            claim = dict(blocking=False, budget_fraction=0.0)
+            obj, name, exc, at = engine, "store_key", None, 10**9  # nothing injected
+        elif how == "outage":
+            obj, name, exc, at = drive, "open_get", OUTAGE, 0
+        elif how == "read-fault":
+            obj, name, exc, at = drive.read_link, "transfer", LINK_FAULT, chunk
+        elif how == "hop-fault":
+            obj, name, exc, at = engine.fabric.link(engine.node_id, 0), "transfer", LINK_FAULT, chunk
+        elif how == "h2d-fault":
+            obj, name, exc, at = engine.device.h2d_link, "transfer", LINK_FAULT, chunk
+        else:
+            cache = engine.gpu_cache if TierLevel.GPU in lands else engine.host_cache
+            obj, name, exc, at = cache, "write_payload", COMMIT_FAULT, 0
+        if len(lands) == 2 and obj in (engine.device.h2d_link, engine.gpu_cache):
+            # Only the GPU half failed: the host copy lands, as if the
+            # first of two hops had.
+            kept = {TierLevel.HOST}
+        with failing(obj, name, exc, at=at):
             if how == "refused":
-                claim = dict(blocking=False, budget_fraction=0.0)
-                obj, name, exc, at = engine, "store_key", None, 10**9  # nothing injected
-            elif how == "outage":
-                obj, name, exc, at = engine.ssd, "open_get", OUTAGE, 0
-            elif how == "read-fault":
-                obj, name, exc, at = engine.ssd.read_link, "transfer", LINK_FAULT, chunk
-            elif how == "h2d-fault":
-                obj, name, exc, at = engine.device.h2d_link, "transfer", LINK_FAULT, chunk
+                assert engine.promote_once(record, src, dst, **claim) is None
             else:
-                cache = engine.gpu_cache if TierLevel.GPU in lands else engine.host_cache
-                obj, name, exc, at = cache, "write_payload", COMMIT_FAULT, 0
-            if hop == "fused" and obj in (engine.device.h2d_link, engine.gpu_cache):
-                # Only the GPU half failed: the host copy lands, as if the
-                # first of two hops had.
-                kept = {TierLevel.HOST}
-            with failing(obj, name, exc, at=at):
-                if how == "refused":
-                    assert engine.promote_once(record, src, dst, **claim) is None
-                else:
-                    with pytest.raises(TransferError):
-                        engine.promote_once(record, src, dst, **claim)
-            cached = {level for level, inst in record.instances.items() if inst.has_copy}
-            before = {TierLevel.HOST} if src == TierLevel.HOST else set()
-            assert cached == before | kept
-            assert_nothing_left(engine)
-            assert engine.gpu_cache.contains(record) == (TierLevel.GPU in cached)
-            assert engine.host_cache.contains(record) == (TierLevel.HOST in cached)
-            # The same promotion, unharmed, lands every extent it was after.
-            if TierLevel.HOST in kept:
-                src, dst = TierLevel.HOST, TierLevel.GPU
-            assert engine.promote_once(record, src, dst, blocking=True, allow_pinned=True) >= 0.0
-            cached = {level for level, inst in record.instances.items() if inst.has_copy}
-            assert cached >= lands
-            out = ctx.device.alloc_buffer(CKPT)
-            engine.restore(0, out)
-            assert out.checksum() == expected
-            assert_nothing_left(engine)
+                with pytest.raises(TransferError):
+                    engine.promote_once(record, src, dst, **claim)
+        cached = {level for level, inst in record.instances.items() if inst.has_copy}
+        before = {TierLevel.HOST} if src == TierLevel.HOST else set()
+        assert cached == before | kept
+        assert_nothing_left(engine)
+        assert engine.gpu_cache.contains(record) == (TierLevel.GPU in cached)
+        assert engine.host_cache.contains(record) == (TierLevel.HOST in cached)
+        for leg in engine.promote_legs[dst]:  # every stage worker settled
+            assert leg.stream is None or leg.stream.depth == 0
+        # The same promotion, unharmed, lands every extent it was after.
+        if TierLevel.HOST in kept:
+            src, dst = TierLevel.HOST, TierLevel.GPU
+        assert engine.promote_once(record, src, dst, blocking=True, allow_pinned=True) >= 0.0
+        cached = {level for level, inst in record.instances.items() if inst.has_copy}
+        assert cached >= lands
+        out = engine.device.alloc_buffer(CKPT)
+        engine.restore(0, out)
+        assert out.checksum() == expected
+        assert_nothing_left(engine)

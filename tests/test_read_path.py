@@ -196,7 +196,7 @@ class TestOneChunkPlan:
         cluster, ctx, engine = _engine(stream, gpudirect=True)
         with cluster, engine:
             record, checksum = _ssd_only(engine, ctx)
-            assert engine.promotion_step(record) == (SSD, GPU)
+            assert engine.promotion_step(record) == (SSD, GPU, engine.ssd)
             seconds = engine.promote_once(
                 record, SSD, GPU, blocking=True, allow_pinned=True
             )

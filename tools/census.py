@@ -36,6 +36,7 @@ def main() -> int:
         print(f"  {lines[path]:5d} {path.relative_to(SRC.parent)}")
     core = [path for path in FILES if path.parent.name == "core"]
     outside_tiers = [path for path in FILES if path.parent.name != "tiers"]
+    fabric = [path for path in FILES if path.name == "fabric.py"]
     counts = {
         "threading.Thread( sites": sites(r"threading\.Thread\("),
         "broad except sites": sites(r"except (Exception|BaseException)\b|except:"),
@@ -45,6 +46,7 @@ def main() -> int:
         "open_put( callers outside tiers/": sites(r"(?<!def )open_put\(", outside_tiers),
         ".release(record) call sites": sites(r"\.release\(record\)"),
         "chunk loops in core/": sites(r"enumerate\((chunk_sizes_for\(|sizes\))", core),
+        ".transfer( call sites in cluster/fabric.py": sites(r"\.transfer\(", fabric),
     }
     for what, where in counts.items():
         print(f"{len(where):4d} {what}")
