@@ -22,11 +22,11 @@ import os
 from typing import List, Optional, Sequence
 
 from repro.analysis.report import analyze_events, diff_reports, render_diff, render_report
-from repro.config import FaultConfig, HardwareSpec, SloConfig
+from repro.config import HardwareSpec, SloConfig
 from repro.errors import ConfigError
 from repro.log import enable_console_logging
 from repro.telemetry.bus import TraceEvent
-from repro.telemetry.cli import _parse_node_crash, _parse_partition
+from repro.telemetry.cli import faults_from_args, live_run_flags, run_trace
 from repro.telemetry.exporters import read_jsonl
 from repro.workloads.patterns import RestoreOrder
 
@@ -44,8 +44,6 @@ def _load_events(target: str, args, slo: SloConfig) -> List[TraceEvent]:
     """Events for ``target``: a JSONL path, or a workload run live."""
     if target.endswith(".jsonl") or os.path.isfile(target):
         return read_jsonl(target)
-    from repro.telemetry.cli import run_trace
-
     hardware = None
     if args.ssd_bandwidth_factor != 1.0:
         if args.ssd_bandwidth_factor <= 0:
@@ -53,15 +51,6 @@ def _load_events(target: str, args, slo: SloConfig) -> List[TraceEvent]:
                 f"--ssd-bandwidth-factor must be positive: {args.ssd_bandwidth_factor}"
             )
         hardware = _scaled_ssd(HardwareSpec(), args.ssd_bandwidth_factor)
-    faults = None
-    if args.node_crash or args.partition:
-        if args.cluster is None:
-            raise ConfigError("--node-crash/--partition need --cluster")
-        faults = FaultConfig(
-            enabled=True,
-            node_crashes=tuple(args.node_crash or ()),
-            partitions=tuple(args.partition or ()),
-        )
     out = run_trace(
         target,
         out_dir=args.out_dir,
@@ -71,8 +60,9 @@ def _load_events(target: str, args, slo: SloConfig) -> List[TraceEvent]:
         seed=args.seed,
         sched=args.sched,
         reduce=args.reduce,
+        stream=args.stream,
         similarity=args.similarity,
-        faults=faults,
+        faults=faults_from_args(args),
         resilient=args.resilient,
         analysis=True,
         slo=slo,
@@ -88,6 +78,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro analyze",
         description="reconstruct per-op span DAGs and attribute wall time "
         "to categories (queue/transfer/retry/reroute/reduce/reserve/journal)",
+        parents=[live_run_flags()],
     )
     parser.add_argument(
         "target",
@@ -101,7 +92,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="baseline to compare against (workload name or .events.jsonl); "
         "the report attributes the regression per tier x category",
     )
-    parser.add_argument("--out-dir", default="traces", help="output directory for live runs")
     parser.add_argument("--json", default=None, help="write the report (and diff) as JSON here")
     parser.add_argument("--top", type=int, default=5, help="slowest ops to detail (default 5)")
     parser.add_argument(
@@ -114,49 +104,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="exit 1 unless every op's attributed categories cover >= PCT%% "
         "(default 95) of its wall time and no orphan spans exist",
     )
-    # live-run knobs (mirror `repro trace`)
-    parser.add_argument("--snapshots", type=int, default=None)
-    parser.add_argument("--processes", type=int, default=None)
-    parser.add_argument(
-        "--order",
-        choices=[o.value for o in RestoreOrder],
-        default=RestoreOrder.REVERSE.value,
-    )
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--predict",
-        choices=["hints", "learned", "none"],
-        default="hints",
-        help="restore foreknowledge in live runs: explicit hints (default), "
-        "online prediction, or demand-only",
-    )
-    parser.add_argument("--sched", action="store_true", help="enable QoS transfer scheduling")
-    parser.add_argument("--reduce", action="store_true", help="enable the reduction pipeline")
-    parser.add_argument(
-        "--cluster",
-        type=int,
-        default=None,
-        metavar="NODES",
-        help="run the live workload as an N-node checkpoint fabric",
-    )
-    parser.add_argument(
-        "--node-crash",
-        action="append",
-        type=_parse_node_crash,
-        metavar="NODE@TIME[:MODE]",
-        help="crash a node during the live run (see `repro trace`); "
-        "repeatable, needs --cluster",
-    )
-    parser.add_argument(
-        "--partition",
-        action="append",
-        type=_parse_partition,
-        metavar="A-B@START:END",
-        help="pairwise partition window during the live run; repeatable, "
-        "needs --cluster",
-    )
-    parser.add_argument("--similarity", type=float, default=0.9)
-    parser.add_argument("--resilient", action="store_true", help="enable the self-healing stack")
     parser.add_argument(
         "--ssd-bandwidth-factor",
         type=float,
@@ -175,7 +122,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="rolling window in nominal seconds")
     parser.add_argument("--slo-burn", type=float, default=None,
                         help="burn-rate alert threshold")
-    parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
     if args.verbose:
         enable_console_logging(logging.DEBUG)

@@ -37,7 +37,7 @@ disabled-config runtime bit-identical.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Callable, Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.errors import ConfigError
 
@@ -62,7 +62,6 @@ class MembershipRegistry:
         self._states: Dict[int, str] = {n: UP for n in range(self.num_nodes)}
         self._modes: Dict[int, str] = {}
         self._engines: Dict[int, List] = {n: [] for n in range(self.num_nodes)}
-        self._crash_callbacks: List[Callable[[int], None]] = []
         faults_cfg = self.cluster.config.faults
         events = []
         self._partitions: tuple = ()
@@ -92,11 +91,6 @@ class MembershipRegistry:
         """Engines register at construction so a node crash can kill them."""
         with self._lock:
             self._engines[engine.node_id].append(engine)
-
-    def on_crash(self, callback: Callable[[int], None]) -> None:
-        """Run ``callback(node_id)`` after each crash (service failover)."""
-        with self._lock:
-            self._crash_callbacks.append(callback)
 
     # -- scheduled events --------------------------------------------------
     def tick(self) -> None:
@@ -139,7 +133,6 @@ class MembershipRegistry:
             self._states[node_id] = DOWN
             self._modes[node_id] = mode
             engines = list(self._engines[node_id])
-            callbacks = list(self._crash_callbacks)
         # Kill the engines first so no new durable commits race the sweep,
         # then the media, then withdraw the directory entries.
         for engine in engines:
@@ -161,8 +154,6 @@ class MembershipRegistry:
             mode=mode,
             withdrawn=len(withdrawn),
         )
-        for callback in callbacks:
-            callback(node_id)
 
     def rejoin(self, node_id: int) -> None:
         """Bring a crashed node back.

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.errors import ConfigError
-from repro.util.units import GiB, KiB, MiB, TiB, parse_bandwidth, parse_size
+from repro.util.units import GiB, KiB, MiB, TiB, parse_size
 
 
 @dataclass(frozen=True)
@@ -978,8 +978,3 @@ def bench_config(**changes) -> RuntimeConfig:
     if changes:
         cfg = cfg.with_(**changes)
     return cfg
-
-
-def parse_rate(value) -> float:
-    """Re-export of :func:`repro.util.units.parse_bandwidth` for convenience."""
-    return parse_bandwidth(value)

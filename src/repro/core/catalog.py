@@ -140,6 +140,13 @@ class CheckpointRecord:
             return True
         return any(lv != level for lv in self.cached_copy_levels())
 
+    def in_transfer(self) -> bool:
+        """An extent of this record is being written or read in."""
+        return any(
+            inst.state in (CkptState.WRITE_IN_PROGRESS, CkptState.READ_IN_PROGRESS)
+            for inst in self.instances.values()
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         states = {lv.name: inst.state.value for lv, inst in self.instances.items()}
         return f"CheckpointRecord({self.ckpt_id}, {self.nominal_size}B, {states})"

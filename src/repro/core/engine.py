@@ -56,12 +56,10 @@ from repro.errors import (
     InjectedCrash,
     IntegrityError,
     LifecycleError,
-    ReproError,
     TransferError,
-    TransientTransferError,
 )
 from repro.faults.journal import JournalObserver
-from repro.faults.retry import RetryPolicy, backoff_for
+from repro.faults.retry import RetryPolicy
 from repro.log import get_logger
 from repro.metrics.recorder import OpEvent, OpKind, Recorder
 from repro.predict.queue import SyntheticRestoreQueue
@@ -75,7 +73,6 @@ from repro.telemetry.causal import (
     CAT_QUEUE,
     CAT_REDUCE,
     CAT_RESERVE,
-    CAT_RETRY,
     CAT_TRANSFER,
     NULL_OP,
     OpTracer,
@@ -897,11 +894,11 @@ class ScoreEngine:
         durable ``(level, store)`` the caller just looked up, for the first step.
 
         Demand promotion runs *inline* in the calling thread: a restore that
-        misses the GPU cache promotes the checkpoint level by level itself
-        (with blocking reservations and permission to force-evict
-        prefetched-but-unconsumed extents — the hint-deviation penalty).
-        When the prefetcher is already moving this checkpoint, the restore
-        just waits for that transfer to land.
+        misses the GPU cache promotes the checkpoint level by level itself,
+        one :meth:`Prefetcher.step` per level, with blocking reservations and
+        permission to force-evict prefetched-but-unconsumed extents (the
+        hint-deviation penalty).  When the prefetcher is already moving this
+        checkpoint, the restore just waits for that transfer to land.
 
         On success the GPU instance has crossed over to ``READ_COMPLETE``
         (pinned) *within the same monitor section* that observed the copy —
@@ -931,19 +928,13 @@ class ScoreEngine:
         blocked = 0.0
         try:
             while True:
-                step = None
                 with self.monitor:
                     if ready():
                         return blocked
-                    stall = None
-                    if record.prefetch_inflight or self._transfer_inflight(record):
-                        stall = "stall-inflight"
-                    else:
-                        step = self.promotion_step(record, resolved)
-                        if step is None:
-                            stall = "stall-flush"  # only copy is mid-flush
+                    moving = record.prefetch_inflight or record.in_transfer()
+                    step = None if moving else self.promotion_step(record, resolved)
                     resolved = None  # good for the first look only: stale after
-                    if stall is not None:
+                    if step is None:
                         # Every state change we wait on here (transfers
                         # landing, flushes finishing) ends in a notify_all
                         # on this monitor, so the timeout is only a
@@ -951,52 +942,23 @@ class ScoreEngine:
                         wait_started = self.clock.now()
                         self.monitor.wait(virtual_timeout=1.0)
                         blocked += self.clock.now() - wait_started
-                        op.fill(stall)
+                        # Not moving: the only copy is mid-flush.
+                        op.fill("stall-inflight" if moving else "stall-flush")
                         continue
                     record.prefetch_inflight = True
-                src, dst, store = step
-                seconds: Optional[float] = None
-                try:
-                    seconds = self.promote_once(
-                        record,
-                        src,
-                        dst,
-                        store=store,
-                        blocking=True,
-                        allow_pinned=True,
-                        # Highest class: jumps every queue and preempts
-                        # in-flight speculative prefetches on the way.
-                        request=self._sched_request(TransferClass.DEMAND_READ, op=op),
-                        op=op,
-                    )
-                except TransientTransferError:
-                    # Injected transient fault (link fault, tier outage):
-                    # back off on the virtual clock before re-resolving so a
-                    # dark tier doesn't busy-spin the demand loop.
-                    with op.stage("backoff", CAT_RETRY):
-                        self.clock.sleep(
-                            backoff_for(self.retry_policy, "demand", record.ckpt_id)
-                        )
-                except ReproError:
-                    # The source moved while we promoted; re-resolve.
-                    pass
-                finally:
-                    with self.monitor:
-                        record.prefetch_inflight = False
-                        self.monitor.notify_all()
+                seconds, _ = self.prefetcher.step(
+                    record, step, op,
+                    # Highest class: jumps every queue and preempts
+                    # in-flight speculative prefetches on the way.
+                    self._sched_request(TransferClass.DEMAND_READ, op=op),
+                    "demand", blocking=True, allow_pinned=True,
+                )
                 if seconds is not None:
                     blocked += seconds
         finally:
             with self.monitor:
                 self.demand_active -= 1
                 self.monitor.notify_all()
-
-    def _transfer_inflight(self, record: CheckpointRecord) -> bool:
-        """Monitor held: a tier extent of this record is mid-transfer."""
-        for inst in record.instances.values():
-            if inst.state in (CkptState.READ_IN_PROGRESS, CkptState.WRITE_IN_PROGRESS):
-                return True
-        return False
 
     # -- promotion machinery (shared with the prefetcher) ---------------------
     def promotion_step(self, record: CheckpointRecord, resolved=None):

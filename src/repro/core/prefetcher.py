@@ -23,7 +23,11 @@ Each worker skips records whose next step (``engine.promotion_step``) is
 the other worker's.  One step is one ``engine.promote_once``: a store read
 landing the host extent (and the GPU extent with it when the read is fused
 and the GPU budget has room — it lands the host alone when not, and never
-waits for GPU budget), or the host→GPU hop.
+waits for GPU budget), or the host→GPU hop — inside :meth:`Prefetcher.step`,
+the bracket a demand restore runs its promotions in too: back off after a
+transient fault holding the record, release it, back off after a shed.  A
+worker whose step raises anything else counts it (``engine.swallowed``),
+backs off and picks again.
 
 The *budget* is the paper's anti-thrashing throttle: prefetched-but-
 unconsumed bytes may occupy at most ``prefetch_budget_fraction`` of a
@@ -46,8 +50,9 @@ cache promotes *inline* on the restoring thread
 (``ScoreEngine._await_gpu_copy``) and raises ``demand_active`` for the
 whole episode: neither worker picks a new task, so a freed slot or a
 link's next turn goes to the restore the application is blocked on, not to
-speculation.  ``record.prefetch_inflight``, set under the monitor, is the
-one per-record exclusion between the two workers and a demand restore.
+speculation.  ``record.prefetch_inflight``, set under the monitor by a
+pick and cleared by the step, is the one per-record exclusion between the
+two workers and a demand restore.
 """
 
 from __future__ import annotations
@@ -70,11 +75,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 log = get_logger(__name__)
 
-#: (record, source level, destination level, the store a storage source
-#:  resolved to, restore-queue distance, whether the queue entry is an
+#: (record, its step ``(src, dst, store)`` as ``engine.promotion_step``
+#:  returns it, restore-queue distance, whether the queue entry is an
 #:  explicit application hint — predicted overlay entries are always
 #:  speculative)
-Task = Tuple["CheckpointRecord", TierLevel, TierLevel, object, int, bool]
+Task = Tuple["CheckpointRecord", Tuple[TierLevel, TierLevel, object], int, bool]
 
 #: hints from the restore head the GPU hop looks at (the staging hop's
 #: horizon comes from the cache instead, see the module docstring).
@@ -167,6 +172,48 @@ class Prefetcher:
         for worker in self._workers:
             worker.join()
 
+    # -- the promotion step -----------------------------------------------------
+    def step(self, record, step, op, request, backoff: str, **claim):
+        """One ``promote_once`` along ``step`` (``promotion_step``'s ``(src,
+        dst, store)``) under the exclusion the caller's pick set, on the
+        reservation terms ``claim``.  Returns the accounted seconds (``None``
+        unless landed) and the outcome: ``"landed"``, ``"refused"``,
+        ``"shed"`` or ``"retry"``.  A :class:`ReproError` is an outcome;
+        anything else propagates."""
+        engine = self.engine
+        src, dst, store = step
+        shed = False
+        try:
+            seconds = engine.promote_once(
+                record, src, dst, request=request, op=op, store=store, **claim
+            )
+            return seconds, "refused" if seconds is None else "landed"
+        except AdmissionError:
+            shed = True
+            return None, "shed"
+        except ReproError as exc:
+            # A race (the source moved, the extent appeared meanwhile) or an
+            # injected transient fault: back off from the latter holding the
+            # record, so a dark tier doesn't busy-spin the loop.
+            if isinstance(exc, TransientTransferError):
+                self._back_off(op, backoff, record.ckpt_id)
+            log.debug("p%d: checkpoint %d will retry: %s", engine.process_id, record.ckpt_id, exc)
+            return None, "retry"
+        finally:
+            with engine.monitor:
+                record.prefetch_inflight = False
+                engine.monitor.notify_all()
+            if shed:
+                # The link's speculative queue is full: back off, released,
+                # instead of hammering admission in a tight loop.
+                with op.stage("shed-backoff", CAT_RETRY):
+                    engine.clock.sleep(engine.config.sched.hint_spacing_s)
+
+    def _back_off(self, op, label: str, ckpt_id: int) -> None:
+        """Sleep a loop's back-off after a fault on the virtual clock."""
+        with op.stage("backoff", CAT_RETRY):
+            self.engine.clock.sleep(backoff_for(self.engine.retry_policy, label, ckpt_id))
+
     # -- main loop -----------------------------------------------------------
     def _run(self, hop: TierLevel) -> None:
         """The loop of the worker that lands extents on ``hop``."""
@@ -189,13 +236,12 @@ class Prefetcher:
                     return
                 task[0].prefetch_inflight = True
                 op = self._chain_op(task[0].ckpt_id, track)
-            record, src, dst, store, distance, explicit = task
+            record, step, distance, explicit = task
+            src, dst, _store = step
             op.fill("hint-wait")
             request = self._classify(distance, op=op, explicit=explicit)
             started = engine.clock.now()
-            seconds: Optional[float] = None
-            shed = False
-            span = self.telemetry.bus.span(
+            with self.telemetry.bus.span(
                 span_name,
                 track,
                 ckpt=record.ckpt_id,
@@ -205,12 +251,11 @@ class Prefetcher:
                 **engine.promote_legs[dst][0].causal(
                     op, "pcie" if src == TierLevel.HOST else src.name.lower()
                 ),
-            )
-            with span:
+            ) as span:
                 try:
-                    seconds = engine.promote_once(
-                        record, src, dst, blocking=False, allow_pinned=False,
-                        request=request, op=op, store=store,
+                    seconds, outcome = self.step(
+                        record, step, op, request, "prefetch",
+                        blocking=False, allow_pinned=False,
                         # Predicted overlay entries land as revocable
                         # stagings; explicit hints keep the consume pin.
                         speculative=not explicit,
@@ -219,60 +264,49 @@ class Prefetcher:
                         # sooner; GPU-hop claims follow Algorithm 1 as is.
                         keep_nearer=hop == TierLevel.HOST,
                     )
-                except AdmissionError:
-                    # The link's speculative queue is full — back off below
-                    # instead of hammering admission in a tight loop.
+                except Exception as exc:  # noqa: BLE001 - counted, traced, backed off
+                    # A worker outlives a broken step: the hint stays queued.
+                    engine.swallowed(
+                        "prefetch-step-error", track,
+                        ckpt=record.ckpt_id, hop=hop.name, error=repr(exc),
+                    )
+                    self._back_off(op, "prefetch", record.ckpt_id)
+                    continue
+                if outcome == "shed":
                     span.add(shed=True)
                     self._m_sheds.inc()
-                    shed = True
-                except ReproError as exc:
-                    # Raced with a concurrent state change (e.g. the extent
-                    # appeared on the destination meanwhile), or an injected
-                    # transient fault (link fault, tier outage): re-evaluate
-                    # — after backing off on the virtual clock for the
-                    # latter, so a dark tier doesn't busy-spin the loop.
+                elif outcome == "retry":
                     span.add(retried=True)
                     self._m_retries.inc()
-                    if isinstance(exc, TransientTransferError):
-                        with op.stage("backoff", CAT_RETRY):
-                            engine.clock.sleep(
-                                backoff_for(engine.retry_policy, "prefetch", record.ckpt_id)
-                            )
-                    log.debug(
-                        "p%d: prefetch of checkpoint %d (%s->%s) will retry: %s",
-                        engine.process_id, record.ckpt_id, src.name, dst.name, exc,
-                    )
-                finally:
-                    with engine.monitor:
-                        record.prefetch_inflight = False
-                        engine.monitor.notify_all()
-            if shed:
-                with op.stage("shed-backoff", CAT_RETRY):
-                    engine.clock.sleep(engine.config.sched.hint_spacing_s)
             if seconds is not None:
-                with engine.monitor:
-                    self.promotions += 1
-                    gpu_inst = record.peek(TierLevel.GPU)
-                    if dst == TierLevel.GPU or (
-                        gpu_inst is not None and gpu_inst.has_copy
-                    ):
-                        # Direct GPU hop, or a fused promotion that landed the
-                        # GPU extent along with the host one.
-                        self.forget(record.ckpt_id)  # chain complete
-                    if not explicit:
-                        engine.notify("on_speculative_staged", record)
-                self._m_promotions.inc()
-                self._m_bytes.inc(record.nominal_size)
-                engine.recorder.record(
-                    OpEvent(
-                        kind=OpKind.PREFETCH,
-                        ckpt_id=record.ckpt_id,
-                        started_at=started,
-                        blocked=seconds,
-                        nominal_bytes=record.nominal_size,
-                        source_level=src.name,
-                    )
-                )
+                self._book_landing(record, step, explicit, started, seconds)
+
+    def _book_landing(self, record, step, explicit: bool, started: float, seconds: float) -> None:
+        """A worker's step landed: count it, close the chain once the GPU
+        extent is in, announce a speculative staging, record the op."""
+        engine = self.engine
+        src, dst, _store = step
+        with engine.monitor:
+            self.promotions += 1
+            gpu_inst = record.peek(TierLevel.GPU)
+            if dst == TierLevel.GPU or (gpu_inst is not None and gpu_inst.has_copy):
+                # Direct GPU hop, or a fused promotion that landed the GPU
+                # extent along with the host one.
+                self.forget(record.ckpt_id)  # chain complete
+            if not explicit:
+                engine.notify("on_speculative_staged", record)
+        self._m_promotions.inc()
+        self._m_bytes.inc(record.nominal_size)
+        engine.recorder.record(
+            OpEvent(
+                kind=OpKind.PREFETCH,
+                ckpt_id=record.ckpt_id,
+                started_at=started,
+                blocked=seconds,
+                nominal_bytes=record.nominal_size,
+                source_level=src.name,
+            )
+        )
 
     def _classify(self, distance: int, op=NULL_OP, explicit: bool = True):
         """QoS tag for a prefetch at ``distance`` hints from the restore
@@ -338,7 +372,7 @@ class Prefetcher:
                 # extent lands alone.
                 if not cache.within_budget(size if staging else nearer + size, fraction):
                     return None  # budget full: wait for consumption
-                return (record, *step, distance, queue.is_explicit(ckpt_id))
+                return (record, step, distance, queue.is_explicit(ckpt_id))
             # Already staged, mid-transfer, still being written somewhere,
             # or the other worker's step: revisit later.
             if staging or record.peek(TierLevel.GPU) is None:

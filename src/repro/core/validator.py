@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.lifecycle import CkptState
 from repro.errors import ReproError
 from repro.tiers.base import TierLevel
 
@@ -114,11 +113,7 @@ def _check_copies(engine: "ScoreEngine") -> None:
         adopted = record.home_pid is not None
         store = engine.read_source(key) if adopted else engine.durable_store_of(record)
         has_durable = record.durable_level is not None and store.contains(key)
-        in_flight = any(
-            inst.state in (CkptState.WRITE_IN_PROGRESS, CkptState.READ_IN_PROGRESS)
-            for inst in record.instances.values()
-        )
-        if not (has_cached or has_durable or in_flight):
+        if not (has_cached or has_durable or record.in_transfer()):
             raise InvariantViolation(
                 f"unconsumed checkpoint {record.ckpt_id} has no copy anywhere"
             )

@@ -11,7 +11,7 @@ horizons all match the paper's shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.analysis.report import analyze_events
 from repro.config import CacheConfig, RuntimeConfig, bench_config
@@ -175,8 +175,3 @@ def run_experiment(exp: Experiment) -> ExperimentResult:
         metrics=metrics,
         attribution=attribution,
     )
-
-
-def run_matrix(experiments: Sequence[Experiment]) -> List[ExperimentResult]:
-    """Run a list of experiments sequentially (each owns the machine)."""
-    return [run_experiment(e) for e in experiments]

@@ -71,13 +71,6 @@ class _TokenBucket:
             self.tokens = min(self.burst, self.tokens + (now - self.stamp) * self.rate)
             self.stamp = now
 
-    def try_take(self, nbytes: int, now: float) -> bool:
-        self._refill(now)
-        if self.tokens >= nbytes:
-            self.tokens -= nbytes
-            return True
-        return False
-
     def eta(self, nbytes: int, now: float) -> float:
         """Nominal seconds until ``nbytes`` tokens are available."""
         self._refill(now)

@@ -55,10 +55,6 @@ class UvmAllocation:
         self.preferred_location: Optional[str] = None
         self.freed = False
 
-    @property
-    def device_bytes(self) -> int:
-        return min(self.device_pages * self.page_size, self.nominal_size)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"UvmAllocation({self.name!r}, {self.nominal_size}B, "

@@ -413,12 +413,10 @@ def _parse_partition(spec: str):
     return (node_a, node_b, start, end)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro trace",
-        description="run a workload with the trace bus on and export the telemetry",
-    )
-    parser.add_argument("workload", choices=sorted(_DEFAULTS))
+def live_run_flags() -> argparse.ArgumentParser:
+    """The flags of a live run, declared once: an argparse parent parser
+    for ``repro trace`` and ``repro analyze`` (``parents=[...]``)."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--out-dir", default="traces", help="output directory")
     parser.add_argument("--snapshots", type=int, default=None, help="snapshots per rank")
     parser.add_argument("--processes", type=int, default=None, help="ranks (one GPU each)")
@@ -537,38 +535,47 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--verbose", action="store_true", help="DEBUG logging of the repro runtime"
     )
-    args = parser.parse_args(argv)
-    if args.verbose:
-        enable_console_logging(logging.DEBUG)
+    return parser
+
+
+def faults_from_args(args) -> Optional[FaultConfig]:
+    """The fault plan :func:`live_run_flags` asked for, or ``None`` when no
+    fault flag is given; :class:`ConfigError` for node chaos without
+    ``--cluster`` or a plan ``FaultConfig`` rejects."""
     node_chaos = args.node_crash or args.node_rejoin or args.partition
     if node_chaos and args.cluster is None:
-        parser.exit(
-            2,
-            f"{parser.prog}: error: --node-crash/--node-rejoin/--partition "
-            "need --cluster\n",
-        )
-    faults = None
-    if (
+        raise ConfigError("--node-crash/--node-rejoin/--partition need --cluster")
+    if not (
         args.fault_rate > 0.0
         or args.outage
         or args.corruption_rate > 0.0
         or args.crash_point is not None
         or node_chaos
     ):
-        try:
-            faults = FaultConfig(
-                enabled=True,
-                seed=args.fault_seed,
-                transfer_fault_rate=args.fault_rate,
-                tier_outages=tuple(args.outage or ()),
-                corruption_rate=args.corruption_rate,
-                crash_point=args.crash_point,
-                node_crashes=tuple(args.node_crash or ()),
-                node_rejoins=tuple(args.node_rejoin or ()),
-                partitions=tuple(args.partition or ()),
-            )
-        except ConfigError as exc:
-            parser.exit(2, f"{parser.prog}: error: {exc}\n")
+        return None
+    return FaultConfig(
+        enabled=True,
+        seed=args.fault_seed,
+        transfer_fault_rate=args.fault_rate,
+        tier_outages=tuple(args.outage or ()),
+        corruption_rate=args.corruption_rate,
+        crash_point=args.crash_point,
+        node_crashes=tuple(args.node_crash or ()),
+        node_rejoins=tuple(args.node_rejoin or ()),
+        partitions=tuple(args.partition or ()),
+    )
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro trace",
+        description="run a workload with the trace bus on and export the telemetry",
+        parents=[live_run_flags()],
+    )
+    parser.add_argument("workload", choices=sorted(_DEFAULTS))
+    args = parser.parse_args(argv)
+    if args.verbose:
+        enable_console_logging(logging.DEBUG)
     try:
         out = run_trace(
             args.workload,
@@ -581,7 +588,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             reduce=args.reduce,
             stream=args.stream,
             similarity=args.similarity,
-            faults=faults,
+            faults=faults_from_args(args),
             resilient=args.resilient,
             predict=args.predict,
             cluster_nodes=args.cluster,

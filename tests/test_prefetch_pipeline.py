@@ -14,7 +14,10 @@ and what it must not break:
   any two promoters off one record;
 * GPUDirect has no staging hop; a fused read whose GPU claim the budget
   refuses lands the host alone; predicted entries stay revocable;
-* each worker draws on its own trace track, and chain ops do not leak.
+* each worker draws on its own trace track, and chain ops do not leak;
+* both workers and a demand restore run one step (``Prefetcher.step``) with
+  one release and one back-off order, and a worker outlives a step that
+  raises something unexpected.
 """
 
 import contextlib
@@ -24,9 +27,12 @@ import threading
 import pytest
 
 from repro.config import AnalysisConfig, PredictConfig, StreamConfig
+from repro.core.catalog import CheckpointRecord
 from repro.core.engine import ScoreEngine
 from repro.core.lifecycle import CkptState
 from repro.core.validator import InvariantViolation, validate_engine
+from repro.errors import AdmissionError, ReproError, TransientTransferError
+from repro.faults.retry import UNARMED_BACKOFF_S
 from repro.metrics.recorder import OpKind
 from repro.tiers.base import TierLevel
 from repro.tiers.topology import Cluster
@@ -475,3 +481,171 @@ class TestTraceAndChains:
                 engine.prefetcher._chain_op(0, "p0-prefetch")
             with pytest.raises(InvariantViolation, match="already consumed"):
                 validate_engine(engine)
+
+
+#: what the step under test meets in ``promote_once`` -> what it raises
+#: (``None``: the promotion is refused; absent: it runs and lands).
+STEP_FAULTS = {
+    "refused": None,
+    "transient": TransientTransferError,  # an injected link fault
+    "shed": AdmissionError,
+    "moved": ReproError,  # the source moved meanwhile
+}
+
+#: the caller of a step -> the thread it runs on.
+STEPPERS = {"demand": "MainThread", "gpu": "prefetcher-p0-gpu", "staging": "prefetcher-p0-host"}
+
+
+def _break_once(engine):
+    """Make the first ``promote_once`` raise a ``RuntimeError`` (a bug, not
+    a runtime fault); returns the list the failing thread's name lands in."""
+    promote_once, raised = engine.promote_once, []
+
+    def broken_once(record, *args, **kwargs):
+        if not raised:
+            raised.append(threading.current_thread().name)
+            raise RuntimeError("a bug in the step")
+        return promote_once(record, *args, **kwargs)
+
+    engine.promote_once = broken_once
+    return raised
+
+
+class TestStep:
+    @pytest.mark.parametrize("fault", ["landed", *STEP_FAULTS])
+    @pytest.mark.parametrize("caller", list(STEPPERS))
+    def test_one_bracket_for_every_caller(self, caller, fault, monkeypatch):
+        """One step of checkpoint 0 meets ``fault``; from the moment
+        ``promote_once`` returns to the moment the step does, its thread
+        sees a transient back-off with the record still held, one release
+        with the monitor notified, then a shed back-off."""
+        cluster, ctx, engine = _engine()
+        with cluster, engine:
+            _write(engine, ctx, 2)
+            _evict_to(engine, HOST if caller == "gpu" else SSD, 0)
+            record = engine.catalog.get(0)
+            events, landed, hit = [], [], []
+            armed = threading.local()  # between promote_once and the step's return
+
+            def note(*event):
+                if getattr(armed, "on", False):
+                    events.append(event)
+
+            promote_once = engine.promote_once
+
+            def promote(rec, src, dst, **kwargs):
+                if hit or rec is not record or (dst == HOST) == (caller == "gpu"):
+                    seconds = promote_once(rec, src, dst, **kwargs)
+                else:
+                    hit.append(threading.current_thread().name)
+                    try:
+                        if fault != "landed":
+                            if STEP_FAULTS[fault] is not None:
+                                raise STEP_FAULTS[fault](f"injected: {fault}")
+                            return None
+                        seconds = promote_once(rec, src, dst, **kwargs)
+                    finally:
+                        armed.on = True
+                if rec is record and seconds is not None:
+                    landed.append(seconds)
+                return seconds
+
+            step = engine.prefetcher.step
+
+            def stepped(*args, **kwargs):
+                try:
+                    return step(*args, **kwargs)
+                finally:
+                    armed.on = False
+
+            def set_inflight(rec, value):
+                if rec is record:
+                    note("inflight", value)
+                rec.__dict__["prefetch_inflight"] = value
+
+            def notify_all(notify_all=engine.monitor.notify_all):
+                note("notify")
+                notify_all()
+
+            def sleep(seconds, *args, sleep=engine.clock.sleep):
+                note("sleep", seconds)
+                return sleep(seconds, *args)
+
+            blocked = []
+
+            def await_gpu_copy(*args, await_gpu_copy=engine._await_gpu_copy):
+                blocked.append(await_gpu_copy(*args))
+                return blocked[-1]
+
+            for obj, name, fake in [
+                (engine, "promote_once", promote),
+                (engine, "_await_gpu_copy", await_gpu_copy),
+                (engine.prefetcher, "step", stepped),
+                (engine.monitor, "notify_all", notify_all),
+                (engine.clock, "sleep", sleep),
+            ]:
+                monkeypatch.setattr(obj, name, fake)
+            inflight = property(lambda rec: rec.__dict__["prefetch_inflight"], set_inflight)
+            monkeypatch.setattr(CheckpointRecord, "prefetch_inflight", inflight, raising=False)
+            registry = cluster.telemetry.registry
+            retries = registry.counter("prefetch.retries")
+            sheds = registry.counter("prefetch.sheds")
+            if caller == "demand":
+                engine.restore(0, ctx.device.alloc_buffer(CKPT))
+                # Nothing stalled: blocked is the landed steps' seconds alone,
+                # back-offs not counted.
+                assert blocked == [sum(landed)] and len(landed) == 2
+            else:
+                _hint(engine, [0])
+                assert _wait(engine, lambda: _state(engine, 0, GPU) is READ_COMPLETE)
+                quiesce(engine)
+                assert blocked == []
+            assert hit == [STEPPERS[caller]]
+            released = [("inflight", False), ("notify",)]
+            assert events == {
+                "transient": [("sleep", UNARMED_BACKOFF_S), *released],
+                "shed": [*released, ("sleep", engine.config.sched.hint_spacing_s)],
+            }.get(fault, released)
+            worker = caller != "demand"
+            assert retries.value == int(worker and fault in ("transient", "moved"))
+            assert sheds.value == int(worker and fault == "shed")
+            assert not record.prefetch_inflight
+            validate_engine(engine)
+
+    def test_a_worker_outlives_an_unexpected_error(self):
+        """A bug in one staging step is counted and traced on the worker's
+        track; the worker backs off and stages both hints all the same."""
+        cluster, ctx, engine = _engine()
+        with cluster, engine:
+            _write(engine, ctx, 4)
+            _evict_to(engine, SSD, 0, 1)
+            raised = _break_once(engine)
+            _hint(engine, [0, 1])
+            assert _wait(engine, engine.prefetcher.idle), "a prefetch worker died"
+            assert raised == ["prefetcher-p0-host"]
+            assert [_state(engine, v, GPU) for v in (0, 1)] == [READ_COMPLETE] * 2
+            workers = [t for t in threading.enumerate() if t.name.startswith("prefetcher-p0-")]
+            assert len(workers) == 2 and all(t.is_alive() for t in workers)
+            assert cluster.telemetry.registry.counter("engine.swallowed_errors").value == 1
+            events = cluster.telemetry.bus.snapshot()
+            (error,) = [e for e in events if e.name == "prefetch-step-error"]
+            assert error.track == "p0-prefetch-stage"
+            assert (error.args["ckpt"], error.args["hop"]) == (0, "HOST")
+            assert not any(r.prefetch_inflight for r in engine.catalog.all_records())
+            validate_engine(engine)
+
+    def test_a_demand_restore_raises_it(self):
+        """The same bug under a restore reaches its caller, nothing held."""
+        cluster, ctx, engine = _engine()
+        with cluster, engine:
+            _write(engine, ctx, 2)
+            _evict_to(engine, SSD, 0)
+            raised = _break_once(engine)
+            out = ctx.device.alloc_buffer(CKPT)
+            with pytest.raises(RuntimeError, match="a bug in the step"):
+                engine.restore(0, out)
+            assert raised == ["MainThread"]
+            assert not engine.catalog.get(0).prefetch_inflight and engine.demand_active == 0
+            assert cluster.telemetry.registry.counter("engine.swallowed_errors").value == 0
+            engine.restore(0, out)
+            validate_engine(engine)

@@ -3,7 +3,8 @@
 A typo'd workload name or a malformed ``--outage`` spec must die as an
 argparse usage error (exit code 2, message on stderr) — never as a raw
 ``ConfigError``/``FileNotFoundError`` traceback.  The happy paths are
-exercised too, off a saved event log so no live run is needed.
+exercised too, mostly off a saved event log so no live run is needed.
+Both CLIs take one set of live-run flags (``telemetry.cli.live_run_flags``).
 """
 
 import json
@@ -12,7 +13,7 @@ import pytest
 
 from repro.analysis import cli as analysis_cli
 from repro.telemetry import cli as trace_cli
-from repro.telemetry.exporters import write_jsonl
+from repro.telemetry.exporters import read_jsonl, write_jsonl
 
 from tests.test_analysis import scenario_events
 
@@ -99,3 +100,32 @@ def test_analyze_diff_between_saved_logs(tmp_path, capsys):
     payload = json.loads(out_json.read_text())
     top = payload["diff"]["top_regressions"][0]
     assert top["delta_s"] > 0
+
+
+# -- both: one set of live-run flags --------------------------------------------
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--node-rejoin", "1@5"],  # node chaos without --cluster
+        ["--partition", "0-1@5:20"],
+        ["--outage", "ssd:10:5"],  # malformed spec
+        ["--crash-point", "during-lunch"],  # a plan FaultConfig rejects
+        ["--fault-rate", "1.5"],
+    ],
+)
+@pytest.mark.parametrize("main", [trace_cli.main, analysis_cli.main], ids=["trace", "analyze"])
+def test_bad_live_run_flags_exit_2(main, flags, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["quickstart", "--out-dir", str(tmp_path), *flags])
+    assert exc.value.code == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_analyze_streamed_live_run_passes_accounting_gate(tmp_path, capsys):
+    code = analysis_cli.main(
+        ["quickstart", "--stream", "--check-accounting", "--out-dir", str(tmp_path)]
+    )
+    assert code == 0
+    assert "accounting check passed" in capsys.readouterr().out
+    events = read_jsonl(str(tmp_path / "quickstart.events.jsonl"))
+    assert any(ev.name == "d2h-chunk" for ev in events), "--stream did not reach the run"

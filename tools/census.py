@@ -3,9 +3,11 @@
 
 Run from the repository root: ``python3 tools/census.py``.  Prints the size of
 ``src/`` and its six largest files, and the grep counts the open items track;
-exits non-zero when one of the two hard ones is off — a wall-clock read outside
-``clock.py`` (ROADMAP item 1), or more than five thread-creation sites
-(items 1, 2: every thread that exists must be known to the runtime).
+exits non-zero when one of the three hard ones is off — a wall-clock read outside
+``clock.py`` (ROADMAP item 1), more than five thread-creation sites (items 1,
+2: every thread that exists must be known to the runtime), or a second caller
+of ``promote_once`` (item 7: the demand restore and both prefetch workers run
+it through one step).
 """
 
 import re
@@ -47,10 +49,17 @@ def main() -> int:
         ".release(record) call sites": sites(r"\.release\(record\)"),
         "chunk loops in core/": sites(r"enumerate\((chunk_sizes_for\(|sizes\))", core),
         ".transfer( call sites in cluster/fabric.py": sites(r"\.transfer\(", fabric),
+        "promote_once( call sites": sites(r"(?<!def )promote_once\("),
+        "prefetch_inflight = False writes": sites(r"(?<!self)\.prefetch_inflight = False"),
+        "backoff_for( callers": sites(r"(?<!def )backoff_for\("),
     }
     for what, where in counts.items():
         print(f"{len(where):4d} {what}")
-    hard = {"time.monotonic reads outside clock.py": 0, "threading.Thread( sites": 5}
+    hard = {
+        "time.monotonic reads outside clock.py": 0,
+        "threading.Thread( sites": 5,
+        "promote_once( call sites": 1,
+    }
     failed = [what for what, limit in hard.items() if len(counts[what]) > limit]
     for what in failed:
         print(f"FAIL: {what} > {hard[what]}: {', '.join(counts[what])}", file=sys.stderr)
