@@ -11,7 +11,7 @@ import pytest
 from repro.core.alloctable import AllocTable
 from repro.core.catalog import CheckpointRecord
 from repro.core.restore_queue import RestoreQueue
-from repro.core.scoring import FragmentCost, ScorePolicy
+from repro.core.scoring import Costs, ScorePolicy, exact
 
 
 def _rec(ckpt_id, size=10):
@@ -30,11 +30,12 @@ def _full_table(n):
 def test_scoring_selection(benchmark, n):
     table = _full_table(n)
     policy = ScorePolicy()
+    costs = Costs(fill=None)  # every member memoised: the scan reads costs inline
+    for frag in table.fragments():
+        costs.p[frag.record.ckpt_id] = exact(float(frag.offset % 7))
+        costs.s[frag.record.ckpt_id] = frag.offset % 11
 
-    def cost_of(frag):
-        return FragmentCost(p=float(frag.offset % 7), s=float(frag.offset % 11), barrier=False)
-
-    window = benchmark(lambda: policy.select(table.fragments(), 25, cost_of))
+    window = benchmark(lambda: policy.select(table.fragments(), 25, costs))
     assert window is not None
 
 

@@ -15,10 +15,11 @@ longer or evict soon-to-be-restored checkpoints.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from repro.core.alloctable import Fragment
-from repro.core.scoring import CostFn, Window
+from repro.core.scoring import Costs, Window
 
 
 class _RecencyPolicy:
@@ -33,15 +34,16 @@ class _RecencyPolicy:
         self,
         fragments: Sequence[Fragment],
         size_new: int,
-        cost_of: CostFn,
+        costs: Costs,
         limit: Optional[int] = None,
         min_offset: int = 0,
+        keep_nearer: float = 0,
     ) -> Optional[Window]:
         n = len(fragments)
-        costs = [cost_of(f) for f in fragments]
+        priced = [costs.cost(f) for f in fragments]
 
         def admissible(idx: int) -> bool:
-            if costs[idx].barrier:
+            if priced[idx].barrier or priced[idx].s < keep_nearer:
                 return False
             if limit is not None and fragments[idx].end > limit:
                 return False
@@ -56,7 +58,7 @@ class _RecencyPolicy:
         # A pure-gap window may already suffice (e.g. after coalescing).
         gap_seeds = [i for i in range(n) if fragments[i].is_gap and admissible(i)]
         for seed in seeds + gap_seeds:
-            window = self._grow(fragments, costs, seed, size_new, admissible)
+            window = self._grow(fragments, priced, seed, size_new, admissible)
             if window is not None:
                 return window
         return None
@@ -73,7 +75,7 @@ class _RecencyPolicy:
                 total += fragments[lo].size
             else:
                 return None
-        p = sum(costs[i].p for i in range(lo, hi + 1))
+        p = math.fsum(costs[i].p for i in range(lo, hi + 1))
         s = sum(costs[i].s for i in range(lo, hi + 1))
         return Window(
             start=lo,

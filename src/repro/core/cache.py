@@ -14,22 +14,17 @@ copy of an unconsumed checkpoint.
 
 from __future__ import annotations
 
+import math
+from functools import partial
 from typing import Callable, Optional, TYPE_CHECKING
 
 import numpy as np
 
 from repro.clock import VirtualClock
-from repro.core.alloctable import AllocTable, Fragment
+from repro.core.alloctable import AllocTable
 from repro.core.lifecycle import PINNED_STATES, CkptState, Instance
 from repro.core.predict import NEVER, instance_state_ts
-from repro.core.scoring import (
-    FragmentCost,
-    ScorePolicy,
-    Window,
-    fragment_cost,
-    gap_cost,
-    make_cost_fn,
-)
+from repro.core.scoring import BARRIER, Costs, ScorePolicy, Window, exact
 from repro.core.sync import Monitor
 from repro.errors import AllocationError, CapacityError, TransferError
 from repro.simgpu.memory import Arena
@@ -140,17 +135,14 @@ class CacheBuffer:
         #: per-instance trackers on every FSM transition (O(1) reads on the
         #: prefetcher's budget checks instead of a table scan).
         self._pinned_bytes = 0
-        #: FragmentCost memo reused across selection passes; entries are
-        #: keyed by instance identity + version so any state transition (or
-        #: flush-pending / read-pinned flip) invalidates exactly that entry,
-        #: with the hint-queue version tracked per entry for the distance
-        #: component.  One memo per eviction mode: ``allow_pinned`` changes
-        #: predicted state_ts, so plain and forced reservations must not
-        #: share entries.
-        #: ``cost_cache_enabled=False`` recomputes every cost (used by the
-        #: eviction-equivalence tests to prove caching changes no decision).
-        self.cost_cache_enabled = True
-        self._cost_caches = ({}, {})  # [allow_pinned]
+        #: Algorithm 1's member costs, read inline by the scan; one table
+        #: per eviction mode (``allow_pinned`` prices a pinned instance
+        #: differently).  Pushed by the events that change them: every
+        #: version bump of a cached instance drops its p (the tracker), and
+        #: so does its removal (``_forget_instance``); the scan re-prices a
+        #: dropped p once, so a flush estimate stays frozen until the next
+        #: transition.  Distances are the queue's own :meth:`hint_index`.
+        self.costs = (Costs(partial(self._fill, False)), Costs(partial(self._fill, True)))
 
     # -- helpers (monitor held) ---------------------------------------------
     def contains(self, record: "CheckpointRecord") -> bool:
@@ -183,10 +175,15 @@ class CacheBuffer:
             return total
 
     def _make_tracker(self, record: "CheckpointRecord"):
-        """Per-instance transition hook maintaining the pinned-byte total."""
+        """Per-instance version-bump hook: drops the instance's memoised p
+        and keeps the pinned-byte total."""
         size = record.stored_size(self.level)
+        ckpt_id = record.ckpt_id
+        plain, forced = (costs.p for costs in self.costs)
 
         def tracker(inst: Instance, old: CkptState, new: CkptState, now: float) -> None:
+            plain.pop(ckpt_id, None)
+            forced.pop(ckpt_id, None)
             pinned_now = new in PINNED_STATES
             if (old in PINNED_STATES) != pinned_now:
                 self._pinned_bytes += size if pinned_now else -size
@@ -198,8 +195,8 @@ class CacheBuffer:
         if inst.pinned:
             self._pinned_bytes -= record.stored_size(self.level)
         inst.tracker = None
-        for cache in self._cost_caches:
-            cache.pop(record.ckpt_id, None)
+        for costs in self.costs:
+            costs.p.pop(record.ckpt_id, None)
 
     def _limit(self) -> Optional[int]:
         return None if self.usable_capacity is None else self.usable_capacity()
@@ -213,93 +210,23 @@ class CacheBuffer:
         usable = self._limit()
         return usable is not None and usable < self.table.capacity
 
-    def _cost_fn(self, allow_pinned: bool):
-        # s-contribution for unhinted checkpoints must dominate every real
-        # distance; the queue can never hold more live hints than the table
-        # has fragments plus the whole history, so table length + queue
-        # length is a safe bound.
-        no_hint = float(len(self.table) + len(self.queue) + 1)
-        if not self.cost_cache_enabled:
+    def _fill(self, allow_pinned: bool, record: "CheckpointRecord") -> int:
+        """Price a member the scan found without a memoised p."""
+        ts = instance_state_ts(record, self.level, self.flush_estimate, allow_pinned=allow_pinned)
+        p = self.costs[allow_pinned].p[record.ckpt_id] = BARRIER if ts == NEVER else exact(ts)
+        return p
 
-            def state_ts(frag: Fragment) -> float:
-                return instance_state_ts(
-                    frag.record, self.level, self.flush_estimate, allow_pinned=allow_pinned
-                )
-
-            def distance(frag: Fragment) -> Optional[int]:
-                return self.queue.distance(frag.record.ckpt_id)
-
-            return make_cost_fn(state_ts, distance, no_hint)
-        # Cached path.  An entry's predicted state_ts stays valid until its
-        # instance transitions (its version moves).  The hint-distance
-        # component is revalidated per entry at the finest grain that is
-        # still exact:
-        #
-        # * barrier entries (qkey == -1): the cost ignores distance
-        #   entirely, so they stay valid for the instance's lifetime;
-        # * hinted entries (qkey >= 0): existing distances only shift when
-        #   a hint is consumed, so they revalidate against the queue's
-        #   ``shift_epoch`` — enqueues and ``start()`` never flush them;
-        # * unhinted entries (qkey == -2): still unhinted iff the id was
-        #   never enqueued or is already consumed — an O(1) check that
-        #   replays :meth:`RestoreQueue.distance`'s None cases.
-        #
-        # The no-hint ceiling only feeds the s-score of unhinted members
-        # and is re-applied per call from the frozen state_ts.
-        # Link-backlog drift inside flush estimates is deliberately frozen
-        # between transitions.
-        gap = gap_cost(no_hint)
-        cache = self._cost_caches[allow_pinned]
-        level = self.level
-        flush_estimate = self.flush_estimate
-        queue = self.queue
-        queue_distance = queue.distance
-        epoch = queue.shift_epoch
-        # Intimate access to the queue's hint index: both dicts are only
-        # mutated under the engine monitor, which every caller of the cost
-        # function already holds.  ``hint_index()`` also covers a synthetic
-        # queue's predicted overlay, so entries cached as unhinted are
-        # invalidated when a fragment becomes predicted.
-        hint_position = queue.hint_index()
-        hint_consumed = queue._consumed
-
-        def cost_of(frag: Fragment):
-            record = frag.record
-            if record is None:
-                return gap
-            # record.peek(level) inlined: this runs once per fragment per
-            # selection pass and the method-call overhead is measurable.
-            inst = record.instances.get(level)
-            version = -1 if inst is None else inst.version
-            ckpt_id = record.ckpt_id
-            entry = cache.get(ckpt_id)
-            if entry is not None and entry[0] is inst and entry[1] == version:
-                ts = entry[2]
-                qkey = entry[3]
-                if qkey == -1 or qkey == epoch:  # barrier / hinted-and-fresh
-                    return entry[4]
-                if qkey == -2 and (
-                    ckpt_id not in hint_position or ckpt_id in hint_consumed
-                ):
-                    # Still unhinted: s tracks the live no-hint ceiling; p
-                    # is the frozen state_ts.
-                    return FragmentCost(p=ts, s=no_hint, barrier=False)
-                distance = queue_distance(ckpt_id)
-            else:
-                ts = instance_state_ts(
-                    record, level, flush_estimate, allow_pinned=allow_pinned, inst=inst
-                )
-                distance = queue_distance(ckpt_id)
-            cost = fragment_cost(ts, distance, no_hint)
-            if cost.barrier:
-                cache[ckpt_id] = (inst, version, ts, -1, cost)
-            elif distance is not None:
-                cache[ckpt_id] = (inst, version, ts, epoch, cost)
-            else:
-                cache[ckpt_id] = (inst, version, ts, -2, None)
-            return cost
-
-        return cost_of
+    def scan_costs(self, allow_pinned: bool) -> Costs:
+        """Monitor held: the cost table for one scan, with the queue's
+        current distances.  The s of an unhinted checkpoint must dominate
+        every real distance: the queue can never hold more live hints than
+        the table has fragments plus the whole history, so table length +
+        queue length is a safe bound."""
+        costs = self.costs[allow_pinned]
+        costs.s = self.queue.hint_index()
+        costs.no_hint = float(len(self.table) + len(self.queue) + 1)
+        costs.gap_s = costs.no_hint + 1.0
+        return costs
 
     # -- reservation -----------------------------------------------------------
     def reserve(
@@ -447,10 +374,16 @@ class CacheBuffer:
         hold an unconsumed checkpoint hinted nearer than it.
         """
         fragments = self.table.fragments()
-        cost_of = self._cost_fn(allow_pinned)
+        costs = self.scan_costs(allow_pinned)
+        # A member's s *is* its prefetch distance (unhinted members and gaps
+        # score above every distance), so "hinted nearer than the incoming
+        # checkpoint" is "s below its distance".  An incoming checkpoint
+        # that lost its hint meanwhile evicts nothing.
+        keep_nearer = 0
         if keep_nearer_than is not None:
-            cost_of = self._keeping_nearer(cost_of, keep_nearer_than)
-        window = self.policy.select(fragments, size, cost_of, limit, min_offset)
+            own = self.queue.distance(keep_nearer_than)
+            keep_nearer = math.inf if own is None else own
+        window = self.policy.select(fragments, size, costs, limit, min_offset, keep_nearer)
         if window is None:
             return None
         if not self._window_ready(window, allow_pinned):
@@ -480,27 +413,6 @@ class CacheBuffer:
             )
         self._evict_window(window, allow_pinned)
         return self.table.find_gap(size, limit, min_offset)
-
-    def _keeping_nearer(self, cost_of, ckpt_id: int):
-        """``cost_of`` with the hints nearer than ``ckpt_id`` as barriers.
-
-        The window policy maximises the summed prefetch distance among
-        equally cheap windows; for a checkpoint staged *because* of its own
-        hint that would evict hint ``d - 1`` to bring in hint ``d`` and
-        read ``d - 1`` again.  A member's ``s`` *is* its prefetch distance
-        (:func:`fragment_cost`; unhinted members and gaps score above every
-        distance), so the memoised costs answer "hinted nearer?" without a
-        second queue lookup per fragment.  An incoming checkpoint that lost
-        its hint meanwhile evicts nothing.
-        """
-        own = self.queue.distance(ckpt_id)
-        barrier = fragment_cost(NEVER, None, 0.0)
-
-        def keeping(frag: Fragment) -> FragmentCost:
-            cost = cost_of(frag)
-            return cost if cost.barrier or (own is not None and cost.s >= own) else barrier
-
-        return keeping
 
     def _window_ready(self, window: Window, allow_pinned: bool) -> bool:
         for frag in self.table.fragments()[window.start : window.end]:
@@ -578,7 +490,7 @@ class CacheBuffer:
 
         The single teardown path for failed or abandoned reservations
         (vanished promotion sources, cancelled flush legs): it keeps the
-        pinned-byte total and the cost cache consistent with the table,
+        pinned-byte total and the cost tables consistent with the table,
         which direct ``table.remove`` + ``drop_instance`` calls would not.
         Tolerates partially-created state; notifies waiters.
         """

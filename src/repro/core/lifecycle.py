@@ -106,16 +106,18 @@ class Instance:
         self._flush_pending = False
         self._read_pinned = 0
         self._speculative = False
-        #: bumped on every eviction-relevant change (state transitions,
-        #: ``flush_pending`` / ``read_pinned`` flips); lets the cache reuse
-        #: Algorithm-1 fragment costs across reservation retries and
-        #: invalidate them exactly on state transitions.
+        #: bumped on every eviction-relevant change — state transitions and
+        #: ``flush_pending`` / ``read_pinned`` / ``speculative`` flips — and
+        #: each bump runs ``tracker``, so the owning cache's memoised
+        #: Algorithm-1 cost never outlives the state it priced.
         self.version = 0
         #: telemetry hook notified of every state change (None when the
         #: trace bus is disabled, so the FSM pays nothing by default).
         self.observer = observer
-        #: owning-cache hook notified of every state change, used for O(1)
-        #: pinned-byte accounting; same constraints as ``observer``.
+        #: owning-cache hook run on every version bump as ``(instance, old,
+        #: new, now)`` (``old is new`` for a flip): it keeps the pinned-byte
+        #: total and drops the instance's memoised Algorithm-1 costs; same
+        #: constraints as ``observer``.
         self.tracker = None
 
     @property
@@ -130,7 +132,7 @@ class Instance:
     def flush_pending(self, value: bool) -> None:
         if value != self._flush_pending:
             self._flush_pending = value
-            self.version += 1
+            self._bump(self.state, self.state_since)
 
     @property
     def read_pinned(self) -> int:
@@ -142,7 +144,7 @@ class Instance:
     def read_pinned(self, value: int) -> None:
         if value != self._read_pinned:
             self._read_pinned = value
-            self.version += 1
+            self._bump(self.state, self.state_since)
 
     @property
     def speculative(self) -> bool:
@@ -161,32 +163,28 @@ class Instance:
     def speculative(self, value: bool) -> None:
         if value != self._speculative:
             self._speculative = value
-            self.version += 1
+            self._bump(self.state, self.state_since)
+
+    def _bump(self, old: CkptState, now: float) -> None:
+        self.version += 1
+        if self.tracker is not None:
+            self.tracker(self, old, self.state, now)
 
     def transition(self, new: CkptState, now: float = 0.0) -> None:
         validate_transition(self.state, new)
         old = self.state
         self.state = new
         self.state_since = now
-        self.version += 1
-        if self.tracker is not None:
-            self.tracker(self, old, new, now)
+        self._bump(old, now)
         if self.observer is not None:
             self.observer(self, old, new, now)
 
     def try_transition(self, new: CkptState, now: float = 0.0) -> bool:
         """Transition if legal; return whether it happened."""
-        if new in _TRANSITIONS[self.state]:
-            old = self.state
-            self.state = new
-            self.state_since = now
-            self.version += 1
-            if self.tracker is not None:
-                self.tracker(self, old, new, now)
-            if self.observer is not None:
-                self.observer(self, old, new, now)
-            return True
-        return False
+        if new not in _TRANSITIONS[self.state]:
+            return False
+        self.transition(new, now)
+        return True
 
     @property
     def has_copy(self) -> bool:

@@ -9,16 +9,13 @@ enqueued flushes competing for that bandwidth (``Link.pending_bytes``).
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, TYPE_CHECKING
 
-from repro.core.lifecycle import CkptState, Instance
+from repro.core.lifecycle import CkptState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.catalog import CheckpointRecord
     from repro.tiers.base import TierLevel
-
-#: sentinel distinguishing "no instance passed" from "instance is None".
-_UNSET = object()
 
 #: state_ts of an instance that can never become evictable by waiting
 #: (pinned by the anti-thrashing rule until the application consumes it).
@@ -42,17 +39,13 @@ def instance_state_ts(
     level: "TierLevel",
     flush_estimate: Callable[[int], float],
     allow_pinned: bool = False,
-    inst: Optional[Instance] = _UNSET,  # type: ignore[assignment]
 ) -> float:
     """Nominal seconds until the instance on ``level`` becomes evictable.
 
     ``flush_estimate(nbytes)`` estimates the remaining flush duration toward
     the next slower tier, including the backlog on the shared link.
-    Callers that already resolved the tier instance may pass it as ``inst``
-    to skip the lookup (the eviction cost cache calls this per fragment).
     """
-    if inst is _UNSET:
-        inst = record.peek(level)
+    inst = record.peek(level)
     if inst is None:
         return 0.0
     if inst.evictable:

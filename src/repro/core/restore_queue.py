@@ -12,7 +12,7 @@ prefetcher was working toward the head).
 
 ``distance(ckpt_id)`` is the *prefetch distance* of Section 4.2 — the number
 of queue entries between the head and the checkpoint — and feeds the
-``s_score`` of Algorithm 1.
+``s_score`` of Algorithm 1, which reads it from :meth:`hint_index`.
 
 All methods require the engine monitor to be held by the caller.
 """
@@ -41,14 +41,13 @@ class RestoreQueue:
         self.started = False
         #: bumped whenever the queue changes at all (enqueue/consume/start).
         self.version = 0
-        #: bumped only when *existing* hint distances can shift — i.e. on
-        #: :meth:`consume` (the head advances / consumed-between counts
-        #: change).  Enqueues append past every existing entry and never
-        #: move the head, so they leave existing distances untouched.  The
-        #: cache's FragmentCost memo revalidates hinted entries against
-        #: this epoch instead of :attr:`version`, so a burst of hint
-        #: enqueues does not force a full distance recomputation.
+        #: bumped by every change that moves an *existing* hint distance —
+        #: here :meth:`consume` (the head advances / consumed-between counts
+        #: change).  A plain enqueue appends past every live hint and moves
+        #: none.  It is what keeps :meth:`hint_index` current.
         self.shift_epoch = 0
+        self._index: Dict[int, int] = {}
+        self._index_epoch = 0
         if telemetry is None:
             from repro.telemetry import Telemetry
 
@@ -72,6 +71,7 @@ class RestoreQueue:
         self._position[ckpt_id] = len(self._order)
         self._order.append(ckpt_id)
         self.version += 1
+        self._index[ckpt_id] = RestoreQueue.__len__(self) - 1  # behind every live hint
         self._m_enqueued.inc()
 
     def start(self) -> None:
@@ -138,10 +138,14 @@ class RestoreQueue:
         return self.is_hinted(ckpt_id)
 
     def hint_index(self) -> Dict[int, int]:
-        """Membership map for the cache's cost memo: an id absent from it
-        (or already consumed) is guaranteed unhinted.  Subclasses with
-        synthetic entries must include them here."""
-        return self._position
+        """Every live hint's :meth:`distance`, by id (an absent id is
+        unhinted): the map Algorithm 1's scan reads.  An enqueue adds its
+        id; a :attr:`shift_epoch` bump has it rebuilt here, on the next
+        read."""
+        if self._index_epoch != self.shift_epoch:
+            self._index = {ckpt_id: d for d, ckpt_id in enumerate(self.iter_upcoming())}
+            self._index_epoch = self.shift_epoch
+        return self._index
 
     # -- consumption ---------------------------------------------------------------
     def consume(self, ckpt_id: int) -> None:

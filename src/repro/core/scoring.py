@@ -17,25 +17,37 @@ can never become evictable by waiting (prefetched-but-unconsumed instances,
 unless a forced demand eviction is permitted) act as window *barriers*: no
 window may cross them, so when the right pointer hits one, the window
 restarts beyond it.
+
+The scan reads each member's cost inline from a :class:`Costs` table that
+its owner keeps current (``CacheBuffer`` drops an entry on every event that
+changes it), so a memoised member costs two dict reads and no Python call.
+A window's ``p_score`` is exact: every p is held as an integer multiple of
+2**-1074 (:func:`exact`), so the running sum never drifts and rounds once,
+to what ``math.fsum`` of the members returns.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 from repro.core.alloctable import Fragment
 
+#: every finite float is an integer multiple of 2**-1074 = 1 / ULPS.
+ULPS = 1 << 1074
+#: the memoised p of a barrier (every real p is >= 0, so a scan tests p < 0).
+BARRIER = -1
+
+
+def exact(p: float) -> int:
+    """Finite ``p`` as the integer number of 2**-1074 units it holds."""
+    num, den = p.as_integer_ratio()
+    return num * (ULPS // den)
+
 
 class FragmentCost(NamedTuple):
-    """Scoring contributions of one fragment.
-
-    A ``NamedTuple`` rather than a frozen dataclass: one is constructed per
-    fragment per selection pass, and tuple construction is several times
-    cheaper than ``object.__setattr__``-based frozen-dataclass init.
-    """
+    """Scoring contributions of one fragment."""
 
     p: float  # estimated nominal seconds until evictable
     s: float  # prefetch-distance contribution (higher = safer to evict)
@@ -57,6 +69,38 @@ class Window:
 CostFn = Callable[[Fragment], FragmentCost]
 
 
+class Costs:
+    """Member costs as the scan reads them.
+
+    * ``p``: checkpoint id -> :func:`exact` p, or :data:`BARRIER`; an id
+      missing from it is costed by ``fill(record)``, which stores and
+      returns the entry;
+    * ``s``: checkpoint id -> prefetch distance; an absent id is unhinted
+      and scores ``no_hint``;
+    * ``gap_s``: the s of a gap.
+    """
+
+    __slots__ = ("p", "s", "fill", "no_hint", "gap_s")
+
+    def __init__(self, fill) -> None:
+        self.p: Dict[int, int] = {}
+        self.s: Dict[int, int] = {}
+        self.fill = fill
+        self.no_hint = self.gap_s = 0.0
+
+    def cost(self, frag: Fragment) -> FragmentCost:
+        """What the scan reads for ``frag`` (filled on a miss)."""
+        record = frag.record
+        if record is None:
+            return FragmentCost(p=0.0, s=self.gap_s, barrier=False)
+        p = self.p.get(record.ckpt_id)
+        if p is None:
+            p = self.fill(record)
+        if p == BARRIER:
+            return FragmentCost(p=math.inf, s=0.0, barrier=True)
+        return FragmentCost(p / ULPS, self.s.get(record.ckpt_id, self.no_hint), False)
+
+
 class ScorePolicy:
     """The paper's gap-aware sliding-window policy."""
 
@@ -66,105 +110,91 @@ class ScorePolicy:
         self,
         fragments: Sequence[Fragment],
         size_new: int,
-        cost_of: CostFn,
+        costs: Costs,
         limit: Optional[int] = None,
         min_offset: int = 0,
+        keep_nearer: float = 0,
     ) -> Optional[Window]:
         """Best eviction window for a ``size_new``-byte checkpoint.
 
         ``limit`` / ``min_offset`` restrict windows to the arena region
         ``[min_offset, limit)`` (split-cache ablation, lazily-pinned
-        caches).  Returns ``None`` when no admissible window exists yet (the
-        caller waits for state changes and retries).
+        caches); a member whose s is below ``keep_nearer`` is a barrier (a
+        staging that must not evict nearer hints).  Returns ``None`` when no
+        admissible window exists yet (the caller waits for state changes
+        and retries).
+
+        The right pointer admits one fragment at a time; every window that
+        reaches ``size_new`` is a candidate, and the left pointer then slides
+        while the window still fits, so each start is scored with its
+        shortest window, in start order.  Fragments outside the region bound
+        the scan instead of being tested one by one: they form a prefix and
+        a suffix of the offset-sorted table.  Windows compare by their
+        correctly rounded p-sums, then by s; equal exact sums skip the
+        rounding, so it runs only for a candidate that could win on it.
         """
-        n = len(fragments)
-        best: Optional[Window] = None
-
-        # Each fragment is costed exactly once, when the right pointer
-        # admits it; the window's member costs ride in ``pending`` so the
-        # slide step pops the stored contribution instead of re-deriving it.
-        # The float additions/subtractions happen in the same order as a
-        # naive re-costing implementation, so scores are bit-identical.
-        pending: deque = deque()
-        i = 0
-        j = 0
-        p_sum = 0.0
+        lo, n = 0, len(fragments)
+        while lo < n and fragments[lo].offset < min_offset:
+            lo += 1
+        if limit is not None:
+            while n > lo and fragments[n - 1].offset + fragments[n - 1].size > limit:
+                n -= 1
+        memo, fill, distance = costs.p.get, costs.fill, costs.s.get
+        no_hint, gap_s = costs.no_hint, costs.gap_s
+        best_at = None
+        best_p, best_exact, best_s = math.inf, math.inf, -math.inf
+        i = j = lo
+        window = p_sum = 0
         s_sum = 0.0
-        window = 0
-        while i < n:
-            barrier_at = None
-            while window < size_new and j < n:
-                frag = fragments[j]
-                # Index the (p, s, barrier) tuple instead of using the
-                # named fields, and inline frag.end as offset + size: both
-                # run per fragment admission and the attribute/property
-                # dispatch is measurable at millions of admissions.
-                cj = cost_of(frag)
-                if (
-                    cj[2]  # barrier
-                    or (limit is not None and frag.offset + frag.size > limit)
-                    or frag.offset < min_offset
-                ):
-                    barrier_at = j
-                    break
-                p_sum += cj[0]  # p
-                s_sum += cj[1]  # s
-                window += frag.size
-                pending.append(cj)
-                j += 1
-            if window >= size_new:
-                if (
-                    best is None
-                    or p_sum < best.p_score
-                    or (p_sum == best.p_score and s_sum > best.s_score)
-                ):
-                    best = Window(
-                        start=i,
-                        end=j,
-                        offset=fragments[i].offset,
-                        size=window,
-                        p_score=p_sum,
-                        s_score=s_sum,
-                    )
-                # slide: drop the leftmost fragment
-                ci = pending.popleft()
-                p_sum -= ci[0]  # p
-                s_sum -= ci[1]  # s
-                window -= fragments[i].size
-                i += 1
-            elif barrier_at is not None:
-                i = barrier_at + 1
-                j = i
-                p_sum = 0.0
-                s_sum = 0.0
-                window = 0
-                pending.clear()
+        while j < n:
+            frag = fragments[j]
+            j += 1
+            record = frag.record
+            if record is None:
+                p, s = 0, gap_s
             else:
-                break  # right pointer exhausted
-        return best
-
-
-def gap_cost(no_hint_score: float) -> FragmentCost:
-    """Cost of a gap member: zero blocking time, the highest s-contribution
-    (strictly above every real checkpoint's)."""
-    return FragmentCost(p=0.0, s=no_hint_score + 1.0, barrier=False)
-
-
-def fragment_cost(
-    state_ts: float, prefetch_distance: Optional[int], no_hint_score: float
-) -> FragmentCost:
-    """Cost of a checkpoint member from its predicted ``state_ts`` and hint
-    distance.  ``math.inf`` marks an instance that can never become
-    evictable by waiting — a window barrier.
-
-    The single construction point for Algorithm 1's member costs: both the
-    plain cost function below and the cache's version-keyed cost cache go
-    through here, so caching can never alter how a fragment is scored.
-    """
-    if math.isinf(state_ts):
-        return FragmentCost(p=state_ts, s=0.0, barrier=True)
-    s = float(prefetch_distance) if prefetch_distance is not None else no_hint_score
-    return FragmentCost(p=state_ts, s=s, barrier=False)
+                ckpt_id = record.ckpt_id
+                p = memo(ckpt_id)
+                if p is None:
+                    p = fill(record)
+                s = distance(ckpt_id, no_hint)
+            if p < 0 or s < keep_nearer:  # a barrier: restart beyond it
+                i = j
+                window = p_sum = 0
+                s_sum = 0.0
+                continue
+            p_sum += p
+            s_sum += s
+            window += frag.size
+            while window >= size_new:
+                if p_sum == best_exact:
+                    better = s_sum > best_s
+                elif p_sum < best_exact:
+                    better = s_sum > best_s or p_sum / ULPS < best_p
+                else:
+                    better = s_sum > best_s and p_sum / ULPS == best_p
+                if better:
+                    best_at = (i, j, window)
+                    best_p, best_exact, best_s = p_sum / ULPS, p_sum, s_sum
+                if i + 1 == j:  # a lone member leaves the window empty
+                    i = j
+                    window = p_sum = 0
+                    s_sum = 0.0
+                    break
+                # slide: drop the leftmost member, read again from the memo
+                frag = fragments[i]
+                i += 1
+                record = frag.record
+                if record is None:
+                    s_sum -= gap_s
+                else:
+                    p_sum -= memo(record.ckpt_id)
+                    s_sum -= distance(record.ckpt_id, no_hint)
+                window -= frag.size
+        if best_at is None:
+            return None
+        start, end, size = best_at
+        return Window(start, end, fragments[start].offset, size, best_p, best_s)
 
 
 def make_cost_fn(
@@ -172,7 +202,9 @@ def make_cost_fn(
     prefetch_distance: Callable[[Fragment], Optional[int]],
     no_hint_score: float,
 ) -> CostFn:
-    """Build the Algorithm-1 cost function from engine context callbacks.
+    """The reference Algorithm-1 cost function, from engine context callbacks
+    (recomputed on every call; the eviction replay tests check the cache's
+    :class:`Costs` against it).
 
     * ``state_ts(frag)`` — predicted nominal seconds until evictable
       (``math.inf`` marks a barrier);
@@ -181,11 +213,15 @@ def make_cost_fn(
     * ``no_hint_score`` — s-contribution for unhinted checkpoints; gaps use
       ``no_hint_score + 1`` (strictly the most eviction-friendly members).
     """
-    gap = gap_cost(no_hint_score)
+    gap = FragmentCost(p=0.0, s=no_hint_score + 1.0, barrier=False)
 
     def cost_of(frag: Fragment) -> FragmentCost:
         if frag.is_gap:
             return gap
-        return fragment_cost(state_ts(frag), prefetch_distance(frag), no_hint_score)
+        ts = state_ts(frag)
+        if math.isinf(ts):
+            return FragmentCost(p=ts, s=0.0, barrier=True)
+        distance = prefetch_distance(frag)
+        return FragmentCost(ts, no_hint_score if distance is None else float(distance), False)
 
     return cost_of

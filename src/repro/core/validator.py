@@ -6,6 +6,9 @@ consistency properties the design relies on:
 * every cache table tiles its arena with no overlaps or adjacent gaps;
 * every table entry has a catalog record with a live instance on that tier,
   and vice versa;
+* every memoised Algorithm-1 cost still agrees with a fresh one: barrier,
+  zero p, penalty constant and hinted distance (a flush estimate is frozen
+  between transitions, so its value is not compared);
 * instance states are plausible for where the data is (a ``FLUSHED`` GPU
   extent implies a copy below; a ``READ_COMPLETE`` extent holds a copy);
 * no unconsumed checkpoint exists whose *only* copy is mid-flight;
@@ -25,6 +28,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.predict import (
+    FORCE_EVICT_PENALTY,
+    NEVER,
+    SPECULATIVE_EVICT_PENALTY,
+    instance_state_ts,
+)
+from repro.core.scoring import BARRIER, ULPS
 from repro.errors import ReproError
 from repro.tiers.base import TierLevel
 
@@ -42,6 +52,7 @@ def validate_engine(engine: "ScoreEngine") -> None:
     with engine.monitor:
         _check_tables(engine)
         _check_instances(engine)
+        _check_costs(engine)
         _check_copies(engine)
         _check_prefetch_chains(engine)
         _check_pins(engine)
@@ -100,6 +111,44 @@ def _check_instances(engine: "ScoreEngine") -> None:
                 raise InvariantViolation(
                     f"checkpoint {record.ckpt_id}: host instance without a "
                     f"host cache fragment (state {inst.state.value})"
+                )
+
+
+#: the p values compared exactly; any other p is a frozen flush estimate.
+_EXACT_P = (NEVER, 0.0, SPECULATIVE_EVICT_PENALTY, FORCE_EVICT_PENALTY)
+
+
+def _exact_part(p: float):
+    return p if p in _EXACT_P else "estimate"
+
+
+def _check_costs(engine: "ScoreEngine") -> None:
+    for cache in (engine.gpu_cache, engine.host_cache):
+        distances = cache.queue.hint_index()
+        for allow_pinned, costs in enumerate(cache.costs):
+            for ckpt_id, memoised in costs.p.items():
+                if not cache.table.contains(ckpt_id):
+                    raise InvariantViolation(
+                        f"{cache.name}: cost memoised for uncached checkpoint {ckpt_id}"
+                    )
+                record = cache.table.lookup(ckpt_id).record
+                fresh = instance_state_ts(
+                    record, cache.level, cache.flush_estimate, allow_pinned=bool(allow_pinned)
+                )
+                memoised = NEVER if memoised == BARRIER else memoised / ULPS
+                if _exact_part(memoised) != _exact_part(fresh):
+                    raise InvariantViolation(
+                        f"{cache.name}: checkpoint {ckpt_id} memoised p {memoised} "
+                        f"(allow_pinned={bool(allow_pinned)}), its state prices {fresh}"
+                    )
+        for frag in cache.table.fragments():
+            if frag.is_gap:
+                continue
+            ckpt_id = frag.record.ckpt_id
+            if distances.get(ckpt_id) != cache.queue.distance(ckpt_id):
+                raise InvariantViolation(
+                    f"{cache.name}: checkpoint {ckpt_id} scores distance "
+                    f"{distances.get(ckpt_id)}, the queue says {cache.queue.distance(ckpt_id)}"
                 )
 
 

@@ -18,12 +18,12 @@ every live explicit hint.  Key differences from explicit hints:
 * a non-empty overlay auto-starts the queue, so learned mode needs no
   ``prefetch_start()`` call.
 
-Distance-memo compatibility: the cache's ``FragmentCost`` memo
-revalidates *hinted* entries against ``shift_epoch`` and *unhinted*
-entries against membership in :meth:`hint_index`; refreshes bump
-``shift_epoch`` and the index covers overlay ids, so cached costs stay
-exact as predictions come and go.  All methods require the engine
-monitor.
+Distance-map compatibility: Algorithm 1's scan reads every distance from
+:meth:`hint_index`, which covers overlay ids and is rebuilt after each
+``shift_epoch`` bump.  So every change that moves an existing distance bumps
+it: a refresh that reorders the overlay, an overlay entry leaving, and an
+explicit enqueue while the overlay is non-empty (the new hint ranks ahead of
+every overlay entry).  All methods require the engine monitor.
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ class SyntheticRestoreQueue(RestoreQueue):
         self._syn_order: List[int] = []
         self._syn_pos: Dict[int, int] = {}
         self._syn_conf: Dict[int, float] = {}
-        #: explicit positions ∪ overlay ids — the membership map the cache
-        #: memo checks to revalidate unhinted entries (see ``hint_index``).
-        self._index: Dict[int, int] = {}
         if telemetry is None:  # pragma: no cover - parent built a real one
             from repro.telemetry import Telemetry
 
@@ -74,16 +71,9 @@ class SyntheticRestoreQueue(RestoreQueue):
             new_conf[ckpt_id] = confidence
         changed = new_order != self._syn_order
         if changed:
-            for ckpt_id in self._syn_order:
-                if ckpt_id not in new_conf and ckpt_id not in self._position:
-                    self._index.pop(ckpt_id, None)
             self._syn_order = new_order
             self._syn_pos = {c: i for i, c in enumerate(new_order)}
-            for ckpt_id in new_order:
-                self._index[ckpt_id] = 1
             self.version += 1
-            # Existing distances shift when the overlay reorders; the cost
-            # memo revalidates hinted entries against this epoch.
             self.shift_epoch += 1
             if new_order and not self.started:
                 self.started = True
@@ -101,16 +91,14 @@ class SyntheticRestoreQueue(RestoreQueue):
         self._m_overlay_depth.set(len(self._syn_order))
 
     # -- RestoreQueue interface ------------------------------------------------
-    def hint_index(self) -> Dict[int, int]:
-        return self._index
-
     def enqueue(self, ckpt_id: int) -> None:
         # A real hint for a predicted id wins: revoke the speculation
         # first so the explicit enqueue does not collide with it.
         if ckpt_id in self._syn_pos:
             self._syn_remove(ckpt_id)
         super().enqueue(ckpt_id)
-        self._index[ckpt_id] = 1
+        if self._syn_order:  # every overlay entry moved back one
+            self.shift_epoch += 1
 
     def __len__(self) -> int:
         return super().__len__() + len(self._syn_order)

@@ -159,7 +159,9 @@ def test_zero_progress_cancellation_before_any_accounting(clock, arbiter=Fifo):
     link = arbiter.link(clock, bandwidth=100 * MiB, latency=0.5)
     cancelled = threading.Event()
     cancelled.set()
-    before = clock.now()
+    sleeps = []
+    sleep = clock.sleep
+    clock.sleep = lambda *args, **kwargs: sleeps.append(args) or sleep(*args, **kwargs)
     with pytest.raises(TransferError):
         link.transfer(0, **arbiter.tag(cancelled))
     with pytest.raises(TransferError):
@@ -167,8 +169,9 @@ def test_zero_progress_cancellation_before_any_accounting(clock, arbiter=Fifo):
     assert link.pending_bytes == 0
     assert link.transfer_count == 0  # never admitted
     assert link.bytes_moved == 0
-    # The 0.5 s submission latency was never slept.
-    assert clock.now() - before < 0.25
+    assert link.busy_time == 0.0
+    # The 0.5 s submission latency was never slept (nor any span).
+    assert sleeps == []
 
 
 def test_request_cancel_event_aborts_with_zero_progress(clock):

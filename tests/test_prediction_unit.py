@@ -313,3 +313,38 @@ class TestSyntheticRestoreQueue:
         mid = q.shift_epoch
         assert not q.refresh([(3, 0.1)])  # same order: no epoch churn
         assert q.shift_epoch == mid
+
+    def test_enqueue_behind_a_live_overlay_moves_the_cached_distances(self):
+        """An explicit hint ranks ahead of every overlay entry, so enqueuing
+        one moves every overlay distance; the costs the eviction scan reads
+        for cached overlay ids must move with them."""
+        from repro.clock import VirtualClock
+        from repro.config import ScaleModel
+        from repro.core.cache import CacheBuffer
+        from repro.core.catalog import CheckpointRecord
+        from repro.core.lifecycle import CkptState
+        from repro.core.sync import Monitor
+        from repro.simgpu.memory import Arena
+        from repro.tiers.base import TierLevel
+        from repro.util.units import KiB, MiB
+
+        clock = VirtualClock(time_scale=0.002)
+        q = self.make()
+        cache = CacheBuffer(
+            "gpu", TierLevel.GPU,
+            Arena("gpu", 4 * MiB, ScaleModel(data_scale=64 * KiB, alignment=64 * KiB)),
+            Monitor(clock), clock, q, flush_estimate=lambda n: 0.0,
+        )
+        for ckpt_id in range(4):
+            cache.reserve(CheckpointRecord(ckpt_id, MiB, MiB, 0), CkptState.WRITE_IN_PROGRESS)
+        q.refresh([(0, 0.9), (1, 0.8), (2, 0.7), (3, 0.6)])
+
+        def scanned():
+            costs = cache.scan_costs(False)
+            return [costs.cost(frag).s for frag in cache.table.fragments()]
+
+        assert scanned() == [0, 1, 2, 3]
+        for ckpt_id in (10, 11, 12):  # explicit hints for uncached ids
+            q.enqueue(ckpt_id)
+        assert [q.distance(ckpt_id) for ckpt_id in range(4)] == [3, 4, 5, 6]
+        assert scanned() == [3, 4, 5, 6]

@@ -6,6 +6,7 @@ import math
 from repro.core.alloctable import AllocTable, Fragment
 from repro.core.catalog import CheckpointRecord
 from repro.core.scoring import FragmentCost, ScorePolicy, make_cost_fn
+from tests.scoring_oracle import costs_of, select
 
 
 def rec(ckpt_id, size=10):
@@ -43,7 +44,7 @@ POLICY = ScorePolicy()
 class TestSelection:
     def test_pure_gap_window(self):
         t = build_table([(1, 10, 0)])  # gap [10, 100)
-        w = POLICY.select(t.fragments(), 20, costs_from({1: 5.0}))
+        w = select(POLICY, t.fragments(), 20, costs_from({1: 5.0}))
         assert w is not None
         assert w.offset == 10 and w.p_score == 0.0
 
@@ -51,7 +52,7 @@ class TestSelection:
         # [ckpt1 10][ckpt2 10][ckpt3 10] + gap 70; need 80 → must take a
         # run including the gap plus one checkpoint: picks the cheapest run.
         t = build_table([(1, 10, 0), (2, 10, 10), (3, 10, 20)])
-        w = POLICY.select(t.fragments(), 80, costs_from({1: 9.0, 2: 9.0, 3: 0.0}))
+        w = select(POLICY, t.fragments(), 80, costs_from({1: 9.0, 2: 9.0, 3: 0.0}))
         assert w is not None
         # window [ckpt3, gap] has p=0
         assert w.p_score == 0.0
@@ -63,7 +64,7 @@ class TestSelection:
         entries = [(i, 10, i * 10) for i in range(10)]
         t = build_table(entries)
         s_map = {i: i for i in range(10)}  # farthest = ckpt 9
-        w = POLICY.select(t.fragments(), 10, costs_from({}, s_map))
+        w = select(POLICY, t.fragments(), 10, costs_from({}, s_map))
         assert w is not None
         assert w.offset == 90 and w.s_score == 9.0
 
@@ -72,14 +73,14 @@ class TestSelection:
         t = build_table(entries)
         p_map = {i: 0.0 if i == 2 else 5.0 for i in range(10)}
         s_map = {i: i for i in range(10)}
-        w = POLICY.select(t.fragments(), 10, costs_from(p_map, s_map))
+        w = select(POLICY, t.fragments(), 10, costs_from(p_map, s_map))
         assert w.offset == 20  # p wins over s
 
     def test_multi_fragment_window_sums_scores(self):
         entries = [(i, 10, i * 10) for i in range(10)]
         t = build_table(entries)
         p_map = {i: float(i) for i in range(10)}
-        w = POLICY.select(t.fragments(), 25, costs_from(p_map))
+        w = select(POLICY, t.fragments(), 25, costs_from(p_map))
         assert w is not None
         # cheapest run of three consecutive = [0,1,2] with p=3
         assert w.start == 0 and w.p_score == 3.0
@@ -89,8 +90,8 @@ class TestSelection:
         entries = [(i, 10, i * 10) for i in range(10)]
         t = build_table(entries)
         # barrier in the middle: windows cannot cross ckpt 4
-        w = POLICY.select(
-            t.fragments(), 35, costs_from({i: float(i) for i in range(10)}, barriers={4})
+        w = select(
+            POLICY, t.fragments(), 35, costs_from({i: float(i) for i in range(10)}, barriers={4})
         )
         assert w is not None
         assert not (w.start <= 4 < w.end)
@@ -98,34 +99,44 @@ class TestSelection:
     def test_all_barriers_returns_none(self):
         entries = [(i, 10, i * 10) for i in range(10)]
         t = build_table(entries)
-        w = POLICY.select(t.fragments(), 10, costs_from({}, barriers=set(range(10))))
+        w = select(POLICY, t.fragments(), 10, costs_from({}, barriers=set(range(10))))
         assert w is None
 
     def test_impossible_size_returns_none(self):
         t = build_table([(1, 10, 0)], capacity=50)
-        w = POLICY.select(t.fragments(), 60, costs_from({}))
+        w = select(POLICY, t.fragments(), 60, costs_from({}))
         assert w is None
 
     def test_limit_excludes_tail(self):
         entries = [(i, 10, i * 10) for i in range(10)]
         t = build_table(entries)
-        w = POLICY.select(t.fragments(), 10, costs_from({}, {i: i for i in range(10)}), limit=50)
+        w = select(POLICY, t.fragments(), 10, costs_from({}, {i: i for i in range(10)}), limit=50)
         assert w is not None
         assert w.offset + 10 <= 50
 
     def test_min_offset_excludes_head(self):
         entries = [(i, 10, i * 10) for i in range(10)]
         t = build_table(entries)
-        w = POLICY.select(t.fragments(), 10, costs_from({}), min_offset=60)
+        w = select(POLICY, t.fragments(), 10, costs_from({}), min_offset=60)
         assert w is not None
         assert w.offset >= 60
 
     def test_gaps_most_preferred(self):
         # [ckpt 10][gap 10][ckpt ...]: a window using the gap should win
         t = build_table([(1, 10, 0), (2, 10, 20), (3, 70, 30)])
-        w = POLICY.select(t.fragments(), 10, costs_from({}, {1: 50, 2: 50, 3: 50}))
+        w = select(POLICY, t.fragments(), 10, costs_from({}, {1: 50, 2: 50, 3: 50}))
         assert w is not None
         assert w.offset == 10 and w.p_score == 0.0 and w.s_score == 1000.0
+
+    def test_exact_p_sum_keeps_the_s_tie_break(self):
+        """A running float p-sum that subtracts 0.1 and 0.2 reads 2.8e-17
+        for the all-zero window [2, 4), which then loses to the zero window
+        [5, 7) whatever their s; the exact sum is 0.0 and s decides."""
+        t = build_table([(i, 1, i) for i in range(7)], capacity=7)
+        p_map = {0: 0.1, 1: 0.2}
+        s_map = {2: 9, 3: 9, 5: 1, 6: 1}
+        w = select(POLICY, t.fragments(), 2, costs_from(p_map, s_map, barriers={4}))
+        assert (w.start, w.end, w.p_score, w.s_score) == (2, 4, 0.0, 18.0)
 
 
 class TestMakeCostFn:
@@ -164,5 +175,17 @@ class TestComplexity:
             calls.append(frag)
             return FragmentCost(p=1.0, s=0.0, barrier=False)
 
-        POLICY.select(t.fragments(), 25, cost_of)
+        POLICY.select(t.fragments(), 25, costs_of(cost_of, t.fragments()))
         assert len(calls) <= n  # memoized: one evaluation per fragment
+
+    def test_memoised_scan_computes_no_cost(self):
+        """Over a fully memoised table the scan reads every cost inline."""
+        n = 2000
+        t = build_table([(i, 10, i * 10) for i in range(n)], capacity=10 * n)
+        costs = costs_of(lambda frag: FragmentCost(1.0, 0.0, False), t.fragments(), memoised=True)
+        fills = []
+        fill = costs.fill
+        costs.fill = lambda record: fills.append(record) or fill(record)
+        w = POLICY.select(t.fragments(), 25, costs)
+        assert w is not None and w.p_score == 3.0
+        assert fills == []

@@ -64,3 +64,36 @@ def test_detects_size_mismatch(engine, context):
         engine.gpu_cache.table.lookup(record.ckpt_id).size -= 1
     with pytest.raises(InvariantViolation):
         validate_engine(engine)
+
+
+def _cached_workload(engine, context):
+    """Fill the GPU cache with flushed checkpoints, then write one more: its
+    scan memoises the flushed members' costs, which no later event drops."""
+    for v in range(5):
+        engine.checkpoint(v, make_buffer(context, CKPT, seed=v))
+        engine.wait_for_flushes()
+    validate_engine(engine)
+
+
+def test_detects_stale_memoised_cost(engine, context):
+    from repro.core.scoring import BARRIER
+
+    _cached_workload(engine, context)
+    memo = engine.gpu_cache.costs[False].p
+    assert memo, "the evictions scanned the GPU cache"
+    ckpt_id, p = next(iter(memo.items()))
+    with engine.monitor:
+        memo[ckpt_id] = 0 if p == BARRIER else BARRIER  # a state change nobody announced
+    with pytest.raises(InvariantViolation, match="memoised p"):
+        validate_engine(engine)
+
+
+def test_detects_stale_hint_distance(engine, context):
+    _cached_workload(engine, context)
+    cached = [f.record.ckpt_id for f in engine.gpu_cache.table.fragments() if not f.is_gap]
+    engine.prefetch_enqueue(cached[-1])
+    engine.prefetch_enqueue(cached[0])
+    with engine.monitor:
+        engine.queue.hint_index()[cached[0]] = 0  # a distance move nobody announced
+    with pytest.raises(InvariantViolation, match="scores distance"):
+        validate_engine(engine)
