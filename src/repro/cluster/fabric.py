@@ -146,7 +146,7 @@ class ClusterFabric:
         """
         if not self.config.peer_reads:
             return None
-        if self.faults.enabled and self.faults.hard_outage("ssd"):
+        if self.faults.hard_outage("ssd"):
             return None
         chaos = self.membership.active
         if chaos:

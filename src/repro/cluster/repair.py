@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 from repro.cluster.directory import StoreKey
 from repro.core.hop import copy_whole
 from repro.errors import ReproError
-from repro.sched.request import TransferClass, TransferRequest
+from repro.sched.request import TransferClass
 
 if TYPE_CHECKING:
     from repro.cluster.fabric import ClusterFabric
@@ -129,10 +129,10 @@ class ReplicaRepairer:
         return work
 
     # -- copying -----------------------------------------------------------
-    def _request(self, key: StoreKey) -> Optional[TransferRequest]:
-        if not self.cluster.sched.enabled:
-            return None
-        return TransferRequest(self._tclass, engine_id=key[0])
+    def _request(self, key: StoreKey):
+        """The QoS tag of a repair copy: ``repair_class``, on the flow of the
+        key's home engine (``None`` when scheduling is off)."""
+        return self.cluster.sched.request(self._tclass, key[0])
 
     def _copy(self, key: StoreKey, sources: List[int], target: int) -> bool:
         """One repair copy onto ``target``'s SSD; True on success.

@@ -106,6 +106,11 @@ _LANDED_STATE = {
 }
 
 
+def _admit_all(_ckpt_id: int) -> float:
+    """Admission with no step contributed: nothing to wait for."""
+    return 0.0
+
+
 class ScoreEngine:
     """Checkpoint runtime for one process."""
 
@@ -135,22 +140,12 @@ class ScoreEngine:
         #: promotions likewise read SSD → GPU.  The host tier is unused.
         self.gpudirect = gpudirect
         cluster = context.node.cluster
-        #: shared-link QoS arbitration (no-op fleet unless
-        #: ``config.sched.enabled``); transfers are tagged with a
-        #: :class:`TransferRequest` via :meth:`_sched_request`.
+        #: shared-link QoS arbitration; ``sched.request`` is the one QoS-tag factory.
         self.sched = cluster.sched
         #: fault injection + self-healing: the cluster-wide fault domain and
-        #: per-tier circuit breakers.  ``resilient`` gates every handling
-        #: path; with it off the engine is bit-identical to the historical
-        #: runtime (``tests/test_faults_equivalence.py``).
+        #: per-tier circuit breakers, both inert unless enabled.
         self.faults = cluster.faults
         self.health = cluster.health
-        self.resilient = self.config.resilience.enabled
-        self.retry_policy = (
-            RetryPolicy(self.config.resilience, self.config.faults.seed)
-            if self.resilient
-            else None
-        )
         #: ``config.stream.enabled``: objects of two or more
         #: ``stream_chunk_bytes`` plan many chunks and overlap their stages;
         #: off, everything plans one.  Read through :meth:`chunks_for` only.
@@ -159,31 +154,12 @@ class ScoreEngine:
         #: remaining work and public entry points raise
         #: :class:`~repro.errors.InjectedCrash` until re-incarnation.
         self.crashed = threading.Event()
-        #: distributed checkpoint fabric (None unless ``config.cluster``
-        #: enables it): peer-SSD read routing, ring-replica targets, and
-        #: PFS write aggregation (:mod:`repro.cluster.fabric`).
-        self.fabric = getattr(cluster, "fabric", None)
-        #: SSD replica destinations ``(node_id, ssd, link)`` beyond the home
-        #: node: the fabric's ``replica_factor - 1`` ring successors.  Once
-        #: durable on the local SSD a copy also crosses the fabric to each,
-        #: so a full node failure loses nothing (Section 3.1's complementary
-        #: resilience strategy).
-        self.replica_targets = (
-            self.fabric.replica_targets(self.node_id) if self.fabric is not None else []
-        )
 
         self.monitor = Monitor(self.clock)
         self.telemetry: Telemetry = (
             getattr(context, "telemetry", None) or Telemetry.disabled()
         )
         self._app_track = f"p{self.process_id}-app"
-        if self.fabric is not None:
-            # Per-node trace lanes: stamp this engine's p<pid>-* tracks with
-            # its node id so Perfetto and `repro analyze` group per node.
-            self.telemetry.bus.bind_process(self.process_id, self.node_id)
-            # Membership needs the engine list so a node crash can kill
-            # every engine the node hosts.
-            self.fabric.membership.register_engine(self)
         #: causal tracing (:mod:`repro.telemetry.causal`): when
         #: ``config.analysis.enabled`` (and the bus records), every
         #: checkpoint/restore/prefetch chain gets an op id that rides on all
@@ -211,16 +187,12 @@ class ScoreEngine:
         #: hook name -> the registered observers' bound methods, in
         #: registration order; all empty with no feature on.
         self._hooks = {name: () for name in HOOKS}
-        self._build_features(cluster)
-        self._build_caches()
         #: consumer stream of the ``h2d`` hop of a store read that fills a GPU
         #: extent, mirroring the flush cascade in the opposite direction.
         self.promote_stream = self.device.create_stream("promote-h2d")
-        #: worker of the ``peer-hop`` stage of a read off a peer's SSD (fabric only).
-        self.peer_stream = (
-            self.device.create_stream("promote-peer") if self.fabric is not None else None
-        )
         self.flusher = Flusher(self)
+        self._build_features(cluster)
+        self._build_caches()
         self.prefetcher = Prefetcher(self)
         #: the read path's table of hops, per destination tier (whose trace
         #: track the first and last share): the store read (on the promoting
@@ -236,11 +208,16 @@ class ScoreEngine:
         }
 
     def _build_features(self, cluster) -> None:
-        """Construct the optional features and register the lifecycle
-        observers among them — the one place that reads their ``enabled``
-        flags.  The handles stay as attributes for the data-path calls that
-        return something, for :meth:`stats` and for the validator."""
+        """Construct the optional features — the one place that reads their
+        ``enabled`` flags.  The observers register for the lifecycle events;
+        resilience, QoS scheduling and the fabric pick a *path* by the rows
+        they contribute here (DESIGN.md §5 "Paths register").  The handles
+        stay for the data-path calls that return something and the validator."""
         config = self.config
+        resilience, scfg, flusher = config.resilience, config.sched, self.flusher
+        self.resilient = resilience.enabled
+        #: ``(key, fragment())`` pairs :meth:`stats` adds, one per feature.
+        self.stats_fragments = ()
         #: data-reduction pipeline (None unless ``config.reduce.enabled``);
         #: when present, physical (reduced) sizes flow into every placement,
         #: scoring and transfer decision at or below the reduction site.
@@ -256,9 +233,10 @@ class ScoreEngine:
                 # Durable recipe sidecar: with resilience on, encoded chunk
                 # recipes survive a crash so recover_history() can rebuild
                 # reduced checkpoints.
-                recipes=cluster.recipes if self.resilient else None,
+                recipes=cluster.recipes if resilience.enabled else None,
             )
             self.observe(self.reducer)
+            self.stats_fragments += (("reduction", self.reducer.stats),)
         #: online access-pattern prediction (None unless
         #: ``config.predict.enabled``); when present the hint queue is a
         #: SyntheticRestoreQueue whose predicted overlay feeds the
@@ -274,12 +252,13 @@ class ScoreEngine:
                 clock=self.clock,
             )
             self.observe(self.predict)
+            self.stats_fragments += (("prediction", self.predict.stats),)
         else:
             self.queue = RestoreQueue(telemetry=self.telemetry)
         #: the crash-consistent manifest journal ``recover_history()``
         #: replays (cluster-wide; this engine writes it through an observer).
         self.journal = cluster.journal
-        if self.resilient and config.resilience.journal:
+        if resilience.enabled and resilience.journal:
             self.observe(JournalObserver(self.journal, self.process_id, self.recovery_meta))
         #: live SLO tracking (None unless causal tracing records).  After
         #: the journal: a landing is journaled before it is stamped durable.
@@ -293,6 +272,54 @@ class ScoreEngine:
                 clock=self.clock,
             )
             self.observe(self.slo)
+
+        # -- the paths: the base rows, then what each feature contributes --
+        #: the links :meth:`read_source` tries in order, ``key -> store | None``.
+        self.read_chain = [self._ssd_copy, self._pfs_copy]
+        #: the step ``checkpoint()`` runs before it writes (seconds waited).
+        self.admit = _admit_all
+        #: the scrub-and-restage attempts of a restore that read a corrupt copy.
+        self.repair_attempts = 0
+        #: the flush legs' retry budget (``backoff_for`` reads it too).
+        self.retry_policy = None
+        self.pfs_put = None if self.pfs is None else partial(self.pfs.put, node_id=self.node_id)
+        self.fabric, self.replica_targets, self.peer_stream = None, [], None
+        if scfg.enabled:
+            if scfg.admission != "off":
+                self.admit = flusher.backpressure
+            flusher.stall_fragments += (self.sched.stall_report,)
+        if resilience.enabled:
+            self.retry_policy = RetryPolicy(resilience, config.faults.seed)
+            self.repair_attempts = 2
+            # Something can route around the local drive: gate it on health.
+            self.read_chain[0] = self._usable_ssd
+            flusher.policy = flusher.retrying
+            if resilience.reroute and self.pfs is not None:
+                flusher.durable_sinks += ("pfs",)
+            if resilience.reverify:
+                flusher.verify = flusher.reverify
+            if resilience.backfill:
+                flusher.catch_up = flusher.queue_backfill
+            self.stats_fragments += (("resilience", flusher.resilience_stats),)
+            flusher.stall_fragments += (flusher.resilience_report,)
+        if config.faults.enabled:
+            flusher.stall_fragments += (self.faults.stall_report,)
+        if config.cluster.enabled:
+            fabric = self.fabric = cluster.fabric  # (:mod:`repro.cluster.fabric`)
+            #: SSD replica destinations ``(node_id, ssd, link)``: the ring's next
+            #: ``replica_factor - 1`` nodes, so a node failure loses nothing (Section 3.1).
+            self.replica_targets = fabric.replica_targets(self.node_id)
+            self.pfs_put = partial(fabric.pfs_put, self.node_id)  # aggregated
+            self.read_chain[0] = self._usable_ssd
+            if config.cluster.peer_reads:
+                self.read_chain.insert(1, self._peer_copy)
+                #: worker of the ``peer-hop`` stage of a read off a peer's SSD.
+                self.peer_stream = self.device.create_stream("promote-peer")
+            # Per-node trace lanes (Perfetto, `repro analyze`), and the engine
+            # list a node crash kills.
+            self.telemetry.bus.bind_process(self.process_id, self.node_id)
+            fabric.membership.register_engine(self)
+        flusher.build()
 
     def _build_caches(self) -> None:
         context = self.context
@@ -470,30 +497,31 @@ class ScoreEngine:
         return store.level, store
 
     def read_source(self, key):
-        """Resolve ``key`` to the store a read should open: the one ordered
-        chain — usable local SSD, a fabric peer's SSD, the PFS, and last the
-        local SSD again so that a miss everywhere surfaces its error there.
+        """Resolve ``key`` to the store a read should open: the first one a link
+        of :attr:`read_chain` names, else the local SSD (a miss everywhere
+        surfaces its error there)."""
+        for link in self.read_chain:
+            store = link(key)
+            if store is not None:
+                return store
+        return self.ssd
 
-        The local drive is *usable* while it holds the blob and — where
-        something can route around it, i.e. with self-healing on or a
-        fabric — is neither inside a hard-outage window nor blacklisted by
-        its circuit breaker (``healthy`` never consumes the write-side
-        half-open probe).  With neither, reads stay on the local drive
-        whatever the fault plan says: the historical runtime, bit for bit.
-        """
+    def _ssd_copy(self, key):
+        return self.ssd if self.ssd.contains(key) else None
+
+    def _usable_ssd(self, key):
+        """The local copy unless the drive is in a hard outage or its breaker
+        is open (``healthy`` never consumes the write-side half-open probe)."""
         ssd = self.ssd
-        if ssd.contains(key) and not (
-            (self.resilient or self.fabric is not None)
-            and (self.faults.hard_outage("ssd") or not self.health.healthy(ssd.track))
-        ):
-            return ssd
-        if self.fabric is not None:
-            peer = self.fabric.peer_source(self.node_id, key)
-            if peer is not None:
-                return peer
-        if self.pfs is not None and self.pfs.contains(key):
-            return self.pfs
-        return ssd
+        if not ssd.contains(key) or self.faults.hard_outage("ssd"):
+            return None
+        return ssd if self.health.healthy(ssd.track) else None
+
+    def _peer_copy(self, key):
+        return self.fabric.peer_source(self.node_id, key)
+
+    def _pfs_copy(self, key):
+        return self.pfs if self.pfs is not None and self.pfs.contains(key) else None
 
     def adopt_foreign(self, home_pid: int, ckpt_id: int) -> CheckpointRecord:
         """Adopt another engine's durable checkpoint into this catalog.
@@ -572,7 +600,7 @@ class ScoreEngine:
         its commit (``before-*``) or after it (``after-*``), modeling a
         process killed between flush stages.
         """
-        if self.faults.enabled and self.faults.crash_point(point, record.ckpt_id):
+        if self.faults.crash_point(point, record.ckpt_id):
             self.crashed.set()
             with self.monitor:
                 self.monitor.notify_all()
@@ -622,26 +650,6 @@ class ScoreEngine:
                 return self.reducer.reconstruct(record, cache.level)
         return cache.read_payload(record, copy=False), 0.0
 
-    def _sched_request(
-        self,
-        tclass: TransferClass,
-        deadline: Optional[float] = None,
-        cancel_event=None,
-        op=NULL_OP,
-    ) -> Optional[TransferRequest]:
-        """A QoS-tagged transfer request, or ``None`` when scheduling is off
-        (untagged transfers take the link's own FIFO arbiter).  ``op`` ties
-        the transfer's sched queue wait to its operation's span DAG."""
-        if not self.sched.enabled:
-            return None
-        return TransferRequest(
-            tclass,
-            engine_id=self.process_id,
-            deadline=deadline,
-            cancel_event=cancel_event or threading.Event(),
-            op_id=op.op_id,
-        )
-
     # -- write path ------------------------------------------------------------------
     def checkpoint(
         self, ckpt_id: int, buffer: DeviceBuffer, producer: Optional[object] = None
@@ -658,8 +666,8 @@ class ScoreEngine:
         ``config.predict.enabled``.
 
         Under flush-backlog overload, ``SchedConfig`` admission control
-        applies first: ``"block"`` waits here until the backlog drains below
-        ``max_flush_backlog``, ``"shed"`` raises
+        applies first (the :attr:`admit` step): ``"block"`` waits here until
+        the backlog drains below ``max_flush_backlog``, ``"shed"`` raises
         :class:`~repro.errors.BackpressureError` without writing anything.
         """
         self._require_open()
@@ -671,7 +679,7 @@ class ScoreEngine:
             "checkpoint", self._app_track, op_id=op.op_id, ckpt=ckpt_id, bytes=nominal
         ):
             with op.stage("admission", CAT_QUEUE):
-                backpressured = self.flusher.backpressure(ckpt_id)
+                backpressured = self.admit(ckpt_id)
             with self.monitor:
                 record = self.catalog.create(ckpt_id, nominal, buffer.nominal_size, checksum)
                 self.notify("on_created", record, producer)
@@ -804,7 +812,7 @@ class ScoreEngine:
                 # Self-healing: CRC-scrub the at-rest copies, drop the
                 # corrupt ones, and re-stage from a surviving pristine copy
                 # before giving up.
-                if not (self.resilient and repairs < 2 and self._repair_corruption(record)):
+                if not (repairs < self.repair_attempts and self._repair_corruption(record)):
                     raise IntegrityError(
                         f"checkpoint {ckpt_id} payload corrupt: "
                         f"crc {actual:#010x} != {record.checksum:#010x}"
@@ -950,7 +958,7 @@ class ScoreEngine:
                     record, step, op,
                     # Highest class: jumps every queue and preempts
                     # in-flight speculative prefetches on the way.
-                    self._sched_request(TransferClass.DEMAND_READ, op=op),
+                    self.sched.request(TransferClass.DEMAND_READ, self.process_id, op_id=op.op_id),
                     "demand", blocking=True, allow_pinned=True,
                 )
                 if seconds is not None:
@@ -985,7 +993,9 @@ class ScoreEngine:
     def chunks_for(self, nbytes: int, store=None) -> int:
         """Chunks in the plan of one ``nbytes`` transfer, either direction:
         one unless streaming is on, or the source ``store`` is across the fabric
-        (which has no store-and-forward form) — and the object spans two or more."""
+        (which has no store-and-forward form) — and the object spans two or more.
+        ``stream.enabled`` stays a flag as each plan measured better where it runs
+        (EXPERIMENTS.md): one chunk on ``durable_demand``, many on ``transport_on``."""
         if not (self.streaming or (store is not None and store.across_fabric)):
             return 1
         return len(plan_chunks(nbytes, self.config.stream.stream_chunk_bytes))
@@ -1334,7 +1344,6 @@ class ScoreEngine:
 
     def stats(self) -> dict:
         """Counters for diagnostics and the benchmark harness."""
-        tallies = self.flusher.tallies()
         with self.monitor:
             stats = {
                 "process_id": self.process_id,
@@ -1347,22 +1356,11 @@ class ScoreEngine:
                 "forced_evictions": self.gpu_cache.forced_evictions
                 + self.host_cache.forced_evictions,
                 "promotions": self.prefetcher.promotions,
-                "abandoned_flushes": tallies["abandoned"],
+                "abandoned_flushes": self.flusher.tallies()["abandoned"],
                 "ssd_objects": self.ssd.object_count(),
             }
-            if self.reducer is not None:
-                stats["reduction"] = self.reducer.stats()
-            if self.predict is not None:
-                stats["prediction"] = self.predict.stats()
-            if self.resilient:
-                stats["resilience"] = {
-                    "flush_retries": tallies["retries"],
-                    "rerouted": tallies["rerouted"],
-                    "reflushed": tallies["reflushed"],
-                    "backfilled": tallies["backfilled"],
-                    "backfill_pending": self.flusher.backfill_depth,
-                    "breakers": self.health.snapshot(),
-                }
+            for key, fragment in self.stats_fragments:
+                stats[key] = fragment()
             return stats
 
     def close(self) -> None:
@@ -1372,9 +1370,9 @@ class ScoreEngine:
         self._closed = True
         self.prefetcher.stop()
         self.flusher.close()
-        self.promote_stream.close(drain=True)
-        if self.peer_stream is not None:
-            self.peer_stream.close(drain=True)
+        for leg in self.promote_legs[TierLevel.GPU]:  # the h2d hop's stream, the peer hop's
+            if leg.stream is not None:
+                leg.stream.close(drain=True)
 
     def __enter__(self) -> "ScoreEngine":
         return self

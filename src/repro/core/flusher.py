@@ -81,51 +81,24 @@ TALLIES = {
 }
 
 
+def _passed(*_args) -> bool:
+    """A row with nothing to do: a commit trusted, no catch-up queued."""
+    return True
+
+
 class Flusher:
     """The flush cascade of one engine."""
 
     def __init__(self, engine: "ScoreEngine") -> None:
         self.engine = engine
         self.telemetry = engine.telemetry
-        pid = engine.process_id
-        gds, pfs = engine.gpudirect, engine.flush_to_pfs
-        durable = ("ssd",)
-        if engine.resilient and engine.config.resilience.reroute and engine.pfs is not None:
-            durable += ("pfs",)  # where the durable hop goes while the SSD is dark
-        self.streams = {}
-
-        def row(stage, tier, body, source=None, sinks=(), on=None, exists=True) -> Leg:
-            on = on or stage
-            if exists and on not in self.streams:
-                self.streams[on] = engine.device.create_stream(f"flush-{on}")
-            return Leg(
-                engine, stage, f"p{pid}-flush-{on}", tier,
-                self.streams.get(on), body, source, sinks, self._retrying,
-            )
-
-        # The stage table, the one place a stage is spelled: its tier label,
-        # body, the cache level it flushes out of, its ordered sink chain (the
-        # engine's tiers by attribute name, looked up when the hop runs) and
-        # its stream (and track) — beside each row, whether schedule() walks it.
-        gpu, host = TierLevel.GPU, TierLevel.HOST
-        table = (
-            (row("d2h", "pcie", self._stage_d2h, gpu, ("host_cache",)), not gds),
-            (row("h2f", "ssd", self._stage_durable, host, durable), not gds),
-            # GPUDirect storage: the durable hop is also the producer (it DMAs
-            # each chunk across PCIe itself) and rides the d2h stream.
-            (row("d2s", "ssd", self._stage_durable, gpu, durable, on="d2h"), gds),
-            # Queued by the durable hop once it landed; not a pipeline stage.
-            (row("repl", "fabric", self._replicate, exists=bool(engine.replica_targets)), False),
-            # The PFS upgrade is two stages on two streams: the SSD read-back
-            # (f2r) produces for the PFS writer (f2p), so reads overlap writes.
-            (row("f2r", "ssd", self._stage_f2r, exists=pfs), pfs),
-            (row("f2p", "pfs", self._stage_f2p, sinks=("pfs",), exists=pfs), pfs),
-        )
-        self.legs = {leg.stage: leg for leg, _walked in table}
-        self.cascade = tuple(leg for leg, walked in table if walked)
-        self.d2h_stream = self.streams["d2h"]
-        self.h2f_stream = self.streams["h2f"]
-        self.f2p_stream = self.streams.get("f2p")
+        #: Rows ``ScoreEngine._build_features`` contributes before :meth:`build`:
+        #: the legs' retry/breaker ``policy``, the durable sinks (engine stores by
+        #: name), the post-commit check, the reroute's catch-up, stall-report lines.
+        self.policy = None
+        self.durable_sinks = ("ssd",)
+        self.verify = self.catch_up = _passed
+        self.stall_fragments = ()
         self._tally_lock = threading.Lock()
         for name in TALLIES:
             setattr(self, name, 0)
@@ -137,10 +110,6 @@ class Flusher:
         self._m_tallies = {
             name: registry.counter(metric) for name, metric in TALLIES.items() if metric
         }
-        # The read-back lands nothing (its chunks live in a bounce buffer).
-        self._m_bytes = {
-            stage: registry.counter(f"flush.{stage}.bytes") for stage in self.legs if stage != "f2r"
-        }
         self._m_ckpt_shed = registry.counter("engine.checkpoint.shed")
         self._m_ckpt_backpressure = registry.histogram("engine.checkpoint.backpressure_s")
         self._m_d2h_depth = registry.gauge("flush.d2h.depth")
@@ -151,6 +120,50 @@ class Flusher:
         self._stream_overlap_s = 0.0
         self._m_streamed = registry.counter("flush.stream.pipelines")
         self._m_overlap = registry.gauge("flush.stream.overlap_ratio")
+
+    def build(self) -> None:
+        """Lay the stage table out, from the rows contributed meanwhile."""
+        engine = self.engine
+        pid = engine.process_id
+        gds, pfs = engine.gpudirect, engine.flush_to_pfs
+        self.streams = {}
+
+        def row(stage, tier, body, source=None, on=None, exists=True) -> Leg:
+            on = on or stage
+            if exists and on not in self.streams:
+                self.streams[on] = engine.device.create_stream(f"flush-{on}")
+            return Leg(
+                engine, stage, f"p{pid}-flush-{on}", tier,
+                self.streams.get(on), body, source, self.policy,
+            )
+
+        # The stage table, the one place a stage is spelled: its tier label,
+        # body, the cache level it flushes out of and its stream (and track)
+        # — beside each row, whether schedule() walks it.
+        gpu, host = TierLevel.GPU, TierLevel.HOST
+        table = (
+            (row("d2h", "pcie", self._stage_d2h, gpu), not gds),
+            (row("h2f", "ssd", self._stage_durable, host), not gds),
+            # GPUDirect storage: the durable hop is also the producer (it DMAs
+            # each chunk across PCIe itself) and rides the d2h stream.
+            (row("d2s", "ssd", self._stage_durable, gpu, on="d2h"), gds),
+            # Queued by the durable hop once it landed; not a pipeline stage.
+            (row("repl", "fabric", self._replicate, exists=bool(engine.replica_targets)), False),
+            # The PFS upgrade is two stages on two streams: the SSD read-back
+            # (f2r) produces for the PFS writer (f2p), so reads overlap writes.
+            (row("f2r", "ssd", self._stage_f2r, exists=pfs), pfs),
+            (row("f2p", "pfs", self._stage_f2p, exists=pfs), pfs),
+        )
+        self.legs = {leg.stage: leg for leg, _walked in table}
+        self.cascade = tuple(leg for leg, walked in table if walked)
+        self.d2h_stream = self.streams["d2h"]
+        self.h2f_stream = self.streams["h2f"]
+        self.f2p_stream = self.streams.get("f2p")
+        registry = self.telemetry.registry
+        # The read-back lands nothing (its chunks live in a bounce buffer).
+        self._m_bytes = {
+            stage: registry.counter(f"flush.{stage}.bytes") for stage in self.legs if stage != "f2r"
+        }
         self._m_stall = {
             stage: registry.gauge(f"flush.{stage}.stall_time")
             for stage in self.legs
@@ -303,18 +316,16 @@ class Flusher:
             return True
 
     def backpressure(self, ckpt_id: int) -> float:
-        """Admission control for the write path.
+        """Admission control for the write path (QoS scheduling's ``admit`` step).
 
         Bounds how far ``checkpoint()`` may run ahead of the flush cascade:
         when the D2H flush stream holds ``max_flush_backlog`` or more
         pending flushes, either block (returning the nominal seconds spent
         waiting) or shed with :class:`BackpressureError` per
-        ``SchedConfig.admission``.  A no-op when scheduling is disabled.
+        ``SchedConfig.admission``.
         """
         engine = self.engine
         scfg = engine.config.sched
-        if not engine.sched.enabled or scfg.admission == "off":
-            return 0.0
         stream = self.d2h_stream
         if stream.depth < scfg.max_flush_backlog:
             return 0.0
@@ -340,42 +351,47 @@ class Flusher:
         pending = ", ".join(
             f"{link.name}={link.pending_bytes}B" for link in links if link.pending_bytes
         )
-        message = (
-            f"p{engine.process_id}: flushes still pending after {timeout:g}s "
-            f"(nominal); stream depths [{depths}]; "
-            f"in-flight link bytes [{pending or 'none'}]"
-        )
-        if engine.sched.enabled:
-            stalled = [s for s in engine.sched.snapshot() if s["depth"]]
-            message += f"; scheduler queues {stalled or 'all empty'}"
-        if engine.resilient:
-            message += (
-                f"; retries={self.retries} rerouted={self.rerouted} "
-                f"backfill_pending={self.backfill_depth}"
-                f"; breakers {engine.health.snapshot() or 'all closed'}"
-            )
-        if engine.faults.enabled:
-            message += f"; injected {engine.faults.snapshot()}"
-        return message
+        return "; ".join((
+            f"p{engine.process_id}: flushes still pending after {timeout:g}s (nominal)",
+            f"stream depths [{depths}]",
+            f"in-flight link bytes [{pending or 'none'}]",
+            *(fragment() for fragment in self.stall_fragments),
+        ))
 
     def close(self) -> None:
         for stream in self.streams.values():
             stream.close(drain=True)
 
-    # -- self-healing machinery ----------------------------------------------
-    def _retrying(self, leg: Leg, record: "CheckpointRecord", fn, breaker=None):
+    # -- self-healing machinery: resilience's rows ------------------------------
+    def resilience_stats(self) -> dict:
+        """Resilience's fragment of ``engine.stats()``."""
+        tallies = self.tallies()
+        return {
+            "flush_retries": tallies["retries"],
+            "rerouted": tallies["rerouted"],
+            "reflushed": tallies["reflushed"],
+            "backfilled": tallies["backfilled"],
+            "backfill_pending": self.backfill_depth,
+            "breakers": self.engine.health.snapshot(),
+        }
+
+    def resilience_report(self) -> str:
+        """Resilience's line of :meth:`stall_report`."""
+        return (
+            f"retries={self.retries} rerouted={self.rerouted} "
+            f"backfill_pending={self.backfill_depth}"
+            f"; breakers {self.engine.health.snapshot() or 'all closed'}"
+        )
+
+    def retrying(self, leg: Leg, record: "CheckpointRecord", fn, breaker=None):
         """The flush legs' policy (:meth:`Leg.attempt`): run one claim or
         charge on :func:`run_with_retries`, retrying injected transient faults.
 
-        A plain call when resilience is off — the transient error then
-        propagates into the stage's ``TransferError`` handling.  Each attempt
-        feeds the endpoint's circuit breaker when ``breaker`` names one;
-        exponential backoff with deterministic jitter is charged on the
-        virtual clock, inside a traced ``backoff`` stage.
+        Each attempt feeds the endpoint's circuit breaker when ``breaker``
+        names one; exponential backoff with deterministic jitter is charged
+        on the virtual clock, inside a traced ``backoff`` stage.
         """
         engine = self.engine
-        if engine.retry_policy is None and breaker is None:
-            return fn()
         op = record.op
 
         def back_off(attempt: int, delay: float, exc: Exception) -> None:
@@ -409,15 +425,12 @@ class Flusher:
     def _put_whole(self, leg: Leg, record: "CheckpointRecord", store, payload) -> None:
         """Whole-object put of the in-hand pristine payload on a durable
         store, under the leg's retry budget and the store's breaker: the
-        reverify re-put, and the one-chunk PFS commit.  Clustered, a PFS put
-        goes through the fabric's per-node write aggregator, where
+        reverify re-put, and the one-chunk PFS commit (``engine.pfs_put``:
+        clustered, through the fabric's per-node write aggregator, where
         concurrent whole-object flushes coalesce; the direct call has the
-        same timings and op count."""
+        same timings and op count)."""
         engine = self.engine
-        if store is engine.pfs and engine.fabric is not None:
-            put = partial(engine.fabric.pfs_put, engine.node_id)
-        else:
-            put = partial(store.put, node_id=engine.node_id)
+        put = engine.pfs_put if store is engine.pfs else partial(store.put, node_id=engine.node_id)
         leg.attempt(
             record,
             lambda: put(
@@ -431,19 +444,16 @@ class Flusher:
             breaker=store.track,
         )
 
-    def _reverify(self, leg: Leg, record: "CheckpointRecord", store, payload) -> bool:
-        """Post-commit CRC re-verification with bounded re-put.
+    def reverify(self, leg: Leg, record: "CheckpointRecord", store, payload) -> bool:
+        """Post-commit CRC re-verification with bounded re-put (``verify``).
 
         Scrubs the just-committed blob against the pristine CRC stamped at
         commit time; a mismatch (injected at-rest corruption) deletes the
         blob and re-puts it from the in-hand pristine payload, twice at
         most.  Persistent corruption leaves no blob and retracts the
-        journal entry.  Returns whether a verified copy is stored (always
-        ``True`` when resilience or reverify is off).
+        journal entry.  Returns whether a verified copy is stored.
         """
         engine = self.engine
-        if not (engine.resilient and engine.config.resilience.reverify):
-            return True
         key = engine.store_key(record)
         op = record.op
         with op.stage("reverify", CAT_RETRY, track=leg.track, tier=store.tier):
@@ -477,11 +487,15 @@ class Flusher:
             engine.dropped(record, store)
         return verified
 
+    def queue_backfill(self, record: "CheckpointRecord") -> None:
+        """Queue a catch-up copy of ``record`` from the PFS onto the SSD."""
+        with self._backfill_lock:
+            self._backfill.append(record)
+
     def backfill(self, record: "CheckpointRecord") -> None:
         """A restore dropped ``record``'s corrupt SSD copy: queue the same
         catch-up copy from the PFS a rerouted flush gets, and try it now."""
-        with self._backfill_lock:
-            self._backfill.append(record)
+        self.queue_backfill(record)
         self._drain_backfill()
 
     def _drain_backfill(self) -> None:
@@ -489,11 +503,9 @@ class Flusher:
 
         Pops queued records and copies their PFS blobs back onto the local
         SSD, breaker-gated; a failure (tier still dark) re-queues the record
-        and stops until the next drain opportunity.
+        and stops until the next drain opportunity (only resilience queues any).
         """
         engine = self.engine
-        if not engine.resilient:
-            return
         leg = self.legs["h2f"]  # the durable hop's track, whichever stage ran it
         breaker = engine.ssd.track
         while True:
@@ -647,7 +659,7 @@ class Flusher:
         # Claim host cache space (blocks for evictions as needed).
         with op.stage("reserve-host", CAT_RESERVE, track=leg.track):
             hop.claim(
-                getattr(engine, leg.sinks[0]), record, CkptState.WRITE_IN_PROGRESS,
+                engine.host_cache, record, CkptState.WRITE_IN_PROGRESS,
                 engine.device.d2h_link, blocking=True,
             )
         with engine.monitor:
@@ -722,10 +734,8 @@ class Flusher:
             self._m_bytes[stage].inc(wire)
             pipeline.landed = level
             hop.land(flushed=leg.source, track=leg.track)
-            if level is TierLevel.PFS and engine.config.resilience.backfill:
-                # Rerouted: queue a catch-up copy onto the SSD for its return.
-                with self._backfill_lock:
-                    self._backfill.append(record)
+            if level is TierLevel.PFS:
+                self.catch_up(record)  # rerouted: a copy onto the SSD for its return
             if upstream is None:
                 self._record_flush(record, started)
             engine._maybe_crash(f"after-{stage}", record)
@@ -767,9 +777,9 @@ class Flusher:
         return True
 
     def _durable_put(self, hop: Hop, payload):
-        """Land ``payload`` durably on the first store of the leg's sink
-        chain that takes it — the local SSD, then (resilience on, rerouting
-        on) the PFS — the write-side mirror of ``engine.read_source``.
+        """Land ``payload`` durably on the first store of the sink chain that
+        takes it — the local SSD, then (resilience's reroute) the PFS — the
+        write-side mirror of ``engine.read_source``.
 
         A store is left for the next when its breaker has it blacklisted,
         its retry budget is exhausted (it is dark: outage window, link
@@ -801,11 +811,11 @@ class Flusher:
             return True
 
         failure = None
-        for n, name in enumerate(leg.sinks):
+        for n, name in enumerate(self.durable_sinks):
             store, rerouted = getattr(engine, name), n > 0
             if rerouted:
                 self._rerouting(hop)
-            elif engine.resilient and not engine.health.allow(store.track):
+            elif not engine.health.allow(store.track):
                 # Blacklisted: don't feed the dark tier another doomed write.
                 failure = f"{store.tier} circuit breaker open"
                 continue
@@ -814,7 +824,7 @@ class Flusher:
                 with record.op.stage(*what, track=leg.track, tier=store.tier):
                     if not self._stream_put(hop, store, payload, take):
                         return None
-                if self._reverify(leg, record, store, payload):
+                if self.verify(leg, record, store, payload):
                     return store
                 failure = f"persistent corruption on {store.tier.upper()} put"
             except TransientTransferError as exc:
@@ -919,10 +929,10 @@ class Flusher:
             if record.discarded:
                 self._abandon(leg, record, "discarded before PFS flush")
                 return
-        pfs = getattr(engine, leg.sinks[0])
+        pfs = engine.pfs
         if pfs is None:
             return True
-        if engine.resilient and not engine.health.allow(pfs.track):
+        if not engine.health.allow(pfs.track):
             # The SSD copy is (or will be) durable; skip the dark PFS rather
             # than feed its breaker another doomed upgrade write.
             self._abandon(leg, record, "pfs circuit breaker open")
@@ -969,7 +979,7 @@ class Flusher:
                     return True
                 span.add(abandoned=True)
                 return
-            if not self._reverify(leg, record, pfs, payload):
+            if not self.verify(leg, record, pfs, payload):
                 self._abandon(leg, record, "persistent corruption on PFS put", span)
                 return
         self._m_bytes[stage].inc(wire)
@@ -998,7 +1008,7 @@ class Flusher:
         # byte-copy for node-failure recovery.
         stored = record.stored_size(TierLevel.SSD)
         targets = engine.replica_targets
-        if engine.fabric is not None and engine.fabric.membership.active:
+        if engine.fabric.membership.active:
             # Under node chaos, skip dead/partitioned targets instead of
             # burning retries into an offline SSD; the repairer restores
             # the factor once the target is back (or replaced).

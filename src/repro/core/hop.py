@@ -33,13 +33,14 @@ from repro.telemetry.causal import CAT_TRANSFER
 
 
 class Leg(NamedTuple):
-    """The standing description of one hop of one engine.  A flush leg
-    (``policy`` given: ``Flusher._retrying``) is ``CASCADE_FLUSH``: a charge
-    retries injected transient faults within the class's budget, rides the
-    record's op, and is tagged for QoS with ``record.cancel_flush`` as its
-    cancellation channel, so abandonment (condition (5)) interrupts a leg
-    mid-transfer or still queued in an arbiter.  A promotion leg charges
-    once, under the caller's tag and op: its callers re-resolve the source."""
+    """The standing description of one hop of one engine.  A flush leg (a row
+    with a ``body``) is ``CASCADE_FLUSH``: a charge rides the record's op and
+    is tagged for QoS with ``record.cancel_flush`` as its cancellation
+    channel, so abandonment (condition (5)) interrupts a leg mid-transfer or
+    still queued in an arbiter; with resilience on, its ``policy``
+    (``Flusher.retrying``) retries injected transient faults within the
+    class's budget.  A promotion leg charges once, under the caller's tag and
+    op: its callers re-resolve the source."""
 
     engine: Any
     stage: str  # the pipeline stage (and span) name
@@ -47,11 +48,10 @@ class Leg(NamedTuple):
     tier: Optional[str]  # the causal ``tier`` label of its charges
     # The stream of the worker that runs it (none: the calling thread).  Flush
     # cascade only: the stage body, the cache level it flushes out of
-    # (``flush_pending`` until it lands or fails), its sinks.
+    # (``flush_pending`` until it lands or fails), the retry/breaker policy.
     stream: Any = None
     body: Optional[Callable] = None
     source: Any = None
-    sinks: tuple = ()
     policy: Optional[Callable] = None
 
     def causal(self, op, tier: Optional[str] = None) -> dict:
@@ -62,15 +62,17 @@ class Leg(NamedTuple):
         return {"op_id": op.op_id, "category": CAT_TRANSFER, "tier": tier or self.tier}
 
     def request(self, record, tag=None):
-        """The QoS tag of one charge (``None`` when scheduling is off)."""
-        if self.policy is None:
+        """The QoS tag of one charge: a flush leg's own, a promotion leg's
+        caller's ``tag`` (``None`` when scheduling is off)."""
+        if self.body is None:
             return tag
-        return self.engine._sched_request(
-            TransferClass.CASCADE_FLUSH, cancel_event=record.cancel_flush
+        return self.engine.sched.request(
+            TransferClass.CASCADE_FLUSH, self.engine.process_id, cancel_event=record.cancel_flush
         )
 
     def attempt(self, record, fn, breaker=None):
-        """Run one claim or charge under the leg's retry/breaker policy."""
+        """Run one claim or charge under the leg's retry/breaker policy; with
+        none (resilience off, or a promotion leg) it is the plain call."""
         return fn() if self.policy is None else self.policy(self, record, fn, breaker)
 
 
@@ -82,7 +84,7 @@ class Hop:
     __slots__ = ("leg", "record", "pipeline", "op", "tag", "cancelled", "claims", "pinned", "done")
 
     def __init__(self, leg: Leg, record, pipeline=None, op=None, tag=None) -> None:
-        flush = leg.policy is not None
+        flush = leg.body is not None
         self.leg, self.record, self.pipeline, self.tag = leg, record, pipeline, tag
         self.op = record.op if flush else op
         self.cancelled = record.cancel_flush if flush else None

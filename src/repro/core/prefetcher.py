@@ -324,7 +324,7 @@ class Prefetcher:
             else TransferClass.SPECULATIVE_PREFETCH
         )
         deadline = engine.clock.now() + distance * scfg.hint_spacing_s
-        return engine._sched_request(tclass, deadline=deadline, op=op)
+        return engine.sched.request(tclass, engine.process_id, deadline=deadline, op_id=op.op_id)
 
     # -- task selection (monitor held) ------------------------------------------
     def _pick_task(self, hop: TierLevel) -> Optional[Task]:

@@ -171,6 +171,10 @@ class FaultDomain:
             self.telemetry.registry.counter("faults.crashes").inc()
         return True
 
+    def stall_report(self) -> str:
+        """A flush stall report's line on what was injected so far."""
+        return f"injected {self.snapshot()}"
+
     def snapshot(self) -> dict:
         with self._lock:
             return {

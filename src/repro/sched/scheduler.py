@@ -431,6 +431,26 @@ class SchedContext:
     def enabled(self) -> bool:
         return self.config.enabled
 
+    def request(
+        self, tclass: TransferClass, engine_id: int, *, deadline=None, cancel_event=None,
+        op_id=None,
+    ) -> Optional[TransferRequest]:
+        """The one factory of QoS tags: a :class:`TransferRequest` on the
+        flow of ``engine_id``, or ``None`` when scheduling is off (untagged
+        transfers take the link's own FIFO arbiter).  ``op_id`` ties the
+        transfer's queue wait to its operation's span DAG."""
+        if not self.config.enabled:
+            return None
+        return TransferRequest(
+            tclass, engine_id=engine_id, deadline=deadline,
+            cancel_event=cancel_event or threading.Event(), op_id=op_id,
+        )
+
+    def stall_report(self) -> str:
+        """A flush stall report's line on the arbiters: the queues not empty."""
+        stalled = [s for s in self.snapshot() if s["depth"]]
+        return f"scheduler queues {stalled or 'all empty'}"
+
     def attach(self, link: "Link") -> None:
         """Arbitrate ``link`` (no-op when scheduling is disabled)."""
         if not self.config.enabled or link.scheduler is not None:

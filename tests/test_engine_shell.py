@@ -1,17 +1,25 @@
-"""The engine shell: lifecycle observers, the two epilogues, feature combos.
+"""The engine shell: lifecycle observers, the two epilogues, the paths
+register, feature combos.
 
 ``ScoreEngine.landed`` / ``ScoreEngine.dropped`` are the only places a copy
 comes into or goes out of existence, and the optional features (reduction,
 manifest journal, prediction, SLO) hear about it as registered observers.
 These tests record what an extra observer sees on an all-features-on engine
-across the scenarios that used to spell the epilogue out by hand, and check
-that the all-on engine restores the same bytes as the all-off one.
+across the scenarios that used to spell the epilogue out by hand.  The
+features that pick a path (resilience, QoS scheduling, the fabric) instead
+contribute rows to tables built once in ``_build_features``: one flag on
+must build the base tables plus exactly that feature's rows.  And the
+feature combinations — all on, and an all-pairs covering set — restore the
+same bytes as the all-off engine.
 """
+
+from itertools import combinations
 
 import pytest
 
 from repro.config import (
     AnalysisConfig,
+    ClusterConfig,
     FaultConfig,
     PredictConfig,
     ReduceConfig,
@@ -21,6 +29,7 @@ from repro.config import (
 )
 from repro.core.engine import HOOKS, ScoreEngine
 from repro.core.validator import validate_engine
+from repro.sched.request import TransferClass
 from repro.tiers.base import TierLevel
 from repro.tiers.topology import Cluster
 from repro.util.units import MiB
@@ -262,3 +271,156 @@ def test_all_features_on_restores_what_all_off_restores():
     assert written_on == written_off
     assert restored_off == written_off
     assert restored_on == restored_off
+
+
+# -- the paths register ------------------------------------------------------------
+
+#: one feature's switch: the config changes that turn it on.
+FEATURES = {
+    "stream": dict(stream=StreamConfig(enabled=True)),
+    "sched": dict(sched=SchedConfig(enabled=True)),
+    "reduce": dict(reduce=ReduceConfig(enabled=True)),
+    "resilience": dict(resilience=ResilienceConfig(enabled=True)),
+    "predict": dict(predict=PredictConfig(enabled=True)),
+    "analysis": dict(telemetry=True, analysis=AnalysisConfig(enabled=True)),
+    "cluster": dict(num_nodes=2, cluster=ClusterConfig(enabled=True, replica_factor=2)),
+}
+
+
+def _config(*names):
+    changes = {}
+    for name in names:
+        changes.update(FEATURES[name])
+    return tiny_config(**changes)
+
+
+def _tables(engine):
+    """The tables ``_build_features`` lays out, by row name, in order."""
+    flusher = engine.flusher
+    return {
+        "cascade": [leg.stage for leg in flusher.cascade],
+        "streams": list(flusher.streams),  # the rows that run: ``repl`` too
+        "policy": {getattr(leg.policy, "__name__", None) for leg in flusher.legs.values()},
+        "sinks": list(flusher.durable_sinks),
+        "verify": flusher.verify.__name__,
+        "catch_up": flusher.catch_up.__name__,
+        "pfs_put": engine.pfs_put.func.__qualname__,
+        "read": [link.__name__ for link in engine.read_chain],
+        "tagged": engine.sched.request(TransferClass.DEMAND_READ, engine.process_id) is not None,
+        "admission": engine.admit.__qualname__,
+        "repairs": engine.repair_attempts,
+        "stats": [key for key, _fragment in engine.stats_fragments],
+        "stall": [fragment.__qualname__ for fragment in flusher.stall_fragments],
+    }
+
+
+BASE = {
+    "cascade": ["d2h", "h2f", "f2r", "f2p"],
+    "streams": ["d2h", "h2f", "f2r", "f2p"],
+    "policy": {None},
+    "sinks": ["ssd"],
+    "verify": "_passed",
+    "catch_up": "_passed",
+    "pfs_put": "ObjectStore.put",
+    "read": ["_ssd_copy", "_pfs_copy"],
+    "tagged": False,
+    "admission": "_admit_all",
+    "repairs": 0,
+    "stats": [],
+    "stall": [],
+}
+
+#: what one feature adds to (or, for a chain link, puts in place in) BASE.
+ROWS = {
+    "resilience": {
+        "policy": {"retrying"},
+        "sinks": ["ssd", "pfs"],  # the reroute
+        "verify": "reverify",
+        "catch_up": "queue_backfill",
+        "read": ["_usable_ssd", "_pfs_copy"],  # the health gate
+        "repairs": 2,
+        "stats": ["resilience"],
+        "stall": ["Flusher.resilience_report"],
+    },
+    "sched": {
+        "tagged": True,
+        "admission": "Flusher.backpressure",
+        "stall": ["SchedContext.stall_report"],
+    },
+    "cluster": {
+        "streams": ["d2h", "h2f", "repl", "f2r", "f2p"],
+        "pfs_put": "ClusterFabric.pfs_put",
+        "read": ["_usable_ssd", "_peer_copy", "_pfs_copy"],
+    },
+    "reduce": {"stats": ["reduction"]},
+    "predict": {"stats": ["prediction"]},
+    "analysis": {},
+}
+
+
+@pytest.mark.parametrize("feature", [None, *ROWS], ids=lambda feature: feature or "base")
+def test_one_flag_builds_the_base_tables_plus_its_rows(feature):
+    """A feature combination is a union of rows: built with one flag on,
+    the tables are the base tables plus exactly that feature's rows, by
+    names and order — so nothing outside ``_build_features`` has to ask
+    which feature is on."""
+    with Cluster(_config(*[feature] if feature else [])) as cluster:
+        with ScoreEngine(cluster.process_contexts()[0], flush_to_pfs=True) as engine:
+            assert _tables(engine) == {**BASE, **ROWS.get(feature, {})}
+            assert (engine.fabric is None) == (engine.peer_stream is None) == (feature != "cluster")
+
+
+def test_resilience_off_an_ssd_outage_queues_no_backfill():
+    """Without resilience nothing reroutes, so the backfill drain that runs
+    unconditionally finds its queue empty: the dark SSD just abandons."""
+    cfg = tiny_config(faults=FaultConfig(enabled=True, tier_outages=(("ssd", 0.0, 1000.0, 0.0),)))
+    with Cluster(cfg) as cluster:
+        cluster.faults.clock = FaultClock(0.0)
+        ctx = cluster.process_contexts()[0]
+        with ScoreEngine(ctx, flush_to_pfs=True) as engine:
+            engine.checkpoint(0, make_buffer(ctx, CKPT, seed=0))
+            engine.wait_for_flushes(timeout=600.0)
+            assert engine.catalog.get(0).durable_level is None
+            assert engine.flusher.abandoned == 1 and engine.flusher.rerouted == 0
+            assert engine.flusher.backfill_depth == 0
+            validate_engine(engine)
+
+
+# -- feature combinations ----------------------------------------------------------
+
+def _pairwise_rows(names):
+    """Six runs covering every pair of ``names`` (up to ten) in all four on/off
+    combinations: feature *i* is on in the runs its column names — a distinct
+    3-subset of runs 1–5, so two columns share one or two runs.  Run 0 is
+    all-off."""
+    columns = dict(zip(names, combinations(range(1, 6), 3)))
+    return [{name for name in names if run in columns[name]} for run in range(6)]
+
+
+PAIRWISE = _pairwise_rows(FEATURES)
+
+
+def test_pairwise_rows_cover_every_pair():
+    assert PAIRWISE[0] == set()
+    for a, b in combinations(FEATURES, 2):
+        seen = {(a in row, b in row) for row in PAIRWISE}
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}, (a, b)
+
+
+@pytest.fixture(scope="module")
+def all_off_shot():
+    return _run_shot(tiny_config())
+
+
+@pytest.mark.parametrize(
+    "features", PAIRWISE[1:], ids=["+".join(sorted(row)) for row in PAIRWISE[1:]]
+)
+def test_pairwise_feature_matrix_restores_what_all_off_restores(features, all_off_shot):
+    """Every pair of stream × sched × reduce × resilience × predict ×
+    analysis × cluster (two nodes, a replica ring) runs on together in one of
+    five shots; each must restore checksum-identical payloads to the all-off
+    shot and end with ``validate_engine`` clean."""
+    written_off, restored_off = all_off_shot
+    written, restored = _run_shot(_config(*sorted(features)))
+    assert written == written_off
+    assert restored == restored_off == written_off

@@ -9,7 +9,7 @@ lives in ``tests/test_faults_recovery.py``.
 
 import pytest
 
-from repro.config import ConfigError, FaultConfig, ResilienceConfig
+from repro.config import CRASH_STAGES, ConfigError, FaultConfig, ResilienceConfig
 from repro.errors import TierOfflineError, TransferError, TransientTransferError
 from repro.faults import (
     CircuitBreaker,
@@ -334,6 +334,16 @@ class TestHealthRegistry:
         assert reg.healthy("node0-ssd")
         assert reg.snapshot() == {}
 
+    def test_disabled_gates_stay_open_past_any_threshold(self):
+        """The flusher calls ``allow`` with resilience off too: a disabled
+        registry is what keeps that the historical, ungated write."""
+        reg = HealthRegistry(ResilienceConfig(enabled=False, breaker_threshold=1), fast_clock())
+        for name in ("node0-ssd", "pfs"):
+            reg.failure(name)
+            reg.failure(name)
+            assert reg.allow(name) and reg.healthy(name) and reg.allow(name)
+        assert reg.snapshot() == {}
+
     def test_enabled_tracks_per_tier(self):
         reg = HealthRegistry(
             ResilienceConfig(enabled=True, breaker_threshold=2), fast_clock()
@@ -382,6 +392,20 @@ class TestFaultDomain:
         link = FakeLink()
         dom.attach(link)
         assert link.fault_injector is None
+
+    def test_disabled_domain_never_fires_an_armed_plan(self):
+        """The engine's crash points and the fabric's peer-read gate ask the
+        domain with injection off too: an armed but disabled plan is inert."""
+        dom = self.make(
+            FaultConfig(
+                enabled=False, crash_point="h2f", tier_outages=(("ssd", 0.0, 10.0, 0.0),)
+            )
+        )
+        for stage in CRASH_STAGES:
+            for point in (stage, f"before-{stage}", f"after-{stage}"):
+                assert not dom.crash_point(point, 0)
+        assert not dom.hard_outage("ssd")
+        assert dom.snapshot() == {"outage_hits": 0, "corruptions": 0, "crashes": 0}
 
     def test_meta_crc_follows_either_switch(self):
         assert self.make(FaultConfig(enabled=True)).meta_crc

@@ -10,7 +10,8 @@ refused non-blocking claim) × both chunk plans.  After each: no reserved
 extent is left (``validate_engine``), no copy stays ``flush_pending`` or
 ``read_pinned``, the failed stage is failed and its neighbours are released
 (``wait_for_flushes`` returns), a flush counts exactly one abandonment, and
-the sink's circuit breaker is fed once per failed attempt.
+the sink's circuit breaker is fed once per failed attempt — with resilience
+on; off, a flush leg's attempt is the plain call and feeds no breaker.
 
 Plus: the stage table equals the four cascade orders, and an exception a
 stage was not written to expect is counted, traced and logged instead of
@@ -216,8 +217,8 @@ COMMIT_FAULT = TransferError("injected commit failure")
 
 
 def _flush_case(engine, cluster, hop, point, how, chunk):
-    """``(object, method, exception, call index, cancels?)`` of one cell,
-    the breaker it should feed, and the durable level it should leave."""
+    """``(object, method, exception, call index)`` of one cell, and the
+    breaker it feeds with resilience on."""
     ssd, pfs = engine.ssd, engine.pfs
     sink, link = {
         "d2h": (engine.host_cache, engine.device.d2h_link),
@@ -253,7 +254,26 @@ FLUSH_CELLS = [
 @both_chunk_plans
 @pytest.mark.parametrize("hop,point,how", FLUSH_CELLS)
 def test_flush_hop_failure_leaves_nothing_behind(monkeypatch, stream, hop, point, how):
-    changes = dict(stream=stream)
+    # Resilience off: the legs are the plain call and feed no breaker.
+    fed, _breaker = _flush_cell(monkeypatch, stream, hop, point, how)
+    assert fed == []
+
+
+@both_chunk_plans
+@pytest.mark.parametrize("hop,point,how", FLUSH_CELLS)
+def test_flush_hop_failure_feeds_its_breaker_once(monkeypatch, stream, hop, point, how):
+    """Resilience on, with no retry and no reroute: each cell is one failed
+    attempt, fed to the breaker its hop × failure point names (claims and
+    store-put chunks the sink's, replication none), and still abandons."""
+    resilience = ResilienceConfig(enabled=True, reroute=False, max_retries=0)
+    fed, breaker = _flush_cell(monkeypatch, stream, hop, point, how, resilience=resilience)
+    assert fed == ([breaker] if breaker else [])
+
+
+def _flush_cell(monkeypatch, stream, hop, point, how, **changes):
+    """Run one cell of the matrix and check the contract; returns the
+    breakers fed a failure and the one the cell should feed."""
+    changes.update(stream=stream)
     if hop == "repl":
         changes.update(num_nodes=2, cluster=ClusterConfig(enabled=True, replica_factor=2))
     chunk = 3 if stream.enabled and hop != "repl" else 0  # a replica is copied whole
@@ -278,8 +298,6 @@ def test_flush_hop_failure_leaves_nothing_behind(monkeypatch, stream, hop, point
             # quietly.  (A cancel is seen by whichever stage holds a link.)
             assert engine.flusher.abandoned == 1 or how == "cancel"
             assert engine.flusher.abandoned >= 1
-            # The breaker is fed once per failed attempt (resilience off: one).
-            assert fed["failure"] == ([breaker] if breaker else [])
             (pipeline,) = built
             stage = "f2p" if (hop == "f2r" and how == "cancel") else hop
             if hop != "repl" and how != "cancel":
@@ -300,6 +318,7 @@ def test_flush_hop_failure_leaves_nothing_behind(monkeypatch, stream, hop, point
             out = ctx.device.alloc_buffer(CKPT)
             engine.restore(0, out)
             assert out.checksum() == expected
+    return fed["failure"], breaker
 
 
 @both_chunk_plans

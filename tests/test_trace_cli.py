@@ -111,6 +111,10 @@ def test_analyze_diff_between_saved_logs(tmp_path, capsys):
         ["--outage", "ssd:10:5"],  # malformed spec
         ["--crash-point", "during-lunch"],  # a plan FaultConfig rejects
         ["--fault-rate", "1.5"],
+        # Well-formed specs whose values only FaultConfig checks.
+        ["--cluster", "2", "--node-crash", "1@5:meltdown"],
+        ["--cluster", "2", "--partition", "1-1@0:5"],
+        ["--cluster", "2", "--node-crash=-1@5"],
     ],
 )
 @pytest.mark.parametrize("main", [trace_cli.main, analysis_cli.main], ids=["trace", "analyze"])

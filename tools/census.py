@@ -3,13 +3,20 @@
 
 Run from the repository root: ``python3 tools/census.py``.  Prints the size of
 ``src/`` and its six largest files, and the grep counts the open items track;
-exits non-zero when one of the four hard ones is off — a wall-clock read outside
+exits non-zero when one of the five hard ones is off — a wall-clock read outside
 ``clock.py`` (ROADMAP item 1), more than five thread-creation sites (items 1,
 2: every thread that exists must be known to the runtime), a second caller
 of ``promote_once`` (item 7: the demand restore and both prefetch workers run
-it through one step), or any mention of ``cost_cache_enabled`` (the eviction
+it through one step), any mention of ``cost_cache_enabled`` (the eviction
 costs are pushed by the events that change them; there is no unmemoised
-second path to switch to).
+second path to switch to), or more than six path-picking reads in ``core/``
+(item 7: a feature's path is a row ``ScoreEngine._build_features`` lays out
+once, not a test of its flag at each edge; what is left are the reducer's
+data-path calls, the validator's reduction checks and ``chunks_for``'s plan).
+A path-picking read is a feature's flag or handle tested, however it is
+reached (``engine.resilient``, ``config.resilience.enabled``, a local
+``scfg.enabled``, ``peer_reads`` …); the body of ``_build_features``, the
+one place meant to read them, is not counted.
 """
 
 import re
@@ -18,19 +25,34 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FILES = sorted(SRC.rglob("*.py"))
-FEATURES = r"(predict|reducer|slo|retry_policy|fabric) is (not )?None"
+#: a read that asks which feature is on: a feature flag or handle tested.
+PATH_PICKS = (
+    r"\b(self|engine)\.(resilient|streaming)\b(?!\s*=[^=])|\bsched\.enabled\b|\bfaults\.enabled\b"
+    r"|\b(predict|reducer|slo|retry_policy|fabric|peer_stream) is (not )?None"
+    r"|config\.resilience\.(reroute|reverify|backfill|journal)"
+    r"|\b(resilience|scfg|cluster)\.enabled\b|\bresilience\.(reroute|reverify|backfill|journal)\b"
+    r"|\bpeer_reads\b"
+)
 
 
-def sites(pattern, files=FILES, skip=()):
-    """``path:line`` of every source line matching ``pattern``."""
+def sites(pattern, files=FILES, skip=(), outside=None):
+    """``path:line`` of every source line matching ``pattern``, comments and
+    the body of the function named ``outside`` left out."""
     regex = re.compile(pattern)
-    return [
-        f"{path.relative_to(SRC.parent)}:{number}"
-        for path in files
-        if path.name not in skip
-        for number, line in enumerate(path.read_text().splitlines(), 1)
-        if regex.search(line) and not line.lstrip().startswith("#")
-    ]
+    found = []
+    for path in files:
+        if path.name in skip:
+            continue
+        body = None  # the indent of the ``outside`` def being skipped
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            indent = len(line) - len(line.lstrip())
+            if body is not None and line.strip() and indent <= body:
+                body = None
+            if outside and re.match(rf"\s*def {outside}\(", line):
+                body = indent
+            if body is None and regex.search(line) and not line.lstrip().startswith("#"):
+                found.append(f"{path.relative_to(SRC.parent)}:{number}")
+    return found
 
 
 def main() -> int:
@@ -45,7 +67,7 @@ def main() -> int:
         "threading.Thread( sites": sites(r"threading\.Thread\("),
         "broad except sites": sites(r"except (Exception|BaseException)\b|except:"),
         "time.monotonic reads outside clock.py": sites(r"time\.monotonic\(", skip=("clock.py",)),
-        "feature-handle reads in core/": sites(FEATURES, core),
+        "path-picking reads in core/": sites(PATH_PICKS, core, outside="_build_features"),
         "copy_object( callers outside tiers/base.py": sites(r"copy_object\(", skip=("base.py",)),
         "open_put( callers outside tiers/": sites(r"(?<!def )open_put\(", outside_tiers),
         ".release(record) call sites": sites(r"\.release\(record\)"),
@@ -64,6 +86,7 @@ def main() -> int:
         "threading.Thread( sites": 5,
         "promote_once( call sites": 1,
         "cost_cache_enabled mentions": 0,
+        "path-picking reads in core/": 6,
     }
     failed = [what for what, limit in hard.items() if len(counts[what]) > limit]
     for what in failed:
