@@ -26,9 +26,8 @@ from repro.config import HardwareSpec, SloConfig
 from repro.errors import ConfigError
 from repro.log import enable_console_logging
 from repro.telemetry.bus import TraceEvent
-from repro.telemetry.cli import faults_from_args, live_run_flags, run_trace
+from repro.telemetry.cli import add_knob_flags, from_flags, live_run, live_run_flags, run_trace
 from repro.telemetry.exporters import read_jsonl
-from repro.workloads.patterns import RestoreOrder
 
 
 def _scaled_ssd(hardware: HardwareSpec, factor: float) -> HardwareSpec:
@@ -46,30 +45,8 @@ def _load_events(target: str, args, slo: SloConfig) -> List[TraceEvent]:
         return read_jsonl(target)
     hardware = None
     if args.ssd_bandwidth_factor != 1.0:
-        if args.ssd_bandwidth_factor <= 0:
-            raise ConfigError(
-                f"--ssd-bandwidth-factor must be positive: {args.ssd_bandwidth_factor}"
-            )
         hardware = _scaled_ssd(HardwareSpec(), args.ssd_bandwidth_factor)
-    out = run_trace(
-        target,
-        out_dir=args.out_dir,
-        snapshots=args.snapshots,
-        processes=args.processes,
-        order=RestoreOrder(args.order),
-        seed=args.seed,
-        sched=args.sched,
-        reduce=args.reduce,
-        stream=args.stream,
-        similarity=args.similarity,
-        faults=faults_from_args(args),
-        resilient=args.resilient,
-        analysis=True,
-        slo=slo,
-        hardware=hardware,
-        predict=args.predict,
-        cluster_nodes=args.cluster,
-    )
+    out = run_trace(target, **live_run(args), analysis=True, slo=slo, hardware=hardware)
     return read_jsonl(out["jsonl"])
 
 
@@ -111,30 +88,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="scale SSD read/write bandwidth in live runs (e.g. 0.5 to "
         "inject a half-speed SSD for --diff experiments)",
     )
-    # SLO knobs
-    parser.add_argument("--slo-durability", type=float, default=None, metavar="S",
-                        help="durability-latency target in nominal seconds")
-    parser.add_argument("--slo-restore", type=float, default=None, metavar="S",
-                        help="demand-restore-latency target in nominal seconds")
-    parser.add_argument("--slo-objective", type=float, default=None,
-                        help="fraction of ops that must meet the target")
-    parser.add_argument("--slo-window", type=float, default=None, metavar="S",
-                        help="rolling window in nominal seconds")
-    parser.add_argument("--slo-burn", type=float, default=None,
-                        help="burn-rate alert threshold")
+    add_knob_flags(parser, SloConfig, defaults=False)
     args = parser.parse_args(argv)
     if args.verbose:
         enable_console_logging(logging.DEBUG)
 
-    slo_changes = {
-        "durability_target_s": args.slo_durability,
-        "restore_target_s": args.slo_restore,
-        "objective": args.slo_objective,
-        "window_s": args.slo_window,
-        "burn_rate_threshold": args.slo_burn,
-    }
     try:
-        slo = SloConfig(**{k: v for k, v in slo_changes.items() if v is not None})
+        slo = from_flags(SloConfig, args)
         events = _load_events(args.target, args, slo)
         report = analyze_events(events, slo=slo, top=args.top)
         diff = None

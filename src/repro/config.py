@@ -16,99 +16,159 @@ along two independent axes:
 
 Both default to 1 (full fidelity); experiment presets pick aggressive values
 so a full shot runs in under a second of wall time.
+
+Each knob declares its constraint once, on its field (:func:`knob`), and
+:func:`validate` checks them all; a ``__post_init__`` adds only the rules
+that relate two fields.  A knob's ``flag`` makes it a flag of ``repro
+trace``/``analyze`` (:mod:`repro.telemetry.cli`), worded by its ``help``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Optional
 
 from repro.errors import ConfigError
 from repro.util.units import GiB, KiB, MiB, TiB, parse_size
 
+#: a check returns ``None`` for a value that passes, else what it must be.
+Check = Callable[[object], Optional[str]]
+
+
+def _check(text: str, ok: Callable[[object], bool]) -> Check:
+    return lambda value: None if ok(value) else text
+
+
+positive = _check("positive", lambda v: v > 0)
+non_negative = _check(">= 0", lambda v: v >= 0)
+node_id = _check("an int >= 0", lambda v: isinstance(v, int) and v >= 0)
+
+
+def at_least(n) -> Check:
+    return _check(f">= {n}", lambda v: v >= n)
+
+
+def within(interval: str) -> Check:
+    """In ``interval``, written as in maths: ``"(0, 1]"`` is ``0 < v <= 1``."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return _check(f"in {interval}", lambda v: (lo < v if interval[0] == "(" else lo <= v)
+                  and (v < hi if interval[-1] == ")" else v <= hi))
+
+
+def one_of(*choices) -> Check:
+    """One of ``choices``; a lone callable returns them when a value is
+    checked (a lazy import, cycle-free)."""
+
+    def check(value):
+        allowed = choices[0]() if callable(choices[0]) else choices
+        return None if value in allowed else f"one of {sorted(allowed)}"
+
+    return check
+
+
+def optional(check: Check) -> Check:
+    """``None``, or a value ``check`` passes."""
+    return lambda v: None if v is None or not check(v) else f"{check(v)} or None"
+
+
+def tuple_of(**columns: Optional[Check]) -> Check:
+    """A tuple, never a bare string (its characters would pass for entries).
+    With ``columns``, each entry is a tuple of one item per column, each
+    passing its column's check (``None``: any)."""
+
+    def check(value):
+        if not isinstance(value, tuple):
+            return "a tuple"
+        for index, entry in enumerate(value if columns else ()):
+            if not isinstance(entry, tuple) or len(entry) != len(columns):
+                return f"a tuple of ({', '.join(columns)}) tuples, unlike entry {index}"
+            for (name, item_check), item in zip(columns.items(), entry):
+                text = item_check and item_check(item)
+                if text:
+                    return f"a tuple whose entry {index} has {name} {text}"
+        return None
+
+    return check
+
+
+def knob(default, check: Optional[Check] = None, *, help: str = "", flag: str = ""):
+    """A field with its constraint and, for a command-line knob, its flag
+    (option string, then any metavar) and help text."""
+    return field(default=default, metadata={"check": check, "help": help, "flag": flag})
+
+
+def validate(config) -> None:
+    """Raise :class:`ConfigError` naming the first field its check rejects."""
+    for spec in fields(config):
+        value = getattr(config, spec.name)
+        text = spec.metadata.get("check") and spec.metadata["check"](value)
+        if text:
+            raise ConfigError(f"{spec.name} must be {text}: {value!r}")
+
+
+class _Validated:
+    """Construction runs :func:`validate`; a subclass's ``__post_init__``
+    calls it first, then checks the rules that relate two fields."""
+
+    def __post_init__(self) -> None:
+        validate(self)
+
 
 @dataclass(frozen=True)
-class HardwareSpec:
+class HardwareSpec(_Validated):
     """Nominal performance characteristics of one compute node.
 
     Bandwidths are bytes per nominal second; latencies are nominal seconds
     added per transfer (command submission + interconnect setup).
     """
 
-    gpus_per_node: int = 8
-    gpus_per_pcie_link: int = 2
+    gpus_per_node: int = knob(8, positive)
+    gpus_per_pcie_link: int = knob(2, positive)
 
-    d2d_bandwidth: float = 1.0 * TiB  # HBM copies within one GPU
-    d2h_bandwidth: float = 25.0 * GiB  # pinned, per PCIe link
-    h2d_bandwidth: float = 25.0 * GiB  # pinned, per PCIe link
-    d2h_unpinned_bandwidth: float = 6.0 * GiB  # pageable staging (ADIOS2 path)
+    d2d_bandwidth: float = knob(1.0 * TiB, positive)  # HBM copies within one GPU
+    d2h_bandwidth: float = knob(25.0 * GiB, positive)  # pinned, per PCIe link
+    h2d_bandwidth: float = knob(25.0 * GiB, positive)  # pinned, per PCIe link
+    d2h_unpinned_bandwidth: float = knob(6.0 * GiB, positive)  # pageable staging (ADIOS2 path)
     #: engine-level (de)serialization of checkpoints into transport buffers
     #: (what makes the paper's measured ADIOS2 throughput an order of
     #: magnitude below raw PCIe speed).
-    host_serialize_bandwidth: float = 0.5 * GiB
+    host_serialize_bandwidth: float = knob(0.5 * GiB, positive)
     #: effective node-aggregate NVMe bandwidth.  The node has four Gen 4
     #: drives at 4 GB/s each; the paper's measured effective flush rate is
     #: 685 MB/s per rank × 8 ranks ≈ 5.5 GB/s of sustained aggregate, which
     #: is what the flush pipeline actually obtains.
-    ssd_write_bandwidth: float = 5.5 * GiB
-    ssd_read_bandwidth: float = 5.5 * GiB
-    pfs_write_bandwidth: float = 2.0 * GiB  # per node share of Lustre
-    pfs_read_bandwidth: float = 2.0 * GiB
+    ssd_write_bandwidth: float = knob(5.5 * GiB, positive)
+    ssd_read_bandwidth: float = knob(5.5 * GiB, positive)
+    pfs_write_bandwidth: float = knob(2.0 * GiB, positive)  # per node share of Lustre
+    pfs_read_bandwidth: float = knob(2.0 * GiB, positive)
     #: node-to-node fabric (HDR InfiniBand class), used by ring
     #: replication (a VELOC resilience strategy, Section 3.1).
-    internode_bandwidth: float = 20.0 * GiB
+    internode_bandwidth: float = knob(20.0 * GiB, positive)
 
     # Allocation costs (Section 4.1.4): pinned host allocation ~4 GB/s,
     # device allocation ~1 TB/s.  Paid once per arena at initialization.
-    host_pin_bandwidth: float = 4.0 * GiB
-    gpu_alloc_bandwidth: float = 1.0 * TiB
+    host_pin_bandwidth: float = knob(4.0 * GiB, positive)
+    gpu_alloc_bandwidth: float = knob(1.0 * TiB, positive)
 
-    transfer_latency: float = 20e-6  # per asynchronous copy
-    ssd_latency: float = 80e-6  # per file op
-    pfs_latency: float = 500e-6
+    transfer_latency: float = knob(20e-6, non_negative)  # per asynchronous copy
+    ssd_latency: float = knob(80e-6, non_negative)  # per file op
+    pfs_latency: float = knob(500e-6, non_negative)
 
     # UVM model (Section 5.2.2 comparator)
-    uvm_page_size: int = 2 * MiB
-    uvm_fault_latency: float = 25e-6  # per faulted page group
-    uvm_fault_pages_per_group: int = 16  # fault-replay batches
-    uvm_migration_bandwidth: float = 8.0 * GiB  # fault-driven paging is
+    uvm_page_size: int = knob(2 * MiB, positive)
+    uvm_fault_latency: float = knob(25e-6, non_negative)  # per faulted page group
+    uvm_fault_pages_per_group: int = knob(16, positive)  # fault-replay batches
+    uvm_migration_bandwidth: float = knob(8.0 * GiB, positive)  # fault-driven paging is
     # substantially slower than explicit pinned copies (fault replay +
     # driver bookkeeping; cf. Allen & Ge, IPDPS'21)
 
     def __post_init__(self) -> None:
-        if self.gpus_per_node <= 0:
-            raise ConfigError(f"gpus_per_node must be positive: {self.gpus_per_node}")
-        if self.gpus_per_pcie_link <= 0:
-            raise ConfigError(
-                f"gpus_per_pcie_link must be positive: {self.gpus_per_pcie_link}"
-            )
+        super().__post_init__()
         if self.gpus_per_node % self.gpus_per_pcie_link != 0:
             raise ConfigError(
                 "gpus_per_node must be a multiple of gpus_per_pcie_link: "
                 f"{self.gpus_per_node} % {self.gpus_per_pcie_link} != 0"
             )
-        for name in (
-            "d2d_bandwidth",
-            "d2h_bandwidth",
-            "h2d_bandwidth",
-            "d2h_unpinned_bandwidth",
-            "ssd_write_bandwidth",
-            "ssd_read_bandwidth",
-            "pfs_write_bandwidth",
-            "pfs_read_bandwidth",
-            "host_pin_bandwidth",
-            "gpu_alloc_bandwidth",
-            "uvm_migration_bandwidth",
-            "host_serialize_bandwidth",
-            "internode_bandwidth",
-        ):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("transfer_latency", "ssd_latency", "pfs_latency", "uvm_fault_latency"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
-        if self.uvm_page_size <= 0 or self.uvm_fault_pages_per_group <= 0:
-            raise ConfigError("UVM page parameters must be positive")
 
     @property
     def pcie_links_per_node(self) -> int:
@@ -116,25 +176,22 @@ class HardwareSpec:
 
 
 @dataclass(frozen=True)
-class ScaleModel:
+class ScaleModel(_Validated):
     """Mapping between nominal (paper-unit) and executed quantities."""
 
-    data_scale: int = 1
-    time_scale: float = 1.0
+    data_scale: int = knob(1, at_least(1))
+    time_scale: float = knob(1.0, within("(0, 1000]"))
     #: nominal allocation granularity; all checkpoint sizes and cache
     #: capacities are rounded up to a multiple of this, which guarantees the
     #: scaled payload offsets stay integral.
-    alignment: int = 64 * KiB
+    alignment: int = knob(64 * KiB, at_least(1))
 
     def __post_init__(self) -> None:
-        if self.data_scale < 1:
-            raise ConfigError(f"data_scale must be >= 1: {self.data_scale}")
-        if not (0.0 < self.time_scale <= 1000.0):
-            raise ConfigError(f"time_scale out of range: {self.time_scale}")
-        if self.alignment < 1 or self.alignment % self.data_scale != 0:
+        super().__post_init__()
+        if self.alignment % self.data_scale != 0:
             raise ConfigError(
-                f"alignment ({self.alignment}) must be a positive multiple of "
-                f"data_scale ({self.data_scale})"
+                f"alignment must be a multiple of data_scale ({self.data_scale}): "
+                f"{self.alignment}"
             )
 
     def align(self, nominal_size: int) -> int:
@@ -157,7 +214,7 @@ class ScaleModel:
 
 #: ScaleModel used by the test-suite and the shipped benchmarks: 128 MiB
 #: nominal checkpoints store 256 payload bytes, and one nominal second lasts
-#: 20 ms of wall time.  All *nominal* quantities (sizes, bandwidths, cache
+#: 100 ms of wall time.  All *nominal* quantities (sizes, bandwidths, cache
 #: capacities, compute intervals) stay exactly at the paper's values — only
 #: the stored bytes and the wall clock shrink.  Transfer durations are
 #: *accounted* analytically (see Link.transfer), so the time scale mainly
@@ -168,17 +225,11 @@ BENCH_SCALE = ScaleModel(data_scale=512 * KiB, time_scale=0.1, alignment=512 * K
 
 
 @dataclass(frozen=True)
-class CacheConfig:
+class CacheConfig(_Validated):
     """Per-process cache reservations (Section 5.3.4 defaults)."""
 
-    gpu_cache_size: int = 4 * GiB
-    host_cache_size: int = 32 * GiB
-
-    def __post_init__(self) -> None:
-        if self.gpu_cache_size <= 0:
-            raise ConfigError(f"gpu_cache_size must be positive: {self.gpu_cache_size}")
-        if self.host_cache_size <= 0:
-            raise ConfigError(f"host_cache_size must be positive: {self.host_cache_size}")
+    gpu_cache_size: int = knob(4 * GiB, positive)
+    host_cache_size: int = knob(32 * GiB, positive)
 
     @staticmethod
     def of(gpu: object, host: object) -> "CacheConfig":
@@ -187,7 +238,7 @@ class CacheConfig:
 
 
 @dataclass(frozen=True)
-class SchedConfig:
+class SchedConfig(_Validated):
     """Knobs of the QoS transfer scheduler (:mod:`repro.sched`).
 
     With ``enabled=False`` (the default) every shared link keeps its
@@ -201,69 +252,44 @@ class SchedConfig:
     #: largest span one grant moves before the link is re-arbitrated.
     #: Bounds how long a newly-arrived demand read waits behind an already
     #: in-flight lower-class transfer (``quantum_bytes / bandwidth``).
-    quantum_bytes: int = 64 * MiB
+    quantum_bytes: int = knob(64 * MiB, positive)
     #: WFQ weight for engines without an explicit entry in
     #: ``engine_weights`` (service within a class is proportional to weight).
-    default_weight: float = 1.0
+    default_weight: float = knob(1.0, positive)
     #: optional per-engine WFQ weight overrides: ((engine_id, weight), ...).
-    engine_weights: tuple = ()
+    engine_weights: tuple = knob((), tuple_of(engine_id=None, weight=positive))
     #: per-engine token-bucket refill, bytes per nominal second, applied to
     #: background classes (prefetch + flush) on every scheduled link.
     #: ``None`` = unlimited.
-    engine_rate_limit: Optional[float] = None
+    engine_rate_limit: Optional[float] = knob(None, optional(positive))
     #: token-bucket capacity (burst allowance) when rate limiting is on.
-    burst_bytes: int = 64 * MiB
+    burst_bytes: int = knob(64 * MiB, positive)
     #: bounded-queue limit for SPECULATIVE_PREFETCH requests per link;
     #: arrivals beyond it are shed with :class:`~repro.errors.AdmissionError`
     #: (the prefetcher backs off and retries).
-    max_speculative_queue: int = 4
+    max_speculative_queue: int = knob(4, non_negative)
     #: bounded-queue limit for CASCADE_FLUSH requests per link; arrivals
     #: beyond it *block* in admission until the backlog drains (flushes
     #: must eventually happen — shedding them would lose durability).
-    max_flush_queue: int = 16
+    max_flush_queue: int = knob(16, at_least(1))
     #: engine-level admission control: when the D2H flush backlog reaches
     #: this many pending flushes, ``checkpoint()`` applies ``admission``.
-    max_flush_backlog: int = 32
+    max_flush_backlog: int = knob(32, at_least(1))
     #: overload behaviour of ``checkpoint()``: "block" waits for the flush
     #: backlog to drop below ``max_flush_backlog``, "shed" raises
     #: :class:`~repro.errors.BackpressureError`, "off" never intervenes.
-    admission: str = "block"
+    admission: str = knob("block", one_of("block", "shed", "off"))
     #: hints at restore-queue distance ≤ this prefetch as HINTED_PREFETCH;
     #: farther hints are SPECULATIVE_PREFETCH (preemptible, sheddable).
-    hint_near_distance: int = 4
+    hint_near_distance: int = knob(4, non_negative)
     #: nominal seconds per hint-queue position used to derive prefetch
     #: deadlines (deadline = now + distance * hint_spacing_s); EDF within
     #: the prefetch classes paces far-future prefetches behind near ones.
-    hint_spacing_s: float = 0.010
+    hint_spacing_s: float = knob(0.010, non_negative)
     #: cancel in-flight speculative prefetches on a link the moment a
     #: demand read arrives there (the freed slot and bandwidth go to the
     #: demand read; the prefetcher re-issues later).
     preempt_speculative: bool = True
-
-    def __post_init__(self) -> None:
-        if self.quantum_bytes <= 0:
-            raise ConfigError(f"quantum_bytes must be positive: {self.quantum_bytes}")
-        if self.default_weight <= 0:
-            raise ConfigError(f"default_weight must be positive: {self.default_weight}")
-        for entry in self.engine_weights:
-            if len(entry) != 2 or entry[1] <= 0:
-                raise ConfigError(f"bad engine_weights entry: {entry!r}")
-        if self.engine_rate_limit is not None and self.engine_rate_limit <= 0:
-            raise ConfigError(
-                f"engine_rate_limit must be positive or None: {self.engine_rate_limit}"
-            )
-        if self.burst_bytes <= 0:
-            raise ConfigError(f"burst_bytes must be positive: {self.burst_bytes}")
-        if self.max_speculative_queue < 0 or self.max_flush_queue < 1:
-            raise ConfigError("scheduler queue bounds out of range")
-        if self.max_flush_backlog < 1:
-            raise ConfigError(f"max_flush_backlog must be >= 1: {self.max_flush_backlog}")
-        if self.admission not in ("block", "shed", "off"):
-            raise ConfigError(f"unknown admission policy: {self.admission!r}")
-        if self.hint_near_distance < 0:
-            raise ConfigError(f"hint_near_distance must be >= 0: {self.hint_near_distance}")
-        if self.hint_spacing_s < 0:
-            raise ConfigError(f"hint_spacing_s must be >= 0: {self.hint_spacing_s}")
 
     def weight_of(self, engine_id: int) -> float:
         for eid, weight in self.engine_weights:
@@ -272,8 +298,14 @@ class SchedConfig:
         return self.default_weight
 
 
+def _codecs():
+    from repro.reduce.codec import known_codecs  # cycle-free (lazy)
+
+    return known_codecs()
+
+
 @dataclass(frozen=True)
-class ReduceConfig:
+class ReduceConfig(_Validated):
     """Knobs of the data-reduction pipeline (:mod:`repro.reduce`).
 
     With ``enabled=False`` (the default) no reducer is constructed and every
@@ -295,66 +327,47 @@ class ReduceConfig:
     #: the GPU cache logical and encodes on the host during the D2H flush
     #: (host/SSD/PFS hold physical bytes — the codec runs off the
     #: application's critical path, but PCIe still moves logical bytes).
-    site: str = "gpu"
+    site: str = knob("gpu", one_of("gpu", "host"))
     #: chunking strategy: ``"fixed"`` (fixed-size boundaries) or ``"cdc"``
     #: (content-defined boundaries via a gear rolling hash, so insertions
     #: do not shift every downstream chunk identity).
-    chunking: str = "fixed"
+    chunking: str = knob("fixed", one_of("fixed", "cdc"))
     #: nominal bytes per chunk (fixed) / target average chunk (cdc).
-    chunk_size: int = 8 * MiB
+    chunk_size: int = knob(8 * MiB, positive)
     #: cdc minimum/maximum chunk bounds (nominal bytes).
-    min_chunk_size: int = 2 * MiB
-    max_chunk_size: int = 32 * MiB
+    min_chunk_size: int = knob(2 * MiB, positive)
+    max_chunk_size: int = knob(32 * MiB, positive)
     #: delta-encode chunks against the previous checkpoint of the same
     #: variable when the byte diff is small enough to pay off.
     delta: bool = True
     #: a chunk is delta-encoded only when its diff is below this fraction
     #: of the chunk size (otherwise the full chunk is cheaper to store).
-    delta_threshold: float = 0.6
+    delta_threshold: float = knob(0.6, within("(0, 1]"))
     #: longest allowed chain of delta-encoded checkpoints; the next encode
     #: past the bound *rebases* (stores a self-contained version) so
     #: restore latency stays predictable.
-    max_delta_chain: int = 4
+    max_delta_chain: int = knob(4, non_negative)
     #: modeled decode-time penalty per chain level: reconstructing a
     #: depth-``d`` checkpoint is charged ``1 + d * chain_penalty`` times
     #: the flat decode cost.
-    chain_penalty: float = 0.25
+    chain_penalty: float = knob(0.25, non_negative)
     #: modeled compression codec: ``"none"``, ``"lz"`` (fast, modest
     #: ratio) or ``"zstd"`` (slower, denser); see :mod:`repro.reduce.codec`.
-    codec: str = "lz"
+    codec: str = knob("lz", one_of(_codecs))
     #: nominal metadata bytes charged per chunk reference in the recipe.
-    recipe_overhead: int = 48
+    recipe_overhead: int = knob(48, non_negative)
 
     def __post_init__(self) -> None:
-        if self.site not in ("gpu", "host"):
-            raise ConfigError(f"unknown reduction site: {self.site!r}")
-        if self.chunking not in ("fixed", "cdc"):
-            raise ConfigError(f"unknown chunking strategy: {self.chunking!r}")
-        if self.chunk_size <= 0:
-            raise ConfigError(f"chunk_size must be positive: {self.chunk_size}")
-        if not (0 < self.min_chunk_size <= self.chunk_size <= self.max_chunk_size):
+        super().__post_init__()
+        if not (self.min_chunk_size <= self.chunk_size <= self.max_chunk_size):
             raise ConfigError(
-                "chunk bounds must satisfy 0 < min <= avg <= max: "
+                "chunk bounds must satisfy min_chunk_size <= chunk_size <= max_chunk_size: "
                 f"{self.min_chunk_size} / {self.chunk_size} / {self.max_chunk_size}"
-            )
-        if not (0.0 < self.delta_threshold <= 1.0):
-            raise ConfigError(f"delta_threshold out of (0, 1]: {self.delta_threshold}")
-        if self.max_delta_chain < 0:
-            raise ConfigError(f"max_delta_chain must be >= 0: {self.max_delta_chain}")
-        if self.chain_penalty < 0:
-            raise ConfigError(f"chain_penalty must be >= 0: {self.chain_penalty}")
-        if self.recipe_overhead < 0:
-            raise ConfigError(f"recipe_overhead must be >= 0: {self.recipe_overhead}")
-        from repro.reduce.codec import known_codecs  # cycle-free (lazy)
-
-        if self.codec not in known_codecs():
-            raise ConfigError(
-                f"unknown codec {self.codec!r}; known: {sorted(known_codecs())}"
             )
 
 
 @dataclass(frozen=True)
-class StreamConfig:
+class StreamConfig(_Validated):
     """The chunk plan of the flush cascade (and streamed promotions).
 
     Every flush walks the same pipelined cascade
@@ -377,27 +390,19 @@ class StreamConfig:
     enabled: bool = False
     #: nominal bytes per streamed chunk.  Sized so 2–3 chunks fit a
     #: double-buffered 32–48 MiB staging window.
-    stream_chunk_bytes: int = 16 * MiB
+    stream_chunk_bytes: int = knob(16 * MiB, positive)
     #: depth in chunks of the SSD→PFS bounce ring: the cascade's SSD
     #: read-back may run at most this many chunks ahead of the PFS writer
     #: before backpressure parks it (double buffer + 1 in-flight chunk).
     #: No other edge has a ring — its bytes live in the destination tier.
-    ring_chunks: int = 3
-
-    def __post_init__(self) -> None:
-        if self.stream_chunk_bytes <= 0:
-            raise ConfigError(
-                f"stream_chunk_bytes must be positive: {self.stream_chunk_bytes}"
-            )
-        if self.ring_chunks < 2:
-            raise ConfigError(
-                f"ring_chunks must be >= 2 (double buffer): {self.ring_chunks}"
-            )
+    ring_chunks: int = knob(3, at_least(2))
 
 
 #: flush-stage names a :class:`FaultConfig` crash point may name, each
 #: optionally prefixed ``before-`` / ``after-`` (bare name == ``before-``).
 CRASH_STAGES = ("d2h", "d2s", "h2f", "f2p", "repl")
+CRASH_POINTS = CRASH_STAGES + tuple(f"{when}-{stage}" for when in ("before", "after")
+                                    for stage in CRASH_STAGES)
 
 #: node-crash modes a :class:`FaultConfig` ``node_crashes`` entry may name.
 #: ``"fail-stop"`` loses the node's SSD contents (media gone with the node);
@@ -407,7 +412,7 @@ NODE_CRASH_MODES = ("fail-stop", "power-loss")
 
 
 @dataclass(frozen=True)
-class FaultConfig:
+class FaultConfig(_Validated):
     """Deterministic, seeded fault injection (:mod:`repro.faults`).
 
     With ``enabled=False`` (the default) nothing is attached anywhere and
@@ -421,122 +426,82 @@ class FaultConfig:
 
     #: master switch: attach a fault injector to every Link and tier store.
     enabled: bool = False
-    #: root seed of the plan; every decision derives from it via
-    #: :func:`repro.util.rng.derive_seed` (independent of RuntimeConfig.seed
-    #: so workload payloads stay identical across fault sweeps).
-    seed: int = 93
-    #: probability that any one Link.transfer() call fails in flight with a
-    #: :class:`~repro.errors.TransientTransferError` after moving a drawn
-    #: fraction of its bytes (charged on the virtual clock).
-    transfer_fault_rate: float = 0.0
+    seed: int = knob(93, flag="--fault-seed", help=(
+        "root seed of the plan; every decision derives from it via repro.util.rng.derive_seed "
+        "(independent of RuntimeConfig.seed so workload payloads stay identical across fault "
+        "sweeps)."))
+    transfer_fault_rate: float = knob(0.0, within("[0, 1]"), flag="--fault-rate", help=(
+        "probability that any one Link.transfer() call fails in flight with a "
+        "TransientTransferError after moving a drawn fraction of its bytes (charged on the "
+        "virtual clock)."))
     #: restrict transfer faults to links whose name contains one of these
     #: substrings (e.g. ``("ssd", "pfs")``); empty = all links.
-    fault_links: tuple = ()
+    fault_links: tuple = knob((), tuple_of())
     #: the failing transfer moves a fraction of its bytes drawn uniformly
     #: from [min_fault_fraction, max_fault_fraction] before the error.
-    min_fault_fraction: float = 0.05
-    max_fault_fraction: float = 0.95
-    #: tier outage / degradation windows: ``(tier, start_s, end_s, factor)``
-    #: tuples on the virtual clock.  ``tier`` is ``"ssd"`` or ``"pfs"``;
-    #: ``factor == 0.0`` is a hard outage (ops raise
-    #: :class:`~repro.errors.TierOfflineError`), ``0 < factor < 1`` is a
-    #: brownout (ops succeed at ``factor`` of nominal throughput).
-    tier_outages: tuple = ()
-    #: probability that a blob put at a durable tier lands corrupted
-    #: (one byte flipped at rest); decided per (key, attempt) so a re-put
-    #: after detection draws independently.
-    corruption_rate: float = 0.0
-    #: kill the engine at a flush-stage boundary: ``"before-h2f"``,
-    #: ``"after-d2h"``, … (see :data:`CRASH_STAGES`); None = never.
-    crash_point: Optional[str] = None
+    min_fault_fraction: float = knob(0.05, within("(0, 1)"))
+    max_fault_fraction: float = knob(0.95, within("(0, 1)"))
+    tier_outages: tuple = knob((), tuple_of(
+        tier=one_of("ssd", "pfs"), start_s=non_negative, end_s=None, factor=within("[0, 1)"),
+    ), flag="--outage TIER:START:END[:FACTOR]", help=(
+        'tier outage / degradation windows: (tier, start_s, end_s, factor) tuples on the '
+        'virtual clock.  tier is "ssd" or "pfs"; factor == 0.0 is a hard outage (ops raise '
+        'TierOfflineError), 0 < factor < 1 is a brownout (ops succeed at factor of nominal '
+        'throughput).'))
+    corruption_rate: float = knob(0.0, within("[0, 1]"), flag="--corruption-rate", help=(
+        "probability that a blob put at a durable tier lands corrupted (one byte flipped at "
+        "rest); decided per (key, attempt) so a re-put after detection draws independently."))
+    crash_point: Optional[str] = knob(None, optional(one_of(*CRASH_POINTS)), help=(
+        'kill the engine at a flush-stage boundary: "before-h2f", "after-d2h", … (see '
+        'CRASH_STAGES); None = never.'), flag="--crash-point")
     #: fire the crash point only for this checkpoint id (None = first hit).
     crash_ckpt: Optional[int] = None
-    #: scheduled whole-node crashes: ``(node_id, time_s, mode)`` tuples on
-    #: the virtual clock, ``mode`` one of :data:`NODE_CRASH_MODES`.  At
-    #: ``time_s`` the node's engines stop accepting work, its SSD goes
-    #: offline (``"fail-stop"`` also wipes the media), and the replica
-    #: directory withdraws every copy it held.
-    node_crashes: tuple = ()
-    #: scheduled node rejoins: ``(node_id, time_s)`` tuples.  A rejoining
-    #: node powers its SSD back on (power-loss crashes keep their blobs),
-    #: republishes surviving copies, and — when the repairer is enabled —
-    #: stays out of the replication ring until catch-up backfill finishes.
-    node_rejoins: tuple = ()
-    #: pairwise network-partition windows: ``(node_a, node_b, start_s,
-    #: end_s)`` tuples on the virtual clock; while ``start <= now < end``
-    #: the two nodes cannot exchange fabric traffic (peer reads and
-    #: replication route around the cut, or drop to the PFS).
-    partitions: tuple = ()
+    node_crashes: tuple = knob((), tuple_of(
+        node_id=node_id, time_s=non_negative, mode=one_of(*NODE_CRASH_MODES),
+    ), flag="--node-crash NODE@TIME[:MODE]", help=(
+        "scheduled whole-node crashes: (node_id, time_s, mode) tuples on the virtual clock, "
+        "mode one of NODE_CRASH_MODES.  At time_s the node's engines stop accepting work, its "
+        'SSD goes offline ("fail-stop" also wipes the media), and the replica directory '
+        "withdraws every copy it held."))
+    node_rejoins: tuple = knob((), tuple_of(
+        node_id=node_id, time_s=non_negative,
+    ), flag="--node-rejoin NODE@TIME", help=(
+        "scheduled node rejoins: (node_id, time_s) tuples.  A rejoining node powers its SSD "
+        "back on (power-loss crashes keep their blobs), republishes surviving copies, and — "
+        "when the repairer is enabled — stays out of the replication ring until catch-up "
+        "backfill finishes."))
+    partitions: tuple = knob((), tuple_of(
+        node_a=node_id, node_b=node_id, start_s=non_negative, end_s=None,
+    ), flag="--partition A-B@START:END", help=(
+        "pairwise network-partition windows: (node_a, node_b, start_s, end_s) tuples on the "
+        "virtual clock; while start <= now < end the two nodes cannot exchange fabric traffic "
+        "(peer reads and replication route around the cut, or drop to the PFS)."))
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.transfer_fault_rate <= 1.0):
+        super().__post_init__()
+        if self.min_fault_fraction > self.max_fault_fraction:
             raise ConfigError(
-                f"transfer_fault_rate out of [0, 1]: {self.transfer_fault_rate}"
-            )
-        if not (0.0 <= self.corruption_rate <= 1.0):
-            raise ConfigError(f"corruption_rate out of [0, 1]: {self.corruption_rate}")
-        if not (0.0 < self.min_fault_fraction <= self.max_fault_fraction < 1.0):
-            raise ConfigError(
-                "fault fractions must satisfy 0 < min <= max < 1: "
+                "fault fractions must satisfy min_fault_fraction <= max_fault_fraction: "
                 f"{self.min_fault_fraction} / {self.max_fault_fraction}"
             )
-        for entry in self.tier_outages:
-            if len(entry) != 4:
-                raise ConfigError(f"bad tier_outages entry: {entry!r}")
-            tier, start, end, factor = entry
-            if tier not in ("ssd", "pfs"):
-                raise ConfigError(f"unknown outage tier: {tier!r}")
-            if not (0.0 <= start < end):
-                raise ConfigError(f"bad outage window [{start}, {end})")
-            if not (0.0 <= factor < 1.0):
-                raise ConfigError(f"outage factor out of [0, 1): {factor}")
-        if self.crash_point is not None:
-            stage = self.crash_point
-            for prefix in ("before-", "after-"):
-                if stage.startswith(prefix):
-                    stage = stage[len(prefix):]
-                    break
-            if stage not in CRASH_STAGES:
-                raise ConfigError(
-                    f"unknown crash_point {self.crash_point!r}; stages: {CRASH_STAGES}"
-                )
-        for entry in self.node_crashes:
-            if len(entry) != 3:
-                raise ConfigError(f"bad node_crashes entry: {entry!r}")
-            node_id, time_s, mode = entry
-            if not isinstance(node_id, int) or node_id < 0:
-                raise ConfigError(f"bad node_crashes node id: {node_id!r}")
-            if time_s < 0:
-                raise ConfigError(f"node_crashes time must be >= 0: {time_s}")
-            if mode not in NODE_CRASH_MODES:
-                raise ConfigError(
-                    f"unknown node-crash mode {mode!r}; modes: {NODE_CRASH_MODES}"
-                )
-        for entry in self.node_rejoins:
-            if len(entry) != 2:
-                raise ConfigError(f"bad node_rejoins entry: {entry!r}")
-            node_id, time_s = entry
-            if not isinstance(node_id, int) or node_id < 0:
-                raise ConfigError(f"bad node_rejoins node id: {node_id!r}")
-            if time_s < 0:
-                raise ConfigError(f"node_rejoins time must be >= 0: {time_s}")
-        for entry in self.partitions:
-            if len(entry) != 4:
-                raise ConfigError(f"bad partitions entry: {entry!r}")
-            node_a, node_b, start, end = entry
-            for node_id in (node_a, node_b):
-                if not isinstance(node_id, int) or node_id < 0:
-                    raise ConfigError(f"bad partitions node id: {node_id!r}")
+        windows = [(f"tier_outages[{i}]", e[1], e[2]) for i, e in enumerate(self.tier_outages)]
+        windows += [(f"partitions[{i}]", e[2], e[3]) for i, e in enumerate(self.partitions)]
+        for where, start, end in windows:
+            if not start < end:
+                raise ConfigError(f"{where} must be a window start_s < end_s: [{start}, {end})")
+        for index, (node_a, node_b, _, _) in enumerate(self.partitions):
             if node_a == node_b:
-                raise ConfigError(
-                    f"partition endpoints must differ: {entry!r}"
-                )
-            if not (0.0 <= start < end):
-                raise ConfigError(f"bad partition window [{start}, {end})")
+                raise ConfigError(f"partitions[{index}] must have distinct endpoints: {node_a}")
+
+
+def _transfer_classes():
+    from repro.sched.request import TransferClass  # cycle-free (lazy)
+
+    return [member.name for member in TransferClass]
 
 
 @dataclass(frozen=True)
-class ResilienceConfig:
+class ResilienceConfig(_Validated):
     """Self-healing behaviour of the runtime (:mod:`repro.faults`).
 
     With ``enabled=False`` (the default) failures behave exactly as before
@@ -555,23 +520,23 @@ class ResilienceConfig:
     #: master switch for every recovery mechanism below.
     enabled: bool = False
     #: retry budget per transfer leg for TransientTransferErrors.
-    max_retries: int = 4
+    max_retries: int = knob(4, non_negative)
     #: backoff before retry k (0-based) is
     #: ``min(backoff_base_s * backoff_factor**k, backoff_max_s)`` nominal
     #: seconds, plus up to ``jitter`` of itself (deterministic draw).
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 2.0
-    jitter: float = 0.25
+    backoff_base_s: float = knob(0.05, non_negative)
+    backoff_factor: float = knob(2.0, at_least(1.0))
+    backoff_max_s: float = knob(2.0, non_negative)
+    jitter: float = knob(0.25, within("[0, 1]"))
     #: per-transfer-class retry-budget overrides, e.g.
     #: ``(("DEMAND_READ", 6), ("SPECULATIVE_PREFETCH", 1))``; classes
     #: mirror :class:`repro.sched.TransferClass` names.
-    retry_classes: tuple = ()
+    retry_classes: tuple = knob((), tuple_of(name=one_of(_transfer_classes), budget=non_negative))
     #: consecutive failures that trip a tier's circuit breaker open.
-    breaker_threshold: int = 3
+    breaker_threshold: int = knob(3, at_least(1))
     #: nominal seconds an open breaker waits before admitting one
     #: half-open probe.
-    breaker_reset_s: float = 5.0
+    breaker_reset_s: float = knob(5.0, non_negative)
     #: when the SSD breaker is open, flush host copies directly to the PFS
     #: (GPU→host→PFS) instead of abandoning durability.
     reroute: bool = True
@@ -585,23 +550,6 @@ class ResilienceConfig:
     #: ``recover_history()`` (store scans remain the fallback).
     journal: bool = True
 
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0: {self.max_retries}")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ConfigError("backoff times must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ConfigError(f"backoff_factor must be >= 1: {self.backoff_factor}")
-        if not (0.0 <= self.jitter <= 1.0):
-            raise ConfigError(f"jitter out of [0, 1]: {self.jitter}")
-        for entry in self.retry_classes:
-            if len(entry) != 2 or entry[1] < 0:
-                raise ConfigError(f"bad retry_classes entry: {entry!r}")
-        if self.breaker_threshold < 1:
-            raise ConfigError(f"breaker_threshold must be >= 1: {self.breaker_threshold}")
-        if self.breaker_reset_s < 0:
-            raise ConfigError(f"breaker_reset_s must be >= 0: {self.breaker_reset_s}")
-
     def retries_for(self, class_name: str) -> int:
         for name, budget in self.retry_classes:
             if name == class_name:
@@ -610,7 +558,7 @@ class ResilienceConfig:
 
 
 @dataclass(frozen=True)
-class SloConfig:
+class SloConfig(_Validated):
     """Service-level objectives for the checkpoint cascade.
 
     Two latency objectives, each stated as "a fraction ``objective`` of
@@ -623,37 +571,23 @@ class SloConfig:
     (a ``slo-burn`` trace instant plus a summary line).
     """
 
-    #: target durability latency per checkpoint, nominal seconds.
-    durability_target_s: float = 2.0
-    #: target blocked time per demand restore, nominal seconds.
-    restore_target_s: float = 0.5
-    #: fraction of operations that must meet their target.
-    objective: float = 0.95
-    #: rolling-window length for violation accounting, nominal seconds.
-    window_s: float = 30.0
-    #: alert when windowed violation rate > threshold × (1 - objective).
-    burn_rate_threshold: float = 2.0
+    durability_target_s: float = knob(2.0, positive, flag="--slo-durability S", help=(
+        "target durability latency per checkpoint, nominal seconds."))
+    restore_target_s: float = knob(0.5, positive, flag="--slo-restore S", help=(
+        "target blocked time per demand restore, nominal seconds."))
+    objective: float = knob(0.95, within("(0, 1)"), flag="--slo-objective", help=(
+        "fraction of operations that must meet their target."))
+    window_s: float = knob(30.0, positive, flag="--slo-window S", help=(
+        "rolling-window length for violation accounting, nominal seconds."))
+    burn_rate_threshold: float = knob(2.0, positive, flag="--slo-burn", help=(
+        "alert when windowed violation rate > threshold × (1 - objective)."))
     #: observations required in the window before burn alerts can fire
     #: (suppresses alerts off a single early violation).
-    min_samples: int = 8
-
-    def __post_init__(self) -> None:
-        if self.durability_target_s <= 0 or self.restore_target_s <= 0:
-            raise ConfigError("SLO latency targets must be positive")
-        if self.min_samples < 1:
-            raise ConfigError(f"min_samples must be >= 1: {self.min_samples}")
-        if not (0.0 < self.objective < 1.0):
-            raise ConfigError(f"objective out of (0, 1): {self.objective}")
-        if self.window_s <= 0:
-            raise ConfigError(f"window_s must be positive: {self.window_s}")
-        if self.burn_rate_threshold <= 0:
-            raise ConfigError(
-                f"burn_rate_threshold must be positive: {self.burn_rate_threshold}"
-            )
+    min_samples: int = knob(8, at_least(1))
 
 
 @dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(_Validated):
     """Causal tracing + SLO monitoring (:mod:`repro.analysis`).
 
     With ``enabled=False`` (the default) nothing changes: no causal ids are
@@ -674,7 +608,7 @@ class AnalysisConfig:
 
 
 @dataclass(frozen=True)
-class ClusterConfig:
+class ClusterConfig(_Validated):
     """Distributed checkpoint fabric (:mod:`repro.cluster`).
 
     With ``enabled=False`` (the default) no fabric is constructed and the
@@ -697,96 +631,54 @@ class ClusterConfig:
     #: total SSD copies per checkpoint including the home node; copies
     #: beyond the first go to successor nodes over the fabric.  Must not
     #: exceed ``RuntimeConfig.num_nodes`` when the fabric is enabled.
-    replica_factor: int = 2
+    replica_factor: int = knob(2, at_least(1))
     #: route demand restores / prefetches through a healthy peer's SSD
     #: when the local copy is gone (instead of dropping to the PFS).
     peer_reads: bool = True
     #: fabric bandwidth override in bytes per nominal second (None = use
     #: ``HardwareSpec.internode_bandwidth``).
-    peer_bandwidth: Optional[float] = None
+    peer_bandwidth: Optional[float] = knob(None, optional(positive))
     #: coalesce concurrent SSD→PFS flush legs into batched PFS writes.
     aggregation: bool = True
     #: nominal seconds the batch leader waits for followers to join
     #: before sealing the batch.
-    aggregation_window_s: float = 0.002
+    aggregation_window_s: float = knob(0.002, non_negative)
     #: seal the batch early once this many members joined.
-    aggregation_max_ops: int = 8
+    aggregation_max_ops: int = knob(8, at_least(1))
     #: seal the batch early once the combined payload reaches this many
     #: nominal bytes.
-    aggregation_max_bytes: int = 256 * MiB
+    aggregation_max_bytes: int = knob(256 * MiB, positive)
     #: maximum concurrently-connected service sessions.
-    service_max_sessions: int = 64
+    service_max_sessions: int = knob(64, at_least(1))
     #: per-session bound on in-flight service requests; arrivals beyond
     #: it raise :class:`~repro.errors.BackpressureError`.
-    service_queue_depth: int = 16
+    service_queue_depth: int = knob(16, at_least(1))
     #: modeled one-way RPC latency per service call, nominal seconds.
-    service_rpc_latency_s: float = 200e-6
+    service_rpc_latency_s: float = knob(200e-6, non_negative)
     #: anti-entropy replica repair: after a node crash (or rejoin) the
     #: :class:`~repro.cluster.repair.ReplicaRepairer` re-replicates every
     #: under-replicated checkpoint from a surviving SSD holder (or the
     #: PFS) until ``replica_factor`` live copies exist again.
     repair: bool = False
     #: nominal seconds between repairer scans of the replica directory.
-    repair_interval_s: float = 0.05
+    repair_interval_s: float = knob(0.05, positive)
     #: sched class repair copies admit under (``repro.sched.TransferClass``
     #: name); the default rides the cascade-flush class so repair traffic
     #: never preempts demand restores.
-    repair_class: str = "CASCADE_FLUSH"
+    repair_class: str = knob(
+        "CASCADE_FLUSH", one_of("DEMAND_READ", "CASCADE_FLUSH", "SPECULATIVE_PREFETCH")
+    )
     #: cap on repair copies in flight per scan (bounds the burst a mass
     #: withdrawal can inject into the fabric).
-    repair_max_inflight: int = 4
+    repair_max_inflight: int = knob(4, at_least(1))
     #: service session failover: when a pinned engine's node dies, re-pin
     #: the session to a surviving engine and idempotently replay the
     #: in-flight op instead of surfacing the node death to the client.
     failover: bool = False
 
-    def __post_init__(self) -> None:
-        if self.replica_factor < 1:
-            raise ConfigError(f"replica_factor must be >= 1: {self.replica_factor}")
-        if self.peer_bandwidth is not None and self.peer_bandwidth <= 0:
-            raise ConfigError(
-                f"peer_bandwidth must be positive or None: {self.peer_bandwidth}"
-            )
-        if self.aggregation_window_s < 0:
-            raise ConfigError(
-                f"aggregation_window_s must be >= 0: {self.aggregation_window_s}"
-            )
-        if self.aggregation_max_ops < 1:
-            raise ConfigError(
-                f"aggregation_max_ops must be >= 1: {self.aggregation_max_ops}"
-            )
-        if self.aggregation_max_bytes <= 0:
-            raise ConfigError(
-                f"aggregation_max_bytes must be positive: {self.aggregation_max_bytes}"
-            )
-        if self.service_max_sessions < 1:
-            raise ConfigError(
-                f"service_max_sessions must be >= 1: {self.service_max_sessions}"
-            )
-        if self.service_queue_depth < 1:
-            raise ConfigError(
-                f"service_queue_depth must be >= 1: {self.service_queue_depth}"
-            )
-        if self.service_rpc_latency_s < 0:
-            raise ConfigError(
-                f"service_rpc_latency_s must be >= 0: {self.service_rpc_latency_s}"
-            )
-        if self.repair_interval_s <= 0:
-            raise ConfigError(
-                f"repair_interval_s must be positive: {self.repair_interval_s}"
-            )
-        if self.repair_class not in (
-            "DEMAND_READ", "CASCADE_FLUSH", "SPECULATIVE_PREFETCH"
-        ):
-            raise ConfigError(f"unknown repair_class: {self.repair_class!r}")
-        if self.repair_max_inflight < 1:
-            raise ConfigError(
-                f"repair_max_inflight must be >= 1: {self.repair_max_inflight}"
-            )
-
 
 @dataclass(frozen=True)
-class PredictConfig:
+class PredictConfig(_Validated):
     """Online access-pattern prediction (:mod:`repro.predict`).
 
     With ``enabled=False`` (the default) nothing is built and the runtime
@@ -811,62 +703,33 @@ class PredictConfig:
     #: inter-access EWMA), ``"markov"`` (first-order next-restore chain
     #: over producer transitions), or ``"hybrid"`` (markov chain first,
     #: recency ordering for the rest).
-    predictor: str = "hybrid"
+    predictor: str = knob("hybrid", one_of("recency", "markov", "hybrid"))
     #: capacity of the per-engine access-history ring (events).
-    history_capacity: int = 4096
+    history_capacity: int = knob(4096, at_least(1))
     #: maximum length of the predicted overlay handed to the queue.
-    max_queue: int = 32
+    max_queue: int = knob(32, at_least(1))
     #: predictions below this confidence are dropped from the overlay.
-    min_confidence: float = 0.02
+    min_confidence: float = knob(0.02, within("[0, 1]"))
     #: minimum nominal seconds between overlay refreshes (0 = refresh on
     #: every observed access event).
-    refresh_interval_s: float = 0.0
+    refresh_interval_s: float = knob(0.0, non_negative)
     #: build the validation layer; without it speculation is never
     #: scored or suspended.
     validation: bool = True
     #: suspend speculation when the EWMA hit rate drops below this floor.
-    hit_floor: float = 0.4
+    hit_floor: float = knob(0.4, within("(0, 1)"))
     #: speculative outcomes (hits + abandons) required before the floor
     #: can trigger a suspension.
-    min_samples: int = 8
+    min_samples: int = knob(8, at_least(1))
     #: nominal seconds of demand-only fallback per suspension; after the
     #: window the validator re-arms with a fresh estimate (probation).
-    suspend_s: float = 2.0
+    suspend_s: float = knob(2.0, positive)
     #: EWMA weight of the newest speculative outcome.
-    ewma_alpha: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.predictor not in ("recency", "markov", "hybrid"):
-            raise ConfigError(
-                f"predictor must be 'recency', 'markov' or 'hybrid': "
-                f"{self.predictor!r}"
-            )
-        if self.history_capacity < 1:
-            raise ConfigError(
-                f"history_capacity must be >= 1: {self.history_capacity}"
-            )
-        if self.max_queue < 1:
-            raise ConfigError(f"max_queue must be >= 1: {self.max_queue}")
-        if not (0.0 <= self.min_confidence <= 1.0):
-            raise ConfigError(
-                f"min_confidence out of [0, 1]: {self.min_confidence}"
-            )
-        if self.refresh_interval_s < 0:
-            raise ConfigError(
-                f"refresh_interval_s must be >= 0: {self.refresh_interval_s}"
-            )
-        if not (0.0 < self.hit_floor < 1.0):
-            raise ConfigError(f"hit_floor out of (0, 1): {self.hit_floor}")
-        if self.min_samples < 1:
-            raise ConfigError(f"min_samples must be >= 1: {self.min_samples}")
-        if self.suspend_s <= 0:
-            raise ConfigError(f"suspend_s must be positive: {self.suspend_s}")
-        if not (0.0 < self.ewma_alpha <= 1.0):
-            raise ConfigError(f"ewma_alpha out of (0, 1]: {self.ewma_alpha}")
+    ewma_alpha: float = knob(0.25, within("(0, 1]"))
 
 
 @dataclass(frozen=True)
-class RuntimeConfig:
+class RuntimeConfig(_Validated):
     """Everything one simulation run needs."""
 
     hardware: HardwareSpec = field(default_factory=HardwareSpec)
@@ -894,13 +757,13 @@ class RuntimeConfig:
     predict: PredictConfig = field(default_factory=PredictConfig)
     #: default ``wait_for_flushes`` timeout in nominal seconds (None = no
     #: timeout unless the call site passes one).
-    flush_wait_timeout: Optional[float] = None
-    num_nodes: int = 1
+    flush_wait_timeout: Optional[float] = knob(None, optional(positive))
+    num_nodes: int = knob(1, positive)
     processes_per_node: Optional[int] = None  # default: one per GPU
     seed: int = 20230616  # HPDC'23 opening day
     #: eviction policy for the Score runtime: "score" (Algorithm 1),
     #: "lru", or "fifo" (ablations).
-    eviction_policy: str = "score"
+    eviction_policy: str = knob("score", one_of("score", "lru", "fifo"))
     #: Section 4.1.2 ablation: when False, each tier's cache is split into
     #: static flush/prefetch halves instead of being shared.
     shared_cache: bool = True
@@ -921,43 +784,27 @@ class RuntimeConfig:
     #: check per instrumented call site.  Metrics counters are always live.
     telemetry: bool = False
     #: trace-bus ring capacity in events; overflow drops the oldest events.
-    telemetry_buffer: int = 1 << 17
+    telemetry_buffer: int = knob(1 << 17, positive)
 
     def __post_init__(self) -> None:
-        if self.num_nodes <= 0:
-            raise ConfigError(f"num_nodes must be positive: {self.num_nodes}")
-        if self.telemetry_buffer <= 0:
-            raise ConfigError(
-                f"telemetry_buffer must be positive: {self.telemetry_buffer}"
-            )
+        super().__post_init__()
         ppn = self.processes_per_node
         if ppn is not None and not (0 < ppn <= self.hardware.gpus_per_node):
             raise ConfigError(
                 f"processes_per_node must be in [1, {self.hardware.gpus_per_node}]: {ppn}"
-            )
-        if self.eviction_policy not in ("score", "lru", "fifo"):
-            raise ConfigError(f"unknown eviction_policy: {self.eviction_policy!r}")
-        if self.flush_wait_timeout is not None and self.flush_wait_timeout <= 0:
-            raise ConfigError(
-                f"flush_wait_timeout must be positive or None: {self.flush_wait_timeout}"
             )
         if self.cluster.enabled and self.cluster.replica_factor > self.num_nodes:
             raise ConfigError(
                 f"cluster.replica_factor ({self.cluster.replica_factor}) exceeds "
                 f"num_nodes ({self.num_nodes})"
             )
-        if self.faults.enabled:
-            chaos_nodes = (
-                [entry[0] for entry in self.faults.node_crashes]
-                + [entry[0] for entry in self.faults.node_rejoins]
-                + [n for entry in self.faults.partitions for n in entry[:2]]
+        faults = self.faults
+        named = [entry[0] for entry in faults.node_crashes + faults.node_rejoins]
+        named += [node for entry in faults.partitions for node in entry[:2]]
+        if faults.enabled and max(named, default=-1) >= self.num_nodes:
+            raise ConfigError(
+                f"fault node id {max(named)} out of range for num_nodes={self.num_nodes}"
             )
-            for node_id in chaos_nodes:
-                if node_id >= self.num_nodes:
-                    raise ConfigError(
-                        f"fault node id {node_id} out of range for "
-                        f"num_nodes={self.num_nodes}"
-                    )
 
     @property
     def effective_processes_per_node(self) -> int:

@@ -29,6 +29,7 @@ steps) — the last two are single-rank and honour ``--predict``:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 from typing import List, Optional, Sequence
@@ -47,6 +48,7 @@ from repro.config import (
     bench_config,
 )
 from repro.errors import ConfigError, InjectedCrash
+from repro.harness.prediction import PREDICT_MODES
 from repro.log import enable_console_logging
 from repro.telemetry.exporters import render_summary, write_chrome_trace, write_jsonl
 from repro.util.units import MiB
@@ -161,17 +163,13 @@ def run_trace(
     """Run ``workload`` with tracing on; return the written paths."""
     from repro.harness.approaches import make_engine_factory
     from repro.harness.experiment import scaled_caches
-    from repro.harness.prediction import PREDICT_MODES, apply_predict_mode
+    from repro.harness.prediction import apply_predict_mode
     from repro.tiers.topology import Cluster
     from repro.workloads.multiproc import run_multiprocess_shot
 
     if workload not in _DEFAULTS:
         raise ConfigError(
             f"unknown workload {workload!r}; choose from {sorted(_DEFAULTS)}"
-        )
-    if predict not in PREDICT_MODES:
-        raise ConfigError(
-            f"unknown predict mode {predict!r}; choose from {PREDICT_MODES}"
         )
     default_snapshots, default_processes = _DEFAULTS[workload]
     snapshots = snapshots or default_snapshots
@@ -281,38 +279,30 @@ def run_trace(
         "events": len(events),
         "rendered": summary,
     }
+    reports = {}
     if predict_rendered is not None:
-        predict_path = os.path.join(out_dir, f"{workload}.predict.txt")
-        with open(predict_path, "w") as fh:
-            fh.write(predict_rendered + "\n")
-        out["predict"] = predict_path
-        out["predict_rendered"] = predict_rendered
+        reports["predict"] = predict_rendered
     if sched:
         from repro.sched import render_sched_timeline, sched_events
 
-        timeline = render_sched_timeline(sched_events(events))
-        sched_path = os.path.join(out_dir, f"{workload}.sched.txt")
-        with open(sched_path, "w") as fh:
-            fh.write(timeline + "\n")
-        out["sched"] = sched_path
-        out["sched_rendered"] = timeline
+        reports["sched"] = render_sched_timeline(sched_events(events))
     if reduce:
         from repro.reduce import reduce_events, render_reduce_report
 
-        report = render_reduce_report(reduce_events(events))
-        reduce_path = os.path.join(out_dir, f"{workload}.reduce.txt")
-        with open(reduce_path, "w") as fh:
-            fh.write(report + "\n")
-        out["reduce"] = reduce_path
-        out["reduce_rendered"] = report
+        reports["reduce"] = render_reduce_report(reduce_events(events))
+    for kind, text in reports.items():
+        path = os.path.join(out_dir, f"{workload}.{kind}.txt")
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+        out[kind], out[f"{kind}_rendered"] = path, text
     return out
 
 
 # The fault-spec parsers below read only a spec's shape (split, int/float;
-# a malformed one is an argparse usage error).  What the values may be —
-# tier names, window order, factor range, crash modes, node ids — is
-# FaultConfig's to check: faults_from_args runs inside both mains' ``try``,
-# which turns its ConfigError into exit 2.
+# a malformed one is an argparse usage error), one entry of a tuple field.
+# What the values may be — tier names, window order, factor range, crash
+# modes, node ids — is FaultConfig's to check: faults_from_args runs inside
+# both mains' ``try``, which turns its ConfigError into exit 2.
 def _parse_outage(spec: str):
     """``tier:start:end[:factor]`` -> a ``FaultConfig.tier_outages`` entry
     (factor defaults to 0.0, a hard outage)."""
@@ -375,6 +365,54 @@ def _parse_partition(spec: str):
     return (node_a, node_b, start, end)
 
 
+#: the spec parser of each repeatable fault flag, by the tuple field it fills.
+_SPEC_PARSERS = {
+    "tier_outages": _parse_outage,
+    "node_crashes": _parse_node_crash,
+    "node_rejoins": _parse_node_rejoin,
+    "partitions": _parse_partition,
+}
+
+
+def _flagged(cls):
+    """``(field, option, metavar)`` for each field of ``cls`` whose knob
+    declares a ``flag``."""
+    for spec in dataclasses.fields(cls):
+        option, _, metavar = spec.metadata.get("flag", "").partition(" ")
+        if option:
+            yield spec, option, metavar or None
+
+
+def add_knob_flags(parser: argparse.ArgumentParser, cls, defaults: bool = True) -> None:
+    """A flag for each knob of ``cls`` that declares one, worded by its
+    ``help``.  A tuple field's flag repeats, each use one entry in its spec
+    syntax; any other takes the type of the field's default and, with
+    ``defaults``, the default itself (else ``None``, for "not given")."""
+    for spec, option, metavar in _flagged(cls):
+        if isinstance(spec.default, tuple):
+            parser.add_argument(
+                option, action="append", type=_SPEC_PARSERS[spec.name], metavar=metavar,
+                help=f"{spec.metadata['help']} Repeatable.",
+            )
+        else:
+            parser.add_argument(
+                option, metavar=metavar, help=spec.metadata["help"],
+                type=None if spec.default is None else type(spec.default),
+                default=spec.default if defaults else None,
+            )
+
+
+def from_flags(cls, args):
+    """``cls`` from the flags :func:`add_knob_flags` declared; a flag left
+    at ``None`` keeps its field's default."""
+    given = {}
+    for spec, option, _ in _flagged(cls):
+        value = getattr(args, option[2:].replace("-", "_"))
+        if value is not None:
+            given[spec.name] = tuple(value) if isinstance(value, list) else value
+    return cls(**given)
+
+
 def live_run_flags() -> argparse.ArgumentParser:
     """The flags of a live run, declared once: an argparse parent parser
     for ``repro trace`` and ``repro analyze`` (``parents=[...]``)."""
@@ -391,7 +429,7 @@ def live_run_flags() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
         "--predict",
-        choices=["hints", "learned", "none"],
+        choices=PREDICT_MODES,
         default="hints",
         help="restore foreknowledge: explicit hints (default), online "
         "access-pattern prediction (no hints), or demand-only",
@@ -423,33 +461,6 @@ def live_run_flags() -> argparse.ArgumentParser:
         "(default: 0.9)",
     )
     parser.add_argument(
-        "--fault-rate",
-        type=float,
-        default=0.0,
-        help="inject transient transfer faults at this per-transfer "
-        "probability (implies fault injection on)",
-    )
-    parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=93,
-        help="seed of the deterministic fault plan (default: 93)",
-    )
-    parser.add_argument(
-        "--outage",
-        action="append",
-        type=_parse_outage,
-        metavar="TIER:START:END[:FACTOR]",
-        help="tier outage window in nominal seconds, e.g. ssd:5:20 (hard) "
-        "or pfs:5:20:0.25 (brownout); repeatable",
-    )
-    parser.add_argument(
-        "--corruption-rate",
-        type=float,
-        default=0.0,
-        help="probability that a durable blob lands bit-corrupted at rest",
-    )
-    parser.add_argument(
         "--cluster",
         type=int,
         default=None,
@@ -457,37 +468,7 @@ def live_run_flags() -> argparse.ArgumentParser:
         help="run the grid as an N-node checkpoint fabric (peer SSD reads, "
         "ring replication, anti-entropy repair); --processes must divide N",
     )
-    parser.add_argument(
-        "--node-crash",
-        action="append",
-        type=_parse_node_crash,
-        metavar="NODE@TIME[:MODE]",
-        help="crash a whole node at a nominal time, e.g. 1@5 (fail-stop, "
-        "SSD lost) or 1@5:power-loss (SSD survives); repeatable, "
-        "needs --cluster",
-    )
-    parser.add_argument(
-        "--node-rejoin",
-        action="append",
-        type=_parse_node_rejoin,
-        metavar="NODE@TIME",
-        help="rejoin a crashed node at a nominal time (catch-up backfill "
-        "before it re-enters the replication ring); repeatable",
-    )
-    parser.add_argument(
-        "--partition",
-        action="append",
-        type=_parse_partition,
-        metavar="A-B@START:END",
-        help="pairwise network partition window in nominal seconds, e.g. "
-        "0-1@5:20; repeatable, needs --cluster",
-    )
-    parser.add_argument(
-        "--crash-point",
-        default=None,
-        help="kill the engine at a flush-stage boundary, e.g. after-h2f "
-        "(one-shot; see repro.faults)",
-    )
+    add_knob_flags(parser, FaultConfig)
     parser.add_argument(
         "--resilient",
         action="store_true",
@@ -501,30 +482,28 @@ def live_run_flags() -> argparse.ArgumentParser:
 
 
 def faults_from_args(args) -> Optional[FaultConfig]:
-    """The fault plan :func:`live_run_flags` asked for, or ``None`` when no
-    fault flag is given; :class:`ConfigError` for node chaos without
-    ``--cluster`` or a plan ``FaultConfig`` rejects."""
-    node_chaos = args.node_crash or args.node_rejoin or args.partition
-    if node_chaos and args.cluster is None:
+    """The fault plan :func:`live_run_flags` asked for, or ``None`` when it
+    injects nothing (it differs from the default plan in its seed alone);
+    :class:`ConfigError` for node chaos without ``--cluster`` or a plan
+    ``FaultConfig`` rejects."""
+    if (args.node_crash or args.node_rejoin or args.partition) and args.cluster is None:
         raise ConfigError("--node-crash/--node-rejoin/--partition need --cluster")
-    if not (
-        args.fault_rate > 0.0
-        or args.outage
-        or args.corruption_rate > 0.0
-        or args.crash_point is not None
-        or node_chaos
-    ):
+    plan = from_flags(FaultConfig, args)
+    if plan == FaultConfig(seed=plan.seed):
         return None
-    return FaultConfig(
-        enabled=True,
-        seed=args.fault_seed,
-        transfer_fault_rate=args.fault_rate,
-        tier_outages=tuple(args.outage or ()),
-        corruption_rate=args.corruption_rate,
-        crash_point=args.crash_point,
-        node_crashes=tuple(args.node_crash or ()),
-        node_rejoins=tuple(args.node_rejoin or ()),
-        partitions=tuple(args.partition or ()),
+    return dataclasses.replace(plan, enabled=True)
+
+
+#: the live-run flags :func:`run_trace` takes under their own names.
+_AS_IS = ("out_dir", "snapshots", "processes", "seed", "sched", "reduce", "stream",
+          "similarity", "resilient", "predict")
+
+
+def live_run(args) -> dict:
+    """:func:`run_trace`'s keyword arguments from :func:`live_run_flags`."""
+    return dict(
+        {name: getattr(args, name) for name in _AS_IS},
+        order=RestoreOrder(args.order), faults=faults_from_args(args), cluster_nodes=args.cluster,
     )
 
 
@@ -539,34 +518,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.verbose:
         enable_console_logging(logging.DEBUG)
     try:
-        out = run_trace(
-            args.workload,
-            out_dir=args.out_dir,
-            snapshots=args.snapshots,
-            processes=args.processes,
-            order=RestoreOrder(args.order),
-            seed=args.seed,
-            sched=args.sched,
-            reduce=args.reduce,
-            stream=args.stream,
-            similarity=args.similarity,
-            faults=faults_from_args(args),
-            resilient=args.resilient,
-            predict=args.predict,
-            cluster_nodes=args.cluster,
-        )
+        out = run_trace(args.workload, **live_run(args))
     except ConfigError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     print(out["rendered"])
-    if "predict_rendered" in out:
-        print()
-        print(out["predict_rendered"])
-    if "sched_rendered" in out:
-        print()
-        print(out["sched_rendered"])
-    if "reduce_rendered" in out:
-        print()
-        print(out["reduce_rendered"])
+    for kind in ("predict", "sched", "reduce"):
+        if kind in out:
+            print(f"\n{out[kind + '_rendered']}")
     print()
     print(f"wrote {out['events']} events:")
     for key in ("trace", "jsonl", "summary", "predict", "sched", "reduce"):

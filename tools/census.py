@@ -3,7 +3,7 @@
 
 Run from the repository root: ``python3 tools/census.py``.  Prints the size of
 ``src/`` and its six largest files, and the grep counts the open items track;
-exits non-zero when one of the five hard ones is off — a wall-clock read outside
+exits non-zero when one of the seven hard ones is off — a wall-clock read outside
 ``clock.py`` (ROADMAP item 1), more than five thread-creation sites (items 1,
 2: every thread that exists must be known to the runtime), a second caller
 of ``promote_once`` (item 7: the demand restore and both prefetch workers run
@@ -17,13 +17,21 @@ A path-picking read is a feature's flag or handle tested, however it is
 reached (``engine.resilient``, ``config.resilience.enabled``, a local
 ``scfg.enabled``, ``peer_reads`` …); the body of ``_build_features``, the
 one place meant to read them, is not counted.
+
+The last two keep the configuration declared once (ROADMAP item 10): more
+than 137 "config fields" (the fields of ``repro.config``'s dataclasses) or 12
+"raise ConfigError in config.py" (a constraint is declared on its field and
+checked by ``validate``; only rules relating two fields are code).  A new
+knob or hand-written check fails unless the same diff raises the limit.
 """
 
+import dataclasses
 import re
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 FILES = sorted(SRC.rglob("*.py"))
 #: a read that asks which feature is on: a feature flag or handle tested.
 PATH_PICKS = (
@@ -55,6 +63,18 @@ def sites(pattern, files=FILES, skip=(), outside=None):
     return found
 
 
+def config_fields():
+    """``Class.field`` for every field of ``repro.config``'s dataclasses."""
+    import repro.config
+
+    return [
+        f"{cls.__name__}.{spec.name}"
+        for cls in vars(repro.config).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+        for spec in dataclasses.fields(cls)
+    ]
+
+
 def main() -> int:
     lines = {path: len(path.read_text().splitlines()) for path in FILES}
     print(f"src/ {sum(lines.values())} lines in {len(FILES)} files; largest:")
@@ -78,6 +98,8 @@ def main() -> int:
         "backoff_for( callers": sites(r"(?<!def )backoff_for\("),
         "cost_cache_enabled mentions": sites(r"cost_cache_enabled"),
         "instance_state_ts( call sites": sites(r"(?<!def )instance_state_ts\("),
+        "config fields": config_fields(),
+        "raise ConfigError in config.py": sites(r"raise ConfigError\(", [SRC / "repro/config.py"]),
     }
     for what, where in counts.items():
         print(f"{len(where):4d} {what}")
@@ -87,6 +109,8 @@ def main() -> int:
         "promote_once( call sites": 1,
         "cost_cache_enabled mentions": 0,
         "path-picking reads in core/": 6,
+        "config fields": 137,
+        "raise ConfigError in config.py": 12,
     }
     failed = [what for what, limit in hard.items() if len(counts[what]) > limit]
     for what in failed:
