@@ -10,11 +10,16 @@ There is one transfer loop (:meth:`Link.transfer`) and it runs over an
 study: a transfer is split into fixed-size nominal chunks and the chunks of
 concurrent transfers interleave through a FIFO mutex, so two steady
 concurrent users each observe ~half the link bandwidth while head-of-line
-blocking is bounded by one chunk.  A transfer tagged with a QoS request on a
-link that carries a :class:`repro.sched.LinkScheduler` is granted by that
-arbiter instead (priority/WFQ order, bounded quanta).  The per-transfer
-``latency`` models command submission cost and is paid once per transfer,
-outside the slot.
+blocking is bounded by one chunk (a link built with a whole-object
+``chunk_size`` — the drive, a node's PFS write share — trades that bound for
+fewer hand-offs).  A transfer tagged with a QoS request on a link that
+carries a :class:`repro.sched.LinkScheduler` is granted by that arbiter
+instead (priority/WFQ order, bounded quanta).  The per-transfer ``latency``
+models command submission cost and is paid once per transfer, outside the
+slot.  A transfer may cross one more link at the same time (``alongside``:
+the PFS aggregate beside a node's write share); each span then books its
+share on that link's calendar, and the transfer costs the slower of the two
+links, not their sum.
 
 The link also keeps running totals (``busy_time``, ``bytes_moved``,
 ``pending_bytes``), exact after every span, used both for metrics and by the
@@ -26,7 +31,7 @@ bandwidth").
 from __future__ import annotations
 
 import threading
-from typing import Optional, TYPE_CHECKING
+from typing import Optional, Tuple, TYPE_CHECKING
 
 from repro.clock import VirtualClock
 from repro.errors import ConfigError, TransferError
@@ -114,6 +119,8 @@ class Link:
         self._pending_bytes = 0
         self._transfers = 0
         self._active = 0  # transfers currently inside transfer()
+        #: end of the last booking made by a transfer crossing alongside.
+        self._booked_until = 0.0
 
     # -- observability ----------------------------------------------------
     @property
@@ -152,6 +159,7 @@ class Link:
         nbytes: int,
         cancelled: Optional[threading.Event] = None,
         request: Optional["TransferRequest"] = None,
+        alongside: Optional["Link"] = None,
     ) -> float:
         """Move ``nbytes`` nominal bytes across the link, blocking the
         caller for the (contended) transfer duration.
@@ -179,6 +187,18 @@ class Link:
         Admission (``open``, which may shed or block) runs before any bytes
         are announced as pending, so a shed transfer never perturbs the
         flush/prefetch estimator that reads ``pending_bytes``.
+
+        ``alongside`` names a link the same bytes cross at the same time —
+        a cut-through route, such as a node's PFS write share and the file
+        system's aggregate.  That link is a shared *rate*, not a slot: each
+        span books its share (``span / alongside.bandwidth``) on the link's
+        calendar behind what earlier spans booked there, and lasts until the
+        slower of this link's share and the booking has crossed.  So a lone
+        transfer accounts ``latency + nbytes / min(bandwidth)``, not the sum
+        of the two links, while the shared link still carries every byte and
+        still caps every route through it.  Its latency is not charged; its
+        stats move with this link's; a fault drawn on it fails the transfer
+        like this link's own; a cancelled span gives its booking back.
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
@@ -188,8 +208,13 @@ class Link:
             # Zero-progress abort: no pending-byte accounting to undo.
             raise self._cancelled(nbytes)
         fail_after = None
+        faulty = self
         if self.fault_injector is not None and nbytes > 0:
             fail_after = self.fault_injector.draw(nbytes)
+        if alongside is not None and alongside.fault_injector is not None and nbytes > 0:
+            drawn = alongside.fault_injector.draw(nbytes)
+            if drawn is not None and (fail_after is None or drawn < fail_after):
+                fail_after, faulty = drawn, alongside
         arbiter = self.scheduler
         if arbiter is None or request is None:
             arbiter = self._fifo
@@ -198,6 +223,8 @@ class Link:
             self._pending_bytes += nbytes
             self._transfers += 1
             self._active += 1
+        if alongside is not None:
+            alongside._account(0, -nbytes)
         remaining = nbytes
         accounted = 0.0
         sleep = self._clock.sleep
@@ -212,7 +239,7 @@ class Link:
                     raise self._cancelled(nbytes)
                 moved = nbytes - remaining
                 if fail_after is not None and moved >= fail_after:
-                    raise self.fault_injector.fault(nbytes, moved)
+                    raise faulty.fault_injector.fault(nbytes, moved)
                 span = arbiter.grant_bytes(entry, remaining)
                 if fail_after is not None:
                     span = min(span, fail_after - moved)
@@ -220,7 +247,13 @@ class Link:
                 accounted += arbiter.acquire(entry)  # raises TransferError when cancelled
                 served = 0
                 try:
-                    if sleep(busy, cancelled):
+                    pace = busy
+                    if alongside is not None:  # the slower of the two sets the pace
+                        until, booked = alongside._book(span)
+                        pace = max(busy, booked)
+                    if sleep(pace, cancelled):
+                        if alongside is not None:
+                            alongside._unbook(until, span)
                         raise self._cancelled(nbytes)
                     served = span
                     # Stats move with the bytes, while the slot is held.
@@ -228,8 +261,10 @@ class Link:
                         self._busy_time += busy
                         self._bytes_moved += span
                         self._pending_bytes -= span
+                    if alongside is not None:
+                        alongside._account(span, span)
                     remaining -= span
-                    accounted += busy
+                    accounted += pace
                 finally:
                     arbiter.release(entry, served)
         finally:
@@ -237,7 +272,33 @@ class Link:
             with self._stats_lock:
                 self._active -= 1
                 self._pending_bytes -= remaining  # unmoved (cancelled, faulted)
+            if alongside is not None:
+                alongside._account(0, remaining)
         return accounted
+
+    # -- a link crossed alongside another: a shared rate, not a slot --------
+    def _book(self, nbytes: int) -> Tuple[float, float]:
+        """Book ``nbytes`` of this link's time behind every earlier booking;
+        returns the booking's end and the seconds from now until then."""
+        now = self._clock.now()
+        with self._stats_lock:
+            self._booked_until = max(now, self._booked_until) + nbytes / self.bandwidth
+            return self._booked_until, self._booked_until - now
+
+    def _unbook(self, until: float, nbytes: int) -> None:
+        """Give back the part of a booking a cancelled span never crossed,
+        as long as no later booking queued behind it."""
+        now = self._clock.now()
+        with self._stats_lock:
+            if self._booked_until == until:
+                self._booked_until = max(now, until - nbytes / self.bandwidth)
+
+    def _account(self, moved: int, settled: int) -> None:
+        """``moved`` bytes crossed; ``settled`` bytes leave the pending count."""
+        with self._stats_lock:
+            self._busy_time += moved / self.bandwidth
+            self._bytes_moved += moved
+            self._pending_bytes -= settled
 
     def _cancelled(self, nbytes: int) -> TransferError:
         return TransferError(f"transfer of {nbytes} bytes on link {self.name!r} cancelled")

@@ -49,20 +49,22 @@ class ObjectStore:
     Checkpoints are monolithic and immutable once written (the paper's core
     assumption), so visibility is put/get/delete of whole objects.  Transfers
     are chunk-granular: :meth:`open_put` / :meth:`open_get` return in-flight
-    handles whose ``write(nbytes)`` / ``read(nbytes)`` charge one chunk on
-    each link of the route, so a cascade stage can overlap its chunks with
-    the neighbouring hop.  An object stays invisible until the put handle's
-    ``commit(payload)`` — commit-at-end keeps every crash-consistency
-    property of a whole-object put (a torn stream leaves nothing behind; the
-    manifest journal never references an uncommitted key).  :meth:`put` and
-    :meth:`get` are ``open_* + one full-size chunk + commit/finish``, so
-    whole-object and streamed transfers are one implementation.
+    handles whose ``write(nbytes)`` / ``read(nbytes)`` charge one chunk
+    across the route (:meth:`_cross`), so a cascade stage can overlap its
+    chunks with the neighbouring hop.  An object stays invisible until the
+    put handle's ``commit(payload)`` — commit-at-end keeps every
+    crash-consistency property of a whole-object put (a torn stream leaves
+    nothing behind; the manifest journal never references an uncommitted
+    key).  :meth:`put` and :meth:`get` are ``open_* + one full-size chunk +
+    commit/finish``, so whole-object and streamed transfers are one
+    implementation.
 
     A tier supplies ``level``, ``tier`` (its name in fault plans, span names
-    and ``tier.<name>.*`` counters) and ``route(node_id, write)``: the links
-    one chunk of that node's transfer crosses, in order.  ``track`` names
-    the store on the trace and is also its circuit-breaker and
-    manifest-journal id.
+    and ``tier.<name>.*`` counters) and ``route(node_id, write)``: the legs
+    one chunk of that node's transfer crosses, in order, each a
+    ``(link, alongside)`` pair — a link, and the link (or ``None``) the same
+    bytes cross at the same time (:meth:`Link.transfer`).  ``track`` names the store on the trace and is also its
+    circuit-breaker and manifest-journal id.
     """
 
     level: TierLevel
@@ -164,6 +166,21 @@ class ObjectStore:
         handle = self.open_get(key, node_id=node_id, request=request)
         handle.read(handle.nominal_size)
         return handle.finish()
+
+    def _cross(self, route, nbytes: int, slow: float, cancelled=None, request=None) -> float:
+        """Move ``nbytes`` over every leg of ``route``, one leg after the
+        other (store-and-forward); blocks and returns the accounted seconds.
+        A brownout (``slow > 1``) stretches it: same bytes, less throughput."""
+        seconds = 0.0
+        for link, alongside in route:
+            seconds += link.transfer(
+                nbytes, cancelled=cancelled, request=request, alongside=alongside
+            )
+        if slow > 1.0:
+            extra = seconds * (slow - 1.0)
+            self._clock.sleep(extra)
+            seconds += extra
+        return seconds
 
     # -- blobs --------------------------------------------------------------
     def _commit_blob(self, key, payload, nominal_size, meta, copy, corrupt_at) -> None:
@@ -274,8 +291,8 @@ class ObjectStore:
 
 
 class _ChunkedTransfer:
-    """What the two handles share: one chunk charged on every link of the
-    route, outage gates re-drawn from the second chunk on."""
+    """What the two handles share: one chunk charged across the route,
+    outage gates re-drawn from the second chunk on."""
 
     def __init__(self, store, key, nominal_size, route, slow, request) -> None:
         self.store = store
@@ -299,13 +316,7 @@ class _ChunkedTransfer:
         if request is None:
             request = self._request
         with store.telemetry.bus.span(self._span, store.track, key=self.key, bytes=nbytes):
-            seconds = 0.0
-            for link in self._route:
-                seconds += link.transfer(nbytes, cancelled=cancelled, request=request)
-            if self._slow > 1.0:  # brownout: degraded throughput, same bytes
-                extra = seconds * (self._slow - 1.0)
-                store._clock.sleep(extra)
-                seconds += extra
+            seconds = store._cross(self._route, nbytes, self._slow, cancelled, request)
         self._chunks += 1
         self.seconds += seconds
         return seconds

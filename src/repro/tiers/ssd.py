@@ -90,7 +90,7 @@ class SsdStore(ObjectStore):
 
     def route(self, node_id: int, write: bool):
         """One drive, one link per direction, whichever process asks."""
-        return (self.write_link,) if write else (self.read_link,)
+        return ((self.write_link if write else self.read_link, None),)
 
     # -- file backend --------------------------------------------------------
     def _path(self, key: StoreKey) -> str:

@@ -200,7 +200,8 @@ class Cluster:
         )
         #: QoS transfer scheduling across the shared links (no-op arbiter
         #: fleet unless ``config.sched.enabled``); every Link this cluster
-        #: creates — PCIe pairs, SSD, PFS, fabric — is offered to it.
+        #: grants slots on — PCIe pairs, SSD, PFS, fabric — is offered to it
+        #: (not the PFS write aggregate: it is booked, never granted).
         self.sched = SchedContext(config.sched, self.clock, self.telemetry)
         #: deterministic fault injection (inactive unless ``config.faults``
         #: enables it); offered every Link and tier store like the scheduler.
@@ -225,7 +226,6 @@ class Cluster:
             config.hardware,
             config.scale,
             self.clock,
-            num_nodes=config.num_nodes,
             telemetry=self.telemetry,
             sched=self.sched,
             faults=self.faults,

@@ -8,6 +8,7 @@ carries a ``LinkScheduler`` through
 """
 
 import inspect
+import sys
 import threading
 
 import pytest
@@ -302,3 +303,134 @@ def test_serialized_link_whole_object():
     # Serialized completions stream out: ~1 s, ~2 s, ~3 s.
     assert durations[0] == pytest.approx(1.0, rel=0.4)
     assert durations[-1] == pytest.approx(3.0, rel=0.4)
+
+
+# -- cut-through: a link crossed alongside --------------------------------------
+# A transfer's bytes may cross one more link at the same time (a PFS write:
+# a node's share and the file system's aggregate).  A lone transfer costs the
+# slower link, not the sum; a shared link crossed alongside still carries
+# every byte and still caps every route through it.
+
+
+@both_arbiters
+def test_alongside_costs_the_slower_link_not_the_sum(clock, arbiter):
+    head = arbiter.link(clock, bandwidth=100 * MiB, latency=0.1)
+    aggregate = Link("agg", bandwidth=200 * MiB, clock=clock, latency=0.05)
+    seconds = head.transfer(50 * MiB, alongside=aggregate, **arbiter.tag())
+    assert seconds == 0.1 + 0.5  # the head's latency and share; one after the other: 0.9
+    assert (head.busy_time, aggregate.busy_time) == (0.5, 0.25)
+    assert (head.transfer_count, aggregate.transfer_count) == (1, 0)  # nothing ran *on* it
+    for link in (head, aggregate):
+        assert link.bytes_moved == 50 * MiB
+        assert link.pending_bytes == 0
+
+
+def test_a_slower_link_alongside_sets_the_pace(clock):
+    head = Link("node", bandwidth=200 * MiB, clock=clock)
+    aggregate = Link("agg", bandwidth=100 * MiB, clock=clock)
+    assert head.transfer(50 * MiB, alongside=aggregate) == pytest.approx(0.5)
+    assert (head.busy_time, aggregate.busy_time) == (0.25, 0.5)
+
+
+def test_a_shared_link_alongside_caps_every_route_through_it():
+    """Four node links, one aggregate as fast as one of them: four concurrent
+    transfers queue on the aggregate's calendar, so the last one needs the
+    aggregate's time for all four — not the 0.5 s each would take alone."""
+    clock = VirtualClock(time_scale=0.01)
+    aggregate = Link("agg", bandwidth=100 * MiB, clock=clock)
+    nodes = [Link(f"node{i}", bandwidth=100 * MiB, clock=clock) for i in range(4)]
+    barrier = threading.Barrier(4)
+    results = []
+
+    def worker(node):
+        barrier.wait()
+        results.append(node.transfer(50 * MiB, alongside=aggregate))
+
+    threads = [threading.Thread(target=worker, args=(node,)) for node in nodes]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert max(results) >= 0.95 * 2.0
+    assert aggregate.bytes_moved == 200 * MiB
+    assert aggregate.busy_time == pytest.approx(2.0)
+    assert aggregate.pending_bytes == 0
+
+
+def test_a_fault_drawn_alongside_fails_the_transfer_at_its_prefix(clock):
+    prefix = 3 * MiB + 17
+    head = Link("node", bandwidth=100 * MiB, clock=clock, chunk_size=1 * MiB)
+    aggregate = Link("agg", bandwidth=200 * MiB, clock=clock)
+    aggregate.fault_injector = _FaultAfter(prefix)
+    with pytest.raises(TransientTransferError) as err:
+        head.transfer(10 * MiB, alongside=aggregate)
+    assert err.value.bytes_moved == prefix
+    for link in (head, aggregate):
+        assert link.bytes_moved == prefix
+        assert link.pending_bytes == 0
+
+
+def test_a_cancelled_transfer_announces_nothing_alongside(clock):
+    head = Link("node", bandwidth=100 * MiB, clock=clock)
+    aggregate = Link("agg", bandwidth=200 * MiB, clock=clock)
+    cancelled = threading.Event()
+    cancelled.set()
+    with pytest.raises(TransferError):
+        head.transfer(10 * MiB, cancelled=cancelled, alongside=aggregate)
+    assert aggregate.pending_bytes == 0
+    assert aggregate._booked_until == 0.0
+
+
+def test_a_cancelled_span_gives_its_booking_back():
+    """A span cut short leaves no phantom time on the calendar: after a
+    transfer is cancelled mid-span, a lone transfer on another node's link
+    costs its own share, not a wait behind bytes that never crossed."""
+    clock = VirtualClock(time_scale=0.01)
+    aggregate = Link("agg", bandwidth=100 * MiB, clock=clock)
+    first = Link("node0", bandwidth=100 * MiB, clock=clock)
+    second = Link("node1", bandwidth=100 * MiB, clock=clock)
+    cancelled = threading.Event()
+    errors = []
+
+    def worker():
+        try:
+            first.transfer(1000 * MiB, cancelled=cancelled, alongside=aggregate)  # 10 s virtual
+        except TransferError as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    clock.sleep(1.0)
+    cancelled.set()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert errors, "transfer should have been cancelled"
+    assert second.transfer(10 * MiB, alongside=aggregate) == pytest.approx(0.1, rel=0.05)
+    assert aggregate.bytes_moved == second.bytes_moved == 10 * MiB
+    assert aggregate.pending_bytes == 0
+
+
+def test_bookings_from_many_threads_lose_no_time():
+    """Every booking lands on the calendar: with more threads than cores
+    and a tiny switch interval, the calendar still ends the summed shares
+    after the first booking (a lost read-modify-write would end it early).
+    The clock all but stands still, so every booking queues."""
+    clock = VirtualClock(time_scale=1000)  # one virtual ms per wall second
+    aggregate = Link("agg", bandwidth=100 * MiB, clock=clock)
+    started = clock.now()
+    workers = [
+        threading.Thread(target=lambda: [aggregate._book(1 * MiB) for _ in range(500)])
+        for _ in range(8)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert aggregate._booked_until - started >= 8 * 500 * 0.01 - 1e-6

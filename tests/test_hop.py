@@ -225,7 +225,9 @@ def _flush_case(engine, cluster, hop, point, how, chunk):
         "h2f": (ssd, ssd.write_link),
         "d2s": (ssd, ssd.write_link),
         "f2r": (None, ssd.read_link),
-        "f2p": (pfs, pfs.global_write_link),
+        # A written PFS chunk is one transfer on the node's share (the
+        # aggregate is crossed alongside it).
+        "f2p": (pfs, pfs.node_links(engine.node_id)[0]),
         "repl": (cluster.nodes[-1].ssd, engine.replica_targets[0][2] if hop == "repl" else None),
     }[hop]
     if point == "claim":  # (replication is best effort: it feeds no breaker)

@@ -91,7 +91,7 @@ class TestSsdStore:
 
 class TestPfsStore:
     def test_roundtrip_and_node_links(self):
-        store = PfsStore(HardwareSpec(), SCALE, _clock(), num_nodes=2)
+        store = PfsStore(HardwareSpec(), SCALE, _clock())
         data = _payload(1 * MiB)
         store.put((0, 1), data, 1 * MiB, node_id=1)
         out, _ = store.get((0, 1), node_id=0)
@@ -107,6 +107,64 @@ class TestPfsStore:
         store = PfsStore(HardwareSpec(), SCALE, _clock())
         with pytest.raises(CheckpointNotFound):
             store.get((1, 2))
+
+    @pytest.mark.parametrize("op", ["put", "put_batch"])
+    def test_a_write_costs_the_nodes_share_not_the_sum(self, op):
+        """Cut-through: a written chunk crosses the node's share and the
+        aggregate at once, so a lone 64 MiB write accounts the share's
+        latency and bytes alone (31.75 ms), not the aggregate's 15.6 ms on
+        top."""
+        spec = HardwareSpec()
+        store = PfsStore(spec, SCALE, _clock())
+        data = _payload(64 * MiB)
+        if op == "put":
+            seconds = store.put(KEY, data, 64 * MiB)
+        else:
+            seconds = store.put_batch([(KEY, data, 64 * MiB, {})])
+        ((node, aggregate),) = store.route(0, True)
+        assert seconds == spec.pfs_latency + 64 * MiB / spec.pfs_write_bandwidth
+        assert node.busy_time == 64 * MiB / spec.pfs_write_bandwidth
+        assert aggregate.busy_time == pytest.approx(64 * MiB / aggregate.bandwidth)
+        assert node.bytes_moved == aggregate.bytes_moved == 64 * MiB
+        assert node.pending_bytes == aggregate.pending_bytes == 0
+
+    def test_a_read_crosses_the_share_then_the_aggregate(self):
+        spec = HardwareSpec()
+        store = PfsStore(spec, SCALE, _clock())
+        store.put(KEY, _payload(64 * MiB), 64 * MiB)
+        seconds = store.get(KEY)[1]
+        (node, _), (aggregate, _) = store.route(0, False)
+        share = spec.pfs_latency + 64 * MiB / spec.pfs_read_bandwidth
+        assert seconds == share + 64 * MiB / aggregate.bandwidth  # 47.375 ms
+        assert node.bytes_moved == aggregate.bytes_moved == 64 * MiB
+
+    def test_the_aggregate_caps_concurrent_nodes(self):
+        """Four nodes writing at once share the aggregate (two node shares):
+        the puts queue on its calendar, so the last lands after ~twice a
+        lone put's time — and the first still at the node's pace."""
+        spec = HardwareSpec()
+        clock = VirtualClock(time_scale=0.2)
+        store = PfsStore(spec, SCALE, clock)
+        barrier = threading.Barrier(4)
+        seconds = []
+
+        def put(node_id):
+            barrier.wait()
+            seconds.append(store.put((node_id, 0), _payload(64 * MiB), 64 * MiB, node_id=node_id))
+
+        threads = [threading.Thread(target=put, args=(node_id,)) for node_id in range(4)]
+        started = clock.now()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        elapsed = clock.now() - started
+        alone = spec.pfs_latency + 64 * MiB / spec.pfs_write_bandwidth
+        assert min(seconds) == pytest.approx(alone, rel=0.05)
+        aggregate = store.global_write_link
+        assert 0.95 * 4 * 64 * MiB / aggregate.bandwidth <= elapsed < 4 * alone
+        assert aggregate.bytes_moved == 4 * 64 * MiB
 
 
 class TestTopology:
@@ -269,16 +327,24 @@ def _counter(store, name):
     return store.telemetry.registry.counter(f"tier.{store.tier}.{name}").value
 
 
+def _links(route):
+    """Every link a route's legs cross, in order."""
+    return [link for leg in route for link in leg if link is not None]
+
+
 @pytest.fixture
 def charges(monkeypatch):
     """Replace ``Link.transfer`` by its uncontended nominal duration and
-    record ``(link name, bytes)`` per call: accounted seconds become exact
-    (the real figure adds the measured wait for the link's mutex)."""
+    record ``(link name, bytes)`` per link it crosses: accounted seconds
+    become exact (the real figure adds the measured wait for the link's
+    mutex).  A link crossed alongside another costs only when it is the
+    slower of the two."""
     calls = []
 
-    def transfer(link, nbytes, cancelled=None, request=None):
-        calls.append((link.name, nbytes))
-        return link.estimate(nbytes, include_pending=False)
+    def transfer(link, nbytes, cancelled=None, request=None, alongside=None):
+        crossed = (link,) if alongside is None else (link, alongside)
+        calls.extend((each.name, nbytes) for each in crossed)
+        return max(each.estimate(nbytes, include_pending=False) for each in crossed)
 
     monkeypatch.setattr(Link, "transfer", transfer)
     return calls
@@ -323,7 +389,7 @@ class TestPutContract:
         data = _payload(1 * MiB)
         whole = store.put((0, 0), data, 1 * MiB)
         put_charges = list(charges)
-        assert put_charges == [(link.name, 1 * MiB) for link in store.route(0, True)]
+        assert put_charges == [(link.name, 1 * MiB) for link in _links(store.route(0, True))]
         ops, nbytes = _counter(store, "write_ops"), _counter(store, "write_bytes")
         del charges[:]
         handle = store.open_put(KEY, 1 * MiB, int(data.size))
@@ -338,7 +404,7 @@ class TestPutContract:
         data = _payload(4 * MiB)
         handle = store.open_put(KEY, 4 * MiB, int(data.size))
         seconds = [handle.write(1 * MiB) for _ in range(4)]
-        assert len(charges) == 4 * len(store.route(0, True))
+        assert len(charges) == 4 * len(_links(store.route(0, True)))
         assert _counter(store, "write_bytes") == 4 * MiB
         assert _counter(store, "write_ops") == 0  # counted at commit
         assert handle.commit(data) == sum(seconds)

@@ -23,6 +23,10 @@ than 137 "config fields" (the fields of ``repro.config``'s dataclasses) or 12
 "raise ConfigError in config.py" (a constraint is declared on its field and
 checked by ``validate``; only rules relating two fields are code).  A new
 knob or hand-written check fails unless the same diff raises the limit.
+
+And a store charges its route in one place: more than one ".transfer( call
+sites in tiers/" means a second route loop (``ObjectStore._cross`` moves a
+chunk across every leg of the route).
 """
 
 import dataclasses
@@ -83,6 +87,7 @@ def main() -> int:
     core = [path for path in FILES if path.parent.name == "core"]
     outside_tiers = [path for path in FILES if path.parent.name != "tiers"]
     fabric = [path for path in FILES if path.name == "fabric.py"]
+    tiers = [path for path in FILES if path.parent.name == "tiers"]
     counts = {
         "threading.Thread( sites": sites(r"threading\.Thread\("),
         "broad except sites": sites(r"except (Exception|BaseException)\b|except:"),
@@ -93,6 +98,7 @@ def main() -> int:
         ".release(record) call sites": sites(r"\.release\(record\)"),
         "chunk loops in core/": sites(r"enumerate\((chunk_sizes_for\(|sizes\))", core),
         ".transfer( call sites in cluster/fabric.py": sites(r"\.transfer\(", fabric),
+        ".transfer( call sites in tiers/": sites(r"\.transfer\(", tiers),
         "promote_once( call sites": sites(r"(?<!def )promote_once\("),
         "prefetch_inflight = False writes": sites(r"(?<!self)\.prefetch_inflight = False"),
         "backoff_for( callers": sites(r"(?<!def )backoff_for\("),
@@ -111,6 +117,7 @@ def main() -> int:
         "path-picking reads in core/": 6,
         "config fields": 137,
         "raise ConfigError in config.py": 12,
+        ".transfer( call sites in tiers/": 1,
     }
     failed = [what for what, limit in hard.items() if len(counts[what]) > limit]
     for what in failed:
