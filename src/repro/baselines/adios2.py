@@ -78,7 +78,7 @@ class Adios2Engine:
         self.staging_capacity = context.config.cache.host_cache_size
         self._staged_bytes = 0
         self._checkpoints: Dict[int, _StagedCheckpoint] = {}
-        self._drain_stream = Stream(f"p{self.process_id}-adios2-drain")
+        self._drain_stream = Stream(f"p{self.process_id}-adios2-drain", self.clock)
         self._closed = False
         # The pageable staging buffer is allocated lazily by ADIOS2; charge
         # nothing up front (it has no pinning cost — that is also why its

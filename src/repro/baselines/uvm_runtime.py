@@ -106,12 +106,14 @@ class UvmEngine:
         self._checkpoints: Dict[int, _UvmCheckpoint] = {}
         #: drained-to-SSD checkpoints still live in UVM, oldest first.
         self._reclaimable: "OrderedDict[int, _UvmCheckpoint]" = OrderedDict()
-        self._drain_stream = Stream(f"p{self.process_id}-uvm-drain")
+        self._drain_stream = Stream(f"p{self.process_id}-uvm-drain", self.clock)
         #: device bytes prefetched per the hints but not yet consumed.
         self._prefetched_unconsumed = 0
         self._closed = False
         self._prefetch_thread = threading.Thread(
-            target=self._prefetch_loop, name=f"uvm-prefetch-p{self.process_id}", daemon=True
+            target=self.clock.runner(self._prefetch_loop),
+            name=f"uvm-prefetch-p{self.process_id}",
+            daemon=True,
         )
         self._prefetch_thread.start()
         # The paper charges UVM the same slow pinned host-cache warm-up:
@@ -406,7 +408,7 @@ class UvmEngine:
         with self.monitor:
             self._closed = True
             self.monitor.notify_all()
-        self._prefetch_thread.join()
+        self.clock.join(self._prefetch_thread)
         self._drain_stream.close(drain=True)
         self.uvm.close()
 

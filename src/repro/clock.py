@@ -2,112 +2,552 @@
 
 All simulated costs in this repository (transfer durations, compute
 intervals, allocation penalties) are expressed in *nominal seconds* — the
-units the paper reports.  :class:`VirtualClock` maps nominal time onto scaled
-wall-clock time so that a shot whose nominal duration is minutes executes in
-well under a second of real time, while every measured duration and derived
-throughput stays in paper units.
+units the paper reports.  :class:`VirtualClock` is the one clock every thread
+of a simulation reads, so cross-thread timestamps are comparable.  The
+runtime under test keeps real threads and condition variables, exactly like
+the C++ system it reproduces; the clock decides how fast nominal time passes
+for them.
 
-``time_scale`` is the ratio real/virtual: with ``time_scale=0.01`` a nominal
-10 ms compute interval sleeps 100 µs of wall time, and ``now()`` advances 100
-virtual seconds per real second.  ``time_scale=1.0`` is an unscaled clock.
+Time passes in two ways:
 
-The clock is shared by every thread of a simulation so cross-thread
-timestamps are comparable.  It is intentionally *not* a discrete-event
-engine: the runtime under test uses real threads and condition variables,
-exactly like the C++ system it reproduces, and the clock only rescales the
-passage of time.
+* **Skipped.**  Every runtime thread is *registered* with the clock: the
+  thread-creation sites wrap their target in :meth:`VirtualClock.runner`, and
+  any other thread registers at its first use of the clock (and drops out
+  when it exits).  Every blocking point of the runtime parks through the
+  clock — :meth:`~VirtualClock.sleep`, :meth:`~VirtualClock.join`, and the
+  waits of the conditions and events made by
+  :meth:`~VirtualClock.condition` / :meth:`~VirtualClock.event`.
+  When the last registered thread parks and some park has a deadline, the
+  clock adds the gap to the earliest deadline to its offset and wakes exactly
+  the parks due then.  Simulated idle time costs no wall time.
+* **Paced.**  While any registered thread is not parked — running Python, or
+  blocked in a primitive the clock does not know about (a raw
+  ``threading.Barrier``, a ``join``) — or a live thread the clock does not
+  know might act (any but a main thread that never used the clock), ``now()``
+  advances with wall time at ``1 / time_scale`` nominal seconds per real
+  second, and a sleeper wakes at its scaled wall deadline (coarse OS sleep,
+  then a spin tail of at most :data:`SPIN_THRESHOLD`).  Liveness never
+  depends on every blocking point being known: the worst case is a
+  wall-paced clock.
+
+A ``notify``/``set`` marks its waiters runnable before it returns, so time
+never skips between a wake-up and the woken thread running.  The clock's
+lock is a leaf: nothing is called out while it is held.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import threading
 import time
-from typing import Callable, Optional
+import weakref
+from _thread import allocate_lock
+from collections import deque
+from typing import Callable, Iterable, Optional
 
 from repro.errors import ConfigError
 
 
-#: Below this many wall-clock seconds the sleeper spins instead of calling
-#: ``time.sleep`` — OS sleep granularity (~60 µs) would otherwise dominate
+#: Below this many wall-clock seconds a paced sleeper spins instead of
+#: calling the OS — sleep granularity (~60 µs) would otherwise dominate
 #: heavily-scaled transfer times and distort measured throughput.
 SPIN_THRESHOLD = 200e-6
 
+#: While a skip is held back by a live thread the clock does not know,
+#: parked threads look again after this many wall seconds, doubling up to
+#: ``RECHECK_S``: such a thread usually registers or exits soon, but a look
+#: costs the GIL the thread being waited for needs.
+RECHECK_FIRST_S = 200e-6
+RECHECK_S = 2e-3
+
+_INF = float("inf")
+
+
+class _Park:
+    """One blocked call: its deadline and the token its waker releases."""
+
+    __slots__ = ("clock", "lock", "woken", "by_timer")
+
+    def __init__(self, clock: "VirtualClock") -> None:
+        self.clock = clock
+        self.lock = allocate_lock()
+        self.lock.acquire()
+        self.woken = False
+        #: woken because its deadline came (skip or pace), not by a notify.
+        self.by_timer = False
+
+
+class _Member:
+    """A registered thread's thread-local token, dropped when the thread
+    exits (after it left ``threading.enumerate()``): it leaves the runner
+    set then.  It holds its clock weakly, so a dropped clock ends here."""
+
+    __slots__ = ("clock", "ident")
+
+    def __init__(self, clock: "VirtualClock") -> None:
+        self.clock = weakref.ref(clock)
+        self.ident = threading.get_ident()
+
+    def __del__(self) -> None:
+        clock = self.clock()
+        if clock is not None:
+            clock._retire(self.ident)
+
 
 class VirtualClock:
-    """A monotonic clock whose rate is ``1 / time_scale`` of wall time."""
+    """A monotonic nominal-time clock: wall time scaled by ``1 / time_scale``
+    plus the idle time skipped while every registered thread was parked."""
 
     def __init__(self, time_scale: float = 1.0) -> None:
         if not (0.0 < time_scale <= 1000.0):
             raise ConfigError(f"time_scale out of range (0, 1000]: {time_scale}")
         self.time_scale = float(time_scale)
         self._origin = time.monotonic()
+        self._offset = 0.0
+        self._lock = allocate_lock()  # leaf: guards everything below
+        self._local = threading.local()
+        self._running = 0  # registered threads not parked (and runners not started yet)
+        self._members: set = set()  # idents of the registered threads alive
+        self._members_version = 0
+        #: the last skip was held back by a thread the clock does not know.
+        self._held_back = False
+        #: ``(live threads, members version)`` when no unknown thread could act.
+        self._census = None
+        #: runner thread -> the event its exit sets (:meth:`join`).
+        self._exits: dict = {}
+        self._timers: list = []  # heap of (deadline, seq, park)
+        #: lower bound of the earliest pending deadline (``now()`` fires due parks).
+        self._due = _INF
+        self._seq = itertools.count()
+        #: skips taken and the nominal seconds they jumped.
+        self.skips = 0
+        self.skipped_s = 0.0
 
     # -- conversions -----------------------------------------------------
     def to_real(self, virtual_seconds: float) -> float:
-        """Wall-clock seconds corresponding to ``virtual_seconds``."""
+        """Wall-clock seconds corresponding to ``virtual_seconds`` of paced time."""
         return virtual_seconds * self.time_scale
 
     def to_virtual(self, real_seconds: float) -> float:
-        """Nominal seconds corresponding to ``real_seconds`` of wall time."""
+        """Nominal seconds corresponding to ``real_seconds`` of paced wall time."""
         return real_seconds / self.time_scale
 
     # -- reading ---------------------------------------------------------
     def now(self) -> float:
-        """Nominal seconds elapsed since the clock was created."""
+        """Nominal seconds elapsed since the clock was created.  The first
+        reading registers the calling thread: it takes part from then on."""
+        self._register()
+        t = (time.monotonic() - self._origin) / self.time_scale + self._offset
+        if t >= self._due:
+            with self._lock:
+                self._fire_locked(t)
+        return t
+
+    @property
+    def paced_s(self) -> float:
+        """Nominal seconds the clock advanced at wall pace (not skipped)."""
         return (time.monotonic() - self._origin) / self.time_scale
 
+    # -- the runtime's blocking primitives --------------------------------
+    def condition(self, lock=None) -> "Condition":
+        """A condition variable whose waits park on this clock."""
+        return Condition(self, lock)
+
+    def event(self) -> "Event":
+        """An event whose waits park on this clock."""
+        return Event(self)
+
+    def runner(self, target: Callable) -> Callable:
+        """``target`` run as a registered thread: it counts as a runner from
+        this call (before the thread starts, so time cannot skip past its
+        first step) until it exits.  The one way to start a thread; the
+        caller uses the clock too (it is registered), and waits for the
+        thread with :meth:`join`."""
+        self._register()
+        with self._lock:
+            self._running += 1
+
+        def run(*args, **kwargs):
+            # (no local: a traceback holding this frame must not keep the
+            # member, whose release at thread exit is the retirement)
+            self._local.member = _Member(self)
+            exited = self._exits.setdefault(threading.current_thread(), Event(self))
+            with self._lock:
+                self._members.add(threading.get_ident())
+                self._members_version += 1
+            try:
+                return target(*args, **kwargs)
+            finally:
+                exited.set()
+
+        return run
+
+    def join(self, thread: threading.Thread) -> None:
+        """``thread.join()``, parked on the clock for a thread started
+        through :meth:`runner`: time may skip while it finishes.  Any other
+        thread (or a runner whose body has not begun) is joined raw: the
+        caller stays a runner meanwhile, so time keeps wall pace."""
+        exited = self._exits.get(thread)
+        if exited is not None:
+            exited.wait()
+        thread.join()
+        self._exits.pop(thread, None)
+
     # -- sleeping / waiting -----------------------------------------------
-    def sleep(
-        self, virtual_seconds: float, cancelled: Optional[threading.Event] = None
-    ) -> bool:
+    def sleep(self, virtual_seconds: float, cancelled=None) -> bool:
         """Block the calling thread for ``virtual_seconds`` of nominal time.
 
-        With ``cancelled``, the sleep wakes as soon as the event fires (a
-        coalesced link span can be long; a cancellation must not wait it
-        out) and returns ``True`` when it was cut short; otherwise ``False``.
+        With ``cancelled`` (an :class:`Event`), the sleep wakes as soon as it
+        is set (a coalesced link span can be long; a cancellation must not
+        wait it out) and returns ``True`` when it was cut short; otherwise
+        ``False``.
         """
         if virtual_seconds < 0:
             raise ValueError(f"negative sleep: {virtual_seconds}")
-        deadline = time.monotonic() + self.to_real(virtual_seconds)
-        # Coarse sleep down to the spin threshold, then spin the remainder.
-        # OS sleeps overshoot by tens of microseconds, which at small
-        # time_scale would multiply into large *virtual* errors; the final
-        # spin keeps scaled durations accurate to a few microseconds.
+        if cancelled is not None and cancelled.is_set():
+            return True
+        if virtual_seconds == 0:
+            return False
+        deadline = self.now() + virtual_seconds
+        if self._advance_alone(deadline):
+            return False
+        park = self._park(deadline)
+        if cancelled is not None and not cancelled._attach(park):
+            self._wake(park)
+        if not park.woken:
+            # Coarse OS sleep down to the spin threshold, then spin: OS
+            # sleeps overshoot by tens of microseconds, which at a small
+            # time_scale would multiply into large nominal errors.
+            real = (deadline - self.now()) * self.time_scale - SPIN_THRESHOLD
+            if real > 0:
+                self._hold(park, real)
+            while not park.woken:  # now() wakes the park once it is due
+                self.now()
+        if cancelled is None:
+            return False
+        cancelled._detach(park)
+        return cancelled.is_set()
+
+    # -- the park table -----------------------------------------------------
+    def _park(self, deadline: Optional[float]) -> _Park:
+        """Count the calling thread parked until its park is woken — by a
+        notify/set, or by its ``deadline`` coming.  When it was the last
+        runner, time skips to the earliest deadline here."""
+        self._register()
+        park = _Park(self)
+        with self._lock:
+            self._running -= 1
+            if deadline is not None:
+                heapq.heappush(self._timers, (deadline, next(self._seq), park))
+                if deadline < self._due:
+                    self._due = deadline
+            idle = self._running == 0
+        if idle:
+            self._skip()
+        return park
+
+    def _block(self, park: _Park, deadline: Optional[float]) -> None:
+        """Wait (not precisely: a condition or event wait) until ``park`` is
+        woken or its deadline passes at wall pace."""
+        if park.woken:
+            return
+        if deadline is None:
+            self._hold(park)
+            return
+        real = (deadline - self.now()) * self.time_scale
+        if real > 0 and self._hold(park, real):
+            return
+        with self._lock:
+            if not park.woken:
+                park.by_timer = True
+                self._wake_locked(park)
+
+    def _hold(self, park: _Park, real: Optional[float] = None) -> bool:
+        """Block until ``park`` is woken (``True``) or ``real`` wall seconds
+        passed (``False``).  While every registered thread is parked but a
+        thread the clock does not know held the skip back, look again
+        (every :data:`RECHECK_S` at most): that thread may since have
+        registered or exited.  A registered runner looks again itself when
+        it parks."""
+        end = None if real is None else time.monotonic() + real
+        recheck = RECHECK_FIRST_S
         while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return cancelled is not None and cancelled.is_set()
-            if cancelled is None:
-                if remaining > SPIN_THRESHOLD:
-                    time.sleep(remaining - SPIN_THRESHOLD)
-            elif remaining > SPIN_THRESHOLD:
-                if cancelled.wait(remaining - SPIN_THRESHOLD):
-                    return True
-            elif cancelled.is_set():
+            timeout = -1 if end is None else end - time.monotonic()
+            if self._held_back and self._running == 0:
+                timeout = recheck if end is None else min(recheck, timeout)
+                recheck = min(2 * recheck, RECHECK_S)
+            if end is not None and timeout <= 0:
+                return False
+            if park.lock.acquire(True, timeout):
                 return True
-            # else: spin (loop re-checks the deadline immediately)
+            if self._held_back and self._running == 0:
+                self._skip()
 
-    def wait(
-        self, cond: threading.Condition, virtual_timeout: Optional[float] = None
-    ) -> bool:
-        """``Condition.wait`` with the timeout given in nominal seconds (the
-        condition's lock must already be held).  Every timed wait in the
-        runtime goes through here or :meth:`wait_for`."""
-        return cond.wait(None if virtual_timeout is None else self.to_real(virtual_timeout))
+    def _wake(self, park: _Park) -> bool:
+        with self._lock:
+            return self._wake_locked(park)
 
-    def wait_for(
-        self,
-        cond: threading.Condition,
-        predicate: Callable[[], bool],
-        virtual_timeout: Optional[float] = None,
-    ) -> bool:
-        """``Condition.wait_for`` with the timeout given in nominal seconds.
+    def _wake_all(self, parks: Iterable[_Park]) -> None:
+        with self._lock:
+            for park in parks:
+                self._wake_locked(park)
 
-        The condition's lock must already be held.  Returns the final value
-        of ``predicate()`` (i.e. ``False`` only on timeout).
-        """
-        real_timeout = None if virtual_timeout is None else self.to_real(virtual_timeout)
-        return cond.wait_for(predicate, timeout=real_timeout)
+    def _wake_locked(self, park: _Park) -> bool:
+        if park.woken:
+            return False
+        park.woken = True
+        self._running += 1
+        park.lock.release()
+        return True
+
+    def _advance_alone(self, deadline: float) -> bool:
+        """The fast path of a sleep: the caller is the one registered thread
+        running and no park is due before ``deadline``, so it advances the
+        clock to it itself — no park, no hand-off."""
+        if self._running != 1 or self._due < deadline:
+            return False
+        if getattr(self._local, "member", None) is None or not self._quiet():
+            return False
+        with self._lock:
+            if self._running != 1 or self._due < deadline:
+                return False
+            t = (time.monotonic() - self._origin) / self.time_scale + self._offset
+            if deadline > t:
+                self._offset += deadline - t
+                self.skips += 1
+                self.skipped_s += deadline - t
+        return True
+
+    def _quiet(self) -> bool:
+        """Every live thread is registered, bar a main thread that has not
+        used this clock (one that only starts and joins the threads
+        that do).  A thread the clock does not know might act before the
+        next deadline, so while one lives time keeps wall pace.  A verdict
+        holds while no thread starts, exits, registers or leaves."""
+        census = (threading.active_count(), self._members_version)
+        if census == self._census:
+            return True
+        members, main = self._members, threading.main_thread()
+        self._held_back = any(
+            t.ident not in members and t is not main for t in threading.enumerate()
+        )
+        self._census = None if self._held_back else census
+        return not self._held_back
+
+    def _skip(self) -> None:
+        """The last runner parked or left: jump to the earliest deadline and
+        wake the parks due then, if :meth:`_quiet`."""
+        if not self._quiet():
+            return
+        with self._lock:
+            if self._running == 0:
+                self._skip_locked()
+
+    def _skip_locked(self) -> None:
+        timers = self._timers
+        while timers and timers[0][2].woken:
+            heapq.heappop(timers)
+        if not timers:
+            self._due = _INF
+            return
+        deadline = timers[0][0]
+        t = (time.monotonic() - self._origin) / self.time_scale + self._offset
+        if deadline > t:
+            self._offset += deadline - t
+            self.skips += 1
+            self.skipped_s += deadline - t
+            t = deadline
+        self._fire_locked(t)
+
+    def _fire_locked(self, t: float) -> None:
+        """Wake every park whose deadline is at or before ``t``."""
+        timers = self._timers
+        while timers and (timers[0][0] <= t or timers[0][2].woken):
+            park = heapq.heappop(timers)[2]
+            if not park.woken:
+                park.by_timer = True
+                self._wake_locked(park)
+        self._due = timers[0][0] if timers else _INF
+
+    # -- the runner set -------------------------------------------------------
+    def _register(self) -> None:
+        """Register the calling thread at its first use of the clock."""
+        try:
+            self._local.member
+            return
+        except AttributeError:
+            self._local.member = _Member(self)
+        with self._lock:
+            self._running += 1
+            self._members.add(threading.get_ident())
+            self._members_version += 1
+
+    def _retire(self, ident: int) -> None:
+        """A registered thread exited (running, never parked): it leaves the
+        runner set, and if it was the last runner, time may skip."""
+        with self._lock:
+            self._running -= 1
+            self._members.discard(ident)
+            self._members_version += 1
+            idle = self._running == 0
+        if idle:
+            self._skip()
+
+
+class Condition:
+    """``threading.Condition`` whose waits park on a :class:`VirtualClock`,
+    with timeouts in nominal seconds.  ``notify`` marks the waiters it wakes
+    runnable before it returns."""
+
+    def __init__(self, clock: VirtualClock, lock=None) -> None:
+        self._clock = clock
+        self._lock = lock if lock is not None else threading.RLock()
+        self.acquire = self._lock.acquire
+        self.release = self._lock.release
+        # An RLock held recursively is released (and restored) whole.
+        self._release_save = getattr(self._lock, "_release_save", self._lock.release)
+        self._acquire_restore = getattr(self._lock, "_acquire_restore", None)
+        self._is_owned = getattr(self._lock, "_is_owned", self._is_owned)
+        self._waiters: deque = deque()
+
+    def _is_owned(self) -> bool:
+        # A plain lock: held by someone (``threading.Condition`` checks alike).
+        if self._lock.acquire(False):
+            self._lock.release()
+            return False
+        return True
+
+    def __enter__(self):
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._lock.__exit__(*exc_info)
+
+    def wait(self, timeout: Optional[float] = None, wake_on: Iterable["Event"] = ()) -> bool:
+        """Release the lock and park until notified or one of the events
+        ``wake_on`` is set (``True``), or until ``timeout`` nominal seconds
+        passed (``False``)."""
+        if not self._is_owned():
+            raise RuntimeError("cannot wait on un-acquired condition")
+        clock = self._clock
+        if timeout is not None and timeout <= 0:
+            return False
+        deadline = None if timeout is None else clock.now() + timeout
+        park = clock._park(deadline)
+        self._waiters.append(park)
+        for event in wake_on:
+            if not event._attach(park):
+                clock._wake(park)
+        saved = self._release_save()
+        try:
+            clock._block(park, deadline)
+        finally:
+            if self._acquire_restore is None:
+                self._lock.acquire()
+            else:
+                self._acquire_restore(saved)
+            if park.by_timer or wake_on:  # not taken off by a notify
+                try:
+                    self._waiters.remove(park)
+                except ValueError:
+                    pass
+            for event in wake_on:
+                event._detach(park)
+        return not park.by_timer
+
+    def wait_for(self, predicate: Callable[[], bool], timeout: Optional[float] = None) -> bool:
+        """Wait until ``predicate()`` holds; its last value (``False`` only
+        when ``timeout`` nominal seconds passed first)."""
+        deadline = None
+        result = predicate()
+        while not result:
+            if timeout is not None:
+                if deadline is None:
+                    deadline = self._clock.now() + timeout
+                elif deadline - self._clock.now() <= 0:
+                    break
+                self.wait(deadline - self._clock.now())
+            else:
+                self.wait()
+            result = predicate()
+        return result
+
+    def notify(self, n: int = 1) -> None:
+        """Wake up to ``n`` waiters.  The lock must be held."""
+        if not self._is_owned():
+            raise RuntimeError("cannot notify on un-acquired condition")
+        waiters = self._waiters
+        woken = 0
+        while waiters and woken < n:
+            # A waiter its deadline woke meanwhile takes no notification.
+            woken += self._clock._wake(waiters.popleft())
+
+    def notify_all(self) -> None:
+        """Wake every waiter.  The lock must be held."""
+        if not self._is_owned():
+            raise RuntimeError("cannot notify on un-acquired condition")
+        waiters, self._waiters = self._waiters, deque()
+        if waiters:
+            self._clock._wake_all(waiters)
+
+
+class Event:
+    """``threading.Event`` whose waits park on a clock: setting it wakes its
+    parked waiters (a :meth:`VirtualClock.sleep` it cancels, or a
+    :meth:`wait`) at once.  ``clock`` is needed only to :meth:`wait`: an
+    event built without one can cancel a sleep or a transfer, not be
+    waited on."""
+
+    __slots__ = ("_clock", "_flag", "_lock", "_parks")
+
+    def __init__(self, clock: Optional[VirtualClock] = None) -> None:
+        self._clock = clock
+        self._flag = False
+        self._lock = allocate_lock()
+        self._parks: list = []
+
+    def is_set(self) -> bool:
+        return self._flag
+
+    def set(self) -> None:
+        with self._lock:
+            self._flag = True
+            parks, self._parks = self._parks, []
+        for park in parks:
+            park.clock._wake(park)
+
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        """Park until set (``True``) or ``timeout`` nominal seconds passed."""
+        if self._flag:
+            return True
+        if timeout is not None and timeout <= 0:
+            return False
+        clock = self._clock
+        if clock is None:
+            raise RuntimeError("an Event built without a clock cannot be waited on")
+        deadline = None if timeout is None else clock.now() + timeout
+        park = clock._park(deadline)
+        if not self._attach(park):
+            clock._wake(park)
+        clock._block(park, deadline)
+        self._detach(park)
+        return self._flag
+
+    def _attach(self, park: _Park) -> bool:
+        """Register ``park`` for the set; ``False`` when already set."""
+        with self._lock:
+            if self._flag:
+                return False
+            self._parks.append(park)
+            return True
+
+    def _detach(self, park: _Park) -> None:
+        with self._lock:
+            try:
+                self._parks.remove(park)
+            except ValueError:
+                pass
 
 
 class Stopwatch:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.core.sync import Monitor
+from repro.core.sync import GUARD_S, Monitor
 
 if TYPE_CHECKING:
     from repro.cluster.fabric import ClusterFabric
@@ -107,7 +107,8 @@ class PfsWriteAggregator:
                     self._batch = None
                     self.monitor.notify_all()
                 while not batch.done:
-                    self.monitor.wait(1.0)
+                    if not self.monitor.wait(GUARD_S):
+                        self.fabric.telemetry.guard_fired(f"node{self.node_id}-agg", "aggregator")
                 if batch.error is not None:
                     raise batch.error
                 return batch.seconds

@@ -67,7 +67,7 @@ class ClientSession:
         self.service = service
         self.client_id = client_id
         self.engine = engine
-        self._cond = threading.Condition()
+        self._cond = service.clock.condition()
         self._inflight = 0
         self._closed = False
 
@@ -379,7 +379,7 @@ class CheckpointService:
 
         threads = [
             threading.Thread(
-                target=worker,
+                target=self.clock.runner(worker),
                 args=(i, session, ckpt_id, buffer, engine),
                 name=f"svc-restore-{i}",
                 daemon=True,
@@ -389,7 +389,7 @@ class CheckpointService:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            self.clock.join(thread)
         return [r for r in results if r is not None]
 
     def stats(self) -> dict:

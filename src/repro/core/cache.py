@@ -25,7 +25,7 @@ from repro.core.alloctable import AllocTable
 from repro.core.lifecycle import PINNED_STATES, CkptState, Instance
 from repro.core.predict import NEVER, instance_state_ts
 from repro.core.scoring import BARRIER, Costs, ScorePolicy, Window, exact
-from repro.core.sync import Monitor
+from repro.core.sync import GUARD_S, Monitor
 from repro.errors import AllocationError, CapacityError, TransferError
 from repro.simgpu.memory import Arena
 from repro.telemetry import Telemetry
@@ -80,15 +80,6 @@ class CacheGet:
 class CacheBuffer:
     """A managed cache tier (GPU or host) for one process."""
 
-    #: Reservation re-evaluation timeout (nominal seconds).  Every state
-    #: change that can unblock a reservation notifies the monitor, so this
-    #: only guards against missed wakeups from other engines' resources.
-    MISSED_WAKEUP_GUARD = 1.0
-    #: Short re-evaluation interval used while a lazily-pinned host arena is
-    #: still ramping up: its usable capacity grows with the clock and
-    #: notifies nobody, so the reservation must keep polling briefly.
-    RAMP_POLL_INTERVAL = 0.05
-
     def __init__(
         self,
         name: str,
@@ -100,6 +91,7 @@ class CacheBuffer:
         flush_estimate: Callable[[int], float],
         policy=None,
         usable_capacity: Optional[Callable[[], int]] = None,
+        pin_eta: Optional[Callable[[int], float]] = None,
         on_evict: Optional[Callable[["CheckpointRecord", "CacheBuffer"], None]] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
@@ -112,6 +104,8 @@ class CacheBuffer:
         self.flush_estimate = flush_estimate
         self.policy = policy or ScorePolicy()
         self.usable_capacity = usable_capacity
+        #: nominal seconds until a lazily-pinned arena's prefix reaches a size
+        self.pin_eta = pin_eta
         self.on_evict = on_evict
         self.telemetry = telemetry or Telemetry.disabled()
         registry = self.telemetry.registry
@@ -202,13 +196,23 @@ class CacheBuffer:
         return None if self.usable_capacity is None else self.usable_capacity()
 
     def ramping(self) -> bool:
-        """True while a lazily-pinned arena's usable capacity still grows.
-
-        Capacity growth is clock-driven and notifies no monitor, so waiters
-        that depend on it must poll briefly instead of trusting wakeups.
-        """
+        """True while a lazily-pinned arena's usable capacity still grows."""
         usable = self._limit()
         return usable is not None and usable < self.table.capacity
+
+    def ramp_wait(self, record: "CheckpointRecord", state: CkptState) -> Optional[float]:
+        """Monitor held: nominal seconds until the growing pinned prefix
+        alone opens a gap for ``record`` claimed in ``state`` — growth is
+        clock-driven and notifies nobody, so a wait on it is a deadline —
+        or ``None`` when the arena is not ramping or growth cannot help."""
+        if self.pin_eta is None or not self.ramping():
+            return None
+        min_offset, region_limit = self._region_for(state)
+        place = self.table.find_gap(record.stored_size(self.level), region_limit, min_offset)
+        if place is None:
+            return None
+        eta = self.pin_eta(place + record.stored_size(self.level))
+        return eta if eta > 0 else None
 
     def _fill(self, allow_pinned: bool, record: "CheckpointRecord") -> int:
         """Price a member the scan found without a memoised p."""
@@ -322,14 +326,12 @@ class CacheBuffer:
                 # flush-pending/read-pinned flip, hint change and eviction
                 # notifies the monitor, so the timeout is only a coarse
                 # missed-wakeup guard — except while a lazily-pinned arena
-                # is still ramping up (its capacity grows with the clock
-                # and notifies nobody), where a short poll remains.
-                ramping = usable is not None and usable < self.table.capacity  # == ramping()
-                self.monitor.wait(
-                    virtual_timeout=self.RAMP_POLL_INTERVAL
-                    if ramping
-                    else self.MISSED_WAKEUP_GUARD
-                )
+                # is still ramping up, where it is the ramp's deadline.
+                ramp = self.ramp_wait(record, initial_state)
+                if ramp is not None:
+                    self.monitor.wait(ramp)
+                elif not self.monitor.wait(GUARD_S):
+                    self.telemetry.guard_fired(f"cache-{self.name}", "reserve")
 
     def open_put(self, record: "CheckpointRecord", state: CkptState, link, **claim):
         """:meth:`reserve` (``claim``: its terms) as a :class:`CachePut`

@@ -11,9 +11,9 @@ All mutation happens under the engine monitor.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Dict, Iterable, Optional
 
+from repro.clock import Event
 from repro.core.lifecycle import CkptState, Instance
 from repro.errors import CheckpointNotFound, LifecycleError
 from repro.telemetry.causal import NULL_OP
@@ -62,7 +62,7 @@ class CheckpointRecord:
         self.consumed = False
         self.discarded = False
         #: set to abandon in-flight flushes (checked chunk-wise by Link).
-        self.cancel_flush = threading.Event()
+        self.cancel_flush = Event()
         #: the prefetcher is currently moving this checkpoint between tiers.
         self.prefetch_inflight = False
         #: causal handle of the ``checkpoint()`` that created this record

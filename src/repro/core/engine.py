@@ -32,7 +32,6 @@ chunk, commit, land — written once, in :mod:`repro.core.hop`.
 
 from __future__ import annotations
 
-import threading
 from functools import partial
 from itertools import islice
 from typing import Optional
@@ -48,7 +47,7 @@ from repro.core.restore_queue import RestoreQueue
 from repro.core.scoring import ScorePolicy
 from repro.core.hop import Hop, Leg
 from repro.core.streaming import ChunkPipeline, plan_chunks
-from repro.core.sync import Monitor
+from repro.core.sync import GUARD_S, Monitor
 from repro.errors import (
     CheckpointNotFound,
     EngineClosedError,
@@ -153,7 +152,7 @@ class ScoreEngine:
         #: set once an injected crash point fires; flush streams drop their
         #: remaining work and public entry points raise
         #: :class:`~repro.errors.InjectedCrash` until re-incarnation.
-        self.crashed = threading.Event()
+        self.crashed = self.clock.event()
 
         self.monitor = Monitor(self.clock)
         self.telemetry: Telemetry = (
@@ -355,6 +354,7 @@ class ScoreEngine:
             context.host_cache_arena(),
             self.ssd.write_link,
             usable_capacity=context.host_usable_capacity,
+            pin_eta=context.host_pin_eta,
         )
         if not self.config.shared_cache:
             # Section 4.1.2 ablation: statically split each cache into a
@@ -948,7 +948,8 @@ class ScoreEngine:
                         # on this monitor, so the timeout is only a
                         # missed-wakeup guard, not a polling interval.
                         wait_started = self.clock.now()
-                        self.monitor.wait(virtual_timeout=1.0)
+                        if not self.monitor.wait(GUARD_S):
+                            self.telemetry.guard_fired(self._app_track, "demand-restore")
                         blocked += self.clock.now() - wait_started
                         # Not moving: the only copy is mid-flush.
                         op.fill("stall-inflight" if moving else "stall-flush")
@@ -1090,6 +1091,7 @@ class ScoreEngine:
                 else 1,
                 self.clock,
                 crashed=self.crashed,
+                telemetry=self.telemetry,
             )
             staged = across and pipeline.chunks > 1  # one chunk: both legs inside the read
             for hop, runs in ((read, from_store), (via, staged), (cross, to_gpu)):
@@ -1358,6 +1360,12 @@ class ScoreEngine:
                 "promotions": self.prefetcher.promotions,
                 "abandoned_flushes": self.flusher.tallies()["abandoned"],
                 "ssd_objects": self.ssd.object_count(),
+                # virtual time that cost no wall time, and that which did
+                "clock": {
+                    "skips": self.clock.skips,
+                    "skipped_s": self.clock.skipped_s,
+                    "paced_s": self.clock.paced_s,
+                },
             }
             for key, fragment in self.stats_fragments:
                 stats[key] = fragment()

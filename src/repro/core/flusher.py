@@ -236,6 +236,7 @@ class Flusher:
             engine.clock,
             cancelled=record.cancel_flush,
             crashed=engine.crashed,
+            telemetry=engine.telemetry,
         )
         for leg in self.cascade:
             pipeline.add_stage(leg.stage)
@@ -302,8 +303,7 @@ class Flusher:
             backfill_before = self.backfill_depth
             self._drain_backfill()
             for stream in streams:
-                # Streams wait on the wall clock: the one conversion.
-                remaining = None if deadline is None else clock.to_real(deadline - clock.now())
+                remaining = None if deadline is None else deadline - clock.now()
                 if remaining is not None and remaining <= 0:
                     return False
                 if not stream.synchronize(timeout=remaining):

@@ -61,6 +61,7 @@ import threading
 from itertools import islice
 from typing import List, Optional, Tuple, TYPE_CHECKING
 
+from repro.core.lifecycle import CkptState
 from repro.errors import AdmissionError, ReproError, TransientTransferError
 from repro.faults.retry import backoff_for
 from repro.log import get_logger
@@ -119,10 +120,15 @@ class Prefetcher:
         self._m_bytes = registry.counter("prefetch.bytes")
         self._m_retries = registry.counter("prefetch.retries")
         self._m_sheds = registry.counter("prefetch.sheds")
+        #: non-blocking claims refused (the worker then parks until a change)
+        self._m_refused = registry.counter("prefetch.refused")
         self._running = True
+        #: hop -> ``(ckpt id, monitor.changes)`` of the claim its worker was
+        #: refused with nothing changed meanwhile (monitor held).
+        self._refused = {hop: None for hop in self.hops}
         self._workers = [
             threading.Thread(
-                target=self._run,
+                target=engine.clock.runner(self._run),
                 args=(hop,),
                 name=f"prefetcher-p{engine.process_id}-{hop.name.lower()}",
                 daemon=True,
@@ -161,16 +167,23 @@ class Prefetcher:
         prefetcher will do nothing more."""
         engine = self.engine
         with engine.monitor:
-            return all(self._pick_task(hop) is None for hop in self.hops) and not any(
-                record.prefetch_inflight for record in engine.catalog.all_records()
-            )
+            for hop in self.hops:
+                task = self._pick_task(hop)
+                if task is not None and not self._was_refused(hop, task):
+                    return False
+            return not any(record.prefetch_inflight for record in engine.catalog.all_records())
+
+    def _was_refused(self, hop: TierLevel, task: Task) -> bool:
+        """Monitor held: ``task`` is the claim the worker of ``hop`` was
+        refused, and nothing changed since — it would be refused again."""
+        return self._refused[hop] == (task[0].ckpt_id, self.engine.monitor.changes)
 
     def stop(self) -> None:
         with self.engine.monitor:
             self._running = False
             self.engine.monitor.notify_all()
         for worker in self._workers:
-            worker.join()
+            self.engine.clock.join(worker)
 
     # -- the promotion step -----------------------------------------------------
     def step(self, record, step, op, request, backoff: str, **claim):
@@ -218,22 +231,28 @@ class Prefetcher:
     def _run(self, hop: TierLevel) -> None:
         """The loop of the worker that lands extents on ``hop``."""
         engine = self.engine
+        monitor = engine.monitor
         span_name, track = HOP_SPANS[hop], self.tracks[hop]
+        cache = engine.host_cache if hop == TierLevel.HOST else engine.gpu_cache
         while True:
             task: Optional[Task] = None
-            with engine.monitor:
+            with monitor:
                 while self._running:
                     task = self._pick_task(hop)
-                    if task is not None:
+                    refused = task is not None and self._was_refused(hop, task)
+                    if task is not None and not refused:
                         break
-                    # Hints, transitions, consumption and evictions all
-                    # notify the monitor; only a ramping lazily-pinned host
-                    # arena changes silently and warrants a short poll.
-                    engine.monitor.wait(
-                        virtual_timeout=0.05 if engine.host_cache.ramping() else 1.0
-                    )
+                    # Hints, transitions, consumption, releases and evictions
+                    # all notify the monitor: park until one does.  Only a
+                    # lazily-pinned arena grows silently: a refused claim
+                    # also ends its park when the arena has pinned the room.
+                    ramp = cache.ramp_wait(task[0], CkptState.READ_IN_PROGRESS) if refused else None
+                    if not monitor.wait(ramp):
+                        self._refused[hop] = None
+                self._refused[hop] = None
                 if not self._running:
                     return
+                seen = monitor.others_changes()
                 task[0].prefetch_inflight = True
                 op = self._chain_op(task[0].ckpt_id, track)
             record, step, distance, explicit = task
@@ -278,6 +297,15 @@ class Prefetcher:
                 elif outcome == "retry":
                     span.add(retried=True)
                     self._m_retries.inc()
+                elif outcome == "refused":
+                    self._m_refused.inc()
+                    with monitor:
+                        # Refused with nothing changed by another thread
+                        # since the pick: the same claim would be refused
+                        # (an ``idle()`` waiter may now find nothing to do).
+                        if monitor.others_changes() == seen:
+                            self._refused[hop] = (record.ckpt_id, monitor.changes)
+                            monitor.wake_all()
             if seconds is not None:
                 self._book_landing(record, step, explicit, started, seconds)
 

@@ -34,10 +34,10 @@ dependency chain through the stage × chunk grid, free of host hand-off time.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional
 
-from repro.clock import VirtualClock
+from repro.clock import Event, VirtualClock
+from repro.core.sync import GUARD_S
 
 
 def plan_chunks(nbytes: int, chunk_bytes: int) -> List[int]:
@@ -74,15 +74,18 @@ class ChunkPipeline:
         ckpt_id: int,
         chunks: int,
         clock: VirtualClock,
-        cancelled: Optional[threading.Event] = None,
-        crashed: Optional[threading.Event] = None,
+        cancelled: Optional[Event] = None,
+        crashed: Optional[Event] = None,
+        telemetry=None,
     ) -> None:
         self.ckpt_id = ckpt_id
         self.chunks = chunks
         self.clock = clock
         self.cancelled = cancelled
         self.crashed = crashed
-        self._cond = threading.Condition()
+        #: where a missed-wakeup guard that fires is counted (none: not counted).
+        self.telemetry = telemetry
+        self._cond = clock.condition()
         self._done: Dict[str, int] = {}
         #: per stage, the accounted seconds of each chunk step, in chunk order.
         self._spent: Dict[str, List[float]] = {}
@@ -209,10 +212,12 @@ class ChunkPipeline:
                 return status  # no stall: nothing to tally
             started = self.clock.now()
             try:
+                interrupts = tuple(e for e in (self.cancelled, self.crashed) if e is not None)
                 while not self._interrupted():
-                    # Woken by publish/fail/skip; the timeout only guards a
-                    # missed wake-up and notices a crash or a cancel.
-                    self.clock.wait(self._cond, virtual_timeout=1.0)
+                    # Woken by publish/fail/skip, a crash or a cancel; the
+                    # timeout only guards a missed wake-up.
+                    if not self._cond.wait(GUARD_S, interrupts) and self.telemetry is not None:
+                        self.telemetry.guard_fired(f"pipeline-{self.ckpt_id}", stage)
                     status = ready()
                     if status is not None:
                         return status

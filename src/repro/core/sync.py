@@ -17,9 +17,14 @@ fine-grained locks and a good fraction of its complexity is exactly there).
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
-from repro.clock import VirtualClock
+from repro.clock import Event, VirtualClock
+
+#: Missed-wakeup guard of a condition wait (nominal seconds): every change
+#: the waiter re-evaluates notifies it, so the timeout only bounds the
+#: latency of a wake-up that was missed.  One that fires is counted.
+GUARD_S = 1.0
 
 
 class Monitor:
@@ -27,8 +32,10 @@ class Monitor:
 
     def __init__(self, clock: VirtualClock) -> None:
         self._lock = threading.RLock()
-        self._cond = threading.Condition(self._lock)
-        self._clock = clock
+        self._cond = clock.condition(self._lock)
+        #: bumped by every :meth:`notify_all`; ``_own.count`` per thread.
+        self.changes = 0
+        self._own = threading.local()
 
     def __enter__(self) -> "Monitor":
         self._lock.acquire()
@@ -39,15 +46,30 @@ class Monitor:
 
     def notify_all(self) -> None:
         """Wake every waiter.  The monitor must be held."""
+        self.changes += 1
+        self._own.count = getattr(self._own, "count", 0) + 1
         self._cond.notify_all()
 
-    def wait(self, virtual_timeout: Optional[float] = None) -> None:
-        """Release the monitor and sleep until notified (or timeout, given
-        in nominal seconds).  The monitor must be held."""
-        self._clock.wait(self._cond, virtual_timeout)
+    def wake_all(self) -> None:
+        """Wake every waiter without counting a change: what moved is a
+        waiter's own verdict, not state :meth:`others_changes` watches.
+        The monitor must be held."""
+        self._cond.notify_all()
+
+    def others_changes(self) -> int:
+        """How many :meth:`notify_all` calls other threads made so far: a
+        waiter that finds it where it left it knows nothing it could
+        re-evaluate has changed.  The monitor must be held."""
+        return self.changes - getattr(self._own, "count", 0)
+
+    def wait(self, virtual_timeout: Optional[float] = None, wake_on: Iterable[Event] = ()) -> bool:
+        """Release the monitor and park until notified or an event of
+        ``wake_on`` is set (``True``), or until ``virtual_timeout`` nominal
+        seconds passed (``False``).  The monitor must be held."""
+        return self._cond.wait(virtual_timeout, wake_on)
 
     def wait_for(
         self, predicate: Callable[[], bool], virtual_timeout: Optional[float] = None
     ) -> bool:
         """``Condition.wait_for`` in nominal time.  The monitor must be held."""
-        return self._clock.wait_for(self._cond, predicate, virtual_timeout)
+        return self._cond.wait_for(predicate, virtual_timeout)

@@ -21,10 +21,11 @@ event the scheduler fires to preempt speculative prefetches.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Optional
+
+from repro.clock import Event
 
 
 class TransferClass(IntEnum):
@@ -67,7 +68,7 @@ class TransferRequest:
     tclass: TransferClass
     engine_id: int = 0
     deadline: Optional[float] = None
-    cancel_event: threading.Event = field(default_factory=threading.Event)
+    cancel_event: Event = field(default_factory=Event)
     #: causal id of the operation this transfer serves (None unless
     #: ``AnalysisConfig.enabled``); the scheduler stamps it on the
     #: ``sched-wait`` span it emits for the transfer's first grant wait.

@@ -40,7 +40,7 @@ import itertools
 import threading
 from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
-from repro.clock import VirtualClock
+from repro.clock import Event, VirtualClock
 from repro.config import SchedConfig
 from repro.errors import AdmissionError, TransferError
 from repro.sched.request import TransferClass, TransferRequest
@@ -49,9 +49,9 @@ from repro.telemetry import Telemetry
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simgpu.bandwidth import Link
 
-#: Missed-wakeup guard for grant waits (nominal seconds): every grant
-#: release notifies the arbiter condition, so this only bounds the latency
-#: of externally-fired cancellation events (flush abandonment).
+#: Missed-wakeup guard for grant and admission waits (nominal seconds):
+#: every grant release notifies the arbiter condition and a waiter's
+#: cancellation event wakes it, so one that fires is counted.
 _WAIT_GUARD = 0.25
 
 
@@ -108,7 +108,7 @@ class LinkScheduler:
         self.clock = clock
         self.telemetry = telemetry or Telemetry.disabled()
         self.quantum = max(1, config.quantum_bytes)
-        self._cond = threading.Condition()
+        self._cond = clock.condition()
         self._entries: List[_Entry] = []  # every open transfer, arrival order
         self._current: Optional[_Entry] = None  # entry holding the slot
         self._seq = itertools.count()
@@ -170,7 +170,7 @@ class LinkScheduler:
                         self.admission_blocks += 1
                         self._m_admission.inc()
                         first = False
-                    self.clock.wait(self._cond, _WAIT_GUARD)
+                    self._wait(_WAIT_GUARD, request.cancel_event, "sched-admission")
                 if not first and bus.enabled:
                     bus.instant(
                         "sched-admission-block", self._track,
@@ -245,7 +245,7 @@ class LinkScheduler:
                         return 0.0 if parked_at is None else self.clock.now() - parked_at
                     if parked_at is None:
                         parked_at = self.clock.now()
-                    self.clock.wait(self._cond, self._wait_hint())
+                    self._wait(self._wait_hint(), cancel, "sched-grant")
             except BaseException:
                 entry.waiting = False
                 raise
@@ -279,6 +279,12 @@ class LinkScheduler:
             self._cond.notify_all()
 
     # -- arbitration (condition held) ---------------------------------------
+    def _wait(self, timeout: float, cancel, site: str) -> None:
+        """Park until notified or ``cancel`` is set; a ``timeout`` that
+        fires is a missed wake-up (counted), unless it was a token refill."""
+        if not self._cond.wait(timeout, (cancel,)) and timeout == _WAIT_GUARD:
+            self.telemetry.guard_fired(self._track, site)
+
     def _class_count(self, tclass: TransferClass) -> int:
         return sum(1 for e in self._entries if e.request.tclass is tclass)
 
@@ -443,7 +449,7 @@ class SchedContext:
             return None
         return TransferRequest(
             tclass, engine_id=engine_id, deadline=deadline,
-            cancel_event=cancel_event or threading.Event(), op_id=op_id,
+            cancel_event=cancel_event or Event(), op_id=op_id,
         )
 
     def stall_report(self) -> str:

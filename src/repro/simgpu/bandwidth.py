@@ -8,7 +8,7 @@ There is one transfer loop (:meth:`Link.transfer`) and it runs over an
 *arbiter* that grants the link one span at a time.  The link's own arbiter
 (:class:`_FifoArbiter`) is the contention model of the paper's scalability
 study: a transfer is split into fixed-size nominal chunks and the chunks of
-concurrent transfers interleave through a FIFO mutex, so two steady
+concurrent transfers interleave through a FIFO hand-off, so two steady
 concurrent users each observe ~half the link bandwidth while head-of-line
 blocking is bounded by one chunk (a link built with a whole-object
 ``chunk_size`` — the drive, a node's PFS write share — trades that bound for
@@ -31,9 +31,10 @@ bandwidth").
 from __future__ import annotations
 
 import threading
+from collections import deque
 from typing import Optional, Tuple, TYPE_CHECKING
 
-from repro.clock import VirtualClock
+from repro.clock import Event, VirtualClock
 from repro.errors import ConfigError, TransferError
 from repro.util.units import MiB
 
@@ -45,11 +46,15 @@ if TYPE_CHECKING:  # pragma: no cover
 class _FifoArbiter:
     """The link's own arbitration, answering the calls a
     :class:`repro.sched.LinkScheduler` answers: one class, no admission, no
-    preemption — whoever reaches the mutex first holds the link for a span."""
+    preemption — the link is held for one span at a time, and a release
+    hands it to the transfer that has queued longest."""
 
     def __init__(self, link: "Link") -> None:
         self._link = link
         self._mutex = threading.Lock()
+        self._held = False
+        #: the waiting transfers' turns (clock events), arrival order.
+        self._queue: deque = deque()
 
     def open(self, request, nbytes: int) -> None:
         return None
@@ -65,15 +70,23 @@ class _FifoArbiter:
         return remaining if alone else min(remaining, link.chunk_size)
 
     def acquire(self, entry) -> float:
-        if self._mutex.acquire(blocking=False):
-            return 0.0  # nobody queued: no wait to measure
+        with self._mutex:
+            if not self._held:
+                self._held = True
+                return 0.0  # nobody queued: no wait to measure
+            turn = self._link._clock.event()
+            self._queue.append(turn)
         clock = self._link._clock
         queued_at = clock.now()
-        self._mutex.acquire()
+        turn.wait()  # parked: time may skip while the holder's span runs
         return clock.now() - queued_at
 
     def release(self, entry, served: int) -> None:
-        self._mutex.release()
+        with self._mutex:
+            turn = self._queue.popleft() if self._queue else None
+            self._held = turn is not None
+        if turn is not None:
+            turn.set()  # the slot passes straight to the oldest waiter
 
     def finish(self, entry) -> None:
         pass
@@ -157,7 +170,7 @@ class Link:
     def transfer(
         self,
         nbytes: int,
-        cancelled: Optional[threading.Event] = None,
+        cancelled: Optional[Event] = None,
         request: Optional["TransferRequest"] = None,
         alongside: Optional["Link"] = None,
     ) -> float:

@@ -71,7 +71,7 @@ class Device:
 
     def create_stream(self, name: str) -> Stream:
         """A dedicated asynchronous work queue (CUDA-stream analogue)."""
-        stream = Stream(f"gpu{self.device_id}-{name}")
+        stream = Stream(f"gpu{self.device_id}-{name}", self.clock)
         self._streams.append(stream)
         return stream
 

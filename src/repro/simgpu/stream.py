@@ -19,15 +19,16 @@ import threading
 from collections import deque
 from typing import Callable, Optional
 
+from repro.clock import VirtualClock
 from repro.errors import TransferError
 
 
 class Event:
     """Completion handle for one submitted work item."""
 
-    def __init__(self, label: str = "") -> None:
+    def __init__(self, label: str, clock: VirtualClock) -> None:
         self.label = label
-        self._done = threading.Event()
+        self._done = clock.event()
         self._error: Optional[BaseException] = None
         self._cancelled = False
         self._callbacks: list = []
@@ -69,8 +70,9 @@ class Event:
     def wait(self, timeout: Optional[float] = None) -> None:
         """Block until completion; re-raise the work item's exception.
 
-        ``timeout`` is in *wall-clock* seconds (used only as a watchdog by
-        tests); on timeout a :class:`TransferError` is raised.
+        ``timeout`` is in nominal seconds on the stream's clock (used only
+        as a watchdog by tests); on timeout a :class:`TransferError` is
+        raised.
         """
         if not self._done.wait(timeout):
             raise TransferError(f"timed out waiting for event {self.label!r}")
@@ -79,22 +81,26 @@ class Event:
 
 
 class Stream:
-    """An ordered asynchronous work queue with one worker thread."""
+    """An ordered asynchronous work queue with one worker thread, parking on
+    ``clock``."""
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, clock: VirtualClock) -> None:
         self.name = name
+        self.clock = clock
         self._queue: deque = deque()
         self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
+        self._wakeup = self.clock.condition(self._lock)
         self._closed = False
-        self._idle = threading.Condition(self._lock)
+        self._idle = self.clock.condition(self._lock)
         self._in_flight = 0
-        self._thread = threading.Thread(target=self._run, name=f"stream-{name}", daemon=True)
+        self._thread = threading.Thread(
+            target=self.clock.runner(self._run), name=f"stream-{name}", daemon=True
+        )
         self._thread.start()
 
     def submit(self, work: Callable[[], None], label: str = "") -> Event:
         """Enqueue ``work``; it runs after everything previously submitted."""
-        event = Event(label or getattr(work, "__name__", "work"))
+        event = Event(label or getattr(work, "__name__", "work"), self.clock)
         with self._lock:
             if self._closed:
                 raise TransferError(f"stream {self.name!r} is closed")
@@ -106,7 +112,7 @@ class Stream:
     def synchronize(self, timeout: Optional[float] = None) -> bool:
         """Block until every submitted work item has completed.
 
-        ``timeout`` is in wall-clock seconds; returns ``False`` when work is
+        ``timeout`` is in nominal seconds; returns ``False`` when work is
         still in flight at the deadline (``True`` otherwise, including the
         no-timeout case, which waits indefinitely).
         """
@@ -118,7 +124,7 @@ class Stream:
 
         Backpressure primitive: ``checkpoint()`` admission control parks on
         this when the flush backlog hits ``SchedConfig.max_flush_backlog``.
-        ``timeout`` is in wall-clock seconds; returns ``False`` on expiry.
+        ``timeout`` is in nominal seconds; returns ``False`` on expiry.
         """
         with self._lock:
             return self._idle.wait_for(lambda: self._in_flight < depth, timeout)
@@ -148,7 +154,7 @@ class Stream:
                 if self._in_flight == 0:
                     self._idle.notify_all()
             self._wakeup.notify()
-        self._thread.join()
+        self.clock.join(self._thread)
 
     def _run(self) -> None:
         while True:

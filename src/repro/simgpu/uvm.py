@@ -83,11 +83,10 @@ class UvmSpace:
         self.d2h_link = d2h_link
         self.h2d_link = h2d_link
         self._lock = threading.RLock()
-        self._space_available = threading.Condition(self._lock)
         #: LRU order: oldest first.  Only allocations with device pages.
         self._lru: "OrderedDict[str, UvmAllocation]" = OrderedDict()
         self._allocations: Dict[str, UvmAllocation] = {}
-        self._prefetch_stream = Stream(f"gpu{device_id}-uvm-prefetch")
+        self._prefetch_stream = Stream(f"gpu{device_id}-uvm-prefetch", clock)
         # counters
         self.fault_count = 0
         self.faulted_bytes = 0
@@ -115,7 +114,6 @@ class UvmSpace:
             alloc.device_pages = 0
             self._lru.pop(alloc.name, None)
             self._allocations.pop(alloc.name, None)
-            self._space_available.notify_all()
 
     # -- advice / hints -----------------------------------------------------
     def advise_preferred_location(self, alloc: UvmAllocation, location: Optional[str]) -> None:
@@ -218,7 +216,6 @@ class UvmSpace:
             self._lru.pop(alloc.name, None)
             moved = pages * alloc.page_size
             self.evicted_bytes += moved
-            self._space_available.notify_all()
         return self.d2h_link.transfer(moved)
 
     def _make_room(self, need_bytes: int, exclude: UvmAllocation) -> float:

@@ -23,7 +23,7 @@ Conventions (see README "Observability" for the full catalogue):
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 #: Default histogram bucket boundaries (nominal seconds): exponential from
 #: 100 µs to ~100 s, the range of one transfer to one full flush drain.
@@ -160,6 +160,28 @@ class Histogram:
                 self._max = max(self._max, other.get("max", self._max))
 
 
+class Reading:
+    """A value its owner keeps (under its own lock) and the registry reads
+    when rendered — the clock's tallies, which a counter updated from under
+    the clock's leaf lock could not be."""
+
+    __slots__ = ("name", "_read")
+
+    def __init__(self, name: str, read: Callable[[], float]) -> None:
+        self.name = name
+        self._read = read
+
+    @property
+    def value(self) -> float:
+        return self._read()
+
+    def snapshot(self) -> float:
+        return self._read()
+
+    def merge(self, other: float) -> None:
+        raise TypeError(f"metric {self.name!r} is read from its owner; it cannot be merged")
+
+
 class MetricsRegistry:
     """Flat, thread-safe namespace of named instruments."""
 
@@ -190,6 +212,9 @@ class MetricsRegistry:
         if buckets is None:
             return self._get_or_create(name, Histogram)
         return self._get_or_create(name, Histogram, buckets)
+
+    def reading(self, name: str, read: Callable[[], float]) -> Reading:
+        return self._get_or_create(name, Reading, read)
 
     def names(self) -> List[str]:
         with self._lock:

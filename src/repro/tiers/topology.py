@@ -107,6 +107,12 @@ class ProcessContext:
         pinned = int(elapsed * self.spec.host_pin_bandwidth)
         return min(arena.nominal_capacity, pinned)
 
+    def host_pin_eta(self, nbytes: int) -> float:
+        """Nominal seconds until :meth:`host_usable_capacity` reaches
+        ``nbytes`` (≤ 0: it has); a byte's margin covers its rounding down."""
+        started = self._host_pin_started_at or 0.0
+        return started + (nbytes + 1) / self.spec.host_pin_bandwidth - self.clock.now()
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ProcessContext(p{self.process_id}, node {self.node.node_id})"
 

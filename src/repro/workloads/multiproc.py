@@ -74,13 +74,13 @@ def run_multiprocess_shot(
             engine.close()
 
     threads = [
-        threading.Thread(target=worker, args=(rank,), name=f"shot-p{rank}")
+        threading.Thread(target=cluster.clock.runner(worker), args=(rank,), name=f"shot-p{rank}")
         for rank in range(num)
     ]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        cluster.clock.join(t)
     final = [r for r in results if r is not None]
     assert len(final) == num
     for result in final:

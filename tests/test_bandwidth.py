@@ -144,7 +144,7 @@ def test_contention_halves_throughput():
 @link_contract
 def test_cancellation_raises_and_releases_pending(clock, arbiter=Fifo):
     link = arbiter.link(clock, bandwidth=1 * MiB, chunk_size=64 * 1024)
-    cancelled = threading.Event()
+    cancelled = clock.event()
     cancelled.set()
     with pytest.raises(TransferError):
         link.transfer(10 * MiB, **arbiter.tag(cancelled))
@@ -158,7 +158,7 @@ def test_zero_progress_cancellation_before_any_accounting(clock, arbiter=Fifo):
     even for zero-byte transfers (regression: the old check lived inside
     the chunk loop, so it only fired once chunks remained)."""
     link = arbiter.link(clock, bandwidth=100 * MiB, latency=0.5)
-    cancelled = threading.Event()
+    cancelled = clock.event()
     cancelled.set()
     sleeps = []
     sleep = clock.sleep
@@ -191,7 +191,7 @@ def test_request_cancel_event_aborts_with_zero_progress(clock):
 def test_mid_transfer_cancellation(arbiter=Fifo):
     clock = VirtualClock(time_scale=0.01)
     link = arbiter.link(clock, bandwidth=10 * MiB, chunk_size=1 * MiB)
-    cancelled = threading.Event()
+    cancelled = clock.event()
     errors = []
     started = threading.Event()
 
@@ -202,7 +202,7 @@ def test_mid_transfer_cancellation(arbiter=Fifo):
         except TransferError as exc:
             errors.append(exc)
 
-    t = threading.Thread(target=worker)
+    t = threading.Thread(target=clock.runner(worker))
     t.start()
     started.wait(timeout=5)
     clock.sleep(1.0)
@@ -374,7 +374,7 @@ def test_a_fault_drawn_alongside_fails_the_transfer_at_its_prefix(clock):
 def test_a_cancelled_transfer_announces_nothing_alongside(clock):
     head = Link("node", bandwidth=100 * MiB, clock=clock)
     aggregate = Link("agg", bandwidth=200 * MiB, clock=clock)
-    cancelled = threading.Event()
+    cancelled = clock.event()
     cancelled.set()
     with pytest.raises(TransferError):
         head.transfer(10 * MiB, cancelled=cancelled, alongside=aggregate)
@@ -390,7 +390,7 @@ def test_a_cancelled_span_gives_its_booking_back():
     aggregate = Link("agg", bandwidth=100 * MiB, clock=clock)
     first = Link("node0", bandwidth=100 * MiB, clock=clock)
     second = Link("node1", bandwidth=100 * MiB, clock=clock)
-    cancelled = threading.Event()
+    cancelled = clock.event()
     errors = []
 
     def worker():
@@ -399,7 +399,7 @@ def test_a_cancelled_span_gives_its_booking_back():
         except TransferError as exc:
             errors.append(exc)
 
-    thread = threading.Thread(target=worker)
+    thread = threading.Thread(target=clock.runner(worker))
     thread.start()
     clock.sleep(1.0)
     cancelled.set()

@@ -2,11 +2,26 @@
 
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
 from repro.clock import Stopwatch, VirtualClock
 from repro.errors import ConfigError
+
+
+@contextmanager
+def busy_runner(clock):
+    """A registered thread blocked where the clock cannot see it (a plain
+    ``threading.Event``): while it lives, time passes at wall pace."""
+    gate = threading.Event()
+    thread = threading.Thread(target=clock.runner(gate.wait))
+    thread.start()
+    try:
+        yield
+    finally:
+        gate.set()
+        thread.join(timeout=5)
 
 
 class TestConversions:
@@ -42,18 +57,20 @@ class TestNowAndSleep:
         assert elapsed >= 5.0
         assert elapsed < 20.0  # not wildly overshooting
 
-    def test_sleep_wall_duration(self):
+    def test_sleep_beside_a_runner_keeps_wall_pace(self):
         c = VirtualClock(0.01)
-        t0 = time.monotonic()
-        c.sleep(1.0)  # 10 ms wall
-        wall = time.monotonic() - t0
+        with busy_runner(c):
+            t0 = time.monotonic()
+            c.sleep(1.0)  # 10 ms wall
+            wall = time.monotonic() - t0
         assert 0.009 <= wall < 0.1
 
-    def test_short_sleep_spins_accurately(self):
+    def test_short_sleep_beside_a_runner_spins_accurately(self):
         c = VirtualClock(0.001)
-        t0 = time.monotonic()
-        c.sleep(0.05)  # 50 µs wall: below OS sleep granularity
-        wall = time.monotonic() - t0
+        with busy_runner(c):
+            t0 = time.monotonic()
+            c.sleep(0.05)  # 50 µs wall: below OS sleep granularity
+            wall = time.monotonic() - t0
         assert wall >= 50e-6
         assert wall < 2e-3
 
@@ -62,7 +79,7 @@ class TestNowAndSleep:
 
     def test_cancellable_sleep_wakes_when_the_event_fires(self):
         c = VirtualClock(0.01)
-        ev = threading.Event()
+        ev = c.event()
         threading.Timer(0.01, ev.set).start()  # fires 1 s into a 100 s sleep
         before = c.now()
         assert c.sleep(100.0, cancelled=ev) is True
@@ -71,13 +88,14 @@ class TestNowAndSleep:
     def test_cancellable_sleep_runs_to_the_deadline(self):
         c = VirtualClock(0.001)
         before = c.now()
-        assert c.sleep(5.0, cancelled=threading.Event()) is False
+        assert c.sleep(5.0, cancelled=c.event()) is False
         assert c.now() - before >= 5.0
 
     def test_cancellable_sleep_already_cancelled(self):
-        ev = threading.Event()
+        c = VirtualClock(0.01)
+        ev = c.event()
         ev.set()
-        assert VirtualClock(0.01).sleep(100.0, cancelled=ev) is True
+        assert c.sleep(100.0, cancelled=ev) is True
 
     def test_negative_sleep_rejected(self):
         with pytest.raises(ValueError):
@@ -87,15 +105,15 @@ class TestNowAndSleep:
 class TestWaitFor:
     def test_wait_times_out_in_nominal_seconds(self):
         c = VirtualClock(0.001)
-        cond = threading.Condition()
-        t0 = time.monotonic()
+        cond = c.condition()
+        before = c.now()
         with cond:
-            assert c.wait(cond, virtual_timeout=10.0) is False  # 10 ms wall
-        assert 0.009 <= time.monotonic() - t0 < 1.0
+            assert cond.wait(10.0) is False
+        assert c.now() - before >= 10.0
 
     def test_wait_for_predicate(self):
         c = VirtualClock(0.001)
-        cond = threading.Condition()
+        cond = c.condition()
         flag = []
 
         def setter():
@@ -106,14 +124,14 @@ class TestWaitFor:
 
         threading.Thread(target=setter, daemon=True).start()
         with cond:
-            ok = c.wait_for(cond, lambda: bool(flag), virtual_timeout=60.0)
+            ok = cond.wait_for(lambda: bool(flag), 60.0)
         assert ok
 
     def test_wait_for_timeout(self):
         c = VirtualClock(0.001)
-        cond = threading.Condition()
+        cond = c.condition()
         with cond:
-            ok = c.wait_for(cond, lambda: False, virtual_timeout=1.0)
+            ok = cond.wait_for(lambda: False, 1.0)
         assert not ok
 
 

@@ -1,0 +1,232 @@
+"""Time skipping: when every registered thread is parked, the virtual clock
+jumps to the next deadline, so simulated idle time costs no wall time.
+
+Each case runs under a wall-time watchdog (``watchdog``): a case that paces
+the time it should skip, or deadlocks, fails on wall time instead of hanging
+until the suite's hang guard.
+"""
+
+import threading
+import time
+from contextlib import contextmanager
+
+import pytest
+
+from repro.clock import Event, VirtualClock
+from repro.config import RuntimeConfig, ScaleModel
+from repro.core.engine import ScoreEngine
+from repro.errors import TransferError
+from repro.harness.experiment import scaled_caches
+from repro.simgpu.bandwidth import Link
+from repro.tiers.topology import Cluster
+from repro.util.units import KiB, MiB
+from repro.workloads.multiproc import run_multiprocess_shot
+from repro.workloads.patterns import RestoreOrder, restore_order
+from repro.workloads.rtm import uniform_trace
+from repro.workloads.shot import HintMode, ShotSpec
+
+
+@contextmanager
+def watchdog(wall_s):
+    """Fail the case when its body took more than ``wall_s`` wall seconds."""
+    started = time.monotonic()
+    yield
+    took = time.monotonic() - started
+    assert took < wall_s, f"took {took:.3f} s wall (limit {wall_s} s)"
+
+
+def start(clock, *targets):
+    """One registered thread per ``(target, *args)``, all registered before
+    any starts (as the runtime's thread sites do): a runner started alone
+    may skip ahead of one not created yet."""
+    threads = [threading.Thread(target=clock.runner(t), args=args) for t, *args in targets]
+    for thread in threads:
+        thread.start()
+    return threads
+
+
+def test_a_lone_sleep_costs_no_wall_time():
+    clock = VirtualClock(time_scale=1.0)
+    before = clock.now()
+    with watchdog(0.05):
+        clock.sleep(10.0)
+    assert clock.now() - before >= 10.0
+    assert clock.skips >= 1 and clock.skipped_s >= 9.9
+
+
+def test_sleepers_wake_in_order_at_their_own_stamps():
+    clock = VirtualClock(time_scale=1.0)
+    woke = []
+    lock = threading.Lock()
+
+    def sleeper(seconds):
+        clock.sleep(seconds)
+        with lock:
+            woke.append((seconds, clock.now()))
+
+    with watchdog(1.0):
+        threads = start(clock, (sleeper, 2.0), (sleeper, 1.0))
+        for thread in threads:
+            clock.join(thread)
+    assert [s for s, _ in woke] == [1.0, 2.0]
+    for seconds, stamp in woke:
+        assert seconds <= stamp < seconds + 0.1
+
+
+def test_a_notified_waiter_runs_before_time_can_skip():
+    """The notifier parks on a long sleep right after its notify; the waiter
+    it woke must see the clock where the notify left it, not 5 s later."""
+    clock = VirtualClock(time_scale=1.0)
+    cond = clock.condition()
+    ready, seen = [], []
+
+    def waiter():
+        with cond:
+            ready.append(True)
+            cond.notify_all()
+            cond.wait()
+            seen.append(clock.now())
+
+    with watchdog(1.0):
+        (thread,) = start(clock, (waiter,))
+        with cond:
+            cond.wait_for(lambda: ready, 1.0)
+            notified_at = clock.now()
+            cond.notify_all()
+        clock.sleep(5.0)
+        clock.join(thread)
+    assert seen and seen[0] - notified_at < 0.1
+
+
+def test_a_cancellation_wakes_a_parked_span_without_skipping_past_it():
+    clock = VirtualClock(time_scale=1.0)
+    link = Link("t", bandwidth=1 * MiB, clock=clock)  # 100 MiB: a 100 s span
+    cancelled = clock.event()
+    errors = []
+
+    def transfer():
+        try:
+            link.transfer(100 * MiB, cancelled=cancelled)
+        except TransferError as exc:
+            errors.append(clock.now())
+
+    with watchdog(1.0):
+        (thread,) = start(clock, (transfer,))
+        clock.sleep(1.0)  # the transfer parks on its span: time skips to 1 s
+        cancelled.set()
+        clock.join(thread)
+    assert not thread.is_alive()
+    assert errors and 1.0 <= errors[0] < 1.1
+    assert link.bytes_moved == 0 and link.pending_bytes == 0
+
+
+def test_a_thread_blocked_outside_the_clock_keeps_wall_pace():
+    """A registered thread in a plain ``threading.Barrier`` is not parked:
+    time cannot skip, a sleep beside it takes its wall time, and the barrier
+    still opens (no deadlock)."""
+    clock = VirtualClock(time_scale=1.0)
+    barrier = threading.Barrier(2)
+    with watchdog(2.0):
+        (thread,) = start(clock, (barrier.wait,))
+        started = time.monotonic()
+        clock.sleep(0.05)
+        wall = time.monotonic() - started
+        barrier.wait(timeout=5)
+        clock.join(thread)
+    assert wall >= 0.045
+    assert clock.skips == 0
+
+
+def test_a_thread_that_exits_leaves_the_runner_set():
+    clock = VirtualClock(time_scale=1.0)
+    (thread,) = start(clock, (lambda: None,))
+    clock.join(thread)
+    with watchdog(0.05):
+        clock.sleep(10.0)  # paced, it would take 10 s
+    assert clock.skips >= 1
+
+
+def test_joining_a_thread_the_clock_did_not_start_is_a_plain_join():
+    """Only a runner's exit wakes a parked joiner; any other thread is
+    joined raw, the joiner staying a runner (wall pace), not parked forever."""
+    clock = VirtualClock(time_scale=1.0)
+    clock.now()  # the joiner uses the clock
+    thread = threading.Thread(target=time.sleep, args=(0.02,))
+    with watchdog(1.0):
+        thread.start()
+        clock.join(thread)
+    assert not thread.is_alive()
+
+
+def test_an_event_without_a_clock_cancels_but_cannot_be_waited_on():
+    clock = VirtualClock(time_scale=1.0)
+    cancel = Event()
+    cancel.set()
+    assert clock.sleep(10.0, cancelled=cancel) is True
+    with pytest.raises(RuntimeError, match="without a clock"):
+        Event().wait(1.0)
+
+
+def test_a_durable_demand_shot_fires_no_missed_wakeup_guard():
+    """Two ranks writing beside demand restores through the whole cascade
+    to the PFS, like the ledger's ``durable_demand``: every wait is woken by
+    the change it waits for, so no guard times out — and most of the run's
+    virtual time is skipped."""
+    snapshots, size = 16, 128 * MiB  # the ledger's quick form
+    config = RuntimeConfig(
+        scale=ScaleModel(data_scale=512 * KiB, time_scale=0.5, alignment=512 * KiB),
+        cache=scaled_caches(snapshots * size),
+        processes_per_node=2,
+    )
+    specs = [
+        ShotSpec(
+            trace=uniform_trace(config.scale, num_snapshots=snapshots, size=size, rank=rank),
+            restore_order=restore_order(RestoreOrder.IRREGULAR, snapshots, seed=7, rank=rank),
+            hint_mode=HintMode.NONE,
+            wait_for_flush=True,
+            seed=7,
+        )
+        for rank in range(2)
+    ]
+    with Cluster(config) as cluster:
+        with watchdog(30.0):
+            run_multiprocess_shot(
+                cluster, lambda ctx: ScoreEngine(ctx, flush_to_pfs=True), specs
+            )
+        registry = cluster.telemetry.registry
+        assert registry.counter("sync.guard_timeouts").value == 0
+        clock = cluster.clock
+        assert clock.skips > 0
+        assert clock.skipped_s > clock.paced_s
+        # The run reports its own skipping (the `repro trace` summary renders it).
+        snap = registry.snapshot()
+        assert snap["clock.skips"] == clock.skips and snap["clock.skipped_s"] == clock.skipped_s
+        assert snap["clock.paced_s"] > 0
+
+
+@pytest.mark.parametrize("wait", ["condition", "event"])
+def test_a_timed_wait_alone_times_out_by_skipping(wait):
+    clock = VirtualClock(time_scale=1.0)
+    before = clock.now()
+    with watchdog(0.05):
+        if wait == "condition":
+            cond = clock.condition()
+            with cond:
+                assert cond.wait(30.0) is False
+        else:
+            assert clock.event().wait(30.0) is False
+    assert clock.now() - before >= 30.0
+
+
+def test_engine_stats_report_the_clock():
+    from tests.conftest import make_buffer, tiny_config
+
+    with Cluster(tiny_config()) as cluster:
+        with ScoreEngine(cluster.process_contexts()[0]) as engine:
+            engine.checkpoint(0, make_buffer(cluster.process_contexts()[0]))
+            engine.wait_for_flushes()
+            cluster.clock.sleep(1.0)  # the engine is idle: a skip
+            stats = engine.stats()["clock"]
+    clock = cluster.clock
+    assert stats["skips"] >= 1 and 0 < stats["skipped_s"] <= clock.skipped_s
+    assert 0 < stats["paced_s"] <= clock.paced_s

@@ -597,6 +597,13 @@ class TestStep:
                 assert blocked == [sum(landed)] and len(landed) == 2
             else:
                 _hint(engine, [0])
+                if fault == "refused":
+                    # A refused claim parks until something changes the
+                    # cache (nothing did): change it.
+                    assert _wait(engine, lambda: bool(hit))
+                    quiesce(engine)
+                    with engine.monitor:
+                        engine.monitor.notify_all()
                 assert _wait(engine, lambda: _state(engine, 0, GPU) is READ_COMPLETE)
                 quiesce(engine)
                 assert blocked == []

@@ -5,13 +5,14 @@ import time
 
 import pytest
 
+from repro.clock import VirtualClock
 from repro.errors import TransferError
 from repro.simgpu.stream import Event, Stream
 
 
 @pytest.fixture
 def stream():
-    s = Stream("test")
+    s = Stream("test", VirtualClock())
     yield s
     s.close(drain=False)
 
@@ -78,7 +79,7 @@ def test_depth(stream):
 
 
 def test_close_drain_executes_pending():
-    s = Stream("drain")
+    s = Stream("drain", VirtualClock())
     done = []
     for i in range(5):
         s.submit(lambda i=i: done.append(i))
@@ -87,7 +88,7 @@ def test_close_drain_executes_pending():
 
 
 def test_close_without_drain_cancels_pending():
-    s = Stream("nodrain")
+    s = Stream("nodrain", VirtualClock())
     gate = threading.Event()
     s.submit(gate.wait)
     e2 = s.submit(lambda: None)
@@ -99,19 +100,19 @@ def test_close_without_drain_cancels_pending():
 
 
 def test_submit_after_close_rejected():
-    s = Stream("closed")
+    s = Stream("closed", VirtualClock())
     s.close(drain=True)
     with pytest.raises(TransferError):
         s.submit(lambda: None)
 
 
 def test_close_idempotent():
-    s = Stream("idem")
+    s = Stream("idem", VirtualClock())
     s.close(drain=True)
     s.close(drain=True)
 
 
 def test_event_wait_timeout():
-    e = Event("never")
+    e = Event("never", VirtualClock())
     with pytest.raises(TransferError):
         e.wait(timeout=0.01)

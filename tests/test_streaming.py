@@ -253,7 +253,7 @@ class TestChunkPipeline:
 # -- event-driven completion handoff ----------------------------------------
 class TestEventCallbacks:
     def test_callback_fires_on_completion(self):
-        stream = Stream("cb-test")
+        stream = Stream("cb-test", VirtualClock())
         try:
             gate = threading.Event()
             fired = threading.Event()
@@ -266,7 +266,7 @@ class TestEventCallbacks:
             stream.close()
 
     def test_callback_fires_immediately_when_done(self):
-        stream = Stream("cb-test")
+        stream = Stream("cb-test", VirtualClock())
         try:
             event = stream.submit(lambda: None)
             event.wait(timeout=10.0)
@@ -277,7 +277,7 @@ class TestEventCallbacks:
             stream.close()
 
     def test_callback_receives_failed_event(self):
-        stream = Stream("cb-test")
+        stream = Stream("cb-test", VirtualClock())
         try:
             errors = []
             event = stream.submit(lambda: 1 / 0)

@@ -3,9 +3,14 @@
 
 Run from the repository root: ``python3 tools/census.py``.  Prints the size of
 ``src/`` and its six largest files, and the grep counts the open items track;
-exits non-zero when one of the seven hard ones is off — a wall-clock read outside
-``clock.py`` (ROADMAP item 1), more than five thread-creation sites (items 1,
-2: every thread that exists must be known to the runtime), a second caller
+exits non-zero when one of the hard ones is off — a wall-clock read outside
+``clock.py`` (ROADMAP item 1), a ``to_real(`` conversion outside it (a
+nominal deadline turned into wall seconds means nothing once the clock
+skips), a raw ``threading.Condition(``/``threading.Event(`` outside it (a
+wait the clock cannot see holds time at wall pace), more than five
+thread-creation sites or one whose target is not wrapped in the clock's
+``runner(`` (items 1, 2: every thread that exists must be known to the
+runtime, and registered with the clock from its creation), a second caller
 of ``promote_once`` (item 7: the demand restore and both prefetch workers run
 it through one step), any mention of ``cost_cache_enabled`` (the eviction
 costs are pushed by the events that change them; there is no unmemoised
@@ -67,6 +72,18 @@ def sites(pattern, files=FILES, skip=(), outside=None):
     return found
 
 
+def unregistered_thread_sites():
+    """``threading.Thread(`` sites whose target is not wrapped in the
+    clock's ``runner(`` within the call's first three lines."""
+    found = []
+    for site in sites(r"threading\.Thread\("):
+        path, number = site.rsplit(":", 1)
+        lines = (SRC.parent / path).read_text().splitlines()
+        if ".runner(" not in "\n".join(lines[int(number) - 1 : int(number) + 2]):
+            found.append(site)
+    return found
+
+
 def config_fields():
     """``Class.field`` for every field of ``repro.config``'s dataclasses."""
     import repro.config
@@ -92,6 +109,11 @@ def main() -> int:
         "threading.Thread( sites": sites(r"threading\.Thread\("),
         "broad except sites": sites(r"except (Exception|BaseException)\b|except:"),
         "time.monotonic reads outside clock.py": sites(r"time\.monotonic\(", skip=("clock.py",)),
+        "to_real( callers outside clock.py": sites(r"(?<!def )to_real\(", skip=("clock.py",)),
+        "raw threading.Condition(/Event( outside clock.py": sites(
+            r"threading\.(Condition|Event)\(", skip=("clock.py",)
+        ),
+        "thread sites not registered with the clock": unregistered_thread_sites(),
         "path-picking reads in core/": sites(PATH_PICKS, core, outside="_build_features"),
         "copy_object( callers outside tiers/base.py": sites(r"copy_object\(", skip=("base.py",)),
         "open_put( callers outside tiers/": sites(r"(?<!def )open_put\(", outside_tiers),
@@ -109,8 +131,14 @@ def main() -> int:
     }
     for what, where in counts.items():
         print(f"{len(where):4d} {what}")
+    total = len(counts["threading.Thread( sites"])
+    registered = total - len(counts["thread sites not registered with the clock"])
+    print(f"{registered}/{total} thread-creation sites registered with the clock")
     hard = {
         "time.monotonic reads outside clock.py": 0,
+        "to_real( callers outside clock.py": 0,
+        "raw threading.Condition(/Event( outside clock.py": 0,
+        "thread sites not registered with the clock": 0,
         "threading.Thread( sites": 5,
         "promote_once( call sites": 1,
         "cost_cache_enabled mentions": 0,
