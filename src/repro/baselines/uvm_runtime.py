@@ -117,14 +117,9 @@ class UvmEngine:
         )
         self._prefetch_thread.start()
         # The paper charges UVM the same slow pinned host-cache warm-up:
-        # the usable budget grows at the pinning rate (lazy), or the cost
-        # is paid up front.
+        # the usable budget grows at the pinning rate.
         self._pin_started_at = self.clock.now()
-        self._lazy_pinning = (
-            context.config.charge_allocation_cost and context.config.lazy_host_pinning
-        )
-        if context.config.charge_allocation_cost and not self._lazy_pinning:
-            self.clock.sleep(self.host_budget / self.spec.host_pin_bandwidth)
+        self._lazy_pinning = context.config.charge_allocation_cost
 
     def _require_open(self) -> None:
         if self._closed:

@@ -15,8 +15,9 @@ Time passes in two ways:
   any other thread registers at its first use of the clock (and drops out
   when it exits).  Every blocking point of the runtime parks through the
   clock — :meth:`~VirtualClock.sleep`, :meth:`~VirtualClock.join`, and the
-  waits of the conditions and events made by
-  :meth:`~VirtualClock.condition` / :meth:`~VirtualClock.event`.
+  waits of the conditions, events and barriers made by
+  :meth:`~VirtualClock.condition` / :meth:`~VirtualClock.event` /
+  :meth:`~VirtualClock.barrier`.
   When the last registered thread parks and some park has a deadline, the
   clock adds the gap to the earliest deadline to its offset and wakes exactly
   the parks due then.  Simulated idle time costs no wall time.
@@ -157,6 +158,10 @@ class VirtualClock:
     def event(self) -> "Event":
         """An event whose waits park on this clock."""
         return Event(self)
+
+    def barrier(self, parties: int, action: Optional[Callable] = None) -> "Barrier":
+        """A barrier for ``parties`` threads whose waits park on this clock."""
+        return Barrier(self, parties, action)
 
     def runner(self, target: Callable) -> Callable:
         """``target`` run as a registered thread: it counts as a runner from
@@ -548,6 +553,24 @@ class Event:
                 self._parks.remove(park)
             except ValueError:
                 pass
+
+
+class Barrier(threading.Barrier):
+    """``threading.Barrier`` whose waits park on a clock, with timeouts in
+    nominal seconds.  Its logic is the standard library's — the arrival
+    index ``wait()`` returns, ``action`` run by the last arrival,
+    ``abort()``/``reset()`` and :class:`threading.BrokenBarrierError` — over
+    a :class:`Condition` of the clock in place of the raw one."""
+
+    def __init__(
+        self,
+        clock: VirtualClock,
+        parties: int,
+        action: Optional[Callable] = None,
+        timeout: Optional[float] = None,
+    ) -> None:
+        super().__init__(parties, action, timeout)
+        self._cond = Condition(clock, threading.Lock())
 
 
 class Stopwatch:

@@ -12,7 +12,7 @@ Protocol (leader/follower on a virtual-clock :class:`Monitor`):
 * The first writer to arrive becomes the batch *leader* and waits up to
   ``aggregation_window_s`` (nominal) for co-located streams to join.
 * Followers append to the open batch and block until it commits; filling
-  the batch (``aggregation_max_ops`` / ``aggregation_max_bytes``) seals
+  the batch (``MAX_OPS`` members / ``MAX_BYTES`` nominal bytes) seals
   it early and wakes the leader.
 * The leader flushes the sealed batch *outside* the monitor so new
   arrivals start the next batch immediately.
@@ -34,9 +34,15 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.sync import GUARD_S, Monitor
+from repro.util.units import MiB
 
 if TYPE_CHECKING:
     from repro.cluster.fabric import ClusterFabric
+
+#: a batch seals early once this many members joined, or once its combined
+#: payload reaches this many nominal bytes.
+MAX_OPS = 8
+MAX_BYTES = 256 * MiB
 
 
 class _Member:
@@ -99,10 +105,7 @@ class PfsWriteAggregator:
                 # Follower: join the open batch, maybe seal it, wait it out.
                 batch.members.append(member)
                 batch.bytes += nominal_size
-                if (
-                    len(batch.members) >= config.aggregation_max_ops
-                    or batch.bytes >= config.aggregation_max_bytes
-                ):
+                if len(batch.members) >= MAX_OPS or batch.bytes >= MAX_BYTES:
                     batch.sealed = True
                     self._batch = None
                     self.monitor.notify_all()

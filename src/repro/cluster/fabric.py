@@ -63,7 +63,6 @@ class ClusterFabric:
         #: until node events are configured or a crash is triggered.
         self.membership = MembershipRegistry(self)
         self._lock = threading.Lock()
-        self._peer_links: Dict[Tuple[int, int], Link] = {}
         self._aggregators: Dict[int, PfsWriteAggregator] = {}
         registry = cluster.telemetry.registry
         self._m_peer_reads = registry.counter("cluster.peer.reads")
@@ -76,32 +75,6 @@ class ClusterFabric:
         for node in cluster.nodes:
             bus.bind_track(node.ssd.track, node_id=node.node_id)
             bus.bind_track(f"node{node.node_id}-peer", node_id=node.node_id)
-
-    # -- links -----------------------------------------------------------------
-    def link(self, node_a: int, node_b: int) -> Link:
-        """The interconnect link used for peer reads between two nodes.
-
-        Defaults to the cluster's shared fabric link (also carrying
-        replication); ``ClusterConfig.peer_bandwidth`` carves out dedicated
-        peer-read links instead, e.g. to model RDMA reads bypassing the
-        replication path.
-        """
-        if self.config.peer_bandwidth is None:
-            return self.cluster.internode_link(node_a, node_b)
-        key = (min(node_a, node_b), max(node_a, node_b))
-        with self._lock:
-            link = self._peer_links.get(key)
-            if link is None:
-                link = Link(
-                    f"peer-{key[0]}-{key[1]}",
-                    self.config.peer_bandwidth,
-                    self.clock,
-                    latency=self.cluster.config.hardware.transfer_latency,
-                )
-                self.cluster.sched.attach(link)
-                self.cluster.faults.attach(link)
-                self._peer_links[key] = link
-            return link
 
     # -- replica placement -----------------------------------------------------
     def replica_targets(self, node_id: int) -> List[Tuple[int, "SsdStore", Link]]:
@@ -116,7 +89,7 @@ class ClusterFabric:
             if peer == node_id:
                 break
             targets.append(
-                (peer, self.cluster.nodes[peer].ssd, self.link(node_id, peer))
+                (peer, self.cluster.nodes[peer].ssd, self.cluster.internode_link(node_id, peer))
             )
         return targets
 
@@ -307,7 +280,7 @@ class _PeerGet:
         fabric = store.fabric
         self._bus = fabric.telemetry.bus
         self._hop_track = f"node{store.reader_node}-peer"
-        self._link = fabric.link(store.reader_node, store.peer_node)
+        self._link = fabric.cluster.internode_link(store.reader_node, store.peer_node)
         self._reader = store.remote.open_get(
             key, request=request, nominal_size=nominal_size
         )

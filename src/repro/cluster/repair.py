@@ -9,8 +9,7 @@ replacement targets along the placement ring, and re-replicates each blob
 from a surviving SSD holder — or from the PFS when no holder survived.
 
 Repair traffic is paced through the existing QoS machinery: every copy is
-tagged with ``ClusterConfig.repair_class`` (``CASCADE_FLUSH`` by
-default), so on scheduled links a demand restore always preempts or
+tagged ``CASCADE_FLUSH``, so on scheduled links a demand restore always
 outranks repair, and ``repair_max_inflight`` bounds the burst one scan
 can inject after a mass withdrawal.
 
@@ -35,6 +34,9 @@ if TYPE_CHECKING:
 
 #: telemetry track repair spans land on.
 REPAIR_TRACK = "cluster-repair"
+#: nominal seconds between repair rounds, so repair bandwidth is spread
+#: instead of burst-consumed.
+REPAIR_INTERVAL_S = 0.05
 
 
 class ReplicaRepairer:
@@ -47,7 +49,6 @@ class ReplicaRepairer:
         self.clock = fabric.clock
         self.telemetry = fabric.telemetry
         self._gpus_per_node = self.cluster.config.hardware.gpus_per_node
-        self._tclass = TransferClass[self.config.repair_class]
         self._lock = threading.Lock()
         #: keys whose last live SSD holder died; only the PFS can seed the
         #: re-replication (the directory no longer tracks them).
@@ -130,9 +131,9 @@ class ReplicaRepairer:
 
     # -- copying -----------------------------------------------------------
     def _request(self, key: StoreKey):
-        """The QoS tag of a repair copy: ``repair_class``, on the flow of the
+        """The QoS tag of a repair copy: a cascade flush on the flow of the
         key's home engine (``None`` when scheduling is off)."""
-        return self.cluster.sched.request(self._tclass, key[0])
+        return self.cluster.sched.request(TransferClass.CASCADE_FLUSH, key[0])
 
     def _copy(self, key: StoreKey, sources: List[int], target: int) -> bool:
         """One repair copy onto ``target``'s SSD; True on success.
@@ -152,7 +153,7 @@ class ReplicaRepairer:
                 continue
             if self.cluster.nodes[holder].ssd.contains(key):
                 source, origin = holder, self.cluster.nodes[holder].ssd
-                link = self.fabric.link(holder, target)
+                link = self.cluster.internode_link(holder, target)
                 break
         with self.telemetry.bus.span(
             "repair", REPAIR_TRACK, key=str(key), target=target, source=source
@@ -207,8 +208,7 @@ class ReplicaRepairer:
     def run(self, max_rounds: int = 64) -> int:
         """Scan-and-copy until nothing is under-replicated (or rounds cap).
 
-        Rounds are separated by ``repair_interval_s`` on the virtual
-        clock, so repair bandwidth is spread instead of burst-consumed.
+        Rounds are separated by ``REPAIR_INTERVAL_S`` on the virtual clock.
         """
         total = 0
         for round_idx in range(max_rounds):
@@ -216,8 +216,7 @@ class ReplicaRepairer:
             total += copies
             if copies == 0:
                 break
-            if self.config.repair_interval_s > 0:
-                self.clock.sleep(self.config.repair_interval_s)
+            self.clock.sleep(REPAIR_INTERVAL_S)
         return total
 
     def backfill_node(self, node_id: int) -> int:

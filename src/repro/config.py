@@ -258,12 +258,6 @@ class SchedConfig(_Validated):
     default_weight: float = knob(1.0, positive)
     #: optional per-engine WFQ weight overrides: ((engine_id, weight), ...).
     engine_weights: tuple = knob((), tuple_of(engine_id=None, weight=positive))
-    #: per-engine token-bucket refill, bytes per nominal second, applied to
-    #: background classes (prefetch + flush) on every scheduled link.
-    #: ``None`` = unlimited.
-    engine_rate_limit: Optional[float] = knob(None, optional(positive))
-    #: token-bucket capacity (burst allowance) when rate limiting is on.
-    burst_bytes: int = knob(64 * MiB, positive)
     #: bounded-queue limit for SPECULATIVE_PREFETCH requests per link;
     #: arrivals beyond it are shed with :class:`~repro.errors.AdmissionError`
     #: (the prefetcher backs off and retries).
@@ -273,23 +267,9 @@ class SchedConfig(_Validated):
     #: must eventually happen — shedding them would lose durability).
     max_flush_queue: int = knob(16, at_least(1))
     #: engine-level admission control: when the D2H flush backlog reaches
-    #: this many pending flushes, ``checkpoint()`` applies ``admission``.
+    #: this many pending flushes, ``checkpoint()`` waits for it to drop
+    #: below.
     max_flush_backlog: int = knob(32, at_least(1))
-    #: overload behaviour of ``checkpoint()``: "block" waits for the flush
-    #: backlog to drop below ``max_flush_backlog``, "shed" raises
-    #: :class:`~repro.errors.BackpressureError`, "off" never intervenes.
-    admission: str = knob("block", one_of("block", "shed", "off"))
-    #: hints at restore-queue distance ≤ this prefetch as HINTED_PREFETCH;
-    #: farther hints are SPECULATIVE_PREFETCH (preemptible, sheddable).
-    hint_near_distance: int = knob(4, non_negative)
-    #: nominal seconds per hint-queue position used to derive prefetch
-    #: deadlines (deadline = now + distance * hint_spacing_s); EDF within
-    #: the prefetch classes paces far-future prefetches behind near ones.
-    hint_spacing_s: float = knob(0.010, non_negative)
-    #: cancel in-flight speculative prefetches on a link the moment a
-    #: demand read arrives there (the freed slot and bandwidth go to the
-    #: demand read; the prefetcher re-issues later).
-    preempt_speculative: bool = True
 
     def weight_of(self, engine_id: int) -> float:
         for eid, weight in self.engine_weights:
@@ -340,22 +320,13 @@ class ReduceConfig(_Validated):
     #: delta-encode chunks against the previous checkpoint of the same
     #: variable when the byte diff is small enough to pay off.
     delta: bool = True
-    #: a chunk is delta-encoded only when its diff is below this fraction
-    #: of the chunk size (otherwise the full chunk is cheaper to store).
-    delta_threshold: float = knob(0.6, within("(0, 1]"))
     #: longest allowed chain of delta-encoded checkpoints; the next encode
     #: past the bound *rebases* (stores a self-contained version) so
     #: restore latency stays predictable.
     max_delta_chain: int = knob(4, non_negative)
-    #: modeled decode-time penalty per chain level: reconstructing a
-    #: depth-``d`` checkpoint is charged ``1 + d * chain_penalty`` times
-    #: the flat decode cost.
-    chain_penalty: float = knob(0.25, non_negative)
     #: modeled compression codec: ``"none"``, ``"lz"`` (fast, modest
     #: ratio) or ``"zstd"`` (slower, denser); see :mod:`repro.reduce.codec`.
     codec: str = knob("lz", one_of(_codecs))
-    #: nominal metadata bytes charged per chunk reference in the recipe.
-    recipe_overhead: int = knob(48, non_negative)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -383,7 +354,8 @@ class StreamConfig(_Validated):
     crossing), so end-to-end durability latency approaches ``max(stage)``
     instead of ``sum(stages)``.  Smaller transfers still plan one chunk
     (per-chunk latency would dominate).  Each stage buffers in the tier it
-    writes; the one bounded buffer is the SSD→PFS bounce ring.
+    writes; the one bounded buffer is the SSD→PFS bounce ring
+    (``core.flusher.RING_CHUNKS``).
     """
 
     #: plan multi-chunk pipelines for the flush cascade and the promote path.
@@ -391,11 +363,6 @@ class StreamConfig(_Validated):
     #: nominal bytes per streamed chunk.  Sized so 2–3 chunks fit a
     #: double-buffered 32–48 MiB staging window.
     stream_chunk_bytes: int = knob(16 * MiB, positive)
-    #: depth in chunks of the SSD→PFS bounce ring: the cascade's SSD
-    #: read-back may run at most this many chunks ahead of the PFS writer
-    #: before backpressure parks it (double buffer + 1 in-flight chunk).
-    #: No other edge has a ring — its bytes live in the destination tier.
-    ring_chunks: int = knob(3, at_least(2))
 
 
 #: flush-stage names a :class:`FaultConfig` crash point may name, each
@@ -537,18 +504,6 @@ class ResilienceConfig(_Validated):
     #: nominal seconds an open breaker waits before admitting one
     #: half-open probe.
     breaker_reset_s: float = knob(5.0, non_negative)
-    #: when the SSD breaker is open, flush host copies directly to the PFS
-    #: (GPU→host→PFS) instead of abandoning durability.
-    reroute: bool = True
-    #: when a rerouted tier recovers, backfill the skipped SSD copies from
-    #: the PFS/host so reads regain the fast path.
-    backfill: bool = True
-    #: CRC-verify durable blobs right after the flush write and re-flush
-    #: from the in-hand payload on mismatch.
-    reverify: bool = True
-    #: append every durable commit to the manifest journal and replay it in
-    #: ``recover_history()`` (store scans remain the fallback).
-    journal: bool = True
 
     def retries_for(self, class_name: str) -> int:
         for name, budget in self.retry_classes:
@@ -635,19 +590,11 @@ class ClusterConfig(_Validated):
     #: route demand restores / prefetches through a healthy peer's SSD
     #: when the local copy is gone (instead of dropping to the PFS).
     peer_reads: bool = True
-    #: fabric bandwidth override in bytes per nominal second (None = use
-    #: ``HardwareSpec.internode_bandwidth``).
-    peer_bandwidth: Optional[float] = knob(None, optional(positive))
     #: coalesce concurrent SSD→PFS flush legs into batched PFS writes.
     aggregation: bool = True
     #: nominal seconds the batch leader waits for followers to join
     #: before sealing the batch.
     aggregation_window_s: float = knob(0.002, non_negative)
-    #: seal the batch early once this many members joined.
-    aggregation_max_ops: int = knob(8, at_least(1))
-    #: seal the batch early once the combined payload reaches this many
-    #: nominal bytes.
-    aggregation_max_bytes: int = knob(256 * MiB, positive)
     #: maximum concurrently-connected service sessions.
     service_max_sessions: int = knob(64, at_least(1))
     #: per-session bound on in-flight service requests; arrivals beyond
@@ -660,14 +607,6 @@ class ClusterConfig(_Validated):
     #: under-replicated checkpoint from a surviving SSD holder (or the
     #: PFS) until ``replica_factor`` live copies exist again.
     repair: bool = False
-    #: nominal seconds between repairer scans of the replica directory.
-    repair_interval_s: float = knob(0.05, positive)
-    #: sched class repair copies admit under (``repro.sched.TransferClass``
-    #: name); the default rides the cascade-flush class so repair traffic
-    #: never preempts demand restores.
-    repair_class: str = knob(
-        "CASCADE_FLUSH", one_of("DEMAND_READ", "CASCADE_FLUSH", "SPECULATIVE_PREFETCH")
-    )
     #: cap on repair copies in flight per scan (bounds the burst a mass
     #: withdrawal can inject into the fabric).
     repair_max_inflight: int = knob(4, at_least(1))
@@ -699,33 +638,11 @@ class PredictConfig(_Validated):
 
     #: master switch for the synthetic queue, predictors and validator.
     enabled: bool = False
-    #: prediction model: ``"recency"`` (per-producer reuse-distance /
-    #: inter-access EWMA), ``"markov"`` (first-order next-restore chain
-    #: over producer transitions), or ``"hybrid"`` (markov chain first,
-    #: recency ordering for the rest).
-    predictor: str = knob("hybrid", one_of("recency", "markov", "hybrid"))
-    #: capacity of the per-engine access-history ring (events).
-    history_capacity: int = knob(4096, at_least(1))
-    #: maximum length of the predicted overlay handed to the queue.
-    max_queue: int = knob(32, at_least(1))
-    #: predictions below this confidence are dropped from the overlay.
-    min_confidence: float = knob(0.02, within("[0, 1]"))
-    #: minimum nominal seconds between overlay refreshes (0 = refresh on
-    #: every observed access event).
-    refresh_interval_s: float = knob(0.0, non_negative)
-    #: build the validation layer; without it speculation is never
-    #: scored or suspended.
-    validation: bool = True
     #: suspend speculation when the EWMA hit rate drops below this floor.
     hit_floor: float = knob(0.4, within("(0, 1)"))
     #: speculative outcomes (hits + abandons) required before the floor
     #: can trigger a suspension.
     min_samples: int = knob(8, at_least(1))
-    #: nominal seconds of demand-only fallback per suspension; after the
-    #: window the validator re-arms with a fresh estimate (probation).
-    suspend_s: float = knob(2.0, positive)
-    #: EWMA weight of the newest speculative outcome.
-    ewma_alpha: float = knob(0.25, within("(0, 1]"))
 
 
 @dataclass(frozen=True)
@@ -755,9 +672,6 @@ class RuntimeConfig(_Validated):
     #: online access-pattern prediction feeding the prefetch/eviction
     #: machinery when hints are missing (:mod:`repro.predict`).
     predict: PredictConfig = field(default_factory=PredictConfig)
-    #: default ``wait_for_flushes`` timeout in nominal seconds (None = no
-    #: timeout unless the call site passes one).
-    flush_wait_timeout: Optional[float] = knob(None, optional(positive))
     num_nodes: int = knob(1, positive)
     processes_per_node: Optional[int] = None  # default: one per GPU
     seed: int = 20230616  # HPDC'23 opening day
@@ -768,14 +682,11 @@ class RuntimeConfig(_Validated):
     #: static flush/prefetch halves instead of being shared.
     shared_cache: bool = True
     #: when True, simulate the one-off arena allocation/pinning cost at
-    #: engine start (Section 4.1.4).
-    charge_allocation_cost: bool = True
-    #: when True (and allocation cost is charged), the pinned host cache
-    #: becomes usable *progressively* at the pinning rate instead of
-    #: blocking initialization — the paper's "slow host cache
+    #: engine start (Section 4.1.4): the pinned host cache becomes usable
+    #: progressively at the pinning rate — the paper's "slow host cache
     #: initialization" that depresses checkpoint throughput early in the
     #: shot for both the Score and UVM runtimes.
-    lazy_host_pinning: bool = True
+    charge_allocation_cost: bool = True
     #: directory for the SSD tier's backing files (None → in-memory SSD).
     ssd_directory: Optional[str] = None
     #: record fine-grained trace events (FSM transitions, eviction decisions
@@ -783,8 +694,6 @@ class RuntimeConfig(_Validated):
     #: telemetry bus.  Off by default: a disabled bus costs one attribute
     #: check per instrumented call site.  Metrics counters are always live.
     telemetry: bool = False
-    #: trace-bus ring capacity in events; overflow drops the oldest events.
-    telemetry_buffer: int = knob(1 << 17, positive)
 
     def __post_init__(self) -> None:
         super().__post_init__()

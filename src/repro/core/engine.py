@@ -105,7 +105,7 @@ _LANDED_STATE = {
 }
 
 
-def _admit_all(_ckpt_id: int) -> float:
+def _admit_all() -> float:
     """Admission with no step contributed: nothing to wait for."""
     return 0.0
 
@@ -257,7 +257,7 @@ class ScoreEngine:
         #: the crash-consistent manifest journal ``recover_history()``
         #: replays (cluster-wide; this engine writes it through an observer).
         self.journal = cluster.journal
-        if resilience.enabled and resilience.journal:
+        if resilience.enabled:
             self.observe(JournalObserver(self.journal, self.process_id, self.recovery_meta))
         #: live SLO tracking (None unless causal tracing records).  After
         #: the journal: a landing is journaled before it is stamped durable.
@@ -284,8 +284,7 @@ class ScoreEngine:
         self.pfs_put = None if self.pfs is None else partial(self.pfs.put, node_id=self.node_id)
         self.fabric, self.replica_targets, self.peer_stream = None, [], None
         if scfg.enabled:
-            if scfg.admission != "off":
-                self.admit = flusher.backpressure
+            self.admit = flusher.backpressure
             flusher.stall_fragments += (self.sched.stall_report,)
         if resilience.enabled:
             self.retry_policy = RetryPolicy(resilience, config.faults.seed)
@@ -293,12 +292,10 @@ class ScoreEngine:
             # Something can route around the local drive: gate it on health.
             self.read_chain[0] = self._usable_ssd
             flusher.policy = flusher.retrying
-            if resilience.reroute and self.pfs is not None:
+            if self.pfs is not None:
                 flusher.durable_sinks += ("pfs",)
-            if resilience.reverify:
-                flusher.verify = flusher.reverify
-            if resilience.backfill:
-                flusher.catch_up = flusher.queue_backfill
+            flusher.verify = flusher.reverify
+            flusher.catch_up = flusher.queue_backfill
             self.stats_fragments += (("resilience", flusher.resilience_stats),)
             flusher.stall_fragments += (flusher.resilience_report,)
         if config.faults.enabled:
@@ -666,9 +663,8 @@ class ScoreEngine:
         ``config.predict.enabled``.
 
         Under flush-backlog overload, ``SchedConfig`` admission control
-        applies first (the :attr:`admit` step): ``"block"`` waits here until
-        the backlog drains below ``max_flush_backlog``, ``"shed"`` raises
-        :class:`~repro.errors.BackpressureError` without writing anything.
+        applies first (the :attr:`admit` step): it waits here until the
+        backlog drains below ``max_flush_backlog``.
         """
         self._require_open()
         nominal = self.scale.align(buffer.nominal_size)
@@ -679,7 +675,7 @@ class ScoreEngine:
             "checkpoint", self._app_track, op_id=op.op_id, ckpt=ckpt_id, bytes=nominal
         ):
             with op.stage("admission", CAT_QUEUE):
-                backpressured = self.admit(ckpt_id)
+                backpressured = self.admit()
             with self.monitor:
                 record = self.catalog.create(ckpt_id, nominal, buffer.nominal_size, checksum)
                 self.notify("on_created", record, producer)
@@ -1329,13 +1325,9 @@ class ScoreEngine:
         flush-stream depths, the shared-link byte backlog, retry/breaker
         state and — when QoS scheduling is on — the per-link arbiter queue
         snapshots, instead of the historical behaviour of hanging with no
-        indication of which stage stalled.  When ``timeout`` is omitted the
-        ``RuntimeConfig.flush_wait_timeout`` default applies (``None`` →
-        wait forever).
+        indication of which stage stalled.  ``None`` waits forever.
         """
         self._require_open()
-        if timeout is None:
-            timeout = self.config.flush_wait_timeout
         if timeout is not None and timeout < 0:
             raise ValueError(f"negative timeout: {timeout}")
         with Stopwatch(self.clock) as sw:

@@ -51,7 +51,6 @@ from repro.core.streaming import ChunkPipeline
 from repro.clock import Stopwatch
 from repro.errors import (
     AllocationError,
-    BackpressureError,
     InjectedCrash,
     ReproError,
     TransferError,
@@ -68,6 +67,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import ScoreEngine
 
 log = get_logger(__name__)
+
+#: depth in chunks of the SSD→PFS bounce ring: the cascade's SSD read-back
+#: runs at most this many chunks ahead of the PFS writer (double buffer + 1
+#: in flight).  No other edge has a ring — its bytes live in the next tier.
+RING_CHUNKS = 3
 
 #: per-engine tallies (bumped from up to five stream threads, so through
 #: :meth:`Flusher._tally`) and the registry counter each one mirrors.
@@ -110,7 +114,6 @@ class Flusher:
         self._m_tallies = {
             name: registry.counter(metric) for name, metric in TALLIES.items() if metric
         }
-        self._m_ckpt_shed = registry.counter("engine.checkpoint.shed")
         self._m_ckpt_backpressure = registry.histogram("engine.checkpoint.backpressure_s")
         self._m_d2h_depth = registry.gauge("flush.d2h.depth")
         self._m_h2f_depth = registry.gauge("flush.h2f.depth")
@@ -315,31 +318,19 @@ class Flusher:
                 continue  # backfill progressed; give it another sweep
             return True
 
-    def backpressure(self, ckpt_id: int) -> float:
+    def backpressure(self) -> float:
         """Admission control for the write path (QoS scheduling's ``admit`` step).
 
         Bounds how far ``checkpoint()`` may run ahead of the flush cascade:
         when the D2H flush stream holds ``max_flush_backlog`` or more
-        pending flushes, either block (returning the nominal seconds spent
-        waiting) or shed with :class:`BackpressureError` per
-        ``SchedConfig.admission``.
+        pending flushes, block; returns the nominal seconds spent waiting.
         """
-        engine = self.engine
-        scfg = engine.config.sched
+        limit = self.engine.config.sched.max_flush_backlog
         stream = self.d2h_stream
-        if stream.depth < scfg.max_flush_backlog:
+        if stream.depth < limit:
             return 0.0
-        if scfg.admission == "shed":
-            self._m_ckpt_shed.inc()
-            self.telemetry.bus.instant(
-                "checkpoint-shed", engine._app_track, ckpt=ckpt_id, depth=stream.depth
-            )
-            raise BackpressureError(
-                f"checkpoint {ckpt_id} shed: flush backlog {stream.depth} >= "
-                f"{scfg.max_flush_backlog} (admission policy 'shed')"
-            )
-        with Stopwatch(engine.clock) as sw:
-            stream.wait_depth_below(scfg.max_flush_backlog)
+        with Stopwatch(self.engine.clock) as sw:
+            stream.wait_depth_below(limit)
         self._m_ckpt_backpressure.observe(sw.elapsed)
         return sw.elapsed
 
@@ -891,7 +882,7 @@ class Flusher:
                 return False
             # Only this stage's chunks live in a bounce buffer, so only it
             # parks on its consumer.
-            if not pipeline.throttle(stage, chunk, engine.config.stream.ring_chunks):
+            if not pipeline.throttle(stage, chunk, RING_CHUNKS):
                 raise TransferError("stream interrupted")
             return True
 

@@ -76,6 +76,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 log = get_logger(__name__)
 
+#: hints at restore-queue distance ≤ this prefetch as HINTED_PREFETCH;
+#: farther ones are SPECULATIVE_PREFETCH (preemptible, sheddable).
+HINT_NEAR_DISTANCE = 4
+#: nominal seconds per hint-queue position: a prefetch's deadline is
+#: ``now + distance * HINT_SPACING_S`` (EDF paces far prefetches behind
+#: near ones), and a shed prefetch backs off this long.
+HINT_SPACING_S = 0.010
+
 #: (record, its step ``(src, dst, store)`` as ``engine.promotion_step``
 #:  returns it, restore-queue distance, whether the queue entry is an
 #:  explicit application hint — predicted overlay entries are always
@@ -220,7 +228,7 @@ class Prefetcher:
                 # The link's speculative queue is full: back off, released,
                 # instead of hammering admission in a tight loop.
                 with op.stage("shed-backoff", CAT_RETRY):
-                    engine.clock.sleep(engine.config.sched.hint_spacing_s)
+                    engine.clock.sleep(HINT_SPACING_S)
 
     def _back_off(self, op, label: str, ckpt_id: int) -> None:
         """Sleep a loop's back-off after a fault on the virtual clock."""
@@ -345,13 +353,12 @@ class Prefetcher:
         so near-future restores win ties.  None when scheduling is off.
         """
         engine = self.engine
-        scfg = engine.config.sched
         tclass = (
             TransferClass.HINTED_PREFETCH
-            if explicit and distance <= scfg.hint_near_distance
+            if explicit and distance <= HINT_NEAR_DISTANCE
             else TransferClass.SPECULATIVE_PREFETCH
         )
-        deadline = engine.clock.now() + distance * scfg.hint_spacing_s
+        deadline = engine.clock.now() + distance * HINT_SPACING_S
         return engine.sched.request(tclass, engine.process_id, deadline=deadline, op_id=op.op_id)
 
     # -- task selection (monitor held) ------------------------------------------

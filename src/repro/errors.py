@@ -74,8 +74,8 @@ class AdmissionError(TransferError):
 
 
 class BackpressureError(ReproError):
-    """``checkpoint()`` shed the operation under flush-backlog overload
-    (``SchedConfig.admission == "shed"``); retry after flushes drain."""
+    """The checkpoint service refused a request: the client's session is
+    at its in-flight bound, or the service at its session bound."""
 
 
 class FlushTimeoutError(TransferError):

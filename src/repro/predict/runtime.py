@@ -1,6 +1,6 @@
 """Per-engine prediction orchestrator.
 
-Owns the :class:`AccessHistory` ring, the configured predictor and the
+Owns the :class:`AccessHistory` ring, the predictor and the
 :class:`SpeculationValidator`, and drives the
 :class:`SyntheticRestoreQueue`'s overlay as a lifecycle observer of its
 engine (DESIGN.md §5 "Engine shell"): ``on_created`` registers the new
@@ -28,13 +28,23 @@ from repro.predict.history import (
 )
 from repro.predict.predictors import Candidate, build_predictor
 from repro.predict.queue import SyntheticRestoreQueue
-from repro.predict.validation import SpeculationValidator
+from repro.predict.validation import EWMA_ALPHA, SpeculationValidator
 from repro.tiers.base import TierLevel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config import PredictConfig
     from repro.core.catalog import CheckpointRecord
     from repro.telemetry import Telemetry
+
+#: prediction model: the markov chain first, recency ordering for the rest
+#: (:class:`~repro.predict.predictors.HybridPredictor`).
+PREDICTOR = "hybrid"
+#: capacity of the per-engine access-history ring (events).
+HISTORY_CAPACITY = 4096
+#: longest predicted overlay handed to the queue.
+MAX_QUEUE = 32
+#: predictions below this (validator-scaled) confidence leave the overlay.
+MIN_CONFIDENCE = 0.02
 
 
 class PredictRuntime:
@@ -48,22 +58,16 @@ class PredictRuntime:
         process_id: int,
         clock,
     ) -> None:
-        self.cfg = cfg
         self.queue = queue
         self.clock = clock
         self.track = f"p{process_id}-predict"
-        self.history = AccessHistory(cfg.history_capacity)
-        self.predictor = build_predictor(cfg.predictor, alpha=cfg.ewma_alpha)
-        self.validator: Optional[SpeculationValidator] = None
-        if cfg.validation:
-            self.validator = SpeculationValidator(
-                cfg, telemetry=telemetry, track=self.track
-            )
+        self.history = AccessHistory(HISTORY_CAPACITY)
+        self.predictor = build_predictor(PREDICTOR, alpha=EWMA_ALPHA)
+        self.validator = SpeculationValidator(cfg, telemetry=telemetry, track=self.track)
         #: ckpt_id -> producer for every known checkpoint.
         self._producers: Dict[int, Hashable] = {}
         #: ckpt_id -> Candidate for live (unconsumed) checkpoints.
         self._live: Dict[int, Candidate] = {}
-        self._last_refresh: Optional[float] = None
         registry = telemetry.registry
         self._m_spec_prefetches = registry.counter("predict.spec_prefetches")
         self._m_demand_misses = registry.counter("predict.demand_misses")
@@ -95,10 +99,9 @@ class PredictRuntime:
         """Scores a pending speculation as a hit and re-ranks the predicted
         overlay from the freshest history."""
         now = self._observe(KIND_RESTORE, record.ckpt_id)
-        if self.validator is not None:
-            self.validator.on_consume(record.ckpt_id, now)
+        self.validator.on_consume(record.ckpt_id, now)
         self._live.pop(record.ckpt_id, None)
-        self.refresh(now, force=True)
+        self.refresh(now)
 
     def on_dropped(self, record: "CheckpointRecord", where) -> None:
         """An unconsumed speculative staging that loses its cached copy is
@@ -106,8 +109,7 @@ class PredictRuntime:
         if record.consumed or where.level >= TierLevel.SSD:
             return  # post-consumption cleanup / a durable blob: no staging
         now = self._observe(KIND_EVICT, record.ckpt_id)
-        if self.validator is not None:
-            self.validator.on_abandoned(record.ckpt_id, now)
+        self.validator.on_abandoned(record.ckpt_id, now)
 
     def on_speculative_staged(self, record: "CheckpointRecord") -> None:
         """Arms the validator: this staging is speculation whose fate
@@ -115,8 +117,7 @@ class PredictRuntime:
         if record.consumed:
             return
         self._m_spec_prefetches.inc()
-        if self.validator is not None:
-            self.validator.on_staged(record.ckpt_id, record.nominal_size, self.clock.now())
+        self.validator.on_staged(record.ckpt_id, record.nominal_size, self.clock.now())
 
     def on_demand_miss(self, record: "CheckpointRecord") -> None:
         self._observe(KIND_MISS, record.ckpt_id)
@@ -128,17 +129,8 @@ class PredictRuntime:
         self._live.pop(record.ckpt_id, None)
 
     # -- overlay refresh -------------------------------------------------------
-    def refresh(self, now: float, force: bool = False) -> None:
-        interval = self.cfg.refresh_interval_s
-        if (
-            not force
-            and interval > 0
-            and self._last_refresh is not None
-            and now - self._last_refresh < interval
-        ):
-            return
-        self._last_refresh = now
-        if self.validator is not None and not self.validator.active(now):
+    def refresh(self, now: float) -> None:
+        if not self.validator.active(now):
             self.queue.refresh([])
             return
         candidates = [
@@ -149,26 +141,22 @@ class PredictRuntime:
         if not candidates:
             self.queue.refresh([])
             return
-        scale = 1.0
-        if self.validator is not None:
-            scale = self.validator.confidence_scale()
+        scale = self.validator.confidence_scale()
         predictions = self.predictor.predict(candidates, now)
         overlay = [
             (p.ckpt_id, p.confidence * scale)
             for p in predictions
-            if p.confidence * scale >= self.cfg.min_confidence
+            if p.confidence * scale >= MIN_CONFIDENCE
         ]
-        self.queue.refresh(overlay[: self.cfg.max_queue])
+        self.queue.refresh(overlay[:MAX_QUEUE])
 
     def stats(self) -> dict:
-        out = {
+        return {
             "predictor": self.predictor.name,
             "overlay_depth": len(self.queue._syn_order),
             "live_candidates": len(self._live),
             "history_events": self.history.recorded,
             "spec_prefetches": self._m_spec_prefetches.value,
             "demand_misses": self._m_demand_misses.value,
+            "validation": self.validator.stats(),
         }
-        if self.validator is not None:
-            out["validation"] = self.validator.stats()
-        return out

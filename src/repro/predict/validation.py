@@ -8,7 +8,7 @@ unconsumed (abandon/waste).  An EWMA over outcomes decays the confidence
 estimate toward the recent past; once at least ``min_samples`` outcomes
 exist and the EWMA drops below ``hit_floor``, speculation is *suspended*:
 the runtime empties the predicted overlay and the engine falls back to
-demand-only promotion for ``suspend_s`` nominal seconds, after which the
+demand-only promotion for ``SUSPEND_S`` nominal seconds, after which the
 validator re-arms with a fresh estimate (probation).  Bad speculation
 additionally sheds first at admission because predicted entries always
 travel in the sched speculative class.
@@ -23,6 +23,12 @@ from typing import Dict, Optional, TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config import PredictConfig
     from repro.telemetry import Telemetry
+
+#: EWMA weight of the newest speculative outcome (the recency predictor's
+#: inter-access EWMA uses it too).
+EWMA_ALPHA = 0.25
+#: nominal seconds of demand-only fallback per suspension.
+SUSPEND_S = 2.0
 
 
 class SpeculationValidator:
@@ -90,9 +96,8 @@ class SpeculationValidator:
         return max(self.ewma, self.cfg.hit_floor)
 
     def _score(self, value: float, now: float) -> None:
-        alpha = self.cfg.ewma_alpha
         self.ewma = value if self.ewma is None else (
-            self.ewma + alpha * (value - self.ewma)
+            self.ewma + EWMA_ALPHA * (value - self.ewma)
         )
         self.samples += 1
         self._m_hit_rate.set(self.ewma)
@@ -101,7 +106,7 @@ class SpeculationValidator:
             and self.samples >= self.cfg.min_samples
             and self.ewma < self.cfg.hit_floor
         ):
-            self.suspended_until = now + self.cfg.suspend_s
+            self.suspended_until = now + SUSPEND_S
             self._m_suspensions.inc()
             self.bus.instant(
                 "spec-suspend",

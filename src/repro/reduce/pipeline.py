@@ -47,6 +47,15 @@ from repro.tiers.base import TierLevel
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.catalog import CheckpointRecord
 
+#: a chunk is delta-encoded only when its diff is below this fraction of
+#: the chunk size (otherwise the full chunk is cheaper to store).
+DELTA_THRESHOLD = 0.6
+#: modeled decode-time penalty per chain level: reconstructing a depth-``d``
+#: checkpoint costs ``1 + d * CHAIN_PENALTY`` times the flat decode.
+CHAIN_PENALTY = 0.25
+#: nominal metadata bytes charged per chunk reference in the recipe.
+RECIPE_OVERHEAD = 48
+
 
 @dataclass(frozen=True)
 class ImageChunk:
@@ -200,7 +209,7 @@ class Reducer:
                     if base_chunk.payload.size == frozen.size:
                         diff = int(np.count_nonzero(base_chunk.payload != frozen))
                         diff_nominal = diff * scale.data_scale
-                        if diff_nominal < cfg.delta_threshold * span.nominal_size:
+                        if diff_nominal < DELTA_THRESHOLD * span.nominal_size:
                             # Offset/value pairs: ~2 nominal bytes per
                             # differing byte, never worse than the full chunk.
                             kind = "delta"
@@ -212,7 +221,7 @@ class Reducer:
             compressed = math.ceil(fresh_nominal * self.codec.ratio)
             physical = min(
                 record.nominal_size,
-                scale.align(compressed + cfg.recipe_overhead * len(chunks)),
+                scale.align(compressed + RECIPE_OVERHEAD * len(chunks)),
             )
             image = ReducedImage(
                 ckpt_id=record.ckpt_id,
@@ -321,7 +330,7 @@ class Reducer:
         seconds = (
             image.logical_size
             / self.codec.decode_bandwidth(self.site)
-            * (1.0 + image.depth * self.config.chain_penalty)
+            * (1.0 + image.depth * CHAIN_PENALTY)
         )
         self._m_decode_s.observe(seconds)
         self.clock.sleep(seconds)

@@ -13,8 +13,7 @@ restores the application is actually blocked on.  This package adds:
   WFQ flow (engine), deadline and cancellation channel;
 * :class:`~repro.sched.scheduler.LinkScheduler` — the per-link arbiter:
   strict priority, weighted fair queuing across engines, EDF pacing of
-  prefetch deadlines, per-engine token buckets, bounded queues with
-  shed/block admission, and demand-read preemption of in-flight
+  prefetch deadlines, bounded queues with shed/block admission, and demand-read preemption of in-flight
   speculative prefetches;
 * :class:`~repro.sched.scheduler.SchedContext` — the cluster-wide fleet of
   arbiters plus aggregate diagnostics.
@@ -27,7 +26,6 @@ from repro.config import SchedConfig
 from repro.sched.report import render_sched_timeline, sched_events
 from repro.sched.request import (
     PREEMPTIBLE_CLASSES,
-    THROTTLED_CLASSES,
     TransferClass,
     TransferRequest,
 )
@@ -38,7 +36,6 @@ __all__ = [
     "TransferClass",
     "TransferRequest",
     "PREEMPTIBLE_CLASSES",
-    "THROTTLED_CLASSES",
     "LinkScheduler",
     "SchedContext",
     "render_sched_timeline",

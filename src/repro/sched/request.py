@@ -41,16 +41,6 @@ class TransferClass(IntEnum):
 #: Classes the scheduler may cancel mid-flight when a demand read arrives.
 PREEMPTIBLE_CLASSES = frozenset({TransferClass.SPECULATIVE_PREFETCH})
 
-#: Classes subject to per-engine token-bucket rate limits.  Foreground
-#: traffic (a blocked application thread) is never throttled.
-THROTTLED_CLASSES = frozenset(
-    {
-        TransferClass.HINTED_PREFETCH,
-        TransferClass.CASCADE_FLUSH,
-        TransferClass.SPECULATIVE_PREFETCH,
-    }
-)
-
 
 @dataclass
 class TransferRequest:
@@ -77,10 +67,6 @@ class TransferRequest:
     @property
     def preemptible(self) -> bool:
         return self.tclass in PREEMPTIBLE_CLASSES
-
-    @property
-    def throttled(self) -> bool:
-        return self.tclass in THROTTLED_CLASSES
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tail = "" if self.deadline is None else f", deadline={self.deadline:.3f}"

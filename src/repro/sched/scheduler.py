@@ -17,10 +17,6 @@ granularity:
 * **EDF pacing inside the prefetch classes** — equal-vtime prefetches are
   ordered by the deadline derived from their restore-queue distance, so
   near-future hints land before far-future speculation;
-* **token buckets** — optional per-engine rate limits on background
-  traffic (prefetch + flush); a throttled flow is simply ineligible until
-  its bucket refills, and the arbiter sleeps until the earliest refill when
-  every waiter is throttled;
 * **admission control** — SPECULATIVE_PREFETCH beyond its bounded queue is
   *shed* (:class:`~repro.errors.AdmissionError`; the prefetcher retries),
   CASCADE_FLUSH beyond its bound *blocks* in admission (backpressure that
@@ -53,29 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: every grant release notifies the arbiter condition and a waiter's
 #: cancellation event wakes it, so one that fires is counted.
 _WAIT_GUARD = 0.25
-
-
-class _TokenBucket:
-    """Leaky token bucket on the virtual clock (scheduler mutex held)."""
-
-    __slots__ = ("rate", "burst", "tokens", "stamp")
-
-    def __init__(self, rate: float, burst: int, now: float) -> None:
-        self.rate = rate
-        self.burst = float(burst)
-        self.tokens = float(burst)
-        self.stamp = now
-
-    def _refill(self, now: float) -> None:
-        if now > self.stamp:
-            self.tokens = min(self.burst, self.tokens + (now - self.stamp) * self.rate)
-            self.stamp = now
-
-    def eta(self, nbytes: int, now: float) -> float:
-        """Nominal seconds until ``nbytes`` tokens are available."""
-        self._refill(now)
-        deficit = nbytes - self.tokens
-        return 0.0 if deficit <= 0 else deficit / self.rate
 
 
 class _Entry:
@@ -115,7 +88,6 @@ class LinkScheduler:
         #: per-flow WFQ virtual finish tags and per-class virtual clocks.
         self._vft: Dict[Tuple[int, int], float] = {}
         self._class_vtime: Dict[int, float] = {}
-        self._buckets: Dict[int, _TokenBucket] = {}
         # counters (scheduler mutex held for writes; reads are diagnostics)
         self.preemptions = 0
         self.sheds = 0
@@ -170,7 +142,7 @@ class LinkScheduler:
                         self.admission_blocks += 1
                         self._m_admission.inc()
                         first = False
-                    self._wait(_WAIT_GUARD, request.cancel_event, "sched-admission")
+                    self._wait(request.cancel_event, "sched-admission")
                 if not first and bus.enabled:
                     bus.instant(
                         "sched-admission-block", self._track,
@@ -188,10 +160,7 @@ class LinkScheduler:
                     engine=request.engine_id, cls=request.tclass.name,
                     depth=len(self._entries),
                 )
-            if (
-                request.tclass is TransferClass.DEMAND_READ
-                and self.config.preempt_speculative
-            ):
+            if request.tclass is TransferClass.DEMAND_READ:
                 self._preempt_speculative()
             self._cond.notify_all()
         return entry
@@ -245,7 +214,7 @@ class LinkScheduler:
                         return 0.0 if parked_at is None else self.clock.now() - parked_at
                     if parked_at is None:
                         parked_at = self.clock.now()
-                    self._wait(self._wait_hint(), cancel, "sched-grant")
+                    self._wait(cancel, "sched-grant")
             except BaseException:
                 entry.waiting = False
                 raise
@@ -257,12 +226,6 @@ class LinkScheduler:
                 self._current = None
             if span_bytes > 0:
                 self._charge(entry, span_bytes)
-                if entry.request.throttled:
-                    bucket = self._bucket(entry.request.engine_id, self.clock.now())
-                    if bucket is not None:
-                        # Eligibility guaranteed tokens >= min(quantum,
-                        # nbytes) >= span, so this never overdraws.
-                        bucket.tokens -= span_bytes
             self._cond.notify_all()
 
     def finish(self, entry: _Entry) -> None:
@@ -279,10 +242,10 @@ class LinkScheduler:
             self._cond.notify_all()
 
     # -- arbitration (condition held) ---------------------------------------
-    def _wait(self, timeout: float, cancel, site: str) -> None:
-        """Park until notified or ``cancel`` is set; a ``timeout`` that
-        fires is a missed wake-up (counted), unless it was a token refill."""
-        if not self._cond.wait(timeout, (cancel,)) and timeout == _WAIT_GUARD:
+    def _wait(self, cancel, site: str) -> None:
+        """Park until notified or ``cancel`` is set; a guard that fires is
+        a missed wake-up (counted)."""
+        if not self._cond.wait(_WAIT_GUARD, (cancel,)):
             self.telemetry.guard_fired(self._track, site)
 
     def _class_count(self, tclass: TransferClass) -> int:
@@ -310,29 +273,16 @@ class LinkScheduler:
         cls = flow[0]
         self._class_vtime[cls] = max(self._class_vtime.get(cls, 0.0), vft)
 
-    def _eligible(self, entry: _Entry, now: float) -> bool:
-        if not entry.waiting or entry.request.cancel_event.is_set():
-            return False
-        if entry.request.throttled:
-            bucket = self._bucket(entry.request.engine_id, now)
-            if bucket is not None:
-                bucket._refill(now)
-                if bucket.tokens < min(self.quantum, entry.nbytes):
-                    return False
-        return True
-
     def _choose(self) -> Optional[_Entry]:
-        """The entry the next quantum belongs to (None = all throttled/idle).
+        """The entry the next quantum belongs to (None = none waiting).
 
         Pure selection — every parked waiter re-runs it on wake-up, so it
-        must not mutate arbiter state; the winner's token bucket is charged
-        with the *actual* span in :meth:`release`.
+        must not mutate arbiter state.
         """
-        now = self.clock.now()
         best: Optional[_Entry] = None
         best_key: Optional[tuple] = None
         for entry in self._entries:
-            if not self._eligible(entry, now):
+            if not entry.waiting or entry.request.cancel_event.is_set():
                 continue
             req = entry.request
             deadline = req.deadline if req.deadline is not None else float("inf")
@@ -340,32 +290,6 @@ class LinkScheduler:
             if best_key is None or key < best_key:
                 best, best_key = entry, key
         return best
-
-    def _wait_hint(self) -> float:
-        """Nominal seconds to park a waiter: until the earliest token refill
-        when everything eligible is throttled, else the missed-wakeup guard."""
-        if self.config.engine_rate_limit is None:
-            return _WAIT_GUARD
-        now = self.clock.now()
-        etas = [
-            self._bucket(e.request.engine_id, now).eta(min(self.quantum, e.nbytes), now)
-            for e in self._entries
-            if e.waiting and e.request.throttled and not e.request.cancel_event.is_set()
-        ]
-        etas = [eta for eta in etas if eta > 0]
-        if not etas:
-            return _WAIT_GUARD
-        return min(min(etas), _WAIT_GUARD)
-
-    def _bucket(self, engine_id: int, now: float) -> Optional[_TokenBucket]:
-        rate = self.config.engine_rate_limit
-        if rate is None:
-            return None
-        bucket = self._buckets.get(engine_id)
-        if bucket is None:
-            bucket = _TokenBucket(rate, self.config.burst_bytes, now)
-            self._buckets[engine_id] = bucket
-        return bucket
 
     def _preempt_speculative(self) -> None:
         bus = self.telemetry.bus

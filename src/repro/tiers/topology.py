@@ -80,28 +80,20 @@ class ProcessContext:
     def host_cache_arena(self, nominal_capacity: Optional[int] = None) -> Arena:
         """This process's pinned host cache arena (allocated once).
 
-        With ``lazy_host_pinning`` the pinning cost is not paid up front;
-        instead :meth:`host_usable_capacity` reports a usable prefix that
-        grows at the pinning rate (Section 4.1.4 / [18]).
+        The pinning cost is not paid up front; instead
+        :meth:`host_usable_capacity` reports a usable prefix that grows at
+        the pinning rate (Section 4.1.4 / [18]).
         """
         if self._host_arena is None:
             capacity = nominal_capacity or self.config.cache.host_cache_size
-            lazy = self.config.lazy_host_pinning
             self._host_pin_started_at = self.clock.now()
-            self._host_arena = make_host_cache_arena(
-                self.process_id,
-                capacity,
-                self.spec,
-                self.scale,
-                self.clock,
-                charge_cost=self.config.charge_allocation_cost and not lazy,
-            )
+            self._host_arena = make_host_cache_arena(self.process_id, capacity, self.scale)
         return self._host_arena
 
     def host_usable_capacity(self) -> int:
         """Currently-pinned prefix of the host cache arena (nominal bytes)."""
         arena = self.host_cache_arena()
-        if not (self.config.charge_allocation_cost and self.config.lazy_host_pinning):
+        if not self.config.charge_allocation_cost:
             return arena.nominal_capacity
         elapsed = self.clock.now() - (self._host_pin_started_at or 0.0)
         pinned = int(elapsed * self.spec.host_pin_bandwidth)
@@ -199,11 +191,7 @@ class Cluster:
         self.clock = clock or VirtualClock(config.scale.time_scale)
         #: one telemetry bundle per simulation: every engine, cache, flush
         #: stream and store of this cluster traces and counts into it.
-        self.telemetry = Telemetry(
-            clock=self.clock,
-            enabled=config.telemetry,
-            capacity=config.telemetry_buffer,
-        )
+        self.telemetry = Telemetry(clock=self.clock, enabled=config.telemetry)
         #: QoS transfer scheduling across the shared links (no-op arbiter
         #: fleet unless ``config.sched.enabled``); every Link this cluster
         #: grants slots on — PCIe pairs, SSD, PFS, fabric — is offered to it

@@ -45,7 +45,7 @@ def run_multiprocess_shot(
     if tightly_coupled and len(iterations) != 1:
         raise ConfigError("tightly coupled runs need equal-length traces")
 
-    barrier = threading.Barrier(num) if tightly_coupled and num > 1 else None
+    barrier = cluster.clock.barrier(num) if tightly_coupled and num > 1 else None
 
     def hook(phase: str, iteration: int) -> None:
         if barrier is not None:

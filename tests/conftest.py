@@ -161,3 +161,14 @@ def make_buffer(context, nominal_size=128 * MiB, seed=0):
     buf = context.device.alloc_buffer(nominal_size)
     buf.fill_random(make_rng(seed, "buffer"))
     return buf
+
+
+def start_runners(clock, *targets):
+    """Start one thread per ``(target, *args)`` through ``clock.runner``, all
+    registered before any starts (as the runtime's thread sites do: a runner
+    started alone may skip ahead of one not created yet).  Join each with
+    ``clock.join``: the joiner parks, so the test runs on skipped time."""
+    threads = [threading.Thread(target=clock.runner(t), args=args) for t, *args in targets]
+    for thread in threads:
+        thread.start()
+    return threads

@@ -20,6 +20,7 @@ from repro.sched.request import TransferClass, TransferRequest
 from repro.sched.scheduler import LinkScheduler
 from repro.simgpu.bandwidth import Link
 from repro.util.units import MiB
+from tests.conftest import start_runners
 
 
 @pytest.fixture
@@ -118,20 +119,15 @@ def test_estimate_includes_backlog(clock):
 def test_contention_halves_throughput():
     clock = VirtualClock(time_scale=0.01)
     link = Link("t", bandwidth=100 * MiB, clock=clock, chunk_size=1 * MiB)
-    barrier = threading.Barrier(2)
+    barrier = clock.barrier(2)
     results = []
 
     def worker():
         barrier.wait()
-        # 10 s virtual = 100 ms wall: long enough that OS scheduling jitter
-        # cannot accidentally serialize the two transfers.
-        results.append(link.transfer(1000 * MiB))
+        results.append(link.transfer(1000 * MiB))  # 10 s virtual alone
 
-    threads = [threading.Thread(target=worker) for _ in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    for t in start_runners(clock, (worker,), (worker,)):
+        clock.join(t)
     # Two concurrent 10 s transfers share the link: fairness of the split
     # depends on lock scheduling, but whoever loses pays for the winner's
     # chunks — at least one transfer must observe clear slowdown, and
@@ -193,7 +189,7 @@ def test_mid_transfer_cancellation(arbiter=Fifo):
     link = arbiter.link(clock, bandwidth=10 * MiB, chunk_size=1 * MiB)
     cancelled = clock.event()
     errors = []
-    started = threading.Event()
+    started = clock.event()
 
     def worker():
         started.set()
@@ -202,12 +198,11 @@ def test_mid_transfer_cancellation(arbiter=Fifo):
         except TransferError as exc:
             errors.append(exc)
 
-    t = threading.Thread(target=clock.runner(worker))
-    t.start()
+    (t,) = start_runners(clock, (worker,))
     started.wait(timeout=5)
     clock.sleep(1.0)
     cancelled.set()
-    t.join(timeout=10)
+    clock.join(t)
     assert errors, "transfer should have been cancelled"
     assert link.pending_bytes == 0
 
@@ -284,7 +279,7 @@ def test_serialized_link_whole_object():
     """chunk_size larger than any transfer serializes whole objects."""
     clock = VirtualClock(time_scale=0.01)
     link = Link("ssd", bandwidth=100 * MiB, clock=clock, chunk_size=1 << 62)
-    barrier = threading.Barrier(3)
+    barrier = clock.barrier(3)
     durations = []
     lock = threading.Lock()
 
@@ -294,11 +289,8 @@ def test_serialized_link_whole_object():
         with lock:
             durations.append(seconds)
 
-    threads = [threading.Thread(target=worker) for _ in range(3)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    for t in start_runners(clock, *[(worker,)] * 3):
+        clock.join(t)
     durations.sort()
     # Serialized completions stream out: ~1 s, ~2 s, ~3 s.
     assert durations[0] == pytest.approx(1.0, rel=0.4)
@@ -335,23 +327,21 @@ def test_a_slower_link_alongside_sets_the_pace(clock):
 def test_a_shared_link_alongside_caps_every_route_through_it():
     """Four node links, one aggregate as fast as one of them: four concurrent
     transfers queue on the aggregate's calendar, so the last one needs the
-    aggregate's time for all four — not the 0.5 s each would take alone."""
-    clock = VirtualClock(time_scale=0.01)
+    aggregate's time for all four — not the 0.5 s each would take alone.
+    Unscaled: the bookings' wall-time spread is paced into nominal time at
+    1 / time_scale, and the transfers' sleeps skip."""
+    clock = VirtualClock(time_scale=1.0)
     aggregate = Link("agg", bandwidth=100 * MiB, clock=clock)
     nodes = [Link(f"node{i}", bandwidth=100 * MiB, clock=clock) for i in range(4)]
-    barrier = threading.Barrier(4)
+    barrier = clock.barrier(4)
     results = []
 
     def worker(node):
         barrier.wait()
         results.append(node.transfer(50 * MiB, alongside=aggregate))
 
-    threads = [threading.Thread(target=worker, args=(node,)) for node in nodes]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30)
-    assert not any(thread.is_alive() for thread in threads)
+    for thread in start_runners(clock, *[(worker, node) for node in nodes]):
+        clock.join(thread)
     assert max(results) >= 0.95 * 2.0
     assert aggregate.bytes_moved == 200 * MiB
     assert aggregate.busy_time == pytest.approx(2.0)
@@ -399,12 +389,10 @@ def test_a_cancelled_span_gives_its_booking_back():
         except TransferError as exc:
             errors.append(exc)
 
-    thread = threading.Thread(target=clock.runner(worker))
-    thread.start()
+    (thread,) = start_runners(clock, (worker,))
     clock.sleep(1.0)
     cancelled.set()
-    thread.join(timeout=10)
-    assert not thread.is_alive()
+    clock.join(thread)
     assert errors, "transfer should have been cancelled"
     assert second.transfer(10 * MiB, alongside=aggregate) == pytest.approx(0.1, rel=0.05)
     assert aggregate.bytes_moved == second.bytes_moved == 10 * MiB
@@ -419,18 +407,16 @@ def test_bookings_from_many_threads_lose_no_time():
     clock = VirtualClock(time_scale=1000)  # one virtual ms per wall second
     aggregate = Link("agg", bandwidth=100 * MiB, clock=clock)
     started = clock.now()
-    workers = [
-        threading.Thread(target=lambda: [aggregate._book(1 * MiB) for _ in range(500)])
-        for _ in range(8)
-    ]
+
+    def book():
+        for _ in range(500):
+            aggregate._book(1 * MiB)
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60)
+        for worker in start_runners(clock, *[(book,)] * 8):
+            clock.join(worker)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(worker.is_alive() for worker in workers)
     assert aggregate._booked_until - started >= 8 * 500 * 0.01 - 1e-6

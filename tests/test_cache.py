@@ -1,7 +1,5 @@
 """CacheBuffer: reservation, eviction, payload I/O, safety invariants."""
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,7 @@ from repro.simgpu.memory import Arena, make_payload
 from repro.tiers.base import TierLevel
 from repro.util.rng import make_rng
 from repro.util.units import KiB, MiB
+from tests.conftest import start_runners
 
 SCALE = ScaleModel(data_scale=64 * KiB, alignment=64 * KiB, time_scale=0.002)
 SLOT = 1 * MiB  # checkpoints are one "slot" = 1 MiB
@@ -109,10 +108,9 @@ class TestReserve:
                 inst.transition(CkptState.FLUSHED)
                 cache.monitor.notify_all()
 
-        t = threading.Thread(target=unblock, daemon=True)
-        t.start()
+        (t,) = start_runners(cache.clock, (unblock,))
         waited = cache.reserve(make_record(2), CkptState.WRITE_IN_PROGRESS, blocking=True)
-        t.join()
+        cache.clock.join(t)
         assert waited is not None and waited > 0.0
 
     def test_pinned_not_evicted_without_force(self):

@@ -24,6 +24,7 @@ from repro.workloads.multiproc import run_multiprocess_shot
 from repro.workloads.patterns import RestoreOrder, restore_order
 from repro.workloads.rtm import uniform_trace
 from repro.workloads.shot import HintMode, ShotSpec
+from tests.conftest import start_runners as start
 
 
 @contextmanager
@@ -33,16 +34,6 @@ def watchdog(wall_s):
     yield
     took = time.monotonic() - started
     assert took < wall_s, f"took {took:.3f} s wall (limit {wall_s} s)"
-
-
-def start(clock, *targets):
-    """One registered thread per ``(target, *args)``, all registered before
-    any starts (as the runtime's thread sites do): a runner started alone
-    may skip ahead of one not created yet."""
-    threads = [threading.Thread(target=clock.runner(t), args=args) for t, *args in targets]
-    for thread in threads:
-        thread.start()
-    return threads
 
 
 def test_a_lone_sleep_costs_no_wall_time():
@@ -135,6 +126,58 @@ def test_a_thread_blocked_outside_the_clock_keeps_wall_pace():
         clock.join(thread)
     assert wall >= 0.045
     assert clock.skips == 0
+
+
+def test_a_clock_barrier_parks_its_parties_so_time_skips():
+    """Where a raw barrier holds time at wall pace, the clock's parks: one
+    party sleeps 1 nominal second first, and nobody waits for it in wall
+    time."""
+    clock = VirtualClock(time_scale=1.0)
+    barrier = clock.barrier(2)
+    arrivals = []
+
+    def late():
+        clock.sleep(1.0)
+        arrivals.append(barrier.wait())
+
+    with watchdog(0.05):
+        (thread,) = start(clock, (late,))
+        arrivals.append(barrier.wait())
+        clock.join(thread)
+    assert clock.now() >= 1.0
+    assert sorted(arrivals) == [0, 1]  # the arrival index, as threading.Barrier
+
+
+def test_a_clock_barrier_runs_its_action_and_breaks_like_threading_barrier():
+    clock = VirtualClock(time_scale=1.0)
+    actions = []
+    barrier = clock.barrier(2, action=lambda: actions.append(clock.now()))
+    (thread,) = start(clock, (barrier.wait,))
+    assert barrier.wait() in (0, 1)
+    clock.join(thread)
+    assert len(actions) == 1  # run once, by the last arrival
+    broken = []
+
+    def party():
+        try:
+            barrier.wait()
+        except threading.BrokenBarrierError:
+            broken.append(clock.now())
+
+    with watchdog(1.0):
+        (thread,) = start(clock, (party,))
+        clock.sleep(1.0)  # the party parks: time skips
+        barrier.abort()
+        clock.join(thread)
+    assert broken and barrier.broken
+    with pytest.raises(threading.BrokenBarrierError):
+        barrier.wait()
+    # A timeout is nominal seconds, and it breaks the barrier.
+    lonely = clock.barrier(2)
+    before = clock.now()
+    with watchdog(0.05), pytest.raises(threading.BrokenBarrierError):
+        lonely.wait(timeout=30.0)
+    assert clock.now() - before >= 30.0 and lonely.broken
 
 
 def test_a_thread_that_exits_leaves_the_runner_set():

@@ -99,17 +99,12 @@ def test_disabled_cluster_is_bit_identical():
             enabled=False,
             replica_factor=3,
             peer_reads=False,
-            peer_bandwidth=123e6,
             aggregation=False,
             aggregation_window_s=1.0,
-            aggregation_max_ops=2,
-            aggregation_max_bytes=1 * MiB,
             service_max_sessions=2,
             service_queue_depth=1,
             service_rpc_latency_s=0.1,
             repair=True,
-            repair_interval_s=0.01,
-            repair_class="DEMAND_READ",
             repair_max_inflight=1,
             failover=True,
         )

@@ -14,7 +14,7 @@ from repro.errors import BackpressureError, CheckpointNotFound, LifecycleError
 from repro.telemetry.exporters import chrome_trace, read_jsonl, write_jsonl
 from repro.util.rng import make_rng
 from repro.util.units import MiB
-from tests.conftest import tiny_config
+from tests.conftest import start_runners, tiny_config
 
 CKPT = 64 * MiB
 
@@ -216,22 +216,20 @@ class TestDisconnect:
             fresh.restore(0, out)
 
     def test_disconnect_drains_inflight_admissions(self):
-        import threading
-
         with make_topology(service_config(num_nodes=1, replica_factor=1)) as topo:
+            clock = topo.cluster.clock
             session = topo.service.connect("c0")
             session._admit()  # an RPC caught mid-flight
-            done = threading.Event()
+            done = clock.event()
 
             def drain():
                 topo.service.disconnect("c0")
                 done.set()
 
-            t = threading.Thread(target=drain, daemon=True)
-            t.start()
+            (t,) = start_runners(clock, (drain,))
             assert not done.wait(0.1), "disconnect returned with an RPC in flight"
             session._release()
-            t.join(timeout=5.0)
+            clock.join(t)
             assert done.is_set()
 
     def test_disconnect_of_unknown_client_is_a_noop(self):

@@ -84,14 +84,9 @@ REJECTIONS = [
     (SchedConfig, {"default_weight": 0}, "default_weight"),
     (SchedConfig, {"engine_weights": ((0, -1.0),)}, "engine_weights"),
     (SchedConfig, {"engine_weights": ((0,),)}, "engine_weights"),
-    (SchedConfig, {"engine_rate_limit": 0.0}, "engine_rate_limit"),
-    (SchedConfig, {"burst_bytes": 0}, "burst_bytes"),
     (SchedConfig, {"max_speculative_queue": -1}, "queue"),
     (SchedConfig, {"max_flush_queue": 0}, "queue"),
     (SchedConfig, {"max_flush_backlog": 0}, "max_flush_backlog"),
-    (SchedConfig, {"admission": "drop"}, "admission"),
-    (SchedConfig, {"hint_near_distance": -1}, "hint_near_distance"),
-    (SchedConfig, {"hint_spacing_s": -0.1}, "hint_spacing_s"),
     # ReduceConfig
     (ReduceConfig, {"site": "cpu"}, "site"),
     (ReduceConfig, {"chunking": "rabin"}, "chunking"),
@@ -99,15 +94,10 @@ REJECTIONS = [
     (ReduceConfig, {"min_chunk_size": 0}, "min"),
     (ReduceConfig, {"min_chunk_size": 16 * MiB}, "chunk bounds"),
     (ReduceConfig, {"max_chunk_size": 4 * MiB}, "chunk bounds"),
-    (ReduceConfig, {"delta_threshold": 0.0}, "delta_threshold"),
-    (ReduceConfig, {"delta_threshold": 1.5}, "delta_threshold"),
     (ReduceConfig, {"max_delta_chain": -1}, "max_delta_chain"),
-    (ReduceConfig, {"chain_penalty": -0.1}, "chain_penalty"),
-    (ReduceConfig, {"recipe_overhead": -1}, "recipe_overhead"),
     (ReduceConfig, {"codec": "brotli"}, "codec"),
     # StreamConfig
     (StreamConfig, {"stream_chunk_bytes": 0}, "stream_chunk_bytes"),
-    (StreamConfig, {"ring_chunks": 1}, "ring_chunks"),
     # FaultConfig
     (FaultConfig, {"transfer_fault_rate": 1.5}, "transfer_fault_rate"),
     (FaultConfig, {"transfer_fault_rate": -0.1}, "transfer_fault_rate"),
@@ -154,33 +144,19 @@ REJECTIONS = [
     (SloConfig, {"burn_rate_threshold": 0.0}, "burn_rate_threshold"),
     # ClusterConfig
     (ClusterConfig, {"replica_factor": 0}, "replica_factor"),
-    (ClusterConfig, {"peer_bandwidth": 0.0}, "peer_bandwidth"),
     (ClusterConfig, {"aggregation_window_s": -0.001}, "aggregation_window_s"),
-    (ClusterConfig, {"aggregation_max_ops": 0}, "aggregation_max_ops"),
-    (ClusterConfig, {"aggregation_max_bytes": 0}, "aggregation_max_bytes"),
     (ClusterConfig, {"service_max_sessions": 0}, "service_max_sessions"),
     (ClusterConfig, {"service_queue_depth": 0}, "service_queue_depth"),
     (ClusterConfig, {"service_rpc_latency_s": -1e-6}, "service_rpc_latency_s"),
-    (ClusterConfig, {"repair_interval_s": 0.0}, "repair_interval_s"),
-    (ClusterConfig, {"repair_class": "FOREGROUND_WRITE"}, "repair_class"),
     (ClusterConfig, {"repair_max_inflight": 0}, "repair_max_inflight"),
     # PredictConfig
-    (PredictConfig, {"predictor": "oracle"}, "predictor"),
-    (PredictConfig, {"history_capacity": 0}, "history_capacity"),
-    (PredictConfig, {"max_queue": 0}, "max_queue"),
-    (PredictConfig, {"min_confidence": 1.5}, "min_confidence"),
-    (PredictConfig, {"refresh_interval_s": -1.0}, "refresh_interval_s"),
     (PredictConfig, {"hit_floor": 1.0}, "hit_floor"),
     (PredictConfig, {"min_samples": 0}, "min_samples"),
-    (PredictConfig, {"suspend_s": 0.0}, "suspend_s"),
-    (PredictConfig, {"ewma_alpha": 0.0}, "ewma_alpha"),
     # RuntimeConfig
     (RuntimeConfig, {"num_nodes": 0}, "num_nodes"),
-    (RuntimeConfig, {"telemetry_buffer": 0}, "telemetry_buffer"),
     (RuntimeConfig, {"processes_per_node": 9}, "processes_per_node"),
     (RuntimeConfig, {"processes_per_node": 0}, "processes_per_node"),
     (RuntimeConfig, {"eviction_policy": "random"}, "eviction_policy"),
-    (RuntimeConfig, {"flush_wait_timeout": 0.0}, "flush_wait_timeout"),
     (
         RuntimeConfig,
         {"num_nodes": 2, "cluster": ClusterConfig(enabled=True, replica_factor=3)},

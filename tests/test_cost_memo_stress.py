@@ -2,17 +2,16 @@
 
 Four threads reserve, transition and consume checkpoints on one engine's
 caches while the interpreter hands over every 10 µs, so a cost drop can
-race every scan.  Every join is bounded, and the engine must validate at
-the end: ``validate_engine`` recomputes every memoised cost.
+race every scan.  The engine must validate at the end: ``validate_engine`` recomputes every memoised cost.
 """
 
 import sys
-import threading
 
 from repro.core.lifecycle import CkptState
 from repro.core.validator import validate_engine
 from repro.tiers.base import TierLevel
 from repro.util.units import MiB
+from tests.conftest import start_runners
 
 SLOT = 128 * MiB
 ROUNDS = 150
@@ -56,20 +55,14 @@ def _life(engine, worker: int, errors: list) -> None:
 
 def test_four_threads_keep_every_memoised_cost_exact(engine):
     errors: list = []
-    workers = [
-        threading.Thread(target=_life, args=(engine, worker, errors), name=f"memo-{worker}")
-        for worker in range(4)
-    ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
+        workers = start_runners(engine.clock, *[(_life, engine, w, errors) for w in range(4)])
         for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60)
+            engine.clock.join(worker)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(worker.is_alive() for worker in workers)
     assert errors == []
     assert engine.gpu_cache.evictions and engine.host_cache.evictions
     validate_engine(engine)

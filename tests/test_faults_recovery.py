@@ -391,20 +391,19 @@ class TestCheckpointRollback:
 
 
 class TestFlushWaitTimeout:
-    def test_config_default_timeout_and_stall_report(self):
+    def test_timeout_fires_with_stall_report(self):
         # A deep brownout makes the h2f leg ~1000x slower than nominal, so
-        # the configured default timeout fires while the put is in flight.
+        # the timeout fires while the put is in flight.
         cfg = tiny_config(
             faults=FaultConfig(enabled=True, tier_outages=(("ssd", 0.0, 1e9, 0.001),)),
             resilience=RESILIENT,
-            flush_wait_timeout=5.0,
         )
         with Cluster(cfg) as cluster:
             ctx = cluster.process_contexts()[0]
             with ScoreEngine(ctx) as engine:
                 engine.checkpoint(0, make_buffer(ctx, CKPT, seed=0))
                 with pytest.raises(FlushTimeoutError) as excinfo:
-                    engine.wait_for_flushes()  # config default applies
+                    engine.wait_for_flushes(timeout=5.0)
                 message = str(excinfo.value)
                 assert "stream depths" in message
                 assert "retries=" in message  # resilience state included

@@ -19,7 +19,6 @@ sitting unread on a stream event.
 """
 
 import sys
-import threading
 from contextlib import contextmanager
 
 import pytest
@@ -33,9 +32,9 @@ from repro.core.streaming import ChunkPipeline
 from repro.core.validator import validate_engine
 from repro.errors import TierOfflineError, TransferError, TransientTransferError
 from repro.tiers.base import TierLevel
-from repro.tiers.topology import Cluster
+from repro.tiers.topology import Cluster, ProcessContext
 from repro.util.units import MiB
-from tests.conftest import both_chunk_plans, make_buffer, tiny_config
+from tests.conftest import both_chunk_plans, make_buffer, start_runners, tiny_config
 
 CKPT = 128 * MiB  # eight 16 MiB chunks under the streamed plan
 
@@ -191,20 +190,17 @@ def test_unexpected_stage_exception_is_counted_traced_and_contained(monkeypatch,
 def test_tallies_count_every_bump_from_every_thread(engine):
     """``abandoned``/``retries``/… are bumped by up to five stream threads:
     through one helper under one lock, read back under it by ``stats()``."""
-    workers = [
-        threading.Thread(target=lambda: [engine.flusher._tally("retries") for _ in range(5000)])
-        for _ in range(8)
-    ]
+    def bump():
+        for _ in range(5000):
+            engine.flusher._tally("retries")
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # a lost read-modify-write shows at this rate
     try:
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60)
+        for worker in start_runners(engine.clock, *[(bump,)] * 8):
+            engine.clock.join(worker)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(worker.is_alive() for worker in workers)
     assert engine.flusher.retries == engine.flusher.tallies()["retries"] == 40000
     assert engine.stats()["abandoned_flushes"] == 0
 
@@ -219,7 +215,7 @@ COMMIT_FAULT = TransferError("injected commit failure")
 def _flush_case(engine, cluster, hop, point, how, chunk):
     """``(object, method, exception, call index)`` of one cell, and the
     breaker it feeds with resilience on."""
-    ssd, pfs = engine.ssd, engine.pfs
+    ssd, pfs = engine.ssd, cluster.pfs
     sink, link = {
         "d2h": (engine.host_cache, engine.device.d2h_link),
         "h2f": (ssd, ssd.write_link),
@@ -267,9 +263,17 @@ def test_flush_hop_failure_feeds_its_breaker_once(monkeypatch, stream, hop, poin
     """Resilience on, with no retry and no reroute: each cell is one failed
     attempt, fed to the breaker its hop × failure point names (claims and
     store-put chunks the sink's, replication none), and still abandons."""
-    resilience = ResilienceConfig(enabled=True, reroute=False, max_retries=0)
+    if hop not in ("f2r", "f2p"):
+        without_pfs(monkeypatch)  # nothing to reroute to
+    resilience = ResilienceConfig(enabled=True, max_retries=0)
     fed, breaker = _flush_cell(monkeypatch, stream, hop, point, how, resilience=resilience)
     assert fed == ([breaker] if breaker else [])
+
+
+def without_pfs(monkeypatch):
+    """Engines built from here on have no PFS, so the durable hop has no
+    store to reroute to."""
+    monkeypatch.setattr(ProcessContext, "pfs", None)
 
 
 def _flush_cell(monkeypatch, stream, hop, point, how, **changes):
@@ -324,11 +328,12 @@ def _flush_cell(monkeypatch, stream, hop, point, how, **changes):
 
 
 @both_chunk_plans
-def test_retried_charge_feeds_the_breaker_once_per_attempt(stream):
-    """Resilience on, rerouting off: a persistently failing SSD chunk is
-    retried ``max_retries`` times, each attempt fed to the SSD breaker, then
-    the hop is abandoned — one abandonment, nothing left behind."""
-    resilience = ResilienceConfig(enabled=True, reroute=False, max_retries=2, breaker_threshold=99)
+def test_retried_charge_feeds_the_breaker_once_per_attempt(monkeypatch, stream):
+    """Resilience on, no PFS to reroute to: a persistently failing SSD chunk
+    is retried ``max_retries`` times, each attempt fed to the SSD breaker,
+    then the hop is abandoned — one abandonment, nothing left behind."""
+    without_pfs(monkeypatch)
+    resilience = ResilienceConfig(enabled=True, max_retries=2, breaker_threshold=99)
     with Cluster(tiny_config(stream=stream, resilience=resilience)) as cluster:
         ctx = cluster.process_contexts()[0]
         with ScoreEngine(ctx) as engine:
@@ -488,7 +493,8 @@ def test_promotion_failure_leaves_nothing_behind(hop, point, how, stream):
         elif how == "read-fault":
             obj, name, exc, at = drive.read_link, "transfer", LINK_FAULT, chunk
         elif how == "hop-fault":
-            obj, name, exc, at = engine.fabric.link(engine.node_id, 0), "transfer", LINK_FAULT, chunk
+            hop_link = engine.fabric.cluster.internode_link(engine.node_id, 0)
+            obj, name, exc, at = hop_link, "transfer", LINK_FAULT, chunk
         elif how == "h2d-fault":
             obj, name, exc, at = engine.device.h2d_link, "transfer", LINK_FAULT, chunk
         else:

@@ -27,7 +27,7 @@ from repro.core.validator import validate_engine
 from repro.errors import TransientTransferError
 from repro.tiers.base import TierLevel
 from repro.util.units import KiB, MiB
-from tests.conftest import TEST_SCALE, make_buffer, tiny_config
+from tests.conftest import TEST_SCALE, make_buffer, start_runners, tiny_config
 from tests.test_hop import LINK_FAULT, breaker_feeds, failing
 
 CKPT = 128 * MiB
@@ -61,7 +61,7 @@ def links(topo, reader):
     off node 0, the first holder in ring order from the last node."""
     return (
         topo.cluster.nodes[0].ssd.read_link,
-        topo.fabric.link(reader.node_id, 0),
+        topo.cluster.internode_link(reader.node_id, 0),
         reader.device.h2d_link,
     )
 
@@ -344,12 +344,8 @@ def test_two_readers_on_one_holder_share_the_drive_chunk_by_chunk():
         def restore(i):
             blocked[i] = readers[i].restore(0, outs[i])
 
-        threads = [threading.Thread(target=restore, args=(i,)) for i in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60.0)
-        assert not any(thread.is_alive() for thread in threads)
+        for thread in start_runners(topo.cluster.clock, (restore, 0), (restore, 1)):
+            topo.cluster.clock.join(thread)
         assert [out.checksum() for out in outs] == [checksum] * 2
         on_drive = CKPT / drive.bandwidth
         # The wait for the other reader's chunks is in the accounted figure ...
@@ -422,11 +418,10 @@ class TestCriticalPath:
             self.charge(pipe, "b", [0.5])
             done.append(True)
 
-        worker = threading.Thread(target=downstream)
-        worker.start()
-        pipe.clock.sleep(20.0)  # 40 ms wall: b stalls on a
+        (worker,) = start_runners(pipe.clock, (downstream,))
+        pipe.clock.sleep(20.0)  # b stalls on a
         self.charge(pipe, "a", [0.25])
-        worker.join(timeout=10.0)
+        pipe.clock.join(worker)
         assert done and pipe.stall_s["b"] > 0.0
         assert pipe.critical_s() == 0.75
 

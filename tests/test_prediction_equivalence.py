@@ -112,16 +112,8 @@ def test_disabled_prediction_is_bit_identical():
     off = _run_scenario(
         PredictConfig(
             enabled=False,
-            predictor="markov",
-            history_capacity=16,
-            max_queue=2,
-            min_confidence=0.9,
-            refresh_interval_s=1.5,
-            validation=False,
             hit_floor=0.9,
             min_samples=1,
-            suspend_s=99.0,
-            ewma_alpha=0.99,
         )
     )
     assert json.dumps(default, default=str) == json.dumps(off, default=str)

@@ -30,6 +30,7 @@ from repro.config import AnalysisConfig, PredictConfig, StreamConfig
 from repro.core.catalog import CheckpointRecord
 from repro.core.engine import ScoreEngine
 from repro.core.lifecycle import CkptState
+from repro.core.prefetcher import HINT_SPACING_S
 from repro.core.validator import InvariantViolation, validate_engine
 from repro.errors import AdmissionError, ReproError, TransientTransferError
 from repro.faults.retry import UNARMED_BACKOFF_S
@@ -611,7 +612,7 @@ class TestStep:
             released = [("inflight", False), ("notify",)]
             assert events == {
                 "transient": [("sleep", UNARMED_BACKOFF_S), *released],
-                "shed": [*released, ("sleep", engine.config.sched.hint_spacing_s)],
+                "shed": [*released, ("sleep", HINT_SPACING_S)],
             }.get(fault, released)
             worker = caller != "demand"
             assert retries.value == int(worker and fault in ("transient", "moved"))

@@ -19,6 +19,7 @@ from repro.reduce import (
     render_reduce_report,
 )
 from repro.reduce.chunking import cdc_spans, fixed_spans
+from repro.reduce.pipeline import RECIPE_OVERHEAD
 from repro.tiers.base import TierLevel
 from repro.util.units import KiB, MiB
 
@@ -61,12 +62,10 @@ class TestConfig:
             {"chunk_size": 0},
             {"min_chunk_size": 16 * MiB},  # min > avg
             {"max_chunk_size": 4 * MiB},  # max < avg
-            {"delta_threshold": 0.0},
-            {"delta_threshold": 1.5},
             {"max_delta_chain": -1},
-            {"chain_penalty": -0.1},
-            {"recipe_overhead": -1},
         ],
+        # explicit ids keep each case's name stable when rows are dropped
+        ids=[f"changes{i}" for i in (0, 1, 2, 3, 4, 5, 8)],
     )
     def test_validation(self, changes):
         with pytest.raises(ConfigError):
@@ -167,7 +166,7 @@ class TestEncode:
         assert r2.reduction.dup_chunks == len(r2.reduction.chunks)
         assert r2.physical_size < r1.physical_size
         assert r2.physical_size <= SCALE.align(
-            CFG.recipe_overhead * len(r2.reduction.chunks)
+            RECIPE_OVERHEAD * len(r2.reduction.chunks)
         )
 
     def test_small_in_chunk_change_becomes_delta(self):

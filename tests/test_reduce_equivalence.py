@@ -95,11 +95,8 @@ def test_disabled_reduce_is_bit_identical():
             min_chunk_size=1 * MiB,
             max_chunk_size=16 * MiB,
             delta=False,
-            delta_threshold=0.3,
             max_delta_chain=1,
-            chain_penalty=1.0,
             codec="zstd",
-            recipe_overhead=4096,
         )
     )
     for got, want in zip(off, default):

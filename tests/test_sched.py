@@ -1,7 +1,5 @@
 """QoS link scheduler: priority, WFQ, EDF, admission, preemption."""
 
-import threading
-
 import pytest
 
 from repro.clock import VirtualClock
@@ -11,12 +9,12 @@ from repro.sched import (
     PREEMPTIBLE_CLASSES,
     LinkScheduler,
     SchedContext,
-    THROTTLED_CLASSES,
     TransferClass,
     TransferRequest,
 )
 from repro.simgpu.bandwidth import Link
 from repro.util.units import MiB
+from tests.conftest import start_runners
 
 
 def make_sched(config=None, bandwidth=100 * MiB):
@@ -47,18 +45,17 @@ def test_transfer_class_lattice():
     ]
     assert sorted(order) == order  # lower value = higher priority
     assert PREEMPTIBLE_CLASSES == {TransferClass.SPECULATIVE_PREFETCH}
-    assert TransferClass.DEMAND_READ not in THROTTLED_CLASSES
-    assert TransferClass.FOREGROUND_WRITE not in THROTTLED_CLASSES
-    assert TransferClass.CASCADE_FLUSH in THROTTLED_CLASSES
 
 
 def test_strict_priority_across_classes():
-    # preemption off so the speculative entry survives to be chosen last
-    _, _, sched = make_sched(SchedConfig(enabled=True, preempt_speculative=False))
+    # The demand read arrives first, so it preempts nothing: the
+    # speculative entry survives to be chosen last.
+    _, _, sched = make_sched()
+    demand = open_waiting(sched, TransferClass.DEMAND_READ)
     flush = open_waiting(sched, TransferClass.CASCADE_FLUSH)
     spec = open_waiting(sched, TransferClass.SPECULATIVE_PREFETCH)
     hinted = open_waiting(sched, TransferClass.HINTED_PREFETCH)
-    demand = open_waiting(sched, TransferClass.DEMAND_READ)
+    assert not spec.request.cancel_event.is_set()
     # Demand first, then hinted prefetch, then cascade flush, speculation last.
     for expected in (demand, hinted, flush, spec):
         assert sched._choose() is expected
@@ -66,9 +63,7 @@ def test_strict_priority_across_classes():
 
 
 def test_wfq_shares_proportional_to_weight():
-    config = SchedConfig(
-        enabled=True, engine_weights=((0, 3.0), (1, 1.0)), preempt_speculative=False
-    )
+    config = SchedConfig(enabled=True, engine_weights=((0, 3.0), (1, 1.0)))
     _, _, sched = make_sched(config)
     a = open_waiting(sched, TransferClass.CASCADE_FLUSH, engine_id=0)
     b = open_waiting(sched, TransferClass.CASCADE_FLUSH, engine_id=1)
@@ -127,27 +122,26 @@ def test_speculative_queue_bound_sheds():
 
 def test_flush_admission_blocks_until_drain():
     config = SchedConfig(enabled=True, max_flush_queue=1)
-    _, _, sched = make_sched(config)
+    clock, _, sched = make_sched(config)
     first = sched.open(TransferRequest(TransferClass.CASCADE_FLUSH), 1 * MiB)
-    admitted = threading.Event()
+    admitted = clock.event()
 
     def second():
         entry = sched.open(TransferRequest(TransferClass.CASCADE_FLUSH), 1 * MiB)
         admitted.set()
         sched.finish(entry)
 
-    t = threading.Thread(target=second)
-    t.start()
+    (t,) = start_runners(clock, (second,))
     assert not admitted.wait(0.2)  # backpressured while the queue is full
     sched.finish(first)
     assert admitted.wait(5)
-    t.join(timeout=5)
+    clock.join(t)
     assert sched.admission_blocks == 1
 
 
 def test_flush_admission_block_aborts_on_cancellation():
     config = SchedConfig(enabled=True, max_flush_queue=1)
-    _, _, sched = make_sched(config)
+    clock, _, sched = make_sched(config)
     sched.open(TransferRequest(TransferClass.CASCADE_FLUSH), 1 * MiB)
     blocked_request = TransferRequest(TransferClass.CASCADE_FLUSH)
     errors = []
@@ -158,10 +152,9 @@ def test_flush_admission_block_aborts_on_cancellation():
         except TransferError as exc:
             errors.append(exc)
 
-    t = threading.Thread(target=second)
-    t.start()
+    (t,) = start_runners(clock, (second,))
     blocked_request.cancel_event.set()  # flush abandoned while backpressured
-    t.join(timeout=5)
+    clock.join(t)
     assert errors, "cancelled admission wait should raise"
 
 
@@ -178,14 +171,6 @@ def test_demand_read_preempts_speculative_only():
     assert sched.preemptions == 1
 
 
-def test_preemption_disabled_by_config():
-    _, _, sched = make_sched(SchedConfig(enabled=True, preempt_speculative=False))
-    spec = open_waiting(sched, TransferClass.SPECULATIVE_PREFETCH)
-    open_waiting(sched, TransferClass.DEMAND_READ)
-    assert not spec.request.cancel_event.is_set()
-    assert sched.preemptions == 0
-
-
 def test_acquire_raises_when_cancelled_while_queued():
     _, _, sched = make_sched()
     request = TransferRequest(TransferClass.SPECULATIVE_PREFETCH)
@@ -194,28 +179,6 @@ def test_acquire_raises_when_cancelled_while_queued():
     with pytest.raises(TransferError):
         sched.acquire(entry)
     sched.finish(entry)
-
-
-def test_token_bucket_throttles_background_classes():
-    config = SchedConfig(
-        enabled=True,
-        engine_rate_limit=float(1 * MiB),  # 1 MiB per nominal second
-        burst_bytes=1 * MiB,
-        quantum_bytes=1 * MiB,
-    )
-    clock, _, sched = make_sched(config)
-    flush = open_waiting(sched, TransferClass.CASCADE_FLUSH, nbytes=4 * MiB)
-    now = clock.now()
-    assert sched._eligible(flush, now)  # full burst available
-    sched.release(flush, 1 * MiB)  # spend the burst
-    flush.waiting = True
-    assert not sched._eligible(flush, clock.now())  # throttled until refill
-    # Demand reads are never throttled.
-    demand = open_waiting(sched, TransferClass.DEMAND_READ, nbytes=4 * MiB)
-    assert sched._eligible(demand, clock.now())
-    # The refill ETA is what the arbiter sleeps toward.
-    bucket = sched._bucket(0, clock.now())
-    assert bucket.eta(1 * MiB, clock.now()) > 0
 
 
 def test_scheduled_transfer_end_to_end_priority():
@@ -229,7 +192,7 @@ def test_scheduled_transfer_end_to_end_priority():
 
     spec_request = TransferRequest(TransferClass.SPECULATIVE_PREFETCH)
     results = {}
-    started = threading.Event()
+    started = clock.event()
 
     def speculative():
         started.set()
@@ -241,14 +204,13 @@ def test_scheduled_transfer_end_to_end_priority():
         except TransferError:
             results["spec"] = "preempted"
 
-    t = threading.Thread(target=speculative)
-    t.start()
+    (t,) = start_runners(clock, (speculative,))
     started.wait(timeout=5)
     clock.sleep(0.5)  # let a few speculative quanta through
     demand_seconds = link.transfer(
         10 * MiB, request=TransferRequest(TransferClass.DEMAND_READ)
     )
-    t.join(timeout=10)
+    clock.join(t)
     assert results["spec"] == "preempted"
     assert sched.preemptions == 1
     # The demand read never waited behind the (cancelled) 10 s speculation.
@@ -289,10 +251,6 @@ def test_sched_config_validation():
         SchedConfig(default_weight=0)
     with pytest.raises(ConfigError):
         SchedConfig(engine_weights=((0, -1.0),))
-    with pytest.raises(ConfigError):
-        SchedConfig(admission="drop-everything")
-    with pytest.raises(ConfigError):
-        SchedConfig(engine_rate_limit=0.0)
     cfg = SchedConfig(engine_weights=((3, 2.5),))
     assert cfg.weight_of(3) == 2.5
     assert cfg.weight_of(7) == cfg.default_weight

@@ -6,11 +6,11 @@ import pytest
 
 from repro.config import SchedConfig, StreamConfig
 from repro.core.engine import ScoreEngine
-from repro.errors import BackpressureError, FlushTimeoutError
+from repro.errors import FlushTimeoutError
 from repro.sched import render_sched_timeline, sched_events
 from repro.tiers.topology import Cluster
 
-from .conftest import both_chunk_plans, make_buffer, tiny_config
+from .conftest import both_chunk_plans, make_buffer, start_runners, tiny_config
 
 
 def sched_cluster(stream=StreamConfig(), **sched_changes):
@@ -65,60 +65,27 @@ def test_demand_classes_served_and_traced():
 # plan: the many-chunk d2h does not park on the stages below it.
 @both_chunk_plans
 def test_checkpoint_backpressure_blocks(stream):
-    with sched_cluster(stream, max_flush_backlog=1, admission="block") as cluster:
+    with sched_cluster(stream, max_flush_backlog=1) as cluster:
         context = cluster.process_contexts()[0]
         with ScoreEngine(context) as engine:
-            release = threading.Event()
+            release = cluster.clock.event()
             # Hold the flush stream so the backlog cannot drain by itself.
             engine.flusher.d2h_stream.submit(lambda: release.wait(5), label="hold")
-            done = threading.Event()
+            done = cluster.clock.event()
 
             def blocked_checkpoint():
                 engine.checkpoint(0, make_buffer(context, seed=0))
                 done.set()
 
-            t = threading.Thread(target=blocked_checkpoint)
-            t.start()
+            (t,) = start_runners(cluster.clock, (blocked_checkpoint,))
             assert not done.wait(0.2), "checkpoint should be backpressured"
             release.set()
             assert done.wait(10)
-            t.join(timeout=5)
+            cluster.clock.join(t)
             backpressure = cluster.telemetry.registry.histogram(
                 "engine.checkpoint.backpressure_s"
             )
             assert backpressure.count >= 1
-            engine.wait_for_flushes(timeout=600.0)
-
-
-@both_chunk_plans
-def test_checkpoint_backpressure_sheds(stream):
-    with sched_cluster(stream, max_flush_backlog=1, admission="shed") as cluster:
-        context = cluster.process_contexts()[0]
-        with ScoreEngine(context) as engine:
-            release = threading.Event()
-            engine.flusher.d2h_stream.submit(lambda: release.wait(5), label="hold")
-            try:
-                with pytest.raises(BackpressureError):
-                    engine.checkpoint(0, make_buffer(context, seed=0))
-            finally:
-                release.set()
-            assert cluster.telemetry.registry.counter("engine.checkpoint.shed").value == 1
-            # After the backlog drains, checkpointing works again.
-            engine.flusher.d2h_stream.wait_depth_below(1, timeout=5)
-            engine.checkpoint(1, make_buffer(context, seed=1))
-            engine.wait_for_flushes(timeout=600.0)
-
-
-def test_admission_off_never_intervenes():
-    with sched_cluster(max_flush_backlog=1, admission="off") as cluster:
-        context = cluster.process_contexts()[0]
-        with ScoreEngine(context) as engine:
-            release = threading.Event()
-            engine.flusher.d2h_stream.submit(lambda: release.wait(5), label="hold")
-            try:
-                engine.checkpoint(0, make_buffer(context, seed=0))  # no shed/block
-            finally:
-                release.set()
             engine.wait_for_flushes(timeout=600.0)
 
 
@@ -197,14 +164,11 @@ def test_two_engines_share_links_with_scheduling():
                 except Exception as exc:  # noqa: BLE001 - surfaced below
                     errors.append(exc)
 
-            threads = [
-                threading.Thread(target=worker, args=(engine, ctx))
-                for engine, ctx in zip(engines, contexts)
-            ]
+            threads = start_runners(
+                cluster.clock, *[(worker, engine, ctx) for engine, ctx in zip(engines, contexts)]
+            )
             for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
+                cluster.clock.join(t)
             assert not errors, errors
             for engine in engines:
                 engine.wait_for_flushes(timeout=600.0)

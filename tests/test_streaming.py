@@ -49,7 +49,7 @@ from repro.tiers.topology import Cluster
 from repro.util.rng import make_rng
 from repro.util.units import GiB, MiB
 from repro.workloads.patterns import RestoreOrder, restore_order
-from tests.conftest import TEST_SCALE, both_chunk_plans, make_buffer, tiny_config
+from tests.conftest import TEST_SCALE, both_chunk_plans, make_buffer, start_runners, tiny_config
 
 CKPT = 128 * MiB
 
@@ -100,11 +100,10 @@ class TestChunkPipeline:
             for i in range(pipe.chunks):
                 got.append(pipe.await_upstream("b", i))
 
-        t = threading.Thread(target=consumer)
-        t.start()
+        (t,) = start_runners(pipe.clock, (consumer,))
         for i in range(pipe.chunks):
             pipe.publish("a", i)
-        t.join(timeout=10.0)
+        pipe.clock.join(t)
         assert got == [True] * pipe.chunks
 
     def _cascade(self, chunks=6):
@@ -120,8 +119,8 @@ class TestChunkPipeline:
         pipe = self._cascade(chunks=6)
         pipe.finish("d2h")
         pipe.finish("h2f")
-        progressed = threading.Event()
-        parked = threading.Event()
+        progressed = pipe.clock.event()
+        parked = pipe.clock.event()
 
         def read_back():
             for i in range(pipe.chunks):
@@ -132,16 +131,14 @@ class TestChunkPipeline:
                 pipe.publish("f2r", i)
             progressed.set()
 
-        t = threading.Thread(target=read_back)
-        t.start()
+        (t,) = start_runners(pipe.clock, (read_back,))
         assert parked.wait(timeout=10.0)
         # ring chunks ahead of a PFS writer that has done nothing: parked.
         assert not progressed.wait(timeout=0.2)
         for i in range(pipe.chunks):
             pipe.publish("f2p", i)
         assert progressed.wait(timeout=10.0)
-        t.join(timeout=10.0)
-        assert not t.is_alive()
+        pipe.clock.join(t)
         assert pipe.stall_s["f2r"] > 0.0
         assert pipe.stall_s["d2h"] == pipe.stall_s["h2f"] == 0.0
 
@@ -163,10 +160,9 @@ class TestChunkPipeline:
         pipe.publish("a", 0)
         assert pipe.await_upstream("b", 0)
         result = []
-        t = threading.Thread(target=lambda: result.append(pipe.await_upstream("b", 1)))
-        t.start()
+        (t,) = start_runners(pipe.clock, (lambda: result.append(pipe.await_upstream("b", 1)),))
         pipe.fail("a")
-        t.join(timeout=10.0)
+        pipe.clock.join(t)
         assert result == [False]
 
     def test_downstream_failure_releases_producer(self):
@@ -347,7 +343,7 @@ def test_disabled_streaming_is_bit_identical():
     default = _equivalence_scenario(None)
     # Every other knob non-default; enabled=False must make them all inert.
     off = _equivalence_scenario(
-        StreamConfig(enabled=False, stream_chunk_bytes=4 * MiB, ring_chunks=7)
+        StreamConfig(enabled=False, stream_chunk_bytes=4 * MiB)
     )
     for got, want in zip(off, default):
         assert json.dumps(got, sort_keys=True, default=str) == json.dumps(

@@ -17,7 +17,7 @@ from repro.tiers.ssd import SsdStore
 from repro.tiers.topology import Cluster
 from repro.util.rng import make_rng
 from repro.util.units import KiB, MiB
-from tests.conftest import FaultClock, tiny_config
+from tests.conftest import FaultClock, start_runners, tiny_config
 
 SCALE = ScaleModel(data_scale=64 * KiB, alignment=64 * KiB, time_scale=0.002)
 
@@ -145,20 +145,16 @@ class TestPfsStore:
         spec = HardwareSpec()
         clock = VirtualClock(time_scale=0.2)
         store = PfsStore(spec, SCALE, clock)
-        barrier = threading.Barrier(4)
+        barrier = clock.barrier(4)
         seconds = []
 
         def put(node_id):
             barrier.wait()
             seconds.append(store.put((node_id, 0), _payload(64 * MiB), 64 * MiB, node_id=node_id))
 
-        threads = [threading.Thread(target=put, args=(node_id,)) for node_id in range(4)]
         started = clock.now()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not any(thread.is_alive() for thread in threads)
+        for thread in start_runners(clock, *[(put, node_id) for node_id in range(4)]):
+            clock.join(thread)
         elapsed = clock.now() - started
         alone = spec.pfs_latency + 64 * MiB / spec.pfs_write_bandwidth
         assert min(seconds) == pytest.approx(alone, rel=0.05)
@@ -217,7 +213,7 @@ class TestTopology:
             assert ctx.host_usable_capacity() == arena.nominal_capacity
 
     def test_host_usable_capacity_grows_lazily(self):
-        cfg = tiny_config(charge_allocation_cost=True, lazy_host_pinning=True)
+        cfg = tiny_config(charge_allocation_cost=True)
         with Cluster(cfg) as c:
             ctx = c.process_contexts()[0]
             arena = ctx.host_cache_arena()
@@ -226,17 +222,6 @@ class TestTopology:
             # 2 GiB at 4 GiB/s pins fully in 0.5 nominal seconds.
             c.clock.sleep(1.0)
             assert ctx.host_usable_capacity() == arena.nominal_capacity
-
-    def test_eager_pinning_charges_up_front(self):
-        cfg = tiny_config(charge_allocation_cost=True, lazy_host_pinning=False)
-        with Cluster(cfg) as c:
-            ctx = c.process_contexts()[0]
-            before = c.clock.now()
-            ctx.host_cache_arena()
-            elapsed = c.clock.now() - before
-            # 2 GiB at 4 GiB/s = 0.5 nominal seconds, paid synchronously.
-            assert elapsed >= 0.4
-            assert ctx.host_usable_capacity() == ctx.host_cache_arena().nominal_capacity
 
     def test_cluster_close_idempotent(self):
         c = Cluster(tiny_config())

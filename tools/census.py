@@ -23,17 +23,27 @@ reached (``engine.resilient``, ``config.resilience.enabled``, a local
 ``scfg.enabled``, ``peer_reads`` …); the body of ``_build_features``, the
 one place meant to read them, is not counted.
 
-The last two keep the configuration declared once (ROADMAP item 10): more
-than 137 "config fields" (the fields of ``repro.config``'s dataclasses) or 12
-"raise ConfigError in config.py" (a constraint is declared on its field and
-checked by ``validate``; only rules relating two fields are code).  A new
-knob or hand-written check fails unless the same diff raises the limit.
+Three keep the configuration small and declared once (ROADMAP item 10):
+more than 107 "config fields" (the fields of ``repro.config``'s dataclasses)
+or 12 "raise ConfigError in config.py" (a constraint is declared on its field
+and checked by ``validate``; only rules relating two fields are code), or
+any "config fields never read outside config.py" (a knob no code reads is a
+constant with a check; by name, the two-field rules of ``__post_init__`` not
+counting as reads).  A new knob or hand-written check fails unless the same
+diff raises the limit.
+
+Two keep time skippable in tests and workloads: a "raw threading.Thread( in
+tests/ outside test_clock*.py" (one not started through ``clock.runner``;
+only the clock's own tests start unknown threads on purpose) or a "raw
+threading.Barrier( in src/" (``VirtualClock.barrier`` parks its parties)
+fails.
 
 And a store charges its route in one place: more than one ".transfer( call
 sites in tiers/" means a second route loop (``ObjectStore._cross`` moves a
 chunk across every leg of the route).
 """
 
+import ast
 import dataclasses
 import re
 import sys
@@ -42,13 +52,16 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 FILES = sorted(SRC.rglob("*.py"))
+CONFIG = SRC / "repro/config.py"
+#: the test files expected to start only clock-registered threads.
+TESTS = sorted(
+    path for path in (SRC.parent / "tests").glob("*.py") if not path.name.startswith("test_clock")
+)
 #: a read that asks which feature is on: a feature flag or handle tested.
 PATH_PICKS = (
     r"\b(self|engine)\.(resilient|streaming)\b(?!\s*=[^=])|\bsched\.enabled\b|\bfaults\.enabled\b"
     r"|\b(predict|reducer|slo|retry_policy|fabric|peer_stream) is (not )?None"
-    r"|config\.resilience\.(reroute|reverify|backfill|journal)"
-    r"|\b(resilience|scfg|cluster)\.enabled\b|\bresilience\.(reroute|reverify|backfill|journal)\b"
-    r"|\bpeer_reads\b"
+    r"|\b(resilience|scfg|cluster)\.enabled\b|\bpeer_reads\b"
 )
 
 
@@ -72,11 +85,11 @@ def sites(pattern, files=FILES, skip=(), outside=None):
     return found
 
 
-def unregistered_thread_sites():
+def unregistered_thread_sites(files=FILES):
     """``threading.Thread(`` sites whose target is not wrapped in the
     clock's ``runner(`` within the call's first three lines."""
     found = []
-    for site in sites(r"threading\.Thread\("):
+    for site in sites(r"threading\.Thread\(", files):
         path, number = site.rsplit(":", 1)
         lines = (SRC.parent / path).read_text().splitlines()
         if ".runner(" not in "\n".join(lines[int(number) - 1 : int(number) + 2]):
@@ -94,6 +107,31 @@ def config_fields():
         if isinstance(cls, type) and dataclasses.is_dataclass(cls)
         for spec in dataclasses.fields(cls)
     ]
+
+
+class _Reads(ast.NodeVisitor):
+    """The attribute names a module loads, ``__post_init__`` bodies aside."""
+
+    def __init__(self) -> None:
+        self.names = set()
+
+    def visit_FunctionDef(self, node) -> None:
+        if node.name != "__post_init__":
+            self.generic_visit(node)
+
+    def visit_Attribute(self, node) -> None:
+        if isinstance(node.ctx, ast.Load):
+            self.names.add(node.attr)
+        self.generic_visit(node)
+
+
+def unread_config_fields():
+    """``Class.field`` for every config field whose name no code in ``src/``
+    loads as an attribute (``config.py``'s two-field rules aside)."""
+    reads = _Reads()
+    for path in FILES:
+        reads.visit(ast.parse(path.read_text()))
+    return [name for name in config_fields() if name.split(".")[1] not in reads.names]
 
 
 def main() -> int:
@@ -127,7 +165,10 @@ def main() -> int:
         "cost_cache_enabled mentions": sites(r"cost_cache_enabled"),
         "instance_state_ts( call sites": sites(r"(?<!def )instance_state_ts\("),
         "config fields": config_fields(),
-        "raise ConfigError in config.py": sites(r"raise ConfigError\(", [SRC / "repro/config.py"]),
+        "raise ConfigError in config.py": sites(r"raise ConfigError\(", [CONFIG]),
+        "config fields never read outside config.py": unread_config_fields(),
+        "raw threading.Thread( in tests/ outside test_clock*.py": unregistered_thread_sites(TESTS),
+        "raw threading.Barrier( in src/": sites(r"threading\.Barrier\("),
     }
     for what, where in counts.items():
         print(f"{len(where):4d} {what}")
@@ -143,8 +184,11 @@ def main() -> int:
         "promote_once( call sites": 1,
         "cost_cache_enabled mentions": 0,
         "path-picking reads in core/": 6,
-        "config fields": 137,
+        "config fields": 107,
         "raise ConfigError in config.py": 12,
+        "config fields never read outside config.py": 0,
+        "raw threading.Thread( in tests/ outside test_clock*.py": 0,
+        "raw threading.Barrier( in src/": 0,
         ".transfer( call sites in tiers/": 1,
     }
     failed = [what for what, limit in hard.items() if len(counts[what]) > limit]
