@@ -100,6 +100,7 @@ class UvmEngine:
             clock=self.clock,
             d2h_link=self.device.d2h_link,
             h2d_link=self.device.h2d_link,
+            on_residency=self._residency_changed,
         )
         self.host_budget = context.config.cache.host_cache_size
         self._live_bytes = 0
@@ -164,6 +165,15 @@ class UvmEngine:
         pinned = int((self.clock.now() - self._pin_started_at) * self.spec.host_pin_bandwidth)
         return min(self.host_budget, pinned)
 
+    def _pin_eta(self, need: int) -> Optional[float]:
+        """Nominal seconds until pinning alone makes the budget cover
+        ``need`` — growth is clock-driven and notifies nobody, so a wait on
+        it is a deadline — or ``None`` when growth cannot help."""
+        if not self._lazy_pinning or need > self.host_budget:
+            return None
+        bandwidth = self.spec.host_pin_bandwidth
+        return self._pin_started_at + (need + 1) / bandwidth - self.clock.now()
+
     def _wait_for_host_budget(self, nominal: int) -> None:
         """Monitor held.  Frees drained checkpoints oldest-first, then waits."""
         while self._live_bytes + nominal > self._usable_host_budget():
@@ -181,7 +191,8 @@ class UvmEngine:
             if self._live_bytes + nominal <= self._usable_host_budget():
                 return
             if not freed:
-                self.monitor.wait(virtual_timeout=0.05)
+                # Woken by a free, a drain or a consume; or by the pinned prefix's deadline.
+                self.monitor.wait(self._pin_eta(self._live_bytes + nominal))
 
     def _free_entry(self, entry: _UvmCheckpoint) -> None:
         assert entry.alloc is not None
@@ -230,7 +241,7 @@ class UvmEngine:
                     target, needs_ssd_read = self._pick_prefetch(device_cap)
                     if target is not None:
                         break
-                    self.monitor.wait(virtual_timeout=0.05)
+                    self.monitor.wait()  # every change _pick_prefetch reads notifies
                 if self._closed:
                     return
                 target.busy += 1
@@ -249,6 +260,12 @@ class UvmEngine:
                         target.prefetch_counted = False
                         self._prefetched_unconsumed -= target.nominal_size
                     self.monitor.notify_all()
+
+    def _residency_changed(self) -> None:
+        """The UVM driver moved pages on or off the device (a background
+        migration included): ``_pick_prefetch`` reads residency."""
+        with self.monitor:
+            self.monitor.notify_all()
 
     def _pick_prefetch(self, device_cap: int):
         """Monitor held: the next hinted checkpoint to stage, if within the

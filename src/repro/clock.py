@@ -24,12 +24,15 @@ Time passes in two ways:
 * **Paced.**  While any registered thread is not parked — running Python, or
   blocked in a primitive the clock does not know about (a raw
   ``threading.Barrier``, a ``join``) — or a live thread the clock does not
-  know might act (any but a main thread that never used the clock), ``now()``
+  know might act (any but a main thread that has not used the clock), ``now()``
   advances with wall time at ``1 / time_scale`` nominal seconds per real
   second, and a sleeper wakes at its scaled wall deadline (coarse OS sleep,
   then a spin tail of at most :data:`SPIN_THRESHOLD`).  Liveness never
   depends on every blocking point being known: the worst case is a
-  wall-paced clock.
+  wall-paced clock.  Building runtime state is not a use: constructors run
+  in :meth:`~VirtualClock.setup`, which leaves the building thread
+  registered only if it was before, so a main thread that builds a cluster
+  and raw-joins its clients does not hold time at wall pace.
 
 A ``notify``/``set`` marks its waiters runnable before it returns, so time
 never skips between a wake-up and the woken thread running.  The clock's
@@ -45,6 +48,7 @@ import time
 import weakref
 from _thread import allocate_lock
 from collections import deque
+from contextlib import contextmanager
 from typing import Callable, Iterable, Optional
 
 from repro.errors import ConfigError
@@ -163,12 +167,32 @@ class VirtualClock:
         """A barrier for ``parties`` threads whose waits park on this clock."""
         return Barrier(self, parties, action)
 
+    @contextmanager
+    def setup(self):
+        """Scope of building runtime state: the thread leaves it as it came.
+
+        A thread unregistered on entry is registered for the body (it may
+        start runners, charge costs) and retired on exit, exception or not,
+        by the path a thread exit takes (time may skip right then).  A
+        thread registered on entry (a runner, a main thread that used the clock),
+        or inside an enclosing scope, is left untouched.  Runners started
+        in the body keep counting from their :meth:`runner` call."""
+        if hasattr(self._local, "member"):
+            yield
+            return
+        self._register()
+        try:
+            yield
+        finally:
+            del self._local.member  # the only reference: retires it at once
+
     def runner(self, target: Callable) -> Callable:
         """``target`` run as a registered thread: it counts as a runner from
         this call (before the thread starts, so time cannot skip past its
-        first step) until it exits.  The one way to start a thread; the
-        caller uses the clock too (it is registered), and waits for the
-        thread with :meth:`join`."""
+        first step) until it exits.  The one way to start a thread, and a
+        use of the clock by the caller, which is registered from here on —
+        unless it calls inside :meth:`setup` and came in unregistered.  The
+        caller waits for the thread with :meth:`join`."""
         self._register()
         with self._lock:
             self._running += 1
@@ -190,9 +214,11 @@ class VirtualClock:
 
     def join(self, thread: threading.Thread) -> None:
         """``thread.join()``, parked on the clock for a thread started
-        through :meth:`runner`: time may skip while it finishes.  Any other
-        thread (or a runner whose body has not begun) is joined raw: the
-        caller stays a runner meanwhile, so time keeps wall pace."""
+        through :meth:`runner`: time may skip while it finishes (the caller
+        is registered).  Any other thread (or a runner whose body has not
+        begun) is joined raw: a registered caller stays a runner meanwhile,
+        so time keeps wall pace; a main thread whose only use of the clock
+        was building in :meth:`setup` holds nothing back."""
         exited = self._exits.get(thread)
         if exited is not None:
             exited.wait()

@@ -36,11 +36,12 @@ class ClusterTopology:
         self.cluster = Cluster(config, clock=clock)
         self.engines: List[ScoreEngine] = []
         try:
-            for ctx in self.cluster.process_contexts():
-                self.engines.append(ScoreEngine(ctx, **(engine_kwargs or {})))
-            self.service = CheckpointService(
-                self.engines, config.cluster, self.cluster.clock
-            )
+            with self.cluster.clock.setup():  # building is not a use of the clock
+                for ctx in self.cluster.process_contexts():
+                    self.engines.append(ScoreEngine(ctx, **(engine_kwargs or {})))
+                self.service = CheckpointService(
+                    self.engines, config.cluster, self.cluster.clock
+                )
         except BaseException:
             self.close()
             raise

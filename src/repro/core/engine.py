@@ -125,86 +125,87 @@ class ScoreEngine:
         self.context = context
         self.config: RuntimeConfig = context.config
         self.clock = context.clock
-        self.scale = context.scale
-        self.device = context.device
-        self.ssd = context.ssd
-        self.pfs = context.pfs
-        self.process_id = context.process_id
-        self.node_id = context.node.node_id
-        self.discard_consumed = discard_consumed
-        self.flush_to_pfs = flush_to_pfs
-        self.prefetch_budget_fraction = prefetch_budget_fraction
-        #: GPUDirect storage (the paper's future-work item): flushes move
-        #: GPU cache → SSD directly over PCIe DMA, bypassing the host cache;
-        #: promotions likewise read SSD → GPU.  The host tier is unused.
-        self.gpudirect = gpudirect
-        cluster = context.node.cluster
-        #: shared-link QoS arbitration; ``sched.request`` is the one QoS-tag factory.
-        self.sched = cluster.sched
-        #: fault injection + self-healing: the cluster-wide fault domain and
-        #: per-tier circuit breakers, both inert unless enabled.
-        self.faults = cluster.faults
-        self.health = cluster.health
-        #: ``config.stream.enabled``: objects of two or more
-        #: ``stream_chunk_bytes`` plan many chunks and overlap their stages;
-        #: off, everything plans one.  Read through :meth:`chunks_for` only.
-        self.streaming = bool(self.config.stream.enabled)
-        #: set once an injected crash point fires; flush streams drop their
-        #: remaining work and public entry points raise
-        #: :class:`~repro.errors.InjectedCrash` until re-incarnation.
-        self.crashed = self.clock.event()
+        with self.clock.setup():  # building is not a use of the clock
+            self.scale = context.scale
+            self.device = context.device
+            self.ssd = context.ssd
+            self.pfs = context.pfs
+            self.process_id = context.process_id
+            self.node_id = context.node.node_id
+            self.discard_consumed = discard_consumed
+            self.flush_to_pfs = flush_to_pfs
+            self.prefetch_budget_fraction = prefetch_budget_fraction
+            #: GPUDirect storage (the paper's future-work item): flushes move
+            #: GPU cache → SSD directly over PCIe DMA, bypassing the host cache;
+            #: promotions likewise read SSD → GPU.  The host tier is unused.
+            self.gpudirect = gpudirect
+            cluster = context.node.cluster
+            #: shared-link QoS arbitration; ``sched.request`` is the one QoS-tag factory.
+            self.sched = cluster.sched
+            #: fault injection + self-healing: the cluster-wide fault domain and
+            #: per-tier circuit breakers, both inert unless enabled.
+            self.faults = cluster.faults
+            self.health = cluster.health
+            #: ``config.stream.enabled``: objects of two or more
+            #: ``stream_chunk_bytes`` plan many chunks and overlap their stages;
+            #: off, everything plans one.  Read through :meth:`chunks_for` only.
+            self.streaming = bool(self.config.stream.enabled)
+            #: set once an injected crash point fires; flush streams drop their
+            #: remaining work and public entry points raise
+            #: :class:`~repro.errors.InjectedCrash` until re-incarnation.
+            self.crashed = self.clock.event()
 
-        self.monitor = Monitor(self.clock)
-        self.telemetry: Telemetry = (
-            getattr(context, "telemetry", None) or Telemetry.disabled()
-        )
-        self._app_track = f"p{self.process_id}-app"
-        #: causal tracing (:mod:`repro.telemetry.causal`): when
-        #: ``config.analysis.enabled`` (and the bus records), every
-        #: checkpoint/restore/prefetch chain gets an op id that rides on all
-        #: its spans; otherwise ``ops`` hands out NULL_OP and the runtime is
-        #: bit-identical to the pre-causal build.
-        self.ops = OpTracer(
-            self.telemetry.bus, self.process_id, self.config.analysis.enabled
-        )
-        registry = self.telemetry.registry
-        self._m_ckpt_ops = registry.counter("engine.checkpoint.ops")
-        self._m_ckpt_bytes = registry.counter("engine.checkpoint.bytes")
-        self._m_ckpt_blocked = registry.histogram("engine.checkpoint.blocked_s")
-        self._m_restore_ops = registry.counter("engine.restore.ops")
-        self._m_restore_bytes = registry.counter("engine.restore.bytes")
-        self._m_restore_blocked = registry.histogram("engine.restore.blocked_s")
-        self._m_queue_depth = registry.gauge("prefetch.queue_depth")
-        self._m_swallowed = registry.counter("engine.swallowed_errors")
-        self.catalog = Catalog(on_transition=self._fsm_hook())
-        self.recorder = recorder or Recorder(process_id=self.process_id)
-        #: restores currently promoting on demand; while non-zero the
-        #: prefetcher backs off so demand never loses a freed cache slot to
-        #: a speculative prefetch (demand-first priority, Section 4.3.2).
-        self.demand_active = 0
-        self._closed = False
-        #: hook name -> the registered observers' bound methods, in
-        #: registration order; all empty with no feature on.
-        self._hooks = {name: () for name in HOOKS}
-        #: consumer stream of the ``h2d`` hop of a store read that fills a GPU
-        #: extent, mirroring the flush cascade in the opposite direction.
-        self.promote_stream = self.device.create_stream("promote-h2d")
-        self.flusher = Flusher(self)
-        self._build_features(cluster)
-        self._build_caches()
-        self.prefetcher = Prefetcher(self)
-        #: the read path's table of hops, per destination tier (whose trace
-        #: track the first and last share): the store read (on the promoting
-        #: thread), the fabric crossing of a read off a peer's SSD, and the H2D
-        #: crossing — each fed chunk by chunk through a ChunkPipeline.
-        self.promote_legs = {
-            dst: (
-                Leg(self, "read", track, None),
-                Leg(self, "peer-hop", f"node{self.node_id}-peer", "fabric", self.peer_stream),
-                Leg(self, "h2d", track, "pcie", self.promote_stream),
+            self.monitor = Monitor(self.clock)
+            self.telemetry: Telemetry = (
+                getattr(context, "telemetry", None) or Telemetry.disabled()
             )
-            for dst, track in self.prefetcher.tracks.items()
-        }
+            self._app_track = f"p{self.process_id}-app"
+            #: causal tracing (:mod:`repro.telemetry.causal`): when
+            #: ``config.analysis.enabled`` (and the bus records), every
+            #: checkpoint/restore/prefetch chain gets an op id that rides on all
+            #: its spans; otherwise ``ops`` hands out NULL_OP and the runtime is
+            #: bit-identical to the pre-causal build.
+            self.ops = OpTracer(
+                self.telemetry.bus, self.process_id, self.config.analysis.enabled
+            )
+            registry = self.telemetry.registry
+            self._m_ckpt_ops = registry.counter("engine.checkpoint.ops")
+            self._m_ckpt_bytes = registry.counter("engine.checkpoint.bytes")
+            self._m_ckpt_blocked = registry.histogram("engine.checkpoint.blocked_s")
+            self._m_restore_ops = registry.counter("engine.restore.ops")
+            self._m_restore_bytes = registry.counter("engine.restore.bytes")
+            self._m_restore_blocked = registry.histogram("engine.restore.blocked_s")
+            self._m_queue_depth = registry.gauge("prefetch.queue_depth")
+            self._m_swallowed = registry.counter("engine.swallowed_errors")
+            self.catalog = Catalog(on_transition=self._fsm_hook())
+            self.recorder = recorder or Recorder(process_id=self.process_id)
+            #: restores currently promoting on demand; while non-zero the
+            #: prefetcher backs off so demand never loses a freed cache slot to
+            #: a speculative prefetch (demand-first priority, Section 4.3.2).
+            self.demand_active = 0
+            self._closed = False
+            #: hook name -> the registered observers' bound methods, in
+            #: registration order; all empty with no feature on.
+            self._hooks = {name: () for name in HOOKS}
+            #: consumer stream of the ``h2d`` hop of a store read that fills a GPU
+            #: extent, mirroring the flush cascade in the opposite direction.
+            self.promote_stream = self.device.create_stream("promote-h2d")
+            self.flusher = Flusher(self)
+            self._build_features(cluster)
+            self._build_caches()
+            self.prefetcher = Prefetcher(self)
+            #: the read path's table of hops, per destination tier (whose trace
+            #: track the first and last share): the store read (on the promoting
+            #: thread), the fabric crossing of a read off a peer's SSD, and the H2D
+            #: crossing — each fed chunk by chunk through a ChunkPipeline.
+            self.promote_legs = {
+                dst: (
+                    Leg(self, "read", track, None),
+                    Leg(self, "peer-hop", f"node{self.node_id}-peer", "fabric", self.peer_stream),
+                    Leg(self, "h2d", track, "pcie", self.promote_stream),
+                )
+                for dst, track in self.prefetcher.tracks.items()
+            }
 
     def _build_features(self, cluster) -> None:
         """Construct the optional features — the one place that reads their

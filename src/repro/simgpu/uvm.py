@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -74,6 +74,7 @@ class UvmSpace:
         clock: VirtualClock,
         d2h_link: Link,
         h2d_link: Link,
+        on_residency: Optional[Callable[[], None]] = None,
     ) -> None:
         self.device_id = device_id
         self.device_capacity = int(device_capacity)
@@ -87,6 +88,8 @@ class UvmSpace:
         self._lru: "OrderedDict[str, UvmAllocation]" = OrderedDict()
         self._allocations: Dict[str, UvmAllocation] = {}
         self._prefetch_stream = Stream(f"gpu{device_id}-uvm-prefetch", clock)
+        #: called, no lock held, once a migration moved pages on or off the device.
+        self._on_residency = on_residency or (lambda: None)
         # counters
         self.fault_count = 0
         self.faulted_bytes = 0
@@ -182,6 +185,7 @@ class UvmSpace:
             seconds = self._make_room(need_bytes, exclude=alloc)
             alloc.device_pages = alloc.num_pages
             self._touch_lru(alloc)
+        self._on_residency()
         # Pay migration cost outside the lock so other allocations progress.
         if faulted:
             groups = -(-missing // self.spec.uvm_fault_pages_per_group)
@@ -216,6 +220,7 @@ class UvmSpace:
             self._lru.pop(alloc.name, None)
             moved = pages * alloc.page_size
             self.evicted_bytes += moved
+        self._on_residency()
         return self.d2h_link.transfer(moved)
 
     def _make_room(self, need_bytes: int, exclude: UvmAllocation) -> float:

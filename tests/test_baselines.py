@@ -10,8 +10,10 @@ from repro.errors import (
     IntegrityError,
     LifecycleError,
 )
-from repro.util.units import MiB
-from tests.conftest import make_buffer
+from repro.config import ScaleModel
+from repro.tiers.topology import Cluster
+from repro.util.units import KiB, MiB
+from tests.conftest import make_buffer, tiny_config
 
 CKPT = 128 * MiB
 
@@ -181,3 +183,20 @@ class TestUvmEngine:
         eng.close()
         with pytest.raises(EngineClosedError):
             eng.checkpoint(0, make_buffer(context, CKPT))
+
+    def test_a_checkpoint_short_of_pinned_room_waits_out_the_ramp_exactly(self):
+        """Under lazy pinning the usable host budget grows at
+        ``host_pin_bandwidth`` from the engine's start: a first checkpoint
+        blocks until the pinned prefix covers it, the closed-form ramp time
+        (the eager run's blocking being the rest), not a multiple of a poll
+        period."""
+        scale = ScaleModel(data_scale=512 * KiB, time_scale=1.0, alignment=512 * KiB)
+        blocked = {}
+        for lazy in (False, True):
+            with Cluster(tiny_config(scale=scale, charge_allocation_cost=lazy)) as cluster:
+                context = cluster.process_contexts()[0]
+                buf = make_buffer(context, CKPT)
+                with UvmEngine(context) as engine:
+                    blocked[lazy] = engine.checkpoint(0, buf)
+        ramp = CKPT / context.spec.host_pin_bandwidth  # 31.25 ms
+        assert blocked[True] - blocked[False] == pytest.approx(ramp, abs=1e-3)

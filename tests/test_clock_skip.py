@@ -13,7 +13,8 @@ from contextlib import contextmanager
 import pytest
 
 from repro.clock import Event, VirtualClock
-from repro.config import RuntimeConfig, ScaleModel
+from repro.cluster.topology import ClusterTopology
+from repro.config import ClusterConfig, RuntimeConfig, ScaleModel
 from repro.core.engine import ScoreEngine
 from repro.errors import TransferError
 from repro.harness.experiment import scaled_caches
@@ -24,7 +25,7 @@ from repro.workloads.multiproc import run_multiprocess_shot
 from repro.workloads.patterns import RestoreOrder, restore_order
 from repro.workloads.rtm import uniform_trace
 from repro.workloads.shot import HintMode, ShotSpec
-from tests.conftest import start_runners as start
+from tests.conftest import make_buffer, start_runners as start, tiny_config
 
 
 @contextmanager
@@ -262,8 +263,6 @@ def test_a_timed_wait_alone_times_out_by_skipping(wait):
 
 
 def test_engine_stats_report_the_clock():
-    from tests.conftest import make_buffer, tiny_config
-
     with Cluster(tiny_config()) as cluster:
         with ScoreEngine(cluster.process_contexts()[0]) as engine:
             engine.checkpoint(0, make_buffer(cluster.process_contexts()[0]))
@@ -273,3 +272,155 @@ def test_engine_stats_report_the_clock():
     clock = cluster.clock
     assert stats["skips"] >= 1 and 0 < stats["skipped_s"] <= clock.skipped_s
     assert 0 < stats["paced_s"] <= clock.paced_s
+
+
+# -- set-up leaves its thread as it found it ----------------------------------
+
+
+def member(clock):
+    """Whether the calling thread is registered with ``clock``."""
+    return threading.get_ident() in clock._members
+
+
+def test_a_cluster_built_on_main_lets_its_raw_client_threads_skip():
+    """The ledger's ``cluster_peer`` shape: main builds the topology (the
+    arena allocations charged on its thread), two raw client threads submit
+    and restore through sessions, and main raw-joins them.  Building did not
+    enrol main, so once both clients park, time skips."""
+    config = tiny_config(
+        num_nodes=2,
+        charge_allocation_cost=True,
+        cluster=ClusterConfig(enabled=True, peer_reads=True, replica_factor=2),
+    )
+    with ClusterTopology(config, engine_kwargs={"flush_to_pfs": True}) as topo:
+        clock = topo.cluster.clock
+        assert not member(clock)
+        skips = clock.skips
+        parked = clock.barrier(2)
+        errors = []
+
+        def client(index):
+            try:
+                session = topo.service.connect(f"client-{index}")
+                context = topo.cluster.process_contexts()[index]
+                sums = {}
+                for ckpt_id in range(10 * index, 10 * index + 2):
+                    buf = make_buffer(context, 64 * MiB, seed=ckpt_id)
+                    sums[ckpt_id] = buf.checksum()
+                    session.submit(ckpt_id, buf)
+                session.engine.wait_for_flushes()
+                out = context.device.alloc_buffer(64 * MiB)
+                for ckpt_id, checksum in sums.items():
+                    session.restore(ckpt_id, out)
+                    assert out.checksum() == checksum
+                parked.wait()
+                clock.sleep(100.0)  # paced: 0.2 wall seconds
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
+                parked.abort()
+
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert not member(clock)
+        assert clock.skips > skips
+
+
+def test_a_runner_that_builds_an_engine_stays_registered():
+    with Cluster(tiny_config(charge_allocation_cost=True)) as cluster:
+        clock = cluster.clock
+        seen = []
+
+        def build():
+            with ScoreEngine(cluster.process_contexts()[0]):
+                seen.append(member(clock))
+            seen.append(member(clock))
+
+        (thread,) = start(clock, (build,))
+        clock.join(thread)
+    assert seen == [True, True]
+
+
+def test_a_thread_registered_before_set_up_keeps_its_registration():
+    with Cluster(tiny_config()) as cluster:
+        clock = cluster.clock
+        clock.now()
+        with ScoreEngine(cluster.process_contexts()[0]):
+            assert member(clock)
+        assert member(clock)
+
+
+def test_a_nested_scope_does_nothing_and_an_exception_still_retires():
+    clock = VirtualClock(time_scale=1.0)
+    with clock.setup():
+        assert member(clock)
+        with clock.setup():
+            clock.now()
+        assert member(clock)  # the inner scope left it registered
+        pending = threading.Thread(target=clock.runner(lambda: None))
+    assert not member(clock)
+    assert clock._running == 1  # the runner not started yet still counts
+    pending.start()
+    pending.join(timeout=60)
+    assert not pending.is_alive()
+    with pytest.raises(RuntimeError, match="boom"):
+        with clock.setup():
+            clock.now()
+            raise RuntimeError("boom")
+    assert not member(clock)
+    assert clock._running == 0
+
+
+def test_leaving_set_up_is_a_retirement_time_may_skip_at():
+    """A runner started in the scope parks on a long sleep; the building
+    thread's exit from the scope (or the runner's park after it) is the
+    last runner leaving, and time skips: main raw-joins without holding it
+    back."""
+    clock = VirtualClock(time_scale=0.01)
+    with clock.setup():
+        thread = threading.Thread(target=clock.runner(clock.sleep), args=(100.0,))
+        thread.start()
+    thread.join(timeout=60)  # paced: 1 wall second
+    assert not thread.is_alive()
+    assert clock.skips >= 1
+
+
+def test_a_non_main_thread_that_built_holds_skips_back_until_its_next_clock_use():
+    """After the scope a thread that built and is not the main thread is one
+    the clock does not know: while it computes, a sleep beside it keeps wall
+    pace; its next use of the clock registers it, and time skips again."""
+    scale = ScaleModel(data_scale=512 * KiB, time_scale=0.01, alignment=512 * KiB)
+    with Cluster(tiny_config(scale=scale)) as cluster:
+        clock = cluster.clock
+        built, go = threading.Event(), threading.Event()
+        seen = []
+
+        def build():
+            with ScoreEngine(cluster.process_contexts()[0]):
+                seen.append(member(clock))
+                built.set()
+                go.wait(timeout=60)  # computing: no use of the clock
+                clock.sleep(100.0)
+
+        def sleeper():
+            skips = clock.skips
+            clock.sleep(0.5)  # paced: 5 wall milliseconds
+            seen.append(clock.skips - skips)
+            go.set()
+            clock.sleep(100.0)  # paced: 1 wall second
+            seen.append(clock.skips - skips)
+
+        thread = threading.Thread(target=build)
+        thread.start()
+        assert built.wait(timeout=60)
+        (runner,) = start(clock, (sleeper,))
+        clock.join(runner)
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert seen[0] is False  # not a member once built
+    assert seen[1] == 0  # held back while the building thread computed
+    assert seen[2] >= 1  # skipped once it used the clock again

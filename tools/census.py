@@ -41,6 +41,11 @@ fails.
 And a store charges its route in one place: more than one ".transfer( call
 sites in tiers/" means a second route loop (``ObjectStore._cross`` moves a
 chunk across every leg of the route).
+
+And a wait is woken by the change it waits for: any "fixed-period polls in
+src/" (a ``virtual_timeout=`` or ``.wait(`` given a numeric literal) fails.
+A deadline is computed from what it waits for (a pinning ramp), and a
+missed-wakeup guard is the named ``GUARD_S``, which is not counted.
 """
 
 import ast
@@ -63,6 +68,9 @@ PATH_PICKS = (
     r"|\b(predict|reducer|slo|retry_policy|fabric|peer_stream) is (not )?None"
     r"|\b(resilience|scfg|cluster)\.enabled\b|\bpeer_reads\b"
 )
+
+#: a wait given a fixed period: a timeout that is a numeric literal.
+POLL = r"virtual_timeout=\s*\.?\d|\.wait\(\s*\.?\d"
 
 
 def sites(pattern, files=FILES, skip=(), outside=None):
@@ -169,6 +177,7 @@ def main() -> int:
         "config fields never read outside config.py": unread_config_fields(),
         "raw threading.Thread( in tests/ outside test_clock*.py": unregistered_thread_sites(TESTS),
         "raw threading.Barrier( in src/": sites(r"threading\.Barrier\("),
+        "fixed-period polls in src/": sites(POLL),
     }
     for what, where in counts.items():
         print(f"{len(where):4d} {what}")
@@ -190,6 +199,7 @@ def main() -> int:
         "raw threading.Thread( in tests/ outside test_clock*.py": 0,
         "raw threading.Barrier( in src/": 0,
         ".transfer( call sites in tiers/": 1,
+        "fixed-period polls in src/": 0,
     }
     failed = [what for what, limit in hard.items() if len(counts[what]) > limit]
     for what in failed:
