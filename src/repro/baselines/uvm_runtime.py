@@ -224,12 +224,15 @@ class UvmEngine:
         with self.monitor:
             self.queue.enqueue(ckpt_id)
             self.monitor.notify_all()
+            if self.queue.started:
+                self.monitor.hints.notify_all()
 
     def prefetch_start(self) -> None:
         self._require_open()
         with self.monitor:
             self.queue.start()
             self.monitor.notify_all()
+            self.monitor.hints.notify_all()
 
     def _prefetch_loop(self) -> None:
         device_cap = self.uvm.device_capacity
@@ -241,7 +244,11 @@ class UvmEngine:
                     target, needs_ssd_read = self._pick_prefetch(device_cap)
                     if target is not None:
                         break
-                    self.monitor.wait()  # every change _pick_prefetch reads notifies
+                    if not self.queue.started or len(self.queue) == 0:
+                        # Nothing to walk: only a start, an enqueue or close helps.
+                        self.monitor.hints.wait()
+                    else:
+                        self.monitor.wait()  # every change _pick_prefetch reads notifies
                 if self._closed:
                     return
                 target.busy += 1
@@ -420,6 +427,7 @@ class UvmEngine:
         with self.monitor:
             self._closed = True
             self.monitor.notify_all()
+            self.monitor.hints.notify_all()
         self.clock.join(self._prefetch_thread)
         self._drain_stream.close(drain=True)
         self.uvm.close()

@@ -247,6 +247,7 @@ class ScoreEngine:
             self.predict = PredictRuntime(
                 config.predict,
                 self.queue,
+                self.monitor,
                 telemetry=self.telemetry,
                 process_id=self.process_id,
                 clock=self.clock,
@@ -750,6 +751,8 @@ class ScoreEngine:
             self.queue.enqueue(ckpt_id)
             self._m_queue_depth.set(len(self.queue))
             self.monitor.notify_all()
+            if self.queue.started:
+                self.monitor.hints.notify_all()
 
     def prefetch_start(self) -> None:
         """Allow the prefetcher to start acting on the hints."""
@@ -757,6 +760,7 @@ class ScoreEngine:
         with self.monitor:
             self.queue.start()
             self.monitor.notify_all()
+            self.monitor.hints.notify_all()
 
     # -- read path ------------------------------------------------------------------------
     def recover_size(self, ckpt_id: int) -> int:

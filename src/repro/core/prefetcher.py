@@ -190,6 +190,7 @@ class Prefetcher:
         with self.engine.monitor:
             self._running = False
             self.engine.monitor.notify_all()
+            self.engine.monitor.hints.notify_all()
         for worker in self._workers:
             self.engine.clock.join(worker)
 
@@ -239,7 +240,7 @@ class Prefetcher:
     def _run(self, hop: TierLevel) -> None:
         """The loop of the worker that lands extents on ``hop``."""
         engine = self.engine
-        monitor = engine.monitor
+        monitor, queue = engine.monitor, engine.queue
         span_name, track = HOP_SPANS[hop], self.tracks[hop]
         cache = engine.host_cache if hop == TierLevel.HOST else engine.gpu_cache
         while True:
@@ -250,10 +251,17 @@ class Prefetcher:
                     refused = task is not None and self._was_refused(hop, task)
                     if task is not None and not refused:
                         break
-                    # Hints, transitions, consumption, releases and evictions
-                    # all notify the monitor: park until one does.  Only a
-                    # lazily-pinned arena grows silently: a refused claim
-                    # also ends its park when the arena has pinned the room.
+                    if not queue.started or len(queue) == 0:
+                        # Nothing to walk, whatever else changes: park on the
+                        # hint condition, which only a start, an enqueue, an
+                        # overlay refresh or :meth:`stop` notifies.
+                        monitor.hints.wait()
+                        continue
+                    # With hints to walk, transitions, consumption, releases
+                    # and evictions all notify the monitor: park until one
+                    # does.  Only a lazily-pinned arena grows silently: a
+                    # refused claim also ends its park when the arena has
+                    # pinned the room.
                     ramp = cache.ramp_wait(task[0], CkptState.READ_IN_PROGRESS) if refused else None
                     if not monitor.wait(ramp):
                         self._refused[hop] = None

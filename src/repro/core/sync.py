@@ -2,11 +2,14 @@
 
 Every piece of mutable runtime state of one engine — allocation tables,
 checkpoint instance states, the restore-order queue, the demand-request slot
-— is protected by a single :class:`Monitor` (one re-entrant mutex plus one
-condition).  Long operations (throttled transfers) always happen *outside*
-the monitor; the monitor only serializes metadata updates and provides the
-"wait until something changed, then re-evaluate" primitive the eviction and
-prefetch logic are built on.
+— is protected by a single :class:`Monitor`: one re-entrant mutex and two
+conditions on it.  The main one says "something changed, re-evaluate";
+:attr:`Monitor.hints` says only "the walkable hint queue changed", so a
+prefetch worker with no hint to walk sleeps through every other change.
+Long operations (throttled transfers) always happen *outside* the monitor;
+the monitor only serializes metadata updates and provides the "wait until
+something changed, then re-evaluate" primitive the eviction and prefetch
+logic are built on.
 
 A single coarse monitor is a deliberate choice: the runtime performs at most
 a few thousand metadata operations per shot, the transfers dominate, and a
@@ -28,11 +31,15 @@ GUARD_S = 1.0
 
 
 class Monitor:
-    """One engine's mutex + condition variable."""
+    """One engine's mutex + its two condition variables."""
 
     def __init__(self, clock: VirtualClock) -> None:
         self._lock = threading.RLock()
         self._cond = clock.condition(self._lock)
+        #: notified only when the hint queue gains something to walk (a
+        #: start, an enqueue once started, a predicted-overlay refresh) and
+        #: on shutdown; what a worker with an empty queue parks on.
+        self.hints = clock.condition(self._lock)
         #: bumped by every :meth:`notify_all`; ``_own.count`` per thread.
         self.changes = 0
         self._own = threading.local()

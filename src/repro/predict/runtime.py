@@ -34,6 +34,7 @@ from repro.tiers.base import TierLevel
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config import PredictConfig
     from repro.core.catalog import CheckpointRecord
+    from repro.core.sync import Monitor
     from repro.telemetry import Telemetry
 
 #: prediction model: the markov chain first, recency ordering for the rest
@@ -54,11 +55,13 @@ class PredictRuntime:
         self,
         cfg: "PredictConfig",
         queue: SyntheticRestoreQueue,
+        monitor: "Monitor",
         telemetry: "Telemetry",
         process_id: int,
         clock,
     ) -> None:
         self.queue = queue
+        self.monitor = monitor
         self.clock = clock
         self.track = f"p{process_id}-predict"
         self.history = AccessHistory(HISTORY_CAPACITY)
@@ -130,17 +133,23 @@ class PredictRuntime:
 
     # -- overlay refresh -------------------------------------------------------
     def refresh(self, now: float) -> None:
+        if self.queue.refresh(self._overlay(now)):
+            # The hooks that refresh notify nobody themselves, and a worker
+            # that found the queue empty parks on the hint condition.
+            self.monitor.hints.notify_all()
+
+    def _overlay(self, now: float) -> list:
+        """The predicted overlay, best first: empty while speculation is
+        suspended or nothing unhinted is live."""
         if not self.validator.active(now):
-            self.queue.refresh([])
-            return
+            return []
         candidates = [
             cand
             for ckpt_id, cand in self._live.items()
             if not self.queue.is_explicit(ckpt_id)
         ]
         if not candidates:
-            self.queue.refresh([])
-            return
+            return []
         scale = self.validator.confidence_scale()
         predictions = self.predictor.predict(candidates, now)
         overlay = [
@@ -148,7 +157,7 @@ class PredictRuntime:
             for p in predictions
             if p.confidence * scale >= MIN_CONFIDENCE
         ]
-        self.queue.refresh(overlay[:MAX_QUEUE])
+        return overlay[:MAX_QUEUE]
 
     def stats(self) -> dict:
         return {

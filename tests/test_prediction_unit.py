@@ -344,3 +344,33 @@ class TestSyntheticRestoreQueue:
             q.enqueue(ckpt_id)
         assert [q.distance(ckpt_id) for ckpt_id in range(4)] == [3, 4, 5, 6]
         assert scanned() == [3, 4, 5, 6]
+
+
+# -- overlay refresh wakes the prefetcher ---------------------------------------
+class TestOverlayWakesParkedWorkers:
+    #: nominal seconds a promotion may take once the checkpoints are in.
+    DEADLINE_S = 10.0
+
+    def test_first_predicted_entry_is_promoted(self):
+        """No explicit hint ever: both workers park on the empty queue's
+        hint condition, and only the overlay refresh of ``on_created`` can
+        wake them — a lost notify leaves ``promotions`` at 0 for good."""
+        from repro.core.engine import ScoreEngine
+        from repro.tiers.topology import Cluster
+        from repro.util.units import MiB
+        from tests.conftest import make_buffer, tiny_config
+
+        cluster = Cluster(tiny_config(predict=PredictConfig(enabled=True)))
+        ctx = cluster.process_contexts()[0]
+        with cluster, ScoreEngine(ctx) as engine:
+            engine.clock.sleep(1.0)  # the workers find nothing and park
+            with engine.monitor:
+                assert not engine.queue.started and len(engine.queue) == 0
+            for v in range(6):  # 4 GPU slots: the oldest wait on the host
+                engine.checkpoint(v, make_buffer(ctx, 128 * MiB, seed=v))
+                engine.wait_for_flushes(timeout=600.0)
+            with engine.monitor:
+                assert engine.queue.is_hinted(0) and not engine.queue.is_explicit(0)
+                assert engine.monitor.wait_for(
+                    lambda: engine.prefetcher.promotions >= 1, virtual_timeout=self.DEADLINE_S
+                )

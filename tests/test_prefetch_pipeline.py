@@ -17,20 +17,25 @@ and what it must not break:
 * each worker draws on its own trace track, and chain ops do not leak;
 * both workers and a demand restore run one step (``Prefetcher.step``) with
   one release and one back-off order, and a worker outlives a step that
-  raises something unexpected.
+  raises something unexpected;
+* a worker with no hint to walk parks on ``monitor.hints`` and sleeps
+  through every other change of the engine.
 """
 
+import collections
 import contextlib
 import sys
 import threading
 
 import pytest
 
+from repro.clock import Condition
 from repro.config import AnalysisConfig, PredictConfig, StreamConfig
 from repro.core.catalog import CheckpointRecord
 from repro.core.engine import ScoreEngine
 from repro.core.lifecycle import CkptState
 from repro.core.prefetcher import HINT_SPACING_S
+from repro.core.sync import Monitor
 from repro.core.validator import InvariantViolation, validate_engine
 from repro.errors import AdmissionError, ReproError, TransientTransferError
 from repro.faults.retry import UNARMED_BACKOFF_S
@@ -38,6 +43,7 @@ from repro.metrics.recorder import OpKind
 from repro.tiers.base import TierLevel
 from repro.tiers.topology import Cluster
 from repro.util.units import MiB
+from repro.workloads.multiproc import run_multiprocess_shot
 from repro.workloads.patterns import RestoreOrder, restore_order
 from repro.workloads.rtm import uniform_trace
 from repro.workloads.shot import HintMode, ShotSpec, run_shot
@@ -482,6 +488,64 @@ class TestTraceAndChains:
                 engine.prefetcher._chain_op(0, "p0-prefetch")
             with pytest.raises(InvariantViolation, match="already consumed"):
                 validate_engine(engine)
+
+
+def _worker_wakes(monkeypatch, owner):
+    """Count the returns of ``owner.wait`` on prefetch-worker threads, by
+    thread name: each is one wake-up (``stop`` wakes every parked worker)."""
+    calls = collections.Counter()
+    real = owner.wait
+
+    def counted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        thread = threading.current_thread().name
+        if thread.startswith("prefetcher-"):
+            calls[thread] += 1
+        return result
+
+    monkeypatch.setattr(owner, "wait", counted)
+    return calls
+
+
+class TestHintParking:
+    """With an unstarted or empty hint queue a pick finds nothing whatever
+    else changes, so a worker parks on ``monitor.hints`` instead of being
+    woken by every landing, reservation and consume."""
+
+    def test_a_run_without_hints_never_waits_on_the_main_condition(self, monkeypatch):
+        main_waits = _worker_wakes(monkeypatch, Monitor)
+        snapshots = 8
+        config = tiny_config(processes_per_node=2)
+        specs = [
+            ShotSpec(
+                trace=uniform_trace(config.scale, num_snapshots=snapshots, size=CKPT, rank=rank),
+                restore_order=restore_order(RestoreOrder.REVERSE, snapshots),
+                hint_mode=HintMode.NONE,
+                compute_interval=0.005,
+                seed=rank,
+            )
+            for rank in range(2)
+        ]
+        with Cluster(config) as cluster:
+            results = run_multiprocess_shot(cluster, lambda ctx: ScoreEngine(ctx), specs)
+        assert [len(r.recorder.of_kind(OpKind.RESTORE)) for r in results] == [snapshots] * 2
+        assert main_waits == {}
+
+    def test_hinted_workers_sleep_until_the_start(self, monkeypatch):
+        wakes = _worker_wakes(monkeypatch, Condition)
+        cluster, ctx, engine = _engine()
+        with cluster, engine:
+            for v in (0, 1, 2, 3):
+                engine.prefetch_enqueue(v)
+            _write(engine, ctx, 8)
+            _evict_to(engine, HOST, 0, 1, 2)  # the GPU kept the hinted 0..2
+            assert wakes == {}, "a worker woke before prefetch_start"
+            engine.prefetch_start()
+            quiesce(engine)
+            assert wakes["prefetcher-p0-gpu"] > 0
+            promoted = [e.ckpt_id for e in engine.recorder.of_kind(OpKind.PREFETCH)]
+            assert promoted[0] == 0  # the nearest hint goes first, as ever
+            validate_engine(engine)
 
 
 #: what the step under test meets in ``promote_once`` -> what it raises
