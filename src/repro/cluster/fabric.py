@@ -8,17 +8,18 @@ does not know about:
   publishes into,
 * peer-read routing — :meth:`peer_source` resolves a checkpoint key to a
   :class:`PeerSsdStore` wrapping a healthy neighbor's SSD, reached over
-  the modeled interconnect (the same WFQ-scheduled, fault-injected links
+  the modeled interconnect (the same booked, fault-injected links
   replication uses),
 * ring-successor replica targets for the flusher's replication stage,
 * per-node :class:`~repro.cluster.aggregator.PfsWriteAggregator` instances
   batching concurrent flush streams into single PFS commits.
 
-A peer read is two pipelined legs, the holder's drive and the fabric hop;
-one that dies mid-transfer on either (breaker-open SSD, link fault, tier
-outage) falls back to the PFS transparently: the reader re-opens the blob
-there and replays what had not crossed the hop, so callers see one
-uninterrupted byte stream either way.
+A peer read is one cut-through leg: the holder's drive with the fabric
+crossed alongside, so a chunk costs the slower of the two.  One that dies
+mid-transfer on either (breaker-open SSD, link fault, tier outage) falls
+back to the PFS transparently: the reader re-opens the blob there and
+replays the failed chunk, so callers see one uninterrupted byte stream
+either way.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ class ClusterFabric:
         self._m_peer_read_bytes = registry.counter("cluster.peer.read_bytes")
         self._m_peer_fallbacks = registry.counter("cluster.peer.fallbacks")
         # Node-attributed telemetry lanes: every SSD track and the per-node
-        # peer-hop track carry their node id into the trace (satellite:
-        # per-node Perfetto lanes / `analyze` rollups).
+        # peer track (its failovers) carry their node id into the trace
+        # (per-node Perfetto lanes / `analyze` rollups).
         bus = cluster.telemetry.bus
         for node in cluster.nodes:
             bus.bind_track(node.ssd.track, node_id=node.node_id)
@@ -197,18 +198,16 @@ class PeerSsdStore:
 
     The read half of the store interface (``get``, ``open_get``,
     ``contains``, ``meta``, ``size_of``, ``verify``, ``track``, ``level``),
-    so the engine's promotion path works unchanged.  Every chunk pays the
-    remote SSD read *and* the interconnect hop, both on scheduled links —
-    as two stages of the promotion's pipeline (:class:`_PeerGet`), so the
-    drive reads chunk *i + 1* while chunk *i* crosses the fabric.
-    A wrapper rather than a longer route of the remote store: the hop has
-    its own stage, span and track, and a read that dies on either leg fails
-    over to a *different* store mid-stream.
+    so the engine's promotion path works unchanged.  Every chunk crosses the
+    remote SSD's read link with the interconnect link alongside
+    (:class:`_PeerGet`).  A wrapper rather than the remote store itself: a
+    read that dies on either link fails over to a *different* store
+    mid-stream, blaming that link's breaker.
     """
 
     level = TierLevel.SSD
-    #: reads cross the interconnect: a leg with no store-and-forward form,
-    #: so the engine always plans them as chunks (``ScoreEngine.chunks_for``).
+    #: reads cross the interconnect: the engine plans a read that also fills
+    #: a GPU extent as chunks, so PCIe overlaps it (``ScoreEngine.chunks_for``).
     across_fabric = True
 
     def __init__(
@@ -239,10 +238,12 @@ class PeerSsdStore:
         return self.remote.verify(key)
 
     def open_get(
-        self, key: StoreKey, *, node_id: int = 0, request=None, nominal_size: Optional[int] = None
+        self, key: StoreKey, *, node_id: int = 0, request=None,
+        nominal_size: Optional[int] = None, via=None,
     ):
-        """The store's read handle; ``node_id`` is accepted for the common
-        signature — this view already knows its reader node."""
+        """The store's read handle; ``node_id`` and ``via`` are accepted for
+        the common signature — this view already knows its reader node and
+        the link its bytes cross."""
         return _PeerGet(self, key, request=request, nominal_size=nominal_size)
 
     #: the one whole-object read: ``open_get`` + one chunk + ``finish``.
@@ -252,19 +253,16 @@ class PeerSsdStore:
 class _PeerGet:
     """Streaming read off a peer SSD with transparent PFS failover.
 
-    Two legs, each a stage of the promotion that opened the handle:
-    :meth:`read_drive` charges a chunk on the remote SSD (its own read link,
-    fault gates and brownout model), :meth:`cross` carries it over the
-    interconnect link; :meth:`read` is their one-chunk composition, for a
-    whole-object ``get`` and objects too small to pipeline.
+    Each chunk is one charge on the remote SSD's read route with this
+    node's interconnect link crossed alongside: the drive's fault gates and
+    brownout model, the fabric's booking and fault draw.
 
-    If the peer dies mid-read — a :class:`TransientTransferError` on either
-    leg — the failing leg blames its own breaker (the peer drive's, or this
-    node's ``node<r>-peer`` hop), re-opens the blob on the PFS and charges
-    there every byte asked of the drive so far (the failed chunk included)
-    not yet delivered across the hop; later chunks are read off the PFS and
-    skip the hop.  Past the failure each byte is paid for once, and the
-    caller sees a single uninterrupted stream.
+    If the peer dies mid-read — a :class:`TransientTransferError` — the
+    breaker of the link that raised it is blamed (this node's
+    ``node<r>-peer`` for a fault drawn on the fabric, the peer drive's
+    otherwise), the blob is re-opened on the PFS and the failed chunk is
+    read there; later chunks are read off the PFS.  The chunks that crossed
+    stay crossed, and the caller sees a single uninterrupted stream.
     """
 
     def __init__(
@@ -278,88 +276,43 @@ class _PeerGet:
         self.key = key
         self._request = request
         fabric = store.fabric
-        self._bus = fabric.telemetry.bus
         self._hop_track = f"node{store.reader_node}-peer"
         self._link = fabric.cluster.internode_link(store.reader_node, store.peer_node)
         self._reader = store.remote.open_get(
-            key, request=request, nominal_size=nominal_size
+            key, request=request, nominal_size=nominal_size, via=self._link
         )
         self.nominal_size = self._reader.nominal_size
-        #: guards the next three (the legs run on two threads); held through
-        #: the replay, so whoever sees ``_fallback`` reads on past those bytes.
-        self._lock = threading.Lock()
         self._fallback = None
-        self._asked = 0  # bytes asked of the drive leg
-        self._crossed = 0  # bytes delivered across the hop
-        #: what :meth:`read` charged (staged legs are accounted by their pipeline)
         self.seconds = 0.0
 
-    def read_drive(self, nbytes: int, request=None) -> float:
-        """The drive leg: one chunk off the holder's SSD (off the PFS after a
-        failover, whose own failures are the caller's to see)."""
-        request = request if request is not None else self._request
-        with self._lock:
-            fallback = self._fallback
-            if fallback is None:
-                self._asked += nbytes
-        try:
-            seconds = (fallback or self._reader).read(nbytes, request=request)
-        except TransientTransferError as exc:
-            if fallback is not None:
-                raise
-            seconds = self._fail_over(exc, self.store.track, request)
-        return seconds
-
-    def cross(self, nbytes: int, request=None) -> float:
-        """The hop leg: one chunk over the interconnect (nothing after a
-        failover: PFS bytes arrive on this node's own PFS links)."""
-        request = request if request is not None else self._request
-        with self._lock:
-            if self._fallback is not None:
-                return 0.0
-        try:
-            with self._bus.span(
-                "peer-hop",
-                self._hop_track,
-                key=str(self.key),
-                peer=self.store.peer_node,
-                bytes=nbytes,
-            ):
-                seconds = self._link.transfer(nbytes, request=request)
-        except TransientTransferError as exc:
-            seconds = self._fail_over(exc, self._hop_track, request)
-        with self._lock:
-            if self._fallback is None:
-                self._crossed += nbytes
-        return seconds
-
     def read(self, nbytes: int, request=None) -> float:
-        """Drive leg, then hop leg: the one-chunk composition."""
-        seconds = self.read_drive(nbytes, request) + self.cross(nbytes, request)
+        """One chunk off the holder's SSD across the fabric (off the PFS
+        after a failover, whose own failures are the caller's to see)."""
+        request = request if request is not None else self._request
+        if self._fallback is not None:
+            seconds = self._fallback.read(nbytes, request=request)
+        else:
+            try:
+                seconds = self._reader.read(nbytes, request=request)
+            except TransientTransferError as exc:
+                seconds = self._fail_over(exc, nbytes, request)
         self.seconds += seconds
         return seconds
 
-    def _fail_over(self, error, blamed: str, request) -> float:
-        """Re-open on the PFS and replay what the hop had not delivered;
-        ``blamed`` is the breaker id of the leg that raised ``error``."""
+    def _fail_over(self, error: TransientTransferError, nbytes: int, request) -> float:
+        """Re-open on the PFS and replay the ``nbytes`` chunk ``error`` cut."""
         fabric = self.store.fabric
-        with self._lock:
-            if self._fallback is not None:
-                return 0.0  # the other leg failed first: its replay covers this chunk
-            fabric.health.failure(blamed)
-            fabric._m_peer_fallbacks.inc()
-            self._bus.instant(
-                "peer-fallback",
-                self._hop_track,
-                key=str(self.key),
-                peer=self.store.peer_node,
-            )
-            if fabric.pfs is None or not fabric.pfs.contains(self.key):
-                raise error  # no durable copy below: surface the peer failure
-            self._fallback = fabric.pfs.open_get(
-                self.key, node_id=self.store.reader_node, request=request
-            )
-            return self._fallback.read(self._asked - self._crossed, request=request)
+        fabric.health.failure(self._hop_track if error.link is self._link else self.store.track)
+        fabric._m_peer_fallbacks.inc()
+        fabric.telemetry.bus.instant(
+            "peer-fallback", self._hop_track, key=str(self.key), peer=self.store.peer_node
+        )
+        if fabric.pfs is None or not fabric.pfs.contains(self.key):
+            raise error  # no durable copy below: surface the peer failure
+        self._fallback = fabric.pfs.open_get(
+            self.key, node_id=self.store.reader_node, request=request
+        )
+        return self._fallback.read(nbytes, request=request)
 
     def finish(self):
         if self._fallback is not None:

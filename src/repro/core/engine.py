@@ -195,13 +195,12 @@ class ScoreEngine:
             self._build_caches()
             self.prefetcher = Prefetcher(self)
             #: the read path's table of hops, per destination tier (whose trace
-            #: track the first and last share): the store read (on the promoting
-            #: thread), the fabric crossing of a read off a peer's SSD, and the H2D
-            #: crossing — each fed chunk by chunk through a ChunkPipeline.
+            #: track both share): the store read on the promoting thread (off a
+            #: peer's SSD, the drive and the fabric at once) and the H2D crossing
+            #: — each fed chunk by chunk through a ChunkPipeline.
             self.promote_legs = {
                 dst: (
                     Leg(self, "read", track, None),
-                    Leg(self, "peer-hop", f"node{self.node_id}-peer", "fabric", self.peer_stream),
                     Leg(self, "h2d", track, "pcie", self.promote_stream),
                 )
                 for dst, track in self.prefetcher.tracks.items()
@@ -284,7 +283,7 @@ class ScoreEngine:
         #: the flush legs' retry budget (``backoff_for`` reads it too).
         self.retry_policy = None
         self.pfs_put = None if self.pfs is None else partial(self.pfs.put, node_id=self.node_id)
-        self.fabric, self.replica_targets, self.peer_stream = None, [], None
+        self.fabric, self.replica_targets = None, []
         if scfg.enabled:
             self.admit = flusher.backpressure
             flusher.stall_fragments += (self.sched.stall_report,)
@@ -311,8 +310,6 @@ class ScoreEngine:
             self.read_chain[0] = self._usable_ssd
             if config.cluster.peer_reads:
                 self.read_chain.insert(1, self._peer_copy)
-                #: worker of the ``peer-hop`` stage of a read off a peer's SSD.
-                self.peer_stream = self.device.create_stream("promote-peer")
             # Per-node trace lanes (Perfetto, `repro analyze`), and the engine
             # list a node crash kills.
             self.telemetry.bus.bind_process(self.process_id, self.node_id)
@@ -995,7 +992,8 @@ class ScoreEngine:
     def chunks_for(self, nbytes: int, store=None) -> int:
         """Chunks in the plan of one ``nbytes`` transfer, either direction:
         one unless streaming is on, or the source ``store`` is across the fabric
-        (which has no store-and-forward form) — and the object spans two or more.
+        (a read whose PCIe crossing should overlap it) — and the object spans
+        two or more.
         ``stream.enabled`` stays a flag as each plan measured better where it runs
         (EXPERIMENTS.md): one chunk on ``durable_demand``, many on ``transport_on``."""
         if not (self.streaming or (store is not None and store.across_fabric)):
@@ -1038,11 +1036,10 @@ class ScoreEngine:
         ``read + h2d``).  A store read runs on this thread, chunk by chunk;
         while it also fills a GPU extent, the ``h2d`` hop on
         :attr:`promote_stream` charges chunk ``i`` on PCIe once the stage
-        above published it.  Off a peer's SSD (``store.across_fabric``) the
-        plan is always chunks and a stage runs in between, the GPU claim
-        granted or not: ``read`` charges the holder's drive, ``peer-hop`` on
-        :attr:`peer_stream` the fabric.  With nothing to overlap the plan is
-        one chunk.
+        above published it.  Off a peer's SSD (``store.across_fabric``)
+        ``read`` charges the holder's drive with the fabric crossed alongside,
+        and a read that fills a GPU extent plans chunks, streaming flag or
+        not.  With nothing to overlap (a lone stage) the plan is one chunk.
 
         ``store`` is what :meth:`promotion_step` resolved ``src`` to (a direct
         call resolves here; after a failure the caller's next step does).
@@ -1063,13 +1060,13 @@ class ScoreEngine:
         if from_store and store is None:
             src, store = self.durable_read_source(record)
         to_gpu = not to_host or self.fuses_host_promotion(record, src, store)
-        read_leg, hop_leg, h2d_leg = self.promote_legs[dst]
+        read_leg, h2d_leg = self.promote_legs[dst]
         state = CkptState.READ_IN_PROGRESS
         decoded = 0.0
-        failed = {}  # downstream hop -> what its stage raised
+        failed = None  # what the h2d stage raised
         with Hop(h2d_leg, record, op=op, tag=request) as cross, Hop(
-            hop_leg, record, op=op, tag=request
-        ) as via, Hop(read_leg, record, op=op, tag=request) as read:
+            read_leg, record, op=op, tag=request
+        ) as read:
             if to_gpu:
                 with op.stage("reserve-gpu", CAT_RESERVE):
                     to_gpu = cross.claim(
@@ -1083,27 +1080,23 @@ class ScoreEngine:
                     if read.claim(self.host_cache, record, state, None, **claim) is None:
                         return None
             waited = sum(handle.waited for _where, handle in cross.claims + read.claims)
-            across = from_store and store.across_fabric
             pipeline = ChunkPipeline(
                 record.ckpt_id,
                 # A lone stage has nothing to overlap.
-                self.chunks_for(record.stored_size(src), store)
-                if from_store and (to_gpu or across)
-                else 1,
+                self.chunks_for(record.stored_size(src), store) if from_store and to_gpu else 1,
                 self.clock,
                 crashed=self.crashed,
                 telemetry=self.telemetry,
             )
-            staged = across and pipeline.chunks > 1  # one chunk: both legs inside the read
-            for hop, runs in ((read, from_store), (via, staged), (cross, to_gpu)):
+            for hop, runs in ((read, from_store), (cross, to_gpu)):
                 if runs:
                     hop.pipeline = pipeline
                     pipeline.add_stage(hop.leg.stage)
 
-            def run(hop: Hop, total: int, charge=None) -> None:
+            def run(hop: Hop, total: int) -> None:
                 """A stage fed by the one above it (on its leg's worker)."""
                 try:
-                    if hop.stream(total, read=charge) is None:
+                    if hop.stream(total) is None:
                         raise TransferError("promotion read abandoned")
                 except BaseException:
                     pipeline.fail(hop.leg.stage)  # first: its consumer waits on it
@@ -1119,35 +1112,27 @@ class ScoreEngine:
                     reader = store.open_get(
                         self.store_key(record), node_id=self.node_id, request=request
                     )
-                    charge, fed = reader.read, []
-                    if staged:
-                        charge = reader.read_drive
-                        fed.append((via, reader.nominal_size, reader.cross))
+                    consumer = None
                     if to_gpu:
-                        fed.append((cross, gpu_bytes))
-                    consumers = [
-                        (hop, hop.leg.stream.submit(partial(run, hop, *terms), label=hop.leg.stage))
-                        for hop, *terms in fed
-                    ]
+                        consumer = cross.leg.stream.submit(
+                            partial(run, cross, gpu_bytes), label=cross.leg.stage
+                        )
                     try:
-                        # No ring on these edges: the extents claimed above hold
+                        # No ring on this edge: the extents claimed above hold
                         # the whole object, so the read never waits downstream.
-                        read.stream(reader.nominal_size, read=charge, tier=tier)
+                        read.stream(reader.nominal_size, read=reader.read, tier=tier)
                     except BaseException:
-                        pipeline.fail("read")  # first: the consumers wait on it
+                        pipeline.fail("read")  # first: the consumer waits on it
                         raise
                     finally:
-                        # Each consumer owns its stage's charges; settle them
+                        # The consumer owns its stage's charges; settle them
                         # either way so claims are never aborted under a live
                         # transfer.
-                        for hop, event in consumers:
+                        if consumer is not None:
                             try:
-                                event.wait()
+                                consumer.wait()
                             except BaseException as exc:  # noqa: BLE001 - re-raised below
-                                failed[hop] = exc
-                    if via in failed:
-                        raise failed[via]  # the bytes never reached this node
-                    # After the hop settled: a failover decides whose payload.
+                                failed = exc
                     payload, _ = reader.finish()
             else:
                 # The host extent stays pinned through the crossing, so
@@ -1161,14 +1146,14 @@ class ScoreEngine:
             # consistent before the GPU extent becomes consumable.
             read.commit(payload)
             read.land()
-            if cross in failed:
+            if failed is not None:
                 # Preempted (or shed) mid-crossing: the GPU claim is rolled
                 # back; a fused promotion keeps its host copy, as if the
                 # first of two hops had landed.
-                raise failed[cross]
+                raise failed
             cross.commit(payload)
             cross.land()
-            cross.done = via.done = read.done = True
+            cross.done = read.done = True
         # Accounted link (and decode) seconds along the stage × chunk grid, not the
         # clock: hand-offs and host scheduling noise must not leak into restore timings.
         return waited + decoded + pipeline.critical_s()
@@ -1375,9 +1360,7 @@ class ScoreEngine:
         self._closed = True
         self.prefetcher.stop()
         self.flusher.close()
-        for leg in self.promote_legs[TierLevel.GPU]:  # the h2d hop's stream, the peer hop's
-            if leg.stream is not None:
-                leg.stream.close(drain=True)
+        self.promote_stream.close(drain=True)  # the h2d hop's
 
     def __enter__(self) -> "ScoreEngine":
         return self

@@ -106,11 +106,11 @@ class Hop:
         """The chunk loop: ``total`` bytes in the pipeline's chunk plan.
         Chunk *i* is eligible once the upstream stage published it and
         ``take(i, nbytes)``, the leg's own input step, agrees; it is charged
-        on ``read(nbytes, request=)`` — a source handle's read, or one leg of
-        it — and every claimed sink as one chunk step, inside
-        the context ``around()`` (e.g. an op stage).  Returns the accounted
-        seconds, ``None`` when the input stopped coming.  A discard stops the
-        loop through the links' ``cancelled=``."""
+        on ``read(nbytes, request=)`` — a source handle's read — and every
+        claimed sink as one chunk step, inside the context ``around()``
+        (e.g. an op stage).  Returns the accounted seconds, ``None`` when the
+        input stopped coming.  A discard stops the loop through the links'
+        ``cancelled=``."""
         leg, record, pipeline = self.leg, self.record, self.pipeline
         bus = leg.engine.telemetry.bus
         causal = leg.causal(self.op, tier)
@@ -185,18 +185,17 @@ def copy_whole(
     source, destination, key, *, hop=None, node_id: int = 0, cancelled=None, request=None, meta=None
 ) -> int:
     """The whole-object store→store hop (replication, SSD backfill, cluster
-    repair); returns the object's nominal size.  Three charges: the source
-    read, the interconnect ``hop`` between stores on different nodes, and the
-    destination put — claim, charge and commit in one, owning the bytes read.
-    ``meta`` defaults to the source's; ``node_id`` names whose PFS links
-    carry a PFS-side leg.  A failure raises (``ReproError``) with nothing
-    committed; retry policy and landing epilogue are the caller's."""
+    repair); returns the object's nominal size.  Two charges: the source
+    read, with the interconnect ``hop`` between stores on different nodes
+    crossed alongside, and the destination put — claim, charge and commit in
+    one, owning the bytes read.  ``meta`` defaults to the source's;
+    ``node_id`` names whose PFS links carry a PFS-side leg.  A failure raises
+    (``ReproError``) with nothing committed; retry policy and landing
+    epilogue are the caller's."""
     stored = source.size_of(key)
     if meta is None:
         meta = source.meta(key)
-    payload, _ = source.get(key, node_id=node_id, request=request)
-    if hop is not None:
-        hop.transfer(stored, cancelled=cancelled, request=request)
+    payload, _ = source.get(key, node_id=node_id, request=request, via=hop)
     destination.put(
         key, payload, stored,
         node_id=node_id, cancelled=cancelled, request=request, meta=meta, copy=False,

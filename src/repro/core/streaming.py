@@ -4,8 +4,8 @@ One :class:`ChunkPipeline` coordinates the stages of a single checkpoint's
 transfer — each stage a *hop* (:mod:`repro.core.hop`: claim, charge chunk by
 chunk, commit, land): ``d2h`` → ``h2f`` → ``f2r`` → ``f2p`` on the flush path
 (every flush walks one, a whole-object flush being the one-chunk plan), or
-``read`` → ``h2d`` on the promote path (``read`` → ``peer-hop`` → ``h2d`` off
-a peer's SSD, across the fabric).  Every stage moves the same number of
+``read`` → ``h2d`` on the promote path (off a peer's SSD, ``read`` crosses the
+holder's drive and the fabric at once).  Every stage moves the same number of
 chunks (stage byte counts may differ under reduction — chunk *boundaries* are
 per stage); a consumer stage charges chunk ``i`` on its link only once the
 upstream stage has published chunk ``i``.

@@ -55,7 +55,10 @@ class TransferError(ReproError):
 class TransientTransferError(TransferError):
     """A transfer failed mid-flight for a recoverable reason (injected
     link fault, tier brownout); retrying the same transfer may succeed.
-    Carries ``bytes_moved`` so callers can account partial progress."""
+    Carries ``bytes_moved`` so callers can account partial progress, and
+    ``link``, the link whose fault fired (``None`` when no link raised it)."""
+
+    link = None
 
     def __init__(self, message: str, bytes_moved: int = 0):
         super().__init__(message)

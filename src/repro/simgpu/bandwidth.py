@@ -17,9 +17,9 @@ carries a :class:`repro.sched.LinkScheduler` is granted by that arbiter
 instead (priority/WFQ order, bounded quanta).  The per-transfer ``latency``
 models command submission cost and is paid once per transfer, outside the
 slot.  A transfer may cross one more link at the same time (``alongside``:
-the PFS aggregate beside a node's write share); each span then books its
-share on that link's calendar, and the transfer costs the slower of the two
-links, not their sum.
+the PFS aggregate beside a node's write share, the fabric beside a holder's
+drive); each span then books its share on that link's calendar, and the
+transfer costs the slower of the two links, not their sum.
 
 The link also keeps running totals (``busy_time``, ``bytes_moved``,
 ``pending_bytes``), exact after every span, used both for metrics and by the
@@ -211,7 +211,9 @@ class Link:
         of the two links, while the shared link still carries every byte and
         still caps every route through it.  Its latency is not charged; its
         stats move with this link's; a fault drawn on it fails the transfer
-        like this link's own; a cancelled span gives its booking back.
+        like this link's own, the error naming the link it fired on
+        (``TransientTransferError.link``); a cancelled span gives its
+        booking back.
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
@@ -252,7 +254,9 @@ class Link:
                     raise self._cancelled(nbytes)
                 moved = nbytes - remaining
                 if fail_after is not None and moved >= fail_after:
-                    raise faulty.fault_injector.fault(nbytes, moved)
+                    error = faulty.fault_injector.fault(nbytes, moved)
+                    error.link = faulty  # a route crossing two links names which
+                    raise error
                 span = arbiter.grant_bytes(entry, remaining)
                 if fail_after is not None:
                     span = min(span, fail_after - moved)

@@ -126,7 +126,8 @@ class ObjectStore:
         return PutHandle(self, key, nominal_size, route, slow, request, cancelled, corrupt_at)
 
     def open_get(
-        self, key: StoreKey, *, node_id: int = 0, request=None, nominal_size: Optional[int] = None
+        self, key: StoreKey, *, node_id: int = 0, request=None,
+        nominal_size: Optional[int] = None, via=None,
     ) -> "GetHandle":
         """Chunk-granular read handle: ``read(nbytes)`` per chunk, then
         ``finish() -> (payload, seconds)``.
@@ -135,6 +136,8 @@ class ObjectStore:
         that overlap a not-yet-committed put of the same key (streaming out
         of the drive's write buffer); such callers take the payload from
         their pipeline and ``close()`` the handle instead of finishing it.
+        ``via`` is a link the bytes cross on their way to the reader (the
+        fabric to another node), crossed alongside the route's first leg.
         """
         self._require_online("get", key)
         if nominal_size is None:
@@ -142,7 +145,10 @@ class ObjectStore:
         slow = 1.0
         if self.faults is not None:
             slow = self.faults.tier_gate(self.tier, self.track, "get", key)
-        return GetHandle(self, key, nominal_size, self.route(node_id, False), slow, request)
+        route = self.route(node_id, False)
+        if via is not None:
+            route = ((route[0][0], via),) + route[1:]
+        return GetHandle(self, key, nominal_size, route, slow, request)
 
     def put(
         self, key: StoreKey, payload: np.ndarray, nominal_size: int, *,
@@ -160,10 +166,10 @@ class ObjectStore:
         handle.write(nominal_size)
         return handle.commit(payload, meta=meta, copy=copy)
 
-    def get(self, key: StoreKey, *, node_id: int = 0, request=None):
+    def get(self, key: StoreKey, *, node_id: int = 0, request=None, via=None):
         """Read a whole checkpoint back; blocks for the throttled duration.
         Returns ``(payload, accounted nominal seconds)``."""
-        handle = self.open_get(key, node_id=node_id, request=request)
+        handle = self.open_get(key, node_id=node_id, request=request, via=via)
         handle.read(handle.nominal_size)
         return handle.finish()
 

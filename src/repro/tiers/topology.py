@@ -240,20 +240,17 @@ class Cluster:
                 node.ssd.attach_directory(self.fabric.directory)
 
     def internode_link(self, node_a: int, node_b: int) -> Link:
-        """The shared fabric link between two nodes (created lazily)."""
+        """The shared fabric link between two nodes (created lazily): only
+        ever crossed alongside a drive's read, so booked, never granted — it
+        takes the fault hook but no scheduler, and has no latency to charge."""
         if node_a == node_b:
             raise ConfigError("no interconnect link from a node to itself")
         key = (min(node_a, node_b), max(node_a, node_b))
         with self._lock:
             link = self._internode_links.get(key)
             if link is None:
-                link = Link(
-                    f"fabric-{key[0]}-{key[1]}",
-                    self.config.hardware.internode_bandwidth,
-                    self.clock,
-                    latency=self.config.hardware.transfer_latency,
-                )
-                self.sched.attach(link)
+                bandwidth = self.config.hardware.internode_bandwidth
+                link = Link(f"fabric-{key[0]}-{key[1]}", bandwidth, self.clock)
                 self.faults.attach(link)
                 self._internode_links[key] = link
             return link

@@ -293,8 +293,9 @@ def test_diff_localizes_ssd_slowdown():
 def test_cross_node_restore_is_attributed_to_drive_fabric_and_pcie():
     """The restore's op crosses the node boundary: one restore served from a
     peer's SSD is ≥ 95 % accounted with no orphan, and its time is split
-    between the holder's drive, the fabric and PCIe — whose transfer spans
-    overlap, being stages of one pipeline."""
+    between the read leg — the holder's drive, the fabric crossed alongside
+    it — and PCIe, whose transfer spans overlap, being stages of one
+    pipeline."""
     from repro.cluster.topology import ClusterTopology
     from repro.config import ClusterConfig
 
@@ -329,13 +330,14 @@ def test_cross_node_restore_is_attributed_to_drive_fabric_and_pcie():
     restore = attr.per_op[f"r{reader.process_id}:0"]
     assert restore.coverage >= 0.95
     tiers = {tier for (tier, category) in restore.by_tier_category if category == "transfer"}
-    assert {"ssd", "fabric", "pcie"} <= tiers
+    assert {"ssd", "pcie"} <= tiers and "fabric" not in tiers  # inside the drive's leg
     spans = {
         tier: [s for s in restore.op.spans() if s.name.endswith("-chunk") and s.args["tier"] == tier]
-        for tier in ("ssd", "fabric", "pcie")
+        for tier in ("ssd", "pcie")
     }
-    assert {s.name for s in spans["fabric"]} == {"peer-hop-chunk"}
-    for tier in ("fabric", "pcie"):  # each overlaps the drive's next chunks
-        assert any(
-            a.ts < b.ts + b.dur and b.ts < a.ts + a.dur for a in spans[tier] for b in spans["ssd"]
-        ), tier
+    assert {s.name for s in spans["ssd"]} == {"read-chunk"}
+    assert {s.name for s in spans["pcie"]} == {"h2d-chunk"}
+    # PCIe overlaps the drive's next chunks.
+    assert any(
+        a.ts < b.ts + b.dur and b.ts < a.ts + a.dur for a in spans["pcie"] for b in spans["ssd"]
+    )

@@ -13,6 +13,7 @@ feature combinations — all on, and an all-pairs covering set — restore the
 same bytes as the all-off engine.
 """
 
+import threading
 from itertools import combinations
 
 import pytest
@@ -367,7 +368,10 @@ def test_one_flag_builds_the_base_tables_plus_its_rows(feature):
     with Cluster(_config(*[feature] if feature else [])) as cluster:
         with ScoreEngine(cluster.process_contexts()[0], flush_to_pfs=True) as engine:
             assert _tables(engine) == {**BASE, **ROWS.get(feature, {})}
-            assert (engine.fabric is None) == (engine.peer_stream is None) == (feature != "cluster")
+            assert (engine.fabric is None) == (feature != "cluster")
+            # A peer read is one leg on the promoting thread: no engine
+            # starts a stream of its own for the fabric.
+            assert not [t.name for t in threading.enumerate() if "promote-peer" in t.name]
 
 
 def test_resilience_off_an_ssd_outage_queues_no_backfill():

@@ -64,6 +64,28 @@ def failing(obj, name, exc=None, at=0, times=1, before=None):
 
 
 @contextmanager
+def faulting(link, at=0, after=0):
+    """The transfer ``at`` that crosses ``link`` — granted it or crossing it
+    alongside another — faults once ``after`` of its bytes moved, as an
+    attached fault injector would.  Yields the list of draws seen."""
+    draws = []
+
+    class Injector:
+        def draw(self, nbytes):
+            draws.append(nbytes)
+            return after if len(draws) - 1 == at else None
+
+        def fault(self, nbytes, moved):
+            return TransientTransferError(f"injected fault on {link.name}", bytes_moved=moved)
+
+    real, link.fault_injector = link.fault_injector, Injector()
+    try:
+        yield draws
+    finally:
+        link.fault_injector = real
+
+
+@contextmanager
 def recorded_pipelines(monkeypatch):
     """Every ChunkPipeline the flusher builds while the block runs."""
     built = []
@@ -222,9 +244,10 @@ def _flush_case(engine, cluster, hop, point, how, chunk):
         "d2s": (ssd, ssd.write_link),
         "f2r": (None, ssd.read_link),
         # A written PFS chunk is one transfer on the node's share (the
-        # aggregate is crossed alongside it).
+        # aggregate is crossed alongside it), a replica one on the home
+        # drive's read link (the fabric is crossed alongside it).
         "f2p": (pfs, pfs.node_links(engine.node_id)[0]),
-        "repl": (cluster.nodes[-1].ssd, engine.replica_targets[0][2] if hop == "repl" else None),
+        "repl": (cluster.nodes[-1].ssd, ssd.read_link),
     }[hop]
     if point == "claim":  # (replication is best effort: it feeds no breaker)
         return sink, "open_put", OUTAGE, 0, None if hop == "repl" else sink.track
@@ -456,7 +479,7 @@ PROMOTIONS = {
     "store-host": (False, TierLevel.SSD, TierLevel.HOST, {TierLevel.HOST}),
     "store-gpu": (True, TierLevel.SSD, TierLevel.GPU, {TierLevel.GPU}),
     "fused": (False, TierLevel.SSD, TierLevel.HOST, {TierLevel.GPU, TierLevel.HOST}),
-    # read → peer-hop → h2d: always chunks, whatever ``stream`` says
+    # read (drive and fabric at once) → h2d: always chunks, whatever ``stream`` says
     "peer": (False, TierLevel.SSD, TierLevel.HOST, {TierLevel.GPU, TierLevel.HOST}),
 }
 
@@ -492,9 +515,9 @@ def test_promotion_failure_leaves_nothing_behind(hop, point, how, stream):
             obj, name, exc, at = drive, "open_get", OUTAGE, 0
         elif how == "read-fault":
             obj, name, exc, at = drive.read_link, "transfer", LINK_FAULT, chunk
-        elif how == "hop-fault":
-            hop_link = engine.fabric.cluster.internode_link(engine.node_id, 0)
-            obj, name, exc, at = hop_link, "transfer", LINK_FAULT, chunk
+        elif how == "hop-fault":  # drawn on the fabric, crossed alongside the drive
+            fabric = engine.fabric.cluster.internode_link(engine.node_id, 0)
+            obj, name, exc, at = fabric, None, None, chunk
         elif how == "h2d-fault":
             obj, name, exc, at = engine.device.h2d_link, "transfer", LINK_FAULT, chunk
         else:
@@ -504,7 +527,7 @@ def test_promotion_failure_leaves_nothing_behind(hop, point, how, stream):
             # Only the GPU half failed: the host copy lands, as if the
             # first of two hops had.
             kept = {TierLevel.HOST}
-        with failing(obj, name, exc, at=at):
+        with faulting(obj, at) if name is None else failing(obj, name, exc, at=at):
             if how == "refused":
                 assert engine.promote_once(record, src, dst, **claim) is None
             else:

@@ -1,16 +1,18 @@
-"""Cut-through peer reads: a restore served from a peer's SSD is one pipelined
-hop chain — ``read`` (the holder's drive) → ``peer-hop`` (the fabric) →
-``h2d`` (PCIe) — not three store-and-forward legs.
+"""Cut-through peer reads: a restore served from a peer's SSD is one read
+leg — the holder's drive with the fabric crossed alongside it, at the pace
+of the slower — feeding ``h2d`` (PCIe) chunk by chunk, not three
+store-and-forward legs.
 
-(a) the closed form ``T_ssd + n·ssd_latency + (T_fabric + T_h2d)/n +
-2·transfer_latency``, accounted — the same at any time scale; (b) the three
-stages' chunk slices overlap on the trace and every link carries the object
-once; (c) a transient failure on either leg, at any chunk, under either
-landing, fails over to the PFS mid-stream with every byte paid for once;
-(d) an object under two chunks keeps the one-chunk composition; (e) a holder
-crash mid-read; (f) two readers on one holder; (g) the pipeline's critical
-path; plus the two ``_fail_over`` fixes (the error it re-raises, the breaker
-it blames) and the one source resolution per promotion.
+(a) the closed form ``T_drive + n·ssd_latency + T_pcie/n + pcie.latency``,
+``T_drive`` taken at the slower of drive and fabric, accounted — the same at
+any time scale; (b) the two stages' chunk slices overlap on the trace and
+every link carries the object once; (c) a transient failure on either link,
+at any chunk, under either landing, fails over to the PFS mid-stream,
+replaying exactly the failed chunk; (d) a host-only read, and an object
+under two chunks, is one chunk at the slower link; (e) a holder crash
+mid-read; (f) two readers on one holder; (g) a replica copy and a peer read
+book one fabric link; (h) the pipeline's critical path; plus ``_fail_over``'s
+error and breaker, and the one source resolution per promotion.
 """
 
 import threading
@@ -21,21 +23,27 @@ import pytest
 
 from repro.cluster.topology import ClusterTopology
 from repro.clock import VirtualClock
-from repro.config import ClusterConfig, ResilienceConfig, ScaleModel
+from repro.config import ClusterConfig, HardwareSpec, ResilienceConfig, ScaleModel
+from repro.core.hop import copy_whole
 from repro.core.streaming import ChunkPipeline
 from repro.core.validator import validate_engine
 from repro.errors import TransientTransferError
 from repro.tiers.base import TierLevel
-from repro.util.units import KiB, MiB
+from repro.util.units import GiB, KiB, MiB
 from tests.conftest import TEST_SCALE, make_buffer, start_runners, tiny_config
-from tests.test_hop import LINK_FAULT, breaker_feeds, failing
+from tests.test_hop import LINK_FAULT, breaker_feeds, failing, faulting
 
 CKPT = 128 * MiB
 CHUNKS = 8  # 16 MiB chunks
 CHUNK = CKPT // CHUNKS
 GPU, HOST, SSD = TierLevel.GPU, TierLevel.HOST, TierLevel.SSD
 LEDGER_SCALE = ScaleModel(data_scale=512 * KiB, time_scale=0.5, alignment=512 * KiB)
-WALL_SCALE = ScaleModel(data_scale=512 * KiB, time_scale=1.0, alignment=512 * KiB)
+#: 50 wall seconds per nominal second.  A queued transfer's wait is read off
+#: the clock, which runs at wall pace while the slot's holder hands it on; at
+#: time_scale 1.0 that host time (≈ 0.1 ms a hand-off) is nominal time too.
+SLOW_SCALE = ScaleModel(data_scale=512 * KiB, time_scale=50.0, alignment=512 * KiB)
+#: a fabric slower than the drive (5.5 GiB/s): the route then costs the fabric.
+SLOW_FABRIC = HardwareSpec(internode_bandwidth=2 * GiB)
 
 
 @contextmanager
@@ -66,17 +74,21 @@ def links(topo, reader):
     )
 
 
+def one_leg(topo, reader, size=CKPT, chunks=1):
+    """The read leg alone: each chunk pays the drive's latency and crosses
+    at the slower of drive and fabric (whose latency is not charged)."""
+    drive, fabric, _pcie = links(topo, reader)
+    return size / min(drive.bandwidth, fabric.bandwidth) + chunks * drive.latency
+
+
 def closed_form(topo, reader, size=CKPT, chunks=CHUNKS):
-    drive, fabric, pcie = links(topo, reader)
-    return (
-        size / drive.bandwidth + chunks * drive.latency
-        + (size / fabric.bandwidth + size / pcie.bandwidth) / chunks
-        + fabric.latency + pcie.latency
-    )
+    """The read leg, then the last chunk's PCIe crossing."""
+    pcie = links(topo, reader)[2]
+    return one_leg(topo, reader, size, chunks) + size / pcie.bandwidth / chunks + pcie.latency
 
 
 def parent_sum(topo, reader, size=CKPT):
-    """What the three legs cost one after the other."""
+    """What the three links cost one after the other."""
     return sum(link.estimate(size, include_pending=False) for link in links(topo, reader))
 
 
@@ -100,11 +112,19 @@ def test_cross_node_restore_costs_the_slowest_link_plus_one_chunk_of_the_others(
         # The restore adds the device-to-device copy-out to the promotion.
         copy_out = reader.device.d2d_link.estimate(CKPT, include_pending=False)
         assert blocked == pytest.approx(expected + copy_out, rel=1e-9)
-        assert blocked == pytest.approx(expected, rel=0.02)
         assert blocked < 0.8 * parent_sum(topo, reader)
         snap = topo.telemetry.registry.snapshot()
         assert snap["cluster.peer.reads"] == 1 and snap["tier.pfs.read_ops"] == 0
         validate_engine(reader)
+
+
+def test_a_fabric_slower_than_the_drive_sets_the_pace():
+    with peer_read(hardware=SLOW_FABRIC) as (topo, reader, record, _checksum):
+        drive, fabric, _pcie = links(topo, reader)
+        assert fabric.bandwidth < drive.bandwidth
+        seconds = reader.promote_once(record, SSD, HOST, blocking=True, allow_pinned=True)
+        assert seconds == pytest.approx(closed_form(topo, reader), rel=1e-9)
+        assert seconds > CKPT / fabric.bandwidth > CKPT / drive.bandwidth
 
 
 def test_promotion_returns_the_accounted_critical_path():
@@ -125,21 +145,19 @@ def test_stages_overlap_on_the_trace_and_each_link_carries_the_object_once():
         assert [
             link.bytes_moved - was for link, was in zip(links(topo, reader), before)
         ] == [CKPT] * 3
-        stages = {name: slices(topo, f"{name}-chunk") for name in ("read", "peer-hop", "h2d")}
+        stages = {name: slices(topo, f"{name}-chunk") for name in ("read", "h2d")}
         for name, chunks in stages.items():
             assert [ev.args["chunk"] for ev in chunks] == list(range(CHUNKS)), name
             assert sum(ev.args["bytes"] for ev in chunks) == CKPT, name
-        assert {ev.track for ev in stages["peer-hop"]} == {f"node{reader.node_id}-peer"}
-        # Chunk i + 1 is on the drive while chunk i is on the fabric and PCIe.
-        for downstream in ("peer-hop", "h2d"):
-            assert any(
-                later.ts < ev.ts + ev.dur and ev.ts < later.ts + later.dur
-                for ev, later in zip(stages[downstream], stages["read"][1:])
-            ), downstream
-        # ... and no stage runs ahead of the one that feeds it.
-        for up, down in (("read", "peer-hop"), ("peer-hop", "h2d")):
-            for fed, eats in zip(stages[up], stages[down]):
-                assert eats.ts >= fed.ts
+        assert not slices(topo, "peer-hop-chunk")  # the fabric has no stage of its own
+        # Chunk i + 1 is on the drive and the fabric while chunk i is on PCIe ...
+        assert any(
+            later.ts < ev.ts + ev.dur and ev.ts < later.ts + later.dur
+            for ev, later in zip(stages["h2d"], stages["read"][1:])
+        )
+        # ... and PCIe never runs ahead of the read that feeds it.
+        for fed, eats in zip(stages["read"], stages["h2d"]):
+            assert eats.ts >= fed.ts
 
 
 # -- (c) the failover matrix ------------------------------------------------------
@@ -148,38 +166,34 @@ def test_stages_overlap_on_the_trace_and_each_link_carries_the_object_once():
 @pytest.mark.parametrize("leg", ["drive", "hop"])
 @pytest.mark.parametrize("chunk", [0, 3, CHUNKS - 1], ids=["first", "middle", "last"])
 def test_mid_stream_failure_fails_over_to_the_pfs(chunk, leg, landing):
+    """A fault ``chunk * CHUNK`` bytes into the object, drawn on the drive or
+    on the fabric crossed alongside it.  A fused read plans chunks, so the
+    fault fails chunk ``chunk``; a host-only read is one chunk, failed
+    part-way.  Either way the drive and the fabric moved the same bytes, and
+    the PFS replays exactly the failed chunk and reads the rest."""
     with peer_read() as (topo, reader, record, checksum):
         drive, fabric, pcie = links(topo, reader)
         before = [link.bytes_moved for link in (drive, fabric, pcie)]
         key = reader.store_key(record)
-        gpu_claim = nullcontext() if landing == "fused" else refused(reader.gpu_cache)
-        faulty = drive if leg == "drive" else fabric
-        with gpu_claim, failing(faulty, "transfer", LINK_FAULT, at=chunk) as calls:
+        fused = landing == "fused"
+        where = dict(at=chunk) if fused else dict(after=chunk * CHUNK)
+        gpu_claim = nullcontext() if fused else refused(reader.gpu_cache)
+        with gpu_claim, faulting(drive if leg == "drive" else fabric, **where) as draws:
             seconds = reader.promote_once(record, SSD, HOST, blocking=True, allow_pinned=True)
-        assert len(calls) > chunk, "the failure point was never reached"
+        assert len(draws) == (chunk + 1 if fused else 1), "the failure point was never reached"
         assert seconds > 0
         snap = topo.telemetry.registry.snapshot()
         assert snap["cluster.peer.fallbacks"] == 1
         assert snap["cluster.peer.reads"] == 0  # not a pure peer read
         assert snap["tier.pfs.read_ops"] == 1
-        # Every byte is paid for once past the failure: what had crossed the
-        # hop stays crossed, the rest — the failed chunk, and what the drive
-        # had read ahead of the hop — is read off the PFS.
         moved = [link.bytes_moved - was for link, was in zip((drive, fabric, pcie), before)]
-        crossed = CKPT - snap["tier.pfs.read_bytes"]
-        assert crossed % CHUNK == 0 and 0 <= crossed <= chunk * CHUNK
-        if leg == "hop":
-            assert crossed == moved[1] == chunk * CHUNK
-            assert moved[0] >= (chunk + 1) * CHUNK  # the drive was ahead
-        else:
-            assert moved[0] == chunk * CHUNK  # the failed chunk moved nothing
-            # (a chunk mid-hop when the drive died is replayed all the same)
-            assert moved[1] in (crossed, crossed + CHUNK)
-        # Both consumers settled before the claims were landed or dropped.
-        assert reader.promote_stream.depth == 0 and reader.peer_stream.depth == 0
+        assert moved[0] == moved[1] == chunk * CHUNK  # one leg: the same bytes
+        # The chunks that crossed stay crossed; the failed one is replayed whole.
+        assert snap["tier.pfs.read_bytes"] == (CKPT - chunk * CHUNK if fused else CKPT)
+        assert reader.promote_stream.depth == 0  # the consumer settled first
         cached = {level for level, inst in record.instances.items() if inst.has_copy}
-        assert cached == ({GPU, HOST} if landing == "fused" else {HOST})
-        assert moved[2] == (CKPT if landing == "fused" else 0)
+        assert cached == ({GPU, HOST} if fused else {HOST})
+        assert moved[2] == (CKPT if fused else 0)
         validate_engine(reader)
         out = reader.device.alloc_buffer(CKPT)
         reader.restore(0, out)
@@ -200,40 +214,38 @@ def refused(cache):
 
 
 def test_host_only_landing_overlaps_drive_and_fabric():
-    """A refused GPU claim lands the host extent alone — still as chunks,
-    ``read`` and ``peer-hop`` overlapped, no ``h2d`` stage."""
+    """A refused GPU claim lands the host extent alone: a lone stage, so one
+    chunk, the drive and the fabric crossed at once at the slower's pace."""
     with peer_read(telemetry=True) as (topo, reader, record, _checksum):
         drive, fabric, _pcie = links(topo, reader)
+        before = fabric.bytes_moved
         with refused(reader.gpu_cache):
             seconds = reader.promote_once(record, SSD, HOST, blocking=True, allow_pinned=True)
-        assert seconds == pytest.approx(
-            CKPT / drive.bandwidth + CHUNKS * drive.latency
-            + fabric.estimate(CHUNK, include_pending=False),
-            rel=1e-9,
-        )
-        assert len(slices(topo, "read-chunk")) == len(slices(topo, "peer-hop-chunk")) == CHUNKS
-        assert not slices(topo, "h2d-chunk")
+        assert seconds == pytest.approx(one_leg(topo, reader), rel=1e-9)
+        assert fabric.bytes_moved - before == CKPT
+        assert not slices(topo, "read-chunk") and not slices(topo, "h2d-chunk")
         assert record.peek(GPU) is None and record.peek(HOST).has_copy
         validate_engine(reader)
 
 
-# -- the two _fail_over fixes ------------------------------------------------------
+# -- _fail_over: the error it surfaces, the breaker it blames -----------------------
 
 def test_failover_with_no_durable_copy_below_surfaces_the_error_it_was_given():
-    """The hop leg runs on its own stage: the error to re-raise is the one
-    handed over, not whatever ``except`` block the caller happens to be in."""
+    """With no PFS copy the error re-raised is the one the failed link
+    raised, not whatever ``except`` block the caller happens to be in."""
     with peer_read(to_pfs=False) as (topo, reader, record, checksum):
         _drive, fabric, _pcie = links(topo, reader)
-        with failing(fabric, "transfer", LINK_FAULT, at=2):
+        with faulting(fabric, at=2):
             with pytest.raises(TransientTransferError) as raised:
                 reader.promote_once(record, SSD, HOST, blocking=True, allow_pinned=True)
-        assert raised.value is LINK_FAULT
+        assert raised.value.link is fabric
+        assert str(raised.value) == f"injected fault on {fabric.name}"
         assert not record.instances  # the bytes never arrived: nothing landed
-        assert reader.promote_stream.depth == 0 and reader.peer_stream.depth == 0
+        assert reader.promote_stream.depth == 0
         validate_engine(reader)
         handle = reader.read_source(reader.store_key(record)).open_get(reader.store_key(record))
         with pytest.raises(TransientTransferError) as raised:
-            handle._fail_over(LINK_FAULT, "node0-ssd", None)  # from no except block
+            handle._fail_over(LINK_FAULT, CHUNK, None)  # from no except block
         assert raised.value is LINK_FAULT
         out = reader.device.alloc_buffer(CKPT)
         reader.restore(0, out)  # the peer itself was never sick
@@ -243,13 +255,13 @@ def test_failover_with_no_durable_copy_below_surfaces_the_error_it_was_given():
 @pytest.mark.parametrize("leg", ["drive", "hop"])
 def test_failover_blames_the_leg_that_failed(leg):
     """A fabric fault must not blacklist a healthy drive for every other
-    reader: the breaker fed is the failed leg's."""
+    reader: the breaker fed is that of the link the fault names."""
     resilience = ResilienceConfig(enabled=True, breaker_threshold=1)
     with peer_read(resilience=resilience) as (topo, reader, record, checksum):
         drive, fabric, _pcie = links(topo, reader)
         holder = topo.cluster.nodes[0].ssd
         with breaker_feeds(reader) as fed:
-            with failing(drive if leg == "drive" else fabric, "transfer", LINK_FAULT, at=1):
+            with faulting(drive if leg == "drive" else fabric, at=1):
                 reader.promote_once(record, SSD, HOST, blocking=True, allow_pinned=True)
         blamed = holder.track if leg == "drive" else f"node{reader.node_id}-peer"
         assert fed["failure"] == [blamed]
@@ -262,24 +274,20 @@ def test_failover_blames_the_leg_that_failed(leg):
         assert out.checksum() == checksum
 
 
-# -- (d) under two chunks: the one-chunk composition -----------------------------------
+# -- (d) under two chunks: one chunk at the slower link --------------------------------
 
-def test_small_object_plans_one_chunk_and_times_as_drive_then_hop():
+def test_small_object_plans_one_chunk_at_the_slower_link():
     small = 16 * MiB
     with peer_read(size=small, telemetry=True) as (topo, reader, record, checksum):
-        drive, fabric, pcie = links(topo, reader)
+        pcie = links(topo, reader)[2]
         store = reader.read_source(reader.store_key(record))
         assert reader.chunks_for(small, store) == 1
         assert not reader.fuses_host_promotion(record, SSD, store)
         seconds = reader.promote_once(record, SSD, HOST, blocking=True, allow_pinned=True)
-        assert seconds == (
-            drive.estimate(small, include_pending=False)
-            + fabric.estimate(small, include_pending=False)
-        )
+        assert seconds == pytest.approx(one_leg(topo, reader, small), rel=1e-9)
         assert record.peek(GPU) is None and record.peek(HOST).has_copy
         names = {ev.name for ev in topo.telemetry.bus.snapshot()}
-        assert "peer-hop" in names  # the hop's own span, inside the read
-        assert not names & {"read-chunk", "peer-hop-chunk", "h2d-chunk"}
+        assert not names & {"peer-hop", "read-chunk", "peer-hop-chunk", "h2d-chunk"}
         out = reader.device.alloc_buffer(small)
         reader.restore(0, out)
         assert out.checksum() == checksum
@@ -296,15 +304,14 @@ def test_local_reads_keep_their_plan():
         assert not home.ssd.across_fabric and not home.pfs.across_fabric
 
 
-def test_only_an_engine_on_a_fabric_has_the_hop_worker(engine):
-    assert engine.fabric is None and engine.peer_stream is None
-    assert engine.promote_legs[HOST][1].stream is None
-    assert not [t.name for t in threading.enumerate() if "promote-peer" in t.name]
+def test_no_engine_starts_a_peer_hop_worker(engine):
+    """The read leg runs on the promoting thread, drive and fabric at once:
+    the only promotion stream is the ``h2d`` consumer's."""
+    assert engine.fabric is None
     with peer_read() as (_topo, reader, _record, _checksum):
-        assert reader.promote_legs[HOST][1].stream is reader.peer_stream
-        assert [leg.stage for leg in reader.promote_legs[HOST]] == ["read", "peer-hop", "h2d"]
-        names = [t.name for t in threading.enumerate() if "promote-peer" in t.name]
-        assert len(names) == 3  # one per engine of the three-node fabric
+        assert [leg.stage for leg in reader.promote_legs[HOST]] == ["read", "h2d"]
+        assert [leg.stream for leg in reader.promote_legs[HOST]] == [None, reader.promote_stream]
+        assert not [t.name for t in threading.enumerate() if "promote-peer" in t.name]
 
 
 # -- (e) the holder crashes mid-read ---------------------------------------------------
@@ -325,14 +332,18 @@ def test_holder_crash_mid_read_drops_to_the_pfs():
         assert out.checksum() == checksum
         snap = topo.telemetry.registry.snapshot()
         assert snap["tier.pfs.read_ops"] == 1 and snap["cluster.peer.reads"] == 0
-        assert reader.promote_stream.depth == 0 and reader.peer_stream.depth == 0
+        assert reader.promote_stream.depth == 0
         validate_engine(reader)
 
 
 # -- (f) two readers, one holder ---------------------------------------------------------
 
 def test_two_readers_on_one_holder_share_the_drive_chunk_by_chunk():
-    with peer_read(WALL_SCALE, num_nodes=4) as (topo, _last, _record, checksum):
+    """The drive grants one chunk at a time, first come first served, so the
+    two reads alternate on it: every chunk of either but its first queues
+    behind one of the other's, less the drive latency it slept meanwhile —
+    and no reader waits longer than the other's whole object on the drive."""
+    with peer_read(SLOW_SCALE, num_nodes=4) as (topo, _last, _record, checksum):
         readers = topo.engines[2:]  # node 0 is the nearest holder of both
         key = (topo.engines[0].process_id, 0)
         assert all(topo.fabric.peer_source(r.node_id, key).peer_node == 0 for r in readers)
@@ -347,14 +358,57 @@ def test_two_readers_on_one_holder_share_the_drive_chunk_by_chunk():
         for thread in start_runners(topo.cluster.clock, (restore, 0), (restore, 1)):
             topo.cluster.clock.join(thread)
         assert [out.checksum() for out in outs] == [checksum] * 2
+        alone = closed_form(topo, readers[0]) + readers[0].device.d2d_link.estimate(
+            CKPT, include_pending=False
+        )  # the restore's copy-out
         on_drive = CKPT / drive.bandwidth
-        # The wait for the other reader's chunks is in the accounted figure ...
-        assert max(blocked) >= 1.5 * on_drive
-        # ... and neither is slower than queueing whole objects FIFO was.
-        assert max(blocked) <= on_drive + parent_sum(topo, readers[0])
+        assert min(blocked) >= alone + (CHUNKS - 1) * (on_drive / CHUNKS - drive.latency)
+        assert max(blocked) <= alone + on_drive
         assert topo.telemetry.registry.snapshot()["cluster.peer.reads"] == 2
         for reader in readers:
             validate_engine(reader)
+
+
+# -- (g) one fabric link, two users ------------------------------------------------------
+
+def test_a_replica_copy_and_a_peer_read_both_book_the_fabric():
+    """A ring copy from the reader's drive to the holder's crosses the same
+    fabric link as the peer read, at the same time: both book it, so each
+    takes at least its solo time and together at least the link's time for
+    both objects — over a fabric slower than either drive."""
+    with peer_read(hardware=SLOW_FABRIC) as (topo, reader, record, _checksum):
+        nodes = topo.cluster.nodes
+        drive, fabric, _pcie = links(topo, reader)
+        reader.checkpoint(1, make_buffer(reader.context, CKPT, seed=12))
+        reader.wait_for_flushes(timeout=600.0)
+        copied = (reader.process_id, 1)
+        nodes[0].ssd.delete(copied)  # its ring replica: copied again below
+        clock = topo.cluster.clock
+        before = fabric.bytes_moved
+        spans = {}
+
+        def timed(name, fn):
+            start = clock.now()
+            fn()
+            spans[name] = (start, clock.now())
+
+        def read():
+            reader.promote_once(record, SSD, HOST, blocking=True, allow_pinned=True)
+
+        def copy():
+            copy_whole(nodes[reader.node_id].ssd, nodes[0].ssd, copied, hop=fabric)
+
+        for thread in start_runners(clock, (timed, "read", read), (timed, "copy", copy)):
+            clock.join(thread)
+        assert fabric.bytes_moved - before == 2 * CKPT
+        assert nodes[0].ssd.contains(copied)
+        took = {name: end - start for name, (start, end) in spans.items()}
+        assert took["read"] >= closed_form(topo, reader)
+        put = nodes[0].ssd.write_link.estimate(CKPT, include_pending=False)
+        assert took["copy"] >= drive.latency + CKPT / fabric.bandwidth + put
+        first = min(start for start, _end in spans.values())
+        last = max(end for _start, end in spans.values())
+        assert last - first >= 2 * CKPT / fabric.bandwidth
 
 
 # -- one resolution per promotion ----------------------------------------------------------

@@ -40,7 +40,9 @@ fails.
 
 And a store charges its route in one place: more than one ".transfer( call
 sites in tiers/" means a second route loop (``ObjectStore._cross`` moves a
-chunk across every leg of the route).
+chunk across every leg of the route).  A fabric crossing books the link
+alongside a drive's read, never is granted it as a slot: any ".transfer(
+call sites in cluster/fabric.py and core/hop.py" fails.
 
 And a wait is woken by the change it waits for: any "fixed-period polls in
 src/" (a ``virtual_timeout=`` or ``.wait(`` given a numeric literal) fails.
@@ -65,7 +67,7 @@ TESTS = sorted(
 #: a read that asks which feature is on: a feature flag or handle tested.
 PATH_PICKS = (
     r"\b(self|engine)\.(resilient|streaming)\b(?!\s*=[^=])|\bsched\.enabled\b|\bfaults\.enabled\b"
-    r"|\b(predict|reducer|slo|retry_policy|fabric|peer_stream) is (not )?None"
+    r"|\b(predict|reducer|slo|retry_policy|fabric) is (not )?None"
     r"|\b(resilience|scfg|cluster)\.enabled\b|\bpeer_reads\b"
 )
 
@@ -149,7 +151,7 @@ def main() -> int:
         print(f"  {lines[path]:5d} {path.relative_to(SRC.parent)}")
     core = [path for path in FILES if path.parent.name == "core"]
     outside_tiers = [path for path in FILES if path.parent.name != "tiers"]
-    fabric = [path for path in FILES if path.name == "fabric.py"]
+    crossings = [path for path in FILES if path.name in ("fabric.py", "hop.py")]
     tiers = [path for path in FILES if path.parent.name == "tiers"]
     counts = {
         "threading.Thread( sites": sites(r"threading\.Thread\("),
@@ -165,7 +167,9 @@ def main() -> int:
         "open_put( callers outside tiers/": sites(r"(?<!def )open_put\(", outside_tiers),
         ".release(record) call sites": sites(r"\.release\(record\)"),
         "chunk loops in core/": sites(r"enumerate\((chunk_sizes_for\(|sizes\))", core),
-        ".transfer( call sites in cluster/fabric.py": sites(r"\.transfer\(", fabric),
+        ".transfer( call sites in cluster/fabric.py and core/hop.py": sites(
+            r"\.transfer\(", crossings
+        ),
         ".transfer( call sites in tiers/": sites(r"\.transfer\(", tiers),
         "promote_once( call sites": sites(r"(?<!def )promote_once\("),
         "prefetch_inflight = False writes": sites(r"(?<!self)\.prefetch_inflight = False"),
@@ -199,6 +203,7 @@ def main() -> int:
         "raw threading.Thread( in tests/ outside test_clock*.py": 0,
         "raw threading.Barrier( in src/": 0,
         ".transfer( call sites in tiers/": 1,
+        ".transfer( call sites in cluster/fabric.py and core/hop.py": 0,
         "fixed-period polls in src/": 0,
     }
     failed = [what for what, limit in hard.items() if len(counts[what]) > limit]
