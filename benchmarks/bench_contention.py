@@ -191,8 +191,6 @@ def run_mode(
                 sched_stats = {
                     "grants": sum(s["grants"] for s in snaps),
                     "preemptions": sum(s["preemptions"] for s in snaps),
-                    "sheds": sum(s["sheds"] for s in snaps),
-                    "admission_blocks": sum(s["admission_blocks"] for s in snaps),
                 }
             attribution = {}
             if analysis:

@@ -65,6 +65,11 @@ class ClusterFabric:
         self.membership = MembershipRegistry(self)
         self._lock = threading.Lock()
         self._aggregators: Dict[int, PfsWriteAggregator] = {}
+        #: a node with one engine has no co-located writer to batch with:
+        #: its leader would wait out the window for nobody.
+        self._aggregate = (
+            self.config.aggregation and cluster.config.effective_processes_per_node > 1
+        )
         registry = cluster.telemetry.registry
         self._m_peer_reads = registry.counter("cluster.peer.reads")
         self._m_peer_read_bytes = registry.counter("cluster.peer.read_bytes")
@@ -165,10 +170,10 @@ class ClusterFabric:
     ) -> float:
         """Route a whole-object PFS write through ``node_id``'s aggregator.
 
-        With aggregation off this is exactly the legacy ``pfs.put`` call, so
-        timings and op counts are unchanged.
+        With aggregation off, or one engine per node, this is exactly the
+        direct ``pfs.put`` call, so timings and op counts are unchanged.
         """
-        if not self.config.aggregation:
+        if not self._aggregate:
             return self.pfs.put(
                 key,
                 payload,

@@ -253,29 +253,6 @@ class SchedConfig(_Validated):
     #: Bounds how long a newly-arrived demand read waits behind an already
     #: in-flight lower-class transfer (``quantum_bytes / bandwidth``).
     quantum_bytes: int = knob(64 * MiB, positive)
-    #: WFQ weight for engines without an explicit entry in
-    #: ``engine_weights`` (service within a class is proportional to weight).
-    default_weight: float = knob(1.0, positive)
-    #: optional per-engine WFQ weight overrides: ((engine_id, weight), ...).
-    engine_weights: tuple = knob((), tuple_of(engine_id=None, weight=positive))
-    #: bounded-queue limit for SPECULATIVE_PREFETCH requests per link;
-    #: arrivals beyond it are shed with :class:`~repro.errors.AdmissionError`
-    #: (the prefetcher backs off and retries).
-    max_speculative_queue: int = knob(4, non_negative)
-    #: bounded-queue limit for CASCADE_FLUSH requests per link; arrivals
-    #: beyond it *block* in admission until the backlog drains (flushes
-    #: must eventually happen — shedding them would lose durability).
-    max_flush_queue: int = knob(16, at_least(1))
-    #: engine-level admission control: when the D2H flush backlog reaches
-    #: this many pending flushes, ``checkpoint()`` waits for it to drop
-    #: below.
-    max_flush_backlog: int = knob(32, at_least(1))
-
-    def weight_of(self, engine_id: int) -> float:
-        for eid, weight in self.engine_weights:
-            if eid == engine_id:
-                return float(weight)
-        return self.default_weight
 
 
 def _codecs():
@@ -590,7 +567,8 @@ class ClusterConfig(_Validated):
     #: route demand restores / prefetches through a healthy peer's SSD
     #: when the local copy is gone (instead of dropping to the PFS).
     peer_reads: bool = True
-    #: coalesce concurrent SSD→PFS flush legs into batched PFS writes.
+    #: coalesce concurrent SSD→PFS flush legs into batched PFS writes
+    #: (on a node with two or more engines; a lone engine writes directly).
     aggregation: bool = True
     #: nominal seconds the batch leader waits for followers to join
     #: before sealing the batch.
@@ -629,8 +607,8 @@ class PredictConfig(_Validated):
     :class:`~repro.predict.predictors.Predictor` from the
     :class:`~repro.predict.history.AccessHistory` ring — feeds the same
     prefetcher and Algorithm-1 eviction scoring when hints are missing.
-    Predicted entries always admit through the sched *speculative* class
-    (sheddable, preemptible), and a PhoenixOS-style validation layer
+    Predicted entries always travel in the sched *speculative* class
+    (served last, preemptible), and a PhoenixOS-style validation layer
     scores each speculative staging on consume/abandon, decays the
     hit-rate estimate, and suspends speculation (demand-only fallback)
     when it drops below :attr:`hit_floor`.

@@ -69,7 +69,6 @@ from repro.simgpu.memory import DeviceBuffer, checksum_payload
 from repro.analysis.slo import SloMonitor
 from repro.telemetry import Telemetry
 from repro.telemetry.causal import (
-    CAT_QUEUE,
     CAT_REDUCE,
     CAT_RESERVE,
     CAT_TRANSFER,
@@ -103,11 +102,6 @@ _LANDED_STATE = {
     CkptState.WRITE_IN_PROGRESS: CkptState.WRITE_COMPLETE,
     CkptState.READ_IN_PROGRESS: CkptState.READ_COMPLETE,
 }
-
-
-def _admit_all() -> float:
-    """Admission with no step contributed: nothing to wait for."""
-    return 0.0
 
 
 class ScoreEngine:
@@ -276,8 +270,6 @@ class ScoreEngine:
         # -- the paths: the base rows, then what each feature contributes --
         #: the links :meth:`read_source` tries in order, ``key -> store | None``.
         self.read_chain = [self._ssd_copy, self._pfs_copy]
-        #: the step ``checkpoint()`` runs before it writes (seconds waited).
-        self.admit = _admit_all
         #: the scrub-and-restage attempts of a restore that read a corrupt copy.
         self.repair_attempts = 0
         #: the flush legs' retry budget (``backoff_for`` reads it too).
@@ -285,7 +277,6 @@ class ScoreEngine:
         self.pfs_put = None if self.pfs is None else partial(self.pfs.put, node_id=self.node_id)
         self.fabric, self.replica_targets = None, []
         if scfg.enabled:
-            self.admit = flusher.backpressure
             flusher.stall_fragments += (self.sched.stall_report,)
         if resilience.enabled:
             self.retry_policy = RetryPolicy(resilience, config.faults.seed)
@@ -661,9 +652,8 @@ class ScoreEngine:
         the access-pattern predictor; ignored unless
         ``config.predict.enabled``.
 
-        Under flush-backlog overload, ``SchedConfig`` admission control
-        applies first (the :attr:`admit` step): it waits here until the
-        backlog drains below ``max_flush_backlog``.
+        The GPU cache is the write path's backpressure: with the cascade
+        behind, the reservation waits until a flushed extent can go.
         """
         self._require_open()
         nominal = self.scale.align(buffer.nominal_size)
@@ -673,8 +663,6 @@ class ScoreEngine:
         with self.telemetry.bus.span(
             "checkpoint", self._app_track, op_id=op.op_id, ckpt=ckpt_id, bytes=nominal
         ):
-            with op.stage("admission", CAT_QUEUE):
-                backpressured = self.admit()
             with self.monitor:
                 record = self.catalog.create(ckpt_id, nominal, buffer.nominal_size, checksum)
                 self.notify("on_created", record, producer)
@@ -701,10 +689,9 @@ class ScoreEngine:
             except Exception:
                 self._rollback_checkpoint(record)
                 raise
-        # Blocking time = admission wait + encode + eviction wait + cache
-        # copy (accounted, so the figure stays exact under aggressive time
-        # scaling).
-        blocked = backpressured + encoded + (waited or 0.0) + copied
+        # Blocking time = encode + eviction wait + cache copy (accounted, so
+        # the figure stays exact under aggressive time scaling).
+        blocked = encoded + (waited or 0.0) + copied
         self._m_ckpt_ops.inc()
         self._m_ckpt_bytes.inc(nominal)
         self._m_ckpt_blocked.observe(blocked)
@@ -1046,11 +1033,10 @@ class ScoreEngine:
         Returns the accounted nominal seconds — claim waits, decode and the
         pipeline's critical path — or ``None`` when a
         non-blocking reservation could not claim space.  ``request`` tags
-        the link transfers for QoS arbitration; a preempted or shed transfer
-        releases its claims and raises (:class:`TransferError` /
-        :class:`~repro.errors.AdmissionError`).  ``op`` attributes the
-        reserve/read/decode stages to the demanding restore (or the prefetch
-        chain).  ``claim`` holds the reservation terms of
+        the link transfers for QoS arbitration; a preempted transfer
+        releases its claims and raises :class:`TransferError`.  ``op``
+        attributes the reserve/read/decode stages to the demanding restore
+        (or the prefetch chain).  ``claim`` holds the reservation terms of
         :meth:`CacheBuffer.reserve`, applied to every extent claimed: a
         fused read whose GPU claim the budget refuses lands the host extent
         alone rather than shed the promotion.
@@ -1147,9 +1133,9 @@ class ScoreEngine:
             read.commit(payload)
             read.land()
             if failed is not None:
-                # Preempted (or shed) mid-crossing: the GPU claim is rolled
-                # back; a fused promotion keeps its host copy, as if the
-                # first of two hops had landed.
+                # Preempted mid-crossing: the GPU claim is rolled back; a
+                # fused promotion keeps its host copy, as if the first of
+                # two hops had landed.
                 raise failed
             cross.commit(payload)
             cross.land()

@@ -20,9 +20,10 @@ The *chunk plan* is the only thing that varies.  With
 chunks overlaps its stages chunk by chunk; anything else plans one chunk, so
 each stage moves the whole object once its upstream published it — the
 store-and-forward cascade is the one-chunk case of the same code.  Either
-way ``checkpoint()`` is held by host-cache capacity and explicit admission,
-never by the PFS (``core/streaming.py``: who parks on whom).  The code
-observes the plan only where the two really differ: multi-chunk pipelines
+way ``checkpoint()`` is held by cache capacity alone — its GPU-cache
+reservation waits for a flushed extent to evict — never by the PFS
+(``core/streaming.py``: who parks on whom).  The code observes the plan
+only where the two really differ: multi-chunk pipelines
 feed the ``flush.stream.*`` occupancy metrics and emit ``<stage>-chunk``
 slices, and a one-chunk PFS commit is a whole-object put (which, clustered,
 rides the fabric's write aggregator).
@@ -48,7 +49,6 @@ from typing import Optional, TYPE_CHECKING
 from repro.core.hop import Hop, Leg, copy_whole
 from repro.core.lifecycle import CkptState
 from repro.core.streaming import ChunkPipeline
-from repro.clock import Stopwatch
 from repro.errors import (
     AllocationError,
     InjectedCrash,
@@ -114,7 +114,6 @@ class Flusher:
         self._m_tallies = {
             name: registry.counter(metric) for name, metric in TALLIES.items() if metric
         }
-        self._m_ckpt_backpressure = registry.histogram("engine.checkpoint.backpressure_s")
         self._m_d2h_depth = registry.gauge("flush.d2h.depth")
         self._m_h2f_depth = registry.gauge("flush.h2f.depth")
         # Pipeline occupancy, accounted for multi-chunk pipelines only.
@@ -317,22 +316,6 @@ class Flusher:
             if depth and depth != backfill_before:
                 continue  # backfill progressed; give it another sweep
             return True
-
-    def backpressure(self) -> float:
-        """Admission control for the write path (QoS scheduling's ``admit`` step).
-
-        Bounds how far ``checkpoint()`` may run ahead of the flush cascade:
-        when the D2H flush stream holds ``max_flush_backlog`` or more
-        pending flushes, block; returns the nominal seconds spent waiting.
-        """
-        limit = self.engine.config.sched.max_flush_backlog
-        stream = self.d2h_stream
-        if stream.depth < limit:
-            return 0.0
-        with Stopwatch(self.engine.clock) as sw:
-            stream.wait_depth_below(limit)
-        self._m_ckpt_backpressure.observe(sw.elapsed)
-        return sw.elapsed
 
     def stall_report(self, timeout: float) -> str:
         """One-line stall report for :class:`FlushTimeoutError`."""

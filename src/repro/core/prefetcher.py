@@ -25,9 +25,9 @@ landing the host extent (and the GPU extent with it when the read is fused
 and the GPU budget has room — it lands the host alone when not, and never
 waits for GPU budget), or the host→GPU hop — inside :meth:`Prefetcher.step`,
 the bracket a demand restore runs its promotions in too: back off after a
-transient fault holding the record, release it, back off after a shed.  A
-worker whose step raises anything else counts it (``engine.swallowed``),
-backs off and picks again.
+transient fault holding the record, then release it.  A worker whose step
+raises anything else counts it (``engine.swallowed``), backs off and picks
+again.
 
 The *budget* is the paper's anti-thrashing throttle: prefetched-but-
 unconsumed bytes may occupy at most ``prefetch_budget_fraction`` of a
@@ -62,7 +62,7 @@ from itertools import islice
 from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.lifecycle import CkptState
-from repro.errors import AdmissionError, ReproError, TransientTransferError
+from repro.errors import ReproError, TransientTransferError
 from repro.faults.retry import backoff_for
 from repro.log import get_logger
 from repro.metrics.recorder import OpEvent, OpKind
@@ -77,11 +77,11 @@ if TYPE_CHECKING:  # pragma: no cover
 log = get_logger(__name__)
 
 #: hints at restore-queue distance ≤ this prefetch as HINTED_PREFETCH;
-#: farther ones are SPECULATIVE_PREFETCH (preemptible, sheddable).
+#: farther ones are SPECULATIVE_PREFETCH (preemptible).
 HINT_NEAR_DISTANCE = 4
 #: nominal seconds per hint-queue position: a prefetch's deadline is
 #: ``now + distance * HINT_SPACING_S`` (EDF paces far prefetches behind
-#: near ones), and a shed prefetch backs off this long.
+#: near ones).
 HINT_SPACING_S = 0.010
 
 #: (record, its step ``(src, dst, store)`` as ``engine.promotion_step``
@@ -127,7 +127,6 @@ class Prefetcher:
         self._m_promotions = registry.counter("prefetch.promotions")
         self._m_bytes = registry.counter("prefetch.bytes")
         self._m_retries = registry.counter("prefetch.retries")
-        self._m_sheds = registry.counter("prefetch.sheds")
         #: non-blocking claims refused (the worker then parks until a change)
         self._m_refused = registry.counter("prefetch.refused")
         self._running = True
@@ -199,20 +198,16 @@ class Prefetcher:
         """One ``promote_once`` along ``step`` (``promotion_step``'s ``(src,
         dst, store)``) under the exclusion the caller's pick set, on the
         reservation terms ``claim``.  Returns the accounted seconds (``None``
-        unless landed) and the outcome: ``"landed"``, ``"refused"``,
-        ``"shed"`` or ``"retry"``.  A :class:`ReproError` is an outcome;
-        anything else propagates."""
+        unless landed) and the outcome: ``"landed"``, ``"refused"`` or
+        ``"retry"``.  A :class:`ReproError` is an outcome; anything else
+        propagates."""
         engine = self.engine
         src, dst, store = step
-        shed = False
         try:
             seconds = engine.promote_once(
                 record, src, dst, request=request, op=op, store=store, **claim
             )
             return seconds, "refused" if seconds is None else "landed"
-        except AdmissionError:
-            shed = True
-            return None, "shed"
         except ReproError as exc:
             # A race (the source moved, the extent appeared meanwhile) or an
             # injected transient fault: back off from the latter holding the
@@ -225,11 +220,6 @@ class Prefetcher:
             with engine.monitor:
                 record.prefetch_inflight = False
                 engine.monitor.notify_all()
-            if shed:
-                # The link's speculative queue is full: back off, released,
-                # instead of hammering admission in a tight loop.
-                with op.stage("shed-backoff", CAT_RETRY):
-                    engine.clock.sleep(HINT_SPACING_S)
 
     def _back_off(self, op, label: str, ckpt_id: int) -> None:
         """Sleep a loop's back-off after a fault on the virtual clock."""
@@ -307,10 +297,7 @@ class Prefetcher:
                     )
                     self._back_off(op, "prefetch", record.ckpt_id)
                     continue
-                if outcome == "shed":
-                    span.add(shed=True)
-                    self._m_sheds.inc()
-                elif outcome == "retry":
+                if outcome == "retry":
                     span.add(retried=True)
                     self._m_retries.inc()
                 elif outcome == "refused":
@@ -355,10 +342,10 @@ class Prefetcher:
     def _classify(self, distance: int, op=NULL_OP, explicit: bool = True):
         """QoS tag for a prefetch at ``distance`` hints from the restore
         head: near *explicit* hints are HINTED_PREFETCH (never preempted),
-        far ones SPECULATIVE_PREFETCH (sheddable + preemptible); predicted
+        far ones SPECULATIVE_PREFETCH (preemptible, served last); predicted
         overlay entries (``explicit=False``) are always speculative, so
-        bad speculation sheds first at admission.  The deadline paces both
-        so near-future restores win ties.  None when scheduling is off.
+        bad speculation yields first.  The deadline paces both so
+        near-future restores win ties.  None when scheduling is off.
         """
         engine = self.engine
         tclass = (

@@ -71,11 +71,6 @@ class TierOfflineError(TransientTransferError):
     window ends."""
 
 
-class AdmissionError(TransferError):
-    """A shared-link scheduler shed the transfer at admission (its bounded
-    queue is full); the caller should back off and retry later."""
-
-
 class BackpressureError(ReproError):
     """The checkpoint service refused a request: the client's session is
     at its in-flight bound, or the service at its session bound."""

@@ -6,7 +6,7 @@ explicit hints keep absolute priority and a revocable *predicted overlay*
 — produced by a pluggable :class:`~repro.predict.predictors.Predictor`
 from the :class:`~repro.predict.history.AccessHistory` ring — feeds the
 same prefetcher and Algorithm-1 eviction scoring through the unchanged
-``RestoreQueue`` interface.  Predicted entries always admit through the
+``RestoreQueue`` interface.  Predicted entries always travel in the
 sched speculative class, and the PhoenixOS-style
 :class:`~repro.predict.validation.SpeculationValidator` scores each
 speculative staging on consume/abandon and suspends speculation

@@ -10,8 +10,8 @@ exist and the EWMA drops below ``hit_floor``, speculation is *suspended*:
 the runtime empties the predicted overlay and the engine falls back to
 demand-only promotion for ``SUSPEND_S`` nominal seconds, after which the
 validator re-arms with a fresh estimate (probation).  Bad speculation
-additionally sheds first at admission because predicted entries always
-travel in the sched speculative class.
+also yields first on a shared link: predicted entries always travel in
+the sched speculative class, the lowest and the only preemptible one.
 
 All methods are called under the engine monitor.
 """

@@ -7,14 +7,15 @@ cascade flushes (or a deep speculative-prefetch queue) starves the demand
 restores the application is actually blocked on.  This package adds:
 
 * :class:`~repro.sched.request.TransferClass` — the priority lattice
-  (demand read > foreground write > hinted prefetch > cascade flush >
-  speculative prefetch);
+  (demand read > hinted prefetch > cascade flush > speculative prefetch);
 * :class:`~repro.sched.request.TransferRequest` — one transfer's class,
-  WFQ flow (engine), deadline and cancellation channel;
+  fair-queuing flow (engine), deadline and cancellation channel;
 * :class:`~repro.sched.scheduler.LinkScheduler` — the per-link arbiter:
-  strict priority, weighted fair queuing across engines, EDF pacing of
-  prefetch deadlines, bounded queues with shed/block admission, and demand-read preemption of in-flight
-  speculative prefetches;
+  strict priority, equal-share fair queuing across engines, EDF pacing of
+  prefetch deadlines and demand-read preemption of in-flight speculative
+  prefetches.  It admits every transfer: backpressure comes from the
+  caches (a ``checkpoint`` blocks only until its bytes are in the GPU
+  cache, as the paper's does);
 * :class:`~repro.sched.scheduler.SchedContext` — the cluster-wide fleet of
   arbiters plus aggregate diagnostics.
 

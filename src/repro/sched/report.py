@@ -1,8 +1,8 @@
 """Text timelines of scheduler activity from the telemetry bus.
 
 ``python -m repro trace <workload> --sched`` uses this to turn the
-``sched-*`` trace events (queue-depth samples, preemptions, sheds,
-admission blocks — one track per arbitrated link) into a per-link
+``sched-*`` trace events (queue-depth samples and preemptions — one
+track per arbitrated link) into a per-link
 queue-depth/preemption timeline readable without Perfetto.
 """
 
@@ -11,9 +11,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List
 
 from repro.telemetry.bus import TraceEvent
-
-#: Event names emitted by :class:`~repro.sched.scheduler.LinkScheduler`.
-SCHED_EVENTS = ("sched-queue", "sched-preempt", "sched-shed", "sched-admission-block")
 
 
 def sched_events(events: Iterable[TraceEvent]) -> List[TraceEvent]:
@@ -26,8 +23,8 @@ def render_sched_timeline(events: Iterable[TraceEvent], buckets: int = 40) -> st
 
     One block per arbitrated link: a sparkline of the maximum queue depth
     per time bucket (``.`` = empty, digits = depth, ``+`` = 10 or more)
-    over the traced interval, annotated with preemption (``P``), shed
-    (``S``) and admission-block (``B``) marks, plus totals.
+    over the traced interval, annotated with preemption (``P``) marks,
+    plus totals.
     """
     per_link: Dict[str, List[TraceEvent]] = {}
     for ev in sched_events(events):
@@ -45,31 +42,19 @@ def render_sched_timeline(events: Iterable[TraceEvent], buckets: int = 40) -> st
         evs = per_link[track]
         depth = [0] * buckets
         marks = [" "] * buckets
-        totals = {"preempt": 0, "shed": 0, "block": 0}
+        preemptions = 0
         for ev in evs:
             b = min(buckets - 1, int((ev.ts - t0) / span * buckets))
             if ev.name == "sched-queue":
                 depth[b] = max(depth[b], int(ev.args.get("depth", 0)))
             elif ev.name == "sched-preempt":
-                totals["preempt"] += 1
+                preemptions += 1
                 marks[b] = "P"
-            elif ev.name == "sched-shed":
-                totals["shed"] += 1
-                if marks[b] == " ":
-                    marks[b] = "S"
-            elif ev.name == "sched-admission-block":
-                totals["block"] += 1
-                if marks[b] == " ":
-                    marks[b] = "B"
         spark = "".join(
             "." if d == 0 else (str(d) if d < 10 else "+") for d in depth
         )
         lines.append(f"  {track[len('sched-'):]:28s} depth |{spark}|")
         if any(m != " " for m in marks):
             lines.append(f"  {'':28s} marks |{''.join(marks)}|")
-        lines.append(
-            f"  {'':28s}       "
-            f"{totals['preempt']} preemptions, {totals['shed']} sheds, "
-            f"{totals['block']} admission blocks"
-        )
+        lines.append(f"  {'':28s}       {preemptions} preemptions")
     return "\n".join(lines)

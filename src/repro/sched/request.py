@@ -1,20 +1,22 @@
 """Transfer classification: the priority lattice and per-transfer requests.
 
-Every byte that crosses a shared tier link belongs to one of five classes
-(Section 4.3.2's demand-first rule, generalised into a full lattice):
+Every byte that crosses a shared tier link belongs to one of four classes
+(Section 4.3.2's demand-first rule, generalised into a full lattice).  A
+blocked ``checkpoint`` waits on the device-to-device copy into the GPU
+cache, which crosses no shared link, so the write path has no class of
+its own:
 
 ======================  ====================================================
 Class                   Traffic
 ======================  ====================================================
 ``DEMAND_READ``         a blocked ``restore`` promoting its checkpoint
-``FOREGROUND_WRITE``    the copy a blocked ``checkpoint`` waits on
 ``HINTED_PREFETCH``     prefetch of a near-head hint (distance ≤ near)
 ``CASCADE_FLUSH``       asynchronous flush legs (D2H, H2F, F2P, replication)
 ``SPECULATIVE_PREFETCH``prefetch of a far-future hint; preemptible
 ======================  ====================================================
 
 Lower enum value = higher priority.  A :class:`TransferRequest` tags one
-transfer with its class, the issuing engine (the WFQ flow), an optional
+transfer with its class, the issuing engine (the fair-queuing flow), an optional
 deadline (derived from the hint's restore-queue distance) and a cancellation
 event the scheduler fires to preempt speculative prefetches.
 """
@@ -32,10 +34,9 @@ class TransferClass(IntEnum):
     """Priority classes for shared-link arbitration (lower = more urgent)."""
 
     DEMAND_READ = 0
-    FOREGROUND_WRITE = 1
-    HINTED_PREFETCH = 2
-    CASCADE_FLUSH = 3
-    SPECULATIVE_PREFETCH = 4
+    HINTED_PREFETCH = 1
+    CASCADE_FLUSH = 2
+    SPECULATIVE_PREFETCH = 3
 
 
 #: Classes the scheduler may cancel mid-flight when a demand read arrives.

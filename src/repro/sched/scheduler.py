@@ -1,4 +1,4 @@
-"""Per-link QoS arbitration: priority, weighted fair queuing, admission.
+"""Per-link QoS arbitration: priority, fair queuing, preemption.
 
 One :class:`LinkScheduler` arbitrates one shared
 :class:`~repro.simgpu.bandwidth.Link`.  A scheduled transfer is served in
@@ -10,20 +10,20 @@ granularity:
 * **strict priority across classes** — a demand read arriving behind ten
   queued cascade flushes is granted the very next quantum, bounding its
   head-of-line wait to one quantum instead of the whole backlog;
-* **weighted fair queuing within a class** — concurrent engines sharing a
-  link split its bandwidth in proportion to their ``SchedConfig`` weights
-  (start-time fair queuing over per-flow virtual finish tags, with idle
-  flows re-entering at the live virtual time so they cannot hoard credit);
+* **fair queuing within a class** — concurrent engines sharing a link
+  split its bandwidth equally (start-time fair queuing over per-flow
+  virtual finish tags, with idle flows re-entering at the live virtual
+  time so they cannot hoard credit);
 * **EDF pacing inside the prefetch classes** — equal-vtime prefetches are
   ordered by the deadline derived from their restore-queue distance, so
   near-future hints land before far-future speculation;
-* **admission control** — SPECULATIVE_PREFETCH beyond its bounded queue is
-  *shed* (:class:`~repro.errors.AdmissionError`; the prefetcher retries),
-  CASCADE_FLUSH beyond its bound *blocks* in admission (backpressure that
-  propagates up the cascade to ``checkpoint``);
 * **preemption** — an arriving demand read fires the cancellation event of
   every active or queued speculative prefetch on the link, reclaiming the
   slot immediately (mid-quantum) instead of after the quantum completes.
+
+Every transfer is admitted: backpressure comes from the caches, whose
+capacity holds ``checkpoint()`` in its GPU-cache reservation and a
+prefetch in its budget, not from a queue bound here.
 
 The scheduler has its own mutex (never held across a sleep); it nests
 inside :meth:`Link.transfer` and takes no engine monitor, so lock ordering
@@ -38,14 +38,14 @@ from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
 from repro.clock import Event, VirtualClock
 from repro.config import SchedConfig
-from repro.errors import AdmissionError, TransferError
+from repro.errors import TransferError
 from repro.sched.request import TransferClass, TransferRequest
 from repro.telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simgpu.bandwidth import Link
 
-#: Missed-wakeup guard for grant and admission waits (nominal seconds):
+#: Missed-wakeup guard for grant waits (nominal seconds):
 #: every grant release notifies the arbiter condition and a waiter's
 #: cancellation event wakes it, so one that fires is counted.
 _WAIT_GUARD = 0.25
@@ -90,15 +90,11 @@ class LinkScheduler:
         self._class_vtime: Dict[int, float] = {}
         # counters (scheduler mutex held for writes; reads are diagnostics)
         self.preemptions = 0
-        self.sheds = 0
-        self.admission_blocks = 0
         self.grants = 0
         self._track = f"sched-{link.name}"
         registry = self.telemetry.registry
         self._m_depth = registry.gauge(f"sched.{link.name}.depth")
         self._m_preempt = registry.counter("sched.preemptions")
-        self._m_shed = registry.counter("sched.sheds")
-        self._m_admission = registry.counter("sched.admission_blocks")
         self._m_wait = registry.histogram(f"sched.{link.name}.first_grant_wait_s")
         self._m_served = {
             cls: registry.counter(f"sched.class.{cls.name.lower()}.served")
@@ -109,48 +105,11 @@ class LinkScheduler:
     def open(self, request: TransferRequest, nbytes: int) -> _Entry:
         """Admit a transfer; returns its arbiter entry.
 
-        Raises :class:`AdmissionError` when a speculative prefetch finds its
-        bounded queue full; blocks (backpressure) when a cascade flush does.
         Fires preemption when a demand read arrives over active speculation.
         """
         bus = self.telemetry.bus
         with self._cond:
-            now = self.clock.now()
-            if request.tclass is TransferClass.SPECULATIVE_PREFETCH:
-                if self._class_count(request.tclass) >= self.config.max_speculative_queue:
-                    self.sheds += 1
-                    self._m_shed.inc()
-                    if bus.enabled:
-                        bus.instant(
-                            "sched-shed", self._track,
-                            engine=request.engine_id, cls=request.tclass.name,
-                        )
-                    raise AdmissionError(
-                        f"speculative prefetch shed on link {self.link.name!r}: "
-                        f"{self.config.max_speculative_queue} already queued"
-                    )
-            elif request.tclass is TransferClass.CASCADE_FLUSH:
-                blocked_at = now
-                first = True
-                while self._class_count(request.tclass) >= self.config.max_flush_queue:
-                    if request.cancel_event.is_set():
-                        raise TransferError(
-                            f"transfer on link {self.link.name!r} cancelled "
-                            "while blocked in admission"
-                        )
-                    if first:
-                        self.admission_blocks += 1
-                        self._m_admission.inc()
-                        first = False
-                    self._wait(request.cancel_event, "sched-admission")
-                if not first and bus.enabled:
-                    bus.instant(
-                        "sched-admission-block", self._track,
-                        engine=request.engine_id,
-                        blocked_s=self.clock.now() - blocked_at,
-                    )
-                now = self.clock.now()
-            entry = _Entry(request, nbytes, next(self._seq), now)
+            entry = _Entry(request, nbytes, next(self._seq), self.clock.now())
             self._flow_enter(entry)
             self._entries.append(entry)
             self._m_depth.set(len(self._entries))
@@ -214,7 +173,8 @@ class LinkScheduler:
                         return 0.0 if parked_at is None else self.clock.now() - parked_at
                     if parked_at is None:
                         parked_at = self.clock.now()
-                    self._wait(cancel, "sched-grant")
+                    if not self._cond.wait(_WAIT_GUARD, (cancel,)):
+                        self.telemetry.guard_fired(self._track, "sched-grant")
             except BaseException:
                 entry.waiting = False
                 raise
@@ -242,15 +202,6 @@ class LinkScheduler:
             self._cond.notify_all()
 
     # -- arbitration (condition held) ---------------------------------------
-    def _wait(self, cancel, site: str) -> None:
-        """Park until notified or ``cancel`` is set; a guard that fires is
-        a missed wake-up (counted)."""
-        if not self._cond.wait(_WAIT_GUARD, (cancel,)):
-            self.telemetry.guard_fired(self._track, site)
-
-    def _class_count(self, tclass: TransferClass) -> int:
-        return sum(1 for e in self._entries if e.request.tclass is tclass)
-
     def _flow_enter(self, entry: _Entry) -> None:
         """Start-tag catch-up: an idle flow re-enters at the class's live
         virtual time instead of the stale tag it finished with, so idling
@@ -267,8 +218,7 @@ class LinkScheduler:
 
     def _charge(self, entry: _Entry, span_bytes: int) -> None:
         flow = entry.flow
-        weight = self.config.weight_of(entry.request.engine_id)
-        vft = self._vft.get(flow, 0.0) + span_bytes / weight
+        vft = self._vft.get(flow, 0.0) + span_bytes
         self._vft[flow] = vft
         cls = flow[0]
         self._class_vtime[cls] = max(self._class_vtime.get(cls, 0.0), vft)
@@ -332,8 +282,6 @@ class LinkScheduler:
                 "in_flight": current,
                 "grants": self.grants,
                 "preemptions": self.preemptions,
-                "sheds": self.sheds,
-                "admission_blocks": self.admission_blocks,
             }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

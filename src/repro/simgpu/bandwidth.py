@@ -45,8 +45,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class _FifoArbiter:
     """The link's own arbitration, answering the calls a
-    :class:`repro.sched.LinkScheduler` answers: one class, no admission, no
-    preemption — the link is held for one span at a time, and a release
+    :class:`repro.sched.LinkScheduler` answers: one class, no preemption —
+    the link is held for one span at a time, and a release
     hands it to the transfer that has queued longest."""
 
     def __init__(self, link: "Link") -> None:
@@ -196,10 +196,9 @@ class Link:
         The link is granted span by span by an arbiter: the attached
         :class:`repro.sched.LinkScheduler` when the caller tags the transfer
         with a ``request`` (whose cancellation event then also cancels this
-        transfer: preemption), the FIFO chunk interleave otherwise.
-        Admission (``open``, which may shed or block) runs before any bytes
-        are announced as pending, so a shed transfer never perturbs the
-        flush/prefetch estimator that reads ``pending_bytes``.
+        transfer: preemption), the FIFO chunk interleave otherwise.  Either
+        arbiter admits every transfer: ``open`` seats it, and a demand
+        read's seat preempts queued speculation.
 
         ``alongside`` names a link the same bytes cross at the same time —
         a cut-through route, such as a node's PFS write share and the file

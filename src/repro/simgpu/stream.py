@@ -119,16 +119,6 @@ class Stream:
         with self._lock:
             return self._idle.wait_for(lambda: self._in_flight == 0, timeout)
 
-    def wait_depth_below(self, depth: int, timeout: Optional[float] = None) -> bool:
-        """Block until fewer than ``depth`` items are in flight.
-
-        Backpressure primitive: ``checkpoint()`` admission control parks on
-        this when the flush backlog hits ``SchedConfig.max_flush_backlog``.
-        ``timeout`` is in nominal seconds; returns ``False`` on expiry.
-        """
-        with self._lock:
-            return self._idle.wait_for(lambda: self._in_flight < depth, timeout)
-
     @property
     def depth(self) -> int:
         """Number of submitted-but-unfinished work items."""
@@ -171,9 +161,8 @@ class Stream:
             event._finish(error)
             with self._lock:
                 self._in_flight -= 1
-                # Every completion wakes depth waiters (wait_depth_below),
-                # not just the transition to idle.
-                self._idle.notify_all()
+                if self._in_flight == 0:
+                    self._idle.notify_all()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Stream({self.name!r}, depth={self.depth})"

@@ -1,4 +1,4 @@
-"""Shared small utilities: unit parsing, interval math, statistics, RNG."""
+"""Shared small utilities: unit parsing, statistics, RNG."""
 
 from repro.util.units import (
     KiB,
@@ -10,7 +10,6 @@ from repro.util.units import (
     parse_bandwidth,
     format_bandwidth,
 )
-from repro.util.intervals import Interval, IntervalSet
 from repro.util.stats import Summary, summarize, percentile
 from repro.util.rng import derive_seed, make_rng
 
@@ -23,8 +22,6 @@ __all__ = [
     "format_size",
     "parse_bandwidth",
     "format_bandwidth",
-    "Interval",
-    "IntervalSet",
     "Summary",
     "summarize",
     "percentile",

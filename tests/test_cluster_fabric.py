@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from repro.errors import TransientTransferError
 from repro.util.rng import make_rng
 from repro.util.units import MiB
 from repro.workloads.service_load import run_service_load
-from tests.conftest import both_chunk_plans, tiny_config
+from tests.conftest import TEST_SCALE, both_chunk_plans, tiny_config
 
 CKPT = 64 * MiB
 
@@ -228,9 +231,34 @@ class TestAggregation:
                 }
         assert checks[True] == checks[False]
 
+    def test_a_lone_engine_per_node_commits_without_the_window(self):
+        """With one engine per node no writer can join a batch: a commit is
+        a direct put, and no leader waits out the window for nobody.  At
+        ``time_scale`` 1.0 the simulator's own CPU time reads as itself,
+        milliseconds against the half-second window."""
+        cfg = cluster_config(
+            num_nodes=1, replica_factor=1, aggregation=True, aggregation_window_s=0.5
+        ).with_(scale=replace(TEST_SCALE, time_scale=1.0))
+        with make_topology(cfg) as topo:
+            clock, pfs = topo.cluster.clock, topo.cluster.pfs
+            payload = np.zeros(1024, dtype=np.uint8)
+            advance = {}
+            for name, put in (
+                ("direct", partial(pfs.put, node_id=0)),
+                ("fabric", partial(topo.fabric.pfs_put, 0)),
+            ):
+                before = clock.now()
+                put((0, name), payload, 1024)
+                advance[name] = clock.now() - before
+            assert advance["fabric"] == pytest.approx(advance["direct"], abs=0.1)
+            assert pfs.contains((0, "fabric"))
+            snap = topo.telemetry.registry.snapshot()
+            assert snap.get("cluster.agg.batches", 0) == 0
+
     def test_aggregation_failure_raises_in_submitting_thread(self):
         cfg = tiny_config(
             num_nodes=1,
+            processes_per_node=2,
             cluster=ClusterConfig(
                 enabled=True,
                 replica_factor=1,

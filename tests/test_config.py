@@ -81,12 +81,6 @@ REJECTIONS = [
     (CacheConfig, {"host_cache_size": 0}, "host_cache_size"),
     # SchedConfig
     (SchedConfig, {"quantum_bytes": 0}, "quantum_bytes"),
-    (SchedConfig, {"default_weight": 0}, "default_weight"),
-    (SchedConfig, {"engine_weights": ((0, -1.0),)}, "engine_weights"),
-    (SchedConfig, {"engine_weights": ((0,),)}, "engine_weights"),
-    (SchedConfig, {"max_speculative_queue": -1}, "queue"),
-    (SchedConfig, {"max_flush_queue": 0}, "queue"),
-    (SchedConfig, {"max_flush_backlog": 0}, "max_flush_backlog"),
     # ReduceConfig
     (ReduceConfig, {"site": "cpu"}, "site"),
     (ReduceConfig, {"chunking": "rabin"}, "chunking"),
@@ -200,7 +194,6 @@ def test_every_default_constructs(cls):
         (FaultConfig, "node_crashes"),
         (FaultConfig, "node_rejoins"),
         (FaultConfig, "partitions"),
-        (SchedConfig, "engine_weights"),
         (ResilienceConfig, "retry_classes"),
     ],
 )
@@ -214,8 +207,7 @@ def test_a_tuple_knob_takes_only_a_tuple(cls, name, value):
 def test_a_misspelt_retry_class_is_rejected():
     with pytest.raises(ConfigError, match="retry_classes"):
         ResilienceConfig(retry_classes=(("CASCADE_FLUSHH", 0),))
-    every_class = ("DEMAND_READ", "FOREGROUND_WRITE", "HINTED_PREFETCH",
-                   "CASCADE_FLUSH", "SPECULATIVE_PREFETCH")
+    every_class = ("DEMAND_READ", "HINTED_PREFETCH", "CASCADE_FLUSH", "SPECULATIVE_PREFETCH")
     cfg = ResilienceConfig(retry_classes=tuple((name, 1) for name in every_class))
     assert cfg.retries_for("CASCADE_FLUSH") == 1
 

@@ -308,7 +308,6 @@ def _tables(engine):
         "pfs_put": engine.pfs_put.func.__qualname__,
         "read": [link.__name__ for link in engine.read_chain],
         "tagged": engine.sched.request(TransferClass.DEMAND_READ, engine.process_id) is not None,
-        "admission": engine.admit.__qualname__,
         "repairs": engine.repair_attempts,
         "stats": [key for key, _fragment in engine.stats_fragments],
         "stall": [fragment.__qualname__ for fragment in flusher.stall_fragments],
@@ -325,7 +324,6 @@ BASE = {
     "pfs_put": "ObjectStore.put",
     "read": ["_ssd_copy", "_pfs_copy"],
     "tagged": False,
-    "admission": "_admit_all",
     "repairs": 0,
     "stats": [],
     "stall": [],
@@ -345,7 +343,6 @@ ROWS = {
     },
     "sched": {
         "tagged": True,
-        "admission": "Flusher.backpressure",
         "stall": ["SchedContext.stall_report"],
     },
     "cluster": {

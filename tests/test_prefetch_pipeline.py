@@ -34,10 +34,9 @@ from repro.config import AnalysisConfig, PredictConfig, StreamConfig
 from repro.core.catalog import CheckpointRecord
 from repro.core.engine import ScoreEngine
 from repro.core.lifecycle import CkptState
-from repro.core.prefetcher import HINT_SPACING_S
 from repro.core.sync import Monitor
 from repro.core.validator import InvariantViolation, validate_engine
-from repro.errors import AdmissionError, ReproError, TransientTransferError
+from repro.errors import ReproError, TransientTransferError
 from repro.faults.retry import UNARMED_BACKOFF_S
 from repro.metrics.recorder import OpKind
 from repro.tiers.base import TierLevel
@@ -553,7 +552,6 @@ class TestHintParking:
 STEP_FAULTS = {
     "refused": None,
     "transient": TransientTransferError,  # an injected link fault
-    "shed": AdmissionError,
     "moved": ReproError,  # the source moved meanwhile
 }
 
@@ -582,8 +580,8 @@ class TestStep:
     def test_one_bracket_for_every_caller(self, caller, fault, monkeypatch):
         """One step of checkpoint 0 meets ``fault``; from the moment
         ``promote_once`` returns to the moment the step does, its thread
-        sees a transient back-off with the record still held, one release
-        with the monitor notified, then a shed back-off."""
+        sees a transient back-off with the record still held, then one
+        release with the monitor notified."""
         cluster, ctx, engine = _engine()
         with cluster, engine:
             _write(engine, ctx, 2)
@@ -654,7 +652,6 @@ class TestStep:
             monkeypatch.setattr(CheckpointRecord, "prefetch_inflight", inflight, raising=False)
             registry = cluster.telemetry.registry
             retries = registry.counter("prefetch.retries")
-            sheds = registry.counter("prefetch.sheds")
             if caller == "demand":
                 engine.restore(0, ctx.device.alloc_buffer(CKPT))
                 # Nothing stalled: blocked is the landed steps' seconds alone,
@@ -676,11 +673,9 @@ class TestStep:
             released = [("inflight", False), ("notify",)]
             assert events == {
                 "transient": [("sleep", UNARMED_BACKOFF_S), *released],
-                "shed": [*released, ("sleep", HINT_SPACING_S)],
             }.get(fault, released)
             worker = caller != "demand"
             assert retries.value == int(worker and fault in ("transient", "moved"))
-            assert sheds.value == int(worker and fault == "shed")
             assert not record.prefetch_inflight
             validate_engine(engine)
 

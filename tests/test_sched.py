@@ -1,10 +1,10 @@
-"""QoS link scheduler: priority, WFQ, EDF, admission, preemption."""
+"""QoS link scheduler: priority, fair queuing, EDF, preemption."""
 
 import pytest
 
 from repro.clock import VirtualClock
 from repro.config import SchedConfig
-from repro.errors import AdmissionError, ConfigError, TransferError
+from repro.errors import ConfigError, TransferError
 from repro.sched import (
     PREEMPTIBLE_CLASSES,
     LinkScheduler,
@@ -38,7 +38,6 @@ def open_waiting(sched, tclass, engine_id=0, nbytes=1 * MiB, deadline=None):
 def test_transfer_class_lattice():
     order = [
         TransferClass.DEMAND_READ,
-        TransferClass.FOREGROUND_WRITE,
         TransferClass.HINTED_PREFETCH,
         TransferClass.CASCADE_FLUSH,
         TransferClass.SPECULATIVE_PREFETCH,
@@ -62,18 +61,18 @@ def test_strict_priority_across_classes():
         sched.finish(expected)
 
 
-def test_wfq_shares_proportional_to_weight():
-    config = SchedConfig(enabled=True, engine_weights=((0, 3.0), (1, 1.0)))
-    _, _, sched = make_sched(config)
-    a = open_waiting(sched, TransferClass.CASCADE_FLUSH, engine_id=0)
-    b = open_waiting(sched, TransferClass.CASCADE_FLUSH, engine_id=1)
-    grants = {0: 0, 1: 0}
+def test_fair_queuing_splits_a_link_equally():
+    """Two engines' flows in one class take turns: bytes are charged
+    unweighted, so equal quanta alternate exactly."""
+    _, _, sched = make_sched()
+    open_waiting(sched, TransferClass.CASCADE_FLUSH, engine_id=0)
+    open_waiting(sched, TransferClass.CASCADE_FLUSH, engine_id=1)
+    order = []
     for _ in range(40):
         winner = sched._choose()
-        grants[winner.request.engine_id] += 1
+        order.append(winner.request.engine_id)
         sched._charge(winner, 1 * MiB)
-    assert grants[0] == 30  # 3:1 split, exactly, for equal-size quanta
-    assert grants[1] == 10
+    assert order == [0, 1] * 20
 
 
 def test_idle_flow_earns_no_credit():
@@ -108,54 +107,16 @@ def test_edf_orders_equal_vtime_prefetches():
     assert sched._choose() is far
 
 
-def test_speculative_queue_bound_sheds():
-    config = SchedConfig(enabled=True, max_speculative_queue=2)
-    _, _, sched = make_sched(config)
-    open_waiting(sched, TransferClass.SPECULATIVE_PREFETCH)
-    open_waiting(sched, TransferClass.SPECULATIVE_PREFETCH)
-    with pytest.raises(AdmissionError):
-        sched.open(TransferRequest(TransferClass.SPECULATIVE_PREFETCH), 1 * MiB)
-    assert sched.sheds == 1
-    # Other classes are not subject to the speculative bound.
-    sched.open(TransferRequest(TransferClass.CASCADE_FLUSH), 1 * MiB)
-
-
-def test_flush_admission_blocks_until_drain():
-    config = SchedConfig(enabled=True, max_flush_queue=1)
-    clock, _, sched = make_sched(config)
-    first = sched.open(TransferRequest(TransferClass.CASCADE_FLUSH), 1 * MiB)
-    admitted = clock.event()
-
-    def second():
-        entry = sched.open(TransferRequest(TransferClass.CASCADE_FLUSH), 1 * MiB)
-        admitted.set()
-        sched.finish(entry)
-
-    (t,) = start_runners(clock, (second,))
-    assert not admitted.wait(0.2)  # backpressured while the queue is full
-    sched.finish(first)
-    assert admitted.wait(5)
-    clock.join(t)
-    assert sched.admission_blocks == 1
-
-
-def test_flush_admission_block_aborts_on_cancellation():
-    config = SchedConfig(enabled=True, max_flush_queue=1)
-    clock, _, sched = make_sched(config)
-    sched.open(TransferRequest(TransferClass.CASCADE_FLUSH), 1 * MiB)
-    blocked_request = TransferRequest(TransferClass.CASCADE_FLUSH)
-    errors = []
-
-    def second():
-        try:
-            sched.open(blocked_request, 1 * MiB)
-        except TransferError as exc:
-            errors.append(exc)
-
-    (t,) = start_runners(clock, (second,))
-    blocked_request.cancel_event.set()  # flush abandoned while backpressured
-    clock.join(t)
-    assert errors, "cancelled admission wait should raise"
+def test_open_admits_every_transfer():
+    """No class has a queue bound: backpressure comes from the caches, so
+    a deep backlog of any class is seated, never shed or held at open."""
+    _, _, sched = make_sched()
+    for tclass in TransferClass:
+        if tclass is not TransferClass.DEMAND_READ:  # it would preempt
+            for _ in range(40):
+                sched.open(TransferRequest(tclass), 1 * MiB)
+    assert sched.depth() == 40 * (len(TransferClass) - 1)
+    assert sched.preemptions == 0
 
 
 def test_demand_read_preempts_speculative_only():
@@ -247,10 +208,3 @@ def test_untagged_transfers_bypass_the_scheduler():
 def test_sched_config_validation():
     with pytest.raises(ConfigError):
         SchedConfig(quantum_bytes=0)
-    with pytest.raises(ConfigError):
-        SchedConfig(default_weight=0)
-    with pytest.raises(ConfigError):
-        SchedConfig(engine_weights=((0, -1.0),))
-    cfg = SchedConfig(engine_weights=((3, 2.5),))
-    assert cfg.weight_of(3) == 2.5
-    assert cfg.weight_of(7) == cfg.default_weight

@@ -9,6 +9,7 @@ from repro.core.engine import ScoreEngine
 from repro.errors import FlushTimeoutError
 from repro.sched import render_sched_timeline, sched_events
 from repro.tiers.topology import Cluster
+from repro.util.units import MiB
 
 from .conftest import both_chunk_plans, make_buffer, start_runners, tiny_config
 
@@ -61,31 +62,33 @@ def test_demand_classes_served_and_traced():
         assert "ssd-write" in text
 
 
-# Explicit admission is the write path's backpressure under either chunk
-# plan: the many-chunk d2h does not park on the stages below it.
+# The GPU cache is the write path's backpressure under either chunk plan:
+# with the cascade stalled, no extent is flushed and so none can be evicted.
 @both_chunk_plans
-def test_checkpoint_backpressure_blocks(stream):
-    with sched_cluster(stream, max_flush_backlog=1) as cluster:
+def test_a_stalled_cascade_holds_checkpoint_in_its_gpu_reservation(stream):
+    with sched_cluster(stream) as cluster:
         context = cluster.process_contexts()[0]
         with ScoreEngine(context) as engine:
+            slots = engine.gpu_cache.table.capacity // (128 * MiB)
             release = cluster.clock.event()
-            # Hold the flush stream so the backlog cannot drain by itself.
+            # Hold the flush stream so nothing reaches the host cache.
             engine.flusher.d2h_stream.submit(lambda: release.wait(5), label="hold")
+            for i in range(slots):
+                engine.checkpoint(i, make_buffer(context, seed=i))
+            blocked = []
             done = cluster.clock.event()
 
             def blocked_checkpoint():
-                engine.checkpoint(0, make_buffer(context, seed=0))
+                blocked.append(engine.checkpoint(slots, make_buffer(context, seed=slots)))
                 done.set()
 
             (t,) = start_runners(cluster.clock, (blocked_checkpoint,))
-            assert not done.wait(0.2), "checkpoint should be backpressured"
+            assert not done.wait(0.2), "checkpoint should wait for a flushed extent"
             release.set()
             assert done.wait(10)
             cluster.clock.join(t)
-            backpressure = cluster.telemetry.registry.histogram(
-                "engine.checkpoint.backpressure_s"
-            )
-            assert backpressure.count >= 1
+            # Its blocking time is the reservation's wait, not a gate's.
+            assert blocked[0] >= engine.gpu_cache.eviction_wait_time >= 0.2
             engine.wait_for_flushes(timeout=600.0)
 
 

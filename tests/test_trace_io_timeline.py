@@ -1,100 +1,10 @@
-"""Trace import/export and timeline export."""
+"""Timeline export and sparklines."""
 
 import json
 
-import pytest
-
-from repro.errors import ConfigError
 from repro.metrics.recorder import OpEvent, OpKind, Recorder
 from repro.metrics.timeline import export_csv, export_json, sparkline
 from repro.util.units import MiB
-from repro.workloads.rtm import variable_trace
-from repro.workloads.trace_io import (
-    load_traces_csv,
-    load_traces_json,
-    save_traces_csv,
-    save_traces_json,
-)
-from tests.conftest import TEST_SCALE
-
-
-@pytest.fixture
-def traces():
-    return [
-        variable_trace(TEST_SCALE, rank=r, seed=4, num_snapshots=12, total_bytes=12 * 128 * MiB)
-        for r in range(3)
-    ]
-
-
-class TestCsvRoundtrip:
-    def test_roundtrip(self, tmp_path, traces):
-        path = str(tmp_path / "t.csv")
-        save_traces_csv(path, traces)
-        loaded = load_traces_csv(path, TEST_SCALE)
-        assert [t.sizes for t in loaded] == [t.sizes for t in traces]
-        assert [t.rank for t in loaded] == [0, 1, 2]
-
-    def test_unit_suffixes_accepted(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("snapshot,rank,size\n0,0,128MB\n1,0,64MB\n")
-        loaded = load_traces_csv(str(path), TEST_SCALE)
-        assert loaded[0].sizes == (128 * MiB, 64 * MiB)
-
-    def test_gap_in_indices_rejected(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("0,0,128MB\n2,0,128MB\n")
-        with pytest.raises(ConfigError):
-            load_traces_csv(str(path), TEST_SCALE)
-
-    def test_mismatched_rank_lengths_rejected(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("0,0,128MB\n1,0,128MB\n0,1,128MB\n")
-        with pytest.raises(ConfigError):
-            load_traces_csv(str(path), TEST_SCALE)
-
-    def test_bad_column_count_rejected(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("0,0\n")
-        with pytest.raises(ConfigError):
-            load_traces_csv(str(path), TEST_SCALE)
-
-    def test_empty_rejected(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("snapshot,rank,size\n")
-        with pytest.raises(ConfigError):
-            load_traces_csv(str(path), TEST_SCALE)
-
-
-class TestJsonRoundtrip:
-    def test_roundtrip(self, tmp_path, traces):
-        path = str(tmp_path / "t.json")
-        save_traces_json(path, traces)
-        loaded = load_traces_json(path, TEST_SCALE)
-        assert [t.sizes for t in loaded] == [t.sizes for t in traces]
-
-    def test_bare_list_single_rank(self, tmp_path):
-        path = tmp_path / "t.json"
-        path.write_text(json.dumps([134217728, 67108864]))
-        loaded = load_traces_json(str(path), TEST_SCALE)
-        assert len(loaded) == 1 and loaded[0].rank == 0
-
-    def test_sizes_aligned_on_load(self, tmp_path):
-        path = tmp_path / "t.json"
-        path.write_text(json.dumps({"ranks": {"0": [1000]}}))
-        loaded = load_traces_json(str(path), TEST_SCALE)
-        assert loaded[0].sizes[0] % TEST_SCALE.alignment == 0
-
-    def test_bad_rank_key_rejected(self, tmp_path):
-        path = tmp_path / "t.json"
-        path.write_text(json.dumps({"ranks": {"zero": [1000]}}))
-        with pytest.raises(ConfigError):
-            load_traces_json(str(path), TEST_SCALE)
-
-    def test_empty_ranks_rejected(self, tmp_path):
-        path = tmp_path / "t.json"
-        path.write_text(json.dumps({"ranks": {}}))
-        with pytest.raises(ConfigError):
-            load_traces_json(str(path), TEST_SCALE)
 
 
 class TestTimelineExport:

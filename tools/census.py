@@ -24,7 +24,7 @@ reached (``engine.resilient``, ``config.resilience.enabled``, a local
 one place meant to read them, is not counted.
 
 Three keep the configuration small and declared once (ROADMAP item 10):
-more than 107 "config fields" (the fields of ``repro.config``'s dataclasses)
+more than 102 "config fields" (the fields of ``repro.config``'s dataclasses)
 or 12 "raise ConfigError in config.py" (a constraint is declared on its field
 and checked by ``validate``; only rules relating two fields are code), or
 any "config fields never read outside config.py" (a knob no code reads is a
@@ -48,6 +48,11 @@ And a wait is woken by the change it waits for: any "fixed-period polls in
 src/" (a ``virtual_timeout=`` or ``.wait(`` given a numeric literal) fails.
 A deadline is computed from what it waits for (a pinning ramp), and a
 missed-wakeup guard is the named ``GUARD_S``, which is not counted.
+
+And backpressure comes from the caches: any "admission gates in src/" (a
+shed error, a queue or backlog bound, a stream-depth wait, a per-engine
+weight) fails.  A ``checkpoint()`` blocks in its GPU-cache reservation, a
+prefetch in its budget, and a link's arbiter admits every transfer.
 """
 
 import ast
@@ -73,6 +78,12 @@ PATH_PICKS = (
 
 #: a wait given a fixed period: a timeout that is a numeric literal.
 POLL = r"virtual_timeout=\s*\.?\d|\.wait\(\s*\.?\d"
+
+#: an admission gate stacked on the caches' backpressure.
+GATES = (
+    r"AdmissionError|wait_depth_below|weight_of|max_flush_backlog|max_flush_queue"
+    r"|max_speculative_queue"
+)
 
 
 def sites(pattern, files=FILES, skip=(), outside=None):
@@ -182,6 +193,7 @@ def main() -> int:
         "raw threading.Thread( in tests/ outside test_clock*.py": unregistered_thread_sites(TESTS),
         "raw threading.Barrier( in src/": sites(r"threading\.Barrier\("),
         "fixed-period polls in src/": sites(POLL),
+        "admission gates in src/": sites(GATES),
     }
     for what, where in counts.items():
         print(f"{len(where):4d} {what}")
@@ -197,7 +209,7 @@ def main() -> int:
         "promote_once( call sites": 1,
         "cost_cache_enabled mentions": 0,
         "path-picking reads in core/": 6,
-        "config fields": 107,
+        "config fields": 102,
         "raise ConfigError in config.py": 12,
         "config fields never read outside config.py": 0,
         "raw threading.Thread( in tests/ outside test_clock*.py": 0,
@@ -205,6 +217,7 @@ def main() -> int:
         ".transfer( call sites in tiers/": 1,
         ".transfer( call sites in cluster/fabric.py and core/hop.py": 0,
         "fixed-period polls in src/": 0,
+        "admission gates in src/": 0,
     }
     failed = [what for what, limit in hard.items() if len(counts[what]) > limit]
     for what in failed:
