@@ -70,14 +70,12 @@ MODES = (
 
 
 def build_config(rate: float, outages: tuple, crash_point, crash_ckpt) -> RuntimeConfig:
-    faults_on = rate > 0.0 or bool(outages) or crash_point is not None
     return RuntimeConfig(
         scale=BENCH_SCALE,
         cache=CacheConfig(gpu_cache_size=512 * MiB, host_cache_size=2 * GiB),
         charge_allocation_cost=False,
         processes_per_node=1,
         faults=FaultConfig(
-            enabled=faults_on,
             seed=SEED,
             transfer_fault_rate=rate,
             tier_outages=outages,

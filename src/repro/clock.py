@@ -129,15 +129,6 @@ class VirtualClock:
         self.skips = 0
         self.skipped_s = 0.0
 
-    # -- conversions -----------------------------------------------------
-    def to_real(self, virtual_seconds: float) -> float:
-        """Wall-clock seconds corresponding to ``virtual_seconds`` of paced time."""
-        return virtual_seconds * self.time_scale
-
-    def to_virtual(self, real_seconds: float) -> float:
-        """Nominal seconds corresponding to ``real_seconds`` of paced wall time."""
-        return real_seconds / self.time_scale
-
     # -- reading ---------------------------------------------------------
     def now(self) -> float:
         """Nominal seconds elapsed since the clock was created.  The first

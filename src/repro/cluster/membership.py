@@ -63,17 +63,17 @@ class MembershipRegistry:
         self._modes: Dict[int, str] = {}
         self._engines: Dict[int, List] = {n: [] for n in range(self.num_nodes)}
         faults_cfg = self.cluster.config.faults
-        events = []
-        self._partitions: tuple = ()
-        if faults_cfg.enabled:
-            for node_id, time_s, mode in faults_cfg.node_crashes:
-                events.append((float(time_s), 0, "crash", node_id, mode))
-            for node_id, time_s in faults_cfg.node_rejoins:
-                events.append((float(time_s), 1, "rejoin", node_id, None))
-            self._partitions = tuple(
-                (a, b, float(start), float(end))
-                for a, b, start, end in faults_cfg.partitions
-            )
+        events = [
+            (float(time_s), 0, "crash", node_id, mode)
+            for node_id, time_s, mode in faults_cfg.node_crashes
+        ]
+        events += [
+            (float(time_s), 1, "rejoin", node_id, None)
+            for node_id, time_s in faults_cfg.node_rejoins
+        ]
+        self._partitions = tuple(
+            (a, b, float(start), float(end)) for a, b, start, end in faults_cfg.partitions
+        )
         self._events = sorted(events)
         #: chaos is (or has been) in play: scheduled events exist, a
         #: partition window is configured, or a manual crash fired.  The

@@ -255,63 +255,25 @@ class SchedConfig(_Validated):
     quantum_bytes: int = knob(64 * MiB, positive)
 
 
-def _codecs():
-    from repro.reduce.codec import known_codecs  # cycle-free (lazy)
-
-    return known_codecs()
-
-
 @dataclass(frozen=True)
 class ReduceConfig(_Validated):
-    """Knobs of the data-reduction pipeline (:mod:`repro.reduce`).
+    """The data-reduction pipeline (:mod:`repro.reduce`).
 
     With ``enabled=False`` (the default) no reducer is constructed and every
     checkpoint travels the tier hierarchy at its full logical size —
     bit-for-bit the pre-reduction behaviour (same discipline as
-    :class:`SchedConfig`).  When enabled, checkpoints are chunked, deduped
-    against a per-tier content-addressed chunk store, delta-encoded against
-    the previous checkpoint of the same variable, and run through a
-    *modeled* compression codec; the reduced **physical** size is what
-    occupies cache arenas and travels the tier links, while restores
-    reconstruct the full logical payload before ``READ_COMPLETE``.
+    :class:`SchedConfig`).  When enabled, each checkpoint is encoded on the
+    device before it is placed: chunked, deduped against a per-tier
+    content-addressed chunk store, delta-encoded against the previous
+    checkpoint of the same variable, and run through a *modeled* codec.
+    Every tier holds that one **physical** form — it occupies the cache
+    arenas and travels every tier link — and a restore reconstructs the
+    full logical payload at its copy-out.  The pipeline's constants live
+    beside their readers in :mod:`repro.reduce.pipeline`.
     """
 
     #: master switch: attach a :class:`~repro.reduce.Reducer` to every engine.
     enabled: bool = False
-    #: where the reduction boundary sits: ``"gpu"`` encodes on the device at
-    #: checkpoint time (every tier, including the GPU cache, holds the
-    #: physical form and every link moves physical bytes); ``"host"`` keeps
-    #: the GPU cache logical and encodes on the host during the D2H flush
-    #: (host/SSD/PFS hold physical bytes — the codec runs off the
-    #: application's critical path, but PCIe still moves logical bytes).
-    site: str = knob("gpu", one_of("gpu", "host"))
-    #: chunking strategy: ``"fixed"`` (fixed-size boundaries) or ``"cdc"``
-    #: (content-defined boundaries via a gear rolling hash, so insertions
-    #: do not shift every downstream chunk identity).
-    chunking: str = knob("fixed", one_of("fixed", "cdc"))
-    #: nominal bytes per chunk (fixed) / target average chunk (cdc).
-    chunk_size: int = knob(8 * MiB, positive)
-    #: cdc minimum/maximum chunk bounds (nominal bytes).
-    min_chunk_size: int = knob(2 * MiB, positive)
-    max_chunk_size: int = knob(32 * MiB, positive)
-    #: delta-encode chunks against the previous checkpoint of the same
-    #: variable when the byte diff is small enough to pay off.
-    delta: bool = True
-    #: longest allowed chain of delta-encoded checkpoints; the next encode
-    #: past the bound *rebases* (stores a self-contained version) so
-    #: restore latency stays predictable.
-    max_delta_chain: int = knob(4, non_negative)
-    #: modeled compression codec: ``"none"``, ``"lz"`` (fast, modest
-    #: ratio) or ``"zstd"`` (slower, denser); see :mod:`repro.reduce.codec`.
-    codec: str = knob("lz", one_of(_codecs))
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not (self.min_chunk_size <= self.chunk_size <= self.max_chunk_size):
-            raise ConfigError(
-                "chunk bounds must satisfy min_chunk_size <= chunk_size <= max_chunk_size: "
-                f"{self.min_chunk_size} / {self.chunk_size} / {self.max_chunk_size}"
-            )
 
 
 @dataclass(frozen=True)
@@ -359,17 +321,14 @@ NODE_CRASH_MODES = ("fail-stop", "power-loss")
 class FaultConfig(_Validated):
     """Deterministic, seeded fault injection (:mod:`repro.faults`).
 
-    With ``enabled=False`` (the default) nothing is attached anywhere and
-    the runtime is bit-identical to a build without the subsystem (same
-    discipline as :class:`SchedConfig` / :class:`ReduceConfig`).  When
-    enabled, a :class:`~repro.faults.FaultPlan` derived from ``seed`` makes
-    every injection decision reproducibly: the same config + seed yields
-    the same faults at the same virtual times regardless of thread
-    interleaving.
+    A plan that :attr:`injects` nothing (the default) attaches nothing
+    anywhere and the runtime is bit-identical to a build without the
+    subsystem.  Otherwise a :class:`~repro.faults.FaultPlan` derived from
+    ``seed`` makes every injection decision reproducibly: the same config +
+    seed yields the same faults at the same virtual times regardless of
+    thread interleaving.
     """
 
-    #: master switch: attach a fault injector to every Link and tier store.
-    enabled: bool = False
     seed: int = knob(93, flag="--fault-seed", help=(
         "root seed of the plan; every decision derives from it via repro.util.rng.derive_seed "
         "(independent of RuntimeConfig.seed so workload payloads stay identical across fault "
@@ -420,6 +379,17 @@ class FaultConfig(_Validated):
         "pairwise network-partition windows: (node_a, node_b, start_s, end_s) tuples on the "
         "virtual clock; while start <= now < end the two nodes cannot exchange fabric traffic "
         "(peer reads and replication route around the cut, or drop to the PFS)."))
+
+    @property
+    def injects(self) -> bool:
+        """Whether the plan injects anything: a rate above 0, an outage, a
+        crash point, a node crash or rejoin, or a partition."""
+        return (
+            self.transfer_fault_rate > 0.0
+            or self.corruption_rate > 0.0
+            or self.crash_point is not None
+            or bool(self.tier_outages or self.node_crashes or self.node_rejoins or self.partitions)
+        )
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -688,7 +658,7 @@ class RuntimeConfig(_Validated):
         faults = self.faults
         named = [entry[0] for entry in faults.node_crashes + faults.node_rejoins]
         named += [node for entry in faults.partitions for node in entry[:2]]
-        if faults.enabled and max(named, default=-1) >= self.num_nodes:
+        if max(named, default=-1) >= self.num_nodes:
             raise ConfigError(
                 f"fault node id {max(named)} out of range for num_nodes={self.num_nodes}"
             )

@@ -171,7 +171,7 @@ class CacheBuffer:
     def _make_tracker(self, record: "CheckpointRecord"):
         """Per-instance version-bump hook: drops the instance's memoised p
         and keeps the pinned-byte total."""
-        size = record.stored_size(self.level)
+        size = record.physical_size
         ckpt_id = record.ckpt_id
         plain, forced = (costs.p for costs in self.costs)
 
@@ -187,7 +187,7 @@ class CacheBuffer:
     def _forget_instance(self, record: "CheckpointRecord", inst: Instance) -> None:
         """Undo an instance's cache-side bookkeeping before it is dropped."""
         if inst.pinned:
-            self._pinned_bytes -= record.stored_size(self.level)
+            self._pinned_bytes -= record.physical_size
         inst.tracker = None
         for costs in self.costs:
             costs.p.pop(record.ckpt_id, None)
@@ -208,10 +208,10 @@ class CacheBuffer:
         if self.pin_eta is None or not self.ramping():
             return None
         min_offset, region_limit = self._region_for(state)
-        place = self.table.find_gap(record.stored_size(self.level), region_limit, min_offset)
+        place = self.table.find_gap(record.physical_size, region_limit, min_offset)
         if place is None:
             return None
-        eta = self.pin_eta(place + record.stored_size(self.level))
+        eta = self.pin_eta(place + record.physical_size)
         return eta if eta > 0 else None
 
     def _fill(self, allow_pinned: bool, record: "CheckpointRecord") -> int:
@@ -265,12 +265,10 @@ class CacheBuffer:
         ``record`` an eviction barrier, because Algorithm 1's s-score alone
         prefers to evict exactly those.
 
-        Space is claimed at the record's *stored* size for this tier: the
-        physical (reduced) size at or below the reduction site, the logical
-        size otherwise — identical to ``nominal_size`` when reduction is
-        off.
+        Space is claimed at the record's physical (reduced) size, identical
+        to ``nominal_size`` when reduction is off.
         """
-        size = record.stored_size(self.level)
+        size = record.physical_size
         if size > self.table.capacity:
             raise CapacityError(
                 f"checkpoint {record.ckpt_id} ({size}B) exceeds cache "
@@ -473,7 +471,7 @@ class CacheBuffer:
             self.name,
             op_id=record.op.op_id,
             ckpt=record.ckpt_id,
-            bytes=record.stored_size(self.level),
+            bytes=record.physical_size,
             forced=forced,
         )
         if self.on_evict is not None:
@@ -516,7 +514,7 @@ class CacheBuffer:
         be reclaimed (a pinned instance, or ``read_pinned`` held)."""
         with self.monitor:
             offset = self.offset_of(record)
-        return self.arena.read(offset, record.stored_size(self.level), copy=copy)
+        return self.arena.read(offset, record.physical_size, copy=copy)
 
     def write_payload(self, record: "CheckpointRecord", payload: np.ndarray) -> None:
         with self.monitor:

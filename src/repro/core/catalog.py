@@ -40,9 +40,10 @@ class CheckpointRecord:
         self.nominal_size = nominal_size
         self.true_size = true_size
         self.checksum = checksum
-        #: nominal bytes this checkpoint occupies in reduced (physical) form.
-        #: Equals ``nominal_size`` until a :class:`~repro.reduce.Reducer`
-        #: encodes the record; always aligned.
+        #: nominal bytes this checkpoint occupies on every tier and moves on
+        #: every link: its reduced (physical) form.  Equals ``nominal_size``
+        #: until a :class:`~repro.reduce.Reducer` encodes the record; always
+        #: aligned.
         self.physical_size = nominal_size
         #: the reducer's :class:`~repro.reduce.pipeline.ReducedImage` (chunk
         #: recipe + delta lineage), or None when reduction is off / the
@@ -70,31 +71,6 @@ class CheckpointRecord:
         #: records adopted by recovery or when causal tracing is disabled.
         self.op = NULL_OP
         self._on_transition = on_transition
-
-    # -- sizes -------------------------------------------------------------
-    def stored_size(self, level: TierLevel) -> int:
-        """Nominal bytes this checkpoint occupies on ``level``.
-
-        Tiers at or below the reduction boundary hold the encoded physical
-        form; tiers above it (faster than the reduction site) hold the full
-        logical payload.  Without a reduction this is ``nominal_size``
-        everywhere, so every pre-reduction call site keeps its exact
-        arithmetic.
-        """
-        reduction = self.reduction
-        if reduction is None or level < reduction.site_level:
-            return self.nominal_size
-        return self.physical_size
-
-    def wire_size(self, src: TierLevel, dst: TierLevel) -> int:
-        """Nominal bytes a transfer between two tiers moves on the link.
-
-        A link carries whatever representation its faster endpoint holds:
-        the D2H flush of a host-site reduction moves logical bytes (the
-        encode happens after landing), while every link at or below the
-        boundary moves the physical form.
-        """
-        return self.stored_size(min(src, dst))
 
     # -- instances ---------------------------------------------------------
     def instance(self, level: TierLevel) -> Instance:

@@ -213,16 +213,14 @@ class ScoreEngine:
         self.stats_fragments = ()
         #: data-reduction pipeline (None unless ``config.reduce.enabled``);
         #: when present, physical (reduced) sizes flow into every placement,
-        #: scoring and transfer decision at or below the reduction site.
+        #: scoring and transfer decision.
         self.reducer: Optional[Reducer] = None
         if config.reduce.enabled:
             self.reducer = Reducer(
-                config.reduce,
                 self.scale,
                 self.clock,
                 telemetry=self.telemetry,
                 process_id=self.process_id,
-                gpudirect=self.gpudirect,
                 # Durable recipe sidecar: with resilience on, encoded chunk
                 # recipes survive a crash so recover_history() can rebuild
                 # reduced checkpoints.
@@ -290,7 +288,7 @@ class ScoreEngine:
             flusher.catch_up = flusher.queue_backfill
             self.stats_fragments += (("resilience", flusher.resilience_stats),)
             flusher.stall_fragments += (flusher.resilience_report,)
-        if config.faults.enabled:
+        if config.faults.injects:
             flusher.stall_fragments += (self.faults.stall_report,)
         if config.cluster.enabled:
             fabric = self.fabric = cluster.fabric  # (:mod:`repro.cluster.fabric`)
@@ -596,46 +594,26 @@ class ScoreEngine:
                 f"(checkpoint {record.ckpt_id})"
             )
 
-    def _reduced_at(self, record: CheckpointRecord, level: TierLevel) -> bool:
-        """Whether ``level``'s copy of ``record`` is the physical form."""
-        reduction = record.reduction
-        return reduction is not None and level >= reduction.site_level
-
-    def encode_at(self, site: str, record: CheckpointRecord, payload, op, track=None) -> float:
-        """Reduce ``record`` if ``site`` ("gpu" | "host") is where this
-        engine encodes; returns the nominal seconds charged (0 otherwise)."""
-        if self.reducer is None or self.reducer.site != site or record.reduction is not None:
+    def encode(self, record: CheckpointRecord, payload, op) -> float:
+        """Reduce ``record`` on the device before it is placed, so every tier
+        holds the physical form; the nominal seconds charged (0 without a
+        reducer)."""
+        if self.reducer is None:
             return 0.0
-        with op.stage("encode", CAT_REDUCE, track=track):
+        with op.stage("encode", CAT_REDUCE):
             return self.reducer.encode(record, payload)
 
-    def stored_payload(self, record: CheckpointRecord, level: TierLevel, payload):
-        """The bytes ``level`` stores for ``record``, given its logical
-        ``payload``: at or below the reduction site the extent models the
-        physical footprint and the logical bytes live in the reduction
-        image's chunks."""
-        if self._reduced_at(record, level):
-            return self.reducer.physical_payload(record)
-        return payload
-
-    def _payload_above(self, record: CheckpointRecord, cache: CacheBuffer, op, dst=None):
-        """``(payload, decode seconds)`` of ``cache``'s copy as the next
-        tier up holds it (``dst``; ``None`` is the application).  Where the
-        reduction site lies between the two, the logical payload is
-        reassembled here (chunk concat + modeled delta apply and decode
-        charge) — before the PCIe crossing for a host-site reduction, so the
-        wire moves logical bytes.  Otherwise a zero-copy read-only view:
-        the caller must hold the extent pinned for as long as it uses it.
+    def _logical_payload(self, record: CheckpointRecord, op):
+        """``(payload, decode seconds)`` of the GPU copy as the application
+        gets it: a reduced record is reassembled here, once, at copy-out
+        (chunk concat + modeled delta apply and decode charge).  Otherwise a
+        zero-copy read-only view: the caller must hold the extent pinned for
+        as long as it uses it.
         """
-        image = record.reduction
-        if (
-            image is not None
-            and cache.level >= image.site_level
-            and (dst is None or dst < image.site_level)
-        ):
+        if record.reduction is not None:
             with op.stage("decode", CAT_REDUCE):
-                return self.reducer.reconstruct(record, cache.level)
-        return cache.read_payload(record, copy=False), 0.0
+                return self.reducer.reconstruct(record)
+        return self.gpu_cache.read_payload(record, copy=False), 0.0
 
     # -- write path ------------------------------------------------------------------
     def checkpoint(
@@ -668,9 +646,7 @@ class ScoreEngine:
                 self.notify("on_created", record, producer)
             record.op = op
             try:
-                # Device-side reduction happens before placement, so the
-                # GPU cache (and everything below) holds the physical form.
-                encoded = self.encode_at("gpu", record, buffer.payload, op)
+                encoded = self.encode(record, buffer.payload, op)
                 with op.stage("reserve-gpu", CAT_RESERVE):
                     waited = self.gpu_cache.reserve(
                         record, CkptState.WRITE_IN_PROGRESS, blocking=True
@@ -678,11 +654,12 @@ class ScoreEngine:
                 with op.stage("copy-in", CAT_TRANSFER, tier="gpu"):
                     # Device-to-device copy of the protected region into the
                     # cache.
-                    copied = self.device.d2d_link.transfer(
-                        record.stored_size(TierLevel.GPU)
-                    )
+                    copied = self.device.d2d_link.transfer(record.physical_size)
                     self.gpu_cache.write_payload(
-                        record, self.stored_payload(record, TierLevel.GPU, buffer.payload)
+                        record,
+                        buffer.payload
+                        if record.reduction is None
+                        else self.reducer.physical_payload(record),
                     )
                 self.landed(record, self.gpu_cache)
                 self.flusher.schedule(record)
@@ -785,7 +762,7 @@ class ScoreEngine:
                 # ``_consume`` below, so a zero-copy view of the extent is
                 # safe: this thread is the only one that could force-evict
                 # pinned extents.
-                payload, step_decoded = self._payload_above(record, self.gpu_cache, op)
+                payload, step_decoded = self._logical_payload(record, op)
                 decoded += step_decoded
                 with op.stage("copy-out", CAT_TRANSFER, tier="gpu"):
                     # Copy out to the application buffer (device-to-device).
@@ -987,19 +964,11 @@ class ScoreEngine:
             return 1
         return len(plan_chunks(nbytes, self.config.stream.stream_chunk_bytes))
 
-    def fuses_host_promotion(self, record: CheckpointRecord, src: TierLevel, store=None) -> bool:
-        """Whether promoting ``record`` from ``store`` (at level ``src``) to
-        the host also fills a GPU extent from the same read (and so needs GPU
-        budget).
-
-        One chunk has nothing to overlap, and a host-site decode sits
-        between the two hops with no host staging step to run at.
-        """
-        if self.chunks_for(record.stored_size(src), store) < 2:
-            return False
-        return not self._reduced_at(record, TierLevel.HOST) or self._reduced_at(
-            record, TierLevel.GPU
-        )
+    def fuses_host_promotion(self, record: CheckpointRecord, store=None) -> bool:
+        """Whether promoting ``record`` from ``store`` to the host also fills a
+        GPU extent from the same read (and so needs GPU budget): not for one
+        chunk, which has nothing to overlap."""
+        return self.chunks_for(record.physical_size, store) >= 2
 
     def promote_once(
         self,
@@ -1030,12 +999,12 @@ class ScoreEngine:
 
         ``store`` is what :meth:`promotion_step` resolved ``src`` to (a direct
         call resolves here; after a failure the caller's next step does).
-        Returns the accounted nominal seconds — claim waits, decode and the
+        Returns the accounted nominal seconds — claim waits and the
         pipeline's critical path — or ``None`` when a
         non-blocking reservation could not claim space.  ``request`` tags
         the link transfers for QoS arbitration; a preempted transfer
         releases its claims and raises :class:`TransferError`.  ``op``
-        attributes the reserve/read/decode stages to the demanding restore
+        attributes the reserve/read stages to the demanding restore
         (or the prefetch chain).  ``claim`` holds the reservation terms of
         :meth:`CacheBuffer.reserve`, applied to every extent claimed: a
         fused read whose GPU claim the budget refuses lands the host extent
@@ -1045,10 +1014,9 @@ class ScoreEngine:
         to_host = dst == TierLevel.HOST
         if from_store and store is None:
             src, store = self.durable_read_source(record)
-        to_gpu = not to_host or self.fuses_host_promotion(record, src, store)
+        to_gpu = not to_host or self.fuses_host_promotion(record, store)
         read_leg, h2d_leg = self.promote_legs[dst]
         state = CkptState.READ_IN_PROGRESS
-        decoded = 0.0
         failed = None  # what the h2d stage raised
         with Hop(h2d_leg, record, op=op, tag=request) as cross, Hop(
             read_leg, record, op=op, tag=request
@@ -1069,7 +1037,7 @@ class ScoreEngine:
             pipeline = ChunkPipeline(
                 record.ckpt_id,
                 # A lone stage has nothing to overlap.
-                self.chunks_for(record.stored_size(src), store) if from_store and to_gpu else 1,
+                self.chunks_for(record.physical_size, store) if from_store and to_gpu else 1,
                 self.clock,
                 crashed=self.crashed,
                 telemetry=self.telemetry,
@@ -1088,8 +1056,6 @@ class ScoreEngine:
                     pipeline.fail(hop.leg.stage)  # first: its consumer waits on it
                     raise
 
-            # PCIe carries what the GPU extent stores, whichever tier fed it.
-            gpu_bytes = record.stored_size(TierLevel.GPU)
             if from_store:
                 tier = src.name.lower()
                 with op.stage(
@@ -1101,7 +1067,7 @@ class ScoreEngine:
                     consumer = None
                     if to_gpu:
                         consumer = cross.leg.stream.submit(
-                            partial(run, cross, gpu_bytes), label=cross.leg.stage
+                            partial(run, cross, record.physical_size), label=cross.leg.stage
                         )
                     try:
                         # No ring on this edge: the extents claimed above hold
@@ -1125,9 +1091,9 @@ class ScoreEngine:
                 # eviction cannot reclaim it underneath us; if it vanished while
                 # we were reserving, the caller re-resolves the source level.
                 cross.pinned = self.host_cache.open_get(record)
-                payload, decoded = self._payload_above(record, self.host_cache, op, dst)
+                payload = self.host_cache.read_payload(record, copy=False)
                 with op.stage("promote", CAT_TRANSFER, tier="pcie", dst=dst.name):
-                    run(cross, gpu_bytes)
+                    run(cross, record.physical_size)
             # Host landing first: it is the staging copy and must be
             # consistent before the GPU extent becomes consumable.
             read.commit(payload)
@@ -1140,9 +1106,9 @@ class ScoreEngine:
             cross.commit(payload)
             cross.land()
             cross.done = read.done = True
-        # Accounted link (and decode) seconds along the stage × chunk grid, not the
-        # clock: hand-offs and host scheduling noise must not leak into restore timings.
-        return waited + decoded + pipeline.critical_s()
+        # Accounted link seconds along the stage × chunk grid, not the clock:
+        # hand-offs and host scheduling noise must not leak into restore timings.
+        return waited + pipeline.critical_s()
 
     def _current_source(self, record: CheckpointRecord):
         """Monitor held: ``(label, resolved)`` — the level a restore starting

@@ -234,7 +234,7 @@ class Flusher:
             record.instance(TierLevel.GPU).flush_pending = True
         pipeline = ChunkPipeline(
             record.ckpt_id,
-            engine.chunks_for(record.wire_size(TierLevel.GPU, TierLevel.HOST)),
+            engine.chunks_for(record.physical_size),
             engine.clock,
             cancelled=record.cancel_flush,
             crashed=engine.crashed,
@@ -410,7 +410,7 @@ class Flusher:
             lambda: put(
                 engine.store_key(record),
                 payload,
-                record.stored_size(store.level),
+                record.physical_size,
                 cancelled=record.cancel_flush,
                 meta=engine.recovery_meta(record),
                 request=leg.request(record),
@@ -621,15 +621,11 @@ class Flusher:
         if payload is None:
             return
         op = record.op
-        # Host-site reduction: encode off the application's critical path,
-        # on this flush thread, before the host placement — the host cache
-        # and everything below hold the physical form.
-        engine.encode_at("host", record, payload, op, leg.track)
-        # Hand the post-encode physical payload to the consumers up front:
-        # they charge their links chunk-by-chunk against our published
-        # completions instead of re-reading the host copy.
-        pipeline.payload = engine.stored_payload(record, TierLevel.HOST, payload)
-        wire = record.wire_size(TierLevel.GPU, TierLevel.HOST)
+        # Hand the payload to the consumers up front: they charge their
+        # links chunk-by-chunk against our published completions instead of
+        # re-reading the host copy.
+        pipeline.payload = payload
+        wire = record.physical_size
         # Claim host cache space (blocks for evictions as needed).
         with op.stage("reserve-host", CAT_RESERVE, track=leg.track):
             hop.claim(
@@ -680,8 +676,8 @@ class Flusher:
                     return
             else:
                 record.op.fill("flush-queue", track=leg.track)
-                # The preamble needs the post-encode payload and wire sizes,
-                # so first wait for the producer to publish its opening chunk.
+                # The preamble needs the payload, so first wait for the
+                # producer to publish its opening chunk.
                 if not pipeline.await_upstream(stage, 0):
                     self._bail(leg, record, "upstream abandoned")
                     return
@@ -691,7 +687,7 @@ class Flusher:
                         self._abandon(leg, record, "discarded mid-stream")
                         return
                 payload = pipeline.payload
-            wire = record.wire_size(leg.source, TierLevel.SSD)
+            wire = record.physical_size
             with self._span(leg, record, wire, chunks=pipeline.chunks) as span:
                 store = self._durable_put(hop, payload)
                 if store is None:
@@ -735,7 +731,7 @@ class Flusher:
         input stopped coming or the gate said no."""
         engine = self.engine
         record = hop.record
-        stored = record.stored_size(store.level)
+        stored = record.physical_size
         hop.claim(
             store, engine.store_key(record), stored, int(payload.size),
             node_id=engine.node_id, cancelled=record.cancel_flush, breaker=store.track,
@@ -770,9 +766,7 @@ class Flusher:
 
         def take(chunk: int, nbytes: int) -> bool:
             # Published upstream (awaited by the hop) or — GPUDirect has no
-            # upstream — DMA'd across PCIe here, once.  GPUDirect never
-            # crosses the host-site encode, so its PCIe chunks are the
-            # stored chunks.
+            # upstream — DMA'd across PCIe here, once.
             if chunk >= pipeline.in_hand:
                 if upstream is None:
                     leg.attempt(
@@ -843,15 +837,14 @@ class Flusher:
         engine = self.engine
         leg, record, pipeline = hop.leg, hop.record, hop.pipeline
         stage = leg.stage
-        # Sizes and the physical payload settle once the producer has run
-        # its preamble (host-site encode), signalled by its first published
-        # chunk reaching the durable hop.
+        # The durable hop's put is open once the producer's first published
+        # chunk has reached it.
         if not pipeline.await_upstream(stage, 0):
             self._bail(leg, record, "durable hop abandoned")
             return
         if pipeline.skipped(stage):
             return True
-        read_total = record.stored_size(TierLevel.SSD)
+        read_total = record.physical_size
         try:
             reader = engine.ssd.open_get(engine.store_key(record), nominal_size=read_total)
         except TransferError as exc:
@@ -912,14 +905,14 @@ class Flusher:
             self._abandon(leg, record, "pfs circuit breaker open")
             return
         # The read-back's opening chunk implies the producer preamble ran,
-        # so the physical payload and stored sizes are settled.
+        # so the payload is in hand.
         if not pipeline.await_upstream(stage, 0):
             self._bail(leg, record, "read-back abandoned")
             return
         if pipeline.skipped(stage):
             return True
         payload = pipeline.payload
-        wire = record.wire_size(TierLevel.SSD, TierLevel.PFS)
+        wire = record.physical_size
 
         def durable_landed() -> bool:
             # The upgrade only commits over a blob the durable hop actually
@@ -980,7 +973,7 @@ class Flusher:
         # Replicas are verbatim SSD blobs and stay outside the chunk
         # accounting: the home node owns the recipe, a successor only keeps a
         # byte-copy for node-failure recovery.
-        stored = record.stored_size(TierLevel.SSD)
+        stored = record.physical_size
         targets = engine.replica_targets
         if engine.fabric.membership.active:
             # Under node chaos, skip dead/partitioned targets instead of

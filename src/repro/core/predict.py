@@ -51,7 +51,7 @@ def instance_state_ts(
     if inst.evictable:
         # Evictable, unless an in-flight flush still needs the bytes
         # (the snapshot in the flusher clears this promptly).
-        return flush_estimate(record.stored_size(level)) if inst.flush_pending else 0.0
+        return flush_estimate(record.physical_size) if inst.flush_pending else 0.0
     if inst.state == CkptState.READ_IN_PROGRESS:
         return NEVER  # transfer in flight; the extent is incomplete
     if inst.state == CkptState.READ_COMPLETE:
@@ -63,6 +63,6 @@ def instance_state_ts(
             return SPECULATIVE_EVICT_PENALTY
         return FORCE_EVICT_PENALTY if allow_pinned else NEVER
     # WRITE_IN_PROGRESS / WRITE_COMPLETE: evictable once flushed downward.
-    # The stored size at this tier is exactly what the downward flush will
-    # move on the wire (reduced physical bytes below the reduction site).
-    return flush_estimate(record.stored_size(level))
+    # The stored size is exactly what the downward flush will move on the
+    # wire.
+    return flush_estimate(record.physical_size)

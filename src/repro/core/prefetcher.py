@@ -383,9 +383,8 @@ class Prefetcher:
                 continue
             if staging and nearer > horizon:
                 return None  # nothing this far could stay cached
-            # Budgets count what the destination actually stores —
-            # physical bytes at or below the reduction site.
-            size = record.stored_size(hop)
+            # Budgets count what the destination actually stores.
+            size = record.physical_size
             if staging and record.instances:
                 # An extent on a cache tier, landed or in flight: nothing to
                 # stage.  (What promotion_step would say, said sooner — the

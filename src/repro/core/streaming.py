@@ -5,10 +5,9 @@ transfer — each stage a *hop* (:mod:`repro.core.hop`: claim, charge chunk by
 chunk, commit, land): ``d2h`` → ``h2f`` → ``f2r`` → ``f2p`` on the flush path
 (every flush walks one, a whole-object flush being the one-chunk plan), or
 ``read`` → ``h2d`` on the promote path (off a peer's SSD, ``read`` crosses the
-holder's drive and the fabric at once).  Every stage moves the same number of
-chunks (stage byte counts may differ under reduction — chunk *boundaries* are
-per stage); a consumer stage charges chunk ``i`` on its link only once the
-upstream stage has published chunk ``i``.
+holder's drive and the fabric at once).  Every stage moves the same chunks
+of the one stored form; a consumer stage charges chunk ``i`` on its link only
+once the upstream stage has published chunk ``i``.
 
 A producer never waits for its consumer where its output already has a
 home — the extent or blob its hop claimed holds the whole object, so the
@@ -49,11 +48,8 @@ def plan_chunks(nbytes: int, chunk_bytes: int) -> List[int]:
 
 
 def chunk_sizes_for(nbytes: int, count: int) -> List[int]:
-    """``nbytes`` split into exactly ``count`` near-equal chunks.
-
-    Stages of one pipeline share a chunk *count* (so completion events
-    align) while moving different byte totals under reduction.
-    """
+    """``nbytes`` split into exactly ``count`` near-equal chunks (stages of
+    one pipeline share a chunk *count*, so completion events align)."""
     base, rem = divmod(nbytes, count)
     return [base + (1 if i < rem else 0) for i in range(count)]
 
@@ -94,8 +90,8 @@ class ChunkPipeline:
         self._skipped: Dict[str, bool] = {}
         self._order: List[str] = []
         #: inter-stage payload handoff: the producer stage parks the
-        #: post-encode physical payload here so consumers need not wait
-        #: for the whole upstream copy to land before starting work.
+        #: payload here so consumers need not wait for the whole upstream
+        #: copy to land before starting work.
         self.payload = None
         #: input chunks the durable hop already holds (published upstream,
         #: or DMA'd off the GPU): a reroute to another store replays them

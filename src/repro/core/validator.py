@@ -18,7 +18,7 @@ consistency properties the design relies on:
   ``flush_pending``, and nothing is ``read_pinned`` outside a promotion;
 * with reduction enabled: per-tier chunk refcounts match the live images
   attached to each tier exactly, the engine-wide registry holds no orphaned
-  chunks, and no delta chain exceeds the configured depth bound.
+  chunks, and no delta chain exceeds its depth bound.
 
 Raises :class:`InvariantViolation` with a description on failure.  Cheap
 enough to call from tests after every scenario.
@@ -36,6 +36,7 @@ from repro.core.predict import (
 )
 from repro.core.scoring import BARRIER, ULPS
 from repro.errors import ReproError
+from repro.reduce.pipeline import MAX_DELTA_CHAIN
 from repro.tiers.base import TierLevel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -92,7 +93,7 @@ def _check_instances(engine: "ScoreEngine") -> None:
                     f"{cache.name}: checkpoint {record.ckpt_id} cached "
                     "without an instance"
                 )
-            expected = record.stored_size(cache.level)
+            expected = record.physical_size
             if frag.size != expected:
                 raise InvariantViolation(
                     f"{cache.name}: checkpoint {record.ckpt_id} fragment "
@@ -223,14 +224,12 @@ def _check_reduction(engine: "ScoreEngine") -> None:
         image = record.reduction
         if image is None:
             continue
-        if image.depth > engine.config.reduce.max_delta_chain:
+        if image.depth > MAX_DELTA_CHAIN:
             raise InvariantViolation(
                 f"checkpoint {record.ckpt_id}: delta-chain depth {image.depth} "
-                f"exceeds bound {engine.config.reduce.max_delta_chain}"
+                f"exceeds bound {MAX_DELTA_CHAIN}"
             )
         for level, cache in caches.items():
-            if not reducer.covers(level):
-                continue
             inst = record.peek(level)
             if inst is not None and inst.has_copy and level not in image.attached:
                 raise InvariantViolation(

@@ -73,12 +73,11 @@ class FaultDomain:
         self.resilience = resilience
         self.clock = clock
         self.telemetry = telemetry
-        self.enabled = config.enabled
-        self.plan = FaultPlan(config) if config.enabled else None
+        self.plan = FaultPlan(config) if config.injects else None
         #: stores stamp blobs with a pristine CRC whenever either side of
         #: the subsystem is active (injection needs it detectable, recovery
         #: needs it verifiable).
-        self.meta_crc = config.enabled or resilience.enabled
+        self.meta_crc = config.injects or resilience.enabled
         self._lock = threading.Lock()
         self._put_attempts: Dict[Tuple[str, int, int], int] = {}
         self._crash_fired = False
@@ -89,7 +88,7 @@ class FaultDomain:
     # -- link transfer faults ----------------------------------------------
     def attach(self, link) -> None:
         """Hook a link (no-op unless transfer faults are configured)."""
-        if not self.enabled or self.config.transfer_fault_rate <= 0.0:
+        if self.config.transfer_fault_rate <= 0.0:
             return
         if not self.plan.link_matches(link.name):
             return
@@ -103,7 +102,7 @@ class FaultDomain:
         returns a slowdown multiplier (``>= 1``) during a brownout, ``1.0``
         when healthy.
         """
-        if not self.enabled or not self.config.tier_outages:
+        if not self.config.tier_outages:
             return 1.0
         factor = self.plan.outage(tier, self.clock.now())
         if factor is None:
@@ -122,7 +121,7 @@ class FaultDomain:
 
     def hard_outage(self, tier: str) -> bool:
         """Whether ``tier`` is inside a hard-outage window right now."""
-        if not self.enabled or not self.config.tier_outages:
+        if not self.config.tier_outages:
             return False
         return self.plan.outage(tier, self.clock.now()) == 0.0
 
@@ -133,7 +132,7 @@ class FaultDomain:
         Attempt-indexed per (store, key) so a re-put after detection draws
         an independent decision.
         """
-        if not self.enabled or self.config.corruption_rate <= 0.0:
+        if self.config.corruption_rate <= 0.0:
             return None
         attempt_key = (track, int(key[0]), int(key[1]))
         with self._lock:
@@ -155,7 +154,7 @@ class FaultDomain:
     # -- crash points -------------------------------------------------------
     def crash_point(self, point: str, ckpt_id: int) -> bool:
         """Whether the configured crash point fires here (at most once)."""
-        if not self.enabled or self.config.crash_point is None:
+        if self.config.crash_point is None:
             return False
         with self._lock:
             if self._crash_fired:

@@ -158,7 +158,7 @@ class JournalObserver:
                 record.ckpt_id,
                 store=where.track,
                 level=level.name,
-                nominal_size=record.stored_size(level),
+                nominal_size=record.physical_size,
                 meta=self.recovery_meta(record),
             )
 
@@ -234,7 +234,6 @@ class RecipeStore:
             "physical_size": image.physical_size,
             "depth": image.depth,
             "base_ckpt": image.base_ckpt,
-            "site_level": int(image.site_level),
             "chunks": [
                 {
                     "digest": chunk.digest.hex(),
@@ -275,7 +274,6 @@ class RecipeStore:
     def load(self, process_id: int, ckpt_id: int):
         """Rebuild a ReducedImage from the stored recipe, or None."""
         from repro.reduce.pipeline import ImageChunk, ReducedImage
-        from repro.tiers.base import TierLevel
 
         with self._lock:
             doc = self._recipes.get((process_id, ckpt_id))
@@ -306,5 +304,4 @@ class RecipeStore:
                 physical_size=int(doc["physical_size"]),
                 depth=int(doc["depth"]),
                 base_ckpt=doc["base_ckpt"],
-                site_level=TierLevel(int(doc["site_level"])),
             )

@@ -1,24 +1,22 @@
 """The per-engine reduction pipeline (chunk → dedup → delta → compress).
 
-One :class:`Reducer` per engine sits between the write path and the tier
-links.  ``encode`` turns a checkpoint's logical payload into a
+One :class:`Reducer` per engine encodes a checkpoint on the device before
+it is placed in the GPU cache.  ``encode`` turns the logical payload into a
 :class:`ReducedImage`: the chunk recipe, each chunk classified as *new*
 (first sighting), *dup* (content-addressed hit against any live image) or
 *delta* (small byte diff against the previous checkpoint's same-position
-chunk), plus the resulting **physical** size after the modeled codec.  The
-physical size is what flows into cache placement, eviction scoring and
-link transfer durations; ``reconstruct`` rebuilds the full logical payload
-(chunk reassembly, modeled delta apply + decode charge) before a restore
-completes.
+chunk), plus the resulting **physical** size after the modeled codec.
+``reconstruct`` rebuilds the full logical payload (chunk reassembly,
+modeled delta apply + decode charge) once, at a restore's copy-out.
 
-Representation rule: every tier at or below the reduction *site* holds the
-physical form (extents and store blobs are zero-filled placeholders of
-``record.physical_size``; the real bytes live in the image's chunks), while
-tiers above the site hold the untouched logical payload.  Delta encoding is
-*modeled* — each image keeps its own chunk bytes, so reconstruction never
-chases a base image — but the chain bookkeeping is real: depth is bounded
-by ``max_delta_chain`` via automatic rebasing, and the decode charge grows
-with depth.
+One representation: every tier holds the physical form, so
+``record.physical_size`` is what cache placement, eviction scoring and
+every link transfer use (extents and store blobs are zero-filled
+placeholders of that size; the real bytes live in the image's chunks).
+Delta encoding is *modeled* — each image keeps its own chunk bytes, so
+reconstruction never chases a base image — but the chain bookkeeping is
+real: depth is bounded by :data:`MAX_DELTA_CHAIN` via automatic rebasing,
+and the decode charge grows with depth.
 
 Locking: the reducer has its own lock, always acquired *after* the engine
 monitor (the eviction hook runs monitor-held) and never the other way
@@ -36,17 +34,23 @@ from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 import numpy as np
 
 from repro.clock import VirtualClock
-from repro.config import ReduceConfig, ScaleModel
+from repro.config import ScaleModel
 from repro.errors import IntegrityError
-from repro.reduce.chunking import chunk_payload
 from repro.reduce.chunkstore import ChunkRegistry, ChunkStore
-from repro.reduce.codec import CodecModel, get_codec
 from repro.telemetry import Telemetry
 from repro.tiers.base import TierLevel
+from repro.util.units import GiB, MiB
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.catalog import CheckpointRecord
 
+#: nominal bytes per chunk, fixed-size boundaries (the RTM shot workloads
+#: correlate their payloads in blocks of the same size).
+CHUNK_SIZE = 8 * MiB
+#: longest allowed chain of delta-encoded checkpoints; the next encode past
+#: the bound *rebases* (stores a self-contained version) so restore latency
+#: stays predictable.
+MAX_DELTA_CHAIN = 4
 #: a chunk is delta-encoded only when its diff is below this fraction of
 #: the chunk size (otherwise the full chunk is cheaper to store).
 DELTA_THRESHOLD = 0.6
@@ -55,6 +59,14 @@ DELTA_THRESHOLD = 0.6
 CHAIN_PENALTY = 0.25
 #: nominal metadata bytes charged per chunk reference in the recipe.
 RECIPE_OVERHEAD = 48
+#: the modeled codec, an LZ4-class compressor on the GPU (nvCOMP-class
+#: rates, calibrated to published numbers on HPC floating-point
+#: checkpoints): no real compressor runs, the ratio (compressed/original)
+#: applies to the bytes that survive dedup and delta, and the rates are
+#: charged on the virtual clock in nominal bytes per second.
+CODEC_RATIO = 0.62
+ENCODE_BANDWIDTH = 60.0 * GiB
+DECODE_BANDWIDTH = 90.0 * GiB
 
 
 @dataclass(frozen=True)
@@ -83,7 +95,6 @@ class ReducedImage:
     #: delta-chain depth: 0 = self-contained, k = k delta hops to a base.
     depth: int
     base_ckpt: Optional[int]
-    site_level: TierLevel
     #: tiers currently holding this image's physical form (refcounted in
     #: the per-tier chunk stores); mutated only under the reducer lock.
     attached: Set[TierLevel] = field(default_factory=set)
@@ -106,23 +117,15 @@ class Reducer:
 
     def __init__(
         self,
-        config: ReduceConfig,
         scale: ScaleModel,
         clock: VirtualClock,
         telemetry: Optional[Telemetry] = None,
         process_id: int = 0,
-        gpudirect: bool = False,
         recipes=None,
     ) -> None:
-        self.config = config
         self.scale = scale
         self.clock = clock
         self.process_id = process_id
-        #: GPUDirect bypasses the host tier entirely, so a host-site
-        #: boundary has nowhere to encode; force the device-side variant.
-        self.site = "gpu" if gpudirect else config.site
-        self.site_level = TierLevel.GPU if self.site == "gpu" else TierLevel.HOST
-        self.codec: CodecModel = get_codec(config.codec)
         self.registry = ChunkRegistry()
         self.stores: Dict[TierLevel, ChunkStore] = {
             level: ChunkStore(level) for level in TierLevel
@@ -162,31 +165,26 @@ class Reducer:
         self._m_chain_depth = registry.histogram("reduce.delta_chain_depth")
 
     # -- encode ------------------------------------------------------------
-    def covers(self, level: TierLevel) -> bool:
-        """Whether ``level`` holds the physical (reduced) form."""
-        return level >= self.site_level
-
     def encode(self, record: "CheckpointRecord", payload: np.ndarray) -> float:
         """Reduce a checkpoint's logical payload; monitor NOT held.
 
         Sets ``record.physical_size`` / ``record.reduction`` and charges the
         modeled encode cost on the virtual clock (returned in nominal
-        seconds).  Must run before any reservation at or below the site
-        tier, so the physical size is what gets placed.
+        seconds).  Must run before the GPU reservation, so the physical size
+        is what gets placed.
         """
-        cfg = self.config
         scale = self.scale
-        spans = chunk_payload(payload, cfg, scale)
+        step = max(1, CHUNK_SIZE // scale.data_scale)  # payload bytes per chunk
         pieces = []
-        for span in spans:
-            data = np.ascontiguousarray(payload[span.offset : span.offset + span.length])
+        for offset in range(0, int(payload.size), step):
+            data = np.ascontiguousarray(payload[offset : offset + step])
             digest = hashlib.blake2b(data, digest_size=16).digest()
-            pieces.append((span, digest, data))
+            pieces.append((data.size * scale.data_scale, digest, data))
         with self._lock:
             base = self._last_image
-            delta_allowed = cfg.delta and base is not None
+            delta_allowed = base is not None
             rebased = False
-            if delta_allowed and base.depth + 1 > cfg.max_delta_chain:
+            if delta_allowed and base.depth + 1 > MAX_DELTA_CHAIN:
                 # Chain at the bound: store self-contained, reset depth.
                 delta_allowed = False
                 rebased = True
@@ -194,31 +192,29 @@ class Reducer:
             seen_here: Set[bytes] = set()
             used_delta = False
             fresh_nominal = 0
-            for index, (span, digest, data) in enumerate(pieces):
+            for index, (nominal, digest, data) in enumerate(pieces):
                 frozen = data.copy()
                 frozen.flags.writeable = False
                 if digest in seen_here or self.registry.is_live(digest):
-                    chunks.append(
-                        ImageChunk(digest, span.nominal_size, frozen, "dup", 0)
-                    )
+                    chunks.append(ImageChunk(digest, nominal, frozen, "dup", 0))
                     continue
                 seen_here.add(digest)
-                kind, stored = "new", span.nominal_size
+                kind, stored = "new", nominal
                 if delta_allowed and index < len(base.chunks):
                     base_chunk = base.chunks[index]
                     if base_chunk.payload.size == frozen.size:
                         diff = int(np.count_nonzero(base_chunk.payload != frozen))
                         diff_nominal = diff * scale.data_scale
-                        if diff_nominal < DELTA_THRESHOLD * span.nominal_size:
+                        if diff_nominal < DELTA_THRESHOLD * nominal:
                             # Offset/value pairs: ~2 nominal bytes per
                             # differing byte, never worse than the full chunk.
                             kind = "delta"
-                            stored = min(2 * diff_nominal, span.nominal_size)
+                            stored = min(2 * diff_nominal, nominal)
                             used_delta = True
-                chunks.append(ImageChunk(digest, span.nominal_size, frozen, kind, stored))
+                chunks.append(ImageChunk(digest, nominal, frozen, kind, stored))
                 fresh_nominal += stored
             depth = base.depth + 1 if (used_delta and base is not None) else 0
-            compressed = math.ceil(fresh_nominal * self.codec.ratio)
+            compressed = math.ceil(fresh_nominal * CODEC_RATIO)
             physical = min(
                 record.nominal_size,
                 scale.align(compressed + RECIPE_OVERHEAD * len(chunks)),
@@ -230,7 +226,6 @@ class Reducer:
                 physical_size=physical,
                 depth=depth,
                 base_ckpt=base.ckpt_id if used_delta else None,
-                site_level=self.site_level,
             )
             self._prev_image = self._last_image
             self._last_image = image
@@ -263,7 +258,7 @@ class Reducer:
         if self._m_logical.value:
             self._m_ratio.set(self._m_physical.value / self._m_logical.value)
         self._m_chain_depth.observe(float(depth))
-        seconds = record.nominal_size / self.codec.encode_bandwidth(self.site)
+        seconds = record.nominal_size / ENCODE_BANDWIDTH
         self._m_encode_s.observe(seconds)
         self.telemetry.bus.instant(
             "reduce-encode",
@@ -301,10 +296,9 @@ class Reducer:
         record.physical_size = record.nominal_size
 
     # -- reconstruction ----------------------------------------------------
-    def reconstruct(
-        self, record: "CheckpointRecord", source_level: TierLevel
-    ) -> Tuple[np.ndarray, float]:
-        """Rebuild the full logical payload from ``source_level``'s copy.
+    def reconstruct(self, record: "CheckpointRecord") -> Tuple[np.ndarray, float]:
+        """Rebuild the full logical payload from the GPU copy, at a restore's
+        copy-out.
 
         Returns ``(payload, nominal_seconds)``; the decode charge (chunk
         reassembly + delta apply + decompression, scaled by the chain-depth
@@ -316,22 +310,18 @@ class Reducer:
                 f"checkpoint {record.ckpt_id} has no reduction image"
             )
         with self._lock:
-            store = self.stores[source_level]
-            if source_level in image.attached:
+            store = self.stores[TierLevel.GPU]
+            if TierLevel.GPU in image.attached:
                 for chunk in image.chunks:
                     if not store.contains(chunk.digest):
                         raise IntegrityError(
                             f"checkpoint {record.ckpt_id}: chunk "
                             f"{chunk.digest.hex()} unreferenced on "
-                            f"{source_level.name} during reconstruction"
+                            "GPU during reconstruction"
                         )
             parts = [chunk.payload for chunk in image.chunks]
         payload = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        seconds = (
-            image.logical_size
-            / self.codec.decode_bandwidth(self.site)
-            * (1.0 + image.depth * CHAIN_PENALTY)
-        )
+        seconds = image.logical_size / DECODE_BANDWIDTH * (1.0 + image.depth * CHAIN_PENALTY)
         self._m_decode_s.observe(seconds)
         self.clock.sleep(seconds)
         return payload, seconds
@@ -382,10 +372,8 @@ class Reducer:
     # inside it (module docstring).
     def on_landed(self, record: "CheckpointRecord", where) -> None:
         """A complete copy landed on one of the engine's own tiers: count
-        its chunks there when that tier holds the physical form."""
-        image = record.reduction
-        if image is not None and where.level >= image.site_level:
-            self.attach(record, where.level)
+        its chunks there."""
+        self.attach(record, where.level)
 
     def on_dropped(self, record: "CheckpointRecord", where) -> None:
         """An extent was evicted or released, or a durable blob deleted."""

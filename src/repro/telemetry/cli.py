@@ -483,15 +483,12 @@ def live_run_flags() -> argparse.ArgumentParser:
 
 def faults_from_args(args) -> Optional[FaultConfig]:
     """The fault plan :func:`live_run_flags` asked for, or ``None`` when it
-    injects nothing (it differs from the default plan in its seed alone);
-    :class:`ConfigError` for node chaos without ``--cluster`` or a plan
-    ``FaultConfig`` rejects."""
+    injects nothing; :class:`ConfigError` for node chaos without
+    ``--cluster`` or a plan ``FaultConfig`` rejects."""
     if (args.node_crash or args.node_rejoin or args.partition) and args.cluster is None:
         raise ConfigError("--node-crash/--node-rejoin/--partition need --cluster")
     plan = from_flags(FaultConfig, args)
-    if plan == FaultConfig(seed=plan.seed):
-        return None
-    return dataclasses.replace(plan, enabled=True)
+    return plan if plan.injects else None
 
 
 #: the live-run flags :func:`run_trace` takes under their own names.

@@ -83,7 +83,7 @@ class ObjectStore:
         # the pristine-CRC stamp is recorded whenever either injection or
         # resilience is active (detection needs it written, recovery needs
         # it verifiable).
-        self.faults = faults if (faults is not None and faults.enabled) else None
+        self.faults = faults if (faults is not None and faults.plan is not None) else None
         self._crc_meta = faults is not None and faults.meta_crc
         self.telemetry = telemetry or Telemetry.disabled()
         registry = self.telemetry.registry

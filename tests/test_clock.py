@@ -25,16 +25,6 @@ def busy_runner(clock):
 
 
 class TestConversions:
-    def test_identity_scale(self):
-        c = VirtualClock(1.0)
-        assert c.to_real(2.5) == 2.5
-        assert c.to_virtual(2.5) == 2.5
-
-    def test_compressing_scale(self):
-        c = VirtualClock(0.01)
-        assert c.to_real(100.0) == pytest.approx(1.0)
-        assert c.to_virtual(1.0) == pytest.approx(100.0)
-
     def test_invalid_scale_rejected(self):
         with pytest.raises(ConfigError):
             VirtualClock(0.0)

@@ -142,19 +142,19 @@ class TestMembership:
     def test_partition_window_blocks_reachability(self):
         # The virtual clock is wall-driven, so window edges use extremes
         # (always-open / far-future) rather than racing the clock.
-        faults = FaultConfig(enabled=True, partitions=((0, 1, 0.0, 1e9),))
+        faults = FaultConfig(partitions=((0, 1, 0.0, 1e9),))
         with make_topology(chaos_config(faults=faults)) as topo:
             membership = topo.fabric.membership
             assert membership.active is True
             assert not membership.reachable(0, 1)
             assert not membership.reachable(1, 0)  # symmetric
             assert membership.reachable(0, 2)  # other pairs untouched
-        faults = FaultConfig(enabled=True, partitions=((0, 1, 1e9, 2e9),))
+        faults = FaultConfig(partitions=((0, 1, 1e9, 2e9),))
         with make_topology(chaos_config(faults=faults)) as topo:
             assert topo.fabric.membership.reachable(0, 1)  # window not open
 
     def test_scheduled_crash_applies_on_tick(self):
-        faults = FaultConfig(enabled=True, node_crashes=((1, 0.0, "fail-stop"),))
+        faults = FaultConfig(node_crashes=((1, 0.0, "fail-stop"),))
         with make_topology(chaos_config(faults=faults)) as topo:
             membership = topo.fabric.membership
             assert membership.state(1) == "up"  # not applied yet
@@ -246,7 +246,7 @@ class TestRepair:
 
 class TestDegradedReads:
     def test_partition_isolating_all_peers_drops_to_pfs(self):
-        faults = FaultConfig(enabled=True, partitions=((2, 1, 0.0, 1e9),))
+        faults = FaultConfig(partitions=((2, 1, 0.0, 1e9),))
         cfg = tiny_config(
             num_nodes=3,
             cluster=ClusterConfig(enabled=True, replica_factor=1),
@@ -354,7 +354,7 @@ class TestCrashMatrix:
     @pytest.mark.parametrize("stage", CRASH_STAGES)
     @pytest.mark.parametrize("mode", ["fail-stop", "power-loss"])
     def test_stage_boundary_node_crash_preserves_durable_data(self, stage, mode):
-        faults = FaultConfig(enabled=True, crash_point=f"after-{stage}", crash_ckpt=0)
+        faults = FaultConfig(crash_point=f"after-{stage}", crash_ckpt=0)
         with make_topology(chaos_config(num_nodes=3, faults=faults)) as topo:
             session = topo.service.connect("c0")
             home = session.engine
@@ -394,7 +394,6 @@ class TestEquivalence:
     def _run(self, chaos):
         if chaos:
             faults = FaultConfig(
-                enabled=True,
                 node_crashes=((1, 1e9, "fail-stop"),),
                 partitions=((0, 2, 1e9, 2e9),),
             )

@@ -41,7 +41,7 @@ def test_bad_knobs_raise(kwargs):
 )
 def test_bad_node_chaos_entries_raise(kwargs):
     with pytest.raises(ConfigError):
-        FaultConfig(enabled=True, **kwargs)
+        FaultConfig(**kwargs)
 
 
 def test_node_chaos_ids_validated_against_node_count():
@@ -49,13 +49,13 @@ def test_node_chaos_ids_validated_against_node_count():
         RuntimeConfig(
             num_nodes=2,
             cluster=ClusterConfig(enabled=True),
-            faults=FaultConfig(enabled=True, node_crashes=((5, 1.0, "fail-stop"),)),
+            faults=FaultConfig(node_crashes=((5, 1.0, "fail-stop"),)),
         )
     # In range is fine.
     RuntimeConfig(
         num_nodes=2,
         cluster=ClusterConfig(enabled=True),
-        faults=FaultConfig(enabled=True, node_crashes=((1, 1.0, "fail-stop"),)),
+        faults=FaultConfig(node_crashes=((1, 1.0, "fail-stop"),)),
     )
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.topology import ClusterTopology
-from repro.config import ClusterConfig, FaultConfig, ResilienceConfig
+from repro.config import ClusterConfig, ResilienceConfig
 from repro.errors import TransientTransferError
 from repro.util.rng import make_rng
 from repro.util.units import MiB
@@ -137,7 +137,6 @@ class TestPeerReads:
         cfg = tiny_config(
             num_nodes=3,
             cluster=ClusterConfig(enabled=True),
-            faults=FaultConfig(enabled=True),
         )
         with make_topology(cfg) as topo:
             session, want = submit_one(topo)  # flush completes pre-outage

@@ -103,7 +103,7 @@ def test_observers_see_every_landing_and_drop_once(reduce):
     # rot in one is invisible to a restore: the repair scenario needs the run
     # without reduction, the chunk-refcount invariant the run with it.
     cfg = tiny_config(
-        faults=FaultConfig(enabled=True, tier_outages=(("ssd", 1000.0, 2000.0, 0.0),)),
+        faults=FaultConfig(tier_outages=(("ssd", 1000.0, 2000.0, 0.0),)),
         **dict(ALL_ON, reduce=ReduceConfig(enabled=reduce)),
     )
     with Cluster(cfg) as cluster:
@@ -374,7 +374,7 @@ def test_one_flag_builds_the_base_tables_plus_its_rows(feature):
 def test_resilience_off_an_ssd_outage_queues_no_backfill():
     """Without resilience nothing reroutes, so the backfill drain that runs
     unconditionally finds its queue empty: the dark SSD just abandons."""
-    cfg = tiny_config(faults=FaultConfig(enabled=True, tier_outages=(("ssd", 0.0, 1000.0, 0.0),)))
+    cfg = tiny_config(faults=FaultConfig(tier_outages=(("ssd", 0.0, 1000.0, 0.0),)))
     with Cluster(cfg) as cluster:
         cluster.faults.clock = FaultClock(0.0)
         ctx = cluster.process_contexts()[0]

@@ -48,7 +48,7 @@ def fast_clock():
 
 class TestFaultPlan:
     def test_decisions_are_deterministic(self):
-        cfg = FaultConfig(enabled=True, transfer_fault_rate=0.3, seed=7)
+        cfg = FaultConfig(transfer_fault_rate=0.3, seed=7)
         a = FaultPlan(cfg)
         b = FaultPlan(cfg)
         stream_a = [a.transfer_fault("h2f-link", seq, NBYTES) for seq in range(200)]
@@ -57,17 +57,16 @@ class TestFaultPlan:
         assert any(cut is not None for cut in stream_a)
 
     def test_seed_changes_the_stream(self):
-        base = FaultConfig(enabled=True, transfer_fault_rate=0.3, seed=7)
-        other = FaultConfig(enabled=True, transfer_fault_rate=0.3, seed=8)
+        base = FaultConfig(transfer_fault_rate=0.3, seed=7)
+        other = FaultConfig(transfer_fault_rate=0.3, seed=8)
         stream_a = [FaultPlan(base).transfer_fault("x", s, NBYTES) for s in range(200)]
         stream_b = [FaultPlan(other).transfer_fault("x", s, NBYTES) for s in range(200)]
         assert stream_a != stream_b
 
     def test_rate_bounds(self):
-        never = FaultPlan(FaultConfig(enabled=True, transfer_fault_rate=0.0))
+        never = FaultPlan(FaultConfig(transfer_fault_rate=0.0))
         assert all(never.transfer_fault("x", s, NBYTES) is None for s in range(50))
         cfg = FaultConfig(
-            enabled=True,
             transfer_fault_rate=1.0,
             min_fault_fraction=0.25,
             max_fault_fraction=0.75,
@@ -80,14 +79,13 @@ class TestFaultPlan:
             assert 0.25 * NBYTES <= cut <= 0.75 * NBYTES
 
     def test_link_filter(self):
-        cfg = FaultConfig(enabled=True, transfer_fault_rate=1.0, fault_links=("ssd",))
+        cfg = FaultConfig(transfer_fault_rate=1.0, fault_links=("ssd",))
         plan = FaultPlan(cfg)
         assert plan.transfer_fault("node0-ssd-write", 0, NBYTES) is not None
         assert plan.transfer_fault("d2h", 0, NBYTES) is None
 
     def test_outage_windows(self):
         cfg = FaultConfig(
-            enabled=True,
             tier_outages=(("ssd", 10.0, 20.0, 0.0), ("pfs", 5.0, 8.0, 0.25)),
         )
         plan = FaultPlan(cfg)
@@ -99,7 +97,7 @@ class TestFaultPlan:
         assert plan.outage("pfs", 12.0) is None
 
     def test_corruption_is_attempt_indexed(self):
-        cfg = FaultConfig(enabled=True, corruption_rate=1.0)
+        cfg = FaultConfig(corruption_rate=1.0)
         plan = FaultPlan(cfg)
         first = plan.corrupt("node0-ssd", (0, 3), 0, 4096)
         again = plan.corrupt("node0-ssd", (0, 3), 0, 4096)
@@ -107,22 +105,22 @@ class TestFaultPlan:
         assert first is not None and 0 <= first < 4096
 
     def test_crash_point_normalization(self):
-        bare = FaultPlan(FaultConfig(enabled=True, crash_point="h2f"))
+        bare = FaultPlan(FaultConfig(crash_point="h2f"))
         assert bare.crash_matches("before-h2f", 0)
         assert not bare.crash_matches("after-h2f", 0)
-        after = FaultPlan(FaultConfig(enabled=True, crash_point="after-f2p"))
+        after = FaultPlan(FaultConfig(crash_point="after-f2p"))
         assert after.crash_matches("after-f2p", 5)
         assert not after.crash_matches("before-f2p", 5)
 
     def test_crash_point_ckpt_filter(self):
-        plan = FaultPlan(FaultConfig(enabled=True, crash_point="d2h", crash_ckpt=3))
+        plan = FaultPlan(FaultConfig(crash_point="d2h", crash_ckpt=3))
         assert not plan.crash_matches("before-d2h", 2)
         assert plan.crash_matches("before-d2h", 3)
 
 
 class TestLinkFaultInjector:
     def test_draw_and_fault(self):
-        plan = FaultPlan(FaultConfig(enabled=True, transfer_fault_rate=1.0))
+        plan = FaultPlan(FaultConfig(transfer_fault_rate=1.0))
         inj = LinkFaultInjector("h2f", plan)
         cut = inj.draw(NBYTES)
         assert cut is not None
@@ -132,7 +130,7 @@ class TestLinkFaultInjector:
         assert inj.faults_injected == 1
 
     def test_sequence_advances(self):
-        plan = FaultPlan(FaultConfig(enabled=True, transfer_fault_rate=0.5))
+        plan = FaultPlan(FaultConfig(transfer_fault_rate=0.5))
         inj = LinkFaultInjector("x", plan)
         draws = [inj.draw(NBYTES) for _ in range(100)]
         # The per-link counter walks the plan's sequence: both outcomes occur.
@@ -377,7 +375,7 @@ class TestFaultDomain:
         )
 
     def test_disabled_domain_is_inert(self):
-        dom = self.make(FaultConfig(enabled=False, transfer_fault_rate=1.0))
+        dom = self.make(FaultConfig())
         assert dom.plan is None
         assert not dom.meta_crc
         assert dom.tier_gate("ssd", "node0-ssd", "put", (0, 0)) == 1.0
@@ -395,12 +393,10 @@ class TestFaultDomain:
 
     def test_disabled_domain_never_fires_an_armed_plan(self):
         """The engine's crash points and the fabric's peer-read gate ask the
-        domain with injection off too: an armed but disabled plan is inert."""
-        dom = self.make(
-            FaultConfig(
-                enabled=False, crash_point="h2f", tier_outages=(("ssd", 0.0, 10.0, 0.0),)
-            )
-        )
+        domain with injection off too: a plan aimed at a checkpoint and at
+        links, but with nothing to inject, is inert."""
+        dom = self.make(FaultConfig(crash_ckpt=0, fault_links=("ssd",), min_fault_fraction=0.1))
+        assert dom.plan is None
         for stage in CRASH_STAGES:
             for point in (stage, f"before-{stage}", f"after-{stage}"):
                 assert not dom.crash_point(point, 0)
@@ -408,7 +404,7 @@ class TestFaultDomain:
         assert dom.snapshot() == {"outage_hits": 0, "corruptions": 0, "crashes": 0}
 
     def test_meta_crc_follows_either_switch(self):
-        assert self.make(FaultConfig(enabled=True)).meta_crc
+        assert self.make(FaultConfig(corruption_rate=0.5)).meta_crc
         assert FaultDomain(
             FaultConfig(), ResilienceConfig(enabled=True), fast_clock()
         ).meta_crc
@@ -417,7 +413,7 @@ class TestFaultDomain:
     def test_hard_outage_gate_raises(self):
         clock = fast_clock()
         dom = self.make(
-            FaultConfig(enabled=True, tier_outages=(("ssd", 1.0, 2.0, 0.0),)),
+            FaultConfig(tier_outages=(("ssd", 1.0, 2.0, 0.0),)),
             clock=clock,
         )
         assert dom.tier_gate("ssd", "node0-ssd", "put", (0, 0)) == 1.0
@@ -433,21 +429,21 @@ class TestFaultDomain:
     def test_brownout_returns_slowdown(self):
         clock = fast_clock()
         dom = self.make(
-            FaultConfig(enabled=True, tier_outages=(("pfs", 0.0, 10.0, 0.25),)),
+            FaultConfig(tier_outages=(("pfs", 0.0, 10.0, 0.25),)),
             clock=clock,
         )
         assert dom.tier_gate("pfs", "pfs", "get", (0, 1)) == pytest.approx(4.0)
         assert not dom.hard_outage("pfs")  # brownout, not an outage
 
     def test_crash_point_is_one_shot(self):
-        dom = self.make(FaultConfig(enabled=True, crash_point="h2f"))
+        dom = self.make(FaultConfig(crash_point="h2f"))
         assert not dom.crash_point("before-d2h", 0)
         assert dom.crash_point("before-h2f", 0)
         assert not dom.crash_point("before-h2f", 1)  # fired already
         assert dom.snapshot()["crashes"] == 1
 
     def test_corruption_attempt_counter_advances(self):
-        dom = self.make(FaultConfig(enabled=True, corruption_rate=1.0))
+        dom = self.make(FaultConfig(corruption_rate=1.0))
         first = dom.corruption("node0-ssd", (0, 0), 4096)
         second = dom.corruption("node0-ssd", (0, 0), 4096)
         assert first is not None and second is not None
@@ -487,5 +483,20 @@ class TestConfigValidation:
             ResilienceConfig(**kwargs)
 
     def test_defaults_are_off(self):
-        assert not FaultConfig().enabled
+        assert not FaultConfig().injects
         assert not ResilienceConfig().enabled
+
+    def test_the_switch_is_derived_from_what_the_plan_injects(self):
+        assert not FaultConfig(
+            seed=5, fault_links=("ssd",), min_fault_fraction=0.1, crash_ckpt=2
+        ).injects
+        for knobs in (
+            {"transfer_fault_rate": 0.1},
+            {"corruption_rate": 0.1},
+            {"crash_point": "h2f"},
+            {"tier_outages": (("ssd", 1.0, 2.0, 0.0),)},
+            {"node_crashes": ((0, 1.0, "fail-stop"),)},
+            {"node_rejoins": ((0, 1.0),)},
+            {"partitions": ((0, 1, 1.0, 2.0),)},
+        ):
+            assert FaultConfig(**knobs).injects, knobs

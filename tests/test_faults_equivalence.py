@@ -1,4 +1,4 @@
-"""``FaultConfig.enabled=False`` / ``ResilienceConfig.enabled=False``
+"""A fault plan that injects nothing / ``ResilienceConfig.enabled=False``
 change nothing — the same discipline as ``SchedConfig`` / ``ReduceConfig``.
 
 The fault-injection plumbing (the ``link.fault_injector`` hook, the tier
@@ -8,8 +8,9 @@ off: no injector attaches, ``engine.retry_policy`` is ``None`` (so every
 retry wrapper collapses to a plain call), no CRC is stamped into store
 metadata, and the journal never sees a commit.  This test runs the same
 deterministic scenario on two fresh clusters — the default config and a
-config with every *other* fault/resilience knob set to non-default values
-but both ``enabled=False`` — and asserts identical eviction decision
+config with every fault knob that injects nothing on its own and every
+*other* resilience knob set to non-default values, resilience left
+``enabled=False`` — and asserts identical eviction decision
 streams, final cache layouts, tier byte counters, store metadata and
 restored bytes.
 
@@ -104,18 +105,14 @@ def _run_scenario(faults_cfg, resilience_cfg):
 
 def test_disabled_faults_and_resilience_are_bit_identical():
     default = _run_scenario(None, None)
-    # Every non-default knob set; enabled=False must make them all inert.
+    # Every knob set that injects nothing on its own, and every resilience
+    # knob under enabled=False: all must be inert.
     off = _run_scenario(
         FaultConfig(
-            enabled=False,
             seed=1234,
-            transfer_fault_rate=0.8,
             fault_links=("ssd", "pfs"),
             min_fault_fraction=0.1,
             max_fault_fraction=0.2,
-            tier_outages=(("ssd", 0.0, 1e9, 0.0),),
-            corruption_rate=1.0,
-            crash_point="before-h2f",
             crash_ckpt=0,
         ),
         ResilienceConfig(

@@ -117,7 +117,7 @@ class TestCorruptionRepair:
         catches each one and re-puts from the pristine payload, so every
         blob left visible on a durable tier verifies."""
         cfg = _config(
-            stream, faults=FaultConfig(enabled=True, seed=11, corruption_rate=0.5)
+            stream, faults=FaultConfig(seed=11, corruption_rate=0.5)
         )
         with Cluster(cfg) as cluster:
             ctx = cluster.process_contexts()[0]
@@ -149,7 +149,7 @@ def _crash_scenario(point, *, stream, gpudirect=False, nodes=1,
     with verified bytes."""
     cfg = _config(
         stream,
-        faults=FaultConfig(enabled=True, crash_point=point, crash_ckpt=1),
+        faults=FaultConfig(crash_point=point, crash_ckpt=1),
         num_nodes=nodes,
     )
     if reduce_cfg is not None:
@@ -238,7 +238,7 @@ class TestCrashMatrix:
 
     def test_crashed_engine_rejects_new_work(self):
         cfg = tiny_config(
-            faults=FaultConfig(enabled=True, crash_point="before-h2f", crash_ckpt=0),
+            faults=FaultConfig(crash_point="before-h2f", crash_ckpt=0),
             resilience=RESILIENT,
         )
         with Cluster(cfg) as cluster:
@@ -268,7 +268,7 @@ class TestOutageRerouteAndBackfill:
         # before the durable hop reaches the SSD gate.
         cfg = _config(
             stream,
-            faults=FaultConfig(enabled=True, tier_outages=(("ssd", 0.0, 500.0, 0.0),)),
+            faults=FaultConfig(tier_outages=(("ssd", 0.0, 500.0, 0.0),)),
         )
         with Cluster(cfg) as cluster:
             ctx = cluster.process_contexts()[0]
@@ -311,7 +311,7 @@ class TestOutageRerouteAndBackfill:
         served from the PFS instead of failing."""
         cfg = _config(
             stream,
-            faults=FaultConfig(enabled=True, tier_outages=(("ssd", 1e6, 1e9, 0.0),)),
+            faults=FaultConfig(tier_outages=(("ssd", 1e6, 1e9, 0.0),)),
         )
         with Cluster(cfg) as cluster:
             ctx = cluster.process_contexts()[0]
@@ -395,7 +395,7 @@ class TestFlushWaitTimeout:
         # A deep brownout makes the h2f leg ~1000x slower than nominal, so
         # the timeout fires while the put is in flight.
         cfg = tiny_config(
-            faults=FaultConfig(enabled=True, tier_outages=(("ssd", 0.0, 1e9, 0.001),)),
+            faults=FaultConfig(tier_outages=(("ssd", 0.0, 1e9, 0.001),)),
             resilience=RESILIENT,
         )
         with Cluster(cfg) as cluster:
@@ -432,7 +432,7 @@ def test_injected_faults_never_change_restored_bytes(seed, rate):
     every restore returns exactly the checksum a fault-free run returns
     (which is the application buffer's own checksum)."""
     cfg = tiny_config(
-        faults=FaultConfig(enabled=True, seed=seed, transfer_fault_rate=rate),
+        faults=FaultConfig(seed=seed, transfer_fault_rate=rate),
         resilience=RESILIENT,
     )
     with Cluster(cfg) as cluster:

@@ -282,7 +282,7 @@ def test_small_object_plans_one_chunk_at_the_slower_link():
         pcie = links(topo, reader)[2]
         store = reader.read_source(reader.store_key(record))
         assert reader.chunks_for(small, store) == 1
-        assert not reader.fuses_host_promotion(record, SSD, store)
+        assert not reader.fuses_host_promotion(record, store)
         seconds = reader.promote_once(record, SSD, HOST, blocking=True, allow_pinned=True)
         assert seconds == pytest.approx(one_leg(topo, reader, small), rel=1e-9)
         assert record.peek(GPU) is None and record.peek(HOST).has_copy

@@ -123,7 +123,7 @@ class TestFusedLanding:
                     engine.catalog.get(v).peek(GPU).transition(
                         CkptState.READ_COMPLETE, engine.clock.now()
                     )
-            assert engine.fuses_host_promotion(record, SSD)
+            assert engine.fuses_host_promotion(record)
             seconds = engine.promote_once(
                 record, SSD, HOST, blocking=False, allow_pinned=False
             )
@@ -258,7 +258,7 @@ class TestReadChain:
 
     #: an open breaker stays open for the whole test (default: 5 nominal s).
     RESILIENT = ResilienceConfig(enabled=True, breaker_reset_s=1e6)
-    SSD_DARK_LATER = FaultConfig(enabled=True, tier_outages=(("ssd", 1e6, 1e9, 0.0),))
+    SSD_DARK_LATER = FaultConfig(tier_outages=(("ssd", 1e6, 1e9, 0.0),))
 
     def _flushed_to_pfs(self, stream, **changes):
         """One checkpoint durable on SSD and PFS, cached nowhere."""

@@ -1,12 +1,11 @@
 """``ReduceConfig.enabled=False`` changes nothing — the PR-2/3 discipline.
 
-The reduction plumbing (``stored_size``/``wire_size`` call sites, the
-``on_evict`` hook, the reducer gate in the engine) must be invisible when
-the knob is off: ``stored_size`` collapses to ``nominal_size`` because no
-record ever gets a reduction image, and ``on_evict`` is ``None``.  This
-test runs the same deterministic scenario on two fresh clusters — the
-default config and an ``enabled=False`` config with every *other* reduce
-knob set to non-default values — and asserts identical eviction decision
+The reduction plumbing (``physical_size`` call sites, the ``on_evict``
+hook, the reducer gate in the engine) must be invisible when the switch is
+off: ``physical_size`` stays ``nominal_size`` because no record ever gets a
+reduction image, and ``on_evict`` is ``None``.  This test runs the same
+deterministic scenario on two fresh clusters — the default config and an
+explicit ``enabled=False`` config — and asserts identical eviction decision
 streams, final cache layouts, tier byte counters and restored bytes.
 
 (Checkpoints are serialized with ``wait_for_flushes`` between operations so
@@ -73,32 +72,13 @@ def _run_scenario(reduce_cfg):
                     "tier.pfs.write_bytes",
                 )
             }
-            sizes = {
-                v: [
-                    engine.catalog.get(v).stored_size(level)
-                    for level in engine.catalog.get(v).instances
-                ]
-                for v in range(VERSIONS)
-            }
+            sizes = {v: engine.catalog.get(v).physical_size for v in range(VERSIONS)}
             return decisions, layouts, tier_bytes, sizes, restored
 
 
 def test_disabled_reduce_is_bit_identical():
     default = _run_scenario(None)
-    # Every non-default knob set; enabled=False must make them all inert.
-    off = _run_scenario(
-        ReduceConfig(
-            enabled=False,
-            site="host",
-            chunking="cdc",
-            chunk_size=4 * MiB,
-            min_chunk_size=1 * MiB,
-            max_chunk_size=16 * MiB,
-            delta=False,
-            max_delta_chain=1,
-            codec="zstd",
-        )
-    )
+    off = _run_scenario(ReduceConfig(enabled=False))
     for got, want in zip(off, default):
         assert json.dumps(got, sort_keys=True, default=str) == json.dumps(
             want, sort_keys=True, default=str
@@ -109,11 +89,7 @@ def test_disabled_reduce_is_bit_identical():
 
 def test_disabled_records_report_nominal_sizes():
     from repro.core.catalog import CheckpointRecord
-    from repro.tiers.base import TierLevel
 
     record = CheckpointRecord(0, 128 * MiB, 128 * MiB, 0)
     assert record.reduction is None
     assert record.physical_size == record.nominal_size
-    for level in TierLevel:
-        assert record.stored_size(level) == record.nominal_size
-    assert record.wire_size(TierLevel.GPU, TierLevel.PFS) == record.nominal_size

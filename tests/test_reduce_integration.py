@@ -1,12 +1,9 @@
 """End-to-end reduction: enabled-mode correctness across the tier cascade."""
 
-import pytest
-
 from repro.config import ReduceConfig
 from repro.core.engine import ScoreEngine
 from repro.core.validator import validate_engine
 from repro.tiers.topology import Cluster
-from repro.util.rng import make_rng
 from repro.util.units import MiB
 from repro.workloads.patterns import RestoreOrder, restore_order
 from repro.workloads.rtm import uniform_trace
@@ -16,12 +13,11 @@ from tests.conftest import make_buffer, tiny_config
 CKPT = 128 * MiB
 
 
-@pytest.mark.parametrize("site", ["gpu", "host"])
-def test_restores_byte_identical_under_churn(site):
+def test_restores_byte_identical_under_churn():
     """2.5 GiB through 0.5+2 GiB caches: reduced checkpoints survive
     eviction to SSD/PFS and restore byte-for-byte (CRC verified by the
     engine) with the validator's refcount invariants holding throughout."""
-    cfg = tiny_config(reduce=ReduceConfig(enabled=True, site=site))
+    cfg = tiny_config(reduce=ReduceConfig(enabled=True))
     with Cluster(cfg) as cluster:
         ctx = cluster.process_contexts()[0]
         with ScoreEngine(ctx, flush_to_pfs=True) as engine:
@@ -35,7 +31,7 @@ def test_restores_byte_identical_under_churn(site):
             out = ctx.device.alloc_buffer(CKPT)
             for v in restore_order(RestoreOrder.IRREGULAR, 20, seed=2):
                 engine.restore(v, out)
-                assert out.checksum() == sums[v], f"{site}: corruption at {v}"
+                assert out.checksum() == sums[v], f"corruption at {v}"
             validate_engine(engine)
             stats = engine.stats()["reduction"]
             assert stats["encodes"] == 20
@@ -69,14 +65,59 @@ def test_similar_payloads_dedup_and_shrink_tier_traffic():
             assert registry.counter("tier.pfs.write_bytes").value < logical
 
 
-def test_gpudirect_forces_gpu_site():
-    """GPUDirect has no host staging, so a host-site config must fall back
-    to device-side encoding and still restore correctly."""
-    cfg = tiny_config(reduce=ReduceConfig(enabled=True, site="host"))
+def test_every_tier_and_link_holds_the_one_physical_form():
+    """One reduced checkpoint through GPU → host → SSD → PFS: the PCIe
+    crossings, both cache extents and both durable writes are
+    ``physical_size`` bytes, and a restore off the durable tiers reassembles
+    the logical payload exactly once, at its copy-out."""
+    cfg = tiny_config(reduce=ReduceConfig(enabled=True), telemetry=True)
+    with Cluster(cfg) as cluster:
+        ctx = cluster.process_contexts()[0]
+        registry = cluster.telemetry.registry
+        with ScoreEngine(ctx, flush_to_pfs=True) as engine:
+            buf = make_buffer(ctx, CKPT, seed=1)
+            want = buf.checksum()
+            engine.checkpoint(0, buf)
+            engine.wait_for_flushes(timeout=600.0)
+            record = engine.catalog.get(0)
+            physical = record.physical_size
+            assert physical < record.nominal_size
+            assert engine.device.d2h_link.bytes_moved == physical
+            assert engine.gpu_cache.table.lookup(0).size == physical
+            assert engine.host_cache.table.lookup(0).size == physical
+            assert registry.counter("tier.ssd.write_bytes").value == physical
+            assert registry.counter("tier.pfs.write_bytes").value == physical
+            # Churn both caches until checkpoint 0 is held durably alone.
+            for v in range(1, 64):
+                if record.fastest_cached_level() is None:
+                    break
+                engine.checkpoint(v, make_buffer(ctx, CKPT, seed=1 + v))
+                engine.wait_for_flushes(timeout=600.0)
+            assert record.fastest_cached_level() is None
+            decodes = []
+            reconstruct = engine.reducer.reconstruct
+
+            def counted(rec):
+                decodes.append(rec.ckpt_id)
+                return reconstruct(rec)
+
+            engine.reducer.reconstruct = counted
+            h2d = engine.device.h2d_link.bytes_moved
+            out = ctx.device.alloc_buffer(CKPT)
+            engine.restore(0, out)
+            assert out.checksum() == want
+            assert decodes == [0]
+            assert engine.device.h2d_link.bytes_moved - h2d == physical
+            validate_engine(engine)
+
+
+def test_gpudirect_reduction_round_trip():
+    """GPUDirect skips the host tier; reduced checkpoints still flush
+    straight to the SSD and restore byte-for-byte."""
+    cfg = tiny_config(reduce=ReduceConfig(enabled=True))
     with Cluster(cfg) as cluster:
         ctx = cluster.process_contexts()[0]
         with ScoreEngine(ctx, gpudirect=True, flush_to_pfs=True) as engine:
-            assert engine.reducer.site == "gpu"
             sums = {}
             for v in range(8):
                 buf = make_buffer(ctx, CKPT, seed=100 + v)

@@ -621,7 +621,7 @@ class TestStreamedFaults:
                 assert not engine.ssd.contains((engine.process_id, 0))
                 # The reroute replayed the already-consumed chunks: the PFS
                 # moved the full wire size, not just the tail.
-                wire = record.wire_size(TierLevel.HOST, TierLevel.SSD)
+                wire = record.physical_size
                 reg = cluster.telemetry.registry
                 assert reg.counter("tier.pfs.write_bytes").value >= wire
                 out = ctx.device.alloc_buffer(CKPT)
@@ -634,9 +634,7 @@ class TestStreamedFaults:
         durability (reroute at whatever chunk boundary the gate trips)."""
         cfg = tiny_config(
             stream=STREAMING,
-            faults=FaultConfig(
-                enabled=True, tier_outages=(("ssd", 0.0, 1e9, 0.0),)
-            ),
+            faults=FaultConfig(tier_outages=(("ssd", 0.0, 1e9, 0.0),)),
             resilience=RESILIENT,
         )
         with Cluster(cfg) as cluster:

@@ -298,7 +298,7 @@ WRITABLE = ["ssd-memory", "ssd-file", "pfs"]
 
 
 def _faults(**config):
-    return FaultDomain(FaultConfig(enabled=True, **config), ResilienceConfig(), FaultClock())
+    return FaultDomain(FaultConfig(**config), ResilienceConfig(), FaultClock())
 
 
 def _make_store(kind, tmp_path, faults=None):

@@ -150,14 +150,13 @@ def test_flags_that_inject_nothing_build_no_fault_plan(flags):
 
 def test_an_outage_flag_arms_the_fault_plan():
     assert trace_cli.faults_from_args(_live_args("--outage", "ssd:1:2")) == FaultConfig(
-        enabled=True, tier_outages=(("ssd", 1.0, 2.0, 0.0),)
+        tier_outages=(("ssd", 1.0, 2.0, 0.0),)
     )
 
 
 def test_every_fault_flag_reaches_its_field():
     plan = trace_cli.faults_from_args(_live_args(*LIVE_ARGV))
     assert plan == FaultConfig(
-        enabled=True,
         seed=11,
         transfer_fault_rate=0.25,
         tier_outages=(("ssd", 1.0, 2.0, 0.0), ("pfs", 3.0, 4.0, 0.5)),

@@ -4,9 +4,9 @@
 Run from the repository root: ``python3 tools/census.py``.  Prints the size of
 ``src/`` and its six largest files, and the grep counts the open items track;
 exits non-zero when one of the hard ones is off — a wall-clock read outside
-``clock.py`` (ROADMAP item 1), a ``to_real(`` conversion outside it (a
-nominal deadline turned into wall seconds means nothing once the clock
-skips), a raw ``threading.Condition(``/``threading.Event(`` outside it (a
+``clock.py`` (ROADMAP item 1), a ``to_real(``/``to_virtual(`` conversion
+anywhere (a nominal deadline turned into wall seconds means nothing once the
+clock skips), a raw ``threading.Condition(``/``threading.Event(`` outside it (a
 wait the clock cannot see holds time at wall pace), more than five
 thread-creation sites or one whose target is not wrapped in the clock's
 ``runner(`` (items 1, 2: every thread that exists must be known to the
@@ -24,13 +24,16 @@ reached (``engine.resilient``, ``config.resilience.enabled``, a local
 one place meant to read them, is not counted.
 
 Three keep the configuration small and declared once (ROADMAP item 10):
-more than 102 "config fields" (the fields of ``repro.config``'s dataclasses)
-or 12 "raise ConfigError in config.py" (a constraint is declared on its field
+more than 93 "config fields" (the fields of ``repro.config``'s dataclasses)
+or 11 "raise ConfigError in config.py" (a constraint is declared on its field
 and checked by ``validate``; only rules relating two fields are code), or
 any "config fields never read outside config.py" (a knob no code reads is a
 constant with a check; by name, the two-field rules of ``__post_init__`` not
 counting as reads).  A new knob or hand-written check fails unless the same
-diff raises the limit.
+diff raises the limit.  Two more keep switches derived from what they
+switch: any "per-tier size reads in src/" (every tier holds a checkpoint in
+one form, ``record.physical_size``) or "hand-set fault switches" (a fault
+plan is on when it injects something, ``FaultConfig.injects``) fails.
 
 Two keep time skippable in tests and workloads: a "raw threading.Thread( in
 tests/ outside test_clock*.py" (one not started through ``clock.runner``;
@@ -69,15 +72,23 @@ CONFIG = SRC / "repro/config.py"
 TESTS = sorted(
     path for path in (SRC.parent / "tests").glob("*.py") if not path.name.startswith("test_clock")
 )
+#: every Python file of the program, its tests, benchmarks and examples.
+EVERYWHERE = FILES + sorted(
+    path for folder in ("tests", "benchmarks", "examples") for path in (SRC.parent / folder).rglob("*.py")
+)
 #: a read that asks which feature is on: a feature flag or handle tested.
 PATH_PICKS = (
-    r"\b(self|engine)\.(resilient|streaming)\b(?!\s*=[^=])|\bsched\.enabled\b|\bfaults\.enabled\b"
+    r"\b(self|engine)\.(resilient|streaming)\b(?!\s*=[^=])|\bsched\.enabled\b|\bfaults\.injects\b"
     r"|\b(predict|reducer|slo|retry_policy|fabric) is (not )?None"
     r"|\b(resilience|scfg|cluster)\.enabled\b|\bpeer_reads\b"
 )
 
 #: a wait given a fixed period: a timeout that is a numeric literal.
 POLL = r"virtual_timeout=\s*\.?\d|\.wait\(\s*\.?\d"
+
+#: a read of a per-tier checkpoint size, or a fault switch set by hand.
+PER_TIER_SIZES = r"stored_size\(|wire_size\(|site_level"
+FAULT_SWITCHES = r"FaultConfig\(enabled|faults\.enabled"
 
 #: an admission gate stacked on the caches' backpressure.
 GATES = (
@@ -168,7 +179,7 @@ def main() -> int:
         "threading.Thread( sites": sites(r"threading\.Thread\("),
         "broad except sites": sites(r"except (Exception|BaseException)\b|except:"),
         "time.monotonic reads outside clock.py": sites(r"time\.monotonic\(", skip=("clock.py",)),
-        "to_real( callers outside clock.py": sites(r"(?<!def )to_real\(", skip=("clock.py",)),
+        "to_real(/to_virtual( sites": sites(r"to_(real|virtual)\(", EVERYWHERE),
         "raw threading.Condition(/Event( outside clock.py": sites(
             r"threading\.(Condition|Event)\(", skip=("clock.py",)
         ),
@@ -194,6 +205,8 @@ def main() -> int:
         "raw threading.Barrier( in src/": sites(r"threading\.Barrier\("),
         "fixed-period polls in src/": sites(POLL),
         "admission gates in src/": sites(GATES),
+        "per-tier size reads in src/": sites(PER_TIER_SIZES),
+        "hand-set fault switches": sites(FAULT_SWITCHES, EVERYWHERE),
     }
     for what, where in counts.items():
         print(f"{len(where):4d} {what}")
@@ -202,15 +215,15 @@ def main() -> int:
     print(f"{registered}/{total} thread-creation sites registered with the clock")
     hard = {
         "time.monotonic reads outside clock.py": 0,
-        "to_real( callers outside clock.py": 0,
+        "to_real(/to_virtual( sites": 0,
         "raw threading.Condition(/Event( outside clock.py": 0,
         "thread sites not registered with the clock": 0,
         "threading.Thread( sites": 5,
         "promote_once( call sites": 1,
         "cost_cache_enabled mentions": 0,
         "path-picking reads in core/": 6,
-        "config fields": 102,
-        "raise ConfigError in config.py": 12,
+        "config fields": 93,
+        "raise ConfigError in config.py": 11,
         "config fields never read outside config.py": 0,
         "raw threading.Thread( in tests/ outside test_clock*.py": 0,
         "raw threading.Barrier( in src/": 0,
@@ -218,6 +231,8 @@ def main() -> int:
         ".transfer( call sites in cluster/fabric.py and core/hop.py": 0,
         "fixed-period polls in src/": 0,
         "admission gates in src/": 0,
+        "per-tier size reads in src/": 0,
+        "hand-set fault switches": 0,
     }
     failed = [what for what, limit in hard.items() if len(counts[what]) > limit]
     for what in failed:
