@@ -62,12 +62,7 @@ def build_config() -> RuntimeConfig:
         charge_allocation_cost=False,
         num_nodes=NODES,
         processes_per_node=ENGINES_PER_NODE,
-        cluster=ClusterConfig(
-            enabled=True,
-            replica_factor=REPLICA_FACTOR,
-            repair=True,
-            failover=True,
-        ),
+        cluster=ClusterConfig(enabled=True, replica_factor=REPLICA_FACTOR),
     )
 
 

@@ -24,6 +24,10 @@ from typing import Deque, List, Optional, Tuple
 
 from repro.config import SloConfig
 
+#: observations required in the window before burn alerts can fire
+#: (suppresses alerts off a single early violation).
+MIN_SAMPLES = 8
+
 
 class SloObjective:
     """One rolling-window latency objective."""
@@ -53,7 +57,7 @@ class SloObjective:
             window.popleft()
         burn = self.burn_rate()
         firing = (
-            len(window) >= self.cfg.min_samples
+            len(window) >= MIN_SAMPLES
             and burn > self.cfg.burn_rate_threshold
         )
         alert = None

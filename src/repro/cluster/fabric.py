@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.cluster.aggregator import PfsWriteAggregator
 from repro.cluster.directory import ReplicaDirectory, StoreKey
 from repro.cluster.membership import MembershipRegistry
+from repro.cluster.repair import ReplicaRepairer
 from repro.errors import TransientTransferError
 from repro.simgpu.bandwidth import Link
 from repro.tiers.base import ObjectStore, TierLevel
@@ -52,13 +53,9 @@ class ClusterFabric:
         self.pfs = cluster.pfs
         self.num_nodes = len(cluster.nodes)
         self.directory = ReplicaDirectory()
-        #: anti-entropy replica repair (None unless ``ClusterConfig.repair``);
-        #: built before the membership registry so crash sweeps can feed it.
-        self.repairer = None
-        if self.config.repair:
-            from repro.cluster.repair import ReplicaRepairer  # lazy: cycle
-
-            self.repairer = ReplicaRepairer(self)
+        #: anti-entropy replica repair: no thread, idle until a crash.  Built
+        #: before the membership registry so crash sweeps can feed it.
+        self.repairer = ReplicaRepairer(self)
         #: node liveness + crash/rejoin/partition chaos driver.  Inert
         #: (``membership.active`` False, zero per-op cost beyond one check)
         #: until node events are configured or a crash is triggered.

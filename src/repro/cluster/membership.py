@@ -20,8 +20,7 @@ A node is in one of three states:
     rejoined but still catching up.  The SSD is back online (power-loss
     crashes republish their surviving copies) and peers may read from it,
     but it stays out of the replication ring until the repairer's
-    catch-up backfill finishes (:meth:`mark_up`).  Without a repairer a
-    rejoin goes straight to ``up``.
+    catch-up backfill finishes (:meth:`mark_up`).
 
 Partitions are stateless window checks on the virtual clock — the same
 discipline as PR 5's tier outages — so :meth:`reachable` costs two
@@ -142,9 +141,7 @@ class MembershipRegistry:
         node = self.cluster.nodes[node_id]
         node.ssd.crash(preserve_contents=(mode == "power-loss"))
         withdrawn = self.fabric.directory.withdraw_node(node_id)
-        repairer = self.fabric.repairer
-        if repairer is not None:
-            repairer.note_withdrawn(withdrawn)
+        self.fabric.repairer.note_withdrawn(withdrawn)
         self._m_crashes.inc()
         self._m_live.set(len(self.live_nodes()))
         self.telemetry.bus.instant(
@@ -159,15 +156,13 @@ class MembershipRegistry:
         """Bring a crashed node back.
 
         The SSD powers on (a power-loss crash republishes its surviving
-        copies); with a repairer attached the node enters ``joining`` and
-        runs catch-up backfill before re-entering the replication ring,
-        otherwise it is immediately ``up``.  Idempotent for live nodes.
+        copies) and the node enters ``joining``: it runs catch-up backfill
+        before re-entering the replication ring.  Idempotent for live nodes.
         """
         with self._lock:
             if self._states.get(node_id) != DOWN:
                 return
-            repairer = self.fabric.repairer
-            self._states[node_id] = JOINING if repairer is not None else UP
+            self._states[node_id] = JOINING
         node = self.cluster.nodes[node_id]
         restored = node.ssd.power_on()
         self._m_rejoins.inc()
@@ -178,8 +173,7 @@ class MembershipRegistry:
             node=node_id,
             restored=len(restored),
         )
-        if repairer is not None:
-            repairer.backfill_node(node_id)
+        self.fabric.repairer.backfill_node(node_id)
 
     def mark_up(self, node_id: int) -> None:
         """Promote a ``joining`` node to ``up`` (backfill finished)."""

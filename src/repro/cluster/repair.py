@@ -10,8 +10,11 @@ from a surviving SSD holder — or from the PFS when no holder survived.
 
 Repair traffic is paced through the existing QoS machinery: every copy is
 tagged ``CASCADE_FLUSH``, so on scheduled links a demand restore always
-outranks repair, and ``repair_max_inflight`` bounds the burst one scan
+outranks repair, and ``REPAIR_MAX_INFLIGHT`` bounds the burst one scan
 can inject after a mass withdrawal.
+
+The fabric always builds a repairer; it has no thread of its own and
+does nothing until a node crashes.
 
 The repairer also runs the rejoin path's catch-up backfill
 (:meth:`backfill_node`): a node coming back copies everything its ring
@@ -37,6 +40,9 @@ REPAIR_TRACK = "cluster-repair"
 #: nominal seconds between repair rounds, so repair bandwidth is spread
 #: instead of burst-consumed.
 REPAIR_INTERVAL_S = 0.05
+#: cap on repair copies per scan (bounds the burst a mass withdrawal can
+#: inject into the fabric).
+REPAIR_MAX_INFLIGHT = 4
 
 
 class ReplicaRepairer:
@@ -76,16 +82,11 @@ class ReplicaRepairer:
         backfill computes the placement its still-``joining`` node is
         about to assume.
         """
-        membership = self.fabric.membership
         home = self._home_node(key)
         desired: List[int] = []
         for step in range(self.fabric.num_nodes):
             node = (home + step) % self.fabric.num_nodes
-            if (
-                membership is not None
-                and node != include
-                and not membership.in_ring(node)
-            ):
+            if node != include and not self.fabric.membership.in_ring(node):
                 continue
             desired.append(node)
             if len(desired) >= self.config.replica_factor:
@@ -107,14 +108,10 @@ class ReplicaRepairer:
         Directory entries below factor come first; then the lost keys
         (zero live holders) that still have a PFS copy to repair from.
         """
-        membership = self.fabric.membership
         factor = self.config.replica_factor
         work: List[Tuple[StoreKey, List[int]]] = []
         for key, holders in self.fabric.directory.snapshot():
-            live = [
-                h for h in holders
-                if membership is None or membership.can_serve_reads(h)
-            ]
+            live = [h for h in holders if self.fabric.membership.can_serve_reads(h)]
             if live and len(live) < factor:
                 work.append((key, live))
         with self._lock:
@@ -143,13 +140,12 @@ class ReplicaRepairer:
         the PFS when no holder is usable.  The target's ``put`` republishes
         the key in the directory via the normal commit path.
         """
-        membership = self.fabric.membership
         target_ssd = self.cluster.nodes[target].ssd
         source, origin, link = "pfs", self.fabric.pfs, None
         for holder in sources:
             if holder == target:
                 continue
-            if membership is not None and not membership.reachable(holder, target):
+            if not self.fabric.membership.reachable(holder, target):
                 continue
             if self.cluster.nodes[holder].ssd.contains(key):
                 source, origin = holder, self.cluster.nodes[holder].ssd
@@ -180,20 +176,18 @@ class ReplicaRepairer:
     def repair_once(self) -> int:
         """One anti-entropy scan; returns the copies made.
 
-        At most ``repair_max_inflight`` copies per scan keep a mass
+        At most ``REPAIR_MAX_INFLIGHT`` copies per scan keep a mass
         withdrawal from flooding the fabric in one burst — the interval
         between scans is the pacing knob.
         """
-        membership = self.fabric.membership
-        if membership is not None:
-            membership.tick()
+        self.fabric.membership.tick()
         copies = 0
         for key, holders in self.pending():
-            if copies >= self.config.repair_max_inflight:
+            if copies >= REPAIR_MAX_INFLIGHT:
                 break
             current = set(self.fabric.directory.holders(key))
             for target in self._desired_holders(key):
-                if copies >= self.config.repair_max_inflight:
+                if copies >= REPAIR_MAX_INFLIGHT:
                     break
                 if target in current:
                     continue
@@ -236,9 +230,7 @@ class ReplicaRepairer:
             if self._copy(key, holders, node_id):
                 copies += 1
                 self._m_backfills.inc()
-        membership = self.fabric.membership
-        if membership is not None:
-            membership.mark_up(node_id)
+        self.fabric.membership.mark_up(node_id)
         # The widened ring may shift placement; one scan settles factor.
         self.repair_once()
         return copies

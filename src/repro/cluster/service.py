@@ -4,28 +4,26 @@
 roadmap scaled down to the virtual clock: many concurrent clients drive
 ``submit`` / ``restore`` / ``query`` against a cluster of engines through
 per-client sessions. The message layer is in-process — an RPC is a
-method call that charges ``service_rpc_latency_s`` on the virtual clock —
-but the *control* structure is the real one:
+method call that charges ``RPC_LATENCY_S`` on the virtual clock — but the
+*control* structure is the real one:
 
 * **sessions** — ``connect`` pins each client to a home engine
-  (round-robin across the cluster) and is bounded by
-  ``service_max_sessions``; excess clients are refused with
-  :class:`~repro.errors.BackpressureError`.  ``disconnect`` drains the
-  session's in-flight RPCs and poisons the handle: any later call raises
-  a clean :class:`~repro.errors.LifecycleError`.
-* **admission** — each session allows ``service_queue_depth`` RPCs in
-  flight; the bound is enforced at the door rather than by queueing
-  unbounded work behind the engines.
+  (round-robin across the cluster).  ``disconnect`` drains the session's
+  in-flight RPCs and poisons the handle: any later call raises a clean
+  :class:`~repro.errors.LifecycleError`.
+* **admission** — every request on an open session is admitted and
+  counted in flight (the count ``disconnect`` drains); backpressure comes
+  from the engines' caches, as on the links (:mod:`repro.sched`).
 * **placement** — the service owns a global ``ckpt_id → home process``
   map, so any session can restore any checkpoint: a restore landing on a
   foreign engine adopts the record (:meth:`ScoreEngine.adopt_foreign`)
   and promotes it over the fabric — peer SSD when a healthy holder
   exists, PFS otherwise.
-* **failover** — with ``ClusterConfig.failover``, a session whose pinned
-  engine dies (node crash) is transparently re-pinned to a surviving
-  engine and the in-flight op is replayed idempotently: a submit whose
-  checkpoint already reached a durable tier is *not* re-executed, and a
-  restore simply re-routes through the fabric (peer SSD or PFS).
+* **failover** — a session whose pinned engine dies (node crash) is
+  transparently re-pinned to a surviving engine and the in-flight op is
+  replayed idempotently: a submit whose checkpoint already reached a
+  durable tier is *not* re-executed, and a restore simply re-routes
+  through the fabric (peer SSD or PFS).
 * **restore fan-in** — :meth:`restore_many` runs a batch of restores
   concurrently (one thread per RPC, like a real server's handler pool)
   and returns a structured :class:`RestoreResult` per item, so one failed
@@ -38,16 +36,13 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import (
-    BackpressureError,
-    CheckpointNotFound,
-    InjectedCrash,
-    LifecycleError,
-)
+from repro.errors import CheckpointNotFound, InjectedCrash, LifecycleError
 
 if TYPE_CHECKING:
-    from repro.config import ClusterConfig
     from repro.core.engine import ScoreEngine
+
+#: modeled one-way RPC latency per service call, nominal seconds.
+RPC_LATENCY_S = 200e-6
 
 
 @dataclass
@@ -61,7 +56,7 @@ class RestoreResult:
 
 
 class ClientSession:
-    """One client's handle: a home engine plus a bounded admission gate."""
+    """One client's handle: a home engine plus its count of RPCs in flight."""
 
     def __init__(self, service: "CheckpointService", client_id: str, engine) -> None:
         self.service = service
@@ -73,16 +68,10 @@ class ClientSession:
 
     # -- admission -------------------------------------------------------------
     def _admit(self) -> None:
-        depth = self.service.config.service_queue_depth
         with self._cond:
             if self._closed:
                 raise LifecycleError(
                     f"session {self.client_id} is disconnected"
-                )
-            if self._inflight >= depth:
-                raise BackpressureError(
-                    f"session {self.client_id}: {self._inflight} RPCs in flight "
-                    f"(queue depth {depth})"
                 )
             self._inflight += 1
 
@@ -110,7 +99,7 @@ class ClientSession:
             try:
                 return engine.checkpoint(ckpt_id, buffer)
             except InjectedCrash:
-                if not self.service._failover_ready(engine):
+                if not engine.crashed.is_set():
                     self.service._unplace(ckpt_id, engine.process_id)
                     raise
                 return self.service._failover_submit(self, ckpt_id, buffer, engine)
@@ -138,7 +127,7 @@ class ClientSession:
             try:
                 return self.service._restore_on(target, home_pid, ckpt_id, buffer)
             except InjectedCrash:
-                if not self.service._failover_ready(target):
+                if not target.crashed.is_set():
                     raise
                 # Explicit engine targets fail over too: any surviving
                 # engine can adopt the durable copy through the fabric.
@@ -160,16 +149,10 @@ class ClientSession:
 class CheckpointService:
     """Submit/restore/query front-end shared by every client session."""
 
-    def __init__(
-        self,
-        engines: Sequence["ScoreEngine"],
-        config: "ClusterConfig",
-        clock,
-    ) -> None:
+    def __init__(self, engines: Sequence["ScoreEngine"], clock) -> None:
         if not engines:
             raise LifecycleError("checkpoint service needs at least one engine")
         self.engines = list(engines)
-        self.config = config
         self.clock = clock
         self._lock = threading.Lock()
         self._sessions: Dict[str, ClientSession] = {}
@@ -192,11 +175,6 @@ class CheckpointService:
             session = self._sessions.get(client_id)
             if session is not None:
                 return session
-            if len(self._sessions) >= self.config.service_max_sessions:
-                raise BackpressureError(
-                    f"service at capacity: {len(self._sessions)} sessions "
-                    f"(limit {self.config.service_max_sessions})"
-                )
             engine = self.engines[self._next_engine % len(self.engines)]
             self._next_engine += 1
             session = ClientSession(self, client_id, engine)
@@ -221,10 +199,6 @@ class CheckpointService:
     def _membership(self):
         return None if self._fabric is None else self._fabric.membership
 
-    def _failover_ready(self, engine) -> bool:
-        """Whether the failed engine's op should fail over instead of raise."""
-        return self.config.failover and engine.crashed.is_set()
-
     def _live_engines(self) -> List["ScoreEngine"]:
         membership = self._membership()
         live = []
@@ -240,7 +214,7 @@ class CheckpointService:
     def _session_engine(self, session: ClientSession):
         """The session's engine, re-pinned away from a dead node first."""
         engine = session.engine
-        if self.config.failover and engine.crashed.is_set():
+        if engine.crashed.is_set():
             return self._repin(session, engine)
         return engine
 
@@ -336,8 +310,7 @@ class CheckpointService:
         membership = self._membership()
         if membership is not None and membership.active:
             membership.tick()
-        if self.config.service_rpc_latency_s > 0:
-            self.clock.sleep(self.config.service_rpc_latency_s)
+        self.clock.sleep(RPC_LATENCY_S)
 
     def _query(self, ckpt_id: int) -> dict:
         home_pid = self._home_of(ckpt_id)

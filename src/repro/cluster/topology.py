@@ -39,9 +39,7 @@ class ClusterTopology:
             with self.cluster.clock.setup():  # building is not a use of the clock
                 for ctx in self.cluster.process_contexts():
                     self.engines.append(ScoreEngine(ctx, **(engine_kwargs or {})))
-                self.service = CheckpointService(
-                    self.engines, config.cluster, self.cluster.clock
-                )
+                self.service = CheckpointService(self.engines, self.cluster.clock)
         except BaseException:
             self.close()
             raise

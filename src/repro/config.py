@@ -56,14 +56,8 @@ def within(interval: str) -> Check:
 
 
 def one_of(*choices) -> Check:
-    """One of ``choices``; a lone callable returns them when a value is
-    checked (a lazy import, cycle-free)."""
-
-    def check(value):
-        allowed = choices[0]() if callable(choices[0]) else choices
-        return None if value in allowed else f"one of {sorted(allowed)}"
-
-    return check
+    """One of ``choices``."""
+    return _check(f"one of {sorted(choices)}", lambda v: v in choices)
 
 
 def optional(check: Check) -> Check:
@@ -72,14 +66,14 @@ def optional(check: Check) -> Check:
 
 
 def tuple_of(**columns: Optional[Check]) -> Check:
-    """A tuple, never a bare string (its characters would pass for entries).
-    With ``columns``, each entry is a tuple of one item per column, each
-    passing its column's check (``None``: any)."""
+    """A tuple, never a bare string (its characters would pass for entries),
+    each entry a tuple of one item per column, each passing its column's
+    check (``None``: any)."""
 
     def check(value):
         if not isinstance(value, tuple):
             return "a tuple"
-        for index, entry in enumerate(value if columns else ()):
+        for index, entry in enumerate(value):
             if not isinstance(entry, tuple) or len(entry) != len(columns):
                 return f"a tuple of ({', '.join(columns)}) tuples, unlike entry {index}"
             for (name, item_check), item in zip(columns.items(), entry):
@@ -334,16 +328,9 @@ class FaultConfig(_Validated):
         "(independent of RuntimeConfig.seed so workload payloads stay identical across fault "
         "sweeps)."))
     transfer_fault_rate: float = knob(0.0, within("[0, 1]"), flag="--fault-rate", help=(
-        "probability that any one Link.transfer() call fails in flight with a "
+        "probability that any one Link.transfer() call, on any link, fails in flight with a "
         "TransientTransferError after moving a drawn fraction of its bytes (charged on the "
         "virtual clock)."))
-    #: restrict transfer faults to links whose name contains one of these
-    #: substrings (e.g. ``("ssd", "pfs")``); empty = all links.
-    fault_links: tuple = knob((), tuple_of())
-    #: the failing transfer moves a fraction of its bytes drawn uniformly
-    #: from [min_fault_fraction, max_fault_fraction] before the error.
-    min_fault_fraction: float = knob(0.05, within("(0, 1)"))
-    max_fault_fraction: float = knob(0.95, within("(0, 1)"))
     tier_outages: tuple = knob((), tuple_of(
         tier=one_of("ssd", "pfs"), start_s=non_negative, end_s=None, factor=within("[0, 1)"),
     ), flag="--outage TIER:START:END[:FACTOR]", help=(
@@ -370,9 +357,8 @@ class FaultConfig(_Validated):
         node_id=node_id, time_s=non_negative,
     ), flag="--node-rejoin NODE@TIME", help=(
         "scheduled node rejoins: (node_id, time_s) tuples.  A rejoining node powers its SSD "
-        "back on (power-loss crashes keep their blobs), republishes surviving copies, and — "
-        "when the repairer is enabled — stays out of the replication ring until catch-up "
-        "backfill finishes."))
+        "back on (power-loss crashes keep their blobs), republishes surviving copies, and "
+        "stays out of the replication ring until catch-up backfill finishes."))
     partitions: tuple = knob((), tuple_of(
         node_a=node_id, node_b=node_id, start_s=non_negative, end_s=None,
     ), flag="--partition A-B@START:END", help=(
@@ -393,11 +379,6 @@ class FaultConfig(_Validated):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.min_fault_fraction > self.max_fault_fraction:
-            raise ConfigError(
-                "fault fractions must satisfy min_fault_fraction <= max_fault_fraction: "
-                f"{self.min_fault_fraction} / {self.max_fault_fraction}"
-            )
         windows = [(f"tier_outages[{i}]", e[1], e[2]) for i, e in enumerate(self.tier_outages)]
         windows += [(f"partitions[{i}]", e[2], e[3]) for i, e in enumerate(self.partitions)]
         for where, start, end in windows:
@@ -406,12 +387,6 @@ class FaultConfig(_Validated):
         for index, (node_a, node_b, _, _) in enumerate(self.partitions):
             if node_a == node_b:
                 raise ConfigError(f"partitions[{index}] must have distinct endpoints: {node_a}")
-
-
-def _transfer_classes():
-    from repro.sched.request import TransferClass  # cycle-free (lazy)
-
-    return [member.name for member in TransferClass]
 
 
 @dataclass(frozen=True)
@@ -423,40 +398,16 @@ class ResilienceConfig(_Validated):
     mismatch on restore raises :class:`~repro.errors.IntegrityError`, and
     ``recover_history()`` scans the stores directly.  When enabled:
     transient transfer errors are retried with exponential backoff +
-    deterministic jitter under per-class budgets, per-tier circuit breakers
-    blacklist degraded tiers and reroute the flush cascade around them
-    (with catch-up backfill on recovery), durable puts are CRC re-verified
-    and re-flushed from an upper-tier copy on corruption, and a
-    crash-consistent manifest journal makes ``recover_history()``
-    independent of store scans.
+    deterministic jitter (:mod:`repro.faults.retry`), per-tier circuit
+    breakers blacklist degraded tiers and reroute the flush cascade around
+    them with catch-up backfill on recovery (:mod:`repro.faults.health`),
+    durable puts are CRC re-verified and re-flushed from an upper-tier copy
+    on corruption, and a crash-consistent manifest journal makes
+    ``recover_history()`` independent of store scans.
     """
 
     #: master switch for every recovery mechanism below.
     enabled: bool = False
-    #: retry budget per transfer leg for TransientTransferErrors.
-    max_retries: int = knob(4, non_negative)
-    #: backoff before retry k (0-based) is
-    #: ``min(backoff_base_s * backoff_factor**k, backoff_max_s)`` nominal
-    #: seconds, plus up to ``jitter`` of itself (deterministic draw).
-    backoff_base_s: float = knob(0.05, non_negative)
-    backoff_factor: float = knob(2.0, at_least(1.0))
-    backoff_max_s: float = knob(2.0, non_negative)
-    jitter: float = knob(0.25, within("[0, 1]"))
-    #: per-transfer-class retry-budget overrides, e.g.
-    #: ``(("DEMAND_READ", 6), ("SPECULATIVE_PREFETCH", 1))``; classes
-    #: mirror :class:`repro.sched.TransferClass` names.
-    retry_classes: tuple = knob((), tuple_of(name=one_of(_transfer_classes), budget=non_negative))
-    #: consecutive failures that trip a tier's circuit breaker open.
-    breaker_threshold: int = knob(3, at_least(1))
-    #: nominal seconds an open breaker waits before admitting one
-    #: half-open probe.
-    breaker_reset_s: float = knob(5.0, non_negative)
-
-    def retries_for(self, class_name: str) -> int:
-        for name, budget in self.retry_classes:
-            if name == class_name:
-                return int(budget)
-        return self.max_retries
 
 
 @dataclass(frozen=True)
@@ -483,9 +434,6 @@ class SloConfig(_Validated):
         "rolling-window length for violation accounting, nominal seconds."))
     burn_rate_threshold: float = knob(2.0, positive, flag="--slo-burn", help=(
         "alert when windowed violation rate > threshold × (1 - objective)."))
-    #: observations required in the window before burn alerts can fire
-    #: (suppresses alerts off a single early violation).
-    min_samples: int = knob(8, at_least(1))
 
 
 @dataclass(frozen=True)
@@ -524,7 +472,10 @@ class ClusterConfig(_Validated):
     SSD→PFS flush streams into batched PFS writes (one per-op latency
     charge per batch, commit-at-end); and a :class:`~repro.cluster.service.
     CheckpointService` front-end exposes ``submit/restore/query`` over an
-    in-process RPC layer with per-client sessions and bounded admission.
+    in-process RPC layer with per-client sessions.  A node crash always
+    heals: the :class:`~repro.cluster.repair.ReplicaRepairer` restores
+    ``replica_factor`` and backfills a rejoining node, and a service
+    session on a dead engine fails over to a survivor.
     """
 
     #: master switch: build the ClusterFabric (replica directory, peer
@@ -543,25 +494,6 @@ class ClusterConfig(_Validated):
     #: nominal seconds the batch leader waits for followers to join
     #: before sealing the batch.
     aggregation_window_s: float = knob(0.002, non_negative)
-    #: maximum concurrently-connected service sessions.
-    service_max_sessions: int = knob(64, at_least(1))
-    #: per-session bound on in-flight service requests; arrivals beyond
-    #: it raise :class:`~repro.errors.BackpressureError`.
-    service_queue_depth: int = knob(16, at_least(1))
-    #: modeled one-way RPC latency per service call, nominal seconds.
-    service_rpc_latency_s: float = knob(200e-6, non_negative)
-    #: anti-entropy replica repair: after a node crash (or rejoin) the
-    #: :class:`~repro.cluster.repair.ReplicaRepairer` re-replicates every
-    #: under-replicated checkpoint from a surviving SSD holder (or the
-    #: PFS) until ``replica_factor`` live copies exist again.
-    repair: bool = False
-    #: cap on repair copies in flight per scan (bounds the burst a mass
-    #: withdrawal can inject into the fabric).
-    repair_max_inflight: int = knob(4, at_least(1))
-    #: service session failover: when a pinned engine's node dies, re-pin
-    #: the session to a surviving engine and idempotently replay the
-    #: in-flight op instead of surfacing the node death to the client.
-    failover: bool = False
 
 
 @dataclass(frozen=True)
@@ -573,24 +505,19 @@ class PredictConfig(_Validated):
     :class:`SchedConfig` / :class:`ClusterConfig`).  When enabled, the
     engine's hint queue becomes a :class:`~repro.predict.queue.
     SyntheticRestoreQueue`: explicit hints keep absolute priority, and a
-    revocable predicted overlay — refreshed by a pluggable
-    :class:`~repro.predict.predictors.Predictor` from the
+    revocable predicted overlay — refreshed by a
+    :class:`~repro.predict.predictors.HybridPredictor` from the
     :class:`~repro.predict.history.AccessHistory` ring — feeds the same
     prefetcher and Algorithm-1 eviction scoring when hints are missing.
     Predicted entries always travel in the sched *speculative* class
     (served last, preemptible), and a PhoenixOS-style validation layer
     scores each speculative staging on consume/abandon, decays the
     hit-rate estimate, and suspends speculation (demand-only fallback)
-    when it drops below :attr:`hit_floor`.
+    when it drops below :data:`~repro.predict.validation.HIT_FLOOR`.
     """
 
     #: master switch for the synthetic queue, predictors and validator.
     enabled: bool = False
-    #: suspend speculation when the EWMA hit rate drops below this floor.
-    hit_floor: float = knob(0.4, within("(0, 1)"))
-    #: speculative outcomes (hits + abandons) required before the floor
-    #: can trigger a suspension.
-    min_samples: int = knob(8, at_least(1))
 
 
 @dataclass(frozen=True)

@@ -236,7 +236,6 @@ class ScoreEngine:
         if config.predict.enabled:
             self.queue: RestoreQueue = SyntheticRestoreQueue(telemetry=self.telemetry)
             self.predict = PredictRuntime(
-                config.predict,
                 self.queue,
                 self.monitor,
                 telemetry=self.telemetry,
@@ -277,7 +276,7 @@ class ScoreEngine:
         if scfg.enabled:
             flusher.stall_fragments += (self.sched.stall_report,)
         if resilience.enabled:
-            self.retry_policy = RetryPolicy(resilience, config.faults.seed)
+            self.retry_policy = RetryPolicy(config.faults.seed)
             self.repair_attempts = 2
             # Something can route around the local drive: gate it on health.
             self.read_chain[0] = self._usable_ssd

@@ -389,7 +389,6 @@ class Flusher:
             fn,
             policy=engine.retry_policy,
             clock=engine.clock,
-            class_name="CASCADE_FLUSH",
             labels=(leg.stage, record.ckpt_id),
             on_retry=back_off,
             should_abort=lambda: record.cancel_flush.is_set() or engine.crashed.is_set(),

@@ -71,11 +71,6 @@ class TierOfflineError(TransientTransferError):
     window ends."""
 
 
-class BackpressureError(ReproError):
-    """The checkpoint service refused a request: the client's session is
-    at its in-flight bound, or the service at its session bound."""
-
-
 class FlushTimeoutError(TransferError):
     """``wait_for_flushes`` exceeded its timeout; the message carries the
     queue depths and in-flight transfer state needed to diagnose the stall."""

@@ -5,10 +5,10 @@ Each durable endpoint (``node{j}-ssd``, ``pfs``) gets a
 a classic three-state machine:
 
 * ``CLOSED`` — healthy; failures are counted, successes reset the count.
-* ``OPEN`` — after ``breaker_threshold`` *consecutive* failures the tier is
+* ``OPEN`` — after ``BREAKER_THRESHOLD`` *consecutive* failures the tier is
   blacklisted: ``allow()`` returns ``False`` and the flush cascade reroutes
   around it.  Opened-at is stamped on the **virtual** clock.
-* ``HALF_OPEN`` — once ``breaker_reset_s`` nominal seconds elapse, a single
+* ``HALF_OPEN`` — once ``BREAKER_RESET_S`` nominal seconds elapse, a single
   probe operation is admitted; success closes the breaker, failure re-opens
   it and restarts the cool-down.
 
@@ -27,16 +27,18 @@ from repro.telemetry import Telemetry
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
+#: consecutive failures that trip a tier's circuit breaker open.
+BREAKER_THRESHOLD = 3
+#: nominal seconds an open breaker waits before admitting one half-open
+#: probe.
+BREAKER_RESET_S = 5.0
 
 
 class CircuitBreaker:
     """Three-state breaker for one tier endpoint, timed on the virtual clock."""
 
-    def __init__(self, name: str, threshold: int, reset_s: float, clock,
-                 telemetry: Optional[Telemetry] = None) -> None:
+    def __init__(self, name: str, clock, telemetry: Optional[Telemetry] = None) -> None:
         self.name = name
-        self.threshold = threshold
-        self.reset_s = reset_s
         self.clock = clock
         self.telemetry = telemetry
         self._lock = threading.Lock()
@@ -73,7 +75,7 @@ class CircuitBreaker:
             if self._state == CLOSED:
                 return True
             if self._state == OPEN:
-                if self.clock.now() - self._opened_at < self.reset_s:
+                if self.clock.now() - self._opened_at < BREAKER_RESET_S:
                     return False
                 self._state = HALF_OPEN
                 self._probe_inflight = True
@@ -98,7 +100,7 @@ class CircuitBreaker:
             self._failures += 1
             self._probe_inflight = False
             if self._state == HALF_OPEN or (
-                self._state == CLOSED and self._failures >= self.threshold
+                self._state == CLOSED and self._failures >= BREAKER_THRESHOLD
             ):
                 self._state = OPEN
                 self._opened_at = self.clock.now()
@@ -125,7 +127,6 @@ class HealthRegistry:
 
     def __init__(self, config: ResilienceConfig, clock,
                  telemetry: Optional[Telemetry] = None) -> None:
-        self.config = config
         self.enabled = config.enabled
         self.clock = clock
         self.telemetry = telemetry
@@ -136,10 +137,7 @@ class HealthRegistry:
         with self._lock:
             brk = self._breakers.get(name)
             if brk is None:
-                brk = CircuitBreaker(
-                    name, self.config.breaker_threshold,
-                    self.config.breaker_reset_s, self.clock, self.telemetry,
-                )
+                brk = CircuitBreaker(name, self.clock, self.telemetry)
                 self._breakers[name] = brk
             return brk
 

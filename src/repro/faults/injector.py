@@ -70,7 +70,6 @@ class FaultDomain:
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.config = config
-        self.resilience = resilience
         self.clock = clock
         self.telemetry = telemetry
         self.plan = FaultPlan(config) if config.injects else None
@@ -89,8 +88,6 @@ class FaultDomain:
     def attach(self, link) -> None:
         """Hook a link (no-op unless transfer faults are configured)."""
         if self.config.transfer_fault_rate <= 0.0:
-            return
-        if not self.plan.link_matches(link.name):
             return
         link.fault_injector = LinkFaultInjector(link.name, self.plan, self.telemetry)
 

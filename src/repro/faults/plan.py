@@ -19,6 +19,10 @@ from repro.util.rng import derive_seed
 
 #: 2**64, the denominator turning a derived 64-bit seed into a uniform.
 _DENOM = float(1 << 64)
+#: a failing transfer moves a fraction of its bytes drawn uniformly from
+#: [MIN_FAULT_FRACTION, MAX_FAULT_FRACTION] before the error.
+MIN_FAULT_FRACTION = 0.05
+MAX_FAULT_FRACTION = 0.95
 
 
 class FaultPlan:
@@ -33,25 +37,17 @@ class FaultPlan:
         return derive_seed(self.seed, *labels) / _DENOM
 
     # -- transient transfer faults ----------------------------------------
-    def link_matches(self, link_name: str) -> bool:
-        filters = self.config.fault_links
-        if not filters:
-            return True
-        return any(sub in link_name for sub in filters)
-
     def transfer_fault(self, link_name: str, seq: int, nbytes: int) -> Optional[int]:
-        """Bytes after which transfer ``seq`` on ``link_name`` fails, or
-        ``None`` when this transfer completes cleanly."""
+        """Bytes after which transfer ``seq`` on ``link_name`` (any link)
+        fails, or ``None`` when this transfer completes cleanly."""
         cfg = self.config
         if cfg.transfer_fault_rate <= 0.0 or nbytes <= 0:
             return None
-        if not self.link_matches(link_name):
-            return None
         if self._uniform("xfer", link_name, seq) >= cfg.transfer_fault_rate:
             return None
-        frac = cfg.min_fault_fraction + self._uniform(
+        frac = MIN_FAULT_FRACTION + self._uniform(
             "xfer-frac", link_name, seq
-        ) * (cfg.max_fault_fraction - cfg.min_fault_fraction)
+        ) * (MAX_FAULT_FRACTION - MIN_FAULT_FRACTION)
         return max(1, min(nbytes - 1, int(frac * nbytes)))
 
     # -- tier outages / brownouts ------------------------------------------

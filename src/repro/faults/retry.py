@@ -12,34 +12,35 @@ from __future__ import annotations
 
 from typing import Callable, Optional, TypeVar
 
-from repro.config import ResilienceConfig
 from repro.errors import TransientTransferError
 from repro.util.rng import derive_seed
 
 _DENOM = float(1 << 64)
 T = TypeVar("T")
 
+#: retries (beyond the first attempt) per transfer leg for
+#: TransientTransferErrors.
+MAX_RETRIES = 4
+#: backoff before retry k (0-based) is
+#: ``min(BACKOFF_BASE_S * BACKOFF_FACTOR**k, BACKOFF_MAX_S)`` nominal
+#: seconds, plus up to ``JITTER`` of itself (deterministic draw).
+BACKOFF_BASE_S = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX_S = 2.0
+JITTER = 0.25
+
 
 class RetryPolicy:
-    """Per-transfer-class retry budgets + deterministic backoff schedule."""
+    """The deterministic backoff schedule of one run's retries."""
 
-    def __init__(self, config: ResilienceConfig, seed: int) -> None:
-        self.config = config
+    def __init__(self, seed: int) -> None:
         self.seed = seed
-
-    def budget(self, class_name: str) -> int:
-        """Max retries (beyond the first attempt) for a transfer class."""
-        return self.config.retries_for(class_name)
 
     def backoff(self, attempt: int, *labels) -> float:
         """Nominal seconds to sleep before retry ``attempt`` (0-based)."""
-        cfg = self.config
-        base = min(
-            cfg.backoff_base_s * (cfg.backoff_factor ** attempt),
-            cfg.backoff_max_s,
-        )
+        base = min(BACKOFF_BASE_S * (BACKOFF_FACTOR ** attempt), BACKOFF_MAX_S)
         jitter = derive_seed(self.seed, "jitter", *labels, attempt) / _DENOM
-        return base * (1.0 + cfg.jitter * jitter)
+        return base * (1.0 + JITTER * jitter)
 
 
 #: nominal seconds a demand or prefetch loop waits after a transient fault
@@ -60,13 +61,13 @@ def run_with_retries(
     *,
     policy: Optional[RetryPolicy],
     clock,
-    class_name: str,
     labels: tuple,
     on_retry: Optional[Callable[[int, float, Exception], None]] = None,
     should_abort: Optional[Callable[[], bool]] = None,
     on_attempt: Optional[Callable[[bool], None]] = None,
 ) -> T:
-    """Run ``fn`` retrying :class:`TransientTransferError` within budget.
+    """Run ``fn`` retrying :class:`TransientTransferError` up to
+    ``MAX_RETRIES`` times.
 
     Non-transient errors (cancellation ``TransferError``, lifecycle errors)
     propagate immediately.  With ``policy=None`` this is a plain call —
@@ -86,7 +87,7 @@ def run_with_retries(
                 on_attempt(False)
             if (
                 policy is None
-                or attempt >= policy.budget(class_name)
+                or attempt >= MAX_RETRIES
                 or (should_abort is not None and should_abort())
             ):
                 raise

@@ -3,7 +3,7 @@
 When :class:`~repro.config.PredictConfig` is enabled the engine's restore
 hint queue becomes a :class:`~repro.predict.queue.SyntheticRestoreQueue`:
 explicit hints keep absolute priority and a revocable *predicted overlay*
-— produced by a pluggable :class:`~repro.predict.predictors.Predictor`
+— produced by a :class:`~repro.predict.predictors.HybridPredictor`
 from the :class:`~repro.predict.history.AccessHistory` ring — feeds the
 same prefetcher and Algorithm-1 eviction scoring through the unchanged
 ``RestoreQueue`` interface.  Predicted entries always travel in the
@@ -19,9 +19,7 @@ from repro.predict.predictors import (
     HybridPredictor,
     MarkovPredictor,
     Prediction,
-    Predictor,
     RecencyPredictor,
-    build_predictor,
 )
 from repro.predict.queue import SyntheticRestoreQueue
 from repro.predict.runtime import PredictRuntime
@@ -34,10 +32,8 @@ __all__ = [
     "HybridPredictor",
     "MarkovPredictor",
     "Prediction",
-    "Predictor",
     "RecencyPredictor",
     "SpeculationValidator",
     "SyntheticRestoreQueue",
     "PredictRuntime",
-    "build_predictor",
 ]

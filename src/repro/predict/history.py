@@ -4,7 +4,7 @@ Every checkpoint/restore/evict/demand-miss the engine observes is recorded
 here per *producer* — the stable identity behind a stream of checkpoint
 versions (a serving session, a revolve state index; defaults to the
 checkpoint id itself when the application names none).  Predictors consume
-the events incrementally through :meth:`Predictor.observe`; the ring keeps
+the events incrementally through :meth:`~repro.predict.predictors.HybridPredictor.observe`; the ring keeps
 a bounded replayable window for diagnostics and late-attaching consumers.
 """
 

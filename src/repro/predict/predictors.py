@@ -1,4 +1,4 @@
-"""Pluggable next-restore predictors behind a common protocol.
+"""Next-restore predictors.
 
 Two models, per the roadmap:
 
@@ -21,7 +21,7 @@ events incrementally and must be called under the engine monitor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Protocol
+from typing import Dict, Hashable, List, Optional
 
 from repro.predict.history import KIND_CHECKPOINT, KIND_RESTORE, AccessEvent
 
@@ -42,22 +42,6 @@ class Prediction:
     ckpt_id: int
     confidence: float
     expected_ts: float
-
-
-class Predictor(Protocol):
-    """Protocol every prediction model implements."""
-
-    name: str
-
-    def observe(self, event: AccessEvent) -> None:
-        """Feed one access event (engine monitor held)."""
-        ...
-
-    def predict(
-        self, candidates: List[Candidate], now: float
-    ) -> List[Prediction]:
-        """Rank ``candidates`` by predicted next restore, best first."""
-        ...
 
 
 class _ProducerStats:
@@ -243,13 +227,3 @@ class HybridPredictor:
             if pred.ckpt_id not in taken:
                 out.append(pred)
         return out
-
-
-def build_predictor(name: str, alpha: float = 0.25) -> Predictor:
-    if name == "recency":
-        return RecencyPredictor(alpha=alpha)
-    if name == "markov":
-        return MarkovPredictor()
-    if name == "hybrid":
-        return HybridPredictor(alpha=alpha)
-    raise ValueError(f"unknown predictor: {name!r}")

@@ -26,20 +26,16 @@ from repro.predict.history import (
     KIND_MISS,
     KIND_RESTORE,
 )
-from repro.predict.predictors import Candidate, build_predictor
+from repro.predict.predictors import Candidate, HybridPredictor
 from repro.predict.queue import SyntheticRestoreQueue
 from repro.predict.validation import EWMA_ALPHA, SpeculationValidator
 from repro.tiers.base import TierLevel
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.config import PredictConfig
     from repro.core.catalog import CheckpointRecord
     from repro.core.sync import Monitor
     from repro.telemetry import Telemetry
 
-#: prediction model: the markov chain first, recency ordering for the rest
-#: (:class:`~repro.predict.predictors.HybridPredictor`).
-PREDICTOR = "hybrid"
 #: capacity of the per-engine access-history ring (events).
 HISTORY_CAPACITY = 4096
 #: longest predicted overlay handed to the queue.
@@ -53,7 +49,6 @@ class PredictRuntime:
 
     def __init__(
         self,
-        cfg: "PredictConfig",
         queue: SyntheticRestoreQueue,
         monitor: "Monitor",
         telemetry: "Telemetry",
@@ -65,8 +60,9 @@ class PredictRuntime:
         self.clock = clock
         self.track = f"p{process_id}-predict"
         self.history = AccessHistory(HISTORY_CAPACITY)
-        self.predictor = build_predictor(PREDICTOR, alpha=EWMA_ALPHA)
-        self.validator = SpeculationValidator(cfg, telemetry=telemetry, track=self.track)
+        #: the markov chain first, recency ordering for the rest.
+        self.predictor = HybridPredictor(alpha=EWMA_ALPHA)
+        self.validator = SpeculationValidator(telemetry, self.track)
         #: ckpt_id -> producer for every known checkpoint.
         self._producers: Dict[int, Hashable] = {}
         #: ckpt_id -> Candidate for live (unconsumed) checkpoints.

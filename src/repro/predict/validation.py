@@ -5,8 +5,8 @@ staging (a promotion of a *predicted*, non-explicitly-hinted checkpoint)
 is scored when its fate resolves — ``1`` when the checkpoint is consumed
 by a restore (hit), ``0`` when the staged copy is evicted or released
 unconsumed (abandon/waste).  An EWMA over outcomes decays the confidence
-estimate toward the recent past; once at least ``min_samples`` outcomes
-exist and the EWMA drops below ``hit_floor``, speculation is *suspended*:
+estimate toward the recent past; once at least ``MIN_SAMPLES`` outcomes
+exist and the EWMA drops below ``HIT_FLOOR``, speculation is *suspended*:
 the runtime empties the predicted overlay and the engine falls back to
 demand-only promotion for ``SUSPEND_S`` nominal seconds, after which the
 validator re-arms with a fresh estimate (probation).  Bad speculation
@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Dict, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.config import PredictConfig
     from repro.telemetry import Telemetry
 
 #: EWMA weight of the newest speculative outcome (the recency predictor's
@@ -29,18 +28,17 @@ if TYPE_CHECKING:  # pragma: no cover
 EWMA_ALPHA = 0.25
 #: nominal seconds of demand-only fallback per suspension.
 SUSPEND_S = 2.0
+#: suspend speculation when the EWMA hit rate drops below this floor.
+HIT_FLOOR = 0.4
+#: speculative outcomes (hits + abandons) required before the floor can
+#: trigger a suspension.
+MIN_SAMPLES = 8
 
 
 class SpeculationValidator:
     """Scores speculative stagings; suspends speculation when they miss."""
 
-    def __init__(
-        self,
-        cfg: "PredictConfig",
-        telemetry: "Telemetry",
-        track: str,
-    ) -> None:
-        self.cfg = cfg
+    def __init__(self, telemetry: "Telemetry", track: str) -> None:
         self.bus = telemetry.bus
         self.track = track
         #: ckpt_id -> staged bytes, for stagings whose fate is unresolved.
@@ -91,9 +89,9 @@ class SpeculationValidator:
     def confidence_scale(self) -> float:
         """Multiplier the runtime applies to predictor confidences: decayed
         accuracy throttles marginal predictions before the hard floor."""
-        if self.ewma is None or self.samples < self.cfg.min_samples:
+        if self.ewma is None or self.samples < MIN_SAMPLES:
             return 1.0
-        return max(self.ewma, self.cfg.hit_floor)
+        return max(self.ewma, HIT_FLOOR)
 
     def _score(self, value: float, now: float) -> None:
         self.ewma = value if self.ewma is None else (
@@ -103,8 +101,8 @@ class SpeculationValidator:
         self._m_hit_rate.set(self.ewma)
         if (
             self.suspended_until is None
-            and self.samples >= self.cfg.min_samples
-            and self.ewma < self.cfg.hit_floor
+            and self.samples >= MIN_SAMPLES
+            and self.ewma < HIT_FLOOR
         ):
             self.suspended_until = now + SUSPEND_S
             self._m_suspensions.inc()

@@ -190,7 +190,7 @@ def run_trace(
         cfg = cfg.with_(
             num_nodes=cluster_nodes,
             processes_per_node=processes // cluster_nodes,
-            cluster=ClusterConfig(enabled=True, repair=True),
+            cluster=ClusterConfig(enabled=True),
         )
     if hardware is not None:
         cfg = cfg.with_(hardware=hardware)
@@ -250,12 +250,10 @@ def run_trace(
                 pass
             fabric = cluster.fabric
             if fabric is not None and fabric.membership.active:
-                # Apply any node events the shot ran past, then let the
-                # anti-entropy repairer settle the replica factor so its
-                # spans land in the trace.
-                fabric.membership.tick()
-                if fabric.repairer is not None:
-                    fabric.repairer.run()
+                # The anti-entropy repairer applies any node events the shot
+                # ran past, then settles the replica factor so its spans
+                # land in the trace.
+                fabric.repairer.run()
             telemetry = cluster.telemetry
 
     os.makedirs(out_dir, exist_ok=True)

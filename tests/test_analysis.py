@@ -163,7 +163,6 @@ VERSIONS = 8
 TIGHT_SLO = SloConfig(
     durability_target_s=0.001,
     restore_target_s=0.001,
-    min_samples=2,
     burn_rate_threshold=0.1,
     window_s=1e6,
 )

@@ -104,7 +104,6 @@ def test_disabled_analysis_is_bit_identical():
                 objective=0.5,
                 window_s=1.0,
                 burn_rate_threshold=0.1,
-                min_samples=1,
             ),
         )
     )

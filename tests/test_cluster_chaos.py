@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.directory import ReplicaDirectory
+from repro.cluster.repair import REPAIR_MAX_INFLIGHT
 from repro.cluster.topology import ClusterTopology
 from repro.config import CRASH_STAGES, ClusterConfig, FaultConfig
 from repro.errors import ConfigError, InjectedCrash, TierOfflineError
@@ -18,8 +19,6 @@ CKPT = 64 * MiB
 
 
 def chaos_config(num_nodes=3, faults=None, **cluster_kw):
-    cluster_kw.setdefault("repair", True)
-    cluster_kw.setdefault("failover", True)
     changes = dict(
         num_nodes=num_nodes,
         cluster=ClusterConfig(enabled=True, **cluster_kw),
@@ -123,10 +122,10 @@ class TestMembership:
                 topo.fabric.membership.crash(17)
 
     def test_fail_stop_loses_media_power_loss_keeps_it(self):
-        # repair off: a rejoin must not backfill the key and mask what the
-        # crash mode did to the media.
-        for mode, survives in (("fail-stop", False), ("power-loss", True)):
-            with make_topology(chaos_config(repair=False)) as topo:
+        # The rejoin backfill copies only what the drive lacks: a fail-stop
+        # drive lost the key with its media, a power-loss drive republishes it.
+        for mode, backfills in (("fail-stop", 1), ("power-loss", 0)):
+            with make_topology(chaos_config()) as topo:
                 session = topo.service.connect("c0")
                 buf = fill(session.engine)
                 session.submit(0, buf)
@@ -136,8 +135,10 @@ class TestMembership:
                 membership = topo.fabric.membership
                 membership.crash(1, mode)
                 membership.rejoin(1)
-                assert membership.state(1) == "up"  # no repairer: straight up
-                assert topo.cluster.nodes[1].ssd.contains(key) is survives
+                assert membership.state(1) == "up"
+                assert topo.cluster.nodes[1].ssd.contains(key)
+                snap = topo.telemetry.registry.snapshot()
+                assert snap["cluster.repair.backfills"] == backfills, mode
 
     def test_partition_window_blocks_reachability(self):
         # The virtual clock is wall-driven, so window edges use extremes
@@ -203,7 +204,7 @@ class TestRepair:
 
         cfg = tiny_config(
             num_nodes=3,
-            cluster=ClusterConfig(enabled=True, repair=True),
+            cluster=ClusterConfig(enabled=True),
             sched=SchedConfig(enabled=True),
         )
         with make_topology(cfg) as topo:
@@ -215,11 +216,15 @@ class TestRepair:
             assert topo.fabric.repairer.run() >= 1
 
     def test_repair_max_inflight_bounds_each_scan(self):
-        cfg = chaos_config(num_nodes=4, repair_max_inflight=1)
-        with make_topology(cfg) as topo:
-            submit_all(topo, count=4)
+        with make_topology(chaos_config(num_nodes=4)) as topo:
+            submit_all(topo, count=3 * 4)
+            repairer = topo.fabric.repairer
             topo.fabric.membership.crash(1, "fail-stop")
-            assert topo.fabric.repairer.repair_once() <= 1
+            assert len(repairer.pending()) > REPAIR_MAX_INFLIGHT
+            assert repairer.repair_once() == REPAIR_MAX_INFLIGHT
+            assert repairer.pending()  # the rest waits for the next scan
+            repairer.run()
+            assert not repairer.pending()
 
     def test_rejoin_runs_backfill_before_entering_ring(self):
         with make_topology(chaos_config(num_nodes=3)) as topo:
@@ -242,6 +247,26 @@ class TestRepair:
             snap = topo.telemetry.registry.snapshot()
             assert snap["cluster.membership.rejoins"] == 1
             assert snap["cluster.repair.backfills"] >= 1
+
+    def test_a_default_cluster_backfills_a_rejoin(self):
+        """No switch arms repair: a rejoining node is ``joining`` while its
+        catch-up backfill runs, and ``up`` once it is done."""
+        cfg = tiny_config(num_nodes=3, cluster=ClusterConfig(enabled=True))
+        with make_topology(cfg) as topo:
+            submit_all(topo, count=3)
+            fabric = topo.fabric
+            states, real_backfill = [], fabric.repairer.backfill_node
+
+            def backfill(node_id):
+                states.append(fabric.membership.state(node_id))
+                return real_backfill(node_id)
+
+            fabric.repairer.backfill_node = backfill
+            fabric.membership.crash(1, "fail-stop")
+            fabric.membership.rejoin(1)
+            assert states == ["joining"]
+            assert fabric.membership.state(1) == "up"
+            assert topo.telemetry.registry.snapshot()["cluster.repair.backfills"] >= 1
 
 
 class TestDegradedReads:
@@ -328,13 +353,6 @@ class TestServiceFailover:
             session.restore(0, out)
             assert out.checksum() == want
 
-    def test_failover_disabled_surfaces_the_crash(self):
-        with make_topology(chaos_config(num_nodes=3, failover=False)) as topo:
-            session = topo.service.connect("c0")
-            topo.fabric.membership.crash(session.engine.node_id, "fail-stop")
-            with pytest.raises(InjectedCrash):
-                session.submit(0, fill(topo.engines[1]))
-
     def test_no_survivors_is_a_lifecycle_error(self):
         from repro.errors import LifecycleError
 
@@ -392,21 +410,12 @@ class TestEquivalence:
     bytes as a plain cluster run."""
 
     def _run(self, chaos):
+        cfg = tiny_config(num_nodes=3, telemetry=True, cluster=ClusterConfig(enabled=True))
         if chaos:
-            faults = FaultConfig(
+            cfg = cfg.with_(faults=FaultConfig(
                 node_crashes=((1, 1e9, "fail-stop"),),
                 partitions=((0, 2, 1e9, 2e9),),
-            )
-            cfg = tiny_config(
-                num_nodes=3,
-                telemetry=True,
-                cluster=ClusterConfig(enabled=True, repair=True, failover=True),
-                faults=faults,
-            )
-        else:
-            cfg = tiny_config(
-                num_nodes=3, telemetry=True, cluster=ClusterConfig(enabled=True)
-            )
+            ))
         with make_topology(cfg) as topo:
             if chaos:
                 assert topo.fabric.membership.active is True

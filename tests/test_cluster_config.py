@@ -12,13 +12,9 @@ from repro.errors import ConfigError
         {"replica_factor": 0},
         {"replica_factor": -1},
         {"aggregation_window_s": -0.001},
-        {"service_max_sessions": 0},
-        {"service_queue_depth": 0},
-        {"service_rpc_latency_s": -1e-6},
-        {"repair_max_inflight": 0},
     ],
     # explicit ids keep each case's name stable when rows are dropped
-    ids=["kwargs0", "kwargs1", "kwargs4", "kwargs8", "kwargs9", "kwargs10", "kwargs14"],
+    ids=["kwargs0", "kwargs1", "kwargs4"],
 )
 def test_bad_knobs_raise(kwargs):
     with pytest.raises(ConfigError):

@@ -101,12 +101,6 @@ def test_disabled_cluster_is_bit_identical():
             peer_reads=False,
             aggregation=False,
             aggregation_window_s=1.0,
-            service_max_sessions=2,
-            service_queue_depth=1,
-            service_rpc_latency_s=0.1,
-            repair=True,
-            repair_max_inflight=1,
-            failover=True,
         )
     )
     assert json.dumps(default, default=str) == json.dumps(off, default=str)

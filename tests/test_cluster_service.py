@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import io
 import json
+import threading
+import time
 
 import pytest
 
 from repro.analysis.report import analyze_events, render_report
+from repro.cluster.service import RPC_LATENCY_S
 from repro.cluster.topology import ClusterTopology
 from repro.config import ClusterConfig
-from repro.errors import BackpressureError, CheckpointNotFound, LifecycleError
+from repro.errors import CheckpointNotFound, LifecycleError
 from repro.telemetry.exporters import chrome_trace, read_jsonl, write_jsonl
 from repro.util.rng import make_rng
 from repro.util.units import MiB
@@ -50,23 +53,14 @@ class TestSessions:
             # Third client wraps around the engine ring.
             assert topo.service.connect("c").engine is topo.engines[0]
 
-    def test_session_capacity_refuses_with_backpressure(self):
-        cfg = service_config(num_nodes=1, service_max_sessions=1, replica_factor=1)
-        with make_topology(cfg) as topo:
-            topo.service.connect("only")
-            with pytest.raises(BackpressureError):
-                topo.service.connect("overflow")
-            topo.service.disconnect("only")
-            topo.service.connect("overflow")  # capacity freed
-
-    def test_queue_depth_bounds_inflight_rpcs(self):
-        cfg = service_config(num_nodes=1, service_queue_depth=1, replica_factor=1)
-        with make_topology(cfg) as topo:
-            session = topo.service.connect("c0")
-            session._admit()  # occupy the only slot
-            with pytest.raises(BackpressureError):
-                session.query(0)
-            session._release()
+    def test_every_connect_gets_a_session(self):
+        """The service refuses no client: 65 connects (one past the session
+        cap the service used to have) all open a session."""
+        with make_topology(service_config(num_nodes=2)) as topo:
+            sessions = [topo.service.connect(f"c{i}") for i in range(65)]
+            assert len({id(session) for session in sessions}) == 65
+            assert topo.service.stats()["sessions"] == 65
+            assert sessions[-1].engine is topo.engines[0]  # still round-robin
 
 
 class TestRpcSemantics:
@@ -117,16 +111,23 @@ class TestRpcSemantics:
             assert info["durable_level"] == "PFS"
             assert info["ssd_holders"] == [0, 1]
 
-    def test_rpc_hop_charges_virtual_latency(self):
-        cfg = service_config(
-            num_nodes=1, replica_factor=1, service_rpc_latency_s=0.01
-        )
+    def test_rpc_hop_charges_virtual_latency(self, monkeypatch):
+        cfg = service_config(num_nodes=1, replica_factor=1)
         with make_topology(cfg) as topo:
             session = topo.service.connect("c0")
-            before = topo.cluster.clock.now()
+            clock = topo.cluster.clock
+            sleep, caller, slept = clock.sleep, threading.get_ident(), []
+
+            def recording_sleep(seconds, *args, **kwargs):
+                if threading.get_ident() == caller:
+                    slept.append(seconds)
+                return sleep(seconds, *args, **kwargs)
+
+            monkeypatch.setattr(clock, "sleep", recording_sleep)
             with pytest.raises(CheckpointNotFound):
                 session.query(0)
-            assert topo.cluster.clock.now() - before >= 0.01
+            # One RPC, one latency charge on the virtual clock.
+            assert slept == [RPC_LATENCY_S]
 
 
 class TestNodeTagging:
@@ -261,6 +262,48 @@ class TestRestoreMany:
             assert isinstance(results[1].error, CheckpointNotFound)
             # The failed sibling never masked the successful restore.
             assert good.checksum() == want
+
+    def test_a_batch_past_the_old_queue_depth_all_succeeds(self):
+        """17 handlers in flight at once on one session (one past the
+        per-session depth the service used to have): every one is admitted
+        and restores its checkpoint."""
+        count, size = 17, 8 * MiB
+        with make_topology(service_config(num_nodes=1, replica_factor=1)) as topo:
+            clock = topo.cluster.clock
+            session = topo.service.connect("c0")
+            engine = session.engine
+            sums = []
+            for ckpt in range(count):
+                buf = fill(engine, size=size, seed=ckpt)
+                sums.append(buf.checksum())
+                session.submit(ckpt, buf)
+            engine.wait_for_flushes(timeout=600.0)
+            # Hold every handler inside its restore until all are in flight.
+            gate, entered, real_restore = clock.event(), [], engine.restore
+
+            def held_restore(ckpt_id, buffer):
+                entered.append(ckpt_id)
+                gate.wait()
+                return real_restore(ckpt_id, buffer)
+
+            engine.restore = held_restore
+            outs = [engine.device.alloc_buffer(size) for _ in range(count)]
+            items = [(session, ckpt, outs[ckpt], None) for ckpt in range(count)]
+            results = []
+            (thread,) = start_runners(
+                clock, (lambda: results.extend(topo.service.restore_many(items)),)
+            )
+            deadline = time.perf_counter() + 5.0
+            while len(entered) < count and time.perf_counter() < deadline:
+                time.sleep(0.005)
+            in_flight = len(entered)
+            gate.set()
+            clock.join(thread)
+            del engine.restore
+            assert in_flight == count
+            assert [r.ckpt_id for r in results] == list(range(count))
+            assert all(r.ok for r in results), [r.error for r in results if not r.ok]
+            assert [out.checksum() for out in outs] == sums
 
 
 class TestStats:

@@ -30,6 +30,7 @@ from repro.config import (
 )
 from repro.core.engine import HOOKS, ScoreEngine
 from repro.core.validator import validate_engine
+from repro.faults.health import BREAKER_RESET_S
 from repro.sched.request import TransferClass
 from repro.tiers.base import TierLevel
 from repro.tiers.topology import Cluster
@@ -139,7 +140,7 @@ def test_observers_see_every_landing_and_drop_once(reduce):
             assert tape.seen("after_landed", 1) == [pfs]
             assert engine.flusher.rerouted >= 1
             fault_clock.t = 3000.0
-            engine.clock.sleep(cfg.resilience.breaker_reset_s + 1.0)
+            engine.clock.sleep(BREAKER_RESET_S + 1.0)
             _settle(engine)
             assert tape.seen("after_landed", 1) == [pfs, ssd]
             assert engine.flusher.backfilled == 1

@@ -20,7 +20,16 @@ from repro.faults import (
     RetryPolicy,
     run_with_retries,
 )
-from repro.faults.retry import backoff_for
+from repro.faults.health import BREAKER_RESET_S, BREAKER_THRESHOLD
+from repro.faults.plan import MAX_FAULT_FRACTION, MIN_FAULT_FRACTION
+from repro.faults.retry import (
+    BACKOFF_BASE_S,
+    BACKOFF_FACTOR,
+    BACKOFF_MAX_S,
+    JITTER,
+    MAX_RETRIES,
+    backoff_for,
+)
 from repro.util.units import MiB
 
 NBYTES = 128 * MiB
@@ -66,23 +75,28 @@ class TestFaultPlan:
     def test_rate_bounds(self):
         never = FaultPlan(FaultConfig(transfer_fault_rate=0.0))
         assert all(never.transfer_fault("x", s, NBYTES) is None for s in range(50))
-        cfg = FaultConfig(
-            transfer_fault_rate=1.0,
-            min_fault_fraction=0.25,
-            max_fault_fraction=0.75,
-        )
-        always = FaultPlan(cfg)
-        for seq in range(50):
-            cut = always.transfer_fault("x", seq, NBYTES)
+        always = FaultPlan(FaultConfig(transfer_fault_rate=1.0))
+        cuts = [always.transfer_fault("x", seq, NBYTES) for seq in range(200)]
+        for cut in cuts:
             assert cut is not None
             assert 1 <= cut <= NBYTES - 1
-            assert 0.25 * NBYTES <= cut <= 0.75 * NBYTES
+            assert MIN_FAULT_FRACTION * NBYTES <= cut <= MAX_FAULT_FRACTION * NBYTES
+        # The draws spread over the range, not only its middle.
+        assert min(cuts) < 0.25 * NBYTES and max(cuts) > 0.75 * NBYTES
 
-    def test_link_filter(self):
-        cfg = FaultConfig(transfer_fault_rate=1.0, fault_links=("ssd",))
-        plan = FaultPlan(cfg)
-        assert plan.transfer_fault("node0-ssd-write", 0, NBYTES) is not None
-        assert plan.transfer_fault("d2h", 0, NBYTES) is None
+    def test_every_link_is_eligible(self):
+        plan = FaultPlan(FaultConfig(transfer_fault_rate=1.0))
+        for link in ("node0-ssd-write", "d2h", "pfs-node0-read", "node1-peer"):
+            assert plan.transfer_fault(link, 0, NBYTES) is not None
+        dom = FaultDomain(FaultConfig(transfer_fault_rate=1.0), ResilienceConfig(), fast_clock())
+
+        class FakeLink:
+            name = "p0-d2h"
+            fault_injector = None
+
+        link = FakeLink()
+        dom.attach(link)
+        assert link.fault_injector is not None
 
     def test_outage_windows(self):
         cfg = FaultConfig(
@@ -140,38 +154,16 @@ class TestLinkFaultInjector:
 
 class TestRetryPolicy:
     def test_backoff_grows_and_caps(self):
-        cfg = ResilienceConfig(
-            enabled=True,
-            backoff_base_s=0.1,
-            backoff_factor=2.0,
-            backoff_max_s=0.5,
-            jitter=0.25,
-        )
-        policy = RetryPolicy(cfg, seed=1)
-        for attempt in range(6):
-            base = min(0.1 * 2.0 ** attempt, 0.5)
+        policy = RetryPolicy(seed=1)
+        bases = [min(BACKOFF_BASE_S * BACKOFF_FACTOR ** k, BACKOFF_MAX_S) for k in range(8)]
+        assert bases[0] < bases[1] and bases[-1] == BACKOFF_MAX_S  # grows, then caps
+        for attempt, base in enumerate(bases):
             delay = policy.backoff(attempt, "h2f", 3)
-            assert base <= delay <= base * 1.25
+            assert base <= delay <= base * (1.0 + JITTER)
 
     def test_backoff_deterministic(self):
-        cfg = ResilienceConfig(enabled=True)
-        assert RetryPolicy(cfg, 5).backoff(2, "d2s", 1) == RetryPolicy(cfg, 5).backoff(
-            2, "d2s", 1
-        )
-        assert RetryPolicy(cfg, 5).backoff(2, "d2s", 1) != RetryPolicy(cfg, 6).backoff(
-            2, "d2s", 1
-        )
-
-    def test_class_budget_overrides(self):
-        cfg = ResilienceConfig(
-            enabled=True,
-            max_retries=4,
-            retry_classes=(("SPECULATIVE_PREFETCH", 0), ("DEMAND_READ", 7)),
-        )
-        policy = RetryPolicy(cfg, seed=0)
-        assert policy.budget("SPECULATIVE_PREFETCH") == 0
-        assert policy.budget("DEMAND_READ") == 7
-        assert policy.budget("CASCADE_FLUSH") == 4
+        assert RetryPolicy(5).backoff(2, "d2s", 1) == RetryPolicy(5).backoff(2, "d2s", 1)
+        assert RetryPolicy(5).backoff(2, "d2s", 1) != RetryPolicy(6).backoff(2, "d2s", 1)
 
 
 class TestRunWithRetries:
@@ -188,68 +180,50 @@ class TestRunWithRetries:
 
     def test_retries_until_success(self):
         clock = fast_clock()
-        policy = RetryPolicy(ResilienceConfig(enabled=True, max_retries=4), seed=0)
-        fn, calls = self._flaky(3)
+        fn, calls = self._flaky(MAX_RETRIES - 1)
         started = clock.now()
-        assert (
-            run_with_retries(
-                fn, policy=policy, clock=clock, class_name="CASCADE_FLUSH",
-                labels=("t",),
-            )
-            == "ok"
-        )
-        assert calls["n"] == 4
+        assert run_with_retries(fn, policy=RetryPolicy(seed=0), clock=clock, labels=("t",)) == "ok"
+        assert calls["n"] == MAX_RETRIES
         assert clock.now() > started  # backoff charged on the virtual clock
 
     def test_budget_exhaustion_raises(self):
-        policy = RetryPolicy(ResilienceConfig(enabled=True, max_retries=2), seed=0)
-        fn, calls = self._flaky(10)
+        fn, calls = self._flaky(MAX_RETRIES + 5)
         with pytest.raises(TransientTransferError):
-            run_with_retries(
-                fn, policy=policy, clock=fast_clock(), class_name="CASCADE_FLUSH",
-                labels=("t",),
-            )
-        assert calls["n"] == 3  # first attempt + 2 retries
+            run_with_retries(fn, policy=RetryPolicy(seed=0), clock=fast_clock(), labels=("t",))
+        assert calls["n"] == MAX_RETRIES + 1  # first attempt + every retry
 
     def test_none_policy_is_a_plain_call(self):
         fn, calls = self._flaky(1)
         with pytest.raises(TransientTransferError):
-            run_with_retries(
-                fn, policy=None, clock=fast_clock(), class_name="X", labels=()
-            )
+            run_with_retries(fn, policy=None, clock=fast_clock(), labels=())
         assert calls["n"] == 1
 
     def test_should_abort_short_circuits(self):
-        policy = RetryPolicy(ResilienceConfig(enabled=True, max_retries=5), seed=0)
         fn, calls = self._flaky(10)
         with pytest.raises(TransientTransferError):
             run_with_retries(
-                fn, policy=policy, clock=fast_clock(), class_name="X",
+                fn, policy=RetryPolicy(seed=0), clock=fast_clock(),
                 labels=(), should_abort=lambda: True,
             )
         assert calls["n"] == 1
 
     def test_non_transient_errors_propagate(self):
-        policy = RetryPolicy(ResilienceConfig(enabled=True, max_retries=5), seed=0)
-
         def fn():
             raise TransferError("cancelled")
 
         with pytest.raises(TransferError):
-            run_with_retries(
-                fn, policy=policy, clock=fast_clock(), class_name="X", labels=()
-            )
+            run_with_retries(fn, policy=RetryPolicy(seed=0), clock=fast_clock(), labels=())
 
 
     def test_hooks_feed_a_breaker_and_own_the_backoff(self):
         """What the flusher plugs in: ``on_attempt`` sees every outcome (even
         with no policy), ``on_retry`` sleeps the back-off itself."""
         clock = fast_clock()
-        policy = RetryPolicy(ResilienceConfig(enabled=True, max_retries=4), seed=0)
+        policy = RetryPolicy(seed=0)
         fn, _ = self._flaky(2)
         outcomes, slept = [], []
         run_with_retries(
-            fn, policy=policy, clock=clock, class_name="CASCADE_FLUSH", labels=("t",),
+            fn, policy=policy, clock=clock, labels=("t",),
             on_attempt=outcomes.append, on_retry=lambda attempt, delay, exc: slept.append(delay),
         )
         assert outcomes == [False, False, True]
@@ -257,27 +231,28 @@ class TestRunWithRetries:
         assert clock.now() == 0.0  # the default sleep did not run as well
         fn, _ = self._flaky(1)
         with pytest.raises(TransientTransferError):
-            run_with_retries(
-                fn, policy=None, clock=clock, class_name="X", labels=(),
-                on_attempt=outcomes.append,
-            )
+            run_with_retries(fn, policy=None, clock=clock, labels=(), on_attempt=outcomes.append)
         assert outcomes[-1] is False
 
     def test_backoff_for_answers_with_resilience_on_or_off(self):
-        policy = RetryPolicy(ResilienceConfig(enabled=True), seed=3)
+        policy = RetryPolicy(seed=3)
         assert backoff_for(None, "demand", 7) == 0.05
         assert backoff_for(policy, "demand", 7) == policy.backoff(0, "demand", 7)
 
 
 class TestCircuitBreaker:
-    def make(self, clock, threshold=3, reset_s=5.0):
-        return CircuitBreaker("node0-ssd", threshold, reset_s, clock)
+    def make(self, clock):
+        return CircuitBreaker("node0-ssd", clock)
+
+    def trip(self, brk):
+        for _ in range(BREAKER_THRESHOLD):
+            brk.record_failure()
 
     def test_opens_after_consecutive_failures(self):
         brk = self.make(fast_clock())
         assert brk.allow()
-        brk.record_failure()
-        brk.record_failure()
+        for _ in range(BREAKER_THRESHOLD - 1):
+            brk.record_failure()
         assert brk.state == "closed"
         brk.record_failure()
         assert brk.state == "open"
@@ -286,19 +261,21 @@ class TestCircuitBreaker:
 
     def test_success_resets_the_count(self):
         brk = self.make(fast_clock())
-        brk.record_failure()
-        brk.record_failure()
+        for _ in range(BREAKER_THRESHOLD - 1):
+            brk.record_failure()
         brk.record_success()
-        brk.record_failure()
-        brk.record_failure()
-        assert brk.state == "closed"  # never 3 consecutive
+        for _ in range(BREAKER_THRESHOLD - 1):
+            brk.record_failure()
+        assert brk.state == "closed"  # never BREAKER_THRESHOLD consecutive
 
     def test_half_open_probe_cycle(self):
         clock = fast_clock()
-        brk = self.make(clock, threshold=1, reset_s=5.0)
-        brk.record_failure()
+        brk = self.make(clock)
+        self.trip(brk)
         assert not brk.allow()
-        clock.sleep(5.0)
+        clock.sleep(BREAKER_RESET_S - 0.1)
+        assert not brk.allow()  # still cooling down
+        clock.sleep(0.1)
         assert brk.allow()  # the single half-open probe
         assert not brk.allow()  # second caller must wait for the probe
         brk.record_success()
@@ -307,9 +284,9 @@ class TestCircuitBreaker:
 
     def test_half_open_failure_reopens(self):
         clock = fast_clock()
-        brk = self.make(clock, threshold=1, reset_s=5.0)
-        brk.record_failure()
-        clock.sleep(5.0)
+        brk = self.make(clock)
+        self.trip(brk)
+        clock.sleep(BREAKER_RESET_S)
         assert brk.allow()
         brk.record_failure()
         assert brk.state == "open"
@@ -317,10 +294,10 @@ class TestCircuitBreaker:
         assert brk.opens == 2
 
     def test_snapshot(self):
-        brk = self.make(fast_clock(), threshold=1)
-        brk.record_failure()
+        brk = self.make(fast_clock())
+        self.trip(brk)
         snap = brk.snapshot()
-        assert snap == {"state": "open", "failures": 1, "opens": 1}
+        assert snap == {"state": "open", "failures": BREAKER_THRESHOLD, "opens": 1}
 
 
 class TestHealthRegistry:
@@ -335,19 +312,17 @@ class TestHealthRegistry:
     def test_disabled_gates_stay_open_past_any_threshold(self):
         """The flusher calls ``allow`` with resilience off too: a disabled
         registry is what keeps that the historical, ungated write."""
-        reg = HealthRegistry(ResilienceConfig(enabled=False, breaker_threshold=1), fast_clock())
+        reg = HealthRegistry(ResilienceConfig(enabled=False), fast_clock())
         for name in ("node0-ssd", "pfs"):
-            reg.failure(name)
-            reg.failure(name)
+            for _ in range(BREAKER_THRESHOLD + 1):
+                reg.failure(name)
             assert reg.allow(name) and reg.healthy(name) and reg.allow(name)
         assert reg.snapshot() == {}
 
     def test_enabled_tracks_per_tier(self):
-        reg = HealthRegistry(
-            ResilienceConfig(enabled=True, breaker_threshold=2), fast_clock()
-        )
-        reg.failure("node0-ssd")
-        reg.failure("node0-ssd")
+        reg = HealthRegistry(ResilienceConfig(enabled=True), fast_clock())
+        for _ in range(BREAKER_THRESHOLD):
+            reg.failure("node0-ssd")
         assert not reg.allow("node0-ssd")
         assert not reg.healthy("node0-ssd")
         assert reg.allow("pfs")  # independent breakers
@@ -356,12 +331,10 @@ class TestHealthRegistry:
 
     def test_healthy_never_consumes_the_probe(self):
         clock = fast_clock()
-        reg = HealthRegistry(
-            ResilienceConfig(enabled=True, breaker_threshold=1, breaker_reset_s=1.0),
-            clock,
-        )
-        reg.failure("pfs")
-        clock.sleep(1.0)
+        reg = HealthRegistry(ResilienceConfig(enabled=True), clock)
+        for _ in range(BREAKER_THRESHOLD):
+            reg.failure("pfs")
+        clock.sleep(BREAKER_RESET_S)
         # Read-side routing checks must not eat the write-side probe slot.
         assert not reg.healthy("pfs")  # still OPEN until a probe runs
         assert reg.allow("pfs")  # write side takes the probe
@@ -393,9 +366,9 @@ class TestFaultDomain:
 
     def test_disabled_domain_never_fires_an_armed_plan(self):
         """The engine's crash points and the fabric's peer-read gate ask the
-        domain with injection off too: a plan aimed at a checkpoint and at
-        links, but with nothing to inject, is inert."""
-        dom = self.make(FaultConfig(crash_ckpt=0, fault_links=("ssd",), min_fault_fraction=0.1))
+        domain with injection off too: a plan aimed at a checkpoint, but
+        with nothing to inject, is inert."""
+        dom = self.make(FaultConfig(crash_ckpt=0))
         assert dom.plan is None
         for stage in CRASH_STAGES:
             for point in (stage, f"before-{stage}", f"after-{stage}"):
@@ -457,39 +430,21 @@ class TestConfigValidation:
             {"transfer_fault_rate": 1.5},
             {"transfer_fault_rate": -0.1},
             {"corruption_rate": 2.0},
-            {"min_fault_fraction": 0.0},
-            {"min_fault_fraction": 0.9, "max_fault_fraction": 0.5},
-            {"max_fault_fraction": 1.0},
             {"tier_outages": (("ssd", 1.0, 2.0),)},
         ],
+        # explicit ids keep each case's name stable when rows are dropped
+        ids=["kwargs0", "kwargs1", "kwargs2", "kwargs6"],
     )
     def test_bad_fault_config(self, kwargs):
         with pytest.raises(ConfigError):
             FaultConfig(**kwargs)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_retries": -1},
-            {"backoff_base_s": -0.5},
-            {"backoff_factor": 0.5},
-            {"jitter": 1.5},
-            {"retry_classes": (("DEMAND_READ",),)},
-            {"retry_classes": (("DEMAND_READ", -2),)},
-        ],
-    )
-    def test_bad_resilience_config(self, kwargs):
-        with pytest.raises(ConfigError):
-            ResilienceConfig(**kwargs)
 
     def test_defaults_are_off(self):
         assert not FaultConfig().injects
         assert not ResilienceConfig().enabled
 
     def test_the_switch_is_derived_from_what_the_plan_injects(self):
-        assert not FaultConfig(
-            seed=5, fault_links=("ssd",), min_fault_fraction=0.1, crash_ckpt=2
-        ).injects
+        assert not FaultConfig(seed=5, crash_ckpt=2).injects
         for knobs in (
             {"transfer_fault_rate": 0.1},
             {"corruption_rate": 0.1},

@@ -31,6 +31,7 @@ from repro.core.flusher import Flusher
 from repro.core.streaming import ChunkPipeline
 from repro.core.validator import validate_engine
 from repro.errors import TierOfflineError, TransferError, TransientTransferError
+from repro.faults.retry import MAX_RETRIES
 from repro.tiers.base import TierLevel
 from repro.tiers.topology import Cluster, ProcessContext
 from repro.util.units import MiB
@@ -283,14 +284,19 @@ def test_flush_hop_failure_leaves_nothing_behind(monkeypatch, stream, hop, point
 @both_chunk_plans
 @pytest.mark.parametrize("hop,point,how", FLUSH_CELLS)
 def test_flush_hop_failure_feeds_its_breaker_once(monkeypatch, stream, hop, point, how):
-    """Resilience on, with no retry and no reroute: each cell is one failed
-    attempt, fed to the breaker its hop × failure point names (claims and
-    store-put chunks the sink's, replication none), and still abandons."""
+    """Resilience on, with no reroute: each cell fails every attempt, and
+    each attempt is fed once to the breaker its hop × failure point names
+    (claims and store-put chunks the sink's, replication none) — a transient
+    fault ``MAX_RETRIES + 1`` times, a cancel or a commit failure once, as
+    neither is retried — and still abandons."""
     if hop not in ("f2r", "f2p"):
         without_pfs(monkeypatch)  # nothing to reroute to
-    resilience = ResilienceConfig(enabled=True, max_retries=0)
-    fed, breaker = _flush_cell(monkeypatch, stream, hop, point, how, resilience=resilience)
-    assert fed == ([breaker] if breaker else [])
+    attempts = MAX_RETRIES + 1 if how in ("outage", "link-fault") else 1
+    fed, breaker = _flush_cell(
+        monkeypatch, stream, hop, point, how, times=attempts,
+        resilience=ResilienceConfig(enabled=True),
+    )
+    assert fed == ([breaker] * attempts if breaker else [])
 
 
 def without_pfs(monkeypatch):
@@ -299,9 +305,10 @@ def without_pfs(monkeypatch):
     monkeypatch.setattr(ProcessContext, "pfs", None)
 
 
-def _flush_cell(monkeypatch, stream, hop, point, how, **changes):
-    """Run one cell of the matrix and check the contract; returns the
-    breakers fed a failure and the one the cell should feed."""
+def _flush_cell(monkeypatch, stream, hop, point, how, times=1, **changes):
+    """Run one cell of the matrix, its failure point failing ``times`` calls
+    in a row, and check the contract; returns the breakers fed a failure
+    and the one the cell should feed."""
     changes.update(stream=stream)
     if hop == "repl":
         changes.update(num_nodes=2, cluster=ClusterConfig(enabled=True, replica_factor=2))
@@ -318,7 +325,7 @@ def _flush_cell(monkeypatch, stream, hop, point, how, **changes):
             if how == "cancel":
                 cancel = lambda: engine.catalog.get(0).cancel_flush.set()  # noqa: E731
             with recorded_pipelines(monkeypatch) as built, breaker_feeds(engine) as fed:
-                with failing(obj, name, exc, at=at, before=cancel) as calls:
+                with failing(obj, name, exc, at=at, times=times, before=cancel) as calls:
                     engine.checkpoint(0, buf)
                     engine.wait_for_flushes(timeout=600.0)  # neighbours released
             assert len(calls) > at, "the failure point was never reached"
@@ -353,10 +360,10 @@ def _flush_cell(monkeypatch, stream, hop, point, how, **changes):
 @both_chunk_plans
 def test_retried_charge_feeds_the_breaker_once_per_attempt(monkeypatch, stream):
     """Resilience on, no PFS to reroute to: a persistently failing SSD chunk
-    is retried ``max_retries`` times, each attempt fed to the SSD breaker,
+    is retried ``MAX_RETRIES`` times, each attempt fed to the SSD breaker,
     then the hop is abandoned — one abandonment, nothing left behind."""
     without_pfs(monkeypatch)
-    resilience = ResilienceConfig(enabled=True, max_retries=2, breaker_threshold=99)
+    resilience = ResilienceConfig(enabled=True)
     with Cluster(tiny_config(stream=stream, resilience=resilience)) as cluster:
         ctx = cluster.process_contexts()[0]
         with ScoreEngine(ctx) as engine:
@@ -365,10 +372,11 @@ def test_retried_charge_feeds_the_breaker_once_per_attempt(monkeypatch, stream):
                     engine.checkpoint(0, make_buffer(ctx, CKPT, seed=1))
                     engine.wait_for_flushes(timeout=600.0)
             track = engine.ssd.track
-            # The open is an attempt too (it succeeds); then chunk 0 thrice.
-            assert fed["failure"] == [track] * 3
+            # The open is an attempt too (it succeeds); then every attempt
+            # at chunk 0.
+            assert fed["failure"] == [track] * (MAX_RETRIES + 1)
             assert fed["success"] == [track]
-            assert engine.flusher.retries == 2 and engine.flusher.abandoned == 1
+            assert engine.flusher.retries == MAX_RETRIES and engine.flusher.abandoned == 1
             assert engine.catalog.get(0).durable_level is None
             assert_nothing_left(engine)
 
@@ -377,7 +385,7 @@ def test_retried_charge_feeds_the_breaker_once_per_attempt(monkeypatch, stream):
 
 @pytest.mark.parametrize("point", ["claim", "chunk", "commit"])
 def test_backfill_failure_requeues_and_feeds_the_breaker(point):
-    cfg = tiny_config(resilience=ResilienceConfig(enabled=True, breaker_threshold=99))
+    cfg = tiny_config(resilience=ResilienceConfig(enabled=True))
     with Cluster(cfg) as cluster:
         ctx = cluster.process_contexts()[0]
         with ScoreEngine(ctx, flush_to_pfs=True) as engine:

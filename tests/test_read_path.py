@@ -25,6 +25,7 @@ from repro.core.engine import ScoreEngine
 from repro.core.lifecycle import CkptState
 from repro.core.validator import validate_engine
 from repro.errors import CheckpointNotFound, TransientTransferError
+from repro.faults.health import BREAKER_THRESHOLD
 from repro.tiers.base import TierLevel
 from repro.tiers.topology import Cluster
 from repro.util.units import MiB
@@ -256,8 +257,9 @@ class TestReadChain:
     """``ScoreEngine.read_source``: usable local SSD, then a fabric peer's
     SSD, then the PFS, then the local SSD again so the error surfaces there."""
 
-    #: an open breaker stays open for the whole test (default: 5 nominal s).
-    RESILIENT = ResilienceConfig(enabled=True, breaker_reset_s=1e6)
+    #: an open breaker stays open until a write probes it, and these tests
+    #: write nothing once it has opened.
+    RESILIENT = ResilienceConfig(enabled=True)
     SSD_DARK_LATER = FaultConfig(tier_outages=(("ssd", 1e6, 1e9, 0.0),))
 
     def _flushed_to_pfs(self, stream, **changes):
@@ -293,7 +295,7 @@ class TestReadChain:
             stream, resilience=self.RESILIENT
         )
         with cluster, engine:
-            for _ in range(self.RESILIENT.breaker_threshold):
+            for _ in range(BREAKER_THRESHOLD):
                 engine.health.failure(engine.ssd.track)
             assert engine.read_source(engine.store_key(record)) is engine.pfs
             assert self._restore_reads(cluster, ctx, engine, checksum) == (0, 1)

@@ -24,8 +24,8 @@ reached (``engine.resilient``, ``config.resilience.enabled``, a local
 one place meant to read them, is not counted.
 
 Three keep the configuration small and declared once (ROADMAP item 10):
-more than 93 "config fields" (the fields of ``repro.config``'s dataclasses)
-or 11 "raise ConfigError in config.py" (a constraint is declared on its field
+more than 73 "config fields" (the fields of ``repro.config``'s dataclasses)
+or 10 "raise ConfigError in config.py" (a constraint is declared on its field
 and checked by ``validate``; only rules relating two fields are code), or
 any "config fields never read outside config.py" (a knob no code reads is a
 constant with a check; by name, the two-field rules of ``__post_init__`` not
@@ -54,8 +54,15 @@ missed-wakeup guard is the named ``GUARD_S``, which is not counted.
 
 And backpressure comes from the caches: any "admission gates in src/" (a
 shed error, a queue or backlog bound, a stream-depth wait, a per-engine
-weight) fails.  A ``checkpoint()`` blocks in its GPU-cache reservation, a
-prefetch in its budget, and a link's arbiter admits every transfer.
+weight) or "service admission gates in src/" (a refusal of a session or of
+a request on an open one) fails.  A ``checkpoint()`` blocks in its GPU-cache
+reservation, a prefetch in its budget, a link's arbiter admits every
+transfer and the checkpoint service every request.
+
+And a node crash always heals: any "switches a crash decides" (a repair or
+failover switch, or a branch on whether the fabric has a repairer) fails.
+The fabric always builds its repairer, and a session on a dead engine
+always fails over.
 """
 
 import ast
@@ -95,6 +102,10 @@ GATES = (
     r"AdmissionError|wait_depth_below|weight_of|max_flush_backlog|max_flush_queue"
     r"|max_speculative_queue"
 )
+SERVICE_GATES = r"BackpressureError|service_queue_depth|service_max_sessions"
+
+#: a switch or a branch that picks whether a node crash heals.
+CRASH_SWITCHES = r"config\.repair\b|config\.failover\b|repairer is (not )?None"
 
 
 def sites(pattern, files=FILES, skip=(), outside=None):
@@ -205,6 +216,8 @@ def main() -> int:
         "raw threading.Barrier( in src/": sites(r"threading\.Barrier\("),
         "fixed-period polls in src/": sites(POLL),
         "admission gates in src/": sites(GATES),
+        "service admission gates in src/": sites(SERVICE_GATES),
+        "switches a crash decides": sites(CRASH_SWITCHES),
         "per-tier size reads in src/": sites(PER_TIER_SIZES),
         "hand-set fault switches": sites(FAULT_SWITCHES, EVERYWHERE),
     }
@@ -222,8 +235,8 @@ def main() -> int:
         "promote_once( call sites": 1,
         "cost_cache_enabled mentions": 0,
         "path-picking reads in core/": 6,
-        "config fields": 93,
-        "raise ConfigError in config.py": 11,
+        "config fields": 73,
+        "raise ConfigError in config.py": 10,
         "config fields never read outside config.py": 0,
         "raw threading.Thread( in tests/ outside test_clock*.py": 0,
         "raw threading.Barrier( in src/": 0,
@@ -231,6 +244,8 @@ def main() -> int:
         ".transfer( call sites in cluster/fabric.py and core/hop.py": 0,
         "fixed-period polls in src/": 0,
         "admission gates in src/": 0,
+        "service admission gates in src/": 0,
+        "switches a crash decides": 0,
         "per-tier size reads in src/": 0,
         "hand-set fault switches": 0,
     }
