@@ -9,7 +9,7 @@ Each mode runs the same two-phase scenario against one engine:
   stack (:class:`ResilienceConfig`) enabled, then kill the engine.
 * **Phase 2 (afterlife)** — scan the durable tiers for what actually
   survived, re-incarnate a fresh engine on the same rank,
-  ``recover_history()`` (manifest-journal replay + store scan), restore
+  ``recover_history()`` (one scan of the durable stores), restore
   every surviving checkpoint and CRC-verify it against the checksum the
   application buffer had at write time.
 

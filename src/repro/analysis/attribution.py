@@ -28,7 +28,7 @@ from repro.telemetry.causal import CATEGORIES, CATEGORY_PRIORITY
 #: Coverage each op must reach for the accounting invariant to hold.
 COVERAGE_THRESHOLD = 0.95
 
-#: Tier bucket for spans that carry no ``tier`` arg (pure waits, journal).
+#: Tier bucket for spans that carry no ``tier`` arg (pure waits).
 UNTIERED = "-"
 
 

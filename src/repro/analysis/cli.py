@@ -54,7 +54,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro analyze",
         description="reconstruct per-op span DAGs and attribute wall time "
-        "to categories (queue/transfer/retry/reroute/reduce/reserve/journal)",
+        "to categories (queue/transfer/retry/reroute/reduce/reserve)",
         parents=[live_run_flags()],
     )
     parser.add_argument(

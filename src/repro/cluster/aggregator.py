@@ -19,8 +19,7 @@ Protocol (leader/follower on a virtual-clock :class:`Monitor`):
 
 Crash consistency is commit-at-end twice over: ``put_batch`` transfers
 all bytes before committing any blob (a crash mid-batch durably commits
-nothing), and each member's manifest-journal entry is written by its
-flusher only after ``submit`` returns. A batch failure is re-raised in
+nothing), and each member's blob commits with its recovery metadata. A batch failure is re-raised in
 every member's thread, so each flush stream retries independently and
 re-aggregates into fresh batches.
 

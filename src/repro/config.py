@@ -402,8 +402,8 @@ class ResilienceConfig(_Validated):
     breakers blacklist degraded tiers and reroute the flush cascade around
     them with catch-up backfill on recovery (:mod:`repro.faults.health`),
     durable puts are CRC re-verified and re-flushed from an upper-tier copy
-    on corruption, and a crash-consistent manifest journal makes
-    ``recover_history()`` independent of store scans.
+    on corruption, and reduced checkpoints' chunk recipes are kept in a
+    durable sidecar so ``recover_history()`` can rebuild them.
     """
 
     #: master switch for every recovery mechanism below.
@@ -446,7 +446,7 @@ class AnalysisConfig(_Validated):
     ``RuntimeConfig.telemetry`` is on), every ``checkpoint()``/``restore()``
     and each prefetch chain is issued a stable operation id that rides on
     every span the operation touches — flush FSM stages, retries, reroutes,
-    reserve waits, journal commits — so :mod:`repro.analysis` can rebuild
+    reserve waits — so :mod:`repro.analysis` can rebuild
     per-op span DAGs, compute critical paths, and attribute wall time to
     categories.  The SLO monitor watches op completions live.
     """

@@ -14,14 +14,13 @@ implements the blocking semantics of the problem formulation (Section 2):
   with ``discard_consumed=True`` their pending flushes are abandoned
   (condition (5)).
 
-**The shell.**  The optional features (reduction, the manifest journal,
-prediction, SLO tracking) are not asked about at each edge of the life
-cycle: they register as *lifecycle observers* (:meth:`ScoreEngine.observe`)
-and the engine announces events to whoever registered — with no feature on,
-to nobody.  An observer is any object with methods named in :data:`HOOKS`:
-``on_<event>`` runs with the monitor held and must not block;
-``after_<event>`` runs once the monitor is released and may do I/O.  Two
-events have an epilogue every code path shares: :meth:`ScoreEngine.landed`
+**The shell.**  The optional features (reduction, prediction, SLO tracking)
+are not asked about at each edge of the life cycle: they register as
+*lifecycle observers* (:meth:`ScoreEngine.observe`) and the engine announces
+events to whoever registered — with no feature on, to nobody.  An observer
+is any object with methods named in :data:`HOOKS`: ``on_<event>`` runs with
+the monitor held and must not block; ``after_<event>`` runs once the monitor
+is released.  Two events have an epilogue every code path shares: :meth:`ScoreEngine.landed`
 (a complete copy now exists on a cache level or a durable store) and
 :meth:`ScoreEngine.dropped` (a copy is gone).  Data-path calls that return
 something (``encode``, ``reconstruct``, ``physical_payload``) are not
@@ -57,7 +56,6 @@ from repro.errors import (
     LifecycleError,
     TransferError,
 )
-from repro.faults.journal import JournalObserver
 from repro.faults.retry import RetryPolicy
 from repro.log import get_logger
 from repro.metrics.recorder import OpEvent, OpKind, Recorder
@@ -90,7 +88,6 @@ HOOKS = (
     "on_landed",
     "after_landed",
     "on_dropped",
-    "after_dropped",
     "on_demand_miss",
     "on_consumed",
     "on_speculative_staged",
@@ -246,13 +243,7 @@ class ScoreEngine:
             self.stats_fragments += (("prediction", self.predict.stats),)
         else:
             self.queue = RestoreQueue(telemetry=self.telemetry)
-        #: the crash-consistent manifest journal ``recover_history()``
-        #: replays (cluster-wide; this engine writes it through an observer).
-        self.journal = cluster.journal
-        if resilience.enabled:
-            self.observe(JournalObserver(self.journal, self.process_id, self.recovery_meta))
-        #: live SLO tracking (None unless causal tracing records).  After
-        #: the journal: a landing is journaled before it is stamped durable.
+        #: live SLO tracking (None unless causal tracing records).
         self.slo: Optional[SloMonitor] = None
         if self.ops.enabled:
             self.slo = SloMonitor(
@@ -388,8 +379,8 @@ class ScoreEngine:
         in, or the record's durable level rises; the ``on_landed``
         observers run (chunk attach); the ``flushed`` source copy one level
         up becomes evictable; waiters are notified.  After it, for a
-        durable store: the ``after_landed`` observers (journal commit, then
-        the first-``durable`` instant and SLO sample on ``track``).
+        durable store: the ``after_landed`` observers (the first-``durable``
+        instant and SLO sample on ``track``).
         """
         level = where.level
         durable = level >= TierLevel.SSD
@@ -418,15 +409,12 @@ class ScoreEngine:
         monitor section), or a durable blob the caller just deleted.
 
         Under the monitor: the ``on_dropped`` observers (chunk detach,
-        abandoned speculation), then notify.  After it, for a durable
-        store: the ``after_dropped`` observers (journal retract).
+        abandoned speculation), then notify.
         """
         with self.monitor:
             if self._owns(where):
                 self.notify("on_dropped", record, where)
             self.monitor.notify_all()
-        if where.level >= TierLevel.SSD:
-            self.notify("after_dropped", record, where)
 
     def _fsm_hook(self):
         """Catalog transition hook tracing every FSM edge (Fig. 1); ``None``
@@ -808,12 +796,12 @@ class ScoreEngine:
 
         CRC-scrubs every durable copy (local SSD, replica SSDs, PFS) against
         the pristine checksum stamped at put() time, deletes the copies
-        whose bytes diverged (journaling the retract), drops the cache
-        copies hydrated from them, recomputes the durable placement from
-        what survived, and re-flushes the repaired tier from an upper-tier
-        pristine copy.  Returns ``False`` when nothing is provably corrupt
-        at rest or no pristine copy remains — the caller then raises
-        :class:`IntegrityError` as before.
+        whose bytes diverged, drops the cache copies hydrated from them,
+        recomputes the durable placement from what survived, and re-flushes
+        the repaired tier from an upper-tier pristine copy.  Returns
+        ``False`` when nothing is provably corrupt at rest or no pristine
+        copy remains — the caller then raises :class:`IntegrityError` as
+        before.
         """
         key = self.store_key(record)
         replicas = [ssd for _node, ssd, _link in self.replica_targets]
@@ -1178,16 +1166,14 @@ class ScoreEngine:
     def recover_history(self) -> int:
         """Rebuild the catalog from the durable tiers after a restart.
 
-        With resilience on, the crash-consistent manifest journal is
-        replayed first (commit entries are validated against the stores, so
-        a journal entry whose blob vanished is ignored); the store scan then
-        fills in anything the journal missed — the node-local SSD, other
-        nodes' SSDs holding replicas, and the PFS.  Reduced checkpoints are
-        rebuilt from the durable chunk-recipe sidecar and re-attached at
-        every durable tier; without a recipe (or without resilience) they
-        are skipped with a warning, as before.  Returns the number of
-        checkpoints recovered; already-known ids are skipped, so calling
-        this on a warm engine is a no-op.
+        One scan of the stores, in order: the node-local SSD, other nodes'
+        SSDs holding replicas, and the PFS.  Each blob carries the
+        :meth:`recovery_meta` committed beside it (a file-backed SSD
+        re-indexes it from disk).  Reduced checkpoints are rebuilt from the
+        durable chunk-recipe sidecar and re-attached at every durable tier;
+        without a recipe (or without resilience) they are skipped with a
+        warning.  Returns the number of checkpoints recovered; already-known
+        ids are skipped, so calling this on a warm engine is a no-op.
         """
         self._require_open()
         recovered = 0
@@ -1198,17 +1184,7 @@ class ScoreEngine:
                 sources.append(node.ssd)
         if self.pfs is not None:
             sources.append(self.pfs)
-        by_track = {store.track: store for store in sources}
         with self.monitor:
-            # Empty unless an incarnation journaled its commits.
-            for ckpt_id, locations in sorted(self.journal.entries_for(self.process_id).items()):
-                for store_id in sorted(locations):
-                    store = by_track.get(store_id)
-                    if store is None:
-                        continue
-                    meta = locations[store_id].get("meta") or {}
-                    if self._adopt_durable(ckpt_id, store, meta):
-                        recovered += 1
             for store in sources:
                 for key in sorted(store.keys_for_process(self.process_id)):
                     if self._adopt_durable(key[1], store, store.meta(key) or {}):
@@ -1225,7 +1201,7 @@ class ScoreEngine:
         """
         key = (self.process_id, ckpt_id)
         if not store.contains(key):
-            return False  # journal entry whose blob is gone: not trusted
+            return False  # deleted since the scan listed it
         record = self.catalog.maybe_get(ckpt_id)
         created = record is None
         if created:
@@ -1250,8 +1226,8 @@ class ScoreEngine:
                 record.durable_store = store  # a replica on another node's SSD
         if self._owns(store):
             # Blobs and chunk references must agree at every durable tier
-            # (the validator checks it).  Nothing is re-journaled: the
-            # journal is what recovery replayed.
+            # (the validator checks it).  The blob is not landed anew: no
+            # ``after_landed`` observer hears of it.
             self.notify("on_landed", record, store)
         return created
 

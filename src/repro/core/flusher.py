@@ -423,8 +423,8 @@ class Flusher:
         Scrubs the just-committed blob against the pristine CRC stamped at
         commit time; a mismatch (injected at-rest corruption) deletes the
         blob and re-puts it from the in-hand pristine payload, twice at
-        most.  Persistent corruption leaves no blob and retracts the
-        journal entry.  Returns whether a verified copy is stored.
+        most.  Persistent corruption leaves no blob and announces the drop.
+        Returns whether a verified copy is stored.
         """
         engine = self.engine
         key = engine.store_key(record)
@@ -540,8 +540,8 @@ class Flusher:
     # a hop charging its link chunk by chunk against the upstream stage's
     # published completions; what is written here is what differs between
     # them.  Payload *bytes* still move and commit whole-object — a torn
-    # stream leaves nothing on any tier, so the manifest journal's crash
-    # consistency does not depend on the chunk plan.
+    # stream leaves nothing on any tier, so what recovery finds does not
+    # depend on the chunk plan.
 
     def _bail(self, leg: Leg, record: "CheckpointRecord", reason: str) -> None:
         """Quiet abandonment of a stage whose neighbour already abandoned
@@ -756,7 +756,7 @@ class Flusher:
         at the failed chunk — chunks already in hand
         (``pipeline.in_hand``) left the GPU and are not taken again, for a
         one-chunk plan that is the whole object.  Returns the store the
-        verified blob landed on (the caller journals it and, off the SSD,
+        verified blob landed on (the caller lands it and, off the SSD,
         queues the backfill), or ``None`` after abandoning the hop.
         """
         engine = self.engine

@@ -19,8 +19,8 @@ bounded bounce buffer is the SSD read-back ``f2r`` feeding the PFS writer
 The pipeline is pure coordination: payload bytes are still written whole
 at each stage's commit (the simulator charges transfer *time* per chunk,
 it does not fragment the numpy payloads), so a torn stream leaves nothing
-behind on a durable tier — chunk streaming cannot violate the manifest
-journal's crash consistency.
+behind on a durable tier — chunk streaming cannot leave a blob recovery
+would adopt half-written.
 
 Stall time spent in :meth:`await_upstream` / :meth:`throttle` is tallied
 per stage, and an interval integrator tracks how long ≥2 stages were

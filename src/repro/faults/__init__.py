@@ -10,11 +10,11 @@ The subsystem has two halves that compose but do not require each other:
   process-crash points between flush stages.
 
 * **Handling** (:mod:`repro.faults.health`, :mod:`repro.faults.retry`,
-  :mod:`repro.faults.journal`) — budgeted exponential-backoff retries with
+  :mod:`repro.faults.recipes`) — budgeted exponential-backoff retries with
   deterministic jitter, per-tier circuit breakers that reroute the flush
   cascade around a dark tier (with catch-up backfill), post-flush CRC
-  re-verification with re-flush, and the crash-consistent manifest journal
-  + chunk-recipe sidecar that ``recover_history()`` replays after a crash.
+  re-verification with re-flush, and the durable chunk-recipe sidecar
+  ``recover_history()`` rebuilds reduced checkpoints from after a crash.
 
 Both default off and are bit-identical to the pre-subsystem runtime when
 disabled (``tests/test_faults_equivalence.py``).
@@ -22,8 +22,8 @@ disabled (``tests/test_faults_equivalence.py``).
 
 from repro.faults.health import CircuitBreaker, HealthRegistry
 from repro.faults.injector import FaultDomain, LinkFaultInjector
-from repro.faults.journal import ManifestJournal, RecipeStore
 from repro.faults.plan import FaultPlan
+from repro.faults.recipes import RecipeStore
 from repro.faults.retry import RetryPolicy, run_with_retries
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "FaultPlan",
     "HealthRegistry",
     "LinkFaultInjector",
-    "ManifestJournal",
     "RecipeStore",
     "RetryPolicy",
     "run_with_retries",

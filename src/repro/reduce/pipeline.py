@@ -134,7 +134,7 @@ class Reducer:
         self._last_image: Optional[ReducedImage] = None
         #: chain head before the most recent encode (for ``on_forgotten``).
         self._prev_image: Optional[ReducedImage] = None
-        #: durable chunk-recipe sidecar (``repro.faults.journal.RecipeStore``)
+        #: durable chunk-recipe sidecar (``repro.faults.recipes.RecipeStore``)
         #: or None; when set, every encoded recipe is persisted so reduced
         #: checkpoints survive a crash and ``recover_history()`` can rebuild
         #: them.

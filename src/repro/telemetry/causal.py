@@ -47,8 +47,6 @@ CAT_REROUTE = "reroute"
 CAT_REDUCE = "reduce"
 #: blocking on cache capacity (eviction waits).
 CAT_RESERVE = "reserve"
-#: manifest-journal commits/retracts.
-CAT_JOURNAL = "journal"
 
 #: Every category the analyzer recognises.
 CATEGORIES = (
@@ -58,7 +56,6 @@ CATEGORIES = (
     CAT_REROUTE,
     CAT_REDUCE,
     CAT_RESERVE,
-    CAT_JOURNAL,
 )
 
 #: Tie-break for the attribution sweep when two overlapping spans of one op
@@ -66,12 +63,11 @@ CATEGORIES = (
 #: later start): the higher value takes the interval — a backoff opening
 #: exactly with its transfer charges to ``retry``, not ``transfer``.
 CATEGORY_PRIORITY = {
-    CAT_RETRY: 7,
-    CAT_REDUCE: 6,
-    CAT_RESERVE: 5,
-    CAT_REROUTE: 4,
-    CAT_TRANSFER: 3,
-    CAT_JOURNAL: 2,
+    CAT_RETRY: 6,
+    CAT_REDUCE: 5,
+    CAT_RESERVE: 4,
+    CAT_REROUTE: 3,
+    CAT_TRANSFER: 2,
     CAT_QUEUE: 1,
 }
 

@@ -471,7 +471,7 @@ def live_run_flags() -> argparse.ArgumentParser:
         "--resilient",
         action="store_true",
         help="enable the self-healing stack (retries, circuit breakers, "
-        "reroute+backfill, CRC reverify, manifest journal)",
+        "reroute+backfill, CRC reverify, chunk-recipe sidecar)",
     )
     parser.add_argument(
         "--verbose", action="store_true", help="DEBUG logging of the repro runtime"

@@ -54,8 +54,7 @@ class ObjectStore:
     chunks with the neighbouring hop.  An object stays invisible until the
     put handle's ``commit(payload)`` — commit-at-end keeps every
     crash-consistency property of a whole-object put (a torn stream leaves
-    nothing behind; the manifest journal never references an uncommitted
-    key).  :meth:`put` and :meth:`get` are ``open_* + one full-size chunk +
+    nothing behind, and the recovery metadata commits with the blob).  :meth:`put` and :meth:`get` are ``open_* + one full-size chunk +
     commit/finish``, so whole-object and streamed transfers are one
     implementation.
 
@@ -64,7 +63,7 @@ class ObjectStore:
     one chunk of that node's transfer crosses, in order, each a
     ``(link, alongside)`` pair — a link, and the link (or ``None``) the same
     bytes cross at the same time (:meth:`Link.transfer`).  ``track`` names the store on the trace and is also its
-    circuit-breaker and manifest-journal id.
+    circuit-breaker id.
     """
 
     level: TierLevel

@@ -24,7 +24,7 @@ from repro.config import RuntimeConfig
 from repro.errors import ConfigError
 from repro.faults.health import HealthRegistry
 from repro.faults.injector import FaultDomain
-from repro.faults.journal import ManifestJournal, RecipeStore
+from repro.faults.recipes import RecipeStore
 from repro.sched.scheduler import SchedContext
 from repro.simgpu.bandwidth import Link
 from repro.simgpu.device import Device
@@ -205,16 +205,12 @@ class Cluster:
         #: per-tier circuit breakers (always constructed; no-op registry
         #: unless ``config.resilience.enabled``).
         self.health = HealthRegistry(config.resilience, self.clock, self.telemetry)
-        #: crash-consistent durable-commit log + reduced-checkpoint recipe
-        #: sidecar; file-backed next to the SSD tier when it has a directory
-        #: so both survive full process re-incarnation.
-        journal_path = None
+        #: reduced-checkpoint recipe sidecar; file-backed next to the SSD
+        #: tier when it has a directory so it survives full process
+        #: re-incarnation.
         recipe_dir = None
         if config.ssd_directory is not None:
-            os.makedirs(config.ssd_directory, exist_ok=True)
-            journal_path = os.path.join(config.ssd_directory, "journal.jsonl")
             recipe_dir = os.path.join(config.ssd_directory, "recipes")
-        self.journal = ManifestJournal(path=journal_path)
         self.recipes = RecipeStore(directory=recipe_dir)
         self.pfs = PfsStore(
             config.hardware,

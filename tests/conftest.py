@@ -142,12 +142,14 @@ class FaultClock:
 
 def tamper_blob(store, key):
     """Flip one byte of an in-memory blob (the CRC sidecar keeps the
-    pristine checksum, so ``verify()`` detects the rot)."""
+    pristine checksum, so ``verify()`` detects the rot); returns the rotten
+    blob."""
     bad = store._blobs[key].copy()
     bad[0] ^= 0xFF
     bad.flags.writeable = False
     with store._blob_lock:
         store._blobs[key] = bad
+    return bad
 
 
 def quiesce(engine):

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cluster.topology import ClusterTopology
 from repro.config import ClusterConfig, ResilienceConfig
+from repro.core.engine import ScoreEngine
 from repro.errors import TransientTransferError
 from repro.util.rng import make_rng
 from repro.util.units import MiB
@@ -154,10 +155,11 @@ class TestPeerReads:
 
 class TestAggregation:
     @both_chunk_plans
-    def test_concurrent_flushes_coalesce_and_journal_stays_consistent(self, stream):
+    def test_concurrent_flushes_coalesce_and_recover_from_the_stores(self, stream):
         """Whole-object (one-chunk) PFS commits ride the node's write
         aggregator into ``put_batch``; a streamed flush paces the PFS per
-        chunk and commits per object."""
+        chunk and commits per object.  Either way each blob lands under its
+        own engine's key, and a fresh engine recovers exactly its own."""
         cfg = tiny_config(
             stream=stream,
             num_nodes=1,
@@ -187,15 +189,15 @@ class TestAggregation:
                 # Batched commits save whole PFS ops: 4 objects, fewer ops.
                 assert snap["tier.pfs.write_ops"] < 4
             assert topo.cluster.pfs.object_count() == 4
-            # Journal consistency: every PFS journal entry must match a
-            # committed blob (commit-at-end: no entry without bytes).
             # Checkpoint ids are globally unique: client i owns {2i, 2i+1}.
             for i, engine in enumerate(topo.engines):
-                entries = topo.cluster.journal.entries_for(engine.process_id)
-                assert set(entries) == {2 * i, 2 * i + 1}
-                for ckpt_id, stores in entries.items():
-                    assert "pfs" in stores
-                    assert topo.cluster.pfs.contains((engine.process_id, ckpt_id))
+                own = {2 * i, 2 * i + 1}
+                pfs_keys = topo.cluster.pfs.keys_for_process(engine.process_id)
+                assert {ckpt for _pid, ckpt in pfs_keys} == own
+                engine.close()
+                with ScoreEngine(engine.context, flush_to_pfs=True) as fresh:
+                    assert fresh.recover_history() == 2
+                    assert {r.ckpt_id for r in fresh.catalog.all_records()} == own
 
     def test_batched_blobs_are_byte_identical_to_direct_puts(self):
         checks = {}

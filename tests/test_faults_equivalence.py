@@ -2,11 +2,11 @@
 change nothing — the same discipline as ``SchedConfig`` / ``ReduceConfig``.
 
 The fault-injection plumbing (the ``link.fault_injector`` hook, the tier
-outage/corruption gates in the stores, the retry/reroute/reverify/journal
-paths in the engine and flusher) must be invisible when both switches are
-off: no injector attaches, ``engine.retry_policy`` is ``None`` (so every
-retry wrapper collapses to a plain call), no CRC is stamped into store
-metadata, and the journal never sees a commit.  This test runs the same
+outage/corruption gates in the stores, the retry/reroute/reverify paths
+in the engine and flusher) must be invisible when both switches are off:
+no injector attaches, ``engine.retry_policy`` is ``None`` (so every retry
+wrapper collapses to a plain call) and no CRC is stamped into store
+metadata.  This test runs the same
 deterministic scenario on two fresh clusters — the default config and a
 config with every fault knob that injects nothing on its own and every
 *other* resilience knob set to non-default values, resilience left
@@ -62,7 +62,6 @@ def _run_scenario(faults_cfg, resilience_cfg):
                 engine.restore(v, out)
                 restored[v] = out.checksum()
             assert restored == sums
-            assert cluster.journal.commits == 0  # journal never engaged
             decisions = [
                 {"name": ev.name, "args": ev.args}
                 for ev in cluster.telemetry.bus.snapshot()

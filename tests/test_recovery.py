@@ -7,13 +7,17 @@ store metadata and restores verified data.
 
 import pytest
 
+from repro.cluster.topology import ClusterTopology
+from repro.config import ClusterConfig, FaultConfig, ResilienceConfig, StreamConfig
 from repro.core.client import Client
 from repro.core.engine import ScoreEngine
 from repro.errors import IntegrityError
+from repro.faults.health import BREAKER_RESET_S
 from repro.tiers.topology import Cluster
 from repro.util.rng import make_rng
 from repro.util.units import MiB
-from tests.conftest import make_buffer, tiny_config
+from repro.workloads.service_load import run_service_load
+from tests.conftest import FaultClock, make_buffer, tiny_config
 
 CKPT = 128 * MiB
 
@@ -113,6 +117,101 @@ class TestEngineRecovery:
                 for v in range(4):
                     engine.restore(v, out)
                     assert out.checksum() == sums[v]
+
+
+def _assert_carries_recovery_meta(engine, store, ckpt_ids):
+    """Each checkpoint's blob on ``store`` carries what the restart scan
+    reads back: ``recovery_meta(record)`` (the store may add its CRC)."""
+    for ckpt_id in ckpt_ids:
+        record = engine.catalog.get(ckpt_id)
+        want = engine.recovery_meta(record)
+        meta = store.meta(engine.store_key(record))
+        assert meta is not None and meta.items() >= want.items(), (store.track, ckpt_id, meta)
+
+
+def _flush_locally(stream):
+    with Cluster(tiny_config(stream=StreamConfig(enabled=stream))) as cluster:
+        ctx = cluster.process_contexts()[0]
+        with ScoreEngine(ctx, flush_to_pfs=True) as engine:
+            for v in range(2):
+                engine.checkpoint(v, make_buffer(ctx, CKPT, seed=v))
+            engine.wait_for_flushes(timeout=600.0)
+            pipelines = cluster.telemetry.registry.snapshot()["flush.stream.pipelines"]
+            assert (pipelines > 0) == stream
+            for store in (engine.ssd, engine.pfs):
+                _assert_carries_recovery_meta(engine, store, range(2))
+
+
+def _aggregated_put_batch():
+    cfg = tiny_config(
+        num_nodes=1,
+        processes_per_node=2,
+        cluster=ClusterConfig(
+            enabled=True, replica_factor=1, aggregation=True, aggregation_window_s=0.5
+        ),
+    )
+    with ClusterTopology(cfg, engine_kwargs={"flush_to_pfs": True}) as topo:
+        run_service_load(
+            topo, clients=2, checkpoints_per_client=2, snapshot_bytes=CKPT, cross_node=False
+        )
+        assert topo.telemetry.registry.snapshot()["cluster.agg.coalesced_ops"] >= 1
+        for i, engine in enumerate(topo.engines):
+            _assert_carries_recovery_meta(engine, topo.cluster.pfs, (2 * i, 2 * i + 1))
+
+
+def _replica_copy():
+    cfg = tiny_config(num_nodes=2, cluster=ClusterConfig(enabled=True, replica_factor=2))
+    with Cluster(cfg) as cluster:
+        ctx = cluster.process_contexts()[0]
+        with ScoreEngine(ctx) as engine:
+            for v in range(2):
+                engine.checkpoint(v, make_buffer(ctx, CKPT, seed=v))
+            engine.wait_for_flushes(timeout=600.0)
+            assert engine.flusher.replicated == 2
+            _assert_carries_recovery_meta(engine, cluster.nodes[1].ssd, range(2))
+
+
+def _backfill_copy():
+    cfg = tiny_config(
+        faults=FaultConfig(tier_outages=(("ssd", 1000.0, 2000.0, 0.0),)),
+        resilience=ResilienceConfig(enabled=True),
+    )
+    with Cluster(cfg) as cluster:
+        ctx = cluster.process_contexts()[0]
+        fault_clock = cluster.faults.clock = FaultClock(1500.0)
+        with ScoreEngine(ctx, flush_to_pfs=True) as engine:
+            engine.checkpoint(0, make_buffer(ctx, CKPT, seed=0))
+            engine.wait_for_flushes(timeout=600.0)
+            assert not engine.ssd.contains(engine.store_key(engine.catalog.get(0)))
+            fault_clock.t = 3000.0
+            engine.clock.sleep(BREAKER_RESET_S + 1.0)
+            engine.wait_for_flushes(timeout=600.0)
+            assert engine.flusher.backfilled == 1
+            _assert_carries_recovery_meta(engine, engine.ssd, [0])
+
+
+@pytest.mark.parametrize(
+    "commit_path",
+    [
+        lambda: _flush_locally(stream=True),
+        lambda: _flush_locally(stream=False),
+        _aggregated_put_batch,
+        _replica_copy,
+        _backfill_copy,
+    ],
+    ids=[
+        "streamed-durable-hop",
+        "one-chunk-pfs-put",
+        "aggregated-put-batch",
+        "replica-copy",
+        "backfill-copy",
+    ],
+)
+def test_every_durable_commit_stores_the_recovery_meta(commit_path):
+    """``recover_history()`` rebuilds a record from the metadata committed
+    beside its blob and from nothing else, so every path that commits a
+    durable blob must store it."""
+    commit_path()
 
 
 class TestClientRecovery:

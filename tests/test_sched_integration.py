@@ -71,10 +71,9 @@ def test_a_stalled_cascade_holds_checkpoint_in_its_gpu_reservation(stream):
         with ScoreEngine(context) as engine:
             slots = engine.gpu_cache.table.capacity // (128 * MiB)
             release = cluster.clock.event()
-            # Hold the flush stream so nothing reaches the host cache.
-            engine.flusher.d2h_stream.submit(lambda: release.wait(5), label="hold")
-            for i in range(slots):
-                engine.checkpoint(i, make_buffer(context, seed=i))
+            # Hold the flush stream until released, so nothing reaches the
+            # host cache however long filling the slots takes.
+            engine.flusher.d2h_stream.submit(release.wait, label="hold")
             blocked = []
             done = cluster.clock.event()
 
@@ -82,9 +81,13 @@ def test_a_stalled_cascade_holds_checkpoint_in_its_gpu_reservation(stream):
                 blocked.append(engine.checkpoint(slots, make_buffer(context, seed=slots)))
                 done.set()
 
-            (t,) = start_runners(cluster.clock, (blocked_checkpoint,))
-            assert not done.wait(0.2), "checkpoint should wait for a flushed extent"
-            release.set()
+            try:
+                for i in range(slots):
+                    engine.checkpoint(i, make_buffer(context, seed=i))
+                (t,) = start_runners(cluster.clock, (blocked_checkpoint,))
+                assert not done.wait(0.2), "checkpoint should wait for a flushed extent"
+            finally:
+                release.set()  # a failed assert must not leave the stream parked
             assert done.wait(10)
             cluster.clock.join(t)
             # Its blocking time is the reservation's wait, not a gate's.

@@ -63,6 +63,12 @@ And a node crash always heals: any "switches a crash decides" (a repair or
 failover switch, or a branch on whether the fabric has a repairer) fails.
 The fabric always builds its repairer, and a session on a dead engine
 always fails over.
+
+And recovery reads the stores: any "manifest journal in src/" (a second
+record of durable commits, its observer, the ``after_dropped`` hook it
+alone heard, its trace category or its ``journal.jsonl`` file) fails.  Every
+blob commits with the metadata ``recover_history()`` rebuilds its record
+from.
 """
 
 import ast
@@ -106,6 +112,9 @@ SERVICE_GATES = r"BackpressureError|service_queue_depth|service_max_sessions"
 
 #: a switch or a branch that picks whether a node crash heals.
 CRASH_SWITCHES = r"config\.repair\b|config\.failover\b|repairer is (not )?None"
+
+#: a second record of durable commits beside the stores' own metadata.
+JOURNAL = r"ManifestJournal|JournalObserver|after_dropped|CAT_JOURNAL|journal\.jsonl"
 
 
 def sites(pattern, files=FILES, skip=(), outside=None):
@@ -218,6 +227,7 @@ def main() -> int:
         "admission gates in src/": sites(GATES),
         "service admission gates in src/": sites(SERVICE_GATES),
         "switches a crash decides": sites(CRASH_SWITCHES),
+        "manifest journal in src/": sites(JOURNAL),
         "per-tier size reads in src/": sites(PER_TIER_SIZES),
         "hand-set fault switches": sites(FAULT_SWITCHES, EVERYWHERE),
     }
@@ -246,6 +256,7 @@ def main() -> int:
         "admission gates in src/": 0,
         "service admission gates in src/": 0,
         "switches a crash decides": 0,
+        "manifest journal in src/": 0,
         "per-tier size reads in src/": 0,
         "hand-set fault switches": 0,
     }
