@@ -5,8 +5,8 @@ Each mode runs the same two-phase scenario against one engine:
 
 * **Phase 1 (life)** — checkpoint ``snapshots`` versions under a seeded
   :class:`FaultConfig` (transient link faults, an SSD hard-outage window,
-  optionally a crash point between flush stages) with the self-healing
-  stack (:class:`ResilienceConfig`) enabled, then kill the engine.
+  optionally a crash point between flush stages) against the self-healing
+  every runtime arms, then kill the engine.
 * **Phase 2 (afterlife)** — scan the durable tiers for what actually
   survived, re-incarnate a fresh engine on the same rank,
   ``recover_history()`` (one scan of the durable stores), restore
@@ -15,7 +15,7 @@ Each mode runs the same two-phase scenario against one engine:
 
 The figure of merit is the **durable-recovery rate**: of the checkpoints
 that reached a durable tier, the percentage the replacement process
-restored with verified bytes.  The resilience design point is 100% at the
+restored with verified bytes.  The self-healing design point is 100% at the
 paper-ish chaos levels (≤5% transfer-fault rate plus one SSD outage);
 ``--require-recovery`` turns that into a CI gate.  The report also carries
 the self-healing effort that bought it (retries, reroutes, backfills,
@@ -37,7 +37,6 @@ import time
 from repro.config import (
     CacheConfig,
     FaultConfig,
-    ResilienceConfig,
     RuntimeConfig,
     ScaleModel,
 )
@@ -82,7 +81,6 @@ def build_config(rate: float, outages: tuple, crash_point, crash_ckpt) -> Runtim
             crash_point=crash_point,
             crash_ckpt=crash_ckpt,
         ),
-        resilience=ResilienceConfig(enabled=True),
     )
 
 
@@ -114,7 +112,7 @@ def run_mode(key: str, rate: float, outages: tuple, crash_point, snapshots: int)
                 # durability before the next one competes for the links.
                 engine.wait_for_flushes(timeout=600.0)
         engine.close()  # "failure": threads stop, caches are gone
-        life_stats = engine.stats().get("resilience", {})
+        life_stats = engine.stats()["resilience"]
         faults_seen = cluster.faults.snapshot()
 
         # -- what actually survived decides what must come back ------------

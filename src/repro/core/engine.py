@@ -79,6 +79,8 @@ from repro.tiers.topology import ProcessContext
 
 log = get_logger(__name__)
 
+#: scrub-and-restage attempts of a restore that read a corrupt copy.
+REPAIR_ATTEMPTS = 2
 
 #: The lifecycle hooks the engine calls (module docstring; DESIGN.md §5
 #: "Engine shell" has who announces each, with what arguments).
@@ -110,7 +112,6 @@ class ScoreEngine:
         recorder: Optional[Recorder] = None,
         discard_consumed: bool = False,
         flush_to_pfs: bool = False,
-        prefetch_budget_fraction: float = 0.9,
         gpudirect: bool = False,
     ) -> None:
         self.context = context
@@ -125,7 +126,6 @@ class ScoreEngine:
             self.node_id = context.node.node_id
             self.discard_consumed = discard_consumed
             self.flush_to_pfs = flush_to_pfs
-            self.prefetch_budget_fraction = prefetch_budget_fraction
             #: GPUDirect storage (the paper's future-work item): flushes move
             #: GPU cache → SSD directly over PCIe DMA, bypassing the host cache;
             #: promotions likewise read SSD → GPU.  The host tier is unused.
@@ -133,10 +133,13 @@ class ScoreEngine:
             cluster = context.node.cluster
             #: shared-link QoS arbitration; ``sched.request`` is the one QoS-tag factory.
             self.sched = cluster.sched
-            #: fault injection + self-healing: the cluster-wide fault domain and
-            #: per-tier circuit breakers, both inert unless enabled.
+            #: fault injection + self-healing: the cluster-wide fault domain
+            #: (inert unless its plan injects something), the per-tier circuit
+            #: breakers, and the retry budget of the flush legs (whose first
+            #: step also paces a re-resolving loop's back-off).
             self.faults = cluster.faults
             self.health = cluster.health
+            self.retry_policy = RetryPolicy(self.config.faults.seed)
             #: ``config.stream.enabled``: objects of two or more
             #: ``stream_chunk_bytes`` plan many chunks and overlap their stages;
             #: off, everything plans one.  Read through :meth:`chunks_for` only.
@@ -181,8 +184,8 @@ class ScoreEngine:
             #: consumer stream of the ``h2d`` hop of a store read that fills a GPU
             #: extent, mirroring the flush cascade in the opposite direction.
             self.promote_stream = self.device.create_stream("promote-h2d")
-            self.flusher = Flusher(self)
             self._build_features(cluster)
+            self.flusher = Flusher(self)
             self._build_caches()
             self.prefetcher = Prefetcher(self)
             #: the read path's table of hops, per destination tier (whose trace
@@ -200,12 +203,10 @@ class ScoreEngine:
     def _build_features(self, cluster) -> None:
         """Construct the optional features — the one place that reads their
         ``enabled`` flags.  The observers register for the lifecycle events;
-        resilience, QoS scheduling and the fabric pick a *path* by the rows
-        they contribute here (DESIGN.md §5 "Paths register").  The handles
-        stay for the data-path calls that return something and the validator."""
+        QoS scheduling and the fabric pick a *path* by the rows they
+        contribute here (DESIGN.md §5 "Paths register").  The handles stay
+        for the data-path calls that return something and the validator."""
         config = self.config
-        resilience, scfg, flusher = config.resilience, config.sched, self.flusher
-        self.resilient = resilience.enabled
         #: ``(key, fragment())`` pairs :meth:`stats` adds, one per feature.
         self.stats_fragments = ()
         #: data-reduction pipeline (None unless ``config.reduce.enabled``);
@@ -218,10 +219,9 @@ class ScoreEngine:
                 self.clock,
                 telemetry=self.telemetry,
                 process_id=self.process_id,
-                # Durable recipe sidecar: with resilience on, encoded chunk
-                # recipes survive a crash so recover_history() can rebuild
-                # reduced checkpoints.
-                recipes=cluster.recipes if resilience.enabled else None,
+                # Durable recipe sidecar: encoded chunk recipes survive a
+                # crash so recover_history() can rebuild reduced checkpoints.
+                recipes=cluster.recipes,
             )
             self.observe(self.reducer)
             self.stats_fragments += (("reduction", self.reducer.stats),)
@@ -257,43 +257,27 @@ class ScoreEngine:
 
         # -- the paths: the base rows, then what each feature contributes --
         #: the links :meth:`read_source` tries in order, ``key -> store | None``.
-        self.read_chain = [self._ssd_copy, self._pfs_copy]
-        #: the scrub-and-restage attempts of a restore that read a corrupt copy.
-        self.repair_attempts = 0
-        #: the flush legs' retry budget (``backoff_for`` reads it too).
-        self.retry_policy = None
+        self.read_chain = [self._usable_ssd, self._pfs_copy]
         self.pfs_put = None if self.pfs is None else partial(self.pfs.put, node_id=self.node_id)
         self.fabric, self.replica_targets = None, []
-        if scfg.enabled:
-            flusher.stall_fragments += (self.sched.stall_report,)
-        if resilience.enabled:
-            self.retry_policy = RetryPolicy(config.faults.seed)
-            self.repair_attempts = 2
-            # Something can route around the local drive: gate it on health.
-            self.read_chain[0] = self._usable_ssd
-            flusher.policy = flusher.retrying
-            if self.pfs is not None:
-                flusher.durable_sinks += ("pfs",)
-            flusher.verify = flusher.reverify
-            flusher.catch_up = flusher.queue_backfill
-            self.stats_fragments += (("resilience", flusher.resilience_stats),)
-            flusher.stall_fragments += (flusher.resilience_report,)
+        #: the lines a feature adds to the flush stall report, one per feature.
+        self.stall_fragments = ()
+        if config.sched.enabled:
+            self.stall_fragments += (self.sched.stall_report,)
         if config.faults.injects:
-            flusher.stall_fragments += (self.faults.stall_report,)
+            self.stall_fragments += (self.faults.stall_report,)
         if config.cluster.enabled:
             fabric = self.fabric = cluster.fabric  # (:mod:`repro.cluster.fabric`)
             #: SSD replica destinations ``(node_id, ssd, link)``: the ring's next
             #: ``replica_factor - 1`` nodes, so a node failure loses nothing (Section 3.1).
             self.replica_targets = fabric.replica_targets(self.node_id)
             self.pfs_put = partial(fabric.pfs_put, self.node_id)  # aggregated
-            self.read_chain[0] = self._usable_ssd
             if config.cluster.peer_reads:
                 self.read_chain.insert(1, self._peer_copy)
             # Per-node trace lanes (Perfetto, `repro analyze`), and the engine
             # list a node crash kills.
             self.telemetry.bus.bind_process(self.process_id, self.node_id)
             fabric.membership.register_engine(self)
-        flusher.build()
 
     def _build_caches(self) -> None:
         context = self.context
@@ -477,9 +461,6 @@ class ScoreEngine:
             if store is not None:
                 return store
         return self.ssd
-
-    def _ssd_copy(self, key):
-        return self.ssd if self.ssd.contains(key) else None
 
     def _usable_ssd(self, key):
         """The local copy unless the drive is in a hard outage or its breaker
@@ -761,7 +742,7 @@ class ScoreEngine:
                 # Self-healing: CRC-scrub the at-rest copies, drop the
                 # corrupt ones, and re-stage from a surviving pristine copy
                 # before giving up.
-                if not (repairs < self.repair_attempts and self._repair_corruption(record)):
+                if not (repairs < REPAIR_ATTEMPTS and self._repair_corruption(record)):
                     raise IntegrityError(
                         f"checkpoint {ckpt_id} payload corrupt: "
                         f"crc {actual:#010x} != {record.checksum:#010x}"
@@ -1156,9 +1137,7 @@ class ScoreEngine:
         }
         if record.reduction is not None:
             # The blob is the physical form; reassembly needs the chunk
-            # recipe (persisted in the durable RecipeStore sidecar when
-            # resilience is on, otherwise only in this incarnation's
-            # reducer).
+            # recipe (persisted in the durable RecipeStore sidecar).
             meta["reduced"] = True
             meta["logical_size"] = record.nominal_size
         return meta
@@ -1171,9 +1150,9 @@ class ScoreEngine:
         :meth:`recovery_meta` committed beside it (a file-backed SSD
         re-indexes it from disk).  Reduced checkpoints are rebuilt from the
         durable chunk-recipe sidecar and re-attached at every durable tier;
-        without a recipe (or without resilience) they are skipped with a
-        warning.  Returns the number of checkpoints recovered; already-known
-        ids are skipped, so calling this on a warm engine is a no-op.
+        without a recipe they are skipped with a warning.  Returns the number
+        of checkpoints recovered; already-known ids are skipped, so calling
+        this on a warm engine is a no-op.
         """
         self._require_open()
         recovered = 0
@@ -1268,6 +1247,7 @@ class ScoreEngine:
                 + self.host_cache.forced_evictions,
                 "promotions": self.prefetcher.promotions,
                 "abandoned_flushes": self.flusher.tallies()["abandoned"],
+                "resilience": self.flusher.resilience_stats(),
                 "ssd_objects": self.ssd.object_count(),
                 # virtual time that cost no wall time, and that which did
                 "clock": {

@@ -85,24 +85,15 @@ TALLIES = {
 }
 
 
-def _passed(*_args) -> bool:
-    """A row with nothing to do: a commit trusted, no catch-up queued."""
-    return True
-
-
 class Flusher:
     """The flush cascade of one engine."""
 
     def __init__(self, engine: "ScoreEngine") -> None:
         self.engine = engine
         self.telemetry = engine.telemetry
-        #: Rows ``ScoreEngine._build_features`` contributes before :meth:`build`:
-        #: the legs' retry/breaker ``policy``, the durable sinks (engine stores by
-        #: name), the post-commit check, the reroute's catch-up, stall-report lines.
-        self.policy = None
-        self.durable_sinks = ("ssd",)
-        self.verify = self.catch_up = _passed
-        self.stall_fragments = ()
+        #: the stores the durable hop tries in order (engine stores by name):
+        #: the local SSD, then the PFS — the reroute around a dark SSD.
+        self.durable_sinks = ("ssd",) if engine.pfs is None else ("ssd", "pfs")
         self._tally_lock = threading.Lock()
         for name in TALLIES:
             setattr(self, name, 0)
@@ -122,10 +113,6 @@ class Flusher:
         self._stream_overlap_s = 0.0
         self._m_streamed = registry.counter("flush.stream.pipelines")
         self._m_overlap = registry.gauge("flush.stream.overlap_ratio")
-
-    def build(self) -> None:
-        """Lay the stage table out, from the rows contributed meanwhile."""
-        engine = self.engine
         pid = engine.process_id
         gds, pfs = engine.gpudirect, engine.flush_to_pfs
         self.streams = {}
@@ -136,7 +123,7 @@ class Flusher:
                 self.streams[on] = engine.device.create_stream(f"flush-{on}")
             return Leg(
                 engine, stage, f"p{pid}-flush-{on}", tier,
-                self.streams.get(on), body, source, self.policy,
+                self.streams.get(on), body, source, self.retrying,
             )
 
         # The stage table, the one place a stage is spelled: its tier label,
@@ -161,7 +148,6 @@ class Flusher:
         self.d2h_stream = self.streams["d2h"]
         self.h2f_stream = self.streams["h2f"]
         self.f2p_stream = self.streams.get("f2p")
-        registry = self.telemetry.registry
         # The read-back lands nothing (its chunks live in a bounce buffer).
         self._m_bytes = {
             stage: registry.counter(f"flush.{stage}.bytes") for stage in self.legs if stage != "f2r"
@@ -329,16 +315,19 @@ class Flusher:
             f"p{engine.process_id}: flushes still pending after {timeout:g}s (nominal)",
             f"stream depths [{depths}]",
             f"in-flight link bytes [{pending or 'none'}]",
-            *(fragment() for fragment in self.stall_fragments),
+            f"retries={self.retries} rerouted={self.rerouted} "
+            f"backfill_pending={self.backfill_depth}",
+            f"breakers {engine.health.snapshot() or 'all closed'}",
+            *(fragment() for fragment in engine.stall_fragments),
         ))
 
     def close(self) -> None:
         for stream in self.streams.values():
             stream.close(drain=True)
 
-    # -- self-healing machinery: resilience's rows ------------------------------
+    # -- self-healing machinery ------------------------------------------------
     def resilience_stats(self) -> dict:
-        """Resilience's fragment of ``engine.stats()``."""
+        """The self-healing tallies of ``engine.stats()``."""
         tallies = self.tallies()
         return {
             "flush_retries": tallies["retries"],
@@ -348,14 +337,6 @@ class Flusher:
             "backfill_pending": self.backfill_depth,
             "breakers": self.engine.health.snapshot(),
         }
-
-    def resilience_report(self) -> str:
-        """Resilience's line of :meth:`stall_report`."""
-        return (
-            f"retries={self.retries} rerouted={self.rerouted} "
-            f"backfill_pending={self.backfill_depth}"
-            f"; breakers {self.engine.health.snapshot() or 'all closed'}"
-        )
 
     def retrying(self, leg: Leg, record: "CheckpointRecord", fn, breaker=None):
         """The flush legs' policy (:meth:`Leg.attempt`): run one claim or
@@ -418,7 +399,7 @@ class Flusher:
         )
 
     def reverify(self, leg: Leg, record: "CheckpointRecord", store, payload) -> bool:
-        """Post-commit CRC re-verification with bounded re-put (``verify``).
+        """Post-commit CRC re-verification with bounded re-put.
 
         Scrubs the just-committed blob against the pristine CRC stamped at
         commit time; a mismatch (injected at-rest corruption) deletes the
@@ -428,11 +409,12 @@ class Flusher:
         """
         engine = self.engine
         key = engine.store_key(record)
+        if store.verify(key):
+            return True  # a clean commit: the scrub is uncharged, nothing retried
         op = record.op
+        verified = False
         with op.stage("reverify", CAT_RETRY, track=leg.track, tier=store.tier):
-            verified = store.verify(key)
-            attempt = 0
-            while not verified and attempt < 2:
+            for attempt in range(2):
                 self._tally("reflushed")
                 self.telemetry.bus.instant(
                     "flush-reverify",
@@ -454,7 +436,8 @@ class Flusher:
                 except TransferError:
                     break
                 verified = store.verify(key)
-                attempt += 1
+                if verified:
+                    break
         if not verified:
             store.delete(key)
             engine.dropped(record, store)
@@ -476,7 +459,7 @@ class Flusher:
 
         Pops queued records and copies their PFS blobs back onto the local
         SSD, breaker-gated; a failure (tier still dark) re-queues the record
-        and stops until the next drain opportunity (only resilience queues any).
+        and stops until the next drain opportunity.
         """
         engine = self.engine
         leg = self.legs["h2f"]  # the durable hop's track, whichever stage ran it
@@ -704,7 +687,7 @@ class Flusher:
             pipeline.landed = level
             hop.land(flushed=leg.source, track=leg.track)
             if level is TierLevel.PFS:
-                self.catch_up(record)  # rerouted: a copy onto the SSD for its return
+                self.queue_backfill(record)  # rerouted: a copy onto the SSD for its return
             if upstream is None:
                 self._record_flush(record, started)
             engine._maybe_crash(f"after-{stage}", record)
@@ -747,7 +730,7 @@ class Flusher:
 
     def _durable_put(self, hop: Hop, payload):
         """Land ``payload`` durably on the first store of the sink chain that
-        takes it — the local SSD, then (resilience's reroute) the PFS — the
+        takes it — the local SSD, then (the reroute) the PFS — the
         write-side mirror of ``engine.read_source``.
 
         A store is left for the next when its breaker has it blacklisted,
@@ -791,7 +774,7 @@ class Flusher:
                 with record.op.stage(*what, track=leg.track, tier=store.tier):
                     if not self._stream_put(hop, store, payload, take):
                         return None
-                if self.verify(leg, record, store, payload):
+                if self.reverify(leg, record, store, payload):
                     return store
                 failure = f"persistent corruption on {store.tier.upper()} put"
             except TransientTransferError as exc:
@@ -945,7 +928,7 @@ class Flusher:
                     return True
                 span.add(abandoned=True)
                 return
-            if not self.verify(leg, record, pfs, payload):
+            if not self.reverify(leg, record, pfs, payload):
                 self._abandon(leg, record, "persistent corruption on PFS put", span)
                 return
         self._m_bytes[stage].inc(wire)

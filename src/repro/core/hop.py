@@ -37,9 +37,8 @@ class Leg(NamedTuple):
     with a ``body``) is ``CASCADE_FLUSH``: a charge rides the record's op and
     is tagged for QoS with ``record.cancel_flush`` as its cancellation
     channel, so abandonment (condition (5)) interrupts a leg mid-transfer or
-    still queued in an arbiter; with resilience on, its ``policy``
-    (``Flusher.retrying``) retries injected transient faults within the
-    class's budget.  A promotion leg charges once, under the caller's tag and
+    still queued in an arbiter; its ``policy`` (``Flusher.retrying``)
+    retries injected transient faults within the class's budget.  A promotion leg charges once, under the caller's tag and
     op: its callers re-resolve the source."""
 
     engine: Any
@@ -71,8 +70,8 @@ class Leg(NamedTuple):
         )
 
     def attempt(self, record, fn, breaker=None):
-        """Run one claim or charge under the leg's retry/breaker policy; with
-        none (resilience off, or a promotion leg) it is the plain call."""
+        """Run one claim or charge under the leg's retry/breaker policy; a
+        promotion leg has none, so it is the plain call."""
         return fn() if self.policy is None else self.policy(self, record, fn, breaker)
 
 

@@ -30,7 +30,7 @@ raises anything else counts it (``engine.swallowed``), backs off and picks
 again.
 
 The *budget* is the paper's anti-thrashing throttle: prefetched-but-
-unconsumed bytes may occupy at most ``prefetch_budget_fraction`` of a
+unconsumed bytes may occupy at most ``PREFETCH_BUDGET_FRACTION`` of a
 cache, so prefetches cannot starve writes.  A worker checks it when it
 picks, and the claim enforces it again inside the reservation's monitor
 section, where two workers claiming GPU extents cannot both slip under it.
@@ -63,7 +63,6 @@ from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.lifecycle import CkptState
 from repro.errors import ReproError, TransientTransferError
-from repro.faults.retry import backoff_for
 from repro.log import get_logger
 from repro.metrics.recorder import OpEvent, OpKind
 from repro.sched.request import TransferClass
@@ -83,6 +82,8 @@ HINT_NEAR_DISTANCE = 4
 #: ``now + distance * HINT_SPACING_S`` (EDF paces far prefetches behind
 #: near ones).
 HINT_SPACING_S = 0.010
+#: the share of a cache that prefetched-but-unconsumed bytes may occupy.
+PREFETCH_BUDGET_FRACTION = 0.9
 
 #: (record, its step ``(src, dst, store)`` as ``engine.promotion_step``
 #:  returns it, restore-queue distance, whether the queue entry is an
@@ -224,7 +225,7 @@ class Prefetcher:
     def _back_off(self, op, label: str, ckpt_id: int) -> None:
         """Sleep a loop's back-off after a fault on the virtual clock."""
         with op.stage("backoff", CAT_RETRY):
-            self.engine.clock.sleep(backoff_for(self.engine.retry_policy, label, ckpt_id))
+            self.engine.clock.sleep(self.engine.retry_policy.backoff(0, label, ckpt_id))
 
     # -- main loop -----------------------------------------------------------
     def _run(self, hop: TierLevel) -> None:
@@ -284,7 +285,7 @@ class Prefetcher:
                         # Predicted overlay entries land as revocable
                         # stagings; explicit hints keep the consume pin.
                         speculative=not explicit,
-                        budget_fraction=engine.prefetch_budget_fraction,
+                        budget_fraction=PREFETCH_BUDGET_FRACTION,
                         # Staging ahead must not push out what is restored
                         # sooner; GPU-hop claims follow Algorithm 1 as is.
                         keep_nearer=hop == TierLevel.HOST,
@@ -367,11 +368,10 @@ class Prefetcher:
             return None  # demand promotions own the freed slots right now
         staging = hop == TierLevel.HOST
         cache = engine.host_cache if staging else engine.gpu_cache
-        fraction = engine.prefetch_budget_fraction
         hints = queue.iter_upcoming()
         if not staging:
             hints = islice(hints, self.lookahead)
-        horizon = int(fraction * cache.table.capacity)
+        horizon = int(PREFETCH_BUDGET_FRACTION * cache.table.capacity)
         #: bytes of the unconsumed hints nearer than the one looked at —
         #: staging: all of them (the horizon); GPU hop: those with no GPU
         #: extent yet, whose turn at the GPU budget comes first.
@@ -399,7 +399,8 @@ class Prefetcher:
                 # not need.  A fused staging read needs no GPU budget here:
                 # its GPU claim is refused when there is none and the host
                 # extent lands alone.
-                if not cache.within_budget(size if staging else nearer + size, fraction):
+                claimed = size if staging else nearer + size
+                if not cache.within_budget(claimed, PREFETCH_BUDGET_FRACTION):
                     return None  # budget full: wait for consumption
                 return (record, step, distance, queue.is_explicit(ckpt_id))
             # Already staged, mid-transfer, still being written somewhere,

@@ -21,7 +21,6 @@ from __future__ import annotations
 import threading
 from typing import Dict, Optional
 
-from repro.config import ResilienceConfig
 from repro.telemetry import Telemetry
 
 CLOSED = "closed"
@@ -62,8 +61,7 @@ class CircuitBreaker:
 
     @property
     def state(self) -> str:
-        with self._lock:
-            return self._state
+        return self._state  # one attribute read: atomic, no lock needed
 
     def allow(self) -> bool:
         """Whether an operation against this tier should be attempted now.
@@ -71,6 +69,8 @@ class CircuitBreaker:
         In ``OPEN`` state this returns ``False`` until the cool-down
         elapses, then admits exactly one half-open probe at a time.
         """
+        if self._state == CLOSED:  # the healthy path takes no lock
+            return True
         with self._lock:
             if self._state == CLOSED:
                 return True
@@ -88,6 +88,8 @@ class CircuitBreaker:
             return True
 
     def record_success(self) -> None:
+        if self._state == CLOSED and not self._failures:
+            return  # nothing to reset: the healthy path takes no lock
         with self._lock:
             self._failures = 0
             self._probe_inflight = False
@@ -119,32 +121,25 @@ class CircuitBreaker:
 
 
 class HealthRegistry:
-    """Lazily-built map of tier endpoint name -> :class:`CircuitBreaker`.
+    """Lazily-built map of tier endpoint name -> :class:`CircuitBreaker`."""
 
-    All methods are no-ops (always healthy) when resilience is disabled, so
-    the hot path pays a single attribute check.
-    """
-
-    def __init__(self, config: ResilienceConfig, clock,
-                 telemetry: Optional[Telemetry] = None) -> None:
-        self.enabled = config.enabled
+    def __init__(self, clock, telemetry: Optional[Telemetry] = None) -> None:
         self.clock = clock
         self.telemetry = telemetry
         self._lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}
 
     def breaker(self, name: str) -> CircuitBreaker:
-        with self._lock:
-            brk = self._breakers.get(name)
-            if brk is None:
-                brk = CircuitBreaker(name, self.clock, self.telemetry)
-                self._breakers[name] = brk
-            return brk
+        brk = self._breakers.get(name)  # a known endpoint takes no lock
+        if brk is None:
+            with self._lock:
+                brk = self._breakers.setdefault(
+                    name, CircuitBreaker(name, self.clock, self.telemetry)
+                )
+        return brk
 
     def allow(self, name: str) -> bool:
         """Gate a write/flush against ``name`` (consumes half-open probes)."""
-        if not self.enabled:
-            return True
         return self.breaker(name).allow()
 
     def healthy(self, name: str) -> bool:
@@ -153,21 +148,15 @@ class HealthRegistry:
         Unlike :meth:`allow` this never consumes a half-open probe slot, so
         read routing cannot starve the write-side probe.
         """
-        if not self.enabled:
-            return True
         return self.breaker(name).state != OPEN
 
     def success(self, name: str) -> None:
-        if self.enabled:
-            self.breaker(name).record_success()
+        self.breaker(name).record_success()
 
     def failure(self, name: str) -> None:
-        if self.enabled:
-            self.breaker(name).record_failure()
+        self.breaker(name).record_failure()
 
     def snapshot(self) -> Dict[str, dict]:
-        if not self.enabled:
-            return {}
         with self._lock:
             breakers = list(self._breakers.items())
         return {name: brk.snapshot() for name, brk in breakers}

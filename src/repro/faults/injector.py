@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, Optional, Tuple
 
-from repro.config import FaultConfig, ResilienceConfig
+from repro.config import FaultConfig
 from repro.errors import TierOfflineError, TransientTransferError
 from repro.faults.plan import FaultPlan
 from repro.telemetry import Telemetry
@@ -65,7 +65,6 @@ class FaultDomain:
     def __init__(
         self,
         config: FaultConfig,
-        resilience: ResilienceConfig,
         clock,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
@@ -73,10 +72,6 @@ class FaultDomain:
         self.clock = clock
         self.telemetry = telemetry
         self.plan = FaultPlan(config) if config.injects else None
-        #: stores stamp blobs with a pristine CRC whenever either side of
-        #: the subsystem is active (injection needs it detectable, recovery
-        #: needs it verifiable).
-        self.meta_crc = config.injects or resilience.enabled
         self._lock = threading.Lock()
         self._put_attempts: Dict[Tuple[str, int, int], int] = {}
         self._crash_fired = False

@@ -43,19 +43,6 @@ class RetryPolicy:
         return base * (1.0 + JITTER * jitter)
 
 
-#: nominal seconds a demand or prefetch loop waits after a transient fault
-#: when no retry policy is armed (resilience off).
-UNARMED_BACKOFF_S = 0.05
-
-
-def backoff_for(policy: Optional[RetryPolicy], *labels) -> float:
-    """How long a loop that re-resolves after a transient fault (a demand
-    restore, a prefetch worker) backs off first, resilience on or off."""
-    if policy is None:
-        return UNARMED_BACKOFF_S
-    return policy.backoff(0, *labels)
-
-
 def run_with_retries(
     fn: Callable[[], T],
     *,
@@ -70,8 +57,8 @@ def run_with_retries(
     ``MAX_RETRIES`` times.
 
     Non-transient errors (cancellation ``TransferError``, lifecycle errors)
-    propagate immediately.  With ``policy=None`` this is a plain call —
-    the transient error propagates into the caller's historical handling.
+    propagate immediately.  With ``policy=None`` a transient error
+    propagates too, to a caller that re-resolves its source instead.
     ``on_attempt(succeeded)`` sees the outcome of every attempt, policy or
     not (a circuit-breaker feed).  ``on_retry(attempt, delay, exc)`` takes
     over the back-off from the default ``clock.sleep(delay)``: it must sleep

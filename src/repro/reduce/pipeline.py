@@ -119,9 +119,9 @@ class Reducer:
         self,
         scale: ScaleModel,
         clock: VirtualClock,
+        recipes,
         telemetry: Optional[Telemetry] = None,
         process_id: int = 0,
-        recipes=None,
     ) -> None:
         self.scale = scale
         self.clock = clock
@@ -134,10 +134,9 @@ class Reducer:
         self._last_image: Optional[ReducedImage] = None
         #: chain head before the most recent encode (for ``on_forgotten``).
         self._prev_image: Optional[ReducedImage] = None
-        #: durable chunk-recipe sidecar (``repro.faults.recipes.RecipeStore``)
-        #: or None; when set, every encoded recipe is persisted so reduced
-        #: checkpoints survive a crash and ``recover_history()`` can rebuild
-        #: them.
+        #: durable chunk-recipe sidecar (``repro.faults.recipes.RecipeStore``):
+        #: every encoded recipe is persisted so reduced checkpoints survive a
+        #: crash and ``recover_history()`` can rebuild them.
         self.recipes = recipes
         # Per-reducer tallies (the registry counters below are shared across
         # the cluster's engines; ``stats`` must stay per-engine).
@@ -242,11 +241,10 @@ class Reducer:
         # must already be physical when they first see it.
         record.physical_size = physical
         record.reduction = image
-        if self.recipes is not None:
-            # Durable sidecar write (metadata, uncharged): the recipe must
-            # be on disk before any blob of this checkpoint becomes durable,
-            # so a crash never leaves a recoverable blob without its recipe.
-            self.recipes.save(self.process_id, image)
+        # Durable sidecar write (metadata, uncharged): the recipe must be on
+        # disk before any blob of this checkpoint becomes durable, so a crash
+        # never leaves a recoverable blob without its recipe.
+        self.recipes.save(self.process_id, image)
         self._m_logical.inc(record.nominal_size)
         self._m_physical.inc(physical)
         self._m_new.inc(image.new_chunks)
@@ -290,8 +288,7 @@ class Reducer:
         with self._lock:
             if self._last_image is image:
                 self._last_image = self._prev_image
-        if self.recipes is not None:
-            self.recipes.discard(self.process_id, record.ckpt_id)
+        self.recipes.discard(self.process_id, record.ckpt_id)
         record.reduction = None
         record.physical_size = record.nominal_size
 
@@ -381,9 +378,7 @@ class Reducer:
 
     def load_recipe(self, ckpt_id: int) -> Optional[ReducedImage]:
         """The image of a checkpoint encoded by an earlier incarnation, from
-        the durable recipe sidecar; ``None`` without a sidecar or a recipe."""
-        if self.recipes is None:
-            return None
+        the durable recipe sidecar; ``None`` without a recipe."""
         return self.recipes.load(self.process_id, ckpt_id)
 
     # -- stats -------------------------------------------------------------

@@ -41,7 +41,6 @@ from repro.config import (
     FaultConfig,
     HardwareSpec,
     ReduceConfig,
-    ResilienceConfig,
     SchedConfig,
     SloConfig,
     StreamConfig,
@@ -153,7 +152,6 @@ def run_trace(
     stream: bool = False,
     similarity: float = 0.9,
     faults: Optional[FaultConfig] = None,
-    resilient: bool = False,
     analysis: bool = False,
     slo: Optional[SloConfig] = None,
     hardware: Optional[HardwareSpec] = None,
@@ -202,8 +200,6 @@ def run_trace(
         cfg = cfg.with_(stream=StreamConfig(enabled=True))
     if faults is not None:
         cfg = cfg.with_(faults=faults)
-    if resilient:
-        cfg = cfg.with_(resilience=ResilienceConfig(enabled=True))
     if analysis:
         cfg = cfg.with_(analysis=AnalysisConfig(enabled=True, slo=slo or SloConfig()))
     cfg = apply_predict_mode(cfg, predict)
@@ -468,12 +464,6 @@ def live_run_flags() -> argparse.ArgumentParser:
     )
     add_knob_flags(parser, FaultConfig)
     parser.add_argument(
-        "--resilient",
-        action="store_true",
-        help="enable the self-healing stack (retries, circuit breakers, "
-        "reroute+backfill, CRC reverify, chunk-recipe sidecar)",
-    )
-    parser.add_argument(
         "--verbose", action="store_true", help="DEBUG logging of the repro runtime"
     )
     return parser
@@ -491,7 +481,7 @@ def faults_from_args(args) -> Optional[FaultConfig]:
 
 #: the live-run flags :func:`run_trace` takes under their own names.
 _AS_IS = ("out_dir", "snapshots", "processes", "seed", "sched", "reduce", "stream",
-          "similarity", "resilient", "predict")
+          "similarity", "predict")
 
 
 def live_run(args) -> dict:

@@ -78,12 +78,8 @@ class ObjectStore:
         self.track = track
         self.scale = scale
         self._clock = clock
-        # Fault gates cost one None-check per op when injection is off;
-        # the pristine-CRC stamp is recorded whenever either injection or
-        # resilience is active (detection needs it written, recovery needs
-        # it verifiable).
+        # Fault gates cost one None-check per op when injection is off.
         self.faults = faults if (faults is not None and faults.plan is not None) else None
-        self._crc_meta = faults is not None and faults.meta_crc
         self.telemetry = telemetry or Telemetry.disabled()
         registry = self.telemetry.registry
         self._m_write_bytes = registry.counter(f"tier.{self.tier}.write_bytes")
@@ -189,16 +185,15 @@ class ObjectStore:
 
     # -- blobs --------------------------------------------------------------
     def _commit_blob(self, key, payload, nominal_size, meta, copy, corrupt_at) -> None:
-        """Make one object visible: stamp the CRC, store the bytes, index."""
-        if self._crc_meta:
-            meta = dict(meta or {})
-            meta["stored_crc"] = int(checksum_payload(payload))
+        """Make one object visible: stamp the pristine CRC (``verify`` checks
+        the stored bytes against it), store the bytes, index."""
+        meta = {**(meta or {}), "stored_crc": int(checksum_payload(payload))}
         blob = self._write_blob(key, payload, nominal_size, meta, copy, corrupt_at)
         with self._blob_lock:
             if blob is not None:
                 self._blobs[key] = blob
             self._sizes[key] = nominal_size
-            self._meta[key] = dict(meta or {})
+            self._meta[key] = meta
 
     def _write_blob(self, key, payload, nominal_size, meta, copy, corrupt_at):
         """The blob to keep in memory (``None`` from a backend that put the
@@ -247,15 +242,12 @@ class ObjectStore:
         """Check the stored blob's bytes against the CRC stamped at commit.
 
         Uncharged (no link transfer): models a local scrub/DMA checksum.
-        Returns ``True`` when no CRC was stamped (nothing to verify) and
-        ``False`` when the blob is missing or its bytes diverged.
+        Returns ``False`` when the blob is missing or its bytes diverged.
         """
         if not self.contains(key):
             return False
         try:
-            stored_crc = self.meta(key).get("stored_crc")
-            if stored_crc is None:
-                return True
+            stored_crc = self.meta(key)["stored_crc"]
             blob = self._read_payload(key)
         except (CheckpointNotFound, OSError):
             return False

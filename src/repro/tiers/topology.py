@@ -199,12 +199,10 @@ class Cluster:
         self.sched = SchedContext(config.sched, self.clock, self.telemetry)
         #: deterministic fault injection (inactive unless ``config.faults``
         #: enables it); offered every Link and tier store like the scheduler.
-        self.faults = FaultDomain(
-            config.faults, config.resilience, self.clock, self.telemetry
-        )
-        #: per-tier circuit breakers (always constructed; no-op registry
-        #: unless ``config.resilience.enabled``).
-        self.health = HealthRegistry(config.resilience, self.clock, self.telemetry)
+        self.faults = FaultDomain(config.faults, self.clock, self.telemetry)
+        #: per-tier circuit breakers: the flush reroutes around a dark tier
+        #: and reads skip it.
+        self.health = HealthRegistry(self.clock, self.telemetry)
         #: reduced-checkpoint recipe sidecar; file-backed next to the SSD
         #: tier when it has a directory so it survives full process
         #: re-incarnation.

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.topology import ClusterTopology
-from repro.config import ClusterConfig, ResilienceConfig
+from repro.config import ClusterConfig
 from repro.core.engine import ScoreEngine
 from repro.errors import TransientTransferError
 from repro.util.rng import make_rng
@@ -170,7 +170,6 @@ class TestAggregation:
                 aggregation=True,
                 aggregation_window_s=0.5,
             ),
-            resilience=ResilienceConfig(enabled=True),
         )
         with make_topology(cfg) as topo:
             run_service_load(

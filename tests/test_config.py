@@ -107,6 +107,8 @@ REJECTIONS = [
     (FaultConfig, {"partitions": ((1, 1, 0.0, 5.0),)}, "endpoints"),
     (FaultConfig, {"partitions": ((0, 1, 5.0, 1.0),)}, "window"),
     (FaultConfig, {"partitions": ((0, 1, -1.0, 2.0),)}, "partition"),
+    # ResilienceConfig: self-healing is always armed
+    (ResilienceConfig, {"enabled": False}, "enabled"),
     # SloConfig
     (SloConfig, {"durability_target_s": 0.0}, "target"),
     (SloConfig, {"restore_target_s": -1.0}, "target"),
@@ -143,7 +145,7 @@ def test_every_rejection_names_what_is_wrong(build, kwargs, match):
 
 def test_the_table_covers_every_configuration_class():
     # A switch alone has nothing to reject.
-    switches = {AnalysisConfig, ReduceConfig, ResilienceConfig, PredictConfig}
+    switches = {AnalysisConfig, ReduceConfig, PredictConfig}
     assert {row[0] for row in REJECTIONS} >= set(CONFIG_CLASSES) - switches
     declared = {
         obj for obj in vars(config_module).values()

@@ -6,9 +6,9 @@ comes into or goes out of existence, and the optional features (reduction,
 prediction, SLO) hear about it as registered observers.
 These tests record what an extra observer sees on an all-features-on engine
 across the scenarios that used to spell the epilogue out by hand.  The
-features that pick a path (resilience, QoS scheduling, the fabric) instead
-contribute rows to tables built once in ``_build_features``: one flag on
-must build the base tables plus exactly that feature's rows.  And the
+features that pick a path (QoS scheduling, the fabric) instead contribute
+rows to tables built once in ``_build_features``: one flag on must build
+the base tables — self-healing armed — plus exactly that feature's rows.  And the
 feature combinations — all on, and an all-pairs covering set — restore the
 same bytes as the all-off engine.
 """
@@ -24,7 +24,6 @@ from repro.config import (
     FaultConfig,
     PredictConfig,
     ReduceConfig,
-    ResilienceConfig,
     SchedConfig,
     StreamConfig,
 )
@@ -42,7 +41,6 @@ CKPT = 128 * MiB
 ALL_ON = dict(
     telemetry=True,
     reduce=ReduceConfig(enabled=True),
-    resilience=ResilienceConfig(enabled=True),
     predict=PredictConfig(enabled=True),
     analysis=AnalysisConfig(enabled=True),
 )
@@ -256,7 +254,7 @@ def _run_shot(cfg, snapshots=16):
 
 
 def test_all_features_on_restores_what_all_off_restores():
-    """stream × sched × reduce × resilience × predict × analysis, all at
+    """stream × sched × reduce × predict × analysis, all at
     once, against none of them: the same seeded 16-snapshot shot must hand
     back checksum-identical payloads."""
     written_off, restored_off = _run_shot(tiny_config())
@@ -272,15 +270,15 @@ def test_all_features_on_restores_what_all_off_restores():
 
 # -- the paths register ------------------------------------------------------------
 
-#: one feature's switch: the config changes that turn it on.
+#: one feature's switch: the config changes that turn it on.  The order
+#: decides which pairwise runs each feature is on in, and so the case ids.
 FEATURES = {
     "stream": dict(stream=StreamConfig(enabled=True)),
     "sched": dict(sched=SchedConfig(enabled=True)),
-    "reduce": dict(reduce=ReduceConfig(enabled=True)),
-    "resilience": dict(resilience=ResilienceConfig(enabled=True)),
-    "predict": dict(predict=PredictConfig(enabled=True)),
     "analysis": dict(telemetry=True, analysis=AnalysisConfig(enabled=True)),
     "cluster": dict(num_nodes=2, cluster=ClusterConfig(enabled=True, replica_factor=2)),
+    "reduce": dict(reduce=ReduceConfig(enabled=True)),
+    "predict": dict(predict=PredictConfig(enabled=True)),
 }
 
 
@@ -299,44 +297,28 @@ def _tables(engine):
         "streams": list(flusher.streams),  # the rows that run: ``repl`` too
         "policy": {getattr(leg.policy, "__name__", None) for leg in flusher.legs.values()},
         "sinks": list(flusher.durable_sinks),
-        "verify": flusher.verify.__name__,
-        "catch_up": flusher.catch_up.__name__,
         "pfs_put": engine.pfs_put.func.__qualname__,
         "read": [link.__name__ for link in engine.read_chain],
         "tagged": engine.sched.request(TransferClass.DEMAND_READ, engine.process_id) is not None,
-        "repairs": engine.repair_attempts,
         "stats": [key for key, _fragment in engine.stats_fragments],
-        "stall": [fragment.__qualname__ for fragment in flusher.stall_fragments],
+        "stall": [fragment.__qualname__ for fragment in engine.stall_fragments],
     }
 
 
 BASE = {
     "cascade": ["d2h", "h2f", "f2r", "f2p"],
     "streams": ["d2h", "h2f", "f2r", "f2p"],
-    "policy": {None},
-    "sinks": ["ssd"],
-    "verify": "_passed",
-    "catch_up": "_passed",
+    "policy": {"retrying"},  # every flush leg retries and feeds its breaker
+    "sinks": ["ssd", "pfs"],  # the reroute around a dark SSD
     "pfs_put": "ObjectStore.put",
-    "read": ["_ssd_copy", "_pfs_copy"],
+    "read": ["_usable_ssd", "_pfs_copy"],  # the health gate
     "tagged": False,
-    "repairs": 0,
     "stats": [],
     "stall": [],
 }
 
 #: what one feature adds to (or, for a chain link, puts in place in) BASE.
 ROWS = {
-    "resilience": {
-        "policy": {"retrying"},
-        "sinks": ["ssd", "pfs"],  # the reroute
-        "verify": "reverify",
-        "catch_up": "queue_backfill",
-        "read": ["_usable_ssd", "_pfs_copy"],  # the health gate
-        "repairs": 2,
-        "stats": ["resilience"],
-        "stall": ["Flusher.resilience_report"],
-    },
     "sched": {
         "tagged": True,
         "stall": ["SchedContext.stall_report"],
@@ -367,19 +349,31 @@ def test_one_flag_builds_the_base_tables_plus_its_rows(feature):
             assert not [t.name for t in threading.enumerate() if "promote-peer" in t.name]
 
 
-def test_resilience_off_an_ssd_outage_queues_no_backfill():
-    """Without resilience nothing reroutes, so the backfill drain that runs
-    unconditionally finds its queue empty: the dark SSD just abandons."""
+def test_an_ssd_outage_reroutes_to_the_pfs_and_backfills_once_it_closes():
+    """Under the default config a dark SSD is routed around: the durable hop
+    lands on the PFS, and once the window closes and the breaker's cool-down
+    has passed, the next drain copies the checkpoint back onto the SSD."""
     cfg = tiny_config(faults=FaultConfig(tier_outages=(("ssd", 0.0, 1000.0, 0.0),)))
     with Cluster(cfg) as cluster:
         cluster.faults.clock = FaultClock(0.0)
         ctx = cluster.process_contexts()[0]
         with ScoreEngine(ctx, flush_to_pfs=True) as engine:
-            engine.checkpoint(0, make_buffer(ctx, CKPT, seed=0))
+            buf = make_buffer(ctx, CKPT, seed=0)
+            engine.checkpoint(0, buf)
             engine.wait_for_flushes(timeout=600.0)
-            assert engine.catalog.get(0).durable_level is None
-            assert engine.flusher.abandoned == 1 and engine.flusher.rerouted == 0
+            record = engine.catalog.get(0)
+            key = engine.store_key(record)
+            assert record.durable_level is TierLevel.PFS and not engine.ssd.contains(key)
+            assert engine.flusher.rerouted == 1 and engine.flusher.abandoned == 0
+            assert engine.flusher.backfill_depth == 1
+            cluster.faults.clock = FaultClock(2000.0)  # the window has closed
+            engine.clock.sleep(BREAKER_RESET_S)
+            engine.wait_for_flushes(timeout=600.0)
+            assert engine.ssd.contains(key) and engine.flusher.backfilled == 1
             assert engine.flusher.backfill_depth == 0
+            out = ctx.device.alloc_buffer(CKPT)
+            engine.restore(0, out)
+            assert out.checksum() == buf.checksum()
             validate_engine(engine)
 
 
@@ -413,8 +407,7 @@ def all_off_shot():
     "features", PAIRWISE[1:], ids=["+".join(sorted(row)) for row in PAIRWISE[1:]]
 )
 def test_pairwise_feature_matrix_restores_what_all_off_restores(features, all_off_shot):
-    """Every pair of stream × sched × reduce × resilience × predict ×
-    analysis × cluster (two nodes, a replica ring) runs on together in one of
+    """Every pair of stream × sched × reduce × predict × analysis × cluster (two nodes, a replica ring) runs on together in one of
     five shots; each must restore checksum-identical payloads to the all-off
     shot and end with ``validate_engine`` clean."""
     written_off, restored_off = all_off_shot

@@ -2,14 +2,13 @@
 
 Covers the deterministic :class:`FaultPlan`, the per-link injector, the
 budgeted retry policy, the circuit-breaker state machine, the cluster-wide
-:class:`FaultDomain` gates, and the config validation for the two new
-config blocks.  Integration behaviour (self-healing flushes, recovery)
+:class:`FaultDomain` gates, and the fault config's validation.  Integration behaviour (self-healing flushes, recovery)
 lives in ``tests/test_faults_recovery.py``.
 """
 
 import pytest
 
-from repro.config import CRASH_STAGES, ConfigError, FaultConfig, ResilienceConfig
+from repro.config import CRASH_STAGES, ConfigError, FaultConfig
 from repro.errors import TierOfflineError, TransferError, TransientTransferError
 from repro.faults import (
     CircuitBreaker,
@@ -28,7 +27,6 @@ from repro.faults.retry import (
     BACKOFF_MAX_S,
     JITTER,
     MAX_RETRIES,
-    backoff_for,
 )
 from repro.util.units import MiB
 
@@ -88,7 +86,7 @@ class TestFaultPlan:
         plan = FaultPlan(FaultConfig(transfer_fault_rate=1.0))
         for link in ("node0-ssd-write", "d2h", "pfs-node0-read", "node1-peer"):
             assert plan.transfer_fault(link, 0, NBYTES) is not None
-        dom = FaultDomain(FaultConfig(transfer_fault_rate=1.0), ResilienceConfig(), fast_clock())
+        dom = FaultDomain(FaultConfig(transfer_fault_rate=1.0), fast_clock())
 
         class FakeLink:
             name = "p0-d2h"
@@ -234,11 +232,6 @@ class TestRunWithRetries:
             run_with_retries(fn, policy=None, clock=clock, labels=(), on_attempt=outcomes.append)
         assert outcomes[-1] is False
 
-    def test_backoff_for_answers_with_resilience_on_or_off(self):
-        policy = RetryPolicy(seed=3)
-        assert backoff_for(None, "demand", 7) == 0.05
-        assert backoff_for(policy, "demand", 7) == policy.backoff(0, "demand", 7)
-
 
 class TestCircuitBreaker:
     def make(self, clock):
@@ -301,26 +294,8 @@ class TestCircuitBreaker:
 
 
 class TestHealthRegistry:
-    def test_disabled_is_inert(self):
-        reg = HealthRegistry(ResilienceConfig(enabled=False), fast_clock())
-        for _ in range(10):
-            reg.failure("node0-ssd")
-        assert reg.allow("node0-ssd")
-        assert reg.healthy("node0-ssd")
-        assert reg.snapshot() == {}
-
-    def test_disabled_gates_stay_open_past_any_threshold(self):
-        """The flusher calls ``allow`` with resilience off too: a disabled
-        registry is what keeps that the historical, ungated write."""
-        reg = HealthRegistry(ResilienceConfig(enabled=False), fast_clock())
-        for name in ("node0-ssd", "pfs"):
-            for _ in range(BREAKER_THRESHOLD + 1):
-                reg.failure(name)
-            assert reg.allow(name) and reg.healthy(name) and reg.allow(name)
-        assert reg.snapshot() == {}
-
     def test_enabled_tracks_per_tier(self):
-        reg = HealthRegistry(ResilienceConfig(enabled=True), fast_clock())
+        reg = HealthRegistry(fast_clock())
         for _ in range(BREAKER_THRESHOLD):
             reg.failure("node0-ssd")
         assert not reg.allow("node0-ssd")
@@ -331,7 +306,7 @@ class TestHealthRegistry:
 
     def test_healthy_never_consumes_the_probe(self):
         clock = fast_clock()
-        reg = HealthRegistry(ResilienceConfig(enabled=True), clock)
+        reg = HealthRegistry(clock)
         for _ in range(BREAKER_THRESHOLD):
             reg.failure("pfs")
         clock.sleep(BREAKER_RESET_S)
@@ -342,15 +317,12 @@ class TestHealthRegistry:
 
 
 class TestFaultDomain:
-    def make(self, fault_cfg, resilience=None, clock=None):
-        return FaultDomain(
-            fault_cfg, resilience or ResilienceConfig(), clock or fast_clock()
-        )
+    def make(self, fault_cfg, clock=None):
+        return FaultDomain(fault_cfg, clock or fast_clock())
 
     def test_disabled_domain_is_inert(self):
         dom = self.make(FaultConfig())
         assert dom.plan is None
-        assert not dom.meta_crc
         assert dom.tier_gate("ssd", "node0-ssd", "put", (0, 0)) == 1.0
         assert not dom.hard_outage("ssd")
         assert dom.corruption("node0-ssd", (0, 0), 4096) is None
@@ -375,13 +347,6 @@ class TestFaultDomain:
                 assert not dom.crash_point(point, 0)
         assert not dom.hard_outage("ssd")
         assert dom.snapshot() == {"outage_hits": 0, "corruptions": 0, "crashes": 0}
-
-    def test_meta_crc_follows_either_switch(self):
-        assert self.make(FaultConfig(corruption_rate=0.5)).meta_crc
-        assert FaultDomain(
-            FaultConfig(), ResilienceConfig(enabled=True), fast_clock()
-        ).meta_crc
-        assert not self.make(FaultConfig()).meta_crc
 
     def test_hard_outage_gate_raises(self):
         clock = fast_clock()
@@ -441,7 +406,6 @@ class TestConfigValidation:
 
     def test_defaults_are_off(self):
         assert not FaultConfig().injects
-        assert not ResilienceConfig().enabled
 
     def test_the_switch_is_derived_from_what_the_plan_injects(self):
         assert not FaultConfig(seed=5, crash_ckpt=2).injects

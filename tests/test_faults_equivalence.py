@@ -1,18 +1,15 @@
-"""A fault plan that injects nothing / ``ResilienceConfig.enabled=False``
-change nothing — the same discipline as ``SchedConfig`` / ``ReduceConfig``.
+"""A fault plan that injects nothing changes nothing, and nothing heals.
 
 The fault-injection plumbing (the ``link.fault_injector`` hook, the tier
-outage/corruption gates in the stores, the retry/reroute/reverify paths
-in the engine and flusher) must be invisible when both switches are off:
-no injector attaches, ``engine.retry_policy`` is ``None`` (so every retry
-wrapper collapses to a plain call) and no CRC is stamped into store
-metadata.  This test runs the same
-deterministic scenario on two fresh clusters — the default config and a
-config with every fault knob that injects nothing on its own and every
-*other* resilience knob set to non-default values, resilience left
-``enabled=False`` — and asserts identical eviction decision
-streams, final cache layouts, tier byte counters, store metadata and
-restored bytes.
+outage/corruption gates in the stores, the crash points) must be invisible
+when the plan injects nothing: no injector attaches, and the self-healing
+that is always armed (retries, reroutes, re-flushes, backfills, circuit
+breakers) never has anything to do.  This test runs the same deterministic
+scenario on two fresh clusters — the default config and a config with every
+fault knob that injects nothing on its own set to a non-default value — and
+asserts identical eviction decision streams, final cache layouts, tier byte
+counters, store metadata and restored bytes, with every self-healing tally
+at 0 in both.
 
 (Checkpoints are serialized with ``wait_for_flushes`` between operations so
 thread interleaving cannot perturb eviction order; event timestamps are
@@ -21,7 +18,7 @@ excluded, as wall-clock jitter feeds the virtual clock.)
 
 import json
 
-from repro.config import FaultConfig, ResilienceConfig
+from repro.config import FaultConfig
 from repro.core.engine import ScoreEngine
 from repro.tiers.topology import Cluster
 from repro.util.rng import make_rng
@@ -33,21 +30,15 @@ CKPT = 128 * MiB
 VERSIONS = 14
 
 
-def _run_scenario(faults_cfg, resilience_cfg):
+def _run_scenario(faults_cfg):
     cfg = tiny_config(telemetry=True)
     if faults_cfg is not None:
         cfg = cfg.with_(faults=faults_cfg)
-    if resilience_cfg is not None:
-        cfg = cfg.with_(resilience=resilience_cfg)
     with Cluster(cfg) as cluster:
         ctx = cluster.process_contexts()[0]
         with ScoreEngine(ctx, flush_to_pfs=True) as engine:
-            # The gates under test: nothing attached, nothing active.
+            # The gate under test: nothing attached.
             assert cluster.faults.plan is None
-            assert not cluster.faults.meta_crc
-            assert not cluster.health.enabled
-            assert engine.retry_policy is None
-            assert not engine.resilient
             sums = {}
             for v in range(VERSIONS):
                 buf = ctx.device.alloc_buffer(CKPT)
@@ -85,8 +76,7 @@ def _run_scenario(faults_cfg, resilience_cfg):
                     "tier.pfs.write_bytes",
                 )
             }
-            # Store metadata must carry no CRC stamp when both sides are
-            # off — byte-identical sidecars to the pre-subsystem runtime.
+            # Store metadata: the caller's fields and the pristine CRC stamp.
             metas = {
                 str(key): engine.ssd.meta(key) or {}
                 for key in sorted(engine.ssd.keys_for_process(engine.process_id))
@@ -99,22 +89,24 @@ def _run_scenario(faults_cfg, resilience_cfg):
                 )
                 for v in range(VERSIONS)
             }
+            # Armed, but with nothing to heal.
+            tallies = engine.flusher.tallies()
+            for name in ("retries", "rerouted", "reflushed", "backfilled"):
+                assert tallies[name] == 0, name
+            assert registry.counter("resilience.breaker_opens").value == 0
+            assert all(breaker["opens"] == 0 for breaker in cluster.health.snapshot().values())
             return decisions, layouts, tier_bytes, metas, durable, restored
 
 
-def test_disabled_faults_and_resilience_are_bit_identical():
-    default = _run_scenario(None, None)
-    # Every knob set that injects nothing on its own, and resilience off:
-    # all must be inert.
-    off = _run_scenario(
-        FaultConfig(seed=1234, crash_ckpt=0),
-        ResilienceConfig(enabled=False),
-    )
+def test_a_plan_that_injects_nothing_is_bit_identical_and_heals_nothing():
+    default = _run_scenario(None)
+    # Every knob set that injects nothing on its own: all must be inert.
+    off = _run_scenario(FaultConfig(seed=1234, crash_ckpt=0))
     for got, want in zip(off, default):
         assert json.dumps(got, sort_keys=True, default=str) == json.dumps(
             want, sort_keys=True, default=str
         )
     decisions, _, _, metas, durable, _ = default
     assert len(decisions) > 0  # the scenario must actually exercise eviction
-    assert all("stored_crc" not in meta for meta in metas.values())
+    assert metas and all("stored_crc" in meta for meta in metas.values())
     assert any(level is not None for level in durable.values())

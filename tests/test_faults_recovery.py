@@ -1,6 +1,6 @@
 """Self-healing integration tests: injected faults, crashes and recovery.
 
-The acceptance bar for the resilience subsystem:
+The acceptance bar for the self-healing every runtime arms:
 
 * a corrupted durable blob is detected on restore, scrubbed, and repaired
   from a surviving replica — the restore still returns verified bytes;
@@ -8,6 +8,7 @@ The acceptance bar for the resilience subsystem:
   durable: re-incarnation + ``recover_history()`` (one scan of the stores)
   recovers every checkpoint that reached a durable tier, including
   reduced ones (via the chunk-recipe sidecar);
+* transient link faults are retried until every checkpoint is durable;
 * a hard SSD outage reroutes the cascade to the PFS and backfills the SSD
   copy once the tier heals;
 * at-rest corruption injected under a flush is caught by the post-commit
@@ -33,7 +34,6 @@ from repro.config import (
     ClusterConfig,
     FaultConfig,
     ReduceConfig,
-    ResilienceConfig,
     StreamConfig,
 )
 from repro.core.engine import ScoreEngine
@@ -52,17 +52,13 @@ from tests.conftest import (
 
 CKPT = 128 * MiB
 
-RESILIENT = ResilienceConfig(enabled=True)
 STREAMING = StreamConfig(enabled=True)
-
-def _config(stream, **changes):
-    return tiny_config(resilience=RESILIENT, stream=stream, **changes)
 
 
 class TestCorruptionRepair:
     @both_chunk_plans
     def test_restore_repairs_corrupt_ssd_blob_from_pfs(self, stream):
-        cfg = _config(stream)
+        cfg = tiny_config(stream=stream)
         with Cluster(cfg) as cluster:
             ctx = cluster.process_contexts()[0]
             sums = {}
@@ -97,7 +93,7 @@ class TestCorruptionRepair:
         """Every durable copy rotten -> IntegrityError, never silent data."""
         from repro.errors import IntegrityError
 
-        cfg = _config(stream)
+        cfg = tiny_config(stream=stream)
         with Cluster(cfg) as cluster:
             ctx = cluster.process_contexts()[0]
             with ScoreEngine(ctx, flush_to_pfs=True) as engine:
@@ -116,9 +112,7 @@ class TestCorruptionRepair:
         """Half of all put attempts rot at rest: the post-commit CRC scrub
         catches each one and re-puts from the pristine payload, so every
         blob left visible on a durable tier verifies."""
-        cfg = _config(
-            stream, faults=FaultConfig(seed=11, corruption_rate=0.5)
-        )
+        cfg = tiny_config(stream=stream, faults=FaultConfig(seed=11, corruption_rate=0.5))
         with Cluster(cfg) as cluster:
             ctx = cluster.process_contexts()[0]
             with ScoreEngine(ctx, flush_to_pfs=True) as engine:
@@ -147,8 +141,8 @@ def _crash_scenario(point, *, stream, gpudirect=False, nodes=1,
     """Checkpoint v0 cleanly, crash the engine at ``point`` while flushing
     v1, then re-incarnate and assert every durable checkpoint recovers
     with verified bytes."""
-    cfg = _config(
-        stream,
+    cfg = tiny_config(
+        stream=stream,
         faults=FaultConfig(crash_point=point, crash_ckpt=1),
         num_nodes=nodes,
     )
@@ -239,7 +233,6 @@ class TestCrashMatrix:
     def test_crashed_engine_rejects_new_work(self):
         cfg = tiny_config(
             faults=FaultConfig(crash_point="before-h2f", crash_ckpt=0),
-            resilience=RESILIENT,
         )
         with Cluster(cfg) as cluster:
             ctx = cluster.process_contexts()[0]
@@ -260,14 +253,36 @@ class TestCrashMatrix:
         assert 1 in durable
 
 
+def test_transient_link_faults_are_retried_until_every_checkpoint_is_durable():
+    """The default config retries: a link-fault rate leaves every checkpoint
+    durable, with the retries counted, and restores verified bytes."""
+    cfg = tiny_config(faults=FaultConfig(seed=5, transfer_fault_rate=0.1))
+    with Cluster(cfg) as cluster:
+        ctx = cluster.process_contexts()[0]
+        with ScoreEngine(ctx, flush_to_pfs=True) as engine:
+            sums = {}
+            for v in range(8):
+                buf = make_buffer(ctx, CKPT, seed=v)
+                sums[v] = buf.checksum()
+                engine.checkpoint(v, buf)
+                engine.wait_for_flushes(timeout=600.0)
+            assert all(engine.catalog.get(v).durable_level is not None for v in sums)
+            assert engine.stats()["resilience"]["flush_retries"] > 0
+            out = ctx.device.alloc_buffer(CKPT)
+            for v, checksum in sums.items():
+                engine.restore(v, out)
+                assert out.checksum() == checksum
+            validate_engine(engine)
+
+
 class TestOutageRerouteAndBackfill:
     @both_chunk_plans
     def test_ssd_outage_reroutes_to_pfs_then_backfills(self, stream):
         # The clock is scaled wall time: [0, 500) virtual seconds is 1 s of
         # wall at TEST_SCALE, so a host stall cannot expire the outage
         # before the durable hop reaches the SSD gate.
-        cfg = _config(
-            stream,
+        cfg = tiny_config(
+            stream=stream,
             faults=FaultConfig(tier_outages=(("ssd", 0.0, 500.0, 0.0),)),
         )
         with Cluster(cfg) as cluster:
@@ -309,8 +324,8 @@ class TestOutageRerouteAndBackfill:
     def test_restore_routes_around_dark_ssd(self, stream):
         """With copies on SSD and PFS, a restore during an SSD outage is
         served from the PFS instead of failing."""
-        cfg = _config(
-            stream,
+        cfg = tiny_config(
+            stream=stream,
             faults=FaultConfig(tier_outages=(("ssd", 1e6, 1e9, 0.0),)),
         )
         with Cluster(cfg) as cluster:
@@ -367,7 +382,7 @@ class TestCheckpointRollback:
             engine.close()
 
     def test_rollback_rewinds_reducer_chain_head(self):
-        cfg = tiny_config(reduce=ReduceConfig(enabled=True), resilience=RESILIENT)
+        cfg = tiny_config(reduce=ReduceConfig(enabled=True))
         with Cluster(cfg) as cluster:
             ctx = cluster.process_contexts()[0]
             with ScoreEngine(ctx) as engine:
@@ -396,7 +411,6 @@ class TestFlushWaitTimeout:
         # the timeout fires while the put is in flight.
         cfg = tiny_config(
             faults=FaultConfig(tier_outages=(("ssd", 0.0, 1e9, 0.001),)),
-            resilience=RESILIENT,
         )
         with Cluster(cfg) as cluster:
             ctx = cluster.process_contexts()[0]
@@ -406,7 +420,7 @@ class TestFlushWaitTimeout:
                     engine.wait_for_flushes(timeout=5.0)
                 message = str(excinfo.value)
                 assert "stream depths" in message
-                assert "retries=" in message  # resilience state included
+                assert "retries=" in message  # self-healing state included
                 assert "breakers" in message
                 assert "injected" in message  # fault-domain snapshot
                 # The flush completes eventually; nothing was lost.
@@ -433,7 +447,6 @@ def test_injected_faults_never_change_restored_bytes(seed, rate):
     (which is the application buffer's own checksum)."""
     cfg = tiny_config(
         faults=FaultConfig(seed=seed, transfer_fault_rate=rate),
-        resilience=RESILIENT,
     )
     with Cluster(cfg) as cluster:
         ctx = cluster.process_contexts()[0]

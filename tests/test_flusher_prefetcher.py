@@ -2,6 +2,7 @@
 
 import threading
 
+import repro.core.prefetcher as prefetcher_module
 from repro.core.engine import ScoreEngine
 from repro.core.lifecycle import CkptState
 from repro.tiers.base import TierLevel
@@ -74,8 +75,9 @@ class TestPrefetcher:
         engine.clock.sleep(0.5)
         assert engine.prefetcher.promotions == 0  # prefetch_start not called
 
-    def test_budget_limits_pinned_bytes(self, context):
-        eng = ScoreEngine(context, prefetch_budget_fraction=0.5)
+    def test_budget_limits_pinned_bytes(self, context, monkeypatch):
+        monkeypatch.setattr(prefetcher_module, "PREFETCH_BUDGET_FRACTION", 0.5)
+        eng = ScoreEngine(context)
         try:
             for v in range(16):
                 eng.checkpoint(v, make_buffer(context, CKPT, seed=v))

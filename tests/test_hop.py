@@ -10,8 +10,7 @@ refused non-blocking claim) × both chunk plans.  After each: no reserved
 extent is left (``validate_engine``), no copy stays ``flush_pending`` or
 ``read_pinned``, the failed stage is failed and its neighbours are released
 (``wait_for_flushes`` returns), a flush counts exactly one abandonment, and
-the sink's circuit breaker is fed once per failed attempt — with resilience
-on; off, a flush leg's attempt is the plain call and feeds no breaker.
+the sink's circuit breaker is fed once per failed attempt.
 
 Plus: the stage table equals the four cascade orders, and an exception a
 stage was not written to expect is counted, traced and logged instead of
@@ -25,7 +24,7 @@ import pytest
 
 import repro.core.flusher as flusher_module
 from repro.cluster.topology import ClusterTopology
-from repro.config import ClusterConfig, ResilienceConfig, StreamConfig
+from repro.config import ClusterConfig, StreamConfig
 from repro.core.engine import ScoreEngine
 from repro.core.flusher import Flusher
 from repro.core.streaming import ChunkPipeline
@@ -237,7 +236,7 @@ COMMIT_FAULT = TransferError("injected commit failure")
 
 def _flush_case(engine, cluster, hop, point, how, chunk):
     """``(object, method, exception, call index)`` of one cell, and the
-    breaker it feeds with resilience on."""
+    breaker it feeds."""
     ssd, pfs = engine.ssd, cluster.pfs
     sink, link = {
         "d2h": (engine.host_cache, engine.device.d2h_link),
@@ -275,27 +274,16 @@ FLUSH_CELLS = [
 
 @both_chunk_plans
 @pytest.mark.parametrize("hop,point,how", FLUSH_CELLS)
-def test_flush_hop_failure_leaves_nothing_behind(monkeypatch, stream, hop, point, how):
-    # Resilience off: the legs are the plain call and feed no breaker.
-    fed, _breaker = _flush_cell(monkeypatch, stream, hop, point, how)
-    assert fed == []
-
-
-@both_chunk_plans
-@pytest.mark.parametrize("hop,point,how", FLUSH_CELLS)
 def test_flush_hop_failure_feeds_its_breaker_once(monkeypatch, stream, hop, point, how):
-    """Resilience on, with no reroute: each cell fails every attempt, and
-    each attempt is fed once to the breaker its hop × failure point names
+    """With no reroute, each cell fails every attempt, and each attempt is
+    fed once to the breaker its hop × failure point names
     (claims and store-put chunks the sink's, replication none) — a transient
     fault ``MAX_RETRIES + 1`` times, a cancel or a commit failure once, as
     neither is retried — and still abandons."""
     if hop not in ("f2r", "f2p"):
         without_pfs(monkeypatch)  # nothing to reroute to
     attempts = MAX_RETRIES + 1 if how in ("outage", "link-fault") else 1
-    fed, breaker = _flush_cell(
-        monkeypatch, stream, hop, point, how, times=attempts,
-        resilience=ResilienceConfig(enabled=True),
-    )
+    fed, breaker = _flush_cell(monkeypatch, stream, hop, point, how, times=attempts)
     assert fed == ([breaker] * attempts if breaker else [])
 
 
@@ -305,11 +293,11 @@ def without_pfs(monkeypatch):
     monkeypatch.setattr(ProcessContext, "pfs", None)
 
 
-def _flush_cell(monkeypatch, stream, hop, point, how, times=1, **changes):
+def _flush_cell(monkeypatch, stream, hop, point, how, times=1):
     """Run one cell of the matrix, its failure point failing ``times`` calls
     in a row, and check the contract; returns the breakers fed a failure
     and the one the cell should feed."""
-    changes.update(stream=stream)
+    changes = {"stream": stream}
     if hop == "repl":
         changes.update(num_nodes=2, cluster=ClusterConfig(enabled=True, replica_factor=2))
     chunk = 3 if stream.enabled and hop != "repl" else 0  # a replica is copied whole
@@ -359,12 +347,11 @@ def _flush_cell(monkeypatch, stream, hop, point, how, times=1, **changes):
 
 @both_chunk_plans
 def test_retried_charge_feeds_the_breaker_once_per_attempt(monkeypatch, stream):
-    """Resilience on, no PFS to reroute to: a persistently failing SSD chunk
+    """No PFS to reroute to: a persistently failing SSD chunk
     is retried ``MAX_RETRIES`` times, each attempt fed to the SSD breaker,
     then the hop is abandoned — one abandonment, nothing left behind."""
     without_pfs(monkeypatch)
-    resilience = ResilienceConfig(enabled=True)
-    with Cluster(tiny_config(stream=stream, resilience=resilience)) as cluster:
+    with Cluster(tiny_config(stream=stream)) as cluster:
         ctx = cluster.process_contexts()[0]
         with ScoreEngine(ctx) as engine:
             with breaker_feeds(engine) as fed:
@@ -385,8 +372,7 @@ def test_retried_charge_feeds_the_breaker_once_per_attempt(monkeypatch, stream):
 
 @pytest.mark.parametrize("point", ["claim", "chunk", "commit"])
 def test_backfill_failure_requeues_and_feeds_the_breaker(point):
-    cfg = tiny_config(resilience=ResilienceConfig(enabled=True))
-    with Cluster(cfg) as cluster:
+    with Cluster(tiny_config()) as cluster:
         ctx = cluster.process_contexts()[0]
         with ScoreEngine(ctx, flush_to_pfs=True) as engine:
             engine.checkpoint(0, make_buffer(ctx, CKPT, seed=2))

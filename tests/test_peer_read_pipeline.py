@@ -23,7 +23,7 @@ import pytest
 
 from repro.cluster.topology import ClusterTopology
 from repro.clock import VirtualClock
-from repro.config import ClusterConfig, HardwareSpec, ResilienceConfig, ScaleModel
+from repro.config import ClusterConfig, HardwareSpec, ScaleModel
 from repro.core.hop import copy_whole
 from repro.core.streaming import ChunkPipeline
 from repro.core.validator import validate_engine
@@ -257,7 +257,7 @@ def test_failover_with_no_durable_copy_below_surfaces_the_error_it_was_given():
 def test_failover_blames_the_leg_that_failed(leg):
     """A fabric fault must not blacklist a healthy drive for every other
     reader: the breaker fed is that of the link the fault names."""
-    with peer_read(resilience=ResilienceConfig(enabled=True)) as (topo, reader, record, checksum):
+    with peer_read() as (topo, reader, record, checksum):
         drive, fabric, _pcie = links(topo, reader)
         holder = topo.cluster.nodes[0].ssd
         with breaker_feeds(reader) as fed:

@@ -29,6 +29,7 @@ import threading
 
 import pytest
 
+import repro.core.prefetcher as prefetcher_module
 from repro.clock import Condition
 from repro.config import AnalysisConfig, PredictConfig, StreamConfig
 from repro.core.catalog import CheckpointRecord
@@ -37,7 +38,6 @@ from repro.core.lifecycle import CkptState
 from repro.core.sync import Monitor
 from repro.core.validator import InvariantViolation, validate_engine
 from repro.errors import ReproError, TransientTransferError
-from repro.faults.retry import UNARMED_BACKOFF_S
 from repro.metrics.recorder import OpKind
 from repro.tiers.base import TierLevel
 from repro.tiers.topology import Cluster
@@ -104,7 +104,7 @@ def _pin_gpu(engine, *versions):
         record = engine.catalog.get(v)
         engine.gpu_cache.release(record)
         assert engine.promote_once(record, HOST, GPU, blocking=True, allow_pinned=False) is not None
-    budget = engine.prefetch_budget_fraction * engine.gpu_cache.table.capacity
+    budget = prefetcher_module.PREFETCH_BUDGET_FRACTION * engine.gpu_cache.table.capacity
     assert engine.gpu_cache.pinned_bytes() + CKPT > budget
 
 
@@ -229,10 +229,11 @@ class TestNearerHintBarrier:
     """The claim-level semantics are in ``tests/test_cache.py``
     (``TestPrefetchClaims``); here, what the worker does with them."""
 
-    def test_worker_evicts_nothing_from_a_host_full_of_nearer_hints(self):
+    def test_worker_evicts_nothing_from_a_host_full_of_nearer_hints(self, monkeypatch):
         """(c) With the whole cache as budget the horizon lets the worker
         try; the barrier leaves it no window."""
-        cluster, ctx, engine = _engine(engine_kwargs={"prefetch_budget_fraction": 1.0})
+        monkeypatch.setattr(prefetcher_module, "PREFETCH_BUDGET_FRACTION", 1.0)
+        cluster, ctx, engine = _engine()
         with cluster, engine:
             _write(engine, ctx, 17)  # one more than the host cache holds
             (far,) = [r.ckpt_id for r in engine.catalog.all_records() if r.peek(HOST) is None]
@@ -277,7 +278,7 @@ class TestOrderAndHorizon:
             _hint(engine, range(24))
             quiesce(engine)
             assert _staged_from_store(engine) == list(range(14))
-            budget = engine.prefetch_budget_fraction * engine.host_cache.table.capacity
+            budget = prefetcher_module.PREFETCH_BUDGET_FRACTION * engine.host_cache.table.capacity
             assert engine.host_cache.pinned_bytes() <= budget
             # The GPU budget went to the head of the queue, in order.
             on_gpu = [v for v in range(24) if _state(engine, v, GPU) is READ_COMPLETE]
@@ -671,8 +672,12 @@ class TestStep:
                 assert blocked == []
             assert hit == [STEPPERS[caller]]
             released = [("inflight", False), ("notify",)]
+            # The first back-off of the run's retry schedule, under the
+            # step's label.
+            label = "demand" if caller == "demand" else "prefetch"
+            backoff = engine.retry_policy.backoff(0, label, 0)
             assert events == {
-                "transient": [("sleep", UNARMED_BACKOFF_S), *released],
+                "transient": [("sleep", backoff), *released],
             }.get(fault, released)
             worker = caller != "demand"
             assert retries.value == int(worker and fault in ("transient", "moved"))

@@ -20,7 +20,7 @@ import pytest
 
 from repro.cluster.fabric import PeerSsdStore
 from repro.cluster.topology import ClusterTopology
-from repro.config import ClusterConfig, FaultConfig, ResilienceConfig, StreamConfig
+from repro.config import ClusterConfig, FaultConfig, StreamConfig
 from repro.core.engine import ScoreEngine
 from repro.core.lifecycle import CkptState
 from repro.core.validator import validate_engine
@@ -255,11 +255,10 @@ def test_one_chunk_plan_places_the_same_whatever_the_flag_says():
 
 class TestReadChain:
     """``ScoreEngine.read_source``: usable local SSD, then a fabric peer's
-    SSD, then the PFS, then the local SSD again so the error surfaces there."""
+    SSD, then the PFS, then the local SSD again so the error surfaces there.
+    (An open breaker stays open until a write probes it, and these tests
+    write nothing once it has opened.)"""
 
-    #: an open breaker stays open until a write probes it, and these tests
-    #: write nothing once it has opened.
-    RESILIENT = ResilienceConfig(enabled=True)
     SSD_DARK_LATER = FaultConfig(tier_outages=(("ssd", 1e6, 1e9, 0.0),))
 
     def _flushed_to_pfs(self, stream, **changes):
@@ -291,9 +290,7 @@ class TestReadChain:
 
     @both_chunk_plans
     def test_open_breaker_routes_to_the_pfs_copy(self, stream):
-        cluster, ctx, engine, record, checksum = self._flushed_to_pfs(
-            stream, resilience=self.RESILIENT
-        )
+        cluster, ctx, engine, record, checksum = self._flushed_to_pfs(stream)
         with cluster, engine:
             for _ in range(BREAKER_THRESHOLD):
                 engine.health.failure(engine.ssd.track)
@@ -301,22 +298,17 @@ class TestReadChain:
             assert self._restore_reads(cluster, ctx, engine, checksum) == (0, 1)
 
     @both_chunk_plans
-    @pytest.mark.parametrize("resilient", [False, True], ids=["historical", "resilient"])
-    def test_dark_ssd_moves_reads_only_when_something_can_route(self, stream, resilient):
-        """Resilience off, faults on: reads stay on the local drive — the
-        bit-identity rule ``tests/test_faults_equivalence.py`` relies on."""
-        changes = {"resilience": self.RESILIENT} if resilient else {}
+    def test_a_dark_ssd_moves_reads_to_the_pfs(self, stream):
         cluster, ctx, engine, record, checksum = self._flushed_to_pfs(
-            stream, faults=self.SSD_DARK_LATER, **changes
+            stream, faults=self.SSD_DARK_LATER
         )
         with cluster, engine:
             key = engine.store_key(record)
             assert engine.read_source(key) is engine.ssd
             cluster.faults.clock = FaultClock(2e6)  # inside the outage window
             assert cluster.faults.hard_outage("ssd")
-            assert engine.read_source(key) is (engine.pfs if resilient else engine.ssd)
-            if resilient:
-                assert self._restore_reads(cluster, ctx, engine, checksum) == (0, 1)
+            assert engine.read_source(key) is engine.pfs
+            assert self._restore_reads(cluster, ctx, engine, checksum) == (0, 1)
 
     @both_chunk_plans
     def test_key_on_a_ring_neighbour_only_reads_the_peer(self, stream):

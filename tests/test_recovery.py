@@ -8,7 +8,7 @@ store metadata and restores verified data.
 import pytest
 
 from repro.cluster.topology import ClusterTopology
-from repro.config import ClusterConfig, FaultConfig, ResilienceConfig, StreamConfig
+from repro.config import ClusterConfig, FaultConfig, StreamConfig
 from repro.core.client import Client
 from repro.core.engine import ScoreEngine
 from repro.errors import IntegrityError
@@ -172,10 +172,7 @@ def _replica_copy():
 
 
 def _backfill_copy():
-    cfg = tiny_config(
-        faults=FaultConfig(tier_outages=(("ssd", 1000.0, 2000.0, 0.0),)),
-        resilience=ResilienceConfig(enabled=True),
-    )
+    cfg = tiny_config(faults=FaultConfig(tier_outages=(("ssd", 1000.0, 2000.0, 0.0),)))
     with Cluster(cfg) as cluster:
         ctx = cluster.process_contexts()[0]
         fault_clock = cluster.faults.clock = FaultClock(1500.0)

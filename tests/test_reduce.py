@@ -8,6 +8,7 @@ from repro.clock import VirtualClock
 from repro.config import ReduceConfig, ScaleModel
 from repro.core.catalog import CheckpointRecord
 from repro.errors import IntegrityError
+from repro.faults.recipes import RecipeStore
 from repro.reduce import (
     ChunkAccountingError,
     ChunkRegistry,
@@ -25,7 +26,7 @@ CHUNK_BYTES = CHUNK_SIZE // SCALE.data_scale
 
 
 def make_reducer(**kwargs) -> Reducer:
-    return Reducer(SCALE, VirtualClock(time_scale=0.0005), **kwargs)
+    return Reducer(SCALE, VirtualClock(time_scale=0.0005), RecipeStore(), **kwargs)
 
 
 def make_record(ckpt_id: int, nominal: int) -> CheckpointRecord:

@@ -3,6 +3,7 @@
 from repro.config import ReduceConfig
 from repro.core.engine import ScoreEngine
 from repro.core.validator import validate_engine
+from repro.tiers.base import TierLevel
 from repro.tiers.topology import Cluster
 from repro.util.units import MiB
 from repro.workloads.patterns import RestoreOrder, restore_order
@@ -131,36 +132,36 @@ def test_gpudirect_reduction_round_trip():
                 assert out.checksum() == sums[v]
 
 
-def test_recovery_skips_reduced_blobs():
-    """Reduced SSD/PFS blobs are placeholders whose recipe dies with the
-    reducer; a fresh engine must skip them instead of restoring zeros.
-    (With resilience enabled the recipe survives in the durable sidecar and
-    recovery works — see ``test_recovery_restores_reduced_checkpoints``.)"""
+def test_recovery_rebuilds_ssd_only_reduced_blobs_from_the_sidecar():
+    """Reduced SSD blobs are physical-size placeholders; the bytes live in
+    the chunk recipe, which the cluster's sidecar keeps past the reducer
+    that wrote it.  A fresh engine on the same cluster, with no PFS copy to
+    fall back on, rebuilds every checkpoint from its recipe."""
     cfg = tiny_config(reduce=ReduceConfig(enabled=True))
     with Cluster(cfg) as cluster:
         ctx = cluster.process_contexts()[0]
-        engine = ScoreEngine(ctx)
-        for v in range(4):
-            engine.checkpoint(v, make_buffer(ctx, CKPT, seed=v))
-        engine.wait_for_flushes(timeout=600.0)
-        engine.close()
-        reborn = ScoreEngine(ctx)
-        try:
-            assert reborn.recover_history() == 0
-        finally:
-            reborn.close()
+        sums = {}
+        with ScoreEngine(ctx) as engine:
+            for v in range(4):
+                buf = make_buffer(ctx, CKPT, seed=v)
+                sums[v] = buf.checksum()
+                engine.checkpoint(v, buf)
+            engine.wait_for_flushes(timeout=600.0)
+        with ScoreEngine(ctx) as reborn:
+            assert reborn.recover_history() == 4
+            out = ctx.device.alloc_buffer(CKPT)
+            for v in range(4):
+                assert reborn.catalog.get(v).durable_level is TierLevel.SSD
+                reborn.restore(v, out)
+                assert out.checksum() == sums[v]
+            validate_engine(reborn)
 
 
 def test_recovery_restores_reduced_checkpoints():
-    """With resilience on, the chunk-recipe sidecar outlives the engine:
-    a re-incarnated process rebuilds each ReducedImage from its recipe and
-    restores the full logical bytes, CRC-verified."""
-    from repro.config import ResilienceConfig
-
-    cfg = tiny_config(
-        reduce=ReduceConfig(enabled=True),
-        resilience=ResilienceConfig(enabled=True),
-    )
+    """The chunk-recipe sidecar outlives the engine: a re-incarnated
+    process rebuilds each ReducedImage from its recipe and restores the full
+    logical bytes, CRC-verified."""
+    cfg = tiny_config(reduce=ReduceConfig(enabled=True))
     with Cluster(cfg) as cluster:
         ctx = cluster.process_contexts()[0]
         engine = ScoreEngine(ctx, flush_to_pfs=True)
@@ -189,13 +190,7 @@ def test_recovery_restores_reduced_checkpoints_across_clusters(tmp_path):
     """Full restart with a file-backed SSD tier: a brand-new cluster
     recovers from the blobs' ``.meta.json`` sidecars and the chunk recipes
     alone, re-indexed from disk."""
-    from repro.config import ResilienceConfig
-
-    cfg = tiny_config(
-        reduce=ReduceConfig(enabled=True),
-        resilience=ResilienceConfig(enabled=True),
-        ssd_directory=str(tmp_path),
-    )
+    cfg = tiny_config(reduce=ReduceConfig(enabled=True), ssd_directory=str(tmp_path))
     sums = {}
     with Cluster(cfg) as c1:
         ctx = c1.process_contexts()[0]

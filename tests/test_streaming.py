@@ -35,7 +35,6 @@ from repro.config import (
     FaultConfig,
     HardwareSpec,
     ReduceConfig,
-    ResilienceConfig,
     StreamConfig,
 )
 from repro.core.engine import ScoreEngine
@@ -54,7 +53,6 @@ from tests.conftest import TEST_SCALE, both_chunk_plans, make_buffer, start_runn
 CKPT = 128 * MiB
 
 STREAMING = StreamConfig(enabled=True)
-RESILIENT = ResilienceConfig(enabled=True)
 
 
 # -- chunk planning ----------------------------------------------------------
@@ -450,7 +448,6 @@ class TestStreamedCascade:
             telemetry=True,
             stream=STREAMING,
             reduce=ReduceConfig(enabled=True),
-            resilience=RESILIENT,  # CRC metadata stamped at commit
         )
         with Cluster(cfg) as cluster:
             ctx = cluster.process_contexts()[0]
@@ -584,9 +581,7 @@ class TestStreamedFaults:
     def test_reroute_mid_stream_resumes_at_right_chunk(self):
         """An SSD that dies after consuming some chunks reroutes to the
         PFS, replaying the consumed chunks, and lands verified bytes."""
-        cfg = tiny_config(
-            telemetry=True, stream=STREAMING, resilience=RESILIENT
-        )
+        cfg = tiny_config(telemetry=True, stream=STREAMING)
         with Cluster(cfg) as cluster:
             ctx = cluster.process_contexts()[0]
             with ScoreEngine(ctx, flush_to_pfs=True) as engine:
@@ -635,7 +630,6 @@ class TestStreamedFaults:
         cfg = tiny_config(
             stream=STREAMING,
             faults=FaultConfig(tier_outages=(("ssd", 0.0, 1e9, 0.0),)),
-            resilience=RESILIENT,
         )
         with Cluster(cfg) as cluster:
             ctx = cluster.process_contexts()[0]

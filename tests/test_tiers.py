@@ -7,10 +7,11 @@ import pytest
 
 from repro.clock import VirtualClock
 from repro.cluster.fabric import PeerSsdStore
-from repro.config import ClusterConfig, FaultConfig, HardwareSpec, ResilienceConfig, ScaleModel
+from repro.config import ClusterConfig, FaultConfig, HardwareSpec, ScaleModel
 from repro.errors import CheckpointNotFound, ConfigError, TierOfflineError
 from repro.faults.injector import FaultDomain
 from repro.simgpu.bandwidth import Link
+from repro.simgpu.memory import checksum_payload
 from repro.tiers.base import TierLevel
 from repro.tiers.pfs import PfsStore
 from repro.tiers.ssd import SsdStore
@@ -260,8 +261,11 @@ class TestInternodeFabric:
 class TestStoreMetadata:
     def test_meta_roundtrip(self, tmp_path):
         store = SsdStore(0, HardwareSpec(), SCALE, _clock())
-        store.put((3, 7), _payload(1 * MiB), 1 * MiB, meta={"checksum": 42, "true_size": 999})
-        assert store.meta((3, 7)) == {"checksum": 42, "true_size": 999}
+        payload = _payload(1 * MiB)
+        store.put((3, 7), payload, 1 * MiB, meta={"checksum": 42, "true_size": 999})
+        # Every commit stamps the pristine CRC beside the caller's metadata.
+        crc = int(checksum_payload(payload))
+        assert store.meta((3, 7)) == {"checksum": 42, "true_size": 999, "stored_crc": crc}
         assert store.size_of((3, 7)) == 1 * MiB
 
     def test_meta_missing_key_raises(self):
@@ -298,7 +302,7 @@ WRITABLE = ["ssd-memory", "ssd-file", "pfs"]
 
 
 def _faults(**config):
-    return FaultDomain(FaultConfig(**config), ResilienceConfig(), FaultClock())
+    return FaultDomain(FaultConfig(**config), FaultClock())
 
 
 def _make_store(kind, tmp_path, faults=None):

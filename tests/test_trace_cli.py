@@ -205,7 +205,6 @@ LIVE_FLAGS = {
     "--predict": (None, "hints", ["hints", "learned", "none"], None, None),
     "--processes": (None, None, None, None, None),
     "--reduce": (None, False, None, 0, True),
-    "--resilient": (None, False, None, 0, True),
     "--sched": (None, False, None, 0, True),
     "--seed": (None, 7, None, None, None),
     "--similarity": (None, 0.9, None, None, None),
@@ -239,7 +238,7 @@ LIVE_ARGV = [
     "--outage", "ssd:1:2", "--outage", "pfs:3:4:0.5", "--corruption-rate", "0.125",
     "--cluster", "2", "--node-crash", "1@5", "--node-crash", "1@6:power-loss",
     "--node-rejoin", "1@7", "--partition", "0-1@1:2", "--crash-point", "after-h2f",
-    "--resilient", "--verbose",
+    "--verbose",
 ]
 LIVE_PARSED = {
     "cluster": 2,
@@ -256,7 +255,6 @@ LIVE_PARSED = {
     "predict": "none",
     "processes": 2,
     "reduce": True,
-    "resilient": True,
     "sched": True,
     "seed": 5,
     "similarity": 0.5,
