@@ -5,7 +5,9 @@ telemetry + causal analysis on, exactly like ``repro trace``) or a *saved
 log* (give a path to an ``.events.jsonl`` written by ``repro trace`` /
 ``repro analyze``).  Renders the per-category / per-tier attribution
 report (text to stdout, JSON via ``--json``), and with ``--diff BASELINE``
-compares two runs and attributes the regression to tier×category cells.
+compares two runs and attributes the regression to tier×category cells,
+printing both runs' provenance stamps (config hash, seed, git sha) and
+warning when their config hashes differ.
 
 ``--check-accounting`` turns the accounting-completeness invariant into an
 exit code (categories ≥ threshold of each op's wall time, zero orphan
@@ -19,7 +21,7 @@ import dataclasses
 import json
 import logging
 import os
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.report import analyze_events, diff_reports, render_diff, render_report
 from repro.config import HardwareSpec, SloConfig
@@ -27,7 +29,7 @@ from repro.errors import ConfigError
 from repro.log import enable_console_logging
 from repro.telemetry.bus import TraceEvent
 from repro.telemetry.cli import add_knob_flags, from_flags, live_run, live_run_flags, run_trace
-from repro.telemetry.exporters import read_jsonl
+from repro.telemetry.exporters import read_jsonl, read_meta
 
 
 def _scaled_ssd(hardware: HardwareSpec, factor: float) -> HardwareSpec:
@@ -39,15 +41,45 @@ def _scaled_ssd(hardware: HardwareSpec, factor: float) -> HardwareSpec:
     )
 
 
-def _load_events(target: str, args, slo: SloConfig) -> List[TraceEvent]:
-    """Events for ``target``: a JSONL path, or a workload run live."""
+def _load_events(
+    target: str, args, slo: SloConfig
+) -> Tuple[List[TraceEvent], Optional[dict]]:
+    """Events and provenance stamp for ``target``: a JSONL path, or a
+    workload run live."""
     if target.endswith(".jsonl") or os.path.isfile(target):
-        return read_jsonl(target)
+        return read_jsonl(target), read_meta(target)
     hardware = None
     if args.ssd_bandwidth_factor != 1.0:
         hardware = _scaled_ssd(HardwareSpec(), args.ssd_bandwidth_factor)
     out = run_trace(target, **live_run(args), analysis=True, slo=slo, hardware=hardware)
-    return read_jsonl(out["jsonl"])
+    return read_jsonl(out["jsonl"]), out["meta"]
+
+
+def _stamp(meta: Optional[dict]) -> str:
+    if meta is None:
+        return "no provenance stamp"
+    return (
+        f"config {meta['config_hash']} seed {meta['seed']} "
+        f"sha {meta.get('git_sha', 'unknown')[:12]}"
+    )
+
+
+def _render_provenance(
+    target: str, meta: Optional[dict], baseline: str, base_meta: Optional[dict]
+) -> str:
+    """Both runs' stamps, and a warning when their config hashes differ (a
+    diff across configurations charges a config change to the code)."""
+    lines = [
+        f"provenance: {target}: {_stamp(meta)}",
+        f"            {baseline}: {_stamp(base_meta)}",
+    ]
+    hashes = {m["config_hash"] for m in (meta, base_meta) if m is not None}
+    if len(hashes) > 1:
+        lines.append(
+            f"warning: config hashes differ ({base_meta['config_hash']} -> "
+            f"{meta['config_hash']}): the runs compared ran different configurations"
+        )
+    return "\n".join(lines)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -95,11 +127,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         slo = from_flags(SloConfig, args)
-        events = _load_events(args.target, args, slo)
+        events, meta = _load_events(args.target, args, slo)
         report = analyze_events(events, slo=slo, top=args.top)
         diff = None
         if args.diff is not None:
-            base_events = _load_events(args.diff, args, slo)
+            base_events, base_meta = _load_events(args.diff, args, slo)
             base_report = analyze_events(base_events, slo=slo, top=args.top)
             diff = diff_reports(base_report, report)
     except ConfigError as exc:
@@ -110,11 +142,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(render_report(report, title=f"causal analysis: {args.target}"))
     if diff is not None:
         print()
+        print(_render_provenance(args.target, meta, args.diff, base_meta))
         print(render_diff(diff, title=f"regression vs {args.diff}"))
     if args.json is not None:
-        payload = {"report": report}
+        payload = {"report": report, "meta": meta}
         if diff is not None:
             payload["diff"] = diff
+            payload["baseline_meta"] = base_meta
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
         print(f"\nwrote {args.json}")

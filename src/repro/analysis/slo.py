@@ -37,6 +37,7 @@ class SloObjective:
         self.target_s = target_s
         self.cfg = cfg
         self._window: Deque[Tuple[float, bool]] = deque()  # (ts, violated)
+        self._window_violations = 0  # violated entries in ``_window``
         self.total = 0
         self.violations = 0
         self.alerts = 0
@@ -52,9 +53,10 @@ class SloObjective:
             self.violations += 1
         window = self._window
         window.append((ts, violated))
+        self._window_violations += violated
         horizon = ts - self.cfg.window_s
         while window and window[0][0] < horizon:
-            window.popleft()
+            self._window_violations -= window.popleft()[1]
         burn = self.burn_rate()
         firing = (
             len(window) >= MIN_SAMPLES
@@ -68,7 +70,7 @@ class SloObjective:
                 "ts": ts,
                 "burn_rate": burn,
                 "window_ops": len(window),
-                "window_violations": sum(1 for _, v in window if v),
+                "window_violations": self._window_violations,
                 "target_s": self.target_s,
             }
         self._alerting = firing
@@ -79,7 +81,7 @@ class SloObjective:
         window = self._window
         if not window:
             return 0.0
-        rate = sum(1 for _, v in window if v) / len(window)
+        rate = self._window_violations / len(window)
         return rate / (1.0 - self.cfg.objective)
 
     def snapshot(self) -> dict:

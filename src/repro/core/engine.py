@@ -410,15 +410,15 @@ class ScoreEngine:
         causal, pid = self.ops.enabled, self.process_id
 
         def hook(ckpt_id, inst, old, new, now):
-            bus.instant(
-                "fsm",
-                track,
+            # (``_name_``/``_value_``: what the enum properties return,
+            # read without their descriptor calls.)
+            bus.record(
+                "fsm", track, bus.clock.now(), "i", 0.0,
+                {"ckpt": ckpt_id, "level": inst.level._name_, "from": old._value_,
+                 "to": new._value_},
                 # FSM edges belong to the checkpoint's own op (its id is
                 # deterministic, so no record lookup is needed here).
-                op_id=checkpoint_op_id(pid, ckpt_id) if causal else None,
-                ckpt=ckpt_id,
-                level=inst.level.name,
-                **{"from": old.value, "to": new.value},
+                checkpoint_op_id(pid, ckpt_id) if causal else None,
             )
 
         return hook

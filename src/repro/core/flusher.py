@@ -179,9 +179,10 @@ class Flusher:
 
     def _span(self, leg: Leg, record: "CheckpointRecord", nbytes: int, **args):
         """The span of one flush leg on its track, tied to the record's op."""
+        op_id, category, causal = leg.causal(record.op)
         return self.telemetry.bus.span(
-            leg.stage, leg.track, ckpt=record.ckpt_id, bytes=nbytes,
-            **args, **leg.causal(record.op),
+            leg.stage, leg.track, op_id=op_id, category=category,
+            ckpt=record.ckpt_id, bytes=nbytes, **args, **causal,
         )
 
     def _abandon(self, leg: Leg, record: "CheckpointRecord", reason: str, span=None) -> None:
@@ -852,9 +853,7 @@ class Flusher:
                 # breaker.
                 read = hop.stream(
                     read_total, read=reader.read, take=take,
-                    around=partial(
-                        record.op.stage, "read-back", CAT_TRANSFER, track=leg.track, tier="ssd"
-                    ),
+                    stage=("read-back", CAT_TRANSFER, {"tier": "ssd"}),
                 )
             except TransferError:
                 self._abandon(leg, record, "read-back cancelled mid-transfer", span)

@@ -24,7 +24,6 @@ write aggregator's leader/follower wait, the repairer's round pacing.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Any, Callable, NamedTuple, Optional
 
 from repro.core.streaming import chunk_sizes_for
@@ -53,12 +52,13 @@ class Leg(NamedTuple):
     source: Any = None
     policy: Optional[Callable] = None
 
-    def causal(self, op, tier: Optional[str] = None) -> dict:
-        """Span kwargs tying a charge to its op; empty with causal tracing
-        off, so disabled runs emit byte-identical spans."""
+    def causal(self, op, tier: Optional[str] = None) -> tuple:
+        """``(op_id, category, args)`` tying a charge's spans to its op;
+        ``(None, None, {})`` with causal tracing off, so disabled runs emit
+        byte-identical spans."""
         if op.op_id is None:
-            return {}
-        return {"op_id": op.op_id, "category": CAT_TRANSFER, "tier": tier or self.tier}
+            return None, None, {}
+        return op.op_id, CAT_TRANSFER, {"tier": tier or self.tier}
 
     def request(self, record, tag=None):
         """The QoS tag of one charge: a flush leg's own, a promotion leg's
@@ -101,18 +101,18 @@ class Hop:
             self.claims.append((where, handle))
         return handle
 
-    def stream(self, total: int, read=None, take=None, tier=None, breaker=None, around=None):
+    def stream(self, total: int, read=None, take=None, tier=None, breaker=None, stage=None):
         """The chunk loop: ``total`` bytes in the pipeline's chunk plan.
         Chunk *i* is eligible once the upstream stage published it and
         ``take(i, nbytes)``, the leg's own input step, agrees; it is charged
         on ``read(nbytes, request=)`` — a source handle's read — and every
-        claimed sink as one chunk step, inside the context ``around()``
-        (e.g. an op stage).  Returns the accounted seconds, ``None`` when the
-        input stopped coming.  A discard stops the loop through the links'
-        ``cancelled=``."""
-        leg, record, pipeline = self.leg, self.record, self.pipeline
+        claimed sink as one chunk step, timed as the op stage ``stage``
+        (``(name, category, args)``) when one is given.  Returns the
+        accounted seconds, ``None`` when the input stopped coming.  A
+        discard stops the loop through the links' ``cancelled=``."""
+        leg, record, pipeline, op = self.leg, self.record, self.pipeline, self.op
         bus = leg.engine.telemetry.bus
-        causal = leg.causal(self.op, tier)
+        causal = leg.causal(op, tier)
         seconds = 0.0
         for i, nbytes in enumerate(chunk_sizes_for(total, pipeline.chunks)):
             if not pipeline.await_upstream(leg.stage, i):
@@ -127,11 +127,16 @@ class Hop:
                     spent += handle.write(nbytes, cancelled=self.cancelled, request=tag)
                 return spent
 
-            with nullcontext() if around is None else around():
+            entered = None if stage is None else op.enter(leg.track)
+            try:
                 seconds += pipeline.charge_chunk(
                     leg.stage, i, nbytes, lambda: leg.attempt(record, charge, breaker),
                     bus, leg.track, causal,
                 )
+            finally:
+                if entered is not None:
+                    name, category, args = stage
+                    op.leave(name, category, leg.track, entered, **args)
         return seconds
 
     def commit(self, payload, **how) -> None:

@@ -267,16 +267,19 @@ class Prefetcher:
             op.fill("hint-wait")
             request = self._classify(distance, op=op, explicit=explicit)
             started = engine.clock.now()
+            op_id, category, causal = engine.promote_legs[dst][0].causal(
+                op, "pcie" if src == TierLevel.HOST else src.name.lower()
+            )
             with self.telemetry.bus.span(
                 span_name,
                 track,
+                op_id=op_id,
+                category=category,
                 ckpt=record.ckpt_id,
                 src=src.name,
                 dst=dst.name,
                 bytes=record.nominal_size,
-                **engine.promote_legs[dst][0].causal(
-                    op, "pcie" if src == TierLevel.HOST else src.name.lower()
-                ),
+                **causal,
             ) as span:
                 try:
                     seconds, outcome = self.step(

@@ -273,29 +273,32 @@ class ChunkPipeline:
 
     # -- the chunk step -------------------------------------------------------
     def charge_chunk(
-        self, stage: str, chunk: int, nbytes: int, charge, bus, track: str, causal: dict
+        self, stage: str, chunk: int, nbytes: int, charge, bus, track: str, causal: tuple
     ):
         """The one pipeline chunk step: run ``charge()`` (chunk ``chunk`` of
         ``stage`` on its link), publish it downstream, return its result.
 
         Occupancy accounting and the ``<stage>-chunk`` slice (on ``track``,
-        nested under the stage span, carrying ``causal``) exist on
-        multi-chunk plans only: a whole-object transfer is one chunk, which
-        its stage span already covers.
+        nested under the stage span, carrying ``causal``, a
+        :meth:`~repro.core.hop.Leg.causal` triple) exist on multi-chunk
+        plans only: a whole-object transfer is one chunk, which its stage
+        span already covers.
         """
         if self.chunks == 1:
             result = charge()
         else:
-            t0 = self.clock.now()
-            self.enter_chunk()
+            t0 = self.enter_chunk()
             try:
                 result = charge()
             finally:
-                self.exit_chunk()
-            bus.complete(
-                f"{stage}-chunk", track, t0, self.clock.now() - t0,
-                ckpt=self.ckpt_id, chunk=chunk, bytes=nbytes, **causal,
-            )
+                t1 = self.exit_chunk()
+            if bus.enabled:
+                op_id, category, args = causal
+                bus.record(
+                    f"{stage}-chunk", track, t0, "X", t1 - t0,
+                    {"ckpt": self.ckpt_id, "chunk": chunk, "bytes": nbytes, **args},
+                    op_id, None, category,
+                )
         self.publish(stage, chunk, result)
         return result
 
@@ -317,8 +320,8 @@ class ChunkPipeline:
         return ready[-1] if ready else 0.0
 
     # -- occupancy accounting ----------------------------------------------
-    def enter_chunk(self) -> None:
-        """A stage starts charging one chunk on its link."""
+    def enter_chunk(self) -> float:
+        """A stage starts charging one chunk on its link; returns now."""
         now = self.clock.now()
         with self._cond:
             self._active += 1
@@ -326,9 +329,10 @@ class ChunkPipeline:
                 self._active_since = now
             elif self._active == 2:
                 self._overlap_since = now
+        return now
 
-    def exit_chunk(self) -> None:
-        """A stage finished charging one chunk."""
+    def exit_chunk(self) -> float:
+        """A stage finished charging one chunk; returns now."""
         now = self.clock.now()
         with self._cond:
             self._active -= 1
@@ -338,3 +342,4 @@ class ChunkPipeline:
             if self._active == 0 and self._active_since is not None:
                 self.active_s += now - self._active_since
                 self._active_since = None
+        return now

@@ -114,10 +114,12 @@ class LinkScheduler:
             self._entries.append(entry)
             self._m_depth.set(len(self._entries))
             if bus.enabled:
-                bus.instant(
-                    "sched-queue", self._track,
-                    engine=request.engine_id, cls=request.tclass.name,
-                    depth=len(self._entries),
+                # Stamped when the entry queued; ``_name_`` is what the
+                # enum's ``name`` property returns, read without the call.
+                bus.record(
+                    "sched-queue", self._track, entry.opened_at, "i", 0.0,
+                    {"engine": request.engine_id, "cls": request.tclass._name_,
+                     "depth": len(self._entries)},
                 )
             if request.tclass is TransferClass.DEMAND_READ:
                 self._preempt_speculative()
@@ -161,14 +163,11 @@ class LinkScheduler:
                                 # Causal refinement: the queueing share of a
                                 # transfer that would otherwise all charge
                                 # to its enclosing transfer span.
-                                self.telemetry.bus.complete(
-                                    "sched-wait",
-                                    self._track,
-                                    entry.opened_at,
+                                self.telemetry.bus.record(
+                                    "sched-wait", self._track, entry.opened_at, "X",
                                     entry.first_grant_wait,
-                                    op_id=entry.request.op_id,
-                                    category="queue",
-                                    cls=entry.request.tclass.name,
+                                    {"cls": entry.request.tclass._name_},
+                                    entry.request.op_id, None, "queue",
                                 )
                         return 0.0 if parked_at is None else self.clock.now() - parked_at
                     if parked_at is None:

@@ -10,12 +10,20 @@ One :class:`Telemetry` object per simulation (the
   gauges and histograms (occupancy, fragmentation, queue depths, eviction
   waits, per-tier bytes, restore hits per tier).
 
-The trace bus is gated by ``RuntimeConfig.telemetry`` (default off —
-near-zero overhead); the registry is always live, its counters being a few
-dict operations per *operation* (not per byte).  Export with
+The trace bus is gated by ``RuntimeConfig.telemetry`` (default off: each
+emit site then pays one attribute check).  On, it records every event as
+one tuple row in its ring and builds :class:`TraceEvent` objects only when
+exported.  Recording is not free: the ledger's ``transport_on`` (about 85
+events per operation, tracing and causal ids on) completes about a sixth
+fewer operations per host second than with the bus off, down from a
+quarter when every event was an object (EXPERIMENTS.md, "Ledger check of
+cheap trace recording").  The
+registry is always live, its counters being a few dict operations per
+*operation* (not per byte).  Export with
 :func:`~repro.telemetry.exporters.write_chrome_trace` (Perfetto),
 :func:`~repro.telemetry.exporters.write_jsonl`, or
-:func:`~repro.telemetry.exporters.render_summary`; or from the command
+:func:`~repro.telemetry.exporters.render_summary`, stamped with
+:func:`~repro.telemetry.exporters.provenance`; or from the command
 line::
 
     python -m repro trace quickstart --out-dir traces/
@@ -32,7 +40,9 @@ from repro.telemetry.exporters import (
     chrome_trace,
     events_by_track,
     filter_events,
+    provenance,
     read_jsonl,
+    read_meta,
     render_summary,
     write_chrome_trace,
     write_jsonl,
@@ -89,6 +99,8 @@ __all__ = [
     "write_chrome_trace",
     "write_jsonl",
     "read_jsonl",
+    "read_meta",
+    "provenance",
     "render_summary",
     "events_by_track",
     "filter_events",

@@ -5,16 +5,29 @@ events — FSM transitions, eviction decisions, flush/prefetch stages — each
 stamped on the engine's :class:`~repro.clock.VirtualClock` so a trace lines
 up exactly with the nominal-time throughput numbers the paper reports.
 
-Design constraints (the bus sits on the runtime's metadata paths):
+Design constraints (the bus sits on the runtime's per-chunk paths):
 
 * **Cheap when disabled.**  A disabled bus emits *nothing*: ``instant``
   returns after one attribute check and ``span`` hands back a shared no-op
-  context manager — no event objects, no buffer traffic, no locking.
-* **Bounded when enabled.**  Events live in a ring of ``capacity`` entries;
-  overflow silently drops the *oldest* events (the tail of a long run is
-  what one usually debugs) and counts the drops in :attr:`dropped`.
-* **One short lock.**  Appends take a single mutex around a deque append
-  and a counter increment; payload formatting happens outside it.
+  context manager — no rows, no buffer traffic, no locking.
+* **One row per event when enabled.**  An event is recorded as one tuple,
+  :class:`TraceEvent`'s fields in order — ``(name, track, ts, phase, dur,
+  args, op_id, parent_id, category)``, plus ``(node_id, engine_id)`` once a
+  track binding exists — appended under the bus's one lock.  No event
+  object is built until :meth:`TraceBus.snapshot` (and so every exporter)
+  asks for them.  The per-chunk sites (store chunk charges, pipeline chunk
+  slices, link arbitration, causal fills) read the clock and build the arg
+  dict themselves and pass the fields to :meth:`TraceBus.record`
+  positionally; cold sites keep ``instant`` / ``span`` / ``complete``.  On
+  a 2-vCPU guest an enabled ``complete`` costs about 2 µs and ``record``
+  about 1 µs, against 6 µs for a ``complete`` that built a ``TraceEvent``
+  object; the ledger's
+  ``transport_on`` (85 events per operation) gained 17 % in
+  ``host_ops_per_s`` from it (EXPERIMENTS.md, "Ledger check of cheap trace
+  recording").
+* **Bounded.**  Rows live in a ring of ``capacity`` entries; overflow
+  silently drops the *oldest* (the tail of a long run is what one usually
+  debugs) and counts the drops in :attr:`TraceBus.dropped`.
 
 Tracks
 ------
@@ -28,7 +41,7 @@ from __future__ import annotations
 import re
 import threading
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.clock import VirtualClock
@@ -76,7 +89,9 @@ class TraceEvent:
 
 
 class _Span:
-    """Context manager recording one complete ("X") event on exit."""
+    """Context manager recording one complete ("X") row on exit (cold call
+    sites; a per-chunk site reads the clock itself and calls
+    :meth:`TraceBus.record`)."""
 
     __slots__ = ("_bus", "_name", "_track", "_args", "_started", "_op_id", "_parent_id", "_category")
 
@@ -108,19 +123,10 @@ class _Span:
         self._args.update(args)
 
     def __exit__(self, *exc_info) -> None:
-        now = self._bus.clock.now()
-        self._bus._append(
-            TraceEvent(
-                name=self._name,
-                track=self._track,
-                ts=self._started,
-                phase="X",
-                dur=now - self._started,
-                args=self._args,
-                op_id=self._op_id,
-                parent_id=self._parent_id,
-                category=self._category,
-            )
+        started = self._started
+        self._bus.record(
+            self._name, self._track, started, "X", self._bus.clock.now() - started,
+            self._args, self._op_id, self._parent_id, self._category,
         )
 
 
@@ -143,7 +149,8 @@ NULL_SPAN = _NullSpan()
 
 
 class TraceBus:
-    """Bounded sink of :class:`TraceEvent` for one simulation."""
+    """Bounded ring of trace rows for one simulation; see the module
+    docstring for the row format."""
 
     def __init__(
         self,
@@ -156,11 +163,13 @@ class TraceBus:
         self.clock = clock
         self.enabled = enabled
         self.capacity = capacity
-        self._events: deque = deque(maxlen=capacity)
+        self._rows: deque = deque(maxlen=capacity)
         self._emitted = 0
         self._lock = threading.Lock()
         # Track → (node_id, engine_id) attribution (cluster runs only;
-        # empty maps keep _append on the historical two-statement path).
+        # ``_bound`` stays False until the first binding, so an unbound
+        # bus appends each row as it comes).
+        self._bound = False
         self._bind_exact: Dict[str, Tuple[Optional[int], Optional[int]]] = {}
         self._bind_pid: Dict[int, int] = {}
         self._bind_cache: Dict[str, Tuple[Optional[int], Optional[int]]] = {}
@@ -176,20 +185,8 @@ class TraceBus:
         **args,
     ) -> None:
         """Record an instant event now (no-op when disabled)."""
-        if not self.enabled:
-            return
-        self._append(
-            TraceEvent(
-                name=name,
-                track=track,
-                ts=self.clock.now(),
-                phase="i",
-                args=args,
-                op_id=op_id,
-                parent_id=parent_id,
-                category=category,
-            )
-        )
+        if self.enabled:
+            self.record(name, track, self.clock.now(), "i", 0.0, args, op_id, parent_id, category)
 
     def span(
         self,
@@ -216,26 +213,36 @@ class TraceBus:
         category: Optional[str] = None,
         **args,
     ) -> None:
-        """Record a back-dated complete ("X") span with explicit timing.
+        """Record a back-dated complete ("X") span with explicit timing, for
+        waits measured between two known points."""
+        if self.enabled:
+            self.record(name, track, ts, "X", dur, args, op_id, parent_id, category)
 
-        Used by the causal layer to materialise waits measured between two
-        known points (queue fills) without holding a context manager open.
-        """
+    def record(
+        self,
+        name: str,
+        track: str,
+        ts: float,
+        phase: str,
+        dur: float,
+        args: dict,
+        op_id: Optional[str] = None,
+        parent_id: Optional[str] = None,
+        category: Optional[str] = None,
+    ) -> None:
+        """Record one event from its fields, ``args`` its arg dict (no-op
+        when disabled): the form the per-chunk sites call, with the clock
+        read and the dict built themselves — after testing :attr:`enabled`,
+        so that a disabled bus costs them neither.  The event is appended
+        as one row, stamped with its track's binding when any exists."""
         if not self.enabled:
             return
-        self._append(
-            TraceEvent(
-                name=name,
-                track=track,
-                ts=ts,
-                phase="X",
-                dur=dur,
-                args=args,
-                op_id=op_id,
-                parent_id=parent_id,
-                category=category,
-            )
-        )
+        row = (name, track, ts, phase, dur, args, op_id, parent_id, category)
+        with self._lock:
+            if self._bound:
+                row += self._resolve_binding(track)
+            self._rows.append(row)
+            self._emitted += 1
 
     # -- node/engine attribution ----------------------------------------------
     def bind_track(
@@ -248,12 +255,14 @@ class TraceBus:
         with self._lock:
             self._bind_exact[track] = (node_id, engine_id)
             self._bind_cache.clear()
+            self._bound = True
 
     def bind_process(self, process_id: int, node_id: int) -> None:
         """Stamp every future ``p<pid>-*`` event with its node and engine."""
         with self._lock:
             self._bind_pid[process_id] = node_id
             self._bind_cache.clear()
+            self._bound = True
 
     def _resolve_binding(self, track: str) -> Tuple[Optional[int], Optional[int]]:
         """(node_id, engine_id) for a track; caller holds ``_lock``."""
@@ -270,19 +279,10 @@ class TraceBus:
             self._bind_cache[track] = binding
         return binding
 
-    def _append(self, event: TraceEvent) -> None:
-        with self._lock:
-            if (self._bind_exact or self._bind_pid) and event.node_id is None:
-                node_id, engine_id = self._resolve_binding(event.track)
-                if node_id is not None or engine_id is not None:
-                    event = replace(event, node_id=node_id, engine_id=engine_id)
-            self._events.append(event)
-            self._emitted += 1
-
     # -- inspection ----------------------------------------------------------
     def __len__(self) -> int:
         with self._lock:
-            return len(self._events)
+            return len(self._rows)
 
     @property
     def emitted(self) -> int:
@@ -294,25 +294,25 @@ class TraceBus:
     def dropped(self) -> int:
         """Events lost to ring overflow."""
         with self._lock:
-            return self._emitted - len(self._events)
+            return self._emitted - len(self._rows)
 
     def snapshot(self) -> List[TraceEvent]:
-        """A consistent copy of the retained events, oldest first."""
+        """A consistent copy of the retained events, oldest first: the one
+        place rows become :class:`TraceEvent` objects."""
         with self._lock:
-            return list(self._events)
+            rows = list(self._rows)
+        return [TraceEvent(*row) for row in rows]
 
     def clear(self) -> None:
         """Drop buffered events; track bindings persist across clears."""
         with self._lock:
-            self._events.clear()
+            self._rows.clear()
             self._emitted = 0
 
     def tracks(self) -> List[str]:
         """Distinct track names present, in first-seen order."""
-        seen: Dict[str, None] = {}
-        for event in self.snapshot():
-            seen.setdefault(event.track, None)
-        return list(seen)
+        with self._lock:
+            return list(dict.fromkeys(row[1] for row in self._rows))
 
     # -- naming conventions ---------------------------------------------------
     @staticmethod

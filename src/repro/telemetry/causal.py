@@ -99,7 +99,8 @@ def prefetch_op_id(pid: int, ckpt_id: int) -> str:
 
 
 class _OpStage:
-    """Context manager: back-fill the gap from the op cursor, time the body."""
+    """Context manager over :meth:`OpTrace.enter` / :meth:`OpTrace.leave`
+    (cold call sites; a per-chunk site calls the two itself)."""
 
     __slots__ = ("_op", "_name", "_track", "_category", "_args", "_entered")
 
@@ -112,25 +113,14 @@ class _OpStage:
         self._entered = 0.0
 
     def __enter__(self) -> "_OpStage":
-        self._entered = self._op._fill_to_now(self._track)
+        self._entered = self._op.enter(self._track)
         return self
 
     def add(self, **args) -> None:
         self._args.update(args)
 
     def __exit__(self, *exc_info) -> None:
-        op = self._op
-        now = op.bus.clock.now()
-        op.bus.complete(
-            self._name,
-            self._track,
-            self._entered,
-            now - self._entered,
-            op_id=op.op_id,
-            category=self._category,
-            **self._args,
-        )
-        op._advance(now)
+        self._op.leave(self._name, self._category, self._track, self._entered, **self._args)
 
 
 class _NullStage:
@@ -171,28 +161,25 @@ class OpTrace:
         return True
 
     # -- cursor ------------------------------------------------------------
-    def _advance(self, now: float) -> None:
-        with self._lock:
-            if now > self._cursor:
-                self._cursor = now
-
-    def _fill_to_now(self, track: str) -> float:
-        """Emit a ``wait`` span covering ``[cursor, now]``; returns ``now``.
+    def enter(self, track: str) -> float:
+        """Open a stage on ``track``: back-fill ``[cursor, now]`` as a
+        ``wait`` span; returns now, the stage's start.
 
         Concurrent flush legs may race here; the cursor only moves forward,
         so fills can overlap (the analyzer's sweep unions them) but never
         leave a gap.
         """
-        now = self.bus.clock.now()
+        return self.fill("wait", CAT_QUEUE, track)
+
+    def leave(self, name: str, category: str, track: str, entered: float, **args) -> None:
+        """Close a stage :meth:`enter` opened at ``entered``: record it as
+        one ``category`` span and move the cursor to its end."""
+        bus = self.bus
+        now = bus.clock.now()
+        bus.record(name, track, entered, "X", now - entered, args, self.op_id, None, category)
         with self._lock:
-            gap_start = self._cursor
             if now > self._cursor:
                 self._cursor = now
-        if now > gap_start:
-            self.bus.complete(
-                "wait", track, gap_start, now - gap_start, op_id=self.op_id, category=CAT_QUEUE
-            )
-        return now
 
     # NOTE: there is deliberately no "advance the cursor to now" method for
     # use after a span emitted via ``bus.span``: reading the clock *after*
@@ -208,23 +195,22 @@ class OpTrace:
         """Time a stage of this op, back-filling the gap since the cursor."""
         return _OpStage(self, name, category, track or self.track, args)
 
-    def fill(self, name: str, category: str = CAT_QUEUE, track: Optional[str] = None, **args):
-        """Back-fill ``[cursor, now]`` as one named span of ``category``."""
+    def fill(
+        self, name: str, category: str = CAT_QUEUE, track: Optional[str] = None, **args
+    ) -> float:
+        """Back-fill ``[cursor, now]`` as one named span of ``category``;
+        returns now."""
         now = self.bus.clock.now()
         with self._lock:
             gap_start = self._cursor
-            if now > self._cursor:
+            if now > gap_start:
                 self._cursor = now
         if now > gap_start:
-            self.bus.complete(
-                name,
-                track or self.track,
-                gap_start,
-                now - gap_start,
-                op_id=self.op_id,
-                category=category,
-                **args,
+            self.bus.record(
+                name, track or self.track, gap_start, "X", now - gap_start,
+                args, self.op_id, None, category,
             )
+        return now
 
     def instant(
         self, name: str, track: Optional[str] = None, category: Optional[str] = None, **args
@@ -247,11 +233,19 @@ class _NullOp:
     def enabled(self) -> bool:
         return False
 
+    def enter(self, track: str) -> float:
+        return 0.0
+
+    def leave(self, name: str, category: str, track: str, entered: float, **args) -> None:
+        pass
+
     def stage(self, name: str, category: str, track: Optional[str] = None, **args):
         return _NULL_STAGE
 
-    def fill(self, name: str, category: str = CAT_QUEUE, track: Optional[str] = None, **args):
-        pass
+    def fill(
+        self, name: str, category: str = CAT_QUEUE, track: Optional[str] = None, **args
+    ) -> float:
+        return 0.0
 
     def instant(
         self, name: str, track: Optional[str] = None, category: Optional[str] = None, **args

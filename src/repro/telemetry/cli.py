@@ -49,7 +49,12 @@ from repro.config import (
 from repro.errors import ConfigError, InjectedCrash
 from repro.harness.prediction import PREDICT_MODES
 from repro.log import enable_console_logging
-from repro.telemetry.exporters import render_summary, write_chrome_trace, write_jsonl
+from repro.telemetry.exporters import (
+    provenance,
+    render_summary,
+    write_chrome_trace,
+    write_jsonl,
+)
 from repro.util.units import MiB
 from repro.workloads.kvcache import KvCacheSpec
 from repro.workloads.patterns import RestoreOrder, restore_order
@@ -257,8 +262,9 @@ def run_trace(
     jsonl_path = os.path.join(out_dir, f"{workload}.events.jsonl")
     summary_path = os.path.join(out_dir, f"{workload}.summary.txt")
     events = telemetry.bus.snapshot()
-    write_chrome_trace(trace_path, events, telemetry.registry)
-    write_jsonl(jsonl_path, events)
+    meta = provenance(cfg, seed)
+    write_chrome_trace(trace_path, events, telemetry.registry, meta)
+    write_jsonl(jsonl_path, events, meta)
     summary = render_summary(
         telemetry.registry,
         telemetry.bus,
@@ -271,6 +277,7 @@ def run_trace(
         "jsonl": jsonl_path,
         "summary": summary_path,
         "events": len(events),
+        "meta": meta,
         "rendered": summary,
     }
     reports = {}

@@ -12,13 +12,23 @@ Three renderings of one run's telemetry:
 * :func:`write_jsonl` — one JSON object per event, for ad-hoc scripting.
 * :func:`render_summary` — a human-readable text digest of the metrics
   registry and bus occupancy.
+
+Both trace files can carry a provenance stamp (:func:`provenance`: the
+config hash, the workload seed and the git sha when there is one), so that
+two saved runs compared with ``repro analyze --diff`` say what they were:
+JSONL writes it as one leading ``{"meta": ...}`` record that
+:func:`read_jsonl` skips (:func:`read_meta` reads it), Chrome JSON as
+``otherData.meta``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple, Union
+import subprocess
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 from repro.telemetry.bus import TraceBus, TraceEvent
 from repro.telemetry.metrics import MetricsRegistry
@@ -43,12 +53,38 @@ def _split_track(track: str) -> Tuple[int, str]:
     return CLUSTER_PID, track
 
 
+def provenance(config, seed: int) -> dict:
+    """The stamp of one run's exports: ``config_hash`` (the first 16 hex
+    digits of the sha256 of the config's repr, as the ledger hashes its
+    inputs), the workload ``seed``, and ``git_sha`` when the source sits in
+    a git checkout."""
+    meta = {
+        "config_hash": hashlib.sha256(repr(config).encode()).hexdigest()[:16],
+        "seed": seed,
+    }
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return meta
+    if done.returncode == 0 and done.stdout.strip():
+        meta["git_sha"] = done.stdout.strip()
+    return meta
+
+
 def chrome_trace(
     source: Union[TraceBus, Iterable[TraceEvent]],
     registry: Optional[MetricsRegistry] = None,
+    meta: Optional[dict] = None,
 ) -> dict:
-    """Render events (and optionally a metrics snapshot) to the Chrome
-    trace-event JSON object format."""
+    """Render events (and optionally a metrics snapshot and a
+    :func:`provenance` stamp) to the Chrome trace-event JSON object format."""
     events = _events_of(source)
     trace_events: List[dict] = []
     named_pids: Dict[int, None] = {}
@@ -132,8 +168,13 @@ def chrome_trace(
         trace_events.append(entry)
 
     out: dict = {"traceEvents": trace_events, "displayTimeUnit": "ms"}
+    other: dict = {}
     if registry is not None:
-        out["otherData"] = {"metrics": registry.snapshot()}
+        other["metrics"] = registry.snapshot()
+    if meta is not None:
+        other["meta"] = meta
+    if other:
+        out["otherData"] = other
     return out
 
 
@@ -141,19 +182,26 @@ def write_chrome_trace(
     path: str,
     source: Union[TraceBus, Iterable[TraceEvent]],
     registry: Optional[MetricsRegistry] = None,
+    meta: Optional[dict] = None,
 ) -> None:
     """Write :func:`chrome_trace` output to ``path`` (open in Perfetto)."""
     with open(path, "w") as fh:
-        json.dump(chrome_trace(source, registry), fh, default=_json_default)
+        json.dump(chrome_trace(source, registry, meta), fh, default=_json_default)
 
 
 def write_jsonl(
-    path_or_file: Union[str, TextIO], source: Union[TraceBus, Iterable[TraceEvent]]
+    path_or_file: Union[str, TextIO],
+    source: Union[TraceBus, Iterable[TraceEvent]],
+    meta: Optional[dict] = None,
 ) -> int:
-    """One JSON object per event; returns the number of lines written."""
+    """One JSON object per event, after one ``{"meta": ...}`` record when a
+    :func:`provenance` stamp is given; returns the number of events written."""
     events = _events_of(source)
 
     def dump(fh: TextIO) -> None:
+        if meta is not None:
+            fh.write(json.dumps({"meta": meta}, default=_json_default))
+            fh.write("\n")
         for event in events:
             record = {
                 "name": event.name,
@@ -187,6 +235,21 @@ def write_jsonl(
     return len(events)
 
 
+def _records(path_or_file: Union[str, TextIO]) -> Iterator[dict]:
+    """The JSON records of a JSONL path or open file, blank lines skipped."""
+    if isinstance(path_or_file, str):
+        with open(path_or_file) as fh:
+            yield from _records(fh)
+        return
+    for line in path_or_file:
+        if line.strip():
+            yield json.loads(line)
+
+
+def _is_meta(record: dict) -> bool:
+    return "meta" in record and "name" not in record
+
+
 def read_jsonl(path_or_file: Union[str, TextIO]) -> List[TraceEvent]:
     """Re-import a :func:`write_jsonl` log as :class:`TraceEvent` objects.
 
@@ -194,36 +257,32 @@ def read_jsonl(path_or_file: Union[str, TextIO]) -> List[TraceEvent]:
     ``_json_default`` fallback renders enums and infinities as strings):
     event count, ordering, timing, and causal identity round-trip exactly,
     so the analyzer sees the same op DAGs from a file as from a live bus.
+    A provenance record is skipped (:func:`read_meta` reads it).
     """
+    return [
+        TraceEvent(
+            name=rec["name"],
+            track=rec["track"],
+            ts=rec["ts"],
+            phase=rec.get("phase", "i"),
+            dur=rec.get("dur", 0.0),
+            args=rec.get("args", {}),
+            op_id=rec.get("op_id"),
+            parent_id=rec.get("parent_id"),
+            category=rec.get("category"),
+            node_id=rec.get("node_id"),
+            engine_id=rec.get("engine_id"),
+        )
+        for rec in _records(path_or_file)
+        if not _is_meta(rec)
+    ]
 
-    def load(fh: TextIO) -> List[TraceEvent]:
-        events: List[TraceEvent] = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            events.append(
-                TraceEvent(
-                    name=rec["name"],
-                    track=rec["track"],
-                    ts=rec["ts"],
-                    phase=rec.get("phase", "i"),
-                    dur=rec.get("dur", 0.0),
-                    args=rec.get("args", {}),
-                    op_id=rec.get("op_id"),
-                    parent_id=rec.get("parent_id"),
-                    category=rec.get("category"),
-                    node_id=rec.get("node_id"),
-                    engine_id=rec.get("engine_id"),
-                )
-            )
-        return events
 
-    if isinstance(path_or_file, str):
-        with open(path_or_file) as fh:
-            return load(fh)
-    return load(path_or_file)
+def read_meta(path_or_file: Union[str, TextIO]) -> Optional[dict]:
+    """The provenance stamp of a :func:`write_jsonl` log (its leading
+    record), or ``None`` for a log written without one."""
+    first = next(_records(path_or_file), None)
+    return first["meta"] if first is not None and _is_meta(first) else None
 
 
 def _json_default(value):

@@ -312,8 +312,16 @@ class _ChunkedTransfer:
             self._slow = store.faults.tier_gate(store.tier, store.track, self.op, self.key)
         if request is None:
             request = self._request
-        with store.telemetry.bus.span(self._span, store.track, key=self.key, bytes=nbytes):
+        bus = store.telemetry.bus
+        started = bus.clock.now() if bus.enabled else None
+        try:
             seconds = store._cross(self._route, nbytes, self._slow, cancelled, request)
+        finally:
+            if started is not None:
+                bus.record(
+                    self._span, store.track, started, "X", bus.clock.now() - started,
+                    {"key": self.key, "bytes": nbytes},
+                )
         self._chunks += 1
         self.seconds += seconds
         return seconds

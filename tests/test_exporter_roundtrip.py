@@ -12,7 +12,14 @@ import json
 
 from repro.analysis.dag import build_dag
 from repro.telemetry.bus import TraceEvent
-from repro.telemetry.exporters import chrome_trace, read_jsonl, write_jsonl
+from repro.telemetry.exporters import (
+    chrome_trace,
+    provenance,
+    read_jsonl,
+    read_meta,
+    write_chrome_trace,
+    write_jsonl,
+)
 
 from tests.test_analysis import scenario_events
 
@@ -134,3 +141,41 @@ def test_jsonl_roundtrip_preserves_dag_shape(tmp_path):
         assert other.parent_id == node.parent_id
         assert other.wall == node.wall
         assert sorted(other.children) == sorted(node.children)
+
+
+# -- provenance stamp -----------------------------------------------------------
+STAMP = {"config_hash": "0123456789abcdef", "seed": 9, "git_sha": "a" * 40}
+
+
+def test_jsonl_stamp_leads_and_round_trips():
+    events = sample_events()
+    buf = io.StringIO()
+    assert write_jsonl(buf, events, meta=STAMP) == len(events)
+    first = json.loads(buf.getvalue().splitlines()[0])
+    assert first == {"meta": STAMP}
+    assert read_meta(io.StringIO(buf.getvalue())) == STAMP
+    back = read_jsonl(io.StringIO(buf.getvalue()))  # the stamp is no event
+    plain = io.StringIO()
+    write_jsonl(plain, events)
+    assert back == read_jsonl(io.StringIO(plain.getvalue()))
+    assert read_meta(io.StringIO(plain.getvalue())) is None
+
+
+def test_chrome_stamp_sits_in_other_data(tmp_path):
+    path = tmp_path / "trace.json"
+    write_chrome_trace(str(path), sample_events(), meta=STAMP)
+    doc = json.loads(path.read_text())
+    assert doc["otherData"] == {"meta": STAMP}
+    assert "otherData" not in chrome_trace(sample_events())
+
+
+def test_provenance_hashes_the_config():
+    from repro.config import SchedConfig, bench_config
+
+    cfg = bench_config()
+    stamp = provenance(cfg, seed=5)
+    assert stamp["seed"] == 5
+    assert stamp["config_hash"] == provenance(bench_config(), seed=6)["config_hash"]
+    other = provenance(cfg.with_(sched=SchedConfig(enabled=True)), seed=5)
+    assert other["config_hash"] != stamp["config_hash"]
+    assert set(stamp) <= {"config_hash", "seed", "git_sha"}

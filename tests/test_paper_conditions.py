@@ -10,11 +10,15 @@ each verified against the runtime directly.
 
 
 from repro.core.engine import ScoreEngine
+from repro.core.lifecycle import CkptState
 from repro.tiers.base import TierLevel
 from repro.util.units import MiB
 from tests.conftest import make_buffer
 
 CKPT = 128 * MiB
+#: nominal seconds a prefetch worker gets to stage its first checkpoint
+#: (a 128 MiB SSD→host→GPU promotion takes ~40 ms).
+PREFETCH_TIMEOUT_S = 30.0
 
 
 class TestCondition1:
@@ -77,8 +81,18 @@ class TestCondition4:
         for v in range(n):
             engine.prefetch_enqueue(v)
         engine.prefetch_start()
-        engine.clock.sleep(2.0)
+
+        def staged_and_pinned():
+            return any(
+                not frag.is_gap
+                and (gpu := frag.record.peek(TierLevel.GPU)) is not None
+                and gpu.state is CkptState.READ_COMPLETE
+                and gpu.pinned
+                for frag in engine.gpu_cache.table.fragments()
+            )
+
         with engine.monitor:
+            engine.monitor.wait_for(staged_and_pinned, virtual_timeout=PREFETCH_TIMEOUT_S)
             pinned = [
                 frag.record.ckpt_id
                 for frag in engine.gpu_cache.table.fragments()

@@ -29,6 +29,7 @@ from repro.core.streaming import ChunkPipeline
 from repro.core.validator import validate_engine
 from repro.errors import TransientTransferError
 from repro.faults.health import BREAKER_THRESHOLD
+from repro.telemetry.bus import TraceBus
 from repro.tiers.base import TierLevel
 from repro.util.units import GiB, KiB, MiB
 from tests.conftest import TEST_SCALE, make_buffer, start_runners, tiny_config
@@ -438,9 +439,10 @@ class TestCriticalPath:
 
     @staticmethod
     def charge(pipe, stage, spent):
-        bus = type("Bus", (), {"complete": lambda self, *args, **kwargs: None})()
+        bus = TraceBus(pipe.clock, enabled=False)
         for i, seconds in enumerate(spent):
-            assert pipe.charge_chunk(stage, i, 1, lambda s=seconds: s, bus, "t", {}) == seconds
+            step = pipe.charge_chunk(stage, i, 1, lambda s=seconds: s, bus, "t", (None, None, {}))
+            assert step == seconds
 
     def test_one_stage_is_the_sum_of_its_chunks(self):
         pipe = self.pipeline(4, "a")

@@ -43,6 +43,7 @@ from repro.core.streaming import ChunkPipeline, chunk_sizes_for, plan_chunks
 from repro.core.validator import validate_engine
 from repro.errors import TierOfflineError
 from repro.simgpu.stream import Stream
+from repro.telemetry.bus import TraceBus
 from repro.tiers.base import TierLevel
 from repro.tiers.topology import Cluster
 from repro.util.rng import make_rng
@@ -194,31 +195,31 @@ class TestChunkPipeline:
         only — occupancy plus a ``<stage>-chunk`` slice whose args keep the
         order the exporters round-trip (ckpt, chunk, bytes, then causal)."""
 
-        class Bus:
-            def __init__(self):
-                self.slices = []
-
-            def complete(self, name, track, start, duration, **args):
-                self.slices.append((name, track, list(args.items())))
-
-        causal = {"op_id": "c0:1", "category": "transfer", "tier": "ssd"}
+        causal = ("c0:1", "transfer", {"tier": "ssd"})
         for chunks in (1, 3):
             pipe = self._pipeline(chunks=chunks)
-            bus = Bus()
+            bus = TraceBus(pipe.clock)
             mid_chunk = [  # the charge's result comes back: stages mid-chunk
                 pipe.charge_chunk("a", i, 10 + i, lambda: pipe._active, bus, "trk", causal)
                 for i in range(chunks)
             ]
             assert pipe.await_upstream("b", chunks - 1)  # every chunk published
+            slices = [
+                (e.name, e.track, e.phase, list(e.args.items()), e.op_id, e.category)
+                for e in bus.snapshot()
+            ]
             if chunks == 1:
-                assert mid_chunk == [0] and bus.slices == []
+                assert mid_chunk == [0] and slices == []
             else:
                 assert mid_chunk == [1] * chunks
-                assert bus.slices == [
+                assert slices == [
                     (
                         "a-chunk",
                         "trk",
-                        [("ckpt", 0), ("chunk", i), ("bytes", 10 + i), *causal.items()],
+                        "X",
+                        [("ckpt", 0), ("chunk", i), ("bytes", 10 + i), ("tier", "ssd")],
+                        "c0:1",
+                        "transfer",
                     )
                     for i in range(chunks)
                 ]
@@ -230,7 +231,7 @@ class TestChunkPipeline:
             raise RuntimeError("link fault")
 
         with pytest.raises(RuntimeError):
-            pipe.charge_chunk("a", 0, 10, charge, None, "trk", {})
+            pipe.charge_chunk("a", 0, 10, charge, None, "trk", (None, None, {}))
         assert pipe._active == 0  # exit_chunk ran
         pipe.fail("a")
         assert not pipe.await_upstream("b", 0)

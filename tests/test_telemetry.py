@@ -1,9 +1,13 @@
 """Unit tests for the telemetry subsystem (bus, metrics, exporters)."""
 
+import io
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.clock import VirtualClock
+from repro.core.lifecycle import CkptState
 from repro.metrics.recorder import OpEvent, OpKind, Recorder
 from repro.telemetry import (
     NULL_SPAN,
@@ -18,6 +22,14 @@ from repro.telemetry import (
     write_jsonl,
 )
 from repro.telemetry.bus import TraceEvent
+from repro.telemetry.causal import OpTrace
+
+from tests.conftest import start_runners
+
+#: the scripted sequence's exports, recorded from the bus as it was before
+#: events became rows (``scripted_exports``): any change to what a trace
+#: holds or how it is written shows up as a byte difference here.
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class FakeClock:
@@ -108,6 +120,126 @@ class TestTraceBus:
     def test_track_naming_convention(self):
         assert TraceBus.track(3, "gpu") == "p3-gpu"
         assert TraceBus.track(None, "pfs") == "pfs"
+
+
+def scripted_bus() -> TraceBus:
+    """One fixed emission sequence through every way onto the bus: instants,
+    spans (with args added while open), back-dated completes, an op's
+    stages, fills and instants, and track bindings made mid-sequence."""
+    clock = FakeClock()
+    bus = TraceBus(clock, capacity=64)
+    clock.t = 0.5
+    bus.instant(
+        "fsm", "p0-lifecycle", op_id="c0:1", ckpt=1, level="GPU",
+        **{"from": CkptState.INIT.value, "to": CkptState.WRITE_COMPLETE.value},
+    )
+    with bus.span("d2h", "p0-flush-d2h", op_id="c0:1", category="transfer", ckpt=1) as span:
+        clock.t = 0.75
+        span.add(bytes=1 << 27, abandoned=False)
+    bus.complete(
+        "sched-wait", "sched-d2h", 0.625, 0.0625, op_id="c0:1", category="queue", cls="CASCADE"
+    )
+    bus.instant("sched-queue", "sched-d2h", engine=0, cls="CASCADE", depth=2)
+    bus.instant("ssd-open", "node0-ssd", key=(0, 1))  # before its track is bound
+    op = OpTrace(bus, "r0:1", "p0-app", parent_id="c0:1")
+    clock.t = 1.0
+    with op.stage("copy-out", "transfer", track="p0-restore", bytes=64) as stage:
+        clock.t = 1.25
+        stage.add(tier="host")
+    op.fill("reserve-wait", category="reserve")  # nothing to fill: no event
+    clock.t = 1.5
+    op.fill("reserve-wait", category="reserve", track="p0-gpu")
+    op.instant("durable", tier="ssd", level="SSD")
+    bus.instant(
+        "evict-window", "p0-gpu-cache",
+        p_score=float("inf"), s_score=0.25, state=CkptState.READ_COMPLETE,
+    )
+    bus.bind_track("node0-ssd", node_id=0)
+    bus.bind_process(1, node_id=1)
+    with bus.span("ssd-put", "node0-ssd", key=(0, 1), bytes=4096):
+        clock.t = 1.75
+    with bus.span("h2f-chunk", "p1-flush-h2f", op_id="c1:2", category="transfer", chunk=0):
+        clock.t = 2.0
+    bus.complete("wait", "p1-app", 1.75, 0.25, op_id="c1:2", category="queue")
+    bus.instant("fsm", "p0-lifecycle", ckpt=2)  # pid 0 has no node: engine id only
+    bus.instant("pfs-put", "pfs", bytes=0)  # bound to nothing
+    bus.instant("ssd-open", "node0-ssd", key=(0, 2))
+    return bus
+
+
+def scripted_exports(directory: Path) -> dict:
+    """``snapshot()``, JSONL and Chrome renderings of :func:`scripted_bus`,
+    as text keyed by their golden file's name."""
+    bus = scripted_bus()
+    registry = MetricsRegistry()
+    registry.counter("ops").inc(2)
+    jsonl = io.StringIO()
+    write_jsonl(jsonl, bus)
+    chrome = directory / "bus_contract.trace.json"
+    write_chrome_trace(str(chrome), bus, registry)
+    return {
+        "bus_contract.snapshot.txt": "".join(f"{event!r}\n" for event in bus.snapshot()),
+        "bus_contract.events.jsonl": jsonl.getvalue(),
+        "bus_contract.trace.json": chrome.read_text(),
+    }
+
+
+class TestBusContract:
+    """What recording costs may change; what a trace holds may not."""
+
+    def test_scripted_exports_match_the_golden_files(self, tmp_path):
+        for name, text in scripted_exports(tmp_path).items():
+            assert text == (GOLDEN / name).read_text(), name
+
+    def test_overflow_drops_the_oldest_and_counts_them(self):
+        bus, clock = make_bus(capacity=5)
+        for i in range(12):
+            clock.t = float(i)
+            if i % 2:
+                bus.instant("tick", "t", seq=i)
+            else:
+                bus.complete("tock", "t", clock.t, 0.5, seq=i)
+        assert (bus.emitted, len(bus), bus.dropped) == (12, 5, 7)
+        assert [(e.name, e.args["seq"], e.ts) for e in bus.snapshot()] == [
+            ("tick" if i % 2 else "tock", i, float(i)) for i in range(7, 12)
+        ]
+
+    def test_a_binding_stamps_only_events_emitted_after_it(self):
+        bus, _ = make_bus()
+        bus.instant("a", "node3-ssd")
+        bus.instant("a", "p4-app")
+        bus.bind_track("node3-ssd", node_id=3)
+        bus.bind_process(4, node_id=2)
+        bus.instant("b", "node3-ssd")
+        bus.instant("b", "p4-app")
+        bus.instant("b", "p5-app")
+        stamps = [(e.name, e.track, e.node_id, e.engine_id) for e in bus.snapshot()]
+        assert stamps == [
+            ("a", "node3-ssd", None, None),
+            ("a", "p4-app", None, None),
+            ("b", "node3-ssd", 3, None),
+            ("b", "p4-app", 2, 4),
+            ("b", "p5-app", None, 5),
+        ]
+
+    def test_concurrent_emitters_lose_nothing_below_capacity(self):
+        threads, each = 4, 500
+        clock = VirtualClock(0.001)
+        bus = TraceBus(clock, capacity=threads * each)
+
+        def emit(tid):
+            for i in range(each):
+                if i % 2:
+                    bus.instant("tick", f"p{tid}-app", i=i)
+                else:
+                    bus.complete("tock", f"p{tid}-app", clock.now(), 0.0, i=i)
+
+        for thread in start_runners(clock, *[(emit, t) for t in range(threads)]):
+            clock.join(thread)
+        assert bus.emitted == len(bus) == threads * each
+        assert bus.dropped == 0
+        seen = {(e.track, e.args["i"]) for e in bus.snapshot()}
+        assert len(seen) == threads * each
 
 
 class TestMetrics:

@@ -23,10 +23,11 @@ from repro.workloads.multiproc import run_multiprocess_shot
 def traced(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("traces")
     result = run_trace("quickstart", out_dir=str(out_dir), snapshots=12)
-    events = [
+    stamp, *events = [
         json.loads(line)
         for line in open(result["jsonl"])
     ]
+    assert stamp == {"meta": result["meta"]}  # the provenance record leads
     return result, events
 
 

@@ -15,7 +15,7 @@ import pytest
 from repro.analysis import cli as analysis_cli
 from repro.config import FaultConfig
 from repro.telemetry import cli as trace_cli
-from repro.telemetry.exporters import read_jsonl, write_jsonl
+from repro.telemetry.exporters import read_jsonl, read_meta, write_jsonl
 
 from tests.test_analysis import scenario_events
 
@@ -102,6 +102,57 @@ def test_analyze_diff_between_saved_logs(tmp_path, capsys):
     payload = json.loads(out_json.read_text())
     top = payload["diff"]["top_regressions"][0]
     assert top["delta_s"] > 0
+
+
+def test_analyze_diff_prints_both_stamps_and_warns_on_config_change(tmp_path, capsys):
+    base = tmp_path / "base.events.jsonl"
+    cand = tmp_path / "cand.events.jsonl"
+    same = tmp_path / "same.events.jsonl"
+    stamp = {"config_hash": "00aa11bb22cc33dd", "seed": 7, "git_sha": "f" * 40}
+    write_jsonl(str(base), scenario_events(slow=False), meta=stamp)
+    write_jsonl(str(same), scenario_events(slow=True), meta=stamp)
+    other = dict(stamp, config_hash="99ee88ff77aa66bb")
+    write_jsonl(str(cand), scenario_events(slow=True), meta=other)
+    out_json = tmp_path / "diff.json"
+
+    assert analysis_cli.main([str(same), "--diff", str(base)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("config 00aa11bb22cc33dd seed 7 sha ffffffffffff") == 2
+    assert "warning: config hashes differ" not in out
+
+    assert analysis_cli.main([str(cand), "--diff", str(base), "--json", str(out_json)]) == 0
+    out = capsys.readouterr().out
+    assert f"provenance: {cand}: config 99ee88ff77aa66bb seed 7" in out
+    assert f"{base}: config 00aa11bb22cc33dd seed 7" in out
+    assert "warning: config hashes differ (00aa11bb22cc33dd -> 99ee88ff77aa66bb)" in out
+    payload = json.loads(out_json.read_text())
+    assert payload["meta"]["config_hash"] == "99ee88ff77aa66bb"
+    assert payload["baseline_meta"] == stamp
+
+
+def test_analyze_diff_of_unstamped_logs_says_so(tmp_path, capsys):
+    base = tmp_path / "base.events.jsonl"
+    cand = tmp_path / "cand.events.jsonl"
+    write_jsonl(str(base), scenario_events(slow=False))
+    write_jsonl(str(cand), scenario_events(slow=True), meta={"config_hash": "ab", "seed": 1})
+    assert analysis_cli.main([str(cand), "--diff", str(base)]) == 0
+    out = capsys.readouterr().out
+    assert f"{base}: no provenance stamp" in out
+    assert f"{cand}: config ab seed 1 sha unknown" in out
+    assert "warning" not in out
+
+
+def test_trace_stamps_both_exports(tmp_path):
+    out = trace_cli.run_trace("quickstart", out_dir=str(tmp_path), snapshots=4, seed=3)
+    meta = out["meta"]
+    assert meta["seed"] == 3 and len(meta["config_hash"]) == 16
+    assert read_meta(out["jsonl"]) == meta
+    assert len(read_jsonl(out["jsonl"])) == out["events"]
+    with open(out["trace"]) as fh:
+        assert json.load(fh)["otherData"]["meta"] == meta
+    # The same inputs hash the same; another seed is another stamp.
+    again = trace_cli.run_trace("quickstart", out_dir=str(tmp_path / "again"), snapshots=4, seed=3)
+    assert again["meta"]["config_hash"] == meta["config_hash"]
 
 
 # -- both: one set of live-run flags --------------------------------------------

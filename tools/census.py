@@ -71,6 +71,11 @@ alone heard, its trace category or its ``journal.jsonl`` file) fails.  Every
 blob commits with the metadata ``recover_history()`` rebuilds its record
 from.
 
+And recording a trace event costs one row: any "trace objects built on the
+emit path" (a ``TraceEvent(`` in ``src/`` outside ``TraceBus.snapshot`` and
+``read_jsonl``, where rows and files become events for export and analysis)
+fails.  An emitter appends a tuple to the bus's ring.
+
 And self-healing is always armed: any "unarmed self-healing paths in src/"
 (a resilience switch read, an unarmed back-off, a CRC stamp that depends on
 a switch, a breaker registry that can be off, a command-line switch for it)
@@ -122,6 +127,9 @@ CRASH_SWITCHES = r"config\.repair\b|config\.failover\b|repairer is (not )?None"
 
 #: a second record of durable commits beside the stores' own metadata.
 JOURNAL = r"ManifestJournal|JournalObserver|after_dropped|CAT_JOURNAL|journal\.jsonl"
+
+#: the functions that turn trace rows (or JSONL records) into events.
+TRACE_EXPORTS = "(snapshot|read_jsonl)"
 
 #: a self-healing path that exists only for a runtime with it switched off.
 UNARMED = (
@@ -249,6 +257,7 @@ def main() -> int:
         "switches a crash decides": sites(CRASH_SWITCHES),
         "manifest journal in src/": sites(JOURNAL),
         "unarmed self-healing paths in src/": sites(UNARMED),
+        "trace objects built on the emit path": sites(r"TraceEvent\(", outside=TRACE_EXPORTS),
         "per-tier size reads in src/": sites(PER_TIER_SIZES),
         "hand-set fault switches": sites(FAULT_SWITCHES, EVERYWHERE),
     }
@@ -279,6 +288,7 @@ def main() -> int:
         "switches a crash decides": 0,
         "manifest journal in src/": 0,
         "unarmed self-healing paths in src/": 0,
+        "trace objects built on the emit path": 0,
         "per-tier size reads in src/": 0,
         "hand-set fault switches": 0,
     }
