@@ -35,14 +35,20 @@ Time passes in two ways:
   and raw-joins its clients does not hold time at wall pace.
 
 A ``notify``/``set`` marks its waiters runnable before it returns, so time
-never skips between a wake-up and the woken thread running.  The clock's
-lock is a leaf: nothing is called out while it is held.
+never skips between a wake-up and the woken thread running, and a wait on an
+event already set never counts as parked.  No wait carries a timeout its
+caller did not ask for: when every live thread is registered (a registered
+main thread included), all of them are parked and no park has a deadline,
+nothing can ever wake them, and each wait raises a
+:class:`DeadlockError` carrying the park table instead.  The
+clock's lock is a leaf: nothing is called out while it is held.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import sys
 import threading
 import time
 import weakref
@@ -69,10 +75,24 @@ RECHECK_S = 2e-3
 _INF = float("inf")
 
 
+class DeadlockError(RuntimeError):
+    """No wait can ever end: every thread of a simulation is parked on its
+    clock and no park has a deadline.  Raised in each parked thread, with
+    the park table ``parks``: ``(thread, wait site, nominal time parked)``
+    rows, the earliest park first.  A bug in the simulation, not a failure
+    of the runtime it simulates, so not a :class:`~repro.errors.ReproError`
+    (no handler of those retries it)."""
+
+    def __init__(self, now: float, parks) -> None:
+        rows = "".join(f"\n  {name} at {site}, parked since t={t:.6f}" for name, site, t in parks)
+        super().__init__(f"no wait can end at t={now:.6f}: all threads parked, none timed{rows}")
+        self.parks = parks
+
+
 class _Park:
     """One blocked call: its deadline and the token its waker releases."""
 
-    __slots__ = ("clock", "lock", "woken", "by_timer")
+    __slots__ = ("clock", "lock", "woken", "by_timer", "error")
 
     def __init__(self, clock: "VirtualClock") -> None:
         self.clock = clock
@@ -81,6 +101,8 @@ class _Park:
         self.woken = False
         #: woken because its deadline came (skip or pace), not by a notify.
         self.by_timer = False
+        #: raised by the parked thread: no wait could ever end.
+        self.error: Optional[DeadlockError] = None
 
 
 class _Member:
@@ -122,6 +144,8 @@ class VirtualClock:
         #: runner thread -> the event its exit sets (:meth:`join`).
         self._exits: dict = {}
         self._timers: list = []  # heap of (deadline, seq, park)
+        #: parks no deadline ends -> (thread ident, nominal time parked).
+        self._untimed: dict = {}
         #: lower bound of the earliest pending deadline (``now()`` fires due parks).
         self._due = _INF
         self._seq = itertools.count()
@@ -133,7 +157,8 @@ class VirtualClock:
     def now(self) -> float:
         """Nominal seconds elapsed since the clock was created.  The first
         reading registers the calling thread: it takes part from then on."""
-        self._register()
+        if not hasattr(self._local, "member"):  # (one thread-local read when registered)
+            self._register()
         t = (time.monotonic() - self._origin) / self.time_scale + self._offset
         if t >= self._due:
             with self._lock:
@@ -234,9 +259,7 @@ class VirtualClock:
         deadline = self.now() + virtual_seconds
         if self._advance_alone(deadline):
             return False
-        park = self._park(deadline)
-        if cancelled is not None and not cancelled._attach(park):
-            self._wake(park)
+        park = self._park(deadline, () if cancelled is None else (cancelled,))
         if not park.woken:
             # Coarse OS sleep down to the spin threshold, then spin: OS
             # sleeps overshoot by tens of microseconds, which at a small
@@ -252,18 +275,28 @@ class VirtualClock:
         return cancelled.is_set()
 
     # -- the park table -----------------------------------------------------
-    def _park(self, deadline: Optional[float]) -> _Park:
+    def _park(self, deadline: Optional[float], events: Iterable["Event"] = ()) -> _Park:
         """Count the calling thread parked until its park is woken — by a
-        notify/set, or by its ``deadline`` coming.  When it was the last
-        runner, time skips to the earliest deadline here."""
+        notify/set, by a set of one of ``events``, or by its ``deadline``
+        coming.  The events are attached first: a park one of them already
+        woke is never counted parked.  When it was the last runner, time
+        skips to the earliest deadline here (:meth:`_skip`)."""
         self._register()
         park = _Park(self)
+        unset = not events or all(event._attach(park) for event in events)
         with self._lock:
             self._running -= 1
+            if not unset:
+                self._wake_locked(park)
+            if park.woken:  # (a set between the attach and here counted it back)
+                return park
             if deadline is not None:
                 heapq.heappush(self._timers, (deadline, next(self._seq), park))
                 if deadline < self._due:
                     self._due = deadline
+            else:
+                t = (time.monotonic() - self._origin) / self.time_scale + self._offset
+                self._untimed[park] = (threading.get_ident(), t)
             idle = self._running == 0
         if idle:
             self._skip()
@@ -271,19 +304,17 @@ class VirtualClock:
 
     def _block(self, park: _Park, deadline: Optional[float]) -> None:
         """Wait (not precisely: a condition or event wait) until ``park`` is
-        woken or its deadline passes at wall pace."""
-        if park.woken:
-            return
+        woken or its deadline passes at wall pace; raise its
+        :class:`DeadlockError` when no wait could end."""
         if deadline is None:
             self._hold(park)
-            return
-        real = (deadline - self.now()) * self.time_scale
-        if real > 0 and self._hold(park, real):
-            return
-        with self._lock:
-            if not park.woken:
-                park.by_timer = True
-                self._wake_locked(park)
+        elif not self._hold(park, (deadline - self.now()) * self.time_scale):
+            with self._lock:
+                if not park.woken:
+                    park.by_timer = True
+                    self._wake_locked(park)
+        if park.error is not None:
+            raise park.error
 
     def _hold(self, park: _Park, real: Optional[float] = None) -> bool:
         """Block until ``park`` is woken (``True``) or ``real`` wall seconds
@@ -319,6 +350,7 @@ class VirtualClock:
         if park.woken:
             return False
         park.woken = True
+        self._untimed.pop(park, None)
         self._running += 1
         park.lock.release()
         return True
@@ -359,12 +391,24 @@ class VirtualClock:
 
     def _skip(self) -> None:
         """The last runner parked or left: jump to the earliest deadline and
-        wake the parks due then, if :meth:`_quiet`."""
+        wake the parks due then, if :meth:`_quiet`.  With no deadline to jump
+        to and the main thread registered too, nothing can wake the parks
+        left: each raises a :class:`DeadlockError` with the park table."""
         if not self._quiet():
             return
         with self._lock:
-            if self._running == 0:
-                self._skip_locked()
+            if self._running:
+                return
+            self._skip_locked()
+            main = threading.main_thread().ident
+            if self._running or not self._untimed or main not in self._members:
+                return
+            frames, names = sys._current_frames(), {t.ident: t.name for t in threading.enumerate()}
+            table = [(names.get(i), _wait_site(frames[i]), t) for i, t in self._untimed.values()]
+            now = (time.monotonic() - self._origin) / self.time_scale + self._offset
+            for park in list(self._untimed):
+                park.error = DeadlockError(now, table)
+                self._wake_locked(park)
 
     def _skip_locked(self) -> None:
         timers = self._timers
@@ -417,6 +461,19 @@ class VirtualClock:
             self._skip()
 
 
+#: modules whose frames wrap a wait: the park table names the caller's.
+_WAIT_WRAPPERS = frozenset({__name__, "repro.core.sync", "threading"})
+
+
+def _wait_site(frame) -> str:
+    """``dir/file.py:line function`` of a parked thread's first frame
+    outside the wait wrappers."""
+    while frame.f_back is not None and frame.f_globals.get("__name__") in _WAIT_WRAPPERS:
+        frame = frame.f_back
+    path = "/".join(frame.f_code.co_filename.split("/")[-2:])
+    return f"{path}:{frame.f_lineno} {frame.f_code.co_name}"
+
+
 class Condition:
     """``threading.Condition`` whose waits park on a :class:`VirtualClock`,
     with timeouts in nominal seconds.  ``notify`` marks the waiters it wakes
@@ -456,11 +513,8 @@ class Condition:
         if timeout is not None and timeout <= 0:
             return False
         deadline = None if timeout is None else clock.now() + timeout
-        park = clock._park(deadline)
+        park = clock._park(deadline, wake_on)
         self._waiters.append(park)
-        for event in wake_on:
-            if not event._attach(park):
-                clock._wake(park)
         saved = self._release_save()
         try:
             clock._block(park, deadline)
@@ -549,9 +603,7 @@ class Event:
         if clock is None:
             raise RuntimeError("an Event built without a clock cannot be waited on")
         deadline = None if timeout is None else clock.now() + timeout
-        park = clock._park(deadline)
-        if not self._attach(park):
-            clock._wake(park)
+        park = clock._park(deadline, (self,))
         clock._block(park, deadline)
         self._detach(park)
         return self._flag

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.core.sync import GUARD_S, Monitor
+from repro.core.sync import Monitor
 from repro.util.units import MiB
 
 if TYPE_CHECKING:
@@ -108,9 +108,7 @@ class PfsWriteAggregator:
                     batch.sealed = True
                     self._batch = None
                     self.monitor.notify_all()
-                while not batch.done:
-                    if not self.monitor.wait(GUARD_S):
-                        self.fabric.telemetry.guard_fired(f"node{self.node_id}-agg", "aggregator")
+                self.monitor.wait_for(lambda: batch.done)
                 if batch.error is not None:
                     raise batch.error
                 return batch.seconds
@@ -119,12 +117,7 @@ class PfsWriteAggregator:
             batch.members.append(member)
             batch.bytes = nominal_size
             self._batch = batch
-            deadline = self.fabric.clock.now() + config.aggregation_window_s
-            while not batch.sealed:
-                remaining = deadline - self.fabric.clock.now()
-                if remaining <= 0:
-                    break
-                self.monitor.wait(remaining)
+            self.monitor.wait_for(lambda: batch.sealed, config.aggregation_window_s)
             batch.sealed = True
             if self._batch is batch:
                 self._batch = None

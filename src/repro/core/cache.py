@@ -25,7 +25,7 @@ from repro.core.alloctable import AllocTable
 from repro.core.lifecycle import PINNED_STATES, CkptState, Instance
 from repro.core.predict import NEVER, instance_state_ts
 from repro.core.scoring import BARRIER, Costs, ScorePolicy, Window, exact
-from repro.core.sync import GUARD_S, Monitor
+from repro.core.sync import Monitor
 from repro.errors import AllocationError, CapacityError, TransferError
 from repro.simgpu.memory import Arena
 from repro.telemetry import Telemetry
@@ -192,26 +192,26 @@ class CacheBuffer:
         for costs in self.costs:
             costs.p.pop(record.ckpt_id, None)
 
-    def _limit(self) -> Optional[int]:
-        return None if self.usable_capacity is None else self.usable_capacity()
-
-    def ramping(self) -> bool:
-        """True while a lazily-pinned arena's usable capacity still grows."""
-        usable = self._limit()
-        return usable is not None and usable < self.table.capacity
+    def _limit(self) -> int:
+        """Bytes of the arena usable now: a lazily-pinned arena's prefix."""
+        return self.table.capacity if self.usable_capacity is None else self.usable_capacity()
 
     def ramp_wait(self, record: "CheckpointRecord", state: CkptState) -> Optional[float]:
         """Monitor held: nominal seconds until the growing pinned prefix
-        alone opens a gap for ``record`` claimed in ``state`` — growth is
+        opens room for ``record`` claimed in ``state`` — growth is
         clock-driven and notifies nobody, so a wait on it is a deadline —
-        or ``None`` when the arena is not ramping or growth cannot help."""
-        if self.pin_eta is None or not self.ramping():
+        or ``None`` when the arena is not ramping or the room is already
+        pinned.  The room is the first gap that fits, or, with none in the
+        whole table (an eviction window past the prefix may fit), another
+        ``record``'s size of prefix."""
+        usable = self._limit()
+        if self.pin_eta is None or usable >= self.table.capacity:
             return None
+        size = record.physical_size
         min_offset, region_limit = self._region_for(state)
-        place = self.table.find_gap(record.physical_size, region_limit, min_offset)
-        if place is None:
-            return None
-        eta = self.pin_eta(place + record.physical_size)
+        place = self.table.find_gap(size, region_limit, min_offset)
+        end = min(usable + size, self.table.capacity) if place is None else place + size
+        eta = self.pin_eta(end)
         return eta if eta > 0 else None
 
     def _fill(self, allow_pinned: bool, record: "CheckpointRecord") -> int:
@@ -292,9 +292,7 @@ class CacheBuffer:
                 ):
                     return None
                 usable = self._limit()
-                limit = usable
-                if region_limit is not None:
-                    limit = region_limit if limit is None else min(limit, region_limit)
+                limit = usable if region_limit is None else min(usable, region_limit)
                 offset = self.table.find_gap(size, limit, min_offset)
                 if offset is None:
                     offset = self._try_evict_window(
@@ -322,14 +320,13 @@ class CacheBuffer:
                     wait_started = self.clock.now()
                 # Notification-driven re-evaluation: every transition,
                 # flush-pending/read-pinned flip, hint change and eviction
-                # notifies the monitor, so the timeout is only a coarse
-                # missed-wakeup guard — except while a lazily-pinned arena
-                # is still ramping up, where it is the ramp's deadline.
+                # notifies the monitor; a lazily-pinned arena's growth
+                # does not, so while it ramps the wait is the ramp's
+                # deadline (none while the search saw a part of the arena:
+                # the room was pinned since, search again).
                 ramp = self.ramp_wait(record, initial_state)
-                if ramp is not None:
+                if ramp is not None or usable >= self.table.capacity:
                     self.monitor.wait(ramp)
-                elif not self.monitor.wait(GUARD_S):
-                    self.telemetry.guard_fired(f"cache-{self.name}", "reserve")
 
     def open_put(self, record: "CheckpointRecord", state: CkptState, link, **claim):
         """:meth:`reserve` (``claim``: its terms) as a :class:`CachePut`

@@ -46,7 +46,7 @@ from repro.core.restore_queue import RestoreQueue
 from repro.core.scoring import ScorePolicy
 from repro.core.hop import Hop, Leg
 from repro.core.streaming import ChunkPipeline, plan_chunks
-from repro.core.sync import GUARD_S, Monitor
+from repro.core.sync import Monitor
 from repro.errors import (
     CheckpointNotFound,
     EngineClosedError,
@@ -875,11 +875,9 @@ class ScoreEngine:
                     if step is None:
                         # Every state change we wait on here (transfers
                         # landing, flushes finishing) ends in a notify_all
-                        # on this monitor, so the timeout is only a
-                        # missed-wakeup guard, not a polling interval.
+                        # on this monitor.
                         wait_started = self.clock.now()
-                        if not self.monitor.wait(GUARD_S):
-                            self.telemetry.guard_fired(self._app_track, "demand-restore")
+                        self.monitor.wait()
                         blocked += self.clock.now() - wait_started
                         # Not moving: the only copy is mid-flush.
                         op.fill("stall-inflight" if moving else "stall-flush")
@@ -1008,7 +1006,6 @@ class ScoreEngine:
                 self.chunks_for(record.physical_size, store) if from_store and to_gpu else 1,
                 self.clock,
                 crashed=self.crashed,
-                telemetry=self.telemetry,
             )
             for hop, runs in ((read, from_store), (cross, to_gpu)):
                 if runs:

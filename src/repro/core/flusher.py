@@ -225,7 +225,6 @@ class Flusher:
             engine.clock,
             cancelled=record.cancel_flush,
             crashed=engine.crashed,
-            telemetry=engine.telemetry,
         )
         for leg in self.cascade:
             pipeline.add_stage(leg.stage)
@@ -609,11 +608,15 @@ class Flusher:
         # re-reading the host copy.
         pipeline.payload = payload
         wire = record.physical_size
-        # Claim host cache space (blocks for evictions as needed).
+        # Claim host cache space (blocks for evictions as needed).  A host
+        # staging duplicates a durable copy, so the claim may revoke one
+        # (priced above every window it can wait for): a host full of
+        # stagings that only consumption frees must not hold the flush a
+        # demand restore waits on for its GPU room.
         with op.stage("reserve-host", CAT_RESERVE, track=leg.track):
             hop.claim(
                 engine.host_cache, record, CkptState.WRITE_IN_PROGRESS,
-                engine.device.d2h_link, blocking=True,
+                engine.device.d2h_link, blocking=True, allow_pinned=True,
             )
         with engine.monitor:
             # Pinned for the durable hop before any chunk is published, so

@@ -36,7 +36,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.clock import Event, VirtualClock
-from repro.core.sync import GUARD_S
 
 
 def plan_chunks(nbytes: int, chunk_bytes: int) -> List[int]:
@@ -72,15 +71,12 @@ class ChunkPipeline:
         clock: VirtualClock,
         cancelled: Optional[Event] = None,
         crashed: Optional[Event] = None,
-        telemetry=None,
     ) -> None:
         self.ckpt_id = ckpt_id
         self.chunks = chunks
         self.clock = clock
         self.cancelled = cancelled
         self.crashed = crashed
-        #: where a missed-wakeup guard that fires is counted (none: not counted).
-        self.telemetry = telemetry
         self._cond = clock.condition()
         self._done: Dict[str, int] = {}
         #: per stage, the accounted seconds of each chunk step, in chunk order.
@@ -209,15 +205,11 @@ class ChunkPipeline:
             started = self.clock.now()
             try:
                 interrupts = tuple(e for e in (self.cancelled, self.crashed) if e is not None)
-                while not self._interrupted():
-                    # Woken by publish/fail/skip, a crash or a cancel; the
-                    # timeout only guards a missed wake-up.
-                    if not self._cond.wait(GUARD_S, interrupts) and self.telemetry is not None:
-                        self.telemetry.guard_fired(f"pipeline-{self.ckpt_id}", stage)
+                while status is None and not self._interrupted():
+                    # Woken by publish/fail/skip, a crash or a cancel.
+                    self._cond.wait(None, interrupts)
                     status = ready()
-                    if status is not None:
-                        return status
-                return False
+                return bool(status)  # (None: interrupted)
             finally:
                 self.stall_s[stage] += self.clock.now() - started
 

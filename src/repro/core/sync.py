@@ -24,11 +24,6 @@ from typing import Callable, Iterable, Optional
 
 from repro.clock import Event, VirtualClock
 
-#: Missed-wakeup guard of a condition wait (nominal seconds): every change
-#: the waiter re-evaluates notifies it, so the timeout only bounds the
-#: latency of a wake-up that was missed.  One that fires is counted.
-GUARD_S = 1.0
-
 
 class Monitor:
     """One engine's mutex + its two condition variables."""

@@ -45,11 +45,6 @@ from repro.telemetry import Telemetry
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simgpu.bandwidth import Link
 
-#: Missed-wakeup guard for grant waits (nominal seconds):
-#: every grant release notifies the arbiter condition and a waiter's
-#: cancellation event wakes it, so one that fires is counted.
-_WAIT_GUARD = 0.25
-
 
 class _Entry:
     """One transfer's seat in the arbiter (created by :meth:`open`)."""
@@ -172,8 +167,9 @@ class LinkScheduler:
                         return 0.0 if parked_at is None else self.clock.now() - parked_at
                     if parked_at is None:
                         parked_at = self.clock.now()
-                    if not self._cond.wait(_WAIT_GUARD, (cancel,)):
-                        self.telemetry.guard_fired(self._track, "sched-grant")
+                    # Every open, release and finish notifies; a cancel wakes
+                    # its own waiter.
+                    self._cond.wait(None, (cancel,))
             except BaseException:
                 entry.waiting = False
                 raise

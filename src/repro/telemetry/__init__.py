@@ -61,7 +61,6 @@ class Telemetry:
     ) -> None:
         self.bus = TraceBus(clock or VirtualClock(), enabled=enabled, capacity=capacity)
         self.registry = MetricsRegistry()
-        self._m_guards = self.registry.counter("sync.guard_timeouts")
         if clock is not None:
             # How much of the run's virtual time cost no wall time.
             self.registry.reading("clock.skips", lambda: clock.skips)
@@ -72,12 +71,6 @@ class Telemetry:
     def enabled(self) -> bool:
         """Whether the trace bus records events."""
         return self.bus.enabled
-
-    def guard_fired(self, track: str, site: str) -> None:
-        """A missed-wakeup guard timed out (a wait every change it re-evaluates
-        notifies): count it (``sync.guard_timeouts``) and trace an instant."""
-        self._m_guards.inc()
-        self.bus.instant("guard-timeout", track, site=site)
 
     @staticmethod
     def disabled() -> "Telemetry":

@@ -21,8 +21,8 @@ SCALE = ScaleModel(data_scale=64 * KiB, alignment=64 * KiB, time_scale=0.002)
 SLOT = 1 * MiB  # checkpoints are one "slot" = 1 MiB
 
 
-def make_cache(capacity_slots=4, **kw):
-    clock = VirtualClock(time_scale=0.002)
+def make_cache(capacity_slots=4, time_scale=0.002, **kw):
+    clock = VirtualClock(time_scale=time_scale)
     monitor = Monitor(clock)
     arena = Arena("test", capacity_slots * SLOT, SCALE)
     queue = RestoreQueue()
@@ -309,3 +309,38 @@ class TestStatsAndHelpers:
         cache = make_cache(capacity_slots=4, usable_capacity=lambda: 1 * SLOT)
         assert cache.reserve(make_record(1), CkptState.WRITE_IN_PROGRESS, blocking=False) is not None
         assert cache.reserve(make_record(2), CkptState.WRITE_IN_PROGRESS, blocking=False) is None
+
+    def test_a_ramping_claim_whose_room_lies_past_the_prefix_lands_at_the_ramp(self):
+        """Growth of a lazily-pinned arena notifies nobody.  A claim with no
+        gap anywhere whose only evictable window lies past the pinned prefix
+        wakes when the prefix has grown by its size: it lands at that
+        deadline, not at some later re-check."""
+        rate = 0.8 * SLOT  # pinned bytes per nominal second
+        ramp = {"from": None}
+
+        def usable():
+            if ramp["from"] is None:
+                return 4 * SLOT
+            return min(4 * SLOT, int(2 * SLOT + rate * (cache.clock.now() - ramp["from"])))
+
+        def pin_eta(nbytes):
+            return ramp["from"] + (nbytes + 1 - 2 * SLOT) / rate - cache.clock.now()
+
+        # (at wall pace, so the claim's own Python time adds little)
+        cache = make_cache(time_scale=1.0, usable_capacity=usable, pin_eta=pin_eta)
+        # Pinned stagings at slots 0, 1 and 3; a flushed copy at slot 2.
+        for ckpt_id in range(4):
+            r = make_record(ckpt_id)
+            inst = r.instance(TierLevel.GPU)
+            r.durable_level = TierLevel.SSD
+            if ckpt_id == 2:
+                cache.reserve(r, CkptState.WRITE_IN_PROGRESS)
+                inst.transition(CkptState.WRITE_COMPLETE)
+                inst.transition(CkptState.FLUSHED)
+            else:
+                cache.reserve(r, CkptState.READ_IN_PROGRESS)
+                inst.transition(CkptState.READ_COMPLETE)
+        ramp["from"] = cache.clock.now()  # two slots pinned from here on
+        waited = cache.reserve(make_record(9), CkptState.WRITE_IN_PROGRESS)
+        assert waited == pytest.approx((SLOT + 1) / rate, abs=0.01)  # 1.25 s
+        assert cache.offset_of(make_record(9)) == 2 * SLOT

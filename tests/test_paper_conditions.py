@@ -9,11 +9,13 @@ each verified against the runtime directly.
 """
 
 
+from repro.config import CacheConfig
 from repro.core.engine import ScoreEngine
 from repro.core.lifecycle import CkptState
 from repro.tiers.base import TierLevel
+from repro.tiers.topology import Cluster
 from repro.util.units import MiB
-from tests.conftest import make_buffer
+from tests.conftest import make_buffer, tiny_config
 
 CKPT = 128 * MiB
 #: nominal seconds a prefetch worker gets to stage its first checkpoint
@@ -109,6 +111,40 @@ class TestCondition4:
                 cid for cid in pinned if engine.gpu_cache.table.contains(cid)
             ]
         assert still_there == pinned
+
+    def test_host_stagings_never_hold_the_flush_a_demand_restore_waits_on(self):
+        """The wait-for cycle of a host full of stagings: the GPU holds a
+        hint staging and a fresh checkpoint whose flush needs host room; the
+        host holds four hint stagings, which only consumption frees; the
+        demand restore of the first needs the GPU room that flush frees.
+        A host staging duplicates a durable copy, so the flush revokes the
+        farthest one and the restore goes through."""
+        cfg = tiny_config(cache=CacheConfig(gpu_cache_size=2 * CKPT, host_cache_size=4 * CKPT))
+        with Cluster(cfg) as cluster:
+            context = cluster.process_contexts()[0]
+            with ScoreEngine(context) as engine:
+                for v in range(8):
+                    engine.checkpoint(v, make_buffer(context, CKPT, seed=v))
+                engine.wait_for_flushes()
+                catalog = engine.catalog
+                staged = [v for v in range(8) if catalog.get(v).peek(TierLevel.HOST) is None]
+                for v in staged:  # four stagings fill the host
+                    engine.promote_once(catalog.get(v), TierLevel.SSD, TierLevel.HOST)
+                    engine.prefetch_enqueue(v)  # restore order; the workers stay parked
+                engine.promote_once(catalog.get(staged[1]), TierLevel.HOST, TierLevel.GPU)
+                engine.checkpoint(99, make_buffer(context, CKPT, seed=99))  # GPU: staging + write
+                out = context.device.alloc_buffer(CKPT)
+                expected = make_buffer(context, CKPT, seed=staged[0]).checksum()
+                engine.restore(staged[0], out)
+                assert out.checksum() == expected
+                engine.wait_for_flushes()
+                assert catalog.get(99).durable_level is TierLevel.SSD
+                with engine.monitor:
+                    fragments = engine.host_cache.table.fragments()
+                    host = {frag.record.ckpt_id for frag in fragments if not frag.is_gap}
+                assert staged[-1] not in host and set(staged[1:-1]) <= host
+                assert engine.host_cache.forced_evictions == 1
+                assert cluster.telemetry.registry.counter("engine.swallowed_errors").value == 0
 
 
 class TestCondition5:

@@ -50,8 +50,11 @@ call sites in cluster/fabric.py and core/hop.py" fails.
 
 And a wait is woken by the change it waits for: any "fixed-period polls in
 src/" (a ``virtual_timeout=`` or ``.wait(`` given a numeric literal) fails.
-A deadline is computed from what it waits for (a pinning ramp), and a
-missed-wakeup guard is the named ``GUARD_S``, which is not counted.
+A deadline is computed from what it waits for (a pinning ramp).  Nor does
+a wait carry a timeout against a wake-up that never comes: any
+"missed-wakeup guards in src/" (``GUARD_S``, ``_WAIT_GUARD``,
+``guard_fired``, ``guard_timeouts``) fails; a wait nothing can end raises
+the clock's ``DeadlockError`` instead.
 
 And backpressure comes from the caches: any "admission gates in src/" (a
 shed error, a queue or backlog bound, a stream-depth wait, a per-engine
@@ -110,6 +113,9 @@ PATH_PICKS = (
 
 #: a wait given a fixed period: a timeout that is a numeric literal.
 POLL = r"virtual_timeout=\s*\.?\d|\.wait\(\s*\.?\d"
+
+#: a timeout that only guards a missed wake-up, or its count.
+GUARDS = r"GUARD_S|_WAIT_GUARD|guard_fired|guard_timeouts"
 
 #: a read of a per-tier checkpoint size, or a fault switch set by hand.
 PER_TIER_SIZES = r"stored_size\(|wire_size\(|site_level"
@@ -252,6 +258,7 @@ def main() -> int:
         "raw threading.Thread( in tests/ outside test_clock*.py": unregistered_thread_sites(TESTS),
         "raw threading.Barrier( in src/": sites(r"threading\.Barrier\("),
         "fixed-period polls in src/": sites(POLL),
+        "missed-wakeup guards in src/": sites(GUARDS),
         "admission gates in src/": sites(GATES),
         "service admission gates in src/": sites(SERVICE_GATES),
         "switches a crash decides": sites(CRASH_SWITCHES),
@@ -283,6 +290,7 @@ def main() -> int:
         ".transfer( call sites in tiers/": 1,
         ".transfer( call sites in cluster/fabric.py and core/hop.py": 0,
         "fixed-period polls in src/": 0,
+        "missed-wakeup guards in src/": 0,
         "admission gates in src/": 0,
         "service admission gates in src/": 0,
         "switches a crash decides": 0,
