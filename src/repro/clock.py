@@ -26,13 +26,14 @@ Time passes in two ways:
   ``threading.Barrier``, a ``join``) — or a live thread the clock does not
   know might act (any but a main thread that has not used the clock), ``now()``
   advances with wall time at ``1 / time_scale`` nominal seconds per real
-  second, and a sleeper wakes at its scaled wall deadline (coarse OS sleep,
-  then a spin tail of at most :data:`SPIN_THRESHOLD`).  Liveness never
-  depends on every blocking point being known: the worst case is a
-  wall-paced clock.  Building runtime state is not a use: constructors run
-  in :meth:`~VirtualClock.setup`, which leaves the building thread
-  registered only if it was before, so a main thread that builds a cluster
-  and raw-joins its clients does not hold time at wall pace.
+  second, and a sleeper parks until its scaled wall deadline: the first
+  reading past it or the OS timer wakes it (a wait shorter than
+  :data:`SPIN_THRESHOLD` spins).  Liveness never depends on every blocking
+  point being known: the worst case is a wall-paced clock.  Building
+  runtime state is not a use: constructors run in
+  :meth:`~VirtualClock.setup`, which leaves the building thread registered
+  only if it was before, so a main thread that builds a cluster and
+  raw-joins its clients does not hold time at wall pace.
 
 A ``notify``/``set`` marks its waiters runnable before it returns, so time
 never skips between a wake-up and the woken thread running, and a wait on an
@@ -60,10 +61,10 @@ from typing import Callable, Iterable, Optional
 from repro.errors import ConfigError
 
 
-#: Below this many wall-clock seconds a paced sleeper spins instead of
-#: calling the OS — sleep granularity (~60 µs) would otherwise dominate
-#: heavily-scaled transfer times and distort measured throughput.
-SPIN_THRESHOLD = 200e-6
+#: A paced sleep with less wall wait than this spins instead of parking: a
+#: timed OS wait overshoots by ~58 µs (median, pinned CPU), swamping it.
+#: Best of 20/40/60 µs on the ledger (EXPERIMENTS.md, "A paced sleep parks").
+SPIN_THRESHOLD = 20e-6
 
 #: While a skip is held back by a live thread the clock does not know,
 #: parked threads look again after this many wall seconds, doubling up to
@@ -261,11 +262,10 @@ class VirtualClock:
             return False
         park = self._park(deadline, () if cancelled is None else (cancelled,))
         if not park.woken:
-            # Coarse OS sleep down to the spin threshold, then spin: OS
-            # sleeps overshoot by tens of microseconds, which at a small
-            # time_scale would multiply into large nominal errors.
-            real = (deadline - self.now()) * self.time_scale - SPIN_THRESHOLD
-            if real > 0:
+            # Park to the deadline: a skip, a reading past it or the OS timer
+            # wakes it.  A wait too short for the OS to time spins instead.
+            real = (deadline - self.now()) * self.time_scale
+            if real >= SPIN_THRESHOLD:
                 self._hold(park, real)
             while not park.woken:  # now() wakes the park once it is due
                 self.now()

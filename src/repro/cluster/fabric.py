@@ -287,21 +287,23 @@ class _PeerGet:
         self._fallback = None
         self.seconds = 0.0
 
-    def read(self, nbytes: int, request=None) -> float:
+    def read(self, nbytes: int, cancelled=None, request=None) -> float:
         """One chunk off the holder's SSD across the fabric (off the PFS
         after a failover, whose own failures are the caller's to see)."""
         request = request if request is not None else self._request
         if self._fallback is not None:
-            seconds = self._fallback.read(nbytes, request=request)
+            seconds = self._fallback.read(nbytes, cancelled=cancelled, request=request)
         else:
             try:
-                seconds = self._reader.read(nbytes, request=request)
+                seconds = self._reader.read(nbytes, cancelled=cancelled, request=request)
             except TransientTransferError as exc:
-                seconds = self._fail_over(exc, nbytes, request)
+                seconds = self._fail_over(exc, nbytes, request, cancelled)
         self.seconds += seconds
         return seconds
 
-    def _fail_over(self, error: TransientTransferError, nbytes: int, request) -> float:
+    def _fail_over(
+        self, error: TransientTransferError, nbytes: int, request, cancelled=None
+    ) -> float:
         """Re-open on the PFS and replay the ``nbytes`` chunk ``error`` cut."""
         fabric = self.store.fabric
         fabric.health.failure(self._hop_track if error.link is self._link else self.store.track)
@@ -314,7 +316,7 @@ class _PeerGet:
         self._fallback = fabric.pfs.open_get(
             self.key, node_id=self.store.reader_node, request=request
         )
-        return self._fallback.read(nbytes, request=request)
+        return self._fallback.read(nbytes, cancelled=cancelled, request=request)
 
     def finish(self):
         if self._fallback is not None:

@@ -101,6 +101,9 @@ class Flusher:
         #: catch-up copy back onto the node-local tier once it returns.
         self._backfill: deque = deque()
         self._backfill_lock = threading.Lock()
+        #: records ever queued: a sweep that drained one while a reroute
+        #: queued another sees the same depth, yet the new one is untried.
+        self._backfill_queued = 0
         registry = self.telemetry.registry
         self._m_tallies = {
             name: registry.counter(metric) for name, metric in TALLIES.items() if metric
@@ -288,7 +291,7 @@ class Flusher:
         # (tier still dark) does not hold drain hostage — matching the
         # historical contract.
         while True:
-            backfill_before = self.backfill_depth
+            backfill_before = (self.backfill_depth, self._backfill_queued)
             self._drain_backfill()
             for stream in streams:
                 remaining = None if deadline is None else deadline - clock.now()
@@ -299,8 +302,8 @@ class Flusher:
             if any(stream.depth > 0 for stream in streams):
                 continue  # a synced stage enqueued downstream work mid-sweep
             depth = self.backfill_depth
-            if depth and depth != backfill_before:
-                continue  # backfill progressed; give it another sweep
+            if depth and (depth, self._backfill_queued) != backfill_before:
+                continue  # backfill progressed, or one queued since: another sweep
             return True
 
     def stall_report(self, timeout: float) -> str:
@@ -447,6 +450,7 @@ class Flusher:
         """Queue a catch-up copy of ``record`` from the PFS onto the SSD."""
         with self._backfill_lock:
             self._backfill.append(record)
+            self._backfill_queued += 1
 
     def backfill(self, record: "CheckpointRecord") -> None:
         """A restore dropped ``record``'s corrupt SSD copy: queue the same

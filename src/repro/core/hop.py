@@ -105,11 +105,12 @@ class Hop:
         """The chunk loop: ``total`` bytes in the pipeline's chunk plan.
         Chunk *i* is eligible once the upstream stage published it and
         ``take(i, nbytes)``, the leg's own input step, agrees; it is charged
-        on ``read(nbytes, request=)`` — a source handle's read — and every
-        claimed sink as one chunk step, timed as the op stage ``stage``
-        (``(name, category, args)``) when one is given.  Returns the
-        accounted seconds, ``None`` when the input stopped coming.  A
-        discard stops the loop through the links' ``cancelled=``."""
+        on ``read(nbytes, cancelled=, request=)`` — a source handle's read —
+        and every claimed sink as one chunk step, timed as the op stage
+        ``stage`` (``(name, category, args)``) when one is given.  Returns
+        the accounted seconds, ``None`` when the input stopped coming.  A
+        discard stops the loop, the read as the writes, through the links'
+        ``cancelled=``."""
         leg, record, pipeline, op = self.leg, self.record, self.pipeline, self.op
         bus = leg.engine.telemetry.bus
         causal = leg.causal(op, tier)
@@ -122,7 +123,7 @@ class Hop:
 
             def charge() -> float:
                 tag = leg.request(record, self.tag)
-                spent = 0.0 if read is None else read(nbytes, request=tag)
+                spent = 0.0 if read is None else read(nbytes, cancelled=self.cancelled, request=tag)
                 for _where, handle in self.claims:
                     spent += handle.write(nbytes, cancelled=self.cancelled, request=tag)
                 return spent
@@ -192,14 +193,14 @@ def copy_whole(
     repair); returns the object's nominal size.  Two charges: the source
     read, with the interconnect ``hop`` between stores on different nodes
     crossed alongside, and the destination put — claim, charge and commit in
-    one, owning the bytes read.  ``meta`` defaults to the source's;
-    ``node_id`` names whose PFS links carry a PFS-side leg.  A failure raises
-    (``ReproError``) with nothing committed; retry policy and landing
-    epilogue are the caller's."""
+    one, owning the bytes read; ``cancelled`` cuts either.  ``meta``
+    defaults to the source's; ``node_id`` names whose PFS links carry a
+    PFS-side leg.  A failure raises (``ReproError``) with nothing committed;
+    retry policy and landing epilogue are the caller's."""
     stored = source.size_of(key)
     if meta is None:
         meta = source.meta(key)
-    payload, _ = source.get(key, node_id=node_id, request=request, via=hop)
+    payload, _ = source.get(key, node_id=node_id, cancelled=cancelled, request=request, via=hop)
     destination.put(
         key, payload, stored,
         node_id=node_id, cancelled=cancelled, request=request, meta=meta, copy=False,

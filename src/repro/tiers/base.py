@@ -161,11 +161,11 @@ class ObjectStore:
         handle.write(nominal_size)
         return handle.commit(payload, meta=meta, copy=copy)
 
-    def get(self, key: StoreKey, *, node_id: int = 0, request=None, via=None):
+    def get(self, key: StoreKey, *, node_id: int = 0, cancelled=None, request=None, via=None):
         """Read a whole checkpoint back; blocks for the throttled duration.
         Returns ``(payload, accounted nominal seconds)``."""
         handle = self.open_get(key, node_id=node_id, request=request, via=via)
-        handle.read(handle.nominal_size)
+        handle.read(handle.nominal_size, cancelled=cancelled)
         return handle.finish()
 
     def _cross(self, route, nbytes: int, slow: float, cancelled=None, request=None) -> float:
@@ -362,8 +362,8 @@ class GetHandle(_ChunkedTransfer):
 
     op = "get"
 
-    def read(self, nbytes: int, request=None) -> float:
-        seconds = self._charge(nbytes, None, request)
+    def read(self, nbytes: int, cancelled=None, request=None) -> float:
+        seconds = self._charge(nbytes, cancelled, request)
         self.store._m_read_bytes.inc(nbytes)
         return seconds
 

@@ -115,7 +115,7 @@ class TestPeerReads:
             assert peer is not None
             handle = peer.open_get(key)
 
-            def die(nbytes, request=None):
+            def die(nbytes, cancelled=None, request=None):
                 raise TransientTransferError("peer died mid-read")
 
             handle._reader.read = die

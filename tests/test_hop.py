@@ -346,6 +346,43 @@ def _flush_cell(monkeypatch, stream, hop, point, how, times=1):
 
 
 @both_chunk_plans
+def test_a_cancel_while_the_upgrade_waits_is_counted_by_the_read_back(monkeypatch, stream):
+    """The read-back's chunk is held until ``f2p`` waits for it and the
+    durable hop has landed; then the flush is cancelled.  ``f2p`` wakes on
+    the cancel and bails quietly, so the read must honour the cancel and
+    count the one abandonment (a read that ignores it counts none)."""
+    chunk = 3 if stream.enabled else 0
+    with Cluster(tiny_config(stream=stream)) as cluster:
+        ctx = cluster.process_contexts()[0]
+        with ScoreEngine(ctx, flush_to_pfs=True) as engine:
+            waiting = engine.clock.event()
+            real_await = ChunkPipeline.await_upstream
+
+            def await_upstream(pipeline, stage, at):
+                if stage == "f2p" and at == chunk:
+                    waiting.set()
+                return real_await(pipeline, stage, at)
+
+            monkeypatch.setattr(ChunkPipeline, "await_upstream", await_upstream)
+            with recorded_pipelines(monkeypatch) as built:
+
+                def cancel_once_waited():
+                    waiting.wait()
+                    built[0].await_finished("f2r", "h2f")
+                    engine.catalog.get(0).cancel_flush.set()
+
+                read_link = engine.ssd.read_link
+                with failing(read_link, "transfer", at=chunk, before=cancel_once_waited):
+                    engine.checkpoint(0, make_buffer(ctx, CKPT, seed=3))
+                    engine.wait_for_flushes(timeout=600.0)
+            (pipeline,) = built
+            assert pipeline.failed("f2r") and pipeline.failed("f2p")
+            assert engine.flusher.abandoned == 1
+            assert engine.catalog.get(0).durable_level is TierLevel.SSD
+            assert_nothing_left(engine)
+
+
+@both_chunk_plans
 def test_retried_charge_feeds_the_breaker_once_per_attempt(monkeypatch, stream):
     """No PFS to reroute to: a persistently failing SSD chunk
     is retried ``MAX_RETRIES`` times, each attempt fed to the SSD breaker,
@@ -394,6 +431,36 @@ def test_backfill_failure_requeues_and_feeds_the_breaker(point):
             engine.wait_for_flushes(timeout=600.0)  # the next drain heals it
             assert engine.ssd.contains(key) and engine.flusher.backfilled == 1
             assert engine.flusher.backfill_depth == 0
+            assert_nothing_left(engine)
+
+
+def test_a_backfill_queued_during_the_sweep_is_drained_before_the_wait_returns():
+    """A sweep's drain copies one PFS-only record, then a rerouted flush
+    lands on the PFS and queues another before the sweep ends: the depth is
+    the same, yet the new record was never tried.  The wait sweeps again
+    (judged by depth alone, it returned with the record queued)."""
+    with Cluster(tiny_config()) as cluster:
+        ctx = cluster.process_contexts()[0]
+        with ScoreEngine(ctx, flush_to_pfs=True) as engine:
+            for v in (0, 1):
+                engine.checkpoint(v, make_buffer(ctx, CKPT, seed=v))
+            engine.wait_for_flushes(timeout=600.0)
+            first, second = (engine.catalog.get(v) for v in (0, 1))
+            for record in (first, second):
+                engine.ssd.delete(engine.store_key(record))  # on the PFS only
+            flusher = engine.flusher
+            flusher.queue_backfill(first)
+            drain = flusher._drain_backfill
+
+            def drain_then_a_reroute_lands():
+                drain()
+                del flusher._drain_backfill  # once
+                flusher.queue_backfill(second)
+
+            flusher._drain_backfill = drain_then_a_reroute_lands
+            assert engine.wait_for_flushes(timeout=600.0)
+            assert flusher.backfill_depth == 0 and flusher.backfilled == 2
+            assert all(engine.ssd.contains(engine.store_key(r)) for r in (first, second))
             assert_nothing_left(engine)
 
 

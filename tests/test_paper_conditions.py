@@ -64,10 +64,16 @@ class TestCondition3:
         for v in order:
             engine.prefetch_enqueue(v)
         engine.prefetch_start()
-        engine.clock.sleep(2.0)  # let the prefetcher stage the head
         from repro.metrics.recorder import OpKind
 
-        prefetched = [e.ckpt_id for e in engine.recorder.of_kind(OpKind.PREFETCH)]
+        def staged():
+            return [e.ckpt_id for e in engine.recorder.of_kind(OpKind.PREFETCH)]
+
+        # Let the prefetcher stage the head: a nominal wait for two stagings,
+        # not a fixed sleep, which at wall pace can end before the first.
+        with engine.monitor:
+            engine.monitor.wait_for(lambda: len(staged()) >= 2, virtual_timeout=PREFETCH_TIMEOUT_S)
+        prefetched = staged()
         assert prefetched, "prefetcher made no progress"
         # First promotions target the head of the restore order.
         head = set(order[:6])

@@ -8,7 +8,7 @@ import pytest
 from repro.clock import VirtualClock
 from repro.cluster.fabric import PeerSsdStore
 from repro.config import ClusterConfig, FaultConfig, HardwareSpec, ScaleModel
-from repro.errors import CheckpointNotFound, ConfigError, TierOfflineError
+from repro.errors import CheckpointNotFound, ConfigError, TierOfflineError, TransferError
 from repro.faults.injector import FaultDomain
 from repro.simgpu.bandwidth import Link
 from repro.simgpu.memory import checksum_payload
@@ -519,6 +519,8 @@ class TestKeywordArguments:
             reader.open_get(KEY, nod_id=0)
         with pytest.raises(TypeError):
             reader.get(KEY, nod_id=0)
+        with pytest.raises(TypeError):
+            reader.get(KEY, canceled=cancel)
 
     def test_every_store_takes_the_same_keywords(self, view):
         reader, sink = view
@@ -527,5 +529,19 @@ class TestKeywordArguments:
         handle.write(1 * MiB)
         handle.commit(data)
         sink.put((0, 2), data, 1 * MiB, node_id=0, cancelled=None, request=None, meta={}, copy=True)
-        assert reader.open_get(KEY, node_id=0, request=None, nominal_size=None).read(1 * MiB) > 0
-        assert reader.get((0, 2), node_id=0, request=None)[1] > 0
+        handle = reader.open_get(KEY, node_id=0, request=None, nominal_size=None)
+        assert handle.read(1 * MiB, cancelled=None, request=None) > 0
+        assert reader.get((0, 2), node_id=0, cancelled=None, request=None)[1] > 0
+
+    def test_a_read_honours_its_cancel(self, view):
+        """Reads take ``cancelled=`` as writes do: a set event stops the
+        read before any byte moves (a flush's read-back, a replica's or a
+        backfill's source read)."""
+        reader, sink = view
+        sink.put(KEY, _payload(1 * MiB), 1 * MiB)
+        cancel = threading.Event()
+        cancel.set()
+        with pytest.raises(TransferError):
+            reader.open_get(KEY).read(1 * MiB, cancelled=cancel)
+        with pytest.raises(TransferError):
+            reader.get(KEY, cancelled=cancel)
