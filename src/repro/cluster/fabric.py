@@ -287,15 +287,20 @@ class _PeerGet:
         self._fallback = None
         self.seconds = 0.0
 
-    def read(self, nbytes: int, cancelled=None, request=None) -> float:
+    def read(self, nbytes: int, cancelled=None, request=None, queued: float = 0.0) -> float:
         """One chunk off the holder's SSD across the fabric (off the PFS
-        after a failover, whose own failures are the caller's to see)."""
+        after a failover, whose own failures are the caller's to see; the
+        replayed chunk is a fresh submission)."""
         request = request if request is not None else self._request
         if self._fallback is not None:
-            seconds = self._fallback.read(nbytes, cancelled=cancelled, request=request)
+            seconds = self._fallback.read(
+                nbytes, cancelled=cancelled, request=request, queued=queued
+            )
         else:
             try:
-                seconds = self._reader.read(nbytes, cancelled=cancelled, request=request)
+                seconds = self._reader.read(
+                    nbytes, cancelled=cancelled, request=request, queued=queued
+                )
             except TransientTransferError as exc:
                 seconds = self._fail_over(exc, nbytes, request, cancelled)
         self.seconds += seconds

@@ -47,12 +47,12 @@ class CachePut:
         self.cache, self.record, self.link = cache, record, link
         self.waited = waited  #: nominal seconds the claim waited for evictions
 
-    def write(self, nbytes: int, cancelled=None, request=None) -> float:
+    def write(self, nbytes: int, cancelled=None, request=None, queued: float = 0.0) -> float:
         """Charge one chunk on the link that fills the extent (``None``: the
         other endpoint's charge carries the bytes — a store read)."""
         if self.link is None:
             return 0.0
-        return self.link.transfer(nbytes, cancelled=cancelled, request=request)
+        return self.link.transfer(nbytes, cancelled=cancelled, request=request, queued=queued)
 
     def commit(self, payload: np.ndarray, meta=None, copy: bool = True) -> None:
         """The extent stays unobservable (``*_IN_PROGRESS``) until it lands."""

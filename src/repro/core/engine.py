@@ -1231,6 +1231,7 @@ class ScoreEngine:
 
     def stats(self) -> dict:
         """Counters for diagnostics and the benchmark harness."""
+        hidden = self.telemetry.registry.get("link.latency_hidden_s")
         with self.monitor:
             stats = {
                 "process_id": self.process_id,
@@ -1252,6 +1253,8 @@ class ScoreEngine:
                     "skipped_s": self.clock.skipped_s,
                     "paced_s": self.clock.paced_s,
                 },
+                # command latency that ran behind the chunk ahead, cluster-wide
+                "latency_hidden_s": hidden.value if hidden is not None else 0.0,
             }
             for key, fragment in self.stats_fragments:
                 stats[key] = fragment()

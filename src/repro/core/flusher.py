@@ -188,11 +188,18 @@ class Flusher:
             ckpt=record.ckpt_id, bytes=nbytes, **args, **causal,
         )
 
-    def _abandon(self, leg: Leg, record: "CheckpointRecord", reason: str, span=None) -> None:
-        """Count + trace + log one abandoned flush leg (monitor NOT required)."""
-        self._tally("abandoned")
+    def _abandon(self, hop: Hop, reason: str, span=None) -> None:
+        """Count + trace + log one abandoned flush (monitor NOT required):
+        the first stage of a pipeline to abandon counts it, a neighbour
+        abandoning the same flush after it (a cancel seen by two stages
+        that both hold a link) bails quietly."""
+        leg, record = hop.leg, hop.record
         if span is not None:
             span.add(abandoned=True)
+        if hop.pipeline is not None and not hop.pipeline.abandon():
+            self._bail(leg, record, reason)
+            return
+        self._tally("abandoned")
         self.telemetry.bus.instant(
             "flush-abandoned",
             leg.track,
@@ -552,24 +559,25 @@ class Flusher:
         if active > 0:
             self._m_overlap.set(overlap / active)
 
-    def _snapshot_gpu(self, leg: Leg, record: "CheckpointRecord"):
+    def _snapshot_gpu(self, hop: Hop):
         """Producer preamble (``d2h``, or the GPUDirect ``d2s``): snapshot
         the bytes out of the GPU arena, then release the instance for
         eviction.  Returns ``None`` after abandoning."""
         engine = self.engine
+        leg, record = hop.leg, hop.record
         engine._maybe_crash(f"before-{leg.stage}", record)
         record.op.fill("flush-queue", track=leg.track)
         with engine.monitor:
             gpu_inst = record.peek(TierLevel.GPU)
             if record.discarded or gpu_inst is None:
                 # (The abandoned hop unpins the GPU copy on its way out.)
-                self._abandon(leg, record, "discarded or already evicted")
+                self._abandon(hop, "discarded or already evicted")
                 return None
         try:
             payload = engine.gpu_cache.read_payload(record)
         except AllocationError:
             # Discarded and evicted between the check and the snapshot.
-            self._abandon(leg, record, "evicted during payload snapshot")
+            self._abandon(hop, "evicted during payload snapshot")
             return None
         with engine.monitor:
             gpu_inst.flush_pending = False
@@ -603,7 +611,7 @@ class Flusher:
         engine = self.engine
         leg, record, pipeline = hop.leg, hop.record, hop.pipeline
         started = engine.clock.now()
-        payload = self._snapshot_gpu(leg, record)
+        payload = self._snapshot_gpu(hop)
         if payload is None:
             return
         op = record.op
@@ -636,7 +644,7 @@ class Flusher:
                 hop.stream(wire)
             except TransferError:
                 # Abandon: the hop releases the half-written host extent.
-                self._abandon(leg, record, "cancelled mid-transfer", span)
+                self._abandon(hop, "cancelled mid-transfer", span)
                 return
         self._m_bytes[leg.stage].inc(wire)
         hop.commit(pipeline.payload)
@@ -661,7 +669,7 @@ class Flusher:
         started = engine.clock.now()
         try:
             if upstream is None:
-                payload = pipeline.payload = self._snapshot_gpu(leg, record)
+                payload = pipeline.payload = self._snapshot_gpu(hop)
                 if payload is None:
                     return
             else:
@@ -674,7 +682,7 @@ class Flusher:
                 engine._maybe_crash(f"before-{stage}", record)
                 with engine.monitor:
                     if record.discarded:
-                        self._abandon(leg, record, "discarded mid-stream")
+                        self._abandon(hop, "discarded mid-stream")
                         return
                 payload = pipeline.payload
             wire = record.physical_size
@@ -791,7 +799,7 @@ class Flusher:
                 failure = "cancelled mid-transfer"
                 break  # a discard: no other store wants it either
             hop.abort()
-        self._abandon(leg, record, failure)
+        self._abandon(hop, failure)
         return None
 
     def _rerouting(self, hop: Hop) -> None:
@@ -838,7 +846,7 @@ class Flusher:
         try:
             reader = engine.ssd.open_get(engine.store_key(record), nominal_size=read_total)
         except TransferError as exc:
-            self._abandon(leg, record, f"{type(exc).__name__} at read-back open")
+            self._abandon(hop, f"{type(exc).__name__} at read-back open")
             return
 
         def take(chunk: int, nbytes: int) -> bool:
@@ -863,7 +871,7 @@ class Flusher:
                     stage=("read-back", CAT_TRANSFER, {"tier": "ssd"}),
                 )
             except TransferError:
-                self._abandon(leg, record, "read-back cancelled mid-transfer", span)
+                self._abandon(hop, "read-back cancelled mid-transfer", span)
                 return
             if read is None:
                 self._bail(leg, record, "durable hop abandoned, or the upgrade is moot")
@@ -882,7 +890,7 @@ class Flusher:
         record.op.fill("flush-queue", track=leg.track)
         with engine.monitor:
             if record.discarded:
-                self._abandon(leg, record, "discarded before PFS flush")
+                self._abandon(hop, "discarded before PFS flush")
                 return
         pfs = engine.pfs
         if pfs is None:
@@ -890,7 +898,7 @@ class Flusher:
         if not engine.health.allow(pfs.track):
             # The SSD copy is (or will be) durable; skip the dark PFS rather
             # than feed its breaker another doomed upgrade write.
-            self._abandon(leg, record, "pfs circuit breaker open")
+            self._abandon(hop, "pfs circuit breaker open")
             return
         # The read-back's opening chunk implies the producer preamble ran,
         # so the payload is in hand.
@@ -927,7 +935,7 @@ class Flusher:
                     if committed:
                         self._put_whole(leg, record, pfs, payload)
             except TransferError as exc:
-                self._abandon(leg, record, f"{type(exc).__name__} mid-transfer", span)
+                self._abandon(hop, f"{type(exc).__name__} mid-transfer", span)
                 return
             if not committed:
                 if pipeline.skipped(stage):
@@ -935,7 +943,7 @@ class Flusher:
                 span.add(abandoned=True)
                 return
             if not self.reverify(leg, record, pfs, payload):
-                self._abandon(leg, record, "persistent corruption on PFS put", span)
+                self._abandon(hop, "persistent corruption on PFS put", span)
                 return
         self._m_bytes[stage].inc(wire)
         engine.landed(record, pfs, track=leg.track)
@@ -956,7 +964,7 @@ class Flusher:
         record.op.fill("flush-queue", track=leg.track)
         with engine.monitor:
             if record.discarded:
-                self._abandon(leg, record, "discarded before replication")
+                self._abandon(hop, "discarded before replication")
                 return
         # Replicas are verbatim SSD blobs and stay outside the chunk
         # accounting: the home node owns the recipe, a successor only keeps a
@@ -985,7 +993,7 @@ class Flusher:
                         ),
                     )
                 except ReproError as exc:
-                    self._abandon(leg, record, f"{type(exc).__name__} during replication", span)
+                    self._abandon(hop, f"{type(exc).__name__} during replication", span)
                     return
             self._m_bytes["repl"].inc(stored)
             self._tally("replicated")

@@ -10,7 +10,11 @@ one set of method names (``tiers/base.py``, ``core/cache.py``):
 2. per chunk, **take** the input (published by the upstream stage of the
    checkpoint's ``ChunkPipeline``, read off the source handle, or nothing) and
    **charge** every endpoint's links as the pipeline's one chunk step, under
-   the leg's retry/breaker policy, QoS tag and causal kwargs;
+   the leg's retry/breaker policy, QoS tag and causal kwargs.  The hop keeps
+   two chunks on its links, one crossing and the next queued: a chunk's
+   command is submitted once the chunk ahead was issued and its input is in
+   hand, so on a busy stage its latency runs behind the chunk ahead
+   (``queued=``, ``ChunkPipeline.queued_s``);
 3. **commit** the sinks in order (payload bytes move whole-object, here);
 4. **land**: ``engine.landed`` for each.
 
@@ -105,12 +109,14 @@ class Hop:
         """The chunk loop: ``total`` bytes in the pipeline's chunk plan.
         Chunk *i* is eligible once the upstream stage published it and
         ``take(i, nbytes)``, the leg's own input step, agrees; it is charged
-        on ``read(nbytes, cancelled=, request=)`` — a source handle's read —
-        and every claimed sink as one chunk step, timed as the op stage
-        ``stage`` (``(name, category, args)``) when one is given.  Returns
-        the accounted seconds, ``None`` when the input stopped coming.  A
-        discard stops the loop, the read as the writes, through the links'
-        ``cancelled=``."""
+        on ``read(nbytes, cancelled=, request=, queued=)`` — a source
+        handle's read — and every claimed sink as one chunk step, timed as
+        the op stage ``stage`` (``(name, category, args)``) when one is
+        given.  ``queued`` is how long the chunk's command had been queued
+        behind the chunk ahead (queue depth two); a retried chunk is a fresh
+        submission.  Returns the accounted seconds, ``None`` when the input
+        stopped coming.  A discard stops the loop, the read as the writes,
+        through the links' ``cancelled=``."""
         leg, record, pipeline, op = self.leg, self.record, self.pipeline, self.op
         bus = leg.engine.telemetry.bus
         causal = leg.causal(op, tier)
@@ -120,12 +126,19 @@ class Hop:
                 return None
             if take is not None and not take(i, nbytes):
                 return None
+            queued = pipeline.queued_s(leg.stage, i) if i else 0.0
 
             def charge() -> float:
+                nonlocal queued
+                ahead, queued = queued, 0.0  # a retry is a fresh submission
                 tag = leg.request(record, self.tag)
-                spent = 0.0 if read is None else read(nbytes, cancelled=self.cancelled, request=tag)
+                spent = 0.0 if read is None else read(
+                    nbytes, cancelled=self.cancelled, request=tag, queued=ahead
+                )
                 for _where, handle in self.claims:
-                    spent += handle.write(nbytes, cancelled=self.cancelled, request=tag)
+                    spent += handle.write(
+                        nbytes, cancelled=self.cancelled, request=tag, queued=ahead
+                    )
                 return spent
 
             entered = None if stage is None else op.enter(leg.track)

@@ -27,13 +27,25 @@ per stage, and an interval integrator tracks how long ≥2 stages were
 simultaneously mid-chunk — the ``flush.stream.overlap_ratio`` headline
 metric (1.0 = perfectly pipelined, → 0 = store-and-forward).  Those are
 clock-side occupancy figures; what a transfer *cost* is accounted: each chunk
-step's accounted seconds are kept and :meth:`critical_s` is the longest
-dependency chain through the stage × chunk grid, free of host hand-off time.
+step is placed on an accounted timeline — it begins once the stage's previous
+chunk is done and its input is in hand, and lasts its accounted seconds — so
+:meth:`critical_s`, the longest dependency chain through the stage × chunk
+grid, is free of host hand-off time.
+
+A stage queues at depth two: the chunk crossing its link plus the next one,
+whose command is submitted once the chunk ahead was issued and its own input
+is in hand.  :meth:`queued_s` reads off the same timeline how long that
+command had been queued when the link came free; that much of its latency
+ran behind the chunk ahead (:meth:`repro.simgpu.bandwidth.Link.transfer`).
+The first chunk, and a chunk whose input came only after the link ran dry,
+are fresh submissions.  Measured on the accounted timeline rather than the
+clock, the rule cannot hide latency behind host hand-off time, which a paced
+clock counts as nominal time.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.clock import Event, VirtualClock
 
@@ -79,8 +91,11 @@ class ChunkPipeline:
         self.crashed = crashed
         self._cond = clock.condition()
         self._done: Dict[str, int] = {}
-        #: per stage, the accounted seconds of each chunk step, in chunk order.
-        self._spent: Dict[str, List[float]] = {}
+        #: per stage, when each chunk step was done on the accounted
+        #: timeline, in chunk order (a replayed chunk overwrites its cell).
+        self._done_at: Dict[str, List[float]] = {}
+        #: ``(stage, depth)`` of the stage that throttles on a bounce ring.
+        self._ring: Optional[Tuple[str, int]] = None
         self._finished: Dict[str, bool] = {}
         self._failed: Dict[str, bool] = {}
         self._skipped: Dict[str, bool] = {}
@@ -96,6 +111,8 @@ class ChunkPipeline:
         #: the tier level the durable hop landed the blob on (SSD, or PFS
         #: when rerouted), set by that stage before it finishes.
         self.landed = None
+        #: a stage has abandoned the transfer (and counted it).
+        self._abandoned = False
         #: per-stage nominal seconds spent stalled in await/throttle.
         self.stall_s: Dict[str, float] = {}
         self._workers = 0
@@ -126,7 +143,7 @@ class ChunkPipeline:
                 raise ValueError(f"stage {name!r} already registered")
             self._order.append(name)
             self._done[name] = 0
-            self._spent[name] = []
+            self._done_at[name] = []
             self._finished[name] = False
             self._failed[name] = False
             self._skipped[name] = False
@@ -149,12 +166,57 @@ class ChunkPipeline:
     # -- stage lifecycle ----------------------------------------------------
     def publish(self, stage: str, chunk: int, spent: float = 0.0) -> None:
         """Record chunk ``chunk`` of ``stage`` complete, at ``spent`` accounted
-        seconds; wake all waiters."""
+        seconds (placed on the accounted timeline); wake all waiters."""
         with self._cond:
             if chunk + 1 > self._done[stage]:
                 self._done[stage] = chunk + 1
-            self._spent[stage].append(spent)
+            row = self._done_at[stage]
+            done = self._began_at(row, stage, chunk) + spent
+            if chunk < len(row):
+                row[chunk] = done
+            else:
+                row.append(done)
             self._cond.notify_all()
+
+    def _began_at(self, row: List[float], stage: str, chunk: int) -> float:
+        """When chunk ``chunk`` of ``stage`` (whose done times are ``row``)
+        began on the accounted timeline: once the chunk ahead was done and
+        its input was in hand (lock held)."""
+        ahead = row[chunk - 1] if 0 < chunk <= len(row) else 0.0
+        in_hand = self._in_hand_at(stage, chunk)
+        return in_hand if in_hand > ahead else ahead
+
+    def _in_hand_at(self, stage: str, chunk: int) -> float:
+        """When chunk ``chunk``'s input was in hand for ``stage``, on the
+        accounted timeline: its upstream published it and, for a stage
+        writing a bounce ring, the ring had room (lock held)."""
+        order, done_at = self._order, self._done_at
+        index = order.index(stage)
+        at = 0.0
+        if index:
+            upstream = done_at[order[index - 1]]
+            if chunk < len(upstream):
+                at = upstream[chunk]
+        ring = self._ring
+        if ring is not None and ring[0] == stage and chunk >= ring[1]:
+            freed = done_at[order[index + 1]]
+            if chunk - ring[1] < len(freed) and freed[chunk - ring[1]] > at:
+                at = freed[chunk - ring[1]]
+        return at
+
+    def queued_s(self, stage: str, chunk: int) -> float:
+        """Accounted seconds chunk ``chunk``'s command of ``stage`` had been
+        queued when the chunk ahead of it finished crossing: submitted once
+        that chunk was issued and this one's input was in hand (queue depth
+        two).  0.0 for a fresh submission: the first chunk, or one whose
+        input came only after the link ran dry."""
+        with self._cond:
+            row = self._done_at[stage]
+            if not 0 < chunk <= len(row):
+                return 0.0
+            issued = self._began_at(row, stage, chunk - 1)
+            submitted = max(issued, self._in_hand_at(stage, chunk))
+            return max(0.0, row[chunk - 1] - submitted)
 
     def finish(self, stage: str) -> None:
         """The stage's commit is complete (its epilogue has run)."""
@@ -178,6 +240,13 @@ class ChunkPipeline:
             self._skipped[stage] = True
             self._done[stage] = self.chunks
             self._cond.notify_all()
+
+    def abandon(self) -> bool:
+        """``True`` for the first stage to abandon the transfer: the one
+        that counts it; its neighbours bail."""
+        with self._cond:
+            first, self._abandoned = not self._abandoned, True
+            return first
 
     def failed(self, stage: str) -> bool:
         with self._cond:
@@ -253,6 +322,8 @@ class ChunkPipeline:
         downstream = self.downstream_of(stage)
         if downstream is None:
             return True
+        with self._cond:
+            self._ring = (stage, ring)
 
         def ready():
             if self._failed[downstream] or self._skipped[downstream]:
@@ -297,19 +368,16 @@ class ChunkPipeline:
     def critical_s(self) -> float:
         """Accounted seconds of the longest dependency chain through the
         stage × chunk grid: a stage starts chunk *i* once it finished chunk
-        *i - 1* and its upstream published chunk *i*.  One stage: the sum of
-        its chunks; one chunk: the sum of the stages; a full pipeline: about
-        the slowest stage plus one chunk of each other.  Not the clock, which
+        *i - 1* and chunk *i*'s input is in hand.  One stage: the sum of its
+        chunks; one chunk: the sum of the stages; a full pipeline: about the
+        slowest stage plus one chunk of each other.  Not the clock, which
         adds every thread hand-off between chunk steps."""
-        ready: List[float] = []  # when the stage above published each chunk
         with self._cond:
-            for stage in self._order:
-                done, row = 0.0, []
-                for i, spent in enumerate(self._spent[stage]):
-                    done = max(done, ready[i] if i < len(ready) else 0.0) + spent
-                    row.append(done)
-                ready = row or ready  # (a skipped stage charged nothing)
-        return ready[-1] if ready else 0.0
+            for stage in reversed(self._order):
+                row = self._done_at[stage]
+                if row:  # (a skipped stage charged nothing)
+                    return row[-1]
+        return 0.0
 
     # -- occupancy accounting ----------------------------------------------
     def enter_chunk(self) -> float:

@@ -49,15 +49,14 @@ if TYPE_CHECKING:  # pragma: no cover
 class _Entry:
     """One transfer's seat in the arbiter (created by :meth:`open`)."""
 
-    __slots__ = ("request", "nbytes", "seq", "flow", "waiting", "opened_at", "first_grant_wait")
+    __slots__ = ("request", "nbytes", "seq", "flow", "waiting", "first_grant_wait")
 
-    def __init__(self, request: TransferRequest, nbytes: int, seq: int, opened_at: float) -> None:
+    def __init__(self, request: TransferRequest, nbytes: int, seq: int) -> None:
         self.request = request
         self.nbytes = nbytes
         self.seq = seq
         self.flow = (int(request.tclass), request.engine_id)
         self.waiting = False  # parked in acquire(), wanting the slot
-        self.opened_at = opened_at
         self.first_grant_wait: Optional[float] = None
 
 
@@ -101,10 +100,12 @@ class LinkScheduler:
         """Admit a transfer; returns its arbiter entry.
 
         Fires preemption when a demand read arrives over active speculation.
+        Opened before the transfer's latency runs, so a demand read preempts
+        at once; its queue wait is measured from its first :meth:`acquire`.
         """
         bus = self.telemetry.bus
         with self._cond:
-            entry = _Entry(request, nbytes, next(self._seq), self.clock.now())
+            entry = _Entry(request, nbytes, next(self._seq))
             self._flow_enter(entry)
             self._entries.append(entry)
             self._m_depth.set(len(self._entries))
@@ -112,7 +113,7 @@ class LinkScheduler:
                 # Stamped when the entry queued; ``_name_`` is what the
                 # enum's ``name`` property returns, read without the call.
                 bus.record(
-                    "sched-queue", self._track, entry.opened_at, "i", 0.0,
+                    "sched-queue", self._track, self.clock.now(), "i", 0.0,
                     {"engine": request.engine_id, "cls": request.tclass._name_,
                      "depth": len(self._entries)},
                 )
@@ -128,6 +129,9 @@ class LinkScheduler:
     def acquire(self, entry: _Entry) -> float:
         """Block until ``entry`` is granted the link slot; returns the
         nominal seconds it spent parked (exactly 0.0 when granted at once).
+        The first grant's wait is the transfer's queue wait
+        (``first_grant_wait_s``, the ``sched-wait`` span): queueing alone,
+        from where its charged latency ended.
 
         Raises :class:`TransferError` when the entry's cancellation event
         fires while it waits — this is what makes a preempted (or abandoned)
@@ -148,23 +152,20 @@ class LinkScheduler:
                         self._current = entry
                         entry.waiting = False
                         self.grants += 1
+                        waited = 0.0 if parked_at is None else self.clock.now() - parked_at
                         if entry.first_grant_wait is None:
-                            entry.first_grant_wait = self.clock.now() - entry.opened_at
-                            self._m_wait.observe(entry.first_grant_wait)
-                            if (
-                                entry.request.op_id is not None
-                                and entry.first_grant_wait > 0
-                            ):
+                            entry.first_grant_wait = waited
+                            self._m_wait.observe(waited)
+                            if entry.request.op_id is not None and waited > 0:
                                 # Causal refinement: the queueing share of a
                                 # transfer that would otherwise all charge
                                 # to its enclosing transfer span.
                                 self.telemetry.bus.record(
-                                    "sched-wait", self._track, entry.opened_at, "X",
-                                    entry.first_grant_wait,
+                                    "sched-wait", self._track, parked_at, "X", waited,
                                     {"cls": entry.request.tclass._name_},
                                     entry.request.op_id, None, "queue",
                                 )
-                        return 0.0 if parked_at is None else self.clock.now() - parked_at
+                        return waited
                     if parked_at is None:
                         parked_at = self.clock.now()
                     # Every open, release and finish notifies; a cancel wakes

@@ -15,8 +15,15 @@ blocking is bounded by one chunk (a link built with a whole-object
 fewer hand-offs).  A transfer tagged with a QoS request on a link that
 carries a :class:`repro.sched.LinkScheduler` is granted by that arbiter
 instead (priority/WFQ order, bounded quanta).  The per-transfer ``latency``
-models command submission cost and is paid once per transfer, outside the
-slot.  A transfer may cross one more link at the same time (``alongside``:
+models command submission cost, paid outside the slot.  A link queues at
+depth two, as a double-buffered copy does: while one chunk of a streamed hop
+crosses, the next chunk's command can already be queued, so its latency runs
+behind the crossing one and only what is left of it when the link comes free
+is slept and accounted (``queued``; the hidden part is tallied in
+``latency_hidden_s``).  A transfer nothing was crossing ahead of — the first
+chunk of a hop, a retry, a later leg of a store-and-forward route, a
+whole-object transfer — pays its full latency.  A transfer may cross one
+more link at the same time (``alongside``:
 the PFS aggregate beside a node's write share, the fabric beside a holder's
 drive); each span then books its share on that link's calendar, and the
 transfer costs the slower of the two links, not their sum.
@@ -132,6 +139,7 @@ class Link:
         self._pending_bytes = 0
         self._transfers = 0
         self._active = 0  # transfers currently inside transfer()
+        self._latency_hidden = 0.0
         #: end of the last booking made by a transfer crossing alongside.
         self._booked_until = 0.0
 
@@ -158,6 +166,12 @@ class Link:
         with self._stats_lock:
             return self._transfers
 
+    @property
+    def latency_hidden_s(self) -> float:
+        """Nominal seconds of latency that ran while the chunk ahead crossed."""
+        with self._stats_lock:
+            return self._latency_hidden
+
     def estimate(self, nbytes: int, include_pending: bool = True) -> float:
         """Nominal seconds to move ``nbytes``, optionally queueing behind
         the bytes already announced on this link."""
@@ -173,14 +187,19 @@ class Link:
         cancelled: Optional[Event] = None,
         request: Optional["TransferRequest"] = None,
         alongside: Optional["Link"] = None,
+        queued: float = 0.0,
     ) -> float:
         """Move ``nbytes`` nominal bytes across the link, blocking the
         caller for the (contended) transfer duration.
 
-        Returns the *accounted* nominal duration: submission latency, plus
-        bytes over bandwidth, plus the time spent queued behind other
-        transfers' spans.  Queue wait is measured only when there was a
-        queue — a grant nobody contends for accounts exactly zero — so the
+        Returns the *accounted* nominal duration: submission latency not yet
+        elapsed, plus bytes over bandwidth, plus the time spent queued behind
+        other transfers' spans.  ``queued`` is how long this transfer's
+        command already sat queued behind the chunk its hop had crossing
+        when the link came free (queue depth two,
+        :meth:`repro.core.streaming.ChunkPipeline.queued_s`): that much of
+        ``latency`` has elapsed and is neither slept nor accounted.  Queue
+        wait is measured only when there was a queue — a grant nobody contends for accounts exactly zero — so the
         figure excludes the Python-level bookkeeping around the sleeps,
         which at aggressive ``time_scale`` would otherwise dominate short
         transfers when measured by wall clock.  It is what callers should
@@ -233,20 +252,23 @@ class Link:
         if arbiter is None or request is None:
             arbiter = self._fifo
         entry = arbiter.open(request, nbytes)
+        latency = self.latency
+        hidden = queued if queued < latency else latency
         with self._stats_lock:
             self._pending_bytes += nbytes
             self._transfers += 1
             self._active += 1
+            self._latency_hidden += hidden
         if alongside is not None:
             alongside._account(0, -nbytes)
         remaining = nbytes
         accounted = 0.0
         sleep = self._clock.sleep
         try:
-            if self.latency:
-                if sleep(self.latency, cancelled):
+            if latency > hidden:
+                if sleep(latency - hidden, cancelled):
                     raise self._cancelled(nbytes)
-                accounted += self.latency
+                accounted += latency - hidden
             per_byte = 1.0 / self.bandwidth
             while remaining > 0:
                 if cancelled is not None and cancelled.is_set():

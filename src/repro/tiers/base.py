@@ -168,15 +168,20 @@ class ObjectStore:
         handle.read(handle.nominal_size, cancelled=cancelled)
         return handle.finish()
 
-    def _cross(self, route, nbytes: int, slow: float, cancelled=None, request=None) -> float:
+    def _cross(
+        self, route, nbytes: int, slow: float, cancelled=None, request=None, queued: float = 0.0
+    ) -> float:
         """Move ``nbytes`` over every leg of ``route``, one leg after the
         other (store-and-forward); blocks and returns the accounted seconds.
+        Only the first leg's command can have been ``queued`` behind the
+        chunk ahead: a later leg is submitted when the bytes reach it.
         A brownout (``slow > 1``) stretches it: same bytes, less throughput."""
         seconds = 0.0
         for link, alongside in route:
             seconds += link.transfer(
-                nbytes, cancelled=cancelled, request=request, alongside=alongside
+                nbytes, cancelled=cancelled, request=request, alongside=alongside, queued=queued
             )
+            queued = 0.0
         if slow > 1.0:
             extra = seconds * (slow - 1.0)
             self._clock.sleep(extra)
@@ -302,7 +307,7 @@ class _ChunkedTransfer:
         self._request = request
         self._chunks = 0
 
-    def _charge(self, nbytes: int, cancelled, request) -> float:
+    def _charge(self, nbytes: int, cancelled, request, queued: float = 0.0) -> float:
         """Charge one chunk; blocks for the throttled duration."""
         store = self.store
         if self._chunks > 0 and store.faults is not None:
@@ -315,7 +320,7 @@ class _ChunkedTransfer:
         bus = store.telemetry.bus
         started = bus.clock.now() if bus.enabled else None
         try:
-            seconds = store._cross(self._route, nbytes, self._slow, cancelled, request)
+            seconds = store._cross(self._route, nbytes, self._slow, cancelled, request, queued)
         finally:
             if started is not None:
                 bus.record(
@@ -339,9 +344,9 @@ class PutHandle(_ChunkedTransfer):
         self._cancelled = cancelled
         self._corrupt_at = corrupt_at
 
-    def write(self, nbytes: int, cancelled=None, request=None) -> float:
+    def write(self, nbytes: int, cancelled=None, request=None, queued: float = 0.0) -> float:
         seconds = self._charge(
-            nbytes, self._cancelled if cancelled is None else cancelled, request
+            nbytes, self._cancelled if cancelled is None else cancelled, request, queued
         )
         self.store._m_write_bytes.inc(nbytes)
         return seconds
@@ -362,8 +367,8 @@ class GetHandle(_ChunkedTransfer):
 
     op = "get"
 
-    def read(self, nbytes: int, cancelled=None, request=None) -> float:
-        seconds = self._charge(nbytes, cancelled, request)
+    def read(self, nbytes: int, cancelled=None, request=None, queued: float = 0.0) -> float:
+        seconds = self._charge(nbytes, cancelled, request, queued)
         self.store._m_read_bytes.inc(nbytes)
         return seconds
 

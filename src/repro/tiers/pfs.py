@@ -92,6 +92,12 @@ class PfsStore(ObjectStore):
                 )
             return self._node_links[node_id]
 
+    def granted_links(self) -> list:
+        """The aggregate read link and every node's shares."""
+        with self._link_lock:
+            shares = [link for pair in self._node_links.values() for link in pair]
+        return [self.global_read_link, *shares]
+
     def route(self, node_id: int, write: bool):
         """A write crosses the node's own share and the aggregate at once; a
         read crosses the node's share, then the aggregate."""

@@ -222,6 +222,10 @@ class Cluster:
         self._closed = False
         self._lock = threading.Lock()
         self._internode_links = {}
+        self.telemetry.registry.reading(
+            "link.latency_hidden_s",
+            lambda: sum(link.latency_hidden_s for link in self.granted_links()),
+        )
         #: distributed checkpoint fabric (None unless ``config.cluster``
         #: enables it): replica directory, peer-read routing, per-node PFS
         #: write aggregators (:mod:`repro.cluster.fabric`).
@@ -248,6 +252,16 @@ class Cluster:
                 self.faults.attach(link)
                 self._internode_links[key] = link
             return link
+
+    def granted_links(self) -> List[Link]:
+        """Every link this cluster grants transfers on (not the booked ones:
+        the PFS write aggregate and the fabric)."""
+        links = self.pfs.granted_links()
+        for node in self.nodes:
+            links += node._d2h_links + node._h2d_links
+            links += [node.ssd.write_link, node.ssd.read_link]
+            links += [device.d2d_link for device in node.devices]
+        return links
 
     def process_contexts(self) -> List[ProcessContext]:
         """One context per process, ``processes_per_node`` per node."""

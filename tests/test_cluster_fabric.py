@@ -115,7 +115,7 @@ class TestPeerReads:
             assert peer is not None
             handle = peer.open_get(key)
 
-            def die(nbytes, cancelled=None, request=None):
+            def die(nbytes, cancelled=None, request=None, queued=0.0):
                 raise TransientTransferError("peer died mid-read")
 
             handle._reader.read = die

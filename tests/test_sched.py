@@ -13,6 +13,7 @@ from repro.sched import (
     TransferRequest,
 )
 from repro.simgpu.bandwidth import Link
+from repro.telemetry import Telemetry
 from repro.util.units import MiB
 from tests.conftest import start_runners
 
@@ -176,6 +177,43 @@ def test_scheduled_transfer_end_to_end_priority():
     assert sched.preemptions == 1
     # The demand read never waited behind the (cancelled) 10 s speculation.
     assert demand_seconds < 5.0
+
+
+def test_a_grant_waits_only_behind_the_holder_not_its_own_latency():
+    """A transfer's queue wait (``first_grant_wait_s`` and its ``sched-wait``
+    span) starts where its charged latency ended: on an idle link the grant
+    records 0.0 and no span; behind a holder, exactly the seconds it
+    accounted beyond its latency and its bytes."""
+    clock = VirtualClock(time_scale=0.01)
+    telemetry = Telemetry(clock=clock, enabled=True)
+    link = Link("wait", bandwidth=100 * MiB, clock=clock, latency=0.25)
+    link.scheduler = LinkScheduler(
+        link, SchedConfig(enabled=True, quantum_bytes=1 << 40), clock, telemetry
+    )
+
+    def flush(nbytes):
+        request = TransferRequest(TransferClass.CASCADE_FLUSH, op_id="c0:1")
+        return link.transfer(nbytes, request=request)
+
+    def waits():
+        return telemetry.registry.snapshot()["sched.wait.first_grant_wait_s"]
+
+    def spans():
+        return [ev for ev in telemetry.bus.snapshot() if ev.name == "sched-wait"]
+
+    assert flush(10 * MiB) == 0.25 + 0.1
+    assert waits()["count"] == 1 and waits()["max"] == 0.0
+    assert spans() == []
+
+    (holder,) = start_runners(clock, (flush, 100 * MiB))  # holds the link 1 s
+    clock.sleep(0.5)  # into the holder's span: ours ends its latency inside it
+    seconds = flush(10 * MiB)
+    clock.join(holder)
+    behind = seconds - 0.25 - 0.1
+    assert behind == pytest.approx(0.5, abs=0.05)  # the rest of the holder's span
+    assert waits()["count"] == 3 and waits()["max"] == pytest.approx(behind, rel=1e-12)
+    (span,) = spans()
+    assert span.dur == pytest.approx(behind, rel=1e-12) and span.op_id == "c0:1"
 
 
 def test_sched_context_attach_respects_enabled_flag():

@@ -23,6 +23,7 @@ sweep.
 """
 
 import threading
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -38,6 +39,7 @@ from repro.config import (
     StreamConfig,
 )
 from repro.core.engine import ScoreEngine
+from repro.core.flusher import RING_CHUNKS
 from repro.core.lifecycle import CkptState
 from repro.core.streaming import ChunkPipeline, chunk_sizes_for, plan_chunks
 from repro.core.validator import validate_engine
@@ -50,6 +52,7 @@ from repro.util.rng import make_rng
 from repro.util.units import GiB, MiB
 from repro.workloads.patterns import RestoreOrder, restore_order
 from tests.conftest import TEST_SCALE, both_chunk_plans, make_buffer, start_runners, tiny_config
+from tests.test_hop import recorded_pipelines
 
 CKPT = 128 * MiB
 
@@ -575,6 +578,75 @@ class TestUncoupledCascade:
                 assert reg.counter("tier.pfs.write_ops").value == 4
                 assert reg.counter("tier.ssd.read_ops").value == 4
                 assert reg.counter("tier.ssd.read_bytes").value == 4 * CKPT
+
+
+# -- queue depth two -----------------------------------------------------------
+@contextmanager
+def _flushed_alone(monkeypatch, stream_cfg, to_pfs):
+    """One checkpoint flushed on idle links: ``(cluster, engine, pipeline)``."""
+    with Cluster(tiny_config(stream=stream_cfg)) as cluster:
+        ctx = cluster.process_contexts()[0]
+        with ScoreEngine(ctx, flush_to_pfs=to_pfs) as engine:
+            with recorded_pipelines(monkeypatch) as built:
+                engine.checkpoint(0, make_buffer(ctx, CKPT, seed=5))
+                assert engine.wait_for_flushes(timeout=600.0)
+            (pipeline,) = built
+            yield cluster, engine, pipeline
+
+
+class TestQueueDepthTwo:
+    """Each stage keeps the chunk crossing its link plus the next one queued:
+    a busy stage pays its command latency for its first chunk only."""
+
+    @pytest.mark.parametrize("to_pfs", [False, True], ids=["ssd", "pfs"])
+    def test_a_busy_stage_hides_every_latency_but_its_first(self, monkeypatch, to_pfs):
+        """Eight chunks: ``d2h``, ``h2f`` and ``f2p`` each hide seven
+        latencies.  The read-back hides two: from its fourth chunk on it
+        waits for room in the ring, which the slower PFS writer frees only
+        after the read link ran dry."""
+        with _flushed_alone(monkeypatch, STREAMING, to_pfs) as (cluster, engine, pipeline):
+            assert pipeline.chunks == 8
+            ssd = engine.ssd
+            expected = {
+                engine.device.d2h_link: 7 * engine.device.d2h_link.latency,
+                ssd.write_link: 7 * ssd.write_link.latency,
+            }
+            if to_pfs:
+                share = cluster.pfs.node_links(engine.node_id)[0]
+                expected[ssd.read_link] = (RING_CHUNKS - 1) * ssd.read_link.latency
+                expected[share] = 7 * share.latency
+            hidden = {
+                link: link.latency_hidden_s
+                for link in cluster.granted_links()
+                if link.latency_hidden_s
+            }
+            assert hidden == pytest.approx(expected, rel=1e-9)
+            total = sum(expected.values())
+            snap = cluster.telemetry.registry.snapshot()
+            assert snap["link.latency_hidden_s"] == pytest.approx(total, rel=1e-9)
+            assert engine.stats()["latency_hidden_s"] == pytest.approx(total, rel=1e-9)
+
+    def test_a_one_chunk_flush_hides_none(self, monkeypatch):
+        with _flushed_alone(monkeypatch, StreamConfig(), True) as (cluster, engine, pipeline):
+            assert pipeline.chunks == 1
+            assert all(link.latency_hidden_s == 0.0 for link in cluster.granted_links())
+            assert engine.stats()["latency_hidden_s"] == 0.0
+
+    def test_the_cascade_costs_the_pfs_writes_plus_one_chunk_of_each_stage_ahead(
+        self, monkeypatch
+    ):
+        """``d2h → h2f → f2r → f2p`` on idle links: the critical path is
+        f2p's eight chunk spans, every stage's latency once, and one chunk
+        span of each stage ahead of f2p."""
+        with _flushed_alone(monkeypatch, STREAMING, True) as (cluster, engine, pipeline):
+            chunk = CKPT // pipeline.chunks
+            ahead = (engine.device.d2h_link, engine.ssd.write_link, engine.ssd.read_link)
+            share = cluster.pfs.node_links(engine.node_id)[0]
+            expected = (
+                sum(link.latency + chunk / link.bandwidth for link in ahead)
+                + share.latency + CKPT / share.bandwidth
+            )
+            assert pipeline.critical_s() == pytest.approx(expected, rel=1e-9)
 
 
 # -- streaming + faults ------------------------------------------------------

@@ -330,7 +330,7 @@ def charges(monkeypatch):
     slower of the two."""
     calls = []
 
-    def transfer(link, nbytes, cancelled=None, request=None, alongside=None):
+    def transfer(link, nbytes, cancelled=None, request=None, alongside=None, queued=0.0):
         crossed = (link,) if alongside is None else (link, alongside)
         calls.extend((each.name, nbytes) for each in crossed)
         return max(each.estimate(nbytes, include_pending=False) for each in crossed)
