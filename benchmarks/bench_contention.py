@@ -86,8 +86,9 @@ def build_config(sched_enabled: bool, stream: bool = False) -> RuntimeConfig:
     )
     if stream:
         # 128 MiB snapshots stream as 8-chunk pipelines at the default
-        # chunk size; chunks flow through the same WFQ arbiters, so this
-        # mode exercises chunk-boundary preemption under contention.
+        # chunk size; chunks flow through the same arbiters (a demand
+        # read's chunks share its one request and its place in line), so
+        # this mode exercises chunk-boundary preemption under contention.
         config = config.with_(stream=StreamConfig(enabled=True))
     return config
 

@@ -721,11 +721,18 @@ class ScoreEngine:
             decoded = 0.0
             copied = 0.0
             repairs = 0
+            # Highest class: jumps every queue and preempts in-flight
+            # speculative prefetches on the way.  One request for the whole
+            # restore, so every step and chunk of it keeps one place in the
+            # demand class's arrival order.
+            demand = self.sched.request(TransferClass.DEMAND_READ, self.process_id, op_id=op.op_id)
             while True:
                 # _await_gpu_copy pins the extent (crossover to READ_COMPLETE)
                 # before returning, so it cannot be evicted under the copy
                 # below.
-                waited += self._await_gpu_copy(record, op, None if repairs else resolved)
+                waited += self._await_gpu_copy(
+                    record, op, None if repairs else resolved, demand
+                )
                 # The GPU instance is READ_COMPLETE (pinned) until
                 # ``_consume`` below, so a zero-copy view of the extent is
                 # safe: this thread is the only one that could force-evict
@@ -826,10 +833,14 @@ class ScoreEngine:
             self.flusher.backfill(record)
         return record.durable_level is not None
 
-    def _await_gpu_copy(self, record: CheckpointRecord, op=NULL_OP, resolved=None) -> float:
+    def _await_gpu_copy(
+        self, record: CheckpointRecord, op=NULL_OP, resolved=None,
+        demand: Optional[TransferRequest] = None,
+    ) -> float:
         """Block until the GPU cache holds a full copy of ``record``;
         returns the nominal seconds charged to the caller.  ``resolved``: the
-        durable ``(level, store)`` the caller just looked up, for the first step.
+        durable ``(level, store)`` the caller just looked up, for the first
+        step.  ``demand``: the restore's QoS tag, carried by every step.
 
         Demand promotion runs *inline* in the calling thread: a restore that
         misses the GPU cache promotes the checkpoint level by level itself,
@@ -884,11 +895,7 @@ class ScoreEngine:
                         continue
                     record.prefetch_inflight = True
                 seconds, _ = self.prefetcher.step(
-                    record, step, op,
-                    # Highest class: jumps every queue and preempts
-                    # in-flight speculative prefetches on the way.
-                    self.sched.request(TransferClass.DEMAND_READ, self.process_id, op_id=op.op_id),
-                    "demand", blocking=True, allow_pinned=True,
+                    record, step, op, demand, "demand", blocking=True, allow_pinned=True,
                 )
                 if seconds is not None:
                     blocked += seconds

@@ -470,7 +470,9 @@ class Flusher:
 
         Pops queued records and copies their PFS blobs back onto the local
         SSD, breaker-gated; a failure (tier still dark) re-queues the record
-        and stops until the next drain opportunity.
+        and stops until the next drain opportunity.  Its half-open probe
+        yields: a flush reaching the breaker meanwhile takes it over rather
+        than reroute a write meant for the healed SSD.
         """
         engine = self.engine
         leg = self.legs["h2f"]  # the durable hop's track, whichever stage ran it
@@ -485,7 +487,7 @@ class Flusher:
                 continue
             if engine.ssd.contains(key):
                 continue  # already healed by another path
-            if engine.faults.hard_outage("ssd") or not engine.health.allow(breaker):
+            if engine.faults.hard_outage("ssd") or not engine.health.allow(breaker, yielding=True):
                 with self._backfill_lock:
                     self._backfill.appendleft(record)
                 return

@@ -10,7 +10,9 @@ a classic three-state machine:
   around it.  Opened-at is stamped on the **virtual** clock.
 * ``HALF_OPEN`` — once ``BREAKER_RESET_S`` nominal seconds elapse, a single
   probe operation is admitted; success closes the breaker, failure re-opens
-  it and restarts the cool-down.
+  it and restarts the cool-down.  A backfill's catch-up copy probes as a
+  *yielding* probe: a flush that finds one in flight takes the probe over
+  instead of rerouting a write meant for a tier that may have healed.
 
 State transitions are emitted on the trace bus (track ``resilience``) so a
 Perfetto timeline shows exactly when a tier went dark and when it healed.
@@ -45,6 +47,8 @@ class CircuitBreaker:
         self._failures = 0
         self._opened_at = 0.0
         self._probe_inflight = False
+        #: the probe in flight is a yielding one (a flush may take it over).
+        self._probe_yields = False
         self.opens = 0
         self._m_opens = (
             telemetry.registry.counter("resilience.breaker_opens")
@@ -63,11 +67,13 @@ class CircuitBreaker:
     def state(self) -> str:
         return self._state  # one attribute read: atomic, no lock needed
 
-    def allow(self) -> bool:
+    def allow(self, yielding: bool = False) -> bool:
         """Whether an operation against this tier should be attempted now.
 
         In ``OPEN`` state this returns ``False`` until the cool-down
-        elapses, then admits exactly one half-open probe at a time.
+        elapses, then admits exactly one half-open probe at a time — save
+        that a non-``yielding`` caller takes over a ``yielding`` probe in
+        flight (both then feed the verdict; the first closes or re-opens).
         """
         if self._state == CLOSED:  # the healthy path takes no lock
             return True
@@ -78,13 +84,11 @@ class CircuitBreaker:
                 if self.clock.now() - self._opened_at < BREAKER_RESET_S:
                     return False
                 self._state = HALF_OPEN
-                self._probe_inflight = True
                 self._emit("breaker-probe")
-                return True
-            # HALF_OPEN: one probe at a time.
-            if self._probe_inflight:
-                return False
+            elif self._probe_inflight and (yielding or not self._probe_yields):
+                return False  # HALF_OPEN: one probe at a time
             self._probe_inflight = True
+            self._probe_yields = yielding
             return True
 
     def record_success(self) -> None:
@@ -138,9 +142,10 @@ class HealthRegistry:
                 )
         return brk
 
-    def allow(self, name: str) -> bool:
-        """Gate a write/flush against ``name`` (consumes half-open probes)."""
-        return self.breaker(name).allow()
+    def allow(self, name: str, yielding: bool = False) -> bool:
+        """Gate a write/flush against ``name`` (consumes half-open probes;
+        ``yielding``: a probe a flush may take over)."""
+        return self.breaker(name).allow(yielding)
 
     def healthy(self, name: str) -> bool:
         """Read-side check: ``False`` only while the breaker is OPEN.

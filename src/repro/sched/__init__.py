@@ -9,13 +9,14 @@ restores the application is actually blocked on.  This package adds:
 * :class:`~repro.sched.request.TransferClass` — the priority lattice
   (demand read > hinted prefetch > cascade flush > speculative prefetch);
 * :class:`~repro.sched.request.TransferRequest` — one transfer's class,
-  fair-queuing flow (engine), deadline and cancellation channel;
+  fair-queuing flow (engine), arrival, deadline and cancellation channel;
 * :class:`~repro.sched.scheduler.LinkScheduler` — the per-link arbiter:
-  strict priority, equal-share fair queuing across engines, EDF pacing of
-  prefetch deadlines and demand-read preemption of in-flight speculative
-  prefetches.  It admits every transfer: backpressure comes from the
-  caches (a ``checkpoint`` blocks only until its bytes are in the GPU
-  cache, as the paper's does);
+  strict priority, demand reads first come first served per operation,
+  equal-share fair queuing across engines within the prefetch and flush
+  classes, EDF pacing of prefetch deadlines and demand-read preemption of
+  in-flight speculative prefetches.  It admits every transfer:
+  backpressure comes from the caches (a ``checkpoint`` blocks only until
+  its bytes are in the GPU cache, as the paper's does);
 * :class:`~repro.sched.scheduler.SchedContext` — the cluster-wide fleet of
   arbiters plus aggregate diagnostics.
 

@@ -16,9 +16,11 @@ Class                   Traffic
 ======================  ====================================================
 
 Lower enum value = higher priority.  A :class:`TransferRequest` tags one
-transfer with its class, the issuing engine (the fair-queuing flow), an optional
-deadline (derived from the hint's restore-queue distance) and a cancellation
-event the scheduler fires to preempt speculative prefetches.
+transfer with its class, the issuing engine (the fair-queuing flow of the
+prefetch and flush classes), its arrival (the first-come-first-served order
+of demand reads), an optional deadline (derived from the hint's
+restore-queue distance) and a cancellation event the scheduler fires to
+preempt speculative prefetches.
 """
 
 from __future__ import annotations
@@ -47,10 +49,16 @@ PREEMPTIBLE_CLASSES = frozenset({TransferClass.SPECULATIVE_PREFETCH})
 class TransferRequest:
     """One transfer's scheduling identity, shared across its link hops.
 
-    ``deadline`` is an absolute nominal timestamp (``clock.now()`` units) by
-    which the bytes should have landed — prefetch requests derive it from
-    their restore-queue distance; ``None`` means "no deadline" and sorts
-    last within the class.  ``cancel_event`` doubles as the preemption
+    ``arrival`` orders the demand class: demand reads are served first come,
+    first served per operation, so one ``restore()`` builds one request and
+    every step and chunk of it keeps that request's place in line; a later
+    restore waits for it instead of splitting the link with it.  The other
+    classes fair-queue per engine and ignore it.
+
+    ``deadline`` is an absolute nominal timestamp (``clock.now()`` units)
+    by which the bytes should have landed — prefetch requests derive it
+    from their restore-queue distance; ``None`` means "no deadline" and
+    sorts last within the class.  ``cancel_event`` doubles as the preemption
     channel: the scheduler sets it to abort a speculative prefetch, and
     callers with their own cancellation semantics (flush abandonment) pass
     the event they already own.
@@ -60,6 +68,8 @@ class TransferRequest:
     engine_id: int = 0
     deadline: Optional[float] = None
     cancel_event: Event = field(default_factory=Event)
+    #: issue order (:meth:`repro.sched.SchedContext.request` stamps it).
+    arrival: int = 0
     #: causal id of the operation this transfer serves (None unless
     #: ``AnalysisConfig.enabled``); the scheduler stamps it on the
     #: ``sched-wait`` span it emits for the transfer's first grant wait.

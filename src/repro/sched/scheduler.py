@@ -1,4 +1,4 @@
-"""Per-link QoS arbitration: priority, fair queuing, preemption.
+"""Per-link QoS arbitration: priority, arrival order, fair queuing, preemption.
 
 One :class:`LinkScheduler` arbitrates one shared
 :class:`~repro.simgpu.bandwidth.Link`.  A scheduled transfer is served in
@@ -10,10 +10,15 @@ granularity:
 * **strict priority across classes** — a demand read arriving behind ten
   queued cascade flushes is granted the very next quantum, bounding its
   head-of-line wait to one quantum instead of the whole backlog;
-* **fair queuing within a class** — concurrent engines sharing a link
-  split its bandwidth equally (start-time fair queuing over per-flow
-  virtual finish tags, with idle flows re-entering at the live virtual
-  time so they cannot hoard credit);
+* **first come, first served among demand reads** — a blocked
+  ``restore()`` is served whole before the next one: entries are ordered
+  by their request's arrival, which one restore shares across its steps
+  and chunks, so two restores on one link run back to back instead of
+  taking turns chunk by chunk and each finishing near the time both take;
+* **fair queuing within the other classes** — concurrent engines' prefetch
+  or flush flows sharing a link split its bandwidth equally (start-time
+  fair queuing over per-flow virtual finish tags, with idle flows
+  re-entering at the live virtual time so they cannot hoard credit);
 * **EDF pacing inside the prefetch classes** — equal-vtime prefetches are
   ordered by the deadline derived from their restore-queue distance, so
   near-future hints land before far-future speculation;
@@ -106,7 +111,8 @@ class LinkScheduler:
         bus = self.telemetry.bus
         with self._cond:
             entry = _Entry(request, nbytes, next(self._seq))
-            self._flow_enter(entry)
+            if request.tclass is not TransferClass.DEMAND_READ:
+                self._flow_enter(entry)
             self._entries.append(entry)
             self._m_depth.set(len(self._entries))
             if bus.enabled:
@@ -180,7 +186,7 @@ class LinkScheduler:
         with self._cond:
             if self._current is entry:
                 self._current = None
-            if span_bytes > 0:
+            if span_bytes > 0 and entry.request.tclass is not TransferClass.DEMAND_READ:
                 self._charge(entry, span_bytes)
             self._cond.notify_all()
 
@@ -223,7 +229,8 @@ class LinkScheduler:
         """The entry the next quantum belongs to (None = none waiting).
 
         Pure selection — every parked waiter re-runs it on wake-up, so it
-        must not mutate arbiter state.
+        must not mutate arbiter state.  Demand reads go by arrival, the
+        other classes by virtual finish tag, then deadline.
         """
         best: Optional[_Entry] = None
         best_key: Optional[tuple] = None
@@ -231,8 +238,11 @@ class LinkScheduler:
             if not entry.waiting or entry.request.cancel_event.is_set():
                 continue
             req = entry.request
-            deadline = req.deadline if req.deadline is not None else float("inf")
-            key = (int(req.tclass), self._vft.get(entry.flow, 0.0), deadline, entry.seq)
+            if req.tclass is TransferClass.DEMAND_READ:
+                key = (0, req.arrival, entry.seq)
+            else:
+                deadline = req.deadline if req.deadline is not None else float("inf")
+                key = (int(req.tclass), self._vft.get(entry.flow, 0.0), deadline, entry.seq)
             if best_key is None or key < best_key:
                 best, best_key = entry, key
         return best
@@ -300,6 +310,7 @@ class SchedContext:
         self.telemetry = telemetry or Telemetry.disabled()
         self._schedulers: List[LinkScheduler] = []
         self._lock = threading.Lock()
+        self._arrivals = itertools.count()
 
     @property
     def enabled(self) -> bool:
@@ -310,14 +321,16 @@ class SchedContext:
         op_id=None,
     ) -> Optional[TransferRequest]:
         """The one factory of QoS tags: a :class:`TransferRequest` on the
-        flow of ``engine_id``, or ``None`` when scheduling is off (untagged
-        transfers take the link's own FIFO arbiter).  ``op_id`` ties the
-        transfer's queue wait to its operation's span DAG."""
+        flow of ``engine_id``, stamped with its arrival across every link,
+        or ``None`` when scheduling is off (untagged transfers take the
+        link's own FIFO arbiter).  ``op_id`` ties the transfer's queue wait
+        to its operation's span DAG."""
         if not self.config.enabled:
             return None
         return TransferRequest(
             tclass, engine_id=engine_id, deadline=deadline,
             cancel_event=cancel_event or Event(), op_id=op_id,
+            arrival=next(self._arrivals),
         )
 
     def stall_report(self) -> str:

@@ -14,7 +14,7 @@ blocking is bounded by one chunk (a link built with a whole-object
 ``chunk_size`` — the drive, a node's PFS write share — trades that bound for
 fewer hand-offs).  A transfer tagged with a QoS request on a link that
 carries a :class:`repro.sched.LinkScheduler` is granted by that arbiter
-instead (priority/WFQ order, bounded quanta).  The per-transfer ``latency``
+instead (priority order, bounded quanta).  The per-transfer ``latency``
 models command submission cost, paid outside the slot.  A link queues at
 depth two, as a double-buffered copy does: while one chunk of a streamed hop
 crosses, the next chunk's command can already be queued, so its latency runs
@@ -123,7 +123,7 @@ class Link:
         self._clock = clock
         #: optional QoS arbiter (:class:`repro.sched.LinkScheduler`); when
         #: attached, transfers carrying a :class:`TransferRequest` are served
-        #: in priority/WFQ order in bounded quanta instead of the FIFO chunk
+        #: in priority order in bounded quanta instead of the FIFO chunk
         #: interleave.  Attached by :class:`repro.sched.SchedContext`.
         self.scheduler: Optional["LinkScheduler"] = None
         self._fifo = _FifoArbiter(self)

@@ -275,6 +275,21 @@ class TestCircuitBreaker:
         assert brk.state == "closed"
         assert brk.allow()
 
+    def test_a_flush_takes_over_a_yielding_probe(self):
+        """A backfill's probe yields to one flush: the flush is admitted
+        beside it, but no third caller — yielding or not — gets in."""
+        clock = fast_clock()
+        brk = self.make(clock)
+        self.trip(brk)
+        clock.sleep(BREAKER_RESET_S)
+        assert brk.allow(yielding=True)  # the backfill's probe
+        assert brk.state == "half-open"
+        assert not brk.allow(yielding=True)
+        assert brk.allow()  # a flush takes the probe over
+        assert not brk.allow() and not brk.allow(yielding=True)
+        brk.record_success()
+        assert brk.state == "closed"
+
     def test_half_open_failure_reopens(self):
         clock = fast_clock()
         brk = self.make(clock)

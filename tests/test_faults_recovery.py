@@ -30,6 +30,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.flusher as flusher_module
 from repro.config import (
     ClusterConfig,
     FaultConfig,
@@ -46,6 +47,7 @@ from tests.conftest import (
     FaultClock,
     both_chunk_plans,
     make_buffer,
+    start_runners,
     tamper_blob,
     tiny_config,
 )
@@ -318,6 +320,56 @@ class TestOutageRerouteAndBackfill:
                 stats = engine.stats()["resilience"]
                 assert stats["rerouted"] >= 1
                 assert stats["backfilled"] >= 1
+                validate_engine(engine)
+
+    @both_chunk_plans
+    def test_a_flush_at_a_healed_ssd_is_not_rerouted_while_a_backfill_probes(
+        self, stream, monkeypatch
+    ):
+        """Past the outage, a backfill's catch-up copy holds the SSD
+        breaker's half-open probe while checkpoint 1's flush reaches the
+        breaker: the flush takes the probe over and lands on the healed
+        SSD instead of rerouting to the PFS and queueing a backfill of its
+        own; the held backfill then lands too."""
+        cfg = tiny_config(
+            stream=stream,
+            faults=FaultConfig(tier_outages=(("ssd", 0.0, 500.0, 0.0),)),
+        )
+        with Cluster(cfg) as cluster:
+            ctx = cluster.process_contexts()[0]
+            with ScoreEngine(ctx, flush_to_pfs=True) as engine:
+                flusher, clock = engine.flusher, engine.clock
+                engine.checkpoint(0, make_buffer(ctx, CKPT, seed=0))
+                engine.wait_for_flushes(timeout=600.0)
+                breaker = engine.health.breaker(engine.ssd.track)
+                assert breaker.state == "open" and flusher.backfill_depth == 1
+                rerouted, queued = flusher.rerouted, flusher._backfill_queued
+                clock.sleep(max(0.0, 505.0 - clock.now()))  # healed, cooled down
+
+                copy_whole = flusher_module.copy_whole
+                probing, release = clock.event(), clock.event()
+
+                def held_copy(*args, **kwargs):
+                    probing.set()  # the breaker admitted this copy as its probe
+                    release.wait()
+                    return copy_whole(*args, **kwargs)
+
+                monkeypatch.setattr(flusher_module, "copy_whole", held_copy)
+                (backfill,) = start_runners(clock, (flusher._drain_backfill,))
+                try:
+                    probing.wait()
+                    assert breaker.state == "half-open"
+                    engine.checkpoint(1, make_buffer(ctx, CKPT, seed=1))
+                    engine.wait_for_flushes(timeout=600.0)
+                    assert flusher.rerouted == rerouted
+                    assert flusher._backfill_queued == queued
+                    assert engine.ssd.contains((engine.process_id, 1))
+                    assert breaker.state == "closed"
+                finally:
+                    release.set()
+                    clock.join(backfill)
+                assert engine.ssd.contains((engine.process_id, 0))
+                assert flusher.backfilled == 1 and flusher.backfill_depth == 0
                 validate_engine(engine)
 
     @both_chunk_plans

@@ -1,9 +1,14 @@
-"""QoS link scheduler: priority, fair queuing, EDF, preemption."""
+"""QoS link scheduler: priority, demand arrival order, fair queuing, EDF,
+preemption."""
+
+from types import SimpleNamespace
 
 import pytest
 
+import repro.clock
 from repro.clock import VirtualClock
 from repro.config import SchedConfig
+from repro.core.engine import ScoreEngine
 from repro.errors import ConfigError, TransferError
 from repro.sched import (
     PREEMPTIBLE_CLASSES,
@@ -14,8 +19,10 @@ from repro.sched import (
 )
 from repro.simgpu.bandwidth import Link
 from repro.telemetry import Telemetry
+from repro.tiers.base import TierLevel
+from repro.tiers.topology import Cluster
 from repro.util.units import MiB
-from tests.conftest import start_runners
+from tests.conftest import make_buffer, start_runners, tiny_config
 
 
 def make_sched(config=None, bandwidth=100 * MiB):
@@ -205,15 +212,168 @@ def test_a_grant_waits_only_behind_the_holder_not_its_own_latency():
     assert waits()["count"] == 1 and waits()["max"] == 0.0
     assert spans() == []
 
-    (holder,) = start_runners(clock, (flush, 100 * MiB))  # holds the link 1 s
+    stamps = {}
+
+    def hold():  # holds the link 1 s past its latency
+        stamps["start"] = clock.now()
+        flush(100 * MiB)
+        stamps["end"] = clock.now()
+
+    (holder,) = start_runners(clock, (hold,))
     clock.sleep(0.5)  # into the holder's span: ours ends its latency inside it
+    ours = clock.now()
     seconds = flush(10 * MiB)
     clock.join(holder)
     behind = seconds - 0.25 - 0.1
-    assert behind == pytest.approx(0.5, abs=0.05)  # the rest of the holder's span
+    # The rest of the holder's span, from where our latency ended: read off
+    # the holder's own stamps, wherever the host's pace put its start.
+    assert stamps["start"] < ours < stamps["start"] + 0.25 + 1.0
+    assert behind == pytest.approx(stamps["end"] - (ours + 0.25), abs=0.05)
     assert waits()["count"] == 3 and waits()["max"] == pytest.approx(behind, rel=1e-12)
     (span,) = spans()
     assert span.dur == pytest.approx(behind, rel=1e-12) and span.op_id == "c0:1"
+
+
+# -- demand reads: first come, first served per operation --------------------
+@pytest.fixture
+def still_clock(monkeypatch):
+    """A clock that only skips move: the wall time it paces by stands still,
+    so a queue wait read off it is the nominal closed form under any host
+    load.  Every thread of these tests is registered, so each wait ends in
+    a skip."""
+    monkeypatch.setattr(repro.clock, "time", SimpleNamespace(monotonic=lambda: 0.0))
+    return VirtualClock(time_scale=0.01)
+
+
+def demand_link(clock, quantum=16 * MiB):
+    """A scheduled 100 MiB/s link with a 0.25 s latency, and the fleet
+    whose ``request`` stamps each demand read's arrival."""
+    config = SchedConfig(enabled=True, quantum_bytes=quantum)
+    fleet = SchedContext(config, clock)
+    link = Link("demand", bandwidth=100 * MiB, clock=clock, latency=0.25)
+    fleet.attach(link)
+    return fleet, link
+
+
+def test_a_second_demand_read_waits_for_the_first_instead_of_sharing_the_link(still_clock):
+    """Two equal demand reads from two engines, the second opened while the
+    first is mid-transfer: the first accounts exactly its lone time, the
+    second its lone time plus the first's remainder from where its own
+    latency ended — not both near the time the two take together."""
+    clock = still_clock
+    fleet, link = demand_link(clock)
+    nbytes = 100 * MiB
+    lone = link.latency + nbytes / link.bandwidth
+    first = {}
+
+    def read():
+        first["start"] = clock.now()
+        request = fleet.request(TransferClass.DEMAND_READ, 0)
+        first["seconds"] = link.transfer(nbytes, request=request)
+
+    (reader,) = start_runners(clock, (read,))
+    clock.sleep(0.5)  # the first is 0.25 s into its bytes
+    opened = clock.now()
+    seconds = link.transfer(nbytes, request=fleet.request(TransferClass.DEMAND_READ, 1))
+    clock.join(reader)
+    assert opened - first["start"] == pytest.approx(0.5, rel=1e-9)
+    assert first["seconds"] == pytest.approx(lone, rel=1e-9)
+    remainder = first["start"] + lone - (opened + link.latency)
+    assert seconds == pytest.approx(lone + remainder, rel=1e-9)
+
+
+def test_a_streamed_demand_read_keeps_the_link_until_its_last_chunk(still_clock):
+    """Two 8-chunk streamed reads, one request each (as one restore carries
+    one), the second opened mid-way through the first: no chunk of the
+    second is granted before the first's last, and the closed forms hold —
+    the first alone, the second its lone time plus the first's remainder.
+    Chunks after the first hide their latency behind the chunk ahead."""
+    clock = still_clock
+    chunk, chunks = 16 * MiB, 8
+    fleet, link = demand_link(clock, quantum=chunk)
+    sched = link.scheduler
+    granted = []
+    acquire = sched.acquire
+
+    def logged(entry):
+        waited = acquire(entry)
+        granted.append(entry.request.engine_id)  # the slot is held here
+        return waited
+
+    sched.acquire = logged
+    lone = link.latency + chunks * chunk / link.bandwidth
+    first = {}
+
+    def stream(engine_id):
+        request = fleet.request(TransferClass.DEMAND_READ, engine_id)
+        return sum(
+            link.transfer(chunk, request=request, queued=link.latency if i else 0.0)
+            for i in range(chunks)
+        )
+
+    def read():
+        first["start"] = clock.now()
+        first["seconds"] = stream(0)
+
+    (reader,) = start_runners(clock, (read,))
+    clock.sleep(0.5)  # the first is on its chunk 1
+    opened = clock.now()
+    seconds = stream(1)
+    clock.join(reader)
+    assert granted == [0] * chunks + [1] * chunks
+    assert first["seconds"] == pytest.approx(lone, rel=1e-9)
+    remainder = first["start"] + lone - (opened + link.latency)
+    assert seconds == pytest.approx(lone + remainder, rel=1e-9)
+
+
+def test_queued_demand_reads_are_chosen_in_arrival_order_not_round_robin():
+    """Engine 0's two reads arrived before engine 1's: both are served
+    first, although fair queuing would have handed engine 1 the second
+    grant.  Demand grants charge no virtual time."""
+    clock, _, sched = make_sched()
+    fleet = SchedContext(SchedConfig(enabled=True), clock)
+    entries = []
+    for engine_id in (0, 0, 1):
+        entry = sched.open(fleet.request(TransferClass.DEMAND_READ, engine_id), 1 * MiB)
+        entry.waiting = True
+        entries.append(entry)
+    chosen = []
+    while sched.depth():
+        winner = sched._choose()
+        chosen.append(winner)
+        sched.release(winner, 1 * MiB)
+        sched.finish(winner)
+    assert chosen == entries
+    assert sched._vft == {} and sched._class_vtime == {}
+
+
+def test_one_restore_keeps_one_arrival_across_its_promotion_steps(monkeypatch):
+    """A restore served off the SSD in one chunk promotes twice (SSD to
+    host, host to GPU); both steps carry the one request it built, so the
+    second step keeps the place in line the first had."""
+    config = tiny_config(sched=SchedConfig(enabled=True))
+    with Cluster(config) as cluster:
+        ctx = cluster.process_contexts()[0]
+        with ScoreEngine(ctx) as engine:
+            engine.checkpoint(0, make_buffer(ctx, seed=0))
+            engine.wait_for_flushes(timeout=600.0)
+            record = engine.catalog.get(0)
+            engine.gpu_cache.release(record)
+            engine.host_cache.release(record)
+            steps = []
+            step = engine.prefetcher.step
+
+            def spy(rec, where, op, request, *args, **kwargs):
+                steps.append((where[0], where[1], request))
+                return step(rec, where, op, request, *args, **kwargs)
+
+            monkeypatch.setattr(engine.prefetcher, "step", spy)
+            engine.restore(0, make_buffer(ctx, seed=1))
+    assert [(src, dst) for src, dst, _ in steps] == [
+        (TierLevel.SSD, TierLevel.HOST), (TierLevel.HOST, TierLevel.GPU)
+    ]
+    (_, _, request), (_, _, again) = steps
+    assert again is request and request.tclass is TransferClass.DEMAND_READ
 
 
 def test_sched_context_attach_respects_enabled_flag():
